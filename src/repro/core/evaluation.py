@@ -96,23 +96,24 @@ class _QueryCountingEngine:
         return self._engine.evaluate_layer(hw, mapping, layer_name)
 
     def evaluate_layers(self, hw, requests):
-        self.local_queries += len(requests)
-        return self._engine.evaluate_layers(hw, requests)
-
-    def evaluate_candidates(self, hw, layer_name, mappings):
+        results = self._engine.evaluate_layers(hw, requests)
         if getattr(self._engine, "is_screening", False):
             # a screening wrapper forwards only part of the batch to the
             # analytical engine; only those candidates cost a query (and
             # therefore simulated eval time).  Screened-out results are
             # tagged, so per-trial accounting stays race-free.
-            results = self._engine.evaluate_candidates(hw, layer_name, mappings)
             self.local_queries += sum(
                 1 for result in results
                 if result.infeasible_reason != SCREENED_REASON
             )
-            return results
-        self.local_queries += len(mappings)
-        return self._engine.evaluate_candidates(hw, layer_name, mappings)
+        else:
+            self.local_queries += len(results)
+        return results
+
+    def evaluate_candidates(self, hw, layer_name, mappings):
+        return self.evaluate_layers(
+            hw, [(mapping, layer_name) for mapping in mappings]
+        )
 
     def evaluate_network(self, hw, mappings):
         # mirrors PPAEngine.evaluate_network: one query per mapped layer

@@ -31,7 +31,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.mapping.gemm_mapping import GemmMapping, NetworkMapping
@@ -69,6 +69,13 @@ ANALYTICAL_EVAL_COST_S = 5.0
 #: that a long-running service cannot grow without limit.
 DEFAULT_CACHE_CAPACITY = 100_000
 
+#: Misses of one layer in one batch from which the vectorized kernel is no
+#: slower than the scalar one.  Measured (DESIGN.md §4b has the table): a
+#: NumPy kernel call costs 50-60 us whatever its width, the scalar model
+#: 7-9 us per candidate, and they meet at 8; narrower groups are cheaper
+#: one at a time.  Results are bit-identical either way.
+VECTOR_KERNEL_MIN_GROUP = 8
+
 
 class PPAEngine(ABC):
     """Estimation service bound to a single workload.
@@ -105,8 +112,8 @@ class PPAEngine(ABC):
         self.num_queries = 0
         self.num_cache_hits = 0
         self.num_cache_evictions = 0
-        #: batch-path accounting: calls to :meth:`evaluate_candidates` and
-        #: the candidates they carried (for the mean batch size)
+        #: batch-path accounting: calls to :meth:`evaluate_layers` and the
+        #: items they carried (for the mean batch size)
         self.num_batch_queries = 0
         self.num_batch_items = 0
         #: when False, a co-optimizer owns wall-clock accounting (e.g. to
@@ -190,9 +197,49 @@ class PPAEngine(ABC):
         """Uncached vectorized batch analysis, ordered like ``mappings``.
 
         Engines without a batch kernel return ``None`` and
-        :meth:`evaluate_candidates` falls back to a scalar loop.
+        :meth:`_compute_misses` falls back to the scalar kernel.
         """
         return None
+
+    def _compute_misses(
+        self, hw, misses: Sequence[Tuple["GemmMapping", str]]
+    ) -> Iterable[LayerPPA]:
+        """Compute the cache misses of one :meth:`evaluate_layers` call.
+
+        The one hook between the bookkeeping above and the cost model:
+        results come back in ``misses`` order, and :meth:`evaluate_layers`
+        stores each as it arrives — a hook that raises part-way keeps what
+        it had already yielded, as sequential :meth:`evaluate_layer` calls
+        would have.  In-process engines group the misses by layer and pick
+        the kernel from the group size; remote engines override this with
+        their transport and nothing else.
+        """
+        by_layer: Dict[str, List[int]] = {}
+        for position, (_mapping, layer_name) in enumerate(misses):
+            by_layer.setdefault(layer_name, []).append(position)
+        results: List[Optional[LayerPPA]] = [None] * len(misses)
+        start = time.perf_counter()
+        for layer_name, positions in by_layer.items():
+            shape, _count = self.layer_shapes[layer_name]
+            mappings = [misses[position][0] for position in positions]
+            computed = None
+            if len(mappings) >= VECTOR_KERNEL_MIN_GROUP:
+                computed = self._compute_layer_batch(
+                    hw, mappings, layer_name, shape
+                )
+            if computed is None:
+                computed = [
+                    self._compute_layer_by_name(hw, mapping, layer_name, shape)
+                    for mapping in mappings
+                ]
+            for position, result in zip(positions, computed):
+                results[position] = result
+        elapsed = time.perf_counter() - start
+        self.metrics.histogram("engine_compute_seconds").observe(elapsed)
+        self.metrics.histogram(
+            "engine_batch_compute_seconds_per_item", PER_ITEM_LATENCY_BOUNDS
+        ).observe(elapsed / len(misses))
+        return results  # type: ignore[return-value]  # all slots filled above
 
     def hw_key(self, hw) -> Tuple:
         """Hashable identity of a hardware config (for the cache)."""
@@ -290,50 +337,33 @@ class PPAEngine(ABC):
     ) -> List[LayerPPA]:
         """Evaluate a batch of ``(mapping, layer_name)`` queries in order.
 
-        Semantically identical to calling :meth:`evaluate_layer` per item
-        (each item counts one query and charges one evaluation); remote
-        engines override this to amortize HTTP round trips.
+        The single batched entry point.  Query semantics match one
+        :meth:`evaluate_layer` call per item: each item counts one query,
+        charges one evaluation on the simulated clock, and hits or misses
+        the LRU individually (in-batch duplicates of a missing key count
+        as hits, mirroring the sequential order: first occurrence
+        computes, the rest reuse).  Only the misses reach the cost model,
+        in one :meth:`_compute_misses` call, so an all-cache-hit batch
+        records no compute time at all.
         """
-        return [
-            self.evaluate_layer(hw, mapping, layer_name)
-            for mapping, layer_name in requests
-        ]
-
-    def evaluate_candidates(
-        self, hw, layer_name: str, mappings: Sequence["GemmMapping"]
-    ) -> List[LayerPPA]:
-        """Evaluate B candidate mappings of one layer in a single pass.
-
-        Query semantics match B :meth:`evaluate_layer` calls item for item:
-        each candidate counts one query, charges one evaluation on the
-        simulated clock, and hits or misses the LRU individually
-        (within-batch duplicates of a missing key count as hits, mirroring
-        the sequential order: first occurrence computes, the rest reuse).
-        Only the misses reach the cost model — through the vectorized
-        :meth:`_compute_layer_batch` kernel when the engine has one,
-        otherwise through a scalar fallback loop — so an all-cache-hit
-        batch records no compute time at all.
-        """
-        mappings = list(mappings)
+        requests = list(requests)
         if self.tracer.enabled:
-            with self.tracer.span(
-                "engine_eval_batch", layer=layer_name, batch=len(mappings)
-            ):
-                return self._evaluate_candidates_impl(hw, layer_name, mappings)
-        return self._evaluate_candidates_impl(hw, layer_name, mappings)
+            with self.tracer.span("engine_eval_batch", batch=len(requests)):
+                return self._evaluate_layers_impl(hw, requests)
+        return self._evaluate_layers_impl(hw, requests)
 
-    def _evaluate_candidates_impl(
-        self, hw, layer_name: str, mappings: List["GemmMapping"]
+    def _evaluate_layers_impl(
+        self, hw, requests: List[Tuple["GemmMapping", str]]
     ) -> List[LayerPPA]:
-        """Untraced body of :meth:`evaluate_candidates`."""
-        if layer_name not in self.layer_shapes:
-            raise EvaluationError(
-                f"layer {layer_name!r} not in workload {self.network.name!r}"
-            )
-        if not mappings:
+        """Untraced body of :meth:`evaluate_layers`."""
+        for _mapping, layer_name in requests:
+            if layer_name not in self.layer_shapes:
+                raise EvaluationError(
+                    f"layer {layer_name!r} not in workload {self.network.name!r}"
+                )
+        if not requests:
             return []
-        shape, _count = self.layer_shapes[layer_name]
-        batch = len(mappings)
+        batch = len(requests)
         with self._lock:
             self.num_queries += batch
             self.num_batch_queries += 1
@@ -347,10 +377,10 @@ class PPAEngine(ABC):
             self.clock.advance(self.eval_cost_s * batch, label="ppa-eval")
         hw_id = self.hw_key(hw)
         results: List[Optional[LayerPPA]] = [None] * batch
-        miss_keys: List[Tuple] = []
-        miss_mappings: List["GemmMapping"] = []
+        misses: List[Tuple["GemmMapping", str]] = []
+        #: cache key -> request positions, one entry per miss, in miss order
         miss_positions: Dict[Tuple, List[int]] = {}
-        for index, mapping in enumerate(mappings):
+        for index, (mapping, layer_name) in enumerate(requests):
             key = (hw_id, layer_name, mapping.key())
             if key in miss_positions:
                 miss_positions[key].append(index)
@@ -363,30 +393,27 @@ class PPAEngine(ABC):
                 results[index] = cached
             else:
                 miss_positions[key] = [index]
-                miss_keys.append(key)
-                miss_mappings.append(mapping)
-        if miss_mappings:
-            start = time.perf_counter()
-            computed = self._compute_layer_batch(
-                hw, miss_mappings, layer_name, shape
-            )
-            if computed is None:
-                computed = [
-                    self._compute_layer_by_name(hw, mapping, layer_name, shape)
-                    for mapping in miss_mappings
-                ]
-            elapsed = time.perf_counter() - start
-            self.metrics.histogram("engine_compute_seconds").observe(elapsed)
-            self.metrics.histogram(
-                "engine_batch_compute_seconds_per_item", PER_ITEM_LATENCY_BOUNDS
-            ).observe(elapsed / len(miss_mappings))
-            for key, mapping, result in zip(miss_keys, miss_mappings, computed):
+                misses.append((mapping, layer_name))
+        if misses:
+            computed = self._compute_misses(hw, misses)
+            for (key, positions), (mapping, layer_name), result in zip(
+                miss_positions.items(), misses, computed
+            ):
                 self._cache_store(key, result)
                 if self.sample_sink is not None:
+                    shape, _count = self.layer_shapes[layer_name]
                     self.sample_sink(hw, layer_name, mapping, shape, result)
-                for index in miss_positions[key]:
+                for index in positions:
                     results[index] = result
-        return results
+        return results  # type: ignore[return-value]  # all slots filled above
+
+    def evaluate_candidates(
+        self, hw, layer_name: str, mappings: Sequence["GemmMapping"]
+    ) -> List[LayerPPA]:
+        """B candidates of one layer: the single-layer :meth:`evaluate_layers`."""
+        return self.evaluate_layers(
+            hw, [(mapping, layer_name) for mapping in mappings]
+        )
 
     def evaluate_network(self, hw, mappings: "NetworkMapping") -> NetworkPPA:
         """Evaluate a complete per-layer mapping (charges one eval per layer)."""

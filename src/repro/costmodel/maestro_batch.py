@@ -17,10 +17,14 @@ The contract is **exact parity** with the scalar model:
   and float constants are folded with the scalar code's associativity;
 * the returned list is ordered like the input ``mappings``.
 
-Vectorization notes.  At the production batch width (B = 64) NumPy's
-per-call dispatch overhead — not element throughput — is the cost that
-matters, so the kernel is written to minimize the *number* and the
-*per-op cost* of array operations:
+Vectorization notes.  Up to the widths the benchmarks drive (B = 64)
+NumPy's per-call dispatch overhead — not element throughput — is the cost
+that matters, so the kernel is written to minimize the *number* and the
+*per-op cost* of array operations.  A call costs ~55 us at any such width
+against ~8 us per candidate for the scalar model, and a co-search at
+``eval_batch_size=8`` produces layer groups of ~1 candidate, so the engine
+only comes here at ``VECTOR_KERNEL_MIN_GROUP`` or more misses of one layer
+(:mod:`repro.costmodel.engine`):
 
 * per-candidate attributes come from ``GemmMapping._row`` (precomputed at
   mapping construction) and land in one ``(B, 6)`` int64 table via

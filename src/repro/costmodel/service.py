@@ -6,8 +6,7 @@ inputs to estimate performance, power and area."
 
 * :class:`PPAServiceServer` wraps any :class:`PPAEngine` behind a small
   HTTP/JSON endpoint (stdlib ``http.server``; POST ``/evaluate_layer``,
-  POST ``/evaluate_layers`` (batched), POST ``/evaluate_candidates``
-  (batched candidates of one layer, vectorized server-side),
+  POST ``/evaluate_layers`` (batched: one engine call per request),
   POST ``/aggregate``, GET ``/health``, GET ``/metrics``).
 * :class:`RemotePPAEngine` is a drop-in :class:`PPAEngine` client: search
   tools talk to it exactly as they talk to an in-process engine, so the
@@ -50,7 +49,16 @@ import time
 import typing
 from http.client import HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 from urllib.error import URLError
 from urllib.parse import parse_qs, urlsplit
 
@@ -328,39 +336,28 @@ class PPAServiceServer:
                 items = request["items"]
                 if not isinstance(items, list):
                     raise EvaluationError("'items' must be a list")
-                results: List[Dict] = []
-                for item in items:
-                    # one bad item must not poison the rest of the batch
-                    try:
-                        result = engine.evaluate_layer(
-                            hw, decode_object(item["mapping"]), item["layer"]
-                        )
-                        results.append(
-                            {"ok": True, "result": _layer_ppa_to_dict(result)}
-                        )
-                    except (EvaluationError, KeyError, TypeError) as exc:
-                        results.append({"ok": False, "error": str(exc)})
-                self._reply(200, {"results": results})
-
-            def _evaluate_candidates(self, request: Dict) -> None:
-                hw = decode_object(request["hw"])
-                layer_name = request["layer"]
-                items = request["mappings"]
-                if not isinstance(items, list):
-                    raise EvaluationError("'mappings' must be a list")
                 entries: List[Optional[Dict]] = [None] * len(items)
-                decoded: List[Tuple[int, object]] = []
+                valid: List[Tuple[int, Tuple[object, str]]] = []
                 for index, item in enumerate(items):
-                    # one undecodable mapping must not poison the batch
+                    # one bad item must not poison the rest of the batch:
+                    # reject it here, evaluate the others in one engine call
                     try:
-                        decoded.append((index, decode_object(item)))
+                        layer_name = item["layer"]
+                        if layer_name not in engine.layer_shapes:
+                            raise EvaluationError(
+                                f"layer {layer_name!r} not in workload "
+                                f"{engine.network.name!r}"
+                            )
+                        mapping = decode_object(item["mapping"])
                     except (EvaluationError, KeyError, TypeError) as exc:
                         entries[index] = {"ok": False, "error": str(exc)}
-                if decoded:
-                    batch_results = engine.evaluate_candidates(
-                        hw, layer_name, [mapping for _i, mapping in decoded]
+                    else:
+                        valid.append((index, (mapping, layer_name)))
+                if valid:
+                    results = engine.evaluate_layers(
+                        hw, [request_item for _index, request_item in valid]
                     )
-                    for (index, _mapping), result in zip(decoded, batch_results):
+                    for (index, _item), result in zip(valid, results):
                         entries[index] = {
                             "ok": True,
                             "result": _layer_ppa_to_dict(result),
@@ -408,8 +405,6 @@ class PPAServiceServer:
                         self._reply(200, _layer_ppa_to_dict(result))
                     elif self.path == "/evaluate_layers":
                         self._evaluate_layers(request)
-                    elif self.path == "/evaluate_candidates":
-                        self._evaluate_candidates(request)
                     elif self.path == "/aggregate":
                         hw = decode_object(request["hw"])
                         mappings = {
@@ -443,8 +438,12 @@ class PPAServiceServer:
         return Handler
 
     def start(self) -> "PPAServiceServer":
+        # shutdown() waits out one poll of the accept loop (stdlib
+        # default 0.5 s), so every stop and test teardown costs one poll
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
         )
         self._thread.start()
         return self
@@ -547,14 +546,11 @@ class RemotePPAEngine(PPAEngine):
     they raise immediately without transport retries and do not trip the
     breaker — the service is alive and answering.
 
-    Batching: :meth:`evaluate_layers` groups cache misses into
-    ``POST /evaluate_layers`` chunks of ``batch_size`` to amortize HTTP
-    round trips; per-query accounting (clock, counters, cache) is
-    identical to the one-by-one path.  The candidate-batch path
-    (:meth:`evaluate_candidates`) likewise ships its cache misses as
-    chunked ``POST /evaluate_candidates`` requests — one request per
-    batch instead of one per candidate — and the server evaluates each
-    request through its engine's vectorized kernel.
+    Batching: the base class's :meth:`evaluate_layers` does all query
+    accounting (clock, counters, cache, samples); this class overrides
+    only :meth:`_compute_misses`, shipping the misses as
+    ``POST /evaluate_layers`` chunks of ``batch_size`` that the server
+    answers with one engine call each.
     """
 
     def __init__(
@@ -766,87 +762,53 @@ class RemotePPAEngine(PPAEngine):
         }
         return _layer_ppa_from_dict(self._request_json("/evaluate_layer", payload))
 
-    def evaluate_layers(
-        self, hw, requests: Sequence[Tuple["GemmMapping", str]]
-    ) -> List[LayerPPA]:
-        """Batched evaluation: cache misses travel in chunked POSTs."""
-        results: List[Optional[LayerPPA]] = [None] * len(requests)
-        misses: List[Tuple[int, Tuple, "GemmMapping", str]] = []
-        hw_id = self.hw_key(hw)
-        for index, (mapping, layer_name) in enumerate(requests):
-            self._charge_query(layer_name)
-            key = (hw_id, layer_name, mapping.key())
-            cached = self._cache_lookup(key)
-            if cached is not None:
-                results[index] = cached
-            else:
-                misses.append((index, key, mapping, layer_name))
+    @staticmethod
+    def _layers_payload(
+        hw_wire: Dict, chunk: Sequence[Tuple["GemmMapping", str]]
+    ) -> Dict:
+        """``POST /evaluate_layers`` body for one chunk of misses."""
+        return {
+            "hw": hw_wire,
+            "items": [
+                {"mapping": encode_object(mapping), "layer": layer_name}
+                for mapping, layer_name in chunk
+            ],
+        }
+
+    @staticmethod
+    def _layer_results(
+        reply: Dict, chunk: Sequence[Tuple["GemmMapping", str]]
+    ) -> Iterator[LayerPPA]:
+        """Results of one chunk's reply, in order; a rejected item raises."""
+        entries = reply.get("results")
+        if not isinstance(entries, list) or len(entries) != len(chunk):
+            raise EvaluationError(
+                f"batched reply shape mismatch: sent {len(chunk)} items, "
+                f"got {entries!r}"
+            )
+        for (_mapping, layer_name), entry in zip(chunk, entries):
+            if not entry.get("ok"):
+                raise EvaluationError(
+                    f"batched evaluation failed for {layer_name}: "
+                    f"{entry.get('error')}"
+                )
+            yield _layer_ppa_from_dict(entry["result"])
+
+    def _compute_misses(
+        self, hw, misses: Sequence[Tuple["GemmMapping", str]]
+    ) -> Iterator[LayerPPA]:
+        """Cache misses travel as one ``POST /evaluate_layers`` per chunk."""
+        hw_wire = encode_object(hw)
         for chunk_start in range(0, len(misses), self.batch_size):
             chunk = misses[chunk_start : chunk_start + self.batch_size]
-            payload = {
-                "hw": encode_object(hw),
-                "items": [
-                    {"mapping": encode_object(mapping), "layer": layer_name}
-                    for _index, _key, mapping, layer_name in chunk
-                ],
-            }
             start = time.perf_counter()
-            reply = self._request_json("/evaluate_layers", payload)
+            reply = self._request_json(
+                "/evaluate_layers", self._layers_payload(hw_wire, chunk)
+            )
             self.metrics.histogram("engine_compute_seconds").observe(
                 time.perf_counter() - start
             )
-            entries = reply.get("results")
-            if not isinstance(entries, list) or len(entries) != len(chunk):
-                raise EvaluationError(
-                    f"batched reply shape mismatch: sent {len(chunk)} items, "
-                    f"got {entries!r}"
-                )
-            failures: List[str] = []
-            for (index, key, _mapping, layer_name), entry in zip(chunk, entries):
-                if entry.get("ok"):
-                    result = _layer_ppa_from_dict(entry["result"])
-                    self._cache_store(key, result)
-                    results[index] = result
-                else:
-                    failures.append(f"{layer_name}: {entry.get('error')}")
-            if failures:
-                raise EvaluationError(
-                    f"batched evaluation failed for {len(failures)} item(s): "
-                    + "; ".join(failures)
-                )
-        return results  # type: ignore[return-value]  # all slots filled above
-
-    def _compute_layer_batch(
-        self, hw, mappings, layer_name: str, shape
-    ) -> List[LayerPPA]:
-        """Cache misses of one candidate batch travel as chunked POSTs."""
-        results: List[LayerPPA] = []
-        for chunk_start in range(0, len(mappings), self.batch_size):
-            chunk = mappings[chunk_start : chunk_start + self.batch_size]
-            payload = {
-                "hw": encode_object(hw),
-                "layer": layer_name,
-                "mappings": [encode_object(mapping) for mapping in chunk],
-            }
-            reply = self._request_json("/evaluate_candidates", payload)
-            entries = reply.get("results")
-            if not isinstance(entries, list) or len(entries) != len(chunk):
-                raise EvaluationError(
-                    f"candidate-batch reply shape mismatch: sent {len(chunk)} "
-                    f"items, got {entries!r}"
-                )
-            failures: List[str] = []
-            for entry in entries:
-                if entry.get("ok"):
-                    results.append(_layer_ppa_from_dict(entry["result"]))
-                else:
-                    failures.append(str(entry.get("error")))
-            if failures:
-                raise EvaluationError(
-                    f"candidate-batch evaluation failed for {len(failures)} "
-                    "item(s): " + "; ".join(failures)
-                )
-        return results
+            yield from self._layer_results(reply, chunk)
 
     def area_mm2(self, hw) -> float:
         return self.area_fn(hw)

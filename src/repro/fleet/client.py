@@ -4,9 +4,9 @@
 :class:`~repro.costmodel.service.RemotePPAEngine` with a
 :class:`~repro.fleet.router.ShardRouter`: every cache-miss query is
 consistent-hashed to the replica that owns its key range (so that
-replica's bounded LRU stays hot), chunked ``POST /evaluate_candidates`` /
-``/evaluate_layers`` requests to *different* shards fly concurrently, and
-the replies are re-merged in request order.
+replica's bounded LRU stays hot), chunked ``POST /evaluate_layers``
+requests to *different* shards fly concurrently, and the replies are
+re-merged in request order.
 
 Bit-identical accounting: all query counting, clock charging, client-side
 caching and journal events happen in the :class:`PPAEngine` base class
@@ -25,6 +25,7 @@ breaker: a replica restart is routine, not an outage.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -226,157 +227,54 @@ class ShardedPPAEngine(RemotePPAEngine):
             )
         )
 
-    def _compute_layer_batch(
-        self, hw, mappings, layer_name: str, shape
+    def _compute_misses(
+        self, hw, misses: Sequence[Tuple[object, str]]
     ) -> List[LayerPPA]:
-        """Shard-partitioned, concurrently fanned ``/evaluate_candidates``.
+        """Shard-partitioned, concurrently fanned ``/evaluate_layers``.
 
         The base class charges queries, splits hits from misses, stores
         results and emits journal events; this override only decides where
-        each miss chunk is computed.  Chunks preserve the miss order
-        within each shard, and the reply merge is by original position —
-        so the returned list is ordered exactly like ``mappings``.
+        each miss is computed.  Chunks preserve the miss order within each
+        shard, and the reply merge is by miss position — so the returned
+        list is ordered exactly like ``misses``.
         """
         hw_id = self.hw_key(hw)
         hw_wire = encode_object(hw)
-        by_shard_key: Dict[str, List[int]] = {}
-        for index, mapping in enumerate(mappings):
-            key = self._query_key(hw_id, layer_name, mapping)
-            by_shard_key.setdefault(key, []).append(index)
-        # group positions by their routing key's chunk: one request per
-        # (key-group chunk); keys sharing an owner batch together
-        groups: Dict[str, List[int]] = {}
-        for key, positions in by_shard_key.items():
-            owner = self.router.route(key).name
-            groups.setdefault(owner, []).extend(positions)
+        keys = [
+            self._query_key(hw_id, layer_name, mapping)
+            for mapping, layer_name in misses
+        ]
+        by_owner: Dict[str, List[int]] = {}
+        for position, key in enumerate(keys):
+            by_owner.setdefault(self.router.route(key).name, []).append(position)
         requests: List[Tuple[str, str, Dict]] = []
-        request_positions: List[List[int]] = []
-        for owner, positions in groups.items():
-            positions.sort()
-            for chunk_start in range(0, len(positions), self.batch_size):
-                chunk = positions[chunk_start : chunk_start + self.batch_size]
-                payload = {
-                    "hw": hw_wire,
-                    "layer": layer_name,
-                    "mappings": [
-                        encode_object(mappings[index]) for index in chunk
-                    ],
-                }
+        chunks: List[Tuple[List[int], List[Tuple[object, str]]]] = []
+        for owned in by_owner.values():
+            for chunk_start in range(0, len(owned), self.batch_size):
+                positions = owned[chunk_start : chunk_start + self.batch_size]
+                chunk = [misses[position] for position in positions]
                 # route by the first key of the chunk: all keys in the
                 # chunk share the same owner by construction
                 requests.append(
                     (
-                        self._query_key(hw_id, layer_name, mappings[chunk[0]]),
-                        "/evaluate_candidates",
-                        payload,
-                    )
-                )
-                request_positions.append(chunk)
-        replies = self._fanout(requests)
-        results: List[Optional[LayerPPA]] = [None] * len(mappings)
-        failures: List[str] = []
-        for positions, reply in zip(request_positions, replies):
-            entries = reply.get("results")
-            if not isinstance(entries, list) or len(entries) != len(positions):
-                raise EvaluationError(
-                    f"candidate-batch reply shape mismatch: sent "
-                    f"{len(positions)} items, got {entries!r}"
-                )
-            for index, entry in zip(positions, entries):
-                if entry.get("ok"):
-                    results[index] = _layer_ppa_from_dict(entry["result"])
-                else:
-                    failures.append(str(entry.get("error")))
-        if failures:
-            raise EvaluationError(
-                f"candidate-batch evaluation failed for {len(failures)} "
-                "item(s): " + "; ".join(failures)
-            )
-        return results  # type: ignore[return-value]  # all slots filled above
-
-    def evaluate_layers(
-        self, hw, requests: Sequence[Tuple[object, str]]
-    ) -> List[LayerPPA]:
-        """Batched mixed-layer evaluation, sharded like the candidate path.
-
-        Accounting is identical to :meth:`RemotePPAEngine.evaluate_layers`
-        (charge every query, serve hits locally, ship misses in chunks);
-        the chunks just go to each miss's owning shard, concurrently.
-        """
-        results: List[Optional[LayerPPA]] = [None] * len(requests)
-        misses: List[Tuple[int, Tuple, object, str]] = []
-        hw_id = self.hw_key(hw)
-        for index, (mapping, layer_name) in enumerate(requests):
-            self._charge_query(layer_name)
-            key = (hw_id, layer_name, mapping.key())
-            cached = self._cache_lookup(key)
-            if cached is not None:
-                results[index] = cached
-            else:
-                misses.append((index, key, mapping, layer_name))
-        if not misses:
-            return results  # type: ignore[return-value]
-        hw_wire = encode_object(hw)
-        groups: Dict[str, List[int]] = {}
-        for miss_index, (_index, _key, mapping, layer_name) in enumerate(misses):
-            owner = self.router.route(
-                self._query_key(hw_id, layer_name, mapping)
-            ).name
-            groups.setdefault(owner, []).append(miss_index)
-        chunk_requests: List[Tuple[str, str, Dict]] = []
-        chunk_members: List[List[int]] = []
-        for owner, miss_indices in groups.items():
-            miss_indices.sort()
-            for chunk_start in range(0, len(miss_indices), self.batch_size):
-                chunk = miss_indices[chunk_start : chunk_start + self.batch_size]
-                payload = {
-                    "hw": hw_wire,
-                    "items": [
-                        {
-                            "mapping": encode_object(misses[mi][2]),
-                            "layer": misses[mi][3],
-                        }
-                        for mi in chunk
-                    ],
-                }
-                first = misses[chunk[0]]
-                chunk_requests.append(
-                    (
-                        self._query_key(hw_id, first[3], first[2]),
+                        keys[positions[0]],
                         "/evaluate_layers",
-                        payload,
+                        self._layers_payload(hw_wire, chunk),
                     )
                 )
-                chunk_members.append(chunk)
-        replies = self._fanout(chunk_requests)
-        failures: List[str] = []
-        # store strictly in miss order so LRU recency (and therefore any
-        # eviction sequence) matches the serial client byte for byte
-        pending: Dict[int, LayerPPA] = {}
-        for members, reply in zip(chunk_members, replies):
-            entries = reply.get("results")
-            if not isinstance(entries, list) or len(entries) != len(members):
-                raise EvaluationError(
-                    f"batched reply shape mismatch: sent {len(members)} "
-                    f"items, got {entries!r}"
-                )
-            for miss_index, entry in zip(members, entries):
-                if entry.get("ok"):
-                    pending[miss_index] = _layer_ppa_from_dict(entry["result"])
-                else:
-                    failures.append(
-                        f"{misses[miss_index][3]}: {entry.get('error')}"
-                    )
-        if failures:
-            raise EvaluationError(
-                f"batched evaluation failed for {len(failures)} item(s): "
-                + "; ".join(failures)
-            )
-        for miss_index, (index, key, _mapping, _layer_name) in enumerate(misses):
-            result = pending[miss_index]
-            self._cache_store(key, result)
-            results[index] = result
-        return results  # type: ignore[return-value]
+                chunks.append((positions, chunk))
+        start = time.perf_counter()
+        replies = self._fanout(requests)
+        self.metrics.histogram("engine_compute_seconds").observe(
+            time.perf_counter() - start
+        )
+        results: List[Optional[LayerPPA]] = [None] * len(misses)
+        for (positions, chunk), reply in zip(chunks, replies):
+            for position, result in zip(
+                positions, self._layer_results(reply, chunk)
+            ):
+                results[position] = result
+        return results  # type: ignore[return-value]  # all slots filled above
 
     # -- fleet operations -------------------------------------------------------
     def health(self) -> Dict:

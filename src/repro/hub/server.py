@@ -166,8 +166,12 @@ class HubServer:
         self.scheduler.start()
         if self.telemetry is not None:
             self.telemetry.start()
+        # shutdown() waits out one poll of the accept loop (stdlib
+        # default 0.5 s), so every stop and test teardown costs one poll
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
         )
         self._thread.start()
         return self

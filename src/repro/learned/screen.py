@@ -1,12 +1,13 @@
 """Learned pre-screening in front of any PPA engine.
 
 :class:`ScreeningPPAEngine` wraps an analytical engine and intercepts
-its batch entry point: each ``evaluate_candidates`` batch is ranked by
-the learned model and only the predicted-best ``top-k`` candidates —
-plus the most uncertain of the rest (uncertainty escalation) — are
-forwarded to the wrapped engine.  Candidates the screen drops come back
-as infeasible results tagged ``infeasible_reason="screened"``, which the
-anytime search folds as non-improving, so:
+its batch entry point: each layer's group of an ``evaluate_layers`` batch
+is ranked by the learned model and only the predicted-best ``top-k``
+candidates — plus the most uncertain of the rest (uncertainty
+escalation) — are forwarded to the wrapped engine, all groups in one
+call.  Candidates the screen drops come back as infeasible results
+tagged ``infeasible_reason="screened"``, which the anytime search folds
+as non-improving, so:
 
 * **Every number that can reach an incumbent, a trial objective, or a
   Pareto front is exact analytical PPA.**  The model only ever decides
@@ -16,9 +17,9 @@ anytime search folds as non-improving, so:
   (or ``enabled=False``) every call forwards verbatim to the inner
   engine, whose caches, counters and RNG-visible behavior are untouched.
 
-Scalar paths (``evaluate_layer``, incumbent initialization via
-``evaluate_layers``, aggregation) always pass through — they carry
-incumbent state the search must know exactly.
+Scalar paths (``evaluate_layer``, aggregation) and layer groups under
+``min_batch`` (incumbent initialization: one mapping per layer) always
+pass through — they carry incumbent state the search must know exactly.
 
 The wrapper is duck-typed rather than a ``PPAEngine`` subclass: it holds
 no network/cache state of its own and forwards every unknown attribute
@@ -220,48 +221,92 @@ class ScreeningPPAEngine:
     def evaluate_candidates(
         self, hw, layer_name: str, mappings: Sequence
     ) -> List[LayerPPA]:
-        mappings = list(mappings)
-        batch = len(mappings)
-        if not self.screening_active or batch < max(self.min_batch, 2):
-            return self.inner.evaluate_candidates(hw, layer_name, mappings)
-        keep = self._plan(hw, layer_name, mappings)
-        if keep is None:
-            self._count(fallback_batches=1)
-            return self.inner.evaluate_candidates(hw, layer_name, mappings)
-        selected, escalated = keep
-        forwarded = sorted(set(selected) | set(escalated))
-        audit = False
-        if self.audit_every > 0:
-            with self._counter_lock:
-                audit = (
-                    self._counts["batches_screened"] % self.audit_every
-                    == self.audit_every - 1
-                )
-        if len(forwarded) >= batch:
-            # the screen kept everything; identical to a plain forward
-            self._count(
+        return self.evaluate_layers(
+            hw, [(mapping, layer_name) for mapping in mappings]
+        )
+
+    def evaluate_layers(self, hw, requests: Sequence) -> List[LayerPPA]:
+        """Screen a cross-layer batch per layer group; forward in one call.
+
+        Each layer's group is ranked on its own, exactly as a single-layer
+        batch; groups under ``min_batch`` pass through whole.  Whatever
+        the groups keep travels to the inner engine in one
+        ``evaluate_layers`` call, in request order.
+        """
+        requests = list(requests)
+        if not self.screening_active:
+            return self.inner.evaluate_layers(hw, requests)
+        by_layer: Dict[str, List[int]] = {}
+        for position, (_mapping, layer_name) in enumerate(requests):
+            by_layer.setdefault(layer_name, []).append(position)
+        with self._counter_lock:
+            batches_before = self._counts["batches_screened"]
+        #: per screened group: (positions, positions the screen chose,
+        #: escalated count, whether it is evaluated whole as an audit)
+        plans: List[tuple] = []
+        dropped = set()
+        for layer_name, positions in by_layer.items():
+            if len(positions) < max(self.min_batch, 2):
+                continue
+            plan = self._plan(
+                hw, layer_name, [requests[p][0] for p in positions]
+            )
+            if plan is None:
+                self._count(fallback_batches=1)
+                continue
+            selected, escalated = plan
+            chosen = {positions[i] for i in selected + escalated}
+            # every Nth screened group is evaluated whole and the screen's
+            # choice scored against it; a group kept whole anyway is no audit
+            audit = (
+                self.audit_every > 0
+                and len(chosen) < len(positions)
+                and (batches_before + len(plans)) % self.audit_every
+                == self.audit_every - 1
+            )
+            plans.append((positions, chosen, len(escalated), audit))
+            if not audit:
+                dropped.update(p for p in positions if p not in chosen)
+        if not plans:
+            return self.inner.evaluate_layers(hw, requests)
+        kept_positions = [p for p in range(len(requests)) if p not in dropped]
+        with self.inner.tracer.span(
+            "screen", batch=len(requests), forwarded=len(kept_positions)
+        ):
+            kept = self.inner.evaluate_layers(
+                hw, [requests[p] for p in kept_positions]
+            )
+        results: List[LayerPPA] = [_SCREENED_RESULT] * len(requests)
+        for position, result in zip(kept_positions, kept):
+            results[position] = result
+        if self.screen_cost_s and self.inner.charge_clock and dropped:
+            self.inner.clock.advance(
+                self.screen_cost_s * len(dropped), label="screen"
+            )
+        for positions, chosen, escalated, audit in plans:
+            evaluated = [p for p in positions if p not in dropped]
+            counts = dict(
                 batches_screened=1,
-                candidates_seen=batch,
-                forwarded=batch,
-                escalated=len(escalated),
+                candidates_seen=len(positions),
+                forwarded=len(evaluated),
+                escalated=escalated,
+                skipped=len(positions) - len(evaluated),
+                forwarded_feasible=sum(
+                    1 for p in evaluated if results[p].feasible
+                ),
             )
-            results = self.inner.evaluate_candidates(hw, layer_name, mappings)
-            self._count(
-                forwarded_feasible=sum(1 for r in results if r.feasible)
-            )
-            return results
-        tracer = self.inner.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "screen",
-                layer=layer_name,
-                batch=batch,
-                forwarded=len(forwarded),
-                audit=audit,
-            ):
-                return self._apply(hw, layer_name, mappings, forwarded,
-                                   escalated, audit)
-        return self._apply(hw, layer_name, mappings, forwarded, escalated, audit)
+            if audit:
+                # would the analytical best have been forwarded?
+                feasible = [p for p in positions if results[p].feasible]
+                best = min(
+                    feasible, key=lambda p: results[p].latency_s, default=None
+                )
+                counts["audit_batches"] = 1
+                counts["audit_recall_hits"] = int(
+                    best is None or best in chosen
+                )
+            self._count(**counts)
+        return results
 
     def _plan(self, hw, layer_name: str, mappings: List):
         """Rank a batch; returns (selected, escalated) index lists or None."""
@@ -294,56 +339,6 @@ class ScreeningPPAEngine:
         else:
             escalated = []
         return selected, escalated
-
-    def _apply(
-        self,
-        hw,
-        layer_name: str,
-        mappings: List,
-        forwarded: List[int],
-        escalated: List[int],
-        audit: bool,
-    ) -> List[LayerPPA]:
-        batch = len(mappings)
-        if audit:
-            # ground-truth pass: evaluate everything, score the screen's
-            # choice (would the analytical best have been forwarded?)
-            results = self.inner.evaluate_candidates(hw, layer_name, mappings)
-            best, best_value = None, float("inf")
-            for index, result in enumerate(results):
-                if result.feasible and result.latency_s < best_value:
-                    best, best_value = index, result.latency_s
-            hit = best is None or best in forwarded
-            self._count(
-                batches_screened=1,
-                candidates_seen=batch,
-                forwarded=batch,
-                escalated=len(escalated),
-                audit_batches=1,
-                audit_recall_hits=1 if hit else 0,
-                forwarded_feasible=sum(1 for r in results if r.feasible),
-            )
-            return results
-        kept = self.inner.evaluate_candidates(
-            hw, layer_name, [mappings[i] for i in forwarded]
-        )
-        skipped = batch - len(forwarded)
-        if self.screen_cost_s and self.inner.charge_clock and skipped:
-            self.inner.clock.advance(
-                self.screen_cost_s * skipped, label="screen"
-            )
-        self._count(
-            batches_screened=1,
-            candidates_seen=batch,
-            forwarded=len(forwarded),
-            escalated=len(escalated),
-            skipped=skipped,
-            forwarded_feasible=sum(1 for r in kept if r.feasible),
-        )
-        results: List[LayerPPA] = [_SCREENED_RESULT] * batch
-        for index, result in zip(forwarded, kept):
-            results[index] = result
-        return results
 
 
 __all__ = ["SCREENED_REASON", "ScreeningPPAEngine"]

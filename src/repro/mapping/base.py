@@ -304,7 +304,7 @@ class AnytimeMappingSearch(ABC):
         self._fold_result(layer_name, candidate, result)
 
     def _run_speculative(self, n: int) -> int:
-        """Draft ``n`` proposals, batch-evaluate them, then replay the fold.
+        """Draft ``n`` proposals, evaluate them in one call, replay the fold.
 
         The drafting pass consumes only RNG state (the speculation-safety
         contract), so after restoring the RNG snapshot the replay's
@@ -322,24 +322,31 @@ class AnytimeMappingSearch(ABC):
             return 1
         self.rng.bit_generator.state = rng_state
 
-        evaluate = getattr(self.engine, "evaluate_candidates", None)
+        evaluate = getattr(self.engine, "evaluate_layers", None)
         if evaluate is None:
             for _ in range(len(drafts)):
                 self._step_scalar()
             return len(drafts)
 
+        # one engine call for the whole draft list; items go grouped by
+        # layer, the order engine samples of a batch are journaled in
         by_layer: Dict[str, List[GemmMapping]] = {}
         for layer_name, candidate in drafts:
             by_layer.setdefault(layer_name, []).append(candidate)
-        pool: Dict[Tuple[str, tuple], LayerPPA] = {}
+        items = [
+            (candidate, layer_name)
+            for layer_name, candidates in by_layer.items()
+            for candidate in candidates
+        ]
         # NullTracer.span is a shared no-op, so the untraced cost here is
         # one call per speculative batch — off the per-candidate hot path.
         tracer = getattr(self.engine, "tracer", NULL_TRACER)
         with tracer.span("speculative_batch", drafts=len(drafts)):
-            for layer_name, candidates in by_layer.items():
-                results = evaluate(self.hw, layer_name, candidates)
-                for candidate, result in zip(candidates, results):
-                    pool[(layer_name, candidate.key())] = result
+            results = evaluate(self.hw, items)
+        pool: Dict[Tuple[str, tuple], LayerPPA] = {
+            (layer_name, candidate.key()): result
+            for (candidate, layer_name), result in zip(items, results)
+        }
         self.num_speculative_evals += len(drafts)
 
         for _ in range(len(drafts)):

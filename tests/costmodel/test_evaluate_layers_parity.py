@@ -1,0 +1,221 @@
+"""``evaluate_layers`` is the one batched core: parity on every route.
+
+A cross-layer batch must be indistinguishable — results, query and hit
+counts, simulated clock, and the ``sample_sink`` stream — from the same
+items sent one by one through ``evaluate_layer``, whether the misses are
+computed in process or travel to one replica or a sharded fleet.  The
+count guards at the bottom pin what the single call buys: one POST per
+speculative draft batch.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import Unico, UnicoConfig
+from repro.costmodel import MaestroEngine, TimeloopEngine
+from repro.costmodel.engine import VECTOR_KERNEL_MIN_GROUP
+from repro.costmodel.maestro import spatial_area_mm2
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
+from repro.fleet.client import ShardedPPAEngine
+from repro.mapping import GemmMapping, RandomMappingSearch
+from repro.mapping.gemm_mapping import GemmMappingSpace
+
+ENGINE_KINDS = ["maestro", "timeloop", "remote", "sharded1", "sharded2"]
+
+
+@pytest.fixture(scope="module")
+def replicas(tiny_network):
+    servers = [PPAServiceServer(MaestroEngine(tiny_network)) for _ in range(2)]
+    for server in servers:
+        server.start()
+    yield servers
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture()
+def make_engine(tiny_network, replicas):
+    """Factory for a fresh engine (cold client cache) of the given kind."""
+    opened = []
+
+    def make(kind):
+        if kind == "maestro":
+            return MaestroEngine(tiny_network)
+        if kind == "timeloop":
+            return TimeloopEngine(tiny_network)
+        if kind == "remote":
+            return RemotePPAEngine(
+                tiny_network, replicas[0].url, area_fn=spatial_area_mm2
+            )
+        shards = int(kind[len("sharded"):])
+        engine = ShardedPPAEngine(
+            tiny_network,
+            [server.url for server in replicas[:shards]],
+            area_fn=spatial_area_mm2,
+            batch_size=3,
+        )
+        opened.append(engine)
+        return engine
+
+    yield make
+    for engine in opened:
+        engine.close()
+
+
+def _scenario(name, tiny_network):
+    """``(warm-up items, batch items)`` of one parity scenario."""
+    a, b, c, d = (
+        GemmMapping(4, 8, 4),
+        GemmMapping(8, 8, 8),
+        GemmMapping(2, 4, 4),
+        GemmMapping(4, 16, 8),
+    )
+    mixed = [(a, "gemm"), (b, "conv"), (c, "pw"), (d, "gemm"), (a, "conv")]
+    if name == "mixed":
+        return [], mixed
+    if name == "duplicates":
+        # five distinct keys and a repeat of the first: 5 samples, 1 hit
+        return [], mixed + [(a, "gemm")]
+    if name == "warm":
+        return [(d, "gemm"), (b, "conv")], mixed
+    assert name == "crossover"
+    rng = np.random.default_rng(5)
+    gemm = GemmMappingSpace(tiny_network.layers[1].to_gemm())
+    conv = GemmMappingSpace(tiny_network.layers[0].to_gemm())
+    wide = [(gemm.sample(rng), "gemm") for _ in range(VECTOR_KERNEL_MIN_GROUP + 3)]
+    narrow = [(conv.sample(rng), "conv") for _ in range(VECTOR_KERNEL_MIN_GROUP - 1)]
+    # interleaved, so grouping by layer has real work to do
+    return [], wide[:4] + narrow + wide[4:]
+
+
+def _recording_sink(log):
+    def sink(hw, layer_name, mapping, shape, result):
+        log.append((layer_name, mapping.key(), shape, result))
+
+    return sink
+
+
+@pytest.mark.parametrize("scenario", ["mixed", "duplicates", "warm", "crossover"])
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_evaluate_layers_matches_sequential(
+    kind, scenario, make_engine, tiny_network, sample_hw
+):
+    batched, sequential = make_engine(kind), make_engine(kind)
+    batched_log, sequential_log = [], []
+    batched.sample_sink = _recording_sink(batched_log)
+    sequential.sample_sink = _recording_sink(sequential_log)
+    warm, items = _scenario(scenario, tiny_network)
+    for engine in (batched, sequential):
+        for mapping, layer_name in warm:
+            engine.evaluate_layer(sample_hw, mapping, layer_name)
+
+    got = batched.evaluate_layers(sample_hw, items)
+    want = [
+        sequential.evaluate_layer(sample_hw, mapping, layer_name)
+        for mapping, layer_name in items
+    ]
+
+    assert got == want
+    assert batched.num_queries == sequential.num_queries == len(warm) + len(items)
+    assert batched.num_cache_hits == sequential.num_cache_hits
+    assert batched.clock.now_s == sequential.clock.now_s
+    assert batched_log == sequential_log
+    if scenario == "duplicates":
+        # at the parent commit a replica route reported samples=0, hits=0
+        assert len(batched_log) == 5
+        assert batched.num_cache_hits == 1
+    if kind != "timeloop":
+        # every route computes with the same model: remote == local
+        local = MaestroEngine(tiny_network)
+        assert got == [
+            local.evaluate_layer(sample_hw, mapping, layer_name)
+            for mapping, layer_name in items
+        ]
+
+
+def test_kernel_chosen_from_group_size(tiny_network, sample_hw):
+    """Only a layer group at the crossover width reaches the vector kernel."""
+    widths = []
+
+    class SpyEngine(MaestroEngine):
+        def _compute_layer_batch(self, hw, mappings, layer_name, shape):
+            widths.append((layer_name, len(mappings)))
+            return super()._compute_layer_batch(hw, mappings, layer_name, shape)
+
+    _warm, items = _scenario("crossover", tiny_network)
+    SpyEngine(tiny_network).evaluate_layers(sample_hw, items)
+    assert widths == [("gemm", VECTOR_KERNEL_MIN_GROUP + 3)]
+
+
+# --------------------------------------------------------------------------
+# count guards: exact request counts, no timing
+# --------------------------------------------------------------------------
+def _service_requests(server):
+    counters = server.metrics.snapshot()["counters"]
+    return {
+        name[len("service_requests_total["):-1]: int(count)
+        for name, count in counters.items()
+        if name.startswith("service_requests_total[")
+    }
+
+
+def test_speculative_batch_is_one_post(tiny_network, sample_hw):
+    with PPAServiceServer(MaestroEngine(tiny_network)) as server:
+        remote = RemotePPAEngine(
+            tiny_network, server.url, area_fn=spatial_area_mm2
+        )
+        search = RandomMappingSearch(
+            tiny_network, sample_hw, remote, seed=7, batch_size=8
+        )
+        drafted = []
+        propose_batch = search._propose_batch
+
+        def spy(n):
+            drafts = propose_batch(n)
+            drafted.extend(drafts)
+            return drafts
+
+        search._propose_batch = spy
+        before = _service_requests(server)
+        client_before = remote.metrics.counter_value("remote_requests_total")
+        search.run(8)
+        after = _service_requests(server)
+
+    assert len(drafted) == 8
+    assert len({layer_name for layer_name, _mapping in drafted}) >= 2
+    assert search.num_speculative_evals == 8
+    assert search.num_speculation_misses == 0
+    assert remote.metrics.counter_value("remote_requests_total") - client_before == 1
+    assert after["/evaluate_layers"] - before["/evaluate_layers"] == 1
+    assert after.get("/evaluate_layer", 0) == before.get("/evaluate_layer", 0)
+
+
+def test_remote_cosearch_request_count_pinned(tiny_network, edge_space):
+    """A whole (tiny) remote co-search sends a fixed number of requests."""
+
+    def run_once():
+        with PPAServiceServer(MaestroEngine(tiny_network)) as server:
+            remote = RemotePPAEngine(
+                tiny_network, server.url, area_fn=spatial_area_mm2
+            )
+            result = Unico(
+                edge_space,
+                tiny_network,
+                remote,
+                UnicoConfig(batch_size=4, max_iterations=2, max_budget=24),
+                power_cap_w=100.0,
+                seed=11,
+            ).optimize()
+            return _service_requests(server), result.total_engine_queries
+
+    requests, queries = run_once()
+    assert (requests, queries) == run_once()
+    assert requests == PINNED_REQUESTS
+    assert queries == PINNED_QUERIES
+
+
+#: ``service_requests_total`` by path, and engine queries, of the co-search
+#: above.  A change here means the evaluation path batches differently (one
+#: POST per layer group of a draft batch would send 137): say so in the PR.
+PINNED_REQUESTS = {"/evaluate_layers": 32, "/evaluate_layer": 76}
+PINNED_QUERIES = 254

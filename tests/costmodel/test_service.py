@@ -511,10 +511,18 @@ class TestBatchEndpoint:
 
 
 class TestCandidatesEndpoint:
-    """POST /evaluate_candidates: one request per candidate-batch chunk."""
+    """Candidate batches of one layer ride POST /evaluate_layers chunks."""
 
     def _mappings(self, count):
         return [GemmMapping(4, 8, 4, unroll=u) for u in (1, 2, 4, 8)][:count]
+
+    def _post_items(self, server, sample_hw, items):
+        payload = {"hw": encode_object(sample_hw), "items": items}
+        request = Request(f"{server.url}/evaluate_layers",
+                          data=json.dumps(payload).encode(),
+                          headers={"Content-Type": "application/json"})
+        with urlopen(request) as response:
+            return json.loads(response.read())
 
     def test_remote_candidates_match_local(self, server, remote, tiny_network,
                                            sample_hw):
@@ -541,49 +549,43 @@ class TestCandidatesEndpoint:
         assert remote.num_cache_hits == 3
 
     def test_server_vectorizes_candidate_batch(self, server, sample_hw):
+        """One request is one engine call, whatever layers it mixes."""
         backend_batches = server.engine.num_batch_queries
-        payload = {
-            "hw": encode_object(sample_hw),
-            "layer": "gemm",
-            "mappings": [encode_object(m) for m in self._mappings(4)],
-        }
-        request = Request(f"{server.url}/evaluate_candidates",
-                          data=json.dumps(payload).encode(),
-                          headers={"Content-Type": "application/json"})
-        with urlopen(request) as response:
-            reply = json.loads(response.read())
+        items = [
+            {"mapping": encode_object(m), "layer": layer}
+            for m, layer in zip(self._mappings(4), ("gemm", "gemm", "conv", "gemm"))
+        ]
+        reply = self._post_items(server, sample_hw, items)
         assert [entry["ok"] for entry in reply["results"]] == [True] * 4
         assert server.engine.num_batch_queries == backend_batches + 1
+        assert server.engine.num_queries == 4
 
-    def test_bad_item_isolated_per_entry(self, server, sample_hw):
-        payload = {
-            "hw": encode_object(sample_hw),
-            "layer": "gemm",
-            "mappings": [
-                encode_object(GemmMapping(4, 8, 4)),
-                {"type": "Mystery", "fields": {}},
-            ],
-        }
-        request = Request(f"{server.url}/evaluate_candidates",
-                          data=json.dumps(payload).encode(),
-                          headers={"Content-Type": "application/json"})
-        with urlopen(request) as response:
-            reply = json.loads(response.read())
-        assert reply["results"][0]["ok"] is True
-        assert reply["results"][1]["ok"] is False
-        assert "Mystery" in reply["results"][1]["error"]
-
-    def test_mappings_must_be_list(self, server, sample_hw):
-        import urllib.error
-
-        request = Request(f"{server.url}/evaluate_candidates",
-                          data=json.dumps({"hw": encode_object(sample_hw),
-                                           "layer": "gemm",
-                                           "mappings": "nope"}).encode(),
-                          headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urlopen(request)
-        assert exc_info.value.code == 400
+    def test_bad_item_isolated_per_entry(self, server, tiny_network, sample_hw):
+        """An unknown layer and an undecodable mapping fail alone; the
+        valid items around them still share a single engine call."""
+        good = self._mappings(3)
+        items = [
+            {"mapping": encode_object(good[0]), "layer": "gemm"},
+            {"mapping": encode_object(good[1]), "layer": "missing"},
+            {"mapping": {"type": "Mystery", "fields": {}}, "layer": "gemm"},
+            {"mapping": encode_object(good[2]), "layer": "conv"},
+        ]
+        batches = server.engine.metrics.counter_value("engine_batch_queries_total")
+        reply = self._post_items(server, sample_hw, items)
+        assert [entry["ok"] for entry in reply["results"]] == [
+            True, False, False, True,
+        ]
+        assert "missing" in reply["results"][1]["error"]
+        assert "Mystery" in reply["results"][2]["error"]
+        assert (
+            server.engine.metrics.counter_value("engine_batch_queries_total")
+            == batches + 1
+        )
+        assert server.engine.num_queries == 2
+        local = MaestroEngine(tiny_network)
+        assert reply["results"][3]["result"]["latency_s"] == local.evaluate_layer(
+            sample_hw, good[2], "conv"
+        ).latency_s
 
 
 class TestMetricsEndpoint:
