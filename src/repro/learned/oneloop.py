@@ -95,21 +95,12 @@ class OneLoopMappingSearch(AnytimeMappingSearch):
     # ---------------------------------------------------------------- strategy
     def _pick_layer(self) -> str:
         """Weight layers by their share of incumbent network latency."""
-        weights = np.array(
-            [
-                self.layer_counts[name]
-                * max(self.best_layer_result[name].latency_s, 1e-12)
-                for name in self.layer_names
-            ]
-        )
-        if not np.all(np.isfinite(weights)) or weights.sum() <= 0:
-            return self.layer_names[
+        layer_name = self._pick_weighted_layer()
+        if layer_name is None:  # degenerate weights: uniform
+            layer_name = self.layer_names[
                 int(self.rng.integers(0, len(self.layer_names)))
             ]
-        probabilities = weights / weights.sum()
-        return self.layer_names[
-            int(self.rng.choice(len(self.layer_names), p=probabilities))
-        ]
+        return layer_name
 
     def _propose(self) -> Tuple[str, GemmMapping]:
         layer_name = self._pick_layer()

@@ -43,6 +43,7 @@ from repro.mapping.gemm_mapping import (
     GemmMappingSpace,
     NetworkMapping,
 )
+from repro.utils.intmath import nearest_divisor
 from repro.utils.rng import SeedLike, as_generator
 from repro.workloads.network import Network
 
@@ -123,6 +124,16 @@ class AnytimeMappingSearch(ABC):
         self.best_layer_result: Dict[str, LayerPPA] = {}
         self.history: List[MappingSearchPoint] = []
         self.spent_budget = 0
+        # per-step caches, so one propose -> fold step does not walk the
+        # network: incumbent totals (dropped by :meth:`_set_incumbent`),
+        # and the layer-pick weights with their CDF (entries of
+        # ``_stale_weights`` layers are rewritten by the next pick)
+        self._totals: Optional[Tuple[float, float]] = None
+        self._layer_index = {name: i for i, name in enumerate(self.layer_names)}
+        self._pick_weights = np.zeros(len(self.layer_names))
+        self._pick_cdf: Optional[np.ndarray] = None
+        self._stale_weights = set(self.layer_names)
+        self._leakage_w = engine.tech.leakage_w_per_mm2 * engine.area_mm2(hw)
         self._initialize_incumbents()
 
     # ------------------------------------------------------------------ setup
@@ -159,8 +170,6 @@ class AnytimeMappingSearch(ABC):
                 tn = max(1, tn // 2)
             else:
                 tm = max(1, tm // 2)
-            from repro.utils.intmath import nearest_divisor
-
             candidate = candidate.with_tiles(
                 nearest_divisor(space.shape.m, tm),
                 nearest_divisor(space.shape.n, tn),
@@ -195,9 +204,18 @@ class AnytimeMappingSearch(ABC):
         else:
             results = evaluate(self.hw, list(zip(seeds, self.layer_names)))
         for layer_name, seed, result in zip(self.layer_names, seeds, results):
-            mapping, result = self._shrink_to_feasible(layer_name, seed, result)
-            self.best_layer_mapping[layer_name] = mapping
-            self.best_layer_result[layer_name] = result
+            self._set_incumbent(
+                layer_name, *self._shrink_to_feasible(layer_name, seed, result)
+            )
+
+    def _set_incumbent(
+        self, layer_name: str, mapping: GemmMapping, result: LayerPPA
+    ) -> None:
+        """The one place an incumbent is written: drops what is cached of it."""
+        self.best_layer_mapping[layer_name] = mapping
+        self.best_layer_result[layer_name] = result
+        self._totals = None
+        self._stale_weights.add(layer_name)
 
     # --------------------------------------------------------------- strategy
     @abstractmethod
@@ -221,9 +239,57 @@ class AnytimeMappingSearch(ABC):
     ) -> None:
         """Hook for strategy state updates (acceptance, populations, ...)."""
 
+    def _layer_weight(self, layer_name: str) -> float:
+        """Unnormalised pick weight: the layer's incumbent latency share.
+
+        A tool that folds state of its own into the weight adds the layer
+        to ``_stale_weights`` whenever that state changes.
+        """
+        return self.layer_counts[layer_name] * max(
+            self.best_layer_result[layer_name].latency_s, 1e-12
+        )
+
+    def _pick_weighted_layer(self) -> Optional[str]:
+        """Draw a layer with probability proportional to its weight.
+
+        Index and RNG consumption are those of ``rng.choice(n, p=w /
+        w.sum())`` — the same CDF, one uniform, ``searchsorted`` — without
+        its per-call validation.  The CDF lives until a weight changes, so
+        the drafts of a speculative batch share one.  Returns ``None``,
+        consuming no RNG, when the weights are non-finite or sum to zero:
+        the caller takes its own fallback.
+        """
+        if self._stale_weights:
+            for layer_name in self._stale_weights:
+                self._pick_weights[self._layer_index[layer_name]] = (
+                    self._layer_weight(layer_name)
+                )
+            self._stale_weights.clear()
+            total = self._pick_weights.sum()
+            if 0.0 < total < np.inf:  # false for a nan / inf weight too
+                cdf = (self._pick_weights / total).cumsum()
+                cdf /= cdf[-1]
+                self._pick_cdf = cdf
+            else:
+                self._pick_cdf = None
+        if self._pick_cdf is None:
+            return None
+        return self.layer_names[
+            int(self._pick_cdf.searchsorted(self.rng.random(), side="right"))
+        ]
+
     # -------------------------------------------------------------- accounting
     def _network_totals(self) -> Tuple[float, float]:
-        """(total latency s, total energy J) of the incumbent mapping."""
+        """(total latency s, total energy J) of the incumbent mapping.
+
+        Re-summed left to right only after an incumbent changed; a running
+        delta would round differently from the sum it replaces.
+        """
+        if self._totals is None:
+            self._totals = self._sum_incumbents()
+        return self._totals
+
+    def _sum_incumbents(self) -> Tuple[float, float]:
         latency = 0.0
         energy = 0.0
         for layer_name in self.layer_names:
@@ -245,19 +311,14 @@ class AnytimeMappingSearch(ABC):
     def _network_power(self, latency: float, energy: float) -> float:
         if not np.isfinite(latency) or latency <= 0:
             return _INFEASIBLE_OBJECTIVE
-        leakage = self.engine.tech.leakage_w_per_mm2 * self.engine.area_mm2(self.hw)
-        return energy / latency + leakage
+        return energy / latency + self._leakage_w
 
     def _trial_totals(
         self, layer_name: str, result: LayerPPA
     ) -> Tuple[float, float]:
         """Network totals if ``layer_name`` adopted ``result``."""
         base_latency, base_energy = self._network_totals()
-        if not np.isfinite(base_latency):
-            if not result.feasible:
-                return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
-            return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
-        if not result.feasible:
+        if not np.isfinite(base_latency) or not result.feasible:
             return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
         count = self.layer_counts[layer_name]
         incumbent = self.best_layer_result[layer_name]
@@ -373,8 +434,7 @@ class AnytimeMappingSearch(ABC):
                 or self._layer_score(result) < self._layer_score(incumbent)
             )
             if better_layer:
-                self.best_layer_mapping[layer_name] = candidate
-                self.best_layer_result[layer_name] = result
+                self._set_incumbent(layer_name, candidate, result)
                 improved = True
         self._on_result(layer_name, candidate, result, improved)
 

@@ -51,24 +51,20 @@ class FlexTensorSearch(AnytimeMappingSearch):
             )
         self._pending: Tuple[str, GemmMapping, float] = ("", GemmMapping(1, 1, 1), 0.0)
 
+    def _layer_weight(self, layer_name: str) -> float:
+        # latency share x credit: optimize where time is spent and where
+        # moves have recently paid off
+        return super()._layer_weight(layer_name) * self._credit[layer_name]
+
     def _pick_layer(self) -> str:
-        if self.rng.random() < self._epsilon:
-            return self.layer_names[int(self.rng.integers(0, len(self.layer_names)))]
-        # weight by latency share x credit: optimize where time is spent and
-        # where moves have recently paid off
-        weights = np.array(
-            [
-                self.layer_counts[name]
-                * max(self.best_layer_result[name].latency_s, 1e-12)
-                * self._credit[name]
-                for name in self.layer_names
+        layer_name = None
+        if self.rng.random() >= self._epsilon:
+            layer_name = self._pick_weighted_layer()
+        if layer_name is None:  # exploration, or degenerate weights
+            layer_name = self.layer_names[
+                int(self.rng.integers(0, len(self.layer_names)))
             ]
-        )
-        if not np.all(np.isfinite(weights)) or weights.sum() <= 0:
-            return self.layer_names[int(self.rng.integers(0, len(self.layer_names)))]
-        probabilities = weights / weights.sum()
-        index = int(self.rng.choice(len(self.layer_names), p=probabilities))
-        return self.layer_names[index]
+        return layer_name
 
     def _propose(self) -> Tuple[str, GemmMapping]:
         layer_name = self._pick_layer()
@@ -104,4 +100,5 @@ class FlexTensorSearch(AnytimeMappingSearch):
         self._credit[layer_name] = decay * self._credit[layer_name] + (
             1 - decay
         ) * (1.0 + 4.0 * reward)
+        self._stale_weights.add(layer_name)
         self._temperature *= self._cooling

@@ -94,8 +94,7 @@ class DepthFirstFusionSearch(AnytimeMappingSearch):
         self._current_score[layer_name] = (
             self._layer_score(result) if result.feasible else float("inf")
         )
-        self.best_layer_mapping[layer_name] = mapping
-        self.best_layer_result[layer_name] = result
+        self._set_incumbent(layer_name, mapping, result)
 
     def _sync_next_layer(self, index: int) -> bool:
         """Fuse layer ``index + 1``'s input; returns False to veto."""

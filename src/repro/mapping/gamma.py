@@ -49,18 +49,11 @@ class GammaSearch(AnytimeMappingSearch):
         self._round_robin = 0
 
     def _pick_layer(self) -> str:
-        weights = np.array(
-            [
-                self.layer_counts[name]
-                * max(self.best_layer_result[name].latency_s, 1e-12)
-                for name in self.layer_names
-            ]
-        )
-        if not np.all(np.isfinite(weights)) or weights.sum() <= 0:
+        layer_name = self._pick_weighted_layer()
+        if layer_name is None:  # degenerate weights: take turns
             self._round_robin = (self._round_robin + 1) % len(self.layer_names)
-            return self.layer_names[self._round_robin]
-        probabilities = weights / weights.sum()
-        return self.layer_names[int(self.rng.choice(len(self.layer_names), p=probabilities))]
+            layer_name = self.layer_names[self._round_robin]
+        return layer_name
 
     def _propose(self) -> Tuple[str, GemmMapping]:
         layer_name = self._pick_layer()

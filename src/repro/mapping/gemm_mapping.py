@@ -19,6 +19,7 @@ A network-level mapping is a dict ``layer name -> GemmMapping``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -188,28 +189,26 @@ class GemmMappingSpace:
         """Propose a neighbor by perturbing one primitive."""
         rng = as_generator(seed)
         move = int(rng.integers(0, 6))
-        if move in (0, 1, 2):
-            grids = {
-                0: ("tile_m", self.tile_m_choices),
-                1: ("tile_n", self.tile_n_choices),
-                2: ("tile_k", self.tile_k_choices),
-            }
-            field_name, grid = grids[move]
-            current = getattr(mapping, field_name)
-            index = grid.index(current) if current in grid else 0
+        tiles = [mapping.tile_m, mapping.tile_n, mapping.tile_k]
+        loop_order, spatial, unroll = mapping.loop_order, mapping.spatial, mapping.unroll
+        if move < 3:
+            grid = (self.tile_m_choices, self.tile_n_choices, self.tile_k_choices)[
+                move
+            ]  # sorted divisors
+            index = bisect_left(grid, tiles[move])
+            if index == len(grid) or grid[index] != tiles[move]:
+                index = 0
             offset = 0
             while offset == 0:
                 offset = int(rng.integers(-2, 3))
-            new_index = max(0, min(len(grid) - 1, index + offset))
-            return replace(mapping, **{field_name: int(grid[new_index])})
-        if move == 3:
-            order = LOOP_ORDERS[int(rng.integers(0, len(LOOP_ORDERS)))]
-            return replace(mapping, loop_order=order)
-        if move == 4:
-            other = "nm" if mapping.spatial == "mn" else "mn"
-            return replace(mapping, spatial=other)
-        unroll = UNROLL_CHOICES[int(rng.integers(0, len(UNROLL_CHOICES)))]
-        return replace(mapping, unroll=unroll)
+            tiles[move] = grid[max(0, min(len(grid) - 1, index + offset))]
+        elif move == 3:
+            loop_order = LOOP_ORDERS[int(rng.integers(0, len(LOOP_ORDERS)))]
+        elif move == 4:
+            spatial = "nm" if spatial == "mn" else "mn"
+        else:
+            unroll = UNROLL_CHOICES[int(rng.integers(0, len(UNROLL_CHOICES)))]
+        return GemmMapping(*tiles, loop_order, spatial, unroll)
 
     def crossover(
         self, parent_a: GemmMapping, parent_b: GemmMapping, seed: SeedLike = None

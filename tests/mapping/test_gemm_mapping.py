@@ -1,5 +1,8 @@
 """Tests for the GEMM mapping representation and space."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from repro.mapping import (
     GemmMappingSpace,
     default_network_mapping,
 )
+from repro.mapping.gemm_mapping import UNROLL_CHOICES
 from repro.workloads.layers import GemmShape
 
 
@@ -100,6 +104,21 @@ class TestGemmMappingSpace:
         )
         assert differences == 1
 
+    def test_mutate_matches_reference(self):
+        """Same neighbor and same RNG consumption as the ``replace``-based
+        body it replaced, incl. tiles that are not on the (capped) grid."""
+        space = GemmMappingSpace(GemmShape(m=96, n=360, k=4096), max_tile=512)
+        source = np.random.default_rng(5)
+        for case in range(400):
+            mapping = space.sample(source)
+            if case % 4 == 0:  # off-grid tiles restart from grid position 0
+                mapping = mapping.with_tiles(7, 1024, 4096)
+            rng, reference = np.random.default_rng(case), np.random.default_rng(case)
+            assert space.mutate(mapping, rng) == _reference_mutate(
+                space, mapping, reference
+            )
+            assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_crossover_fields_from_parents(self, rng):
         space = GemmMappingSpace(self.SHAPE)
         a, b = space.sample(rng), space.sample(rng)
@@ -121,6 +140,32 @@ class TestGemmMappingSpace:
         assert m % mapping.tile_m == 0
         assert n % mapping.tile_n == 0
         assert k % mapping.tile_k == 0
+
+
+def _reference_mutate(space, mapping, rng):
+    """``GemmMappingSpace.mutate`` as first written (linear grid scans)."""
+    move = int(rng.integers(0, 6))
+    if move in (0, 1, 2):
+        field_name, grid = (
+            ("tile_m", space.tile_m_choices),
+            ("tile_n", space.tile_n_choices),
+            ("tile_k", space.tile_k_choices),
+        )[move]
+        current = getattr(mapping, field_name)
+        index = grid.index(current) if current in grid else 0
+        offset = 0
+        while offset == 0:
+            offset = int(rng.integers(-2, 3))
+        new_index = max(0, min(len(grid) - 1, index + offset))
+        return dataclasses.replace(mapping, **{field_name: int(grid[new_index])})
+    if move == 3:
+        order = LOOP_ORDERS[int(rng.integers(0, len(LOOP_ORDERS)))]
+        return dataclasses.replace(mapping, loop_order=order)
+    if move == 4:
+        other = "nm" if mapping.spatial == "mn" else "mn"
+        return dataclasses.replace(mapping, spatial=other)
+    unroll = UNROLL_CHOICES[int(rng.integers(0, len(UNROLL_CHOICES)))]
+    return dataclasses.replace(mapping, unroll=unroll)
 
 
 class TestDefaultNetworkMapping:

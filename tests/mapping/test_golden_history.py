@@ -1,0 +1,119 @@
+"""Golden search histories: the cross-commit half of the parity contract.
+
+``test_batch_search.py`` compares ``batch_size`` 1 against 8 *within one
+commit*, so a change that shifts both trajectories equally passes it.
+These digests were recorded at commit 27f80a2 (before the per-step
+bookkeeping of the search loop was made incremental) and pin, for every
+tool that draws its layer from the incumbent latency shares, the exact
+history floats, the final RNG state and the incumbent mapping.  Run this
+file first after touching anything under ``repro.mapping``.
+"""
+
+import hashlib
+import struct
+
+import pytest
+
+from repro.costmodel import MaestroEngine
+from repro.hw import edge_design_space
+from repro.learned.oneloop import OneLoopMappingSearch
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gamma import GammaSearch
+from repro.mapping.random_search import RandomMappingSearch
+from repro.workloads import get_network
+
+SEED = 11
+BUDGETS = (90, 37)  # two rounds, like MSH resuming a promoted trial
+
+TOOLS = {
+    "flextensor": FlexTensorSearch,
+    "gamma": GammaSearch,
+    "random": RandomMappingSearch,
+    # MaestroEngine carries no learned model -> the mutation fallback
+    "oneloop": OneLoopMappingSearch,
+}
+
+GOLDEN = {
+    ("flextensor", "latency"): (
+        "0a736713dec830de4bf4d99b2fe844515620122ff9321e14d9717dd65a288d8a"
+    ),
+    ("flextensor", "edp"): (
+        "8d4b6c7e991aaa756cfe7db42b637737536f3679bdeefea00635012389d7b3f6"
+    ),
+    ("gamma", "latency"): (
+        "5ce47035b950239de98ed8564f28c9a5938e0ec9a086df8ed1463418f530bf11"
+    ),
+    ("gamma", "edp"): (
+        "43adb96d5df84f95341abb8872137c04752e0deac06fba047bbb60a691897662"
+    ),
+    ("random", "latency"): (
+        "3a609da312edd866d4d10471bfeaba40476ba795aadcec5de9de4f35538df59b"
+    ),
+    ("random", "edp"): (
+        "709be824f4249b94aca406057baa86aa0c9e0baf151c73071606a07d522de135"
+    ),
+    ("oneloop", "latency"): (
+        "eb40570149bd584288fb5af2da4c8d65cf7fbb4ae99685605709301639c0acfd"
+    ),
+    ("oneloop", "edp"): (
+        "cf5f50aa7d9a4fcafc3c8d047c63dbe64ad0fa33eea56fb918fe67509b5dd048"
+    ),
+}
+
+
+def search_digest(search) -> str:
+    """sha256 over history floats, final RNG state and incumbent keys."""
+    digest = hashlib.sha256()
+    for point in search.history:
+        digest.update(
+            struct.pack(
+                "<q6d",
+                point.step,
+                point.trial_objective,
+                point.trial_latency_s,
+                point.trial_power_w,
+                point.best_objective,
+                point.best_latency_s,
+                point.best_power_w,
+            )
+        )
+    digest.update(repr(search.rng.bit_generator.state).encode())
+    for layer_name in search.layer_names:
+        digest.update(repr((layer_name, search.best_mapping[layer_name].key())).encode())
+    return digest.hexdigest()
+
+
+def run_search(tool: str, objective: str, batch_size: int = 1):
+    network = get_network("mobilenetv2")
+    hw = edge_design_space().sample(0)
+    search = TOOLS[tool](
+        network,
+        hw,
+        MaestroEngine(network),
+        objective=objective,
+        seed=SEED,
+        batch_size=batch_size,
+    )
+    for budget in BUDGETS:
+        search.run(budget)
+    return search
+
+
+@pytest.mark.parametrize("tool,objective", sorted(GOLDEN))
+def test_history_matches_golden(tool, objective):
+    search = run_search(tool, objective)
+    assert len(search.history) == sum(BUDGETS)
+    assert search_digest(search) == GOLDEN[(tool, objective)]
+
+
+@pytest.mark.parametrize("tool", ["flextensor", "gamma", "random"])
+def test_batched_history_matches_golden(tool):
+    """The speculative path lands on the same pinned trajectory."""
+    search = run_search(tool, "latency", batch_size=8)
+    assert search.num_speculative_evals > 0
+    assert search_digest(search) == GOLDEN[(tool, "latency")]
+
+
+if __name__ == "__main__":  # prints the table above, for re-recording
+    for key in sorted(GOLDEN):
+        print(f"    {key!r}: {search_digest(run_search(*key))!r},")
