@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from http.client import HTTPException
 from typing import List, Optional
 
 from repro.experiments import (
@@ -568,14 +569,8 @@ def _cmd_serve(args) -> int:
             "X-Repro-Span header"
         )
     print(f"metrics at {server.url}/metrics  (or: python -m repro stats {server.url})")
-    print("Ctrl-C to stop.")
-    try:
-        import time
-
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        server.stop()
+    print("Ctrl-C (or SIGTERM) drains in-flight requests and stops.")
+    server.install_signal_handlers().wait()
     return 0
 
 
@@ -702,15 +697,12 @@ def _fleet_status_dashboard(args) -> int:
 def _cmd_fleet_status(args) -> int:
     if args.watch or args.hub:
         return _fleet_status_dashboard(args)
-    from urllib.request import urlopen
-
     failures = 0
     for url in args.urls:
         base = url.rstrip("/")
         try:
-            with urlopen(f"{base}/health", timeout=args.timeout) as response:
-                health = json.loads(response.read())
-        except OSError as error:
+            health = json.loads(_scrape(base, "/health", args.timeout))
+        except (OSError, HTTPException) as error:
             print(f"{base}  DOWN  {type(error).__name__}: {error}")
             failures += 1
             continue
@@ -950,9 +942,6 @@ def _cmd_obs_export(args) -> int:
 
 
 def _cmd_hub_serve(args) -> int:
-    import threading
-    import time as _time
-
     from repro.hub import HubServer
 
     server = HubServer(
@@ -965,8 +954,7 @@ def _cmd_hub_serve(args) -> int:
         obs_dir=args.obs_dir,
     )
     server.start()
-    stopped = threading.Event()
-    server.install_signal_handlers(on_stopped=stopped.set)
+    stopped = server.install_signal_handlers()
     print(f"repro hub on {server.url} (runs dir {args.runs_dir})")
     if args.replicas:
         print(f"aggregating {len(args.replicas)} replicas "
@@ -979,11 +967,7 @@ def _cmd_hub_serve(args) -> int:
         )
     print("endpoints: /runs /runs/<id>/events (SSE) /metrics /health; "
           "Ctrl-C drains and stops.")
-    try:
-        while not stopped.is_set():
-            _time.sleep(0.5)
-    except KeyboardInterrupt:
-        server.stop()
+    stopped.wait()
     return 0
 
 
@@ -1048,25 +1032,27 @@ def _cmd_hub_resume(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    from urllib.request import urlopen
+def _scrape(url: str, path: str, timeout_s: float) -> bytes:
+    """One ``GET`` of a service's ``/health`` or ``/metrics`` over the
+    pooled client; non-200 replies and transport faults raise."""
+    from repro.fleet.pool import ConnectionPool
 
-    url = args.url.rstrip("/")
-    if args.prom:
-        try:
-            with urlopen(
-                f"{url}/metrics?format=prom", timeout=args.timeout
-            ) as response:
-                print(response.read().decode("utf-8"), end="")
-        except OSError as error:
-            print(f"error: cannot reach PPA service at {url}: {error}",
-                  file=sys.stderr)
-            return 1
-        return 0
+    pool = ConnectionPool(url, timeout_s=timeout_s)
     try:
-        with urlopen(f"{url}/metrics", timeout=args.timeout) as response:
-            payload = json.load(response)
-    except (OSError, json.JSONDecodeError) as error:
+        return pool.fetch(path)
+    finally:
+        pool.close()
+
+
+def _cmd_stats(args) -> int:
+    url = args.url.rstrip("/")
+    try:
+        if args.prom:
+            text = _scrape(url, "/metrics?format=prom", args.timeout)
+            print(text.decode("utf-8"), end="")
+            return 0
+        payload = json.loads(_scrape(url, "/metrics", args.timeout))
+    except (OSError, HTTPException, json.JSONDecodeError) as error:
         print(f"error: cannot reach PPA service at {url}: {error}", file=sys.stderr)
         return 1
     if args.json:

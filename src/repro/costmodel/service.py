@@ -5,7 +5,8 @@ hardware configuration, SW mapping configuration, and a tensor workload as
 inputs to estimate performance, power and area."
 
 * :class:`PPAServiceServer` wraps any :class:`PPAEngine` behind a small
-  HTTP/JSON endpoint (stdlib ``http.server``; POST ``/evaluate_layer``,
+  HTTP/JSON endpoint — a route table on the shared serving core
+  :mod:`repro.utils.httpcore` (POST ``/evaluate_layer``,
   POST ``/evaluate_layers`` (batched: one engine call per request),
   POST ``/aggregate``, GET ``/health``, GET ``/metrics``).
 * :class:`RemotePPAEngine` is a drop-in :class:`PPAEngine` client: search
@@ -42,13 +43,10 @@ from __future__ import annotations
 
 import json
 import random
-import signal
-import socket
 import threading
 import time
 import typing
 from http.client import HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     Callable,
     Dict,
@@ -59,8 +57,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-from urllib.error import URLError
-from urllib.parse import parse_qs, urlsplit
 
 from repro.camodel.mapping import AscendMapping
 from repro.costmodel.engine import PPAEngine
@@ -71,13 +67,13 @@ from repro.fleet.pool import ConnectionPool
 from repro.hw.ascend import AscendHWConfig
 from repro.hw.spatial import SpatialHWConfig
 from repro.mapping.gemm_mapping import GemmMapping
-from repro.obs.prom import render_prometheus
 from repro.obs.trace import (
     NULL_TRACER,
     Tracer,
     format_trace_context,
     parse_trace_context,
 )
+from repro.utils.httpcore import HttpServer, Reply, Request, Route
 from repro.utils.metrics import MetricsRegistry
 
 #: Version of the ``GET /metrics`` JSON document (engine stats + registry
@@ -171,13 +167,13 @@ def _layer_ppa_from_dict(payload: Dict) -> LayerPPA:
         raise EvaluationError(f"malformed layer-PPA payload: {error}") from error
 
 
-class PPAServiceServer:
+class PPAServiceServer(HttpServer):
     """Serve an engine over HTTP on localhost; use as a context manager.
 
     Shares the engine's metrics registry by default, so ``GET /metrics``
     exposes engine counters (queries, cache hits/evictions, compute
-    latency) alongside the per-endpoint request/error counters recorded
-    here.
+    latency) alongside the per-endpoint request/error counters the
+    serving core (:mod:`repro.utils.httpcore`) records.
     """
 
     def __init__(
@@ -189,338 +185,129 @@ class PPAServiceServer:
         tracer: Optional[Tracer] = None,
     ):
         self.engine = engine
-        self.metrics = metrics if metrics is not None else engine.metrics
         #: server-side span tracer.  With a real tracer, every POST opens a
         #: ``service<path>`` span whose finished form travels back in the
         #: ``X-Repro-Span`` response header, letting tracing clients stitch
         #: it into their own trace.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: graceful-shutdown state: once draining, new requests get a fast
-        #: 503 while in-flight ones run to completion (see :meth:`stop`)
-        self._draining = False
-        self._inflight = 0
-        self._inflight_cv = threading.Condition()
-        handler = self._make_handler()
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def _make_handler(self):
-        engine = self.engine
-        metrics = self.metrics
-        tracer = self.tracer
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # HTTP/1.1 keeps connections alive between exchanges, so the
-            # pooled client actually reuses sockets; every reply carries
-            # an explicit Content-Length, which 1.1 keep-alive requires.
-            protocol_version = "HTTP/1.1"
-            # headers and body flush as separate small writes; with Nagle
-            # on, the second write waits ~40ms for the client's delayed
-            # ACK of the first on every keep-alive exchange
-            disable_nagle_algorithm = True
-
-            def log_message(self, fmt, *args):  # silence request logging
-                pass
-
-            def _begin_request(self) -> bool:
-                """Admit the request, or False once the server is draining."""
-                with server._inflight_cv:
-                    if server._draining:
-                        return False
-                    server._inflight += 1
-                    return True
-
-            def _end_request(self) -> None:
-                with server._inflight_cv:
-                    server._inflight -= 1
-                    server._inflight_cv.notify_all()
-
-            def _reject_draining(self) -> None:
-                # drain the request body first so the keep-alive socket
-                # stays parseable for the client's next exchange
-                length = int(self.headers.get("Content-Length", 0))
-                if length:
-                    self.rfile.read(length)
-                self._span = None
-                metrics.counter("service_drain_rejections_total").inc()
-                self._reply(503, {"error": "service draining"})
-
-            def _finish_span(self, status: int) -> Optional[str]:
-                """Close the request span, returning its wire JSON."""
-                span = getattr(self, "_span", None)
-                self._span = None
-                if span is None:
-                    return None
-                span.set_attribute("status", status)
-                return json.dumps(tracer.finish_span(span))
-
-            def _reply(self, status: int, payload: Dict) -> None:
-                span_json = self._finish_span(status)
-                body = json.dumps(payload, sort_keys=True).encode("utf-8")
-                # count before the body leaves the socket: once the client
-                # has the reply it may immediately scrape /metrics, and the
-                # request that produced the reply must already be there
-                metrics.counter(f"service_requests_total[{self.path}]").inc()
-                if status >= 400:
-                    metrics.counter("service_errors_total").inc()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                if span_json is not None:
-                    self.send_header("X-Repro-Span", span_json)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _reply_text(self, status: int, text: str) -> None:
-                """Plain-text reply (the Prometheus exposition path)."""
-                body = text.encode("utf-8")
-                metrics.counter(f"service_requests_total[{self.path}]").inc()
-                self.send_response(status)
-                self.send_header(
-                    "Content-Type", "text/plain; charset=utf-8"
-                )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):
-                if not self._begin_request():
-                    self._reject_draining()
-                    return
-                try:
-                    self._do_get()
-                finally:
-                    self._end_request()
-
-            def _do_get(self):
-                parsed = urlsplit(self.path)
-                if parsed.path == "/health":
-                    self._reply(
-                        200,
-                        {
-                            "status": "ok",
-                            "workload": engine.network.name,
-                            "queries": engine.num_queries,
-                        },
-                    )
-                elif parsed.path == "/metrics":
-                    wants = parse_qs(parsed.query).get("format", ["json"])
-                    if wants and wants[-1] == "prom":
-                        self._reply_text(
-                            200, render_prometheus(metrics.snapshot())
-                        )
-                        return
-                    self._reply(
-                        200,
-                        {
-                            "schema_version": METRICS_SCHEMA_VERSION,
-                            "engine": engine.stats(),
-                            "metrics": metrics.snapshot(),
-                        },
-                    )
-                else:
-                    self._reply(404, {"error": f"unknown path {self.path}"})
-
-            def _evaluate_layers(self, request: Dict) -> None:
-                hw = decode_object(request["hw"])
-                items = request["items"]
-                if not isinstance(items, list):
-                    raise EvaluationError("'items' must be a list")
-                entries: List[Optional[Dict]] = [None] * len(items)
-                valid: List[Tuple[int, Tuple[object, str]]] = []
-                for index, item in enumerate(items):
-                    # one bad item must not poison the rest of the batch:
-                    # reject it here, evaluate the others in one engine call
-                    try:
-                        layer_name = item["layer"]
-                        if layer_name not in engine.layer_shapes:
-                            raise EvaluationError(
-                                f"layer {layer_name!r} not in workload "
-                                f"{engine.network.name!r}"
-                            )
-                        mapping = decode_object(item["mapping"])
-                    except (EvaluationError, KeyError, TypeError) as exc:
-                        entries[index] = {"ok": False, "error": str(exc)}
-                    else:
-                        valid.append((index, (mapping, layer_name)))
-                if valid:
-                    results = engine.evaluate_layers(
-                        hw, [request_item for _index, request_item in valid]
-                    )
-                    for (index, _item), result in zip(valid, results):
-                        entries[index] = {
-                            "ok": True,
-                            "result": _layer_ppa_to_dict(result),
-                        }
-                self._reply(200, {"results": entries})
-
-            def do_POST(self):
-                if not self._begin_request():
-                    self._reject_draining()
-                    return
-                try:
-                    self._do_post()
-                finally:
-                    self._end_request()
-
-            def _do_post(self):
-                start = time.perf_counter()
-                self._span = None
-                if tracer.enabled:
-                    context = parse_trace_context(
-                        self.headers.get("X-Repro-Trace")
-                    )
-                    span = tracer.start_span(
-                        f"service{self.path}",
-                        parent_id=context[1] if context else None,
-                    )
-                    if context:
-                        # adopt the caller's trace identity so server-side
-                        # sinks record the request under the client's trace
-                        span.trace_id = context[0]
-                    self._span = span
-                length = int(self.headers.get("Content-Length", 0))
-                try:
-                    request = json.loads(self.rfile.read(length))
-                except json.JSONDecodeError:
-                    self._reply(400, {"error": "invalid JSON"})
-                    return
-                try:
-                    if self.path == "/evaluate_layer":
-                        result = engine.evaluate_layer(
-                            decode_object(request["hw"]),
-                            decode_object(request["mapping"]),
-                            request["layer"],
-                        )
-                        self._reply(200, _layer_ppa_to_dict(result))
-                    elif self.path == "/evaluate_layers":
-                        self._evaluate_layers(request)
-                    elif self.path == "/aggregate":
-                        hw = decode_object(request["hw"])
-                        mappings = {
-                            name: decode_object(mapping)
-                            for name, mapping in request["mappings"].items()
-                        }
-                        ppa = engine.aggregate(hw, mappings)
-                        self._reply(
-                            200,
-                            {
-                                "latency_s": ppa.latency_s if ppa.feasible else None,
-                                "energy_j": ppa.energy_j if ppa.feasible else None,
-                                "power_w": ppa.power_w if ppa.feasible else None,
-                                "area_mm2": ppa.area_mm2,
-                                "feasible": ppa.feasible,
-                            },
-                        )
-                    else:
-                        self._reply(404, {"error": f"unknown path {self.path}"})
-                except (EvaluationError, KeyError) as exc:
-                    self._reply(400, {"error": str(exc)})
-                except Exception as exc:  # malformed payloads must still get JSON
-                    self._reply(
-                        500, {"error": f"internal error: {type(exc).__name__}: {exc}"}
-                    )
-                finally:
-                    metrics.histogram("service_request_seconds").observe(
-                        time.perf_counter() - start
-                    )
-
-        return Handler
-
-    def start(self) -> "PPAServiceServer":
-        # shutdown() waits out one poll of the accept loop (stdlib
-        # default 0.5 s), so every stop and test teardown costs one poll
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
+        rejections = ((EvaluationError, 400), (KeyError, 400))
+        super().__init__(
+            host,
+            port,
+            {
+                ("GET", "/health"): Route(self._get_health),
+                ("GET", "/metrics"): Route(self._get_metrics),
+                ("POST", "/evaluate_layer"): Route(
+                    self._post_evaluate_layer, rejections, timed=True
+                ),
+                ("POST", "/evaluate_layers"): Route(
+                    self._post_evaluate_layers, rejections, timed=True
+                ),
+                ("POST", "/aggregate"): Route(
+                    self._post_aggregate, rejections, timed=True
+                ),
+            },
+            metrics if metrics is not None else engine.metrics,
+            prefix="service",
+            draining_error="service draining",
         )
-        self._thread.start()
-        return self
 
-    # -- graceful shutdown ------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._draining
+    def _dispatch(self, route: Route, request: Request) -> Reply:
+        if not (self.tracer.enabled and request.method == "POST"):
+            return super()._dispatch(route, request)
+        context = parse_trace_context(request.headers.get("x-repro-trace"))
+        span = self.tracer.start_span(
+            f"service{request.path}",
+            parent_id=context[1] if context else None,
+        )
+        if context:
+            # adopt the caller's trace identity so server-side sinks
+            # record the request under the client's trace
+            span.trace_id = context[0]
+        reply = super()._dispatch(route, request)
+        span.set_attribute("status", reply.status)
+        return reply._replace(
+            headers={"X-Repro-Span": json.dumps(self.tracer.finish_span(span))}
+        )
 
-    @property
-    def inflight_requests(self) -> int:
-        with self._inflight_cv:
-            return self._inflight
+    # -- endpoints --------------------------------------------------------------
+    def _get_health(self, request: Request) -> Dict:
+        return {
+            "status": "ok",
+            "workload": self.engine.network.name,
+            "queries": self.engine.num_queries,
+        }
 
-    def begin_drain(self) -> None:
-        """Stop admitting requests; in-flight ones run to completion.
+    def _get_metrics(self, request: Request):
+        return self.metrics_reply(
+            request,
+            schema_version=METRICS_SCHEMA_VERSION,
+            engine=self.engine.stats(),
+        )
 
-        New requests get an immediate ``503 {"error": "service draining"}``
-        — a fast, explicit signal clients route around (the sharded client
-        re-routes without charging its breaker), instead of the hung
-        socket a plain ``shutdown()`` would leave them holding.
-        """
-        with self._inflight_cv:
-            self._draining = True
+    def _post_evaluate_layer(self, request: Request) -> Dict:
+        payload = request.json()
+        result = self.engine.evaluate_layer(
+            decode_object(payload["hw"]),
+            decode_object(payload["mapping"]),
+            payload["layer"],
+        )
+        return _layer_ppa_to_dict(result)
 
-    def drain(self, timeout_s: float = 5.0) -> bool:
-        """Wait for in-flight requests to finish; True when fully drained."""
-        with self._inflight_cv:
-            return self._inflight_cv.wait_for(
-                lambda: self._inflight == 0, timeout=timeout_s
+    def _post_evaluate_layers(self, request: Request) -> Dict:
+        engine = self.engine
+        payload = request.json()
+        hw = decode_object(payload["hw"])
+        items = payload["items"]
+        if not isinstance(items, list):
+            raise EvaluationError("'items' must be a list")
+        entries: List[Optional[Dict]] = [None] * len(items)
+        valid: List[Tuple[int, Tuple[object, str]]] = []
+        for index, item in enumerate(items):
+            # one bad item must not poison the rest of the batch:
+            # reject it here, evaluate the others in one engine call
+            try:
+                layer_name = item["layer"]
+                if layer_name not in engine.layer_shapes:
+                    raise EvaluationError(
+                        f"layer {layer_name!r} not in workload "
+                        f"{engine.network.name!r}"
+                    )
+                mapping = decode_object(item["mapping"])
+            except (EvaluationError, KeyError, TypeError) as exc:
+                entries[index] = {"ok": False, "error": str(exc)}
+            else:
+                valid.append((index, (mapping, layer_name)))
+        if valid:
+            results = engine.evaluate_layers(
+                hw, [request_item for _index, request_item in valid]
             )
+            for (index, _item), result in zip(valid, results):
+                entries[index] = {
+                    "ok": True,
+                    "result": _layer_ppa_to_dict(result),
+                }
+        return {"results": entries}
 
-    def stop(self, drain_timeout_s: float = 5.0) -> None:
-        """Drain in-flight requests (bounded), then shut the listener down."""
-        self.begin_drain()
-        self.drain(timeout_s=drain_timeout_s)
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def install_signal_handlers(
-        self,
-        drain_timeout_s: float = 5.0,
-        on_stopped: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """SIGTERM/SIGINT → graceful drain + shutdown (replica processes).
-
-        Must run on the main thread (a CPython ``signal`` requirement).
-        The handler only flips the drain flag and hands the blocking stop
-        to a helper thread, as signal handlers must not block.
-        """
-
-        def _handle(signum, frame):  # noqa: ARG001 - signal handler signature
-            self.begin_drain()
-
-            def _shutdown() -> None:
-                self.stop(drain_timeout_s=drain_timeout_s)
-                if on_stopped is not None:
-                    on_stopped()
-
-            threading.Thread(target=_shutdown, daemon=True).start()
-
-        signal.signal(signal.SIGTERM, _handle)
-        signal.signal(signal.SIGINT, _handle)
-
-    def __enter__(self) -> "PPAServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    def _post_aggregate(self, request: Request) -> Dict:
+        payload = request.json()
+        hw = decode_object(payload["hw"])
+        mappings = {
+            name: decode_object(mapping)
+            for name, mapping in payload["mappings"].items()
+        }
+        ppa = self.engine.aggregate(hw, mappings)
+        return {
+            "latency_s": ppa.latency_s if ppa.feasible else None,
+            "energy_j": ppa.energy_j if ppa.feasible else None,
+            "power_w": ppa.power_w if ppa.feasible else None,
+            "area_mm2": ppa.area_mm2,
+            "feasible": ppa.feasible,
+        }
 
 
 #: transport-level exceptions that indicate "try again", not "bad query"
-_TRANSIENT_ERRORS = (URLError, HTTPException, socket.timeout, OSError,
-                     json.JSONDecodeError)
+_TRANSIENT_ERRORS = (HTTPException, OSError, json.JSONDecodeError)
 
 
 class RemotePPAEngine(PPAEngine):
@@ -615,12 +402,6 @@ class RemotePPAEngine(PPAEngine):
             jitter = self._jitter_rng.random()
         return base * (1.0 + self.jitter_fraction * jitter)
 
-    def _breaker_check(self) -> None:
-        self._breaker_gate(self._breaker)
-
-    def _breaker_record(self, success: bool) -> None:
-        self._breaker_report(self._breaker, success)
-
     def _breaker_gate(self, breaker: CircuitBreaker) -> None:
         """Fail fast while ``breaker`` is open, with client-side counting."""
         try:
@@ -658,15 +439,11 @@ class RemotePPAEngine(PPAEngine):
         """
         if self.tracer.enabled:
             with self.tracer.span("remote" + path) as span:
-                return self._request_json_impl(path, payload, span)
-        return self._request_json_impl(path, payload, None)
-
-    def _request_json_impl(
-        self, path: str, payload: Optional[Dict], span
-    ) -> Dict:
-        """Untraced transport loop behind :meth:`_request_json`."""
+                return self._transport_request(
+                    self._pool, self._breaker, path, payload, span
+                )
         return self._transport_request(
-            self._pool, self._breaker, path, payload, span
+            self._pool, self._breaker, path, payload, None
         )
 
     def _transport_request(

@@ -1,12 +1,16 @@
-"""Keep-alive HTTP connection pool (stdlib ``http.client`` only).
+"""Keep-alive HTTP/1.1 connection pool over plain sockets (stdlib only).
 
-The pre-fleet :class:`~repro.costmodel.service.RemotePPAEngine` opened a
-fresh TCP connection per request via ``urllib.request.urlopen``; at the
-chunk sizes the batched evaluate paths ship, connection setup was a
-measurable slice of every round trip.  :class:`ConnectionPool` holds
-persistent HTTP/1.1 keep-alive connections to one origin and hands them
-out to concurrent callers, so the sharded client's in-flight fan-out
+Holds persistent HTTP/1.1 keep-alive connections to one origin and hands
+them out to concurrent callers, so the sharded client's in-flight fan-out
 reuses warm sockets instead of paying a handshake per chunk.
+
+One exchange is one ``sendall`` (request head + body in a single segment)
+and a ``readline`` parse of the reply head (the serving core's own
+:func:`~repro.utils.httpcore.read_head`) and its ``Content-Length`` (or
+chunked, or read-to-EOF) body.  Transport faults surface as ``OSError``
+or ``http.client``'s exception types (``BadStatusLine``,
+``IncompleteRead``, ``RemoteDisconnected``), so callers' retry policies
+see what they always saw.
 
 Failure handling is deliberately conservative:
 
@@ -21,14 +25,28 @@ Failure handling is deliberately conservative:
 
 from __future__ import annotations
 
+import re
+import socket
+import ssl
 import threading
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from http.client import (
+    BadStatusLine,
+    HTTPException,
+    IncompleteRead,
+    InvalidURL,
+    RemoteDisconnected,
+)
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import EvaluationError
+from repro.utils.httpcore import MAX_LINE, HeadError, read_head
 
 __all__ = ["ConnectionPool", "PoolResponse"]
+
+#: what a request target may not contain (a run id typed on a command
+#: line ends up in one): whitespace and control characters
+_BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
 
 
 class PoolResponse:
@@ -43,6 +61,75 @@ class PoolResponse:
 
     def header(self, name: str) -> Optional[str]:
         return self.headers.get(name.lower())
+
+
+class _Connection:
+    """One pooled socket, as ``sock`` (tests close it to play a server
+    reaping an idle keep-alive connection)."""
+
+    __slots__ = ("sock",)
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def _read_exactly(rfile, length: int) -> bytes:
+    data = rfile.read(length)
+    if len(data) < length:
+        raise IncompleteRead(data, length - len(data))
+    return data
+
+
+def _read_chunked(rfile) -> bytes:
+    """A ``Transfer-Encoding: chunked`` body; extensions, trailers dropped."""
+    chunks = []
+    while True:
+        try:
+            size = int(rfile.readline(MAX_LINE).split(b";", 1)[0], 16)
+        except ValueError:
+            raise IncompleteRead(b"".join(chunks)) from None
+        if size == 0:
+            break
+        chunks.append(_read_exactly(rfile, size + 2)[:-2])  # chunk + CRLF
+    while rfile.readline(MAX_LINE) not in (b"\r\n", b"\n", b""):
+        pass
+    return b"".join(chunks)
+
+
+def _read_response(rfile, method: str) -> Tuple[PoolResponse, bool]:
+    """The reply to one request, and whether the socket is spent."""
+    status = 100
+    while 100 <= status < 200 and status != 101:  # skips 100 Continue
+        try:
+            head = read_head(rfile)
+        except HeadError as error:
+            raise HTTPException(f"unreadable reply head: {error}") from None
+        if head is None:
+            raise RemoteDisconnected("server closed connection without a reply")
+        (version, *rest), headers = head
+        if not (version.startswith("HTTP/") and rest and rest[0].isdecimal()):
+            raise BadStatusLine(" ".join(head[0]))
+        status = int(rest[0])
+    connection = headers.get("connection", "").lower()
+    will_close = (
+        "keep-alive" not in connection
+        if version == "HTTP/1.0"
+        else "close" in connection
+    )
+    length = headers.get("content-length", "")
+    if method == "HEAD" or status in (204, 304) or status < 200:
+        body = b""
+    elif "chunked" in headers.get("transfer-encoding", "").lower():
+        body = _read_chunked(rfile)
+    elif length.isdecimal():
+        body = _read_exactly(rfile, int(length))
+    else:
+        body = rfile.read()  # no framing: the body ends where the socket does
+        will_close = True
+    return PoolResponse(status, headers, body), will_close
 
 
 class ConnectionPool:
@@ -69,11 +156,17 @@ class ConnectionPool:
         self.base_url = base_url.rstrip("/")
         self.scheme = parts.scheme
         self.host = parts.hostname
-        self.port = parts.port  # None lets http.client pick the default
+        self.port = parts.port or (443 if parts.scheme == "https" else 80)
         self.path_prefix = parts.path.rstrip("/")
         self.timeout_s = timeout_s
         self.max_idle = max_idle
-        self._idle: List[HTTPConnection] = []
+        host = f"[{self.host}]" if ":" in self.host else self.host  # IPv6
+        netloc = host if parts.port is None else f"{host}:{self.port}"
+        #: the head lines every request shares, built once
+        self._host_lines = (
+            f" HTTP/1.1\r\nHost: {netloc}\r\nAccept-Encoding: identity\r\n"
+        )
+        self._idle: List[_Connection] = []
         self._lock = threading.Lock()
         # pool telemetry (surfaced through the engine's stats())
         self.num_created = 0
@@ -82,14 +175,20 @@ class ConnectionPool:
         self.num_stale_retries = 0
 
     # -- connection lifecycle ---------------------------------------------------
-    def _connect(self) -> HTTPConnection:
-        conn_cls = HTTPSConnection if self.scheme == "https" else HTTPConnection
-        connection = conn_cls(self.host, self.port, timeout=self.timeout_s)
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout_s
+        )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self.scheme == "https":
+            sock = ssl.create_default_context().wrap_socket(
+                sock, server_hostname=self.host
+            )
         with self._lock:
             self.num_created += 1
-        return connection
+        return _Connection(sock)
 
-    def _acquire(self) -> Tuple[HTTPConnection, bool]:
+    def _acquire(self) -> Tuple[_Connection, bool]:
         """A pooled connection (reused=True) or a fresh one."""
         with self._lock:
             if self._idle:
@@ -97,7 +196,7 @@ class ConnectionPool:
                 return self._idle.pop(), True
         return self._connect(), False
 
-    def _release(self, connection: HTTPConnection) -> None:
+    def _release(self, connection: _Connection) -> None:
         with self._lock:
             if len(self._idle) < self.max_idle:
                 self._idle.append(connection)
@@ -105,7 +204,7 @@ class ConnectionPool:
             self.num_discarded += 1
         connection.close()
 
-    def _discard(self, connection: HTTPConnection) -> None:
+    def _discard(self, connection: _Connection) -> None:
         with self._lock:
             self.num_discarded += 1
         connection.close()
@@ -144,27 +243,44 @@ class ConnectionPool:
                 self._discard(fresh)
                 raise
 
+    def fetch(self, path: str) -> bytes:
+        """Body of a ``GET`` that must answer 200 (a ``/health`` or
+        ``/metrics`` scrape); any other status raises ``HTTPException``."""
+        response = self.request("GET", path)
+        if response.status != 200:
+            raise HTTPException(f"HTTP {response.status} on {path}")
+        return response.body
+
     def _roundtrip(
         self,
-        connection: HTTPConnection,
+        connection: _Connection,
         method: str,
         path: str,
         body: Optional[bytes],
         headers: Optional[Dict[str, str]],
     ) -> PoolResponse:
-        connection.request(
-            method, f"{self.path_prefix}{path}", body=body, headers=headers or {}
+        target = f"{self.path_prefix}{path}"
+        if _BAD_TARGET.search(target):
+            raise InvalidURL(f"request target {target!r} has control characters")
+        head = f"{method} {target}{self._host_lines}"
+        if body is not None or method in ("POST", "PUT", "PATCH"):
+            head += f"Content-Length: {len(body) if body else 0}\r\n"
+        for name, value in (headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        # head + body leave as one segment: a second small write would
+        # wait out the server's delayed ACK of the first (Nagle)
+        connection.sock.sendall(
+            head.encode("iso-8859-1") + b"\r\n" + (body or b"")
         )
-        response = connection.getresponse()
-        payload = response.read()  # drain fully so the socket is reusable
-        reply_headers = {
-            key.lower(): value for key, value in response.getheaders()
-        }
-        if response.will_close:
+        # a reader per reply, as http.client has it: nothing buffered
+        # outlives the exchange, and closing ``sock`` really closes it
+        with connection.sock.makefile("rb") as rfile:
+            response, will_close = _read_response(rfile, method)
+        if will_close:
             self._discard(connection)
         else:
             self._release(connection)
-        return PoolResponse(response.status, reply_headers, payload)
+        return response
 
     def stats(self) -> Dict:
         with self._lock:

@@ -21,13 +21,13 @@ import json
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
+from http.client import HTTPException
 from typing import Dict, List, Optional
-from urllib.request import urlopen
 
 from repro.errors import ConfigurationError
+from repro.fleet.pool import ConnectionPool
 
 #: engines a replica knows how to build (same names as ``repro serve``)
 REPLICA_ENGINES = ("maestro", "ascend")
@@ -77,13 +77,12 @@ def _replica_main(spec: ReplicaSpec, index: int, conn) -> None:
     """
     from repro.costmodel.service import PPAServiceServer
 
-    stopped = threading.Event()
     try:
         engine = build_replica_engine(spec)
         port = spec.ports[index] if index < len(spec.ports) else 0
         server = PPAServiceServer(engine, host=spec.host, port=port)
         server.start()
-        server.install_signal_handlers(on_stopped=stopped.set)
+        stopped = server.install_signal_handlers()
         conn.send({"ok": True, "url": server.url, "pid": os.getpid()})
     except Exception as error:  # pragma: no cover - startup failure path
         conn.send({"ok": False, "error": f"{type(error).__name__}: {error}"})
@@ -114,6 +113,8 @@ class FleetSupervisor:
         self.start_timeout_s = start_timeout_s
         self.urls: List[str] = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
+        #: keep-alive connections :meth:`status` polls ``/health`` over
+        self._pools: Dict[str, ConnectionPool] = {}
 
     @staticmethod
     def _context():
@@ -164,7 +165,11 @@ class FleetSupervisor:
         return self
 
     def status(self, timeout_s: float = 2.0) -> List[Dict]:
-        """Liveness + ``/health`` of every replica (best effort)."""
+        """Liveness + ``/health`` of every replica (best effort).
+
+        Polls over one keep-alive connection per replica, opened by the
+        first call (whose ``timeout_s`` it keeps) and closed by :meth:`stop`.
+        """
         rows: List[Dict] = []
         for index, proc in enumerate(self._procs):
             row: Dict = {
@@ -174,12 +179,14 @@ class FleetSupervisor:
                 "url": self.urls[index] if index < len(self.urls) else None,
             }
             if row["alive"] and row["url"]:
+                pool = self._pools.get(row["url"])
+                if pool is None:
+                    pool = self._pools[row["url"]] = ConnectionPool(
+                        row["url"], timeout_s=timeout_s
+                    )
                 try:
-                    with urlopen(
-                        f"{row['url']}/health", timeout=timeout_s
-                    ) as response:
-                        row["health"] = json.loads(response.read())
-                except OSError as error:
+                    row["health"] = json.loads(pool.fetch("/health"))
+                except (OSError, HTTPException) as error:
                     row["health"] = {"error": f"{type(error).__name__}: {error}"}
             rows.append(row)
         return rows
@@ -203,6 +210,9 @@ class FleetSupervisor:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=5.0)
+        for pool in self._pools.values():
+            pool.close()
+        self._pools = {}
         self._procs = []
         self.urls = []
 

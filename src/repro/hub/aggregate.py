@@ -120,11 +120,8 @@ class FleetAggregator:
         scrape = ReplicaScrape(name=name, url=url)
         start = time.perf_counter()
         try:
-            response = pool.request("GET", "/metrics?format=prom")
-            if response.status != 200:
-                raise ValueError(f"HTTP {response.status}")
             scrape.families = parse_prometheus_text(
-                response.body.decode("utf-8")
+                pool.fetch("/metrics?format=prom").decode("utf-8")
             )
             scrape.ok = True
         except Exception as error:  # any failure = replica down, not fatal

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import socket
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException
 from typing import Dict, Iterator, Optional
@@ -69,21 +70,22 @@ class HubClient:
         self.close()
 
     # -- JSON endpoints ---------------------------------------------------------
-    def _request(
-        self, method: str, path: str, payload: Optional[Dict] = None
-    ) -> Dict:
+    def _exchange(self, method: str, path: str, payload: Optional[Dict]):
         body = (
             json.dumps(payload).encode("utf-8") if payload is not None else None
         )
         headers = {"Content-Type": "application/json"} if body else {}
         try:
-            response = self._pool.request(
-                method, path, body=body, headers=headers
-            )
+            return self._pool.request(method, path, body=body, headers=headers)
         except _STREAM_ERRORS as error:
             raise TransportError(
                 f"hub unreachable on {path}: {type(error).__name__}: {error}"
             ) from error
+
+    def _request(
+        self, method: str, path: str, payload: Optional[Dict] = None
+    ) -> Dict:
+        response = self._exchange(method, path, payload)
         try:
             reply = json.loads(response.body)
         except json.JSONDecodeError as error:
@@ -98,16 +100,9 @@ class HubClient:
         return reply
 
     def _request_text(self, path: str) -> str:
-        try:
-            response = self._pool.request("GET", path)
-        except _STREAM_ERRORS as error:
-            raise TransportError(
-                f"hub unreachable on {path}: {type(error).__name__}: {error}"
-            ) from error
+        response = self._exchange("GET", path, None)
         if response.status >= 400:
-            raise TrackingError(
-                f"hub rejected {path} ({response.status})"
-            )
+            raise TrackingError(f"hub rejected {path} ({response.status})")
         return response.body.decode("utf-8")
 
     def health(self) -> Dict:
@@ -181,37 +176,45 @@ class HubClient:
         ``offset`` is the alert journal's byte cursor, so a caller can
         resume a new stream exactly where this one stopped.
         """
-        timeout = (
-            stream_timeout_s if stream_timeout_s is not None
-            else max(self.timeout_s, 30.0)
-        )
-        connection = HTTPConnection(self._host, self._port, timeout=timeout)
-        try:
-            headers = {"Accept": "text/event-stream"}
-            if last_event_id is not None:
-                headers["Last-Event-ID"] = str(last_event_id)
-            connection.request("GET", "/alerts/events", headers=headers)
-            response = connection.getresponse()
-            if response.status != 200:
-                body = response.read()
-                raise TrackingError(
-                    f"hub rejected alert stream "
-                    f"({response.status}): {body[:200]!r}"
-                )
-            for sse in parse_sse_lines(_iter_lines(response)):
-                offset = (
-                    int(sse.event_id) if sse.event_id is not None else None
-                )
+        with closing(
+            self._sse("/alerts/events", last_event_id, stream_timeout_s)
+        ) as frames:
+            for sse in frames:
                 yield StreamedEvent(
                     raw=sse.data,
-                    offset=offset,
+                    offset=int(sse.event_id) if sse.event_id is not None else None,
                     type=sse.event,
                     event=_maybe_json(sse.data),
                 )
+
+    # -- SSE --------------------------------------------------------------------
+    def _sse(
+        self, path: str, cursor: Optional[int], timeout_s: Optional[float]
+    ) -> Iterator:
+        """The SSE frames of one dedicated connection to ``path``.
+
+        ``timeout_s`` bounds each socket read; the default comfortably
+        exceeds the server's keepalive cadence so idle streams are not
+        mistaken for dead ones.
+        """
+        if timeout_s is None:
+            timeout_s = max(self.timeout_s, 30.0)
+        connection = HTTPConnection(self._host, self._port, timeout=timeout_s)
+        try:
+            headers = {"Accept": "text/event-stream"}
+            if cursor is not None:
+                headers["Last-Event-ID"] = str(cursor)
+            connection.request("GET", path, headers=headers)
+            response = connection.getresponse()
+            if response.status != 200:
+                raise TrackingError(
+                    f"hub rejected event stream {path} "
+                    f"({response.status}): {response.read()[:200]!r}"
+                )
+            yield from parse_sse_lines(_iter_lines(response))
         finally:
             connection.close()
 
-    # -- SSE --------------------------------------------------------------------
     def stream_events(
         self,
         run_id: str,
@@ -235,52 +238,32 @@ class HubClient:
         """
         cursor = last_event_id
         failures = 0
-        timeout = (
-            stream_timeout_s if stream_timeout_s is not None
-            else max(self.timeout_s, 30.0)
-        )
+        path = f"/runs/{run_id}/events"
         while True:
-            connection = HTTPConnection(
-                self._host, self._port, timeout=timeout
-            )
             finished = False
             got_events = False
             try:
-                headers = {"Accept": "text/event-stream"}
-                if cursor is not None:
-                    headers["Last-Event-ID"] = str(cursor)
-                connection.request(
-                    "GET", f"/runs/{run_id}/events", headers=headers
-                )
-                response = connection.getresponse()
-                if response.status != 200:
-                    body = response.read()
-                    raise TrackingError(
-                        f"hub rejected event stream for {run_id} "
-                        f"({response.status}): {body[:200]!r}"
-                    )
-                for sse in parse_sse_lines(_iter_lines(response)):
-                    if sse.event == "end_of_stream":
-                        finished = True
-                        break
-                    if sse.event_id is not None:
-                        cursor = int(sse.event_id)
-                    got_events = True
-                    failures = 0
-                    yield StreamedEvent(
-                        raw=sse.data,
-                        offset=cursor,
-                        type=sse.event,
-                        event=_maybe_json(sse.data),
-                    )
+                with closing(self._sse(path, cursor, stream_timeout_s)) as frames:
+                    for sse in frames:
+                        if sse.event == "end_of_stream":
+                            finished = True
+                            break
+                        if sse.event_id is not None:
+                            cursor = int(sse.event_id)
+                        got_events = True
+                        failures = 0
+                        yield StreamedEvent(
+                            raw=sse.data,
+                            offset=cursor,
+                            type=sse.event,
+                            event=_maybe_json(sse.data),
+                        )
             except _STREAM_ERRORS as error:
                 if not reconnect:
                     raise TransportError(
                         f"event stream for {run_id} dropped: "
                         f"{type(error).__name__}: {error}"
                     ) from error
-            finally:
-                connection.close()
             if finished:
                 return
             if not reconnect:

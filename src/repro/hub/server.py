@@ -38,22 +38,19 @@ terminal status and the journal is fully drained (or when the server
 itself starts draining), so clients can tell completion from a dropped
 connection.
 
-Graceful shutdown mirrors :class:`~repro.costmodel.service.PPAServiceServer`:
-draining answers new requests with a fast 503 while in-flight ones
-finish; open SSE streams notice the drain flag at their next poll and
-close themselves so ``stop()`` never deadlocks on a live stream.
+The rows above are this module's route table; the exchange, admission
+and drain, request counting and signal handlers are the shared serving
+core's (:mod:`repro.utils.httpcore`).  Open SSE streams notice the drain
+flag at their next poll and close themselves, so ``stop()`` never
+deadlocks on a live stream.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import signal
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlsplit
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError, TrackingError
 from repro.hub.aggregate import FleetAggregator
@@ -65,8 +62,15 @@ from repro.hub.sse import (
 )
 from repro.hub.telemetry import TelemetryPipeline
 from repro.obs.alerts import Rule
-from repro.obs.prom import render_prometheus
 from repro.tracking.store import RunStore
+from repro.utils.httpcore import (
+    HttpServer,
+    Reply,
+    Request,
+    Route,
+    stream_reply,
+    text_reply,
+)
 from repro.utils.metrics import MetricsRegistry
 
 __all__ = ["HubServer"]
@@ -81,7 +85,21 @@ _LIST_KEYS = (
 )
 
 
-class HubServer:
+def _cast(name: str, raw: str, cast: Callable):
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigurationError(f"bad {name} {raw!r}") from None
+
+
+def _arg(request: Request, name: str, cast: Callable = str, default=None):
+    """Last value of query parameter ``name`` through ``cast`` (a value it
+    refuses is the caller's mistake: 400), ``default`` when absent."""
+    values = request.query.get(name)
+    return _cast(f"{name}=", values[-1], cast) if values else default
+
+
+class HubServer(HttpServer):
     """Serve the control plane on localhost; use as a context manager."""
 
     def __init__(
@@ -99,8 +117,34 @@ class HubServer:
         obs_dir: Optional[Union[str, pathlib.Path]] = None,
         alert_rules: Optional[List[Rule]] = None,
     ):
+        # what a raised exception answers with: an unknown run (or absent
+        # telemetry) is a 404 to a reader, a 409 to a lifecycle command
+        get = ((TrackingError, 404), (ConfigurationError, 400))
+        post = ((ConfigurationError, 400), (TrackingError, 409))
+        super().__init__(
+            host,
+            port,
+            {
+                ("GET", "/health"): Route(self._get_health, get, True),
+                ("GET", "/metrics"): Route(self._get_metrics, get, True),
+                ("GET", "/runs"): Route(self._get_runs, get, True),
+                ("POST", "/runs"): Route(self._post_run, post),
+                ("GET", "/runs/<id>"): Route(self._get_run, get, True),
+                ("POST", "/runs/<id>/cancel"): Route(self._post_cancel, post),
+                ("GET", "/runs/<id>/events"): Route(self._stream_events, get),
+                ("GET", "/fleet/metrics"): Route(self._get_fleet_metrics, get, True),
+                ("GET", "/fleet/status"): Route(self._get_fleet_status, get, True),
+                ("GET", "/alerts"): Route(self._get_alerts, get, True),
+                ("GET", "/alerts/events"): Route(self._stream_alerts, get),
+                ("GET", "/obs/targets"): Route(self._get_obs_targets, get, True),
+                ("GET", "/obs/query"): Route(self._get_obs_query, get, True),
+                ("GET", "/obs/export"): Route(self._get_obs_export, get, True),
+            },
+            metrics if metrics is not None else MetricsRegistry(),
+            prefix="hub",
+            draining_error="hub draining",
+        )
         self.store = store if isinstance(store, RunStore) else RunStore(store)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.scheduler = RunScheduler(self.store, metrics=self.metrics)
         self.aggregator = (
             FleetAggregator(replica_urls, metrics=self.metrics)
@@ -125,11 +169,6 @@ class HubServer:
         self.sse_poll_interval_s = sse_poll_interval_s
         self.sse_keepalive_s = sse_keepalive_s
         self.reconcile_on_start = reconcile_on_start
-        self._draining = False
-        self._inflight = 0
-        self._inflight_cv = threading.Condition()
-        self._httpd = ThreadingHTTPServer((host, port), self._make_handler())
-        self._thread: Optional[threading.Thread] = None
 
     # -- telemetry taps ----------------------------------------------------------
     def _sample_scheduler(self) -> Dict[str, float]:
@@ -150,15 +189,6 @@ class HubServer:
         except TrackingError:
             return []
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> "HubServer":
         if self.reconcile_on_start:
@@ -166,29 +196,7 @@ class HubServer:
         self.scheduler.start()
         if self.telemetry is not None:
             self.telemetry.start()
-        # shutdown() waits out one poll of the accept loop (stdlib
-        # default 0.5 s), so every stop and test teardown costs one poll
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def begin_drain(self) -> None:
-        with self._inflight_cv:
-            self._draining = True
-
-    def drain(self, timeout_s: float = 5.0) -> bool:
-        with self._inflight_cv:
-            return self._inflight_cv.wait_for(
-                lambda: self._inflight == 0, timeout=timeout_s
-            )
+        return super().start()
 
     def stop(self, drain_timeout_s: float = 5.0) -> None:
         """Drain requests (SSE streams self-close), stop scheduler + listener."""
@@ -199,554 +207,222 @@ class HubServer:
             self.telemetry.stop()
         if self.aggregator is not None:
             self.aggregator.close()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        super().stop(drain_timeout_s=0.0)
 
-    def install_signal_handlers(
+    # -- endpoints --------------------------------------------------------------
+    def _get_health(self, request: Request) -> Dict:
+        state = self.scheduler.state()
+        return {
+            "status": "ok",
+            "schema_version": HUB_SCHEMA_VERSION,
+            "runs": len(self.store.list_runs()),
+            "queued": len(state["queued"]),
+            "running": state["running"],
+            "fleet_replicas": (
+                len(self.aggregator.replica_names) if self.aggregator else 0
+            ),
+        }
+
+    def _get_metrics(self, request: Request):
+        return self.metrics_reply(request, schema_version=HUB_SCHEMA_VERSION)
+
+    def _get_runs(self, request: Request) -> Dict:
+        rows = []
+        for run in sorted(self.store.list_runs(), key=lambda r: r.run_id):
+            try:
+                manifest = run.read_manifest()
+            except TrackingError:
+                manifest = {"status": "corrupt-manifest"}
+            row = {"run_id": run.run_id}
+            for key in _LIST_KEYS:
+                if key in manifest:
+                    row[key] = manifest[key]
+            rows.append(row)
+        return {"runs": rows, "scheduler": self.scheduler.state()}
+
+    def _get_run(self, request: Request) -> Dict:
+        return self.store.get(request.params["id"]).read_manifest()
+
+    def _post_run(self, request: Request) -> Dict:
+        spec = request.json()
+        if "resume" in spec:
+            run_id = self.scheduler.submit_resume(str(spec["resume"]))
+        else:
+            run_id = self.scheduler.submit(spec)
+        return {"run_id": run_id, "status": "queued"}
+
+    def _post_cancel(self, request: Request) -> Dict:
+        run_id = request.params["id"]
+        return {"run_id": run_id, "status": self.scheduler.cancel(run_id)}
+
+    def _fleet(self) -> FleetAggregator:
+        if self.aggregator is None:
+            raise TrackingError("hub has no fleet configured")
+        return self.aggregator
+
+    def _get_fleet_metrics(self, request: Request) -> Reply:
+        fleet = self._fleet()
+        return text_reply(200, fleet.merge(fleet.scrape()))
+
+    def _get_fleet_status(self, request: Request) -> Dict:
+        return dict(self._fleet().status(), schema_version=HUB_SCHEMA_VERSION)
+
+    # -- telemetry ---------------------------------------------------------------
+    def _pipeline(self) -> TelemetryPipeline:
+        if self.telemetry is None:
+            raise TrackingError(
+                "hub has no telemetry pipeline (start with telemetry enabled)"
+            )
+        return self.telemetry
+
+    def _get_alerts(self, request: Request) -> Dict:
+        return dict(self._pipeline().status(), schema_version=HUB_SCHEMA_VERSION)
+
+    def _get_obs_targets(self, request: Request) -> Dict:
+        return {
+            "schema_version": HUB_SCHEMA_VERSION,
+            "targets": self._pipeline().store.targets(),
+        }
+
+    def _get_obs_query(self, request: Request) -> Dict:
+        pipeline = self._pipeline()
+        target, series = _arg(request, "target"), _arg(request, "series")
+        if not target or not series:
+            raise ConfigurationError("query needs target= and series=")
+        fn = _arg(request, "fn") or "last"
+        window_s = _arg(request, "window_s", float, 60.0)
+        try:
+            value = pipeline.store.query(
+                target, series, fn=fn, window_s=window_s,
+                q=_arg(request, "q", float),
+            )
+        except TrackingError as error:
+            # a bad fn / window is the caller's mistake, not a missing
+            # resource — don't let the route's 404 eat it
+            raise ConfigurationError(str(error)) from error
+        return {
+            "schema_version": HUB_SCHEMA_VERSION,
+            "target": target,
+            "series": series,
+            "fn": fn,
+            "window_s": window_s,
+            "value": value,
+        }
+
+    def _get_obs_export(self, request: Request) -> Dict:
+        pipeline = self._pipeline()
+        target = _arg(request, "target")
+        if not target:
+            raise ConfigurationError("export needs target=")
+        samples, scan = pipeline.store.read_from(
+            target, _arg(request, "after", int, 0)
+        )
+        return {
+            "schema_version": HUB_SCHEMA_VERSION,
+            "target": target,
+            "samples": [{"t": t, "s": series} for t, series in samples],
+            "cursor": scan.valid_bytes,
+            "truncated_tail": scan.truncated_tail,
+        }
+
+    # -- SSE ----------------------------------------------------------------------
+    @staticmethod
+    def _resume_cursor(request: Request) -> Optional[int]:
+        """The byte cursor a stream resumes from (``Last-Event-ID`` header
+        or ``?after=``, the larger); ``None`` for a stream from the start."""
+        cursor = _arg(request, "after", int)
+        last_id = request.headers.get("last-event-id")
+        if last_id is not None:
+            cursor = max(cursor or 0, _cast("Last-Event-ID", last_id, int))
+        return cursor
+
+    def _stream_alerts(self, request: Request) -> Reply:
+        journal = self._pipeline().alerts_journal_path
+        if journal is None:
+            raise TrackingError(
+                "telemetry store is memory-only; no alert journal to stream"
+            )
+        cursor = self._resume_cursor(request)
+        self.metrics.counter("hub_sse_streams_total").inc()
+        # no terminal status here — the alert journal outlives every run —
+        # so only the drain flag ends the stream
+        return stream_reply(
+            lambda write: self._pump_journal(
+                write, journal, cursor or 0, "alert", None
+            )
+        )
+
+    def _stream_events(self, request: Request) -> Reply:
+        run = self.store.get(request.params["id"])
+        cursor = self._resume_cursor(request)
+        self.metrics.counter("hub_sse_streams_total").inc()
+        if cursor is not None:
+            self.metrics.counter("hub_sse_resumes_total").inc()
+
+        def status() -> Optional[str]:
+            try:
+                return run.read_manifest().get("status")
+            except TrackingError:
+                return None
+
+        return stream_reply(
+            lambda write: self._pump_journal(
+                write, run.journal_path, cursor or 0, "event", status
+            )
+        )
+
+    def _pump_journal(
         self,
-        drain_timeout_s: float = 5.0,
-        on_stopped: Optional[Callable[[], None]] = None,
+        write: Callable[[bytes], object],
+        journal: pathlib.Path,
+        cursor: int,
+        default_event: str,
+        status: Optional[Callable[[], Optional[str]]],
     ) -> None:
-        """SIGTERM/SIGINT → graceful drain + shutdown (must run on main thread)."""
+        """Stream a journal's lines past ``cursor`` as SSE frames.
 
-        def _handle(signum, frame):  # noqa: ARG001 - signal handler signature
-            self.begin_drain()
-
-            def _shutdown() -> None:
-                self.stop(drain_timeout_s=drain_timeout_s)
-                if on_stopped is not None:
-                    on_stopped()
-
-            threading.Thread(target=_shutdown, daemon=True).start()
-
-        signal.signal(signal.SIGTERM, _handle)
-        signal.signal(signal.SIGINT, _handle)
-
-    def __enter__(self) -> "HubServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- handler ----------------------------------------------------------------
-    def _make_handler(self):
-        server = self
-        metrics = self.metrics
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # headers and body flush as separate small writes; with Nagle
-            # on, the second write waits ~40ms for the client's delayed
-            # ACK of the first on every keep-alive exchange
-            disable_nagle_algorithm = True
-
-            def log_message(self, fmt, *args):  # silence request logging
-                pass
-
-            def _begin_request(self) -> bool:
-                with server._inflight_cv:
-                    if server._draining:
-                        return False
-                    server._inflight += 1
-                    return True
-
-            def _end_request(self) -> None:
-                with server._inflight_cv:
-                    server._inflight -= 1
-                    server._inflight_cv.notify_all()
-
-            def _reject_draining(self) -> None:
-                length = int(self.headers.get("Content-Length", 0))
-                if length:
-                    self.rfile.read(length)
-                self._reply(503, {"error": "hub draining"})
-
-            def _count(self, path: str, status: int) -> None:
-                metrics.counter(f"hub_requests_total[{path}]").inc()
-                if status >= 400:
-                    metrics.counter("hub_errors_total").inc()
-
-            def _reply(self, status: int, payload: Dict) -> None:
-                body = json.dumps(payload, sort_keys=True).encode("utf-8")
-                # count before the body leaves the socket: once the client
-                # has the reply it may immediately scrape /metrics, and the
-                # request that produced the reply must already be there
-                self._count(urlsplit(self.path).path, status)
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _reply_text(self, status: int, text: str) -> None:
-                body = text.encode("utf-8")
-                self._count(urlsplit(self.path).path, status)
-                self.send_response(status)
-                self.send_header("Content-Type", "text/plain; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            # ---------------------------------------------------------- routing
-            def do_GET(self):
-                if not self._begin_request():
-                    self._reject_draining()
-                    return
-                try:
-                    self._route_get()
-                finally:
-                    self._end_request()
-
-            def do_POST(self):
-                if not self._begin_request():
-                    self._reject_draining()
-                    return
-                try:
-                    self._route_post()
-                finally:
-                    self._end_request()
-
-            def _route_get(self):
-                parsed = urlsplit(self.path)
-                query = parse_qs(parsed.query)
-                parts = [p for p in parsed.path.split("/") if p]
-                start = time.perf_counter()
-                try:
-                    if parsed.path == "/health":
-                        self._get_health()
-                    elif parsed.path == "/metrics":
-                        self._get_metrics(query)
-                    elif parsed.path == "/runs":
-                        self._get_runs()
-                    elif parsed.path == "/fleet/metrics":
-                        self._get_fleet_metrics()
-                    elif parsed.path == "/fleet/status":
-                        self._get_fleet_status()
-                    elif parsed.path == "/alerts":
-                        self._get_alerts()
-                    elif parsed.path == "/alerts/events":
-                        self._stream_alerts(query)
-                        return  # SSE does its own accounting/timing
-                    elif parsed.path == "/obs/targets":
-                        self._get_obs_targets()
-                    elif parsed.path == "/obs/query":
-                        self._get_obs_query(query)
-                    elif parsed.path == "/obs/export":
-                        self._get_obs_export(query)
-                    elif len(parts) == 2 and parts[0] == "runs":
-                        self._get_run(parts[1])
-                    elif (
-                        len(parts) == 3
-                        and parts[0] == "runs"
-                        and parts[2] == "events"
-                    ):
-                        self._stream_events(parts[1], query)
-                        return  # SSE does its own accounting/timing
-                    else:
-                        self._reply(404, {"error": f"unknown path {self.path}"})
-                except TrackingError as error:
-                    self._reply(404, {"error": str(error)})
-                except Exception as error:  # always answer with JSON
-                    self._reply(
-                        500,
-                        {"error": f"internal error: "
-                                  f"{type(error).__name__}: {error}"},
+        Ends with an ``end_of_stream`` frame once ``status()`` has been
+        terminal for a whole poll that drained nothing new, or with a
+        comment frame when the hub drains — so clients can tell
+        completion and shutdown from a dropped connection.
+        """
+        last_activity = time.monotonic()
+        terminal_seen = False
+        while True:
+            frames = []
+            if journal.exists():
+                lines, scan = journal_events_since(journal, cursor)
+                frames = [
+                    format_sse_event(
+                        line.decode("utf-8"),
+                        event_id=end,
+                        event=str(event.get("type", default_event)),
                     )
-                finally:
-                    metrics.histogram("hub_request_seconds").observe(
-                        time.perf_counter() - start
-                    )
-
-            def _route_post(self):
-                parsed = urlsplit(self.path)
-                parts = [p for p in parsed.path.split("/") if p]
-                length = int(self.headers.get("Content-Length", 0))
-                try:
-                    request = (
-                        json.loads(self.rfile.read(length)) if length else {}
-                    )
-                except json.JSONDecodeError:
-                    self._reply(400, {"error": "invalid JSON"})
-                    return
-                try:
-                    if parsed.path == "/runs":
-                        self._post_run(request)
-                    elif (
-                        len(parts) == 3
-                        and parts[0] == "runs"
-                        and parts[2] == "cancel"
-                    ):
-                        self._post_cancel(parts[1])
-                    else:
-                        self._reply(404, {"error": f"unknown path {self.path}"})
-                except ConfigurationError as error:
-                    self._reply(400, {"error": str(error)})
-                except TrackingError as error:
-                    self._reply(409, {"error": str(error)})
-                except Exception as error:
-                    self._reply(
-                        500,
-                        {"error": f"internal error: "
-                                  f"{type(error).__name__}: {error}"},
-                    )
-
-            # -------------------------------------------------------- endpoints
-            def _get_health(self):
-                state = server.scheduler.state()
-                self._reply(
-                    200,
-                    {
-                        "status": "ok",
-                        "schema_version": HUB_SCHEMA_VERSION,
-                        "runs": len(server.store.list_runs()),
-                        "queued": len(state["queued"]),
-                        "running": state["running"],
-                        "fleet_replicas": (
-                            len(server.aggregator.replica_names)
-                            if server.aggregator is not None
-                            else 0
-                        ),
-                    },
-                )
-
-            def _get_metrics(self, query):
-                wants = query.get("format", ["json"])
-                if wants and wants[-1] == "prom":
-                    self._reply_text(
-                        200, render_prometheus(metrics.snapshot())
-                    )
-                    return
-                self._reply(
-                    200,
-                    {
-                        "schema_version": HUB_SCHEMA_VERSION,
-                        "metrics": metrics.snapshot(),
-                    },
-                )
-
-            def _get_runs(self):
-                rows = []
-                for run in sorted(
-                    server.store.list_runs(), key=lambda r: r.run_id
-                ):
-                    try:
-                        manifest = run.read_manifest()
-                    except TrackingError:
-                        manifest = {"status": "corrupt-manifest"}
-                    row = {"run_id": run.run_id}
-                    for key in _LIST_KEYS:
-                        if key in manifest:
-                            row[key] = manifest[key]
-                    rows.append(row)
-                self._reply(
-                    200,
-                    {"runs": rows, "scheduler": server.scheduler.state()},
-                )
-
-            def _get_run(self, run_id: str):
-                run = server.store.get(run_id)
-                self._reply(200, run.read_manifest())
-
-            def _post_run(self, request: Dict):
-                if "resume" in request:
-                    run_id = server.scheduler.submit_resume(
-                        str(request["resume"])
-                    )
-                else:
-                    run_id = server.scheduler.submit(request)
-                self._reply(200, {"run_id": run_id, "status": "queued"})
-
-            def _post_cancel(self, run_id: str):
-                status = server.scheduler.cancel(run_id)
-                self._reply(200, {"run_id": run_id, "status": status})
-
-            def _get_fleet_metrics(self):
-                if server.aggregator is None:
-                    self._reply(404, {"error": "hub has no fleet configured"})
-                    return
-                scrapes = server.aggregator.scrape()
-                self._reply_text(200, server.aggregator.merge(scrapes))
-
-            def _get_fleet_status(self):
-                if server.aggregator is None:
-                    self._reply(404, {"error": "hub has no fleet configured"})
-                    return
-                status = server.aggregator.status()
-                status["schema_version"] = HUB_SCHEMA_VERSION
-                self._reply(200, status)
-
-            # -------------------------------------------------------- telemetry
-            def _telemetry_or_404(self):
-                if server.telemetry is None:
-                    self._reply(
-                        404,
-                        {"error": "hub has no telemetry pipeline "
-                                  "(start with telemetry enabled)"},
-                    )
-                    return None
-                return server.telemetry
-
-            def _get_alerts(self):
-                pipeline = self._telemetry_or_404()
-                if pipeline is None:
-                    return
-                payload = pipeline.status()
-                payload["schema_version"] = HUB_SCHEMA_VERSION
-                self._reply(200, payload)
-
-            def _get_obs_targets(self):
-                pipeline = self._telemetry_or_404()
-                if pipeline is None:
-                    return
-                self._reply(
-                    200,
-                    {
-                        "schema_version": HUB_SCHEMA_VERSION,
-                        "targets": pipeline.store.targets(),
-                    },
-                )
-
-            def _get_obs_query(self, query: Dict):
-                pipeline = self._telemetry_or_404()
-                if pipeline is None:
-                    return
-                target = query.get("target", [None])[-1]
-                series = query.get("series", [None])[-1]
-                if not target or not series:
-                    self._reply(
-                        400, {"error": "query needs target= and series="}
-                    )
-                    return
-                fn = query.get("fn", ["last"])[-1]
-                try:
-                    window_s = float(query.get("window_s", ["60"])[-1])
-                    q_raw = query.get("q", [None])[-1]
-                    q = float(q_raw) if q_raw is not None else None
-                except ValueError:
-                    self._reply(400, {"error": "bad window_s= or q="})
-                    return
-                try:
-                    value = pipeline.store.query(
-                        target, series, fn=fn, window_s=window_s, q=q
-                    )
-                except TrackingError as error:
-                    # a bad fn / window is the caller's mistake, not a
-                    # missing resource — don't let the outer 404 eat it
-                    self._reply(400, {"error": str(error)})
-                    return
-                self._reply(
-                    200,
-                    {
-                        "schema_version": HUB_SCHEMA_VERSION,
-                        "target": target,
-                        "series": series,
-                        "fn": fn,
-                        "window_s": window_s,
-                        "value": value,
-                    },
-                )
-
-            def _get_obs_export(self, query: Dict):
-                pipeline = self._telemetry_or_404()
-                if pipeline is None:
-                    return
-                target = query.get("target", [None])[-1]
-                if not target:
-                    self._reply(400, {"error": "export needs target="})
-                    return
-                try:
-                    after = int(query.get("after", ["0"])[-1])
-                except ValueError:
-                    self._reply(400, {"error": "bad after= cursor"})
-                    return
-                samples, scan = pipeline.store.read_from(target, after)
-                self._reply(
-                    200,
-                    {
-                        "schema_version": HUB_SCHEMA_VERSION,
-                        "target": target,
-                        "samples": [
-                            {"t": t, "s": series} for t, series in samples
-                        ],
-                        "cursor": scan.valid_bytes,
-                        "truncated_tail": scan.truncated_tail,
-                    },
-                )
-
-            def _stream_alerts(self, query: Dict):
-                pipeline = self._telemetry_or_404()
-                if pipeline is None:
-                    return
-                journal = pipeline.alerts_journal_path
-                if journal is None:
-                    self._reply(
-                        404,
-                        {"error": "telemetry store is memory-only; "
-                                  "no alert journal to stream"},
-                    )
-                    return
-                cursor = 0
-                last_id = self.headers.get("Last-Event-ID")
-                after = query.get("after", [None])[-1]
-                for raw in (last_id, after):
-                    if raw is not None:
-                        try:
-                            cursor = max(cursor, int(raw))
-                        except ValueError:
-                            self._reply(
-                                400, {"error": f"bad cursor {raw!r}"}
-                            )
-                            return
-                metrics.counter("hub_sse_streams_total").inc()
-                self.send_response(200)
-                self.send_header("Content-Type", "text/event-stream")
-                self.send_header("Cache-Control", "no-cache")
-                self.send_header("Connection", "close")
-                self.end_headers()
-                self.close_connection = True
-                self._count("/alerts/events", 200)
-                try:
-                    self._pump_alerts(journal, cursor)
-                except (BrokenPipeError, ConnectionResetError, OSError):
-                    pass  # client went away; the cursor makes resume exact
-
-            def _pump_alerts(
-                self, journal: pathlib.Path, cursor: int
-            ) -> None:
-                """Stream alert transitions until the hub drains.
-
-                Unlike a run stream there is no terminal status — the
-                alert journal outlives every run — so only the drain
-                flag ends the stream (with a comment frame, so clients
-                can tell shutdown from a dropped connection).
-                """
+                    for line, end, event in lines
+                ]
+                cursor = scan.valid_bytes
+            if frames:
+                write(b"".join(frames))
+                self.metrics.counter("hub_sse_events_total").inc(len(frames))
                 last_activity = time.monotonic()
-                while True:
-                    progressed = False
-                    if journal.exists():
-                        frames, scan = journal_events_since(journal, cursor)
-                        for line, end, event in frames:
-                            self.wfile.write(
-                                format_sse_event(
-                                    line.decode("utf-8"),
-                                    event_id=end,
-                                    event=str(event.get("type", "alert")),
-                                )
-                            )
-                            metrics.counter("hub_sse_events_total").inc()
-                        if frames:
-                            self.wfile.flush()
-                            progressed = True
-                            last_activity = time.monotonic()
-                        cursor = scan.valid_bytes
-                    if server._draining:
-                        self.wfile.write(format_sse_comment("hub draining"))
-                        self.wfile.flush()
-                        return
-                    if not progressed:
-                        if (
-                            time.monotonic() - last_activity
-                            >= server.sse_keepalive_s
-                        ):
-                            self.wfile.write(format_sse_comment())
-                            self.wfile.flush()
-                            last_activity = time.monotonic()
-                        time.sleep(server.sse_poll_interval_s)
-
-            # -------------------------------------------------------------- SSE
-            def _stream_events(self, run_id: str, query: Dict):
-                run = server.store.get(run_id)  # TrackingError → 404 above
-                cursor = 0
-                resumed = False
-                last_id = self.headers.get("Last-Event-ID")
-                after = query.get("after", [None])[-1]
-                for raw in (last_id, after):
-                    if raw is not None:
-                        try:
-                            cursor = max(cursor, int(raw))
-                            resumed = True
-                        except ValueError:
-                            self._reply(
-                                400, {"error": f"bad cursor {raw!r}"}
-                            )
-                            return
-                metrics.counter("hub_sse_streams_total").inc()
-                if resumed:
-                    metrics.counter("hub_sse_resumes_total").inc()
-                self.send_response(200)
-                self.send_header("Content-Type", "text/event-stream")
-                self.send_header("Cache-Control", "no-cache")
-                # the stream's length is unknowable: end-of-body is
-                # connection close, so keep-alive must be off
-                self.send_header("Connection", "close")
-                self.end_headers()
-                self.close_connection = True
-                self._count(f"/runs/{run_id}/events", 200)
-                try:
-                    self._pump_events(run, cursor)
-                except (BrokenPipeError, ConnectionResetError, OSError):
-                    pass  # client went away; the cursor makes resume exact
-
-            def _pump_events(self, run, cursor: int) -> None:
-                journal = run.journal_path
-                last_activity = time.monotonic()
-                terminal_seen = False
-                while True:
-                    progressed = False
-                    if journal.exists():
-                        frames, scan = journal_events_since(journal, cursor)
-                        for line, end, event in frames:
-                            self.wfile.write(
-                                format_sse_event(
-                                    line.decode("utf-8"),
-                                    event_id=end,
-                                    event=str(event.get("type", "event")),
-                                )
-                            )
-                            metrics.counter("hub_sse_events_total").inc()
-                        if frames:
-                            self.wfile.flush()
-                            progressed = True
-                            last_activity = time.monotonic()
-                        cursor = scan.valid_bytes
-                    if terminal_seen and not progressed:
-                        # terminal status was observed on a *previous*
-                        # poll, and this poll drained nothing new — every
-                        # event written before the status flip is out
-                        self.wfile.write(
-                            format_sse_event(
-                                json.dumps(
-                                    {"status": self._run_status(run)},
-                                    sort_keys=True,
-                                ),
-                                event="end_of_stream",
-                            )
-                        )
-                        self.wfile.flush()
-                        return
-                    if server._draining:
-                        self.wfile.write(format_sse_comment("hub draining"))
-                        self.wfile.flush()
-                        return
-                    terminal_seen = self._run_status(run) in TERMINAL_STATUSES
-                    if not progressed:
-                        if (
-                            time.monotonic() - last_activity
-                            >= server.sse_keepalive_s
-                        ):
-                            self.wfile.write(format_sse_comment())
-                            self.wfile.flush()
-                            last_activity = time.monotonic()
-                        time.sleep(server.sse_poll_interval_s)
-
-            @staticmethod
-            def _run_status(run) -> Optional[str]:
-                try:
-                    return run.read_manifest().get("status")
-                except TrackingError:
-                    return None
-
-        return Handler
+            elif terminal_seen:
+                # terminal status was observed on a *previous* poll, and
+                # this poll drained nothing new — every event written
+                # before the status flip is out
+                write(
+                    format_sse_event(
+                        json.dumps({"status": status()}, sort_keys=True),
+                        event="end_of_stream",
+                    )
+                )
+                return
+            if self.draining:
+                write(format_sse_comment("hub draining"))
+                return
+            if status is not None:
+                terminal_seen = status() in TERMINAL_STATUSES
+            if not frames:
+                if time.monotonic() - last_activity >= self.sse_keepalive_s:
+                    write(format_sse_comment())
+                    last_activity = time.monotonic()
+                time.sleep(self.sse_poll_interval_s)

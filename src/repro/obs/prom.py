@@ -43,7 +43,7 @@ METRIC_HELP: Dict[str, str] = {
     "engine_batch_size": "Candidates per vectorized engine batch call.",
     "engine_batch_compute_seconds_per_item":
         "Per-candidate wall time of vectorized engine batch calls.",
-    "service_requests_total": "HTTP requests served, by endpoint path.",
+    "service_requests_total": "HTTP requests served, by matched route.",
     "service_errors_total": "HTTP requests answered with a 4xx/5xx status.",
     "service_drain_rejections_total":
         "Requests rejected with 503 while the service was draining.",
@@ -67,7 +67,7 @@ METRIC_HELP: Dict[str, str] = {
         "Process-backend jobs that fell back to threads (unpicklable).",
     "runner_unpicklable_jobs_total": "Jobs that failed the pickle check.",
     "runner_batch_seconds": "Wall time of parallel job-runner batches.",
-    "hub_requests_total": "Hub control-plane HTTP requests, by endpoint path.",
+    "hub_requests_total": "Hub control-plane HTTP requests, by matched route.",
     "hub_errors_total": "Hub requests answered with a 4xx/5xx status.",
     "hub_request_seconds": "Wall time of hub control-plane requests.",
     "hub_sse_streams_total": "Journal SSE streams opened against the hub.",
