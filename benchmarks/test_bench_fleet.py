@@ -19,7 +19,8 @@ CPU parallelism, so the gate holds on single-core runners too:
   simulation cost dwarfs the per-item HTTP overhead — so the measured
   ratio is cache economics, not socket noise.
 
-Both arms run the *same* client configuration (chunked fan-out, pooled
+Both arms run the *same* client — ``RemotePPAEngine`` over one URL or
+four — in the same configuration (chunked fan-out, pooled
 keep-alive connections, client cache too small to matter) and the gate
 compares per-arm best-round throughput, which is robust to one-sided
 timing noise on shared runners.  Results land in ``BENCH_fleet.json``,
@@ -34,8 +35,7 @@ import time
 from repro.camodel import AscendCAEngine
 from repro.camodel.ascend_sim import ascend_area_mm2
 from repro.camodel.mapping import AscendMapping
-from repro.costmodel.service import PPAServiceServer
-from repro.fleet.client import ShardedPPAEngine
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.hw import default_ascend_config
 from repro.workloads import Gemm, Network
 
@@ -86,7 +86,7 @@ def _start_replicas(count):
 def _run_arm(replicas, mappings):
     """(best-round evals/s, results) for a fleet of ``replicas``."""
     servers = _start_replicas(replicas)
-    client = ShardedPPAEngine(
+    client = RemotePPAEngine(
         NETWORK,
         [server.url for server in servers],
         area_fn=ascend_area_mm2,

@@ -31,9 +31,10 @@ def main() -> None:
     )
 
     backend = MaestroEngine(network)
-    with PPAServiceServer(backend) as server:
+    with PPAServiceServer(backend) as server, RemotePPAEngine(
+        network, server.url, area_fn=spatial_area_mm2
+    ) as client:
         print(f"PPA service for {network.name!r} listening at {server.url}")
-        client = RemotePPAEngine(network, server.url, area_fn=spatial_area_mm2)
         print(f"health check: {client.health()}")
 
         print("\nRunning a FlexTensor-like mapping search through the service...")

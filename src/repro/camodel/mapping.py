@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.errors import MappingError
-from repro.utils.intmath import divisors, nearest_divisor
+from repro.utils.intmath import divisors, nearest_divisor, step_on_grid
 from repro.utils.rng import SeedLike, as_generator
 from repro.workloads.layers import GemmShape
 
@@ -102,23 +102,18 @@ class AscendMappingSpace:
     def mutate(self, mapping: AscendMapping, seed: SeedLike = None) -> AscendMapping:
         rng = as_generator(seed)
         move = int(rng.integers(0, 5))
-        if move in (0, 1, 2):
-            grids = {
-                0: ("tile_m", self.tile_m_choices),
-                1: ("tile_n", self.tile_n_choices),
-                2: ("tile_k", self.tile_k_choices),
-            }
-            field_name, grid = grids[move]
-            current = getattr(mapping, field_name)
-            index = grid.index(current) if current in grid else 0
-            offset = 0
-            while offset == 0:
-                offset = int(rng.integers(-2, 3))
-            new_index = max(0, min(len(grid) - 1, index + offset))
-            return replace(mapping, **{field_name: int(grid[new_index])})
-        if move == 3:
-            return replace(mapping, fuse_input=not mapping.fuse_input)
-        return replace(mapping, fuse_output=not mapping.fuse_output)
+        tiles = [mapping.tile_m, mapping.tile_n, mapping.tile_k]
+        fuse_input, fuse_output = mapping.fuse_input, mapping.fuse_output
+        if move < 3:
+            grid = (self.tile_m_choices, self.tile_n_choices, self.tile_k_choices)[
+                move
+            ]
+            tiles[move] = step_on_grid(grid, tiles[move], rng)
+        elif move == 3:
+            fuse_input = not fuse_input
+        else:
+            fuse_output = not fuse_output
+        return AscendMapping(*tiles, fuse_input, fuse_output)
 
     def crossover(
         self, parent_a: AscendMapping, parent_b: AscendMapping, seed: SeedLike = None

@@ -593,7 +593,7 @@ def _cmd_fleet_serve(args) -> int:
     for index, url in enumerate(fleet.urls):
         print(f"  replica {index}: {url}")
     print(
-        "point a sharded client at every URL; "
+        "give RemotePPAEngine every URL; "
         "Ctrl-C drains in-flight requests and stops the fleet."
     )
     try:

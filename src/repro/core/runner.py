@@ -12,8 +12,9 @@ Two layers of parallelism are modeled in this reproduction:
 * **Real compute parallelism** — :class:`JobRunner` dispatches the actual
   Python work.  The in-process analytical engine is so fast that the serial
   backend is the default; the ``thread`` backend genuinely overlaps
-  remote-engine jobs (e.g. several :class:`RemotePPAEngine` clients talking
-  to PPA services on slave machines, the deployment of Fig. 6(b)); the
+  remote-engine jobs (trials sharing one
+  :class:`~repro.costmodel.service.RemotePPAEngine` — over one replica URL
+  or a fleet of them — on slave machines, the deployment of Fig. 6(b)); the
   ``process`` backend is the paper's multi-processing dispatch for
   CPU-bound standalone jobs.
 

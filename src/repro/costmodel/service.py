@@ -9,28 +9,24 @@ inputs to estimate performance, power and area."
   :mod:`repro.utils.httpcore` (POST ``/evaluate_layer``,
   POST ``/evaluate_layers`` (batched: one engine call per request),
   POST ``/aggregate``, GET ``/health``, GET ``/metrics``).
-* :class:`RemotePPAEngine` is a drop-in :class:`PPAEngine` client: search
-  tools talk to it exactly as they talk to an in-process engine, so the
-  master-slave deployment of Fig. 6(b) only changes the engine wiring.
+* :class:`RemotePPAEngine` is the drop-in :class:`PPAEngine` client — the
+  only one, for one replica URL or N: search tools talk to it exactly as
+  they talk to an in-process engine, so the master-slave deployment of
+  Fig. 6(b) only changes the engine wiring.
 
 Fault tolerance: every network-level failure (connection refused, socket
 timeout, truncated/malformed responses, 5xx replies) surfaces as
 :class:`~repro.errors.TransportError` (an :class:`~repro.errors.EvaluationError`),
 so the client composes with
-:class:`~repro.costmodel.reliability.RetryingEngine`.  The client
-additionally retries transient transport failures itself with exponential
-backoff + jitter, and a small circuit breaker fails fast (for
-``breaker_cooldown_s`` of real time) once the service looks down, instead
-of burning a timeout per query.
-
-Transport: requests travel over a keep-alive
-:class:`~repro.fleet.pool.ConnectionPool` (the base URL is parsed once, at
-construction), so chunked batch evaluations reuse warm sockets instead of
-opening a TCP connection per request.  The server supports graceful
-shutdown: :meth:`PPAServiceServer.begin_drain` (or the SIGTERM handler
-installed by :meth:`PPAServiceServer.install_signal_handlers`) finishes
-in-flight requests and answers new ones with a fast 503 instead of a hung
-socket, so replica restarts don't read as breaker-tripping outages.
+:class:`~repro.costmodel.reliability.RetryingEngine`; its own retries,
+per-replica circuit breakers and failover are described on
+:class:`RemotePPAEngine`.  Requests travel over one keep-alive
+:class:`~repro.fleet.pool.ConnectionPool` per replica, so chunked batch
+evaluations reuse warm sockets.  The server supports graceful shutdown:
+:meth:`PPAServiceServer.begin_drain` (or the SIGTERM handler installed by
+:meth:`PPAServiceServer.install_signal_handlers`) finishes in-flight
+requests and answers new ones with a fast 503 instead of a hung socket,
+so replica restarts don't read as breaker-tripping outages.
 
 Payloads carry plain dicts of the hardware/mapping dataclass fields; the
 server reconstructs typed objects via the registered codecs.  Tuple-typed
@@ -46,6 +42,7 @@ import random
 import threading
 import time
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPException
 from typing import (
     Callable,
@@ -56,6 +53,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.camodel.mapping import AscendMapping
@@ -63,7 +61,8 @@ from repro.costmodel.engine import PPAEngine
 from repro.costmodel.results import LayerPPA, NetworkPPA
 from repro.errors import EvaluationError, TransportError
 from repro.fleet.breaker import BreakerOpenError, CircuitBreaker
-from repro.fleet.pool import ConnectionPool
+from repro.fleet.hashing import candidate_key
+from repro.fleet.router import Shard, ShardRouter
 from repro.hw.ascend import AscendHWConfig
 from repro.hw.spatial import SpatialHWConfig
 from repro.mapping.gemm_mapping import GemmMapping
@@ -309,15 +308,23 @@ class PPAServiceServer(HttpServer):
 #: transport-level exceptions that indicate "try again", not "bad query"
 _TRANSIENT_ERRORS = (HTTPException, OSError, json.JSONDecodeError)
 
+#: one chunk of misses: ``(mapping, layer_name)`` pairs bound for one shard
+_Chunk = Sequence[Tuple["GemmMapping", str]]
+
 
 class RemotePPAEngine(PPAEngine):
     """A :class:`PPAEngine` that forwards queries to a PPA service.
 
-    Keeps the local cache and clock semantics of the base class; only the
-    uncached computation goes over the wire.  ``area_mm2`` is computed by a
-    locally supplied function (areas depend only on the hardware config).
+    ``base_url`` is one replica URL or a sequence of them (a ``str`` is
+    the one-element list); either way the engine owns a
+    :class:`~repro.fleet.router.ShardRouter` with one keep-alive pool and
+    one circuit breaker per distinct URL.  Keeps the local cache and clock
+    semantics of the base class; only the uncached computation goes over
+    the wire.  ``area_mm2`` is computed by a locally supplied function
+    (areas depend only on the hardware config).
 
-    Transport hardening (all real-time, invisible to the simulated clock):
+    Transport hardening, per shard (all real-time, invisible to the
+    simulated clock):
 
     * every network-level failure raises :class:`EvaluationError`, so
       :class:`~repro.costmodel.reliability.RetryingEngine` wrappers see it;
@@ -333,17 +340,30 @@ class RemotePPAEngine(PPAEngine):
     they raise immediately without transport retries and do not trip the
     breaker — the service is alive and answering.
 
+    Placement and failover: with more than one shard every miss is
+    rendezvous-hashed to the replica that owns its key (so that replica's
+    bounded LRU stays hot); when the owner is down — marked by a health
+    check, draining, or its breaker open — the query falls to the next
+    shard in its ranking and snaps back when the owner returns.  A ``503
+    service draining`` reply marks the shard down *without* charging its
+    breaker: a replica restart is routine, not an outage.
+
     Batching: the base class's :meth:`evaluate_layers` does all query
     accounting (clock, counters, cache, samples); this class overrides
-    only :meth:`_compute_misses`, shipping the misses as
-    ``POST /evaluate_layers`` chunks of ``batch_size`` that the server
-    answers with one engine call each.
+    only the two compute hooks.  :meth:`_compute_misses` ships the misses
+    as ``POST /evaluate_layers`` chunks of ``batch_size`` that the server
+    answers with one engine call each.  A lone replica leaves nothing to
+    place or overlap: no routing key is built, nothing is hashed, chunks
+    go out in order on the caller's thread.  Chunks across a fleet fly
+    concurrently (at most ``max_inflight``) and are re-merged in miss
+    order, so accounting is order-identical to a serial loop and — the
+    replicas being deterministic — every route returns the same bytes.
     """
 
     def __init__(
         self,
         network,
-        base_url: str,
+        base_url: Union[str, Sequence[str]],
         area_fn: Callable[[object], float],
         timeout_s: float = 10.0,
         max_network_retries: int = 3,
@@ -354,7 +374,7 @@ class RemotePPAEngine(PPAEngine):
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 30.0,
         batch_size: int = 16,
-        pool_max_idle: int = 8,
+        max_inflight: int = 8,
         **kwargs,
     ):
         super().__init__(network, **kwargs)
@@ -362,38 +382,53 @@ class RemotePPAEngine(PPAEngine):
             raise EvaluationError(
                 f"max_network_retries must be >= 0, got {max_network_retries}"
             )
-        if breaker_threshold < 1:
-            raise EvaluationError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
         if batch_size < 1:
             raise EvaluationError(f"batch_size must be >= 1, got {batch_size}")
-        self.base_url = base_url.rstrip("/")
+        if max_inflight < 1:
+            raise EvaluationError(
+                f"max_inflight must be >= 1, got {max_inflight}"
+            )
         self.area_fn = area_fn
-        self.timeout_s = timeout_s
         self.max_network_retries = max_network_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.jitter_fraction = jitter_fraction
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_s = breaker_cooldown_s
         self.batch_size = batch_size
+        self.max_inflight = max_inflight
         self._jitter_rng = random.Random(jitter_seed)
         self.num_network_retries = 0
-        self.num_circuit_rejections = 0
-        #: the URL is parsed exactly once, inside the pool; requests join
-        #: paths onto the parsed origin instead of re-parsing per call
-        self._pool = ConnectionPool(
-            self.base_url, timeout_s=timeout_s, max_idle=pool_max_idle
+        #: each URL is parsed exactly once, inside its shard's pool, which
+        #: idles up to ``max_inflight`` warm connections
+        self.router = ShardRouter(
+            [base_url] if isinstance(base_url, str) else base_url,
+            timeout_s=timeout_s,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown_s=breaker_cooldown_s,
+            metrics=self.metrics,
+            max_idle_per_shard=max_inflight,
         )
-        self._breaker = CircuitBreaker(
-            self.base_url, breaker_threshold, breaker_cooldown_s
-        )
-        #: transport-only lock (jitter RNG).  Backoff and breaker state
-        #: deliberately stay off the engine cache lock ``self._lock``: one
-        #: chunk backing off must not serialize unrelated concurrent
-        #: requests or cache lookups.
+        #: worker threads of the fan-out, created by the first call that
+        #: sends more than one chunk to a fleet of more than one replica
+        self._executor: Optional[ThreadPoolExecutor] = None
+        #: transport-only lock (jitter RNG, retry counter, executor slot).
+        #: Backoff and breaker state deliberately stay off the engine cache
+        #: lock ``self._lock``: one chunk backing off must not serialize
+        #: unrelated concurrent requests or cache lookups.
         self._transport_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Release worker threads and every shard's pooled connections."""
+        with self._transport_lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+        self.router.close()
+
+    def __enter__(self) -> "RemotePPAEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport --------------------------------------------------------------
     def _backoff_delay(self, attempt: int) -> float:
@@ -401,15 +436,6 @@ class RemotePPAEngine(PPAEngine):
         with self._transport_lock:
             jitter = self._jitter_rng.random()
         return base * (1.0 + self.jitter_fraction * jitter)
-
-    def _breaker_gate(self, breaker: CircuitBreaker) -> None:
-        """Fail fast while ``breaker`` is open, with client-side counting."""
-        try:
-            breaker.check()
-        except BreakerOpenError:
-            self.num_circuit_rejections += 1
-            self.metrics.counter("remote_circuit_rejections_total").inc()
-            raise
 
     def _breaker_report(self, breaker: CircuitBreaker, success: bool) -> None:
         if breaker.record(success):
@@ -429,77 +455,54 @@ class RemotePPAEngine(PPAEngine):
             ).inc()
             return fallback
 
-    def _request_json(self, path: str, payload: Optional[Dict] = None) -> Dict:
-        """One logical request: breaker gate, transport retries, JSON reply.
-
-        Under a tracing client the request gets a ``remote<path>`` span,
-        the trace context travels out in ``X-Repro-Trace``, and a
-        server-side span returned in ``X-Repro-Span`` is adopted into the
-        client trace (see :meth:`Tracer.record_remote`).
-        """
-        if self.tracer.enabled:
-            with self.tracer.span("remote" + path) as span:
-                return self._transport_request(
-                    self._pool, self._breaker, path, payload, span
-                )
-        return self._transport_request(
-            self._pool, self._breaker, path, payload, None
-        )
-
     def _transport_request(
-        self,
-        pool: ConnectionPool,
-        breaker: CircuitBreaker,
-        path: str,
-        payload: Optional[Dict],
-        span,
-        shard: Optional[str] = None,
+        self, shard: Shard, path: str, payload: Optional[Dict], span
     ) -> Dict:
-        """Breaker gate → pooled keep-alive exchange → retry policy → JSON.
-
-        Shared by the single-URL path and the sharded client (which passes
-        each shard's own pool/breaker plus its name for metric labels).
-        """
-        self._breaker_gate(breaker)
+        """Breaker gate → pooled keep-alive exchange → retry policy → JSON."""
+        breaker = shard.breaker
+        try:
+            breaker.check()  # counts the rejection itself, under its lock
+        except BreakerOpenError:
+            self.metrics.counter("remote_circuit_rejections_total").inc()
+            raise
         data = (
             json.dumps(payload).encode("utf-8") if payload is not None else None
         )
         method = "POST" if data is not None else "GET"
         self.metrics.counter("remote_requests_total").inc()
-        if shard is not None:
-            self.metrics.counter(f"fleet_requests_total[shard={shard}]").inc()
+        self.metrics.counter(f"fleet_requests_total[shard={shard.name}]").inc()
         headers = {"Content-Type": "application/json"}
         if span is not None:
             headers["X-Repro-Trace"] = format_trace_context(self.tracer, span)
         last_error: Optional[TransportError] = None
         for attempt in range(self.max_network_retries + 1):
             if attempt:
-                self.num_network_retries += 1
+                with self._transport_lock:  # requests run on worker threads
+                    self.num_network_retries += 1
                 self.metrics.counter("remote_network_retries_total").inc()
                 # no lock is held across this sleep: one chunk backing off
                 # must not stall concurrent requests on other threads
                 time.sleep(self._backoff_delay(attempt))
             try:
                 start = time.perf_counter()
-                response = pool.request(method, path, body=data, headers=headers)
+                response = shard.pool.request(
+                    method, path, body=data, headers=headers
+                )
                 elapsed = time.perf_counter() - start
                 self.metrics.histogram("remote_request_seconds").observe(
                     elapsed
                 )
-                if response.status >= 500:
+                if response.status >= 400:
                     detail = self._error_detail(
                         response.body, f"HTTP {response.status}"
                     )
-                    last_error = TransportError(
-                        f"service error {response.status} on {path}: {detail}"
-                    )
-                    continue
-                if response.status >= 400:
+                    if response.status >= 500:
+                        last_error = TransportError(
+                            f"service error {response.status} on {path}: {detail}"
+                        )
+                        continue
                     # semantic rejection: the service is up and answered
                     self._breaker_report(breaker, success=True)
-                    detail = self._error_detail(
-                        response.body, f"HTTP {response.status}"
-                    )
                     raise EvaluationError(
                         f"service rejected {path} ({response.status}): {detail}"
                     )
@@ -524,6 +527,110 @@ class RemotePPAEngine(PPAEngine):
         assert last_error is not None
         raise last_error
 
+    def _parent_span(self):
+        """The calling thread's current span: the parent of request spans."""
+        return self.tracer.current_span() if self.tracer.enabled else None
+
+    def _shard_request(
+        self, shard: Shard, path: str, payload: Optional[Dict], parent_span
+    ) -> Dict:
+        """One request to one shard, under its own ``remote<path>`` span.
+
+        Worker threads have an empty tracer context stack, so the parent
+        is attached explicitly.  The trace context travels out in
+        ``X-Repro-Trace``, and a server-side span returned in
+        ``X-Repro-Span`` is adopted into the client trace under this span
+        (see :meth:`Tracer.record_remote`).
+        """
+        if not self.tracer.enabled:
+            return self._transport_request(shard, path, payload, None)
+        span = self.tracer.start_span(
+            "remote" + path,
+            parent_id=parent_span.span_id if parent_span is not None else None,
+            shard=shard.name,
+        )
+        try:
+            return self._transport_request(shard, path, payload, span)
+        except BaseException as error:
+            span.set_attribute("error", type(error).__name__)
+            raise
+        finally:
+            self.tracer.finish_span(span)
+
+    def _request(self, key: str, path: str, payload: Dict, parent_span) -> Dict:
+        """One logical query: ``key``'s owner, then down its ranking.
+
+        Only transport-level failures fail over (the next replica may be
+        healthy); semantic 4xx rejections raise immediately — every
+        replica would reject the same query.  A ``503 draining`` reply
+        marks the shard down for its TTL without charging the breaker.
+        """
+        ranked = self.router.ranking(key)
+        last_error: Optional[TransportError] = None
+        tried = 0
+        for shard in ranked:
+            if tried == 0 and shard is not ranked[-1] and not shard.available():
+                # the owner is known-down: skip straight to the failover
+                # target its keys remap to (stable under rendezvous)
+                continue
+            tried += 1
+            try:
+                return self._shard_request(shard, path, payload, parent_span)
+            except TransportError as error:
+                message = str(error)
+                if "503" in message and "draining" in message:
+                    shard.mark_down("draining")
+                    shard.breaker.record(True)  # a restart is not an outage
+                else:
+                    self.router.count_failover(shard)
+                last_error = error
+        assert last_error is not None
+        raise last_error
+
+    def _routing_keys(self, hw, queries: _Chunk) -> List[str]:
+        """One rendezvous key per query — built only when there is a choice."""
+        if len(self.router) == 1:
+            return [""] * len(queries)
+        hw_id = self.hw_key(hw)
+        return [
+            candidate_key(hw_id, layer_name, mapping.key())
+            for mapping, layer_name in queries
+        ]
+
+    def _fanout(self, requests: Sequence[Tuple[str, str, Dict]]) -> List:
+        """Issue ``(key, path, payload)`` requests; replies in submission order.
+
+        Each entry is the request's reply or the error it ended in.  One
+        request, or any number to a lone replica, go out on the caller's
+        thread and stop at the first failure; requests across a fleet fly
+        concurrently and all finish before this returns, so no connection
+        is abandoned mid-flight.  The calling thread's current span (if
+        any) parents every request span.
+        """
+        parent_span = self._parent_span()
+
+        def attempt(request: Tuple[str, str, Dict]):
+            try:
+                return self._request(*request, parent_span)
+            except Exception as error:  # noqa: BLE001 - re-raised by the merge
+                return error
+
+        if len(requests) == 1 or len(self.router) == 1:
+            outcomes: List = []
+            for request in requests:
+                outcomes.append(attempt(request))
+                if isinstance(outcomes[-1], Exception):
+                    break
+            return outcomes
+        with self._transport_lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.max_inflight,
+                    thread_name_prefix="fleet-client",
+                )
+            executor = self._executor
+        return list(executor.map(attempt, requests))
+
     # -- engine contract --------------------------------------------------------
     def _compute_layer(self, hw, mapping, shape) -> LayerPPA:
         raise NotImplementedError(
@@ -537,26 +644,21 @@ class RemotePPAEngine(PPAEngine):
             "mapping": encode_object(mapping),
             "layer": layer_name,
         }
-        return _layer_ppa_from_dict(self._request_json("/evaluate_layer", payload))
+        (key,) = self._routing_keys(hw, [(mapping, layer_name)])
+        return _layer_ppa_from_dict(
+            self._request(key, "/evaluate_layer", payload, self._parent_span())
+        )
 
     @staticmethod
-    def _layers_payload(
-        hw_wire: Dict, chunk: Sequence[Tuple["GemmMapping", str]]
-    ) -> Dict:
-        """``POST /evaluate_layers`` body for one chunk of misses."""
-        return {
-            "hw": hw_wire,
-            "items": [
-                {"mapping": encode_object(mapping), "layer": layer_name}
-                for mapping, layer_name in chunk
-            ],
-        }
+    def _layer_results(reply, chunk: _Chunk) -> Iterator[LayerPPA]:
+        """Results of one chunk's reply, in order.
 
-    @staticmethod
-    def _layer_results(
-        reply: Dict, chunk: Sequence[Tuple["GemmMapping", str]]
-    ) -> Iterator[LayerPPA]:
-        """Results of one chunk's reply, in order; a rejected item raises."""
+        Raises the chunk's transport error if that is what the fan-out
+        brought back, and at a rejected item — after yielding the items
+        before it, which the caller has then already stored.
+        """
+        if isinstance(reply, Exception):
+            raise reply
         entries = reply.get("results")
         if not isinstance(entries, list) or len(entries) != len(chunk):
             raise EvaluationError(
@@ -571,41 +673,92 @@ class RemotePPAEngine(PPAEngine):
                 )
             yield _layer_ppa_from_dict(entry["result"])
 
-    def _compute_misses(
-        self, hw, misses: Sequence[Tuple["GemmMapping", str]]
-    ) -> Iterator[LayerPPA]:
-        """Cache misses travel as one ``POST /evaluate_layers`` per chunk."""
+    def _compute_misses(self, hw, misses: _Chunk) -> Iterator[LayerPPA]:
+        """Shard-partitioned ``POST /evaluate_layers`` chunks, merged in order.
+
+        The base class charges queries, splits hits from misses, stores
+        results and emits journal events; this hook only decides where
+        each miss is computed.  Chunks preserve the miss order within each
+        shard and results are yielded by miss position, so a failure
+        part-way keeps everything before it, as a serial loop would.
+        """
         hw_wire = encode_object(hw)
-        for chunk_start in range(0, len(misses), self.batch_size):
-            chunk = misses[chunk_start : chunk_start + self.batch_size]
-            start = time.perf_counter()
-            reply = self._request_json(
-                "/evaluate_layers", self._layers_payload(hw_wire, chunk)
-            )
-            self.metrics.histogram("engine_compute_seconds").observe(
-                time.perf_counter() - start
-            )
-            yield from self._layer_results(reply, chunk)
+        keys = self._routing_keys(hw, misses)
+        by_owner: Dict[str, List[int]] = {}
+        for position, key in enumerate(keys):
+            by_owner.setdefault(self.router.route(key).name, []).append(position)
+        requests: List[Tuple[str, str, Dict]] = []
+        chunks: List[Tuple[List[int], _Chunk]] = []
+        for owned in by_owner.values():
+            for chunk_start in range(0, len(owned), self.batch_size):
+                positions = owned[chunk_start : chunk_start + self.batch_size]
+                chunk = [misses[position] for position in positions]
+                payload = {
+                    "hw": hw_wire,
+                    "items": [
+                        {"mapping": encode_object(mapping), "layer": layer_name}
+                        for mapping, layer_name in chunk
+                    ],
+                }
+                # all keys of a chunk share its owner: route by the first
+                requests.append((keys[positions[0]], "/evaluate_layers", payload))
+                chunks.append((positions, chunk))
+        start = time.perf_counter()
+        replies = self._fanout(requests)
+        self.metrics.histogram("engine_compute_seconds").observe(
+            time.perf_counter() - start
+        )
+        source: List[Optional[Iterator[LayerPPA]]] = [None] * len(misses)
+        for (positions, chunk), reply in zip(chunks, replies):
+            results = self._layer_results(reply, chunk)
+            for position in positions:
+                source[position] = results
+        # slots past a lone replica's failed chunk are empty and never
+        # reached: that chunk raises at its own first position
+        for results in source:
+            yield next(results)  # type: ignore[arg-type]
 
     def area_mm2(self, hw) -> float:
         return self.area_fn(hw)
 
-    def health(self) -> Dict:
-        """Service liveness probe; network failures raise EvaluationError."""
-        return self._request_json("/health")
+    # -- fleet operations -------------------------------------------------------
+    def health(self) -> Dict[str, Optional[Dict]]:
+        """:meth:`ShardRouter.health_check`: ``{shard_name: payload | None}``
+        from every shard's ``GET /health``, past the breakers, never raising."""
+        return self.router.health_check()
 
-    def service_metrics(self) -> Dict:
-        """Fetch the remote ``GET /metrics`` snapshot."""
-        return self._request_json("/metrics")
+    def service_metrics(self) -> Dict[str, Dict]:
+        """Every shard's ``GET /metrics`` snapshot, ``{shard_name: payload}``.
+
+        An ordinary request — breaker-gated, retried, counted — so a shard
+        that cannot answer raises :class:`EvaluationError`.
+        """
+        parent_span = self._parent_span()
+        return {
+            shard.name: self._shard_request(shard, "/metrics", None, parent_span)
+            for shard in self.router.shards
+        }
+
+    @property
+    def num_circuit_rejections(self) -> int:
+        """Requests failed fast by an open breaker, over all shards."""
+        return sum(shard.breaker.num_rejections for shard in self.router.shards)
 
     def stats(self) -> Dict:
         merged = super().stats()
+        fleet = self.router.stats()
+        pools = [shard["pool"] for shard in fleet["shards"]]
         merged.update(
             {
-                "base_url": self.base_url,
                 "num_network_retries": self.num_network_retries,
                 "num_circuit_rejections": self.num_circuit_rejections,
-                "pool": self._pool.stats(),
+                # connection counters, totalled over the shards' pools
+                "pool": {
+                    key: sum(pool[key] for pool in pools)
+                    for key, value in pools[0].items()
+                    if isinstance(value, int)
+                },
+                "fleet": fleet,
             }
         )
         return merged
@@ -614,6 +767,7 @@ class RemotePPAEngine(PPAEngine):
     def __getstate__(self) -> Dict:
         state = super().__getstate__()
         del state["_transport_lock"]
+        state["_executor"] = None
         return state
 
     def __setstate__(self, state: Dict) -> None:

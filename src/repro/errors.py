@@ -40,7 +40,7 @@ class TransportError(EvaluationError):
     """A remote PPA request failed at the transport level.
 
     Network failures, 5xx replies and open circuit breakers are
-    *retryable* (and, under the sharded client, *failover-able* to
+    *retryable* (and, with several replicas, *failover-able* to
     another replica) — unlike a 4xx semantic rejection, which stays a
     plain :class:`EvaluationError` because every replica would reject the
     same query."""

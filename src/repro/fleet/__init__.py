@@ -7,46 +7,22 @@ The paper's master-slave deployment (Fig. 6b) at fleet scale:
   half-open probing;
 * :mod:`repro.fleet.pool` — keep-alive connection pools (stdlib only);
 * :mod:`repro.fleet.router` — health-checked shard routing;
-* :mod:`repro.fleet.client` — :class:`ShardedPPAEngine`, a drop-in
-  :class:`~repro.costmodel.engine.PPAEngine` that fans chunked batch
-  evaluations across replicas concurrently and re-merges them in request
-  order (accounting stays bit-identical to the serial path);
 * :mod:`repro.fleet.server` — :class:`FleetSupervisor`, N replica
   :class:`~repro.costmodel.service.PPAServiceServer` processes with
   graceful SIGTERM drain.
 
-Submodules import lazily here to keep ``import repro.fleet`` cheap and
-cycle-free (:mod:`repro.costmodel.service` imports the pool/breaker).
+The client of all this is the one remote engine,
+:class:`~repro.costmodel.service.RemotePPAEngine`: given N replica URLs
+it owns a :class:`ShardRouter`, fans chunked batch evaluations across
+the replicas concurrently and re-merges them in request order
+(accounting stays bit-identical to the serial path).
+
+Nothing here imports :mod:`repro.costmodel` at module level — the
+supervisor builds its replicas' engines inside the forked child — so
+:mod:`repro.costmodel.service` can import the router without a cycle.
 """
 
-from __future__ import annotations
+from repro.fleet.router import ShardRouter
+from repro.fleet.server import FleetSupervisor, ReplicaSpec
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.client import ShardedPPAEngine
-    from repro.fleet.router import ShardRouter
-    from repro.fleet.server import FleetSupervisor, ReplicaSpec
-
-__all__ = [
-    "FleetSupervisor",
-    "ReplicaSpec",
-    "ShardRouter",
-    "ShardedPPAEngine",
-]
-
-
-def __getattr__(name: str):
-    if name == "ShardedPPAEngine":
-        from repro.fleet.client import ShardedPPAEngine
-
-        return ShardedPPAEngine
-    if name == "ShardRouter":
-        from repro.fleet.router import ShardRouter
-
-        return ShardRouter
-    if name in ("FleetSupervisor", "ReplicaSpec"):
-        from repro.fleet import server
-
-        return getattr(server, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["FleetSupervisor", "ReplicaSpec", "ShardRouter"]

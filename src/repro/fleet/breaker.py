@@ -1,8 +1,9 @@
 """A thread-safe circuit breaker with strict half-open probing.
 
-Extracted from :class:`~repro.costmodel.service.RemotePPAEngine` so the
-fleet router can keep one breaker *per shard*: a dead replica fails fast
-without poisoning requests routed to its healthy peers.
+The fleet router keeps one breaker *per shard* (a
+:class:`~repro.costmodel.service.RemotePPAEngine` over one URL has one):
+a dead replica fails fast without poisoning requests routed to its
+healthy peers.
 
 States (classic three-state breaker, consecutive-failure flavored):
 

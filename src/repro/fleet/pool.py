@@ -1,7 +1,7 @@
 """Keep-alive HTTP/1.1 connection pool over plain sockets (stdlib only).
 
 Holds persistent HTTP/1.1 keep-alive connections to one origin and hands
-them out to concurrent callers, so the sharded client's in-flight fan-out
+them out to concurrent callers, so the remote engine's in-flight fan-out
 reuses warm sockets instead of paying a handshake per chunk.
 
 One exchange is one ``sendall`` (request head + body in a single segment)

@@ -1,7 +1,7 @@
 """Shard router: rendezvous key placement over PPA-service replicas.
 
 One :class:`Shard` per replica bundles the three per-replica resources the
-sharded client needs — a keep-alive :class:`~repro.fleet.pool.ConnectionPool`,
+remote engine needs — a keep-alive :class:`~repro.fleet.pool.ConnectionPool`,
 a :class:`~repro.fleet.breaker.CircuitBreaker`, and a health flag — under a
 stable shard name (``shard-0``, ``shard-1``, ...) used for metric labels
 and span attributes.
@@ -16,18 +16,22 @@ Routing policy (:meth:`ShardRouter.route`):
   moment the replica recovers;
 * when every shard is unavailable the top-ranked shard is returned anyway
   and its breaker raises at request time — failing fast with the real
-  error beats inventing a new one here.
+  error beats inventing a new one here;
+* a router with one member has nothing to place: ``ranking`` and
+  ``route`` return it without hashing the key or polling availability.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import EvaluationError
 from repro.fleet.breaker import CircuitBreaker
 from repro.fleet.hashing import rank_shards
+from repro.fleet.pool import ConnectionPool
 from repro.utils.metrics import MetricsRegistry
 
 __all__ = ["Shard", "ShardRouter"]
@@ -50,8 +54,6 @@ class Shard:
         breaker_cooldown_s: float,
         max_idle: int = 8,
     ):
-        from repro.fleet.pool import ConnectionPool
-
         self.name = name
         self.url = url.rstrip("/")
         self.pool = ConnectionPool(self.url, timeout_s=timeout_s, max_idle=max_idle)
@@ -117,6 +119,7 @@ class ShardRouter:
         self._by_name = {shard.name: shard for shard in self.shards}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.num_failovers = 0
+        self._lock = threading.Lock()  # guards num_failovers
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -124,24 +127,30 @@ class ShardRouter:
     # -- placement --------------------------------------------------------------
     def ranking(self, key: str) -> List[Shard]:
         """Failover-ordered shards for ``key`` (rendezvous over all members)."""
+        if len(self.shards) == 1:
+            return self.shards
         order = rank_shards(key, list(self._by_name))
         return [self._by_name[name] for name in order]
 
     def route(self, key: str) -> Shard:
         """The shard that should serve ``key`` right now."""
         ranked = self.ranking(key)
+        if len(ranked) == 1:
+            return ranked[0]
         for position, shard in enumerate(ranked):
             if shard.available():
                 if position > 0:
                     # the key's owner is down: count the stable remap
-                    self.num_failovers += 1
-                    self.metrics.counter(
-                        f"fleet_failovers_total[shard={shard.name}]"
-                    ).inc()
+                    self.count_failover(shard)
                 return shard
-            continue
         # everyone looks down; let the owner's breaker produce the error
         return ranked[0]
+
+    def count_failover(self, shard: Shard) -> None:
+        """Count one failover under ``shard``'s label; safe from any thread."""
+        with self._lock:
+            self.num_failovers += 1
+        self.metrics.counter(f"fleet_failovers_total[shard={shard.name}]").inc()
 
     # -- health -----------------------------------------------------------------
     def health_check(self) -> Dict[str, Optional[Dict]]:
@@ -181,3 +190,13 @@ class ShardRouter:
             "num_failovers": self.num_failovers,
             "shards": [shard.stats() for shard in self.shards],
         }
+
+    # -- pickling (process-backend rounds ship engine copies) -------------------
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()

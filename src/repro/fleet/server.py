@@ -5,9 +5,9 @@
 picklable :class:`ReplicaSpec`, reports their URLs back over pipes, and
 stops them with SIGTERM so each replica drains its in-flight requests
 (returning fast 503s to new ones) before closing the listener.  That is
-the restart contract the sharded client relies on: a draining replica is
-*redirecting*, not *failing*, so the client re-routes without charging
-the replica's circuit breaker.
+the restart contract :class:`~repro.costmodel.service.RemotePPAEngine`
+relies on: a draining replica is *redirecting*, not *failing*, so the
+client re-routes without charging the replica's circuit breaker.
 
 Each replica builds its **own** engine from the spec — separate processes
 cannot share a cache, and that is the point: the router's rendezvous
@@ -97,7 +97,7 @@ class FleetSupervisor:
 
     >>> spec = ReplicaSpec(network="mobilenetv3_small")
     >>> with FleetSupervisor(spec, replicas=4) as fleet:
-    ...     engine = ShardedPPAEngine(network, fleet.urls, area_fn)
+    ...     engine = RemotePPAEngine(network, fleet.urls, area_fn)
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """Client for the hub control plane, including the live SSE stream.
 
 JSON endpoints travel over a pooled keep-alive connection (the same
-:class:`~repro.fleet.pool.ConnectionPool` the sharded engine uses);
+:class:`~repro.fleet.pool.ConnectionPool` the remote engine uses);
 the SSE stream gets its own dedicated connection because its body has no
 end short of connection close.
 

@@ -29,7 +29,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.tracking.journal import JournalScan, _scan_bytes
+from repro.tracking.journal import JournalScan, read_bytes_from, scan_bytes
 
 __all__ = [
     "SSEEvent",
@@ -88,11 +88,8 @@ def journal_events_since(
     ``valid_bytes`` (the next cursor) and ``truncated_tail`` exactly as
     :func:`~repro.tracking.journal.read_events_from` would.
     """
-    path = pathlib.Path(path)
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        raw = handle.read()
-    scan = _scan_bytes(raw, offset)
+    raw = read_bytes_from(path, offset)
+    scan = scan_bytes(raw, offset)
     frames: List[Tuple[bytes, int, Dict]] = []
     previous = offset
     for event, end in zip(scan.events, scan.event_offsets):

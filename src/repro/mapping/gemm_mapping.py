@@ -19,12 +19,11 @@ A network-level mapping is a dict ``layer name -> GemmMapping``.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MappingError
-from repro.utils.intmath import divisors, nearest_divisor
+from repro.utils.intmath import divisors, nearest_divisor, step_on_grid
 from repro.utils.rng import SeedLike, as_generator
 from repro.workloads.layers import GemmShape
 
@@ -194,14 +193,8 @@ class GemmMappingSpace:
         if move < 3:
             grid = (self.tile_m_choices, self.tile_n_choices, self.tile_k_choices)[
                 move
-            ]  # sorted divisors
-            index = bisect_left(grid, tiles[move])
-            if index == len(grid) or grid[index] != tiles[move]:
-                index = 0
-            offset = 0
-            while offset == 0:
-                offset = int(rng.integers(-2, 3))
-            tiles[move] = grid[max(0, min(len(grid) - 1, index + offset))]
+            ]
+            tiles[move] = step_on_grid(grid, tiles[move], rng)
         elif move == 3:
             loop_order = LOOP_ORDERS[int(rng.integers(0, len(LOOP_ORDERS)))]
         elif move == 4:

@@ -14,9 +14,9 @@ discipline, deliberately:
 * **atomic line appends** — each sample is serialized to one complete
   line and written with a single ``os.write`` on an ``O_APPEND``
   descriptor, so a crash can only truncate the final line;
-* **truncation-tolerant reads** — scans reuse the journal's
-  ``_scan_bytes`` core, stopping at the first partial/corrupt line and
-  reporting it instead of failing;
+* **truncation-tolerant reads** — scans are the journal's own
+  ``read_events`` / ``read_events_from``, stopping at the first
+  partial/corrupt line and reporting it instead of failing;
 * **byte-offset resume** — :meth:`MetricsStore.read_from` takes the
   ``valid_bytes`` cursor of a previous scan and returns only newer
   samples, and reopening a crash-damaged file for append first truncates
@@ -48,7 +48,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TrackingError
-from repro.tracking.journal import JournalScan, _scan_bytes
+from repro.tracking.journal import JournalScan, read_events, read_events_from
 
 __all__ = [
     "MetricsStore",
@@ -246,7 +246,7 @@ class MetricsStore:
                 return -1
             if state.fd is None:
                 if state.path.exists() and state.path.stat().st_size > 0:
-                    scan = _scan_file(state.path)
+                    scan = read_events(state.path)
                     if scan.truncated_tail:
                         os.truncate(str(state.path), scan.valid_bytes)
                 state.fd = os.open(
@@ -274,12 +274,7 @@ class MetricsStore:
         path = self.path_for(target)
         if path is None or not path.exists():
             return [], JournalScan(start_offset=offset, valid_bytes=offset)
-        if offset < 0:
-            raise TrackingError(f"metrics offset must be >= 0, got {offset}")
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            raw = handle.read()
-        scan = _scan_bytes(raw, offset)
+        scan = read_events_from(path, offset)
         return [_as_sample(event) for event in scan.events], scan
 
     def samples(
@@ -301,7 +296,7 @@ class MetricsStore:
             # predates the window start
             need_disk = cached[0][0] > start_t
         if need_disk and state.path is not None and state.path.exists():
-            scan = _scan_file(state.path)
+            scan = read_events(state.path)
             cached = [_as_sample(event) for event in scan.events]
         return [
             (t, s)
@@ -459,7 +454,7 @@ class MetricsStore:
                 return len(kept)
             if not state.path.exists():
                 return 0
-            scan = _scan_file(state.path)
+            scan = read_events(state.path)
             raw_samples = [_as_sample(event) for event in scan.events]
             kept: List[Sample] = []
             buckets: Dict[int, Sample] = {}
@@ -505,10 +500,6 @@ class MetricsStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _scan_file(path: pathlib.Path) -> JournalScan:
-    return _scan_bytes(path.read_bytes(), 0)
 
 
 def _as_sample(event: Dict) -> Sample:

@@ -194,12 +194,13 @@ def iter_events(path: Union[str, pathlib.Path]) -> Iterator[Dict]:
     yield from read_events(path).events
 
 
-def _scan_bytes(raw: bytes, base_offset: int) -> JournalScan:
+def scan_bytes(raw: bytes, base_offset: int) -> JournalScan:
     """Parse journal bytes that start at ``base_offset`` on a line boundary.
 
-    The shared core of :func:`read_events`, :func:`read_events_from` and
-    :func:`read_tail_events`: stops at the first malformed or unterminated
-    line and reports it as a truncated tail, exactly like a full scan.
+    The one scanner under every reader of a line-appended JSONL file —
+    :func:`read_events`, :func:`read_events_from`, :func:`read_tail_events`,
+    the metrics store and the hub's SSE pump: stops at the first malformed
+    or unterminated line and reports it as a truncated tail.
     """
     scan = JournalScan(start_offset=base_offset, valid_bytes=base_offset)
     if not raw:
@@ -228,17 +229,21 @@ def _scan_bytes(raw: bytes, base_offset: int) -> JournalScan:
     return scan
 
 
-def read_events(path: Union[str, pathlib.Path]) -> JournalScan:
-    """Read a journal, tolerating a crash-truncated final line.
+def read_bytes_from(path: Union[str, pathlib.Path], offset: int) -> bytes:
+    """Raw journal bytes from a byte-offset cursor to the current end of file.
 
-    Raises :class:`TrackingError` only if the file is missing — corruption
-    confined to the tail is expected after a kill and is reported through
-    :attr:`JournalScan.truncated_tail`.
+    An ``offset`` at or past the end yields ``b""`` (nothing new yet) — it
+    is NOT an error, because a reader's cursor may race an in-flight
+    append.  Raises :class:`TrackingError` for a missing file.
     """
+    if offset < 0:
+        raise TrackingError(f"journal offset must be >= 0, got {offset}")
     path = pathlib.Path(path)
     if not path.exists():
         raise TrackingError(f"journal {path} does not exist")
-    return _scan_bytes(path.read_bytes(), 0)
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        return handle.read()
 
 
 def read_events_from(
@@ -248,20 +253,16 @@ def read_events_from(
 
     The incremental read behind live tailing: a caller that consumed a
     scan up to ``scan.valid_bytes`` passes that offset back to receive
-    only the events appended since, with the same truncation-tolerant
-    semantics as :func:`read_events`.  An ``offset`` at or past the
-    current end of file yields an empty scan (nothing new yet) — it is
-    NOT an error, because a reader's cursor may race an in-flight append.
+    only the events appended since.  Corruption confined to the tail is
+    expected after a kill and is reported through
+    :attr:`JournalScan.truncated_tail`; only a missing file raises.
     """
-    if offset < 0:
-        raise TrackingError(f"journal offset must be >= 0, got {offset}")
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise TrackingError(f"journal {path} does not exist")
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        raw = handle.read()
-    return _scan_bytes(raw, offset)
+    return scan_bytes(read_bytes_from(path, offset), offset)
+
+
+def read_events(path: Union[str, pathlib.Path]) -> JournalScan:
+    """Read a whole journal, tolerating a crash-truncated final line."""
+    return read_events_from(path, 0)
 
 
 def read_tail_events(
@@ -292,9 +293,7 @@ def read_tail_events(
     window = max(4096, initial_window)
     while True:
         start = max(0, size - window)
-        with open(path, "rb") as handle:
-            handle.seek(start)
-            raw = handle.read()
+        raw = read_bytes_from(path, start)
         if start > 0:
             newline = raw.find(b"\n")
             if newline < 0:
@@ -303,7 +302,7 @@ def read_tail_events(
                 continue
             start += newline + 1
             raw = raw[newline + 1:]
-        scan = _scan_bytes(raw, start)
+        scan = scan_bytes(raw, start)
         if event_type is None:
             keep = list(range(len(scan.events)))
         else:
@@ -339,8 +338,10 @@ __all__ = [
     "EventJournal",
     "JournalScan",
     "iter_events",
+    "read_bytes_from",
     "read_events",
     "read_events_from",
     "read_tail_events",
+    "scan_bytes",
     "verify_sequence",
 ]

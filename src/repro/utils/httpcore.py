@@ -264,7 +264,7 @@ class HttpServer:
         """Stop admitting requests; in-flight ones run to completion.
 
         New requests get an immediate ``503 {"error": "... draining"}``
-        — a fast, explicit signal clients route around (the sharded client
+        — a fast, explicit signal clients route around (the remote engine
         re-routes without charging its breaker), instead of the hung
         socket a plain ``shutdown()`` would leave them holding.
         """

@@ -7,6 +7,7 @@ integer factors.  These helpers centralize that arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -79,6 +80,23 @@ def snap_to_grid(value: float, grid: Sequence[int]) -> int:
         if gap < best_gap:
             best, best_gap = element, gap
     return int(best)
+
+
+def step_on_grid(grid: Sequence[int], current: int, rng) -> int:
+    """The grid value a non-zero offset in ``[-2, 2]`` away from ``current``.
+
+    The one tile step of every mapping space's ``mutate``: ``grid`` is
+    sorted (divisors), a ``current`` off the grid steps from index 0, the
+    offset is redrawn from ``rng.integers(-2, 3)`` until non-zero, and
+    the move clamps at both ends of the grid.
+    """
+    index = bisect_left(grid, current)
+    if index == len(grid) or grid[index] != current:
+        index = 0
+    offset = 0
+    while offset == 0:
+        offset = int(rng.integers(-2, 3))
+    return grid[max(0, min(len(grid) - 1, index + offset))]
 
 
 def factorize_near(n: int, parts: int, rng=None) -> List[int]:

@@ -3,9 +3,9 @@
 A cross-layer batch must be indistinguishable — results, query and hit
 counts, simulated clock, and the ``sample_sink`` stream — from the same
 items sent one by one through ``evaluate_layer``, whether the misses are
-computed in process or travel to one replica or a sharded fleet.  The
-count guards at the bottom pin what the single call buys: one POST per
-speculative draft batch.
+computed in process or travel through the one remote engine to one
+replica or two.  The count guards at the bottom pin what the single call
+buys: one POST per speculative draft batch.
 """
 
 import numpy as np
@@ -16,10 +16,13 @@ from repro.costmodel import MaestroEngine, TimeloopEngine
 from repro.costmodel.engine import VECTOR_KERNEL_MIN_GROUP
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
-from repro.fleet.client import ShardedPPAEngine
 from repro.mapping import GemmMapping, RandomMappingSearch
 from repro.mapping.gemm_mapping import GemmMappingSpace
 
+#: the three remote kinds are all ``RemotePPAEngine``: ``remote`` is one URL
+#: whose batch is a single chunk; ``sharded1`` is one URL at
+#: ``batch_size=3`` (several chunks, sent in order to the lone replica);
+#: ``sharded2`` is two URLs (placement + concurrent fan-out)
 ENGINE_KINDS = ["maestro", "timeloop", "remote", "sharded1", "sharded2"]
 
 
@@ -44,16 +47,17 @@ def make_engine(tiny_network, replicas):
         if kind == "timeloop":
             return TimeloopEngine(tiny_network)
         if kind == "remote":
-            return RemotePPAEngine(
+            engine = RemotePPAEngine(
                 tiny_network, replicas[0].url, area_fn=spatial_area_mm2
             )
-        shards = int(kind[len("sharded"):])
-        engine = ShardedPPAEngine(
-            tiny_network,
-            [server.url for server in replicas[:shards]],
-            area_fn=spatial_area_mm2,
-            batch_size=3,
-        )
+        else:
+            shards = int(kind[len("sharded"):])
+            engine = RemotePPAEngine(
+                tiny_network,
+                [server.url for server in replicas[:shards]],
+                area_fn=spatial_area_mm2,
+                batch_size=3,
+            )
         opened.append(engine)
         return engine
 

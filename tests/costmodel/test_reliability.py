@@ -126,10 +126,9 @@ class TestRetryingOverRemote:
         backend = FlakyEngine(
             MaestroEngine(tiny_network), failure_rate=0.3, seed=7
         )
-        with PPAServiceServer(backend) as server:
-            remote = RemotePPAEngine(
-                tiny_network, server.url, area_fn=spatial_area_mm2
-            )
+        with PPAServiceServer(backend) as server, RemotePPAEngine(
+            tiny_network, server.url, area_fn=spatial_area_mm2
+        ) as remote:
             robust = RetryingEngine(remote, max_attempts=10)
             yield backend, remote, robust
 
@@ -175,4 +174,5 @@ class TestRetryingOverRemote:
         assert stats["num_queries"] == 1
         assert "num_retries" in stats
         assert stats["inner"]["engine"] == "RemotePPAEngine"
-        assert stats["inner"]["base_url"] == remote.base_url
+        (shard,) = stats["inner"]["fleet"]["shards"]
+        assert shard["url"] == remote.router.shards[0].url

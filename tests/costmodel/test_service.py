@@ -34,9 +34,10 @@ def server(tiny_network):
 
 @pytest.fixture()
 def remote(server, tiny_network):
-    return RemotePPAEngine(
+    with RemotePPAEngine(
         tiny_network, server.url, area_fn=spatial_area_mm2
-    )
+    ) as engine:
+        yield engine
 
 
 class TestCodec:
@@ -153,11 +154,60 @@ class TestRemoteEngine:
         assert np.isfinite(search.best_objective)
         assert search.best_ppa.feasible
 
-    def test_health_passthrough(self, remote):
-        assert remote.health()["status"] == "ok"
+    def test_health_passthrough(self, remote, tiny_network):
+        report = remote.health()
+        assert set(report) == {"shard-0"}  # one URL is a fleet of one
+        assert report["shard-0"]["status"] == "ok"
+        assert report["shard-0"]["workload"] == tiny_network.name
+
+    def test_close_releases_pooled_connections(self, remote, sample_hw):
+        remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
+        assert remote.stats()["pool"]["idle"] == 1
+        remote.close()
+        assert remote.stats()["pool"]["idle"] == 0
+        remote.close()  # idempotent
+
+    def test_context_manager_closes(self, server, tiny_network, sample_hw):
+        backend = MaestroEngine(tiny_network)
+        with PPAServiceServer(backend) as second, RemotePPAEngine(
+            tiny_network,
+            [server.url, second.url],
+            area_fn=spatial_area_mm2,
+            batch_size=1,
+        ) as engine:
+            engine.evaluate_candidates(
+                sample_hw, "gemm", [GemmMapping(4, 8, 4), GemmMapping(8, 8, 8)]
+            )
+            assert engine._executor is not None  # two chunks fanned out
+            assert engine.stats()["pool"]["idle"] >= 1
+            assert any(
+                thread.name.startswith("fleet-client")
+                for thread in threading.enumerate()
+            )
+        assert engine._executor is None
+        assert engine.stats()["pool"]["idle"] == 0
+
+    def test_url_string_is_the_one_element_list(self, server, tiny_network):
+        with RemotePPAEngine(
+            tiny_network, server.url, area_fn=spatial_area_mm2
+        ) as one, RemotePPAEngine(
+            tiny_network, [server.url + "/"], area_fn=spatial_area_mm2
+        ) as listed:
+            assert len(one.router) == len(listed.router) == 1
+            assert one.router.shards[0].url == listed.router.shards[0].url
 
 
 # --------------------------------------------------------------------- helpers
+_OPENED = []
+
+
+@pytest.fixture(autouse=True)
+def _close_fast_remotes():
+    yield
+    while _OPENED:
+        _OPENED.pop().close()
+
+
 def _fast_remote(network, url, **overrides):
     """A client with real-time knobs tuned so failure tests stay fast."""
     kwargs = dict(
@@ -167,7 +217,15 @@ def _fast_remote(network, url, **overrides):
         backoff_max_s=0.002,
     )
     kwargs.update(overrides)
-    return RemotePPAEngine(network, url, area_fn=spatial_area_mm2, **kwargs)
+    engine = RemotePPAEngine(network, url, area_fn=spatial_area_mm2, **kwargs)
+    _OPENED.append(engine)
+    return engine
+
+
+def _gated(remote):
+    """A cheap ordinary request — breaker-gated, retried, counted — to the
+    one shard: its ``GET /metrics`` (``health()`` bypasses the breaker)."""
+    return remote.service_metrics()["shard-0"]
 
 
 @contextlib.contextmanager
@@ -246,8 +304,10 @@ class TestTransportErrorMapping:
     def test_dead_server_health_raises_evaluation_error(self, tiny_network):
         with _dead_url() as url:
             remote = _fast_remote(tiny_network, url)
-            with pytest.raises(EvaluationError):
-                remote.health()
+            # the probe reports the shard down; a gated request raises
+            assert remote.health() == {"shard-0": None}
+            with pytest.raises(EvaluationError, match="network failure"):
+                _gated(remote)
 
     def test_slow_server_times_out_as_evaluation_error(self, tiny_network, sample_hw):
         with _silent_url() as url:
@@ -277,7 +337,7 @@ class TestNetworkRetries:
                   (200, ok)]
         with _scripted_url(script) as (url, hits):
             remote = _fast_remote(tiny_network, url, max_network_retries=3)
-            assert remote.health()["status"] == "ok"
+            assert _gated(remote)["status"] == "ok"
             assert remote.num_network_retries == 2
             assert hits["count"] == 3
 
@@ -285,7 +345,7 @@ class TestNetworkRetries:
         with _scripted_url([(500, '{"error": "down"}')]) as (url, hits):
             remote = _fast_remote(tiny_network, url, max_network_retries=2)
             with pytest.raises(EvaluationError):
-                remote.health()
+                _gated(remote)
             assert hits["count"] == 3  # initial try + 2 retries
 
     def test_4xx_is_not_retried(self, tiny_network, sample_hw):
@@ -330,10 +390,10 @@ class TestCircuitBreaker:
             )
             for _ in range(2):
                 with pytest.raises(EvaluationError, match="network failure"):
-                    remote.health()
+                    _gated(remote)
             # breaker now open: fails fast without touching the network
             with pytest.raises(EvaluationError, match="circuit breaker open"):
-                remote.health()
+                _gated(remote)
             assert remote.num_circuit_rejections == 1
             assert remote.metrics.counter_value("remote_circuit_opened_total") == 1
 
@@ -345,12 +405,12 @@ class TestCircuitBreaker:
                 tiny_network, url, breaker_threshold=1, breaker_cooldown_s=0.05
             )
             with pytest.raises(EvaluationError):
-                remote.health()  # opens the breaker
+                _gated(remote)  # opens the breaker
             with pytest.raises(EvaluationError, match="circuit breaker open"):
-                remote.health()
+                _gated(remote)
             time.sleep(0.1)  # cooldown elapses -> half-open
-            assert remote.health()["status"] == "ok"  # probe succeeds, closes
-            assert remote.health()["status"] == "ok"
+            assert _gated(remote)["status"] == "ok"  # probe succeeds, closes
+            assert _gated(remote)["status"] == "ok"
 
     def test_semantic_rejection_does_not_trip_breaker(self, tiny_network, sample_hw):
         ok = json.dumps({"status": "ok", "workload": tiny_network.name})
@@ -363,7 +423,7 @@ class TestCircuitBreaker:
                 with pytest.raises(EvaluationError, match="rejected"):
                     remote.evaluate_layer(sample_hw, MAPPING, "gemm")
             # breaker never opened: the next request reaches the service
-            assert remote.health()["status"] == "ok"
+            assert _gated(remote)["status"] == "ok"
             assert remote.num_circuit_rejections == 0
 
 
@@ -455,6 +515,26 @@ class TestBatchEndpoint:
         before = remote.metrics.counter_value("remote_requests_total")
         remote.evaluate_layers(sample_hw, requests)
         assert remote.metrics.counter_value("remote_requests_total") - before == 2
+
+    def test_failed_chunk_keeps_earlier_chunks_and_stops(self, tiny_network,
+                                                         sample_hw):
+        """A lone replica gets its chunks in order; a transport failure
+        keeps what earlier chunks brought back and sends nothing further."""
+        entry = {"ok": True, "result": {"latency_s": 1.0, "energy_j": 2.0,
+                                        "feasible": True}}
+        script = [(200, json.dumps({"results": [entry, entry]})),
+                  (500, '{"error": "down"}')]
+        requests = [(GemmMapping(4, 8, 4, unroll=u), layer)
+                    for layer in ("gemm", "conv") for u in (1, 2, 4)]
+        with _scripted_url(script) as (url, hits):
+            remote = _fast_remote(tiny_network, url, batch_size=2)
+            with pytest.raises(EvaluationError, match="service error 500"):
+                remote.evaluate_layers(sample_hw, requests)
+            assert hits["count"] == 2  # the third chunk was never sent
+            assert remote._executor is None
+            for mapping, layer in requests[:2]:
+                assert remote.evaluate_layer(sample_hw, mapping, layer).latency_s == 1.0
+            assert hits["count"] == 2  # both served from the client cache
 
     def test_batch_bad_item_raises_but_good_items_cached(self, server, tiny_network,
                                                          sample_hw):
@@ -606,16 +686,22 @@ class TestMetricsEndpoint:
     def test_remote_service_metrics_helper(self, remote, sample_hw):
         remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
         snapshot = remote.service_metrics()
-        assert "engine" in snapshot and "metrics" in snapshot
+        assert set(snapshot) == {"shard-0"}  # same shape as health()
+        assert "engine" in snapshot["shard-0"] and "metrics" in snapshot["shard-0"]
 
-    def test_remote_stats_merge(self, remote, sample_hw):
+    def test_remote_stats_merge(self, remote, server, sample_hw):
         remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
         stats = remote.stats()
         assert stats["engine"] == "RemotePPAEngine"
         assert stats["num_queries"] == 1
-        assert stats["base_url"] == remote.base_url
         assert stats["num_network_retries"] == 0
         assert stats["num_circuit_rejections"] == 0
+        assert stats["fleet"]["replicas"] == 1
+        (shard,) = stats["fleet"]["shards"]
+        assert shard["url"] == server.url
+        # the pool block totals the shards' connection counters
+        assert stats["pool"]["num_created"] == shard["pool"]["num_created"] == 1
+        assert stats["pool"]["num_stale_retries"] == 0
 
 
 class TestClientValidation:
@@ -630,6 +716,10 @@ class TestClientValidation:
     def test_invalid_batch_size(self, tiny_network):
         with pytest.raises(EvaluationError):
             _fast_remote(tiny_network, "http://x", batch_size=0)
+
+    def test_invalid_max_inflight(self, tiny_network):
+        with pytest.raises(EvaluationError):
+            _fast_remote(tiny_network, "http://x", max_inflight=0)
 
 
 class TestGracefulDrain:

@@ -1,14 +1,19 @@
-"""Sharded client: parity with local engines, fan-out, failover, draining."""
+"""The remote engine over N replicas: parity with local engines, fan-out,
+failover, draining — and one replica paying nothing for placement."""
 
 import pickle
+import socket
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.costmodel import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
-from repro.costmodel.service import PPAServiceServer
-from repro.fleet.client import ShardedPPAEngine
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
+from repro.errors import EvaluationError
+from repro.fleet import hashing
 from repro.mapping import FlexTensorSearch, GemmMapping
 
 MAPPINGS = [
@@ -40,7 +45,7 @@ def _sharded(tiny_network, fleet, **overrides):
         batch_size=2,
     )
     kwargs.update(overrides)
-    return ShardedPPAEngine(
+    return RemotePPAEngine(
         tiny_network,
         [server.url for server in fleet],
         area_fn=spatial_area_mm2,
@@ -128,20 +133,132 @@ class TestFailover:
         sharded.close()
 
     def test_single_url_degenerates_to_remote_engine(
-        self, tiny_network, fleet, sample_hw
+        self, tiny_network, fleet, sample_hw, monkeypatch
     ):
-        local = MaestroEngine(tiny_network)
-        sharded = _sharded(tiny_network, fleet[:1])
-        assert sharded.evaluate_candidates(
-            sample_hw, "gemm", MAPPINGS
-        ) == local.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        """One URL is the plain remote engine: nothing is placed, so nothing
+        is hashed, no worker thread exists and one connection is opened."""
+        scored = []
+        real_score = hashing.rendezvous_score
+        monkeypatch.setattr(
+            hashing,
+            "rendezvous_score",
+            lambda key, shard_id: scored.append(key) or real_score(key, shard_id),
+        )
+        local_search = FlexTensorSearch(
+            tiny_network, sample_hw, MaestroEngine(tiny_network), seed=7
+        )
+        local_search.run(20)
+        with RemotePPAEngine(
+            tiny_network, fleet[0].url, area_fn=spatial_area_mm2
+        ) as remote:
+            remote_search = FlexTensorSearch(tiny_network, sample_hw, remote, seed=7)
+            remote_search.run(20)
+            assert np.array_equal(
+                remote_search.best_curve(), local_search.best_curve()
+            )
+            assert remote_search.best_objective == local_search.best_objective
+            assert fleet[0].engine.num_queries > 0
+            # ... and a batch of several chunks changes none of that
+            remote.batch_size = 2
+            assert remote.evaluate_candidates(
+                sample_hw, "gemm", MAPPINGS
+            ) == MaestroEngine(tiny_network).evaluate_candidates(
+                sample_hw, "gemm", MAPPINGS
+            )
+            assert scored == []
+            assert remote._executor is None
+            assert remote.stats()["pool"]["num_created"] == 1
+        # the counter does see placement when there is something to place
+        sharded = _sharded(tiny_network, fleet)
+        sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
         sharded.close()
+        assert scored
 
     def test_no_urls_rejected(self, tiny_network):
-        from repro.errors import EvaluationError
-
         with pytest.raises(EvaluationError):
-            ShardedPPAEngine(tiny_network, [], area_fn=spatial_area_mm2)
+            RemotePPAEngine(tiny_network, [], area_fn=spatial_area_mm2)
+
+
+def _dead_url() -> str:
+    """A URL nothing listens on (bound once, then released)."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return f"http://127.0.0.1:{port}"
+
+
+class TestCountersUnderFanout:
+    """The transport counters are bumped on ``fleet-client`` worker threads."""
+
+    CHUNKS = 64
+    WORKERS = 8
+    RETRIES = 2
+
+    @pytest.fixture(autouse=True)
+    def eager_thread_switches(self):
+        """Switch threads as often as the interpreter allows."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def _failing(self, tiny_network, **overrides):
+        return RemotePPAEngine(
+            tiny_network,
+            [_dead_url(), _dead_url()],
+            area_fn=spatial_area_mm2,
+            timeout_s=0.5,
+            max_network_retries=self.RETRIES,
+            backoff_base_s=0.0005,
+            backoff_max_s=0.001,
+            batch_size=1,
+            max_inflight=self.WORKERS,
+            **overrides,
+        )
+
+    def _requests(self):
+        return [
+            (GemmMapping(1 + index % 8, 1 + index // 8, 1), "gemm")
+            for index in range(self.CHUNKS)
+        ]
+
+    def test_retry_and_failover_totals_are_exact(self, tiny_network, sample_hw):
+        # breakers that never open: every chunk tries both dead shards,
+        # each with the full retry budget
+        with self._failing(tiny_network, breaker_threshold=10**6) as remote:
+            with pytest.raises(EvaluationError, match="network failure"):
+                remote.evaluate_layers(sample_hw, self._requests())
+            threads = [t.name for t in threading.enumerate()]
+            assert sum(name.startswith("fleet-client") for name in threads) > 1
+            assert remote.num_network_retries == self.CHUNKS * 2 * self.RETRIES
+            assert remote.router.num_failovers == self.CHUNKS * 2
+            assert remote.num_circuit_rejections == 0
+            counter = remote.metrics.counter_value
+            assert counter("remote_network_retries_total") == (
+                remote.num_network_retries
+            )
+            assert sum(
+                counter(f"fleet_failovers_total[shard=shard-{index}]")
+                for index in range(2)
+            ) == remote.router.num_failovers
+
+    def test_circuit_rejection_totals_are_exact(self, tiny_network, sample_hw):
+        with self._failing(tiny_network, breaker_cooldown_s=60.0) as remote:
+            for shard in remote.router.shards:
+                for _ in range(shard.breaker.threshold):
+                    shard.breaker.record(False)
+            # both breakers open: each chunk skips its owner and is failed
+            # fast by the last shard of its ranking — one rejection each
+            with pytest.raises(EvaluationError, match="circuit breaker open"):
+                remote.evaluate_layers(sample_hw, self._requests())
+            assert remote.num_circuit_rejections == self.CHUNKS
+            assert remote.router.num_failovers == self.CHUNKS
+            assert remote.num_network_retries == 0
+            assert remote.metrics.counter_value(
+                "remote_circuit_rejections_total"
+            ) == self.CHUNKS
+            assert remote.stats()["num_circuit_rejections"] == self.CHUNKS
 
 
 class TestStatsAndPickle:

@@ -58,6 +58,27 @@ class TestPlacement:
         ]
 
 
+class TestSoleMember:
+    """One member: nothing to place, so nothing is hashed or polled."""
+
+    def test_route_and_ranking_skip_hashing(self, monkeypatch):
+        from repro.fleet import hashing
+
+        def no_hashing(key, shard_id):
+            raise AssertionError("a sole member must not be scored")
+
+        monkeypatch.setattr(hashing, "rendezvous_score", no_hashing)
+        router = ShardRouter([_free_url()])
+        (sole,) = router.shards
+        assert router.ranking("any-key") == [sole]
+        assert router.route("any-key") is sole
+        # ... and it is the answer whatever its state: who else is there?
+        sole.mark_down("outage", ttl_s=60.0)
+        assert router.route("any-key") is sole
+        assert router.num_failovers == 0
+        router.close()
+
+
 class TestFailover:
     def test_down_shard_keys_remap_stably(self, router):
         owners_before = {key: router.route(key).name for key in KEYS}
@@ -91,6 +112,35 @@ class TestFailover:
         assert not shard.available()
         for key in KEYS:
             assert router.route(key).name != shard.name
+
+    def test_failover_count_is_exact_across_threads(self, router):
+        import threading
+
+        shard = router.shards[0]
+        threads = [
+            threading.Thread(
+                target=lambda: [router.count_failover(shard) for _ in range(500)]
+            )
+            for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert router.num_failovers == 8 * 500
+        assert router.metrics.counter_value(
+            "fleet_failovers_total[shard=shard-0]"
+        ) == 8 * 500
+
+    def test_pickle_roundtrip_keeps_counts(self, router):
+        import pickle
+
+        router.count_failover(router.shards[1])
+        clone = pickle.loads(pickle.dumps(router))
+        assert clone.num_failovers == 1
+        clone.count_failover(clone.shards[1])  # the lock came back
+        assert clone.num_failovers == 2
+        clone.close()
 
     def test_all_down_returns_owner(self, router):
         for shard in router.shards:

@@ -6,8 +6,7 @@ import pytest
 
 from repro.costmodel import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
-from repro.costmodel.service import PPAServiceServer
-from repro.fleet.client import ShardedPPAEngine
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.hub.aggregate import FleetAggregator
 from repro.mapping import GemmMapping
 from repro.obs.prom import parse_prometheus_text
@@ -35,8 +34,8 @@ def replicas(tiny_network):
 
 
 def drive_queries(tiny_network, servers, sample_hw):
-    """Push real engine work through every replica via the sharded client."""
-    sharded = ShardedPPAEngine(
+    """Push real engine work through every replica via the remote engine."""
+    sharded = RemotePPAEngine(
         tiny_network,
         [server.url for server in servers],
         area_fn=spatial_area_mm2,
@@ -228,7 +227,7 @@ class TestSupervisorAcceptance:
         spec = ReplicaSpec(network="mobilenetv3_small", cache_capacity=256)
         network = get_network("mobilenetv3_small")
         with FleetSupervisor(spec, replicas=4) as fleet:
-            sharded = ShardedPPAEngine(
+            sharded = RemotePPAEngine(
                 network,
                 list(fleet.urls),
                 area_fn=spatial_area_mm2,

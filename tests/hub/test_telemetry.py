@@ -8,9 +8,8 @@ import pytest
 
 from repro.costmodel import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
-from repro.costmodel.service import PPAServiceServer
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.errors import TrackingError
-from repro.fleet.client import ShardedPPAEngine
 from repro.hub import HubClient, HubServer, TelemetryPipeline, replica_target
 from repro.mapping import GemmMapping
 from repro.obs.alerts import Rule
@@ -32,7 +31,7 @@ def replicas(tiny_network):
 
 
 def drive_queries(tiny_network, servers, sample_hw):
-    sharded = ShardedPPAEngine(
+    sharded = RemotePPAEngine(
         tiny_network,
         [server.url for server in servers],
         area_fn=spatial_area_mm2,

@@ -12,8 +12,7 @@ import pytest
 
 from repro.costmodel import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
-from repro.costmodel.service import PPAServiceServer
-from repro.fleet.client import ShardedPPAEngine
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.fleet.server import FleetSupervisor, ReplicaSpec
 from repro.hub import HubClient, HubServer
 from repro.hw import edge_design_space
@@ -34,7 +33,7 @@ def free_port() -> int:
 
 
 def drive(network, urls, hw):
-    sharded = ShardedPPAEngine(
+    sharded = RemotePPAEngine(
         network, list(urls), area_fn=spatial_area_mm2,
         timeout_s=10.0, batch_size=2,
     )
@@ -53,7 +52,7 @@ class Driver:
     """
 
     def __init__(self, network, urls, hw):
-        self._sharded = ShardedPPAEngine(
+        self._sharded = RemotePPAEngine(
             network, list(urls), area_fn=spatial_area_mm2,
             timeout_s=10.0, batch_size=2,
         )

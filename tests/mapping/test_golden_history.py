@@ -5,8 +5,11 @@ commit*, so a change that shifts both trajectories equally passes it.
 These digests were recorded at commit 27f80a2 (before the per-step
 bookkeeping of the search loop was made incremental) and pin, for every
 tool that draws its layer from the incumbent latency shares, the exact
-history floats, the final RNG state and the incumbent mapping.  Run this
-file first after touching anything under ``repro.mapping``.
+history floats, the final RNG state and the incumbent mapping.  The
+``fusion`` rows (the Ascend-like tool over ``AscendMappingSpace``) were
+recorded at commit 7a22cfc, before its ``mutate`` moved onto the shared
+tile-grid step.  Run this file first after touching anything under
+``repro.mapping`` or ``camodel/mapping.py``.
 """
 
 import hashlib
@@ -14,10 +17,12 @@ import struct
 
 import pytest
 
+from repro.camodel import AscendCAEngine
 from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space
+from repro.hw import default_ascend_config, edge_design_space
 from repro.learned.oneloop import OneLoopMappingSearch
 from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
 from repro.workloads import get_network
@@ -31,6 +36,8 @@ TOOLS = {
     "random": RandomMappingSearch,
     # MaestroEngine carries no learned model -> the mutation fallback
     "oneloop": OneLoopMappingSearch,
+    # the one tool on the Ascend-like platform (its own space and engine)
+    "fusion": DepthFirstFusionSearch,
 }
 
 GOLDEN = {
@@ -57,6 +64,12 @@ GOLDEN = {
     ),
     ("oneloop", "edp"): (
         "cf5f50aa7d9a4fcafc3c8d047c63dbe64ad0fa33eea56fb918fe67509b5dd048"
+    ),
+    ("fusion", "latency"): (
+        "e7290c6dd6f5d1603e12d7b31d9596795801e8f37c50b3275d53909e0f19ebbf"
+    ),
+    ("fusion", "edp"): (
+        "1e821b2a12788df6e9277901e07547f898fad90167aa421e1a26f654e0bee1d0"
     ),
 }
 
@@ -85,11 +98,14 @@ def search_digest(search) -> str:
 
 def run_search(tool: str, objective: str, batch_size: int = 1):
     network = get_network("mobilenetv2")
-    hw = edge_design_space().sample(0)
+    if tool == "fusion":
+        hw, engine = default_ascend_config(), AscendCAEngine(network)
+    else:
+        hw, engine = edge_design_space().sample(0), MaestroEngine(network)
     search = TOOLS[tool](
         network,
         hw,
-        MaestroEngine(network),
+        engine,
         objective=objective,
         seed=SEED,
         batch_size=batch_size,

@@ -2,9 +2,11 @@
 
 * every module and public callable carries a docstring,
 * every package ``__all__`` names real attributes,
-* no module leaks the global NumPy random state (determinism guard).
+* no module leaks the global NumPy random state (determinism guard),
+* the fleet's transport layer imports nothing from the layers above it.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -69,3 +71,36 @@ def test_importing_everything_does_not_touch_global_rng():
         importlib.import_module(module_name)
     state_after = np.random.get_state()[1]
     assert np.array_equal(state_before, state_after)
+
+
+#: the client-side transport layer: ``repro.costmodel.service`` builds the
+#: remote engine on these, so none may reach back up into ``costmodel`` —
+#: nor sideways into the supervisor, which starts whole services
+FLEET_TRANSPORT = ("hashing", "breaker", "pool", "router")
+
+
+@pytest.mark.parametrize("name", FLEET_TRANSPORT)
+def test_fleet_transport_imports_only_downward(name):
+    """Every import statement, at any depth (a function-level import is
+    still an edge), checked on the syntax tree."""
+    tree = ast.parse((SRC_ROOT / "fleet" / f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import in repro.fleet.{name}"
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    forbidden = sorted(
+        module
+        for module in imported
+        if module.startswith(("repro.costmodel", "repro.fleet.server"))
+    )
+    assert not forbidden, f"repro.fleet.{name} imports {forbidden}"
+    if name == "router":
+        # the pool import is module-level: there was never a cycle to dodge
+        assert any(
+            isinstance(node, ast.ImportFrom) and node.module == "repro.fleet.pool"
+            for node in tree.body
+        )

@@ -5,11 +5,14 @@ import json
 import pytest
 
 from repro.errors import TrackingError
+from repro.tracking import journal as journal_module
 from repro.tracking.journal import (
     EventJournal,
+    read_bytes_from,
     read_events,
     read_events_from,
     read_tail_events,
+    scan_bytes,
     verify_sequence,
 )
 
@@ -236,6 +239,40 @@ class TestCursorReads:
         assert scan.events == []
         assert scan.truncated_tail
         assert scan.valid_bytes == cursor
+
+
+class TestPublicScanner:
+    """``scan_bytes`` + ``read_bytes_from``: what the metrics store and the
+    hub's SSE pump build on instead of a private import."""
+
+    def test_exported(self):
+        assert {"scan_bytes", "read_bytes_from"} <= set(journal_module.__all__)
+        assert not hasattr(journal_module, "_scan_bytes")
+
+    def test_raw_bytes_plus_scan_is_read_events_from(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        write_journal(path, 5)
+        cursor = read_events(path).event_offsets[1]
+        raw = read_bytes_from(path, cursor)
+        assert raw == path.read_bytes()[cursor:]
+        scan = scan_bytes(raw, cursor)
+        expected = read_events_from(path, cursor)
+        assert scan.events == expected.events
+        assert scan.event_offsets == expected.event_offsets
+        assert scan.valid_bytes == expected.valid_bytes
+
+    def test_raw_read_past_eof_is_empty(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        write_journal(path, 1)
+        assert read_bytes_from(path, path.stat().st_size + 10) == b""
+
+    def test_raw_read_rejects_bad_cursor_and_missing_file(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        write_journal(path, 1)
+        with pytest.raises(TrackingError):
+            read_bytes_from(path, -1)
+        with pytest.raises(TrackingError):
+            read_bytes_from(tmp_path / "nope.jsonl", 0)
 
 
 class TestTailReads:

@@ -13,6 +13,7 @@ from repro.utils.intmath import (
     power_two_three_grid,
     round_up_div,
     snap_to_grid,
+    step_on_grid,
 )
 
 
@@ -131,3 +132,41 @@ class TestClamp:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             clamp(0, 1, 0)
+
+
+class TestStepOnGrid:
+    GRID = divisors(360)
+
+    def test_moves_one_or_two_places_and_never_stays(self):
+        rng = np.random.default_rng(0)
+        for current in self.GRID[2:-2]:
+            index = self.GRID.index(current)
+            for _ in range(20):
+                stepped = step_on_grid(self.GRID, current, rng)
+                assert abs(self.GRID.index(stepped) - index) in (1, 2)
+
+    def test_clamps_at_both_ends(self):
+        rng = np.random.default_rng(1)
+        low = {step_on_grid(self.GRID, self.GRID[0], rng) for _ in range(40)}
+        high = {step_on_grid(self.GRID, self.GRID[-1], rng) for _ in range(40)}
+        assert low == set(self.GRID[:3])
+        assert high == set(self.GRID[-3:])
+
+    def test_off_grid_value_steps_from_the_first_entry(self):
+        rng = np.random.default_rng(2)
+        assert 7 not in self.GRID
+        stepped = {step_on_grid(self.GRID, 7, rng) for _ in range(40)}
+        assert stepped == set(self.GRID[:3])
+
+    def test_draws_are_the_legacy_sequence(self):
+        """Same draws, same order as the ``grid.index`` body it replaced:
+        offsets from ``integers(-2, 3)`` until one is non-zero."""
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(50):
+            stepped = step_on_grid(self.GRID, 12, rng)
+            offset = 0
+            while offset == 0:
+                offset = int(twin.integers(-2, 3))
+            index = self.GRID.index(12) + offset
+            assert stepped == self.GRID[max(0, min(len(self.GRID) - 1, index))]
+        assert rng.bit_generator.state == twin.bit_generator.state
