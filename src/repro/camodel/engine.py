@@ -20,8 +20,6 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-import numpy as np
-
 from repro.camodel.ascend_sim import ascend_area_mm2, simulate_layer
 from repro.camodel.mapping import AscendMapping
 from repro.costmodel.engine import PPAEngine

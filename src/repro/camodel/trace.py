@@ -18,7 +18,7 @@ beats the default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from repro.camodel.ascend_sim import (
     MAX_SIMULATED_TILES,

@@ -37,17 +37,7 @@ import sys
 from http.client import HTTPException
 from typing import List, Optional
 
-from repro.experiments import (
-    METHODS,
-    format_table,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_method,
-    run_table,
-)
+from repro.methods import METHODS
 from repro.workloads import TABLE12_NETWORKS, available_networks, get_network
 
 
@@ -91,6 +81,8 @@ def _cmd_run(args) -> int:
         print("error: --record-samples requires --track (samples are "
               "journal events)", file=sys.stderr)
         return 2
+    from repro.experiments import run_method
+
     result = run_method(
         args.method,
         args.scenario,
@@ -515,6 +507,8 @@ def _cmd_runs_resume(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from repro.experiments import format_table, run_table
+
     record = run_table(args.scenario, list(args.networks), args.preset, seed=args.seed)
     print(format_table(record))
     if args.json:
@@ -522,17 +516,17 @@ def _cmd_table(args) -> int:
     return 0
 
 
-_FIG_RUNNERS = {
-    "7": lambda args: run_fig7(args.scenario, list(args.networks), args.preset, seed=args.seed),
-    "8": lambda args: run_fig8(args.preset, seed=args.seed),
-    "9": lambda args: run_fig9(args.preset, seed=args.seed),
-    "10": lambda args: run_fig10(args.preset, seed=args.seed),
-    "11": lambda args: run_fig11(args.preset, seed=args.seed),
-}
+_FIG_NUMBERS = ("7", "8", "9", "10", "11")
 
 
 def _cmd_fig(args) -> int:
-    record = _FIG_RUNNERS[args.number](args)
+    from repro import experiments
+
+    run_fig = getattr(experiments, f"run_fig{args.number}")
+    if args.number == "7":
+        record = run_fig(args.scenario, list(args.networks), args.preset, seed=args.seed)
+    else:
+        record = run_fig(args.preset, seed=args.seed)
     payload = record.to_json()
     if args.json:
         _write_json(args.json, record)
@@ -1312,7 +1306,7 @@ def build_parser() -> argparse.ArgumentParser:
     table_parser.set_defaults(fn=_cmd_table)
 
     fig_parser = sub.add_parser("fig", help="regenerate a figure (7-11)")
-    fig_parser.add_argument("number", choices=sorted(_FIG_RUNNERS))
+    fig_parser.add_argument("number", choices=sorted(_FIG_NUMBERS))
     fig_parser.add_argument("--scenario", default="edge", choices=("edge", "cloud"))
     fig_parser.add_argument("--networks", nargs="+", default=list(TABLE12_NETWORKS))
     fig_parser.add_argument("--preset", default="smoke")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 import numpy as np
 

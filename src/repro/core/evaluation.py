@@ -16,7 +16,7 @@ The bridge between the mapping-search substrate and the co-optimizers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Type
+from typing import Dict, Optional, Type
 
 import numpy as np
 

@@ -20,7 +20,7 @@ baseline) admits only the single best configuration of the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -26,7 +26,6 @@ layers) remains available via
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 

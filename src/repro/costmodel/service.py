@@ -58,7 +58,7 @@ from typing import (
 
 from repro.camodel.mapping import AscendMapping
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import LayerPPA, NetworkPPA
+from repro.costmodel.results import LayerPPA
 from repro.errors import EvaluationError, TransportError
 from repro.fleet.breaker import BreakerOpenError, CircuitBreaker
 from repro.fleet.hashing import candidate_key

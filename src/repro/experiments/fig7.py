@@ -9,7 +9,7 @@ fastest (reaching HASCO-level HV up to ~4x sooner) and ends lowest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 

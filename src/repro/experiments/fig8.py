@@ -19,7 +19,7 @@ more-robust (smaller R) design wins on unseen workloads.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -49,20 +49,10 @@ from repro.hw import (
     design_space_for,
     power_cap_for,
 )
+from repro.methods import METHODS
 from repro.optim.hypervolume import hypervolume
 from repro.optim.pareto import pareto_front
 from repro.workloads import Network, get_network, merge_networks
-
-METHODS: Tuple[str, ...] = (
-    "unico",
-    "unico_no_r",
-    "msh_champion",
-    "sh_champion",
-    "hasco",
-    "nsgaii",
-    "mobohb",
-    "random",
-)
 
 _UNICO_VARIANTS: Dict[str, Dict[str, object]] = {
     "unico": {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.utils.records import RunRecord
 

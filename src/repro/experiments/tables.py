@@ -10,7 +10,7 @@ Cost(h).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
 from repro.experiments.harness import run_method
 from repro.experiments.presets import Preset

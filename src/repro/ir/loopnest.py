@@ -19,8 +19,8 @@ intrinsic's :class:`~repro.mapping.gemm_mapping.GemmMapping`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -27,7 +27,7 @@ not feasibility checks, so the smooth approximation is fine.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

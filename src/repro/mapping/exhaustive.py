@@ -25,7 +25,6 @@ from repro.mapping.gemm_mapping import (
     GemmMappingSpace,
     NetworkMapping,
 )
-from repro.workloads.network import Network
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import MappingError
 from repro.utils.intmath import divisors, nearest_divisor, step_on_grid

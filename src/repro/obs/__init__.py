@@ -18,73 +18,8 @@ the time went*:
   quantile-from-histogram), behind the hub's scrape loop.
 * :mod:`repro.obs.alerts` — declarative SLO rules with ``for:`` holds
   and hysteresis, evaluated each scrape tick over the store.
+
+Import from the submodule that defines a name (``from repro.obs.trace
+import Tracer``): the package itself imports none of them, so the engine's
+``NULL_TRACER`` does not load the alerting and time-series code with it.
 """
-
-from repro.obs.alerts import Alert, AlertManager, Rule, builtin_rules
-from repro.obs.chrome import (
-    ChromeTraceSink,
-    spans_to_trace_events,
-    write_chrome_trace,
-)
-from repro.obs.profile import (
-    RunProfile,
-    build_profile,
-    render_profile,
-    spans_from_journal,
-)
-from repro.obs.prom import (
-    parse_prometheus_text,
-    render_prometheus,
-    sanitize_metric_name,
-)
-from repro.obs.timeseries import (
-    MetricsStore,
-    counter_increase,
-    flatten_families,
-    histogram_quantile,
-    series_key,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    SPAN_SCHEMA_VERSION,
-    InMemorySink,
-    JournalSpanSink,
-    NullTracer,
-    Span,
-    SpanSink,
-    Tracer,
-    format_trace_context,
-    parse_trace_context,
-)
-
-__all__ = [
-    "NULL_TRACER",
-    "SPAN_SCHEMA_VERSION",
-    "Alert",
-    "AlertManager",
-    "ChromeTraceSink",
-    "InMemorySink",
-    "JournalSpanSink",
-    "MetricsStore",
-    "NullTracer",
-    "Rule",
-    "RunProfile",
-    "Span",
-    "SpanSink",
-    "Tracer",
-    "build_profile",
-    "builtin_rules",
-    "counter_increase",
-    "flatten_families",
-    "format_trace_context",
-    "histogram_quantile",
-    "parse_prometheus_text",
-    "parse_trace_context",
-    "render_profile",
-    "render_prometheus",
-    "sanitize_metric_name",
-    "series_key",
-    "spans_from_journal",
-    "spans_to_trace_events",
-    "write_chrome_trace",
-]

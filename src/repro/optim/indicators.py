@@ -19,8 +19,6 @@ matrices (normalize first when units differ).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.optim.pareto import dominates

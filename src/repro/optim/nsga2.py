@@ -9,7 +9,7 @@ vectors (infeasible hardware) are ranked behind every feasible individual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ and running objective normalization for scalarizers and surrogates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 

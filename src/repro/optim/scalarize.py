@@ -13,7 +13,7 @@ Two uses in UNICO (Section 3.2):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -11,7 +11,7 @@ model faithful to the original algorithm while remaining dependency-free.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

@@ -19,7 +19,7 @@ so every operator is lowered to a GEMM via im2col before mapping:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.errors import WorkloadError

@@ -8,7 +8,7 @@ by accelerator-evaluation papers, since identical shapes share one mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import WorkloadError

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.workloads.layers import Conv2D, Gemm, LayerSpec, pointwise_conv
+from repro.workloads.layers import Conv2D, LayerSpec, pointwise_conv
 from repro.workloads.network import Network
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.workloads.layers import Conv2D, DepthwiseConv2D, Gemm, LayerSpec, pointwise_conv
+from repro.workloads.layers import Conv2D, Gemm, LayerSpec, pointwise_conv
 from repro.workloads.network import Network
 from repro.workloads.networks.mobile_nets import _inverted_residual
 

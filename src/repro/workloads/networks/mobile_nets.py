@@ -7,7 +7,7 @@ networks (Sections 4.3-4.4).  Shapes follow the original papers at 224x224.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.workloads.layers import Conv2D, DepthwiseConv2D, Gemm, LayerSpec, pointwise_conv
 from repro.workloads.network import Network

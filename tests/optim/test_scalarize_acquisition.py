@@ -106,6 +106,57 @@ class TestExpectedImprovement:
         assert ei[0] == pytest.approx(10.0, rel=0.01)
 
 
+def _ei_by_scipy_stats(mean, std, best, xi=0.01):
+    """EI as it read before ``src/`` stopped importing ``scipy.stats``."""
+    from scipy import stats
+
+    mean = np.asarray(mean, dtype=float)
+    std = np.maximum(np.asarray(std, dtype=float), 1e-12)
+    improvement = best - mean - xi
+    z = improvement / std
+    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+
+
+class TestExpectedImprovementMatchesScipyStats:
+    """Bit for bit, so no search digest moved when the import went."""
+
+    @staticmethod
+    def assert_identical(mean, std, best):
+        with np.errstate(all="ignore"):
+            ours = expected_improvement(mean, std, best)
+            reference = _ei_by_scipy_stats(mean, std, best)
+        assert np.shape(ours) == np.shape(reference)
+        assert np.asarray(ours).tobytes() == np.asarray(reference).tobytes()
+
+    def test_scalar_best(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 400))
+            mean = rng.normal(0, 1, n)
+            std = rng.uniform(0, 2, n) * (rng.random(n) > 0.1)  # some exact 0
+            self.assert_identical(mean, std, float(mean.min()))
+
+    def test_one_best_per_slot(self, rng):
+        for _ in range(100):
+            slots, pool = int(rng.integers(1, 12)), int(rng.integers(1, 300))
+            means = rng.normal(0, 1, (slots, pool))
+            stds = rng.uniform(0, 2, (slots, pool)) * (rng.random((slots, pool)) > 0.1)
+            self.assert_identical(means, stds, means.min(axis=1)[:, None])
+
+    def test_strided_and_python_scalar_inputs(self, rng):
+        means = rng.normal(0, 1, (6, 64))
+        stds = rng.uniform(0.01, 2, (6, 64))
+        self.assert_identical(means[:, ::3], stds[:, ::3], 0.2)
+        self.assert_identical(means.T, stds.T, means.min(axis=1))
+        self.assert_identical(0.3, 0.5, 0.4)
+
+    @pytest.mark.parametrize("z", [40.0, -40.0, np.inf, -np.inf, np.nan])
+    def test_extreme_z(self, z):
+        """At ``std = 1``, ``best = 0`` the middle entry's z is the parameter."""
+        mean = np.array([0.0, -0.01 - z, 1.0])  # z = best - mean - xi
+        self.assert_identical(mean, np.ones(3), 0.0)
+        self.assert_identical(mean, np.zeros(3), 0.0)  # clamped std, |z| huge
+
+
 class TestUCB:
     def test_prefers_low_mean(self):
         ucb = upper_confidence_bound(np.array([0.0, 1.0]), np.array([0.1, 0.1]))

@@ -3,7 +3,8 @@
 * every module and public callable carries a docstring,
 * every package ``__all__`` names real attributes,
 * no module leaks the global NumPy random state (determinism guard),
-* the fleet's transport layer imports nothing from the layers above it.
+* the fleet's transport layer imports nothing from the layers above it,
+* no module imports, at module level, a name it never uses.
 """
 
 import ast
@@ -104,3 +105,48 @@ def test_fleet_transport_imports_only_downward(name):
             isinstance(node, ast.ImportFrom) and node.module == "repro.fleet.pool"
             for node in tree.body
         )
+
+
+def _names_in(expression: str):
+    return {n.id for n in ast.walk(ast.parse(expression, mode="eval")) if isinstance(n, ast.Name)}
+
+
+def _unused_module_level_imports(tree):
+    """Names a module imports at top level and never mentions again.
+
+    Used means: a ``Name`` anywhere (so also the base of ``np.exp``), a name
+    inside a quoted annotation, or an ``__all__`` entry.
+    """
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for quoted in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                used |= _names_in(quoted.value)
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_module_level_imports():
+    """An unused import is start-up time and a false edge in the import
+    graph.  ``__init__`` modules are exempt: their imports are re-exports."""
+    unused = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for line, name in _unused_module_level_imports(ast.parse(path.read_text())):
+            unused.append(f"{path.relative_to(SRC_ROOT)}:{line}: {name}")
+    assert not unused, "unused imports:\n" + "\n".join(unused)
