@@ -37,7 +37,7 @@ import sys
 from http.client import HTTPException
 from typing import List, Optional
 
-from repro.methods import METHODS
+from repro.methods import METHODS, SCENARIOS
 from repro.workloads import TABLE12_NETWORKS, available_networks, get_network
 
 
@@ -483,21 +483,16 @@ def _cmd_runs_compare(args) -> int:
 
 
 def _cmd_runs_resume(args) -> int:
-    from repro.tracking import RunStore, resume_run
+    from repro.experiments.harness import resume_run
+    from repro.tracking import RunStore
 
-    store = RunStore(args.runs_dir)
-    run = store.get(args.run_id)
-    manifest = run.read_manifest()
     result = resume_run(
-        run,
+        RunStore(args.runs_dir).get(args.run_id),
         max_iterations=args.max_iterations,
         checkpoint_every=args.checkpoint_every,
     )
     _print_result(
-        result,
-        manifest.get("method", "?"),
-        str(manifest.get("workload", "?")),
-        manifest.get("scenario", "?"),
+        result, result.method, result.network, result.extras["scenario"]
     )
     print(
         f"resumed from iteration {result.extras['resumed_from_iteration']}, "
@@ -1146,8 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run one co-search cell")
     run_parser.add_argument("method", choices=METHODS)
     run_parser.add_argument("network")
-    run_parser.add_argument("--scenario", default="edge",
-                            choices=("edge", "cloud", "ascend"))
+    run_parser.add_argument("--scenario", default="edge", choices=SCENARIOS)
     run_parser.add_argument("--preset", default="smoke")
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
@@ -1294,7 +1288,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iterations", type=int, default=None,
         help="override the manifest's iteration budget",
     )
-    runs_resume.add_argument("--checkpoint-every", type=int, default=1)
+    runs_resume.add_argument(
+        "--checkpoint-every", type=int, default=None,
+        help="checkpoint period in iterations (default: as the run recorded)",
+    )
     runs_resume.set_defaults(fn=_cmd_runs_resume)
 
     table_parser = sub.add_parser("table", help="regenerate Table 1/2")
@@ -1450,8 +1447,7 @@ def build_parser() -> argparse.ArgumentParser:
     hub_submit.add_argument("hub", help="hub base URL, e.g. http://host:port")
     hub_submit.add_argument("method", choices=METHODS)
     hub_submit.add_argument("network")
-    hub_submit.add_argument("--scenario", default="edge",
-                            choices=("edge", "cloud", "ascend"))
+    hub_submit.add_argument("--scenario", default="edge", choices=SCENARIOS)
     hub_submit.add_argument("--preset", default="smoke")
     hub_submit.add_argument("--seed", type=int, default=0)
     hub_submit.add_argument(

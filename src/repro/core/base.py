@@ -130,6 +130,9 @@ class CoOptimizer(ABC):
         self.timeline: List[TimelineEntry] = []
         self._trial_counter = 0
         self.total_hw_evaluated = 0
+        #: engine queries made before a checkpoint restore, in another
+        #: process lifetime; result totals add the live engine's count
+        self.restored_engine_queries = 0
         self._trial_factory = trial_factory
         #: speculative-batch width handed to every SW search trial; 1 keeps
         #: the scalar propose/evaluate/fold loop
@@ -209,6 +212,14 @@ class CoOptimizer(ABC):
         )
         return evaluation
 
+    def save_checkpoint(self, path) -> bool:
+        """Write resumable state to ``path``; ``False`` = not checkpointable.
+
+        The tracker asks every optimizer; only :class:`~repro.core.unico.Unico`
+        (and its ablation variants) has inter-iteration state worth saving.
+        """
+        return False
+
     def make_result(self, extras: Optional[dict] = None) -> CoSearchResult:
         return CoSearchResult(
             method=self.method_name,
@@ -217,7 +228,8 @@ class CoOptimizer(ABC):
             timeline=list(self.timeline),
             total_time_s=self.clock.now_s,
             total_hw_evaluated=self.total_hw_evaluated,
-            total_engine_queries=self.engine.num_queries,
+            total_engine_queries=self.restored_engine_queries
+            + self.engine.num_queries,
             extras=dict(extras or {}),
         )
 

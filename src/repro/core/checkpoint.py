@@ -131,6 +131,7 @@ def save_checkpoint(unico: Unico, path: Union[str, pathlib.Path]) -> None:
         "sampler_rng": unico.sampler.rng.bit_generator.state,
         "trial_counter": unico._trial_counter,
         "total_hw_evaluated": unico.total_hw_evaluated,
+        "engine_queries": unico.restored_engine_queries + unico.engine.num_queries,
         "pareto": designs,
         "timeline": [
             {
@@ -197,6 +198,10 @@ def load_checkpoint(unico: Unico, path: Union[str, pathlib.Path]) -> Unico:
     unico.sampler.rng.bit_generator.state = payload["sampler_rng"]
     unico._trial_counter = payload["trial_counter"]
     unico.total_hw_evaluated = payload["total_hw_evaluated"]
+    if "engine_queries" in payload:  # older files: the total restarts here
+        unico.restored_engine_queries = (
+            int(payload["engine_queries"]) - unico.engine.num_queries
+        )
     unico.clock.reset()
     unico.clock.advance(payload["clock_s"], label="restored")
     for design_payload in payload["pareto"]:

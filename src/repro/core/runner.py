@@ -28,7 +28,6 @@ side effects.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -36,18 +35,11 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.utils.metrics import MetricsRegistry
+from repro.utils import fork_context
 
 ResultT = TypeVar("ResultT")
 
 BACKENDS = ("serial", "thread", "process")
-
-
-def _pool_context():
-    """Prefer fork (cheap, inherits imports); fall back to the default."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return None
 
 
 class JobRunner:
@@ -131,7 +123,7 @@ class JobRunner:
     def _map_process(self, jobs: Sequence[Callable[[], ResultT]]) -> List[ResultT]:
         workers = min(self.max_workers, len(jobs))
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
+            max_workers=workers, mp_context=fork_context()
         ) as pool:
             futures = [pool.submit(job) for job in jobs]
             return [future.result() for future in futures]

@@ -44,6 +44,7 @@ from repro.optim.sh import (
     select_survivors_soa,
     terminal_values,
 )
+from repro.tracking.tracker import IterationRecord
 
 SURROGATE_UPDATES = ("high_fidelity", "champion")
 
@@ -137,19 +138,6 @@ class UnicoConfig:
             )
 
 
-@dataclass
-class IterationRecord:
-    """Per-MOBO-iteration diagnostics."""
-
-    iteration: int
-    time_s: float
-    uul: float
-    num_selected: int
-    num_feasible: int
-    pareto_size: int
-    best_scalar: float
-
-
 class Unico(CoOptimizer):
     """The UNICO co-optimizer."""
 
@@ -205,6 +193,13 @@ class Unico(CoOptimizer):
         #: (and the configured ``max_iterations`` budget is never mutated)
         self.completed_iterations = 0
         self._current_iteration = 0
+
+    def save_checkpoint(self, path) -> bool:
+        """Write Algorithm 1's inter-iteration state to ``path``."""
+        from repro.core.checkpoint import save_checkpoint
+
+        save_checkpoint(self, path)
+        return True
 
     # ------------------------------------------------------------------ parts
     def _normalized_training_set(self) -> np.ndarray:

@@ -1,7 +1,11 @@
-"""Experiment harness: method registry, runners and HV-curve utilities.
+"""Experiment harness: method registry, the run recipe and HV-curve utilities.
 
-One entry point, :func:`run_method`, builds the engine + co-optimizer for a
-(method, scenario, workload, preset) cell and returns the uniform
+One recipe turns a (method, scenario, workload, preset) cell into a wired,
+running co-search: a :class:`RunSpec` is the run's manifest and
+:func:`launch` the only code that builds the optimizer for a run and wires
+tracker, screening, sample sink and tracer onto it.  :func:`run_method`,
+:func:`resume_run` and the hub's run child are each "make a ``RunSpec``,
+call ``launch``" and return the uniform
 :class:`~repro.core.base.CoSearchResult`.  Methods:
 
 =====================  =====================================================
@@ -22,7 +26,10 @@ area cap 200 mm^2, depth-first fusion mapping tool, 4 slave workers).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import dataclasses
+import os
+import pathlib
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,19 +46,22 @@ from repro.core import (
     RandomCodesignConfig,
     Unico,
     UnicoConfig,
+    load_checkpoint,
 )
 from repro.costmodel import MaestroEngine
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TrackingError
 from repro.experiments.presets import Preset, get_preset
 from repro.hw import (
     ASCEND_AREA_CAP_MM2,
     ascend_design_space,
+    default_ascend_config,
     design_space_for,
     power_cap_for,
 )
-from repro.methods import METHODS
+from repro.methods import METHODS, SCENARIOS
 from repro.optim.hypervolume import hypervolume
 from repro.optim.pareto import pareto_front
+from repro.utils.records import to_jsonable
 from repro.workloads import Network, get_network, merge_networks
 
 _UNICO_VARIANTS: Dict[str, Dict[str, object]] = {
@@ -77,6 +87,24 @@ _UNICO_VARIANTS: Dict[str, Dict[str, object]] = {
     },
 }
 
+#: baseline method -> (optimizer, its config, config field -> preset field)
+_BASELINES = {
+    "hasco": (HascoBaseline, HascoConfig,
+              dict(max_candidates="hasco_candidates", full_budget="hasco_budget")),
+    "nsgaii": (NSGA2Codesign, NSGA2CodesignConfig,
+               dict(population_size="nsga_population",
+                    max_generations="nsga_generations", eval_budget="nsga_budget")),
+    "mobohb": (MobohbBaseline, MobohbConfig,
+               dict(max_budget="mobohb_budget", max_hyperband_loops="mobohb_loops")),
+    "random": (RandomCodesign, RandomCodesignConfig,
+               dict(max_candidates="hasco_candidates", full_budget="hasco_budget")),
+}
+
+
+def _check_choice(kind: str, value, choices: Tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ConfigurationError(f"unknown {kind} {value!r}; use one of {choices}")
+
 
 def resolve_workload(workload: Union[str, Network, Sequence[str]]) -> Network:
     """Accept a network name, a Network, or a list of names (merged)."""
@@ -92,21 +120,18 @@ def resolve_workload(workload: Union[str, Network, Sequence[str]]) -> Network:
 
 def make_platform(scenario: str, network: Network):
     """Return (design space, engine, caps dict, tool, workers) for a scenario."""
-    if scenario in ("edge", "cloud"):
-        space = design_space_for(scenario)
-        engine = MaestroEngine(network)
-        caps = {"power_cap_w": power_cap_for(scenario), "area_cap_mm2": None}
-        # UNICO runs its successive-halving jobs via multiprocessing on the
-        # server's cores (Section 3.5); the sequential-BO baselines cannot.
-        return space, engine, caps, "flextensor", 8
+    _check_choice("scenario", scenario, SCENARIOS)
     if scenario == "ascend":
         space = ascend_design_space()
         engine = AscendCAEngine(network, noise_fraction=0.08)
         caps = {"power_cap_w": None, "area_cap_mm2": ASCEND_AREA_CAP_MM2}
         return space, engine, caps, "fusion", 4
-    raise ConfigurationError(
-        f"unknown scenario {scenario!r}; use 'edge', 'cloud' or 'ascend'"
-    )
+    space = design_space_for(scenario)
+    engine = MaestroEngine(network)
+    caps = {"power_cap_w": power_cap_for(scenario), "area_cap_mm2": None}
+    # UNICO runs its successive-halving jobs via multiprocessing on the
+    # server's cores (Section 3.5); the sequential-BO baselines cannot.
+    return space, engine, caps, "flextensor", 8
 
 
 def build_optimizer(
@@ -121,9 +146,8 @@ def build_optimizer(
 ):
     """Construct (without running) the co-optimizer for one cell.
 
-    This is the factory :func:`run_method` drives and the piece
-    ``repro runs resume`` uses to rebuild an optimizer from a tracked
-    run's manifest before restoring its checkpoint.
+    This is the factory :func:`launch` drives, for a fresh run and for a
+    resumed one alike (the checkpoint is restored onto what it returns).
 
     ``eval_batch_size`` is the speculative-batch width of the inner
     mapping search (one PPA-engine batch call per that many candidates);
@@ -134,8 +158,7 @@ def build_optimizer(
     ``"oneloop"`` for the learned gradient-descent search); ``None``
     keeps the platform default.
     """
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}; use one of {METHODS}")
+    _check_choice("method", method, METHODS)
     preset = get_preset(preset) if isinstance(preset, str) else preset
     network = resolve_workload(workload)
     space, engine, caps, default_tool, workers = make_platform(scenario, network)
@@ -143,23 +166,16 @@ def build_optimizer(
 
     if method in _UNICO_VARIANTS:
         variant = _UNICO_VARIANTS[method]
-        if scenario == "ascend":
-            batch, iters, budget = (
-                preset.ascend_batch,
-                preset.ascend_iterations,
-                preset.ascend_budget,
-            )
-        else:
-            batch, iters, budget = (
-                preset.unico_batch,
-                preset.unico_iterations,
-                preset.unico_budget,
-            )
+        batch, iters, budget = (
+            preset.unico_batch, preset.unico_iterations, preset.unico_budget
+        )
         initial_configs = ()
         if scenario == "ascend":
-            # industrial tuning warm-starts from the expert default (§4.6)
-            from repro.hw import default_ascend_config
-
+            # the industrial deployment has its own budget columns and
+            # warm-starts from the expert default (§4.6)
+            batch, iters, budget = (
+                preset.ascend_batch, preset.ascend_iterations, preset.ascend_budget
+            )
             initial_configs = (default_ascend_config(),)
         config = UnicoConfig(
             batch_size=batch,
@@ -174,94 +190,325 @@ def build_optimizer(
         optimizer = Unico(
             space, network, engine, config, tool=tool, seed=seed, **caps
         )
-    elif method == "hasco":
-        config = HascoConfig(
-            max_candidates=preset.hasco_candidates,
-            full_budget=preset.hasco_budget,
+    else:
+        optimizer_cls, config_cls, fields = _BASELINES[method]
+        config = config_cls(
             time_budget_s=time_budget_s,
+            **{name: getattr(preset, source) for name, source in fields.items()},
         )
-        optimizer = HascoBaseline(
-            space, network, engine, config, tool=tool, seed=seed,
-            eval_batch_size=eval_batch_size, **caps
-        )
-    elif method == "nsgaii":
-        config = NSGA2CodesignConfig(
-            population_size=preset.nsga_population,
-            max_generations=preset.nsga_generations,
-            eval_budget=preset.nsga_budget,
-            time_budget_s=time_budget_s,
-        )
-        optimizer = NSGA2Codesign(
-            space, network, engine, config, tool=tool, seed=seed,
-            eval_batch_size=eval_batch_size, **caps
-        )
-    elif method == "mobohb":
-        config = MobohbConfig(
-            max_budget=preset.mobohb_budget,
-            max_hyperband_loops=preset.mobohb_loops,
-            time_budget_s=time_budget_s,
-        )
-        optimizer = MobohbBaseline(
-            space, network, engine, config, tool=tool, seed=seed,
-            eval_batch_size=eval_batch_size, **caps
-        )
-    else:  # random
-        config = RandomCodesignConfig(
-            max_candidates=preset.hasco_candidates,
-            full_budget=preset.hasco_budget,
-            time_budget_s=time_budget_s,
-        )
-        optimizer = RandomCodesign(
+        optimizer = optimizer_cls(
             space, network, engine, config, tool=tool, seed=seed,
             eval_batch_size=eval_batch_size, **caps
         )
     return optimizer
 
 
-def _resolve_screen(screen, screen_topk: Optional[int]):
-    """Normalize the ``screen`` argument to (model, provenance dict).
+# ----------------------------------------------------------------- run recipe
+_PRESET_FIELDS = tuple(field.name for field in dataclasses.fields(Preset))
 
-    ``screen`` may be ``None`` (no screening), a path to a saved
-    :class:`~repro.learned.LearnedCostModel`, or an already-loaded model.
-    The provenance dict is what lands in the run manifest and the
-    ``learned_model`` journal event: enough to re-load the model on
-    resume and to audit which model screened a run.
+
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    """Everything that decides which search a run is; also its manifest.
+
+    The fields are :func:`run_method`'s keyword arguments.  ``workload`` is
+    a network name, a list of names (merged) or an in-memory
+    :class:`Network`; ``preset`` may be a :class:`Preset` and is stored as
+    its name plus ``preset_params``, the full parameters, so a run with a
+    custom (unregistered) preset stays resumable; ``tool`` overrides the
+    scenario's mapping tool (e.g. ``oneloop``).  On a tracked run,
+    ``record_samples`` journals every computed candidate as an
+    ``engine_sample`` event (the corpus of ``repro learned train``),
+    ``trace`` journals ``span`` events and writes ``trace.json`` (Chrome
+    trace format) and ``checkpoint_every`` is the checkpoint period in
+    iterations; all three are recorded, so a resumed run is observed and
+    checkpointed the way it was started.  ``screen`` (a model path or a
+    loaded :class:`~repro.learned.LearnedCostModel`) forwards only the
+    model's predicted-best ``screen_topk`` candidates per batch to the
+    analytical engine.  Tracing and ``screen=None`` leave results
+    bit-identical; every surfaced number is exact analytical PPA.
     """
-    if screen is None:
+
+    method: str
+    scenario: str
+    workload: Union[str, Network, Sequence[str]]
+    preset: Union[str, Preset] = "smoke"
+    preset_params: Optional[Dict] = None
+    seed: int = 0
+    time_budget_s: Optional[float] = None
+    eval_batch_size: int = 1
+    tool: Optional[str] = None
+    checkpoint_every: int = 1
+    record_samples: bool = False
+    screen: object = None
+    screen_topk: Optional[int] = None
+    trace: bool = False
+
+    def __post_init__(self):
+        if self.preset_params is None:
+            preset = self.preset
+            if not isinstance(preset, Preset):
+                preset = get_preset(preset)
+            params = {name: getattr(preset, name) for name in _PRESET_FIELDS}
+            object.__setattr__(self, "preset", preset.name)
+            object.__setattr__(self, "preset_params", params)
+
+    @property
+    def screen_path(self) -> Optional[str]:
+        """The screening model's file; ``None`` without one or in memory."""
+        if isinstance(self.screen, (str, os.PathLike)):
+            return str(self.screen)
+        return None
+
+    def to_manifest(self) -> Dict:
+        """The one manifest shape, whichever route starts the run.
+
+        :func:`launch` adds what only the built optimizer knows: ``space``,
+        ``engine``, ``config`` and the screening model's provenance.
+        """
+        manifest = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        if isinstance(self.workload, Network):
+            manifest["workload"] = self.workload.name
+        elif not isinstance(self.workload, str):
+            manifest["workload"] = [str(name) for name in self.workload]
+        manifest["preset_params"] = to_jsonable(self.preset_params)
+        # the model's top-k has no meaning without the model: one key
+        topk = manifest.pop("screen_topk")
+        if self.screen is not None:
+            manifest["screen"] = {"model_path": self.screen_path, "topk": topk}
+        return manifest
+
+    @classmethod
+    def from_manifest(cls, manifest: Mapping) -> "RunSpec":
+        """Validate a manifest (or a submitted run spec) into a ``RunSpec``.
+
+        The one validator: a missing or unknown method, scenario or network,
+        an unknown preset or an unrecoverable screening model is a
+        :class:`ConfigurationError`.  Keys beyond the spec (run id, status,
+        totals) are ignored; spec keys a manifest lacks, because it predates
+        them, read as the defaults, which is how such a run behaved.
+        """
+        values = {
+            f.name: manifest[f.name]
+            for f in dataclasses.fields(cls)
+            if manifest.get(f.name) not in (None, "")
+        }
+        missing = [key for key in ("method", "scenario", "workload") if key not in values]
+        if missing:
+            raise ConfigurationError(f"run manifest lacks {missing}")
+        _check_choice("method", values["method"], METHODS)
+        _check_choice("scenario", values["scenario"], SCENARIOS)
+        params = values.pop("preset_params", None)
+        if isinstance(params, dict) and all(name in params for name in _PRESET_FIELDS):
+            values["preset_params"] = {name: params[name] for name in _PRESET_FIELDS}
+        screen = values.pop("screen", None)
+        if screen:
+            if not screen.get("model_path"):
+                raise ConfigurationError(
+                    "the run was screened by an in-memory model (no model_path "
+                    "recorded); it cannot be rebuilt faithfully"
+                )
+            values.update(screen=screen["model_path"], screen_topk=screen.get("topk"))
+        try:
+            resolve_workload(values["workload"])
+            for name in ("seed", "eval_batch_size", "checkpoint_every"):
+                values[name] = int(values.get(name, getattr(cls, name)))
+        except Exception as error:
+            raise ConfigurationError(f"bad run manifest: {error}") from error
+        return cls(**values)
+
+
+def _resolve_screen(spec: RunSpec, resumed_run=None):
+    """The spec's screening model as (model, provenance dict), or two Nones.
+
+    The provenance (manifest, ``learned_model`` journal event) is enough to
+    re-load the model on resume and to audit which model screened a run.  A
+    resumed run whose model file is gone is refused: unscreened, it would
+    consume analytical evaluations the original would have screened away.
+    """
+    if spec.screen is None:
         return None, None
-    from repro.learned import FEATURE_VERSION, LearnedCostModel
-
-    if isinstance(screen, LearnedCostModel):
-        model, path = screen, None
-    else:
-        model, path = LearnedCostModel.load(screen), str(screen)
-    info = {
-        "model_path": path,
-        "model_sha256": _file_sha256(path) if path else None,
-        "feature_version": FEATURE_VERSION,
-        "topk": screen_topk,
-        "meta": dict(model.meta),
-    }
-    return model, info
-
-
-def _file_sha256(path) -> str:
     import hashlib
 
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    from repro.learned import FEATURE_VERSION, LearnedCostModel
+
+    path, model, sha256 = spec.screen_path, spec.screen, None
+    if path is not None:
+        if resumed_run is not None and not pathlib.Path(path).exists():
+            raise TrackingError(
+                f"run {resumed_run.run_id} was screened by {path}, which no "
+                "longer exists; restore the model file before resuming"
+            )
+        model = LearnedCostModel.load(path)
+        sha256 = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    return model, {
+        "model_path": path,
+        "model_sha256": sha256,
+        "feature_version": FEATURE_VERSION,
+        "topk": spec.screen_topk,
+        "meta": dict(model.meta),
+    }
 
 
-def _workload_name(workload: Union[str, Network, Sequence[str]]):
-    """Manifest-friendly workload identity (name or list of names)."""
-    if isinstance(workload, Network):
-        return workload.name
-    if isinstance(workload, str):
-        return workload
-    return [str(name) for name in workload]
+def launch(
+    spec: RunSpec,
+    *,
+    run=None,
+    tracker=None,
+    resume: bool = False,
+    max_iterations: Optional[int] = None,
+    fsync: bool = False,
+) -> CoSearchResult:
+    """Build, wire and run the search ``spec`` describes: the one recipe.
+
+    ``run`` is where the search is tracked: a :class:`~repro.tracking.RunStore`
+    allocates a fresh ``runs/<run-id>/``, a :class:`~repro.tracking.RunHandle`
+    is a directory that exists (a hub-submitted run or, with ``resume=True``,
+    an interrupted one).  Either gets the manifest and a
+    :class:`~repro.tracking.JournalTracker` (lines ``fsync``-ed on request);
+    ``tracker`` instead installs a caller-owned tracker, writing no manifest.
+    Baselines, whose ``optimize()`` does not drive the tracker lifecycle,
+    get ``run_start`` / ``run_end`` emitted here so their manifests reach a
+    terminal status.  ``max_iterations`` overrides the preset's budget.
+    Run id, trace id and path and model provenance land in ``result.extras``.
+
+    ``resume=True`` restores the latest checkpoint first and refuses
+    (:class:`TrackingError`) a run with no checkpoint, with a journal that
+    is broken, behind the checkpoint or replays to other iteration records,
+    or whose screening model is gone.
+    """
+    if tracker is not None and run is not None:
+        raise ConfigurationError(
+            "pass either tracker= or run_store=, not both; run_store builds "
+            "its own JournalTracker and would silently ignore the tracker"
+        )
+    if spec.trace and run is None:
+        raise ConfigurationError(
+            "trace=True requires run_store=: spans are journaled and the "
+            "Chrome trace is written into the run directory"
+        )
+    if resume:
+        from repro.tracking import verify_run
+
+        health = verify_run(run)
+        checkpoint = run.latest_checkpoint()
+        if checkpoint is None:
+            raise TrackingError(
+                f"run {run.run_id} has no checkpoint to resume from "
+                f"(status {health['status']!r}); re-run it from scratch instead"
+            )
+    optimizer = build_optimizer(
+        spec.method,
+        spec.scenario,
+        spec.workload,
+        Preset(**spec.preset_params),
+        seed=spec.seed,
+        time_budget_s=spec.time_budget_s,
+        eval_batch_size=spec.eval_batch_size,
+        tool=spec.tool,
+    )
+    if max_iterations is not None:
+        optimizer.config.max_iterations = max_iterations
+    screen_model, screen_info = _resolve_screen(spec, run if resume else None)
+    extras = {"method_requested": spec.method, "scenario": spec.scenario}
+    if run is not None and not resume:
+        from repro.tracking import RunStore
+
+        manifest = spec.to_manifest()
+        manifest["space"] = optimizer.space.name
+        manifest["engine"] = type(optimizer.engine).__name__
+        manifest["config"] = to_jsonable(dataclasses.asdict(optimizer.config))
+        if screen_info is not None:
+            manifest["screen"] = screen_info
+        if isinstance(run, RunStore):
+            run = run.create_run(manifest)
+        else:
+            run.update_manifest(**manifest)
+    if screen_model is not None:
+        from repro.learned import ScreeningPPAEngine
+
+        optimizer.engine = ScreeningPPAEngine(
+            optimizer.engine, model=screen_model, topk=spec.screen_topk
+        )
+        extras["screen_model"] = screen_info
+    if resume:
+        load_checkpoint(optimizer, checkpoint)
+        completed = extras["resumed_from_iteration"] = optimizer.completed_iterations
+        if health["journal_iterations"] < completed:
+            raise TrackingError(
+                f"run {run.run_id}: checkpoint claims {completed} completed "
+                f"iterations but the journal only records "
+                f"{health['journal_iterations']}; artifacts disagree"
+            )
+        if health["iteration_records"][:completed] != optimizer.iteration_records:
+            raise TrackingError(
+                f"run {run.run_id}: journal replay disagrees with the "
+                f"checkpoint's iteration records; refusing to resume"
+            )
+    if run is not None:
+        from repro.tracking import JournalTracker
+
+        tracker = JournalTracker(
+            run, checkpoint_every=spec.checkpoint_every, fsync=fsync, resume=resume
+        )
+        extras["run_id"] = run.run_id
+    if tracker is not None:
+        optimizer.tracker = tracker
+    journal = getattr(tracker, "journal", None)
+    if spec.record_samples:
+        if journal is None:
+            raise ConfigurationError(
+                "record_samples=True needs a journal: pass run_store= (or a "
+                "JournalTracker) so engine_sample events have somewhere to go"
+            )
+        from repro.tracking import JournalSampleSink
+
+        optimizer.engine.sample_sink = JournalSampleSink(journal)
+    if screen_info is not None and journal is not None:
+        # model provenance in the journal, once per process lifetime: resume
+        # and post-hoc analysis see exactly which model screened each half
+        journal.append("learned_model", screen_info)
+    tracer = None
+    if spec.trace:
+        from repro.obs.chrome import ChromeTraceSink
+        from repro.obs.trace import JournalSpanSink, Tracer
+
+        chrome = ChromeTraceSink(run.dir / "trace.json")
+        if resume:
+            # trace.json covers the whole run: start from the spans earlier
+            # process lifetimes journaled (what `repro runs trace` reads)
+            from repro.obs.profile import spans_from_journal
+
+            chrome.spans.extend(spans_from_journal(run.journal_path))
+        tracer = Tracer(
+            clock=optimizer.clock, sinks=[JournalSpanSink(journal), chrome]
+        )
+        optimizer.set_tracer(tracer)
+        extras.update(trace_id=tracer.trace_id, trace_path=str(chrome.path))
+    harness_lifecycle = (
+        tracker is not None and not optimizer.emits_lifecycle_events
+    )
+    try:
+        if harness_lifecycle:
+            tracker.on_run_start(optimizer)
+        result = optimizer.optimize()
+    except BaseException as error:
+        if tracker is not None:
+            tracker.on_run_failed(optimizer, error)
+        raise
+    finally:
+        if tracer is not None:
+            # journal spans were appended live; this writes trace.json
+            tracer.flush()
+    if harness_lifecycle:
+        tracker.on_run_end(optimizer, result)
+    result.extras.update(extras)
+    # the baselines don't thread engine extras through optimize(); surface
+    # the screening wrapper's counters for every method here
+    if screen_model is not None and "screening" not in result.extras:
+        result.extras["screening"] = optimizer.engine.screen_stats()
+    result.method = spec.method
+    return result
 
 
 def run_method(
@@ -283,48 +530,20 @@ def run_method(
 ) -> CoSearchResult:
     """Run one (method, scenario, workload) cell and return its result.
 
-    Tracking: pass an explicit :class:`~repro.tracking.Tracker`, or a
-    ``run_store`` (a :class:`~repro.tracking.RunStore` or a directory
-    path) to allocate a ``runs/<run-id>/`` directory with a manifest,
-    journal and periodic checkpoints; the run id lands in
-    ``result.extras["run_id"]``.  Passing both is ambiguous and rejected.
-    Methods whose ``optimize()`` does not drive the tracker lifecycle
-    itself (the non-UNICO baselines) get ``run_start`` / ``run_end``
-    emitted by the harness, so their manifests still reach a terminal
-    status.
-
-    Tracing: ``trace=True`` (requires ``run_store``) installs a
-    :class:`~repro.obs.trace.Tracer` whose spans land both in the run's
-    journal (``span`` events) and in ``runs/<run-id>/trace.json``
-    (Chrome trace format); the trace id lands in
-    ``result.extras["trace_id"]``.  Tracing is observational — results
-    are bit-identical to an untraced run with the same seeds.
-
-    Learned subsystem (:mod:`repro.learned`):
-
-    * ``record_samples=True`` (requires ``run_store``) installs a
-      :class:`~repro.tracking.JournalSampleSink` on the engine so every
-      computed candidate lands in the journal as an ``engine_sample``
-      event — the training corpus for ``repro learned train``.
-    * ``screen`` (a model path or a loaded
-      :class:`~repro.learned.LearnedCostModel`) wraps the engine in a
-      :class:`~repro.learned.ScreeningPPAEngine` that forwards only the
-      model's predicted-best ``screen_topk`` candidates per batch to the
-      analytical engine.  Every surfaced number stays exact analytical
-      PPA; with ``screen=None`` the run is bit-identical to today.
-    * ``tool`` overrides the scenario's mapping tool (e.g. ``oneloop``).
+    The arguments are the fields of a :class:`RunSpec` (documented there),
+    plus where to track the run: an explicit
+    :class:`~repro.tracking.Tracker`, or a ``run_store`` (a
+    :class:`~repro.tracking.RunStore` or a directory path) in which
+    :func:`launch` allocates a ``runs/<run-id>/`` directory with a
+    manifest, journal and periodic checkpoints.  Passing both is ambiguous
+    and rejected.
     """
-    if tracker is not None and run_store is not None:
-        raise ConfigurationError(
-            "pass either tracker= or run_store=, not both; run_store builds "
-            "its own JournalTracker and would silently ignore the tracker"
-        )
-    if trace and run_store is None:
-        raise ConfigurationError(
-            "trace=True requires run_store=: spans are journaled and the "
-            "Chrome trace is written into the run directory"
-        )
-    optimizer = build_optimizer(
+    if run_store is not None:
+        from repro.tracking import RunStore
+
+        if not isinstance(run_store, RunStore):
+            run_store = RunStore(run_store)
+    spec = RunSpec(
         method,
         scenario,
         workload,
@@ -333,107 +552,45 @@ def run_method(
         time_budget_s=time_budget_s,
         eval_batch_size=eval_batch_size,
         tool=tool,
+        checkpoint_every=checkpoint_every,
+        record_samples=record_samples,
+        screen=screen,
+        screen_topk=screen_topk,
+        trace=trace,
     )
-    screen_model, screen_info = _resolve_screen(screen, screen_topk)
-    run = None
-    if tracker is None and run_store is not None:
-        import dataclasses
+    return launch(spec, run=run_store, tracker=tracker)
 
-        from repro.tracking import JournalTracker, RunStore
-        from repro.utils.records import to_jsonable
 
-        store = run_store if isinstance(run_store, RunStore) else RunStore(run_store)
-        preset_obj = get_preset(preset) if isinstance(preset, str) else preset
-        run = store.create_run(
-            {
-                "method": method,
-                "scenario": scenario,
-                "workload": _workload_name(workload),
-                "preset": preset_obj.name,
-                # full parameters so resume never depends on the name being
-                # registered (custom Preset objects are legal inputs)
-                "preset_params": to_jsonable(dataclasses.asdict(preset_obj)),
-                "seed": seed,
-                "time_budget_s": time_budget_s,
-                "eval_batch_size": eval_batch_size,
-                "tool": tool,
-                "record_samples": bool(record_samples),
-                "screen": screen_info,
-                "space": optimizer.space.name,
-                "engine": type(optimizer.engine).__name__,
-                "config": to_jsonable(dataclasses.asdict(optimizer.config)),
-            }
-        )
-        tracker = JournalTracker(run, checkpoint_every=checkpoint_every)
-    if screen_model is not None:
-        from repro.learned import ScreeningPPAEngine
+def resume_run(
+    run,
+    store=None,
+    max_iterations: Optional[int] = None,
+    checkpoint_every: Optional[int] = None,
+    fsync: bool = False,
+) -> CoSearchResult:
+    """Continue an interrupted tracked run; returns its final result.
 
-        optimizer.engine = ScreeningPPAEngine(
-            optimizer.engine,
-            model=screen_model,
-            topk=screen_topk,
-        )
-    if tracker is not None:
-        optimizer.tracker = tracker
-    journal = getattr(tracker, "journal", None) if tracker is not None else None
-    if record_samples:
-        if journal is None:
-            raise ConfigurationError(
-                "record_samples=True needs a journal: pass run_store= (or a "
-                "JournalTracker) so engine_sample events have somewhere to go"
-            )
-        from repro.tracking import JournalSampleSink
+    ``run`` is a :class:`~repro.tracking.RunHandle`, a run id (requires
+    ``store``), or a run directory path.  Its manifest names the search
+    (:meth:`RunSpec.from_manifest`); :func:`launch` restores the latest
+    checkpoint and continues.  ``max_iterations`` overrides the recorded
+    budget; ``checkpoint_every`` defaults to the period the run recorded.
+    """
+    if isinstance(run, (str, pathlib.Path)):
+        from repro.tracking import RunHandle
 
-        optimizer.engine.sample_sink = JournalSampleSink(journal)
-    if screen_info is not None and journal is not None:
-        # model provenance in the journal: resume and post-hoc analysis can
-        # see exactly which model screened this run
-        journal.append("learned_model", screen_info)
-    tracer = None
-    if trace and run is not None:
-        from repro.obs.chrome import ChromeTraceSink
-        from repro.obs.trace import JournalSpanSink, Tracer
-
-        tracer = Tracer(
-            clock=optimizer.clock,
-            sinks=[
-                JournalSpanSink(tracker.journal),
-                ChromeTraceSink(run.dir / "trace.json"),
-            ],
-        )
-        optimizer.set_tracer(tracer)
-    harness_lifecycle = (
-        tracker is not None and not optimizer.emits_lifecycle_events
-    )
+        run = store.get(str(run)) if store is not None else RunHandle(run)
     try:
-        if harness_lifecycle:
-            tracker.on_run_start(optimizer)
-        result = optimizer.optimize()
-    except BaseException as error:
-        if tracker is not None:
-            tracker.on_run_failed(optimizer, error)
-        raise
-    finally:
-        if tracer is not None:
-            # journal spans were appended live; this writes trace.json
-            tracer.flush()
-    if harness_lifecycle:
-        tracker.on_run_end(optimizer, result)
-    result.extras["method_requested"] = method
-    result.extras["scenario"] = scenario
-    if screen_info is not None:
-        result.extras["screen_model"] = screen_info
-        # the baselines don't thread engine extras through optimize();
-        # surface the wrapper's counters for every method here
-        if "screening" not in result.extras:
-            result.extras["screening"] = optimizer.engine.screen_stats()
-    if run is not None:
-        result.extras["run_id"] = run.run_id
-    if tracer is not None:
-        result.extras["trace_id"] = tracer.trace_id
-        result.extras["trace_path"] = str(run.dir / "trace.json")
-    result.method = method
-    return result
+        spec = RunSpec.from_manifest(run.read_manifest())
+    except ConfigurationError as error:
+        raise TrackingError(
+            f"run {run.run_id}: {error}; cannot rebuild the optimizer for resume"
+        ) from error
+    if checkpoint_every is not None:
+        spec = dataclasses.replace(spec, checkpoint_every=checkpoint_every)
+    return launch(
+        spec, run=run, resume=True, max_iterations=max_iterations, fsync=fsync
+    )
 
 
 # -------------------------------------------------------------- HW transfer

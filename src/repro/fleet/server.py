@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.fleet.pool import ConnectionPool
+from repro.utils import fork_context
 
 #: engines a replica knows how to build (same names as ``repro serve``)
 REPLICA_ENGINES = ("maestro", "ascend")
@@ -116,18 +117,11 @@ class FleetSupervisor:
         #: keep-alive connections :meth:`status` polls ``/health`` over
         self._pools: Dict[str, ConnectionPool] = {}
 
-    @staticmethod
-    def _context():
-        """Prefer fork (cheap, inherits imports); fall back to the default."""
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
     def start(self) -> "FleetSupervisor":
         """Spawn every replica and block until each reports its URL."""
         if self._procs:
             raise ConfigurationError("fleet already started")
-        ctx = self._context()
+        ctx = fork_context()
         pending = []
         for index in range(self.replicas):
             parent_conn, child_conn = ctx.Pipe(duplex=False)

@@ -1,10 +1,12 @@
 """Single-worker run scheduler over the :class:`~repro.tracking.RunStore`.
 
 The hub owns run *lifecycle*, not run *execution semantics*: a submitted
-run is exactly a ``run_method(..., tracker=JournalTracker(run))`` call in
-a child process, so everything PRs 2-6 built — the crash-safe journal,
-checkpoints, resume, learned-model provenance — applies unchanged to
-hub-scheduled runs.  One worker executes at a time (co-searches are
+spec is validated and written by the harness's
+:class:`~repro.experiments.harness.RunSpec`, and executing it is exactly a
+:func:`~repro.experiments.harness.launch` call in a child process — the
+recipe ``run_method`` and ``repro runs resume`` use — so the crash-safe
+journal, checkpoints, resume and the manifest shape are the same by
+whichever route a run started.  One worker executes at a time (co-searches are
 CPU-bound; queueing is the honest model on one box), and the manifest is
 the single source of truth for state:
 
@@ -15,13 +17,12 @@ Crash handling mirrors the journal's own semantics: a run whose manifest
 says ``running`` but whose worker is gone was interrupted — ``reconcile``
 marks it ``failed`` with ``interrupted: true`` and ``resumable: true``
 when a checkpoint exists, so ``repro runs resume`` (or a hub resubmit
-with ``resume=True``) can continue it via the existing
-:func:`~repro.tracking.resume.resume_run`.
+with ``resume=True``) can continue it, at the ``checkpoint_every`` it was
+submitted with.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import pathlib
 import signal
@@ -30,14 +31,21 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Union
 
 from repro.errors import ConfigurationError, TrackingError
-from repro.tracking.resume import REQUIRED_MANIFEST_KEYS
 from repro.tracking.store import RunStore
 from repro.utils.metrics import MetricsRegistry
+from repro.utils import fork_context
 
 __all__ = ["RunScheduler"]
 
 #: manifest statuses a run cannot leave
 TERMINAL_STATUSES = ("completed", "failed", "cancelled")
+
+#: what ``POST /runs`` may set: the spec fields that are safe to take from
+#: the network (no filesystem paths), plus the run id
+SUBMIT_FIELDS = frozenset({
+    "method", "scenario", "workload", "preset", "seed", "time_budget_s",
+    "eval_batch_size", "checkpoint_every", "tool", "run_id",
+})
 
 
 def _execute_run(runs_dir: str, run_id: str, resume: bool) -> None:
@@ -47,31 +55,10 @@ def _execute_run(runs_dir: str, run_id: str, resume: bool) -> None:
     # child and a group-wide Ctrl-C doesn't run the hub shutdown in here
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    from repro.tracking import JournalTracker
-    from repro.tracking.resume import _manifest_preset, resume_run
+    from repro.experiments.harness import RunSpec, launch
 
-    store = RunStore(runs_dir)
-    run = store.get(run_id)
-    if resume:
-        resume_run(run)
-        return
-    from repro.experiments.harness import run_method
-
-    manifest = run.read_manifest()
-    tracker = JournalTracker(
-        run, checkpoint_every=int(manifest.get("checkpoint_every") or 1)
-    )
-    run_method(
-        manifest["method"],
-        manifest["scenario"],
-        manifest["workload"],
-        _manifest_preset(manifest),
-        seed=int(manifest["seed"]),
-        time_budget_s=manifest.get("time_budget_s"),
-        eval_batch_size=int(manifest.get("eval_batch_size") or 1),
-        tool=manifest.get("tool"),
-        tracker=tracker,
-    )
+    run = RunStore(runs_dir).get(run_id)
+    launch(RunSpec.from_manifest(run.read_manifest()), run=run, resume=resume)
 
 
 class RunScheduler:
@@ -94,14 +81,6 @@ class RunScheduler:
         self._cancel_requested: Set[str] = set()
         #: run ids queued for resume rather than a fresh start
         self._resume_ids: Set[str] = set()
-
-    @staticmethod
-    def _context():
-        """Prefer fork (cheap, inherits imports); fall back to the default."""
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
 
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> "RunScheduler":
@@ -143,60 +122,20 @@ class RunScheduler:
     def submit(self, spec: Dict) -> str:
         """Validate a run spec, allocate its run directory, and enqueue it.
 
-        The manifest written here carries every key ``resume_run``
-        requires plus the full preset parameters, so a hub-submitted run
-        is resumable even if its preset name is never registered on a
-        future code version.
+        The manifest written here is :meth:`RunSpec.to_manifest` — the
+        shape every route writes, full preset parameters included, so a
+        hub-submitted run is resumable even if its preset name is never
+        registered on a future code version.
         """
-        unknown = set(spec) - {
-            "method", "scenario", "workload", "preset", "seed",
-            "time_budget_s", "eval_batch_size", "checkpoint_every", "tool",
-            "run_id",
-        }
+        unknown = set(spec) - SUBMIT_FIELDS
         if unknown:
             raise ConfigurationError(
                 f"unknown run-spec fields {sorted(unknown)}"
             )
-        missing = [
-            key for key in ("method", "scenario", "workload")
-            if not spec.get(key)
-        ]
-        if missing:
-            raise ConfigurationError(f"run spec lacks {missing}")
-        from repro.experiments.harness import METHODS
-        from repro.experiments.presets import get_preset
-        from repro.workloads import get_network
+        from repro.experiments.harness import RunSpec
 
-        method = str(spec["method"])
-        if method not in METHODS:
-            raise ConfigurationError(
-                f"unknown method {method!r}; use one of {METHODS}"
-            )
-        scenario = str(spec["scenario"])
-        if scenario not in ("edge", "cloud", "ascend"):
-            raise ConfigurationError(
-                f"unknown scenario {scenario!r}; use 'edge', 'cloud' or "
-                "'ascend'"
-            )
-        try:
-            get_network(str(spec["workload"]))
-        except Exception as error:
-            raise ConfigurationError(str(error)) from error
-        preset = get_preset(str(spec.get("preset", "smoke")))
-        manifest = {
-            "method": str(spec["method"]),
-            "scenario": str(spec["scenario"]),
-            "workload": str(spec["workload"]),
-            "preset": preset.name,
-            "preset_params": dataclasses.asdict(preset),
-            "seed": int(spec.get("seed", 0)),
-            "time_budget_s": spec.get("time_budget_s"),
-            "eval_batch_size": int(spec.get("eval_batch_size", 1)),
-            "checkpoint_every": int(spec.get("checkpoint_every", 1)),
-            "tool": spec.get("tool"),
-            "submitted_via": "hub",
-            "status": "queued",
-        }
+        manifest = RunSpec.from_manifest(spec).to_manifest()
+        manifest.update(submitted_via="hub", status="queued")
         run = self.store.create_run(manifest, run_id=spec.get("run_id"))
         self.metrics.counter("hub_runs_submitted_total").inc()
         with self._cv:
@@ -205,14 +144,12 @@ class RunScheduler:
         return run.run_id
 
     def submit_resume(self, run_id: str) -> str:
-        """Enqueue an interrupted run for continuation via ``resume_run``."""
+        """Enqueue an interrupted run for continuation from its checkpoint."""
+        from repro.experiments.harness import RunSpec
+
         run = self.store.get(run_id)
         manifest = run.read_manifest()
-        missing = [k for k in REQUIRED_MANIFEST_KEYS if k not in manifest]
-        if missing:
-            raise TrackingError(
-                f"run {run_id} manifest lacks {missing}; cannot resume"
-            )
+        RunSpec.from_manifest(manifest)  # a manifest launch could not rebuild: 400
         if manifest.get("status") == "completed":
             raise TrackingError(f"run {run_id} already completed")
         with self._cv:
@@ -316,7 +253,7 @@ class RunScheduler:
                     self._cancel_requested.discard(run_id)
 
     def _run_one(self, run_id: str, resume: bool) -> None:
-        context = self._context()
+        context = fork_context()
         process = context.Process(
             target=_execute_run,
             args=(str(self.store.root), run_id, resume),

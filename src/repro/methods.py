@@ -1,4 +1,4 @@
-"""The co-search methods the experiment harness can build, by name.
+"""The co-search methods and scenarios the experiment harness can build, by name.
 
 A leaf module with no imports: the CLI parser needs these names for
 ``choices=`` in every process it starts, and must not load the optimizers
@@ -15,3 +15,7 @@ METHODS = (
     "mobohb",
     "random",
 )
+
+#: ``edge`` / ``cloud``: open-source spatial platform, analytical engine;
+#: ``ascend``: cycle-accurate engine, depth-first fusion mapping tool
+SCENARIOS = ("edge", "cloud", "ascend")

@@ -2,17 +2,22 @@
 
 A tracked co-search leaves three durable artifacts in ``runs/<run-id>/``:
 a ``manifest.json`` identity card, an append-only ``journal.jsonl`` of
-typed search events, and periodic ``checkpoints/`` written with the
-:mod:`repro.core.checkpoint` codec.  Together they make a multi-day run
-inspectable (``repro runs show/tail/compare``), comparable after the
-fact, and resumable after a crash (``repro runs resume``).
+typed search events, and periodic ``checkpoints/`` the optimizer writes
+when the tracker asks.  Together they make a multi-day run inspectable
+(``repro runs show/tail/compare``), comparable after the fact, and
+resumable after a crash (``repro runs resume``).
+
+This package is a bottom layer: it imports only ``repro.errors``,
+``repro.utils`` and ``repro.version``.  Everything that knows how a run is
+*built* — :class:`~repro.experiments.harness.RunSpec`, ``launch``,
+``resume_run`` — lives above it in :mod:`repro.experiments.harness`.
 
 * :class:`EventJournal` — crash-safe JSONL appends, tolerant reads,
 * :class:`RunStore` / :class:`RunHandle` — run-directory ownership,
 * :class:`Tracker` / :class:`JournalTracker` — the hook interface
   threaded through ``Unico.optimize()`` and the experiment harness,
-* :func:`resume_run` / :func:`verify_run` / :func:`replay_iteration_records`
-  — consistency-checked continuation of interrupted searches.
+* :func:`verify_run` / :func:`replay_iteration_records` — the
+  journal-vs-checkpoint consistency a resume checks before continuing.
 """
 
 from repro.tracking.journal import (
@@ -26,17 +31,14 @@ from repro.tracking.journal import (
     read_tail_events,
     verify_sequence,
 )
-from repro.tracking.resume import (
-    replay_iteration_records,
-    resume_run,
-    verify_run,
-)
 from repro.tracking.store import RUN_STATUSES, RunHandle, RunStore
 from repro.tracking.tracker import (
     JournalSampleSink,
     JournalTracker,
     NullTracker,
     Tracker,
+    replay_iteration_records,
+    verify_run,
 )
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "read_events_from",
     "read_tail_events",
     "replay_iteration_records",
-    "resume_run",
     "verify_run",
     "verify_sequence",
 ]

@@ -9,23 +9,55 @@ what they need; the hot path guards event assembly behind
 
 :class:`JournalTracker` is the production implementation: it writes typed
 events into a run's :class:`~repro.tracking.journal.EventJournal`, keeps
-the run's ``manifest.json`` lifecycle up to date, and auto-checkpoints the
-optimizer every ``checkpoint_every`` completed iterations using the
-:mod:`repro.core.checkpoint` codec — the pieces ``repro runs resume``
-needs to continue a killed search.
+the run's ``manifest.json`` lifecycle up to date, and every
+``checkpoint_every`` completed iterations asks the optimizer to checkpoint
+itself (``optimizer.save_checkpoint(path)``) — the pieces ``repro runs
+resume`` needs to continue a killed search.
+
+:func:`replay_iteration_records` and :func:`verify_run` read a run back:
+the journal-vs-checkpoint consistency a resume checks before continuing.
+A checkpoint is written *after* its ``iteration_end`` event, so a kill
+between the two leaves the journal one iteration ahead; the resumed run
+re-executes that iteration and the replay keeps the latest record per
+index, so the replayed sequence equals an uninterrupted run's.
 """
 
 from __future__ import annotations
 
+import pathlib
 import time
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.errors import TrackingError
-from repro.tracking.journal import JOURNAL_VERSION, EventJournal
+from repro.tracking.journal import (
+    JOURNAL_VERSION,
+    EventJournal,
+    JournalScan,
+    read_events,
+    verify_sequence,
+)
 from repro.tracking.store import RunHandle
 from repro.utils.records import to_jsonable
+
+
+@dataclass
+class IterationRecord:
+    """Per-MOBO-iteration diagnostics: the ``iteration_end`` payload.
+
+    Defined here, below the optimizers, because the journal persists it and
+    :func:`replay_iteration_records` rebuilds it.
+    """
+
+    iteration: int
+    time_s: float
+    uul: float
+    num_selected: int
+    num_feasible: int
+    pareto_size: int
+    best_scalar: float
 
 
 class Tracker:
@@ -88,8 +120,8 @@ class Tracker:
     ) -> None:
         """The UUL (or champion) rule accepted/rejected batch members."""
 
-    def on_iteration_end(self, optimizer, record) -> None:
-        """An :class:`~repro.core.unico.IterationRecord` was finalized."""
+    def on_iteration_end(self, optimizer, record: IterationRecord) -> None:
+        """An :class:`IterationRecord` was finalized."""
 
     def on_search_health(self, optimizer, iteration: int, health: Dict) -> None:
         """Per-iteration search-health beacon (HV, front size, screening).
@@ -346,23 +378,16 @@ class JournalTracker(Tracker):
     def checkpoint(self, optimizer) -> None:
         """Write a checkpoint for the optimizer's current completed count.
 
-        Only optimizers speaking the :mod:`repro.core.checkpoint` codec
-        (Unico and its ablation variants) are checkpointable; for other
-        methods the journal is still written but no checkpoint appears,
-        and ``repro runs resume`` will refuse the run.
+        Only optimizers that can checkpoint themselves (Unico and its
+        ablation variants) leave one; for other methods
+        ``save_checkpoint`` declines, the journal is still written but no
+        checkpoint appears, and ``repro runs resume`` will refuse the run.
         """
-        from repro.core.checkpoint import save_checkpoint
-
-        if not all(
-            hasattr(optimizer, attr)
-            for attr in ("sampler", "normalizer", "train_configs",
-                         "completed_iterations")
-        ):
-            return
         completed = int(getattr(optimizer, "completed_iterations", 0))
         path = self.run.checkpoint_path(completed)
         path.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(optimizer, path)
+        if not optimizer.save_checkpoint(path):
+            return
         self._emit(
             optimizer,
             "checkpoint",
@@ -416,4 +441,76 @@ class JournalTracker(Tracker):
         self.journal.close()
 
 
-__all__ = ["JournalSampleSink", "JournalTracker", "NullTracker", "Tracker"]
+# ------------------------------------------------- reading a run back
+def replay_iteration_records(
+    source: Union[str, pathlib.Path, JournalScan]
+) -> List[IterationRecord]:
+    """Reconstruct the :class:`IterationRecord` sequence from a journal.
+
+    A re-executed iteration appears twice; the latest record per iteration
+    wins.  Returns records ordered by iteration index.
+    """
+    scan = source if isinstance(source, JournalScan) else read_events(source)
+    by_iteration: Dict[int, IterationRecord] = {}
+    for event in scan.of_type("iteration_end"):
+        payload = event.get("record") or {}
+        try:
+            record = IterationRecord(
+                iteration=int(payload["iteration"]),
+                time_s=float(payload["time_s"]),
+                uul=float(payload["uul"]),
+                num_selected=int(payload["num_selected"]),
+                num_feasible=int(payload["num_feasible"]),
+                pareto_size=int(payload["pareto_size"]),
+                best_scalar=float(payload["best_scalar"]),
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise TrackingError(
+                f"malformed iteration_end event (seq {event.get('seq')}): {error}"
+            )
+        by_iteration[record.iteration] = record
+    return [by_iteration[i] for i in sorted(by_iteration)]
+
+
+def verify_run(run: RunHandle) -> Dict:
+    """Structural consistency check of one run directory.
+
+    Returns a summary dict (with the replayed ``iteration_records``);
+    raises :class:`TrackingError` on broken sequence numbering or missing
+    artifacts.  A truncated journal tail (the signature of a kill
+    mid-write) is reported, not rejected.
+    """
+    manifest = run.read_manifest()
+    if not run.journal_path.exists():
+        raise TrackingError(f"run {run.run_id} has no journal")
+    scan = read_events(run.journal_path)
+    verify_sequence(scan)
+    records = replay_iteration_records(scan)
+    expected = list(range(len(records)))
+    if [r.iteration for r in records] != expected:
+        raise TrackingError(
+            f"run {run.run_id}: journal iteration records are not contiguous "
+            f"({[r.iteration for r in records]})"
+        )
+    latest = run.latest_checkpoint()
+    return {
+        "run_id": run.run_id,
+        "status": manifest.get("status", "created"),
+        "num_events": len(scan.events),
+        "truncated_tail": scan.truncated_tail,
+        "journal_iterations": len(records),
+        "iteration_records": records,
+        "num_checkpoints": len(run.checkpoints()),
+        "latest_checkpoint": latest.name if latest else None,
+    }
+
+
+__all__ = [
+    "IterationRecord",
+    "JournalSampleSink",
+    "JournalTracker",
+    "NullTracker",
+    "Tracker",
+    "replay_iteration_records",
+    "verify_run",
+]

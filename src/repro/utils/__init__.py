@@ -15,6 +15,9 @@ can build on a common, well-tested foundation:
 * :mod:`repro.utils.metrics` — thread-safe counters and real-time latency
   histograms threaded through the estimation-service path (engines, the
   REST server, the job runner) and surfaced via ``GET /metrics``.
+
+:func:`fork_context` is the one "fork where the platform has it" start
+method the job runner, the fleet supervisor and the hub's run child share.
 """
 
 from repro.utils.clock import SimulatedClock
@@ -27,6 +30,18 @@ from repro.utils.intmath import (
 )
 from repro.utils.records import RunRecord, to_jsonable
 from repro.utils.rng import SeedSequenceFactory, as_generator
+
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context (cheap, inherits the parent's
+    imports), or the platform default where there is none."""
+    import multiprocessing  # not at module level: every process imports this package
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
 
 __all__ = [
     "SimulatedClock",
@@ -41,4 +56,5 @@ __all__ = [
     "to_jsonable",
     "SeedSequenceFactory",
     "as_generator",
+    "fork_context",
 ]

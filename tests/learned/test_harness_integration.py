@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TrackingError
-from repro.experiments.harness import build_optimizer, run_method
+from repro.experiments.harness import build_optimizer, resume_run, run_method
 from repro.learned import LearnedCostModel, ScreeningPPAEngine, build_dataset
-from repro.tracking import RunStore, read_events, resume_run
+from repro.tracking import RunStore, read_events
 
 WORKLOAD = "mobilenet"
 

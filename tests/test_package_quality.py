@@ -4,10 +4,13 @@
 * every package ``__all__`` names real attributes,
 * no module leaks the global NumPy random state (determinism guard),
 * the fleet's transport layer imports nothing from the layers above it,
+* ``repro.tracking`` imports nothing above it, and the set of packages
+  that import each other can only shrink,
 * no module imports, at module level, a name it never uses.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import pathlib
@@ -105,6 +108,68 @@ def test_fleet_transport_imports_only_downward(name):
             isinstance(node, ast.ImportFrom) and node.module == "repro.fleet.pool"
             for node in tree.body
         )
+
+
+def _imports_outside_type_checking(node):
+    """Modules imported anywhere under ``node`` (a function-level import is
+    still an edge), except inside ``if TYPE_CHECKING:`` blocks."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.If) and "TYPE_CHECKING" in ast.dump(child.test):
+            for alternative in child.orelse:
+                yield from _imports_outside_type_checking(alternative)
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            assert child.level == 0, "relative import"
+            yield child.module
+        yield from _imports_outside_type_checking(child)
+
+
+@functools.lru_cache(maxsize=None)
+def _package_edges():
+    """``{package: {packages it imports}}`` over ``src/repro``; a top-level
+    module (``cli``, ``methods``) counts as a package of its own."""
+    edges = {}
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        parts = path.relative_to(SRC_ROOT).parts
+        package = parts[0] if len(parts) > 1 else path.stem
+        for module in _imports_outside_type_checking(ast.parse(path.read_text())):
+            names = module.split(".")
+            if names[0] == "repro" and len(names) > 1 and names[1] != package:
+                edges.setdefault(package, set()).add(names[1])
+    return edges
+
+
+#: what the bottom layer of a tracked run may build on
+TRACKING_MAY_IMPORT = {"errors", "utils", "version"}
+
+#: package pairs that import each other.  A ratchet: fix one and delete it
+#: here; a new one fails.  ``costmodel``/``fleet`` is pinned by module names
+#: ``benchmarks/e2e`` imports (ROADMAP item 5(b)).
+MUTUAL_IMPORT_PAIRS = {
+    ("camodel", "costmodel"),
+    ("costmodel", "fleet"),
+    ("costmodel", "hw"),
+    ("costmodel", "mapping"),
+}
+
+
+def test_tracking_imports_nothing_above_it():
+    """The run store, journal and tracker sit under the optimizers, the
+    harness, the learned models, the hub and the tracer — never on them."""
+    assert _package_edges()["tracking"] <= TRACKING_MAY_IMPORT
+
+
+def test_mutual_package_imports_only_shrink():
+    edges = _package_edges()
+    mutual = {
+        (package, other)
+        for package, imported in edges.items()
+        for other in imported
+        if package < other and package in edges.get(other, ())
+    }
+    assert mutual <= MUTUAL_IMPORT_PAIRS, sorted(mutual - MUTUAL_IMPORT_PAIRS)
 
 
 def _names_in(expression: str):

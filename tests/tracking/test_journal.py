@@ -417,9 +417,8 @@ class TestSchemaGrowth:
     def test_mixed_journal_resumes(self, tmp_path):
         """Resume over a span-bearing journal: delete the last checkpoint
         so the journal is ahead, then resume and match the straight run."""
-        from repro.experiments.harness import run_method
+        from repro.experiments.harness import resume_run, run_method
         from repro.tracking import RunStore, replay_iteration_records
-        from repro.tracking.resume import resume_run
 
         straight = run_method("unico", "edge", "mobilenet", "smoke", seed=11)
 

@@ -12,14 +12,13 @@ import json
 import pytest
 
 from repro.errors import TrackingError
-from repro.experiments.harness import run_method
+from repro.experiments.harness import resume_run, run_method
 from repro.tracking import (
     EVENT_TYPES,
     EventJournal,
     RunStore,
     read_events,
     replay_iteration_records,
-    resume_run,
     verify_run,
 )
 

@@ -12,25 +12,18 @@ import pytest
 from repro.core import Unico, UnicoConfig
 from repro.costmodel import MaestroEngine
 from repro.errors import TrackingError
-from repro.experiments.harness import run_method
+from repro.experiments.harness import RunSpec, resume_run, run_method
 from repro.tracking import (
     JournalTracker,
     NullTracker,
     RunStore,
     read_events,
     replay_iteration_records,
-    resume_run,
     verify_run,
 )
 
 WORKLOAD = "mobilenet"
-MANIFEST = {
-    "method": "unico",
-    "scenario": "edge",
-    "workload": WORKLOAD,
-    "preset": "smoke",
-    "seed": 11,
-}
+MANIFEST = RunSpec("unico", "edge", WORKLOAD, "smoke", seed=11).to_manifest()
 
 
 def _fresh_unico(tiny_network, edge_space, tracker=None, max_iterations=2):
