@@ -87,6 +87,15 @@ class MultiWorkloadEngine:
         for engine in self.engines.values():
             engine.charge_clock = value
 
+    @property
+    def sample_sink(self):
+        return next(iter(self.engines.values())).sample_sink
+
+    @sample_sink.setter
+    def sample_sink(self, sink) -> None:
+        for engine in self.engines.values():
+            engine.sample_sink = sink
+
     def area_mm2(self, hw) -> float:
         return next(iter(self.engines.values())).area_mm2(hw)
 

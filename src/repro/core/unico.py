@@ -370,6 +370,16 @@ class Unico(CoOptimizer):
     # ----------------------------------------------------------------- driver
     def optimize(self) -> CoSearchResult:
         config = self.config
+        if self.runner.backend == "process" and self.engine.sample_sink is not None:
+            # worker processes search on pickled engine copies, which leave
+            # the sink behind: the journal would look complete and hold only
+            # what this process computes
+            raise ConfigurationError(
+                "runner_backend='process' cannot be combined with an engine "
+                "sample_sink (record_samples): samples computed in worker "
+                "processes would be dropped silently; use runner_backend "
+                "'serial' or 'thread'"
+            )
         self.clock.workers = config.workers
         # the sampler is built in __init__, before any set_tracer() call
         self.sampler.tracer = self.tracer

@@ -31,6 +31,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -75,6 +76,17 @@ DEFAULT_CACHE_CAPACITY = 100_000
 #: 7-9 us per candidate, and they meet at 8; narrower groups are cheaper
 #: one at a time.  Results are bit-identical either way.
 VECTOR_KERNEL_MIN_GROUP = 8
+
+
+def _held(kind: str, name: str, *bounds) -> cached_property:
+    """A registry instrument the engine looks up on first use, then holds.
+
+    Binding is lazy because a registry snapshot (``GET /metrics``, the
+    journal's ``engine_snapshot``) lists an instrument from the moment it
+    is created: an engine that never evicted must not report an eviction
+    counter at zero.
+    """
+    return cached_property(lambda self: getattr(self.metrics, kind)(name, *bounds))
 
 
 class PPAEngine(ABC):
@@ -122,12 +134,42 @@ class PPAEngine(ABC):
         #: span tracer; the shared :data:`~repro.obs.trace.NULL_TRACER` by
         #: default, so untraced queries pay one attribute check.
         self.tracer = NULL_TRACER
-        #: optional ``sink(hw, layer_name, mapping, shape, result)`` invoked
-        #: once per *computed* (cache-miss) candidate — the opt-in source of
-        #: ``engine_sample`` journal events for learned-model training.
-        #: Cache hits are skipped: they would only duplicate a sample the
-        #: sink already saw.
+        #: optional ``sink(hw, samples)`` invoked once per engine call that
+        #: *computed* something, with ``samples = [(layer_name, mapping,
+        #: shape, result), ...]`` — one entry per cache miss whose result
+        #: reached the cache, in miss order (:meth:`evaluate_layer` passes
+        #: a one-element list).  The opt-in source of ``engine_sample``
+        #: journal events for learned-model training.  Cache hits are
+        #: skipped: they would only duplicate a sample the sink already saw.
         self.sample_sink = None
+        #: ``(hw, hw_key(hw))`` of the last hardware seen.  Configs are
+        #: frozen dataclasses, so the same object always has the same key;
+        #: one attribute, swapped whole, because queries run concurrently.
+        self._hw_key: Tuple = (None, ())
+
+    # -- instruments ------------------------------------------------------------
+    @property
+    def metrics(self) -> MetricsRegistry:
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: MetricsRegistry) -> None:
+        """Swap the registry; instruments held from the old one are dropped."""
+        self._metrics = registry
+        for name, member in vars(PPAEngine).items():
+            if isinstance(member, cached_property):
+                self.__dict__.pop(name, None)
+
+    _queries_total = _held("counter", "engine_queries_total")
+    _hits_total = _held("counter", "engine_cache_hits_total")
+    _misses_total = _held("counter", "engine_cache_misses_total")
+    _evictions_total = _held("counter", "engine_cache_evictions_total")
+    _batch_queries_total = _held("counter", "engine_batch_queries_total")
+    _batch_size = _held("histogram", "engine_batch_size", DEFAULT_BATCH_SIZE_BOUNDS)
+    _compute_seconds = _held("histogram", "engine_compute_seconds")
+    _per_item_seconds = _held(
+        "histogram", "engine_batch_compute_seconds_per_item", PER_ITEM_LATENCY_BOUNDS
+    )
 
     # -- pickling ---------------------------------------------------------------
     def __getstate__(self) -> Dict:
@@ -135,7 +177,9 @@ class PPAEngine(ABC):
 
         Live observers stay behind: the lock is recreated on unpickle, the
         tracer resets to the null tracer and the sample sink to ``None``
-        (both may hold open journal file handles), and the LRU cache ships
+        (both may hold open journal file handles — which is why ``Unico``
+        refuses the process backend while a sink is installed: the copies
+        could not report their samples), and the LRU cache ships
         *empty* — a child recomputes what it needs (engines are
         deterministic, so every value is bit-identical either way) instead
         of paying O(cache) pickling for every dispatched trial.  The
@@ -168,7 +212,7 @@ class PPAEngine(ABC):
             return
         with self._lock:
             self.num_queries += count
-        self.metrics.counter("engine_queries_total").inc(count)
+        self._queries_total.inc(count)
 
     # -- subclass contract ----------------------------------------------------
     @abstractmethod
@@ -208,9 +252,9 @@ class PPAEngine(ABC):
 
         The one hook between the bookkeeping above and the cost model:
         results come back in ``misses`` order, and :meth:`evaluate_layers`
-        stores each as it arrives — a hook that raises part-way keeps what
-        it had already yielded, as sequential :meth:`evaluate_layer` calls
-        would have.  In-process engines group the misses by layer and pick
+        takes each as it arrives — a hook that raises part-way keeps what
+        it had already yielded (cached, and handed to the sample sink), as
+        sequential :meth:`evaluate_layer` calls would have.  In-process engines group the misses by layer and pick
         the kernel from the group size; remote engines override this with
         their transport and nothing else.
         """
@@ -235,15 +279,16 @@ class PPAEngine(ABC):
             for position, result in zip(positions, computed):
                 results[position] = result
         elapsed = time.perf_counter() - start
-        self.metrics.histogram("engine_compute_seconds").observe(elapsed)
-        self.metrics.histogram(
-            "engine_batch_compute_seconds_per_item", PER_ITEM_LATENCY_BOUNDS
-        ).observe(elapsed / len(misses))
+        self._compute_seconds.observe(elapsed)
+        self._per_item_seconds.observe(elapsed / len(misses))
         return results  # type: ignore[return-value]  # all slots filled above
 
     def hw_key(self, hw) -> Tuple:
         """Hashable identity of a hardware config (for the cache)."""
-        return tuple(sorted(vars(hw).items()))
+        held = self._hw_key
+        if held[0] is not hw:
+            held = self._hw_key = (hw, tuple(sorted(vars(hw).items())))
+        return held[1]
 
     # -- cache / accounting helpers ---------------------------------------------
     def _charge_query(self, layer_name: str) -> GemmShape:
@@ -255,7 +300,7 @@ class PPAEngine(ABC):
         shape, _count = self.layer_shapes[layer_name]
         with self._lock:
             self.num_queries += 1
-        self.metrics.counter("engine_queries_total").inc()
+        self._queries_total.inc()
         if self.charge_clock:
             self.clock.advance(self.eval_cost_s, label="ppa-eval")
         return shape
@@ -268,14 +313,9 @@ class PPAEngine(ABC):
                 self._cache.move_to_end(key)
                 if count:
                     self.num_cache_hits += 1
-            if count:
-                name = (
-                    "engine_cache_hits_total"
-                    if result is not None
-                    else "engine_cache_misses_total"
-                )
-                self.metrics.counter(name).inc()
-            return result
+        if count:
+            (self._hits_total if result is not None else self._misses_total).inc()
+        return result
 
     def _cache_store(self, key: Tuple, result: LayerPPA) -> None:
         """Insert into the LRU, evicting oldest entries past capacity."""
@@ -286,7 +326,7 @@ class PPAEngine(ABC):
                 while len(self._cache) > self.cache_capacity:
                     self._cache.popitem(last=False)
                     self.num_cache_evictions += 1
-                    self.metrics.counter("engine_cache_evictions_total").inc()
+                    self._evictions_total.inc()
 
     def _timed_compute(
         self, hw, mapping: "GemmMapping", layer_name: str, shape: GemmShape
@@ -294,9 +334,7 @@ class PPAEngine(ABC):
         """Run the uncached computation, recording real latency."""
         start = time.perf_counter()
         result = self._compute_layer_by_name(hw, mapping, layer_name, shape)
-        self.metrics.histogram("engine_compute_seconds").observe(
-            time.perf_counter() - start
-        )
+        self._compute_seconds.observe(time.perf_counter() - start)
         return result
 
     # -- service API ------------------------------------------------------------
@@ -324,7 +362,7 @@ class PPAEngine(ABC):
         result = self._timed_compute(hw, mapping, layer_name, shape)
         self._cache_store(key, result)
         if self.sample_sink is not None:
-            self.sample_sink(hw, layer_name, mapping, shape, result)
+            self.sample_sink(hw, [(layer_name, mapping, shape, result)])
         if tracer.enabled:
             tracer.record_leaf(
                 "engine_eval", wall_start, sim_start,
@@ -355,56 +393,76 @@ class PPAEngine(ABC):
     def _evaluate_layers_impl(
         self, hw, requests: List[Tuple["GemmMapping", str]]
     ) -> List[LayerPPA]:
-        """Untraced body of :meth:`evaluate_layers`."""
+        """Untraced body of :meth:`evaluate_layers`.
+
+        Everything constant per call is paid per call: one lock hold for
+        the hit/miss pass, one ``inc(n)`` per counter, one lock hold for
+        the stores, one sink call.
+        """
+        layer_shapes = self.layer_shapes
         for _mapping, layer_name in requests:
-            if layer_name not in self.layer_shapes:
+            if layer_name not in layer_shapes:
                 raise EvaluationError(
                     f"layer {layer_name!r} not in workload {self.network.name!r}"
                 )
         if not requests:
             return []
         batch = len(requests)
-        with self._lock:
-            self.num_queries += batch
-            self.num_batch_queries += 1
-            self.num_batch_items += batch
-        self.metrics.counter("engine_queries_total").inc(batch)
-        self.metrics.counter("engine_batch_queries_total").inc()
-        self.metrics.histogram(
-            "engine_batch_size", DEFAULT_BATCH_SIZE_BOUNDS
-        ).observe(batch)
-        if self.charge_clock:
-            self.clock.advance(self.eval_cost_s * batch, label="ppa-eval")
         hw_id = self.hw_key(hw)
         results: List[Optional[LayerPPA]] = [None] * batch
         misses: List[Tuple["GemmMapping", str]] = []
         #: cache key -> request positions, one entry per miss, in miss order
+        #: (a repeat of a missing key is a hit: first occurrence computes)
         miss_positions: Dict[Tuple, List[int]] = {}
-        for index, (mapping, layer_name) in enumerate(requests):
-            key = (hw_id, layer_name, mapping.key())
-            if key in miss_positions:
-                miss_positions[key].append(index)
-                with self._lock:
-                    self.num_cache_hits += 1
-                self.metrics.counter("engine_cache_hits_total").inc()
-                continue
-            cached = self._cache_lookup(key)
-            if cached is not None:
-                results[index] = cached
-            else:
-                miss_positions[key] = [index]
-                misses.append((mapping, layer_name))
-        if misses:
-            computed = self._compute_misses(hw, misses)
-            for (key, positions), (mapping, layer_name), result in zip(
-                miss_positions.items(), misses, computed
-            ):
-                self._cache_store(key, result)
-                if self.sample_sink is not None:
-                    shape, _count = self.layer_shapes[layer_name]
-                    self.sample_sink(hw, layer_name, mapping, shape, result)
-                for index in positions:
-                    results[index] = result
+        cache = self._cache
+        with self._lock:
+            for index, (mapping, layer_name) in enumerate(requests):
+                key = (hw_id, layer_name, mapping.key())
+                positions = miss_positions.get(key)
+                if positions is not None:
+                    positions.append(index)
+                    continue
+                cached = cache.get(key)
+                if cached is not None:
+                    cache.move_to_end(key)
+                    results[index] = cached
+                else:
+                    miss_positions[key] = [index]
+                    misses.append((mapping, layer_name))
+            hits = batch - len(misses)
+            self.num_queries += batch
+            self.num_batch_queries += 1
+            self.num_batch_items += batch
+            self.num_cache_hits += hits
+        self._queries_total.inc(batch)
+        self._batch_queries_total.inc()
+        self._batch_size.observe(batch)
+        if hits:
+            self._hits_total.inc(hits)
+        if self.charge_clock:
+            self.clock.advance(self.eval_cost_s * batch, label="ppa-eval")
+        if not misses:
+            return results  # type: ignore[return-value]  # all hits
+        self._misses_total.inc(len(misses))
+        computed: List[LayerPPA] = []
+        try:
+            # a hook that raises part-way keeps what it had yielded
+            for result in self._compute_misses(hw, misses):
+                computed.append(result)
+        finally:
+            with self._lock:
+                for (key, positions), result in zip(miss_positions.items(), computed):
+                    self._cache_store(key, result)
+                    for index in positions:
+                        results[index] = result
+            if computed and self.sample_sink is not None:
+                self.sample_sink(
+                    hw,
+                    [
+                        (layer_name, mapping, layer_shapes[layer_name][0], result)
+                        for (mapping, layer_name), result in zip(misses, computed)
+                    ],
+                )
         return results  # type: ignore[return-value]  # all slots filled above
 
     def evaluate_candidates(
@@ -429,12 +487,13 @@ class PPAEngine(ABC):
         total_energy = 0.0
         feasible = True
         layer_results: Dict[str, LayerPPA] = {}
+        hw_id = self.hw_key(hw)
         for name, (shape, count) in self.layer_shapes.items():
             mapping = mappings.get(name)
             if mapping is None:
                 feasible = False
                 continue
-            key = (self.hw_key(hw), name, mapping.key())
+            key = (hw_id, name, mapping.key())
             result = self._cache_lookup(key, count=False)
             if result is None:
                 result = self._timed_compute(hw, mapping, name, shape)

@@ -705,9 +705,7 @@ class RemotePPAEngine(PPAEngine):
                 chunks.append((positions, chunk))
         start = time.perf_counter()
         replies = self._fanout(requests)
-        self.metrics.histogram("engine_compute_seconds").observe(
-            time.perf_counter() - start
-        )
+        self._compute_seconds.observe(time.perf_counter() - start)
         source: List[Optional[Iterator[LayerPPA]]] = [None] * len(misses)
         for (positions, chunk), reply in zip(chunks, replies):
             results = self._layer_results(reply, chunk)

@@ -24,6 +24,7 @@ One budget unit = one candidate-mapping evaluation on the PPA engine.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -302,14 +303,14 @@ class AnytimeMappingSearch(ABC):
         return latency, energy
 
     def _network_objective(self, latency: float, energy: float) -> float:
-        if not np.isfinite(latency):
+        if not math.isfinite(latency):
             return _INFEASIBLE_OBJECTIVE
         if self.objective == "latency":
             return latency
         return latency * energy  # EDP
 
     def _network_power(self, latency: float, energy: float) -> float:
-        if not np.isfinite(latency) or latency <= 0:
+        if not math.isfinite(latency) or latency <= 0:
             return _INFEASIBLE_OBJECTIVE
         return energy / latency + self._leakage_w
 
@@ -318,7 +319,7 @@ class AnytimeMappingSearch(ABC):
     ) -> Tuple[float, float]:
         """Network totals if ``layer_name`` adopted ``result``."""
         base_latency, base_energy = self._network_totals()
-        if not np.isfinite(base_latency) or not result.feasible:
+        if not math.isfinite(base_latency) or not result.feasible:
             return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
         count = self.layer_counts[layer_name]
         incumbent = self.best_layer_result[layer_name]

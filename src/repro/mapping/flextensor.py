@@ -11,6 +11,7 @@ that recently yielded improvements are revisited more often).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
@@ -79,8 +80,8 @@ class FlexTensorSearch(AnytimeMappingSearch):
         candidate_score = self._layer_score(result) if result.feasible else float("inf")
 
         accept = False
-        if np.isfinite(candidate_score):
-            if candidate_score <= current_score or not np.isfinite(current_score):
+        if math.isfinite(candidate_score):
+            if candidate_score <= current_score or not math.isfinite(current_score):
                 accept = True
             else:
                 # Metropolis rule on relative regression.

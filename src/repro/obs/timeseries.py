@@ -9,19 +9,22 @@ append-only JSONL file per *target* (a replica ``host:port``, the
     {"t": 1723111845.2, "s": {"up": 1, "engine_queries_total": 4102, ...}}
 
 The file discipline is the :class:`~repro.tracking.journal.EventJournal`
-discipline, deliberately:
+discipline because it is the same code on both sides:
 
 * **atomic line appends** — each sample is serialized to one complete
-  line and written with a single ``os.write`` on an ``O_APPEND``
-  descriptor, so a crash can only truncate the final line;
+  line and handed to the journal's
+  :class:`~repro.tracking.journal.AppendLog` (one ``os.write`` on an
+  append-mode descriptor), so a crash can only truncate the final line;
+  the first append to a crash-damaged file truncates it back to its last
+  complete line, so the write cannot weld onto partial bytes;
 * **truncation-tolerant reads** — scans are the journal's own
   ``read_events`` / ``read_events_from``, stopping at the first
   partial/corrupt line and reporting it instead of failing;
-* **byte-offset resume** — :meth:`MetricsStore.read_from` takes the
+* **byte-offset resume** — :meth:`MetricsStore.append` returns the offset
+  past its line (the log's own count: size at open plus bytes written,
+  no ``stat`` per sample) and :meth:`MetricsStore.read_from` takes the
   ``valid_bytes`` cursor of a previous scan and returns only newer
-  samples, and reopening a crash-damaged file for append first truncates
-  it back to its last complete line so the next write cannot weld onto
-  partial bytes.
+  samples.
 
 On top sits the query layer the alert rules and dashboards consume:
 ``last``/``avg``/``max``/``min`` over a time window, counter-reset-aware
@@ -48,7 +51,12 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TrackingError
-from repro.tracking.journal import JournalScan, read_events, read_events_from
+from repro.tracking.journal import (
+    AppendLog,
+    JournalScan,
+    read_events,
+    read_events_from,
+)
 
 __all__ = [
     "MetricsStore",
@@ -160,11 +168,13 @@ def histogram_quantile(
 class _Target:
     """One target's append state + in-memory sample window."""
 
-    __slots__ = ("path", "fd", "cache", "cache_complete", "lock")
+    __slots__ = ("path", "log", "cache", "cache_complete", "lock")
 
-    def __init__(self, path: Optional[pathlib.Path], cache_samples: int):
+    def __init__(
+        self, path: Optional[pathlib.Path], cache_samples: int, fsync: bool
+    ):
         self.path = path
-        self.fd: Optional[int] = None
+        self.log = AppendLog(path, fsync=fsync) if path is not None else None
         self.cache: Deque[Sample] = deque(maxlen=cache_samples)
         #: True while the cache holds the file's complete history
         self.cache_complete = path is None or not (
@@ -209,7 +219,7 @@ class MetricsStore:
                     else None
                 )
                 state = self._targets[target] = _Target(
-                    path, self.cache_samples
+                    path, self.cache_samples, self.fsync
                 )
             return state
 
@@ -242,27 +252,9 @@ class MetricsStore:
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with state.lock:
             state.cache.append((record["t"], record["s"]))
-            if state.path is None:
+            if state.log is None:
                 return -1
-            if state.fd is None:
-                if state.path.exists() and state.path.stat().st_size > 0:
-                    scan = read_events(state.path)
-                    if scan.truncated_tail:
-                        os.truncate(str(state.path), scan.valid_bytes)
-                state.fd = os.open(
-                    str(state.path),
-                    os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                    0o644,
-                )
-            written = os.write(state.fd, line)
-            if written != len(line):  # pragma: no cover - disk-full path
-                raise TrackingError(
-                    f"short write to metrics journal {state.path} "
-                    f"({written}/{len(line)} bytes)"
-                )
-            if self.fsync:
-                os.fsync(state.fd)
-            return state.path.stat().st_size
+            return state.log.write(line)
 
     # --------------------------------------------------------------- reads
     def read_from(self, target: str, offset: int) -> Tuple[List[Sample], JournalScan]:
@@ -478,9 +470,7 @@ class MetricsStore:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, state.path)
-            if state.fd is not None:
-                os.close(state.fd)
-                state.fd = None
+            state.log.close()
             state.cache.clear()
             state.cache.extend(final[-self.cache_samples:])
             state.cache_complete = len(final) <= self.cache_samples
@@ -491,9 +481,8 @@ class MetricsStore:
         with self._lock:
             for state in self._targets.values():
                 with state.lock:
-                    if state.fd is not None:
-                        os.close(state.fd)
-                        state.fd = None
+                    if state.log is not None:
+                        state.log.close()
 
     def __enter__(self) -> "MetricsStore":
         return self

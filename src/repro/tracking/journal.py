@@ -12,17 +12,22 @@ one JSON object per line:
 Crash safety comes from two properties:
 
 * **Atomic line appends** — every event is serialized to one complete
-  line and written with a single ``os.write`` on an ``O_APPEND`` file
-  descriptor, so concurrent writers interleave whole lines and a crash
-  can only lose (truncate) the final line, never corrupt earlier ones.
+  line, and the lines of one :meth:`EventJournal.append` /
+  :meth:`EventJournal.append_many` call reach the file in a single
+  ``os.write`` on an ``O_APPEND`` descriptor (:class:`AppendLog`, the one
+  write path of this journal and of the metrics store), so concurrent
+  writers interleave whole calls and a crash can only tear the final
+  line written, never corrupt earlier ones.  Lines are atomic; a *group*
+  is not — a torn group keeps the whole lines before the cut.
 * **Tolerant reads** — :func:`read_events` stops at the first malformed
   or unterminated line and reports it as a truncated tail instead of
   failing, so a journal cut mid-write is still fully usable up to the
   last complete event.
 
-``fsync=True`` additionally flushes each line to stable storage before
-returning — the right trade for cycle-accurate runs where one event per
-2-10 simulated minutes is cheap insurance.
+``fsync=True`` additionally flushes each call's lines to stable storage
+before returning (one ``fsync`` per call, however many lines it carried)
+— the right trade for cycle-accurate runs where one event per 2-10
+simulated minutes is cheap insurance.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ import os
 import pathlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import TrackingError
+from repro.utils.records import to_jsonable
 
 #: The journal's own format version, stamped on every ``run_start`` event.
 JOURNAL_VERSION = 1
@@ -97,6 +103,63 @@ class JournalScan:
         return [e for e in self.events if e.get("type") == event_type]
 
 
+class AppendLog:
+    """Whole-line appends to one file: the write side of every JSONL store.
+
+    :class:`EventJournal` and :class:`~repro.obs.timeseries.MetricsStore`
+    both sit on it.  The file is opened lazily with ``O_APPEND | O_CREAT``;
+    a file that already holds bytes is scanned once and cut back to the end
+    of its last complete line first, so the next write cannot weld onto a
+    crash-partial tail.  Each :meth:`write` is one ``os.write`` (checked
+    for a short write, followed by ``fsync`` when asked).  Not thread-safe:
+    the owner serialises writers under its own lock.
+    """
+
+    def __init__(self, path: Union[str, pathlib.Path], fsync: bool = False):
+        self.path = pathlib.Path(path)
+        self.fsync = fsync
+        self._fd: Optional[int] = None
+        #: byte offset just past the last write — the size the file had
+        #: when it was opened plus every byte written since
+        self.offset = 0
+
+    def open(self) -> "JournalScan":
+        """Open for appending; returns the scan of what the file held."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        scan = read_events(self.path) if self.path.exists() else JournalScan()
+        if scan.truncated_tail:
+            os.truncate(str(self.path), scan.valid_bytes)
+        self._fd = os.open(
+            str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        )
+        self.offset = scan.valid_bytes
+        return scan
+
+    def write(self, data: bytes) -> int:
+        """Append ``data`` (whole lines); returns the byte offset past it."""
+        if self._fd is None:
+            self.open()
+        written = os.write(self._fd, data)
+        self.offset += written
+        if written != len(data):  # pragma: no cover - disk-full path
+            raise TrackingError(
+                f"short write to {self.path} ({written}/{len(data)} bytes)"
+            )
+        if self.fsync:
+            os.fsync(self._fd)
+        return self.offset
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+
+#: the journal's one line encoder (NumPy scalars/arrays and everything
+#: repr-able fall back to :func:`~repro.utils.records.to_jsonable`)
+_ENCODER = json.JSONEncoder(sort_keys=True, default=to_jsonable)
+
+
 class EventJournal:
     """Writer for one run's ``journal.jsonl``.
 
@@ -113,10 +176,9 @@ class EventJournal:
         _next_seq: int = 0,
     ):
         self.path = pathlib.Path(path)
-        self.fsync = fsync
         self._next_seq = _next_seq
         self._lock = threading.Lock()
-        self._fd: Optional[int] = None
+        self._log = AppendLog(self.path, fsync=fsync)
 
     @classmethod
     def open_resume(
@@ -130,62 +192,52 @@ class EventJournal:
         otherwise the next ``O_APPEND`` write would weld onto the partial
         bytes and form one malformed line, poisoning every later event.
         """
-        scan = read_events(path)
-        if scan.truncated_tail:
-            os.truncate(str(path), scan.valid_bytes)
-        return cls(path, fsync=fsync, _next_seq=scan.last_seq + 1)
+        journal = cls(path, fsync=fsync)
+        journal._next_seq = journal._log.open().last_seq + 1
+        return journal
 
     # ------------------------------------------------------------------ write
-    def _ensure_open(self) -> int:
-        if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        return self._fd
+    def append_many(
+        self, event_type: str, payloads: Iterable[Optional[Dict]]
+    ) -> int:
+        """Write one event per payload as one group; returns the first ``seq``.
 
-    def append(self, event_type: str, payload: Optional[Dict] = None) -> int:
-        """Write one event atomically; returns its sequence number."""
+        The group's events take consecutive sequence numbers, each is its
+        own whole line, and all lines reach the file in one ``os.write``
+        (one ``fsync`` when on) under one lock hold — so concurrent
+        writers interleave whole groups and file order is ``seq`` order.
+        """
         if event_type not in EVENT_TYPES:
             raise TrackingError(
                 f"unknown event type {event_type!r}; use one of {EVENT_TYPES}"
             )
-        record = {"seq": 0, "type": event_type}
-        record.update(payload or {})
         with self._lock:
-            record["seq"] = self._next_seq
-            line = json.dumps(record, sort_keys=True, default=_jsonable) + "\n"
-            data = line.encode("utf-8")
-            fd = self._ensure_open()
-            written = os.write(fd, data)
-            if written != len(data):  # pragma: no cover - disk-full path
-                raise TrackingError(
-                    f"short write to journal {self.path} "
-                    f"({written}/{len(data)} bytes)"
-                )
-            if self.fsync:
-                os.fsync(fd)
-            self._next_seq += 1
-            return record["seq"]
+            first = self._next_seq
+            lines = []
+            for payload in payloads:
+                record = {"type": event_type}
+                if payload:
+                    record.update(payload)
+                record["seq"] = first + len(lines)
+                lines.append(_ENCODER.encode(record))
+            if lines:
+                self._log.write(("\n".join(lines) + "\n").encode("utf-8"))
+                self._next_seq = first + len(lines)
+            return first
+
+    def append(self, event_type: str, payload: Optional[Dict] = None) -> int:
+        """Write one event atomically; returns its sequence number."""
+        return self.append_many(event_type, (payload,))
 
     def close(self) -> None:
         with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
+            self._log.close()
 
     def __enter__(self) -> "EventJournal":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _jsonable(value):
-    """Fallback serializer: NumPy scalars/arrays and everything repr-able."""
-    from repro.utils.records import to_jsonable
-
-    return to_jsonable(value)
 
 
 # ---------------------------------------------------------------------- read
@@ -335,6 +387,7 @@ def verify_sequence(scan: JournalScan) -> None:
 __all__ = [
     "EVENT_TYPES",
     "JOURNAL_VERSION",
+    "AppendLog",
     "EventJournal",
     "JournalScan",
     "iter_events",

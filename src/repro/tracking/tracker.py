@@ -24,6 +24,7 @@ index, so the replayed sequence equals an uninterrupted run's.
 
 from __future__ import annotations
 
+import math
 import pathlib
 import time
 from dataclasses import dataclass
@@ -147,16 +148,24 @@ class NullTracker(Tracker):
     enabled = False
 
 
+def _finite(value: float) -> Optional[float]:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 class JournalSampleSink:
     """Engine sample sink that journals per-candidate ``engine_sample`` events.
 
     Installed on a ``PPAEngine`` (``engine.sample_sink = sink``) it records
     one event per *computed* cost-model query — the training data the
-    :mod:`repro.learned` subsystem distills.  The payload is self-contained
-    (hardware variables, mapping key, layer shape, exact PPA), so datasets
-    can be extracted from a journal without the run's design space or
-    workload registry.  Thread safety comes from the journal's atomic line
-    appends.
+    :mod:`repro.learned` subsystem distills.  The engine calls it once per
+    engine call, ``sink(hw, samples)`` with ``samples = [(layer_name,
+    mapping, shape, result), ...]``, and the samples of one call are
+    group-committed: consecutive ``seq``, one journal write.  The payload
+    is self-contained (hardware variables, mapping key, layer shape, exact
+    PPA), so datasets can be extracted from a journal without the run's
+    design space or workload registry.  Thread safety comes from the
+    journal's atomic group appends.
     """
 
     #: payload schema, independent of JOURNAL_VERSION so the sample shape
@@ -165,26 +174,36 @@ class JournalSampleSink:
 
     def __init__(self, journal: EventJournal):
         self.journal = journal
+        #: ``(hw, its payload fragment)`` of the last hardware seen.
+        #: Configs are frozen dataclasses, so the same object always has
+        #: the same fields; one attribute, swapped whole, because the
+        #: ``thread`` runner backend calls the sink concurrently.
+        self._hw_fragment = (None, None)
 
-    @staticmethod
-    def _finite(value: float) -> Optional[float]:
-        value = float(value)
-        return value if np.isfinite(value) else None
-
-    def __call__(self, hw, layer_name: str, mapping, shape, result) -> None:
-        self.journal.append(
+    def __call__(self, hw, samples) -> None:
+        held = self._hw_fragment
+        if held[0] is not hw:
+            held = self._hw_fragment = (
+                hw, {str(k): to_jsonable(v) for k, v in vars(hw).items()}
+            )
+        fragment = held[1]
+        self.journal.append_many(
             "engine_sample",
-            {
-                "sample_schema": self.SAMPLE_SCHEMA,
-                "layer": str(layer_name),
-                "hw": {str(k): to_jsonable(v) for k, v in vars(hw).items()},
-                "mapping": to_jsonable(mapping.key()),
-                "shape": [shape.m, shape.n, shape.k, shape.reuse_penalty],
-                "latency_s": self._finite(result.latency_s),
-                "energy_j": self._finite(result.energy_j),
-                "feasible": bool(result.feasible),
-                "reason": str(result.infeasible_reason),
-            },
+            [
+                {
+                    "sample_schema": self.SAMPLE_SCHEMA,
+                    "layer": str(layer_name),
+                    "hw": fragment,
+                    # a tuple of ints/strs: the encoder writes it natively
+                    "mapping": mapping.key(),
+                    "shape": [shape.m, shape.n, shape.k, shape.reuse_penalty],
+                    "latency_s": _finite(result.latency_s),
+                    "energy_j": _finite(result.energy_j),
+                    "feasible": bool(result.feasible),
+                    "reason": str(result.infeasible_reason),
+                }
+                for layer_name, mapping, shape, result in samples
+            ],
         )
 
 

@@ -156,3 +156,81 @@ class TestCacheBounds:
         batch = batched.evaluate_layers(sample_hw, requests)
         assert [r.latency_s for r in batch] == [r.latency_s for r in singles]
         assert batched.num_queries == single.num_queries
+
+
+class TestHeldInstruments:
+    """The engine holds its registry instruments instead of looking them
+    up by name per event — without changing what a snapshot lists."""
+
+    def test_an_instrument_appears_with_its_first_event(self, tiny_network, sample_hw):
+        engine = MaestroEngine(tiny_network, cache_capacity=1)
+        assert engine.metrics.snapshot() == {"counters": {}, "histograms": {}}
+        engine.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")
+        snapshot = engine.metrics.snapshot()
+        assert snapshot["counters"] == {
+            "engine_queries_total": 1.0,
+            "engine_cache_misses_total": 1.0,
+        }
+        assert list(snapshot["histograms"]) == ["engine_compute_seconds"]
+        engine.evaluate_layers(sample_hw, [(MAPPINGS[0], "gemm"), (MAPPINGS[1], "gemm")])
+        assert engine.metrics.snapshot()["counters"] == {
+            "engine_queries_total": 3.0,
+            "engine_cache_misses_total": 2.0,
+            "engine_cache_hits_total": 1.0,
+            "engine_batch_queries_total": 1.0,
+            "engine_cache_evictions_total": 1.0,
+        }
+
+    def test_swapping_the_registry_rebinds(self, tiny_network, sample_hw):
+        from repro.utils.metrics import MetricsRegistry
+
+        engine = MaestroEngine(tiny_network)
+        first = engine.metrics
+        engine.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")
+        engine.metrics = second = MetricsRegistry()
+        engine.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")
+        assert first.counter_value("engine_queries_total") == 1
+        assert second.counter_value("engine_queries_total") == 1
+        assert second.counter_value("engine_cache_hits_total") == 1
+
+    def test_pickled_copy_counts_into_its_own_registry(self, tiny_network, sample_hw):
+        import pickle
+
+        engine = MaestroEngine(tiny_network)
+        engine.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")
+        copy = pickle.loads(pickle.dumps(engine))
+        copy.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")  # caches ship empty
+        assert copy.metrics.counter_value("engine_queries_total") == 2
+        assert copy.metrics.counter_value("engine_cache_misses_total") == 2
+        assert engine.metrics.counter_value("engine_queries_total") == 1
+
+
+def test_hw_key_memo_is_safe_under_concurrent_hardware(tiny_network, edge_space):
+    """One engine, a thread per hardware config: every key is its own hw's."""
+    import sys
+    import threading
+
+    engine = MaestroEngine(tiny_network)
+    configs = [edge_space.sample(seed) for seed in range(4)]
+    expected = [tuple(sorted(vars(hw).items())) for hw in configs]
+    wrong = []
+
+    def worker(hw, want):
+        for _ in range(3000):
+            if engine.hw_key(hw) != want:
+                wrong.append((hw, want))
+
+    threads = [
+        threading.Thread(target=worker, args=pair) for pair in zip(configs, expected)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -1,11 +1,12 @@
 """``evaluate_layers`` is the one batched core: parity on every route.
 
-A cross-layer batch must be indistinguishable — results, query and hit
-counts, simulated clock, and the ``sample_sink`` stream — from the same
-items sent one by one through ``evaluate_layer``, whether the misses are
-computed in process or travel through the one remote engine to one
-replica or two.  The count guards at the bottom pin what the single call
-buys: one POST per speculative draft batch.
+A cross-layer batch must be indistinguishable — results, every count in
+``stats()`` and the metrics registry, simulated clock, and the flattened
+``sample_sink`` stream — from the same items sent one by one through
+``evaluate_layer``, whether the misses are computed in process or travel
+through the one remote engine to one replica or two.  What may differ is
+what the single call buys: one sink call carrying all of its misses, and
+(the count guards at the bottom) one POST per speculative draft batch.
 """
 
 import numpy as np
@@ -92,11 +93,30 @@ def _scenario(name, tiny_network):
     return [], wide[:4] + narrow + wide[4:]
 
 
-def _recording_sink(log):
-    def sink(hw, layer_name, mapping, shape, result):
-        log.append((layer_name, mapping.key(), shape, result))
+def _recording_sink(calls):
+    """The sink protocol: ``sink(hw, samples)``, once per engine call."""
+
+    def sink(hw, samples):
+        calls.append(
+            [
+                (layer_name, mapping.key(), shape, result)
+                for layer_name, mapping, shape, result in samples
+            ]
+        )
 
     return sink
+
+
+#: what batching is allowed to change in ``stats()``; remote engines add
+#: transport sections (``pool``, ``fleet``) that count requests, not queries
+_BATCH_SHAPED = {"batch_queries", "batch_items", "mean_batch_size", "pool", "fleet"}
+
+_QUERY_COUNTERS = (
+    "engine_queries_total",
+    "engine_cache_hits_total",
+    "engine_cache_misses_total",
+    "engine_cache_evictions_total",
+)
 
 
 @pytest.mark.parametrize("scenario", ["mixed", "duplicates", "warm", "crossover"])
@@ -105,9 +125,9 @@ def test_evaluate_layers_matches_sequential(
     kind, scenario, make_engine, tiny_network, sample_hw
 ):
     batched, sequential = make_engine(kind), make_engine(kind)
-    batched_log, sequential_log = [], []
-    batched.sample_sink = _recording_sink(batched_log)
-    sequential.sample_sink = _recording_sink(sequential_log)
+    batched_calls, sequential_calls = [], []
+    batched.sample_sink = _recording_sink(batched_calls)
+    sequential.sample_sink = _recording_sink(sequential_calls)
     warm, items = _scenario(scenario, tiny_network)
     for engine in (batched, sequential):
         for mapping, layer_name in warm:
@@ -123,7 +143,31 @@ def test_evaluate_layers_matches_sequential(
     assert batched.num_queries == sequential.num_queries == len(warm) + len(items)
     assert batched.num_cache_hits == sequential.num_cache_hits
     assert batched.clock.now_s == sequential.clock.now_s
-    assert batched_log == sequential_log
+    # one sink call per engine call that computed something: the batch's
+    # misses arrive together, in miss order; flattened, the streams agree
+    batched_log = [sample for call in batched_calls for sample in call]
+    assert batched_log == [sample for call in sequential_calls for sample in call]
+    assert all(len(call) == 1 for call in sequential_calls)
+    assert [len(call) for call in batched_calls] == [1] * len(warm) + [
+        len(batched_log) - len(warm)
+    ]
+    # every count agrees, in stats() and in the registry
+    stats, reference = batched.stats(), sequential.stats()
+    assert {k: v for k, v in stats.items() if k not in _BATCH_SHAPED} == {
+        k: v for k, v in reference.items() if k not in _BATCH_SHAPED
+    }
+    assert (stats["batch_queries"], stats["batch_items"]) == (1, len(items))
+    for name in _QUERY_COUNTERS:
+        assert batched.metrics.counter_value(name) == (
+            sequential.metrics.counter_value(name)
+        ), name
+    hits = batched.num_cache_hits
+    assert batched.metrics.counter_value("engine_queries_total") == batched.num_queries
+    assert batched.metrics.counter_value("engine_cache_hits_total") == hits
+    assert batched.metrics.counter_value("engine_cache_misses_total") == (
+        batched.num_queries - hits
+    )
+    assert batched.metrics.counter_value("engine_batch_queries_total") == 1
     if scenario == "duplicates":
         # at the parent commit a replica route reported samples=0, hits=0
         assert len(batched_log) == 5

@@ -528,6 +528,8 @@ class TestBatchEndpoint:
                     for layer in ("gemm", "conv") for u in (1, 2, 4)]
         with _scripted_url(script) as (url, hits):
             remote = _fast_remote(tiny_network, url, batch_size=2)
+            sink_calls = []
+            remote.sample_sink = lambda hw, samples: sink_calls.append(samples)
             with pytest.raises(EvaluationError, match="service error 500"):
                 remote.evaluate_layers(sample_hw, requests)
             assert hits["count"] == 2  # the third chunk was never sent
@@ -535,6 +537,13 @@ class TestBatchEndpoint:
             for mapping, layer in requests[:2]:
                 assert remote.evaluate_layer(sample_hw, mapping, layer).latency_s == 1.0
             assert hits["count"] == 2  # both served from the client cache
+            # the sink saw exactly what reached the cache: the first chunk's
+            # two results, in miss order, in one call
+            (samples,) = sink_calls
+            assert [(mapping, layer) for layer, mapping, _s, _r in samples] == (
+                requests[:2]
+            )
+            assert [result.latency_s for _l, _m, _s, result in samples] == [1.0, 1.0]
 
     def test_batch_bad_item_raises_but_good_items_cached(self, server, tiny_network,
                                                          sample_hw):
@@ -548,14 +557,19 @@ class TestBatchEndpoint:
             year=2023,
         )
         remote = _fast_remote(client_network, server.url)
+        sink_calls = []
+        remote.sample_sink = lambda hw, samples: sink_calls.append(samples)
         requests = [(GemmMapping(4, 8, 4), "gemm"), (GemmMapping(4, 8, 4), "ghost")]
         with pytest.raises(EvaluationError, match="ghost"):
             remote.evaluate_layers(sample_hw, requests)
         # the good item was still cached by the partial batch
         backend_queries = server.engine.num_queries
-        remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
+        cached = remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
         assert server.engine.num_queries == backend_queries
         assert remote.num_cache_hits == 1
+        # ... and it is the one sample the sink was handed, in one call
+        shape = remote.layer_shapes["gemm"][0]
+        assert sink_calls == [[("gemm", GemmMapping(4, 8, 4), shape, cached)]]
 
     def test_batch_charges_clock_per_query(self, server, remote, sample_hw):
         requests = [(GemmMapping(4, 8, 4), "gemm"), (GemmMapping(8, 16, 8), "gemm")]

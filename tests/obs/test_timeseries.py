@@ -148,6 +148,48 @@ class TestCrashResume:
         assert [line["t"] for line in lines] == [1.0, 2.0, 4.0]
         resumed.close()
 
+    def test_first_append_after_a_cut_at_every_byte(self, tmp_path):
+        """The shared append log: wherever the last sample was torn, the
+        first append cuts the tail, and its offset is the file's size."""
+        with MetricsStore(tmp_path / "whole") as store:
+            store.append("fleet", 1.0, {"x": 1.0})
+            first = store.append("fleet", 2.0, {"x": 2.0})
+            store.append("fleet", 3.0, {"x": 3.0, "y": 0.5})
+        raw = (tmp_path / "whole" / "fleet.jsonl").read_bytes()
+        path = tmp_path / "fleet.jsonl"
+        for cut in range(first, len(raw) + 1):
+            path.write_bytes(raw[:cut])
+            survivors = [1.0, 2.0] + ([3.0] if cut == len(raw) else [])
+            with MetricsStore(tmp_path) as store:
+                offset = store.append("fleet", 4.0, {"x": 4.0})
+            after = path.read_bytes()
+            assert offset == len(after), cut
+            assert [json.loads(line)["t"] for line in after.splitlines()] == (
+                survivors + [4.0]
+            ), cut
+
+    def test_offsets_come_from_the_log_not_from_stat(self, tmp_path, monkeypatch):
+        import pathlib
+
+        path = tmp_path / "fleet.jsonl"
+        with MetricsStore(tmp_path) as store:
+            sizes = [store.append("fleet", 0.0, {"x": 0.0})]
+            stats = []
+            real_stat = pathlib.Path.stat
+            monkeypatch.setattr(
+                pathlib.Path,
+                "stat",
+                lambda self, **kw: stats.append(self) or real_stat(self, **kw),
+            )
+            sizes += [store.append("fleet", float(t), {"x": 1.0}) for t in (1, 2, 3)]
+            monkeypatch.undo()
+            assert stats == []
+            assert sizes[-1] == path.stat().st_size
+            assert sizes == sorted(set(sizes))
+            # a compaction rewrites the file: the next offset is the new size
+            store.compact("fleet", now=3.0, retention_s=1.5)
+            assert store.append("fleet", 4.0, {"x": 4.0}) == path.stat().st_size
+
     def test_append_reopens_after_external_truncate(self, tmp_path):
         with MetricsStore(tmp_path) as store:
             store.append("fleet", 1.0, {"x": 1.0})

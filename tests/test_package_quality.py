@@ -215,3 +215,14 @@ def test_no_unused_module_level_imports():
         for line, name in _unused_module_level_imports(ast.parse(path.read_text())):
             unused.append(f"{path.relative_to(SRC_ROOT)}:{line}: {name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_one_append_log_under_every_jsonl_store():
+    """``O_APPEND`` is typed out once: the journal's ``AppendLog``, which the
+    event journal and the metrics store both write through."""
+    holders = [
+        str(path.relative_to(SRC_ROOT))
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+        if "O_APPEND" in path.read_text(encoding="utf-8")
+    ]
+    assert holders == ["tracking/journal.py"]
