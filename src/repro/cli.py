@@ -564,6 +564,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_fleet_serve(args) -> int:
+    import signal
+    import threading
+
     from repro.fleet.server import FleetSupervisor, ReplicaSpec
 
     capacity = args.cache_capacity if args.cache_capacity > 0 else None
@@ -574,6 +577,12 @@ def _cmd_fleet_serve(args) -> int:
         host=args.host,
         ports=tuple(args.ports),
     )
+    # handlers go in before the fork: a SIGTERM (systemd, ``docker stop``,
+    # ``kill``) that took the default action would kill the supervisor and
+    # leave every replica holding its port
+    stop_requested = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stop_requested.set())
     fleet = FleetSupervisor(spec, replicas=args.replicas).start()
     print(
         f"PPA fleet ({args.engine}, workload {args.network}): "
@@ -583,15 +592,11 @@ def _cmd_fleet_serve(args) -> int:
         print(f"  replica {index}: {url}")
     print(
         "give RemotePPAEngine every URL; "
-        "Ctrl-C drains in-flight requests and stops the fleet."
+        "Ctrl-C or SIGTERM drains in-flight requests and stops the fleet.",
+        flush=True,
     )
-    try:
-        import time
-
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        fleet.stop()
+    stop_requested.wait()
+    fleet.stop()
     return 0
 
 
@@ -1156,8 +1161,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--batch-size", type=int, default=1,
-        help="speculative batch width of the inner mapping search "
-             "(candidates per vectorized PPA-engine call; 1 = scalar loop)",
+        help="upper bound on the candidates of one PPA-engine call of the "
+             "inner mapping search (a missed step plus drafts of the steps "
+             "that follow; same search at every value, 1 = no drafts)",
     )
     run_parser.add_argument(
         "--trace", action="store_true",

@@ -134,8 +134,8 @@ class CoOptimizer(ABC):
         #: process lifetime; result totals add the live engine's count
         self.restored_engine_queries = 0
         self._trial_factory = trial_factory
-        #: speculative-batch width handed to every SW search trial; 1 keeps
-        #: the scalar propose/evaluate/fold loop
+        #: bound on the candidates per engine call handed to every SW
+        #: search trial; 1 means no look-ahead, one scalar call per step
         self.eval_batch_size = int(eval_batch_size)
         #: observer of search events (journaling, checkpointing); the
         #: default NullTracker keeps the untracked hot path free

@@ -103,11 +103,18 @@ class UnicoConfig:
     mobo_overhead_s: float = 5.0
     time_budget_s: Optional[float] = None
     min_observations: int = 8
-    #: speculative-batch width of the inner mapping search (candidates per
-    #: PPA-engine batch call); 1 keeps the scalar loop.  Results are
-    #: byte-identical either way (speculation replays the fold under the
-    #: true state); 8 amortizes engine dispatch by default.  Distinct from
-    #: ``batch_size``, which is the MOBO *hardware* batch N.
+    #: upper bound on the candidates of one PPA-engine call of the inner
+    #: mapping search: a step that misses may bring along drafts of up to
+    #: ``eval_batch_size - 1`` steps that follow, as deep as the search's
+    #: own record of used drafts justifies (DESIGN.md section 4b); 1 buys
+    #: none.  Results are byte-identical at every value (each step
+    #: proposes from the true state); what changes is how many engine
+    #: calls a search makes and how many evaluations it buys and never
+    #: uses, both charged in Cost(h).  The default here is 8 while
+    #: ``run_method``, ``RunSpec`` and the CLI default to 1 — the tables
+    #: and figures, which go through the harness, never paid for
+    #: look-ahead.  Distinct from ``batch_size``, the MOBO *hardware*
+    #: batch N.
     eval_batch_size: int = 8
     #: warm-start configurations injected into the first batch (e.g. the
     #: expert default when tuning an existing industrial architecture)

@@ -254,34 +254,46 @@ class PPAEngine(ABC):
         results come back in ``misses`` order, and :meth:`evaluate_layers`
         takes each as it arrives — a hook that raises part-way keeps what
         it had already yielded (cached, and handed to the sample sink), as
-        sequential :meth:`evaluate_layer` calls would have.  In-process engines group the misses by layer and pick
-        the kernel from the group size; remote engines override this with
-        their transport and nothing else.
+        sequential :meth:`evaluate_layer` calls would have.  In-process
+        engines group the misses by layer and pick the kernel from the
+        group size — unless the call is too small for any group to reach
+        the vector kernel, which makes a look-ahead call of two or three
+        items cost what the scalar calls it replaces did; remote engines
+        override this with their transport and nothing else.
         """
-        by_layer: Dict[str, List[int]] = {}
-        for position, (_mapping, layer_name) in enumerate(misses):
-            by_layer.setdefault(layer_name, []).append(position)
-        results: List[Optional[LayerPPA]] = [None] * len(misses)
+        layer_shapes = self.layer_shapes
         start = time.perf_counter()
-        for layer_name, positions in by_layer.items():
-            shape, _count = self.layer_shapes[layer_name]
-            mappings = [misses[position][0] for position in positions]
-            computed = None
-            if len(mappings) >= VECTOR_KERNEL_MIN_GROUP:
-                computed = self._compute_layer_batch(
-                    hw, mappings, layer_name, shape
+        if len(misses) < VECTOR_KERNEL_MIN_GROUP:
+            results = [
+                self._compute_layer_by_name(
+                    hw, mapping, layer_name, layer_shapes[layer_name][0]
                 )
-            if computed is None:
-                computed = [
-                    self._compute_layer_by_name(hw, mapping, layer_name, shape)
-                    for mapping in mappings
-                ]
-            for position, result in zip(positions, computed):
-                results[position] = result
+                for mapping, layer_name in misses
+            ]
+        else:
+            by_layer: Dict[str, List[int]] = {}
+            for position, (_mapping, layer_name) in enumerate(misses):
+                by_layer.setdefault(layer_name, []).append(position)
+            results = [None] * len(misses)  # every slot is filled below
+            for layer_name, positions in by_layer.items():
+                shape = layer_shapes[layer_name][0]
+                mappings = [misses[position][0] for position in positions]
+                computed = None
+                if len(mappings) >= VECTOR_KERNEL_MIN_GROUP:
+                    computed = self._compute_layer_batch(
+                        hw, mappings, layer_name, shape
+                    )
+                if computed is None:
+                    computed = [
+                        self._compute_layer_by_name(hw, mapping, layer_name, shape)
+                        for mapping in mappings
+                    ]
+                for position, result in zip(positions, computed):
+                    results[position] = result
         elapsed = time.perf_counter() - start
         self._compute_seconds.observe(elapsed)
         self._per_item_seconds.observe(elapsed / len(misses))
-        return results  # type: ignore[return-value]  # all slots filled above
+        return results
 
     def hw_key(self, hw) -> Tuple:
         """Hashable identity of a hardware config (for the cache)."""
@@ -322,11 +334,15 @@ class PPAEngine(ABC):
         with self._lock:
             self._cache[key] = result
             self._cache.move_to_end(key)
-            if self.cache_capacity is not None:
-                while len(self._cache) > self.cache_capacity:
-                    self._cache.popitem(last=False)
-                    self.num_cache_evictions += 1
-                    self._evictions_total.inc()
+            self._evict_over_capacity()
+
+    def _evict_over_capacity(self) -> None:
+        """Drop oldest entries until the LRU fits; the caller holds the lock."""
+        if self.cache_capacity is not None:
+            while len(self._cache) > self.cache_capacity:
+                self._cache.popitem(last=False)
+                self.num_cache_evictions += 1
+                self._evictions_total.inc()
 
     def _timed_compute(
         self, hw, mapping: "GemmMapping", layer_name: str, shape: GemmShape
@@ -447,14 +463,15 @@ class PPAEngine(ABC):
         computed: List[LayerPPA] = []
         try:
             # a hook that raises part-way keeps what it had yielded
-            for result in self._compute_misses(hw, misses):
-                computed.append(result)
+            computed.extend(self._compute_misses(hw, misses))
         finally:
             with self._lock:
                 for (key, positions), result in zip(miss_positions.items(), computed):
-                    self._cache_store(key, result)
+                    cache[key] = result
+                    cache.move_to_end(key)
                     for index in positions:
                         results[index] = result
+                self._evict_over_capacity()
             if computed and self.sample_sink is not None:
                 self.sample_sink(
                     hw,

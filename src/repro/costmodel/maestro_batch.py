@@ -21,8 +21,8 @@ Vectorization notes.  Up to the widths the benchmarks drive (B = 64)
 NumPy's per-call dispatch overhead — not element throughput — is the cost
 that matters, so the kernel is written to minimize the *number* and the
 *per-op cost* of array operations.  A call costs ~55 us at any such width
-against ~8 us per candidate for the scalar model, and a co-search at
-``eval_batch_size=8`` produces layer groups of ~1 candidate, so the engine
+against ~8 us per candidate for the scalar model, and a FlexTensor
+co-search sends engine calls of two or three candidates, so the engine
 only comes here at ``VECTOR_KERNEL_MIN_GROUP`` or more misses of one layer
 (:mod:`repro.costmodel.engine`):
 

@@ -149,10 +149,11 @@ def build_optimizer(
     This is the factory :func:`launch` drives, for a fresh run and for a
     resumed one alike (the checkpoint is restored onto what it returns).
 
-    ``eval_batch_size`` is the speculative-batch width of the inner
-    mapping search (one PPA-engine batch call per that many candidates);
-    1 keeps the classic scalar loop and reproduces its trajectories
-    exactly.
+    ``eval_batch_size`` bounds the candidates of one PPA-engine call of
+    the inner mapping search (a missed step plus drafts of the steps that
+    follow, as deep as the search's hit record justifies); trajectories
+    are byte-identical at every value, and 1 — the default here, unlike
+    ``UnicoConfig``'s 8 — buys no drafts at all.
 
     ``tool`` overrides the scenario's default SW mapping tool (e.g.
     ``"oneloop"`` for the learned gradient-descent search); ``None``
@@ -216,7 +217,9 @@ class RunSpec:
     :class:`Network`; ``preset`` may be a :class:`Preset` and is stored as
     its name plus ``preset_params``, the full parameters, so a run with a
     custom (unregistered) preset stays resumable; ``tool`` overrides the
-    scenario's mapping tool (e.g. ``oneloop``).  On a tracked run,
+    scenario's mapping tool (e.g. ``oneloop``); ``eval_batch_size``
+    bounds the candidates per engine call of the inner search (see
+    :func:`build_optimizer`; default 1, no look-ahead).  On a tracked run,
     ``record_samples`` journals every computed candidate as an
     ``engine_sample`` event (the corpus of ``repro learned train``),
     ``trace`` journals ``span`` events and writes ``trace.json`` (Chrome

@@ -19,7 +19,11 @@ Bookkeeping exposed to UNICO:
   is what MSH's AUC uses.
 * ``best_mapping`` / ``best_ppa`` — incumbent full-network mapping.
 
-One budget unit = one candidate-mapping evaluation on the PPA engine.
+One budget unit = one candidate-mapping evaluation folded into the
+history.  With ``batch_size > 1`` a speculation-safe tool may also *buy*
+evaluations ahead of their step (``num_speculative_evals``; those never
+used are ``num_speculation_misses``): same history at every width, fewer
+engine calls, more engine queries.
 """
 
 from __future__ import annotations
@@ -86,8 +90,14 @@ class AnytimeMappingSearch(ABC):
     #: only RNG state and leave every piece of strategy state that
     #: :meth:`_propose` reads untouched.  Tools whose proposals pop queues
     #: or advance cursors (CoSA, the fusion search) must leave this False;
-    #: they silently fall back to scalar stepping under ``batch_size > 1``.
+    #: they step through scalar engine calls at every ``batch_size``.
     supports_speculation = False
+
+    #: whether proposals never read a result: no fold can steer the next
+    #: proposal, every draft is used, and look-ahead always drafts the
+    #: full ``batch_size - 1``.  Every other speculation-safe tool earns
+    #: its depth from its own hit record (:meth:`_lookahead_depth`).
+    proposals_ignore_results = False
 
     def __init__(
         self,
@@ -108,11 +118,18 @@ class AnytimeMappingSearch(ABC):
         self.hw = hw
         self.engine = engine
         self.objective = objective
+        #: upper bound on the candidates of one engine call
         self.batch_size = int(batch_size)
-        #: candidates evaluated through speculative batches / of those, the
-        #: replayed proposals the speculation failed to predict
+        #: drafts bought: candidates evaluated ahead of their step
         self.num_speculative_evals = 0
-        self.num_speculation_misses = 0
+        #: evaluations bought and not used yet, ``(layer, mapping.key()) ->
+        #: result``; a step that proposes one pops it.  Survives batches,
+        #: rounds and pickling: what was paid for is kept.
+        self._bought: Dict[Tuple[str, tuple], LayerPPA] = {}
+        #: one-step-ahead drafts made / of those, the ones the next step
+        #: proposed — the hit record :meth:`_lookahead_depth` reads
+        self._drafts_made = 0
+        self._drafts_used = 0
         self.rng = as_generator(seed)
         self.spaces: Dict[str, GemmMappingSpace] = {
             layer.name: self._make_space(layer) for layer in network.layers
@@ -222,18 +239,6 @@ class AnytimeMappingSearch(ABC):
     @abstractmethod
     def _propose(self) -> Tuple[str, GemmMapping]:
         """Return the next (layer, candidate mapping) to evaluate."""
-
-    def _propose_batch(self, n: int) -> Optional[List[Tuple[str, GemmMapping]]]:
-        """Draft up to ``n`` proposals against the current incumbent state.
-
-        The default drafts by calling :meth:`_propose` repeatedly, which is
-        only sound for speculation-safe tools (``supports_speculation``);
-        for everything else it returns ``None`` — without consuming RNG —
-        and :meth:`run` falls back to scalar stepping.
-        """
-        if not self.supports_speculation:
-            return None
-        return [self._propose() for _ in range(n)]
 
     def _on_result(
         self, layer_name: str, mapping: GemmMapping, result: LayerPPA, improved: bool
@@ -345,80 +350,107 @@ class AnytimeMappingSearch(ABC):
                 span.set_attribute(
                     "speculative_evals", self.num_speculative_evals
                 )
+                span.set_attribute("unused_drafts", self.num_speculation_misses)
             return self
         return self._run_impl(additional_budget)
 
     def _run_impl(self, additional_budget: int) -> "AnytimeMappingSearch":
-        """Untraced budget-consumption loop behind :meth:`run`."""
-        remaining = additional_budget
-        while remaining > 0:
-            if self.batch_size > 1 and remaining > 1:
-                remaining -= self._run_speculative(min(self.batch_size, remaining))
-            else:
-                self._step_scalar()
-                remaining -= 1
+        """The step loop behind :meth:`run`: propose, obtain the result, fold.
+
+        Every step proposes from the *true* state and only what it folds
+        moves that state, so history, incumbents and final RNG state are
+        byte-identical at every ``batch_size``.  Look-ahead decides only
+        where a proposal's result comes from: the pool of evaluations this
+        search already bought; on a miss, an engine call that evaluates
+        the candidate together with drafts of the steps that follow; or,
+        on a miss while drafted steps are still ahead (one was
+        mispredicted, the rest may yet be used), a scalar engine call.
+        The last step of a run drafts nothing: whether the search is ever
+        resumed is not its decision.
+        """
+        engine, hw, bought = self.engine, self.hw, self._bought
+        evaluate = None
+        if self.batch_size > 1 and self.supports_speculation:
+            evaluate = getattr(engine, "evaluate_layers", None)
+        ahead = 0  # drafted steps not yet reached
+        next_draft = None  # what the one-step-ahead draft expects next
+        for remaining in range(additional_budget, 0, -1):
+            layer_name, candidate = self._propose()
+            result = None
+            if evaluate is not None:
+                key = (layer_name, candidate.key())
+                if next_draft is not None:
+                    if key == next_draft:
+                        self._drafts_used += 1
+                    next_draft = None
+                result = bought.pop(key, None)
+                if ahead:
+                    ahead -= 1
+                if result is None and not ahead and remaining > 1:
+                    ahead = min(self._lookahead_depth(), remaining - 1)
+                    result, next_draft = self._evaluate_ahead(
+                        evaluate, key, candidate, ahead
+                    )
+            if result is None:
+                result = engine.evaluate_layer(hw, candidate, layer_name)
+            self._fold_result(layer_name, candidate, result)
         return self
 
-    def _step_scalar(self) -> None:
-        """One propose -> evaluate -> fold step (the classic inner loop)."""
-        layer_name, candidate = self._propose()
-        result = self.engine.evaluate_layer(self.hw, candidate, layer_name)
-        self._fold_result(layer_name, candidate, result)
+    def _lookahead_depth(self) -> int:
+        """How many steps ahead a look-ahead call drafts.
 
-    def _run_speculative(self, n: int) -> int:
-        """Draft ``n`` proposals, evaluate them in one call, replay the fold.
-
-        The drafting pass consumes only RNG state (the speculation-safety
-        contract), so after restoring the RNG snapshot the replay's
-        :meth:`_propose` calls — made under the *true* post-fold state —
-        regenerate the same proposals whenever folding earlier results did
-        not steer the strategy elsewhere.  Replayed proposals found in the
-        batch pool reuse the batched evaluation; mispredictions fall back
-        to a scalar engine call.  Either way the history, incumbents and
-        final RNG state are byte-identical to ``batch_size=1``.
+        A draft ``k`` steps ahead is used only if ``k`` folds in a row
+        leave the proposal stream where the draft assumed it: probability
+        ``p ** k``.  Drafting stops where a draft becomes more likely
+        wasted than used, ``p ** k < 1/2``, with ``p`` estimated from this
+        search's own one-step-ahead drafts (Laplace-smoothed, so a search
+        starts at depth 1) — a function of the search's history alone, so
+        query counts are the same on every route.
         """
-        rng_state = self.rng.bit_generator.state
-        drafts = self._propose_batch(n)
-        if not drafts:
-            self._step_scalar()
-            return 1
-        self.rng.bit_generator.state = rng_state
+        cap = self.batch_size - 1
+        if self.proposals_ignore_results:
+            return cap
+        p_hat = (self._drafts_used + 1) / (self._drafts_made + 2)
+        return max(1, min(cap, int(math.log(0.5) / math.log(p_hat))))
 
-        evaluate = getattr(self.engine, "evaluate_layers", None)
-        if evaluate is None:
-            for _ in range(len(drafts)):
-                self._step_scalar()
-            return len(drafts)
+    def _evaluate_ahead(
+        self, evaluate, key: Tuple[str, tuple], candidate: GemmMapping, depth: int
+    ) -> Tuple[LayerPPA, Tuple[str, tuple]]:
+        """Evaluate a missed candidate with drafts of the next ``depth`` steps.
 
-        # one engine call for the whole draft list; items go grouped by
-        # layer, the order engine samples of a batch are journaled in
-        by_layer: Dict[str, List[GemmMapping]] = {}
-        for layer_name, candidate in drafts:
-            by_layer.setdefault(layer_name, []).append(candidate)
-        items = [
-            (candidate, layer_name)
-            for layer_name, candidates in by_layer.items()
-            for candidate in candidates
-        ]
-        # NullTracer.span is a shared no-op, so the untraced cost here is
-        # one call per speculative batch — off the per-candidate hot path.
+        Drafting consumes only RNG state (the speculation-safety contract)
+        and the snapshot is restored before the fold, so the steps that
+        follow propose as if nothing had been drafted.  One engine call:
+        the candidate first, then the drafts this search does not own yet,
+        in proposal order.  Returns the candidate's result and the key of
+        the one-step-ahead draft.
+        """
+        bought = self._bought
+        bit_generator = self.rng.bit_generator
+        rng_state = bit_generator.state
+        drafts: Dict[Tuple[str, tuple], Tuple[GemmMapping, str]] = {}
+        next_draft = None
+        for _ in range(depth):
+            draft_layer, draft = self._propose()
+            draft_key = (draft_layer, draft.key())
+            if next_draft is None:
+                next_draft = draft_key
+            if draft_key != key and draft_key not in bought:
+                drafts[draft_key] = (draft, draft_layer)
+        bit_generator.state = rng_state
+        self._drafts_made += 1
+
+        items = [(candidate, key[0]), *drafts.values()]
         tracer = getattr(self.engine, "tracer", NULL_TRACER)
-        with tracer.span("speculative_batch", drafts=len(drafts)):
-            results = evaluate(self.hw, items)
-        pool: Dict[Tuple[str, tuple], LayerPPA] = {
-            (layer_name, candidate.key()): result
-            for (candidate, layer_name), result in zip(items, results)
-        }
+        if tracer.enabled:
+            with tracer.span("speculative_batch", drafts=len(drafts)):
+                results = iter(evaluate(self.hw, items))
+        else:
+            results = iter(evaluate(self.hw, items))
+        result = next(results)
+        bought.update(zip(drafts, results))
         self.num_speculative_evals += len(drafts)
-
-        for _ in range(len(drafts)):
-            layer_name, candidate = self._propose()
-            result = pool.get((layer_name, candidate.key()))
-            if result is None:
-                self.num_speculation_misses += 1
-                result = self.engine.evaluate_layer(self.hw, candidate, layer_name)
-            self._fold_result(layer_name, candidate, result)
-        return len(drafts)
+        return result, next_draft
 
     def _fold_result(
         self, layer_name: str, candidate: GemmMapping, result: LayerPPA
@@ -459,6 +491,11 @@ class AnytimeMappingSearch(ABC):
         return result.latency_s * result.energy_j
 
     # ------------------------------------------------------------------ views
+    @property
+    def num_speculation_misses(self) -> int:
+        """Drafts bought and never used (so far): what is left in the pool."""
+        return len(self._bought)
+
     @property
     def best_mapping(self) -> NetworkMapping:
         return dict(self.best_layer_mapping)

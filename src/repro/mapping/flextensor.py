@@ -25,8 +25,8 @@ class FlexTensorSearch(AnytimeMappingSearch):
     """Simulated-annealing mapping search with adaptive layer credit."""
 
     name = "flextensor"
-    #: drafting only reads credits/temperature and writes ``_pending``
-    #: (overwritten by the replay's own proposals), so speculation is safe
+    #: proposing only reads credits, current mappings and the pick
+    #: weights, so speculation is safe
     supports_speculation = True
 
     def __init__(
@@ -50,7 +50,6 @@ class FlexTensorSearch(AnytimeMappingSearch):
             self._current_score[layer_name] = self._layer_score(
                 self.best_layer_result[layer_name]
             )
-        self._pending: Tuple[str, GemmMapping, float] = ("", GemmMapping(1, 1, 1), 0.0)
 
     def _layer_weight(self, layer_name: str) -> float:
         # latency share x credit: optimize where time is spent and where
@@ -70,7 +69,6 @@ class FlexTensorSearch(AnytimeMappingSearch):
     def _propose(self) -> Tuple[str, GemmMapping]:
         layer_name = self._pick_layer()
         candidate = self.spaces[layer_name].mutate(self._current[layer_name], self.rng)
-        self._pending = (layer_name, candidate, self._temperature)
         return layer_name, candidate
 
     def _on_result(

@@ -22,8 +22,8 @@ class GammaSearch(AnytimeMappingSearch):
     """Per-layer (mu + lambda) genetic search over mappings."""
 
     name = "gamma"
-    #: drafting only reads the population and writes ``_pending_layer``
-    #: (overwritten by the replay's own proposals), so speculation is safe
+    #: proposing only reads the population and the pick weights, so
+    #: speculation is safe
     supports_speculation = True
 
     def __init__(
@@ -72,7 +72,6 @@ class GammaSearch(AnytimeMappingSearch):
             child = members[int(self.rng.integers(0, len(members)))][0]
         if self.rng.random() < self._mutation_rate:
             child = space.mutate(child, self.rng)
-        self._pending_layer = layer_name
         return layer_name, child
 
     def _on_result(

@@ -16,9 +16,10 @@ class RandomMappingSearch(AnytimeMappingSearch):
     """IID random sampling over per-layer mapping spaces."""
 
     name = "random"
-    #: pure-RNG proposals: drafting touches nothing but the generator, so
-    #: speculative replay regenerates the exact same candidates every time
+    #: pure-RNG proposals: drafting touches nothing but the generator, and
+    #: no fold steers the next proposal, so every draft is used
     supports_speculation = True
+    proposals_ignore_results = True
 
     def _propose(self) -> Tuple[str, GemmMapping]:
         layer_name = self.layer_names[int(self.rng.integers(0, len(self.layer_names)))]

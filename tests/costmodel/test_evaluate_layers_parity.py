@@ -6,7 +6,7 @@ A cross-layer batch must be indistinguishable — results, every count in
 ``evaluate_layer``, whether the misses are computed in process or travel
 through the one remote engine to one replica or two.  What may differ is
 what the single call buys: one sink call carrying all of its misses, and
-(the count guards at the bottom) one POST per speculative draft batch.
+(the count guards at the bottom) one POST per look-ahead call.
 """
 
 import numpy as np
@@ -215,23 +215,23 @@ def test_speculative_batch_is_one_post(tiny_network, sample_hw):
         search = RandomMappingSearch(
             tiny_network, sample_hw, remote, seed=7, batch_size=8
         )
-        drafted = []
-        propose_batch = search._propose_batch
+        calls = []
+        evaluate_layers = remote.evaluate_layers
 
-        def spy(n):
-            drafts = propose_batch(n)
-            drafted.extend(drafts)
-            return drafts
+        def spy(hw, items):
+            calls.append(list(items))
+            return evaluate_layers(hw, items)
 
-        search._propose_batch = spy
+        remote.evaluate_layers = spy
         before = _service_requests(server)
         client_before = remote.metrics.counter_value("remote_requests_total")
         search.run(8)
         after = _service_requests(server)
 
-    assert len(drafted) == 8
-    assert len({layer_name for layer_name, _mapping in drafted}) >= 2
-    assert search.num_speculative_evals == 8
+    # the first step's candidate and drafts of the seven that follow
+    assert [len(items) for items in calls] == [8]
+    assert len({layer_name for _mapping, layer_name in calls[0]}) >= 2
+    assert search.num_speculative_evals == 7
     assert search.num_speculation_misses == 0
     assert remote.metrics.counter_value("remote_requests_total") - client_before == 1
     assert after["/evaluate_layers"] - before["/evaluate_layers"] == 1
@@ -265,5 +265,8 @@ def test_remote_cosearch_request_count_pinned(tiny_network, edge_space):
 #: ``service_requests_total`` by path, and engine queries, of the co-search
 #: above.  A change here means the evaluation path batches differently (one
 #: POST per layer group of a draft batch would send 137): say so in the PR.
-PINNED_REQUESTS = {"/evaluate_layers": 32, "/evaluate_layer": 76}
-PINNED_QUERIES = 254
+#: Re-pinned when the search began to buy drafts only as deep as its hit
+#: record justifies: a miss is a look-ahead POST instead of a scalar one
+#: (was 32 / 76) and 38 fewer queries are bought and thrown away (was 254).
+PINNED_REQUESTS = {"/evaluate_layers": 92, "/evaluate_layer": 12}
+PINNED_QUERIES = 216

@@ -1,6 +1,13 @@
 """Fleet supervisor: replica lifecycle, health, graceful SIGTERM stops."""
 
 import json
+import os
+import pathlib
+import re
+import signal
+import socket
+import subprocess
+import sys
 from urllib.request import urlopen
 
 import pytest
@@ -82,3 +89,69 @@ class TestLifecycle:
         spec = ReplicaSpec(network="mobilenetv3_small", ports=(port,))
         with FleetSupervisor(spec, replicas=1) as fleet:
             assert fleet.urls[0].endswith(f":{port}")
+
+
+def _children_of(pid: int):
+    """Pids whose parent is ``pid`` (field 4 of ``/proc/<pid>/stat``)."""
+    children = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # the process exited while we looked
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_fleet_serve_sigterm_stops_every_replica():
+    """``repro fleet serve`` under SIGTERM (systemd, ``docker stop``, ``kill``)
+    stops the fleet as Ctrl-C does: exit 0, replicas gone, ports free."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+    supervisor = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fleet", "serve", "fsrcnn_120x320",
+         "--replicas", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        banner = []
+        while not banner or "RemotePPAEngine" not in banner[-1]:
+            line = supervisor.stdout.readline()
+            assert line, f"fleet serve exited early: {banner}"
+            banner.append(line)
+        assert "SIGTERM" in banner[-1]  # the banner says what stops the fleet
+        ports = [
+            int(port)
+            for port in re.findall(r"http://127\.0\.0\.1:(\d+)", "".join(banner))
+        ]
+        replicas = _children_of(supervisor.pid)
+        assert len(ports) == len(replicas) == 2
+        for port in ports:
+            with urlopen(f"http://127.0.0.1:{port}/health", timeout=5.0) as response:
+                assert json.loads(response.read())["status"] == "ok"
+
+        supervisor.send_signal(signal.SIGTERM)
+        assert supervisor.wait(timeout=20.0) == 0
+        assert not any(_pid_alive(pid) for pid in replicas)
+        for port in ports:  # free: nobody listens any more
+            with socket.socket() as probe:
+                assert probe.connect_ex(("127.0.0.1", port)) != 0
+    finally:
+        replicas = _children_of(supervisor.pid)  # orphans-to-be of a failed run
+        if supervisor.poll() is None:
+            supervisor.kill()
+            supervisor.wait(timeout=5.0)
+        for pid in replicas:
+            if _pid_alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        supervisor.stdout.close()

@@ -111,13 +111,19 @@ class TestScreenedRun:
         assert events[0]["model_path"] == str(path)
 
     def test_screening_saves_analytical_evals(self, trained_model):
+        # the screen only ranks same-layer groups of ``min_batch``, and the
+        # random tool (its proposals never read a result, so it drafts the
+        # full width) is the one that still hands it such groups: 63 drafts
+        # over 20 layers.  FlexTensor buys one draft per call and the
+        # screen passes two items whole (DESIGN.md section 4b).
         _model, path = trained_model
         plain = run_method(
-            "unico", "edge", WORKLOAD, "smoke", seed=12, eval_batch_size=8
+            "unico", "edge", WORKLOAD, "bench", seed=12, eval_batch_size=64,
+            tool="random",
         )
         screened = run_method(
-            "unico", "edge", WORKLOAD, "smoke", seed=12,
-            screen=str(path), screen_topk=4, eval_batch_size=8,
+            "unico", "edge", WORKLOAD, "bench", seed=12,
+            screen=str(path), screen_topk=4, eval_batch_size=64, tool="random",
         )
         saved = screened.extras["screening"]["evals_saved"]
         assert saved > 0

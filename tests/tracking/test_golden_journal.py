@@ -1,11 +1,17 @@
 """Golden journal: the bytes a tracked search writes, pinned across commits.
 
 ``tests/mapping/test_golden_history.py`` pins the search; this file pins
-what the search *records*.  The digests were taken at commit 4b6d39c —
-one ``os.write`` and one ``json.dumps`` per event, one sink call per
-sample — before the samples of an ``evaluate_layers`` call were
-group-committed, so they hold the group-commit path to the same lines in
-the same order with the same ``seq``.
+what the search *records*.  The digests were first taken at commit
+4b6d39c — one ``os.write`` and one ``json.dumps`` per event, one sink call
+per sample — before the samples of an ``evaluate_layers`` call were
+group-committed, and held the group-commit path to the same lines in the
+same order with the same ``seq``.  Both were re-recorded (from 521 events
+/ 476 samples) when the inner search began to buy drafts only as deep as
+its hit record justifies: the search is the same (the golden histories
+did not move) but it evaluates 53 fewer candidates it would have thrown
+away, so there are 53 fewer ``engine_sample`` lines, and inside one
+engine call the samples now come in proposal order (the missed candidate,
+then its drafts) instead of grouped by layer.
 
 ``engine_sample`` lines carry no wall clock and are hashed raw.  Every
 other line is hashed raw too, after blanking the three things that differ
@@ -26,13 +32,13 @@ from repro.experiments.harness import run_method
 from repro.tracking import RunStore, read_events, verify_sequence
 
 GOLDEN = {
-    "events": 521,
-    "engine_samples": 476,
+    "events": 468,
+    "engine_samples": 423,
     "engine_sample_lines": (
-        "64b170ecdaee097bf8d6d16b6e803baef8578ac0341074001a817147f43cac95"
+        "dff18d17fc7918cf68b4d26abd1279feaa8026a6bce613cb2653f5507a514897"
     ),
     "all_lines": (
-        "d13f022dc86f05219378c65ac74d7b3e3ab9464412cb412a4b3457b2d5a3440e"
+        "4c92cd4f473d6edc3725a5c9f7ed50c941c1c4d87590d7783a1e3b5237e45437"
     ),
 }
 
