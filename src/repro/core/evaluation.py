@@ -15,6 +15,7 @@ The bridge between the mapping-search substrate and the co-optimizers:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Type
 
@@ -32,6 +33,7 @@ from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
+from repro.obs.trace import NULL_TRACER
 from repro.workloads.network import Network
 
 SEARCH_TOOLS: Dict[str, Type[AnytimeMappingSearch]] = {
@@ -97,18 +99,26 @@ class _QueryCountingEngine:
 
     def evaluate_layers(self, hw, requests):
         results = self._engine.evaluate_layers(hw, requests)
+        self.credit(results)
+        return results
+
+    def credit(self, results) -> int:
+        """Count ``results`` of a batched call as this trial's queries.
+
+        A screening wrapper forwards only part of a batch to the
+        analytical engine; only those candidates cost a query (and
+        therefore simulated eval time).  Screened-out results are tagged,
+        so per-trial accounting stays race-free.
+        """
         if getattr(self._engine, "is_screening", False):
-            # a screening wrapper forwards only part of the batch to the
-            # analytical engine; only those candidates cost a query (and
-            # therefore simulated eval time).  Screened-out results are
-            # tagged, so per-trial accounting stays race-free.
-            self.local_queries += sum(
+            spent = sum(
                 1 for result in results
                 if result.infeasible_reason != SCREENED_REASON
             )
         else:
-            self.local_queries += len(results)
-        return results
+            spent = len(results)
+        self.local_queries += spent
+        return spent
 
     def evaluate_candidates(self, hw, layer_name, mappings):
         return self.evaluate_layers(
@@ -164,6 +174,19 @@ class SWSearchTrial:
         self.queries_spent += self._view.local_queries - queries_before
         return self
 
+    def steps(self, additional_budget: int):
+        """:meth:`run` for a driver that answers the engine requests itself.
+
+        The search's :meth:`~repro.mapping.base.AnytimeMappingSearch.steps`
+        generator; the driver (:func:`advance_lockstep`) hands every list
+        of results it sends to :meth:`credit` first.
+        """
+        return self.search.steps(additional_budget)
+
+    def credit(self, results) -> None:
+        """Charge this trial the queries behind ``results``."""
+        self.queries_spent += self._view.credit(results)
+
     def best_curve(self) -> np.ndarray:
         return self.search.best_curve()
 
@@ -177,6 +200,106 @@ class SWSearchTrial:
 
     def robustness(self, alpha: float = 0.05) -> RobustnessResult:
         return robustness_metric(self.search.history, alpha=alpha)
+
+
+class _SteppedTrial:
+    """One trial of a lockstep round: its step generator and what it awaits."""
+
+    __slots__ = ("trial", "budget", "steps", "request", "own_s")
+
+    def __init__(self, trial: SWSearchTrial, budget: int):
+        self.trial = trial
+        self.budget = budget
+        self.steps = trial.steps(budget)
+        #: the engine request the generator is suspended on; None once done
+        self.request = None
+        #: wall seconds spent inside the generator (traced rounds only)
+        self.own_s = 0.0
+
+    def resume(self, results, tracer) -> bool:
+        """Charge and send ``results``; whether the trial waits again.
+
+        A traced trial's ``mapping_search`` span is recorded when its
+        generator finishes, with the time spent inside the generator as
+        its duration: the spans of interleaved trials cannot nest on the
+        tracer's stack.
+        """
+        if results is not None:
+            self.trial.credit(results)
+        timed = tracer.enabled
+        start = time.perf_counter() if timed else 0.0
+        try:
+            self.request = self.steps.send(results)
+        except StopIteration:
+            self.request = None
+        if timed:
+            now = time.perf_counter()
+            self.own_s += now - start
+            if self.request is None:
+                search = self.trial.search
+                clock = tracer.clock
+                tracer.record_leaf(
+                    "mapping_search",
+                    now - self.own_s,
+                    clock.now_s if clock is not None else 0.0,
+                    tool=search.name,
+                    budget=self.budget,
+                    **search.span_attributes(),
+                )
+        return self.request is not None
+
+
+def advance_lockstep(jobs, engine, tracer=NULL_TRACER) -> int:
+    """Advance ``(trial, additional_budget)`` jobs together; returns the ticks.
+
+    The trials of an MSH round never read each other's state, so their
+    step loops can wait on the engine at the same time: every job's
+    :meth:`SWSearchTrial.steps` generator is advanced until it asks for
+    evaluations, the pending requests go to ``engine.evaluate_groups`` as
+    one call — a *tick*; through a replica, one exchange instead of one
+    per trial — each trial is charged and sent its results, and so on
+    until every generator has finished.  A trial proposes from its own
+    RNG and folds its own results in its own order, so each ends exactly
+    where :meth:`SWSearchTrial.run` would have left it.  A trial that
+    cannot be stepped (no ``steps``, or bound to another engine) runs
+    whole on its turn; an engine whose class has no ``evaluate_groups``
+    (a wrapper that must see every call) is served group by group.  A
+    traced tick is the engine's own ``engine_eval_batch`` span.
+    """
+    # looked up on the class: a wrapper's ``__getattr__`` would hand over
+    # the wrapped engine's method and take itself out of the path
+    if getattr(type(engine), "evaluate_groups", None) is not None:
+        evaluate_groups = engine.evaluate_groups
+    else:
+        def evaluate_groups(groups):
+            return [engine.evaluate_layers(hw, items) for hw, items in groups]
+
+    stepped = []
+    ticks = 0
+    try:
+        for trial, additional in jobs:
+            if additional <= 0:
+                continue
+            if getattr(trial, "steps", None) is None or trial.engine is not engine:
+                trial.run(additional)
+                continue
+            stepped.append(_SteppedTrial(trial, additional))
+            stepped[-1].resume(None, tracer)
+        waiting = [entry for entry in stepped if entry.request is not None]
+        while waiting:
+            answers = evaluate_groups(
+                [(entry.trial.hw, entry.request) for entry in waiting]
+            )
+            ticks += 1
+            waiting = [
+                entry
+                for entry, results in zip(waiting, answers)
+                if entry.resume(results, tracer)
+            ]
+    finally:
+        for entry in stepped:
+            entry.steps.close()  # a tick that raised leaves generators waiting
+    return ticks
 
 
 @dataclass(frozen=True)

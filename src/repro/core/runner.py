@@ -11,12 +11,17 @@ Two layers of parallelism are modeled in this reproduction:
   the reported Cost(h) columns measure.
 * **Real compute parallelism** — :class:`JobRunner` dispatches the actual
   Python work.  The in-process analytical engine is so fast that the serial
-  backend is the default; the ``thread`` backend genuinely overlaps
-  remote-engine jobs (trials sharing one
-  :class:`~repro.costmodel.service.RemotePPAEngine` — over one replica URL
-  or a fleet of them — on slave machines, the deployment of Fig. 6(b)); the
-  ``process`` backend is the paper's multi-processing dispatch for
-  CPU-bound standalone jobs.
+  backend is the default, and ``Unico`` does not hand a serial round to
+  this class at all: it advances the round's live trials in lockstep
+  (:func:`repro.core.evaluation.advance_lockstep`), so that trials sharing
+  one :class:`~repro.costmodel.service.RemotePPAEngine` (the deployment of
+  Fig. 6(b)) share each HTTP exchange.  The ``thread`` backend runs every
+  trial as its own job; it overlaps only the time a job spends blocked on
+  a socket, and measured on the ``remote_inner`` benchmark workload
+  (DESIGN.md section 4l) that is not enough to beat one trial at a time —
+  the client side of an exchange is Python under the GIL — while lockstep
+  is about a fifth faster than either.  The ``process`` backend is the
+  paper's multi-processing dispatch for CPU-bound standalone jobs.
 
 Process dispatch requires picklable jobs (results come back over a pipe,
 and mutations of shared objects would be lost in the child).  ``JobRunner``

@@ -26,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.base import CoOptimizer, CoSearchResult
-from repro.core.evaluation import HWEvaluation
+from repro.core.evaluation import HWEvaluation, advance_lockstep
 from repro.core.highfidelity import (
     DEFAULT_UUL_PERCENTILE,
     ChampionSelector,
@@ -91,9 +91,13 @@ class UnicoConfig:
     pool_size: int = 256
     workers: int = 1
     #: real-compute dispatch of each MSH round's trials.  ``serial`` is
-    #: exact and default; ``thread`` overlaps remote-engine (Fig. 6b)
-    #: round trips and produces identical results (per-trial query
-    #: accounting is race-free and the engines are deterministic).
+    #: exact and default: one thread advances the round's live trials in
+    #: lockstep, so they share each engine call — through a remote engine
+    #: (Fig. 6b), each HTTP exchange.  ``thread`` runs every trial as its
+    #: own job and produces identical results (per-trial query accounting
+    #: is race-free and the engines are deterministic); measured on the
+    #: ``remote_inner`` benchmark workload it is no faster than one trial
+    #: at a time and slower than lockstep (DESIGN.md section 4l).
     #: ``process`` ships each trial to a worker and back as an explicit
     #: round-trip value (the paper's multi-processing dispatch): the
     #: returned trial replaces the local one and the queries its engine
@@ -216,9 +220,15 @@ class Unico(CoOptimizer):
             [self.normalizer.transform(y) for y in self.train_objectives_raw]
         )
 
-    def _dispatch_round(self, trials: List, active: List[int], round_args) -> List[int]:
+    def _dispatch_round(
+        self, trials: List, active: List[int], round_args, round_span
+    ) -> List[int]:
         """Run one MSH round's trials through the configured backend.
 
+        The serial backend is a lockstep (:func:`advance_lockstep`): the
+        live trials share each engine call, counted on ``round_span`` as
+        ``ticks``; a round with one live trial has nobody to share with
+        and runs it whole, like every job of the other backends.
         Serial/thread backends mutate the trials in place.  The process
         backend gets explicit round-trip values instead: each returned
         trial replaces the local one and is re-pointed at the shared
@@ -228,6 +238,15 @@ class Unico(CoOptimizer):
         rounds, thread fallback for unpicklable jobs) — absorbing those
         deltas again would double-count.
         """
+        if self.runner.backend == "serial" and len(round_args) > 1:
+            before = [trial.queries_spent for trial, _extra in round_args]
+            round_span.set_attribute(
+                "ticks", advance_lockstep(round_args, self.engine, self.tracer)
+            )
+            return [
+                trial.queries_spent - spent
+                for (trial, _extra), spent in zip(round_args, before)
+            ]
         if self.runner.backend != "process":
             return self.runner.starmap(_advance_trial, round_args)
         outcomes = self.runner.starmap(_advance_trial_roundtrip, round_args)
@@ -277,7 +296,7 @@ class Unico(CoOptimizer):
                 ]
                 spent[active] = np.maximum(spent[active], plan.cumulative_budget)
                 deltas = np.asarray(
-                    self._dispatch_round(trials, active, round_args),
+                    self._dispatch_round(trials, active, round_args, round_span),
                     dtype=np.int64,
                 )
                 total_queries = np.array(

@@ -32,6 +32,7 @@ import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from functools import cached_property
+from itertools import chain, starmap
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -78,7 +79,16 @@ DEFAULT_CACHE_CAPACITY = 100_000
 VECTOR_KERNEL_MIN_GROUP = 8
 
 
-def _held(kind: str, name: str, *bounds) -> cached_property:
+#: One query, and the queries of one engine call on one hardware config.
+Query = Tuple["GemmMapping", str]
+QueryGroup = Tuple[object, Sequence[Query]]
+
+#: Hardware configs whose cache-key tuple an engine holds on to: well over
+#: the trials one MSH round keeps live (the paper's N is 30).
+_HW_KEYS_HELD = 256
+
+
+def held_instrument(kind: str, name: str, *bounds) -> cached_property:
     """A registry instrument the engine looks up on first use, then holds.
 
     Binding is lazy because a registry snapshot (``GET /metrics``, the
@@ -124,8 +134,8 @@ class PPAEngine(ABC):
         self.num_queries = 0
         self.num_cache_hits = 0
         self.num_cache_evictions = 0
-        #: batch-path accounting: calls to :meth:`evaluate_layers` and the
-        #: items they carried (for the mean batch size)
+        #: batch-path accounting: groups :meth:`evaluate_groups` was handed
+        #: (one per :meth:`evaluate_layers` call) and the items they carried
         self.num_batch_queries = 0
         self.num_batch_items = 0
         #: when False, a co-optimizer owns wall-clock accounting (e.g. to
@@ -134,7 +144,8 @@ class PPAEngine(ABC):
         #: span tracer; the shared :data:`~repro.obs.trace.NULL_TRACER` by
         #: default, so untraced queries pay one attribute check.
         self.tracer = NULL_TRACER
-        #: optional ``sink(hw, samples)`` invoked once per engine call that
+        #: optional ``sink(hw, samples)`` invoked once per group of an
+        #: engine call (one per :meth:`evaluate_layers` call) that
         #: *computed* something, with ``samples = [(layer_name, mapping,
         #: shape, result), ...]`` — one entry per cache miss whose result
         #: reached the cache, in miss order (:meth:`evaluate_layer` passes
@@ -142,10 +153,13 @@ class PPAEngine(ABC):
         #: journal events for learned-model training.  Cache hits are
         #: skipped: they would only duplicate a sample the sink already saw.
         self.sample_sink = None
-        #: ``(hw, hw_key(hw))`` of the last hardware seen.  Configs are
-        #: frozen dataclasses, so the same object always has the same key;
-        #: one attribute, swapped whole, because queries run concurrently.
-        self._hw_key: Tuple = (None, ())
+        #: ``id(hw) -> (hw, hw_key(hw))`` of the hardware seen lately.
+        #: Configs are frozen dataclasses, so the same object always has
+        #: the same key, and holding the object keeps its ``id`` its own.
+        #: More than the last one, because a lockstep MSH round asks for
+        #: its live trials' configs in turn, tick after tick, and every
+        #: cache key of a config should share one key tuple.
+        self._hw_keys: Dict[int, Tuple] = {}
 
     # -- instruments ------------------------------------------------------------
     @property
@@ -156,18 +170,21 @@ class PPAEngine(ABC):
     def metrics(self, registry: MetricsRegistry) -> None:
         """Swap the registry; instruments held from the old one are dropped."""
         self._metrics = registry
-        for name, member in vars(PPAEngine).items():
-            if isinstance(member, cached_property):
-                self.__dict__.pop(name, None)
+        for cls in type(self).__mro__:
+            for name, member in vars(cls).items():
+                if isinstance(member, cached_property):
+                    self.__dict__.pop(name, None)
 
-    _queries_total = _held("counter", "engine_queries_total")
-    _hits_total = _held("counter", "engine_cache_hits_total")
-    _misses_total = _held("counter", "engine_cache_misses_total")
-    _evictions_total = _held("counter", "engine_cache_evictions_total")
-    _batch_queries_total = _held("counter", "engine_batch_queries_total")
-    _batch_size = _held("histogram", "engine_batch_size", DEFAULT_BATCH_SIZE_BOUNDS)
-    _compute_seconds = _held("histogram", "engine_compute_seconds")
-    _per_item_seconds = _held(
+    _queries_total = held_instrument("counter", "engine_queries_total")
+    _hits_total = held_instrument("counter", "engine_cache_hits_total")
+    _misses_total = held_instrument("counter", "engine_cache_misses_total")
+    _evictions_total = held_instrument("counter", "engine_cache_evictions_total")
+    _batch_queries_total = held_instrument("counter", "engine_batch_queries_total")
+    _batch_size = held_instrument(
+        "histogram", "engine_batch_size", DEFAULT_BATCH_SIZE_BOUNDS
+    )
+    _compute_seconds = held_instrument("histogram", "engine_compute_seconds")
+    _per_item_seconds = held_instrument(
         "histogram", "engine_batch_compute_seconds_per_item", PER_ITEM_LATENCY_BOUNDS
     )
 
@@ -189,6 +206,7 @@ class PPAEngine(ABC):
         state = self.__dict__.copy()
         del state["_lock"]
         state["_cache"] = OrderedDict()
+        state["_hw_keys"] = {}  # keyed by ``id``: meaningless elsewhere
         state["tracer"] = None
         state["sample_sink"] = None
         return state
@@ -245,21 +263,32 @@ class PPAEngine(ABC):
         """
         return None
 
-    def _compute_misses(
-        self, hw, misses: Sequence[Tuple["GemmMapping", str]]
+    def _compute_group_misses(
+        self, miss_groups: Sequence[QueryGroup]
     ) -> Iterable[LayerPPA]:
-        """Compute the cache misses of one :meth:`evaluate_layers` call.
+        """Compute the cache misses of one :meth:`evaluate_groups` call.
 
-        The one hook between the bookkeeping above and the cost model:
-        results come back in ``misses`` order, and :meth:`evaluate_layers`
-        takes each as it arrives — a hook that raises part-way keeps what
-        it had already yielded (cached, and handed to the sample sink), as
-        sequential :meth:`evaluate_layer` calls would have.  In-process
-        engines group the misses by layer and pick the kernel from the
-        group size — unless the call is too small for any group to reach
-        the vector kernel, which makes a look-ahead call of two or three
-        items cost what the scalar calls it replaces did; remote engines
-        override this with their transport and nothing else.
+        The one hook between the bookkeeping below and the cost model:
+        ``miss_groups`` holds ``(hw, misses)`` per group that missed, and
+        results come back flat, group after group in miss order.
+        :meth:`evaluate_groups` takes each as it arrives — a hook that
+        raises part-way keeps what it had already yielded (cached, and
+        handed to the sample sink), as sequential :meth:`evaluate_layer`
+        calls would have.  An in-process engine has nothing to share
+        between groups: each is one :meth:`_compute_misses` call, made
+        when the results before it have been taken.  Remote engines
+        override this with their transport — one exchange per shard for
+        the whole call — and nothing else.
+        """
+        return chain.from_iterable(starmap(self._compute_misses, miss_groups))
+
+    def _compute_misses(self, hw, misses: Sequence[Query]) -> Iterable[LayerPPA]:
+        """Compute one group's cache misses in process, in ``misses`` order.
+
+        Groups the misses by layer and picks the kernel from the group
+        size — unless the call is too small for any layer to reach the
+        vector kernel, which makes a look-ahead call of two or three
+        items cost what the scalar calls it replaces did.
         """
         layer_shapes = self.layer_shapes
         start = time.perf_counter()
@@ -297,9 +326,11 @@ class PPAEngine(ABC):
 
     def hw_key(self, hw) -> Tuple:
         """Hashable identity of a hardware config (for the cache)."""
-        held = self._hw_key
-        if held[0] is not hw:
-            held = self._hw_key = (hw, tuple(sorted(vars(hw).items())))
+        held = self._hw_keys.get(id(hw))
+        if held is None or held[0] is not hw:
+            if len(self._hw_keys) >= _HW_KEYS_HELD:
+                self._hw_keys.clear()
+            held = self._hw_keys[id(hw)] = (hw, tuple(sorted(vars(hw).items())))
         return held[1]
 
     # -- cache / accounting helpers ---------------------------------------------
@@ -386,100 +417,135 @@ class PPAEngine(ABC):
             )
         return result
 
-    def evaluate_layers(
-        self, hw, requests: Sequence[Tuple["GemmMapping", str]]
-    ) -> List[LayerPPA]:
+    def evaluate_layers(self, hw, requests: Sequence[Query]) -> List[LayerPPA]:
         """Evaluate a batch of ``(mapping, layer_name)`` queries in order.
 
-        The single batched entry point.  Query semantics match one
-        :meth:`evaluate_layer` call per item: each item counts one query,
-        charges one evaluation on the simulated clock, and hits or misses
-        the LRU individually (in-batch duplicates of a missing key count
-        as hits, mirroring the sequential order: first occurrence
-        computes, the rest reuse).  Only the misses reach the cost model,
-        in one :meth:`_compute_misses` call, so an all-cache-hit batch
-        records no compute time at all.
+        The one-group case of :meth:`evaluate_groups`, which documents the
+        query semantics.
         """
-        requests = list(requests)
-        if self.tracer.enabled:
-            with self.tracer.span("engine_eval_batch", batch=len(requests)):
-                return self._evaluate_layers_impl(hw, requests)
-        return self._evaluate_layers_impl(hw, requests)
+        return self.evaluate_groups([(hw, requests)])[0]
 
-    def _evaluate_layers_impl(
-        self, hw, requests: List[Tuple["GemmMapping", str]]
-    ) -> List[LayerPPA]:
-        """Untraced body of :meth:`evaluate_layers`.
+    def evaluate_groups(self, groups: Sequence[QueryGroup]) -> List[List[LayerPPA]]:
+        """Evaluate ``(hw, [(mapping, layer_name), ...])`` groups in order.
+
+        The single batched entry point and the one accounting path: a
+        group is what one :meth:`evaluate_layers` call carries, and the
+        groups of one call are what the live trials of a lockstep MSH
+        round ask for at the same time.  Query semantics match one
+        :meth:`evaluate_layer` call per item, group after group: each
+        item counts one query, charges one evaluation on the simulated
+        clock, and hits or misses the LRU individually (a repeat of a
+        missing key, in its own group or a later one, counts as a hit,
+        mirroring the sequential order: first occurrence computes, the
+        rest reuse).  Only the misses reach the cost model, all groups'
+        in one :meth:`_compute_group_misses` call, so an all-cache-hit
+        call records no compute time at all — that one call is what a
+        remote engine turns into one exchange.  An unknown layer rejects
+        the whole call before anything is counted.
+        """
+        groups = [(hw, list(requests)) for hw, requests in groups]
+        if self.tracer.enabled:
+            with self.tracer.span(
+                "engine_eval_batch",
+                groups=len(groups),
+                batch=sum(len(requests) for _hw, requests in groups),
+            ):
+                return self._evaluate_groups_impl(groups)
+        return self._evaluate_groups_impl(groups)
+
+    def _evaluate_groups_impl(
+        self, groups: List[Tuple[object, List[Query]]]
+    ) -> List[List[LayerPPA]]:
+        """Untraced body of :meth:`evaluate_groups`.
 
         Everything constant per call is paid per call: one lock hold for
-        the hit/miss pass, one ``inc(n)`` per counter, one lock hold for
-        the stores, one sink call.
+        the hit/miss pass, one ``inc(n)`` per counter, one compute hook,
+        one lock hold for the stores; per group, one batch-size
+        observation, one clock charge and one sink call.
         """
         layer_shapes = self.layer_shapes
-        for _mapping, layer_name in requests:
-            if layer_name not in layer_shapes:
-                raise EvaluationError(
-                    f"layer {layer_name!r} not in workload {self.network.name!r}"
-                )
-        if not requests:
-            return []
-        batch = len(requests)
-        hw_id = self.hw_key(hw)
-        results: List[Optional[LayerPPA]] = [None] * batch
-        misses: List[Tuple["GemmMapping", str]] = []
-        #: cache key -> request positions, one entry per miss, in miss order
-        #: (a repeat of a missing key is a hit: first occurrence computes)
-        miss_positions: Dict[Tuple, List[int]] = {}
+        for _hw, requests in groups:
+            for _mapping, layer_name in requests:
+                if layer_name not in layer_shapes:
+                    raise EvaluationError(
+                        f"layer {layer_name!r} not in workload "
+                        f"{self.network.name!r}"
+                    )
+        results: List[List[Optional[LayerPPA]]] = [
+            [None] * len(requests) for _hw, requests in groups
+        ]
+        #: ``(hw, misses)`` per group that missed, misses in miss order
+        miss_groups: List[Tuple[object, List[Query]]] = []
+        #: cache key -> the result slots waiting for it, one entry per miss
+        #: of the call, in miss order (a repeat of a missing key is a hit:
+        #: first occurrence computes)
+        waiting: Dict[Tuple, List[Tuple[list, int]]] = {}
         cache = self._cache
+        sizes: List[int] = []
+        hits = 0
         with self._lock:
-            for index, (mapping, layer_name) in enumerate(requests):
-                key = (hw_id, layer_name, mapping.key())
-                positions = miss_positions.get(key)
-                if positions is not None:
-                    positions.append(index)
-                    continue
-                cached = cache.get(key)
-                if cached is not None:
-                    cache.move_to_end(key)
-                    results[index] = cached
-                else:
-                    miss_positions[key] = [index]
-                    misses.append((mapping, layer_name))
-            hits = batch - len(misses)
-            self.num_queries += batch
-            self.num_batch_queries += 1
-            self.num_batch_items += batch
+            for (hw, requests), slots in zip(groups, results):
+                if not requests:
+                    continue  # an empty group is not a query
+                hw_id = self.hw_key(hw)
+                misses: List[Query] = []
+                for index, (mapping, layer_name) in enumerate(requests):
+                    key = (hw_id, layer_name, mapping.key())
+                    pending = waiting.get(key)
+                    if pending is not None:
+                        pending.append((slots, index))
+                        continue
+                    cached = cache.get(key)
+                    if cached is not None:
+                        cache.move_to_end(key)
+                        slots[index] = cached
+                    else:
+                        waiting[key] = [(slots, index)]
+                        misses.append((mapping, layer_name))
+                if misses:
+                    miss_groups.append((hw, misses))
+                sizes.append(len(requests))
+                hits += len(requests) - len(misses)
+            queries = sum(sizes)
+            self.num_queries += queries
+            self.num_batch_queries += len(sizes)
+            self.num_batch_items += queries
             self.num_cache_hits += hits
-        self._queries_total.inc(batch)
-        self._batch_queries_total.inc()
-        self._batch_size.observe(batch)
+        if not sizes:
+            return results  # type: ignore[return-value]  # nothing was asked
+        self._queries_total.inc(queries)
+        self._batch_queries_total.inc(len(sizes))
+        for size in sizes:
+            self._batch_size.observe(size)
+            if self.charge_clock:
+                self.clock.advance(self.eval_cost_s * size, label="ppa-eval")
         if hits:
             self._hits_total.inc(hits)
-        if self.charge_clock:
-            self.clock.advance(self.eval_cost_s * batch, label="ppa-eval")
-        if not misses:
+        if not miss_groups:
             return results  # type: ignore[return-value]  # all hits
-        self._misses_total.inc(len(misses))
+        self._misses_total.inc(len(waiting))
         computed: List[LayerPPA] = []
         try:
             # a hook that raises part-way keeps what it had yielded
-            computed.extend(self._compute_misses(hw, misses))
+            computed.extend(self._compute_group_misses(miss_groups))
         finally:
             with self._lock:
-                for (key, positions), result in zip(miss_positions.items(), computed):
+                for (key, pending), result in zip(waiting.items(), computed):
                     cache[key] = result
                     cache.move_to_end(key)
-                    for index in positions:
-                        results[index] = result
+                    for slots, index in pending:
+                        slots[index] = result
                 self._evict_over_capacity()
             if computed and self.sample_sink is not None:
-                self.sample_sink(
-                    hw,
-                    [
+                arrived = iter(computed)
+                for hw, misses in miss_groups:
+                    samples = [
                         (layer_name, mapping, layer_shapes[layer_name][0], result)
-                        for (mapping, layer_name), result in zip(misses, computed)
-                    ],
-                )
+                        for (mapping, layer_name), result in zip(misses, arrived)
+                    ]
+                    if not samples:
+                        break  # the groups past a failure computed nothing
+                    self.sample_sink(hw, samples)
         return results  # type: ignore[return-value]  # all slots filled above
 
     def evaluate_candidates(

@@ -7,8 +7,14 @@ inputs to estimate performance, power and area."
 * :class:`PPAServiceServer` wraps any :class:`PPAEngine` behind a small
   HTTP/JSON endpoint — a route table on the shared serving core
   :mod:`repro.utils.httpcore` (POST ``/evaluate_layer``,
-  POST ``/evaluate_layers`` (batched: one engine call per request),
-  POST ``/aggregate``, GET ``/health``, GET ``/metrics``).
+  POST ``/evaluate_layers``, POST ``/aggregate``, GET ``/health``,
+  GET ``/metrics``).  ``/evaluate_layers`` is the batched endpoint: its
+  body is ``{"groups": [{"hw": ..., "items": [{"mapping": ..., "layer":
+  ...}, ...]}, ...]}`` — one group per hardware configuration, as many as
+  the client's engine call carried — answered by one
+  ``engine.evaluate_groups`` call with ``{"results": [[{"ok": true,
+  "result": ...} | {"ok": false, "error": ...}, ...], ...]}``, one list
+  per group, one entry per item.
 * :class:`RemotePPAEngine` is the drop-in :class:`PPAEngine` client — the
   only one, for one replica URL or N: search tools talk to it exactly as
   they talk to an in-process engine, so the master-slave deployment of
@@ -21,8 +27,8 @@ so the client composes with
 :class:`~repro.costmodel.reliability.RetryingEngine`; its own retries,
 per-replica circuit breakers and failover are described on
 :class:`RemotePPAEngine`.  Requests travel over one keep-alive
-:class:`~repro.fleet.pool.ConnectionPool` per replica, so chunked batch
-evaluations reuse warm sockets.  The server supports graceful shutdown:
+:class:`~repro.fleet.pool.ConnectionPool` per replica, so every exchange
+reuses a warm socket.  The server supports graceful shutdown:
 :meth:`PPAServiceServer.begin_drain` (or the SIGTERM handler installed by
 :meth:`PPAServiceServer.install_signal_handlers`) finishes in-flight
 requests and answers new ones with a fast 503 instead of a hung socket,
@@ -42,6 +48,7 @@ import random
 import threading
 import time
 import typing
+from itertools import chain
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPException
 from typing import (
@@ -57,7 +64,7 @@ from typing import (
 )
 
 from repro.camodel.mapping import AscendMapping
-from repro.costmodel.engine import PPAEngine
+from repro.costmodel.engine import PPAEngine, Query, QueryGroup, held_instrument
 from repro.costmodel.results import LayerPPA
 from repro.errors import EvaluationError, TransportError
 from repro.fleet.breaker import BreakerOpenError, CircuitBreaker
@@ -255,34 +262,46 @@ class PPAServiceServer(HttpServer):
 
     def _post_evaluate_layers(self, request: Request) -> Dict:
         engine = self.engine
-        payload = request.json()
-        hw = decode_object(payload["hw"])
-        items = payload["items"]
-        if not isinstance(items, list):
-            raise EvaluationError("'items' must be a list")
-        entries: List[Optional[Dict]] = [None] * len(items)
-        valid: List[Tuple[int, Tuple[object, str]]] = []
-        for index, item in enumerate(items):
-            # one bad item must not poison the rest of the batch:
-            # reject it here, evaluate the others in one engine call
-            try:
-                layer_name = item["layer"]
-                if layer_name not in engine.layer_shapes:
-                    raise EvaluationError(
-                        f"layer {layer_name!r} not in workload "
-                        f"{engine.network.name!r}"
-                    )
-                mapping = decode_object(item["mapping"])
-            except (EvaluationError, KeyError, TypeError) as exc:
-                entries[index] = {"ok": False, "error": str(exc)}
-            else:
-                valid.append((index, (mapping, layer_name)))
-        if valid:
-            results = engine.evaluate_layers(
-                hw, [request_item for _index, request_item in valid]
-            )
-            for (index, _item), result in zip(valid, results):
-                entries[index] = {
+        groups = request.json()["groups"]
+        if not isinstance(groups, list):
+            raise EvaluationError("'groups' must be a list")
+        entries: List[List[Optional[Dict]]] = []
+        valid: List[Tuple[object, List[Tuple[object, str]]]] = []
+        slots: List[Tuple[List[Optional[Dict]], int]] = []
+        hw_payload = hw = None
+        for group in groups:
+            # consecutive groups on one hardware share its decoded config;
+            # nothing is kept past the request
+            if hw is None or group["hw"] != hw_payload:
+                hw_payload = group["hw"]
+                hw = decode_object(hw_payload)
+            items = group["items"]
+            if not isinstance(items, list):
+                raise EvaluationError("'items' must be a list")
+            group_entries: List[Optional[Dict]] = [None] * len(items)
+            group_valid: List[Tuple[object, str]] = []
+            for index, item in enumerate(items):
+                # one bad item must not poison the rest of the request:
+                # reject it here, evaluate the others in one engine call
+                try:
+                    layer_name = item["layer"]
+                    if layer_name not in engine.layer_shapes:
+                        raise EvaluationError(
+                            f"layer {layer_name!r} not in workload "
+                            f"{engine.network.name!r}"
+                        )
+                    mapping = decode_object(item["mapping"])
+                except (EvaluationError, KeyError, TypeError) as exc:
+                    group_entries[index] = {"ok": False, "error": str(exc)}
+                else:
+                    group_valid.append((mapping, layer_name))
+                    slots.append((group_entries, index))
+            entries.append(group_entries)
+            valid.append((hw, group_valid))
+        if slots:
+            results = chain.from_iterable(engine.evaluate_groups(valid))
+            for (group_entries, index), result in zip(slots, results):
+                group_entries[index] = {
                     "ok": True,
                     "result": _layer_ppa_to_dict(result),
                 }
@@ -305,11 +324,15 @@ class PPAServiceServer(HttpServer):
         }
 
 
+#: request bodies carry no optional whitespace (a tenth of their bytes)
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: headers of every untraced request (never mutated: the pool only reads)
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
 #: transport-level exceptions that indicate "try again", not "bad query"
 _TRANSIENT_ERRORS = (HTTPException, OSError, json.JSONDecodeError)
 
-#: one chunk of misses: ``(mapping, layer_name)`` pairs bound for one shard
-_Chunk = Sequence[Tuple["GemmMapping", str]]
 
 
 class RemotePPAEngine(PPAEngine):
@@ -348,16 +371,18 @@ class RemotePPAEngine(PPAEngine):
     service draining`` reply marks the shard down *without* charging its
     breaker: a replica restart is routine, not an outage.
 
-    Batching: the base class's :meth:`evaluate_layers` does all query
+    Batching: the base class's :meth:`evaluate_groups` does all query
     accounting (clock, counters, cache, samples); this class overrides
-    only the two compute hooks.  :meth:`_compute_misses` ships the misses
-    as ``POST /evaluate_layers`` chunks of ``batch_size`` that the server
+    only the two compute hooks.  :meth:`_compute_group_misses` ships the
+    misses of a call — every group's: the live trials of a lockstep MSH
+    round ask together — as ``POST /evaluate_layers`` requests the server
     answers with one engine call each.  A lone replica leaves nothing to
-    place or overlap: no routing key is built, nothing is hashed, chunks
-    go out in order on the caller's thread.  Chunks across a fleet fly
-    concurrently (at most ``max_inflight``) and are re-merged in miss
-    order, so accounting is order-identical to a serial loop and — the
-    replicas being deterministic — every route returns the same bytes.
+    place or overlap: no routing key is built, nothing is hashed, the
+    call is one request on the caller's thread.  Across a fleet each
+    shard's share is cut into ``batch_size`` chunks that fly concurrently
+    (at most ``max_inflight``) and are re-merged in miss order, so
+    accounting is order-identical to a serial loop and — the replicas
+    being deterministic — every route returns the same bytes.
     """
 
     def __init__(
@@ -416,6 +441,9 @@ class RemotePPAEngine(PPAEngine):
         #: unrelated concurrent requests or cache lookups.
         self._transport_lock = threading.Lock()
 
+    _requests_total = held_instrument("counter", "remote_requests_total")
+    _request_seconds = held_instrument("histogram", "remote_request_seconds")
+
     def close(self) -> None:
         """Release worker threads and every shard's pooled connections."""
         with self._transport_lock:
@@ -466,14 +494,17 @@ class RemotePPAEngine(PPAEngine):
             self.metrics.counter("remote_circuit_rejections_total").inc()
             raise
         data = (
-            json.dumps(payload).encode("utf-8") if payload is not None else None
+            _encode_json(payload).encode("utf-8") if payload is not None else None
         )
         method = "POST" if data is not None else "GET"
-        self.metrics.counter("remote_requests_total").inc()
-        self.metrics.counter(f"fleet_requests_total[shard={shard.name}]").inc()
-        headers = {"Content-Type": "application/json"}
+        self._requests_total.inc()
+        shard.requests_total.inc()
+        headers = _JSON_HEADERS
         if span is not None:
-            headers["X-Repro-Trace"] = format_trace_context(self.tracer, span)
+            headers = {
+                **_JSON_HEADERS,
+                "X-Repro-Trace": format_trace_context(self.tracer, span),
+            }
         last_error: Optional[TransportError] = None
         for attempt in range(self.max_network_retries + 1):
             if attempt:
@@ -489,9 +520,7 @@ class RemotePPAEngine(PPAEngine):
                     method, path, body=data, headers=headers
                 )
                 elapsed = time.perf_counter() - start
-                self.metrics.histogram("remote_request_seconds").observe(
-                    elapsed
-                )
+                self._request_seconds.observe(elapsed)
                 if response.status >= 400:
                     detail = self._error_detail(
                         response.body, f"HTTP {response.status}"
@@ -587,7 +616,7 @@ class RemotePPAEngine(PPAEngine):
         assert last_error is not None
         raise last_error
 
-    def _routing_keys(self, hw, queries: _Chunk) -> List[str]:
+    def _routing_keys(self, hw, queries: Sequence[Query]) -> List[str]:
         """One rendezvous key per query — built only when there is a choice."""
         if len(self.router) == 1:
             return [""] * len(queries)
@@ -601,11 +630,10 @@ class RemotePPAEngine(PPAEngine):
         """Issue ``(key, path, payload)`` requests; replies in submission order.
 
         Each entry is the request's reply or the error it ended in.  One
-        request, or any number to a lone replica, go out on the caller's
-        thread and stop at the first failure; requests across a fleet fly
-        concurrently and all finish before this returns, so no connection
-        is abandoned mid-flight.  The calling thread's current span (if
-        any) parents every request span.
+        request (all a lone replica is ever sent) goes out on the caller's
+        thread; several fly concurrently and all finish before this
+        returns, so no connection is abandoned mid-flight.  The calling
+        thread's current span (if any) parents every request span.
         """
         parent_span = self._parent_span()
 
@@ -615,13 +643,8 @@ class RemotePPAEngine(PPAEngine):
             except Exception as error:  # noqa: BLE001 - re-raised by the merge
                 return error
 
-        if len(requests) == 1 or len(self.router) == 1:
-            outcomes: List = []
-            for request in requests:
-                outcomes.append(attempt(request))
-                if isinstance(outcomes[-1], Exception):
-                    break
-            return outcomes
+        if len(requests) == 1:
+            return [attempt(requests[0])]
         with self._transport_lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
@@ -650,69 +673,95 @@ class RemotePPAEngine(PPAEngine):
         )
 
     @staticmethod
-    def _layer_results(reply, chunk: _Chunk) -> Iterator[LayerPPA]:
-        """Results of one chunk's reply, in order.
+    def _layer_results(reply, groups: Sequence[QueryGroup]) -> Iterator[LayerPPA]:
+        """Results of one request's reply, flat, in the order it was sent.
 
-        Raises the chunk's transport error if that is what the fan-out
+        Raises the request's transport error if that is what the fan-out
         brought back, and at a rejected item — after yielding the items
         before it, which the caller has then already stored.
         """
         if isinstance(reply, Exception):
             raise reply
         entries = reply.get("results")
-        if not isinstance(entries, list) or len(entries) != len(chunk):
+        sent = [len(items) for _hw, items in groups]
+        if not isinstance(entries, list) or sent != [
+            len(group) if isinstance(group, list) else None for group in entries
+        ]:
             raise EvaluationError(
-                f"batched reply shape mismatch: sent {len(chunk)} items, "
+                f"batched reply shape mismatch: sent groups of {sent} items, "
                 f"got {entries!r}"
             )
-        for (_mapping, layer_name), entry in zip(chunk, entries):
-            if not entry.get("ok"):
-                raise EvaluationError(
-                    f"batched evaluation failed for {layer_name}: "
-                    f"{entry.get('error')}"
-                )
-            yield _layer_ppa_from_dict(entry["result"])
+        for (_hw, items), group_entries in zip(groups, entries):
+            for (_mapping, layer_name), entry in zip(items, group_entries):
+                if not entry.get("ok"):
+                    raise EvaluationError(
+                        f"batched evaluation failed for {layer_name}: "
+                        f"{entry.get('error')}"
+                    )
+                yield _layer_ppa_from_dict(entry["result"])
 
-    def _compute_misses(self, hw, misses: _Chunk) -> Iterator[LayerPPA]:
-        """Shard-partitioned ``POST /evaluate_layers`` chunks, merged in order.
+    def _compute_group_misses(
+        self, miss_groups: Sequence[QueryGroup]
+    ) -> Iterator[LayerPPA]:
+        """One ``POST /evaluate_layers`` per shard, merged back in miss order.
 
         The base class charges queries, splits hits from misses, stores
         results and emits journal events; this hook only decides where
-        each miss is computed.  Chunks preserve the miss order within each
-        shard and results are yielded by miss position, so a failure
-        part-way keeps everything before it, as a serial loop would.
+        each miss is computed.  A lone replica gets the whole call — every
+        group's misses — as one request; across a fleet each shard's share
+        is cut into ``batch_size`` chunks the fan-out overlaps.  A request
+        carries its misses group by group in miss order and results are
+        yielded by miss position, so a failure part-way keeps everything
+        before it, as a serial loop would.
         """
-        hw_wire = encode_object(hw)
-        keys = self._routing_keys(hw, misses)
+        hw_wire = [encode_object(hw) for hw, _misses in miss_groups]
+        #: every miss of the call, flat: (its group's index, the miss)
+        flat = [
+            (index, miss)
+            for index, (_hw, misses) in enumerate(miss_groups)
+            for miss in misses
+        ]
+        keys = [
+            key
+            for hw, misses in miss_groups
+            for key in self._routing_keys(hw, misses)
+        ]
         by_owner: Dict[str, List[int]] = {}
         for position, key in enumerate(keys):
             by_owner.setdefault(self.router.route(key).name, []).append(position)
+        # a lone replica has nothing to overlap with: its share leaves uncut
+        size = self.batch_size if len(self.router) > 1 else len(flat)
         requests: List[Tuple[str, str, Dict]] = []
-        chunks: List[Tuple[List[int], _Chunk]] = []
+        sent: List[Tuple[List[int], List[QueryGroup]]] = []
         for owned in by_owner.values():
-            for chunk_start in range(0, len(owned), self.batch_size):
-                positions = owned[chunk_start : chunk_start + self.batch_size]
-                chunk = [misses[position] for position in positions]
-                payload = {
-                    "hw": hw_wire,
-                    "items": [
+            for chunk_start in range(0, len(owned), size):
+                positions = owned[chunk_start : chunk_start + size]
+                groups: List[QueryGroup] = []
+                body: List[Dict] = []
+                current = None
+                for position in positions:
+                    index, (mapping, layer_name) = flat[position]
+                    if index != current:
+                        current = index
+                        groups.append((miss_groups[index][0], []))
+                        body.append({"hw": hw_wire[index], "items": []})
+                    groups[-1][1].append((mapping, layer_name))
+                    body[-1]["items"].append(
                         {"mapping": encode_object(mapping), "layer": layer_name}
-                        for mapping, layer_name in chunk
-                    ],
-                }
+                    )
                 # all keys of a chunk share its owner: route by the first
-                requests.append((keys[positions[0]], "/evaluate_layers", payload))
-                chunks.append((positions, chunk))
+                requests.append(
+                    (keys[positions[0]], "/evaluate_layers", {"groups": body})
+                )
+                sent.append((positions, groups))
         start = time.perf_counter()
         replies = self._fanout(requests)
         self._compute_seconds.observe(time.perf_counter() - start)
-        source: List[Optional[Iterator[LayerPPA]]] = [None] * len(misses)
-        for (positions, chunk), reply in zip(chunks, replies):
-            results = self._layer_results(reply, chunk)
+        source: List[Optional[Iterator[LayerPPA]]] = [None] * len(flat)
+        for (positions, groups), reply in zip(sent, replies):
+            results = self._layer_results(reply, groups)
             for position in positions:
                 source[position] = results
-        # slots past a lone replica's failed chunk are empty and never
-        # reached: that chunk raises at its own first position
         for results in source:
             yield next(results)  # type: ignore[arg-type]
 

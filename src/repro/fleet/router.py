@@ -26,13 +26,14 @@ from __future__ import annotations
 import json
 import threading
 import time
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import EvaluationError
 from repro.fleet.breaker import CircuitBreaker
 from repro.fleet.hashing import rank_shards
 from repro.fleet.pool import ConnectionPool
-from repro.utils.metrics import MetricsRegistry
+from repro.utils.metrics import Counter, MetricsRegistry
 
 __all__ = ["Shard", "ShardRouter"]
 
@@ -53,15 +54,24 @@ class Shard:
         breaker_threshold: int,
         breaker_cooldown_s: float,
         max_idle: int = 8,
+        metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
         self.url = url.rstrip("/")
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self.pool = ConnectionPool(self.url, timeout_s=timeout_s, max_idle=max_idle)
         self.breaker = CircuitBreaker(
             self.url, breaker_threshold, breaker_cooldown_s
         )
         self._down_until = 0.0
         self._down_reason = ""
+
+    @cached_property
+    def requests_total(self) -> Counter:
+        """``fleet_requests_total[shard=<name>]``: looked up at the shard's
+        first request (a registry lists an instrument from the moment it
+        exists), then held — the client counts one per exchange."""
+        return self._metrics.counter(f"fleet_requests_total[shard={self.name}]")
 
     def mark_down(self, reason: str, ttl_s: float = DEFAULT_DOWN_TTL_S) -> None:
         self._down_until = time.monotonic() + ttl_s
@@ -105,6 +115,7 @@ class ShardRouter:
         if not urls:
             raise EvaluationError("a shard router needs at least one replica URL")
         deduped = list(dict.fromkeys(url.rstrip("/") for url in urls))
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.shards: List[Shard] = [
             Shard(
                 f"shard-{index}",
@@ -113,11 +124,11 @@ class ShardRouter:
                 breaker_threshold,
                 breaker_cooldown_s,
                 max_idle=max_idle_per_shard,
+                metrics=self.metrics,
             )
             for index, url in enumerate(deduped)
         ]
         self._by_name = {shard.name: shard for shard in self.shards}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.num_failovers = 0
         self._lock = threading.Lock()  # guards num_failovers
 

@@ -345,39 +345,77 @@ class AnytimeMappingSearch(ABC):
             with tracer.span(
                 "mapping_search", tool=self.name, budget=additional_budget
             ) as span:
-                self._run_impl(additional_budget)
-                span.set_attribute("spent_budget", self.spent_budget)
-                span.set_attribute(
-                    "speculative_evals", self.num_speculative_evals
-                )
-                span.set_attribute("unused_drafts", self.num_speculation_misses)
+                self._run_alone(additional_budget, tracer)
+                for key, value in self.span_attributes().items():
+                    span.set_attribute(key, value)
             return self
-        return self._run_impl(additional_budget)
+        return self._run_alone(additional_budget, tracer)
 
-    def _run_impl(self, additional_budget: int) -> "AnytimeMappingSearch":
-        """The step loop behind :meth:`run`: propose, obtain the result, fold.
+    def span_attributes(self) -> Dict[str, int]:
+        """What a finished ``mapping_search`` span says about the search."""
+        return {
+            "spent_budget": self.spent_budget,
+            "speculative_evals": self.num_speculative_evals,
+            "unused_drafts": self.num_speculation_misses,
+        }
+
+    def _run_alone(self, additional_budget: int, tracer) -> "AnytimeMappingSearch":
+        """Drive :meth:`steps` against this search's own engine.
+
+        A one-item request is a scalar engine call, anything wider one
+        ``evaluate_layers`` call.
+        """
+        engine, hw = self.engine, self.hw
+        steps = self.steps(additional_budget)
+        results = None
+        try:
+            while True:
+                items = steps.send(results)
+                if len(items) == 1:
+                    results = [engine.evaluate_layer(hw, *items[0])]
+                elif tracer.enabled:
+                    with tracer.span("speculative_batch", drafts=len(items) - 1):
+                        results = engine.evaluate_layers(hw, items)
+                else:
+                    results = engine.evaluate_layers(hw, items)
+        except StopIteration:
+            return self
+        finally:
+            steps.close()  # a raising engine call leaves it suspended
+
+    def steps(self, additional_budget: int):
+        """The step loop, as a generator of engine requests.
+
+        Yields each engine request the search makes — a list of
+        ``(mapping, layer_name)`` on ``self.hw`` — and is sent the list of
+        results; :meth:`run` answers from this search's own engine, a
+        lockstep MSH round (``Unico._dispatch_round``) answers the
+        requests of all its live trials with one engine call.  Whoever
+        drives it, the loop is this one: propose, obtain the result, fold.
 
         Every step proposes from the *true* state and only what it folds
         moves that state, so history, incumbents and final RNG state are
         byte-identical at every ``batch_size``.  Look-ahead decides only
         where a proposal's result comes from: the pool of evaluations this
-        search already bought; on a miss, an engine call that evaluates
-        the candidate together with drafts of the steps that follow; or,
-        on a miss while drafted steps are still ahead (one was
-        mispredicted, the rest may yet be used), a scalar engine call.
+        search already bought; on a miss, a request that carries the
+        candidate together with drafts of the steps that follow; or, on a
+        miss while drafted steps are still ahead (one was mispredicted,
+        the rest may yet be used), a request for the candidate alone.
         The last step of a run drafts nothing: whether the search is ever
         resumed is not its decision.
         """
-        engine, hw, bought = self.engine, self.hw, self._bought
-        evaluate = None
-        if self.batch_size > 1 and self.supports_speculation:
-            evaluate = getattr(engine, "evaluate_layers", None)
+        bought = self._bought
+        lookahead = (
+            self.batch_size > 1
+            and self.supports_speculation
+            and hasattr(self.engine, "evaluate_layers")
+        )
         ahead = 0  # drafted steps not yet reached
         next_draft = None  # what the one-step-ahead draft expects next
         for remaining in range(additional_budget, 0, -1):
             layer_name, candidate = self._propose()
             result = None
-            if evaluate is not None:
+            if lookahead:
                 key = (layer_name, candidate.key())
                 if next_draft is not None:
                     if key == next_draft:
@@ -388,13 +426,16 @@ class AnytimeMappingSearch(ABC):
                     ahead -= 1
                 if result is None and not ahead and remaining > 1:
                     ahead = min(self._lookahead_depth(), remaining - 1)
-                    result, next_draft = self._evaluate_ahead(
-                        evaluate, key, candidate, ahead
+                    drafts, next_draft = self._draft_ahead(key, ahead)
+                    results = iter(
+                        (yield [(candidate, layer_name), *drafts.values()])
                     )
+                    result = next(results)
+                    bought.update(zip(drafts, results))
+                    self.num_speculative_evals += len(drafts)
             if result is None:
-                result = engine.evaluate_layer(hw, candidate, layer_name)
+                (result,) = yield [(candidate, layer_name)]
             self._fold_result(layer_name, candidate, result)
-        return self
 
     def _lookahead_depth(self) -> int:
         """How many steps ahead a look-ahead call drafts.
@@ -413,17 +454,17 @@ class AnytimeMappingSearch(ABC):
         p_hat = (self._drafts_used + 1) / (self._drafts_made + 2)
         return max(1, min(cap, int(math.log(0.5) / math.log(p_hat))))
 
-    def _evaluate_ahead(
-        self, evaluate, key: Tuple[str, tuple], candidate: GemmMapping, depth: int
-    ) -> Tuple[LayerPPA, Tuple[str, tuple]]:
-        """Evaluate a missed candidate with drafts of the next ``depth`` steps.
+    def _draft_ahead(
+        self, key: Tuple[str, tuple], depth: int
+    ) -> Tuple[Dict[Tuple[str, tuple], Tuple[GemmMapping, str]], Tuple[str, tuple]]:
+        """Draft the ``depth`` steps that follow the missed candidate ``key``.
 
         Drafting consumes only RNG state (the speculation-safety contract)
         and the snapshot is restored before the fold, so the steps that
-        follow propose as if nothing had been drafted.  One engine call:
-        the candidate first, then the drafts this search does not own yet,
-        in proposal order.  Returns the candidate's result and the key of
-        the one-step-ahead draft.
+        follow propose as if nothing had been drafted.  Returns the drafts
+        this search does not own yet, ``key -> (mapping, layer_name)`` in
+        proposal order — they ride in the candidate's request — and the
+        key of the one-step-ahead draft.
         """
         bought = self._bought
         bit_generator = self.rng.bit_generator
@@ -439,18 +480,7 @@ class AnytimeMappingSearch(ABC):
                 drafts[draft_key] = (draft, draft_layer)
         bit_generator.state = rng_state
         self._drafts_made += 1
-
-        items = [(candidate, key[0]), *drafts.values()]
-        tracer = getattr(self.engine, "tracer", NULL_TRACER)
-        if tracer.enabled:
-            with tracer.span("speculative_batch", drafts=len(drafts)):
-                results = iter(evaluate(self.hw, items))
-        else:
-            results = iter(evaluate(self.hw, items))
-        result = next(results)
-        bought.update(zip(drafts, results))
-        self.num_speculative_evals += len(drafts)
-        return result, next_draft
+        return drafts, next_draft
 
     def _fold_result(
         self, layer_name: str, candidate: GemmMapping, result: LayerPPA

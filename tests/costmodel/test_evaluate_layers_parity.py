@@ -20,10 +20,10 @@ from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.mapping import GemmMapping, RandomMappingSearch
 from repro.mapping.gemm_mapping import GemmMappingSpace
 
-#: the three remote kinds are all ``RemotePPAEngine``: ``remote`` is one URL
-#: whose batch is a single chunk; ``sharded1`` is one URL at
-#: ``batch_size=3`` (several chunks, sent in order to the lone replica);
-#: ``sharded2`` is two URLs (placement + concurrent fan-out)
+#: the three remote kinds are all ``RemotePPAEngine``: ``remote`` is one URL;
+#: ``sharded1`` is one URL at ``batch_size=3`` (a lone replica still gets
+#: the call as one request: the cut is for fleets); ``sharded2`` is two
+#: URLs (placement + concurrent fan-out of ``batch_size`` chunks)
 ENGINE_KINDS = ["maestro", "timeloop", "remote", "sharded1", "sharded2"]
 
 
@@ -268,5 +268,9 @@ def test_remote_cosearch_request_count_pinned(tiny_network, edge_space):
 #: Re-pinned when the search began to buy drafts only as deep as its hit
 #: record justifies: a miss is a look-ahead POST instead of a scalar one
 #: (was 32 / 76) and 38 fewer queries are bought and thrown away (was 254).
-PINNED_REQUESTS = {"/evaluate_layers": 92, "/evaluate_layer": 12}
+#: Re-pinned again (was 92 / 12) when the serial backend began to advance a
+#: round's live trials in lockstep: the four, then two, trials of a round
+#: share one POST per tick, a lone candidate rides in it as a one-item
+#: group, and a lone replica gets a call's misses uncut.  Same queries.
+PINNED_REQUESTS = {"/evaluate_layers": 43}
 PINNED_QUERIES = 216

@@ -510,19 +510,29 @@ class TestBatchEndpoint:
         assert all(result.feasible for result in results)
 
     def test_batch_chunks_by_batch_size(self, server, tiny_network, sample_hw):
-        remote = _fast_remote(tiny_network, server.url, batch_size=2)
+        """``batch_size`` cuts a fleet's shares so they overlap; a lone
+        replica has nothing to overlap with and gets the call as one POST."""
         requests = [(GemmMapping(4, 8, 4, unroll=u), "gemm") for u in (1, 2, 4, 8)]
-        before = remote.metrics.counter_value("remote_requests_total")
+        remote = _fast_remote(tiny_network, server.url, batch_size=2)
         remote.evaluate_layers(sample_hw, requests)
-        assert remote.metrics.counter_value("remote_requests_total") - before == 2
+        assert remote.metrics.counter_value("remote_requests_total") == 1
+        with PPAServiceServer(MaestroEngine(tiny_network)) as second:
+            fleet = _fast_remote(
+                tiny_network, [server.url, second.url], batch_size=1
+            )
+            fleet.evaluate_layers(sample_hw, requests)
+            assert fleet.metrics.counter_value("remote_requests_total") == 4
+            fleet.close()
 
     def test_failed_chunk_keeps_earlier_chunks_and_stops(self, tiny_network,
                                                          sample_hw):
-        """A lone replica gets its chunks in order; a transport failure
-        keeps what earlier chunks brought back and sends nothing further."""
+        """A lone replica gets one request per engine call; a transport
+        failure keeps what earlier calls brought back and nothing of its
+        own (``tests/core/test_lockstep_round.py`` has the failure
+        part-way through one reply)."""
         entry = {"ok": True, "result": {"latency_s": 1.0, "energy_j": 2.0,
                                         "feasible": True}}
-        script = [(200, json.dumps({"results": [entry, entry]})),
+        script = [(200, json.dumps({"results": [[entry, entry]]})),
                   (500, '{"error": "down"}')]
         requests = [(GemmMapping(4, 8, 4, unroll=u), layer)
                     for layer in ("gemm", "conv") for u in (1, 2, 4)]
@@ -530,14 +540,15 @@ class TestBatchEndpoint:
             remote = _fast_remote(tiny_network, url, batch_size=2)
             sink_calls = []
             remote.sample_sink = lambda hw, samples: sink_calls.append(samples)
+            remote.evaluate_layers(sample_hw, requests[:2])
             with pytest.raises(EvaluationError, match="service error 500"):
                 remote.evaluate_layers(sample_hw, requests)
-            assert hits["count"] == 2  # the third chunk was never sent
+            assert hits["count"] == 2  # the four misses left as one request
             assert remote._executor is None
             for mapping, layer in requests[:2]:
                 assert remote.evaluate_layer(sample_hw, mapping, layer).latency_s == 1.0
             assert hits["count"] == 2  # both served from the client cache
-            # the sink saw exactly what reached the cache: the first chunk's
+            # the sink saw exactly what reached the cache: the first call's
             # two results, in miss order, in one call
             (samples,) = sink_calls
             assert [(mapping, layer) for layer, mapping, _s, _r in samples] == (
@@ -578,30 +589,36 @@ class TestBatchEndpoint:
         assert remote.num_queries == 2
 
     def test_server_side_per_item_errors(self, server, sample_hw):
-        payload = {
+        payload = {"groups": [{
             "hw": encode_object(sample_hw),
             "items": self._items([GemmMapping(4, 8, 4)], layer="gemm")
             + self._items([GemmMapping(4, 8, 4)], layer="missing"),
-        }
+        }]}
         request = Request(f"{server.url}/evaluate_layers",
                           data=json.dumps(payload).encode(),
                           headers={"Content-Type": "application/json"})
         with urlopen(request) as response:
             reply = json.loads(response.read())
-        assert reply["results"][0]["ok"] is True
-        assert reply["results"][1]["ok"] is False
-        assert "missing" in reply["results"][1]["error"]
+        (entries,) = reply["results"]
+        assert entries[0]["ok"] is True
+        assert entries[1]["ok"] is False
+        assert "missing" in entries[1]["error"]
 
     def test_items_must_be_list(self, server, sample_hw):
         import urllib.error
 
-        request = Request(f"{server.url}/evaluate_layers",
-                          data=json.dumps({"hw": encode_object(sample_hw),
-                                           "items": "nope"}).encode(),
-                          headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urlopen(request)
-        assert exc_info.value.code == 400
+        hw = encode_object(sample_hw)
+        for body in (
+            {"groups": "nope"},
+            {"groups": [{"hw": hw, "items": "nope"}]},
+            {"hw": hw, "items": []},  # the one-hw body the endpoint once took
+        ):
+            request = Request(f"{server.url}/evaluate_layers",
+                              data=json.dumps(body).encode(),
+                              headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                urlopen(request)
+            assert exc_info.value.code == 400
 
 
 class TestCandidatesEndpoint:
@@ -611,12 +628,14 @@ class TestCandidatesEndpoint:
         return [GemmMapping(4, 8, 4, unroll=u) for u in (1, 2, 4, 8)][:count]
 
     def _post_items(self, server, sample_hw, items):
-        payload = {"hw": encode_object(sample_hw), "items": items}
+        """One group's reply entries."""
+        payload = {"groups": [{"hw": encode_object(sample_hw), "items": items}]}
         request = Request(f"{server.url}/evaluate_layers",
                           data=json.dumps(payload).encode(),
                           headers={"Content-Type": "application/json"})
         with urlopen(request) as response:
-            return json.loads(response.read())
+            (entries,) = json.loads(response.read())["results"]
+        return {"results": entries}
 
     def test_remote_candidates_match_local(self, server, remote, tiny_network,
                                            sample_hw):
@@ -628,11 +647,18 @@ class TestCandidatesEndpoint:
 
     def test_candidates_ship_as_chunked_requests(self, server, tiny_network,
                                                  sample_hw):
-        remote = _fast_remote(tiny_network, server.url, batch_size=2)
-        before = remote.metrics.counter_value("remote_requests_total")
-        remote.evaluate_candidates(sample_hw, "gemm", self._mappings(4))
-        # 4 misses / chunk size 2 -> exactly 2 POSTs
-        assert remote.metrics.counter_value("remote_requests_total") - before == 2
+        with PPAServiceServer(MaestroEngine(tiny_network)) as second:
+            remote = _fast_remote(
+                tiny_network, [server.url, second.url], batch_size=2
+            )
+            remote.evaluate_candidates(sample_hw, "gemm", self._mappings(4))
+            served = [server.engine.num_queries, second.engine.num_queries]
+            # each replica's share leaves in chunks of at most 2
+            assert remote.metrics.counter_value("remote_requests_total") == sum(
+                -(-count // 2) for count in served
+            )
+            assert sum(served) == 4
+            remote.close()
 
     def test_candidates_cache_hits_stay_local(self, server, remote, sample_hw):
         mappings = self._mappings(3)
