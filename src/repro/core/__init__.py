@@ -33,7 +33,6 @@ from repro.core.multiworkload import (
     MultiWorkloadTrial,
     multi_workload_trial_factory,
 )
-from repro.core.runner import JobRunner
 from repro.core.robustness import RobustnessResult, f_theta, robustness_metric
 from repro.core.unico import IterationRecord, Unico, UnicoConfig
 
@@ -43,7 +42,6 @@ __all__ = [
     "MultiWorkloadEngine",
     "MultiWorkloadTrial",
     "multi_workload_trial_factory",
-    "JobRunner",
     "CoOptimizer",
     "CoSearchResult",
     "HWDesign",

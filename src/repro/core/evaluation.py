@@ -66,14 +66,14 @@ def make_search_tool(
 
 
 class _QueryCountingEngine:
-    """Per-trial view of a shared engine with race-free query accounting.
+    """Per-trial view of a shared engine that counts the trial's own queries.
 
-    Several trials of one successive-halving round may run concurrently
-    (``JobRunner`` thread backend) against the *same* engine; deltas of the
-    engine-global ``num_queries`` would then interleave across trials and
-    corrupt the per-trial durations the simulated clock charges.  This
-    proxy counts the queries issued *through it* locally, delegating all
-    work (and caching, and clock charging) to the shared engine.
+    The trials of one successive-halving round advance interleaved
+    (:func:`advance_lockstep`) against the *same* engine; deltas of the
+    engine-global ``num_queries`` would mix trials and corrupt the
+    per-trial durations the simulated clock charges.  This proxy counts
+    the queries issued *through it* locally, delegating all work (and
+    caching, and clock charging) to the shared engine.
     """
 
     def __init__(self, engine: PPAEngine):
@@ -82,16 +82,6 @@ class _QueryCountingEngine:
 
     def __getattr__(self, name):
         return getattr(self._engine, name)
-
-    # Without these, pickle's *instance* lookup of __getstate__ (CPython
-    # 3.10) would fall through __getattr__ to the wrapped engine's method
-    # and serialize the engine's state as the view's — silently corrupting
-    # process-backend round dispatch.
-    def __getstate__(self):
-        return self.__dict__
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     def evaluate_layer(self, hw, mapping, layer_name):
         self.local_queries += 1
@@ -108,7 +98,7 @@ class _QueryCountingEngine:
         A screening wrapper forwards only part of a batch to the
         analytical engine; only those candidates cost a query (and
         therefore simulated eval time).  Screened-out results are tagged,
-        so per-trial accounting stays race-free.
+        so the count needs no engine-global state.
         """
         if getattr(self._engine, "is_screening", False):
             spent = sum(
@@ -154,19 +144,6 @@ class SWSearchTrial:
         )
         #: engine queries consumed (initialization included)
         self.queries_spent = self._view.local_queries
-
-    def reattach_engine(self, engine: PPAEngine) -> None:
-        """Re-point a round-tripped trial at the shared engine.
-
-        A trial advanced in a worker process comes back holding pickled
-        *copies* of the engine; later rounds (and anything the optimizer
-        does with the trial afterwards) must hit the real shared engine —
-        its cache, clock, and accounting.  The counting view is the same
-        unpickled object the search tool holds, so re-pointing it switches
-        the search too.
-        """
-        self.engine = engine
-        self._view._engine = engine
 
     def run(self, additional_budget: int) -> "SWSearchTrial":
         queries_before = self._view.local_queries

@@ -32,8 +32,6 @@ from repro.core.highfidelity import (
     ChampionSelector,
     HighFidelitySelector,
 )
-from repro.core.runner import BACKENDS as RUNNER_BACKENDS
-from repro.core.runner import JobRunner
 from repro.errors import ConfigurationError
 from repro.optim.hypervolume import hypervolume, reference_point_from
 from repro.optim.mobo import MOBOSampler
@@ -47,29 +45,6 @@ from repro.optim.sh import (
 from repro.tracking.tracker import IterationRecord
 
 SURROGATE_UPDATES = ("high_fidelity", "champion")
-
-
-def _advance_trial(trial, additional: int) -> int:
-    """Run one trial for ``additional`` budget; returns fresh queries spent."""
-    before = trial.queries_spent
-    if additional > 0:
-        trial.run(additional)
-    return trial.queries_spent - before
-
-
-def _advance_trial_roundtrip(trial, additional: int):
-    """Process-backend variant of :func:`_advance_trial`.
-
-    The child advances a *pickled copy* of the trial, so every mutation
-    the round produced must travel back explicitly: the advanced trial
-    itself (its search state is the round's result), the trial-local
-    query delta (simulated-clock charging), and the engine-side query
-    delta — queries the child's engine copy served that the parent's
-    shared engine never saw and must absorb into its accounting.
-    """
-    engine_queries_before = trial.engine.num_queries
-    delta = _advance_trial(trial, additional)
-    return trial, delta, trial.engine.num_queries - engine_queries_before
 
 
 @dataclass
@@ -89,21 +64,11 @@ class UnicoConfig:
     rho: float = 0.2
     robustness_alpha: float = 0.05
     pool_size: int = 256
+    #: the parallel jobs of Section 3.5, in simulated time: the clock
+    #: charges each MSH round the makespan of its trials on this many
+    #: machines, which is what the Cost(h) columns report.  The real work
+    #: of a round runs on one thread (DESIGN.md section 4m)
     workers: int = 1
-    #: real-compute dispatch of each MSH round's trials.  ``serial`` is
-    #: exact and default: one thread advances the round's live trials in
-    #: lockstep, so they share each engine call — through a remote engine
-    #: (Fig. 6b), each HTTP exchange.  ``thread`` runs every trial as its
-    #: own job and produces identical results (per-trial query accounting
-    #: is race-free and the engines are deterministic); measured on the
-    #: ``remote_inner`` benchmark workload it is no faster than one trial
-    #: at a time and slower than lockstep (DESIGN.md section 4l).
-    #: ``process`` ships each trial to a worker and back as an explicit
-    #: round-trip value (the paper's multi-processing dispatch): the
-    #: returned trial replaces the local one and the queries its engine
-    #: copy served are absorbed into the shared engine, so fronts and
-    #: clock accounting reproduce the serial backend exactly.
-    runner_backend: str = "serial"
     mobo_overhead_s: float = 5.0
     time_budget_s: Optional[float] = None
     min_observations: int = 8
@@ -141,11 +106,6 @@ class UnicoConfig:
         if self.eval_batch_size < 1:
             raise ConfigurationError(
                 f"eval_batch_size must be >= 1, got {self.eval_batch_size}"
-            )
-        if self.runner_backend not in RUNNER_BACKENDS:
-            raise ConfigurationError(
-                f"runner_backend must be one of {RUNNER_BACKENDS}, got "
-                f"{self.runner_backend!r}"
             )
 
 
@@ -190,11 +150,6 @@ class Unico(CoOptimizer):
                 num_objectives=self.num_objectives, rho=config.rho
             )
         self.normalizer = ObjectiveNormalizer(self.num_objectives)
-        self.runner = JobRunner(
-            backend=config.runner_backend,
-            max_workers=config.workers,
-            metrics=self.engine.metrics,
-        )
         self.train_configs: List = []
         self.train_objectives_raw: List[np.ndarray] = []
         self.iteration_records: List[IterationRecord] = []
@@ -220,55 +175,33 @@ class Unico(CoOptimizer):
             [self.normalizer.transform(y) for y in self.train_objectives_raw]
         )
 
-    def _dispatch_round(
-        self, trials: List, active: List[int], round_args, round_span
-    ) -> List[int]:
-        """Run one MSH round's trials through the configured backend.
+    def _dispatch_round(self, round_args, round_span) -> List[int]:
+        """Advance one MSH round's trials; fresh queries spent per trial.
 
-        The serial backend is a lockstep (:func:`advance_lockstep`): the
+        More than one trial is a lockstep (:func:`advance_lockstep`): the
         live trials share each engine call, counted on ``round_span`` as
-        ``ticks``; a round with one live trial has nobody to share with
-        and runs it whole, like every job of the other backends.
-        Serial/thread backends mutate the trials in place.  The process
-        backend gets explicit round-trip values instead: each returned
-        trial replaces the local one and is re-pointed at the shared
-        engine, whose accounting absorbs the queries the child's engine
-        copy served.  Replacement is identity-checked because the runner
-        degrades to in-place execution (serial shortcut for one-trial
-        rounds, thread fallback for unpicklable jobs) — absorbing those
-        deltas again would double-count.
+        ``ticks``.  One trial has nobody to share with and runs whole.
         """
-        if self.runner.backend == "serial" and len(round_args) > 1:
-            before = [trial.queries_spent for trial, _extra in round_args]
+        before = [trial.queries_spent for trial, _extra in round_args]
+        if len(round_args) > 1:
             round_span.set_attribute(
                 "ticks", advance_lockstep(round_args, self.engine, self.tracer)
             )
-            return [
-                trial.queries_spent - spent
-                for (trial, _extra), spent in zip(round_args, before)
-            ]
-        if self.runner.backend != "process":
-            return self.runner.starmap(_advance_trial, round_args)
-        outcomes = self.runner.starmap(_advance_trial_roundtrip, round_args)
-        deltas: List[int] = []
-        external_queries = 0
-        for trial_id, (returned, delta, engine_delta) in zip(active, outcomes):
-            if returned is not trials[trial_id]:
-                returned.reattach_engine(self.engine)
-                trials[trial_id] = returned
-                external_queries += engine_delta
-            deltas.append(delta)
-        if external_queries:
-            self.engine.absorb_external_queries(external_queries)
-        return deltas
+        else:
+            for trial, additional in round_args:
+                if additional > 0:
+                    trial.run(additional)
+        return [
+            trial.queries_spent - spent
+            for (trial, _extra), spent in zip(round_args, before)
+        ]
 
     def _run_msh(self, trials: List) -> None:
         """Modified successive halving with parallel clock accounting.
 
-        The trials of one round are dispatched through :class:`JobRunner`
-        (``runner_backend``); per-trial query counts come back from the
-        jobs themselves, so the simulated-clock makespan accounting is
-        identical whichever backend ran the round.
+        A round's real work runs on this thread (:meth:`_dispatch_round`);
+        the clock charges it as the makespan of its trials' query counts
+        on ``workers`` machines.
         """
         config = self.config
         plans = plan_rounds(
@@ -296,7 +229,7 @@ class Unico(CoOptimizer):
                 ]
                 spent[active] = np.maximum(spent[active], plan.cumulative_budget)
                 deltas = np.asarray(
-                    self._dispatch_round(trials, active, round_args, round_span),
+                    self._dispatch_round(round_args, round_span),
                     dtype=np.int64,
                 )
                 total_queries = np.array(
@@ -396,16 +329,6 @@ class Unico(CoOptimizer):
     # ----------------------------------------------------------------- driver
     def optimize(self) -> CoSearchResult:
         config = self.config
-        if self.runner.backend == "process" and self.engine.sample_sink is not None:
-            # worker processes search on pickled engine copies, which leave
-            # the sink behind: the journal would look complete and hold only
-            # what this process computes
-            raise ConfigurationError(
-                "runner_backend='process' cannot be combined with an engine "
-                "sample_sink (record_samples): samples computed in worker "
-                "processes would be dropped silently; use runner_backend "
-                "'serial' or 'thread'"
-            )
         self.clock.workers = config.workers
         # the sampler is built in __init__, before any set_tracer() call
         self.sampler.tracer = self.tracer

@@ -17,9 +17,9 @@ power/performance/area.  This module provides that interface:
   hits/misses/evictions, and real compute latency are recorded there and
   surfaced by the REST service's ``GET /metrics`` endpoint.
 
-Engines are thread-safe for concurrent queries: the REST server handles
-requests from a thread pool and the ``thread`` job-runner backend drives
-several mapping searches against one shared engine.
+Engines are thread-safe for concurrent queries: the REST service answers
+requests on one handler thread per connection, all against the one engine
+it serves.
 
 The cycle-accurate engine for the Ascend-like platform lives in
 :mod:`repro.camodel.engine` and implements the same contract.
@@ -187,50 +187,6 @@ class PPAEngine(ABC):
     _per_item_seconds = held_instrument(
         "histogram", "engine_batch_compute_seconds_per_item", PER_ITEM_LATENCY_BOUNDS
     )
-
-    # -- pickling ---------------------------------------------------------------
-    def __getstate__(self) -> Dict:
-        """Process-backend support: engine copies travel to worker processes.
-
-        Live observers stay behind: the lock is recreated on unpickle, the
-        tracer resets to the null tracer and the sample sink to ``None``
-        (both may hold open journal file handles — which is why ``Unico``
-        refuses the process backend while a sink is installed: the copies
-        could not report their samples), and the LRU cache ships
-        *empty* — a child recomputes what it needs (engines are
-        deterministic, so every value is bit-identical either way) instead
-        of paying O(cache) pickling for every dispatched trial.  The
-        shared cache lives server-side in a PPA-service fleet, which is
-        the deployment that pairs with process-parallel rounds.
-        """
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["_cache"] = OrderedDict()
-        state["_hw_keys"] = {}  # keyed by ``id``: meaningless elsewhere
-        state["tracer"] = None
-        state["sample_sink"] = None
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-        if self.tracer is None:
-            self.tracer = NULL_TRACER
-
-    def absorb_external_queries(self, count: int) -> None:
-        """Fold query counts earned by a process-backend round back in.
-
-        Worker processes run trials against pickled engine *copies*; their
-        per-trial deltas come back with the trial results and land here,
-        so ``num_queries`` (and the matching counter) equals the serial
-        backend's count exactly.  Cache statistics are intentionally not
-        merged — the children's caches are their own.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            self.num_queries += count
-        self._queries_total.inc(count)
 
     # -- subclass contract ----------------------------------------------------
     @abstractmethod

@@ -809,14 +809,3 @@ class RemotePPAEngine(PPAEngine):
             }
         )
         return merged
-
-    # -- pickling (process-backend rounds ship engine copies) -------------------
-    def __getstate__(self) -> Dict:
-        state = super().__getstate__()
-        del state["_transport_lock"]
-        state["_executor"] = None
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        super().__setstate__(state)
-        self._transport_lock = threading.Lock()

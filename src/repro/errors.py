@@ -24,10 +24,6 @@ class MappingError(ReproError):
     """A software mapping is malformed or incompatible with a workload."""
 
 
-class InfeasibleMappingError(MappingError):
-    """A mapping violates hardware capacity constraints (e.g. L1 overflow)."""
-
-
 class WorkloadError(ReproError):
     """A workload/layer definition is invalid or unknown."""
 

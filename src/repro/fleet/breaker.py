@@ -146,18 +146,3 @@ class CircuitBreaker:
                 "num_rejections": self.num_rejections,
                 "num_opens": self.num_opens,
             }
-
-    # -- pickling (process-backend rounds ship engine copies) -------------------
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        # a child process starts with a fresh view of the service's health
-        state["_probe_in_flight"] = False
-        state["_now"] = None
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        if self._now is None:
-            self._now = time.monotonic

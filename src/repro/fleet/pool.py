@@ -292,14 +292,3 @@ class ConnectionPool:
                 "num_discarded": self.num_discarded,
                 "num_stale_retries": self.num_stale_retries,
             }
-
-    # -- pickling (process-backend rounds ship engine copies) -------------------
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["_idle"] = []  # sockets never cross a process boundary
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()

@@ -201,13 +201,3 @@ class ShardRouter:
             "num_failovers": self.num_failovers,
             "shards": [shard.stats() for shard in self.shards],
         }
-
-    # -- pickling (process-backend rounds ship engine copies) -------------------
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()

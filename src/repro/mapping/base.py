@@ -123,8 +123,8 @@ class AnytimeMappingSearch(ABC):
         #: drafts bought: candidates evaluated ahead of their step
         self.num_speculative_evals = 0
         #: evaluations bought and not used yet, ``(layer, mapping.key()) ->
-        #: result``; a step that proposes one pops it.  Survives batches,
-        #: rounds and pickling: what was paid for is kept.
+        #: result``; a step that proposes one pops it.  Survives batches
+        #: and rounds: what was paid for is kept.
         self._bought: Dict[Tuple[str, tuple], LayerPPA] = {}
         #: one-step-ahead drafts made / of those, the ones the next step
         #: proposed — the hit record :meth:`_lookahead_depth` reads

@@ -61,12 +61,6 @@ METRIC_HELP: Dict[str, str] = {
     "fleet_failovers_total":
         "Keys served by a non-owner shard because the owner was down.",
     "fleet_shard_down_total": "Times a shard was marked down, by shard.",
-    "runner_jobs_total": "Jobs dispatched through the parallel job runner.",
-    "runner_batches_total": "Job batches dispatched through the runner.",
-    "runner_pickle_fallbacks_total":
-        "Process-backend jobs that fell back to threads (unpicklable).",
-    "runner_unpicklable_jobs_total": "Jobs that failed the pickle check.",
-    "runner_batch_seconds": "Wall time of parallel job-runner batches.",
     "hub_requests_total": "Hub control-plane HTTP requests, by matched route.",
     "hub_errors_total": "Hub requests answered with a 4xx/5xx status.",
     "hub_request_seconds": "Wall time of hub control-plane requests.",

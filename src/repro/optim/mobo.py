@@ -25,9 +25,8 @@ GP, the pool cross-kernel / posterior variance are computed once, and EI
 is evaluated on the full ``(slots, pool)`` matrix.  A slot-by-slot scalar
 path (``vectorized=False``) runs the same algorithm through the plain
 :class:`~repro.optim.gp.GaussianProcess` fit/predict calls; the two paths
-are bit-identical under a fixed seed (``tests/optim/test_mobo_vectorized``
-asserts it).  The pre-rewrite implementation survives as
-:mod:`repro.optim.mobo_legacy` for the outer-loop benchmark baseline.
+are bit-identical under a fixed seed (``tests/optim/test_vectorized_outer_loop.py``
+asserts it).
 """
 
 from __future__ import annotations

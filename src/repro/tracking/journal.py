@@ -165,8 +165,9 @@ class EventJournal:
 
     Sequence numbers are monotonically increasing per journal; a resumed
     run continues from the last complete event's ``seq`` (see
-    :meth:`open_resume`).  The writer is thread-safe — the ``thread`` job
-    runner backend may surface events from worker threads.
+    :meth:`open_resume`).  The writer is thread-safe — a traced run
+    through a sharded ``RemotePPAEngine`` journals its request spans from
+    the engine's ``max_inflight`` fan-out threads.
     """
 
     def __init__(

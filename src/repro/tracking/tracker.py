@@ -176,8 +176,9 @@ class JournalSampleSink:
         self.journal = journal
         #: ``(hw, its payload fragment)`` of the last hardware seen.
         #: Configs are frozen dataclasses, so the same object always has
-        #: the same fields; one attribute, swapped whole, because the
-        #: ``thread`` runner backend calls the sink concurrently.
+        #: the same fields; one attribute, swapped whole, because an
+        #: engine calls its sink outside its lock, from whichever thread
+        #: queried it (handler threads, when a served engine has a sink).
         self._hw_fragment = (None, None)
 
     def __call__(self, hw, samples) -> None:
@@ -416,7 +417,7 @@ class JournalTracker(Tracker):
             self.run.prune_checkpoints(self.keep_last_checkpoints)
 
     def engine_snapshot(self, optimizer) -> None:
-        """Journal the engine + metrics + runner state (observability)."""
+        """Journal the engine + metrics state (observability)."""
         payload: Dict = {}
         engine = getattr(optimizer, "engine", None)
         if engine is not None and hasattr(engine, "stats"):
@@ -424,9 +425,6 @@ class JournalTracker(Tracker):
         metrics = getattr(engine, "metrics", None)
         if metrics is not None and hasattr(metrics, "summary"):
             payload["metrics"] = metrics.summary()
-        runner = getattr(optimizer, "runner", None)
-        if runner is not None and hasattr(runner, "stats"):
-            payload["runner"] = to_jsonable(runner.stats())
         self._emit(optimizer, "engine_snapshot", payload)
 
     def on_run_end(self, optimizer, result) -> None:

@@ -14,10 +14,11 @@ can build on a common, well-tested foundation:
 * :mod:`repro.utils.records` — lightweight JSON-serializable run records.
 * :mod:`repro.utils.metrics` — thread-safe counters and real-time latency
   histograms threaded through the estimation-service path (engines, the
-  REST server, the job runner) and surfaced via ``GET /metrics``.
+  REST server's handler threads, the remote engine's ``max_inflight``
+  fan-out) and surfaced via ``GET /metrics``.
 
 :func:`fork_context` is the one "fork where the platform has it" start
-method the job runner, the fleet supervisor and the hub's run child share.
+method the fleet supervisor and the hub's run child share.
 """
 
 from repro.utils.clock import SimulatedClock

@@ -47,7 +47,7 @@ class SimulatedClock:
     _now_s: float = 0.0
     _events: List[ClockEvent] = field(default_factory=list)
     _totals: Dict[str, float] = field(default_factory=dict)
-    # charged from service-handler threads and thread-backend jobs
+    # charged from service-handler threads
     _lock: threading.RLock = field(
         init=False, repr=False, compare=False, default_factory=threading.RLock
     )
@@ -55,17 +55,6 @@ class SimulatedClock:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    # clocks ride along with engines pickled to process-backend workers;
-    # the lock is process-local state and is recreated on unpickle
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
 
     @property
     def now_s(self) -> float:

@@ -13,12 +13,12 @@ instruments the rest of the library threads through its hot paths:
   models search cost; histograms measure the wall time this process
   actually spent).
 * :class:`MetricsRegistry` — a named collection of the above, shared by an
-  engine, its HTTP server, and the job runner, snapshot as JSON for the
-  ``GET /metrics`` endpoint and the ``python -m repro stats`` subcommand.
+  engine and its HTTP server, snapshot as JSON for the ``GET /metrics``
+  endpoint and the ``python -m repro stats`` subcommand.
 
-All instruments are thread-safe: the service server handles requests from
-a thread pool and the ``thread`` job-runner backend dispatches concurrent
-jobs against a shared engine.
+All instruments are thread-safe: the service's handler threads count
+against one shared engine, and so do the ``max_inflight`` fan-out threads
+of a :class:`~repro.costmodel.service.RemotePPAEngine` on the client side.
 """
 
 from __future__ import annotations
@@ -75,17 +75,6 @@ class Counter:
         """Zero the counter in place (held references stay live)."""
         with self._lock:
             self._value = 0.0
-
-    # instruments ride along with engines pickled to process-backend
-    # workers; __slots__ classes need explicit state methods, and the
-    # lock is recreated on unpickle
-    def __getstate__(self) -> dict:
-        return {"name": self.name, "value": self._value}
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self._value = state["value"]
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name}={self._value})"
@@ -187,28 +176,6 @@ class Histogram:
                 "bounds": list(self.bounds),
                 "bucket_counts": list(self._bucket_counts),
             }
-
-    def __getstate__(self) -> Dict:
-        with self._lock:
-            return {
-                "name": self.name,
-                "bounds": self.bounds,
-                "bucket_counts": list(self._bucket_counts),
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min,
-                "max": self._max,
-            }
-
-    def __setstate__(self, state: Dict) -> None:
-        self.name = state["name"]
-        self.bounds = state["bounds"]
-        self._bucket_counts = list(state["bucket_counts"])
-        self._count = state["count"]
-        self._sum = state["sum"]
-        self._min = state["min"]
-        self._max = state["max"]
-        self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram({self.name}, count={self._count})"
@@ -324,15 +291,6 @@ class MetricsRegistry:
             counter.reset()
         for histogram in histograms:
             histogram.reset()
-
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def render_text(self) -> str:
         """Prometheus text exposition of the registry.

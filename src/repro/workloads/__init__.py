@@ -28,7 +28,6 @@ from repro.workloads.registry import (
     TABLE12_NETWORKS,
     available_networks,
     get_network,
-    get_networks,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "merge_networks",
     "available_networks",
     "get_network",
-    "get_networks",
     "TABLE12_NETWORKS",
     "FIG8_TRAIN",
     "FIG8_VALIDATION",

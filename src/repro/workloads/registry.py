@@ -12,7 +12,7 @@ canonical name.  The suite constants mirror Section 4:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads.network import Network
@@ -88,11 +88,6 @@ def get_network(name: str) -> Network:
             )
         _CACHE[key] = network
     return _CACHE[key]
-
-
-def get_networks(names: List[str]) -> List[Network]:
-    """Look up several networks at once."""
-    return [get_network(name) for name in names]
 
 
 # Section 4.2 (Tables 1-2, Fig. 7): the 7 individually co-optimized networks.

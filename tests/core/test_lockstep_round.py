@@ -1,8 +1,8 @@
 """Lockstep MSH rounds: the live trials of a round share each engine call.
 
-On the ``serial`` backend ``Unico._dispatch_round`` advances the trials of
-a round together (``repro.core.evaluation.advance_lockstep``): every
-trial's step generator runs until it asks for evaluations, the pending
+``Unico._dispatch_round`` advances the trials of a round together
+(``repro.core.evaluation.advance_lockstep``): every trial's step
+generator runs until it asks for evaluations, the pending
 requests leave as one ``PPAEngine.evaluate_groups`` call — through a
 replica, one ``POST /evaluate_layers`` — and each trial is sent its
 results.  None of that may move a search: every trial proposes from its
@@ -13,7 +13,6 @@ trials' samples reach the journal inside a round.
 """
 
 import inspect
-import pickle
 
 import numpy as np
 import pytest
@@ -110,6 +109,13 @@ def _assert_same_trial(got, want):
     assert got.spent_budget == want.spent_budget
 
 
+class _WholeTrial(SWSearchTrial):
+    """A trial that exposes no ``steps``: a round runs it whole on its turn,
+    the branch of ``advance_lockstep`` a ``MultiWorkloadTrial`` takes."""
+
+    steps = None
+
+
 # ------------------------------------------- (a) lockstep == every trial alone
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("width", WIDTHS)
@@ -150,23 +156,27 @@ def test_lockstep_lands_every_trial_where_run_does(
 def test_serial_cosearch_matches_one_trial_at_a_time(
     width, route, make_engine, tiny_network
 ):
-    """The whole co-search: lockstep (serial) against the thread backend
-    with one worker, which runs every trial of a round alone."""
+    """The whole co-search: lockstep against the same trials made unable to
+    step, so that every trial of a round runs alone."""
 
-    def optimize(**overrides):
+    def optimize(trial_cls=None):
         config = UnicoConfig(
-            batch_size=5, max_iterations=2, max_budget=24,
-            eval_batch_size=width, **overrides,
+            batch_size=5, max_iterations=2, max_budget=24, eval_batch_size=width
         )
         engine = make_engine(route)
+        factory = trial_cls and (
+            lambda hw, seed_rng: trial_cls(
+                hw, tiny_network, engine, seed=seed_rng, batch_size=width
+            )
+        )
         unico = Unico(
             edge_design_space(), tiny_network, engine, config,
-            power_cap_w=100.0, seed=11,
+            power_cap_w=100.0, seed=11, trial_factory=factory,
         )
         return unico.optimize(), engine
 
     lockstep, lockstep_engine = optimize()
-    alone, alone_engine = optimize(runner_backend="thread", workers=1)
+    alone, alone_engine = optimize(_WholeTrial)
     assert np.array_equal(lockstep.pareto.points, alone.pareto.points)
     assert lockstep.total_time_s == alone.total_time_s
     assert lockstep.total_engine_queries == alone.total_engine_queries
@@ -403,12 +413,12 @@ def test_trial_that_cannot_be_stepped_runs_whole_on_its_turn(tiny_network):
 
 
 def test_custom_trial_factory_mixes_both_kinds(tiny_network):
-    """Through ``Unico``: the serial backend against one trial at a time."""
+    """Through ``Unico``: lockstep against one trial at a time."""
     other = Network(
         name="other", layers=(Gemm(name="g1", m=32, n=64, k=48),), family="test"
     )
 
-    def optimize(**overrides):
+    def optimize(stepped_cls):
         engine = MaestroEngine(tiny_network)
         _composite, bundle = multi_workload_trial_factory(
             [tiny_network, other],
@@ -422,21 +432,19 @@ def test_custom_trial_factory_mixes_both_kinds(tiny_network):
                 made.append(bundle(hw, seed_rng))
             else:
                 made.append(
-                    SWSearchTrial(hw, tiny_network, engine, seed=seed_rng, batch_size=8)
+                    stepped_cls(hw, tiny_network, engine, seed=seed_rng, batch_size=8)
                 )
             return made[-1]
 
-        config = UnicoConfig(
-            batch_size=4, max_iterations=2, max_budget=16, **overrides
-        )
+        config = UnicoConfig(batch_size=4, max_iterations=2, max_budget=16)
         unico = Unico(
             edge_design_space(), tiny_network, engine, config,
             power_cap_w=100.0, seed=5, trial_factory=factory,
         )
         return unico.optimize(), made
 
-    lockstep, lockstep_trials = optimize()
-    alone, alone_trials = optimize(runner_backend="thread", workers=1)
+    lockstep, lockstep_trials = optimize(SWSearchTrial)
+    alone, alone_trials = optimize(_WholeTrial)
     assert {type(trial) for trial in lockstep_trials} == {
         SWSearchTrial, MultiWorkloadTrial
     }
@@ -445,29 +453,6 @@ def test_custom_trial_factory_mixes_both_kinds(tiny_network):
     assert [trial.queries_spent for trial in lockstep_trials] == [
         trial.queries_spent for trial in alone_trials
     ]
-
-
-# ------------------------------------------------- (e) pickled between rounds
-@pytest.mark.parametrize("tool", ["flextensor", "gamma"])
-def test_trial_pickled_between_rounds_resumes_with_its_pool(tool, tiny_network):
-    configs = _hardware(4)
-    straight_engine, resumed_engine = (
-        MaestroEngine(tiny_network), MaestroEngine(tiny_network)
-    )
-    straight = _trials(tiny_network, straight_engine, tool, 8, configs)
-    interrupted = _trials(tiny_network, resumed_engine, tool, 8, configs)
-    advance_lockstep([(trial, 61) for trial in straight], straight_engine)
-    advance_lockstep([(trial, 61) for trial in interrupted], resumed_engine)
-    assert any(trial.search._bought for trial in interrupted)
-    resumed = pickle.loads(pickle.dumps(interrupted))
-    for trial in resumed:  # as the process backend re-points a returned trial
-        trial.reattach_engine(resumed_engine)
-    advance_lockstep([(trial, 83) for trial in straight], straight_engine)
-    ticks = advance_lockstep([(trial, 83) for trial in resumed], resumed_engine)
-    assert ticks > 0
-    for got, want in zip(resumed, straight):
-        _assert_same_trial(got, want)
-    assert resumed_engine.num_queries == straight_engine.num_queries
 
 
 # ------------------------------------------------------------------- tracing

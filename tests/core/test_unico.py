@@ -1,6 +1,5 @@
 """Tests for the UNICO co-optimizer (Algorithm 1)."""
 
-import numpy as np
 import pytest
 
 from repro.core import Unico, UnicoConfig
@@ -128,43 +127,6 @@ class TestOptimize:
         budgets = [e.budget_spent for e in unico.evaluations]
         assert max(budgets) == 24  # b_max
         assert min(budgets) < max(budgets)  # losers stopped early
-
-    def test_thread_backend_matches_serial(self, tiny_network, edge_space):
-        """Round dispatch through threads must not change any result."""
-        serial = _make_unico(tiny_network, edge_space).optimize()
-        threaded = _make_unico(
-            tiny_network, edge_space, runner_backend="thread", workers=4
-        ).optimize()
-        assert threaded.total_hw_evaluated == serial.total_hw_evaluated
-        assert (
-            threaded.best_design().ppa.latency_s
-            == serial.best_design().ppa.latency_s
-        )
-        assert np.array_equal(
-            np.sort(threaded.pareto.points, axis=0),
-            np.sort(serial.pareto.points, axis=0),
-        )
-
-    def test_process_backend_matches_serial(self, tiny_network, edge_space):
-        """Round-tripped trials must reproduce serial fronts and clock."""
-        serial = _make_unico(tiny_network, edge_space, workers=2).optimize()
-        processed = _make_unico(
-            tiny_network, edge_space, runner_backend="process", workers=2
-        ).optimize()
-        assert processed.total_hw_evaluated == serial.total_hw_evaluated
-        assert processed.total_time_s == serial.total_time_s
-        assert (
-            processed.best_design().ppa.latency_s
-            == serial.best_design().ppa.latency_s
-        )
-        assert np.array_equal(
-            np.sort(processed.pareto.points, axis=0),
-            np.sort(serial.pareto.points, axis=0),
-        )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="runner_backend"):
-            UnicoConfig(runner_backend="mpi")
 
     def test_infeasible_hardware_handled(self, tiny_network, edge_space):
         """A power cap nothing satisfies must not crash the loop."""

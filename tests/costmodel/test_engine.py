@@ -193,17 +193,6 @@ class TestHeldInstruments:
         assert second.counter_value("engine_queries_total") == 1
         assert second.counter_value("engine_cache_hits_total") == 1
 
-    def test_pickled_copy_counts_into_its_own_registry(self, tiny_network, sample_hw):
-        import pickle
-
-        engine = MaestroEngine(tiny_network)
-        engine.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")
-        copy = pickle.loads(pickle.dumps(engine))
-        copy.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")  # caches ship empty
-        assert copy.metrics.counter_value("engine_queries_total") == 2
-        assert copy.metrics.counter_value("engine_cache_misses_total") == 2
-        assert engine.metrics.counter_value("engine_queries_total") == 1
-
 
 def test_hw_key_memo_is_safe_under_concurrent_hardware(tiny_network, edge_space):
     """One engine, a thread per hardware config: every key is its own hw's."""

@@ -1,6 +1,5 @@
 """Circuit breaker: open/cooldown semantics and strict half-open probing."""
 
-import pickle
 import threading
 
 import pytest
@@ -125,13 +124,3 @@ class TestHalfOpen:
         # the probe reports success -> breaker closes for everyone
         breaker.record(True)
         breaker.check()
-
-
-class TestPickling:
-    def test_roundtrip_drops_probe_flag(self, clock):
-        breaker = _tripped(clock, cooldown_s=0.0)
-        breaker.check()  # sets _probe_in_flight
-        clone = pickle.loads(pickle.dumps(breaker))
-        assert clone._probe_in_flight is False
-        assert clone.failures == breaker.failures
-        clone.check()  # the clone can admit its own probe

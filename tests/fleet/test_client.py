@@ -1,7 +1,6 @@
 """The remote engine over N replicas: parity with local engines, fan-out,
 failover, draining — and one replica paying nothing for placement."""
 
-import pickle
 import socket
 import sys
 import threading
@@ -279,16 +278,4 @@ class TestStatsAndPickle:
         report = sharded.health()
         assert set(report) == {"shard-0", "shard-1", "shard-2"}
         assert all(payload["status"] == "ok" for payload in report.values())
-        sharded.close()
-
-    def test_pickle_roundtrip_still_evaluates(
-        self, tiny_network, fleet, sample_hw
-    ):
-        sharded = _sharded(tiny_network, fleet)
-        sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS[:2])
-        clone = pickle.loads(pickle.dumps(sharded))
-        assert clone.evaluate_candidates(
-            sample_hw, "gemm", MAPPINGS
-        ) == sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
-        clone.close()
         sharded.close()

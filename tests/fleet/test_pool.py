@@ -1,7 +1,6 @@
 """Connection pool: keep-alive reuse, stale-socket replay, telemetry."""
 
 import json
-import pickle
 
 import pytest
 
@@ -85,14 +84,3 @@ class TestKeepAlive:
         assert stats["idle"] == 0
         assert stats["num_discarded"] == 1
         pool.close()
-
-
-class TestPickling:
-    def test_roundtrip_drops_sockets(self, pool):
-        pool.request("GET", "/health")
-        clone = pickle.loads(pickle.dumps(pool))
-        assert clone.stats()["idle"] == 0
-        assert clone.base_url == pool.base_url
-        response = clone.request("GET", "/health")
-        assert response.status == 200
-        clone.close()

@@ -132,16 +132,6 @@ class TestFailover:
             "fleet_failovers_total[shard=shard-0]"
         ) == 8 * 500
 
-    def test_pickle_roundtrip_keeps_counts(self, router):
-        import pickle
-
-        router.count_failover(router.shards[1])
-        clone = pickle.loads(pickle.dumps(router))
-        assert clone.num_failovers == 1
-        clone.count_failover(clone.shards[1])  # the lock came back
-        assert clone.num_failovers == 2
-        clone.close()
-
     def test_all_down_returns_owner(self, router):
         for shard in router.shards:
             shard.mark_down("outage", ttl_s=60.0)

@@ -6,11 +6,9 @@ proposes it, and drafts only as deep as its own hit record justifies
 (``AnytimeMappingSearch._lookahead_depth``).  None of that may move the
 search: every width lands on the width-1 trajectory, the engine queries a
 search issued are exactly the steps it folded plus what is still in its
-pool, and what the pool holds survives pickling.  The ratchet at the
-bottom holds the query and cost-model-call counts this change recorded.
+pool.  The ratchet at the bottom holds the query and cost-model-call
+counts this change recorded.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -135,39 +133,12 @@ def test_queries_and_cost_model_calls_ratchet(tool_cls, batch_size):
         assert (queries, calls) == (recorded_queries, recorded_calls)
 
 
-# ------------------------------------------------ (iv) the pool is kept state
-@pytest.mark.parametrize("tool_cls", [FlexTensorSearch, GammaSearch])
-def test_pickled_search_resumes_with_its_pool(tool_cls, tiny_network, sample_hw):
-    def fresh():
-        return tool_cls(
-            tiny_network, sample_hw, MaestroEngine(tiny_network), seed=5,
-            batch_size=8,
-        )
-
-    straight, interrupted = fresh(), fresh()
-    straight.run(61)
-    interrupted.run(61)
-    assert interrupted._bought  # drafts bought and not used yet
-    resumed = pickle.loads(pickle.dumps(interrupted))
-    assert resumed._bought == interrupted._bought
-    straight.run(83)
-    resumed.run(83)
-    assert resumed.history == straight.history
-    assert resumed.best_layer_mapping == straight.best_layer_mapping
-    assert resumed.rng.bit_generator.state == straight.rng.bit_generator.state
-    assert resumed._bought == straight._bought
-    assert resumed.num_speculative_evals == straight.num_speculative_evals
-    # the engine travels with the search, so its count is the search's own
-    assert resumed.engine.num_queries == straight.engine.num_queries
-
-
-def test_process_backend_keeps_pools_across_rounds(tiny_network, edge_space):
-    """Trials are pickled to a worker and back once per MSH round."""
-
-    def optimize(eval_batch_size=8, **overrides):
+# ------------------------------------- (iv) a co-search at every width, one front
+def test_cosearch_width_buys_queries_not_a_different_front(tiny_network, edge_space):
+    def optimize(eval_batch_size):
         config = UnicoConfig(
             batch_size=5, max_iterations=2, max_budget=24, workers=2,
-            eval_batch_size=eval_batch_size, **overrides,
+            eval_batch_size=eval_batch_size,
         )
         unico = Unico(
             edge_space, tiny_network, MaestroEngine(tiny_network), config,
@@ -175,19 +146,11 @@ def test_process_backend_keeps_pools_across_rounds(tiny_network, edge_space):
         )
         return unico.optimize()
 
-    serial = optimize()
-    processed = optimize(runner_backend="process")
-    assert processed.total_engine_queries == serial.total_engine_queries
-    assert processed.total_time_s == serial.total_time_s
+    wide, scalar = optimize(8), optimize(1)
+    # look-ahead did run: width 1 pays fewer queries for the same front
+    assert scalar.total_engine_queries < wide.total_engine_queries
     assert np.array_equal(
-        np.sort(processed.pareto.points, axis=0),
-        np.sort(serial.pareto.points, axis=0),
-    )
-    # and look-ahead did run: width 1 pays fewer queries for the same front
-    scalar = optimize(eval_batch_size=1)
-    assert scalar.total_engine_queries < serial.total_engine_queries
-    assert np.array_equal(
-        np.sort(scalar.pareto.points, axis=0), np.sort(serial.pareto.points, axis=0)
+        np.sort(scalar.pareto.points, axis=0), np.sort(wide.pareto.points, axis=0)
     )
 
 

@@ -8,9 +8,7 @@ mappings outside ``_fold_result``.
 """
 
 import dataclasses
-import pickle
 
-import numpy as np
 import pytest
 
 from repro.camodel import AscendCAEngine
@@ -74,23 +72,3 @@ def test_fusion_search_invalidates_on_adopt():
     slower = dataclasses.replace(incumbent, latency_s=2 * incumbent.latency_s)
     search._adopt(name, search.best_layer_mapping[name], slower)
     _assert_caches_coherent(search)
-
-
-@pytest.mark.parametrize("tool_cls", [FlexTensorSearch, GammaSearch])
-def test_pickled_mid_run_search_resumes_identically(tool_cls, tiny_network, sample_hw):
-    """The process backend pickles every trial once per MSH round."""
-    search = tool_cls(
-        tiny_network, sample_hw, MaestroEngine(tiny_network), seed=5, batch_size=8
-    )
-    search.run(61)
-    search._pick_layer()  # leave a built CDF in the pickle
-    resumed = pickle.loads(pickle.dumps(search))
-    assert resumed._totals == search._totals
-    assert resumed._stale_weights == search._stale_weights
-    assert np.array_equal(resumed._pick_weights, search._pick_weights)
-    assert np.array_equal(resumed._pick_cdf, search._pick_cdf)
-    search.run(83)
-    resumed.run(83)
-    assert resumed.history == search.history
-    assert resumed.best_layer_mapping == search.best_layer_mapping
-    assert resumed.rng.bit_generator.state == search.rng.bit_generator.state

@@ -15,8 +15,12 @@ from repro.errors import SurrogateError
 from repro.hw import edge_design_space
 from repro.optim.gp import GaussianProcess, factorize
 from repro.optim.mobo import MOBOSampler
-from repro.optim.mobo_legacy import parego_scalars_loop
-from repro.optim.scalarize import parego_scalar, parego_scalars, uniform_weights
+from repro.optim.scalarize import (
+    DEFAULT_RHO,
+    parego_scalar,
+    parego_scalars,
+    uniform_weights,
+)
 from repro.optim.sh import (
     relative_auc_score,
     relative_auc_scores,
@@ -30,6 +34,28 @@ from repro.optim.sh import (
 @pytest.fixture(scope="module")
 def space():
     return edge_design_space()
+
+
+def _parego_scalar_loop(objectives, weights, rho):
+    """The pre-vectorization scalar augmented-Tchebycheff formula (BLAS ``ddot``)."""
+    y = np.asarray(objectives, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if y.shape != w.shape:
+        raise ValueError(f"objectives {y.shape} vs weights {w.shape}")
+    if np.any(w < 0):
+        raise ValueError("weights must be non-negative")
+    total = w.sum()
+    if not np.isclose(total, 1.0, atol=1e-6):
+        raise ValueError(f"weights must sum to 1, got {total}")
+    if not np.all(np.isfinite(y)):
+        return float("inf")
+    return float(np.max(w * y) + rho * float(y @ w))
+
+
+def parego_scalars_loop(objective_matrix, weights, rho=DEFAULT_RHO):
+    """The per-row Python loop ``parego_scalars`` replaced, kept as its reference."""
+    matrix = np.asarray(objective_matrix, dtype=float)
+    return np.array([_parego_scalar_loop(row, weights, rho) for row in matrix])
 
 
 def _training_set(space, num=32, num_objectives=3, seed=0):

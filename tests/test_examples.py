@@ -13,7 +13,6 @@ import pytest
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 
 FAST_EXAMPLES = [
-    "ir_scheduling.py",
     "rest_service.py",
     "bottleneck_analysis.py",
 ]

@@ -6,6 +6,7 @@
 * the fleet's transport layer imports nothing from the layers above it,
 * ``repro.tracking`` imports nothing above it, and the set of packages
   that import each other can only shrink,
+* the entry points reach every module under ``src/repro``,
 * no module imports, at module level, a name it never uses.
 """
 
@@ -110,20 +111,27 @@ def test_fleet_transport_imports_only_downward(name):
         )
 
 
-def _imports_outside_type_checking(node):
-    """Modules imported anywhere under ``node`` (a function-level import is
+def _import_statements(node):
+    """Import statements anywhere under ``node`` (a function-level import is
     still an edge), except inside ``if TYPE_CHECKING:`` blocks."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.If) and "TYPE_CHECKING" in ast.dump(child.test):
             for alternative in child.orelse:
-                yield from _imports_outside_type_checking(alternative)
+                yield from _import_statements(alternative)
             continue
-        if isinstance(child, ast.Import):
-            yield from (alias.name for alias in child.names)
-        elif isinstance(child, ast.ImportFrom):
-            assert child.level == 0, "relative import"
-            yield child.module
-        yield from _imports_outside_type_checking(child)
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _import_statements(child)
+
+
+def _imports_outside_type_checking(node):
+    """Modules named by the :func:`_import_statements` of ``node``."""
+    for statement in _import_statements(node):
+        if isinstance(statement, ast.Import):
+            yield from (alias.name for alias in statement.names)
+        else:
+            assert statement.level == 0, "relative import"
+            yield statement.module
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,6 +178,62 @@ def test_mutual_package_imports_only_shrink():
         if package < other and package in edges.get(other, ())
     }
     assert mutual <= MUTUAL_IMPORT_PAIRS, sorted(mutual - MUTUAL_IMPORT_PAIRS)
+
+
+#: what a user can start: ``python -m repro`` and the ``repro`` console script
+ENTRY_POINTS = ("repro.__main__", "repro.cli")
+
+
+def _module_paths():
+    """``{dotted name: path}`` of every module file under ``src/repro``."""
+    paths = {}
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        parts = ("repro",) + path.relative_to(SRC_ROOT).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        paths[".".join(parts)] = path
+    return paths
+
+
+def _imported_names(name, path):
+    """Dotted names ``name``'s import statements may bind, relative ones
+    resolved; ``from a import b`` yields ``a`` and ``a.b`` (``b`` may be a
+    submodule)."""
+    package = name.split(".") if path.name == "__init__.py" else name.split(".")[:-1]
+    for statement in _import_statements(ast.parse(path.read_text())):
+        if isinstance(statement, ast.Import):
+            yield from (alias.name for alias in statement.names)
+            continue
+        base = statement.module or ""
+        if statement.level:
+            anchor = package[: len(package) - statement.level + 1]
+            base = ".".join(anchor + ([base] if base else []))
+        yield base
+        yield from (f"{base}.{alias.name}" for alias in statement.names)
+
+
+def _import_closure(roots, paths):
+    """Modules of ``paths`` importing ``roots`` loads: what they import, at
+    module level or inside a function, transitively, and — as the import
+    system does — every parent package on the way."""
+    reached, frontier = set(), list(roots)
+    while frontier:
+        name = frontier.pop()
+        if name in reached or name not in paths:
+            continue
+        reached.add(name)
+        frontier.append(name.rpartition(".")[0])
+        frontier.extend(_imported_names(name, paths[name]))
+    return reached
+
+
+def test_entry_points_reach_every_module():
+    """Product code is what ``python -m repro`` can load.  A module nothing
+    imports is kept alive by its own tests only: delete it, or wire it to a
+    command.  There is no allow-list."""
+    paths = _module_paths()
+    unreached = sorted(set(paths) - _import_closure(ENTRY_POINTS, paths))
+    assert not unreached, f"no entry point imports: {unreached}"
 
 
 def _names_in(expression: str):

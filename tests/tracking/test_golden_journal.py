@@ -19,7 +19,9 @@ lines of different trials now interleave tick by tick instead of trial
 after trial (``tests/core/test_lockstep_round.py`` holds the per-trial
 streams equal), and the closing ``engine_snapshot`` counts a lone
 candidate's request in a tick as a one-item group (``batch_queries`` 104
--> 122) and only the one-trial rounds as runner jobs.
+-> 122).  ``all_lines`` alone moved once more when the thread and process
+round backends went: the closing ``engine_snapshot`` lost its ``runner``
+block and the three ``runner_*`` instruments, and no other line changed.
 
 ``engine_sample`` lines carry no wall clock and are hashed raw.  Every
 other line is hashed raw too, after blanking the three things that differ
@@ -46,7 +48,7 @@ GOLDEN = {
         "50ef6262b6ad6bdb8e74a077d893d037b8324729e39d98860dc83cedfd327fe4"
     ),
     "all_lines": (
-        "de8d5c14b31c9f5a595be5d7d160cbd1daed66f4c688e1bfe89c3c49018bf512"
+        "3469459bf0378d3d255341b6dd76a964cef5b118423a4cb6e0f7a5fa45c98d65"
     ),
 }
 

@@ -2,9 +2,7 @@
 
 One call per engine call — ``sink(hw, samples)`` — carrying exactly the
 misses whose results reached the cache, in miss order; the journal sink
-turns one call into one group commit.  The process runner backend cannot
-honour it (workers search on engine copies without the sink) and is
-refused instead of journaling a corpus with silent holes.
+turns one call into one group commit.
 """
 
 import json
@@ -14,7 +12,7 @@ import pytest
 
 from repro.core import Unico, UnicoConfig, multi_workload_trial_factory
 from repro.costmodel import MaestroEngine
-from repro.errors import ConfigurationError, EvaluationError
+from repro.errors import EvaluationError
 from repro.mapping import GemmMapping
 from repro.tracking import EventJournal, JournalSampleSink, read_events
 
@@ -133,40 +131,24 @@ class TestJournalSink:
             assert event["hw"] == json.loads(json.dumps(vars(hw)))
 
 
-class TestRunnerBackends:
-    def test_process_backend_with_a_sink_is_refused(self, tiny_network, edge_space):
-        engine = MaestroEngine(tiny_network)
-        engine.sample_sink = _recording_sink([])
-        unico = _unico(
-            tiny_network, edge_space, engine, runner_backend="process", workers=2
-        )
-        with pytest.raises(ConfigurationError) as refusal:
-            unico.optimize()
-        assert "runner_backend" in str(refusal.value)
-        assert "sample_sink" in str(refusal.value)
-        assert engine.num_queries == 0  # refused before the run started
-
-    def test_serial_and_thread_journal_the_same_samples(
+class TestCoSearchSink:
+    def test_cosearch_journals_one_sample_per_cache_miss(
         self, tiny_network, edge_space, tmp_path
     ):
-        def sample_lines(backend):
-            path = tmp_path / f"{backend}.jsonl"
-            engine = MaestroEngine(tiny_network)
-            with EventJournal(path) as journal:
-                engine.sample_sink = JournalSampleSink(journal)
-                _unico(
-                    tiny_network, edge_space, engine,
-                    runner_backend=backend, workers=4, eval_batch_size=8,
-                ).optimize()
-            lines = Counter()
-            for event in read_events(path).of_type("engine_sample"):
-                del event["seq"]  # file position: threads interleave groups
-                lines[json.dumps(event, sort_keys=True)] += 1
-            return lines
-
-        serial = sample_lines("serial")
-        assert sum(serial.values()) > 100
-        assert sample_lines("thread") == serial
+        path = tmp_path / "serial.jsonl"
+        engine = MaestroEngine(tiny_network)
+        with EventJournal(path) as journal:
+            engine.sample_sink = JournalSampleSink(journal)
+            _unico(
+                tiny_network, edge_space, engine, workers=4, eval_batch_size=8
+            ).optimize()
+        lines = Counter()
+        for event in read_events(path).of_type("engine_sample"):
+            del event["seq"]  # file position
+            lines[json.dumps(event, sort_keys=True)] += 1
+        assert sum(lines.values()) > 100
+        assert sum(lines.values()) == engine.num_queries - engine.num_cache_hits
+        assert set(lines.values()) == {1}  # a hit is never journaled again
 
     def test_multi_workload_facade_forwards_the_sink(self, tiny_network):
         facade, _factory = multi_workload_trial_factory(
