@@ -34,14 +34,17 @@ HW = SpatialHWConfig(
 SHAPE = GemmShape(m=256, n=3136, k=576)
 MAPPING = GemmMapping(tile_m=64, tile_n=56, tile_k=64)
 
-#: Gate on the vector kernel's per-candidate speedup over the scalar model
-#: at B=64.  The kernel reads 4.6-5.0x on untouched code from run to run
-#: (ROADMAP item 1b recorded the old ``>= 5.0`` gate flapping), so the gate
-#: sits at the floor of that A/A spread: it catches a kernel that lost its
-#: vectorisation, not a noisy neighbour.  (Ten runs on a shared 2-vCPU box
-#: under heavy load read 4.31-5.29x, two of them under the gate: on such a
-#: box re-run before believing a failure.)
-MIN_BATCH_SPEEDUP = 4.5
+#: Gate on each vector kernel's per-candidate speedup over its scalar model
+#: at B=64, at the floor of its A/A spread: it catches a kernel that lost
+#: its vectorisation, not a noisy neighbour.  The Timeloop-like kernel reads
+#: 4.6-5.0x against its scalar twin on untouched code from run to run
+#: (ROADMAP item 1b recorded the old ``>= 5.0`` gate flapping; ten runs on a
+#: shared 2-vCPU box under heavy load read 4.31-5.29x, two of them under the
+#: gate: on such a box re-run before believing a failure).  The MAESTRO-like
+#: scalar kernel stopped re-deriving its constants (DESIGN.md §4n) and is
+#: ~3x faster than the model this gate was set against, so its vector twin
+#: now reads 1.38-1.46x over six runs.
+MIN_BATCH_SPEEDUP = {"analyze_gemm": 1.3, "analyze_gemm_loopnest": 4.5}
 
 
 @pytest.mark.benchmark(group="kernels")
@@ -134,12 +137,12 @@ def test_speed_analytical_maestro_batch(
         "speedup": speedup,
     }
     record_path.write_text(json.dumps(record, indent=2, sort_keys=True))
-    assert speedup >= MIN_BATCH_SPEEDUP, (
+    gate = MIN_BATCH_SPEEDUP[scalar_fn.__name__]
+    assert speedup >= gate, (
         f"batch path only {speedup:.1f}x faster per candidate "
         f"({scalar_per_item * 1e6:.1f} us scalar vs "
-        f"{batch_per_item * 1e6:.1f} us batched); untouched code reads "
-        f"4.6-5.0x run to run, the gate is that spread's floor, "
-        f"{MIN_BATCH_SPEEDUP}x"
+        f"{batch_per_item * 1e6:.1f} us batched); the gate is the floor of "
+        f"this kernel's run-to-run spread, {gate}x"
     )
 
 

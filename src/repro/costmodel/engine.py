@@ -32,7 +32,6 @@ import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from functools import cached_property
-from itertools import chain, starmap
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -75,7 +74,11 @@ DEFAULT_CACHE_CAPACITY = 100_000
 #: slower than the scalar one.  Measured (DESIGN.md §4b has the table): a
 #: NumPy kernel call costs 50-60 us whatever its width, the scalar model
 #: 7-9 us per candidate, and they meet at 8; narrower groups are cheaper
-#: one at a time.  Results are bit-identical either way.
+#: one at a time.  Since the MAESTRO-like scalar kernel stopped
+#: re-deriving its constants (~3 us per feasible candidate) the two meet
+#: near 50 for it (DESIGN.md §4n); the one threshold still serves the
+#: Timeloop-like twin too and stays where that one's crossover is.
+#: Results are bit-identical either way.
 VECTOR_KERNEL_MIN_GROUP = 8
 
 
@@ -232,11 +235,20 @@ class PPAEngine(ABC):
         handed to the sample sink), as sequential :meth:`evaluate_layer`
         calls would have.  An in-process engine has nothing to share
         between groups: each is one :meth:`_compute_misses` call, made
-        when the results before it have been taken.  Remote engines
+        when the results before it have been taken.  The call is timed
+        once — one ``engine_compute_seconds`` and one per-item
+        observation, however many groups it carried.  Remote engines
         override this with their transport — one exchange per shard for
         the whole call — and nothing else.
         """
-        return chain.from_iterable(starmap(self._compute_misses, miss_groups))
+        start = time.perf_counter()
+        items = 0
+        for hw, misses in miss_groups:
+            yield from self._compute_misses(hw, misses)
+            items += len(misses)
+        elapsed = time.perf_counter() - start
+        self._compute_seconds.observe(elapsed)
+        self._per_item_seconds.observe(elapsed / items)
 
     def _compute_misses(self, hw, misses: Sequence[Query]) -> Iterable[LayerPPA]:
         """Compute one group's cache misses in process, in ``misses`` order.
@@ -247,7 +259,6 @@ class PPAEngine(ABC):
         items cost what the scalar calls it replaces did.
         """
         layer_shapes = self.layer_shapes
-        start = time.perf_counter()
         if len(misses) < VECTOR_KERNEL_MIN_GROUP:
             results = [
                 self._compute_layer_by_name(
@@ -275,9 +286,6 @@ class PPAEngine(ABC):
                     ]
                 for position, result in zip(positions, computed):
                     results[position] = result
-        elapsed = time.perf_counter() - start
-        self._compute_seconds.observe(elapsed)
-        self._per_item_seconds.observe(elapsed / len(misses))
         return results
 
     def hw_key(self, hw) -> Tuple:

@@ -28,10 +28,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.costmodel.results import LayerPPA, NetworkPPA
+from repro.costmodel.results import (
+    LayerPPA,
+    NetworkPPA,
+    feasible_ppa,
+    infeasible_ppa,
+)
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.hw.spatial import SpatialHWConfig
-from repro.utils.intmath import round_up_div
 from repro.workloads.layers import GemmShape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -61,29 +65,73 @@ def spatial_area_mm2(
     return tech.base_area_mm2 + pe_area + l1_area + l2_area + noc_area
 
 
-def _clipped_tiles(
-    mapping: GemmMapping, shape: GemmShape
-) -> Tuple[int, int, int]:
-    """Tiles can never exceed the problem dimensions."""
-    return (
-        min(mapping.tile_m, shape.m),
-        min(mapping.tile_n, shape.n),
-        min(mapping.tile_k, shape.k),
+#: Constants an engine re-derives for the same hardware or layer shape
+#: thousands of times per search, held per object (by ``id``, with the
+#: object kept so its ``id`` stays its own) and per :class:`Technology`.
+#: Bounded like the engine's hardware keys: cleared past this many.
+CONSTS_HELD = 256
+
+#: ``id(hw) -> (hw, tech, consts)``; see :func:`_hw_consts`
+_HW_CONSTS: Dict[int, Tuple] = {}
+#: ``id(shape) -> (shape, tech, consts)``; see :func:`_shape_consts`
+_SHAPE_CONSTS: Dict[int, Tuple] = {}
+
+
+def _hw_consts(hw: SpatialHWConfig, tech: Technology) -> Tuple:
+    """(pe_x, pe_y, fill, l1 bytes, l2 bytes, weight stationary, NoC
+    bytes per cycle, L1 and L2 energy per byte) of ``hw`` under ``tech``."""
+    held = _HW_CONSTS.get(id(hw))
+    if held is not None and held[0] is hw and held[1] is tech:
+        return held[2]
+    if len(_HW_CONSTS) >= CONSTS_HELD:
+        _HW_CONSTS.clear()
+    bank_boost = min(hw.l1_banks, 2) / 2.0 + 0.5  # 1.0 at 1 bank, 1.5 at >=2
+    consts = (
+        hw.pe_x,
+        hw.pe_y,
+        hw.pe_x + hw.pe_y,  # systolic fill/drain per pass, either spatial
+        hw.l1_bytes,
+        hw.l2_bytes,
+        hw.dataflow == "ws",
+        hw.noc_bw * bank_boost,
+        tech.l1_energy_per_byte(hw.l1_bytes),
+        tech.l2_energy_per_byte(hw.l2_bytes),
     )
+    _HW_CONSTS[id(hw)] = (hw, tech, consts)
+    return consts
 
 
-def _reload_factor(
-    operand_dims: Tuple[str, ...],
-    loop_order: Tuple[str, str, str],
-    trips: Dict[str, int],
-) -> int:
-    """Classic reload rule, see module docstring (step 2)."""
-    innermost_pos = max(loop_order.index(dim) for dim in operand_dims)
-    factor = 1
-    for position, dim in enumerate(loop_order):
-        if dim not in operand_dims and position < innermost_pos:
-            factor *= trips[dim]
-    return factor
+def _shape_consts(shape: GemmShape, tech: Technology) -> Tuple:
+    """The per-(shape, tech) products of :func:`analyze_gemm`, each formed
+    exactly as the per-call expression it replaces (see there)."""
+    held = _SHAPE_CONSTS.get(id(shape))
+    if held is not None and held[0] is shape and held[1] is tech:
+        return held[2]
+    if len(_SHAPE_CONSTS) >= CONSTS_HELD:
+        _SHAPE_CONSTS.clear()
+    m, n, k = shape.m, shape.n, shape.k
+    op_b = tech.operand_bytes
+    macs = shape.macs
+    reg_bytes = 2.0 * macs * op_b
+    consts = (
+        m,
+        n,
+        k,
+        shape.reuse_penalty,
+        op_b,
+        tech.accum_bytes,
+        m * k * op_b,  # A bytes
+        k * n * op_b,  # B bytes
+        m * n * op_b,  # C bytes
+        2.0 * m * n * tech.accum_bytes,  # one partial-sum round trip
+        macs * tech.mac_energy_j + reg_bytes * tech.reg_energy_per_byte_j,
+        reg_bytes / 4.0,
+        tech.dram_bw_bytes_per_cycle,
+        tech.frequency_hz,
+        tech.dram_energy_per_byte_j,
+    )
+    _SHAPE_CONSTS[id(shape)] = (shape, tech, consts)
+    return consts
 
 
 def analyze_gemm(
@@ -95,109 +143,98 @@ def analyze_gemm(
     """Analyze one GEMM pass under ``mapping`` on ``hw``.
 
     Returns an infeasible :class:`LayerPPA` when the double-buffered tile
-    working sets overflow L1 (per PE) or L2.
+    working sets overflow L1 (per PE) or L2.  Everything fixed by the
+    hardware or by the shape comes from :func:`_hw_consts` /
+    :func:`_shape_consts`; the rest is evaluated in the order the steps
+    of the module docstring give, so results are the same bits however
+    the constants were reached.
     """
-    tm, tn, tk = _clipped_tiles(mapping, shape)
-    op_b = tech.operand_bytes
-    acc_b = tech.accum_bytes
-
-    if mapping.spatial == "mn":
-        pe_m, pe_n = hw.pe_x, hw.pe_y
+    pe_x, pe_y, fill, l1_bytes, l2_bytes, ws, noc_denom, l1_e, l2_e = (
+        _hw_consts(hw, tech)
+    )
+    (
+        m, n, k, reuse, op_b, acc_b, a_bytes, b_bytes, c0, c2,
+        base_energy, reg4, dram_bw, frequency, dram_e,
+    ) = _shape_consts(shape, tech)
+    # (tile_m, tile_n, tile_k, unroll, spatial == "mn", innermost dim code)
+    tile_m, tile_n, tile_k, unroll, spatial_mn, inner = mapping._row
+    # tiles can never exceed the problem dimensions
+    tm = tile_m if tile_m < m else m
+    tn = tile_n if tile_n < n else n
+    tk = tile_k if tile_k < k else k
+    if spatial_mn:
+        sub_m = -(-tm // pe_x)
+        sub_n = -(-tn // pe_y)
     else:
-        pe_m, pe_n = hw.pe_y, hw.pe_x
-    sub_m = round_up_div(tm, pe_m)
-    sub_n = round_up_div(tn, pe_n)
+        sub_m = -(-tm // pe_y)
+        sub_n = -(-tn // pe_x)
 
     # --- capacity feasibility ------------------------------------------------
     l1_need = 2 * (sub_m * tk + tk * sub_n) * op_b + sub_m * sub_n * acc_b
-    if l1_need > hw.l1_bytes:
-        return LayerPPA(
-            latency_s=float("inf"),
-            energy_j=float("inf"),
-            feasible=False,
-            infeasible_reason=(
-                f"L1 overflow: need {l1_need} B per PE, have {hw.l1_bytes} B"
-            ),
+    if l1_need > l1_bytes:
+        reason = f"L1 overflow: need {l1_need} B per PE, have {l1_bytes} B"
+    else:
+        l2_need = 2 * (tm * tk + tk * tn) * op_b + tm * tn * acc_b
+        reason = (
+            f"L2 overflow: need {l2_need} B, have {l2_bytes} B"
+            if l2_need > l2_bytes
+            else None
         )
-    l2_need = 2 * (tm * tk + tk * tn) * op_b + tm * tn * acc_b
-    if l2_need > hw.l2_bytes:
-        return LayerPPA(
-            latency_s=float("inf"),
-            energy_j=float("inf"),
-            feasible=False,
-            infeasible_reason=(
-                f"L2 overflow: need {l2_need} B, have {hw.l2_bytes} B"
-            ),
-        )
+    if reason is not None:
+        return infeasible_ppa(reason)
 
-    trips = {
-        "m": round_up_div(shape.m, tm),
-        "n": round_up_div(shape.n, tn),
-        "k": round_up_div(shape.k, tk),
-    }
-    n_tiles = trips["m"] * trips["n"] * trips["k"]
-    order = tuple(mapping.loop_order)
-    reuse = shape.reuse_penalty
+    trips_m = -(-m // tm)
+    trips_n = -(-n // tn)
+    trips_k = -(-k // tk)
+    n_tiles = trips_m * trips_n * trips_k
 
     # --- DRAM <-> L2 traffic -------------------------------------------------
-    reload_a = _reload_factor(("m", "k"), order, trips)
-    reload_b = _reload_factor(("k", "n"), order, trips)
-    reload_c = _reload_factor(("m", "n"), order, trips)
-    dram_a = shape.m * shape.k * op_b * reload_a / reuse
-    dram_b = shape.k * shape.n * op_b * reload_b / reuse
-    dram_c = shape.m * shape.n * op_b + 2.0 * shape.m * shape.n * acc_b * (
-        reload_c - 1
-    )
+    # an operand is re-fetched once per trip of the one loop it does not
+    # index, unless that loop is innermost (m=0, n=1, k=2)
+    reload_b = 1 if inner == 0 else trips_m
+    dram_a = a_bytes * (1 if inner == 1 else trips_n) / reuse
+    dram_b = b_bytes * reload_b / reuse
+    dram_c = c0 + c2 * ((1 if inner == 2 else trips_k) - 1)
     dram_bytes = dram_a + dram_b + dram_c
 
     # --- L2 <-> L1 (NoC) traffic ---------------------------------------------
     noc_a = n_tiles * tm * tk * op_b / reuse
-    if hw.dataflow == "ws":
+    if ws:
         # Weight tile resident in L1 across passes that keep it fixed.
-        noc_b = shape.k * shape.n * op_b * reload_b / reuse
+        noc_b = dram_b
         noc_c = n_tiles * tm * tn * acc_b
     else:  # output stationary
         noc_b = n_tiles * tk * tn * op_b / reuse
-        if order[2] == "k":
-            # Reduction innermost: accumulator completes inside the PE.
-            noc_c = shape.m * shape.n * op_b
-        else:
-            noc_c = shape.m * shape.n * op_b + 2.0 * shape.m * shape.n * acc_b * (
-                trips["k"] - 1
-            )
+        # Reduction innermost: accumulator completes inside the PE.
+        noc_c = c0 if inner == 2 else c0 + c2 * (trips_k - 1)
     noc_bytes = noc_a + noc_b + noc_c
 
     # --- latency ---------------------------------------------------------------
-    fill = pe_m + pe_n  # systolic array fill/drain per pass
-    issue_overhead = 0.25 / mapping.unroll
-    compute_cycles = n_tiles * (sub_m * sub_n * tk * (1.0 + issue_overhead) + fill)
-    bank_boost = min(hw.l1_banks, 2) / 2.0 + 0.5  # 1.0 at 1 bank, 1.5 at >=2
-    noc_cycles = noc_bytes / (hw.noc_bw * bank_boost)
-    dram_cycles = dram_bytes / tech.dram_bw_bytes_per_cycle
-    latency_cycles = max(compute_cycles, noc_cycles, dram_cycles) + _STARTUP_CYCLES
-    latency_s = latency_cycles / tech.frequency_hz
+    compute_cycles = n_tiles * (
+        sub_m * sub_n * tk * (1.0 + 0.25 / unroll) + fill
+    )
+    noc_cycles = noc_bytes / noc_denom
+    dram_cycles = dram_bytes / dram_bw
+    latency_cycles = compute_cycles
+    if noc_cycles > latency_cycles:
+        latency_cycles = noc_cycles
+    if dram_cycles > latency_cycles:
+        latency_cycles = dram_cycles
 
     # --- energy ----------------------------------------------------------------
-    macs = shape.macs
-    reg_bytes = 2.0 * macs * op_b
-    l1_access_bytes = reg_bytes / 4.0 + noc_bytes
-    l2_access_bytes = noc_bytes + dram_bytes
     energy_j = (
-        macs * tech.mac_energy_j
-        + reg_bytes * tech.reg_energy_per_byte_j
-        + l1_access_bytes * tech.l1_energy_per_byte(hw.l1_bytes)
-        + l2_access_bytes * tech.l2_energy_per_byte(hw.l2_bytes)
-        + dram_bytes * tech.dram_energy_per_byte_j
+        base_energy
+        + (reg4 + noc_bytes) * l1_e
+        + (noc_bytes + dram_bytes) * l2_e
+        + dram_bytes * dram_e
     )
-
-    return LayerPPA(
-        latency_s=latency_s,
-        energy_j=energy_j,
-        feasible=True,
-        compute_cycles=compute_cycles,
-        noc_cycles=noc_cycles,
-        dram_cycles=dram_cycles,
-        dram_bytes=dram_bytes,
+    return feasible_ppa(
+        (latency_cycles + _STARTUP_CYCLES) / frequency,
+        energy_j,
+        compute_cycles,
+        noc_cycles,
+        dram_cycles,
+        dram_bytes,
     )
 
 

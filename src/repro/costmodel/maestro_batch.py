@@ -21,7 +21,7 @@ Vectorization notes.  Up to the widths the benchmarks drive (B = 64)
 NumPy's per-call dispatch overhead — not element throughput — is the cost
 that matters, so the kernel is written to minimize the *number* and the
 *per-op cost* of array operations.  A call costs ~55 us at any such width
-against ~8 us per candidate for the scalar model, and a FlexTensor
+against ~3 us per feasible candidate for the scalar model, and a FlexTensor
 co-search sends engine calls of two or three candidates, so the engine
 only comes here at ``VECTOR_KERNEL_MIN_GROUP`` or more misses of one layer
 (:mod:`repro.costmodel.engine`):
@@ -46,12 +46,13 @@ only comes here at ``VECTOR_KERNEL_MIN_GROUP`` or more misses of one layer
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, starmap
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.costmodel.results import LayerPPA
+from repro.costmodel.maestro import CONSTS_HELD
+from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.hw.spatial import SpatialHWConfig
 from repro.workloads.layers import GemmShape
@@ -86,7 +87,8 @@ _SHAPE_CONSTS: Dict[Tuple[GemmShape, Technology], Tuple] = {}
 #: per-(hw, tech) 0-d constants: (fill cycles, NoC denominator,
 #: L1 energy/byte, L2 energy/byte).  The energy-per-byte methods scale
 #: with capacity**0.25 — worth caching, the search loop re-queries one
-#: hw config thousands of times.
+#: hw config thousands of times.  Cleared past ``CONSTS_HELD`` entries:
+#: a long-lived replica sees an unbounded stream of configs.
 _HW_CONSTS: Dict[Tuple[SpatialHWConfig, Technology], Tuple[np.ndarray, ...]] = {}
 
 
@@ -118,6 +120,8 @@ def _hw_consts(
 ) -> Tuple[np.ndarray, ...]:
     consts = _HW_CONSTS.get((hw, tech))
     if consts is None:
+        if len(_HW_CONSTS) >= CONSTS_HELD:
+            _HW_CONSTS.clear()
         bank_boost = min(hw.l1_banks, 2) / 2.0 + 0.5
         consts = _HW_CONSTS[(hw, tech)] = (
             np.array(float(hw.pe_x + hw.pe_y)),
@@ -225,7 +229,7 @@ class BatchSoA:
         """(B, 3) per-dimension select: 1 where that dimension's loop is
         innermost, else its DRAM-level trip count.
 
-        See ``maestro._reload_factor``: with ``loop_order`` a permutation
+        As in ``maestro.analyze_gemm``: with ``loop_order`` a permutation
         of (m, n, k), a two-dimension operand excludes exactly one loop;
         its reload factor is that loop's trip count unless the excluded
         loop is innermost, where it is 1.  Operand X's factor is therefore
@@ -251,17 +255,10 @@ class BatchSoA:
         dram_cycles: np.ndarray,
         dram_bytes: np.ndarray,
     ) -> List[LayerPPA]:
-        """Assemble per-candidate :class:`LayerPPA` objects in input order.
-
-        Feasible results bypass the frozen-dataclass ``__init__`` (one
-        ``object.__setattr__`` per field) by installing a ready instance
-        ``__dict__`` — ~3x cheaper, and this runs once per candidate on
-        the search hot path.  Fields whose value equals the dataclass
-        default are omitted from the instance dict: attribute lookup falls
-        back to the class-level default (dataclass defaults are class
-        attributes), so equality, repr, ``dataclasses.asdict`` and pickling
-        all see the same values as a normally-constructed instance.  The
-        all-feasible fast path skips the per-item flag checks entirely.
+        """Assemble per-candidate :class:`LayerPPA` objects in input order,
+        with the cost models' cheap builders
+        (:func:`~repro.costmodel.results.feasible_ppa`).  The all-feasible
+        fast path skips the per-item flag checks entirely.
         """
         # bulk ndarray -> python-float conversion: one C call per column
         # instead of one float() per cell
@@ -269,50 +266,25 @@ class BatchSoA:
             latency_s.tolist(), energy_j.tolist(), compute_cycles.tolist(),
             noc_cycles.tolist(), dram_cycles.tolist(), dram_bytes.tolist(),
         )
-        new = object.__new__
-        put = object.__setattr__
-        results: List[LayerPPA] = []
-        append = results.append
         if not (self.l1_bad.any() or self.l2_bad.any()):
-            for lat, en, co, no, dr, vol in rows:
-                r = new(LayerPPA)
-                put(r, "__dict__", {
-                    "latency_s": lat, "energy_j": en,
-                    "compute_cycles": co, "noc_cycles": no,
-                    "dram_cycles": dr, "dram_bytes": vol,
-                })
-                append(r)
-            return results
+            return list(starmap(feasible_ppa, rows))
         l1_bad = self.l1_bad.tolist()
         l2_bad = self.l2_bad.tolist()
         l1_need = self.l1_need.tolist()
         l2_need = self.l2_need.tolist()
-        inf = float("inf")
-        for i, (lat, en, co, no, dr, vol) in enumerate(rows):
+        results: List[LayerPPA] = []
+        for i, row in enumerate(rows):
             if l1_bad[i]:
-                reason = (
+                results.append(infeasible_ppa(
                     f"L1 overflow: need {l1_need[i]} B per PE, "
                     f"have {hw.l1_bytes} B"
-                )
+                ))
             elif l2_bad[i]:
-                reason = (
+                results.append(infeasible_ppa(
                     f"L2 overflow: need {l2_need[i]} B, have {hw.l2_bytes} B"
-                )
+                ))
             else:
-                r = new(LayerPPA)
-                put(r, "__dict__", {
-                    "latency_s": lat, "energy_j": en,
-                    "compute_cycles": co, "noc_cycles": no,
-                    "dram_cycles": dr, "dram_bytes": vol,
-                })
-                append(r)
-                continue
-            r = new(LayerPPA)
-            put(r, "__dict__", {
-                "latency_s": inf, "energy_j": inf, "feasible": False,
-                "infeasible_reason": reason,
-            })
-            append(r)
+                results.append(feasible_ppa(*row))
         return results
 
 

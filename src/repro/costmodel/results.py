@@ -24,6 +24,51 @@ class LayerPPA:
     infeasible_reason: str = ""
 
 
+_new = object.__new__
+_put = object.__setattr__
+_INF = float("inf")
+
+
+def feasible_ppa(
+    latency_s: float,
+    energy_j: float,
+    compute_cycles: float,
+    noc_cycles: float,
+    dram_cycles: float,
+    dram_bytes: float,
+) -> LayerPPA:
+    """A feasible :class:`LayerPPA`, built for the cost models' hot paths.
+
+    Skips the frozen-dataclass ``__init__`` (a Python call that sets all
+    eight fields) and sets the six that differ from their defaults, ~1.5x
+    cheaper.  The rest fall back to the class-level defaults, so equality,
+    repr, ``dataclasses.asdict`` and pickling all see what a normally
+    constructed instance holds.  Attributes are set one by one rather than
+    by installing a ready ``__dict__``, which would be cheaper again but
+    gives every result its own dict instead of the compact per-instance
+    values: twice the memory of a cached result (DESIGN.md §4n).
+    """
+    result = _new(LayerPPA)
+    _put(result, "latency_s", latency_s)
+    _put(result, "energy_j", energy_j)
+    _put(result, "compute_cycles", compute_cycles)
+    _put(result, "noc_cycles", noc_cycles)
+    _put(result, "dram_cycles", dram_cycles)
+    _put(result, "dram_bytes", dram_bytes)
+    return result
+
+
+def infeasible_ppa(reason: str) -> LayerPPA:
+    """An infeasible :class:`LayerPPA` (infinite latency and energy), built
+    as :func:`feasible_ppa` builds a feasible one."""
+    result = _new(LayerPPA)
+    _put(result, "latency_s", _INF)
+    _put(result, "energy_j", _INF)
+    _put(result, "feasible", False)
+    _put(result, "infeasible_reason", reason)
+    return result
+
+
 @dataclass(frozen=True)
 class NetworkPPA:
     """Aggregated PPA for a network under a full per-layer mapping."""

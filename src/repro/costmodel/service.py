@@ -9,12 +9,11 @@ inputs to estimate performance, power and area."
   :mod:`repro.utils.httpcore` (POST ``/evaluate_layer``,
   POST ``/evaluate_layers``, POST ``/aggregate``, GET ``/health``,
   GET ``/metrics``).  ``/evaluate_layers`` is the batched endpoint: its
-  body is ``{"groups": [{"hw": ..., "items": [{"mapping": ..., "layer":
-  ...}, ...]}, ...]}`` — one group per hardware configuration, as many as
-  the client's engine call carried — answered by one
-  ``engine.evaluate_groups`` call with ``{"results": [[{"ok": true,
-  "result": ...} | {"ok": false, "error": ...}, ...], ...]}``, one list
-  per group, one entry per item.
+  body is ``{"groups": [{"hw": row, "items": [[row, layer], ...]}, ...]}``
+  — one group per hardware configuration, as many as the client's engine
+  call carried — answered by one ``engine.evaluate_groups`` call with
+  ``{"results": [[entry, ...], ...]}``, one list per group, one entry per
+  item.
 * :class:`RemotePPAEngine` is the drop-in :class:`PPAEngine` client — the
   only one, for one replica URL or N: search tools talk to it exactly as
   they talk to an in-process engine, so the master-slave deployment of
@@ -34,16 +33,21 @@ reuses a warm socket.  The server supports graceful shutdown:
 requests and answers new ones with a fast 503 instead of a hung socket,
 so replica restarts don't read as breaker-tripping outages.
 
-Payloads carry plain dicts of the hardware/mapping dataclass fields; the
-server reconstructs typed objects via the registered codecs.  Tuple-typed
-dataclass fields (e.g. ``GemmMapping.loop_order``) are restored from JSON
-lists by inspecting the dataclass annotations, so new config types
-round-trip without codec edits.
+The wire is rows, on every POST route.  A hardware config or a mapping
+is ``[type name, *fields in dataclass order]`` (:func:`encode_object` /
+:func:`decode_object`); tuple-typed fields such as
+``GemmMapping.loop_order`` come back from JSON lists by position.  A
+layer result is the row ``[latency_s, energy_j, compute_cycles,
+noc_cycles, dram_cycles, dram_bytes]``, ``{"infeasible": reason}``, or —
+for an item the server refused — ``{"error": message}``.  JSON round-trips
+a float exactly, so a result crosses the wire as the same bits.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import operator
 import random
 import threading
 import time
@@ -54,7 +58,6 @@ from http.client import HTTPException
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -65,8 +68,8 @@ from typing import (
 
 from repro.camodel.mapping import AscendMapping
 from repro.costmodel.engine import PPAEngine, Query, QueryGroup, held_instrument
-from repro.costmodel.results import LayerPPA
-from repro.errors import EvaluationError, TransportError
+from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
+from repro.errors import EvaluationError, ReproError, TransportError
 from repro.fleet.breaker import BreakerOpenError, CircuitBreaker
 from repro.fleet.hashing import candidate_key
 from repro.fleet.router import Shard, ShardRouter
@@ -87,90 +90,97 @@ from repro.utils.metrics import MetricsRegistry
 #: drift instead of diffing noisy dicts.
 METRICS_SCHEMA_VERSION = 1
 
-_HW_TYPES: Dict[str, type] = {
-    "SpatialHWConfig": SpatialHWConfig,
-    "AscendHWConfig": AscendHWConfig,
+#: the config and mapping types that travel
+_ROW_CLASSES = (SpatialHWConfig, AscendHWConfig, GemmMapping, AscendMapping)
+
+#: class -> (wire name, getter of its fields in dataclass order)
+_ROW_FIELDS: Dict[type, Tuple[str, Callable]] = {
+    cls: (
+        cls.__name__,
+        operator.attrgetter(*(field.name for field in dataclasses.fields(cls))),
+    )
+    for cls in _ROW_CLASSES
 }
-_MAPPING_TYPES: Dict[str, type] = {
-    "GemmMapping": GemmMapping,
-    "AscendMapping": AscendMapping,
+
+
+def _tuple_positions(cls: type) -> Tuple[int, ...]:
+    """Where ``cls`` has tuple fields, which JSON hands back as lists."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        position
+        for position, field in enumerate(dataclasses.fields(cls))
+        if typing.get_origin(hints[field.name]) is tuple
+    )
+
+
+#: wire name -> (class, positions of its tuple fields)
+_ROW_TYPES: Dict[str, Tuple[type, Tuple[int, ...]]] = {
+    cls.__name__: (cls, _tuple_positions(cls)) for cls in _ROW_CLASSES
 }
 
-_TUPLE_FIELDS_CACHE: Dict[type, FrozenSet[str]] = {}
+#: a feasible result's fields, in row order
+_RESULT_ROW = operator.attrgetter(
+    "latency_s", "energy_j", "compute_cycles", "noc_cycles", "dram_cycles",
+    "dram_bytes",
+)
 
 
-def _tuple_fields(cls: type) -> FrozenSet[str]:
-    """Names of ``cls`` fields annotated as tuples (JSON turns them into lists)."""
-    cached = _TUPLE_FIELDS_CACHE.get(cls)
-    if cached is None:
-        hints = typing.get_type_hints(cls)
-        cached = frozenset(
-            name
-            for name, hint in hints.items()
-            if hint is tuple or typing.get_origin(hint) is tuple
-        )
-        _TUPLE_FIELDS_CACHE[cls] = cached
-    return cached
+def encode_object(obj) -> List:
+    """A hardware config or mapping as a row: ``[type name, *fields]``.
 
-
-def encode_object(obj) -> Dict:
-    """Serialize a hardware config or mapping as {type, fields}.
-
-    Underscore-prefixed attributes (precomputed caches such as
-    ``GemmMapping._row``) are not constructor arguments and stay off the
-    wire.
+    Fields go in dataclass order — the constructor's positional order —
+    so precomputed caches such as ``GemmMapping._row`` stay off the wire.
     """
-    fields = {k: v for k, v in vars(obj).items() if not k.startswith("_")}
-    for name in _tuple_fields(type(obj)):
-        if name in fields:
-            fields[name] = list(fields[name])
-    return {"type": type(obj).__name__, "fields": fields}
-
-
-def decode_object(payload: Dict):
-    """Inverse of :func:`encode_object`."""
-    type_name = payload["type"]
-    fields = dict(payload["fields"])
-    if type_name in _HW_TYPES:
-        cls = _HW_TYPES[type_name]
-    elif type_name in _MAPPING_TYPES:
-        cls = _MAPPING_TYPES[type_name]
-    else:
-        raise EvaluationError(f"unknown payload type {type_name!r}")
-    for name in _tuple_fields(cls):
-        if name in fields and isinstance(fields[name], list):
-            fields[name] = tuple(fields[name])
-    return cls(**fields)
-
-
-def _layer_ppa_to_dict(result: LayerPPA) -> Dict:
-    return {
-        "latency_s": result.latency_s if result.feasible else None,
-        "energy_j": result.energy_j if result.feasible else None,
-        "feasible": result.feasible,
-        "compute_cycles": result.compute_cycles,
-        "noc_cycles": result.noc_cycles,
-        "dram_cycles": result.dram_cycles,
-        "dram_bytes": result.dram_bytes,
-        "infeasible_reason": result.infeasible_reason,
-    }
-
-
-def _layer_ppa_from_dict(payload: Dict) -> LayerPPA:
     try:
-        feasible = payload["feasible"]
-        return LayerPPA(
-            latency_s=payload["latency_s"] if feasible else float("inf"),
-            energy_j=payload["energy_j"] if feasible else float("inf"),
-            feasible=feasible,
-            compute_cycles=payload.get("compute_cycles", 0.0),
-            noc_cycles=payload.get("noc_cycles", 0.0),
-            dram_cycles=payload.get("dram_cycles", 0.0),
-            dram_bytes=payload.get("dram_bytes", 0.0),
-            infeasible_reason=payload.get("infeasible_reason", ""),
-        )
-    except (KeyError, TypeError) as error:
-        raise EvaluationError(f"malformed layer-PPA payload: {error}") from error
+        name, fields = _ROW_FIELDS[type(obj)]
+    except KeyError:
+        raise EvaluationError(f"no wire row for {type(obj).__name__!r}") from None
+    return [name, *fields(obj)]
+
+
+def decode_object(row):
+    """Inverse of :func:`encode_object`.
+
+    Anything but a row of a known type raises :class:`EvaluationError`; a
+    row whose fields the constructor refuses raises what it raised.
+    """
+    try:
+        cls, tuple_positions = _ROW_TYPES[row[0]]
+    except (KeyError, IndexError, TypeError):
+        raise EvaluationError(f"not a config or mapping row: {row!r}") from None
+    fields = row[1:]
+    if tuple_positions:
+        fields = list(fields)
+        for position in tuple_positions:
+            if position < len(fields) and isinstance(fields[position], list):
+                fields[position] = tuple(fields[position])
+    return cls(*fields)
+
+
+def _result_to_wire(result: LayerPPA):
+    """A result row, or ``{"infeasible": reason}``."""
+    if result.feasible:
+        return _RESULT_ROW(result)
+    return {"infeasible": result.infeasible_reason}
+
+
+def _result_from_wire(entry, layer_name: str) -> LayerPPA:
+    """Inverse of :func:`_result_to_wire`; ``{"error": msg}`` raises."""
+    if isinstance(entry, list):
+        try:
+            return feasible_ppa(*entry)
+        except TypeError:
+            pass
+    elif isinstance(entry, dict):
+        if "infeasible" in entry:
+            return infeasible_ppa(entry["infeasible"])
+        if "error" in entry:
+            raise EvaluationError(
+                f"evaluation failed for {layer_name}: {entry['error']}"
+            )
+    raise EvaluationError(
+        f"malformed layer-PPA entry for {layer_name}: {entry!r}"
+    )
 
 
 class PPAServiceServer(HttpServer):
@@ -251,48 +261,49 @@ class PPAServiceServer(HttpServer):
             engine=self.engine.stats(),
         )
 
-    def _post_evaluate_layer(self, request: Request) -> Dict:
+    def _post_evaluate_layer(self, request: Request):
         payload = request.json()
         result = self.engine.evaluate_layer(
             decode_object(payload["hw"]),
             decode_object(payload["mapping"]),
             payload["layer"],
         )
-        return _layer_ppa_to_dict(result)
+        return _result_to_wire(result)
 
     def _post_evaluate_layers(self, request: Request) -> Dict:
         engine = self.engine
+        layer_shapes = engine.layer_shapes
         groups = request.json()["groups"]
         if not isinstance(groups, list):
             raise EvaluationError("'groups' must be a list")
-        entries: List[List[Optional[Dict]]] = []
+        entries: List[List] = []
         valid: List[Tuple[object, List[Tuple[object, str]]]] = []
-        slots: List[Tuple[List[Optional[Dict]], int]] = []
-        hw_payload = hw = None
+        slots: List[Tuple[List, int]] = []
+        hw_row = hw = None
         for group in groups:
             # consecutive groups on one hardware share its decoded config;
             # nothing is kept past the request
-            if hw is None or group["hw"] != hw_payload:
-                hw_payload = group["hw"]
-                hw = decode_object(hw_payload)
+            if hw is None or group["hw"] != hw_row:
+                hw_row = group["hw"]
+                hw = decode_object(hw_row)
             items = group["items"]
             if not isinstance(items, list):
                 raise EvaluationError("'items' must be a list")
-            group_entries: List[Optional[Dict]] = [None] * len(items)
+            group_entries: List = [None] * len(items)
             group_valid: List[Tuple[object, str]] = []
             for index, item in enumerate(items):
                 # one bad item must not poison the rest of the request:
                 # reject it here, evaluate the others in one engine call
                 try:
-                    layer_name = item["layer"]
-                    if layer_name not in engine.layer_shapes:
+                    mapping_row, layer_name = item
+                    if layer_name not in layer_shapes:
                         raise EvaluationError(
                             f"layer {layer_name!r} not in workload "
                             f"{engine.network.name!r}"
                         )
-                    mapping = decode_object(item["mapping"])
-                except (EvaluationError, KeyError, TypeError) as exc:
-                    group_entries[index] = {"ok": False, "error": str(exc)}
+                    mapping = decode_object(mapping_row)
+                except (ReproError, TypeError, ValueError) as exc:
+                    group_entries[index] = {"error": str(exc)}
                 else:
                     group_valid.append((mapping, layer_name))
                     slots.append((group_entries, index))
@@ -301,10 +312,7 @@ class PPAServiceServer(HttpServer):
         if slots:
             results = chain.from_iterable(engine.evaluate_groups(valid))
             for (group_entries, index), result in zip(slots, results):
-                group_entries[index] = {
-                    "ok": True,
-                    "result": _layer_ppa_to_dict(result),
-                }
+                group_entries[index] = _result_to_wire(result)
         return {"results": entries}
 
     def _post_aggregate(self, request: Request) -> Dict:
@@ -378,7 +386,9 @@ class RemotePPAEngine(PPAEngine):
     round ask together — as ``POST /evaluate_layers`` requests the server
     answers with one engine call each.  A lone replica leaves nothing to
     place or overlap: no routing key is built, nothing is hashed, the
-    call is one request on the caller's thread.  Across a fleet each
+    call is one request on the caller's thread, which polls for its reply
+    before it blocks (:data:`~repro.fleet.pool.REPLY_POLL_S`; chunks that
+    fly together do not).  Across a fleet each
     shard's share is cut into ``batch_size`` chunks that fly concurrently
     (at most ``max_inflight``) and are re-merged in miss order, so
     accounting is order-identical to a serial loop and — the replicas
@@ -668,8 +678,9 @@ class RemotePPAEngine(PPAEngine):
             "layer": layer_name,
         }
         (key,) = self._routing_keys(hw, [(mapping, layer_name)])
-        return _layer_ppa_from_dict(
-            self._request(key, "/evaluate_layer", payload, self._parent_span())
+        return _result_from_wire(
+            self._request(key, "/evaluate_layer", payload, self._parent_span()),
+            layer_name,
         )
 
     @staticmethod
@@ -693,12 +704,7 @@ class RemotePPAEngine(PPAEngine):
             )
         for (_hw, items), group_entries in zip(groups, entries):
             for (_mapping, layer_name), entry in zip(items, group_entries):
-                if not entry.get("ok"):
-                    raise EvaluationError(
-                        f"batched evaluation failed for {layer_name}: "
-                        f"{entry.get('error')}"
-                    )
-                yield _layer_ppa_from_dict(entry["result"])
+                yield _result_from_wire(entry, layer_name)
 
     def _compute_group_misses(
         self, miss_groups: Sequence[QueryGroup]
@@ -746,9 +752,7 @@ class RemotePPAEngine(PPAEngine):
                         groups.append((miss_groups[index][0], []))
                         body.append({"hw": hw_wire[index], "items": []})
                     groups[-1][1].append((mapping, layer_name))
-                    body[-1]["items"].append(
-                        {"mapping": encode_object(mapping), "layer": layer_name}
-                    )
+                    body[-1]["items"].append([encode_object(mapping), layer_name])
                 # all keys of a chunk share its owner: route by the first
                 requests.append(
                     (keys[positions[0]], "/evaluate_layers", {"groups": body})

@@ -12,6 +12,14 @@ or ``http.client``'s exception types (``BadStatusLine``,
 ``IncompleteRead``, ``RemoteDisconnected``), so callers' retry policies
 see what they always saw.
 
+An exchange that is the only one in flight in the process polls its
+socket for the reply for up to :data:`REPLY_POLL_S` before it blocks:
+a PPA reply is a few hundred microseconds away, and a thread that
+sleeps for it halts its CPU, which the reply must then wake — on a
+virtual machine, a cost both ends pay.  Concurrent exchanges (a fleet's
+fan-out, a scraper beside a search) never poll, so no two threads spin
+under one GIL.
+
 Failure handling is deliberately conservative:
 
 * a connection that errors mid-exchange is **discarded**, never pooled;
@@ -26,9 +34,11 @@ Failure handling is deliberately conservative:
 from __future__ import annotations
 
 import re
+import select
 import socket
 import ssl
 import threading
+import time
 from http.client import (
     BadStatusLine,
     HTTPException,
@@ -47,6 +57,15 @@ __all__ = ["ConnectionPool", "PoolResponse"]
 #: what a request target may not contain (a run id typed on a command
 #: line ends up in one): whitespace and control characters
 _BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
+
+#: How long a lone exchange polls for its reply before a blocking read,
+#: in seconds.  Chosen by a sweep over {0.25, 0.5, 1, 2, 4} ms on a
+#: co-search through one replica (DESIGN.md §4n).
+REPLY_POLL_S = 0.001
+
+#: exchanges in flight in this process, over every pool
+_in_flight = 0
+_in_flight_lock = threading.Lock()
 
 
 class PoolResponse:
@@ -130,6 +149,19 @@ def _read_response(rfile, method: str) -> Tuple[PoolResponse, bool]:
         body = rfile.read()  # no framing: the body ends where the socket does
         will_close = True
     return PoolResponse(status, headers, body), will_close
+
+
+def _poll_for_reply(sock) -> bool:
+    """Spin until ``sock`` is readable, for at most :data:`REPLY_POLL_S`
+    and only while no other exchange is in flight; True if it became
+    readable.  Either way the caller's blocking read follows."""
+    deadline = time.perf_counter() + REPLY_POLL_S
+    while _in_flight == 1:
+        if select.select((sock,), (), (), 0)[0]:
+            return True
+        if time.perf_counter() > deadline:
+            break
+    return False
 
 
 class ConnectionPool:
@@ -267,15 +299,24 @@ class ConnectionPool:
             head += f"Content-Length: {len(body) if body else 0}\r\n"
         for name, value in (headers or {}).items():
             head += f"{name}: {value}\r\n"
-        # head + body leave as one segment: a second small write would
-        # wait out the server's delayed ACK of the first (Nagle)
-        connection.sock.sendall(
-            head.encode("iso-8859-1") + b"\r\n" + (body or b"")
-        )
-        # a reader per reply, as http.client has it: nothing buffered
-        # outlives the exchange, and closing ``sock`` really closes it
-        with connection.sock.makefile("rb") as rfile:
-            response, will_close = _read_response(rfile, method)
+        global _in_flight
+        with _in_flight_lock:
+            _in_flight += 1
+        try:
+            # head + body leave as one segment: a second small write would
+            # wait out the server's delayed ACK of the first (Nagle)
+            connection.sock.sendall(
+                head.encode("iso-8859-1") + b"\r\n" + (body or b"")
+            )
+            if _in_flight == 1:
+                _poll_for_reply(connection.sock)
+            # a reader per reply, as http.client has it: nothing buffered
+            # outlives the exchange, and closing ``sock`` really closes it
+            with connection.sock.makefile("rb") as rfile:
+                response, will_close = _read_response(rfile, method)
+        finally:
+            with _in_flight_lock:
+                _in_flight -= 1
         if will_close:
             self._discard(connection)
         else:

@@ -39,10 +39,11 @@ METRIC_HELP: Dict[str, str] = {
     "engine_batch_queries_total": "Vectorized candidate-batch engine calls.",
     "engine_retries_total": "Engine evaluations retried after transient failures.",
     "engine_injected_failures_total": "Failures injected by the flaky test engine.",
-    "engine_compute_seconds": "Wall time of uncached scalar engine computations.",
+    "engine_compute_seconds":
+        "Wall time of one engine call's uncached computations.",
     "engine_batch_size": "Candidates per vectorized engine batch call.",
     "engine_batch_compute_seconds_per_item":
-        "Per-candidate wall time of vectorized engine batch calls.",
+        "Per-candidate wall time of batched engine calls.",
     "service_requests_total": "HTTP requests served, by matched route.",
     "service_errors_total": "HTTP requests answered with a 4xx/5xx status.",
     "service_drain_rejections_total":

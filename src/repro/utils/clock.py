@@ -19,21 +19,15 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-
-@dataclass
-class ClockEvent:
-    """One charged event: a label, a duration and the resulting clock time."""
-
-    label: str
-    duration_s: float
-    at_s: float
+from typing import Dict, Sequence
 
 
 @dataclass
 class SimulatedClock:
-    """Accumulates simulated seconds and an event log.
+    """Accumulates simulated seconds, in total and per label.
+
+    Keeps no per-charge log: a served engine charges its clock once per
+    group it answers, for as long as the replica lives.
 
     Parameters
     ----------
@@ -45,7 +39,6 @@ class SimulatedClock:
 
     workers: int = 1
     _now_s: float = 0.0
-    _events: List[ClockEvent] = field(default_factory=list)
     _totals: Dict[str, float] = field(default_factory=dict)
     # charged from service-handler threads
     _lock: threading.RLock = field(
@@ -66,17 +59,12 @@ class SimulatedClock:
         """Current simulated time in hours."""
         return self._now_s / 3600.0
 
-    @property
-    def events(self) -> Sequence[ClockEvent]:
-        return tuple(self._events)
-
     def advance(self, duration_s: float, label: str = "event") -> float:
         """Charge one serial event and return the new time."""
         if duration_s < 0:
             raise ValueError(f"duration must be non-negative, got {duration_s}")
         with self._lock:
             self._now_s += duration_s
-            self._events.append(ClockEvent(label, duration_s, self._now_s))
             self._totals[label] = self._totals.get(label, 0.0) + duration_s
             return self._now_s
 
@@ -108,8 +96,7 @@ class SimulatedClock:
         return self._totals.get(label, 0.0)
 
     def reset(self) -> None:
-        """Zero the clock and clear the event log."""
+        """Zero the clock and every label's total."""
         with self._lock:
             self._now_s = 0.0
-            self._events.clear()
             self._totals.clear()

@@ -42,9 +42,9 @@ DEFAULT_BATCH_SIZE_BOUNDS: Tuple[float, ...] = (
 #: Buckets for *per-candidate* compute latency on the batch path
 #: (``engine_batch_compute_seconds_per_item``).  Much finer at the
 #: microsecond end than :data:`DEFAULT_LATENCY_BOUNDS`: batched analytical
-#: evaluation amortizes to microseconds per candidate, and the batch
-#: speedup is exactly this histogram's mean versus the scalar
-#: ``engine_compute_seconds`` mean.
+#: evaluation amortizes to microseconds per candidate.  Both it and
+#: ``engine_compute_seconds`` take one observation per engine call that
+#: computed something.
 PER_ITEM_LATENCY_BOUNDS: Tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
     5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2,

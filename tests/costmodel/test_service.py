@@ -57,8 +57,9 @@ class TestCodec:
         assert decode_object(encode_object(mapping)) == mapping
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(EvaluationError):
-            decode_object({"type": "Mystery", "fields": {}})
+        for row in (["Mystery"], [], {"type": "GemmMapping"}, 42):
+            with pytest.raises(EvaluationError):
+                decode_object(row)
 
     def test_payload_is_json_serializable(self, sample_hw):
         json.dumps(encode_object(sample_hw))
@@ -85,8 +86,9 @@ class TestServer:
         )
         with urlopen(request) as response:
             payload = json.loads(response.read())
-        assert payload["feasible"]
-        assert payload["latency_s"] > 0
+        # a feasible result is the row [latency_s, energy_j, ...]
+        assert isinstance(payload, list) and len(payload) == 6
+        assert payload[0] > 0
 
     def test_bad_layer_is_400(self, server, sample_hw):
         request = Request(
@@ -455,8 +457,8 @@ class TestServerErrorPaths:
         assert status == 400
         assert "error" in payload
 
-    def test_unexpected_dataclass_fields_are_500_json(self, server):
-        bogus_hw = {"type": "SpatialHWConfig", "fields": {"bogus_field": 1}}
+    def test_unexpected_dataclass_fields_are_500_json(self, server, sample_hw):
+        bogus_hw = encode_object(sample_hw) + ["bogus_field"]
         status, payload = self._post(
             server.url,
             "/evaluate_layer",
@@ -484,7 +486,7 @@ class TestServerErrorPaths:
 
 class TestBatchEndpoint:
     def _items(self, mappings, layer="gemm"):
-        return [{"mapping": encode_object(m), "layer": layer} for m in mappings]
+        return [[encode_object(m), layer] for m in mappings]
 
     def test_batch_matches_single_layer_results(self, server, remote, tiny_network,
                                                 sample_hw):
@@ -530,8 +532,7 @@ class TestBatchEndpoint:
         failure keeps what earlier calls brought back and nothing of its
         own (``tests/core/test_lockstep_round.py`` has the failure
         part-way through one reply)."""
-        entry = {"ok": True, "result": {"latency_s": 1.0, "energy_j": 2.0,
-                                        "feasible": True}}
+        entry = [1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
         script = [(200, json.dumps({"results": [[entry, entry]]})),
                   (500, '{"error": "down"}')]
         requests = [(GemmMapping(4, 8, 4, unroll=u), layer)
@@ -600,8 +601,8 @@ class TestBatchEndpoint:
         with urlopen(request) as response:
             reply = json.loads(response.read())
         (entries,) = reply["results"]
-        assert entries[0]["ok"] is True
-        assert entries[1]["ok"] is False
+        assert isinstance(entries[0], list)  # a result row
+        assert set(entries[1]) == {"error"}
         assert "missing" in entries[1]["error"]
 
     def test_items_must_be_list(self, server, sample_hw):
@@ -672,11 +673,11 @@ class TestCandidatesEndpoint:
         """One request is one engine call, whatever layers it mixes."""
         backend_batches = server.engine.num_batch_queries
         items = [
-            {"mapping": encode_object(m), "layer": layer}
+            [encode_object(m), layer]
             for m, layer in zip(self._mappings(4), ("gemm", "gemm", "conv", "gemm"))
         ]
         reply = self._post_items(server, sample_hw, items)
-        assert [entry["ok"] for entry in reply["results"]] == [True] * 4
+        assert all(isinstance(entry, list) for entry in reply["results"])
         assert server.engine.num_batch_queries == backend_batches + 1
         assert server.engine.num_queries == 4
 
@@ -685,14 +686,14 @@ class TestCandidatesEndpoint:
         valid items around them still share a single engine call."""
         good = self._mappings(3)
         items = [
-            {"mapping": encode_object(good[0]), "layer": "gemm"},
-            {"mapping": encode_object(good[1]), "layer": "missing"},
-            {"mapping": {"type": "Mystery", "fields": {}}, "layer": "gemm"},
-            {"mapping": encode_object(good[2]), "layer": "conv"},
+            [encode_object(good[0]), "gemm"],
+            [encode_object(good[1]), "missing"],
+            [["Mystery"], "gemm"],
+            [encode_object(good[2]), "conv"],
         ]
         batches = server.engine.metrics.counter_value("engine_batch_queries_total")
         reply = self._post_items(server, sample_hw, items)
-        assert [entry["ok"] for entry in reply["results"]] == [
+        assert [isinstance(entry, list) for entry in reply["results"]] == [
             True, False, False, True,
         ]
         assert "missing" in reply["results"][1]["error"]
@@ -703,7 +704,7 @@ class TestCandidatesEndpoint:
         )
         assert server.engine.num_queries == 2
         local = MaestroEngine(tiny_network)
-        assert reply["results"][3]["result"]["latency_s"] == local.evaluate_layer(
+        assert reply["results"][3][0] == local.evaluate_layer(
             sample_hw, good[2], "conv"
         ).latency_s
 
@@ -816,7 +817,7 @@ class TestGracefulDrain:
             assert server.inflight_requests >= 1
             assert server.drain(timeout_s=5.0)
             worker.join(timeout=5.0)
-            assert outcome["payload"]["feasible"]
+            assert outcome["payload"][0] > 0  # a feasible result row
             assert server.inflight_requests == 0
 
     def test_stop_is_drain_then_shutdown(self, tiny_network):

@@ -22,6 +22,12 @@ candidate's request in a tick as a one-item group (``batch_queries`` 104
 -> 122).  ``all_lines`` alone moved once more when the thread and process
 round backends went: the closing ``engine_snapshot`` lost its ``runner``
 block and the three ``runner_*`` instruments, and no other line changed.
+``all_lines`` alone moved again when the in-process engine began to time
+a call instead of each group of it: in the closing ``engine_snapshot``
+the ``engine_compute_seconds`` count fell 120 -> 58 and the per-item
+histogram's 118 -> 56 (one observation per engine call that computed
+something, two of the 58 being scalar ``evaluate_layer`` misses), and no
+other line changed.
 
 ``engine_sample`` lines carry no wall clock and are hashed raw.  Every
 other line is hashed raw too, after blanking the three things that differ
@@ -48,7 +54,7 @@ GOLDEN = {
         "50ef6262b6ad6bdb8e74a077d893d037b8324729e39d98860dc83cedfd327fe4"
     ),
     "all_lines": (
-        "3469459bf0378d3d255341b6dd76a964cef5b118423a4cb6e0f7a5fa45c98d65"
+        "b4eda2c8361099be61309192b8427fb6483d766b7649f3a712ec7a6c71ce77e1"
     ),
 }
 
