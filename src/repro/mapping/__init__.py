@@ -16,7 +16,6 @@ rounds.
 
 from repro.mapping.base import AnytimeMappingSearch, MappingSearchPoint
 from repro.mapping.cosa import CosaMapper, construct_mapping
-from repro.mapping.exhaustive import ExhaustiveResult, enumerate_layer, optimal_network_mapping
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.mapping.gamma import GammaSearch
@@ -34,9 +33,6 @@ from repro.mapping.random_search import RandomMappingSearch
 __all__ = [
     "CosaMapper",
     "construct_mapping",
-    "ExhaustiveResult",
-    "enumerate_layer",
-    "optimal_network_mapping",
     "AnytimeMappingSearch",
     "MappingSearchPoint",
     "FlexTensorSearch",

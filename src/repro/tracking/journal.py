@@ -13,7 +13,8 @@ Crash safety comes from two properties:
 
 * **Atomic line appends** — every event is serialized to one complete
   line, and the lines of one :meth:`EventJournal.append` /
-  :meth:`EventJournal.append_many` call reach the file in a single
+  :meth:`EventJournal.append_many` / :meth:`EventJournal.append_framed`
+  call reach the file in a single
   ``os.write`` on an ``O_APPEND`` descriptor (:class:`AppendLog`, the one
   write path of this journal and of the metrics store), so concurrent
   writers interleave whole calls and a crash can only tear the final
@@ -37,7 +38,8 @@ import os
 import pathlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import TrackingError
 from repro.utils.records import to_jsonable
@@ -159,6 +161,29 @@ class AppendLog:
 #: repr-able fall back to :func:`~repro.utils.records.to_jsonable`)
 _ENCODER = json.JSONEncoder(sort_keys=True, default=to_jsonable)
 
+#: the encoder's C core, made once with the encoder's own settings:
+#: ``_ENCODER.encode`` builds one per call, which costs more than encoding
+#: a small value.  No cycle check — a journal value is a tree.
+_C_ENCODE = c_make_encoder and c_make_encoder(
+    None,
+    _ENCODER.default,
+    encode_basestring_ascii,
+    _ENCODER.indent,
+    _ENCODER.key_separator,
+    _ENCODER.item_separator,
+    _ENCODER.sort_keys,
+    _ENCODER.skipkeys,
+    _ENCODER.allow_nan,
+)
+
+
+def encode_value(value) -> str:
+    """``value``'s JSON text exactly as the journal's encoder writes it
+    inside a line — the pieces of a line rendered without a payload dict."""
+    if _C_ENCODE is None:  # pragma: no cover - Python without _json
+        return _ENCODER.encode(value)
+    return "".join(_C_ENCODE(value, 0))
+
 
 class EventJournal:
     """Writer for one run's ``journal.jsonl``.
@@ -224,6 +249,26 @@ class EventJournal:
             if lines:
                 self._log.write(("\n".join(lines) + "\n").encode("utf-8"))
                 self._next_seq = first + len(lines)
+            return first
+
+    def append_framed(self, frames: Iterable[Tuple[str, str]]) -> int:
+        """Write pre-rendered lines as one group; returns the first ``seq``.
+
+        Each frame is one line's JSON text cut where its ``seq`` value goes,
+        ``(prefix, suffix)``: the line is ``prefix + str(seq) + suffix``,
+        and the caller owns it being what :meth:`append_many` would write
+        (sorted keys, ``type`` included).  Numbering, the one write and the
+        one lock hold are :meth:`append_many`'s.
+        """
+        with self._lock:
+            first = seq = self._next_seq
+            lines = []
+            for prefix, suffix in frames:
+                lines.append(f"{prefix}{seq}{suffix}\n")
+                seq += 1
+            if lines:
+                self._log.write("".join(lines).encode("utf-8"))
+                self._next_seq = seq
             return first
 
     def append(self, event_type: str, payload: Optional[Dict] = None) -> int:
@@ -391,6 +436,7 @@ __all__ = [
     "AppendLog",
     "EventJournal",
     "JournalScan",
+    "encode_value",
     "iter_events",
     "read_bytes_from",
     "read_events",

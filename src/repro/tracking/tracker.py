@@ -28,6 +28,7 @@ import math
 import pathlib
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.tracking.journal import (
     JOURNAL_VERSION,
     EventJournal,
     JournalScan,
+    encode_value,
     read_events,
     verify_sequence,
 )
@@ -148,9 +150,38 @@ class NullTracker(Tracker):
     enabled = False
 
 
-def _finite(value: float) -> Optional[float]:
+#: per-object JSON texts a sample sink holds (hardware, layer shapes),
+#: cleared past this many — bounded like the engine's hardware keys
+TEXTS_HELD = 256
+
+
+def _held_text(texts: Dict, obj, render) -> str:
+    """``render(obj)``, kept in ``texts`` by object identity.  The object
+    is held with its text, so its ``id`` stays its own while cached."""
+    held = texts.get(id(obj))
+    if held is None or held[0] is not obj:
+        if len(texts) >= TEXTS_HELD:
+            texts.clear()
+        held = texts[id(obj)] = (obj, render(obj))
+    return held[1]
+
+
+def _finite_text(value: float) -> str:
+    """A float as the journal writes a measured one: non-finite is null."""
     value = float(value)
-    return value if math.isfinite(value) else None
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+def _hw_text(hw) -> str:
+    """``', "hw": {...}, "latency_s": '`` — the config's part of a sample."""
+    fields = {str(k): to_jsonable(v) for k, v in vars(hw).items()}
+    return f', "hw": {encode_value(fields)}, "latency_s": '
+
+
+def _shape_text(shape) -> str:
+    """The tail of a sample line after its ``seq``."""
+    dims = encode_value((shape.m, shape.n, shape.k, shape.reuse_penalty))
+    return f', "shape": {dims}, "type": "engine_sample"}}'
 
 
 class JournalSampleSink:
@@ -164,8 +195,19 @@ class JournalSampleSink:
     group-committed: consecutive ``seq``, one journal write.  The payload
     is self-contained (hardware variables, mapping key, layer shape, exact
     PPA), so datasets can be extracted from a journal without the run's
-    design space or workload registry.  Thread safety comes from the
-    journal's atomic group appends.
+    design space or workload registry.
+
+    Lines are rendered here, not encoded from dicts: each is the text the
+    journal's encoder would write for the event (sorted keys, the same
+    value texts), cut at its ``seq`` for
+    :meth:`~repro.tracking.journal.EventJournal.append_framed`.  The
+    config's text is encoded once per ``hw`` object and the shape's once
+    per shape object, held by identity up to :data:`TEXTS_HELD` each —
+    more than the last one, because a lockstep MSH round hands over its
+    live trials' configs in turn.  An engine calls its sink outside its
+    lock, from whichever thread queried it; the caches only ever gain
+    whole entries or are cleared, and the journal's group appends order
+    the lines.
     """
 
     #: payload schema, independent of JOURNAL_VERSION so the sample shape
@@ -174,38 +216,38 @@ class JournalSampleSink:
 
     def __init__(self, journal: EventJournal):
         self.journal = journal
-        #: ``(hw, its payload fragment)`` of the last hardware seen.
-        #: Configs are frozen dataclasses, so the same object always has
-        #: the same fields; one attribute, swapped whole, because an
-        #: engine calls its sink outside its lock, from whichever thread
-        #: queried it (handler threads, when a served engine has a sink).
-        self._hw_fragment = (None, None)
+        #: ``id(hw) -> (hw, _hw_text(hw))``
+        self._hw_texts: Dict[int, tuple] = {}
+        #: ``id(shape) -> (shape, _shape_text(shape))``
+        self._shape_texts: Dict[int, tuple] = {}
+        #: layer name -> its JSON string
+        self._layer_texts: Dict[str, str] = {}
+        self._seq_lead = f', "sample_schema": {self.SAMPLE_SCHEMA}, "seq": '
 
     def __call__(self, hw, samples) -> None:
-        held = self._hw_fragment
-        if held[0] is not hw:
-            held = self._hw_fragment = (
-                hw, {str(k): to_jsonable(v) for k, v in vars(hw).items()}
-            )
-        fragment = held[1]
-        self.journal.append_many(
-            "engine_sample",
-            [
-                {
-                    "sample_schema": self.SAMPLE_SCHEMA,
-                    "layer": str(layer_name),
-                    "hw": fragment,
-                    # a tuple of ints/strs: the encoder writes it natively
-                    "mapping": mapping.key(),
-                    "shape": [shape.m, shape.n, shape.k, shape.reuse_penalty],
-                    "latency_s": _finite(result.latency_s),
-                    "energy_j": _finite(result.energy_j),
-                    "feasible": bool(result.feasible),
-                    "reason": str(result.infeasible_reason),
-                }
-                for layer_name, mapping, shape, result in samples
-            ],
-        )
+        hw_text = _held_text(self._hw_texts, hw, _hw_text)
+        shape_texts, layer_texts = self._shape_texts, self._layer_texts
+        seq_lead = self._seq_lead
+        frames = []
+        for layer_name, mapping, shape, result in samples:
+            layer_text = layer_texts.get(layer_name)
+            if layer_text is None:
+                if len(layer_texts) >= TEXTS_HELD:
+                    layer_texts.clear()
+                layer_text = layer_texts[layer_name] = encode_basestring_ascii(
+                    str(layer_name)
+                )
+            frames.append((
+                f'{{"energy_j": {_finite_text(result.energy_j)}, '
+                f'"feasible": {"true" if result.feasible else "false"}'
+                f"{hw_text}{_finite_text(result.latency_s)}, "
+                f'"layer": {layer_text}, '
+                f'"mapping": {encode_value(mapping.key())}, '
+                f'"reason": {encode_basestring_ascii(str(result.infeasible_reason))}'
+                f"{seq_lead}",
+                _held_text(shape_texts, shape, _shape_text),
+            ))
+        self.journal.append_framed(frames)
 
 
 class JournalTracker(Tracker):

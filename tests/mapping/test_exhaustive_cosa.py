@@ -8,7 +8,7 @@ from repro.costmodel import MaestroEngine
 from repro.errors import MappingError
 from repro.mapping import FlexTensorSearch, GammaSearch
 from repro.mapping.cosa import CosaMapper, construct_mapping
-from repro.mapping.exhaustive import enumerate_layer, optimal_network_mapping
+from tests.mapping.exhaustive import enumerate_layer, optimal_network_mapping
 from repro.workloads import Gemm, Network
 
 

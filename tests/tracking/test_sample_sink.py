@@ -15,6 +15,7 @@ from repro.costmodel import MaestroEngine
 from repro.errors import EvaluationError
 from repro.mapping import GemmMapping
 from repro.tracking import EventJournal, JournalSampleSink, read_events
+from repro.tracking import tracker
 
 MAPPINGS = [GemmMapping(4, 8, 4, unroll=u) for u in (1, 2, 4, 8)]
 
@@ -113,18 +114,28 @@ class TestJournalSink:
         assert [e["mapping"][5] for e in events[:4]] == [1, 2, 4, 8]
 
     def test_hw_fragment_follows_the_hw_object(
-        self, tiny_engine, edge_space, sample_hw, tmp_path
+        self, tiny_engine, edge_space, sample_hw, tmp_path, monkeypatch
     ):
-        """The fragment is built once per hw object, never reused across two."""
+        """The fragment is encoded once per hw object, never reused across
+        two: groups interleaved A, B, A, B encode twice."""
         other = edge_space.sample(3)
         assert vars(other) != vars(sample_hw)
+        encoded = []
+        real_hw_text = tracker._hw_text
+
+        def counting_hw_text(hw):
+            encoded.append(hw)
+            return real_hw_text(hw)
+
+        monkeypatch.setattr(tracker, "_hw_text", counting_hw_text)
         path = tmp_path / "j.jsonl"
         with EventJournal(path) as journal:
-            sink = tiny_engine.sample_sink = JournalSampleSink(journal)
-            visits = [sample_hw, other, sample_hw, sample_hw]
+            tiny_engine.sample_sink = JournalSampleSink(journal)
+            visits = [sample_hw, other, sample_hw, other]
             for hw, mapping in zip(visits, MAPPINGS):
                 tiny_engine.evaluate_layers(hw, [(mapping, "gemm"), (mapping, "pw")])
-                assert sink._hw_fragment[0] is hw
+        assert len(encoded) == 2
+        assert encoded[0] is sample_hw and encoded[1] is other
         events = read_events(path).events
         assert len(events) == 8
         for event, hw in zip(events, [hw for hw in visits for _ in range(2)]):
