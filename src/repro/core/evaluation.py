@@ -78,6 +78,7 @@ class _QueryCountingEngine:
 
     def __init__(self, engine: PPAEngine):
         self._engine = engine
+        self._screening = getattr(engine, "is_screening", False)
         self.local_queries = 0
 
     def __getattr__(self, name):
@@ -100,7 +101,7 @@ class _QueryCountingEngine:
         therefore simulated eval time).  Screened-out results are tagged,
         so the count needs no engine-global state.
         """
-        if getattr(self._engine, "is_screening", False):
+        if self._screening:
             spent = sum(
                 1 for result in results
                 if result.infeasible_reason != SCREENED_REASON

@@ -47,6 +47,7 @@ from repro.mapping.gemm_mapping import (
     GemmMapping,
     GemmMappingSpace,
     NetworkMapping,
+    shared_space,
 )
 from repro.utils.intmath import nearest_divisor
 from repro.utils.rng import SeedLike, as_generator
@@ -145,10 +146,11 @@ class AnytimeMappingSearch(ABC):
         # per-step caches, so one propose -> fold step does not walk the
         # network: incumbent totals (dropped by :meth:`_set_incumbent`),
         # and the layer-pick weights with their CDF (entries of
-        # ``_stale_weights`` layers are rewritten by the next pick)
+        # ``_stale_weights`` layers are rewritten by the next pick; nan
+        # until the first, so the first pick builds the CDF)
         self._totals: Optional[Tuple[float, float]] = None
         self._layer_index = {name: i for i, name in enumerate(self.layer_names)}
-        self._pick_weights = np.zeros(len(self.layer_names))
+        self._pick_weights = np.full(len(self.layer_names), np.nan)
         self._pick_cdf: Optional[np.ndarray] = None
         self._stale_weights = set(self.layer_names)
         self._leakage_w = engine.tech.leakage_w_per_mm2 * engine.area_mm2(hw)
@@ -156,9 +158,10 @@ class AnytimeMappingSearch(ABC):
 
     # ------------------------------------------------------------------ setup
     def _make_space(self, layer):
-        """Mapping-space factory; platforms with different mapping types
-        (e.g. the Ascend-like fusion space) override this."""
-        return GemmMappingSpace(layer.to_gemm())
+        """Mapping-space factory: the shape's shared space.  Platforms with
+        different mapping types (e.g. the Ascend-like fusion space)
+        override this."""
+        return shared_space(layer.to_gemm())
 
     def _seed_mapping(self, space) -> GemmMapping:
         """Heuristic starting point for one layer on ``self.hw``."""
@@ -261,23 +264,32 @@ class AnytimeMappingSearch(ABC):
         Index and RNG consumption are those of ``rng.choice(n, p=w /
         w.sum())`` — the same CDF, one uniform, ``searchsorted`` — without
         its per-call validation.  The CDF lives until a weight changes, so
-        the drafts of a speculative batch share one.  Returns ``None``,
-        consuming no RNG, when the weights are non-finite or sum to zero:
-        the caller takes its own fallback.
+        the drafts of a speculative batch share one.  A stale weight is
+        recomputed, and the CDF rebuilt only if one came back different
+        (a nan always does): the same weights make the same CDF, and most
+        folds move no weight.  Returns ``None``, consuming no RNG, when the
+        weights are non-finite or sum to zero: the caller takes its own
+        fallback.
         """
-        if self._stale_weights:
-            for layer_name in self._stale_weights:
-                self._pick_weights[self._layer_index[layer_name]] = (
-                    self._layer_weight(layer_name)
-                )
-            self._stale_weights.clear()
-            total = self._pick_weights.sum()
-            if 0.0 < total < np.inf:  # false for a nan / inf weight too
-                cdf = (self._pick_weights / total).cumsum()
-                cdf /= cdf[-1]
-                self._pick_cdf = cdf
-            else:
-                self._pick_cdf = None
+        stale = self._stale_weights
+        if stale:
+            weights = self._pick_weights
+            moved = False
+            for layer_name in stale:
+                index = self._layer_index[layer_name]
+                weight = self._layer_weight(layer_name)
+                if weight != weights[index]:
+                    weights[index] = weight
+                    moved = True
+            stale.clear()
+            if moved:
+                total = weights.sum()
+                if 0.0 < total < np.inf:  # false for a nan / inf weight too
+                    cdf = (weights / total).cumsum()
+                    cdf /= cdf[-1]
+                    self._pick_cdf = cdf
+                else:
+                    self._pick_cdf = None
         if self._pick_cdf is None:
             return None
         return self.layer_names[

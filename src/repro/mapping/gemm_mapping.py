@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from repro.errors import MappingError
@@ -37,9 +38,16 @@ UNROLL_CHOICES: Tuple[int, ...] = (1, 2, 4, 8)
 DIM_INDEX: Dict[str, int] = {"m": 0, "n": 1, "k": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GemmMapping:
-    """One point in the per-operator software mapping space."""
+    """One point in the per-operator software mapping space.
+
+    A search builds thousands per second, so the constructor is written
+    out: it validates, then writes the fields and ``_row`` in one pass.
+    Equality, hashing, ``repr``, ``replace`` and pickling are the
+    dataclass's.  ``loop_order`` is stored as a tuple, whatever sequence
+    it was given as.
+    """
 
     tile_m: int
     tile_n: int
@@ -48,26 +56,41 @@ class GemmMapping:
     spatial: str = "mn"
     unroll: int = 1
 
-    def __post_init__(self) -> None:
-        if min(self.tile_m, self.tile_n, self.tile_k) < 1:
+    def __init__(
+        self,
+        tile_m: int,
+        tile_n: int,
+        tile_k: int,
+        loop_order: Tuple[str, str, str] = ("n", "m", "k"),
+        spatial: str = "mn",
+        unroll: int = 1,
+    ) -> None:
+        if min(tile_m, tile_n, tile_k) < 1:
             raise MappingError(
-                f"tile sizes must be >= 1, got "
-                f"{(self.tile_m, self.tile_n, self.tile_k)}"
+                f"tile sizes must be >= 1, got {(tile_m, tile_n, tile_k)}"
             )
-        if tuple(self.loop_order) not in LOOP_ORDERS:
-            raise MappingError(f"invalid loop order {self.loop_order!r}")
-        if self.spatial not in SPATIAL_CHOICES:
-            raise MappingError(f"invalid spatial choice {self.spatial!r}")
-        if self.unroll not in UNROLL_CHOICES:
-            raise MappingError(f"invalid unroll factor {self.unroll}")
-        # canonical integer row consumed by the batch cost-model kernels
-        # (repro.costmodel.maestro_batch); precomputed once here so batch
-        # evaluation does not re-derive it per candidate per call
-        object.__setattr__(self, "_row", (
-            self.tile_m, self.tile_n, self.tile_k, self.unroll,
-            1 if self.spatial == "mn" else 0,
-            DIM_INDEX[self.loop_order[2]],
-        ))
+        order = tuple(loop_order)
+        if order not in LOOP_ORDERS:
+            raise MappingError(f"invalid loop order {loop_order!r}")
+        if spatial not in SPATIAL_CHOICES:
+            raise MappingError(f"invalid spatial choice {spatial!r}")
+        if unroll not in UNROLL_CHOICES:
+            raise MappingError(f"invalid unroll factor {unroll}")
+        fields = self.__dict__  # frozen: the dataclass's __setattr__ raises
+        fields["tile_m"] = tile_m
+        fields["tile_n"] = tile_n
+        fields["tile_k"] = tile_k
+        fields["loop_order"] = order
+        fields["spatial"] = spatial
+        fields["unroll"] = unroll
+        # canonical integer row consumed by the cost-model kernels
+        # (repro.costmodel.maestro, maestro_batch); precomputed once here
+        # so evaluation does not re-derive it per candidate per call
+        fields["_row"] = (
+            tile_m, tile_n, tile_k, unroll,
+            1 if spatial == "mn" else 0,
+            DIM_INDEX[order[2]],
+        )
 
     def tiles(self) -> Tuple[int, int, int]:
         return (self.tile_m, self.tile_n, self.tile_k)
@@ -221,6 +244,20 @@ class GemmMappingSpace:
             spatial=pick("spatial"),
             unroll=pick("unroll"),
         )
+
+
+#: Spaces :func:`shared_space` holds, bounded like ``maestro.CONSTS_HELD``
+SPACES_HELD = 256
+
+
+@lru_cache(maxsize=SPACES_HELD)
+def shared_space(shape: GemmShape) -> GemmMappingSpace:
+    """The one :class:`GemmMappingSpace` (default ``max_tile``) of ``shape``.
+
+    A space depends on its shape alone and no search writes to one, so
+    every search on every hardware config shares one space per shape.
+    """
+    return GemmMappingSpace(shape)
 
 
 NetworkMapping = Dict[str, GemmMapping]

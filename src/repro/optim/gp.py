@@ -279,11 +279,18 @@ class GaussianProcess:
             rng = np.random.default_rng(seed)
             if use_gradient:
                 sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
+                # the first start's first evaluation is ``initial`` again:
+                # the last evaluation is reused for the same parameter bytes
+                last = [None, None, None]  # params bytes, nll, grad
 
                 def objective(params, x_arg, y_arg):
-                    return self._neg_log_marginal_and_grad(
-                        params, x_arg, y_arg, sq_diffs
-                    )
+                    key = params.tobytes()
+                    if key != last[0]:
+                        last[1], last[2] = self._neg_log_marginal_and_grad(
+                            params, x_arg, y_arg, sq_diffs
+                        )
+                        last[0] = key
+                    return last[1], last[2].copy()
 
                 jac = True
                 best_nll = objective(initial, x, y_std)[0]

@@ -43,16 +43,19 @@ def nearest_divisor(n: int, target: int) -> int:
 
     Mapping mutations propose approximate tile sizes; snapping to the nearest
     divisor keeps tilings perfect (no remainder handling in the cost model's
-    steady-state loop counts, matching MAESTRO-style analysis).
+    steady-state loop counts, matching MAESTRO-style analysis).  The
+    divisors are sorted, so the answer is one of the two around
+    ``target``'s insertion point.
     """
     candidates = divisors(n)
-    best = candidates[0]
-    best_gap = abs(best - target)
-    for cand in candidates[1:]:
-        gap = abs(cand - target)
-        if gap < best_gap:
-            best, best_gap = cand, gap
-    return best
+    index = bisect_left(candidates, target)
+    if index == 0:
+        return candidates[0]
+    if index == len(candidates):
+        return candidates[-1]
+    below = candidates[index - 1]
+    above = candidates[index]
+    return below if target - below <= above - target else above
 
 
 def power_two_three_grid(max_i: int, max_j: int, scale: int = 1) -> Tuple[int, ...]:

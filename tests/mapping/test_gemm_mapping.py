@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.costmodel import MaestroEngine
 from repro.errors import MappingError
 from repro.mapping import (
     LOOP_ORDERS,
@@ -49,6 +50,21 @@ class TestGemmMapping:
         b = GemmMapping(2, 4, 8)
         assert a.key() == b.key()
         assert hash(a.key()) == hash(b.key())
+
+    def test_list_loop_order_is_the_tuple_form(self, tiny_network, sample_hw):
+        """A list validates like its tuple, so it must be stored as one: a
+        list field compared unequal and broke the engine's cache key."""
+        listed = GemmMapping(4, 8, 16, ["n", "m", "k"])
+        tupled = GemmMapping(4, 8, 16, ("n", "m", "k"))
+        assert listed.loop_order == ("n", "m", "k")
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        engine = MaestroEngine(tiny_network)
+        result = engine.evaluate_layer(sample_hw, listed, "gemm")
+        assert result.feasible
+        assert result == MaestroEngine(tiny_network).evaluate_layer(
+            sample_hw, tupled, "gemm"
+        )
 
 
 class TestGemmMappingSpace:

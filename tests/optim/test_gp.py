@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.errors import SurrogateError
 from repro.optim.gp import GaussianProcess, GPHyperparameters, matern52_kernel, rbf_kernel
@@ -88,6 +89,72 @@ class TestFitPredict:
         gp = GaussianProcess(kernel="rbf").fit(x, y)
         mean, _ = gp.predict(x[:5])
         assert np.max(np.abs(mean - y[:5])) < 0.1
+
+
+def _hyperparameters_without_reuse(gp, x, y, num_restarts=2, seed=0):
+    """The marginal-likelihood optimization of ``fit`` as it was before the
+    objective reused its last evaluation: ``initial`` is scored, then the
+    first L-BFGS-B start scores it again."""
+    y_std = (y - float(y.mean())) / (float(y.std()) if y.std() > 1e-12 else 1.0)
+    d = x.shape[1]
+    sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
+
+    def objective(params, x_arg, y_arg):
+        return gp._neg_log_marginal_and_grad(params, x_arg, y_arg, sq_diffs)
+
+    initial = np.concatenate([np.log(np.full(d, 0.4)), [np.log(1.0)], [np.log(1e-3)]])
+    best_params = initial
+    best_nll = objective(initial, x, y_std)[0]
+    rng = np.random.default_rng(seed)
+    starts = [initial] + [
+        initial + rng.normal(0.0, 0.7, size=initial.shape) for _ in range(num_restarts)
+    ]
+    for start in starts:
+        result = optimize.minimize(
+            objective,
+            start,
+            args=(x, y_std),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(np.log(1e-2), np.log(10.0))] * d
+            + [(np.log(1e-3), np.log(50.0)), (np.log(1e-8), np.log(1.0))],
+            options={"maxiter": 60},
+        )
+        if result.fun < best_nll:
+            best_nll = result.fun
+            best_params = result.x
+    return (
+        np.exp(best_params[:d]),
+        float(np.exp(best_params[d])),
+        float(np.exp(best_params[d + 1])) + gp.noise_floor,
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel,n,d,seed", [("matern52", 30, 3, 0), ("rbf", 25, 2, 1), ("matern52", 12, 6, 4)]
+)
+def test_fit_scores_initial_once_with_the_same_hyperparameters(
+    kernel, n, d, seed, monkeypatch
+):
+    calls = 0
+    evaluate = GaussianProcess._neg_log_marginal_and_grad
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(GaussianProcess, "_neg_log_marginal_and_grad", counted)
+    x, y = _toy_data(n=n, d=d, seed=seed)
+    gp = GaussianProcess(kernel=kernel).fit(x, y, seed=7)
+    fit_calls, calls = calls, 0
+    lengthscales, variance, noise = _hyperparameters_without_reuse(
+        GaussianProcess(kernel=kernel), x, y, seed=7
+    )
+    assert fit_calls == calls - 1
+    assert gp.hyper.lengthscales.tobytes() == lengthscales.tobytes()
+    assert gp.hyper.variance.hex() == variance.hex()
+    assert gp.hyper.noise.hex() == noise.hex()
 
 
 class TestErrors:
