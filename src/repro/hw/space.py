@@ -234,6 +234,15 @@ class DiscreteDesignSpace(Generic[ConfigT]):
             dim.choices[int(indices[i])] for i, dim in enumerate(self.dimensions)
         )
 
+    def encode_indices(self, index_rows: np.ndarray) -> np.ndarray:
+        """:meth:`encode_batch` of the configs a ``(count, d)`` index matrix
+        selects, gathered from the code tables without building them
+        (the same table entries, so the same bytes)."""
+        encoded = np.empty(index_rows.shape)
+        for i, dim in enumerate(self.dimensions):
+            encoded[:, i] = dim.codes[index_rows[:, i]]
+        return encoded
+
     def decode(self, vector: np.ndarray) -> ConfigT:
         """Decode a [0, 1]^d vector to the nearest grid configuration."""
         vector = np.asarray(vector, dtype=float)
@@ -271,7 +280,7 @@ class DiscreteDesignSpace(Generic[ConfigT]):
             offset = 0
             while offset == 0:
                 offset = int(rng.integers(-step, step + 1))
-            new_index = int(np.clip(current + offset, 0, len(dim) - 1))
+            new_index = min(max(current + offset, 0), len(dim) - 1)
             assignment[dim.name] = dim.choices[new_index]
         return self.to_config(assignment)
 

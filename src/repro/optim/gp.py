@@ -10,10 +10,11 @@ Only what MOBO needs is implemented — ``fit``, ``predict`` (mean/std) and
 
 Two outer-loop fast paths live here:
 
-* hyperparameter fitting uses the *analytic* marginal-likelihood gradient
-  by default (``use_gradient=True``), replacing L-BFGS-B's
-  finite-difference probing — one (value, gradient) evaluation instead of
-  ``d + 3`` value evaluations per optimizer step;
+* hyperparameter fitting uses the *analytic* marginal-likelihood gradient,
+  replacing L-BFGS-B's finite-difference probing — one (value, gradient)
+  evaluation instead of ``d + 3`` value evaluations per optimizer step —
+  and each evaluation works in a handful of reused ``n x n`` buffers and
+  calls LAPACK's ``dpotrs`` directly;
 * :func:`factorize` exposes the kernel Cholesky as a reusable
   :class:`CholeskyFactor`, so the batch sampler's per-slot GPs (same X,
   same shared hyperparameters, different scalarized y) skip the
@@ -27,12 +28,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import linalg as scipy_linalg
 from scipy import optimize
+from scipy.linalg import lapack
 
 from repro.errors import SurrogateError
 
 _JITTER = 1e-8
+_SQRT5 = np.sqrt(5.0)
+_LOG_2PI = np.log(2 * np.pi)
 
 
 def rbf_kernel(
@@ -118,6 +121,19 @@ def factorize(
     return CholeskyFactor(x=x, hyper=hyper, chol=chol)
 
 
+def _cho_solve(chol_f: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
+    """``scipy.linalg.cho_solve((chol, True), b)`` for a finite ``chol``.
+
+    The same LAPACK ``dpotrs`` call ``cho_solve`` makes, without its
+    wrapper; the caller has made the finiteness checks.  ``chol_f`` is the
+    lower factor in Fortran order, so no call copies it.
+    """
+    solution, info = lapack.dpotrs(chol_f, b, lower=1, overwrite_b=overwrite_b)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return solution
+
+
 class GaussianProcess:
     """Zero-mean GP regressor with y-standardization."""
 
@@ -135,27 +151,6 @@ class GaussianProcess:
         self._chol: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ fitting
-    def _neg_log_marginal(
-        self, log_params: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> float:
-        d = x.shape[1]
-        lengthscales = np.exp(log_params[:d])
-        variance = np.exp(log_params[d])
-        noise = np.exp(log_params[d + 1]) + self.noise_floor
-        try:
-            k = self.kernel(x, x, lengthscales, variance)
-            k[np.diag_indices_from(k)] += noise + _JITTER
-            chol = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError:
-            return 1e12
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y))
-        nll = (
-            0.5 * float(y @ alpha)
-            + float(np.sum(np.log(np.diag(chol))))
-            + 0.5 * len(y) * np.log(2 * np.pi)
-        )
-        return nll if np.isfinite(nll) else 1e12
-
     def _neg_log_marginal_and_grad(
         self,
         log_params: np.ndarray,
@@ -173,8 +168,15 @@ class GaussianProcess:
         squared-coordinate-difference tensor; :meth:`fit` precomputes it
         once per optimization so the hundred-plus evaluations of one
         L-BFGS-B run don't rebuild it.
+
+        The ``n x n`` work runs in place (``out=``) in at most three
+        buffers.  Every element goes through the same IEEE operations in the
+        same order as the textbook expressions in the comments, so it
+        rounds the same; the products summed below stay C-contiguous,
+        because NumPy's summation order follows the layout.
         """
         d = x.shape[1]
+        n = len(y)
         lengthscales = np.exp(log_params[:d])
         variance = np.exp(log_params[d])
         noise = np.exp(log_params[d + 1]) + self.noise_floor
@@ -183,37 +185,58 @@ class GaussianProcess:
         inv_ls_sq = 1.0 / lengthscales**2
         sq_dist = sq_diffs @ inv_ls_sq
         if self.kernel_name == "rbf":
-            k_core = variance * np.exp(-0.5 * sq_dist)
+            # k_core = variance * exp(-0.5 * sq_dist)
+            k_core = np.multiply(sq_dist, -0.5, out=sq_dist)
+            np.exp(k_core, out=k_core)
+            k_core *= variance
             # dK/d s_i = -0.5 * K; with d s_i / d log l_i = -2 s_i
             ls_coef = k_core
+            k = np.empty_like(k_core)
         else:  # matern52
             dist = np.sqrt(sq_dist)
-            sqrt5 = np.sqrt(5.0)
-            decay = np.exp(-sqrt5 * dist)
-            k_core = variance * (1.0 + sqrt5 * dist + (5.0 / 3.0) * sq_dist) * decay
-            ls_coef = variance * (5.0 / 3.0) * (1.0 + sqrt5 * dist) * decay
-        k = k_core.copy()
-        k[np.diag_indices_from(k)] += noise + _JITTER
-        zeros = np.zeros_like(log_params)
+            decay = np.multiply(dist, -_SQRT5)
+            np.exp(decay, out=decay)  # exp(-sqrt5 * dist)
+            one_plus = np.multiply(dist, _SQRT5, out=dist)
+            one_plus += 1.0  # 1 + sqrt5 * dist, shared by K and dK/d log l
+            # k_core = variance * (one_plus + (5/3) * sq_dist) * decay
+            k_core = np.multiply(sq_dist, 5.0 / 3.0, out=sq_dist)
+            k_core += one_plus
+            k_core *= variance
+            k_core *= decay
+            # ls_coef = variance * (5/3) * one_plus * decay
+            ls_coef = np.multiply(one_plus, variance * (5.0 / 3.0), out=one_plus)
+            ls_coef *= decay
+            k = decay
+        np.copyto(k, k_core)
+        k.flat[:: n + 1] += noise + _JITTER
         try:
             chol = np.linalg.cholesky(k)
         except np.linalg.LinAlgError:
-            return 1e12, zeros
-        alpha = scipy_linalg.cho_solve((chol, True), y)
+            return 1e12, np.zeros_like(log_params)
+        # the checks cho_solve((chol, True), .) made: y first, then chol
+        if not (np.isfinite(y).all() and np.isfinite(chol).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        chol_f = np.asfortranarray(chol)
+        alpha = _cho_solve(chol_f, y)
         nll = (
             0.5 * float(y @ alpha)
             + float(np.sum(np.log(np.diag(chol))))
-            + 0.5 * len(y) * np.log(2 * np.pi)
+            + 0.5 * n * _LOG_2PI
         )
         if not np.isfinite(nll):
-            return 1e12, zeros
-        k_inv = scipy_linalg.cho_solve((chol, True), np.eye(len(y)))
-        w = np.outer(alpha, alpha) - k_inv
+            return 1e12, np.zeros_like(log_params)
+        k_inv = _cho_solve(chol_f, np.eye(n, order="F"), overwrite_b=True)
+        # w = outer(alpha, alpha) - k_inv, in the spent k buffer
+        w = np.outer(alpha, alpha, out=k)
+        w -= k_inv
         grad = np.empty_like(log_params)
-        # s_i = ((x_i - x_i')/l_i)^2; dK/d log l_i = ls_coef * s_i
-        grad[:d] = -0.5 * np.einsum("ij,ijk->k", w * ls_coef, sq_diffs) * inv_ls_sq
-        grad[d] = -0.5 * np.sum(w * k_core)  # dK/d log variance = K_core
         grad[d + 1] = -0.5 * np.trace(w) * (noise - self.noise_floor)
+        # s_i = ((x_i - x_i')/l_i)^2; dK/d log l_i = ls_coef * s_i
+        w_ls = np.multiply(w, ls_coef, out=ls_coef)
+        grad[:d] = -0.5 * np.einsum("ij,ijk->k", w_ls, sq_diffs) * inv_ls_sq
+        # dK/d log variance = K_core; under rbf, w_ls is already w * K_core
+        w_k = w_ls if ls_coef is k_core else np.multiply(w, k_core, out=w)
+        grad[d] = -0.5 * np.sum(w_k)
         return nll, grad
 
     def fit(
@@ -225,7 +248,6 @@ class GaussianProcess:
         optimize_hyper: bool = True,
         hyper: Optional[GPHyperparameters] = None,
         factor: Optional[CholeskyFactor] = None,
-        use_gradient: bool = True,
     ) -> "GaussianProcess":
         """Fit hyperparameters (optionally) and precompute the solve.
 
@@ -234,9 +256,7 @@ class GaussianProcess:
         scalarized GPs of the batch sampler).  When ``factor`` is given,
         the kernel Cholesky is reused too and only the y-standardization
         and the two triangular solves run — bit-identical to refitting
-        from ``factor.hyper``.  ``use_gradient=False`` falls back to the
-        finite-difference marginal-likelihood optimization (kept as the
-        pre-vectorization reference for benchmarks).
+        from ``factor.hyper``.
         """
         if factor is not None:
             x = factor.x
@@ -277,27 +297,21 @@ class GaussianProcess:
         best_params = initial
         if optimize_hyper and x.shape[0] >= 3:
             rng = np.random.default_rng(seed)
-            if use_gradient:
-                sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
-                # the first start's first evaluation is ``initial`` again:
-                # the last evaluation is reused for the same parameter bytes
-                last = [None, None, None]  # params bytes, nll, grad
+            sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
+            # the first start's first evaluation is ``initial`` again:
+            # the last evaluation is reused for the same parameter bytes
+            last = [None, None, None]  # params bytes, nll, grad
 
-                def objective(params, x_arg, y_arg):
-                    key = params.tobytes()
-                    if key != last[0]:
-                        last[1], last[2] = self._neg_log_marginal_and_grad(
-                            params, x_arg, y_arg, sq_diffs
-                        )
-                        last[0] = key
-                    return last[1], last[2].copy()
+            def objective(params, x_arg, y_arg):
+                key = params.tobytes()
+                if key != last[0]:
+                    last[1], last[2] = self._neg_log_marginal_and_grad(
+                        params, x_arg, y_arg, sq_diffs
+                    )
+                    last[0] = key
+                return last[1], last[2].copy()
 
-                jac = True
-                best_nll = objective(initial, x, y_std)[0]
-            else:
-                objective = self._neg_log_marginal
-                jac = None
-                best_nll = objective(initial, x, y_std)
+            best_nll = objective(initial, x, y_std)[0]
             starts = [initial] + [
                 initial + rng.normal(0.0, 0.7, size=initial.shape)
                 for _ in range(num_restarts)
@@ -307,7 +321,7 @@ class GaussianProcess:
                     objective,
                     start,
                     args=(x, y_std),
-                    jac=jac,
+                    jac=True,
                     method="L-BFGS-B",
                     bounds=[(np.log(1e-2), np.log(10.0))] * d
                     + [(np.log(1e-3), np.log(50.0)), (np.log(1e-8), np.log(1.0))],
@@ -340,6 +354,12 @@ class GaussianProcess:
     def _require_fit(self) -> None:
         if self._x is None or self._alpha is None or self.hyper is None:
             raise SurrogateError("GP queried before fit()")
+
+    def cholesky_factor(self) -> CholeskyFactor:
+        """The fitted kernel factorization, bit-identical to
+        ``factorize(self.kernel_name, x, self.hyper)`` on the training X."""
+        self._require_fit()
+        return CholeskyFactor(x=self._x, hyper=self.hyper, chol=self._chol)
 
     def predict(self, x_new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at ``x_new``."""

@@ -8,7 +8,7 @@ exploitation".  This module implements that step:
    update rule admitted) to [0, 1],
 2. fit GP hyperparameters once per iteration on a uniform scalarization
    (analytic-gradient marginal likelihood),
-3. draw one candidate pool of random configurations plus mutations of
+3. draw one candidate pool of random grid-index rows plus mutations of
    incumbent Pareto members and encode it once,
 4. for each of the N batch slots, draw a random ParEGO weight vector,
    scalarize the training objectives, and maximize Expected Improvement
@@ -20,13 +20,14 @@ different trade-off direction), the EI gives each slot its exploration/
 exploitation balance.
 
 The heavy math is structure-of-arrays NumPy over the whole pool: the
-kernel Cholesky is factorized once and shared by every slot's scalarized
+kernel Cholesky of the shared fit is reused by every slot's scalarized
 GP, the pool cross-kernel / posterior variance are computed once, and EI
-is evaluated on the full ``(slots, pool)`` matrix.  A slot-by-slot scalar
-path (``vectorized=False``) runs the same algorithm through the plain
-:class:`~repro.optim.gp.GaussianProcess` fit/predict calls; the two paths
-are bit-identical under a fixed seed (``tests/optim/test_vectorized_outer_loop.py``
-asserts it).
+is evaluated on the full ``(slots, pool)`` matrix.  Configs are built only
+for the pool entries a slot picks.  ``tests/optim/outer_loop_oracle.py``
+keeps the slot-by-slot path through plain
+:class:`~repro.optim.gp.GaussianProcess` fit/predict calls, and
+``tests/optim/test_vectorized_outer_loop.py`` holds the two bit-identical
+under fixed seeds.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class MOBOSampler:
         rho: float = 0.2,
         pool_size: int = 512,
         min_observations: int = 8,
-        vectorized: bool = True,
     ):
         self.space = space
         self.num_objectives = num_objectives
@@ -65,9 +65,6 @@ class MOBOSampler:
         self.rho = rho
         self.pool_size = pool_size
         self.min_observations = min_observations
-        #: structure-of-arrays acquisition (default) vs the slot-by-slot
-        #: scalar path; both run the same algorithm and are bit-identical
-        self.vectorized = vectorized
         self._shared_hyper: Optional[GPHyperparameters] = None
         #: span tracer; a traced co-optimizer installs its own at run start
         self.tracer = NULL_TRACER
@@ -77,35 +74,41 @@ class MOBOSampler:
         self,
         exclude_keys: Set[Tuple],
         incumbents: Sequence,
-    ) -> List:
-        """Random configs + local mutations of incumbents, de-duplicated.
+    ) -> Tuple[np.ndarray, List]:
+        """Random grid-index rows + local mutations of incumbents, de-duplicated.
 
         Drawn once per :meth:`suggest_batch` call (every slot selects from
         the same pool).  The random part samples grid-index rows in
-        batched generator calls instead of one config at a time.
+        batched generator calls and stays rows: a config is built only for
+        a row a slot picks.  Pool entry ``i`` is ``rows[i]`` for
+        ``i < len(rows)``, then the mutants in order.
         """
-        pool: List = []
+        rows: List[List[int]] = []
         keys = set(exclude_keys)
         attempts = 0
         target_random = self.pool_size
         max_attempts = 20 * target_random
-        while len(pool) < target_random and attempts < max_attempts:
-            need = min(target_random - len(pool), max_attempts - attempts)
+        while len(rows) < target_random and attempts < max_attempts:
+            need = min(target_random - len(rows), max_attempts - attempts)
             index_rows = self.space.sample_indices(need, self.rng)
             attempts += need
-            for row in index_rows:
+            for row in index_rows.tolist():
                 key = self.space.key_from_indices(row)
                 if key not in keys:
                     keys.add(key)
-                    pool.append(self.space.config_from_indices(row))
+                    rows.append(row)
+        mutants: List = []
         for incumbent in incumbents:
             for _ in range(4):
                 candidate = self.space.mutate(incumbent, self.rng, num_moves=1)
                 key = self.space.config_key(candidate)
                 if key not in keys:
                     keys.add(key)
-                    pool.append(candidate)
-        return pool
+                    mutants.append(candidate)
+        index_rows = np.array(rows, dtype=np.int64).reshape(
+            len(rows), self.space.num_dimensions
+        )
+        return index_rows, mutants
 
     # ---------------------------------------------------------------- suggest
     def suggest_batch(
@@ -154,20 +157,24 @@ class MOBOSampler:
 
         # one pool per iteration, encoded once; every slot selects from it
         with self.tracer.span("candidate_pool"):
-            pool = self._candidate_pool(observed_keys, incumbents)
+            rows, mutants = self._candidate_pool(observed_keys, incumbents)
         batch: List = []
-        if pool:
-            x_pool = self.space.encode_batch(pool)
-            slots = min(batch_size, len(pool))
-            with self.tracer.span("acquisition", slots=slots, pool=len(pool)):
-                factor = factorize(self.kernel, x_train, self._shared_hyper)
-                select = (
-                    self._select_vectorized
-                    if self.vectorized
-                    else self._select_reference
+        pool_size = len(rows) + len(mutants)
+        if pool_size:
+            x_pool = np.vstack(
+                [self.space.encode_indices(rows), self.space.encode_batch(mutants)]
+            )
+            slots = min(batch_size, pool_size)
+            with self.tracer.span("acquisition", slots=slots, pool=pool_size):
+                chosen = self._select_vectorized(
+                    shared_gp.cholesky_factor(), x_pool, y_train, slots
                 )
-                chosen = select(factor, x_pool, y_train, slots)
-            batch = [pool[index] for index in chosen]
+            batch = [
+                self.space.config_from_indices(rows[index])
+                if index < len(rows)
+                else mutants[index - len(rows)]
+                for index in chosen
+            ]
         # top up with randoms if the pool could not fill the batch
         if len(batch) < batch_size:
             batch_keys = {self.space.config_key(c) for c in batch}
@@ -224,31 +231,6 @@ class MOBOSampler:
             best[k] = float(scalar.min())
         ei = expected_improvement(means, stds, best=best[:, None])
         return self._mask_argmax(ei)
-
-    def _select_reference(
-        self,
-        factor,
-        x_pool: np.ndarray,
-        y_train: np.ndarray,
-        slots: int,
-    ) -> List[int]:
-        """Slot-by-slot scalar path: one GP refit + predict + EI per slot.
-
-        Runs the identical algorithm through the plain
-        :class:`GaussianProcess` API; kept as the bit-exactness reference
-        for the vectorized path (and exercised by the parity tests).
-        """
-        rows = []
-        for _ in range(slots):
-            w = sample_weight_vector(self.num_objectives, self.rng)
-            scalar = parego_scalars(y_train, w, self.rho)
-            gp = GaussianProcess(self.kernel)
-            gp.fit(factor.x, scalar, hyper=factor.hyper)
-            mean, std = gp.predict(x_pool)
-            rows.append(
-                expected_improvement(mean, std, best=float(scalar.min()))
-            )
-        return self._mask_argmax(np.vstack(rows))
 
     @staticmethod
     def _mask_argmax(ei: np.ndarray) -> List[int]:

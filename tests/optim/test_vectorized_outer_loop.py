@@ -2,7 +2,8 @@
 
 The structure-of-arrays rewrite of ``suggest_batch`` (shared Cholesky,
 pooled posterior, matrix EI) must be *bit-identical* to the slot-by-slot
-scalar path under a fixed seed — not approximately equal.  These tests pin
+scalar path kept in ``outer_loop_oracle.py`` under a fixed seed — not
+approximately equal.  These tests pin
 that contract, plus the fast paths it rests on: the vectorized ParEGO
 kernel, the reusable Cholesky factor, the analytic marginal-likelihood
 gradient, and the SoA successive-halving bookkeeping.
@@ -29,6 +30,8 @@ from repro.optim.sh import (
     terminal_value,
     terminal_values,
 )
+
+from tests.optim.outer_loop_oracle import ReferenceGaussianProcess, ReferenceMOBOSampler
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +160,7 @@ class TestGPFastPaths:
         x, y = self._data(n=40)
         y_std = (y - y.mean()) / y.std()
         grad_gp = GaussianProcess().fit(x, y, seed=0, num_restarts=1)
-        fd_gp = GaussianProcess().fit(
+        fd_gp = ReferenceGaussianProcess().fit(
             x, y, seed=0, num_restarts=1, use_gradient=False
         )
 
@@ -169,7 +172,7 @@ class TestGPFastPaths:
                     [np.log(max(gp.hyper.noise - gp.noise_floor, 1e-12))],
                 ]
             )
-            return gp._neg_log_marginal(params, x, y_std)
+            return ReferenceGaussianProcess()._neg_log_marginal(params, x, y_std)
 
         assert nll(grad_gp) <= nll(fd_gp) + 1e-3
 
@@ -198,15 +201,15 @@ class TestGPFastPaths:
 
 
 class TestSuggestBatchParity:
-    """vectorized=True and vectorized=False must return identical batches."""
+    """The sampler and the oracle's slot-by-slot path must return identical batches."""
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_bit_identical_batches(self, space, seed):
         configs, objectives = _training_set(space, seed=seed)
         incumbents = configs[:3]
         kwargs = dict(seed=seed, pool_size=128, min_observations=8)
-        vec = MOBOSampler(space, 3, vectorized=True, **kwargs)
-        ref = MOBOSampler(space, 3, vectorized=False, **kwargs)
+        vec = MOBOSampler(space, 3, **kwargs)
+        ref = ReferenceMOBOSampler(space, 3, vectorized=False, **kwargs)
         for _ in range(2):  # two rounds: RNG streams must stay in lockstep
             batch_vec = vec.suggest_batch(
                 configs, objectives, 6, incumbents=incumbents
@@ -221,8 +224,8 @@ class TestSuggestBatchParity:
 
     def test_shared_hyper_identical(self, space):
         configs, objectives = _training_set(space)
-        vec = MOBOSampler(space, 3, seed=5, pool_size=64, vectorized=True)
-        ref = MOBOSampler(space, 3, seed=5, pool_size=64, vectorized=False)
+        vec = MOBOSampler(space, 3, seed=5, pool_size=64)
+        ref = ReferenceMOBOSampler(space, 3, seed=5, pool_size=64, vectorized=False)
         vec.suggest_batch(configs, objectives, 4)
         ref.suggest_batch(configs, objectives, 4)
         assert np.array_equal(
@@ -245,8 +248,8 @@ class TestSuggestBatchParity:
 
     def test_random_fallback_unaffected_by_flag(self, space):
         configs, objectives = _training_set(space, num=4)
-        vec = MOBOSampler(space, 3, seed=3, vectorized=True)
-        ref = MOBOSampler(space, 3, seed=3, vectorized=False)
+        vec = MOBOSampler(space, 3, seed=3)
+        ref = ReferenceMOBOSampler(space, 3, seed=3, vectorized=False)
         batch_vec = vec.suggest_batch(configs, objectives, 5)
         batch_ref = ref.suggest_batch(configs, objectives, 5)
         assert [space.config_key(c) for c in batch_vec] == [
@@ -256,10 +259,10 @@ class TestSuggestBatchParity:
     def test_non_finite_objectives_raise(self, space):
         configs, objectives = _training_set(space)
         objectives[3, 1] = np.inf
-        for vectorized in (True, False):
-            sampler = MOBOSampler(
-                space, 3, seed=1, pool_size=32, vectorized=vectorized
-            )
+        for sampler in (
+            MOBOSampler(space, 3, seed=1, pool_size=32),
+            ReferenceMOBOSampler(space, 3, seed=1, pool_size=32, vectorized=False),
+        ):
             with pytest.raises(SurrogateError):
                 sampler.suggest_batch(configs, objectives, 4)
 

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -120,3 +127,28 @@ class TestFigCommand:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["name"] == "fig10"
+
+
+@pytest.mark.parametrize("preset", [None, "4"])
+def test_module_entry_point_pins_blas_threads_unless_set(preset):
+    """``python -m repro`` gives the BLAS pools one thread by default, before
+    NumPy loads, and keeps a value the user set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, preset))
+    code = (
+        "import os, sys\n"
+        "import repro\n"
+        "print('numpy' in sys.modules)\n"
+        "import repro.__main__\n"
+        f"print([os.environ.get(name) for name in {BLAS_THREAD_VARS!r}])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    numpy_before_entry_point, values = done.stdout.splitlines()[-2:]
+    assert numpy_before_entry_point == "False"
+    assert values == repr([preset or "1"] * 3)
