@@ -96,11 +96,12 @@ def _run_arm(replicas, mappings):
         timeout_s=60.0,
     )
     try:
-        results = client.evaluate_candidates(HW, "gemm", mappings)  # warmup
+        requests = [(mapping, "gemm") for mapping in mappings]
+        results = client.evaluate_layers(HW, requests)  # warmup
         best = 0.0
         for _ in range(ROUNDS):
             start = time.perf_counter()
-            round_results = client.evaluate_candidates(HW, "gemm", mappings)
+            round_results = client.evaluate_layers(HW, requests)
             elapsed = time.perf_counter() - start
             assert round_results == results  # rounds must be byte-stable
             best = max(best, len(mappings) / elapsed)
@@ -116,7 +117,7 @@ def test_fleet_throughput_scales_with_replicas(results_dir):
 
     # ground truth: one local engine, no service in between
     local = AscendCAEngine(NETWORK)
-    expected = local.evaluate_candidates(HW, "gemm", mappings)
+    expected = local.evaluate_layers(HW, [(mapping, "gemm") for mapping in mappings])
 
     solo_rate, solo_results = _run_arm(1, mappings)
     fleet_rate, fleet_results = _run_arm(4, mappings)

@@ -7,11 +7,12 @@ the journal-distilled model on it, then replays a *held-out* seed with
 and without screening and gates on: ≥2x fewer analytical engine queries
 at ≤1% hypervolume regression (shared reference point across both runs).
 
-Screening intercepts *batched* evaluation only (the scalar path is never
-screened — honesty contract), so the gate runs a batch-heavy inner
-search: the ``random`` tool is speculation-exact (its replay never
-misses, so nearly every query flows through ``evaluate_candidates``) on
-a shallow network whose per-layer speculative batches stay wide.
+Screening ranks wide same-layer groups only (one-item calls and groups
+under ``min_batch`` are never screened — honesty contract), so the gate
+runs a batch-heavy inner search: the ``random`` tool is speculation-exact
+(its replay never misses, so nearly every query flows through wide
+``evaluate_layers`` calls) on a shallow network whose per-layer
+speculative batches stay wide.
 """
 
 import dataclasses

@@ -1,15 +1,11 @@
 """Tracing-overhead gate: repro.obs must stay out of the search's way.
 
-Two acceptance bars on a fixed small co-search:
+A fully traced co-search (a real :class:`Tracer` with an in-memory sink)
+must stay within 10% of the untraced wall time.  Untraced, the engine
+checks ``tracer.enabled`` once per engine call, not once per query, so
+the disabled tracer has no per-query cost left to gate.
 
-* **disabled** (the default ``NULL_TRACER``): the instrumentation's cost
-  is a handful of ``tracer.enabled`` attribute checks per engine query —
-  measured against a twin engine whose ``evaluate_layer`` carries the
-  identical body minus those checks, the overhead must stay <= 2%;
-* **enabled** (a real :class:`Tracer` with an in-memory sink): a fully
-  traced co-search must stay within 10% of the untraced wall time.
-
-Both comparisons interleave the two variants and gate on the **ratio of
+The comparison interleaves the two variants and gates on the **ratio of
 per-arm minimum times**: timing noise (GC, scheduler pauses, frequency
 drift) only ever inflates a measurement, so the minimum over repetitions
 is the cleanest estimate of each arm's true cost and the ratio of
@@ -17,134 +13,28 @@ minimums is robust on shared/noisy runners where a single pairing is
 not.  GC is paused around the timed regions for the same reason.
 
 Because the noise model is one-sided, every interleaved estimate is an
-*upper bound* on the true overhead — so both gates take the minimum over
-independent estimates and pass if any of them clears the budget, which
-keeps a sustained interference burst from failing the gate while a real
-regression (which inflates every estimate) still trips it:
-
-* the disabled effect is sub-1%, which is *below* the bias code-layout
-  luck (heap placement of the two code objects, ASLR) induces within a
-  single interpreter — the same comparison can read anywhere in roughly
-  ±2% for a whole process lifetime.  Its measurement therefore runs in
-  three fresh interpreters (re-rolling the layout each time); within
-  each, arms alternate at per-sweep granularity (~1 ms) so both minima
-  come from the same machine regime.
-* the enabled gate interleaves whole co-searches and re-measures up to
-  three times, stopping early once an estimate is comfortably in budget.
+*upper bound* on the true overhead — so the gate interleaves whole
+co-searches, re-measures up to three times, stops early once an estimate
+is comfortably in budget, and passes if any estimate clears it: a
+sustained interference burst does not fail the gate, while a real
+regression (which inflates every estimate) still trips it.
 
 Results land in ``BENCH_obs.json``.
 """
 
 import gc
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.core import Unico, UnicoConfig
 from repro.costmodel import MaestroEngine
-from repro.hw import SpatialHWConfig, edge_design_space, power_cap_for
-from repro.mapping import GemmMapping
+from repro.hw import edge_design_space, power_cap_for
 from repro.obs.trace import InMemorySink, Tracer
 from repro.workloads import get_network
 
 NETWORK = "mobilenet"
-HW = SpatialHWConfig(
-    pe_x=12, pe_y=12, l1_bytes=6144, l2_kb=512, noc_bw=128, dataflow="ws"
-)
-
-
-class _UninstrumentedEngine(MaestroEngine):
-    """``MaestroEngine`` with ``evaluate_layer`` exactly as it was before
-    tracing existed — the disabled gate's baseline arm."""
-
-    def evaluate_layer(self, hw, mapping, layer_name):
-        """Pre-instrumentation body: charge, cache, compute."""
-        shape = self._charge_query(layer_name)
-        key = (self.hw_key(hw), layer_name, mapping.key())
-        cached = self._cache_lookup(key)
-        if cached is not None:
-            return cached
-        result = self._timed_compute(hw, mapping, layer_name, shape)
-        self._cache_store(key, result)
-        return result
-
-
-def measure_disabled_overhead(reps: int = 1000) -> float:
-    """One interpreter's estimate of the disabled-tracing overhead.
-
-    Distinct mappings under a capacity-1 cache keep every call a miss,
-    so both arms do the full analytical-model work per query; arm order
-    flips each rep so both minima see the same machine regime.
-    """
-    network = get_network(NETWORK)
-    instrumented = MaestroEngine(network, cache_capacity=1)
-    baseline = _UninstrumentedEngine(network, cache_capacity=1)
-    layer = instrumented.network.layers[0].name
-    mappings = [GemmMapping(4 * i, 8, 8) for i in range(1, 9)]
-    for engine in (instrumented, baseline):  # warmup
-        for mapping in mappings:
-            engine.evaluate_layer(HW, mapping, layer)
-
-    def _sweep(fn):
-        t0 = time.perf_counter()
-        for mapping in mappings:
-            fn(HW, mapping, layer)
-        return time.perf_counter() - t0
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        instrumented_min = baseline_min = float("inf")
-        gc.collect()
-        for rep in range(reps):
-            arms = [
-                (instrumented.evaluate_layer, True),
-                (baseline.evaluate_layer, False),
-            ]
-            if rep % 2:
-                arms.reverse()
-            for fn, is_instrumented in arms:
-                elapsed = _sweep(fn)
-                if is_instrumented:
-                    instrumented_min = min(instrumented_min, elapsed)
-                else:
-                    baseline_min = min(baseline_min, elapsed)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return instrumented_min / baseline_min - 1.0
-
-
-def _disabled_overhead_best_of_processes(count: int = 3) -> float:
-    """Minimum disabled-overhead estimate over ``count`` fresh interpreters.
-
-    Each interpreter re-rolls code-layout luck; noise and layout bias can
-    only inflate an interleaved estimate, so the minimum is the tightest
-    upper bound on the true cost.
-    """
-    repo_root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(repo_root / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    estimates = []
-    for _ in range(count):
-        proc = subprocess.run(
-            [sys.executable, __file__, "--disabled-gate"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=str(repo_root),
-            env=env,
-        )
-        estimates.append(float(proc.stdout.strip().splitlines()[-1]))
-    return min(estimates)
 
 
 def _fresh_unico(network, traced: bool):
@@ -188,11 +78,8 @@ def _measure_enabled_phase(network, rounds: int = 9):
 def test_bench_obs_overhead(benchmark, results_dir):
     network = get_network(NETWORK)
 
-    # -------- disabled gate (best of 3 fresh interpreters)
-    disabled_overhead = _disabled_overhead_best_of_processes()
-
-    # -------- enabled gate: fully traced co-search vs untraced; up to 3
-    # phases, keeping the best (each estimate upper-bounds the true cost)
+    # fully traced co-search vs untraced; up to 3 phases, keeping the best
+    # (each estimate upper-bounds the true cost)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -219,23 +106,13 @@ def test_bench_obs_overhead(benchmark, results_dir):
     )
     record["tracing_overhead"] = {
         "network": NETWORK,
-        "disabled_overhead": disabled_overhead,
         "enabled_overhead": enabled_overhead,
         "untraced_cosearch_s": untraced_min,
         "traced_cosearch_s": traced_min,
     }
     record_path.write_text(json.dumps(record, indent=2, sort_keys=True))
 
-    assert disabled_overhead <= 0.02, (
-        f"disabled tracing costs {disabled_overhead:.1%} on the engine "
-        "hot path (budget: 2%)"
-    )
     assert enabled_overhead <= 0.10, (
         f"enabled tracing costs {enabled_overhead:.1%} on a traced "
         "co-search (budget: 10%)"
     )
-
-
-if __name__ == "__main__":
-    if "--disabled-gate" in sys.argv:
-        print(measure_disabled_overhead())

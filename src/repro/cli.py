@@ -1065,8 +1065,6 @@ def _cmd_stats(args) -> int:
         f"  cache size       {engine.get('cache_size', 0)}"
         f" / {capacity if capacity is not None else 'unbounded'}"
     )
-    if "num_retries" in engine:
-        print(f"  retries          {engine['num_retries']}")
     if engine.get("batch_queries"):
         print(
             f"  batch queries    {engine['batch_queries']}"

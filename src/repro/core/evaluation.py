@@ -73,7 +73,8 @@ class _QueryCountingEngine:
     engine-global ``num_queries`` would mix trials and corrupt the
     per-trial durations the simulated clock charges.  This proxy counts
     the queries issued *through it* locally, delegating all work (and
-    caching, and clock charging) to the shared engine.
+    caching, and clock charging) to the shared engine.  Search code asks
+    through :meth:`evaluate_layers` only, so that is all it counts.
     """
 
     def __init__(self, engine: PPAEngine):
@@ -83,10 +84,6 @@ class _QueryCountingEngine:
 
     def __getattr__(self, name):
         return getattr(self._engine, name)
-
-    def evaluate_layer(self, hw, mapping, layer_name):
-        self.local_queries += 1
-        return self._engine.evaluate_layer(hw, mapping, layer_name)
 
     def evaluate_layers(self, hw, requests):
         results = self._engine.evaluate_layers(hw, requests)
@@ -110,18 +107,6 @@ class _QueryCountingEngine:
             spent = len(results)
         self.local_queries += spent
         return spent
-
-    def evaluate_candidates(self, hw, layer_name, mappings):
-        return self.evaluate_layers(
-            hw, [(mapping, layer_name) for mapping in mappings]
-        )
-
-    def evaluate_network(self, hw, mappings):
-        # mirrors PPAEngine.evaluate_network: one query per mapped layer
-        self.local_queries += sum(
-            1 for name in self._engine.layer_shapes if name in mappings
-        )
-        return self._engine.evaluate_network(hw, mappings)
 
 
 class SWSearchTrial:

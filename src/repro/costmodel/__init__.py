@@ -24,13 +24,10 @@ from repro.costmodel.maestro import (
 )
 from repro.costmodel.maestro_batch import analyze_gemm_batch
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
-from repro.costmodel.reliability import FlakyEngine, RetryingEngine
 from repro.costmodel.timeloop import TimeloopEngine, analyze_gemm_loopnest
 from repro.costmodel.timeloop_batch import analyze_gemm_loopnest_batch
 
 __all__ = [
-    "FlakyEngine",
-    "RetryingEngine",
     "TimeloopEngine",
     "analyze_gemm_loopnest",
     "analyze_gemm_loopnest_batch",

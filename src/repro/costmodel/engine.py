@@ -105,8 +105,10 @@ def held_instrument(kind: str, name: str, *bounds) -> cached_property:
 class PPAEngine(ABC):
     """Estimation service bound to a single workload.
 
-    Subclasses must implement :meth:`evaluate_layer`; network-level
-    aggregation, caching and clock charging are shared.
+    Every query goes through :meth:`evaluate_groups`, the one place that
+    counts, caches, times and samples it.  Subclasses implement
+    :meth:`area_mm2` and a kernel: :meth:`_compute_layer` in process, or
+    :meth:`_compute_group_misses` over a transport.
     """
 
     def __init__(
@@ -137,8 +139,8 @@ class PPAEngine(ABC):
         self.num_queries = 0
         self.num_cache_hits = 0
         self.num_cache_evictions = 0
-        #: batch-path accounting: groups :meth:`evaluate_groups` was handed
-        #: (one per :meth:`evaluate_layers` call) and the items they carried
+        #: groups :meth:`evaluate_groups` was handed (one per
+        #: :meth:`evaluate_layers` call) and the items they carried
         self.num_batch_queries = 0
         self.num_batch_items = 0
         #: when False, a co-optimizer owns wall-clock accounting (e.g. to
@@ -151,10 +153,10 @@ class PPAEngine(ABC):
         #: engine call (one per :meth:`evaluate_layers` call) that
         #: *computed* something, with ``samples = [(layer_name, mapping,
         #: shape, result), ...]`` — one entry per cache miss whose result
-        #: reached the cache, in miss order (:meth:`evaluate_layer` passes
-        #: a one-element list).  The opt-in source of ``engine_sample``
-        #: journal events for learned-model training.  Cache hits are
-        #: skipped: they would only duplicate a sample the sink already saw.
+        #: reached the cache, in miss order.  The opt-in source of
+        #: ``engine_sample`` journal events for learned-model training.
+        #: Cache hits are skipped: they would only duplicate a sample the
+        #: sink already saw.
         self.sample_sink = None
         #: ``id(hw) -> (hw, hw_key(hw))`` of the hardware seen lately.
         #: Configs are frozen dataclasses, so the same object always has
@@ -193,20 +195,18 @@ class PPAEngine(ABC):
 
     # -- subclass contract ----------------------------------------------------
     @abstractmethod
-    def _compute_layer(
-        self, hw, mapping: "GemmMapping", shape: GemmShape
-    ) -> LayerPPA:
-        """Uncached single-layer analysis."""
-
-    @abstractmethod
     def area_mm2(self, hw) -> float:
         """Silicon area of a hardware configuration."""
 
-    def _compute_layer_by_name(
-        self, hw, mapping: "GemmMapping", layer_name: str, shape: GemmShape
+    def _compute_layer(
+        self, hw, mapping: "GemmMapping", shape: GemmShape
     ) -> LayerPPA:
-        """Name-aware computation hook (remote engines dispatch by name)."""
-        return self._compute_layer(hw, mapping, shape)
+        """Uncached single-layer analysis: every in-process engine's kernel.
+
+        Reached only through :meth:`_compute_misses`; an engine that
+        overrides :meth:`_compute_group_misses` (the remote one) has none.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no in-process kernel")
 
     def _compute_layer_batch(
         self,
@@ -227,17 +227,18 @@ class PPAEngine(ABC):
     ) -> Iterable[LayerPPA]:
         """Compute the cache misses of one :meth:`evaluate_groups` call.
 
-        The one hook between the bookkeeping below and the cost model:
+        The one hook between the bookkeeping below and the cost model
+        (:meth:`aggregate` hands it its uncached layers as one group):
         ``miss_groups`` holds ``(hw, misses)`` per group that missed, and
         results come back flat, group after group in miss order.
         :meth:`evaluate_groups` takes each as it arrives — a hook that
         raises part-way keeps what it had already yielded (cached, and
-        handed to the sample sink), as sequential :meth:`evaluate_layer`
-        calls would have.  An in-process engine has nothing to share
-        between groups: each is one :meth:`_compute_misses` call, made
-        when the results before it have been taken.  The call is timed
-        once — one ``engine_compute_seconds`` and one per-item
-        observation, however many groups it carried.  Remote engines
+        handed to the sample sink), as one call per item would have.  An
+        in-process engine has nothing to share between groups: each is
+        one :meth:`_compute_misses` call, made when the results before it
+        have been taken.  The call is timed once — one
+        ``engine_compute_seconds`` and one per-item observation, however
+        many groups it carried.  Remote engines
         override this with their transport — one exchange per shard for
         the whole call — and nothing else.
         """
@@ -256,14 +257,12 @@ class PPAEngine(ABC):
         Groups the misses by layer and picks the kernel from the group
         size — unless the call is too small for any layer to reach the
         vector kernel, which makes a look-ahead call of two or three
-        items cost what the scalar calls it replaces did.
+        items cost one scalar-kernel call per item.
         """
         layer_shapes = self.layer_shapes
         if len(misses) < VECTOR_KERNEL_MIN_GROUP:
             results = [
-                self._compute_layer_by_name(
-                    hw, mapping, layer_name, layer_shapes[layer_name][0]
-                )
+                self._compute_layer(hw, mapping, layer_shapes[layer_name][0])
                 for mapping, layer_name in misses
             ]
         else:
@@ -281,8 +280,7 @@ class PPAEngine(ABC):
                     )
                 if computed is None:
                     computed = [
-                        self._compute_layer_by_name(hw, mapping, layer_name, shape)
-                        for mapping in mappings
+                        self._compute_layer(hw, mapping, shape) for mapping in mappings
                     ]
                 for position, result in zip(positions, computed):
                     results[position] = result
@@ -297,40 +295,6 @@ class PPAEngine(ABC):
             held = self._hw_keys[id(hw)] = (hw, tuple(sorted(vars(hw).items())))
         return held[1]
 
-    # -- cache / accounting helpers ---------------------------------------------
-    def _charge_query(self, layer_name: str) -> GemmShape:
-        """Validate the layer, count the query, charge the clock."""
-        if layer_name not in self.layer_shapes:
-            raise EvaluationError(
-                f"layer {layer_name!r} not in workload {self.network.name!r}"
-            )
-        shape, _count = self.layer_shapes[layer_name]
-        with self._lock:
-            self.num_queries += 1
-        self._queries_total.inc()
-        if self.charge_clock:
-            self.clock.advance(self.eval_cost_s, label="ppa-eval")
-        return shape
-
-    def _cache_lookup(self, key: Tuple, count: bool = True) -> Optional[LayerPPA]:
-        """LRU lookup; refreshes recency, optionally counts hit/miss stats."""
-        with self._lock:
-            result = self._cache.get(key)
-            if result is not None:
-                self._cache.move_to_end(key)
-                if count:
-                    self.num_cache_hits += 1
-        if count:
-            (self._hits_total if result is not None else self._misses_total).inc()
-        return result
-
-    def _cache_store(self, key: Tuple, result: LayerPPA) -> None:
-        """Insert into the LRU, evicting oldest entries past capacity."""
-        with self._lock:
-            self._cache[key] = result
-            self._cache.move_to_end(key)
-            self._evict_over_capacity()
-
     def _evict_over_capacity(self) -> None:
         """Drop oldest entries until the LRU fits; the caller holds the lock."""
         if self.cache_capacity is not None:
@@ -339,47 +303,10 @@ class PPAEngine(ABC):
                 self.num_cache_evictions += 1
                 self._evictions_total.inc()
 
-    def _timed_compute(
-        self, hw, mapping: "GemmMapping", layer_name: str, shape: GemmShape
-    ) -> LayerPPA:
-        """Run the uncached computation, recording real latency."""
-        start = time.perf_counter()
-        result = self._compute_layer_by_name(hw, mapping, layer_name, shape)
-        self._compute_seconds.observe(time.perf_counter() - start)
-        return result
-
     # -- service API ------------------------------------------------------------
     def evaluate_layer(self, hw, mapping: "GemmMapping", layer_name: str) -> LayerPPA:
-        """Evaluate one layer; charges the clock, caches the computation."""
-        # tracing uses the leaf fast path (tracer.record_leaf): this method
-        # runs hundreds of thousands of times per search, and the full span
-        # context manager costs several microseconds per call.  Untraced
-        # queries pay only the ``tracer.enabled`` checks.
-        tracer = self.tracer
-        if tracer.enabled:
-            clock = tracer.clock
-            sim_start = clock.now_s if clock is not None else 0.0
-            wall_start = time.perf_counter()
-        shape = self._charge_query(layer_name)
-        key = (self.hw_key(hw), layer_name, mapping.key())
-        cached = self._cache_lookup(key)
-        if cached is not None:
-            if tracer.enabled:
-                tracer.record_leaf(
-                    "engine_eval", wall_start, sim_start,
-                    layer=layer_name, cache_hit=True,
-                )
-            return cached
-        result = self._timed_compute(hw, mapping, layer_name, shape)
-        self._cache_store(key, result)
-        if self.sample_sink is not None:
-            self.sample_sink(hw, [(layer_name, mapping, shape, result)])
-        if tracer.enabled:
-            tracer.record_leaf(
-                "engine_eval", wall_start, sim_start,
-                layer=layer_name, cache_hit=False,
-            )
-        return result
+        """Evaluate one layer: the one-item case of :meth:`evaluate_layers`."""
+        return self.evaluate_layers(hw, [(mapping, layer_name)])[0]
 
     def evaluate_layers(self, hw, requests: Sequence[Query]) -> List[LayerPPA]:
         """Evaluate a batch of ``(mapping, layer_name)`` queries in order.
@@ -392,19 +319,18 @@ class PPAEngine(ABC):
     def evaluate_groups(self, groups: Sequence[QueryGroup]) -> List[List[LayerPPA]]:
         """Evaluate ``(hw, [(mapping, layer_name), ...])`` groups in order.
 
-        The single batched entry point and the one accounting path: a
-        group is what one :meth:`evaluate_layers` call carries, and the
-        groups of one call are what the live trials of a lockstep MSH
-        round ask for at the same time.  Query semantics match one
-        :meth:`evaluate_layer` call per item, group after group: each
-        item counts one query, charges one evaluation on the simulated
-        clock, and hits or misses the LRU individually (a repeat of a
-        missing key, in its own group or a later one, counts as a hit,
-        mirroring the sequential order: first occurrence computes, the
-        rest reuse).  Only the misses reach the cost model, all groups'
-        in one :meth:`_compute_group_misses` call, so an all-cache-hit
-        call records no compute time at all — that one call is what a
-        remote engine turns into one exchange.  An unknown layer rejects
+        The one entry point and the one accounting path: a group is what
+        one :meth:`evaluate_layers` call carries, and the groups of one
+        call are what the live trials of a lockstep MSH round ask for at
+        the same time.  Query semantics match one one-item call per item,
+        group after group: each item counts one query, charges one
+        evaluation on the simulated clock, and hits or misses the LRU
+        individually (a repeat of a missing key, in its own group or a
+        later one, counts as a hit, mirroring the sequential order: first
+        occurrence computes, the rest reuse).  Only the misses reach the
+        cost model, all groups' in one :meth:`_compute_group_misses` call,
+        so an all-cache-hit call records no compute time at all — that
+        one call is what a remote engine turns into one exchange.  An unknown layer rejects
         the whole call before anything is counted.
         """
         groups = [(hw, list(requests)) for hw, requests in groups]
@@ -512,39 +438,48 @@ class PPAEngine(ABC):
                     self.sample_sink(hw, samples)
         return results  # type: ignore[return-value]  # all slots filled above
 
-    def evaluate_candidates(
-        self, hw, layer_name: str, mappings: Sequence["GemmMapping"]
-    ) -> List[LayerPPA]:
-        """B candidates of one layer: the single-layer :meth:`evaluate_layers`."""
-        return self.evaluate_layers(
-            hw, [(mapping, layer_name) for mapping in mappings]
-        )
-
-    def evaluate_network(self, hw, mappings: "NetworkMapping") -> NetworkPPA:
-        """Evaluate a complete per-layer mapping (charges one eval per layer)."""
-        for layer_name in self.layer_shapes:
-            if layer_name in mappings:
-                self.evaluate_layer(hw, mappings[layer_name], layer_name)
-        return self.aggregate(hw, mappings)
-
     def aggregate(self, hw, mappings: "NetworkMapping") -> NetworkPPA:
-        """Combine cached layer results without charging the clock."""
+        """Combine cached layer results without charging the clock.
+
+        A mapped layer whose result is not cached (never asked, or
+        evicted) counts no query: all such layers are computed in one
+        :meth:`_compute_group_misses` call and cached.
+        """
         area = self.area_mm2(hw)
+        hw_id = self.hw_key(hw)
+        cache = self._cache
+        found: Dict[str, LayerPPA] = {}
+        misses: List[Query] = []
+        with self._lock:
+            for name in self.layer_shapes:
+                mapping = mappings.get(name)
+                if mapping is None:
+                    continue
+                key = (hw_id, name, mapping.key())
+                result = cache.get(key)
+                if result is None:
+                    misses.append((mapping, name))
+                else:
+                    cache.move_to_end(key)
+                    found[name] = result
+        if misses:
+            computed = list(self._compute_group_misses([(hw, misses)]))
+            with self._lock:
+                for (mapping, name), result in zip(misses, computed):
+                    key = (hw_id, name, mapping.key())
+                    cache[key] = result
+                    cache.move_to_end(key)
+                    found[name] = result
+                self._evict_over_capacity()
         total_latency = 0.0
         total_energy = 0.0
         feasible = True
         layer_results: Dict[str, LayerPPA] = {}
-        hw_id = self.hw_key(hw)
-        for name, (shape, count) in self.layer_shapes.items():
-            mapping = mappings.get(name)
-            if mapping is None:
+        for name, (_shape, count) in self.layer_shapes.items():
+            result = found.get(name)
+            if result is None:
                 feasible = False
                 continue
-            key = (hw_id, name, mapping.key())
-            result = self._cache_lookup(key, count=False)
-            if result is None:
-                result = self._timed_compute(hw, mapping, name, shape)
-                self._cache_store(key, result)
             layer_results[name] = result
             if not result.feasible:
                 feasible = False

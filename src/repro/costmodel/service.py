@@ -6,10 +6,9 @@ inputs to estimate performance, power and area."
 
 * :class:`PPAServiceServer` wraps any :class:`PPAEngine` behind a small
   HTTP/JSON endpoint — a route table on the shared serving core
-  :mod:`repro.utils.httpcore` (POST ``/evaluate_layer``,
-  POST ``/evaluate_layers``, POST ``/aggregate``, GET ``/health``,
-  GET ``/metrics``).  ``/evaluate_layers`` is the batched endpoint: its
-  body is ``{"groups": [{"hw": row, "items": [[row, layer], ...]}, ...]}``
+  :mod:`repro.utils.httpcore` (GET ``/health``, GET ``/metrics`` and
+  POST ``/evaluate_layers``, the one query route).  Its body is
+  ``{"groups": [{"hw": row, "items": [[row, layer], ...]}, ...]}``
   — one group per hardware configuration, as many as the client's engine
   call carried — answered by one ``engine.evaluate_groups`` call with
   ``{"results": [[entry, ...], ...]}``, one list per group, one entry per
@@ -20,11 +19,10 @@ inputs to estimate performance, power and area."
   Fig. 6(b) only changes the engine wiring.
 
 Fault tolerance: every network-level failure (connection refused, socket
-timeout, truncated/malformed responses, 5xx replies) surfaces as
-:class:`~repro.errors.TransportError` (an :class:`~repro.errors.EvaluationError`),
-so the client composes with
-:class:`~repro.costmodel.reliability.RetryingEngine`; its own retries,
-per-replica circuit breakers and failover are described on
+timeout, truncated/malformed responses, 5xx replies) is retried by the
+client, and one that outlasts its retries surfaces as
+:class:`~repro.errors.TransportError` (an :class:`~repro.errors.EvaluationError`);
+the retries, per-replica circuit breakers and failover are described on
 :class:`RemotePPAEngine`.  Requests travel over one keep-alive
 :class:`~repro.fleet.pool.ConnectionPool` per replica, so every exchange
 reuses a warm socket.  The server supports graceful shutdown:
@@ -213,14 +211,8 @@ class PPAServiceServer(HttpServer):
             {
                 ("GET", "/health"): Route(self._get_health),
                 ("GET", "/metrics"): Route(self._get_metrics),
-                ("POST", "/evaluate_layer"): Route(
-                    self._post_evaluate_layer, rejections, timed=True
-                ),
                 ("POST", "/evaluate_layers"): Route(
                     self._post_evaluate_layers, rejections, timed=True
-                ),
-                ("POST", "/aggregate"): Route(
-                    self._post_aggregate, rejections, timed=True
                 ),
             },
             metrics if metrics is not None else engine.metrics,
@@ -260,15 +252,6 @@ class PPAServiceServer(HttpServer):
             schema_version=METRICS_SCHEMA_VERSION,
             engine=self.engine.stats(),
         )
-
-    def _post_evaluate_layer(self, request: Request):
-        payload = request.json()
-        result = self.engine.evaluate_layer(
-            decode_object(payload["hw"]),
-            decode_object(payload["mapping"]),
-            payload["layer"],
-        )
-        return _result_to_wire(result)
 
     def _post_evaluate_layers(self, request: Request) -> Dict:
         engine = self.engine
@@ -315,22 +298,6 @@ class PPAServiceServer(HttpServer):
                 group_entries[index] = _result_to_wire(result)
         return {"results": entries}
 
-    def _post_aggregate(self, request: Request) -> Dict:
-        payload = request.json()
-        hw = decode_object(payload["hw"])
-        mappings = {
-            name: decode_object(mapping)
-            for name, mapping in payload["mappings"].items()
-        }
-        ppa = self.engine.aggregate(hw, mappings)
-        return {
-            "latency_s": ppa.latency_s if ppa.feasible else None,
-            "energy_j": ppa.energy_j if ppa.feasible else None,
-            "power_w": ppa.power_w if ppa.feasible else None,
-            "area_mm2": ppa.area_mm2,
-            "feasible": ppa.feasible,
-        }
-
 
 #: request bodies carry no optional whitespace (a tenth of their bytes)
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
@@ -357,12 +324,13 @@ class RemotePPAEngine(PPAEngine):
     Transport hardening, per shard (all real-time, invisible to the
     simulated clock):
 
-    * every network-level failure raises :class:`EvaluationError`, so
-      :class:`~repro.costmodel.reliability.RetryingEngine` wrappers see it;
-    * transient transport failures are retried up to
+    * transient transport failures — a 5xx reply included — are retried up to
       ``max_network_retries`` times with exponential backoff
       (``backoff_base_s * 2**attempt``, capped at ``backoff_max_s``) plus
-      seeded jitter;
+      seeded jitter, and one that outlasts them raises
+      :class:`~repro.errors.TransportError` (an :class:`EvaluationError`);
+      a server that failed part-way keeps what it computed before the
+      failure in its cache, so a retry does not compute it again;
     * after ``breaker_threshold`` consecutive request failures the circuit
       opens: queries fail fast for ``breaker_cooldown_s`` seconds, then a
       single probe is allowed through (half-open).
@@ -381,7 +349,7 @@ class RemotePPAEngine(PPAEngine):
 
     Batching: the base class's :meth:`evaluate_groups` does all query
     accounting (clock, counters, cache, samples); this class overrides
-    only the two compute hooks.  :meth:`_compute_group_misses` ships the
+    only its compute hook.  :meth:`_compute_group_misses` ships the
     misses of a call — every group's: the live trials of a lockstep MSH
     round ask together — as ``POST /evaluate_layers`` requests the server
     answers with one engine call each.  A lone replica leaves nothing to
@@ -665,24 +633,6 @@ class RemotePPAEngine(PPAEngine):
         return list(executor.map(attempt, requests))
 
     # -- engine contract --------------------------------------------------------
-    def _compute_layer(self, hw, mapping, shape) -> LayerPPA:
-        raise NotImplementedError(
-            "RemotePPAEngine dispatches by layer name; "
-            "_compute_layer_by_name handles all queries"
-        )
-
-    def _compute_layer_by_name(self, hw, mapping, layer_name, shape) -> LayerPPA:
-        payload = {
-            "hw": encode_object(hw),
-            "mapping": encode_object(mapping),
-            "layer": layer_name,
-        }
-        (key,) = self._routing_keys(hw, [(mapping, layer_name)])
-        return _result_from_wire(
-            self._request(key, "/evaluate_layer", payload, self._parent_span()),
-            layer_name,
-        )
-
     @staticmethod
     def _layer_results(reply, groups: Sequence[QueryGroup]) -> Iterator[LayerPPA]:
         """Results of one request's reply, flat, in the order it was sent.

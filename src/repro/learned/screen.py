@@ -17,9 +17,9 @@ as non-improving, so:
   (or ``enabled=False``) every call forwards verbatim to the inner
   engine, whose caches, counters and RNG-visible behavior are untouched.
 
-Scalar paths (``evaluate_layer``, aggregation) and layer groups under
-``min_batch`` (incumbent initialization: one mapping per layer) always
-pass through — they carry incumbent state the search must know exactly.
+Aggregation and layer groups under ``min_batch`` (incumbent
+initialization: one mapping per layer; one-item calls) always pass
+through — they carry incumbent state the search must know exactly.
 
 The wrapper is duck-typed rather than a ``PPAEngine`` subclass: it holds
 no network/cache state of its own and forwards every unknown attribute
@@ -142,8 +142,8 @@ class ScreeningPPAEngine:
     # ------------------------------------------------------------- delegation
     def __getattr__(self, name):
         # only reached for names not defined on the wrapper: everything
-        # else (network, clock, caches, scalar evaluation, aggregation,
-        # area, num_queries, metrics, ...) is the inner engine's.
+        # else (network, clock, caches, aggregation, area, num_queries,
+        # metrics, ...) is the inner engine's.
         return getattr(self.inner, name)
 
     @property
@@ -218,13 +218,6 @@ class ScreeningPPAEngine:
         return self.enabled and self.learned_model is not None
 
     # ------------------------------------------------------------- evaluation
-    def evaluate_candidates(
-        self, hw, layer_name: str, mappings: Sequence
-    ) -> List[LayerPPA]:
-        return self.evaluate_layers(
-            hw, [(mapping, layer_name) for mapping in mappings]
-        )
-
     def evaluate_layers(self, hw, requests: Sequence) -> List[LayerPPA]:
         """Screen a cross-layer batch per layer group; forward in one call.
 

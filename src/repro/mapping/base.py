@@ -91,7 +91,7 @@ class AnytimeMappingSearch(ABC):
     #: only RNG state and leave every piece of strategy state that
     #: :meth:`_propose` reads untouched.  Tools whose proposals pop queues
     #: or advance cursors (CoSA, the fusion search) must leave this False;
-    #: they step through scalar engine calls at every ``batch_size``.
+    #: they step through one-item engine calls at every ``batch_size``.
     supports_speculation = False
 
     #: whether proposals never read a result: no fold can steer the next
@@ -171,12 +171,6 @@ class AnytimeMappingSearch(ABC):
         """Smallest-footprint mapping, used as the last-resort seed."""
         return GemmMapping(1, 1, 1)
 
-    def _feasible_seed(self, layer_name: str) -> Tuple[GemmMapping, LayerPPA]:
-        """Find a feasible starting mapping, shrinking tiles as needed."""
-        candidate = self._seed_mapping(self.spaces[layer_name])
-        result = self.engine.evaluate_layer(self.hw, candidate, layer_name)
-        return self._shrink_to_feasible(layer_name, candidate, result)
-
     def _shrink_to_feasible(
         self, layer_name: str, candidate: GemmMapping, result: LayerPPA
     ) -> Tuple[GemmMapping, LayerPPA]:
@@ -196,11 +190,11 @@ class AnytimeMappingSearch(ABC):
                 nearest_divisor(space.shape.n, tn),
                 nearest_divisor(space.shape.k, tk),
             )
-            result = self.engine.evaluate_layer(self.hw, candidate, layer_name)
+            (result,) = self.engine.evaluate_layers(self.hw, [(candidate, layer_name)])
             shrink_round += 1
         if not result.feasible:
             candidate = self._minimal_mapping(space)
-            result = self.engine.evaluate_layer(self.hw, candidate, layer_name)
+            (result,) = self.engine.evaluate_layers(self.hw, [(candidate, layer_name)])
         return candidate, result
 
     def _initialize_incumbents(self) -> None:
@@ -209,21 +203,15 @@ class AnytimeMappingSearch(ABC):
         All layers' heuristic seed mappings travel in a single
         ``evaluate_layers`` call (item-for-item query accounting, so
         totals match the per-layer loop it replaces); only layers whose
-        seed came back infeasible pay the scalar shrink fallback.
-        Duck-typed engines without the batch API keep the scalar path.
+        seed came back infeasible pay the one-item shrink fallback.
         """
         seeds = [
             self._seed_mapping(self.spaces[layer_name])
             for layer_name in self.layer_names
         ]
-        evaluate = getattr(self.engine, "evaluate_layers", None)
-        if evaluate is None:
-            results = [
-                self.engine.evaluate_layer(self.hw, seed, layer_name)
-                for seed, layer_name in zip(seeds, self.layer_names)
-            ]
-        else:
-            results = evaluate(self.hw, list(zip(seeds, self.layer_names)))
+        results = self.engine.evaluate_layers(
+            self.hw, list(zip(seeds, self.layer_names))
+        )
         for layer_name, seed, result in zip(self.layer_names, seeds, results):
             self._set_incumbent(
                 layer_name, *self._shrink_to_feasible(layer_name, seed, result)
@@ -374,8 +362,7 @@ class AnytimeMappingSearch(ABC):
     def _run_alone(self, additional_budget: int, tracer) -> "AnytimeMappingSearch":
         """Drive :meth:`steps` against this search's own engine.
 
-        A one-item request is a scalar engine call, anything wider one
-        ``evaluate_layers`` call.
+        Every request is one ``evaluate_layers`` call.
         """
         engine, hw = self.engine, self.hw
         steps = self.steps(additional_budget)
@@ -383,9 +370,7 @@ class AnytimeMappingSearch(ABC):
         try:
             while True:
                 items = steps.send(results)
-                if len(items) == 1:
-                    results = [engine.evaluate_layer(hw, *items[0])]
-                elif tracer.enabled:
+                if tracer.enabled and len(items) > 1:
                     with tracer.span("speculative_batch", drafts=len(items) - 1):
                         results = engine.evaluate_layers(hw, items)
                 else:
@@ -417,11 +402,7 @@ class AnytimeMappingSearch(ABC):
         resumed is not its decision.
         """
         bought = self._bought
-        lookahead = (
-            self.batch_size > 1
-            and self.supports_speculation
-            and hasattr(self.engine, "evaluate_layers")
-        )
+        lookahead = self.batch_size > 1 and self.supports_speculation
         ahead = 0  # drafted steps not yet reached
         next_draft = None  # what the one-step-ahead draft expects next
         for remaining in range(additional_budget, 0, -1):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 #: Span names counted as PPA-engine evaluations for throughput reporting.
-ENGINE_SPAN_NAMES = ("engine_eval", "engine_eval_batch")
+ENGINE_SPAN_NAMES = ("engine_eval_batch",)
 
 
 def spans_from_journal(path: Union[str, pathlib.Path]) -> List[Dict]:

@@ -8,8 +8,8 @@ text exposition format conventions:
 * metric names sanitized to ``[a-zA-Z_:][a-zA-Z0-9_:]*``;
 * counters emitted under one ``# TYPE <name> counter`` header — the
   registry's ``name[label]`` convention (e.g.
-  ``service_requests_total[/evaluate_layer]``) becomes a proper
-  ``{path="/evaluate_layer"}`` label set;
+  ``service_requests_total[/evaluate_layers]``) becomes a proper
+  ``{path="/evaluate_layers"}`` label set;
 * histograms as cumulative ``_bucket{le="..."}`` series plus ``_sum``
   and ``_count``, closed by the mandatory ``+Inf`` bucket;
 * families whose base name appears in :data:`METRIC_HELP` get a
@@ -37,8 +37,6 @@ METRIC_HELP: Dict[str, str] = {
     "engine_cache_hits_total": "Engine queries served from the result cache.",
     "engine_cache_evictions_total": "LRU evictions from the engine result cache.",
     "engine_batch_queries_total": "Vectorized candidate-batch engine calls.",
-    "engine_retries_total": "Engine evaluations retried after transient failures.",
-    "engine_injected_failures_total": "Failures injected by the flaky test engine.",
     "engine_compute_seconds":
         "Wall time of one engine call's uncached computations.",
     "engine_batch_size": "Candidates per vectorized engine batch call.",
@@ -144,7 +142,7 @@ def _split_labeled_name(name: str) -> Tuple[str, Optional[str], str]:
 
     * ``base[label]`` — a bare value under the default ``path`` key; the
       service records per-path request counters as
-      ``service_requests_total[/evaluate_layer]``;
+      ``service_requests_total[/evaluate_layers]``;
     * ``base[key=value]`` — an explicit label key; the fleet router
       records per-replica counters as
       ``fleet_requests_total[shard=shard-0]``.

@@ -271,11 +271,10 @@ class Tracer:
     ) -> None:
         """Record an already-finished leaf span in one call.
 
-        The engine-evaluation hot path runs hundreds of thousands of times
-        per search; the full :class:`Span` context-manager protocol (object
-        allocation, stack push/pop, ``to_dict``) costs several microseconds
-        it cannot afford.  Leaf spans never parent children, so the caller
-        reads ``_perf_counter()`` (and ``tracer.clock.now_s`` when sim time
+        For work that cannot hold a :class:`Span` open on the context
+        stack — the interleaved ``mapping_search`` spans of a lockstep MSH
+        round.  Leaf spans never parent children, so the caller reads
+        ``_perf_counter()`` (and ``tracer.clock.now_s`` when sim time
         matters) before the work and hands both here afterwards; the span
         dict is built and emitted directly.
         """

@@ -25,7 +25,6 @@ from repro.tracking.journal import (
     JOURNAL_VERSION,
     EventJournal,
     JournalScan,
-    iter_events,
     read_events,
     read_events_from,
     read_tail_events,
@@ -53,7 +52,6 @@ __all__ = [
     "RunHandle",
     "RunStore",
     "Tracker",
-    "iter_events",
     "read_events",
     "read_events_from",
     "read_tail_events",

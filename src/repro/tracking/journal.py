@@ -39,7 +39,7 @@ import pathlib
 import threading
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import TrackingError
 from repro.utils.records import to_jsonable
@@ -287,11 +287,6 @@ class EventJournal:
 
 
 # ---------------------------------------------------------------------- read
-def iter_events(path: Union[str, pathlib.Path]) -> Iterator[Dict]:
-    """Yield complete events in order; silently stops at a truncated tail."""
-    yield from read_events(path).events
-
-
 def scan_bytes(raw: bytes, base_offset: int) -> JournalScan:
     """Parse journal bytes that start at ``base_offset`` on a line boundary.
 
@@ -437,7 +432,6 @@ __all__ = [
     "EventJournal",
     "JournalScan",
     "encode_value",
-    "iter_events",
     "read_bytes_from",
     "read_events",
     "read_events_from",

@@ -74,7 +74,7 @@ class TestNetworkEvaluation:
             mappings[layer.name] = AscendMapping(
                 tile_m=min(8, shape.m), tile_n=min(64, shape.n), tile_k=min(8, shape.k)
             )
-        ppa = engine.evaluate_network(hw, mappings)
+        ppa = engine.aggregate(hw, mappings)
         assert ppa.feasible
         assert ppa.latency_s > 0
         assert ppa.area_mm2 == engine.area_mm2(hw)

@@ -203,10 +203,6 @@ class _CallCountingEngine(MaestroEngine):
         if self.calls == self.fail_at:
             raise EvaluationError("engine down")
 
-    def evaluate_layer(self, hw, mapping, layer_name):
-        self._count()
-        return super().evaluate_layer(hw, mapping, layer_name)
-
     def evaluate_groups(self, groups):
         self._count()
         return super().evaluate_groups(groups)

@@ -127,7 +127,7 @@ def test_empty_batch():
 
 
 # --------------------------------------------------------------------------
-# evaluate_candidates: results and accounting vs the sequential path
+# single-layer evaluate_layers: results and accounting vs the sequential path
 # --------------------------------------------------------------------------
 class TestEvaluateCandidates:
     @pytest.mark.parametrize("engine_cls", [MaestroEngine, TimeloopEngine])
@@ -136,7 +136,7 @@ class TestEvaluateCandidates:
         scalar_engine = engine_cls(tiny_network)
         space = GemmMappingSpace(tiny_network.layers[1].to_gemm())
         mappings = [space.sample(rng) for _ in range(12)]
-        batched = batch_engine.evaluate_candidates(sample_hw, "gemm", mappings)
+        batched = batch_engine.evaluate_layers(sample_hw, [(m, "gemm") for m in mappings])
         sequential = [
             scalar_engine.evaluate_layer(sample_hw, m, "gemm") for m in mappings
         ]
@@ -147,8 +147,8 @@ class TestEvaluateCandidates:
 
     def test_within_batch_duplicate_counts_as_hit(self, tiny_engine, sample_hw):
         mapping = GemmMapping(4, 8, 4)
-        results = tiny_engine.evaluate_candidates(
-            sample_hw, "gemm", [mapping, mapping]
+        results = tiny_engine.evaluate_layers(
+            sample_hw, [(mapping, "gemm"), (mapping, "gemm")]
         )
         assert results[0] == results[1]
         assert tiny_engine.num_cache_hits == 1
@@ -159,11 +159,11 @@ class TestEvaluateCandidates:
     def test_all_hit_batch_skips_compute(self, tiny_engine, sample_hw, rng):
         space = GemmMappingSpace(tiny_engine.layer_shapes["gemm"][0])
         mappings = [space.sample(rng) for _ in range(6)]
-        tiny_engine.evaluate_candidates(sample_hw, "gemm", mappings)
+        tiny_engine.evaluate_layers(sample_hw, [(m, "gemm") for m in mappings])
         computes = tiny_engine.metrics.snapshot()["histograms"][
             "engine_compute_seconds"
         ]["count"]
-        tiny_engine.evaluate_candidates(sample_hw, "gemm", mappings)
+        tiny_engine.evaluate_layers(sample_hw, [(m, "gemm") for m in mappings])
         after = tiny_engine.metrics.snapshot()["histograms"][
             "engine_compute_seconds"
         ]["count"]
@@ -172,8 +172,8 @@ class TestEvaluateCandidates:
 
     def test_batch_stats_exposed(self, tiny_engine, sample_hw, rng):
         space = GemmMappingSpace(tiny_engine.layer_shapes["gemm"][0])
-        tiny_engine.evaluate_candidates(
-            sample_hw, "gemm", [space.sample(rng) for _ in range(8)]
+        tiny_engine.evaluate_layers(
+            sample_hw, [(space.sample(rng), "gemm") for _ in range(8)]
         )
         stats = tiny_engine.stats()
         assert stats["batch_queries"] == 1
@@ -190,9 +190,7 @@ class TestEvaluateCandidates:
         from repro.errors import EvaluationError
 
         with pytest.raises(EvaluationError):
-            tiny_engine.evaluate_candidates(
-                sample_hw, "nope", [GemmMapping(2, 2, 2)]
-            )
+            tiny_engine.evaluate_layers(sample_hw, [(GemmMapping(2, 2, 2), "nope")])
 
     def test_scalar_fallback_engine(self, tiny_network, sample_hw, rng):
         """Engines without a batch kernel fall back to the scalar loop."""
@@ -205,7 +203,7 @@ class TestEvaluateCandidates:
         reference = MaestroEngine(tiny_network)
         space = GemmMappingSpace(engine.layer_shapes["gemm"][0])
         mappings = [space.sample(rng) for _ in range(5)]
-        got = engine.evaluate_candidates(sample_hw, "gemm", mappings)
+        got = engine.evaluate_layers(sample_hw, [(m, "gemm") for m in mappings])
         want = [reference.evaluate_layer(sample_hw, m, "gemm") for m in mappings]
         assert got == want
         assert engine.stats()["batch_queries"] == 1

@@ -57,14 +57,22 @@ class TestAggregate:
 
     def test_network_evaluation(self, engine, sample_hw):
         mappings = self._full_mapping(engine)
-        ppa = engine.evaluate_network(sample_hw, mappings)
+        ppa = engine.aggregate(sample_hw, mappings)
         assert ppa.feasible
         assert ppa.latency_s > 0
         assert ppa.area_mm2 > 0
+        # the uncached layers were computed and cached, but asked nothing
+        assert engine.num_queries == 0
+        assert len(engine._cache) == len(mappings)
+        assert ppa.layer_results == {
+            name: engine.evaluate_layer(sample_hw, mapping, name)
+            for name, mapping in mappings.items()
+        }
+        assert engine.num_cache_hits == len(mappings)
 
     def test_counts_weight_latency(self, engine, sample_hw):
         mappings = self._full_mapping(engine)
-        ppa = engine.evaluate_network(sample_hw, mappings)
+        ppa = engine.aggregate(sample_hw, mappings)
         gemm_result = ppa.layer_results["gemm"]
         # gemm has count=2 so contributes twice
         manual = sum(
@@ -76,7 +84,7 @@ class TestAggregate:
 
     def test_aggregate_does_not_charge_clock(self, engine, sample_hw):
         mappings = self._full_mapping(engine)
-        engine.evaluate_network(sample_hw, mappings)
+        engine.evaluate_layers(sample_hw, [(m, name) for name, m in mappings.items()])
         before = engine.clock.now_s
         engine.aggregate(sample_hw, mappings)
         assert engine.clock.now_s == before
@@ -169,15 +177,20 @@ class TestHeldInstruments:
         snapshot = engine.metrics.snapshot()
         assert snapshot["counters"] == {
             "engine_queries_total": 1.0,
+            "engine_batch_queries_total": 1.0,
             "engine_cache_misses_total": 1.0,
         }
-        assert list(snapshot["histograms"]) == ["engine_compute_seconds"]
+        assert sorted(snapshot["histograms"]) == [
+            "engine_batch_compute_seconds_per_item",
+            "engine_batch_size",
+            "engine_compute_seconds",
+        ]
         engine.evaluate_layers(sample_hw, [(MAPPINGS[0], "gemm"), (MAPPINGS[1], "gemm")])
         assert engine.metrics.snapshot()["counters"] == {
             "engine_queries_total": 3.0,
+            "engine_batch_queries_total": 2.0,
             "engine_cache_misses_total": 2.0,
             "engine_cache_hits_total": 1.0,
-            "engine_batch_queries_total": 1.0,
             "engine_cache_evictions_total": 1.0,
         }
 

@@ -156,7 +156,10 @@ def test_evaluate_layers_matches_sequential(
     assert {k: v for k, v in stats.items() if k not in _BATCH_SHAPED} == {
         k: v for k, v in reference.items() if k not in _BATCH_SHAPED
     }
-    assert (stats["batch_queries"], stats["batch_items"]) == (1, len(items))
+    # the warm-up's one-item calls are groups too
+    assert (stats["batch_queries"], stats["batch_items"]) == (
+        len(warm) + 1, len(warm) + len(items)
+    )
     for name in _QUERY_COUNTERS:
         assert batched.metrics.counter_value(name) == (
             sequential.metrics.counter_value(name)
@@ -167,7 +170,7 @@ def test_evaluate_layers_matches_sequential(
     assert batched.metrics.counter_value("engine_cache_misses_total") == (
         batched.num_queries - hits
     )
-    assert batched.metrics.counter_value("engine_batch_queries_total") == 1
+    assert batched.metrics.counter_value("engine_batch_queries_total") == len(warm) + 1
     if scenario == "duplicates":
         # at the parent commit a replica route reported samples=0, hits=0
         assert len(batched_log) == 5

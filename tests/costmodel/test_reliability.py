@@ -1,178 +1,162 @@
-"""Failure-injection tests: flaky engines and the retry wrapper."""
+"""Failure injection: the remote engine's one retry policy over a flaky replica.
+
+The replica serves :class:`~tests.costmodel.flaky_engine.FlakyEngine`, which
+fails a seeded fraction of fresh computations with a 500;
+:class:`~repro.costmodel.service.RemotePPAEngine` retries the exchange.
+"""
 
 import numpy as np
 import pytest
 
 from repro.costmodel import MaestroEngine
-from repro.costmodel.reliability import FlakyEngine, RetryingEngine
-from repro.errors import EvaluationError
-from repro.mapping import FlexTensorSearch, GemmMapping
+from repro.costmodel.maestro import spatial_area_mm2
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
+from repro.errors import EvaluationError, TransportError
+from repro.mapping import FlexTensorSearch, GemmMapping, GemmMappingSpace
+from tests.costmodel.flaky_engine import FlakyEngine, InjectedFailure
 
 MAPPING = GemmMapping(4, 8, 4)
 
 
+def remote_over(backend, max_network_retries=20):
+    """A served ``backend`` and a remote engine on it, retrying quickly."""
+    server = PPAServiceServer(backend)
+    remote = RemotePPAEngine(
+        backend.network,
+        server.url,
+        area_fn=spatial_area_mm2,
+        max_network_retries=max_network_retries,
+        backoff_base_s=0.001,
+    )
+    return server, remote
+
+
 @pytest.fixture()
 def flaky(tiny_network):
-    inner = MaestroEngine(tiny_network)
-    return FlakyEngine(inner, failure_rate=0.4, seed=0)
+    return FlakyEngine(tiny_network, failure_rate=0.4, seed=0)
+
+
+@pytest.fixture()
+def stack(tiny_network):
+    backend = FlakyEngine(tiny_network, failure_rate=0.3, seed=7)
+    server, remote = remote_over(backend)
+    with server, remote:
+        yield backend, remote
+
+
+def sampled_mappings(network, count, seed):
+    space = GemmMappingSpace(network.layers[0].to_gemm())
+    rng = np.random.default_rng(seed)
+    return [space.sample(rng) for _ in range(count)]
 
 
 class TestFlakyEngine:
     def test_injects_failures(self, flaky, sample_hw, tiny_network):
         failures = 0
-        space_samples = 0
-        from repro.mapping import GemmMappingSpace
-
-        space = GemmMappingSpace(tiny_network.layers[0].to_gemm())
-        rng = np.random.default_rng(0)
-        for _ in range(40):
+        for mapping in sampled_mappings(tiny_network, 40, seed=0):
             try:
-                flaky.evaluate_layer(
-                    sample_hw, space.sample(rng), tiny_network.layers[0].name
-                )
-            except EvaluationError:
+                flaky.evaluate_layer(sample_hw, mapping, tiny_network.layers[0].name)
+            except InjectedFailure:
                 failures += 1
-            space_samples += 1
         assert failures > 0
         assert flaky.num_injected_failures == failures
 
     def test_invalid_rate(self, tiny_network):
         with pytest.raises(EvaluationError):
-            FlakyEngine(MaestroEngine(tiny_network), failure_rate=1.0)
+            FlakyEngine(tiny_network, failure_rate=1.0)
 
 
 class TestRetryingEngine:
+    """:class:`RemotePPAEngine` is the engine that retries."""
+
     def test_recovers_from_transient_failures(self, tiny_network, sample_hw):
-        inner = MaestroEngine(tiny_network)
-        flaky = FlakyEngine(inner, failure_rate=0.4, seed=1)
-        robust = RetryingEngine(flaky, max_attempts=6)
-        result = robust.evaluate_layer(sample_hw, MAPPING, "gemm")
-        assert result.feasible
+        server, remote = remote_over(
+            FlakyEngine(tiny_network, failure_rate=0.4, seed=1)
+        )
+        with server, remote:
+            assert remote.evaluate_layer(sample_hw, MAPPING, "gemm").feasible
 
     def test_counts_retries(self, tiny_network, sample_hw):
-        inner = MaestroEngine(tiny_network)
-        flaky = FlakyEngine(inner, failure_rate=0.5, seed=2)
-        robust = RetryingEngine(flaky, max_attempts=8)
-        from repro.mapping import GemmMappingSpace
-
-        space = GemmMappingSpace(tiny_network.layers[0].to_gemm())
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            robust.evaluate_layer(
-                sample_hw, space.sample(rng), tiny_network.layers[0].name
-            )
-        assert robust.num_retries > 0
+        backend = FlakyEngine(tiny_network, failure_rate=0.5, seed=2)
+        server, remote = remote_over(backend)
+        with server, remote:
+            for mapping in sampled_mappings(tiny_network, 30, seed=0):
+                remote.evaluate_layer(sample_hw, mapping, tiny_network.layers[0].name)
+        assert remote.num_network_retries > 0
+        # one 500 per injected failure, each absorbed by one retry
+        assert remote.num_network_retries == backend.num_injected_failures
 
     def test_gives_up_eventually(self, tiny_network, sample_hw):
         class AlwaysDown(MaestroEngine):
-            def _compute_layer_by_name(self, hw, mapping, layer_name, shape):
-                raise EvaluationError("service unreachable")
+            def _compute_layer(self, hw, mapping, shape):
+                raise InjectedFailure("service broken")
 
-        down = AlwaysDown(tiny_network)
-        robust = RetryingEngine(down, max_attempts=3)
-        with pytest.raises(EvaluationError, match="after 3 attempts"):
-            robust.evaluate_layer(sample_hw, MAPPING, "gemm")
-
-    def test_retries_charge_the_clock(self, tiny_network, sample_hw):
-        inner = MaestroEngine(tiny_network)
-        flaky = FlakyEngine(inner, failure_rate=0.5, seed=3)
-        robust = RetryingEngine(flaky, max_attempts=8)
-        from repro.mapping import GemmMappingSpace
-
-        space = GemmMappingSpace(tiny_network.layers[0].to_gemm())
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            robust.evaluate_layer(
-                sample_hw, space.sample(rng), tiny_network.layers[0].name
-            )
-        # clock charged for fresh queries AND failed attempts
-        expected_min = 20 * robust.eval_cost_s
-        assert robust.clock.now_s > expected_min
+        server, remote = remote_over(AlwaysDown(tiny_network), max_network_retries=2)
+        with server, remote:
+            with pytest.raises(TransportError, match="service error 500"):
+                remote.evaluate_layer(sample_hw, MAPPING, "gemm")
+        assert remote.num_network_retries == 2
 
     def test_results_match_clean_engine(self, tiny_network, sample_hw):
         clean = MaestroEngine(tiny_network)
-        flaky = FlakyEngine(MaestroEngine(tiny_network), failure_rate=0.4, seed=4)
-        robust = RetryingEngine(flaky, max_attempts=10)
-        a = clean.evaluate_layer(sample_hw, MAPPING, "gemm")
-        b = robust.evaluate_layer(sample_hw, MAPPING, "gemm")
-        assert a.latency_s == b.latency_s
+        server, remote = remote_over(
+            FlakyEngine(tiny_network, failure_rate=0.4, seed=4)
+        )
+        with server, remote:
+            result = remote.evaluate_layer(sample_hw, MAPPING, "gemm")
+        assert result == clean.evaluate_layer(sample_hw, MAPPING, "gemm")
 
     def test_full_search_survives_flakiness(self, tiny_network, sample_hw):
-        """An entire mapping search completes over a 30%-flaky service."""
-        flaky = FlakyEngine(MaestroEngine(tiny_network), failure_rate=0.3, seed=5)
-        robust = RetryingEngine(flaky, max_attempts=10)
-        search = FlexTensorSearch(tiny_network, sample_hw, robust, seed=0)
-        search.run(60)
+        """An entire mapping search completes over a 30%-flaky replica."""
+        backend = FlakyEngine(tiny_network, failure_rate=0.3, seed=5)
+        server, remote = remote_over(backend)
+        with server, remote:
+            search = FlexTensorSearch(tiny_network, sample_hw, remote, seed=0)
+            search.run(60)
         assert np.isfinite(search.best_objective)
+        assert backend.num_injected_failures > 0
 
     def test_invalid_attempts(self, tiny_network):
         with pytest.raises(EvaluationError):
-            RetryingEngine(MaestroEngine(tiny_network), max_attempts=0)
+            RemotePPAEngine(
+                tiny_network,
+                "http://127.0.0.1:9",
+                area_fn=spatial_area_mm2,
+                max_network_retries=-1,
+            )
 
 
 class TestRetryingOverRemote:
-    """RetryingEngine composed over RemotePPAEngine over a flaky service.
-
-    The full Fig. 6(b) failure path: the server-side engine injects
-    transient failures, the service surfaces them as HTTP 400s, the remote
-    client maps those to EvaluationError, and the retry wrapper recovers.
-    """
-
-    @pytest.fixture()
-    def stack(self, tiny_network):
-        from repro.costmodel.maestro import spatial_area_mm2
-        from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
-
-        backend = FlakyEngine(
-            MaestroEngine(tiny_network), failure_rate=0.3, seed=7
-        )
-        with PPAServiceServer(backend) as server, RemotePPAEngine(
-            tiny_network, server.url, area_fn=spatial_area_mm2
-        ) as remote:
-            robust = RetryingEngine(remote, max_attempts=10)
-            yield backend, remote, robust
+    """The full Fig. 6(b) failure path: the served engine fails, the
+    replica answers 500, and the client's transport retries recover."""
 
     def test_recovers_and_matches_clean_engine(self, stack, tiny_network, sample_hw):
-        _backend, _remote, robust = stack
+        _backend, remote = stack
         clean = MaestroEngine(tiny_network)
-        result = robust.evaluate_layer(sample_hw, MAPPING, "gemm")
+        result = remote.evaluate_layer(sample_hw, MAPPING, "gemm")
         expected = clean.evaluate_layer(sample_hw, MAPPING, "gemm")
         assert result.feasible
         assert result.latency_s == expected.latency_s
         assert result.energy_j == expected.energy_j
 
-    def test_clock_charged_once_per_query_plus_failed_attempts(
+    def test_clock_charged_once_per_query_only(
         self, stack, sample_hw, tiny_network
     ):
-        _backend, _remote, robust = stack
-        from repro.mapping import GemmMappingSpace
-
+        _backend, remote = stack
         space = GemmMappingSpace(tiny_network.layers[1].to_gemm())
         rng = np.random.default_rng(3)
         queries = 25
         for _ in range(queries):
-            robust.evaluate_layer(sample_hw, space.sample(rng), "gemm")
-        assert robust.num_retries > 0  # flakiness actually exercised
-        expected = (queries + robust.num_retries) * robust.eval_cost_s
-        assert robust.clock.now_s == pytest.approx(expected)
+            remote.evaluate_layer(sample_hw, space.sample(rng), "gemm")
+        assert remote.num_network_retries > 0  # flakiness actually exercised
+        assert remote.clock.now_s == queries * remote.eval_cost_s
 
     def test_cached_repeat_needs_no_retry_or_request(self, stack, sample_hw):
-        backend, remote, robust = stack
-        robust.evaluate_layer(sample_hw, MAPPING, "gemm")
-        retries_before = robust.num_retries
+        backend, remote = stack
+        remote.evaluate_layer(sample_hw, MAPPING, "gemm")
+        retries_before = remote.num_network_retries
         backend_queries = backend.num_queries
-        robust.evaluate_layer(sample_hw, MAPPING, "gemm")
-        assert robust.num_cache_hits == 1
-        assert robust.num_retries == retries_before
+        remote.evaluate_layer(sample_hw, MAPPING, "gemm")
+        assert remote.num_cache_hits == 1
+        assert remote.num_network_retries == retries_before
         assert backend.num_queries == backend_queries  # never left the process
-
-    def test_stats_compose_across_the_stack(self, stack, sample_hw):
-        _backend, remote, robust = stack
-        robust.evaluate_layer(sample_hw, MAPPING, "gemm")
-        stats = robust.stats()
-        assert stats["engine"] == "RetryingEngine"
-        assert stats["num_queries"] == 1
-        assert "num_retries" in stats
-        assert stats["inner"]["engine"] == "RemotePPAEngine"
-        (shard,) = stats["inner"]["fleet"]["shards"]
-        assert shard["url"] == remote.router.shards[0].url

@@ -65,6 +65,18 @@ class TestCodec:
         json.dumps(encode_object(sample_hw))
 
 
+def _post_one_layer(url, hw):
+    """``POST /evaluate_layers`` with one group of one item."""
+    item = [encode_object(GemmMapping(4, 8, 4)), "gemm"]
+    body = {"groups": [{"hw": encode_object(hw), "items": [item]}]}
+    request = Request(
+        f"{url}/evaluate_layers",
+        data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    return urlopen(request, timeout=5.0)
+
+
 class TestServer:
     def test_health(self, server, tiny_network):
         with urlopen(f"{server.url}/health") as response:
@@ -73,39 +85,13 @@ class TestServer:
         assert payload["workload"] == tiny_network.name
 
     def test_evaluate_layer_endpoint(self, server, sample_hw):
-        request = Request(
-            f"{server.url}/evaluate_layer",
-            data=json.dumps(
-                {
-                    "hw": encode_object(sample_hw),
-                    "mapping": encode_object(GemmMapping(4, 8, 4)),
-                    "layer": "gemm",
-                }
-            ).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        with urlopen(request) as response:
-            payload = json.loads(response.read())
+        """One layer is a one-item group on the one query route."""
+        with _post_one_layer(server.url, sample_hw) as response:
+            (entries,) = json.loads(response.read())["results"]
         # a feasible result is the row [latency_s, energy_j, ...]
+        (payload,) = entries
         assert isinstance(payload, list) and len(payload) == 6
         assert payload[0] > 0
-
-    def test_bad_layer_is_400(self, server, sample_hw):
-        request = Request(
-            f"{server.url}/evaluate_layer",
-            data=json.dumps(
-                {
-                    "hw": encode_object(sample_hw),
-                    "mapping": encode_object(GemmMapping(1, 1, 1)),
-                    "layer": "missing",
-                }
-            ).encode(),
-        )
-        import urllib.error
-
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urlopen(request)
-        assert exc_info.value.code == 400
 
     def test_unknown_path_is_404(self, server):
         import urllib.error
@@ -177,8 +163,8 @@ class TestRemoteEngine:
             area_fn=spatial_area_mm2,
             batch_size=1,
         ) as engine:
-            engine.evaluate_candidates(
-                sample_hw, "gemm", [GemmMapping(4, 8, 4), GemmMapping(8, 8, 8)]
+            engine.evaluate_layers(
+                sample_hw, [(GemmMapping(4, 8, 4), "gemm"), (GemmMapping(8, 8, 8), "gemm")]
             )
             assert engine._executor is not None  # two chunks fanned out
             assert engine.stats()["pool"]["idle"] >= 1
@@ -445,14 +431,14 @@ class TestServerErrorPaths:
             return error.code, json.loads(error.read())
 
     def test_invalid_json_body_is_400(self, server):
-        status, payload = self._post(server.url, "/evaluate_layer", None,
+        status, payload = self._post(server.url, "/evaluate_layers", None,
                                      raw=b"{not json")
         assert status == 400
         assert "invalid JSON" in payload["error"]
 
     def test_missing_field_is_400(self, server, sample_hw):
         status, payload = self._post(
-            server.url, "/evaluate_layer", {"hw": encode_object(sample_hw)}
+            server.url, "/evaluate_layers", {"groups": [{"hw": encode_object(sample_hw)}]}
         )
         assert status == 400
         assert "error" in payload
@@ -461,24 +447,22 @@ class TestServerErrorPaths:
         bogus_hw = encode_object(sample_hw) + ["bogus_field"]
         status, payload = self._post(
             server.url,
-            "/evaluate_layer",
-            {"hw": bogus_hw,
-             "mapping": encode_object(MAPPING),
-             "layer": "gemm"},
+            "/evaluate_layers",
+            {"groups": [{"hw": bogus_hw, "items": [[encode_object(MAPPING), "gemm"]]}]},
         )
         assert status == 500
         assert payload["error"].startswith("internal error")
 
     def test_wrong_shape_payload_is_json_error(self, server):
         status, payload = self._post(
-            server.url, "/evaluate_layer",
-            {"hw": 42, "mapping": [], "layer": "gemm"},
+            server.url, "/evaluate_layers",
+            {"groups": [{"hw": 42, "items": [[[], "gemm"]]}]},
         )
         assert status in (400, 500)
         assert "error" in payload
 
     def test_errors_counted_in_metrics(self, server):
-        self._post(server.url, "/evaluate_layer", None, raw=b"{not json")
+        self._post(server.url, "/evaluate_layers", None, raw=b"{not json")
         with urlopen(f"{server.url}/metrics") as response:
             snapshot = json.loads(response.read())
         assert snapshot["metrics"]["counters"]["service_errors_total"] >= 1
@@ -642,7 +626,7 @@ class TestCandidatesEndpoint:
                                            sample_hw):
         local = MaestroEngine(tiny_network)
         mappings = self._mappings(4)
-        batched = remote.evaluate_candidates(sample_hw, "gemm", mappings)
+        batched = remote.evaluate_layers(sample_hw, [(m, "gemm") for m in mappings])
         for mapping, result in zip(mappings, batched):
             assert result == local.evaluate_layer(sample_hw, mapping, "gemm")
 
@@ -652,7 +636,7 @@ class TestCandidatesEndpoint:
             remote = _fast_remote(
                 tiny_network, [server.url, second.url], batch_size=2
             )
-            remote.evaluate_candidates(sample_hw, "gemm", self._mappings(4))
+            remote.evaluate_layers(sample_hw, [(m, "gemm") for m in self._mappings(4)])
             served = [server.engine.num_queries, second.engine.num_queries]
             # each replica's share leaves in chunks of at most 2
             assert remote.metrics.counter_value("remote_requests_total") == sum(
@@ -662,10 +646,10 @@ class TestCandidatesEndpoint:
             remote.close()
 
     def test_candidates_cache_hits_stay_local(self, server, remote, sample_hw):
-        mappings = self._mappings(3)
-        remote.evaluate_candidates(sample_hw, "gemm", mappings)
+        requests = [(m, "gemm") for m in self._mappings(3)]
+        remote.evaluate_layers(sample_hw, requests)
         before = remote.metrics.counter_value("remote_requests_total")
-        remote.evaluate_candidates(sample_hw, "gemm", mappings)
+        remote.evaluate_layers(sample_hw, requests)
         assert remote.metrics.counter_value("remote_requests_total") == before
         assert remote.num_cache_hits == 3
 
@@ -713,6 +697,11 @@ class TestMetricsEndpoint:
     def test_engine_and_service_stats_exposed(self, server, remote, sample_hw):
         remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
         remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")  # cached
+        # a request is timed after its reply has left: wait for that
+        deadline = time.monotonic() + 5.0
+        while "service_request_seconds" not in server.metrics.snapshot()["histograms"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
         with urlopen(f"{server.url}/metrics") as response:
             snapshot = json.loads(response.read())
         engine = snapshot["engine"]
@@ -720,7 +709,7 @@ class TestMetricsEndpoint:
         assert engine["num_queries"] >= 1
         assert engine["cache_capacity"] is not None
         counters = snapshot["metrics"]["counters"]
-        assert counters["service_requests_total[/evaluate_layer]"] >= 1
+        assert counters["service_requests_total[/evaluate_layers]"] >= 1
         histograms = snapshot["metrics"]["histograms"]
         assert histograms["service_request_seconds"]["count"] >= 1
 
@@ -764,20 +753,6 @@ class TestClientValidation:
 
 
 class TestGracefulDrain:
-    def _post_layer(self, url, hw):
-        request = Request(
-            f"{url}/evaluate_layer",
-            data=json.dumps(
-                {
-                    "hw": encode_object(hw),
-                    "mapping": encode_object(GemmMapping(4, 8, 4)),
-                    "layer": "gemm",
-                }
-            ).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        return urlopen(request, timeout=5.0)
-
     def test_draining_returns_fast_503(self, tiny_network, sample_hw):
         import urllib.error
 
@@ -785,7 +760,7 @@ class TestGracefulDrain:
             server.begin_drain()
             assert server.draining
             with pytest.raises(urllib.error.HTTPError) as exc_info:
-                self._post_layer(server.url, sample_hw)
+                _post_one_layer(server.url, sample_hw)
             assert exc_info.value.code == 503
             assert json.loads(exc_info.value.read())["error"] == "service draining"
             assert (
@@ -798,16 +773,16 @@ class TestGracefulDrain:
         started = threading.Event()
 
         class SlowEngine(MaestroEngine):
-            def evaluate_layer(self, hw, mapping, layer_name):
+            def evaluate_groups(self, groups):
                 started.set()
                 time.sleep(0.3)
-                return super().evaluate_layer(hw, mapping, layer_name)
+                return super().evaluate_groups(groups)
 
         with PPAServiceServer(SlowEngine(tiny_network)) as server:
             outcome = {}
 
             def inflight():
-                with self._post_layer(server.url, sample_hw) as response:
+                with _post_one_layer(server.url, sample_hw) as response:
                     outcome["payload"] = json.loads(response.read())
 
             worker = threading.Thread(target=inflight)
@@ -817,7 +792,8 @@ class TestGracefulDrain:
             assert server.inflight_requests >= 1
             assert server.drain(timeout_s=5.0)
             worker.join(timeout=5.0)
-            assert outcome["payload"][0] > 0  # a feasible result row
+            (entries,) = outcome["payload"]["results"]
+            assert entries[0][0] > 0  # a feasible result row
             assert server.inflight_requests == 0
 
     def test_stop_is_drain_then_shutdown(self, tiny_network):

@@ -23,6 +23,7 @@ MAPPINGS = [
     GemmMapping(8, 32, 8),
     GemmMapping(16, 8, 16),
 ]
+REQUESTS = [(mapping, "gemm") for mapping in MAPPINGS]
 
 
 @pytest.fixture()
@@ -56,16 +57,15 @@ class TestParity:
     def test_candidates_match_local_engine(self, tiny_network, fleet, sample_hw):
         local = MaestroEngine(tiny_network)
         sharded = _sharded(tiny_network, fleet)
-        assert sharded.evaluate_candidates(
-            sample_hw, "gemm", MAPPINGS
-        ) == local.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        expected = local.evaluate_layers(sample_hw, REQUESTS)
+        assert sharded.evaluate_layers(sample_hw, REQUESTS) == expected
         assert sharded.num_queries == local.num_queries
         sharded.close()
 
     def test_layers_match_local_engine(self, tiny_network, fleet, sample_hw):
         local = MaestroEngine(tiny_network)
         sharded = _sharded(tiny_network, fleet)
-        requests = [(mapping, "gemm") for mapping in MAPPINGS]
+        requests = REQUESTS
         assert sharded.evaluate_layers(
             sample_hw, requests
         ) == local.evaluate_layers(sample_hw, requests)
@@ -74,9 +74,9 @@ class TestParity:
 
     def test_repeat_served_from_client_cache(self, tiny_network, fleet, sample_hw):
         sharded = _sharded(tiny_network, fleet)
-        first = sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        first = sharded.evaluate_layers(sample_hw, REQUESTS)
         backend_queries = [server.engine.num_queries for server in fleet]
-        again = sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        again = sharded.evaluate_layers(sample_hw, REQUESTS)
         assert again == first
         assert [server.engine.num_queries for server in fleet] == backend_queries
         assert sharded.num_cache_hits == len(MAPPINGS)
@@ -101,7 +101,7 @@ class TestParity:
 
     def test_work_spreads_across_replicas(self, tiny_network, fleet, sample_hw):
         sharded = _sharded(tiny_network, fleet)
-        sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        sharded.evaluate_layers(sample_hw, REQUESTS)
         served = [server.engine.num_queries for server in fleet]
         assert sum(served) == len(MAPPINGS)
         assert sum(1 for count in served if count > 0) >= 2
@@ -113,8 +113,8 @@ class TestFailover:
         local = MaestroEngine(tiny_network)
         sharded = _sharded(tiny_network, fleet)
         fleet[0].stop()
-        results = sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
-        assert results == local.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        results = sharded.evaluate_layers(sample_hw, REQUESTS)
+        assert results == local.evaluate_layers(sample_hw, REQUESTS)
         sharded.close()
 
     def test_draining_replica_rerouted_without_breaker_charge(
@@ -123,8 +123,8 @@ class TestFailover:
         local = MaestroEngine(tiny_network)
         sharded = _sharded(tiny_network, fleet)
         fleet[1].begin_drain()
-        results = sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
-        assert results == local.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        results = sharded.evaluate_layers(sample_hw, REQUESTS)
+        assert results == local.evaluate_layers(sample_hw, REQUESTS)
         # a drain is routine: no breaker may have opened anywhere
         assert all(
             shard.breaker.num_opens == 0 for shard in sharded.router.shards
@@ -159,17 +159,14 @@ class TestFailover:
             assert fleet[0].engine.num_queries > 0
             # ... and a batch of several chunks changes none of that
             remote.batch_size = 2
-            assert remote.evaluate_candidates(
-                sample_hw, "gemm", MAPPINGS
-            ) == MaestroEngine(tiny_network).evaluate_candidates(
-                sample_hw, "gemm", MAPPINGS
-            )
+            expected = MaestroEngine(tiny_network).evaluate_layers(sample_hw, REQUESTS)
+            assert remote.evaluate_layers(sample_hw, REQUESTS) == expected
             assert scored == []
             assert remote._executor is None
             assert remote.stats()["pool"]["num_created"] == 1
         # the counter does see placement when there is something to place
         sharded = _sharded(tiny_network, fleet)
-        sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        sharded.evaluate_layers(sample_hw, REQUESTS)
         sharded.close()
         assert scored
 
@@ -263,7 +260,7 @@ class TestCountersUnderFanout:
 class TestStatsAndPickle:
     def test_stats_report_fleet_block(self, tiny_network, fleet, sample_hw):
         sharded = _sharded(tiny_network, fleet)
-        sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        sharded.evaluate_layers(sample_hw, REQUESTS)
         stats = sharded.stats()
         assert stats["fleet"]["replicas"] == 3
         assert len(stats["fleet"]["shards"]) == 3

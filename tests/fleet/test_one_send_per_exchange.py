@@ -6,10 +6,12 @@ the stdlib server — so, in the spirit of the per-step call-count guard in
 ``tests/mapping/test_step_call_count.py``, this wraps every socket write
 in the process and counts them per side of the PPA replica's port: a
 search through ``RemotePPAEngine`` must cost exactly one write per request
-on the client and one per reply on the server, for ``/evaluate_layer``
-and ``/evaluate_layers`` alike.
+on the client and one per reply on the server, on the service's one query
+route, ``/evaluate_layers``: a one-item call and an ``aggregate`` miss
+are one-item exchanges on it too.
 """
 
+import http.client
 import socket
 
 import pytest
@@ -59,26 +61,59 @@ def test_one_write_per_request_and_per_reply(tiny_network, sample_hw, writes):
             tiny_network, sample_hw, remote, seed=0, batch_size=4
         )
         search.run(24)
-        remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
         counters = server.metrics.snapshot()["counters"]
         stats = remote.stats()
-    served = {
-        path: int(counters.get(f"service_requests_total[{path}]", 0))
-        for path in ("/evaluate_layer", "/evaluate_layers")
-    }
-    assert served["/evaluate_layer"] > 0 and served["/evaluate_layers"] > 0
+    served = int(counters["service_requests_total[/evaluate_layers]"])
+    assert served > 0
+    assert sum(
+        value for name, value in counters.items()
+        if name.startswith("service_requests_total[")
+    ) == served
     requests, replies = _sides(writes, server.address[1])
-    assert len(requests) == sum(served.values())
-    assert len(replies) == sum(served.values())
+    assert len(requests) == served
+    assert len(replies) == served
     # and each write is a whole message: head and body together
-    for path, count in served.items():
-        line = f"POST {path} HTTP/1.1\r\n".encode("ascii")
-        whole = [w for w in requests if w.startswith(line)]
-        assert len(whole) == count
-        assert all(b"\r\n\r\n{" in w and w.endswith(b"}") for w in whole)
-    # a reply body is a JSON object, or — from /evaluate_layer — a result row
     assert all(
-        w.startswith(b"HTTP/1.1 200 OK\r\n") and w.endswith((b"}", b"]"))
-        for w in replies
+        w.startswith(b"POST /evaluate_layers HTTP/1.1\r\n")
+        and b"\r\n\r\n{" in w and w.endswith(b"}")
+        for w in requests
+    )
+    assert all(
+        w.startswith(b"HTTP/1.1 200 OK\r\n") and w.endswith(b"}") for w in replies
     )
     assert stats["pool"]["num_created"] == 1
+
+
+def test_one_item_and_aggregate_misses_send_one_batch_request(
+    tiny_network, sample_hw, writes
+):
+    mappings = {
+        layer.name: GemmMapping(2, 2, 2)
+        for layer in tiny_network.layers
+    }
+    with PPAServiceServer(MaestroEngine(tiny_network)) as server, RemotePPAEngine(
+        tiny_network, server.url, area_fn=spatial_area_mm2
+    ) as remote:
+        port = server.address[1]
+        remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
+        after_layer = list(_sides(writes, port)[0])
+        ppa = remote.aggregate(sample_hw, mappings)
+        requests = _sides(writes, port)[0]
+        assert remote.aggregate(sample_hw, mappings) == ppa  # all cached now
+        assert len(_sides(writes, port)[0]) == len(requests)
+    assert ppa == MaestroEngine(tiny_network).aggregate(sample_hw, mappings)
+    assert len(after_layer) == 1
+    assert len(requests) == 2
+    assert all(w.startswith(b"POST /evaluate_layers HTTP/1.1\r\n") for w in requests)
+    assert remote.num_queries == 1  # aggregation counts no query
+
+
+@pytest.mark.parametrize("path", ["/evaluate_layer", "/aggregate"])
+def test_removed_post_routes_answer_404(tiny_network, path):
+    with PPAServiceServer(MaestroEngine(tiny_network)) as server:
+        connection = http.client.HTTPConnection(*server.address, timeout=5)
+        try:
+            connection.request("POST", path, body=b"{}")
+            assert connection.getresponse().status == 404
+        finally:
+            connection.close()

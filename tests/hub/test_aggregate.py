@@ -44,7 +44,7 @@ def drive_queries(tiny_network, servers, sample_hw):
         batch_size=2,
     )
     try:
-        sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        sharded.evaluate_layers(sample_hw, [(m, "gemm") for m in MAPPINGS])
     finally:
         sharded.close()
 
@@ -241,7 +241,7 @@ class TestSupervisorAcceptance:
                     "pe_x": 8, "pe_y": 8, "l1_bytes": 4096,
                     "l2_kb": 256, "noc_bw": 64, "dataflow": "ws",
                 })
-                sharded.evaluate_candidates(hw, "fc", MAPPINGS)
+                sharded.evaluate_layers(hw, [(m, "fc") for m in MAPPINGS])
             finally:
                 sharded.close()
             aggregator = FleetAggregator(list(fleet.urls))

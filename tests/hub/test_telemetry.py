@@ -40,7 +40,7 @@ def drive_queries(tiny_network, servers, sample_hw):
         batch_size=2,
     )
     try:
-        sharded.evaluate_candidates(sample_hw, "gemm", MAPPINGS)
+        sharded.evaluate_layers(sample_hw, [(m, "gemm") for m in MAPPINGS])
     finally:
         sharded.close()
 

@@ -38,7 +38,7 @@ def drive(network, urls, hw):
         timeout_s=10.0, batch_size=2,
     )
     try:
-        sharded.evaluate_candidates(hw, "fc", MAPPINGS)
+        sharded.evaluate_layers(hw, [(m, "fc") for m in MAPPINGS])
     finally:
         sharded.close()
 
@@ -76,7 +76,7 @@ class Driver:
                 GemmMapping(16, 16, 3 * i),
             ]
             try:
-                self._sharded.evaluate_candidates(self._hw, "fc", fresh)
+                self._sharded.evaluate_layers(self._hw, [(m, "fc") for m in fresh])
             except Exception:
                 pass  # a mid-kill batch may fail; keep the traffic flowing
             self._stop.wait(0.05)

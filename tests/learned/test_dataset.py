@@ -23,7 +23,7 @@ def _record_run(store, network, hw, seed, batch=16):
     space = GemmMappingSpace(shape)
     rng = np.random.default_rng(seed)
     mappings = [space.sample(rng) for _ in range(batch)]
-    engine.evaluate_candidates(hw, layer_name, mappings)
+    engine.evaluate_layers(hw, [(m, layer_name) for m in mappings])
     journal.close()
     return run, mappings
 
@@ -53,7 +53,7 @@ class TestBuildDataset:
         engine = MaestroEngine(tiny_network)
         engine.sample_sink = JournalSampleSink(journal)
         layer_name = next(iter(engine.layer_shapes))
-        engine.evaluate_candidates(sample_hw, layer_name, mappings)
+        engine.evaluate_layers(sample_hw, [(m, layer_name) for m in mappings])
         journal.close()
 
         deduped = build_dataset(store)

@@ -24,13 +24,10 @@ class TestPassThrough:
         self, tiny_network, sample_hw, layer_and_shape, mapping_batch
     ):
         layer_name, _shape = layer_and_shape
-        plain = MaestroEngine(tiny_network).evaluate_candidates(
-            sample_hw, layer_name, mapping_batch
-        )
+        requests = [(m, layer_name) for m in mapping_batch]
+        plain = MaestroEngine(tiny_network).evaluate_layers(sample_hw, requests)
         wrapped_engine = ScreeningPPAEngine(MaestroEngine(tiny_network), model=None)
-        wrapped = wrapped_engine.evaluate_candidates(
-            sample_hw, layer_name, mapping_batch
-        )
+        wrapped = wrapped_engine.evaluate_layers(sample_hw, requests)
         assert wrapped == plain
         assert not wrapped_engine.screening_active
         assert wrapped_engine.screen_stats()["batches_screened"] == 0
@@ -42,9 +39,7 @@ class TestPassThrough:
         engine = ScreeningPPAEngine(
             MaestroEngine(tiny_network), model=model, min_batch=8
         )
-        results = engine.evaluate_candidates(
-            sample_hw, layer_name, mapping_batch[:4]
-        )
+        results = engine.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch[:4]])
         assert all(r.infeasible_reason != SCREENED_REASON for r in results)
         assert engine.screen_stats()["batches_screened"] == 0
 
@@ -75,13 +70,12 @@ class TestScreening:
         self, tiny_network, sample_hw, layer_and_shape, mapping_batch, model
     ):
         layer_name, _shape = layer_and_shape
-        reference = MaestroEngine(tiny_network).evaluate_candidates(
-            sample_hw, layer_name, mapping_batch
-        )
+        requests = [(m, layer_name) for m in mapping_batch]
+        reference = MaestroEngine(tiny_network).evaluate_layers(sample_hw, requests)
         engine = ScreeningPPAEngine(
             MaestroEngine(tiny_network), model=model, topk=6
         )
-        results = engine.evaluate_candidates(sample_hw, layer_name, mapping_batch)
+        results = engine.evaluate_layers(sample_hw, requests)
         screened = [
             i for i, r in enumerate(results)
             if r.infeasible_reason == SCREENED_REASON
@@ -100,7 +94,7 @@ class TestScreening:
         layer_name, _shape = layer_and_shape
         inner = MaestroEngine(tiny_network)
         engine = ScreeningPPAEngine(inner, model=model, topk=6)
-        engine.evaluate_candidates(sample_hw, layer_name, mapping_batch)
+        engine.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch])
         stats = engine.screen_stats()
         assert stats["batches_screened"] == 1
         assert stats["candidates_seen"] == len(mapping_batch)
@@ -124,7 +118,7 @@ class TestScreening:
             topk=4,
             escalate_fraction=0.25,
         )
-        engine.evaluate_candidates(sample_hw, layer_name, mapping_batch)
+        engine.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch])
         stats = engine.screen_stats()
         assert stats["escalated"] > 0
         assert stats["forwarded"] > 4
@@ -141,7 +135,7 @@ class TestScreening:
         with pytest.raises(Exception):
             # the inner engine itself cannot evaluate foreign hw either;
             # the point is the screen does not swallow the batch silently
-            engine.evaluate_candidates(ForeignHW(), layer_name, mapping_batch)
+            engine.evaluate_layers(ForeignHW(), [(m, layer_name) for m in mapping_batch])
         assert engine.screen_stats()["fallback_batches"] == 1
 
     def test_audit_batches_measure_recall(
@@ -151,8 +145,8 @@ class TestScreening:
         engine = ScreeningPPAEngine(
             MaestroEngine(tiny_network), model=model, topk=6, audit_every=2
         )
-        engine.evaluate_candidates(sample_hw, layer_name, mapping_batch[:20])
-        engine.evaluate_candidates(sample_hw, layer_name, mapping_batch[20:])
+        engine.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch[:20]])
+        engine.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch[20:]])
         stats = engine.screen_stats()
         assert stats["audit_batches"] == 1
         assert stats["audit_recall"] in (0.0, 1.0)
@@ -166,7 +160,7 @@ class TestScreening:
             inner, model=model, topk=4, screen_cost_s=0.5
         )
         before = inner.clock.now_s
-        engine.evaluate_candidates(sample_hw, layer_name, mapping_batch)
+        engine.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch])
         skipped = engine.screen_stats()["skipped"]
         charged = inner.clock.now_s - before
         # forwarded evals charge eval_cost_s each; screened ones 0.5s each
@@ -185,7 +179,7 @@ class TestQueryAccounting:
             MaestroEngine(tiny_network), model=model, topk=6
         )
         view = _QueryCountingEngine(engine)
-        results = view.evaluate_candidates(sample_hw, layer_name, mapping_batch)
+        results = view.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch])
         analytical = sum(
             1 for r in results if r.infeasible_reason != SCREENED_REASON
         )
@@ -196,5 +190,5 @@ class TestQueryAccounting:
     ):
         layer_name, _shape = layer_and_shape
         view = _QueryCountingEngine(MaestroEngine(tiny_network))
-        view.evaluate_candidates(sample_hw, layer_name, mapping_batch)
+        view.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch])
         assert view.local_queries == len(mapping_batch)

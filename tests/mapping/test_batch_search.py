@@ -74,42 +74,21 @@ def test_non_speculative_tool_skips_batching(tiny_network, sample_hw):
     assert CosaMapper.supports_speculation is False
     batched = _run(CosaMapper, tiny_network, sample_hw, batch_size=8)
     assert batched.num_speculative_evals == 0
-    # the one batched call is the incumbent seeding in the constructor
-    assert batched.engine.num_batch_queries == 1
+    # every call but the incumbent seeding carries one item
+    engine = batched.engine
+    assert engine.num_batch_items - engine.num_batch_queries == (
+        len(tiny_network.layers) - 1
+    )
 
 
 def test_batch_size_one_uses_scalar_path(tiny_network, sample_hw):
     search = _run(RandomMappingSearch, tiny_network, sample_hw, batch_size=1)
     assert search.num_speculative_evals == 0
-    # the one batched call is the incumbent seeding in the constructor
-    assert search.engine.num_batch_queries == 1
-
-
-def test_engine_without_batch_api_still_works(tiny_network, sample_hw):
-    """A speculation-safe tool over an engine lacking evaluate_layers."""
-
-    class MinimalEngine:
-        def __init__(self, inner):
-            self._inner = inner
-            self.tech = inner.tech
-
-        def evaluate_layer(self, hw, mapping, layer_name):
-            return self._inner.evaluate_layer(hw, mapping, layer_name)
-
-        def area_mm2(self, hw):
-            return self._inner.area_mm2(hw)
-
-    engine = MinimalEngine(MaestroEngine(tiny_network))
-    batched = RandomMappingSearch(
-        tiny_network, sample_hw, engine, seed=7, batch_size=8
+    # every call but the incumbent seeding carries one item
+    engine = search.engine
+    assert engine.num_batch_items - engine.num_batch_queries == (
+        len(tiny_network.layers) - 1
     )
-    batched.run(20)
-    reference = _run(
-        RandomMappingSearch, tiny_network, sample_hw, batch_size=1, budgets=(20,)
-    )
-    assert [p.best_objective for p in batched.history] == [
-        p.best_objective for p in reference.history
-    ]
 
 
 def test_invalid_batch_size_rejected(tiny_network, sample_hw, tiny_engine):

@@ -82,17 +82,13 @@ def test_depth_follows_the_hit_record(tiny_network, sample_hw):
 # ------------------------------------------------- (iii) the recorded ratchet
 class _CountingEngine(MaestroEngine):
     """Counts the engine calls that reach the cost model (= HTTP exchanges
-    on the remote route): a scalar miss, or a batch with at least one."""
+    on the remote route): the calls with at least one miss."""
 
     cost_model_calls = 0
 
     def _compute_misses(self, hw, misses):
         self.cost_model_calls += 1
         return super()._compute_misses(hw, misses)
-
-    def _timed_compute(self, hw, mapping, layer_name, shape):
-        self.cost_model_calls += 1
-        return super()._timed_compute(hw, mapping, layer_name, shape)
 
 
 #: (queries, cost-model calls) over 6 edge HW samples x 400 steps on
@@ -154,21 +150,7 @@ def test_cosearch_width_buys_queries_not_a_different_front(tiny_network, edge_sp
     )
 
 
-# ---------------------------------------- (v) who takes the scalar path only
-class _ScalarOnlyEngine:
-    """Duck-typed engine without ``evaluate_layers``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.tech = inner.tech
-
-    def evaluate_layer(self, hw, mapping, layer_name):
-        return self.inner.evaluate_layer(hw, mapping, layer_name)
-
-    def area_mm2(self, hw):
-        return self.inner.area_mm2(hw)
-
-
+# ------------------------------------------- (v) who asks one item at a time
 def _scalar_reference(tool_cls, network, hw, budget):
     engine = MaestroEngine(network)
     return tool_cls(network, hw, engine, seed=9, batch_size=1).run(budget)
@@ -181,21 +163,11 @@ def test_tool_that_cannot_speculate_buys_nothing(tiny_network, sample_hw):
     search.run(30)
     reference = _scalar_reference(CosaMapper, tiny_network, sample_hw, 30)
     assert (search.num_speculative_evals, search._bought) == (0, {})
-    assert engine.num_batch_queries == 1  # the incumbent seeding
-    assert engine.num_queries == reference.engine.num_queries
-    assert search.history == reference.history
-
-
-def test_engine_without_batch_api_buys_nothing(tiny_network, sample_hw):
-    inner = MaestroEngine(tiny_network)
-    search = FlexTensorSearch(
-        tiny_network, sample_hw, _ScalarOnlyEngine(inner), seed=9, batch_size=8
+    # every call but the incumbent seeding carries one item
+    assert engine.num_batch_items - engine.num_batch_queries == (
+        len(tiny_network.layers) - 1
     )
-    search.run(30)
-    reference = _scalar_reference(FlexTensorSearch, tiny_network, sample_hw, 30)
-    assert (search.num_speculative_evals, search._bought) == (0, {})
-    assert inner.num_batch_queries == 0
-    assert inner.num_queries == reference.engine.num_queries
+    assert engine.num_queries == reference.engine.num_queries
     assert search.history == reference.history
 
 
@@ -203,11 +175,12 @@ def test_engine_without_batch_api_buys_nothing(tiny_network, sample_hw):
 def test_last_step_of_a_run_buys_nothing(tool_cls, tiny_network, sample_hw):
     engine = MaestroEngine(tiny_network)
     search = tool_cls(tiny_network, sample_hw, engine, seed=9, batch_size=8)
-    batch_calls = engine.num_batch_queries
+    calls, items = engine.num_batch_queries, engine.num_batch_items
     for _ in range(30):
         search.run(1)  # remaining == 1 at every step
     reference = _scalar_reference(tool_cls, tiny_network, sample_hw, 30)
     assert (search.num_speculative_evals, search._bought) == (0, {})
-    assert engine.num_batch_queries == batch_calls
+    # every step is a one-item call
+    assert engine.num_batch_items - items == engine.num_batch_queries - calls
     assert engine.num_queries == reference.engine.num_queries
     assert search.history == reference.history

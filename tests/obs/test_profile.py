@@ -29,10 +29,10 @@ def _span(name, span_id, parent_id, start, dur, sim=0.0, attrs=None):
 
 
 def synthetic_tree():
-    """root(10s) -> search(6s) -> two engine_eval(2s each), plus fit(3s)."""
+    """root(10s) -> search(6s) -> two one-item engine calls (2s each), plus fit(3s)."""
     return [
-        _span("engine_eval", "e1", "s1", 1.0, 2.0, attrs={"layer": "conv"}),
-        _span("engine_eval", "e2", "s1", 3.0, 2.0, attrs={"layer": "fc"}),
+        _span("engine_eval_batch", "e1", "s1", 1.0, 2.0, attrs={"batch": 1}),
+        _span("engine_eval_batch", "e2", "s1", 3.0, 2.0, attrs={"batch": 1}),
         _span("mapping_search", "s1", "r1", 0.5, 6.0, sim=60.0),
         _span("gp_fit", "g1", "r1", 6.5, 3.0),
         _span("run", "r1", None, 0.0, 10.0, sim=60.0),
@@ -50,13 +50,13 @@ class TestBuildProfile:
         by_name = {p.name: p for p in profile.phases}
         assert by_name["run"].wall_self_s == pytest.approx(10.0 - 6.0 - 3.0)
         assert by_name["mapping_search"].wall_self_s == pytest.approx(6.0 - 4.0)
-        assert by_name["engine_eval"].wall_self_s == pytest.approx(4.0)
+        assert by_name["engine_eval_batch"].wall_self_s == pytest.approx(4.0)
         assert by_name["gp_fit"].wall_self_s == pytest.approx(3.0)
 
     def test_evals_bubble_to_every_ancestor(self):
         profile = build_profile(synthetic_tree())
         by_name = {p.name: p for p in profile.phases}
-        assert by_name["engine_eval"].evals == 2
+        assert by_name["engine_eval_batch"].evals == 2
         assert by_name["mapping_search"].evals == 2
         assert by_name["run"].evals == 2
         assert by_name["gp_fit"].evals == 0
@@ -135,7 +135,7 @@ class TestRender:
         assert "mapping_search" in text
         assert "total" in text
         assert "slowest spans:" in text
-        assert "layer=conv" in text
+        assert "batch=1" in text
 
     def test_render_empty_profile(self):
         text = render_profile(build_profile([]))

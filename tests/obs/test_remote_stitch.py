@@ -47,8 +47,8 @@ class TestStitching:
         traced_remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
         spans = traced_remote._test_sink.spans
         by_name = {s["name"]: s for s in spans}
-        client_span = by_name["remote/evaluate_layer"]
-        server_span = by_name["service/evaluate_layer"]
+        client_span = by_name["remote/evaluate_layers"]
+        server_span = by_name["service/evaluate_layers"]
         # one trace: the server span adopted the client's trace id ...
         assert server_span["trace_id"] == traced_remote.tracer.trace_id
         # ... and hangs off the client request span
@@ -94,7 +94,7 @@ class TestStitching:
             )
         assert result.feasible
         names = [s["name"] for s in sink.spans]
-        assert "remote/evaluate_layer" in names
+        assert "remote/evaluate_layers" in names
         assert not any(n.startswith("service/") for n in names)
 
 

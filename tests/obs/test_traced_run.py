@@ -46,7 +46,7 @@ class TestTracedRun:
             "mobo_sample",
             "msh_round",
             "mapping_search",
-            "engine_eval",
+            "engine_eval_batch",
         } <= names
 
     def test_spans_nest_within_parents(self, traced_run):
@@ -69,13 +69,13 @@ class TestTracedRun:
         assert checked > 10
 
     def test_hierarchy_chain(self, traced_run):
-        """An engine_eval span walks up through the expected phases."""
+        """An engine call's span walks up through the expected phases."""
         _, run = traced_run
         spans = spans_from_journal(run.journal_path)
         by_id = {s["span_id"]: s for s in spans}
         chains = set()
         for span in spans:
-            if span["name"] != "engine_eval":
+            if span["name"] != "engine_eval_batch":
                 continue
             chain = []
             cursor = span
@@ -84,7 +84,7 @@ class TestTracedRun:
                 cursor = by_id.get(cursor.get("parent_id") or "")
             chains.add(tuple(chain))
         assert (
-            "engine_eval",
+            "engine_eval_batch",
             "mapping_search",
             "msh_round",
             "iteration",

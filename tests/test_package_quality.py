@@ -16,6 +16,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -290,3 +291,59 @@ def test_one_append_log_under_every_jsonl_store():
         if "O_APPEND" in path.read_text(encoding="utf-8")
     ]
     assert holders == ["tracking/journal.py"]
+
+
+#: where a use of a public name counts
+REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples", "docs")
+
+
+def _used_names(tree):
+    """Identifiers ``tree`` uses: a loaded ``Name``, an ``Attribute``, or a
+    name inside a quoted annotation.  Imports and ``__all__`` strings are
+    not uses."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for quoted in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                used |= _names_in(quoted.value)
+    return used
+
+
+def _public_names(tree):
+    """``__all__`` entries and public top-level functions and classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                names.add(node.name)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def test_public_names_are_referenced():
+    """A public name nothing uses is code kept alive by being public.  Used
+    means a name or attribute in Python under ``REFERENCE_ROOTS``, or an
+    identifier in a document there; there is no allow-list."""
+    repo = SRC_ROOT.parents[1]
+    used = set()
+    for root in REFERENCE_ROOTS:
+        for path in sorted((repo / root).rglob("*")):
+            if path.suffix == ".py":
+                used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+            elif path.suffix == ".md":
+                used |= set(re.findall(r"[A-Za-z_]\w*", path.read_text(encoding="utf-8")))
+    unused = [
+        f"{module}.{name}"
+        for module, path in _module_paths().items()
+        for name in sorted(_public_names(ast.parse(path.read_text(encoding="utf-8"))))
+        if name not in used
+    ]
+    assert not unused, f"public names nothing uses: {unused}"

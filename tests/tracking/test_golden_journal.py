@@ -27,7 +27,12 @@ a call instead of each group of it: in the closing ``engine_snapshot``
 the ``engine_compute_seconds`` count fell 120 -> 58 and the per-item
 histogram's 118 -> 56 (one observation per engine call that computed
 something, two of the 58 being scalar ``evaluate_layer`` misses), and no
-other line changed.
+other line changed.  ``all_lines`` alone moved again when a one-item call
+became a one-item group of the one accounting path: in the closing
+``engine_snapshot`` those two misses now count as groups too
+(``batch_queries`` and the ``engine_batch_size`` count 122 -> 124,
+``batch_items`` 453 -> 455, the per-item histogram's count 56 -> 58), and
+no other line changed.
 
 ``engine_sample`` lines carry no wall clock and are hashed raw.  Every
 other line is hashed raw too, after blanking the three things that differ
@@ -54,7 +59,7 @@ GOLDEN = {
         "50ef6262b6ad6bdb8e74a077d893d037b8324729e39d98860dc83cedfd327fe4"
     ),
     "all_lines": (
-        "b4eda2c8361099be61309192b8427fb6483d766b7649f3a712ec7a6c71ce77e1"
+        "19e38896eb9826c6d95b3c56651d03bb40f94abbefd0aa577c2a04552b088693"
     ),
 }
 

@@ -353,7 +353,7 @@ def mounted(request, tiny_network, tmp_path):
     """``(server, POST path, metric prefix)`` for each server on the core."""
     if request.param == "service":
         server = PPAServiceServer(MaestroEngine(tiny_network))
-        post_path = b"/evaluate_layer"
+        post_path = b"/evaluate_layers"
     else:
         server = HubServer(tmp_path / "runs")
         post_path = b"/runs"
