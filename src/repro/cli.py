@@ -10,10 +10,10 @@ Commands
 * ``serve`` — expose a PPA estimation engine as the Section 3.5 REST
   service (for master-slave deployments).
 * ``fleet`` — run N sharded service replicas under one supervisor
-  (``fleet serve``), check the health of running replicas
-  (``fleet status``; add ``--watch`` for a live scrape-based dashboard),
-  or watch the full telemetry dashboard with sparkline history and SLO
-  alerts (``fleet top``, local scrape loop or ``--hub`` mirror).
+  (``fleet serve``), health-check running replicas once (``fleet
+  status``), or watch the one live dashboard — evals/s history, cache
+  hit rate, scrape latency and SLO alerts (``fleet top``, local scrape
+  loop or ``--hub`` mirror of a ``--telemetry`` hub).
 * ``hub`` — the control-plane service (``hub serve``): run lifecycle
   endpoints, live SSE journal streaming and fleet-wide metrics
   aggregation (add ``--telemetry`` for the scrape loop + alert rules),
@@ -600,97 +600,8 @@ def _cmd_fleet_serve(args) -> int:
     return 0
 
 
-def _render_fleet_dashboard(status: dict, prev: Optional[dict],
-                            elapsed_s: float) -> str:
-    """Terminal dashboard for one fleet-status snapshot.
-
-    Rates (evals/s) come from counter deltas between this snapshot and
-    the previous one, which is why the watch loop threads ``prev``.
-    """
-    def _rate(now_row: dict, prev_row: Optional[dict]) -> str:
-        if prev_row is None or elapsed_s <= 0:
-            return "      -"
-        delta = now_row.get("queries", 0.0) - prev_row.get("queries", 0.0)
-        return f"{max(delta, 0.0) / elapsed_s:7.1f}"
-
-    prev_rows = {
-        row["name"]: row for row in (prev or {}).get("replicas", [])
-    }
-    fleet = status["fleet"]
-    queries = fleet.get("queries", 0.0)
-    hits = fleet.get("cache_hits", 0.0)
-    hit_rate = hits / queries if queries else 0.0
-    lines = [
-        f"fleet: {status['up']}/{status['total']} replicas up   "
-        f"evals/s {_rate(fleet, (prev or {}).get('fleet'))}   "
-        f"cache hit rate {hit_rate:6.1%}   "
-        f"errors {fleet.get('errors', 0.0):g}",
-        "",
-        f"{'replica':<22} {'state':<6} {'evals/s':>8} {'queries':>10} "
-        f"{'hits':>10} {'evict':>8} {'errors':>7} {'scrape':>8}",
-    ]
-    for row in status["replicas"]:
-        if not row["up"]:
-            lines.append(
-                f"{row['name']:<22} {'DOWN':<6} "
-                f"{(row.get('error') or '')[:60]}"
-            )
-            continue
-        lines.append(
-            f"{row['name']:<22} {'up':<6} "
-            f"{_rate(row, prev_rows.get(row['name'])):>8} "
-            f"{row.get('queries', 0.0):>10g} "
-            f"{row.get('cache_hits', 0.0):>10g} "
-            f"{row.get('cache_evictions', 0.0):>8g} "
-            f"{row.get('errors', 0.0):>7g} "
-            f"{row.get('scrape_seconds', 0.0) * 1e3:>6.1f}ms"
-        )
-    return "\n".join(lines)
-
-
-def _fleet_status_dashboard(args) -> int:
-    """Scrape-based fleet status (one shot or ``--watch`` live loop)."""
-    import time as _time
-
-    if args.hub:
-        from repro.hub import HubClient
-
-        source = HubClient(args.hub, timeout_s=args.timeout)
-        fetch = source.fleet_status
-    else:
-        if not args.urls:
-            print("error: fleet status needs replica URLs or --hub",
-                  file=sys.stderr)
-            return 2
-        from repro.hub import FleetAggregator
-
-        source = FleetAggregator(args.urls, timeout_s=args.timeout)
-        fetch = source.status
-    prev = None
-    prev_t = None
-    try:
-        while True:
-            status = fetch()
-            now = _time.monotonic()
-            text = _render_fleet_dashboard(
-                status, prev, (now - prev_t) if prev_t is not None else 0.0
-            )
-            if args.watch:
-                sys.stdout.write("\x1b[2J\x1b[H")
-            print(text, flush=True)
-            if not args.watch:
-                return 0 if status["up"] == status["total"] else 1
-            prev, prev_t = status, now
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        source.close()
-
-
-def _cmd_fleet_status(args) -> int:
-    if args.watch or args.hub:
-        return _fleet_status_dashboard(args)
+def _cmd_fleet_health(args) -> int:
+    """One ``/health`` check per replica URL; exit 1 if any is down."""
     failures = 0
     for url in args.urls:
         base = url.rstrip("/")
@@ -732,16 +643,23 @@ def _sparkline(values: list, width: int = 32) -> str:
 
 
 def _rate_history(points: list, limit: int = 32) -> list:
-    """Per-sample counter rates from ``(t, value)`` points (reset-aware)."""
-    rates = []
-    for (t0, v0), (t1, v1) in zip(points, points[1:]):
-        dt = t1 - t0
-        if dt <= 0.0:
-            continue
-        delta = v1 - v0
-        # a counter that fell restarted; show its post-reset value as growth
-        rates.append((delta if delta >= 0.0 else v1) / dt)
-    return rates[-limit:]
+    """Per-step counter rates from ``(t, value)`` points, under the store's
+    reset rule (:func:`~repro.obs.timeseries.counter_increase`)."""
+    from repro.obs.timeseries import counter_increase
+
+    return [
+        counter_increase(step) / (step[1][0] - step[0][0])
+        for step in zip(points, points[1:])
+        if step[1][0] > step[0][0]
+    ][-limit:]
+
+
+def _hit_rate(series: dict) -> str:
+    """Cache hits over queries of one sample's counters, ``-`` before any."""
+    queries = series.get("engine_queries_total", 0.0)
+    if not queries:
+        return "-"
+    return f"{series.get('engine_cache_hits_total', 0.0) / queries:.1%}"
 
 
 def _render_fleet_top(store, active_alerts: list) -> str:
@@ -758,12 +676,13 @@ def _render_fleet_top(store, active_alerts: list) -> str:
         lines.append(
             f"fleet: {up:g}/{total:g} replicas up   "
             f"evals/s {fleet_rates[-1] if fleet_rates else 0.0:7.1f}  "
+            f"cache hit rate {_hit_rate(fleet_latest[1]):>6}  "
             f"{_sparkline(fleet_rates)}"
         )
         lines.append("")
     lines.append(
         f"{'replica':<24} {'state':<6} {'evals/s':>8}  "
-        f"{'history':<32} {'errors':>7}"
+        f"{'history':<32} {'hit rate':>8} {'scrape':>8} {'errors':>7}"
     )
     for target in replicas:
         latest = store.latest(target)
@@ -778,6 +697,8 @@ def _render_fleet_top(store, active_alerts: list) -> str:
             f"{target:<24} {'up':<6} "
             f"{rates[-1] if rates else 0.0:>8.1f}  "
             f"{_sparkline(rates):<32} "
+            f"{_hit_rate(series):>8} "
+            f"{series.get('scrape_seconds', 0.0) * 1e3:>6.1f}ms "
             f"{series.get('service_errors_total', 0.0):>7g}"
         )
     runs = [t for t in store.targets() if t.startswith("run:")]
@@ -811,6 +732,7 @@ def _cmd_fleet_top(args) -> int:
     """Live fleet dashboard: local scrape loop or a hub's telemetry store."""
     import time as _time
 
+    from repro.errors import TrackingError
     from repro.obs.timeseries import MetricsStore
 
     client = None
@@ -867,6 +789,9 @@ def _cmd_fleet_top(args) -> int:
             _time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
+    except TrackingError as error:  # the hub refused, e.g. no telemetry
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         if client is not None:
             client.close()
@@ -951,8 +876,7 @@ def _cmd_hub_serve(args) -> int:
     stopped = server.install_signal_handlers()
     print(f"repro hub on {server.url} (runs dir {args.runs_dir})")
     if args.replicas:
-        print(f"aggregating {len(args.replicas)} replicas "
-              "at /fleet/metrics and /fleet/status")
+        print(f"aggregating {len(args.replicas)} replicas at /fleet/metrics")
     if args.telemetry:
         print(
             f"telemetry: scraping every {args.scrape_interval:g}s into "
@@ -1374,33 +1298,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-replica LRU bound on the engine cache (0 = unbounded)",
     )
     fleet_serve.set_defaults(fn=_cmd_fleet_serve)
-    fleet_status = fleet_sub.add_parser(
+    fleet_health = fleet_sub.add_parser(
         "status", help="health-check running replica URLs"
     )
-    fleet_status.add_argument("urls", nargs="*")
-    fleet_status.add_argument("--timeout", type=float, default=5.0)
-    fleet_status.add_argument(
-        "--watch", action="store_true",
-        help="live scrape-based dashboard (evals/s, cache hits, errors)",
-    )
-    fleet_status.add_argument(
-        "--hub", default=None, metavar="URL",
-        help="read fleet status from a hub's /fleet/status instead of "
-             "scraping replicas directly",
-    )
-    fleet_status.add_argument(
-        "--interval", type=float, default=2.0,
-        help="refresh period for --watch, in seconds",
-    )
-    fleet_status.set_defaults(fn=_cmd_fleet_status)
+    fleet_health.add_argument("urls", nargs="+")
+    fleet_health.add_argument("--timeout", type=float, default=5.0)
+    fleet_health.set_defaults(fn=_cmd_fleet_health)
     fleet_top = fleet_sub.add_parser(
         "top",
-        help="live telemetry dashboard with sparkline history and alerts",
+        help="live fleet dashboard: evals/s history, cache hit rate, "
+             "scrape latency and alerts",
     )
     fleet_top.add_argument("urls", nargs="*")
     fleet_top.add_argument(
         "--hub", default=None, metavar="URL",
-        help="mirror a hub's telemetry store instead of scraping replicas",
+        help="mirror a hub's telemetry store instead of scraping replicas "
+             "(the hub needs --telemetry)",
     )
     fleet_top.add_argument("--timeout", type=float, default=5.0)
     fleet_top.add_argument(
@@ -1430,7 +1343,7 @@ def build_parser() -> argparse.ArgumentParser:
     hub_serve.add_argument("--port", type=int, default=0)
     hub_serve.add_argument(
         "--replicas", nargs="*", default=[], metavar="URL",
-        help="PPA-service replica URLs to aggregate at /fleet/*",
+        help="PPA-service replica URLs to aggregate at /fleet/metrics",
     )
     hub_serve.add_argument(
         "--telemetry", action="store_true",

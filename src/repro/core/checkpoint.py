@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import asdict
 from typing import Dict, Union
 
 import numpy as np
@@ -141,18 +142,7 @@ def save_checkpoint(unico: Unico, path: Union[str, pathlib.Path]) -> None:
             }
             for entry in unico.timeline
         ],
-        "iteration_records": [
-            {
-                "iteration": r.iteration,
-                "time_s": r.time_s,
-                "uul": r.uul,
-                "num_selected": r.num_selected,
-                "num_feasible": r.num_feasible,
-                "pareto_size": r.pareto_size,
-                "best_scalar": r.best_scalar,
-            }
-            for r in unico.iteration_records
-        ],
+        "iteration_records": [asdict(r) for r in unico.iteration_records],
     }
     target = pathlib.Path(path)
     tmp = target.with_name(target.name + ".tmp")

@@ -12,14 +12,15 @@ observable system:
   client resumes exactly where it left off (``Last-Event-ID``);
 * :mod:`repro.hub.aggregate` — scrape every replica's Prometheus
   exposition, merge into one fleet view with ``replica=`` labels plus
-  ``fleet:*`` rollup series;
+  ``fleet:*`` rollup series (one aggregator per hub, shared with the
+  telemetry loop when that is on);
 * :mod:`repro.hub.scheduler` — a single-worker run scheduler over the
   :class:`~repro.tracking.RunStore` (submit/cancel/reconcile, resume of
   crash-interrupted runs);
 * :mod:`repro.hub.server` — the HTTP control plane tying them together
   (``POST /runs``, ``GET /runs/<id>/events`` SSE, ``GET /fleet/metrics``);
 * :mod:`repro.hub.client` — the pooled client behind
-  ``repro runs tail --follow`` and ``repro fleet status --watch``;
+  ``repro runs tail --follow`` and ``repro fleet top --hub``;
 * :mod:`repro.hub.telemetry` — the scrape loop: poll every replica's
   ``/metrics`` on an interval into a crash-safe
   :class:`~repro.obs.timeseries.MetricsStore`, evaluate SLO rules

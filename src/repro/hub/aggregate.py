@@ -42,17 +42,6 @@ from repro.utils.metrics import MetricsRegistry
 
 __all__ = ["FleetAggregator", "ReplicaScrape"]
 
-#: headline counters the ``fleet status`` dashboard reads per replica
-_STATUS_COUNTERS = (
-    ("queries", "engine_queries_total"),
-    ("cache_hits", "engine_cache_hits_total"),
-    ("cache_evictions", "engine_cache_evictions_total"),
-    ("batch_queries", "engine_batch_queries_total"),
-    ("requests", "service_requests_total"),
-    ("errors", "service_errors_total"),
-    ("drain_rejections", "service_drain_rejections_total"),
-)
-
 
 @dataclass
 class ReplicaScrape:
@@ -287,39 +276,3 @@ class FleetAggregator:
                 _sample_line(rollup_name + "_count", dict(key), group["count"])
             )
         return lines
-
-    # -- dashboard --------------------------------------------------------------
-    def status(
-        self, scrapes: Optional[List[ReplicaScrape]] = None
-    ) -> Dict:
-        """Structured fleet health for ``repro fleet status --watch``."""
-        if scrapes is None:
-            scrapes = self.scrape()
-        replicas: List[Dict] = []
-        fleet: Dict[str, float] = {key: 0.0 for key, _m in _STATUS_COUNTERS}
-        for scrape in scrapes:
-            row: Dict = {
-                "name": scrape.name,
-                "url": scrape.url,
-                "up": scrape.ok,
-                "error": scrape.error,
-                "scrape_seconds": scrape.elapsed_s,
-            }
-            for key, metric in _STATUS_COUNTERS:
-                family = scrape.families.get(metric)
-                total = (
-                    sum(value for _n, _l, value in family["samples"])
-                    if family
-                    else 0.0
-                )
-                row[key] = total
-                if scrape.ok:
-                    fleet[key] += total
-            replicas.append(row)
-        up = sum(1 for row in replicas if row["up"])
-        return {
-            "replicas": replicas,
-            "fleet": fleet,
-            "up": up,
-            "total": len(replicas),
-        }

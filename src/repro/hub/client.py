@@ -126,9 +126,6 @@ class HubClient:
     def metrics(self) -> Dict:
         return self._request("GET", "/metrics")
 
-    def fleet_status(self) -> Dict:
-        return self._request("GET", "/fleet/status")
-
     def fleet_metrics(self) -> str:
         return self._request_text("/fleet/metrics")
 

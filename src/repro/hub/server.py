@@ -2,7 +2,8 @@
 
 One :class:`HubServer` fronts a :class:`~repro.tracking.RunStore` (via a
 :class:`~repro.hub.scheduler.RunScheduler`) and, optionally, a replica
-fleet (via a :class:`~repro.hub.aggregate.FleetAggregator`):
+fleet (via one :class:`~repro.hub.aggregate.FleetAggregator`, so one
+connection pool per replica whatever else is on):
 
 ========================  ====================================================
 ``GET  /health``          liveness + run/queue counts
@@ -13,7 +14,6 @@ fleet (via a :class:`~repro.hub.aggregate.FleetAggregator`):
 ``GET  /runs/<id>/events``live journal stream (Server-Sent Events)
 ``GET  /metrics``         the hub's own registry (``?format=prom`` for text)
 ``GET  /fleet/metrics``   aggregated fleet exposition (Prometheus text)
-``GET  /fleet/status``    structured fleet health (JSON, for ``--watch``)
 ``GET  /alerts``          active/ historical SLO alerts + rules (telemetry)
 ``GET  /alerts/events``   live alert-transition stream (Server-Sent Events)
 ``GET  /obs/targets``     telemetry store targets
@@ -25,7 +25,10 @@ The ``/alerts*`` and ``/obs/*`` rows exist only when the hub was started
 with ``telemetry=True`` — a :class:`~repro.hub.telemetry.TelemetryPipeline`
 scraping the fleet on an interval into a
 :class:`~repro.obs.timeseries.MetricsStore` under the run store
-(``<runs>/obs/`` by default) and evaluating SLO rules each tick.
+(``<runs>/obs/`` by default) and evaluating SLO rules each tick.  The
+pipeline's aggregator is then the hub's: ``/fleet/metrics`` scrapes
+through the same pools, and the pipeline's ``stop()`` closes them.  The
+live dashboard over those samples is ``repro fleet top --hub``.
 
 The SSE endpoint implements exact-resume: every event's ``id:`` is the
 byte offset just past its journal line, a reconnecting client sends
@@ -133,7 +136,6 @@ class HubServer(HttpServer):
                 ("POST", "/runs/<id>/cancel"): Route(self._post_cancel, post),
                 ("GET", "/runs/<id>/events"): Route(self._stream_events, get),
                 ("GET", "/fleet/metrics"): Route(self._get_fleet_metrics, get, True),
-                ("GET", "/fleet/status"): Route(self._get_fleet_status, get, True),
                 ("GET", "/alerts"): Route(self._get_alerts, get, True),
                 ("GET", "/alerts/events"): Route(self._stream_alerts, get),
                 ("GET", "/obs/targets"): Route(self._get_obs_targets, get, True),
@@ -146,12 +148,8 @@ class HubServer(HttpServer):
         )
         self.store = store if isinstance(store, RunStore) else RunStore(store)
         self.scheduler = RunScheduler(self.store, metrics=self.metrics)
-        self.aggregator = (
-            FleetAggregator(replica_urls, metrics=self.metrics)
-            if replica_urls
-            else None
-        )
         self.telemetry: Optional[TelemetryPipeline] = None
+        self.aggregator: Optional[FleetAggregator] = None
         if telemetry:
             self.telemetry = TelemetryPipeline(
                 replica_urls=replica_urls,
@@ -166,6 +164,9 @@ class HubServer(HttpServer):
                 hub_sampler=self._sample_scheduler,
                 run_source=self._running_run_journals,
             )
+            self.aggregator = self.telemetry.aggregator
+        elif replica_urls:
+            self.aggregator = FleetAggregator(replica_urls, metrics=self.metrics)
         self.sse_poll_interval_s = sse_poll_interval_s
         self.sse_keepalive_s = sse_keepalive_s
         self.reconcile_on_start = reconcile_on_start
@@ -204,8 +205,8 @@ class HubServer(HttpServer):
         self.drain(timeout_s=drain_timeout_s)
         self.scheduler.stop()
         if self.telemetry is not None:
-            self.telemetry.stop()
-        if self.aggregator is not None:
+            self.telemetry.stop()  # closes the aggregator it shares
+        elif self.aggregator is not None:
             self.aggregator.close()
         super().stop(drain_timeout_s=0.0)
 
@@ -263,9 +264,6 @@ class HubServer(HttpServer):
     def _get_fleet_metrics(self, request: Request) -> Reply:
         fleet = self._fleet()
         return text_reply(200, fleet.merge(fleet.scrape()))
-
-    def _get_fleet_status(self, request: Request) -> Dict:
-        return dict(self._fleet().status(), schema_version=HUB_SCHEMA_VERSION)
 
     # -- telemetry ---------------------------------------------------------------
     def _pipeline(self) -> TelemetryPipeline:

@@ -3,9 +3,10 @@
 One :class:`TelemetryPipeline` owns a background thread that, every
 ``interval_s``:
 
-1. **scrapes** every fleet replica's strict-parsed ``/metrics`` (its own
+1. **scrapes** every fleet replica's strict-parsed ``/metrics`` (its
    :class:`~repro.hub.aggregate.FleetAggregator` — pooled keep-alive
-   connections, parallel sweep);
+   connections, parallel sweep; a hub serves ``/fleet/metrics`` through
+   the same one);
 2. **appends** one sample per target to the
    :class:`~repro.obs.timeseries.MetricsStore`: each replica under
    ``replica:<host:port>`` (always carrying an explicit ``up`` 0/1

@@ -193,10 +193,6 @@ class ObjectiveNormalizer:
         self._low[finite] = np.minimum(self._low[finite], point[finite])
         self._high[finite] = np.maximum(self._high[finite], point[finite])
 
-    def observe_many(self, points: np.ndarray) -> None:
-        for point in np.asarray(points, dtype=float):
-            self.observe(point)
-
     def transform(self, objectives: Sequence[float]) -> np.ndarray:
         """Map into [0, 1] per the observed range; infinities clamp to 2.0."""
         point = np.asarray(objectives, dtype=float)

@@ -29,7 +29,7 @@ import pathlib
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -415,18 +415,7 @@ class JournalTracker(Tracker):
         self._emit(
             optimizer,
             "iteration_end",
-            {
-                "iteration": record.iteration,
-                "record": {
-                    "iteration": record.iteration,
-                    "time_s": record.time_s,
-                    "uul": to_jsonable(record.uul),
-                    "num_selected": record.num_selected,
-                    "num_feasible": record.num_feasible,
-                    "pareto_size": record.pareto_size,
-                    "best_scalar": to_jsonable(record.best_scalar),
-                },
-            },
+            {"iteration": record.iteration, "record": to_jsonable(record)},
         )
         completed = int(getattr(optimizer, "completed_iterations", 0))
         if self.checkpoint_every and completed % self.checkpoint_every == 0:
@@ -514,15 +503,10 @@ def replay_iteration_records(
     for event in scan.of_type("iteration_end"):
         payload = event.get("record") or {}
         try:
-            record = IterationRecord(
-                iteration=int(payload["iteration"]),
-                time_s=float(payload["time_s"]),
-                uul=float(payload["uul"]),
-                num_selected=int(payload["num_selected"]),
-                num_feasible=int(payload["num_feasible"]),
-                pareto_size=int(payload["pareto_size"]),
-                best_scalar=float(payload["best_scalar"]),
-            )
+            record = IterationRecord(**{
+                name: cast(payload[name])
+                for name, cast in get_type_hints(IterationRecord).items()
+            })
         except (KeyError, TypeError, ValueError) as error:
             raise TrackingError(
                 f"malformed iteration_end event (seq {event.get('seq')}): {error}"

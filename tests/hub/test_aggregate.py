@@ -200,23 +200,6 @@ class TestMergeAcceptance:
             aggregator.close()
 
 
-class TestStatus:
-    def test_status_rolls_up_headline_counters(
-        self, tiny_network, replicas, sample_hw
-    ):
-        drive_queries(tiny_network, replicas, sample_hw)
-        aggregator = FleetAggregator([s.url for s in replicas])
-        try:
-            status = aggregator.status()
-        finally:
-            aggregator.close()
-        assert status["up"] == 4 and status["total"] == 4
-        assert status["fleet"]["queries"] == len(MAPPINGS)
-        assert sum(
-            row["queries"] for row in status["replicas"]
-        ) == len(MAPPINGS)
-
-
 class TestSupervisorAcceptance:
     def test_four_replica_supervisor_fleet(self):
         """The same acceptance invariants against real replica processes

@@ -1,13 +1,21 @@
-"""Tests for the PR-9 CLI surface: bounded/live ``runs tail``, the hub
-subcommands and the fleet dashboard."""
+"""Tests for the CLI surface: bounded/live ``runs tail``, the hub
+subcommands, ``fleet status`` and the one live dashboard, ``fleet top``."""
 
 import json
+import threading
+import time
 
 import pytest
 
 from repro.cli import _render_live_event, main
-from repro.hub import HubServer
+from repro.costmodel import MaestroEngine
+from repro.costmodel.maestro import spatial_area_mm2
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
+from repro.hub import HubClient, HubServer
+from repro.mapping import GemmMapping
 from repro.tracking import RunStore, read_events
+
+MAPPINGS = [GemmMapping(4, 8, 4), GemmMapping(8, 8, 8), GemmMapping(16, 16, 8)]
 
 WORKLOAD = "fsrcnn_120x320"
 
@@ -125,10 +133,6 @@ class TestHubCommands:
         assert run_id in out
 
         # wait for completion, then follow over SSE via the CLI
-        import time
-
-        from repro.hub import HubClient
-
         with HubClient(hub.url) as client:
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
@@ -156,50 +160,172 @@ class TestHubCommands:
             main(["hub", "submit", hub.url, "unico", "not_a_network"])
 
 
+def drive_queries(network, servers, hw, mappings=MAPPINGS):
+    """Send every mapping to every replica (one engine per replica, so no
+    placement decides which replica sees traffic)."""
+    for server in servers:
+        with RemotePPAEngine(
+            network, server.url, area_fn=spatial_area_mm2, timeout_s=2.0
+        ) as engine:
+            engine.evaluate_layers(hw, [(m, "gemm") for m in mappings])
+
+
+def frames_of(out):
+    """The frames of a ``fleet top --no-clear`` session, in order."""
+    return ["fleet: " + frame for frame in out.split("fleet: ")[1:]]
+
+
+def replica_rows(frame):
+    """``{target: columns}`` of a frame's replica rows."""
+    return {
+        line.split()[0]: line.split()
+        for line in frame.splitlines()
+        if line.startswith("replica:")
+    }
+
+
+@pytest.fixture()
+def replicas(tiny_network):
+    servers = [
+        PPAServiceServer(MaestroEngine(tiny_network)) for _ in range(2)
+    ]
+    for server in servers:
+        server.start()
+    yield servers
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture()
+def telemetry_hub(tmp_path, replicas):
+    server = HubServer(
+        tmp_path / "telemetry-runs",
+        replica_urls=[s.url for s in replicas],
+        telemetry=True,
+        scrape_interval_s=0.05,
+    )
+    server.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while server.telemetry.status()["ticks"] < 2:
+            assert time.monotonic() < deadline, "no telemetry ticks"
+            time.sleep(0.02)
+        yield server
+    finally:
+        server.stop()
+
+
 class TestFleetDashboard:
     def test_dashboard_without_sources_errors(self, capsys):
-        assert main(["fleet", "status", "--watch"]) == 2
+        assert main(["fleet", "top"]) == 2
         assert "needs replica URLs or --hub" in capsys.readouterr().err
 
-    def test_one_shot_dashboard_via_hub(self, tiny_network, tmp_path,
-                                        capsys):
-        from repro.costmodel import MaestroEngine
-        from repro.costmodel.service import PPAServiceServer
+    def test_status_is_the_one_shot_health_check_only(self):
+        for argv in (["fleet", "status"],
+                     ["fleet", "status", "--watch"],
+                     ["fleet", "status", "--hub", "http://127.0.0.1:9"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
 
-        servers = [
-            PPAServiceServer(MaestroEngine(tiny_network)) for _ in range(2)
-        ]
-        for server in servers:
-            server.start()
+    def test_one_shot_dashboard_via_hub(self, telemetry_hub, replicas,
+                                        capsys):
+        assert main(
+            ["fleet", "top", "--hub", telemetry_hub.url,
+             "--iterations", "1", "--no-clear"]
+        ) == 0
+        (frame,) = frames_of(capsys.readouterr().out)
+        assert "2/2 replicas up" in frame
+        rows = replica_rows(frame)
+        for server in replicas:
+            assert rows[f"replica:{server.url.split('//')[1]}"][1] == "up"
+
+    def test_hub_mirror_copies_each_sample_once(self, telemetry_hub,
+                                                monkeypatch, capsys):
+        exports = []
+        original = HubClient.obs_export
+
+        def recording(client, target, after=0):
+            reply = original(client, target, after=after)
+            exports.append((target, after, reply))
+            return reply
+
+        monkeypatch.setattr(HubClient, "obs_export", recording)
+        assert main(
+            ["fleet", "top", "--hub", telemetry_hub.url,
+             "--interval", "0.3", "--iterations", "2", "--no-clear"]
+        ) == 0
+        first, second = frames_of(capsys.readouterr().out)
+        assert replica_rows(first).keys() == replica_rows(second).keys()
+        calls = {}
+        for target, after, reply in exports:
+            calls.setdefault(target, []).append((after, reply))
+        assert {"fleet", "hub"} <= calls.keys()
+        for target, ((after1, reply1), (after2, reply2)) in calls.items():
+            assert after1 == 0
+            assert after2 == reply1["cursor"]  # frame 2 starts past frame 1
+            assert reply2["samples"]
+            times = [s["t"] for s in reply1["samples"] + reply2["samples"]]
+            assert times == sorted(set(times))  # nothing mirrored twice
+
+    def test_hub_without_telemetry_exits_2(self, hub, capsys):
+        assert main(
+            ["fleet", "top", "--hub", hub.url, "--iterations", "1",
+             "--no-clear"]
+        ) == 2
+        assert "hub has no telemetry pipeline" in capsys.readouterr().err
+
+    def test_local_frames_show_rates_hit_rate_and_scrape(
+        self, tiny_network, replicas, sample_hw, capsys
+    ):
+        drive_queries(tiny_network, replicas, sample_hw)
+        stop = threading.Event()
+
+        def traffic():  # repeats: each query is also a replica cache hit
+            while not stop.is_set():
+                drive_queries(tiny_network, replicas, sample_hw)
+
+        sender = threading.Thread(target=traffic)
+        sender.start()
         try:
-            urls = [server.url for server in servers]
-            hub = HubServer(tmp_path / "runs", replica_urls=urls)
-            hub.start()
-            try:
-                assert main(["fleet", "status", "--hub", hub.url]) == 0
-            finally:
-                hub.stop()
-            out = capsys.readouterr().out
-            assert "2/2 replicas up" in out
-            for url in urls:
-                assert url.split("//")[1] in out
+            assert main(
+                ["fleet", "top", *[s.url for s in replicas],
+                 "--interval", "0.3", "--iterations", "2", "--no-clear"]
+            ) == 0
         finally:
-            for server in servers:
-                server.stop()
+            stop.set()
+            sender.join(timeout=30.0)
+        assert not sender.is_alive()
+        first, second = frames_of(capsys.readouterr().out)
+        assert "2/2 replicas up" in second and "cache hit rate" in second
+        assert "hit rate" in first and "scrape" in first
+        rows = replica_rows(second)
+        assert len(rows) == 2
+        for cols in rows.values():
+            state, evals_per_s, hit_rate, scrape = (
+                cols[1], cols[2], cols[-3], cols[-2]
+            )
+            assert state == "up"
+            assert float(evals_per_s) > 0.0, second
+            assert hit_rate.endswith("%") and float(hit_rate[:-1]) > 0.0
+            assert scrape.endswith("ms")
+
+    def test_stopped_replica_renders_down(self, replicas, capsys):
+        replicas[1].stop()
+        assert main(
+            ["fleet", "top", *[s.url for s in replicas], "--timeout", "0.5",
+             "--iterations", "1", "--no-clear"]
+        ) == 0
+        (frame,) = frames_of(capsys.readouterr().out)
+        assert "1/2 replicas up" in frame
+        rows = replica_rows(frame)
+        assert rows[f"replica:{replicas[0].url.split('//')[1]}"][1] == "up"
+        assert rows[f"replica:{replicas[1].url.split('//')[1]}"][1] == "DOWN"
 
     def test_one_shot_dashboard_exits_nonzero_on_down_replica(
-        self, tiny_network, capsys
+        self, replicas
     ):
-        from repro.costmodel import MaestroEngine
-        from repro.costmodel.service import PPAServiceServer
-
-        server = PPAServiceServer(MaestroEngine(tiny_network))
-        server.start()
-        try:
-            # without --watch/--hub the original per-URL health check
-            # still runs, and a down replica still fails the exit code
-            assert main(
-                ["fleet", "status", server.url, "http://127.0.0.1:9"]
-            ) == 1
-        finally:
-            server.stop()
+        # the per-URL health check: a down replica fails the exit code
+        assert main(
+            ["fleet", "status", replicas[0].url, "http://127.0.0.1:9"]
+        ) == 1

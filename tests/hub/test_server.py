@@ -104,7 +104,7 @@ class TestEndpoints:
     def test_fleet_endpoints_404_without_replicas(self, hub):
         _server, client = hub
         with pytest.raises(TrackingError, match="404"):
-            client.fleet_status()
+            client.fleet_metrics()
 
 
 def read_sse_frames(host, port, run_id, cursor=None, max_events=None):

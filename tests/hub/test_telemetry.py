@@ -229,6 +229,50 @@ class TestShutdownLeaks:
         pipeline.stop()
         assert_no_leaks(before_threads, before_fds)
 
+    def test_telemetry_hub_scrapes_through_one_aggregator(
+        self, replicas, tmp_path, monkeypatch
+    ):
+        """One pool per replica: ``/fleet/metrics`` and the scrape loop share
+        the pipeline's aggregator, and the hub's stop releases it."""
+        from repro.fleet.pool import ConnectionPool
+        from repro.hub import aggregate
+        from repro.obs.prom import parse_prometheus_text
+
+        pools = []
+
+        class CountedPool(ConnectionPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(aggregate, "ConnectionPool", CountedPool)
+        before_threads = set(threading.enumerate())
+        before_fds = open_fd_count()
+        server = HubServer(
+            tmp_path / "runs",
+            replica_urls=[s.url for s in replicas],
+            telemetry=True,
+            scrape_interval_s=0.05,
+        )
+        assert server.aggregator is server.telemetry.aggregator
+        assert len(pools) == len(replicas)
+        server.start()
+        client = HubClient(server.url)
+        try:
+            deadline = time.monotonic() + 5.0
+            while server.telemetry.status()["ticks"] < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            families = parse_prometheus_text(client.fleet_metrics())
+            assert "fleet:service_requests_total" in families
+            with pytest.raises(TrackingError, match="404"):
+                client._request("GET", "/fleet/status")
+        finally:
+            client.close()
+            server.stop()
+        assert len(pools) == len(replicas)
+        assert_no_leaks(before_threads, before_fds)
+
     def test_fleet_top_frames_leave_no_threads_or_fds(self, replicas):
         """Satellite: a bounded `repro fleet top` session cleans up."""
         from repro.cli import main

@@ -315,12 +315,20 @@ def _used_names(tree):
 
 
 def _public_names(tree):
-    """``__all__`` entries and public top-level functions and classes."""
+    """``__all__`` entries, public top-level functions and classes, and the
+    public ``def``s in top-level class bodies (as ``Class.name``)."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
                 names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names |= {
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                }
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
@@ -331,7 +339,8 @@ def _public_names(tree):
 def test_public_names_are_referenced():
     """A public name nothing uses is code kept alive by being public.  Used
     means a name or attribute in Python under ``REFERENCE_ROOTS``, or an
-    identifier in a document there; there is no allow-list."""
+    identifier in a document there; a method is used when its own name
+    is.  There is no allow-list."""
     repo = SRC_ROOT.parents[1]
     used = set()
     for root in REFERENCE_ROOTS:
@@ -344,6 +353,6 @@ def test_public_names_are_referenced():
         f"{module}.{name}"
         for module, path in _module_paths().items()
         for name in sorted(_public_names(ast.parse(path.read_text(encoding="utf-8"))))
-        if name not in used
+        if name.rpartition(".")[2] not in used
     ]
     assert not unused, f"public names nothing uses: {unused}"
