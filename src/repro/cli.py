@@ -12,14 +12,11 @@ Commands
 * ``fleet`` — run N sharded service replicas under one supervisor
   (``fleet serve``), health-check running replicas once (``fleet
   status``), or watch the one live dashboard — evals/s history, cache
-  hit rate, scrape latency and SLO alerts (``fleet top``, local scrape
-  loop or ``--hub`` mirror of a ``--telemetry`` hub).
+  hit rate and scrape latency (``fleet top``, scraping the replicas
+  itself or polling a hub's ``/fleet/metrics`` with ``--hub``).
 * ``hub`` — the control-plane service (``hub serve``): run lifecycle
   endpoints, live SSE journal streaming and fleet-wide metrics
-  aggregation (add ``--telemetry`` for the scrape loop + alert rules),
-  plus thin clients (``hub submit``/``runs``/``cancel``).
-* ``obs`` — query (``obs query``) or export (``obs export``) the
-  telemetry metrics store, locally or via a running hub.
+  aggregation, plus thin clients (``hub submit``/``runs``/``cancel``).
 * ``runs tail`` — a run's last journal events (bounded read), or a live
   typed feed with ``--follow`` (local polling or hub SSE via ``--hub``).
 * ``stats`` — query a running PPA service's ``GET /metrics`` endpoint and
@@ -642,11 +639,27 @@ def _sparkline(values: list, width: int = 32) -> str:
     )
 
 
-def _rate_history(points: list, limit: int = 32) -> list:
-    """Per-step counter rates from ``(t, value)`` points, under the store's
-    reset rule (:func:`~repro.obs.timeseries.counter_increase`)."""
-    from repro.obs.timeseries import counter_increase
+#: frames ``fleet top`` keeps: one more than the sparkline's 32 rate steps
+TOP_WINDOW = 33
 
+
+def counter_increase(points: list) -> float:
+    """Reset-aware counter increase over ordered ``(t, value)`` points.
+
+    Sums positive deltas only: a counter that falls (replica restart)
+    contributes its post-reset value as new growth instead of a negative
+    delta, as Prometheus ``increase()`` does.
+    """
+    total = 0.0
+    for (_t0, v0), (_t1, v1) in zip(points, points[1:]):
+        delta = v1 - v0
+        total += delta if delta >= 0.0 else v1
+    return total
+
+
+def _rate_history(points: list, limit: int = 32) -> list:
+    """Per-step counter rates from ``(t, value)`` points, under
+    :func:`counter_increase`'s reset rule."""
     return [
         counter_increase(step) / (step[1][0] - step[0][0])
         for step in zip(points, points[1:])
@@ -662,202 +675,127 @@ def _hit_rate(series: dict) -> str:
     return f"{series.get('engine_cache_hits_total', 0.0) / queries:.1%}"
 
 
-def _render_fleet_top(store, active_alerts: list) -> str:
-    """One frame of the ``repro fleet top`` dashboard from the store."""
-    lines = []
-    replicas = [t for t in store.targets() if t.startswith("replica:")]
-    fleet_latest = store.latest("fleet")
-    if fleet_latest is not None:
-        up = fleet_latest[1].get("replicas_up", 0.0)
-        total = fleet_latest[1].get("replicas_total", 0.0)
-        fleet_rates = _rate_history(
-            store.series("fleet", "engine_queries_total")
-        )
-        lines.append(
-            f"fleet: {up:g}/{total:g} replicas up   "
-            f"evals/s {fleet_rates[-1] if fleet_rates else 0.0:7.1f}  "
-            f"cache hit rate {_hit_rate(fleet_latest[1]):>6}  "
-            f"{_sparkline(fleet_rates)}"
-        )
-        lines.append("")
-    lines.append(
+def _split_fleet_text(text: str) -> tuple:
+    """A merged fleet exposition as ``(fleet, replicas)``.
+
+    ``fleet`` holds the ``fleet:*`` rollups under their base names;
+    ``replicas`` maps each replica, in ``up`` order, to its own series.
+    A series is summed over its labels other than ``replica``.
+    """
+    from repro.obs.prom import parse_prometheus_text
+
+    families = parse_prometheus_text(text)
+    up = families.get("up", {"samples": []})["samples"]
+    fleet: dict = {}
+    replicas = {labels["replica"]: {} for _name, labels, _value in up}
+    for data in families.values():
+        for name, labels, value in data["samples"]:
+            if name.startswith("fleet:"):
+                series, name = fleet, name[len("fleet:"):]
+            else:
+                series = replicas.setdefault(labels["replica"], {})
+            series[name] = series.get(name, 0.0) + value
+    return fleet, replicas
+
+
+def _query_points(history, replica: Optional[str] = None) -> list:
+    """``(t, engine_queries_total)`` over the window: the fleet rollup, or
+    one replica's; frames without the counter are skipped."""
+    points = []
+    for t, fleet, replicas in history:
+        series = fleet if replica is None else replicas.get(replica, {})
+        if "engine_queries_total" in series:
+            points.append((t, series["engine_queries_total"]))
+    return points
+
+
+def _render_fleet_top(history, scrape_s: dict) -> str:
+    """One frame of the ``repro fleet top`` dashboard from its window of
+    ``(t, fleet, replicas)`` scrapes; ``scrape_s`` is the latest one's
+    scrape time per replica."""
+    _t, fleet, replicas = history[-1]
+    up = sum(1 for series in replicas.values() if series.get("up") == 1.0)
+    fleet_rates = _rate_history(_query_points(history))
+    lines = [
+        f"fleet: {up}/{len(replicas)} replicas up   "
+        f"evals/s {fleet_rates[-1] if fleet_rates else 0.0:7.1f}  "
+        f"cache hit rate {_hit_rate(fleet):>6}  "
+        f"{_sparkline(fleet_rates)}",
+        "",
         f"{'replica':<24} {'state':<6} {'evals/s':>8}  "
-        f"{'history':<32} {'hit rate':>8} {'scrape':>8} {'errors':>7}"
-    )
-    for target in replicas:
-        latest = store.latest(target)
-        series = latest[1] if latest is not None else {}
-        if series.get("up", 0.0) < 1.0:
+        f"{'history':<32} {'hit rate':>8} {'scrape':>8} {'errors':>7}",
+    ]
+    for name, series in replicas.items():
+        target = f"replica:{name}"
+        if series.get("up") != 1.0:
             lines.append(f"{target:<24} {'DOWN':<6}")
             continue
-        rates = _rate_history(
-            store.series(target, "engine_queries_total")
-        )
+        rates = _rate_history(_query_points(history, name))
         lines.append(
             f"{target:<24} {'up':<6} "
             f"{rates[-1] if rates else 0.0:>8.1f}  "
             f"{_sparkline(rates):<32} "
             f"{_hit_rate(series):>8} "
-            f"{series.get('scrape_seconds', 0.0) * 1e3:>6.1f}ms "
+            f"{scrape_s[name] * 1e3:>6.1f}ms "
             f"{series.get('service_errors_total', 0.0):>7g}"
         )
-    runs = [t for t in store.targets() if t.startswith("run:")]
-    for target in runs:
-        latest = store.latest(target)
-        series = latest[1] if latest is not None else {}
-        hv_points = store.series(target, "search_hypervolume")
-        lines.append("")
-        lines.append(
-            f"{target}: iter {series.get('search_iteration', 0.0):g}  "
-            f"pareto {series.get('search_pareto_size', 0.0):g}  "
-            f"HV {series.get('search_hypervolume', 0.0):.4g}  "
-            f"{_sparkline([v for _t, v in hv_points])}"
-        )
-    lines.append("")
-    if active_alerts:
-        lines.append("alerts:")
-        for alert in active_alerts:
-            value = alert.get("value")
-            lines.append(
-                f"  {alert.get('state', '?'):<8} "
-                f"{alert.get('rule', '?'):<22} {alert.get('target', '?'):<24} "
-                f"{value if value is not None else '-'}"
-            )
-    else:
-        lines.append("alerts: none")
     return "\n".join(lines)
 
 
 def _cmd_fleet_top(args) -> int:
-    """Live fleet dashboard: local scrape loop or a hub's telemetry store."""
+    """Live fleet dashboard over an in-memory window of fleet scrapes."""
+    import collections
     import time as _time
 
     from repro.errors import TrackingError
-    from repro.obs.timeseries import MetricsStore
 
-    client = None
-    pipeline = None
     if args.hub:
         from repro.hub import HubClient
 
-        client = HubClient(args.hub, timeout_s=args.timeout)
-        # mirror the hub's store incrementally via byte cursors so the
-        # sparklines have history without re-downloading every frame
-        mirror = MetricsStore()
-        cursors: dict = {}
+        source = HubClient(args.hub, timeout_s=args.timeout)
 
-        def _frame() -> str:
-            for target in client.obs_targets()["targets"]:
-                reply = client.obs_export(
-                    target, after=cursors.get(target, 0)
-                )
-                for sample in reply["samples"]:
-                    mirror.append(target, sample["t"], sample["s"])
-                cursors[target] = reply["cursor"]
-            return _render_fleet_top(mirror, client.alerts()["active"])
+        def poll() -> tuple:
+            # the hub scrapes every replica in parallel behind one GET, so
+            # its round trip is each replica's scrape time
+            started = _time.perf_counter()
+            text = source.fleet_metrics()
+            elapsed = _time.perf_counter() - started
+            fleet, replicas = _split_fleet_text(text)
+            return fleet, replicas, dict.fromkeys(replicas, elapsed)
     else:
         if not args.urls:
             print("error: fleet top needs replica URLs or --hub",
                   file=sys.stderr)
             return 2
-        from repro.hub import TelemetryPipeline
+        from repro.hub import FleetAggregator
 
-        # in-memory store: the dashboard is ephemeral by design
-        pipeline = TelemetryPipeline(
-            replica_urls=args.urls,
-            store=None,
-            interval_s=args.interval,
-            scrape_timeout_s=args.timeout,
-        )
+        source = FleetAggregator(args.urls, timeout_s=args.timeout)
 
-        def _frame() -> str:
-            pipeline.tick()
-            return _render_fleet_top(
-                pipeline.store, pipeline.alerts.active()
-            )
+        def poll() -> tuple:
+            scrapes = source.scrape()
+            fleet, replicas = _split_fleet_text(source.merge(scrapes))
+            return fleet, replicas, {s.name: s.elapsed_s for s in scrapes}
 
-    iterations = 0
+    history: collections.deque = collections.deque(maxlen=TOP_WINDOW)
+    frames = 0
     try:
         while True:
-            text = _frame()
+            fleet, replicas, scrape_s = poll()
+            history.append((_time.monotonic(), fleet, replicas))
             if not args.no_clear:
                 sys.stdout.write("\x1b[2J\x1b[H")
-            print(text, flush=True)
-            iterations += 1
-            if args.iterations and iterations >= args.iterations:
+            print(_render_fleet_top(history, scrape_s), flush=True)
+            frames += 1
+            if args.iterations and frames >= args.iterations:
                 return 0
             _time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
-    except TrackingError as error:  # the hub refused, e.g. no telemetry
+    except TrackingError as error:  # the hub refused, e.g. no replicas
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        if client is not None:
-            client.close()
-        if pipeline is not None:
-            pipeline.stop()
-
-
-# ---------------------------------------------------------------------- obs
-def _obs_store(args):
-    from repro.obs.timeseries import MetricsStore
-
-    return MetricsStore(args.obs_dir)
-
-
-def _cmd_obs_targets(args) -> int:
-    if args.hub:
-        from repro.hub import HubClient
-
-        with HubClient(args.hub) as client:
-            targets = client.obs_targets()["targets"]
-    else:
-        targets = _obs_store(args).targets()
-    for target in targets:
-        print(target)
-    return 0
-
-
-def _cmd_obs_query(args) -> int:
-    if args.hub:
-        from repro.hub import HubClient
-
-        with HubClient(args.hub) as client:
-            reply = client.obs_query(
-                args.target, args.series, fn=args.query_fn,
-                window_s=args.window, q=args.q,
-            )
-        value = reply.get("value")
-    else:
-        value = _obs_store(args).query(
-            args.target, args.series, fn=args.query_fn,
-            window_s=args.window, q=args.q,
-        )
-    if value is None:
-        print(f"(series {args.series!r} never seen on {args.target!r})",
-              file=sys.stderr)
-        return 1
-    print(f"{value:g}")
-    return 0
-
-
-def _cmd_obs_export(args) -> int:
-    """Dump a target's raw samples as JSONL (incremental via --after)."""
-    if args.hub:
-        from repro.hub import HubClient
-
-        with HubClient(args.hub) as client:
-            reply = client.obs_export(args.target, after=args.after)
-        samples = [(s["t"], s["s"]) for s in reply["samples"]]
-        cursor = reply["cursor"]
-    else:
-        samples, scan = _obs_store(args).read_from(args.target, args.after)
-        cursor = scan.valid_bytes
-    for t, series in samples:
-        print(json.dumps({"t": t, "s": series}, sort_keys=True))
-    print(f"cursor: {cursor}", file=sys.stderr)
-    return 0
+        source.close()
 
 
 def _cmd_hub_serve(args) -> int:
@@ -868,21 +806,12 @@ def _cmd_hub_serve(args) -> int:
         replica_urls=args.replicas or None,
         host=args.host,
         port=args.port,
-        telemetry=args.telemetry,
-        scrape_interval_s=args.scrape_interval,
-        obs_dir=args.obs_dir,
     )
     server.start()
     stopped = server.install_signal_handlers()
     print(f"repro hub on {server.url} (runs dir {args.runs_dir})")
     if args.replicas:
         print(f"aggregating {len(args.replicas)} replicas at /fleet/metrics")
-    if args.telemetry:
-        print(
-            f"telemetry: scraping every {args.scrape_interval:g}s into "
-            f"{server.telemetry.store.root} (/alerts, /alerts/events, "
-            "/obs/query)"
-        )
     print("endpoints: /runs /runs/<id>/events (SSE) /metrics /health; "
           "Ctrl-C drains and stops.")
     stopped.wait()
@@ -1306,14 +1235,14 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_health.set_defaults(fn=_cmd_fleet_health)
     fleet_top = fleet_sub.add_parser(
         "top",
-        help="live fleet dashboard: evals/s history, cache hit rate, "
-             "scrape latency and alerts",
+        help="live fleet dashboard: evals/s history, cache hit rate "
+             "and scrape latency",
     )
     fleet_top.add_argument("urls", nargs="*")
     fleet_top.add_argument(
         "--hub", default=None, metavar="URL",
-        help="mirror a hub's telemetry store instead of scraping replicas "
-             "(the hub needs --telemetry)",
+        help="poll a hub's /fleet/metrics instead of scraping replicas "
+             "(the hub needs --replicas)",
     )
     fleet_top.add_argument("--timeout", type=float, default=5.0)
     fleet_top.add_argument(
@@ -1344,18 +1273,6 @@ def build_parser() -> argparse.ArgumentParser:
     hub_serve.add_argument(
         "--replicas", nargs="*", default=[], metavar="URL",
         help="PPA-service replica URLs to aggregate at /fleet/metrics",
-    )
-    hub_serve.add_argument(
-        "--telemetry", action="store_true",
-        help="run the scrape loop + SLO alerting (/alerts, /obs/*)",
-    )
-    hub_serve.add_argument(
-        "--scrape-interval", type=float, default=2.0,
-        help="telemetry scrape period in seconds",
-    )
-    hub_serve.add_argument(
-        "--obs-dir", default=None,
-        help="metrics-store directory (default: <runs-dir>/obs)",
     )
     hub_serve.set_defaults(fn=_cmd_hub_serve)
     hub_submit = hub_sub.add_parser(
@@ -1388,48 +1305,6 @@ def build_parser() -> argparse.ArgumentParser:
     hub_resume.add_argument("hub")
     hub_resume.add_argument("run_id")
     hub_resume.set_defaults(fn=_cmd_hub_resume)
-
-    obs_parser = sub.add_parser(
-        "obs", help="query or export the telemetry metrics store"
-    )
-    obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
-    obs_targets = obs_sub.add_parser(
-        "targets", help="list targets with recorded samples"
-    )
-    obs_query = obs_sub.add_parser(
-        "query", help="evaluate one windowed query over a series"
-    )
-    obs_query.add_argument("target", help="e.g. replica:127.0.0.1:9001, fleet")
-    obs_query.add_argument("series", help="e.g. engine_queries_total")
-    obs_query.add_argument(
-        # dest must not be "fn": that slot holds the subcommand handler
-        "--fn", dest="query_fn", default="last",
-        choices=("last", "avg", "max", "min", "rate", "increase", "quantile"),
-    )
-    obs_query.add_argument("--window", type=float, default=60.0,
-                           help="trailing window in seconds")
-    obs_query.add_argument("--q", type=float, default=None,
-                           help="quantile in [0,1] (fn=quantile)")
-    obs_export = obs_sub.add_parser(
-        "export", help="dump a target's raw samples as JSONL"
-    )
-    obs_export.add_argument("target")
-    obs_export.add_argument(
-        "--after", type=int, default=0,
-        help="byte cursor from a previous export (incremental)",
-    )
-    for obs_cmd in (obs_targets, obs_query, obs_export):
-        obs_cmd.add_argument(
-            "--obs-dir", default="runs/obs",
-            help="local metrics-store directory",
-        )
-        obs_cmd.add_argument(
-            "--hub", default=None, metavar="URL",
-            help="ask a running hub instead of reading a local store",
-        )
-    obs_targets.set_defaults(fn=_cmd_obs_targets)
-    obs_query.set_defaults(fn=_cmd_obs_query)
-    obs_export.set_defaults(fn=_cmd_obs_export)
 
     stats_parser = sub.add_parser(
         "stats", help="summarize a running PPA service's /metrics"

@@ -291,15 +291,15 @@ class Unico(CoOptimizer):
                 round_span.set_attribute("survivors", len(survivors))
                 active = survivors
 
-    # ------------------------------------------------------------ telemetry
+    # --------------------------------------------------------- search health
     def _search_health(self) -> dict:
         """The per-iteration ``search_health`` beacon payload.
 
         Hypervolume is measured against a reference point frozen at the
         first non-empty front, so the series is monotone non-decreasing
-        within a run and a flat window genuinely means "no progress" —
-        the signal the hub's ``hv_stall`` rule watches.  Only assembled
-        when a tracker is enabled; an untracked search pays nothing.
+        within a run and a flat window genuinely means "no progress".
+        Only assembled when a tracker is enabled; an untracked search
+        pays nothing.
         """
         points = self.pareto.points
         hv = 0.0

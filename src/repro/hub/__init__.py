@@ -12,20 +12,14 @@ observable system:
   client resumes exactly where it left off (``Last-Event-ID``);
 * :mod:`repro.hub.aggregate` — scrape every replica's Prometheus
   exposition, merge into one fleet view with ``replica=`` labels plus
-  ``fleet:*`` rollup series (one aggregator per hub, shared with the
-  telemetry loop when that is on);
+  ``fleet:*`` rollup series and an ``up`` sample per replica;
 * :mod:`repro.hub.scheduler` — a single-worker run scheduler over the
   :class:`~repro.tracking.RunStore` (submit/cancel/reconcile, resume of
   crash-interrupted runs);
 * :mod:`repro.hub.server` — the HTTP control plane tying them together
   (``POST /runs``, ``GET /runs/<id>/events`` SSE, ``GET /fleet/metrics``);
 * :mod:`repro.hub.client` — the pooled client behind
-  ``repro runs tail --follow`` and ``repro fleet top --hub``;
-* :mod:`repro.hub.telemetry` — the scrape loop: poll every replica's
-  ``/metrics`` on an interval into a crash-safe
-  :class:`~repro.obs.timeseries.MetricsStore`, evaluate SLO rules
-  (:mod:`repro.obs.alerts`) each tick, journal alert transitions for
-  ``GET /alerts`` + SSE and ``repro fleet top``.
+  ``repro runs tail --follow`` and ``repro fleet top --hub``.
 """
 
 from repro.hub.aggregate import FleetAggregator, ReplicaScrape
@@ -33,7 +27,6 @@ from repro.hub.client import HubClient, StreamedEvent
 from repro.hub.scheduler import RunScheduler
 from repro.hub.server import HubServer
 from repro.hub.sse import SSEEvent, format_sse_event, parse_sse_lines
-from repro.hub.telemetry import TelemetryPipeline, replica_target
 
 __all__ = [
     "FleetAggregator",
@@ -43,8 +36,6 @@ __all__ = [
     "RunScheduler",
     "SSEEvent",
     "StreamedEvent",
-    "TelemetryPipeline",
     "format_sse_event",
     "parse_sse_lines",
-    "replica_target",
 ]

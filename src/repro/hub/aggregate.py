@@ -20,7 +20,9 @@ into a single exposition:
 
 A replica that fails to answer, or answers with something the strict
 parser rejects, is reported down and excluded from the merge — a fleet
-view must not go dark because one replica is restarting.
+view must not go dark because one replica is restarting.  Every replica
+tried gets one Prometheus-convention ``up{replica="host:port"}`` gauge
+sample, 1 or 0, so a reader of the exposition sees the down ones too.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ class FleetAggregator:
 
     # -- merging ----------------------------------------------------------------
     def merge(self, scrapes: List[ReplicaScrape]) -> str:
-        """One exposition: per-replica labeled series + ``fleet:*`` rollups.
+        """One exposition: per-replica labeled series, ``fleet:*`` rollups
+        and an ``up`` sample for every scrape in ``scrapes``.
 
         The output passes :func:`~repro.obs.prom.parse_prometheus_text`
         by construction; families appear in sorted-name order so repeated
@@ -180,6 +183,11 @@ class FleetAggregator:
             rollup = self._rollup(family, family_type, contributors)
             if rollup is not None:
                 blocks[f"fleet:{family}"] = rollup
+        if scrapes:
+            blocks["up"] = ["# TYPE up gauge"] + [
+                _sample_line("up", {"replica": scrape.name}, float(scrape.ok))
+                for scrape in scrapes
+            ]
         ordered: List[str] = []
         for family in sorted(blocks):
             ordered.extend(blocks[family])

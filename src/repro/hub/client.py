@@ -23,7 +23,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException
 from typing import Dict, Iterator, Optional
-from urllib.parse import quote, urlsplit
+from urllib.parse import urlsplit
 
 from repro.errors import TrackingError, TransportError
 from repro.fleet.pool import ConnectionPool
@@ -101,9 +101,14 @@ class HubClient:
 
     def _request_text(self, path: str) -> str:
         response = self._exchange("GET", path, None)
+        text = response.body.decode("utf-8", "replace")
         if response.status >= 400:
-            raise TrackingError(f"hub rejected {path} ({response.status})")
-        return response.body.decode("utf-8")
+            reply = _maybe_json(text) or {}
+            raise TrackingError(
+                f"hub rejected {path} ({response.status}): "
+                f"{reply.get('error', text)}"
+            )
+        return text
 
     def health(self) -> Dict:
         return self._request("GET", "/health")
@@ -128,61 +133,6 @@ class HubClient:
 
     def fleet_metrics(self) -> str:
         return self._request_text("/fleet/metrics")
-
-    # -- telemetry --------------------------------------------------------------
-    def alerts(self) -> Dict:
-        """Active + historical SLO alerts and the rules in force."""
-        return self._request("GET", "/alerts")
-
-    def obs_targets(self) -> Dict:
-        return self._request("GET", "/obs/targets")
-
-    def obs_query(
-        self,
-        target: str,
-        series: str,
-        fn: str = "last",
-        window_s: float = 60.0,
-        q: Optional[float] = None,
-    ) -> Dict:
-        """One windowed query against the hub's telemetry store."""
-        path = (
-            f"/obs/query?target={quote(target, safe='')}"
-            f"&series={quote(series, safe='')}"
-            f"&fn={quote(fn, safe='')}&window_s={window_s}"
-        )
-        if q is not None:
-            path += f"&q={q}"
-        return self._request("GET", path)
-
-    def obs_export(self, target: str, after: int = 0) -> Dict:
-        """Raw samples of one target past a byte cursor (incremental)."""
-        return self._request(
-            "GET",
-            f"/obs/export?target={quote(target, safe='')}&after={after}",
-        )
-
-    def stream_alerts(
-        self,
-        last_event_id: Optional[int] = None,
-        stream_timeout_s: Optional[float] = None,
-    ) -> Iterator[StreamedEvent]:
-        """Yield alert transitions live over one SSE connection.
-
-        Ends when the hub drains (it closes the stream); each event's
-        ``offset`` is the alert journal's byte cursor, so a caller can
-        resume a new stream exactly where this one stopped.
-        """
-        with closing(
-            self._sse("/alerts/events", last_event_id, stream_timeout_s)
-        ) as frames:
-            for sse in frames:
-                yield StreamedEvent(
-                    raw=sse.data,
-                    offset=int(sse.event_id) if sse.event_id is not None else None,
-                    type=sse.event,
-                    event=_maybe_json(sse.data),
-                )
 
     # -- SSE --------------------------------------------------------------------
     def _sse(

@@ -3,7 +3,7 @@
 One :class:`HubServer` fronts a :class:`~repro.tracking.RunStore` (via a
 :class:`~repro.hub.scheduler.RunScheduler`) and, optionally, a replica
 fleet (via one :class:`~repro.hub.aggregate.FleetAggregator`, so one
-connection pool per replica whatever else is on):
+connection pool per replica):
 
 ========================  ====================================================
 ``GET  /health``          liveness + run/queue counts
@@ -14,21 +14,11 @@ connection pool per replica whatever else is on):
 ``GET  /runs/<id>/events``live journal stream (Server-Sent Events)
 ``GET  /metrics``         the hub's own registry (``?format=prom`` for text)
 ``GET  /fleet/metrics``   aggregated fleet exposition (Prometheus text)
-``GET  /alerts``          active/ historical SLO alerts + rules (telemetry)
-``GET  /alerts/events``   live alert-transition stream (Server-Sent Events)
-``GET  /obs/targets``     telemetry store targets
-``GET  /obs/query``       windowed query over one series (rate/quantile/...)
-``GET  /obs/export``      raw samples of one target past a byte cursor
 ========================  ====================================================
 
-The ``/alerts*`` and ``/obs/*`` rows exist only when the hub was started
-with ``telemetry=True`` — a :class:`~repro.hub.telemetry.TelemetryPipeline`
-scraping the fleet on an interval into a
-:class:`~repro.obs.timeseries.MetricsStore` under the run store
-(``<runs>/obs/`` by default) and evaluating SLO rules each tick.  The
-pipeline's aggregator is then the hub's: ``/fleet/metrics`` scrapes
-through the same pools, and the pipeline's ``stop()`` closes them.  The
-live dashboard over those samples is ``repro fleet top --hub``.
+``/fleet/metrics`` scrapes every replica when it is asked, and carries an
+``up{replica="..."}`` sample (1 or 0) for each; ``repro fleet top --hub``
+polls it.  The hub keeps no metrics history of its own.
 
 The SSE endpoint implements exact-resume: every event's ``id:`` is the
 byte offset just past its journal line, a reconnecting client sends
@@ -63,8 +53,6 @@ from repro.hub.sse import (
     format_sse_event,
     journal_events_since,
 )
-from repro.hub.telemetry import TelemetryPipeline
-from repro.obs.alerts import Rule
 from repro.tracking.store import RunStore
 from repro.utils.httpcore import (
     HttpServer,
@@ -88,18 +76,12 @@ _LIST_KEYS = (
 )
 
 
-def _cast(name: str, raw: str, cast: Callable):
+def _int(name: str, raw: str) -> int:
+    """``raw`` as a byte cursor; a value that is not one is a 400."""
     try:
-        return cast(raw)
+        return int(raw)
     except ValueError:
         raise ConfigurationError(f"bad {name} {raw!r}") from None
-
-
-def _arg(request: Request, name: str, cast: Callable = str, default=None):
-    """Last value of query parameter ``name`` through ``cast`` (a value it
-    refuses is the caller's mistake: 400), ``default`` when absent."""
-    values = request.query.get(name)
-    return _cast(f"{name}=", values[-1], cast) if values else default
 
 
 class HubServer(HttpServer):
@@ -115,13 +97,9 @@ class HubServer(HttpServer):
         sse_poll_interval_s: float = 0.05,
         sse_keepalive_s: float = 15.0,
         reconcile_on_start: bool = True,
-        telemetry: bool = False,
-        scrape_interval_s: float = 2.0,
-        obs_dir: Optional[Union[str, pathlib.Path]] = None,
-        alert_rules: Optional[List[Rule]] = None,
     ):
-        # what a raised exception answers with: an unknown run (or absent
-        # telemetry) is a 404 to a reader, a 409 to a lifecycle command
+        # what a raised exception answers with: an unknown run (or an
+        # absent fleet) is a 404 to a reader, a 409 to a lifecycle command
         get = ((TrackingError, 404), (ConfigurationError, 400))
         post = ((ConfigurationError, 400), (TrackingError, 409))
         super().__init__(
@@ -136,11 +114,6 @@ class HubServer(HttpServer):
                 ("POST", "/runs/<id>/cancel"): Route(self._post_cancel, post),
                 ("GET", "/runs/<id>/events"): Route(self._stream_events, get),
                 ("GET", "/fleet/metrics"): Route(self._get_fleet_metrics, get, True),
-                ("GET", "/alerts"): Route(self._get_alerts, get, True),
-                ("GET", "/alerts/events"): Route(self._stream_alerts, get),
-                ("GET", "/obs/targets"): Route(self._get_obs_targets, get, True),
-                ("GET", "/obs/query"): Route(self._get_obs_query, get, True),
-                ("GET", "/obs/export"): Route(self._get_obs_export, get, True),
             },
             metrics if metrics is not None else MetricsRegistry(),
             prefix="hub",
@@ -148,55 +121,20 @@ class HubServer(HttpServer):
         )
         self.store = store if isinstance(store, RunStore) else RunStore(store)
         self.scheduler = RunScheduler(self.store, metrics=self.metrics)
-        self.telemetry: Optional[TelemetryPipeline] = None
-        self.aggregator: Optional[FleetAggregator] = None
-        if telemetry:
-            self.telemetry = TelemetryPipeline(
-                replica_urls=replica_urls,
-                store=(
-                    pathlib.Path(obs_dir)
-                    if obs_dir is not None
-                    else self.store.root / "obs"
-                ),
-                rules=alert_rules,
-                interval_s=scrape_interval_s,
-                metrics=self.metrics,
-                hub_sampler=self._sample_scheduler,
-                run_source=self._running_run_journals,
-            )
-            self.aggregator = self.telemetry.aggregator
-        elif replica_urls:
-            self.aggregator = FleetAggregator(replica_urls, metrics=self.metrics)
+        self.aggregator: Optional[FleetAggregator] = (
+            FleetAggregator(replica_urls, metrics=self.metrics)
+            if replica_urls
+            else None
+        )
         self.sse_poll_interval_s = sse_poll_interval_s
         self.sse_keepalive_s = sse_keepalive_s
         self.reconcile_on_start = reconcile_on_start
-
-    # -- telemetry taps ----------------------------------------------------------
-    def _sample_scheduler(self) -> Dict[str, float]:
-        """The hub's own per-tick gauges for the telemetry ``hub`` target."""
-        state = self.scheduler.state()
-        return {
-            "hub_queue_depth": float(len(state["queued"])),
-            "hub_running": 1.0 if state["running"] else 0.0,
-        }
-
-    def _running_run_journals(self):
-        """``(run_id, journal_path)`` of the currently running run, if any."""
-        run_id = self.scheduler.state()["running"]
-        if not run_id:
-            return []
-        try:
-            return [(run_id, self.store.get(run_id).journal_path)]
-        except TrackingError:
-            return []
 
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> "HubServer":
         if self.reconcile_on_start:
             self.scheduler.reconcile()
         self.scheduler.start()
-        if self.telemetry is not None:
-            self.telemetry.start()
         return super().start()
 
     def stop(self, drain_timeout_s: float = 5.0) -> None:
@@ -204,9 +142,7 @@ class HubServer(HttpServer):
         self.begin_drain()
         self.drain(timeout_s=drain_timeout_s)
         self.scheduler.stop()
-        if self.telemetry is not None:
-            self.telemetry.stop()  # closes the aggregator it shares
-        elif self.aggregator is not None:
+        if self.aggregator is not None:
             self.aggregator.close()
         super().stop(drain_timeout_s=0.0)
 
@@ -265,90 +201,17 @@ class HubServer(HttpServer):
         fleet = self._fleet()
         return text_reply(200, fleet.merge(fleet.scrape()))
 
-    # -- telemetry ---------------------------------------------------------------
-    def _pipeline(self) -> TelemetryPipeline:
-        if self.telemetry is None:
-            raise TrackingError(
-                "hub has no telemetry pipeline (start with telemetry enabled)"
-            )
-        return self.telemetry
-
-    def _get_alerts(self, request: Request) -> Dict:
-        return dict(self._pipeline().status(), schema_version=HUB_SCHEMA_VERSION)
-
-    def _get_obs_targets(self, request: Request) -> Dict:
-        return {
-            "schema_version": HUB_SCHEMA_VERSION,
-            "targets": self._pipeline().store.targets(),
-        }
-
-    def _get_obs_query(self, request: Request) -> Dict:
-        pipeline = self._pipeline()
-        target, series = _arg(request, "target"), _arg(request, "series")
-        if not target or not series:
-            raise ConfigurationError("query needs target= and series=")
-        fn = _arg(request, "fn") or "last"
-        window_s = _arg(request, "window_s", float, 60.0)
-        try:
-            value = pipeline.store.query(
-                target, series, fn=fn, window_s=window_s,
-                q=_arg(request, "q", float),
-            )
-        except TrackingError as error:
-            # a bad fn / window is the caller's mistake, not a missing
-            # resource — don't let the route's 404 eat it
-            raise ConfigurationError(str(error)) from error
-        return {
-            "schema_version": HUB_SCHEMA_VERSION,
-            "target": target,
-            "series": series,
-            "fn": fn,
-            "window_s": window_s,
-            "value": value,
-        }
-
-    def _get_obs_export(self, request: Request) -> Dict:
-        pipeline = self._pipeline()
-        target = _arg(request, "target")
-        if not target:
-            raise ConfigurationError("export needs target=")
-        samples, scan = pipeline.store.read_from(
-            target, _arg(request, "after", int, 0)
-        )
-        return {
-            "schema_version": HUB_SCHEMA_VERSION,
-            "target": target,
-            "samples": [{"t": t, "s": series} for t, series in samples],
-            "cursor": scan.valid_bytes,
-            "truncated_tail": scan.truncated_tail,
-        }
-
     # -- SSE ----------------------------------------------------------------------
     @staticmethod
     def _resume_cursor(request: Request) -> Optional[int]:
         """The byte cursor a stream resumes from (``Last-Event-ID`` header
         or ``?after=``, the larger); ``None`` for a stream from the start."""
-        cursor = _arg(request, "after", int)
+        after = request.query.get("after")
+        cursor = _int("after=", after[-1]) if after else None
         last_id = request.headers.get("last-event-id")
         if last_id is not None:
-            cursor = max(cursor or 0, _cast("Last-Event-ID", last_id, int))
+            cursor = max(cursor or 0, _int("Last-Event-ID", last_id))
         return cursor
-
-    def _stream_alerts(self, request: Request) -> Reply:
-        journal = self._pipeline().alerts_journal_path
-        if journal is None:
-            raise TrackingError(
-                "telemetry store is memory-only; no alert journal to stream"
-            )
-        cursor = self._resume_cursor(request)
-        self.metrics.counter("hub_sse_streams_total").inc()
-        # no terminal status here — the alert journal outlives every run —
-        # so only the drain flag ends the stream
-        return stream_reply(
-            lambda write: self._pump_journal(
-                write, journal, cursor or 0, "alert", None
-            )
-        )
 
     def _stream_events(self, request: Request) -> Reply:
         run = self.store.get(request.params["id"])
@@ -365,7 +228,7 @@ class HubServer(HttpServer):
 
         return stream_reply(
             lambda write: self._pump_journal(
-                write, run.journal_path, cursor or 0, "event", status
+                write, run.journal_path, cursor or 0, status
             )
         )
 
@@ -374,8 +237,7 @@ class HubServer(HttpServer):
         write: Callable[[bytes], object],
         journal: pathlib.Path,
         cursor: int,
-        default_event: str,
-        status: Optional[Callable[[], Optional[str]]],
+        status: Callable[[], Optional[str]],
     ) -> None:
         """Stream a journal's lines past ``cursor`` as SSE frames.
 
@@ -394,7 +256,7 @@ class HubServer(HttpServer):
                     format_sse_event(
                         line.decode("utf-8"),
                         event_id=end,
-                        event=str(event.get("type", default_event)),
+                        event=str(event.get("type", "event")),
                     )
                     for line, end, event in lines
                 ]
@@ -417,8 +279,7 @@ class HubServer(HttpServer):
             if self.draining:
                 write(format_sse_comment("hub draining"))
                 return
-            if status is not None:
-                terminal_seen = status() in TERMINAL_STATUSES
+            terminal_seen = status() in TERMINAL_STATUSES
             if not frames:
                 if time.monotonic() - last_activity >= self.sse_keepalive_s:
                     write(format_sse_comment())

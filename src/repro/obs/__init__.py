@@ -13,13 +13,8 @@ the time went*:
   ``repro runs profile``.
 * :mod:`repro.obs.prom` — Prometheus text exposition and its validating
   parser, behind ``GET /metrics?format=prom`` and ``repro stats --prom``.
-* :mod:`repro.obs.timeseries` — append-only crash-safe metrics journal
-  per scrape target with windowed queries (``rate``/``increase``/
-  quantile-from-histogram), behind the hub's scrape loop.
-* :mod:`repro.obs.alerts` — declarative SLO rules with ``for:`` holds
-  and hysteresis, evaluated each scrape tick over the store.
 
 Import from the submodule that defines a name (``from repro.obs.trace
 import Tracer``): the package itself imports none of them, so the engine's
-``NULL_TRACER`` does not load the alerting and time-series code with it.
+``NULL_TRACER`` does not load the Prometheus or profiling code with it.
 """

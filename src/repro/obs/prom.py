@@ -76,15 +76,6 @@ METRIC_HELP: Dict[str, str] = {
     "hub_fleet_scrape_seconds": "Wall time of full fleet scrape+merge sweeps.",
     "hub_fleet_merge_conflicts_total":
         "Histogram families skipped from fleet rollups (bucket mismatch).",
-    "hub_telemetry_ticks_total": "Telemetry scrape-loop ticks completed.",
-    "hub_telemetry_tick_errors_total":
-        "Telemetry ticks that raised and were skipped.",
-    "hub_telemetry_tick_seconds":
-        "Wall time of telemetry scrape+append+rule-evaluation ticks.",
-    "hub_telemetry_samples_total":
-        "Samples appended to the telemetry metrics store.",
-    "hub_alerts_fired_total": "SLO alerts that transitioned to firing.",
-    "hub_alerts_resolved_total": "SLO alerts that resolved after firing.",
 }
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")

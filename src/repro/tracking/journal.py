@@ -16,7 +16,7 @@ Crash safety comes from two properties:
   :meth:`EventJournal.append_many` / :meth:`EventJournal.append_framed`
   call reach the file in a single
   ``os.write`` on an ``O_APPEND`` descriptor (:class:`AppendLog`, the one
-  write path of this journal and of the metrics store), so concurrent
+  write path of this journal), so concurrent
   writers interleave whole calls and a crash can only tear the final
   line written, never corrupt earlier ones.  Lines are atomic; a *group*
   is not — a torn group keeps the whole lines before the cut.
@@ -75,11 +75,8 @@ EVENT_TYPES = (
     "engine_sample",
     "learned_model",
     # additive: per-iteration search-health beacon (hypervolume, front
-    # size, screening escalations) consumed by the hub's telemetry
-    # pipeline, and alert firing/resolution transitions journalled by
-    # the SLO rule engine.  Same forward-compat argument as above.
+    # size, screening escalations).  Same forward-compat argument as above.
     "search_health",
-    "alert",
 )
 
 
@@ -106,13 +103,12 @@ class JournalScan:
 
 
 class AppendLog:
-    """Whole-line appends to one file: the write side of every JSONL store.
+    """Whole-line appends to one file: the write side of :class:`EventJournal`.
 
-    :class:`EventJournal` and :class:`~repro.obs.timeseries.MetricsStore`
-    both sit on it.  The file is opened lazily with ``O_APPEND | O_CREAT``;
-    a file that already holds bytes is scanned once and cut back to the end
-    of its last complete line first, so the next write cannot weld onto a
-    crash-partial tail.  Each :meth:`write` is one ``os.write`` (checked
+    The file is opened lazily with ``O_APPEND | O_CREAT``; a file that
+    already holds bytes is scanned once and cut back to the end of its last
+    complete line first, so the next write cannot weld onto a crash-partial
+    tail.  Each :meth:`write` is one ``os.write`` (checked
     for a short write, followed by ``fsync`` when asked).  Not thread-safe:
     the owner serialises writers under its own lock.
     """
@@ -291,8 +287,8 @@ def scan_bytes(raw: bytes, base_offset: int) -> JournalScan:
     """Parse journal bytes that start at ``base_offset`` on a line boundary.
 
     The one scanner under every reader of a line-appended JSONL file —
-    :func:`read_events`, :func:`read_events_from`, :func:`read_tail_events`,
-    the metrics store and the hub's SSE pump: stops at the first malformed
+    :func:`read_events`, :func:`read_events_from`, :func:`read_tail_events`
+    and the hub's SSE pump: stops at the first malformed
     or unterminated line and reports it as a truncated tail.
     """
     scan = JournalScan(start_offset=base_offset, valid_bytes=base_offset)

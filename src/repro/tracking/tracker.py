@@ -129,9 +129,9 @@ class Tracker:
     def on_search_health(self, optimizer, iteration: int, health: Dict) -> None:
         """Per-iteration search-health beacon (HV, front size, screening).
 
-        ``health`` is a plain JSON-ready dict assembled by the optimizer
-        — the hub's telemetry pipeline tails these events to detect
-        hypervolume stalls and screening drift without replaying the run.
+        ``health`` is a plain JSON-ready dict assembled by the optimizer,
+        so a reader of the journal sees hypervolume progress and screening
+        drift without replaying the run.
         """
 
     def on_run_end(self, optimizer, result) -> None:

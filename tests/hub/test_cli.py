@@ -7,13 +7,19 @@ import time
 
 import pytest
 
-from repro.cli import _render_live_event, main
+from repro.cli import (
+    _render_live_event,
+    _split_fleet_text,
+    counter_increase,
+    main,
+)
 from repro.costmodel import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.hub import HubClient, HubServer
 from repro.mapping import GemmMapping
 from repro.tracking import RunStore, read_events
+from tests.hub.test_server import assert_no_leaks, open_fd_count
 
 MAPPINGS = [GemmMapping(4, 8, 4), GemmMapping(8, 8, 8), GemmMapping(16, 16, 8)]
 
@@ -197,22 +203,97 @@ def replicas(tiny_network):
 
 
 @pytest.fixture()
-def telemetry_hub(tmp_path, replicas):
+def fleet_hub(tmp_path, replicas):
     server = HubServer(
-        tmp_path / "telemetry-runs",
-        replica_urls=[s.url for s in replicas],
-        telemetry=True,
-        scrape_interval_s=0.05,
+        tmp_path / "fleet-runs", replica_urls=[s.url for s in replicas]
     )
     server.start()
     try:
-        deadline = time.monotonic() + 10.0
-        while server.telemetry.status()["ticks"] < 2:
-            assert time.monotonic() < deadline, "no telemetry ticks"
-            time.sleep(0.02)
         yield server
     finally:
         server.stop()
+
+
+def frames_under_traffic(tiny_network, replicas, sample_hw, source):
+    """Two ``fleet top`` frames of ``source`` (replica URLs or ``--hub``
+    and a URL) while every replica serves queries."""
+    drive_queries(tiny_network, replicas, sample_hw)
+    stop = threading.Event()
+
+    def traffic():  # repeats: each query is also a replica cache hit
+        while not stop.is_set():
+            drive_queries(tiny_network, replicas, sample_hw)
+
+    sender = threading.Thread(target=traffic)
+    sender.start()
+    try:
+        assert main(
+            ["fleet", "top", *source,
+             "--interval", "0.3", "--iterations", "2", "--no-clear"]
+        ) == 0
+    finally:
+        stop.set()
+        sender.join(timeout=30.0)
+    assert not sender.is_alive()
+
+
+def assert_rates_hit_rate_and_scrape(out):
+    first, second = frames_of(out)
+    assert "2/2 replicas up" in second and "cache hit rate" in second
+    assert "hit rate" in first and "scrape" in first
+    rows = replica_rows(second)
+    assert len(rows) == 2
+    for cols in rows.values():
+        state, evals_per_s, hit_rate, scrape = (
+            cols[1], cols[2], cols[-3], cols[-2]
+        )
+        assert state == "up"
+        assert float(evals_per_s) > 0.0, second
+        assert hit_rate.endswith("%") and float(hit_rate[:-1]) > 0.0
+        assert scrape.endswith("ms")
+
+
+def assert_second_replica_down(frame, replicas):
+    assert "1/2 replicas up" in frame
+    rows = replica_rows(frame)
+    assert rows[f"replica:{replicas[0].url.split('//')[1]}"][1] == "up"
+    assert rows[f"replica:{replicas[1].url.split('//')[1]}"][1] == "DOWN"
+
+
+class TestSplitFleetText:
+    def test_merged_exposition_splits_into_fleet_and_replicas(self):
+        fleet, replicas = _split_fleet_text(
+            "# TYPE engine_queries_total counter\n"
+            'engine_queries_total{replica="a:1"} 4\n'
+            "# TYPE fleet:engine_queries_total counter\n"
+            "fleet:engine_queries_total 4\n"
+            "# TYPE service_requests_total counter\n"
+            'service_requests_total{path="/health",replica="a:1"} 2\n'
+            'service_requests_total{path="/metrics",replica="a:1"} 3\n'
+            "# TYPE up gauge\n"
+            'up{replica="a:1"} 1\n'
+            'up{replica="b:2"} 0\n'
+        )
+        assert fleet == {"engine_queries_total": 4.0}
+        assert list(replicas) == ["a:1", "b:2"]  # in ``up`` order
+        assert replicas["a:1"] == {
+            "engine_queries_total": 4.0,
+            "service_requests_total": 5.0,  # summed over ``path``
+            "up": 1.0,
+        }
+        assert replicas["b:2"] == {"up": 0.0}
+
+
+class TestCounterIncrease:
+    def test_monotone(self):
+        assert counter_increase([(0, 1.0), (1, 4.0), (2, 9.0)]) == 8.0
+
+    def test_reset_counts_post_restart_value(self):
+        # 10 -> 2 is a restart: the 2 is new growth, not a -8 delta
+        assert counter_increase([(0, 10.0), (1, 2.0), (2, 5.0)]) == 5.0
+
+    def test_single_point_is_zero(self):
+        assert counter_increase([(0, 10.0)]) == 0.0
 
 
 class TestFleetDashboard:
@@ -228,10 +309,9 @@ class TestFleetDashboard:
                 main(argv)
             assert exit_info.value.code == 2
 
-    def test_one_shot_dashboard_via_hub(self, telemetry_hub, replicas,
-                                        capsys):
+    def test_one_shot_dashboard_via_hub(self, fleet_hub, replicas, capsys):
         assert main(
-            ["fleet", "top", "--hub", telemetry_hub.url,
+            ["fleet", "top", "--hub", fleet_hub.url,
              "--iterations", "1", "--no-clear"]
         ) == 0
         (frame,) = frames_of(capsys.readouterr().out)
@@ -240,75 +320,40 @@ class TestFleetDashboard:
         for server in replicas:
             assert rows[f"replica:{server.url.split('//')[1]}"][1] == "up"
 
-    def test_hub_mirror_copies_each_sample_once(self, telemetry_hub,
-                                                monkeypatch, capsys):
-        exports = []
-        original = HubClient.obs_export
+    def test_hub_frames_show_rates_hit_rate_and_scrape(
+        self, tiny_network, replicas, sample_hw, fleet_hub, capsys
+    ):
+        frames_under_traffic(
+            tiny_network, replicas, sample_hw, ["--hub", fleet_hub.url]
+        )
+        assert_rates_hit_rate_and_scrape(capsys.readouterr().out)
 
-        def recording(client, target, after=0):
-            reply = original(client, target, after=after)
-            exports.append((target, after, reply))
-            return reply
-
-        monkeypatch.setattr(HubClient, "obs_export", recording)
-        assert main(
-            ["fleet", "top", "--hub", telemetry_hub.url,
-             "--interval", "0.3", "--iterations", "2", "--no-clear"]
-        ) == 0
-        first, second = frames_of(capsys.readouterr().out)
-        assert replica_rows(first).keys() == replica_rows(second).keys()
-        calls = {}
-        for target, after, reply in exports:
-            calls.setdefault(target, []).append((after, reply))
-        assert {"fleet", "hub"} <= calls.keys()
-        for target, ((after1, reply1), (after2, reply2)) in calls.items():
-            assert after1 == 0
-            assert after2 == reply1["cursor"]  # frame 2 starts past frame 1
-            assert reply2["samples"]
-            times = [s["t"] for s in reply1["samples"] + reply2["samples"]]
-            assert times == sorted(set(times))  # nothing mirrored twice
-
-    def test_hub_without_telemetry_exits_2(self, hub, capsys):
+    def test_hub_without_replicas_exits_2(self, hub, capsys):
         assert main(
             ["fleet", "top", "--hub", hub.url, "--iterations", "1",
              "--no-clear"]
         ) == 2
-        assert "hub has no telemetry pipeline" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "(404)" in err and "hub has no fleet configured" in err
+
+    def test_stopped_replica_renders_down_via_hub(
+        self, fleet_hub, replicas, capsys
+    ):
+        replicas[1].stop()
+        assert main(
+            ["fleet", "top", "--hub", fleet_hub.url,
+             "--iterations", "1", "--no-clear"]
+        ) == 0
+        (frame,) = frames_of(capsys.readouterr().out)
+        assert_second_replica_down(frame, replicas)
 
     def test_local_frames_show_rates_hit_rate_and_scrape(
         self, tiny_network, replicas, sample_hw, capsys
     ):
-        drive_queries(tiny_network, replicas, sample_hw)
-        stop = threading.Event()
-
-        def traffic():  # repeats: each query is also a replica cache hit
-            while not stop.is_set():
-                drive_queries(tiny_network, replicas, sample_hw)
-
-        sender = threading.Thread(target=traffic)
-        sender.start()
-        try:
-            assert main(
-                ["fleet", "top", *[s.url for s in replicas],
-                 "--interval", "0.3", "--iterations", "2", "--no-clear"]
-            ) == 0
-        finally:
-            stop.set()
-            sender.join(timeout=30.0)
-        assert not sender.is_alive()
-        first, second = frames_of(capsys.readouterr().out)
-        assert "2/2 replicas up" in second and "cache hit rate" in second
-        assert "hit rate" in first and "scrape" in first
-        rows = replica_rows(second)
-        assert len(rows) == 2
-        for cols in rows.values():
-            state, evals_per_s, hit_rate, scrape = (
-                cols[1], cols[2], cols[-3], cols[-2]
-            )
-            assert state == "up"
-            assert float(evals_per_s) > 0.0, second
-            assert hit_rate.endswith("%") and float(hit_rate[:-1]) > 0.0
-            assert scrape.endswith("ms")
+        frames_under_traffic(
+            tiny_network, replicas, sample_hw, [s.url for s in replicas]
+        )
+        assert_rates_hit_rate_and_scrape(capsys.readouterr().out)
 
     def test_stopped_replica_renders_down(self, replicas, capsys):
         replicas[1].stop()
@@ -317,10 +362,18 @@ class TestFleetDashboard:
              "--iterations", "1", "--no-clear"]
         ) == 0
         (frame,) = frames_of(capsys.readouterr().out)
-        assert "1/2 replicas up" in frame
-        rows = replica_rows(frame)
-        assert rows[f"replica:{replicas[0].url.split('//')[1]}"][1] == "up"
-        assert rows[f"replica:{replicas[1].url.split('//')[1]}"][1] == "DOWN"
+        assert_second_replica_down(frame, replicas)
+
+    def test_fleet_top_frames_leave_no_threads_or_fds(self, replicas):
+        """A bounded ``repro fleet top`` session cleans up."""
+        before_threads = set(threading.enumerate())
+        before_fds = open_fd_count()
+        code = main([
+            "fleet", "top", *[s.url for s in replicas],
+            "--interval", "0.05", "--iterations", "2", "--no-clear",
+        ])
+        assert code == 0
+        assert_no_leaks(before_threads, before_fds)
 
     def test_one_shot_dashboard_exits_nonzero_on_down_replica(
         self, replicas

@@ -3,14 +3,19 @@ a stream with a forced mid-run disconnect plus ``Last-Event-ID`` reconnect
 must be byte-identical to a post-hoc ``read_events`` scan of the journal."""
 
 import json
+import os
+import threading
 import time
 from http.client import HTTPConnection
 
 import pytest
 
+from repro.costmodel import MaestroEngine
+from repro.costmodel.service import PPAServiceServer
 from repro.errors import TrackingError
-from repro.hub import HubClient, HubServer
+from repro.hub import FleetAggregator, HubClient, HubServer
 from repro.hub.sse import parse_sse_lines
+from repro.obs.prom import parse_prometheus_text
 from repro.tracking import RunStore, read_events
 
 SMOKE_SPEC = {
@@ -42,6 +47,33 @@ def wait_terminal(client, run_id, timeout_s=120.0):
             return status
         time.sleep(0.1)
     raise AssertionError("run never reached a terminal status")
+
+
+def open_fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_leaks(before_threads, before_fds=None, timeout_s=5.0):
+    """Assert thread/fd counts return to baseline.
+
+    Peer-side connection threads (a replica's per-request handlers) exit
+    asynchronously once our sockets close, so poll until the deadline
+    rather than snapshotting immediately.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        leaked = {
+            t for t in set(threading.enumerate()) - before_threads
+            if t.is_alive()
+        }
+        fds_ok = before_fds is None or open_fd_count() <= before_fds
+        if not leaked and fds_ok:
+            return
+        if time.monotonic() >= deadline:
+            assert not leaked, f"leaked threads: {leaked}"
+            assert fds_ok, "leaked file descriptors"
+            return
+        time.sleep(0.05)
 
 
 class TestEndpoints:
@@ -105,6 +137,98 @@ class TestEndpoints:
         _server, client = hub
         with pytest.raises(TrackingError, match="404"):
             client.fleet_metrics()
+
+
+@pytest.fixture()
+def replicas(tiny_network):
+    servers = [
+        PPAServiceServer(MaestroEngine(tiny_network)) for _ in range(2)
+    ]
+    for server in servers:
+        server.start()
+    yield servers
+    for server in servers:
+        server.stop()
+
+
+class TestFleet:
+    def test_hub_holds_one_aggregator_and_one_pool_per_replica(
+        self, replicas, tmp_path, monkeypatch
+    ):
+        """A hub with R replicas holds one aggregator and R pools, and its
+        ``stop()`` closes every one of them."""
+        from repro.fleet.pool import ConnectionPool
+        from repro.hub import aggregate
+
+        pools, closed = [], []
+
+        class CountedPool(ConnectionPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr(aggregate, "ConnectionPool", CountedPool)
+        before_threads = set(threading.enumerate())
+        before_fds = open_fd_count()
+        server = HubServer(
+            tmp_path / "runs", replica_urls=[s.url for s in replicas]
+        )
+        assert isinstance(server.aggregator, FleetAggregator)
+        assert len(pools) == len(replicas)
+        server.start()
+        client = HubClient(server.url)
+        try:
+            client.fleet_metrics()  # a replica counts a scrape once it is served
+            families = parse_prometheus_text(client.fleet_metrics())
+            assert "fleet:service_requests_total" in families
+            with pytest.raises(TrackingError, match="404"):
+                client._request("GET", "/fleet/status")
+        finally:
+            client.close()
+            server.stop()
+        assert len(pools) == len(replicas)
+        assert set(closed) == set(pools)
+        assert_no_leaks(before_threads, before_fds)
+
+    def test_dead_replica_is_up_zero_on_fleet_metrics(
+        self, replicas, tmp_path
+    ):
+        live = replicas[0].url.split("//")[1]
+        server = HubServer(
+            tmp_path / "runs",
+            replica_urls=[replicas[0].url, "http://127.0.0.1:9"],
+        )
+        server.start()
+        client = HubClient(server.url)
+        try:
+            text = client.fleet_metrics()
+        finally:
+            client.close()
+            server.stop()
+        assert f'up{{replica="{live}"}} 1' in text.splitlines()
+        assert 'up{replica="127.0.0.1:9"} 0' in text.splitlines()
+        families = parse_prometheus_text(text)
+        assert families["up"]["type"] == "gauge"
+        assert {
+            labels["replica"]: value
+            for _name, labels, value in families["up"]["samples"]
+        } == {live: 1.0, "127.0.0.1:9": 0.0}
+
+    def test_hub_stop_leaves_no_threads(self, tmp_path, replicas):
+        before = set(threading.enumerate())
+        server = HubServer(
+            tmp_path / "runs", replica_urls=[s.url for s in replicas]
+        )
+        server.start()
+        with HubClient(server.url) as client:
+            for _ in range(2):
+                client.fleet_metrics()
+        server.stop()
+        assert_no_leaks(before)
 
 
 def read_sse_frames(host, port, run_id, cursor=None, max_events=None):

@@ -48,8 +48,7 @@ def test_local_cosearch_loads_what_it_runs_and_no_more():
     assert {"scipy.optimize", "scipy.linalg"} <= modules
     unwanted = (
         "scipy.stats", "scipy.ndimage", "scipy.interpolate", "scipy.integrate",
-        "repro.obs.alerts", "repro.obs.timeseries", "repro.obs.prom",
-        "repro.obs.profile", "repro.obs.chrome", "repro.hub",
+        "repro.obs.prom", "repro.obs.profile", "repro.obs.chrome", "repro.hub",
     )
     assert not _loaded(modules, unwanted)
 

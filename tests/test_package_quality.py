@@ -284,7 +284,7 @@ def test_no_unused_module_level_imports():
 
 def test_one_append_log_under_every_jsonl_store():
     """``O_APPEND`` is typed out once: the journal's ``AppendLog``, which the
-    event journal and the metrics store both write through."""
+    event journal writes through."""
     holders = [
         str(path.relative_to(SRC_ROOT))
         for path in sorted(SRC_ROOT.rglob("*.py"))

@@ -242,8 +242,8 @@ class TestCursorReads:
 
 
 class TestPublicScanner:
-    """``scan_bytes`` + ``read_bytes_from``: what the metrics store and the
-    hub's SSE pump build on instead of a private import."""
+    """``scan_bytes`` + ``read_bytes_from``: what the hub's SSE pump builds
+    on instead of a private import."""
 
     def test_exported(self):
         assert {"scan_bytes", "read_bytes_from"} <= set(journal_module.__all__)

@@ -105,9 +105,8 @@ class TestJournalTracker:
         self, tiny_network, edge_space, tmp_path
     ):
         """A tracked run emits one ``search_health`` event per iteration
-        with a monotone hypervolume series — the signal the hub's
-        telemetry pipeline tails into ``run:<id>`` metrics and the
-        ``hv_stall`` alert rule watches."""
+        with a monotone hypervolume series, so a flat window in the
+        journal means no progress."""
         store = RunStore(tmp_path / "runs")
         run = store.create_run(dict(MANIFEST))
         unico = _fresh_unico(
