@@ -184,7 +184,7 @@ def _cmd_learned_eval(args) -> int:
 
 # ------------------------------------------------------------------ runs
 def _cmd_runs_list(args) -> int:
-    from repro.tracking import RunStore
+    from repro.tracking import RunStore, committed_iterations
 
     store = RunStore(args.runs_dir)
     runs = store.list_runs()
@@ -193,19 +193,20 @@ def _cmd_runs_list(args) -> int:
         return 0
     print(
         f"{'run id':<42s}{'status':<11s}{'method':<13s}{'scenario':<9s}"
-        f"{'preset':<8s}{'ckpts':>6s}"
+        f"{'preset':<8s}{'commit':>7s}"
     )
     for run in runs:
         manifest = run.read_manifest()
         workload = manifest.get("workload", "?")
         if isinstance(workload, list):
             workload = "+".join(workload)
+        committed = committed_iterations(run)
         print(
             f"{run.run_id:<42s}{manifest.get('status', '?'):<11s}"
             f"{manifest.get('method', '?'):<13s}"
             f"{manifest.get('scenario', '?'):<9s}"
             f"{str(manifest.get('preset', '?')):<8s}"
-            f"{len(run.checkpoints()):>6d}"
+            f"{'-' if committed is None else committed:>7}"
         )
     return 0
 
@@ -221,7 +222,7 @@ def _cmd_runs_show(args) -> int:
     health = verify_run(run)
     print("journal:")
     for key in ("num_events", "journal_iterations", "truncated_tail",
-                "num_checkpoints", "latest_checkpoint"):
+                "committed_iterations"):
         print(f"  {key:<22s} {health[key]}")
     records = replay_iteration_records(run.journal_path)
     if records:
@@ -359,9 +360,9 @@ def _render_live_event(event: dict) -> str:
                 f"({rate:.1%})  evictions={engine.get('num_cache_evictions', 0)}")
     if kind == "pareto_update":
         return f"{prefix} pareto grew to {event.get('pareto_size', '?')}"
-    if kind == "checkpoint":
-        return (f"{prefix} saved {event.get('path', '?')} at iteration "
-                f"{event.get('completed_iterations', '?')}")
+    if kind == "iteration_state":
+        return (f"{prefix} committed {event.get('completed_iterations', '?')}"
+                " iterations")
     if kind == "run_end":
         return (
             f"{prefix} {event.get('completed_iterations', '?')} iterations, "
@@ -1002,13 +1003,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
         "--track", action="store_true",
-        help="persist a run directory (manifest + journal + checkpoints)",
+        help="persist a run directory (manifest + journal)",
     )
     run_parser.add_argument("--runs-dir", default="runs",
                             help="root of tracked run directories")
     run_parser.add_argument(
         "--checkpoint-every", type=int, default=1,
-        help="auto-checkpoint period in iterations (0 = journal only)",
+        help="iteration_state period in iterations (0 = not resumable)",
     )
     run_parser.add_argument(
         "--batch-size", type=int, default=1,
@@ -1137,7 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_compare.set_defaults(fn=_cmd_runs_compare)
 
     runs_resume = runs_sub.add_parser(
-        "resume", help="continue an interrupted run from its checkpoint"
+        "resume", help="continue an interrupted run from its journal"
     )
     runs_resume.add_argument("run_id")
     runs_resume.add_argument("--runs-dir", default="runs")
@@ -1147,7 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_resume.add_argument(
         "--checkpoint-every", type=int, default=None,
-        help="checkpoint period in iterations (default: as the run recorded)",
+        help="iteration_state period (default: as the run recorded)",
     )
     runs_resume.set_defaults(fn=_cmd_runs_resume)
 

@@ -26,7 +26,7 @@ from repro.core.evaluation import (
     assemble_objectives,
     make_search_tool,
 )
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.checkpoint import fold_journal
 from repro.core.highfidelity import ChampionSelector, HighFidelitySelector
 from repro.core.multiworkload import (
     MultiWorkloadEngine,
@@ -37,8 +37,7 @@ from repro.core.robustness import RobustnessResult, f_theta, robustness_metric
 from repro.core.unico import IterationRecord, Unico, UnicoConfig
 
 __all__ = [
-    "load_checkpoint",
-    "save_checkpoint",
+    "fold_journal",
     "MultiWorkloadEngine",
     "MultiWorkloadTrial",
     "multi_workload_trial_factory",

@@ -130,14 +130,14 @@ class CoOptimizer(ABC):
         self.timeline: List[TimelineEntry] = []
         self._trial_counter = 0
         self.total_hw_evaluated = 0
-        #: engine queries made before a checkpoint restore, in another
+        #: engine queries made before a resume, in an earlier
         #: process lifetime; result totals add the live engine's count
         self.restored_engine_queries = 0
         self._trial_factory = trial_factory
         #: bound on the candidates per engine call handed to every SW
         #: search trial; 1 means no look-ahead, one one-item call per step
         self.eval_batch_size = int(eval_batch_size)
-        #: observer of search events (journaling, checkpointing); the
+        #: observer of search events (journaling, state lines); the
         #: default NullTracker keeps the untracked hot path free
         self.tracker: Tracker = tracker if tracker is not None else NullTracker()
         #: span tracer (time attribution); NULL_TRACER unless a traced run
@@ -211,14 +211,6 @@ class CoOptimizer(ABC):
             )
         )
         return evaluation
-
-    def save_checkpoint(self, path) -> bool:
-        """Write resumable state to ``path``; ``False`` = not checkpointable.
-
-        The tracker asks every optimizer; only :class:`~repro.core.unico.Unico`
-        (and its ablation variants) has inter-iteration state worth saving.
-        """
-        return False
 
     def make_result(self, extras: Optional[dict] = None) -> CoSearchResult:
         return CoSearchResult(

@@ -26,6 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.base import CoOptimizer, CoSearchResult
+from repro.core.checkpoint import StateMarks, encode_state
 from repro.core.evaluation import HWEvaluation, advance_lockstep
 from repro.core.highfidelity import (
     DEFAULT_UUL_PERCENTILE,
@@ -155,17 +156,16 @@ class Unico(CoOptimizer):
         self.iteration_records: List[IterationRecord] = []
         self.evaluations: List[HWEvaluation] = []
         #: iterations fully finished so far; ``optimize()`` starts here, so
-        #: a checkpoint-restored optimizer continues rather than restarting
-        #: (and the configured ``max_iterations`` budget is never mutated)
+        #: an optimizer folded from a journal continues rather than
+        #: restarting (and the configured ``max_iterations`` is never mutated)
         self.completed_iterations = 0
+        #: what the last ``iteration_state`` line covered
+        self.state_marks = StateMarks()
         self._current_iteration = 0
 
-    def save_checkpoint(self, path) -> bool:
-        """Write Algorithm 1's inter-iteration state to ``path``."""
-        from repro.core.checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
-        return True
+    def commit_state(self) -> dict:
+        """The ``iteration_state`` payload (:mod:`repro.core.checkpoint`)."""
+        return encode_state(self)
 
     # ------------------------------------------------------------------ parts
     def _normalized_training_set(self) -> np.ndarray:
@@ -297,7 +297,9 @@ class Unico(CoOptimizer):
 
         Hypervolume is measured against a reference point frozen at the
         first non-empty front, so the series is monotone non-decreasing
-        within a run and a flat window genuinely means "no progress".
+        within a run and a flat window genuinely means "no progress".  The
+        reference and the counters travel in the ``iteration_state`` line,
+        so a resumed run reports what the uninterrupted one does.
         Only assembled when a tracker is enabled; an untracked search
         pays nothing.
         """
@@ -312,8 +314,9 @@ class Unico(CoOptimizer):
         health = {
             "hypervolume": hv,
             "pareto_size": len(self.pareto),
-            "engine_queries": int(getattr(self.engine, "num_queries", 0)),
-            "evaluations": len(self.evaluations),
+            "engine_queries": self.restored_engine_queries
+            + self.engine.num_queries,
+            "evaluations": self.total_hw_evaluated,
             "time_s": float(self.clock.now_s),
         }
         screen_stats = getattr(self.engine, "screen_stats", None)
@@ -428,6 +431,8 @@ class Unico(CoOptimizer):
                         self.tracker.on_search_health(
                             self, iteration, self._search_health()
                         )
+                # after the iteration's span, so that its line is in too
+                self.tracker.on_iteration_committed(self)
             run_span.set_attribute("iterations", len(self.iteration_records))
             run_span.set_attribute("pareto_size", len(self.pareto))
         extras = {

@@ -46,7 +46,7 @@ from repro.core import (
     RandomCodesignConfig,
     Unico,
     UnicoConfig,
-    load_checkpoint,
+    fold_journal,
 )
 from repro.costmodel import MaestroEngine
 from repro.errors import ConfigurationError, TrackingError
@@ -147,7 +147,7 @@ def build_optimizer(
     """Construct (without running) the co-optimizer for one cell.
 
     This is the factory :func:`launch` drives, for a fresh run and for a
-    resumed one alike (the checkpoint is restored onto what it returns).
+    resumed one alike (the journal's state is folded onto what it returns).
 
     ``eval_batch_size`` bounds the candidates of one PPA-engine call of
     the inner mapping search (a missed step plus drafts of the steps that
@@ -223,9 +223,10 @@ class RunSpec:
     ``record_samples`` journals every computed candidate as an
     ``engine_sample`` event (the corpus of ``repro learned train``),
     ``trace`` journals ``span`` events and writes ``trace.json`` (Chrome
-    trace format) and ``checkpoint_every`` is the checkpoint period in
-    iterations; all three are recorded, so a resumed run is observed and
-    checkpointed the way it was started.  ``screen`` (a model path or a
+    trace format) and ``checkpoint_every`` is the period, in iterations,
+    of the ``iteration_state`` lines a resume folds (0: not resumable);
+    all three are recorded, so a resumed run is observed and committed
+    the way it was started.  ``screen`` (a model path or a
     loaded :class:`~repro.learned.LearnedCostModel`) forwards only the
     model's predicted-best ``screen_topk`` candidates per batch to the
     analytical engine.  Tracing and ``screen=None`` leave results
@@ -286,7 +287,8 @@ class RunSpec:
         """Validate a manifest (or a submitted run spec) into a ``RunSpec``.
 
         The one validator: a missing or unknown method, scenario or network,
-        an unknown preset or an unrecoverable screening model is a
+        an unknown preset, an ``eval_batch_size`` below 1, a negative
+        ``checkpoint_every`` or an unrecoverable screening model is a
         :class:`ConfigurationError`.  Keys beyond the spec (run id, status,
         totals) are ignored; spec keys a manifest lacks, because it predates
         them, read as the defaults, which is how such a run behaved.
@@ -318,6 +320,11 @@ class RunSpec:
                 values[name] = int(values.get(name, getattr(cls, name)))
         except Exception as error:
             raise ConfigurationError(f"bad run manifest: {error}") from error
+        for name, least in (("eval_batch_size", 1), ("checkpoint_every", 0)):
+            if values[name] < least:
+                raise ConfigurationError(
+                    f"{name} must be >= {least}, got {values[name]}"
+                )
         return cls(**values)
 
 
@@ -375,10 +382,12 @@ def launch(
     terminal status.  ``max_iterations`` overrides the preset's budget.
     Run id, trace id and path and model provenance land in ``result.extras``.
 
-    ``resume=True`` restores the latest checkpoint first and refuses
-    (:class:`TrackingError`) a run with no checkpoint, with a journal that
-    is broken, behind the checkpoint or replays to other iteration records,
-    or whose screening model is gone.
+    ``resume=True`` folds the run's committed journal onto the fresh
+    optimizer (:func:`~repro.core.checkpoint.fold_journal`), cuts the
+    journal back to the end of its last ``iteration_state`` line and
+    continues; it refuses (:class:`TrackingError`) a run with no such line,
+    one kept in checkpoint files, a broken journal and a run whose
+    screening model is gone.
     """
     if tracker is not None and run is not None:
         raise ConfigurationError(
@@ -390,16 +399,11 @@ def launch(
             "trace=True requires run_store=: spans are journaled and the "
             "Chrome trace is written into the run directory"
         )
+    committed = None
     if resume:
-        from repro.tracking import verify_run
+        from repro.tracking import committed_journal
 
-        health = verify_run(run)
-        checkpoint = run.latest_checkpoint()
-        if checkpoint is None:
-            raise TrackingError(
-                f"run {run.run_id} has no checkpoint to resume from "
-                f"(status {health['status']!r}); re-run it from scratch instead"
-            )
+        committed = committed_journal(run)
     optimizer = build_optimizer(
         spec.method,
         spec.scenario,
@@ -434,25 +438,15 @@ def launch(
             optimizer.engine, model=screen_model, topk=spec.screen_topk
         )
         extras["screen_model"] = screen_info
-    if resume:
-        load_checkpoint(optimizer, checkpoint)
-        completed = extras["resumed_from_iteration"] = optimizer.completed_iterations
-        if health["journal_iterations"] < completed:
-            raise TrackingError(
-                f"run {run.run_id}: checkpoint claims {completed} completed "
-                f"iterations but the journal only records "
-                f"{health['journal_iterations']}; artifacts disagree"
-            )
-        if health["iteration_records"][:completed] != optimizer.iteration_records:
-            raise TrackingError(
-                f"run {run.run_id}: journal replay disagrees with the "
-                f"checkpoint's iteration records; refusing to resume"
-            )
+    if committed is not None:
+        fold_journal(optimizer, committed)
+        extras["resumed_from_iteration"] = optimizer.completed_iterations
     if run is not None:
         from repro.tracking import JournalTracker
 
         tracker = JournalTracker(
-            run, checkpoint_every=spec.checkpoint_every, fsync=fsync, resume=resume
+            run, checkpoint_every=spec.checkpoint_every, fsync=fsync,
+            resume=committed,
         )
         extras["run_id"] = run.run_id
     if tracker is not None:
@@ -538,8 +532,7 @@ def run_method(
     :class:`~repro.tracking.Tracker`, or a ``run_store`` (a
     :class:`~repro.tracking.RunStore` or a directory path) in which
     :func:`launch` allocates a ``runs/<run-id>/`` directory with a
-    manifest, journal and periodic checkpoints.  Passing both is ambiguous
-    and rejected.
+    manifest and a journal.  Passing both is ambiguous and rejected.
     """
     if run_store is not None:
         from repro.tracking import RunStore
@@ -575,9 +568,10 @@ def resume_run(
 
     ``run`` is a :class:`~repro.tracking.RunHandle`, a run id (requires
     ``store``), or a run directory path.  Its manifest names the search
-    (:meth:`RunSpec.from_manifest`); :func:`launch` restores the latest
-    checkpoint and continues.  ``max_iterations`` overrides the recorded
-    budget; ``checkpoint_every`` defaults to the period the run recorded.
+    (:meth:`RunSpec.from_manifest`); :func:`launch` folds the journal up
+    to its last ``iteration_state`` line and continues.  ``max_iterations``
+    overrides the recorded budget; ``checkpoint_every`` defaults to the
+    period the run recorded.
     """
     if isinstance(run, (str, pathlib.Path)):
         from repro.tracking import RunHandle

@@ -4,8 +4,10 @@
 preset, writes each record as JSON into a results directory, and returns a
 summary record.  The CLI exposes it as ``python -m repro reproduce``.
 
-At the ``paper`` preset this is the multi-day full-scale run; ``bench``
-finishes in minutes and is what the benchmark suite wraps piecewise.
+At the ``paper`` preset the eight experiments cost about 17 minutes of
+wall time on a 2-vCPU box (the simulated Cost(h) they report is days);
+``bench`` finishes in minutes and is what the benchmark suite wraps
+piecewise.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ spec is validated and written by the harness's
 :class:`~repro.experiments.harness.RunSpec`, and executing it is exactly a
 :func:`~repro.experiments.harness.launch` call in a child process — the
 recipe ``run_method`` and ``repro runs resume`` use — so the crash-safe
-journal, checkpoints, resume and the manifest shape are the same by
-whichever route a run started.  One worker executes at a time (co-searches are
-CPU-bound; queueing is the honest model on one box), and the manifest is
-the single source of truth for state:
+journal with its ``iteration_state`` lines, resume and the manifest shape
+are the same by whichever route a run started.  One worker executes at a
+time (co-searches are CPU-bound; queueing is the honest model on one
+box), and the manifest is the single source of truth for state:
 
 ``queued`` → (worker picks up) → ``running`` → ``completed`` | ``failed``
                               ↘ (SIGTERM on cancel) → ``cancelled``
@@ -16,9 +16,9 @@ the single source of truth for state:
 Crash handling mirrors the journal's own semantics: a run whose manifest
 says ``running`` but whose worker is gone was interrupted — ``reconcile``
 marks it ``failed`` with ``interrupted: true`` and ``resumable: true``
-when a checkpoint exists, so ``repro runs resume`` (or a hub resubmit
-with ``resume=True``) can continue it, at the ``checkpoint_every`` it was
-submitted with.
+when its journal holds an ``iteration_state`` line, so ``repro runs
+resume`` (or a hub resubmit with ``resume=True``) can continue it, at the
+``checkpoint_every`` it was submitted with.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Deque, Dict, List, Optional, Set, Union
 
 from repro.errors import ConfigurationError, TrackingError
 from repro.tracking.store import RunStore
+from repro.tracking.tracker import committed_iterations
 from repro.utils.metrics import MetricsRegistry
 from repro.utils import fork_context
 
@@ -144,7 +145,7 @@ class RunScheduler:
         return run.run_id
 
     def submit_resume(self, run_id: str) -> str:
-        """Enqueue an interrupted run for continuation from its checkpoint."""
+        """Enqueue an interrupted run for continuation from its journal."""
         from repro.experiments.harness import RunSpec
 
         run = self.store.get(run_id)
@@ -201,8 +202,8 @@ class RunScheduler:
 
         A ``running`` run with no live worker was interrupted: it becomes
         ``failed`` with ``interrupted: true`` and ``resumable: true``
-        when a checkpoint exists.  An orphaned ``queued`` run (submitted
-        before a hub restart) is re-enqueued.
+        when its journal holds an ``iteration_state`` line.  An orphaned
+        ``queued`` run (submitted before a hub restart) is re-enqueued.
         """
         touched: List[str] = []
         with self._cv:
@@ -222,7 +223,7 @@ class RunScheduler:
                     "failed",
                     error="interrupted: no live worker owns this run",
                     interrupted=True,
-                    resumable=run.latest_checkpoint() is not None,
+                    resumable=committed_iterations(run) is not None,
                 )
                 touched.append(run.run_id)
             elif status == "queued" and manifest.get("submitted_via") == "hub":
@@ -282,7 +283,7 @@ class RunScheduler:
             run.set_status(
                 "cancelled",
                 interrupted=True,
-                resumable=run.latest_checkpoint() is not None,
+                resumable=committed_iterations(run) is not None,
             )
             self.metrics.counter("hub_runs_cancelled_total").inc()
             return
@@ -297,6 +298,6 @@ class RunScheduler:
                 error=f"worker exited with code {exitcode} "
                       "before the run reached a terminal status",
                 interrupted=True,
-                resumable=run.latest_checkpoint() is not None,
+                resumable=committed_iterations(run) is not None,
             )
         self.metrics.counter("hub_runs_failed_total").inc()

@@ -63,7 +63,6 @@ EVENT_TYPES = (
     "evaluation",
     "pareto_update",
     "engine_snapshot",
-    "checkpoint",
     "iteration_end",
     "run_end",
     "span",
@@ -77,7 +76,14 @@ EVENT_TYPES = (
     # additive: per-iteration search-health beacon (hypervolume, front
     # size, screening escalations).  Same forward-compat argument as above.
     "search_health",
+    # the optimizer's state at the end of a committed iteration, the
+    # iteration's last line: what a resume folds (repro.core.checkpoint)
+    "iteration_state",
 )
+
+#: the text an ``iteration_state`` line carries: a string value escapes
+#: its quotes, so only a ``type`` key can write it
+_STATE_MARKER = b'"type": "iteration_state"'
 
 
 @dataclass
@@ -121,10 +127,12 @@ class AppendLog:
         #: when it was opened plus every byte written since
         self.offset = 0
 
-    def open(self) -> "JournalScan":
-        """Open for appending; returns the scan of what the file held."""
+    def open(self, scan: Optional[JournalScan] = None) -> JournalScan:
+        """Open for appending; returns the scan of what the file keeps
+        (``scan``, when the caller read the file already)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        scan = read_events(self.path) if self.path.exists() else JournalScan()
+        if scan is None:
+            scan = read_events(self.path) if self.path.exists() else JournalScan()
         if scan.truncated_tail:
             os.truncate(str(self.path), scan.valid_bytes)
         self._fd = os.open(
@@ -204,7 +212,10 @@ class EventJournal:
 
     @classmethod
     def open_resume(
-        cls, path: Union[str, pathlib.Path], fsync: bool = False
+        cls,
+        path: Union[str, pathlib.Path],
+        fsync: bool = False,
+        scan: Optional[JournalScan] = None,
     ) -> "EventJournal":
         """Open an existing journal, continuing its sequence numbering.
 
@@ -213,9 +224,11 @@ class EventJournal:
         first truncated back to the end of its last complete line —
         otherwise the next ``O_APPEND`` write would weld onto the partial
         bytes and form one malformed line, poisoning every later event.
+        A ``scan`` the caller cut shorter (a resume keeps the journal up
+        to its last ``iteration_state``) is where the file is cut instead.
         """
         journal = cls(path, fsync=fsync)
-        journal._next_seq = journal._log.open().last_seq + 1
+        journal._next_seq = journal._log.open(scan).last_seq + 1
         return journal
 
     # ------------------------------------------------------------------ write
@@ -410,6 +423,25 @@ def read_tail_events(
         window *= 2
 
 
+def last_state_end(raw: bytes, cut: Optional[int] = None) -> int:
+    """Byte offset just past the last complete ``iteration_state`` line.
+
+    ``raw`` is a journal from its first byte, read up to ``cut`` (default:
+    all of it); a line counts when its newline lies before the cut.  0 when
+    there is none.  This is where a resume cuts a journal back to: what
+    follows is the uncommitted part of an iteration, re-run from the state.
+    """
+    end = len(raw) if cut is None else cut
+    while True:
+        at = raw.rfind(_STATE_MARKER, 0, end)
+        if at < 0:
+            return 0
+        newline = raw.find(b"\n", at, end)
+        if newline >= 0:
+            return newline + 1
+        end = at  # the marker's line is the partial one the cut tore
+
+
 def verify_sequence(scan: JournalScan) -> None:
     """Assert the scan's events carry contiguous sequence numbers from 0."""
     for expected, event in enumerate(scan.events):
@@ -428,6 +460,7 @@ __all__ = [
     "EventJournal",
     "JournalScan",
     "encode_value",
+    "last_state_end",
     "read_bytes_from",
     "read_events",
     "read_events_from",

@@ -6,9 +6,6 @@ Layout (one directory per tracked run)::
       20260805-143015-unico-resnet50-s0/
         manifest.json          # who/what/how: method, workload, seed, ...
         journal.jsonl          # append-only event journal
-        checkpoints/
-          ckpt-000002.json     # codec of repro.core.checkpoint, v2
-          ckpt-000004.json
 
 The manifest is the run's identity card — everything needed to rebuild
 the optimizer for resume (method, scenario, workload, preset, seed, time
@@ -16,10 +13,11 @@ budget) plus provenance (code version, engine class, design-space name)
 and a coarse lifecycle ``status``: ``created`` → ``running`` →
 ``completed`` / ``failed``.  A run found still ``running`` on disk while
 no process owns it was interrupted — exactly the case ``repro runs
-resume`` exists for.
+resume`` exists for.  The journal is the run's one other durable file: its
+``iteration_state`` lines are what a resume folds back into an optimizer.
 
 Manifest writes go through a temp file + ``os.replace`` so a crash never
-leaves a half-written manifest; checkpoints use the same pattern.
+leaves a half-written manifest.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.version import __version__
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
-CHECKPOINT_DIR = "checkpoints"
 
 #: Lifecycle states recorded in ``manifest.json``.  ``queued`` and
 #: ``cancelled`` belong to hub-scheduled runs (:mod:`repro.hub.scheduler`):
@@ -44,7 +41,6 @@ CHECKPOINT_DIR = "checkpoints"
 #: cancelled is the terminal state of an operator ``POST /runs/<id>/cancel``.
 RUN_STATUSES = ("created", "queued", "running", "completed", "failed", "cancelled")
 
-_CKPT_PATTERN = re.compile(r"^ckpt-(\d{6})\.json$")
 _ID_SANITIZE = re.compile(r"[^A-Za-z0-9_.+-]+")
 
 
@@ -56,7 +52,7 @@ def atomic_write_text(path: pathlib.Path, text: str) -> None:
 
 
 class RunHandle:
-    """One run directory: manifest access, journal path, checkpoints."""
+    """One run directory: manifest access and the journal's path."""
 
     def __init__(self, directory: Union[str, pathlib.Path]):
         self.dir = pathlib.Path(directory)
@@ -74,10 +70,6 @@ class RunHandle:
     @property
     def journal_path(self) -> pathlib.Path:
         return self.dir / JOURNAL_NAME
-
-    @property
-    def checkpoint_dir(self) -> pathlib.Path:
-        return self.dir / CHECKPOINT_DIR
 
     # ---------------------------------------------------------------- manifest
     def read_manifest(self) -> Dict:
@@ -112,36 +104,6 @@ class RunHandle:
             )
         self.update_manifest(status=status, **extra)
 
-    # -------------------------------------------------------------- checkpoints
-    def checkpoint_path(self, completed_iterations: int) -> pathlib.Path:
-        return self.checkpoint_dir / f"ckpt-{completed_iterations:06d}.json"
-
-    def checkpoints(self) -> List[pathlib.Path]:
-        """Checkpoint files ordered by completed-iteration count."""
-        if not self.checkpoint_dir.is_dir():
-            return []
-        found = []
-        for path in self.checkpoint_dir.iterdir():
-            match = _CKPT_PATTERN.match(path.name)
-            if match:
-                found.append((int(match.group(1)), path))
-        return [path for _, path in sorted(found)]
-
-    def latest_checkpoint(self) -> Optional[pathlib.Path]:
-        checkpoints = self.checkpoints()
-        return checkpoints[-1] if checkpoints else None
-
-    def prune_checkpoints(self, keep_last: int) -> int:
-        """Delete all but the newest ``keep_last`` checkpoints."""
-        if keep_last < 1:
-            raise TrackingError(f"keep_last must be >= 1, got {keep_last}")
-        checkpoints = self.checkpoints()
-        removed = 0
-        for path in checkpoints[:-keep_last]:
-            path.unlink()
-            removed += 1
-        return removed
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RunHandle({self.run_id!r})"
 
@@ -173,7 +135,6 @@ class RunStore:
         else:  # pragma: no cover - pathological collision storm
             raise TrackingError(f"cannot allocate a run id from {base_id!r}")
         run_dir = self.root / chosen
-        (run_dir / CHECKPOINT_DIR).mkdir()
         manifest.setdefault("run_id", chosen)
         manifest["run_id"] = chosen
         manifest.setdefault("created_at", _utc_now())
@@ -232,7 +193,6 @@ def _default_id(manifest: Dict) -> str:
 
 
 __all__ = [
-    "CHECKPOINT_DIR",
     "JOURNAL_NAME",
     "MANIFEST_NAME",
     "RUN_STATUSES",

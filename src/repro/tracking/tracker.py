@@ -8,22 +8,23 @@ what they need; the hot path guards event assembly behind
 :attr:`Tracker.enabled` so an untracked search pays nothing.
 
 :class:`JournalTracker` is the production implementation: it writes typed
-events into a run's :class:`~repro.tracking.journal.EventJournal`, keeps
-the run's ``manifest.json`` lifecycle up to date, and every
-``checkpoint_every`` completed iterations asks the optimizer to checkpoint
-itself (``optimizer.save_checkpoint(path)``) — the pieces ``repro runs
-resume`` needs to continue a killed search.
+events into a run's :class:`~repro.tracking.journal.EventJournal` and keeps
+the run's ``manifest.json`` lifecycle up to date.  Every
+``checkpoint_every`` committed iterations it closes the iteration with an
+``iteration_state`` line, the optimizer's state
+(``optimizer.commit_state()``) — the journal is all ``repro runs resume``
+needs to continue a killed search.
 
-:func:`replay_iteration_records` and :func:`verify_run` read a run back:
-the journal-vs-checkpoint consistency a resume checks before continuing.
-A checkpoint is written *after* its ``iteration_end`` event, so a kill
-between the two leaves the journal one iteration ahead; the resumed run
-re-executes that iteration and the replay keeps the latest record per
-index, so the replayed sequence equals an uninterrupted run's.
+:func:`committed_journal` reads a run back for a resume: the journal up to
+its last complete ``iteration_state``, the point the resume cuts it back
+to.  Whatever followed was the uncommitted part of an iteration; the
+resumed run writes it again, so every iteration appears exactly once and
+:func:`replay_iteration_records` refuses a journal where one does not.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import pathlib
 import time
@@ -39,7 +40,11 @@ from repro.tracking.journal import (
     EventJournal,
     JournalScan,
     encode_value,
+    last_state_end,
+    read_bytes_from,
     read_events,
+    read_tail_events,
+    scan_bytes,
     verify_sequence,
 )
 from repro.tracking.store import RunHandle
@@ -133,6 +138,10 @@ class Tracker:
         so a reader of the journal sees hypervolume progress and screening
         drift without replaying the run.
         """
+
+    def on_iteration_committed(self, optimizer) -> None:
+        """The iteration is over and every line of it is written: the
+        point where its state may be journaled."""
 
     def on_run_end(self, optimizer, result) -> None:
         """``optimize()`` is returning ``result``."""
@@ -258,16 +267,15 @@ class JournalTracker(Tracker):
     run:
         The :class:`~repro.tracking.store.RunHandle` to write into.
     checkpoint_every:
-        Auto-checkpoint period in completed iterations (``0`` disables
-        auto-checkpointing; the journal is still written).
+        Period, in committed iterations, of the ``iteration_state`` lines a
+        resume folds (``0``: journal only, not resumable).
     fsync:
         Flush every journal line to stable storage (see
         :class:`~repro.tracking.journal.EventJournal`).
-    keep_last_checkpoints:
-        If set, prune all but this many newest checkpoints after each save.
     resume:
-        Continue an existing journal's sequence numbering and announce a
-        ``resume`` event instead of ``run_start``.
+        The run's :func:`committed_journal`: the journal is cut back to its
+        end, numbering continues after it, and a ``resume`` event is
+        announced instead of ``run_start``.
     """
 
     def __init__(
@@ -275,8 +283,7 @@ class JournalTracker(Tracker):
         run: RunHandle,
         checkpoint_every: int = 1,
         fsync: bool = False,
-        keep_last_checkpoints: Optional[int] = None,
-        resume: bool = False,
+        resume: Optional[JournalScan] = None,
     ):
         if checkpoint_every < 0:
             raise TrackingError(
@@ -284,12 +291,12 @@ class JournalTracker(Tracker):
             )
         self.run = run
         self.checkpoint_every = checkpoint_every
-        self.keep_last_checkpoints = keep_last_checkpoints
-        self._resuming = resume
-        if resume and run.journal_path.exists():
-            self.journal = EventJournal.open_resume(run.journal_path, fsync=fsync)
-        else:
-            self.journal = EventJournal(run.journal_path, fsync=fsync)
+        self._resuming = resume is not None
+        self.journal = (
+            EventJournal.open_resume(run.journal_path, fsync=fsync, scan=resume)
+            if self._resuming
+            else EventJournal(run.journal_path, fsync=fsync)
+        )
 
     # ------------------------------------------------------------------ events
     def _emit(self, optimizer, event_type: str, payload: Dict) -> None:
@@ -417,35 +424,25 @@ class JournalTracker(Tracker):
             "iteration_end",
             {"iteration": record.iteration, "record": to_jsonable(record)},
         )
-        completed = int(getattr(optimizer, "completed_iterations", 0))
-        if self.checkpoint_every and completed % self.checkpoint_every == 0:
-            self.checkpoint(optimizer)
 
     def on_search_health(self, optimizer, iteration: int, health: Dict) -> None:
         payload = {"iteration": int(iteration)}
         payload.update({str(k): to_jsonable(v) for k, v in health.items()})
         self._emit(optimizer, "search_health", payload)
 
-    def checkpoint(self, optimizer) -> None:
-        """Write a checkpoint for the optimizer's current completed count.
-
-        Only optimizers that can checkpoint themselves (Unico and its
-        ablation variants) leave one; for other methods
-        ``save_checkpoint`` declines, the journal is still written but no
-        checkpoint appears, and ``repro runs resume`` will refuse the run.
-        """
+    def on_iteration_committed(self, optimizer) -> None:
         completed = int(getattr(optimizer, "completed_iterations", 0))
-        path = self.run.checkpoint_path(completed)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if not optimizer.save_checkpoint(path):
-            return
-        self._emit(
-            optimizer,
-            "checkpoint",
-            {"completed_iterations": completed, "path": path.name},
-        )
-        if self.keep_last_checkpoints is not None:
-            self.run.prune_checkpoints(self.keep_last_checkpoints)
+        if self.checkpoint_every and completed % self.checkpoint_every == 0:
+            self.checkpoint(optimizer)
+
+    def checkpoint(self, optimizer) -> None:
+        """Journal the optimizer's ``iteration_state`` line.
+
+        The payload is ``optimizer.commit_state()``: what changed since
+        the previous state line, and the small state whole (see
+        :mod:`repro.core.checkpoint`).
+        """
+        self._emit(optimizer, "iteration_state", optimizer.commit_state())
 
     def engine_snapshot(self, optimizer) -> None:
         """Journal the engine + metrics state (observability)."""
@@ -495,8 +492,9 @@ def replay_iteration_records(
 ) -> List[IterationRecord]:
     """Reconstruct the :class:`IterationRecord` sequence from a journal.
 
-    A re-executed iteration appears twice; the latest record per iteration
-    wins.  Returns records ordered by iteration index.
+    Returns records ordered by iteration index.  An iteration recorded
+    twice is a :class:`TrackingError`: a resume cuts the uncommitted part
+    of an iteration away before it runs that iteration again.
     """
     scan = source if isinstance(source, JournalScan) else read_events(source)
     by_iteration: Dict[int, IterationRecord] = {}
@@ -511,15 +509,62 @@ def replay_iteration_records(
             raise TrackingError(
                 f"malformed iteration_end event (seq {event.get('seq')}): {error}"
             )
+        if record.iteration in by_iteration:
+            raise TrackingError(
+                f"iteration {record.iteration} is recorded twice "
+                f"(again at seq {event.get('seq')})"
+            )
         by_iteration[record.iteration] = record
     return [by_iteration[i] for i in sorted(by_iteration)]
+
+
+def committed_journal(run: RunHandle) -> JournalScan:
+    """A run's journal up to the end of its last complete ``iteration_state``.
+
+    The scan's :attr:`~JournalScan.valid_bytes` is the cut a resume makes
+    (:func:`~repro.tracking.journal.last_state_end`), and it reports a
+    truncated tail when the file runs on past it.  Nothing is written.
+    Refuses (:class:`TrackingError`) a run kept in checkpoint files, a
+    journal without a state line and one whose sequence is broken.
+    """
+    if (run.dir / "checkpoints").is_dir():
+        raise TrackingError(
+            f"run {run.run_id} keeps its state in checkpoint files, which "
+            "this version does not read; re-run it from scratch"
+        )
+    raw = read_bytes_from(run.journal_path, 0)
+    scan = scan_bytes(raw[:last_state_end(raw)], 0)
+    end = last_state_end(raw, scan.valid_bytes)  # before any corrupt line
+    kept = bisect.bisect_right(scan.event_offsets, end)
+    if end == 0 or scan.events[kept - 1].get("type") != "iteration_state":
+        raise TrackingError(
+            f"run {run.run_id} has no checkpoint (no complete iteration_state "
+            "line) to resume from; re-run it from scratch instead"
+        )
+    del scan.events[kept:], scan.event_offsets[kept:]
+    scan.truncated_tail = end < len(raw)
+    scan.valid_bytes = end
+    scan.last_seq = int(scan.events[-1]["seq"])
+    verify_sequence(scan)
+    return scan
+
+
+def committed_iterations(run: RunHandle) -> Optional[int]:
+    """Iterations a resume of ``run`` starts after (its journal's last
+    ``iteration_state``, read from the tail); ``None``: not resumable."""
+    if run.journal_path.exists():
+        tail = read_tail_events(run.journal_path, 1, event_type="iteration_state")
+        if tail.events:
+            return int(tail.events[-1]["completed_iterations"])
+    return None
 
 
 def verify_run(run: RunHandle) -> Dict:
     """Structural consistency check of one run directory.
 
-    Returns a summary dict (with the replayed ``iteration_records``);
-    raises :class:`TrackingError` on broken sequence numbering or missing
+    Returns a summary dict (with the replayed ``iteration_records`` and
+    the ``committed_iterations`` a resume would start after); raises
+    :class:`TrackingError` on broken sequence numbering or missing
     artifacts.  A truncated journal tail (the signature of a kill
     mid-write) is reported, not rejected.
     """
@@ -535,7 +580,6 @@ def verify_run(run: RunHandle) -> Dict:
             f"run {run.run_id}: journal iteration records are not contiguous "
             f"({[r.iteration for r in records]})"
         )
-    latest = run.latest_checkpoint()
     return {
         "run_id": run.run_id,
         "status": manifest.get("status", "created"),
@@ -543,8 +587,7 @@ def verify_run(run: RunHandle) -> Dict:
         "truncated_tail": scan.truncated_tail,
         "journal_iterations": len(records),
         "iteration_records": records,
-        "num_checkpoints": len(run.checkpoints()),
-        "latest_checkpoint": latest.name if latest else None,
+        "committed_iterations": committed_iterations(run),
     }
 
 
@@ -554,6 +597,8 @@ __all__ = [
     "JournalTracker",
     "NullTracker",
     "Tracker",
+    "committed_iterations",
+    "committed_journal",
     "replay_iteration_records",
     "verify_run",
 ]

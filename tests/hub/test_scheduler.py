@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError, TrackingError
 from repro.hub.scheduler import RunScheduler
-from repro.tracking import RunStore, read_events
+from repro.tracking import RunStore, committed_iterations, read_events
 
 
 SMOKE_SPEC = {
@@ -172,7 +172,7 @@ class TestReconcile:
         manifest = run.read_manifest()
         assert manifest["status"] == "failed"
         assert manifest["interrupted"] is True
-        assert manifest["resumable"] is False  # no checkpoint written
+        assert manifest["resumable"] is False  # no iteration_state line
 
     def test_orphaned_hub_queued_requeued(self, tmp_path):
         store = RunStore(tmp_path / "runs")
@@ -208,12 +208,12 @@ class TestResume:
             run_id = scheduler.submit(dict(SMOKE_SPEC, preset="paper"))
             run = store.get(run_id)
             wait_for_status(run, ("running",))
-            # give the child time to write at least one checkpoint
+            # give the child time to commit at least one iteration
             deadline = time.monotonic() + 60
-            while (run.latest_checkpoint() is None
+            while (committed_iterations(run) is None
                    and time.monotonic() < deadline):
                 time.sleep(0.1)
-            assert run.latest_checkpoint() is not None
+            assert committed_iterations(run) is not None
             scheduler.cancel(run_id)
             wait_for_status(run, ("cancelled",))
             assert run.read_manifest()["resumable"] is True

@@ -13,6 +13,7 @@ from repro.errors import ConfigurationError, TrackingError
 from repro.experiments.harness import build_optimizer, resume_run, run_method
 from repro.learned import LearnedCostModel, ScreeningPPAEngine, build_dataset
 from repro.tracking import RunStore, read_events
+from tests.tracking.journal_lines import cut_before_last_state
 
 WORKLOAD = "mobilenet"
 
@@ -153,10 +154,10 @@ class TestScreenedResume:
             eval_batch_size=8,
         )
         run = RunStore(tmp_path / "runs").get(screened.extras["run_id"])
-        # drop the final checkpoint: the journal is now one iteration
-        # ahead, so resume re-executes the last iteration — through the
-        # re-wrapped screening engine
-        run.checkpoints()[-1].unlink()
+        # cut the journal before its last state line: it is now one
+        # iteration ahead, so resume re-executes the last iteration —
+        # through the re-wrapped screening engine
+        cut_before_last_state(run.journal_path)
         resumed = resume_run(run)
         assert _points(resumed) == _points(screened)
 
@@ -172,7 +173,7 @@ class TestScreenedResume:
             eval_batch_size=8,
         )
         run = RunStore(tmp_path / "runs").get(screened.extras["run_id"])
-        run.checkpoints()[-1].unlink()
+        cut_before_last_state(run.journal_path)
         moved.unlink()
         with pytest.raises(TrackingError, match="no longer exists"):
             resume_run(run)

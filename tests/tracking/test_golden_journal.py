@@ -32,25 +32,31 @@ became a one-item group of the one accounting path: in the closing
 ``engine_snapshot`` those two misses now count as groups too
 (``batch_queries`` and the ``engine_batch_size`` count 122 -> 124,
 ``batch_items`` 453 -> 455, the per-item histogram's count 56 -> 58), and
-no other line changed.
+no other line changed.  ``all_lines`` alone moved again when checkpoint
+files gave way to the journal's own state: each of the two ``checkpoint``
+lines (after ``iteration_end``) became one ``iteration_state`` line after
+``search_health``, at the same 468 events; with those lines and ``seq``
+dropped, every other line is what it was, in the same order, and the
+``engine_sample`` lines did not move at all.
 
 ``engine_sample`` lines carry no wall clock and are hashed raw.  Every
-other line is hashed raw too, after blanking the three things that differ
-between two runs of one commit: ``wall_time`` stamps, the ``run_id``, and
-the measured seconds inside ``engine_snapshot`` histograms (their counts
-stay, as does every counter — the journal's copy of ``engine.stats()``).
-Run this file first after touching ``repro.tracking`` or the engine's
-sample hand-off; ``python tests/tracking/test_golden_journal.py`` prints
-the table for a change that is *meant* to alter the journal.
+other line is hashed raw too, after the shared normalisation
+(:func:`tests.tracking.journal_lines.normalised`) blanks the three things
+that differ between two runs of one commit: ``wall_time`` stamps, the
+``run_id``, and the measured seconds inside ``engine_snapshot``
+histograms (their counts stay, as does every counter — the journal's
+copy of ``engine.stats()``).  Run this file first after touching
+``repro.tracking`` or the engine's sample hand-off; ``python -m
+tests.tracking.test_golden_journal`` prints the table for a change that
+is *meant* to alter the journal.
 """
 
 import hashlib
-import json
-import re
 import tempfile
 
 from repro.experiments.harness import run_method
 from repro.tracking import RunStore, read_events, verify_sequence
+from tests.tracking.journal_lines import normalised
 
 GOLDEN = {
     "events": 468,
@@ -59,13 +65,9 @@ GOLDEN = {
         "50ef6262b6ad6bdb8e74a077d893d037b8324729e39d98860dc83cedfd327fe4"
     ),
     "all_lines": (
-        "19e38896eb9826c6d95b3c56651d03bb40f94abbefd0aa577c2a04552b088693"
+        "aa75da8ffdc563316bec7fcb8abc135595963e837fb817471e01296458ab2eea"
     ),
 }
-
-_WALL_TIME = re.compile(rb'"wall_time": [0-9.e+-]+')
-_RUN_ID = re.compile(rb'"run_id": "[^"]*"')
-
 
 def tracked_journal(root):
     """Path of the journal of one small tracked, sample-recording search."""
@@ -74,17 +76,6 @@ def tracked_journal(root):
         run_store=root, record_samples=True, eval_batch_size=8,
     )
     return RunStore(root).get(result.extras["run_id"]).journal_path
-
-
-def _normalised(line: bytes) -> bytes:
-    line = _RUN_ID.sub(b'"run_id": ""', _WALL_TIME.sub(b'"wall_time": 0', line))
-    if b'"type": "engine_snapshot"' in line:
-        event = json.loads(line)
-        for name, histogram in event["metrics"]["histograms"].items():
-            if "seconds" in name:
-                event["metrics"]["histograms"][name] = histogram["count"]
-        line = json.dumps(event, sort_keys=True).encode("utf-8") + b"\n"
-    return line
 
 
 def journal_digests(path):
@@ -98,7 +89,7 @@ def journal_digests(path):
                 samples.update(line)
                 everything.update(line)
             else:
-                everything.update(_normalised(line))
+                everything.update(normalised(line))
     return dict(
         counts,
         engine_sample_lines=samples.hexdigest(),

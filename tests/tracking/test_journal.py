@@ -415,10 +415,11 @@ class TestSchemaGrowth:
         )
 
     def test_mixed_journal_resumes(self, tmp_path):
-        """Resume over a span-bearing journal: delete the last checkpoint
-        so the journal is ahead, then resume and match the straight run."""
+        """Resume over a span-bearing journal: cut it before its last
+        state line so it is ahead, then resume and match the straight run."""
         from repro.experiments.harness import resume_run, run_method
         from repro.tracking import RunStore, replay_iteration_records
+        from tests.tracking.journal_lines import cut_before_last_state
 
         straight = run_method("unico", "edge", "mobilenet", "smoke", seed=11)
 
@@ -428,9 +429,7 @@ class TestSchemaGrowth:
             run_store=store, trace=True,
         )
         run = store.get(result.extras["run_id"])
-        checkpoints = run.checkpoints()
-        assert len(checkpoints) == 2
-        checkpoints[-1].unlink()  # journal now one iteration ahead
+        cut_before_last_state(run.journal_path)  # one iteration ahead
 
         resumed = resume_run(run)
         assert resumed.extras["resumed_from_iteration"] == 1

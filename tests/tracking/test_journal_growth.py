@@ -21,6 +21,7 @@ from repro.tracking import (
     replay_iteration_records,
     verify_run,
 )
+from tests.tracking.journal_lines import cut_before_last_state
 
 WORKLOAD = "mobilenet"
 
@@ -83,9 +84,9 @@ class TestMixedJournalReplay:
             "unico", "edge", WORKLOAD, "smoke", seed=11, eval_batch_size=8
         )
         run, _ = self._tracked_run(tmp_path, record_samples=True)
-        # simulate a crash: drop the last checkpoint and cut the journal
-        # mid-way through an engine_sample line
-        run.checkpoints()[-1].unlink()
+        # simulate a crash: cut the journal before its last state line,
+        # then tear it mid-way through an engine_sample line
+        cut_before_last_state(run.journal_path)
         with open(run.journal_path, "ab") as handle:
             handle.write(b'{"seq": 99999, "type": "engine_sample", "samp')
         resumed = resume_run(run)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.tracking import RunStore
+from repro.tracking import RunStore, committed_iterations
 
 WORKLOAD = "fsrcnn_120x320"
 
@@ -45,7 +45,7 @@ class TestRunsCommands:
         out = capsys.readouterr().out
         assert "journal:" in out
         assert "iterations (replayed from journal):" in out
-        assert "latest_checkpoint" in out
+        assert "committed_iterations" in out
 
     def test_tail_filters_by_type(self, tracked_run, capsys):
         runs_dir, run_id = tracked_run
@@ -101,7 +101,7 @@ class TestRunsCommands:
         assert "resumed from iteration 2, now at 3" in out
         run = RunStore(runs_dir).get(run_id)
         assert run.status == "completed"
-        assert run.latest_checkpoint().name == "ckpt-000003.json"
+        assert committed_iterations(run) == 3
 
     def test_unknown_run_id_errors(self, tmp_path):
         from repro.errors import TrackingError

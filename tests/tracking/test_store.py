@@ -1,4 +1,4 @@
-"""Tests for the run store (run directories + manifests + checkpoints)."""
+"""Tests for the run store (run directories + manifests)."""
 
 import json
 
@@ -21,7 +21,7 @@ class TestCreateRun:
         assert manifest["run_id"] == run.run_id
         assert manifest["code_version"]
         assert manifest["created_at"]
-        assert run.checkpoint_dir.is_dir()
+        assert [path.name for path in run.dir.iterdir()] == ["manifest.json"]
 
     def test_explicit_id_collision_gets_suffix(self, tmp_path):
         store = RunStore(tmp_path / "runs")
@@ -91,34 +91,3 @@ class TestManifestLifecycle:
         run.manifest_path.write_text("{broken")
         with pytest.raises(TrackingError):
             run.read_manifest()
-
-
-class TestCheckpoints:
-    def test_ordering_latest_and_prune(self, tmp_path):
-        run = RunStore(tmp_path / "runs").create_run({})
-        for completed in (4, 1, 10, 2):
-            run.checkpoint_path(completed).write_text("{}")
-        names = [p.name for p in run.checkpoints()]
-        assert names == [
-            "ckpt-000001.json",
-            "ckpt-000002.json",
-            "ckpt-000004.json",
-            "ckpt-000010.json",
-        ]
-        assert run.latest_checkpoint().name == "ckpt-000010.json"
-        removed = run.prune_checkpoints(keep_last=2)
-        assert removed == 2
-        assert [p.name for p in run.checkpoints()] == [
-            "ckpt-000004.json",
-            "ckpt-000010.json",
-        ]
-
-    def test_no_checkpoints(self, tmp_path):
-        run = RunStore(tmp_path / "runs").create_run({})
-        assert run.checkpoints() == []
-        assert run.latest_checkpoint() is None
-
-    def test_prune_requires_positive_keep(self, tmp_path):
-        run = RunStore(tmp_path / "runs").create_run({})
-        with pytest.raises(TrackingError):
-            run.prune_checkpoints(0)

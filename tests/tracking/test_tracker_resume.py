@@ -2,8 +2,9 @@
 
 The key property: a tracked run killed mid-search and resumed via
 ``resume_run`` reproduces the same Pareto front, timeline and
-iteration-record sequence as the same-seed uninterrupted run, and its
-journal replays into the identical record sequence.
+iteration-record sequence as the same-seed uninterrupted run, its journal
+replays into the identical record sequence, and its ``search_health``
+lines are the uninterrupted run's.
 """
 
 import numpy as np
@@ -20,6 +21,11 @@ from repro.tracking import (
     read_events,
     replay_iteration_records,
     verify_run,
+)
+from tests.tracking.journal_lines import (
+    cut_before_last_state,
+    journal_lines,
+    line_type,
 )
 
 WORKLOAD = "mobilenet"
@@ -46,10 +52,16 @@ class _KillAfter(JournalTracker):
         super().__init__(run, **kwargs)
         self._die_at = iterations
 
-    def on_iteration_end(self, optimizer, record):
-        super().on_iteration_end(optimizer, record)
+    def on_iteration_committed(self, optimizer):
+        super().on_iteration_committed(optimizer)
         if optimizer.completed_iterations >= self._die_at:
             raise KeyboardInterrupt("simulated kill")
+
+
+def _health_lines(path):
+    return [
+        line for line in journal_lines(path) if line_type(line) == "search_health"
+    ]
 
 
 def _timelines_equal(a, b):
@@ -74,8 +86,12 @@ class TestJournalTracker:
         )
         result = unico.optimize()
         assert run.status == "completed"
-        assert len(run.checkpoints()) == 2
+        # one durable file besides the manifest
+        assert sorted(p.name for p in run.dir.iterdir()) == [
+            "journal.jsonl", "manifest.json",
+        ]
         scan = read_events(run.journal_path)
+        assert len(scan.of_type("iteration_state")) == 2
         types = {e["type"] for e in scan.events}
         assert {
             "run_start",
@@ -84,7 +100,7 @@ class TestJournalTracker:
             "msh_round",
             "evaluation",
             "surrogate_update",
-            "checkpoint",
+            "iteration_state",
             "iteration_end",
             "engine_snapshot",
             "run_end",
@@ -172,18 +188,9 @@ class TestJournalTracker:
         run = RunStore(tmp_path / "runs").create_run(dict(MANIFEST))
         tracker = JournalTracker(run, checkpoint_every=0)
         _fresh_unico(tiny_network, edge_space, tracker=tracker).optimize()
-        assert run.checkpoints() == []
-        assert len(read_events(run.journal_path).events) > 0
-
-    def test_keep_last_checkpoints_prunes(
-        self, tiny_network, edge_space, tmp_path
-    ):
-        run = RunStore(tmp_path / "runs").create_run(dict(MANIFEST))
-        tracker = JournalTracker(run, keep_last_checkpoints=1)
-        _fresh_unico(
-            tiny_network, edge_space, tracker=tracker, max_iterations=3
-        ).optimize()
-        assert [p.name for p in run.checkpoints()] == ["ckpt-000003.json"]
+        scan = read_events(run.journal_path)
+        assert len(scan.events) > 0
+        assert scan.of_type("iteration_state") == []
 
 
 class TestHarnessLifecycle:
@@ -241,9 +248,12 @@ class TestHarnessLifecycle:
 
 class TestKillResumeEquivalence:
     def test_resume_matches_uninterrupted(self, tmp_path):
-        straight = run_method("unico", "edge", WORKLOAD, "smoke", seed=11)
-
         store = RunStore(tmp_path / "runs")
+        straight = run_method(
+            "unico", "edge", WORKLOAD, "smoke", seed=11, run_store=store
+        )
+        straight_run = store.get(straight.extras["run_id"])
+
         run = store.create_run(dict(MANIFEST))
         with pytest.raises(KeyboardInterrupt):
             run_method(
@@ -253,7 +263,7 @@ class TestKillResumeEquivalence:
         assert run.status == "failed"
         health = verify_run(run)
         assert health["journal_iterations"] == 1
-        assert health["latest_checkpoint"] == "ckpt-000001.json"
+        assert health["committed_iterations"] == 1
 
         resumed = resume_run(run)
         assert run.status == "completed"
@@ -269,10 +279,15 @@ class TestKillResumeEquivalence:
             replay_iteration_records(run.journal_path)
             == straight.extras["iteration_records"]
         )
+        # the beacon survives the kill: same counters, same frozen reference
+        assert _health_lines(run.journal_path) == (
+            _health_lines(straight_run.journal_path)
+        )
 
     def test_resume_reexecutes_iteration_when_checkpoint_lags(self, tmp_path):
-        """A kill between iteration_end and its checkpoint leaves the
-        journal one iteration ahead; replay keeps the latest record."""
+        """A kill between an iteration's lines and its state line leaves
+        the journal one iteration ahead of its last state; the resume cuts
+        the uncommitted lines away and runs the iteration again."""
         straight = run_method("unico", "edge", WORKLOAD, "smoke", seed=11)
 
         run = RunStore(tmp_path / "runs").create_run(dict(MANIFEST))
@@ -280,9 +295,9 @@ class TestKillResumeEquivalence:
             "unico", "edge", WORKLOAD, "smoke", seed=11,
             tracker=JournalTracker(run),
         )
-        checkpoints = run.checkpoints()
-        assert len(checkpoints) == 2
-        checkpoints[-1].unlink()  # now the journal is ahead of the checkpoint
+        cut_before_last_state(run.journal_path)
+        assert verify_run(run)["journal_iterations"] == 2
+        assert verify_run(run)["committed_iterations"] == 1
 
         resumed = resume_run(run)
         assert resumed.extras["resumed_from_iteration"] == 1
@@ -303,6 +318,21 @@ class TestResumeRefusals:
         with pytest.raises(TrackingError, match="no checkpoint"):
             resume_run(run)
 
+    def test_resume_refuses_a_run_kept_in_checkpoint_files(self, tmp_path):
+        """A run directory from before the journal held the state has a
+        ``checkpoints/`` directory and no state lines: refused, not
+        migrated, and its journal is left as it was."""
+        run = RunStore(tmp_path / "runs").create_run(dict(MANIFEST))
+        run_method(
+            "unico", "edge", WORKLOAD, "smoke", seed=11,
+            tracker=JournalTracker(run),
+        )
+        (run.dir / "checkpoints").mkdir()
+        before = run.journal_path.read_bytes()
+        with pytest.raises(TrackingError, match="checkpoint files"):
+            resume_run(run)
+        assert run.journal_path.read_bytes() == before
+
     def test_resume_requires_manifest_keys(self, tmp_path):
         run = RunStore(tmp_path / "runs").create_run({"method": "unico"})
         run.journal_path.write_text("")
@@ -310,6 +340,8 @@ class TestResumeRefusals:
             resume_run(run)
 
     def test_resume_rejects_tampered_journal(self, tmp_path):
+        """An iteration recorded twice is not a journal any resume wrote:
+        replay, and so the resume, refuses it."""
         import json
 
         run = RunStore(tmp_path / "runs").create_run(dict(MANIFEST))
@@ -317,16 +349,16 @@ class TestResumeRefusals:
             "unico", "edge", WORKLOAD, "smoke", seed=11,
             tracker=JournalTracker(run),
         )
-        # rewrite an iteration_end record so it disagrees with checkpoints
-        lines = run.journal_path.read_text().splitlines()
-        edited = []
-        for line in lines:
-            event = json.loads(line)
-            if event["type"] == "iteration_end" and event["iteration"] == 0:
-                event["record"]["pareto_size"] += 7
-            edited.append(json.dumps(event))
-        run.journal_path.write_text("\n".join(edited) + "\n")
-        with pytest.raises(TrackingError, match="replay disagrees"):
+        events = read_events(run.journal_path).events
+        end = next(e for e in events if e["type"] == "iteration_end")
+        events.insert(events.index(end), dict(end))
+        run.journal_path.write_text("".join(
+            json.dumps(dict(event, seq=seq), sort_keys=True) + "\n"
+            for seq, event in enumerate(events)
+        ))
+        with pytest.raises(TrackingError, match="recorded twice"):
+            replay_iteration_records(run.journal_path)
+        with pytest.raises(TrackingError, match="recorded twice"):
             resume_run(run)
 
     def test_verify_run_reports_truncation(self, tmp_path):
