@@ -8,7 +8,7 @@ hardware design spaces; outputs are normalized objective values.
 Only what MOBO needs is implemented — ``fit``, ``predict`` (mean/std) and
 ``sample_posterior`` for Thompson-flavoured batch diversity.
 
-Two outer-loop fast paths live here:
+Three outer-loop fast paths live here:
 
 * hyperparameter fitting uses the *analytic* marginal-likelihood gradient,
   replacing L-BFGS-B's finite-difference probing — one (value, gradient)
@@ -19,7 +19,11 @@ Two outer-loop fast paths live here:
   :class:`CholeskyFactor`, so the batch sampler's per-slot GPs (same X,
   same shared hyperparameters, different scalarized y) skip the
   :math:`O(n^3)` re-factorization — ``fit(..., factor=...)`` only
-  standardizes y and runs two triangular solves.
+  standardizes y and runs two triangular solves;
+* from ``_FORK_MIN_ROWS`` training rows up, each L-BFGS-B start after the
+  first descends in a forked child on another CPU while the first
+  descends here (:func:`_forking_pays` says when), and the outcomes are
+  compared in start order, so the fit is the same bits either way.
 """
 
 from __future__ import annotations
@@ -132,6 +136,120 @@ def _cho_solve(chol_f: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return solution
+
+
+#: the fewest training rows at which a later L-BFGS-B start pays for its
+#: fork: read off a replay of ``local_outer``'s recorded fits (DESIGN.md §4t)
+_FORK_MIN_ROWS = 64
+
+
+def _forking_pays(rows: int) -> bool:
+    """Whether :meth:`GaussianProcess.fit` runs its later starts in forked
+    children: the fit is large enough to repay a fork, the process can
+    fork, another CPU is there to take the child, and the process has no
+    other thread.
+
+    Threads are counted by the kernel where it says (``/proc/self/task``),
+    so a BLAS pool counts: its threads would fight the child for the
+    second CPU.  Elsewhere only Python threads are seen.  A fork from a
+    threaded process can deadlock the child, and Python 3.12 warns.
+    """
+    import os
+    import threading
+
+    if rows < _FORK_MIN_ROWS or not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    return cpus > 1 and threads == 1
+
+
+class _ForkedStart:
+    """One L-BFGS-B start descending in a forked child.
+
+    The child writes ``(fun, x)`` back over a pipe as float64 bytes and
+    exits.  A child that could not be forked, died or raised answers
+    ``None``, and the caller descends from that start itself: the same
+    answer, only later.
+    """
+
+    def __init__(self, pid: int, read_fd: int, size: int):
+        self.pid = pid
+        self.read_fd = read_fd
+        self.size = size
+
+    @classmethod
+    def begin(cls, descend, start: np.ndarray) -> Optional["_ForkedStart"]:
+        """Fork a child that runs ``descend(start)``; ``None`` if none forks."""
+        import os
+
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:
+            return None
+        try:
+            pid = os.fork()
+        except BaseException as error:  # the pipe is closed whatever failed
+            os.close(read_fd)
+            os.close(write_fd)
+            if isinstance(error, OSError):
+                return None
+            raise
+        if pid == 0:  # the child never returns into the caller's frames
+            status = 1
+            try:
+                os.close(read_fd)
+                fun, x = descend(start)
+                os.write(write_fd, np.concatenate(([fun], x)).tobytes())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        return cls(pid, read_fd, 1 + len(start))
+
+    def answer(self) -> Optional[Tuple[float, np.ndarray]]:
+        """Wait for the child; its ``(fun, x)``, or ``None`` if it failed."""
+        import os
+
+        chunks = [os.read(self.read_fd, 8 * self.size)]
+        while chunks[-1]:
+            chunks.append(os.read(self.read_fd, 8 * self.size))
+        self._reap()
+        data = b"".join(chunks)
+        if len(data) != 8 * self.size:  # the child wrote all of it or died
+            return None
+        answer = np.frombuffer(data, dtype=np.float64).copy()
+        return float(answer[0]), answer[1:]
+
+    def abandon(self) -> None:
+        """Kill and reap the child unless :meth:`answer` already reaped it."""
+        import os
+        import signal
+
+        if self.pid:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            self._reap()
+
+    def _reap(self) -> None:
+        """Close the pipe and wait for the child (unless it was reaped
+        elsewhere, as under ``SIGCHLD`` ignored)."""
+        import os
+
+        os.close(self.read_fd)
+        pid, self.pid = self.pid, 0
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
 
 
 class GaussianProcess:
@@ -311,12 +429,7 @@ class GaussianProcess:
                     last[0] = key
                 return last[1], last[2].copy()
 
-            best_nll = objective(initial, x, y_std)[0]
-            starts = [initial] + [
-                initial + rng.normal(0.0, 0.7, size=initial.shape)
-                for _ in range(num_restarts)
-            ]
-            for start in starts:
+            def descend(start):
                 result = optimize.minimize(
                     objective,
                     start,
@@ -327,9 +440,31 @@ class GaussianProcess:
                     + [(np.log(1e-3), np.log(50.0)), (np.log(1e-8), np.log(1.0))],
                     options={"maxiter": 60},
                 )
-                if result.fun < best_nll:
-                    best_nll = result.fun
-                    best_params = result.x
+                return result.fun, result.x
+
+            best_nll = objective(initial, x, y_std)[0]
+            starts = [initial] + [
+                initial + rng.normal(0.0, 0.7, size=initial.shape)
+                for _ in range(num_restarts)
+            ]
+            # when forking pays, every start after the first descends in a
+            # child while the first descends here; the outcomes are still
+            # compared in start order, and a failed child's start runs here
+            children = [None] * len(starts)
+            try:
+                if _forking_pays(x.shape[0]):
+                    for index in range(1, len(starts)):
+                        children[index] = _ForkedStart.begin(descend, starts[index])
+                for start, child in zip(starts, children):
+                    outcome = None if child is None else child.answer()
+                    fun, params = descend(start) if outcome is None else outcome
+                    if fun < best_nll:
+                        best_nll = fun
+                        best_params = params
+            finally:
+                for child in children:
+                    if child is not None:
+                        child.abandon()
         lengthscales = np.exp(best_params[:d])
         variance = float(np.exp(best_params[d]))
         noise = float(np.exp(best_params[d + 1])) + self.noise_floor

@@ -1,0 +1,77 @@
+"""Helpers for tests of the GP fit's forked starts.
+
+:meth:`repro.optim.gp.GaussianProcess.fit` forks its later L-BFGS-B
+starts only from a process with no other thread.  pytest's process may
+hold a BLAS pool, or a thread an earlier test left alive, and would then
+pass such a test by quietly descending in process.  :func:`forks_elsewhere`
+re-runs the test in a fresh interpreter with one BLAS thread instead.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from repro.optim import gp as gp_module
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+#: set in the fresh interpreter, so a test that still cannot fork there fails
+_FRESH = "REPRO_TEST_FORKING_INTERPRETER"
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def forks_elsewhere() -> bool:
+    """``False`` if a fit may fork here; otherwise run the current test in a
+    fresh interpreter, assert that it passed there, and return ``True``."""
+    if gp_module._forking_pays(gp_module._FORK_MIN_ROWS):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a fit forks only where a second CPU can take the child")
+    if os.environ.get(_FRESH):
+        pytest.fail("a fresh interpreter with one BLAS thread may not fork")
+    test_id = os.environ["PYTEST_CURRENT_TEST"].rsplit(" ", 1)[0]
+    env = dict(os.environ, **{name: "1" for name in _BLAS_THREADS}, **{_FRESH: "1"})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+    return True
+
+
+class _Fork:
+    """What the hooks registered below do at each ``os.fork``.
+
+    Hooks, not a wrapper, so the fork is still called from
+    ``repro.optim.gp``, where a warning filter on that module can see it.
+    """
+
+    count = 0
+    in_child = None
+    in_parent = None
+
+
+def _after_in_parent():
+    _Fork.count += 1
+    if _Fork.in_parent is not None:
+        _Fork.in_parent()
+
+
+def _after_in_child():
+    if _Fork.in_child is not None:
+        _Fork.in_child()
+
+
+os.register_at_fork(after_in_child=_after_in_child, after_in_parent=_after_in_parent)
+
+
+def count_forks(monkeypatch, in_child=None, in_parent=None):
+    """Count forks from now on: returns a function that reads the count;
+    ``in_child`` / ``in_parent`` run on their side of each fork."""
+    monkeypatch.setattr(_Fork, "in_child", in_child)
+    monkeypatch.setattr(_Fork, "in_parent", in_parent)
+    start = _Fork.count
+    return lambda: _Fork.count - start

@@ -1,11 +1,18 @@
 """Tests for the from-scratch Gaussian process."""
 
+import errno
+import os
+import sys
+
 import numpy as np
 import pytest
 from scipy import optimize
 
 from repro.errors import SurrogateError
+from repro.optim import gp as gp_module
 from repro.optim.gp import GaussianProcess, GPHyperparameters, matern52_kernel, rbf_kernel
+
+from tests.optim.forking import count_forks, forks_elsewhere
 
 
 def _toy_data(n=40, d=3, seed=0):
@@ -155,6 +162,88 @@ def test_fit_scores_initial_once_with_the_same_hyperparameters(
     assert gp.hyper.lengthscales.tobytes() == lengthscales.tobytes()
     assert gp.hyper.variance.hex() == variance.hex()
     assert gp.hyper.noise.hex() == noise.hex()
+
+
+# ------------------------------------------- a forked start that fails
+# Each fault degrades to the slower exact answer: the parent descends from
+# the child's start itself.  No case leaves a child behind.
+def _large_fit(monkeypatch, in_process=False):
+    """A fit above ``_FORK_MIN_ROWS`` whose second start wins, so a lost
+    child changes the hyperparameters unless the parent re-runs its start."""
+    x, y = _toy_data(n=gp_module._FORK_MIN_ROWS + 16, d=4, seed=3)
+    with monkeypatch.context() as patch:
+        if in_process:
+            patch.setattr(gp_module, "_FORK_MIN_ROWS", sys.maxsize)
+        return GaussianProcess().fit(x, y, num_restarts=1, seed=5)
+
+
+def _fit_bytes(gp):
+    hyper = gp.hyper
+    return hyper.lengthscales.tobytes(), hyper.variance.hex(), hyper.noise.hex(), gp._chol.tobytes()
+
+
+def _failing_minimize(*args, **kwargs):
+    raise FloatingPointError("descent failed")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _child_exits_before_answering(monkeypatch):
+    return count_forks(monkeypatch, in_child=lambda: os._exit(0))
+
+
+def _child_descent_raises(monkeypatch):
+    # set in the child alone, which exits without undoing it
+    return count_forks(
+        monkeypatch, in_child=lambda: setattr(optimize, "minimize", _failing_minimize)
+    )
+
+
+def _fork_raises_oserror(monkeypatch):
+    refused = []
+
+    def refusing_fork():
+        refused.append(errno.EAGAIN)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refusing_fork)
+    return lambda: len(refused)
+
+
+@pytest.mark.parametrize(
+    "fault", [_child_exits_before_answering, _child_descent_raises, _fork_raises_oserror]
+)
+def test_a_failed_child_gives_the_in_process_fit(fault, monkeypatch):
+    if forks_elsewhere():
+        return
+    expected = _fit_bytes(_large_fit(monkeypatch, in_process=True))
+    forks = fault(monkeypatch)
+    assert _fit_bytes(_large_fit(monkeypatch)) == expected
+    assert forks() == 1
+    _assert_no_child_left()
+
+
+def test_the_parent_start_raising_raises_as_in_process_and_kills_the_child(monkeypatch):
+    if forks_elsewhere():
+        return
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "minimize", _failing_minimize)
+        with pytest.raises(Exception) as in_process:
+            _large_fit(monkeypatch, in_process=True)
+    # the child descends with the real minimize, the parent with the failing one
+    forks = count_forks(
+        monkeypatch, in_parent=lambda: monkeypatch.setattr(optimize, "minimize", _failing_minimize)
+    )
+    with pytest.raises(Exception) as forked:
+        _large_fit(monkeypatch)
+    assert (type(forked.value), str(forked.value)) == (
+        type(in_process.value), str(in_process.value)
+    )
+    assert forks() == 1
+    _assert_no_child_left()
 
 
 class TestErrors:
