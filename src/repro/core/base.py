@@ -104,7 +104,6 @@ class CoOptimizer(ABC):
         space: DiscreteDesignSpace,
         network: Network,
         engine: PPAEngine,
-        objective: str = "latency",
         tool: str = "flextensor",
         power_cap_w: Optional[float] = None,
         area_cap_mm2: Optional[float] = None,
@@ -119,7 +118,6 @@ class CoOptimizer(ABC):
         self.network = network
         self.engine = engine
         self.clock: SimulatedClock = engine.clock
-        self.objective = objective
         self.tool = tool
         self.power_cap_w = power_cap_w
         self.area_cap_mm2 = area_cap_mm2
@@ -170,7 +168,6 @@ class CoOptimizer(ABC):
             self.network,
             self.engine,
             tool=self.tool,
-            objective=self.objective,
             seed=seed_rng,
             batch_size=self.eval_batch_size,
         )

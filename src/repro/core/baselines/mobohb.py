@@ -22,7 +22,7 @@ from repro.optim.acquisition import expected_improvement
 from repro.optim.hyperband import hyperband_brackets
 from repro.optim.pareto import ObjectiveNormalizer
 from repro.optim.scalarize import parego_scalars, sample_weight_vector
-from repro.optim.sh import select_survivors, terminal_value
+from repro.optim.sh import select_survivors_soa, terminal_values
 
 
 @dataclass
@@ -137,9 +137,11 @@ class MobohbBaseline(CoOptimizer):
             if budget >= bracket.max_budget or len(active) <= 1:
                 break
             keep = max(1, int(np.floor(len(active) / bracket.eta)))
-            tv = {i: terminal_value(trials[i].best_curve()) for i in active}
+            tvs = terminal_values([trials[i].best_curve() for i in active])
             # vanilla SH: terminal value only
-            active = select_survivors(active, tv, {i: 0.0 for i in active}, keep, 0)
+            active, _promoted = select_survivors_soa(
+                active, tvs, np.zeros(len(active)), keep, 0
+            )
             budget = min(bracket.max_budget, int(round(budget * bracket.eta)))
         for trial in trials:
             evaluation = self.finish_candidate(trial)

@@ -51,7 +51,6 @@ def make_search_tool(
     network: Network,
     hw,
     engine: PPAEngine,
-    objective: str = "latency",
     seed=None,
     batch_size: int = 1,
 ) -> AnytimeMappingSearch:
@@ -61,7 +60,7 @@ def make_search_tool(
             f"unknown search tool {tool!r}; available: {sorted(SEARCH_TOOLS)}"
         )
     return SEARCH_TOOLS[tool](
-        network, hw, engine, objective=objective, seed=seed, batch_size=batch_size
+        network, hw, engine, seed=seed, batch_size=batch_size
     )
 
 
@@ -118,7 +117,6 @@ class SWSearchTrial:
         network: Network,
         engine: PPAEngine,
         tool: str = "flextensor",
-        objective: str = "latency",
         seed=None,
         batch_size: int = 1,
     ):
@@ -126,7 +124,7 @@ class SWSearchTrial:
         self.engine = engine
         self._view = _QueryCountingEngine(engine)
         self.search = make_search_tool(
-            tool, network, hw, self._view, objective, seed, batch_size=batch_size
+            tool, network, hw, self._view, seed, batch_size=batch_size
         )
         #: engine queries consumed (initialization included)
         self.queries_spent = self._view.local_queries
@@ -288,21 +286,19 @@ def assemble_objectives(
     power_cap_w: Optional[float] = None,
     area_cap_mm2: Optional[float] = None,
     robustness_alpha: float = 0.05,
-    constraints=None,
 ) -> HWEvaluation:
     """Build ``Y`` for a hardware configuration from its finished trial.
 
-    Feasibility combines the scalar caps (kept for convenience) with any
-    extra :class:`~repro.hw.constraints.ConstraintSet`.
+    A design is feasible when its mapping is and it meets each given cap
+    (``power_w <= power_cap_w``, ``area_mm2 <= area_cap_mm2``).
     """
-    from repro.hw.constraints import ConstraintSet
-
     ppa = trial.best_ppa
     robustness = trial.robustness(alpha=robustness_alpha)
-    rules = ConstraintSet.from_caps(power_cap_w, area_cap_mm2)
-    feasible = ppa.feasible and rules.satisfied(trial.hw, ppa)
-    if feasible and constraints is not None:
-        feasible = constraints.satisfied(trial.hw, ppa)
+    feasible = bool(
+        ppa.feasible
+        and (power_cap_w is None or ppa.power_w <= power_cap_w)
+        and (area_cap_mm2 is None or ppa.area_mm2 <= area_cap_mm2)
+    )
     num_objectives = 4 if include_robustness else 3
     if not feasible:
         objectives = np.full(num_objectives, np.inf)

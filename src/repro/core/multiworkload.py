@@ -116,7 +116,6 @@ class MultiWorkloadTrial:
         hw,
         engine: MultiWorkloadEngine,
         tool: str = "flextensor",
-        objective: str = "latency",
         seed=None,
     ):
         self.hw = hw
@@ -130,7 +129,6 @@ class MultiWorkloadTrial:
                 engine.engines[name].network,
                 hw,
                 engine.engines[name],
-                objective,
                 seed=rng,
             )
             for name, rng in zip(names, rngs)
@@ -223,7 +221,6 @@ def multi_workload_trial_factory(
     networks: Sequence[Network],
     engine_factory: Callable[[Network, SimulatedClock], PPAEngine],
     tool: str = "flextensor",
-    objective: str = "latency",
     clock: Optional[SimulatedClock] = None,
 ):
     """Build (engine, factory) for multi-workload co-optimization.
@@ -247,7 +244,7 @@ def multi_workload_trial_factory(
 
     def factory(hw, seed_rng) -> MultiWorkloadTrial:
         return MultiWorkloadTrial(
-            hw, composite, tool=tool, objective=objective, seed=seed_rng
+            hw, composite, tool=tool, seed=seed_rng
         )
 
     return composite, factory

@@ -77,15 +77,11 @@ class UnicoConfig:
     #: mapping search: a step that misses may bring along drafts of up to
     #: ``eval_batch_size - 1`` steps that follow, as deep as the search's
     #: own record of used drafts justifies (DESIGN.md section 4b); 1 buys
-    #: none.  Results are byte-identical at every value (each step
-    #: proposes from the true state); what changes is how many engine
-    #: calls a search makes and how many evaluations it buys and never
-    #: uses, both charged in Cost(h).  The default here is 8 while
-    #: ``run_method``, ``RunSpec`` and the CLI default to 1 — the tables
-    #: and figures, which go through the harness, never paid for
-    #: look-ahead.  Distinct from ``batch_size``, the MOBO *hardware*
-    #: batch N.
-    eval_batch_size: int = 8
+    #: none.  Results are byte-identical at every value; what changes is
+    #: how many engine calls a search makes and how many evaluations it
+    #: buys and never uses, both charged in Cost(h).  Distinct from
+    #: ``batch_size``, the MOBO *hardware* batch N.
+    eval_batch_size: int = 1
     #: warm-start configurations injected into the first batch (e.g. the
     #: expert default when tuning an existing industrial architecture)
     initial_configs: tuple = ()

@@ -3,10 +3,10 @@
 Public surface:
 
 * :class:`Technology` / :data:`DEFAULT_TECHNOLOGY` — process constants,
-* :func:`analyze_gemm` / :func:`evaluate_network` — raw analytical model,
+* :func:`analyze_gemm` — the raw analytical model of one layer,
 * :class:`PPAEngine` / :class:`MaestroEngine` — the estimation-service
   interface with caching and simulated-wall-clock charging used by every
-  search algorithm in the library.
+  search algorithm in the library; ``PPAEngine.aggregate`` sums a network.
 """
 
 from repro.costmodel.engine import (
@@ -15,14 +15,9 @@ from repro.costmodel.engine import (
     MaestroEngine,
     PPAEngine,
 )
-from repro.costmodel.maestro import (
-    LayerPPA,
-    NetworkPPA,
-    analyze_gemm,
-    evaluate_network,
-    spatial_area_mm2,
-)
+from repro.costmodel.maestro import analyze_gemm, spatial_area_mm2
 from repro.costmodel.maestro_batch import analyze_gemm_batch
+from repro.costmodel.results import LayerPPA, NetworkPPA
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.costmodel.timeloop import TimeloopEngine, analyze_gemm_loopnest
 from repro.costmodel.timeloop_batch import analyze_gemm_loopnest_batch
@@ -39,7 +34,6 @@ __all__ = [
     "LayerPPA",
     "NetworkPPA",
     "analyze_gemm",
-    "evaluate_network",
     "spatial_area_mm2",
     "DEFAULT_TECHNOLOGY",
     "Technology",

@@ -37,14 +37,9 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.mapping.gemm_mapping import GemmMapping, NetworkMapping
 
-from repro.costmodel.maestro import (
-    LayerPPA,
-    NetworkPPA,
-    analyze_gemm,
-    evaluate_network,
-    spatial_area_mm2,
-)
+from repro.costmodel.maestro import analyze_gemm, spatial_area_mm2
 from repro.costmodel.maestro_batch import analyze_gemm_batch
+from repro.costmodel.results import LayerPPA, NetworkPPA
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.errors import ConfigurationError, EvaluationError
 from repro.hw.spatial import SpatialHWConfig
@@ -562,5 +557,4 @@ __all__ = [
     "MaestroEngine",
     "LayerPPA",
     "NetworkPPA",
-    "evaluate_network",
 ]

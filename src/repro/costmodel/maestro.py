@@ -28,12 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.costmodel.results import (
-    LayerPPA,
-    NetworkPPA,
-    feasible_ppa,
-    infeasible_ppa,
-)
+from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.hw.spatial import SpatialHWConfig
 from repro.workloads.layers import GemmShape
@@ -235,62 +230,4 @@ def analyze_gemm(
         noc_cycles,
         dram_cycles,
         dram_bytes,
-    )
-
-
-def evaluate_network(
-    hw: SpatialHWConfig,
-    layer_shapes: Dict[str, Tuple[GemmShape, int]],
-    mappings: Dict[str, GemmMapping],
-    tech: Technology = DEFAULT_TECHNOLOGY,
-) -> NetworkPPA:
-    """Aggregate PPA for a network.
-
-    Parameters
-    ----------
-    layer_shapes:
-        ``layer name -> (GemmShape, repetition count)``.
-    mappings:
-        ``layer name -> GemmMapping``; must cover every layer.
-    """
-    area = spatial_area_mm2(hw, tech)
-    total_latency = 0.0
-    total_energy = 0.0
-    feasible = True
-    layer_results: Dict[str, LayerPPA] = {}
-    for name, (shape, count) in layer_shapes.items():
-        mapping = mappings.get(name)
-        if mapping is None:
-            result = LayerPPA(
-                latency_s=float("inf"),
-                energy_j=float("inf"),
-                feasible=False,
-                infeasible_reason=f"no mapping for layer {name!r}",
-            )
-        else:
-            result = analyze_gemm(hw, mapping, shape, tech)
-        layer_results[name] = result
-        if not result.feasible:
-            feasible = False
-            continue
-        total_latency += count * result.latency_s
-        total_energy += count * result.energy_j
-    if not feasible or total_latency <= 0.0:
-        return NetworkPPA(
-            latency_s=float("inf"),
-            energy_j=float("inf"),
-            power_w=float("inf"),
-            area_mm2=area,
-            feasible=False,
-            layer_results=layer_results,
-        )
-    leakage_w = tech.leakage_w_per_mm2 * area
-    power_w = total_energy / total_latency + leakage_w
-    return NetworkPPA(
-        latency_s=total_latency,
-        energy_j=total_energy,
-        power_w=power_w,
-        area_mm2=area,
-        feasible=True,
-        layer_results=layer_results,
     )

@@ -79,8 +79,3 @@ class NetworkPPA:
     area_mm2: float
     feasible: bool
     layer_results: Dict[str, LayerPPA] = field(default_factory=dict)
-
-    @property
-    def edp(self) -> float:
-        """Energy-delay product."""
-        return self.energy_j * self.latency_s

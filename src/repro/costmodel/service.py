@@ -728,18 +728,6 @@ class RemotePPAEngine(PPAEngine):
         from every shard's ``GET /health``, past the breakers, never raising."""
         return self.router.health_check()
 
-    def service_metrics(self) -> Dict[str, Dict]:
-        """Every shard's ``GET /metrics`` snapshot, ``{shard_name: payload}``.
-
-        An ordinary request — breaker-gated, retried, counted — so a shard
-        that cannot answer raises :class:`EvaluationError`.
-        """
-        parent_span = self._parent_span()
-        return {
-            shard.name: self._shard_request(shard, "/metrics", None, parent_span)
-            for shard in self.router.shards
-        }
-
     @property
     def num_circuit_rejections(self) -> int:
         """Requests failed fast by an open breaker, over all shards."""

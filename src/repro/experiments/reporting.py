@@ -113,36 +113,6 @@ def _generic_section(name: str, record: RunRecord) -> List[str]:
     return lines
 
 
-def hv_curves_to_csv(record: RunRecord) -> str:
-    """Export a Fig.-7-style record's HV-difference curves as CSV.
-
-    One row per (network, method, time) sample — the format plotting
-    pipelines ingest directly.
-    """
-    lines = ["network,method,time_s,hv_diff"]
-    for network, panel in record.children.items():
-        grid = panel.get("time_grid_s") or []
-        for method, child in panel.children.items():
-            curve = child.get("hv_diff_curve") or []
-            for t, value in zip(grid, curve):
-                lines.append(f"{network},{method},{t},{value}")
-    return "\n".join(lines)
-
-
-def table_to_csv(record: RunRecord) -> str:
-    """Export a Table-1/2-style record as CSV (one row per cell)."""
-    lines = ["network,method,latency_ms,power_mw,area_mm2,cost_h"]
-    for network, row in record.children.items():
-        for method, cell in row.children.items():
-            metrics = cell.metrics
-            lines.append(
-                f"{network},{method},{metrics.get('latency_ms')},"
-                f"{metrics.get('power_mw')},{metrics.get('area_mm2')},"
-                f"{metrics.get('cost_h')}"
-            )
-    return "\n".join(lines)
-
-
 def generate_report(
     results_dir: pathlib.Path, title: str = "UNICO reproduction — measured results"
 ) -> str:

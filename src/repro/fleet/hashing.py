@@ -20,9 +20,9 @@ warm when a replica dies or drains for a restart.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-__all__ = ["candidate_key", "choose_shard", "rank_shards", "rendezvous_score"]
+__all__ = ["candidate_key", "rank_shards", "rendezvous_score"]
 
 
 def rendezvous_score(key: str, shard_id: str) -> int:
@@ -47,20 +47,6 @@ def rank_shards(key: str, shard_ids: Sequence[str]) -> List[str]:
         key=lambda shard_id: (rendezvous_score(key, shard_id), shard_id),
         reverse=True,
     )
-
-
-def choose_shard(key: str, shard_ids: Sequence[str]) -> str:
-    """The preferred owner of ``key`` among ``shard_ids``."""
-    if not shard_ids:
-        raise ValueError("cannot choose a shard from an empty member list")
-    best_id = shard_ids[0]
-    best_score: Tuple[int, str] = (rendezvous_score(key, best_id), best_id)
-    for shard_id in shard_ids[1:]:
-        score = (rendezvous_score(key, shard_id), shard_id)
-        if score > best_score:
-            best_score = score
-            best_id = shard_id
-    return best_id
 
 
 def candidate_key(hw_id, layer_name: str, mapping_key) -> str:

@@ -18,14 +18,6 @@ from repro.hw.ascend import (
     ascend_design_space,
     default_ascend_config,
 )
-from repro.hw.constraints import (
-    AreaCap,
-    Constraint,
-    ConstraintSet,
-    LatencyCap,
-    MinBufferBytes,
-    PowerCap,
-)
 from repro.hw.space import Dimension, DiscreteDesignSpace
 from repro.hw.spatial import (
     CLOUD_POWER_CAP_W,
@@ -40,12 +32,6 @@ from repro.hw.spatial import (
 )
 
 __all__ = [
-    "AreaCap",
-    "Constraint",
-    "ConstraintSet",
-    "LatencyCap",
-    "MinBufferBytes",
-    "PowerCap",
     "Dimension",
     "DiscreteDesignSpace",
     "SpatialHWConfig",

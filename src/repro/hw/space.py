@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, Generic, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -112,26 +112,6 @@ class DiscreteDesignSpace(Generic[ConfigT]):
         for dim in self.dimensions:
             total *= len(dim)
         return total
-
-    def dimension(self, name: str) -> Dimension:
-        if name not in self._by_name:
-            raise DesignSpaceError(f"no dimension {name!r} in space {self.name!r}")
-        return self._by_name[name]
-
-    def contains(self, config: ConfigT) -> bool:
-        try:
-            assignment = self.from_config(config)
-            for name, value in assignment.items():
-                self.dimension(name).index_of(value)
-        except DesignSpaceError:
-            return False
-        return True
-
-    def validate(self, config: ConfigT) -> None:
-        if not self.contains(config):
-            raise DesignSpaceError(
-                f"config {config!r} is outside design space {self.name!r}"
-            )
 
     def sample(self, seed: SeedLike = None) -> ConfigT:
         """Draw one uniform-random configuration."""
@@ -301,24 +281,6 @@ class DiscreteDesignSpace(Generic[ConfigT]):
         """A hashable identity for de-duplication."""
         assignment = self.from_config(config)
         return tuple(assignment[dim.name] for dim in self.dimensions)
-
-    def grid_iter(self, max_configs: Optional[int] = None):
-        """Iterate the full grid (guarded; only for small spaces/tests)."""
-        import itertools
-
-        limit = self.size if max_configs is None else max_configs
-        if max_configs is None and self.size > 1_000_000:
-            raise DesignSpaceError(
-                f"refusing to enumerate space {self.name!r} of size {self.size}; "
-                "pass max_configs explicitly"
-            )
-        produced = 0
-        for values in itertools.product(*(dim.choices for dim in self.dimensions)):
-            if produced >= limit:
-                return
-            assignment = dict(zip((d.name for d in self.dimensions), values))
-            yield self.to_config(assignment)
-            produced += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -88,9 +88,6 @@ class OneLoopMappingSearch(AnytimeMappingSearch):
         if model is None:
             model = getattr(self.engine, "learned_model", None)
         self.model = model
-        # the model scores log latency / log(latency*energy); both search
-        # objectives have a direct counterpart
-        self._model_objective = "latency" if self.objective == "latency" else "edp"
 
     # ---------------------------------------------------------------- strategy
     def _pick_layer(self) -> str:
@@ -166,9 +163,7 @@ class OneLoopMappingSearch(AnytimeMappingSearch):
                 x, jac = relaxed_features(
                     self.hw, space.shape, logs, spatial_mn, unroll, inner_index
                 )
-                _score, grad_x = self.model.grad_objective(
-                    x, self._model_objective
-                )
+                _score, grad_x = self.model.grad_objective(x, "latency")
                 grad = jac.T @ grad_x
                 if not np.all(np.isfinite(grad)) or np.linalg.norm(grad) < 1e-12:
                     break
@@ -176,11 +171,7 @@ class OneLoopMappingSearch(AnytimeMappingSearch):
             x, _ = relaxed_features(
                 self.hw, space.shape, logs, spatial_mn, unroll, inner_index
             )
-            score = float(
-                self.model.predict_objective(
-                    x.reshape(1, -1), self._model_objective
-                )[0][0]
-            )
+            score = float(self.model.predict_objective(x.reshape(1, -1), "latency")[0][0])
             if score < best_score:
                 best_score = score
                 best = (logs, (order, spatial, unroll))

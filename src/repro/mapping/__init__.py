@@ -26,7 +26,6 @@ from repro.mapping.gemm_mapping import (
     GemmMapping,
     GemmMappingSpace,
     NetworkMapping,
-    default_network_mapping,
 )
 from repro.mapping.random_search import RandomMappingSearch
 
@@ -42,7 +41,6 @@ __all__ = [
     "GemmMapping",
     "GemmMappingSpace",
     "NetworkMapping",
-    "default_network_mapping",
     "LOOP_ORDERS",
     "SPATIAL_CHOICES",
     "UNROLL_CHOICES",

@@ -2,8 +2,9 @@
 
 UNICO treats the SW mapping tool as an *iterative, resumable* optimizer
 (Section 2.1): given extra budget it keeps improving, and its best-so-far
-objective is monotonically non-increasing.  :class:`AnytimeMappingSearch`
-encodes that contract so successive halving can run a tool in rounds:
+objective — end-to-end network latency — is monotonically non-increasing.
+:class:`AnytimeMappingSearch` encodes that contract so successive halving
+can run a tool in rounds:
 
     search = FlexTensorSearch(network, hw, engine, seed=...)
     search.run(additional_budget=30)   # round 1
@@ -105,12 +106,9 @@ class AnytimeMappingSearch(ABC):
         network: Network,
         hw,
         engine: "PPAEngine",
-        objective: str = "latency",
         seed: SeedLike = None,
         batch_size: int = 1,
     ):
-        if objective not in ("latency", "edp"):
-            raise SearchBudgetError(f"unknown objective {objective!r}")
         if batch_size < 1:
             raise SearchBudgetError(
                 f"batch_size must be >= 1, got {batch_size}"
@@ -118,7 +116,6 @@ class AnytimeMappingSearch(ABC):
         self.network = network
         self.hw = hw
         self.engine = engine
-        self.objective = objective
         #: upper bound on the candidates of one engine call
         self.batch_size = int(batch_size)
         #: drafts bought: candidates evaluated ahead of their step
@@ -307,12 +304,10 @@ class AnytimeMappingSearch(ABC):
             energy += count * result.energy_j
         return latency, energy
 
-    def _network_objective(self, latency: float, energy: float) -> float:
+    def _network_objective(self, latency: float) -> float:
         if not math.isfinite(latency):
             return _INFEASIBLE_OBJECTIVE
-        if self.objective == "latency":
-            return latency
-        return latency * energy  # EDP
+        return latency
 
     def _network_power(self, latency: float, energy: float) -> float:
         if not math.isfinite(latency) or latency <= 0:
@@ -480,7 +475,7 @@ class AnytimeMappingSearch(ABC):
     ) -> None:
         """Fold one evaluated candidate into incumbents + history."""
         trial_latency, trial_energy = self._trial_totals(layer_name, result)
-        trial_objective = self._network_objective(trial_latency, trial_energy)
+        trial_objective = self._network_objective(trial_latency)
 
         improved = False
         incumbent = self.best_layer_result[layer_name]
@@ -502,16 +497,14 @@ class AnytimeMappingSearch(ABC):
                 trial_objective=trial_objective,
                 trial_latency_s=trial_latency,
                 trial_power_w=self._network_power(trial_latency, trial_energy),
-                best_objective=self._network_objective(best_latency, best_energy),
+                best_objective=self._network_objective(best_latency),
                 best_latency_s=best_latency,
                 best_power_w=self._network_power(best_latency, best_energy),
             )
         )
 
     def _layer_score(self, result: LayerPPA) -> float:
-        if self.objective == "latency":
-            return result.latency_s
-        return result.latency_s * result.energy_j
+        return result.latency_s
 
     # ------------------------------------------------------------------ views
     @property
@@ -527,8 +520,8 @@ class AnytimeMappingSearch(ABC):
     def best_objective(self) -> float:
         if self.history:
             return self.history[-1].best_objective
-        latency, energy = self._network_totals()
-        return self._network_objective(latency, energy)
+        latency, _energy = self._network_totals()
+        return self._network_objective(latency)
 
     @property
     def best_ppa(self) -> NetworkPPA:
@@ -537,7 +530,3 @@ class AnytimeMappingSearch(ABC):
     def best_curve(self) -> np.ndarray:
         """Monotone best-so-far objective values, one per step."""
         return np.array([point.best_objective for point in self.history])
-
-    def trial_curve(self) -> np.ndarray:
-        """Per-step trial objectives (the raw loss history)."""
-        return np.array([point.trial_objective for point in self.history])

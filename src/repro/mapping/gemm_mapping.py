@@ -261,10 +261,3 @@ def shared_space(shape: GemmShape) -> GemmMappingSpace:
 
 
 NetworkMapping = Dict[str, GemmMapping]
-
-
-def default_network_mapping(
-    spaces: Dict[str, GemmMappingSpace], pe_x: int, pe_y: int
-) -> NetworkMapping:
-    """Seed every layer of a network with its heuristic starting mapping."""
-    return {name: space.seeded_mapping(pe_x, pe_y) for name, space in spaces.items()}

@@ -5,20 +5,10 @@ objective vectors); the UNICO-specific logic (robustness metric, high-
 fidelity update, Algorithm 1) composes these pieces in :mod:`repro.core`.
 """
 
-from repro.optim.acquisition import expected_improvement, upper_confidence_bound
-from repro.optim.gp import (
-    CholeskyFactor,
-    GaussianProcess,
-    GPHyperparameters,
-    factorize,
-)
+from repro.optim.acquisition import expected_improvement
+from repro.optim.gp import CholeskyFactor, GaussianProcess, GPHyperparameters
 from repro.optim.hyperband import Bracket, hyperband_brackets
-from repro.optim.hypervolume import (
-    hypervolume,
-    hypervolume_difference,
-    hypervolume_monte_carlo,
-    reference_point_from,
-)
+from repro.optim.hypervolume import hypervolume, reference_point_from
 from repro.optim.mobo import MOBOSampler
 from repro.optim.nsga2 import NSGA2, Individual
 from repro.optim.pareto import (
@@ -37,50 +27,29 @@ from repro.optim.scalarize import (
     sample_weight_vector,
     uniform_weights,
 )
-from repro.optim.indicators import (
-    coverage,
-    epsilon_indicator,
-    generational_distance,
-    inverted_generational_distance,
-    spacing,
-)
+from repro.optim.indicators import inverted_generational_distance
 from repro.optim.tpe import ParzenEstimator, TPESampler
 from repro.optim.sh import (
-    DEFAULT_AUC_FRACTION,
     DEFAULT_ETA,
     DEFAULT_KEEP_FRACTION,
     RoundPlan,
-    auc_score,
     plan_rounds,
-    relative_auc_score,
     relative_auc_scores,
-    run_successive_halving,
-    select_survivors,
-    select_survivors_detailed,
     select_survivors_soa,
-    terminal_value,
     terminal_values,
 )
 
 __all__ = [
-    "coverage",
-    "epsilon_indicator",
-    "generational_distance",
     "inverted_generational_distance",
-    "spacing",
     "ParzenEstimator",
     "TPESampler",
     "expected_improvement",
-    "upper_confidence_bound",
     "CholeskyFactor",
     "GaussianProcess",
     "GPHyperparameters",
-    "factorize",
     "Bracket",
     "hyperband_brackets",
     "hypervolume",
-    "hypervolume_difference",
-    "hypervolume_monte_carlo",
     "reference_point_from",
     "MOBOSampler",
     "NSGA2",
@@ -97,18 +66,11 @@ __all__ = [
     "parego_scalars",
     "sample_weight_vector",
     "uniform_weights",
-    "DEFAULT_AUC_FRACTION",
     "DEFAULT_ETA",
     "DEFAULT_KEEP_FRACTION",
     "RoundPlan",
-    "auc_score",
-    "relative_auc_score",
     "relative_auc_scores",
     "plan_rounds",
-    "run_successive_halving",
-    "select_survivors",
-    "select_survivors_detailed",
     "select_survivors_soa",
-    "terminal_value",
     "terminal_values",
 ]

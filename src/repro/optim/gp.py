@@ -5,8 +5,7 @@ likelihood hyperparameter fitting via multi-start L-BFGS-B on log-scale
 parameters.  Inputs are the ``[0, 1]^d`` ordinal encodings produced by the
 hardware design spaces; outputs are normalized objective values.
 
-Only what MOBO needs is implemented — ``fit``, ``predict`` (mean/std) and
-``sample_posterior`` for Thompson-flavoured batch diversity.
+Only what MOBO needs is implemented: ``fit`` and ``predict`` (mean/std).
 
 Three outer-loop fast paths live here:
 
@@ -15,9 +14,9 @@ Three outer-loop fast paths live here:
   evaluation instead of ``d + 3`` value evaluations per optimizer step —
   and each evaluation works in a handful of reused ``n x n`` buffers and
   calls LAPACK's ``dpotrs`` directly;
-* :func:`factorize` exposes the kernel Cholesky as a reusable
-  :class:`CholeskyFactor`, so the batch sampler's per-slot GPs (same X,
-  same shared hyperparameters, different scalarized y) skip the
+* :meth:`GaussianProcess.cholesky_factor` exposes the kernel Cholesky as
+  a reusable :class:`CholeskyFactor`, so the batch sampler's per-slot GPs
+  (same X, same shared hyperparameters, different scalarized y) skip the
   :math:`O(n^3)` re-factorization — ``fit(..., factor=...)`` only
   standardizes y and runs two triangular solves;
 * from ``_FORK_MIN_ROWS`` training rows up, each L-BFGS-B start after the
@@ -99,30 +98,6 @@ class CholeskyFactor:
     x: np.ndarray
     hyper: GPHyperparameters
     chol: np.ndarray
-
-
-def factorize(
-    kernel_name: str, x: np.ndarray, hyper: GPHyperparameters
-) -> CholeskyFactor:
-    """Build the shared :class:`CholeskyFactor` for ``(x, hyper)``.
-
-    Performs exactly the factorization :meth:`GaussianProcess.fit` would
-    (including the fallback jitter bump), so a GP fitted from the factor
-    is bit-identical to one fitted from ``hyper`` directly.
-    """
-    if kernel_name not in _KERNELS:
-        raise SurrogateError(
-            f"unknown kernel {kernel_name!r}; use {sorted(_KERNELS)}"
-        )
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    k = _KERNELS[kernel_name](x, x, hyper.lengthscales, hyper.variance)
-    k[np.diag_indices_from(k)] += hyper.noise + _JITTER
-    try:
-        chol = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        k[np.diag_indices_from(k)] += 1e-4
-        chol = np.linalg.cholesky(k)
-    return CholeskyFactor(x=x, hyper=hyper, chol=chol)
 
 
 def _cho_solve(chol_f: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
@@ -491,8 +466,8 @@ class GaussianProcess:
             raise SurrogateError("GP queried before fit()")
 
     def cholesky_factor(self) -> CholeskyFactor:
-        """The fitted kernel factorization, bit-identical to
-        ``factorize(self.kernel_name, x, self.hyper)`` on the training X."""
+        """The fitted kernel factorization of the training X, for
+        ``fit(..., factor=...)`` on another target."""
         self._require_fit()
         return CholeskyFactor(x=self._x, hyper=self.hyper, chol=self._chol)
 
@@ -510,31 +485,6 @@ class GaussianProcess:
         mean = mean_std * self._y_std + self._y_mean
         std = np.sqrt(var) * self._y_std
         return mean, std
-
-    def sample_posterior(
-        self, x_new: np.ndarray, seed: int = 0
-    ) -> np.ndarray:
-        """One joint posterior sample at ``x_new`` (Thompson sampling)."""
-        self._require_fit()
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-        k_star = self.kernel(
-            x_new, self._x, self.hyper.lengthscales, self.hyper.variance
-        )
-        mean = k_star @ self._alpha
-        v = np.linalg.solve(self._chol, k_star.T)
-        k_new = self.kernel(
-            x_new, x_new, self.hyper.lengthscales, self.hyper.variance
-        )
-        cov = k_new - v.T @ v
-        cov[np.diag_indices_from(cov)] += 1e-8
-        rng = np.random.default_rng(seed)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            cov[np.diag_indices_from(cov)] += 1e-4
-            chol = np.linalg.cholesky(cov)
-        draw = mean + chol @ rng.standard_normal(x_new.shape[0])
-        return draw * self._y_std + self._y_mean
 
     @property
     def num_observations(self) -> int:

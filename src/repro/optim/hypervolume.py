@@ -6,8 +6,7 @@ We provide:
 
 * exact hypervolume for 1D/2D via sweep, and for any dimension via the
   WFG-style inclusion-exclusion recursion (fine for the front sizes here),
-* :func:`hypervolume_difference`,
-* a deterministic Monte-Carlo estimator for cross-checks in tests.
+* :func:`reference_point_from`, the reference point those curves share.
 
 Points dominating the reference point contribute; anything outside it is
 clipped away.
@@ -15,7 +14,7 @@ clipped away.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,49 +81,6 @@ def hypervolume(points: np.ndarray, reference: Sequence[float]) -> float:
     if points.shape[0] == 0:
         return 0.0
     return _hv_recursive(points, reference)
-
-
-def hypervolume_difference(
-    points: np.ndarray,
-    reference: Sequence[float],
-    ideal_front: Optional[np.ndarray] = None,
-    ideal_hv: Optional[float] = None,
-) -> float:
-    """HV(ideal front) - HV(points); lower is better, 0 means converged."""
-    if ideal_hv is None:
-        if ideal_front is None:
-            raise ValueError("provide ideal_front or ideal_hv")
-        ideal_hv = hypervolume(ideal_front, reference)
-    return max(0.0, float(ideal_hv) - hypervolume(points, reference))
-
-
-def hypervolume_monte_carlo(
-    points: np.ndarray,
-    reference: Sequence[float],
-    num_samples: int = 200_000,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo hypervolume estimate (used to cross-check the exact code).
-
-    Samples uniformly in the box ``[min(points), reference]`` and counts the
-    dominated fraction.
-    """
-    points = np.asarray(points, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    finite = np.all(np.isfinite(points), axis=1)
-    points = _clip_to_reference(points[finite], reference)
-    if points.shape[0] == 0:
-        return 0.0
-    low = points.min(axis=0)
-    box_volume = float(np.prod(reference - low))
-    if box_volume <= 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(low, reference, size=(num_samples, reference.shape[0]))
-    dominated = np.zeros(num_samples, dtype=bool)
-    for point in points:
-        dominated |= np.all(samples >= point, axis=1)
-    return box_volume * float(dominated.mean())
 
 
 def reference_point_from(points: np.ndarray, margin: float = 1.1) -> np.ndarray:

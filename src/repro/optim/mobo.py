@@ -40,7 +40,7 @@ from repro.errors import SurrogateError
 from repro.hw.space import DiscreteDesignSpace
 from repro.obs.trace import NULL_TRACER
 from repro.optim.acquisition import expected_improvement
-from repro.optim.gp import GaussianProcess, GPHyperparameters, factorize
+from repro.optim.gp import GaussianProcess, GPHyperparameters
 from repro.optim.scalarize import parego_scalars, sample_weight_vector, uniform_weights
 from repro.utils.rng import SeedLike, as_generator
 
@@ -255,36 +255,3 @@ class MOBOSampler:
                 batch.append(candidate)
             attempts += 1
         return batch
-
-    def predict_objectives(
-        self,
-        train_configs: Sequence,
-        train_objectives: np.ndarray,
-        query_configs: Sequence,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior mean/std per objective at ``query_configs``.
-
-        Fits one GP per objective column, reusing the shared
-        hyperparameters of the most recent :meth:`suggest_batch` when
-        available — so diagnostics probe the same surrogate the search
-        actually used; before any batch has been suggested each column
-        falls back to its own marginal-likelihood fit.
-        """
-        x_train = self.space.encode_batch(train_configs)
-        y_train = np.asarray(train_objectives, dtype=float)
-        x_query = self.space.encode_batch(query_configs)
-        means = np.zeros((x_query.shape[0], self.num_objectives))
-        stds = np.zeros_like(means)
-        shared = (
-            factorize(self.kernel, x_train, self._shared_hyper)
-            if self._shared_hyper is not None
-            else None
-        )
-        for j in range(self.num_objectives):
-            gp = GaussianProcess(self.kernel)
-            if shared is not None:
-                gp.fit(x_train, y_train[:, j], factor=shared)
-            else:
-                gp.fit(x_train, y_train[:, j], seed=j, num_restarts=1)
-            means[:, j], stds[:, j] = gp.predict(x_query)
-        return means, stds

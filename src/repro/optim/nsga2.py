@@ -137,13 +137,3 @@ class NSGA2:
         for _ in range(num_generations):
             self.step()
         return self
-
-    # ------------------------------------------------------------------- views
-    def pareto_individuals(self) -> List[Individual]:
-        return [ind for ind in self.population if ind.rank == 0 and ind.feasible]
-
-    def pareto_points(self) -> np.ndarray:
-        members = self.pareto_individuals()
-        if not members:
-            return np.zeros((0, 0))
-        return np.vstack([ind.objectives for ind in members])

@@ -15,87 +15,32 @@ Promotion rule (MSH):
 with ``k = floor(0.5 N)`` and ``p = floor(0.15 N)`` in all UNICO
 experiments; ``p = 0`` recovers default SH.
 
-The module is generic over a :class:`Trial` protocol — anything resumable
-with a best-so-far curve — so it is reusable for the MOBOHB baseline too.
+The helpers work on the best-so-far curves of any resumable trials, so the
+MOBOHB baseline's plain SH rounds use them too; ``Unico._run_msh`` drives
+the rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Protocol, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SearchBudgetError
 
 __all__ = [
-    "Trial",
     "RoundPlan",
-    "terminal_value",
     "terminal_values",
-    "auc_score",
-    "relative_auc_score",
     "relative_auc_scores",
     "plan_rounds",
-    "select_survivors",
-    "select_survivors_detailed",
     "select_survivors_soa",
-    "run_successive_halving",
 ]
 
 DEFAULT_ETA = 2.0
 DEFAULT_KEEP_FRACTION = 0.5
-DEFAULT_AUC_FRACTION = 0.15
 
 
-class Trial(Protocol):
-    """A resumable evaluation with a monotone best-so-far curve."""
-
-    def run(self, additional_budget: int) -> object:
-        """Spend more budget; extends the curve."""
-
-    def best_curve(self) -> np.ndarray:
-        """Monotone best-so-far objective values, one per spent budget unit."""
-
-
-def terminal_value(curve: np.ndarray) -> float:
-    """TV: the candidate's current best objective (lower is better)."""
-    curve = np.asarray(curve, dtype=float)
-    if curve.size == 0:
-        return float("inf")
-    return float(curve[-1])
-
-
-def auc_score(curve: np.ndarray) -> float:
-    """AUC of Fig. 4b: area between the curve and its terminal-value line.
-
-    Higher AUC = the candidate was recently far above its current best,
-    i.e. it is still converging steeply.  Non-finite stretches contribute
-    nothing (an always-infeasible candidate scores 0).
-    """
-    curve = np.asarray(curve, dtype=float)
-    finite = curve[np.isfinite(curve)]
-    if finite.size < 2:
-        return 0.0
-    end_value = finite[-1]
-    heights = finite - end_value
-    # trapezoidal area over unit-spaced steps
-    return float(np.sum((heights[1:] + heights[:-1]) / 2.0))
-
-
-def relative_auc_score(curve: np.ndarray) -> float:
-    """AUC normalized by the terminal value (scale-free across candidates)."""
-    curve = np.asarray(curve, dtype=float)
-    finite = curve[np.isfinite(curve)]
-    if finite.size < 2:
-        return 0.0
-    end_value = finite[-1]
-    if end_value <= 0:
-        return auc_score(curve)
-    return auc_score(curve) / end_value
-
-
-# ------------------------------------------------------------------ SoA stats
 def _pad_curves(curves: Sequence[np.ndarray]) -> np.ndarray:
     """Stack ragged curves into one ``(n, max_len)`` NaN-padded matrix."""
     arrays = [np.asarray(curve, dtype=float) for curve in curves]
@@ -107,7 +52,8 @@ def _pad_curves(curves: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def terminal_values(curves: Sequence[np.ndarray]) -> np.ndarray:
-    """:func:`terminal_value` of every curve, as one array."""
+    """TV of every curve: its current best objective (lower is better);
+    an empty curve scores ``inf``."""
     values = np.full(len(curves), np.inf)
     for row, curve in enumerate(curves):
         curve = np.asarray(curve, dtype=float)
@@ -117,7 +63,13 @@ def terminal_values(curves: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def relative_auc_scores(curves: Sequence[np.ndarray]) -> np.ndarray:
-    """:func:`relative_auc_score` of every curve, computed matrix-at-once.
+    """AUC of Fig. 4b for every curve, normalized by its terminal value.
+
+    A curve's AUC is the trapezoid area between its finite values and its
+    terminal-value line: large when the candidate was recently far above
+    its current best, i.e. still converging steeply.  Non-finite stretches
+    contribute nothing (an always-infeasible candidate scores 0), and a
+    terminal value ``<= 0`` leaves the AUC raw.
 
     Works on the NaN-padded curve matrix with masked reductions.  The
     trapezoid sum over each curve's compressed finite values telescopes
@@ -125,10 +77,7 @@ def relative_auc_scores(curves: Sequence[np.ndarray]) -> np.ndarray:
 
         ``sum(h) - (h_first + h_last) / 2 = sum(v) - m*end - (first - end)/2``
 
-    so no per-candidate Python loop over curve points is needed.  Values
-    agree with the scalar helper to floating-point roundoff (the reduction
-    association differs); promotion decisions compare distinct candidates'
-    scores, which are far apart relative to that noise.
+    so no per-candidate Python loop over curve points is needed.
     """
     if not len(curves):
         return np.zeros(0)
@@ -199,68 +148,6 @@ def plan_rounds(
     return plans
 
 
-def select_survivors(
-    candidate_ids: Sequence[int],
-    tv_by_id: Dict[int, float],
-    auc_by_id: Dict[int, float],
-    keep: int,
-    auc_promotions: int,
-) -> List[int]:
-    """MSH promotion: top ``keep - p`` by TV plus top ``p`` fresh by AUC.
-
-    ``auc_promotions = 0`` degenerates to default SH.  The returned list
-    preserves TV ordering first, then AUC promotions.
-    """
-    survivors, _promoted = select_survivors_detailed(
-        candidate_ids, tv_by_id, auc_by_id, keep, auc_promotions
-    )
-    return survivors
-
-
-def select_survivors_detailed(
-    candidate_ids: Sequence[int],
-    tv_by_id: Dict[int, float],
-    auc_by_id: Dict[int, float],
-    keep: int,
-    auc_promotions: int,
-) -> Tuple[List[int], List[int]]:
-    """Like :func:`select_survivors`, also reporting the AUC promotions.
-
-    Returns ``(survivors, promoted)`` where ``promoted`` is exactly the
-    subset of survivors admitted through the AUC channel rather than the
-    TV cutoff — the ground truth for attribution (journaling), instead of
-    a re-derivation against some other TV cutoff.
-    """
-    ids = list(candidate_ids)
-    if keep < 0 or auc_promotions < 0:
-        raise SearchBudgetError("keep and auc_promotions must be non-negative")
-    if auc_promotions > keep:
-        raise SearchBudgetError(
-            f"auc_promotions ({auc_promotions}) cannot exceed keep ({keep})"
-        )
-    if keep >= len(ids):
-        return ids, []
-    by_tv = sorted(ids, key=lambda i: (tv_by_id[i], i))
-    tv_selected = by_tv[: keep - auc_promotions]
-    selected_set = set(tv_selected)
-    by_auc = sorted(ids, key=lambda i: (-auc_by_id[i], i))
-    auc_selected: List[int] = []
-    for candidate in by_auc:
-        if len(auc_selected) >= auc_promotions:
-            break
-        if candidate not in selected_set:
-            auc_selected.append(candidate)
-            selected_set.add(candidate)
-    # backfill from TV order if AUC could not supply enough fresh candidates
-    for candidate in by_tv:
-        if len(tv_selected) + len(auc_selected) >= keep:
-            break
-        if candidate not in selected_set:
-            tv_selected.append(candidate)
-            selected_set.add(candidate)
-    return tv_selected + auc_selected, auc_selected
-
-
 def select_survivors_soa(
     candidate_ids: Sequence[int],
     tvs: np.ndarray,
@@ -268,15 +155,14 @@ def select_survivors_soa(
     keep: int,
     auc_promotions: int,
 ) -> Tuple[List[int], List[int]]:
-    """Structure-of-arrays :func:`select_survivors_detailed`.
+    """MSH promotion: top ``keep - p`` by TV plus top ``p`` fresh by AUC.
 
-    Takes the TV/AUC scores as arrays positionally aligned with
-    ``candidate_ids`` (as produced by :func:`terminal_values` /
-    :func:`relative_auc_scores`) instead of per-id dicts, and sorts with
-    ``np.lexsort`` instead of per-id key functions.  Given equal scores it
-    returns exactly what :func:`select_survivors_detailed` returns — the
-    (score, id) sort keys are unique, so both orderings are the same total
-    order (asserted by the parity tests).
+    The scores are arrays positionally aligned with ``candidate_ids`` (as
+    :func:`terminal_values` / :func:`relative_auc_scores` return them);
+    ties break on the id.  Returns ``(survivors, promoted)``: the TV picks
+    first, then the AUC promotions, and ``promoted`` is exactly the
+    survivors admitted through the AUC channel.  ``auc_promotions = 0``
+    degenerates to default SH.
     """
     ids = np.asarray(candidate_ids, dtype=np.int64)
     tvs = np.asarray(tvs, dtype=float)
@@ -310,46 +196,3 @@ def select_survivors_soa(
             tv_selected.append(int(ids[pos]))
             selected[pos] = True
     return tv_selected + auc_selected, auc_selected
-
-
-def run_successive_halving(
-    trials: Sequence[Trial],
-    max_budget: int,
-    eta: float = DEFAULT_ETA,
-    keep_fraction: float = DEFAULT_KEEP_FRACTION,
-    auc_fraction: float = DEFAULT_AUC_FRACTION,
-    use_msh: bool = True,
-) -> Tuple[List[int], List[List[int]]]:
-    """Run (M)SH over resumable trials.
-
-    Returns ``(final_survivor_ids, per_round_survivor_ids)`` where ids index
-    into ``trials``.  Every trial is advanced in round 0; survivors continue
-    through later rounds up to ``max_budget`` cumulative budget each.
-    """
-    num_candidates = len(trials)
-    if num_candidates == 0:
-        return [], []
-    plans = plan_rounds(num_candidates, max_budget, eta, keep_fraction)
-    active = list(range(num_candidates))
-    spent = {i: 0 for i in active}
-    rounds_survivors: List[List[int]] = []
-    for plan_index, plan in enumerate(plans):
-        for trial_id in active:
-            additional = plan.cumulative_budget - spent[trial_id]
-            if additional > 0:
-                trials[trial_id].run(additional)
-                spent[trial_id] = plan.cumulative_budget
-        is_last = plan_index == len(plans) - 1
-        if is_last:
-            rounds_survivors.append(list(active))
-            break
-        next_count = plans[plan_index + 1].num_candidates
-        keep = min(next_count, len(active))
-        promotions = (
-            min(int(np.floor(auc_fraction * num_candidates)), keep) if use_msh else 0
-        )
-        tv_by_id = {i: terminal_value(trials[i].best_curve()) for i in active}
-        auc_by_id = {i: relative_auc_score(trials[i].best_curve()) for i in active}
-        active = select_survivors(active, tv_by_id, auc_by_id, keep, promotions)
-        rounds_survivors.append(list(active))
-    return active, rounds_survivors

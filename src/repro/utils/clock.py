@@ -54,11 +54,6 @@ class SimulatedClock:
         """Current simulated time in seconds."""
         return self._now_s
 
-    @property
-    def now_h(self) -> float:
-        """Current simulated time in hours."""
-        return self._now_s / 3600.0
-
     def advance(self, duration_s: float, label: str = "event") -> float:
         """Charge one serial event and return the new time."""
         if duration_s < 0:

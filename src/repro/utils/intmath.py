@@ -72,19 +72,6 @@ def power_two_three_grid(max_i: int, max_j: int, scale: int = 1) -> Tuple[int, .
     return tuple(sorted(values))
 
 
-def snap_to_grid(value: float, grid: Sequence[int]) -> int:
-    """Return the grid element closest to ``value`` (ties go low)."""
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    best = grid[0]
-    best_gap = abs(best - value)
-    for element in grid[1:]:
-        gap = abs(element - value)
-        if gap < best_gap:
-            best, best_gap = element, gap
-    return int(best)
-
-
 def step_on_grid(grid: Sequence[int], current: int, rng) -> int:
     """The grid value a non-zero offset in ``[-2, 2]`` away from ``current``.
 
@@ -100,33 +87,3 @@ def step_on_grid(grid: Sequence[int], current: int, rng) -> int:
     while offset == 0:
         offset = int(rng.integers(-2, 3))
     return grid[max(0, min(len(grid) - 1, index + offset))]
-
-
-def factorize_near(n: int, parts: int, rng=None) -> List[int]:
-    """Split integer ``n`` into ``parts`` divisor factors whose product is ``n``.
-
-    Deterministic when ``rng`` is None (greedy balanced split); otherwise a
-    random divisor chain.  Used to seed tilings for mapping search.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    remaining = n
-    factors: List[int] = []
-    for k in range(parts - 1, 0, -1):
-        target = round(remaining ** (k / (k + 1)))
-        if rng is None:
-            inner = nearest_divisor(remaining, max(1, target))
-        else:
-            options = divisors(remaining)
-            inner = int(options[rng.integers(0, len(options))])
-        factors.append(remaining // inner)
-        remaining = inner
-    factors.append(remaining)
-    return factors[::-1]
-
-
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` into ``[low, high]``."""
-    if low > high:
-        raise ValueError(f"invalid clamp bounds: [{low}, {high}]")
-    return max(low, min(high, value))

@@ -19,7 +19,7 @@ so every operator is lowered to a GEMM via im2col before mapping:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import WorkloadError
@@ -52,18 +52,6 @@ class GemmShape:
     def macs(self) -> int:
         """Multiply-accumulate count."""
         return self.m * self.n * self.k
-
-    @property
-    def input_a_elems(self) -> int:
-        return self.m * self.k
-
-    @property
-    def input_b_elems(self) -> int:
-        return self.k * self.n
-
-    @property
-    def output_elems(self) -> int:
-        return self.m * self.n
 
     def scaled(self, factor: float) -> "GemmShape":
         """Return a shape with N scaled by ``factor`` (>=1 result dims)."""
@@ -98,9 +86,6 @@ class LayerSpec:
     def total_macs(self) -> int:
         """MACs across all ``count`` instances."""
         return self.macs * self.count
-
-    def with_count(self, count: int) -> "LayerSpec":
-        return replace(self, count=count)
 
 
 def conv_out_dim(in_dim: int, kernel: int, stride: int, padding: str) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.layers import GemmShape, LayerSpec
+from repro.workloads.layers import LayerSpec
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class Network:
     @property
     def total_macs(self) -> int:
         return sum(layer.total_macs for layer in self.layers)
-
-    def gemms(self) -> List[Tuple[LayerSpec, GemmShape]]:
-        """Lower every unique layer to its GEMM shape."""
-        return [(layer, layer.to_gemm()) for layer in self.layers]
 
     def layer(self, name: str) -> LayerSpec:
         for candidate in self.layers:

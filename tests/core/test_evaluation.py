@@ -79,6 +79,18 @@ class TestAssembleObjectives:
         capped = assemble_objectives(trial, area_cap_mm2=1e-6)
         assert not capped.feasible
 
+    def test_power_equal_to_the_cap_is_feasible(self, trial):
+        trial.run(10)
+        evaluation = assemble_objectives(trial, power_cap_w=trial.best_ppa.power_w)
+        assert evaluation.feasible
+        assert np.all(np.isfinite(evaluation.objectives))
+
+    def test_area_equal_to_the_cap_is_feasible(self, trial):
+        trial.run(10)
+        evaluation = assemble_objectives(trial, area_cap_mm2=trial.best_ppa.area_mm2)
+        assert evaluation.feasible
+        assert np.all(np.isfinite(evaluation.objectives))
+
     def test_generous_caps_keep_feasible(self, trial):
         trial.run(10)
         evaluation = assemble_objectives(

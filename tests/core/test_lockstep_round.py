@@ -457,7 +457,7 @@ def test_traced_round_is_ticks_and_one_search_span_per_trial(tiny_network):
     engine = MaestroEngine(tiny_network)
     unico = Unico(
         edge_design_space(), tiny_network, engine,
-        UnicoConfig(batch_size=5, max_iterations=1, max_budget=24),
+        UnicoConfig(batch_size=5, max_iterations=1, max_budget=24, eval_batch_size=8),
         power_cap_w=100.0, seed=11,
     )
     unico.set_tracer(Tracer(clock=engine.clock, sinks=[sink]))

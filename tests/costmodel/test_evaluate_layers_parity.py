@@ -253,7 +253,9 @@ def test_remote_cosearch_request_count_pinned(tiny_network, edge_space):
                 edge_space,
                 tiny_network,
                 remote,
-                UnicoConfig(batch_size=4, max_iterations=2, max_budget=24),
+                UnicoConfig(
+                    batch_size=4, max_iterations=2, max_budget=24, eval_batch_size=8
+                ),
                 power_cap_w=100.0,
                 seed=11,
             ).optimize()

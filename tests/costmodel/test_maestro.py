@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel.maestro import analyze_gemm, evaluate_network, spatial_area_mm2
+from repro.costmodel import MaestroEngine
+from repro.costmodel.maestro import analyze_gemm, spatial_area_mm2
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw import SpatialHWConfig
 from repro.mapping import GemmMapping
-from repro.workloads.layers import GemmShape
+from repro.workloads.layers import Gemm, GemmShape
+from repro.workloads.network import Network
 
 
 def _hw(**overrides) -> SpatialHWConfig:
@@ -140,6 +142,18 @@ class TestEnergyAndArea:
         assert 0.3 < area < 10.0
 
 
+def evaluate_network(hw, layers, mappings):
+    """``MaestroEngine.aggregate`` over a network of ``{name: (shape, count)}``."""
+    network = Network(
+        "t",
+        tuple(
+            Gemm(name, count=count, m=shape.m, n=shape.n, k=shape.k)
+            for name, (shape, count) in layers.items()
+        ),
+    )
+    return MaestroEngine(network).aggregate(hw, mappings)
+
+
 class TestEvaluateNetwork:
     def test_aggregates_counts(self):
         shapes = {"a": (SHAPE, 2), "b": (GemmShape(32, 64, 32), 1)}
@@ -161,12 +175,11 @@ class TestEvaluateNetwork:
         leakage = DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * network_ppa.area_mm2
         assert network_ppa.power_w > leakage
 
-    def test_edp_property(self):
-        shapes = {"a": (SHAPE, 1)}
+    def test_energy_sums_counts(self):
+        shapes = {"a": (SHAPE, 3)}
         network_ppa = evaluate_network(_hw(), shapes, {"a": MAPPING})
-        assert network_ppa.edp == pytest.approx(
-            network_ppa.energy_j * network_ppa.latency_s
-        )
+        a = analyze_gemm(_hw(), MAPPING, SHAPE)
+        assert network_ppa.energy_j == pytest.approx(3 * a.energy_j)
 
 
 @given(

@@ -213,7 +213,7 @@ def _fast_remote(network, url, **overrides):
 def _gated(remote):
     """A cheap ordinary request — breaker-gated, retried, counted — to the
     one shard: its ``GET /metrics`` (``health()`` bypasses the breaker)."""
-    return remote.service_metrics()["shard-0"]
+    return remote._shard_request(remote.router.shards[0], "/metrics", None, None)
 
 
 @contextlib.contextmanager
@@ -712,12 +712,6 @@ class TestMetricsEndpoint:
         assert counters["service_requests_total[/evaluate_layers]"] >= 1
         histograms = snapshot["metrics"]["histograms"]
         assert histograms["service_request_seconds"]["count"] >= 1
-
-    def test_remote_service_metrics_helper(self, remote, sample_hw):
-        remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
-        snapshot = remote.service_metrics()
-        assert set(snapshot) == {"shard-0"}  # same shape as health()
-        assert "engine" in snapshot["shard-0"] and "metrics" in snapshot["shard-0"]
 
     def test_remote_stats_merge(self, remote, server, sample_hw):
         remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")

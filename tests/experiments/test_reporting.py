@@ -60,28 +60,3 @@ class TestGenerateReport:
         assert len(table_lines) == 1
         # 1 network column + 2 methods x 4 metrics
         assert table_lines[0].count("|") == 10
-
-
-class TestCsvExport:
-    def test_hv_curves_csv(self):
-        from repro.experiments.reporting import hv_curves_to_csv
-
-        record = RunRecord("fig7-edge")
-        panel = record.child("bert")
-        panel.put("time_grid_s", [1.0, 2.0])
-        panel.child("unico").put("hv_diff_curve", [0.5, 0.2])
-        csv = hv_curves_to_csv(record)
-        lines = csv.splitlines()
-        assert lines[0] == "network,method,time_s,hv_diff"
-        assert "bert,unico,1.0,0.5" in lines
-        assert "bert,unico,2.0,0.2" in lines
-
-    def test_table_csv(self):
-        from repro.experiments.reporting import table_to_csv
-
-        record = RunRecord("table-edge")
-        record.child("bert").child("unico").update(
-            {"latency_ms": 1.5, "power_mw": 100.0, "area_mm2": 2.0, "cost_h": 0.5}
-        )
-        csv = table_to_csv(record)
-        assert "bert,unico,1.5,100.0,2.0,0.5" in csv

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.fleet.hashing import (
-    candidate_key,
-    choose_shard,
-    rank_shards,
-    rendezvous_score,
-)
+from repro.fleet.hashing import candidate_key, rank_shards, rendezvous_score
 
 SHARDS = ["shard-0", "shard-1", "shard-2", "shard-3"]
 KEYS = [candidate_key(h, f"layer{h % 3}", (h, h * 7, "mn")) for h in range(2000)]
+
+
+def choose_shard(key, shard_ids):
+    """The preferred owner of ``key``: the head of its ranking."""
+    return rank_shards(key, shard_ids)[0]
 
 
 class TestScores:
@@ -27,18 +27,10 @@ class TestRanking:
         for key in KEYS[:50]:
             assert sorted(rank_shards(key, SHARDS)) == sorted(SHARDS)
 
-    def test_choose_matches_ranking_head(self):
-        for key in KEYS[:50]:
-            assert choose_shard(key, SHARDS) == rank_shards(key, SHARDS)[0]
-
     def test_member_order_irrelevant(self):
         shuffled = list(reversed(SHARDS))
         for key in KEYS[:50]:
             assert choose_shard(key, SHARDS) == choose_shard(key, shuffled)
-
-    def test_empty_members_rejected(self):
-        with pytest.raises(ValueError):
-            choose_shard("k", [])
 
 
 class TestBalanceAndRemap:

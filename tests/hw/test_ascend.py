@@ -9,6 +9,7 @@ from repro.hw import (
     ascend_design_space,
     default_ascend_config,
 )
+from tests.hw.membership import in_space
 
 
 class TestAscendHWConfig:
@@ -47,7 +48,7 @@ class TestAscendSpace:
 
     def test_default_config_in_space(self):
         space = ascend_design_space()
-        assert space.contains(default_ascend_config())
+        assert in_space(space, default_ascend_config())
 
     def test_roundtrip(self):
         space = ascend_design_space()
@@ -60,7 +61,7 @@ class TestAscendSpace:
         hw = default_ascend_config()
         for _ in range(30):
             hw = space.mutate(hw, rng)
-            assert space.contains(hw)
+            assert in_space(space, hw)
 
     def test_area_cap_constant(self):
         assert ASCEND_AREA_CAP_MM2 == 200.0

@@ -55,7 +55,8 @@ class TestSpaces:
 
     def test_edge_buffers_are_two_three_smooth(self):
         space = edge_design_space()
-        for value in space.dimension("l1_bytes").choices:
+        (l1,) = [dim for dim in space.dimensions if dim.name == "l1_bytes"]
+        for value in l1.choices:
             reduced = value
             for p in (2, 3):
                 while reduced % p == 0:

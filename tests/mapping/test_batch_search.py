@@ -24,7 +24,7 @@ ALL_TOOLS = [FlexTensorSearch, RandomMappingSearch, GammaSearch, CosaMapper]
 def _run(tool_cls, network, hw, batch_size, budgets=(40, 23), seed=7):
     engine = MaestroEngine(network)
     search = tool_cls(
-        network, hw, engine, objective="latency", seed=seed, batch_size=batch_size
+        network, hw, engine, seed=seed, batch_size=batch_size
     )
     for budget in budgets:  # uneven rounds cross batch boundaries
         search.run(budget)

@@ -13,7 +13,6 @@ from repro.mapping import (
     LOOP_ORDERS,
     GemmMapping,
     GemmMappingSpace,
-    default_network_mapping,
 )
 from repro.mapping.gemm_mapping import UNROLL_CHOICES
 from repro.workloads.layers import GemmShape
@@ -182,13 +181,3 @@ def _reference_mutate(space, mapping, rng):
         return dataclasses.replace(mapping, spatial=other)
     unroll = UNROLL_CHOICES[int(rng.integers(0, len(UNROLL_CHOICES)))]
     return dataclasses.replace(mapping, unroll=unroll)
-
-
-class TestDefaultNetworkMapping:
-    def test_covers_all_layers(self, tiny_network):
-        spaces = {
-            layer.name: GemmMappingSpace(layer.to_gemm())
-            for layer in tiny_network.layers
-        }
-        mapping = default_network_mapping(spaces, 8, 8)
-        assert set(mapping) == {layer.name for layer in tiny_network.layers}

@@ -33,7 +33,7 @@ SPECULATING = [FlexTensorSearch, GammaSearch, RandomMappingSearch]
 )
 def test_every_width_lands_on_the_width_one_digest(tool, objective, batch_size):
     """History, incumbents and final RNG state of the golden table's cases."""
-    search = run_search(tool, objective, batch_size=batch_size)
+    search = run_search(tool, batch_size=batch_size)
     assert search_digest(search) == GOLDEN[(tool, objective)]
     if type(search).supports_speculation:
         assert search.num_speculative_evals > 0

@@ -1,5 +1,5 @@
 """The MOBO outer loop's hot paths as they were written before they were
-made cheap, and the two reference paths ``src/`` no longer carries: the
+made cheap, and the reference paths ``src/`` no longer carries: the
 oracles ``test_outer_loop_oracle.py`` and ``test_vectorized_outer_loop.py``
 hold ``src/`` to.
 
@@ -9,25 +9,31 @@ hold ``src/`` to.
 * :meth:`ReferenceGaussianProcess._neg_log_marginal` and
   ``fit(use_gradient=False)`` — the finite-difference marginal-likelihood
   fit the analytic gradient replaced.
+* :func:`factorize` — the kernel Cholesky built from scratch for
+  ``(x, hyper)``, as ``GaussianProcess.fit`` builds it.
 * :class:`ReferenceMOBOSampler` — ``suggest_batch`` re-factorizing the
   shared kernel with :func:`factorize`, a candidate pool that builds one
   config per random row and encodes them with ``encode_batch``, mutations
   clipped with ``np.clip`` (:func:`reference_mutate`), and the slot-by-slot
   acquisition (``vectorized=False``).
+* :func:`terminal_value`, :func:`relative_auc_score` and
+  :func:`select_survivors_detailed` — the per-curve and per-id-dict forms
+  of the MSH bookkeeping ``repro.optim.sh`` does on arrays.
 
 ``src/`` keeps one of each; these copies exist only as references.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import linalg as scipy_linalg
 from scipy import optimize
 
+from repro.errors import SearchBudgetError
 from repro.optim.acquisition import expected_improvement
-from repro.optim.gp import _JITTER, GaussianProcess, GPHyperparameters, factorize
+from repro.optim.gp import _JITTER, _KERNELS, CholeskyFactor, GaussianProcess, GPHyperparameters
 from repro.optim.mobo import MOBOSampler
 from repro.optim.scalarize import parego_scalars, sample_weight_vector, uniform_weights
 from repro.utils.rng import as_generator
@@ -230,3 +236,82 @@ class ReferenceMOBOSampler(MOBOSampler):
             mean, std = gp.predict(x_pool)
             rows.append(expected_improvement(mean, std, best=float(scalar.min())))
         return self._mask_argmax(np.vstack(rows))
+
+
+def factorize(kernel_name: str, x: np.ndarray, hyper: GPHyperparameters) -> CholeskyFactor:
+    """``chol(K(x, x) + noise I)``, with the fit's fallback jitter bump."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    k = _KERNELS[kernel_name](x, x, hyper.lengthscales, hyper.variance)
+    k[np.diag_indices_from(k)] += hyper.noise + _JITTER
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        k[np.diag_indices_from(k)] += 1e-4
+        chol = np.linalg.cholesky(k)
+    return CholeskyFactor(x=x, hyper=hyper, chol=chol)
+
+
+def terminal_value(curve: np.ndarray) -> float:
+    """TV: the curve's last value; ``inf`` for an empty curve."""
+    curve = np.asarray(curve, dtype=float)
+    if curve.size == 0:
+        return float("inf")
+    return float(curve[-1])
+
+
+def auc_score(curve: np.ndarray) -> float:
+    """Trapezoid area between the finite values and the terminal-value line."""
+    curve = np.asarray(curve, dtype=float)
+    finite = curve[np.isfinite(curve)]
+    if finite.size < 2:
+        return 0.0
+    heights = finite - finite[-1]
+    return float(np.sum((heights[1:] + heights[:-1]) / 2.0))
+
+
+def relative_auc_score(curve: np.ndarray) -> float:
+    """:func:`auc_score` over the terminal value; raw when that is ``<= 0``."""
+    curve = np.asarray(curve, dtype=float)
+    finite = curve[np.isfinite(curve)]
+    if finite.size < 2:
+        return 0.0
+    if finite[-1] <= 0:
+        return auc_score(curve)
+    return auc_score(curve) / finite[-1]
+
+
+def select_survivors_detailed(
+    candidate_ids: Sequence[int],
+    tv_by_id: Dict[int, float],
+    auc_by_id: Dict[int, float],
+    keep: int,
+    auc_promotions: int,
+) -> Tuple[List[int], List[int]]:
+    """MSH promotion over per-id dicts with ``sorted`` key functions:
+    ``(survivors, promoted)``, the TV picks first, then the AUC ones."""
+    ids = list(candidate_ids)
+    if keep < 0 or auc_promotions < 0:
+        raise SearchBudgetError("keep and auc_promotions must be non-negative")
+    if auc_promotions > keep:
+        raise SearchBudgetError(
+            f"auc_promotions ({auc_promotions}) cannot exceed keep ({keep})"
+        )
+    if keep >= len(ids):
+        return ids, []
+    by_tv = sorted(ids, key=lambda i: (tv_by_id[i], i))
+    tv_selected = by_tv[: keep - auc_promotions]
+    selected_set = set(tv_selected)
+    auc_selected: List[int] = []
+    for candidate in sorted(ids, key=lambda i: (-auc_by_id[i], i)):
+        if len(auc_selected) >= auc_promotions:
+            break
+        if candidate not in selected_set:
+            auc_selected.append(candidate)
+            selected_set.add(candidate)
+    for candidate in by_tv:  # backfill when AUC could not supply enough
+        if len(tv_selected) + len(auc_selected) >= keep:
+            break
+        if candidate not in selected_set:
+            tv_selected.append(candidate)
+            selected_set.add(candidate)
+    return tv_selected + auc_selected, auc_selected

@@ -262,25 +262,3 @@ class TestErrors:
     def test_predict_before_fit(self):
         with pytest.raises(SurrogateError):
             GaussianProcess().predict(np.zeros((1, 2)))
-
-
-class TestPosteriorSampling:
-    def test_sample_shape(self):
-        x, y = _toy_data(n=20, d=2)
-        gp = GaussianProcess().fit(x, y)
-        draw = gp.sample_posterior(np.random.default_rng(0).uniform(0, 1, (7, 2)))
-        assert draw.shape == (7,)
-
-    def test_samples_vary_with_seed(self):
-        x, y = _toy_data(n=20, d=2)
-        gp = GaussianProcess().fit(x, y)
-        query = np.full((3, 2), 5.0)  # far from data -> high variance
-        assert not np.allclose(
-            gp.sample_posterior(query, seed=0), gp.sample_posterior(query, seed=1)
-        )
-
-    def test_samples_near_mean_at_training_points(self):
-        x, y = _toy_data(n=25, d=2)
-        gp = GaussianProcess().fit(x, y)
-        draw = gp.sample_posterior(x[:5], seed=0)
-        assert np.max(np.abs(draw - y[:5])) < 0.5

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optim.hypervolume import (
-    hypervolume,
-    hypervolume_difference,
-    hypervolume_monte_carlo,
-    reference_point_from,
-)
+from repro.optim.hypervolume import hypervolume, reference_point_from
+from tests.optim.hypervolume_oracle import hypervolume_monte_carlo
 
 
 class TestExactKnownValues:
@@ -85,35 +81,6 @@ def test_monotone_in_points(raw_points):
     partial = hypervolume(points[:-1], reference)
     full = hypervolume(points, reference)
     assert full >= partial - 1e-12
-
-
-class TestHypervolumeDifference:
-    def test_zero_when_equal(self):
-        front = np.array([[1, 1]])
-        assert hypervolume_difference(front, [2, 2], ideal_front=front) == 0.0
-
-    def test_positive_when_behind(self):
-        ideal = np.array([[0.5, 0.5]])
-        achieved = np.array([[1, 1]])
-        diff = hypervolume_difference(achieved, [2, 2], ideal_front=ideal)
-        assert diff == pytest.approx(2.25 - 1.0)
-
-    def test_ideal_hv_shortcut(self):
-        achieved = np.array([[1, 1]])
-        assert hypervolume_difference(achieved, [2, 2], ideal_hv=1.5) == pytest.approx(
-            0.5
-        )
-
-    def test_requires_ideal(self):
-        with pytest.raises(ValueError):
-            hypervolume_difference(np.array([[1, 1]]), [2, 2])
-
-    def test_never_negative(self):
-        ideal = np.array([[1.5, 1.5]])
-        achieved = np.array([[0.5, 0.5]])  # better than "ideal"
-        assert (
-            hypervolume_difference(achieved, [2, 2], ideal_front=ideal) == 0.0
-        )
 
 
 class TestReferencePoint:

@@ -1,4 +1,4 @@
-"""Tests for the multi-objective quality indicators."""
+"""Tests for the IGD quality indicator."""
 
 import numpy as np
 import pytest
@@ -6,27 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.optim.indicators import (
-    coverage,
-    epsilon_indicator,
-    generational_distance,
-    inverted_generational_distance,
-    spacing,
-)
+from repro.optim.indicators import inverted_generational_distance
 
 FRONT = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
 
 
 class TestGDAndIGD:
     def test_zero_when_identical(self):
-        assert generational_distance(FRONT, FRONT) == 0.0
         assert inverted_generational_distance(FRONT, FRONT) == 0.0
-
-    def test_gd_measures_convergence(self):
-        shifted = FRONT + 0.1
-        assert generational_distance(shifted, FRONT) == pytest.approx(
-            0.1 * np.sqrt(2), rel=1e-6
-        )
 
     def test_igd_punishes_missing_coverage(self):
         partial = FRONT[:1]  # only one corner achieved
@@ -36,60 +23,17 @@ class TestGDAndIGD:
         )
 
     def test_empty_achieved_infinite(self):
-        assert generational_distance(np.zeros((0, 2)), FRONT) == float("inf")
         assert inverted_generational_distance(np.zeros((0, 2)), FRONT) == float(
             "inf"
         )
 
     def test_infinite_rows_dropped(self):
         noisy = np.vstack([FRONT, [[np.inf, 0.0]]])
-        assert generational_distance(noisy, FRONT) == 0.0
+        assert inverted_generational_distance(noisy, FRONT) == 0.0
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
             inverted_generational_distance(FRONT, np.zeros((0, 2)))
-
-
-class TestSpacing:
-    def test_uniform_front_zero(self):
-        uniform = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
-        assert spacing(uniform) == pytest.approx(0.0, abs=1e-12)
-
-    def test_clustered_front_positive(self):
-        clustered = np.array([[0.0, 2.0], [0.01, 1.99], [2.0, 0.0]])
-        assert spacing(clustered) > 0.1
-
-    def test_degenerate_sizes(self):
-        assert spacing(np.zeros((0, 2))) == 0.0
-        assert spacing(np.array([[1.0, 1.0]])) == 0.0
-
-
-class TestCoverage:
-    def test_dominating_front_covers_fully(self):
-        better = FRONT - 0.1
-        assert coverage(better, FRONT) == 1.0
-        assert coverage(FRONT, better) == 0.0
-
-    def test_identical_fronts_cover_each_other(self):
-        assert coverage(FRONT, FRONT) == 1.0
-
-    def test_partial_coverage(self):
-        a = np.array([[0.0, 0.9]])  # dominates only FRONT's first point
-        assert coverage(a, FRONT) == pytest.approx(1 / 3)
-
-    def test_empty_b(self):
-        assert coverage(FRONT, np.zeros((0, 2))) == 0.0
-
-
-class TestEpsilon:
-    def test_zero_when_dominating(self):
-        assert epsilon_indicator(FRONT - 0.1, FRONT) == 0.0
-
-    def test_equals_shift_for_translated_front(self):
-        assert epsilon_indicator(FRONT + 0.2, FRONT) == pytest.approx(0.2)
-
-    def test_empty_achieved(self):
-        assert epsilon_indicator(np.zeros((0, 2)), FRONT) == float("inf")
 
 
 @given(
@@ -101,10 +45,7 @@ class TestEpsilon:
 )
 @settings(max_examples=40)
 def test_indicator_identities(points):
-    """Self-comparisons are exact: GD = IGD = epsilon = 0, coverage = 1."""
-    assert generational_distance(points, points) == pytest.approx(0.0, abs=1e-9)
+    """A self-comparison is exact: IGD = 0."""
     assert inverted_generational_distance(points, points) == pytest.approx(
         0.0, abs=1e-9
     )
-    assert epsilon_indicator(points, points) == pytest.approx(0.0, abs=1e-9)
-    assert coverage(points, points) == 1.0

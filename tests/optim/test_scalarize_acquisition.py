@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optim.acquisition import expected_improvement, upper_confidence_bound
+from repro.optim.acquisition import expected_improvement
 from repro.optim.scalarize import (
     parego_scalar,
     parego_scalars,
@@ -155,13 +155,3 @@ class TestExpectedImprovementMatchesScipyStats:
         mean = np.array([0.0, -0.01 - z, 1.0])  # z = best - mean - xi
         self.assert_identical(mean, np.ones(3), 0.0)
         self.assert_identical(mean, np.zeros(3), 0.0)  # clamped std, |z| huge
-
-
-class TestUCB:
-    def test_prefers_low_mean(self):
-        ucb = upper_confidence_bound(np.array([0.0, 1.0]), np.array([0.1, 0.1]))
-        assert ucb[0] > ucb[1]
-
-    def test_prefers_high_std(self):
-        ucb = upper_confidence_bound(np.array([1.0, 1.0]), np.array([0.5, 0.1]))
-        assert ucb[0] > ucb[1]

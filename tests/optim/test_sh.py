@@ -7,22 +7,36 @@ from hypothesis import strategies as st
 
 from repro.errors import SearchBudgetError
 from repro.optim.sh import (
-    auc_score,
     plan_rounds,
-    relative_auc_score,
-    run_successive_halving,
-    select_survivors,
-    select_survivors_detailed,
-    terminal_value,
+    relative_auc_scores,
+    select_survivors_soa,
+    terminal_values,
 )
+
+
+def auc_score(curve):
+    """One curve's :func:`relative_auc_scores` entry."""
+    return relative_auc_scores([np.asarray(curve, dtype=float)])[0]
+
+
+def select(ids, tv, auc, keep, auc_promotions):
+    """:func:`select_survivors_soa` over ``{id: score}`` tables."""
+    ids = list(ids)
+    return select_survivors_soa(
+        ids,
+        np.array([tv[i] for i in ids], dtype=float),
+        np.array([auc[i] for i in ids], dtype=float),
+        keep,
+        auc_promotions,
+    )
 
 
 class TestTerminalValue:
     def test_last_element(self):
-        assert terminal_value(np.array([5.0, 3.0, 2.0])) == 2.0
+        assert terminal_values([np.array([5.0, 3.0, 2.0])])[0] == 2.0
 
     def test_empty_is_inf(self):
-        assert terminal_value(np.array([])) == float("inf")
+        assert terminal_values([np.array([])])[0] == float("inf")
 
 
 class TestAucScore:
@@ -36,7 +50,7 @@ class TestAucScore:
         assert auc_score(steep) > auc_score(lazy)
 
     def test_known_value(self):
-        # heights above end value: [2, 1, 0]; trapezoid: 1.5 + 0.5 = 2.0
+        # heights above end value 1: [2, 1, 0]; trapezoid: 1.5 + 0.5 = 2.0
         assert auc_score(np.array([3.0, 2.0, 1.0])) == pytest.approx(2.0)
 
     def test_non_finite_ignored(self):
@@ -49,7 +63,7 @@ class TestAucScore:
     def test_relative_score_scale_free(self):
         curve = np.array([4.0, 2.0, 1.0])
         scaled = 1000 * curve
-        assert relative_auc_score(curve) == pytest.approx(relative_auc_score(scaled))
+        assert auc_score(curve) == pytest.approx(auc_score(scaled))
 
     @given(st.lists(st.floats(0.1, 100), min_size=2, max_size=30))
     @settings(max_examples=50)
@@ -99,17 +113,14 @@ class TestSelectSurvivors:
 
     def test_pure_tv_is_default_sh(self):
         auc = {i: 0.0 for i in range(6)}
-        assert select_survivors(range(6), self.TV, auc, keep=3, auc_promotions=0) == [
-            0,
-            1,
-            2,
-        ]
+        survivors, _promoted = select(range(6), self.TV, auc, keep=3, auc_promotions=0)
+        assert survivors == [0, 1, 2]
 
     def test_auc_promotes_steep_converger(self):
         """MSH's second chance: a bad-TV candidate with the highest AUC."""
         auc = {i: 0.0 for i in range(6)}
         auc[5] = 99.0
-        survivors = select_survivors(range(6), self.TV, auc, keep=3, auc_promotions=1)
+        survivors, _promoted = select(range(6), self.TV, auc, keep=3, auc_promotions=1)
         assert survivors == [0, 1, 5]
 
     def test_auc_promotion_is_disjoint(self):
@@ -117,28 +128,23 @@ class TestSelectSurvivors:
         auc = {i: 0.0 for i in range(6)}
         auc[0] = 99.0  # best TV also best AUC
         auc[4] = 50.0
-        survivors = select_survivors(range(6), self.TV, auc, keep=3, auc_promotions=1)
+        survivors, _promoted = select(range(6), self.TV, auc, keep=3, auc_promotions=1)
         assert survivors == [0, 1, 4]
 
     def test_keep_all_when_small(self):
         auc = {i: 0.0 for i in range(3)}
         tv = {i: float(i) for i in range(3)}
-        assert select_survivors(range(3), tv, auc, keep=5, auc_promotions=1) == [
-            0,
-            1,
-            2,
-        ]
+        survivors, _promoted = select(range(3), tv, auc, keep=5, auc_promotions=1)
+        assert survivors == [0, 1, 2]
 
     def test_promotions_cannot_exceed_keep(self):
         with pytest.raises(SearchBudgetError):
-            select_survivors(range(4), self.TV, {i: 0 for i in range(4)}, 2, 3)
+            select(range(4), self.TV, {i: 0 for i in range(4)}, 2, 3)
 
     def test_detailed_reports_auc_channel(self):
         auc = {i: 0.0 for i in range(6)}
         auc[5] = 99.0
-        survivors, promoted = select_survivors_detailed(
-            range(6), self.TV, auc, keep=3, auc_promotions=1
-        )
+        survivors, promoted = select(range(6), self.TV, auc, keep=3, auc_promotions=1)
         assert survivors == [0, 1, 5]
         assert promoted == [5]
 
@@ -148,9 +154,7 @@ class TestSelectSurvivors:
         re-derivation against the keep cutoff, is what gets reported."""
         auc = {i: 0.0 for i in range(6)}
         auc[2] = 99.0  # TV rank 2 (< keep=3) but selected through AUC
-        survivors, promoted = select_survivors_detailed(
-            range(6), self.TV, auc, keep=3, auc_promotions=1
-        )
+        survivors, promoted = select(range(6), self.TV, auc, keep=3, auc_promotions=1)
         assert survivors == [0, 1, 2]
         assert promoted == [2]
 
@@ -159,9 +163,7 @@ class TestSelectSurvivors:
         quota and no promotion is attributed."""
         tv = {i: float(i) for i in range(3)}
         auc = {i: 0.0 for i in range(3)}
-        survivors, promoted = select_survivors_detailed(
-            range(3), tv, auc, keep=5, auc_promotions=1
-        )
+        survivors, promoted = select(range(3), tv, auc, keep=5, auc_promotions=1)
         assert survivors == [0, 1, 2]
         assert promoted == []
 
@@ -177,88 +179,13 @@ class TestSelectSurvivors:
         rng = np.random.default_rng(seed)
         tv = {i: float(rng.uniform(0, 10)) for i in range(n)}
         auc = {i: float(rng.uniform(0, 10)) for i in range(n)}
-        survivors, promoted = select_survivors_detailed(
-            range(n), tv, auc, keep, promotions
-        )
+        survivors, promoted = select(range(n), tv, auc, keep, promotions)
         assert len(survivors) == min(keep, n)
         assert len(set(survivors)) == len(survivors)
         assert set(promoted) <= set(survivors)
         assert len(promoted) <= promotions
-        assert select_survivors(range(n), tv, auc, keep, promotions) == survivors
         if keep < n and promotions == 0:
             # pure TV: survivors are exactly the TV-best
             best = sorted(range(n), key=lambda i: (tv[i], i))[:keep]
             assert sorted(survivors) == sorted(best)
             assert promoted == []
-
-
-class _FakeTrial:
-    """Scripted trial: the curve is a predetermined sequence."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.curve = []
-
-    def run(self, additional_budget):
-        for _ in range(additional_budget):
-            next_value = self.script.pop(0) if self.script else self.curve[-1]
-            best = min(self.curve[-1], next_value) if self.curve else next_value
-            self.curve.append(best)
-        return self
-
-    def best_curve(self):
-        return np.array(self.curve)
-
-
-class TestRunSuccessiveHalving:
-    def test_best_candidate_survives(self):
-        trials = [
-            _FakeTrial([10.0] * 100),
-            _FakeTrial([1.0] * 100),
-            _FakeTrial([5.0] * 100),
-            _FakeTrial([7.0] * 100),
-        ]
-        final, rounds = run_successive_halving(trials, max_budget=16, use_msh=False)
-        assert 1 in final
-        assert len(rounds) >= 2
-
-    def test_all_trials_get_first_round_budget(self):
-        trials = [_FakeTrial([float(i)] * 100) for i in range(8)]
-        run_successive_halving(trials, max_budget=16)
-        assert all(len(t.curve) > 0 for t in trials)
-
-    def test_survivors_reach_max_budget(self):
-        trials = [_FakeTrial([float(i)] * 200) for i in range(8)]
-        final, _rounds = run_successive_halving(trials, max_budget=32)
-        for trial_id in final:
-            assert len(trials[trial_id].curve) == 32
-
-    def test_msh_gives_steep_converger_second_chance(self):
-        # candidate 3 has poor early TV but is converging steeply
-        steep = [20.0, 15.0, 10.0, 6.0, 3.0, 1.5, 0.6, 0.1] + [0.1] * 100
-        trials = [
-            _FakeTrial([2.0] * 100),
-            _FakeTrial([3.0] * 100),
-            _FakeTrial([4.0] * 100),
-            _FakeTrial(steep),
-        ]
-        final_msh, _ = run_successive_halving(
-            [
-                _FakeTrial([2.0] * 100),
-                _FakeTrial([3.0] * 100),
-                _FakeTrial([4.0] * 100),
-                _FakeTrial(list(steep)),
-            ],
-            max_budget=64,
-            auc_fraction=0.25,
-            use_msh=True,
-        )
-        final_sh, _ = run_successive_halving(
-            trials, max_budget=64, use_msh=False
-        )
-        assert 3 in final_msh  # MSH promotes it to the end and it wins
-        assert 3 not in final_sh or final_sh == final_msh
-
-    def test_empty(self):
-        final, rounds = run_successive_halving([], max_budget=10)
-        assert final == [] and rounds == []

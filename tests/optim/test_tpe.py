@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SurrogateError
 from repro.hw import edge_design_space
 from repro.optim.tpe import ParzenEstimator, TPESampler
+from tests.hw.membership import in_space
 
 
 @pytest.fixture()
@@ -81,7 +82,7 @@ class TestTPESampler:
         scores = np.array([self._score(space, c) for c in configs])
         sampler = TPESampler(space, seed=6)
         for config in sampler.suggest(configs, scores, count=5):
-            assert space.contains(config)
+            assert in_space(space, config)
 
 
 class TestMobohbWithTPE:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import SurrogateError
 from repro.hw import edge_design_space
-from repro.optim.gp import GaussianProcess, factorize
+from repro.optim.gp import GaussianProcess
 from repro.optim.mobo import MOBOSampler
 from repro.optim.scalarize import (
     DEFAULT_RHO,
@@ -22,16 +22,16 @@ from repro.optim.scalarize import (
     parego_scalars,
     uniform_weights,
 )
-from repro.optim.sh import (
-    relative_auc_score,
-    relative_auc_scores,
-    select_survivors_detailed,
-    select_survivors_soa,
-    terminal_value,
-    terminal_values,
-)
+from repro.optim.sh import relative_auc_scores, select_survivors_soa, terminal_values
 
-from tests.optim.outer_loop_oracle import ReferenceGaussianProcess, ReferenceMOBOSampler
+from tests.optim.outer_loop_oracle import (
+    ReferenceGaussianProcess,
+    ReferenceMOBOSampler,
+    factorize,
+    relative_auc_score,
+    select_survivors_detailed,
+    terminal_value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ class TestGPFastPaths:
         """fit(factor=...) must equal fit(hyper=...) on every prediction."""
         x, y = self._data()
         base = GaussianProcess().fit(x, y, seed=0, num_restarts=1)
-        factor = factorize("matern52", x, base.hyper)
+        factor = base.cholesky_factor()
 
         rng = np.random.default_rng(7)
         y2 = rng.random(len(y))  # a different target, same X and hyper
@@ -197,7 +197,7 @@ class TestGPFastPaths:
         x, y = self._data()
         gp = GaussianProcess().fit(x, y, seed=0, num_restarts=1)
         factor = factorize("matern52", x, gp.hyper)
-        assert np.array_equal(factor.chol, gp._chol)
+        assert np.array_equal(factor.chol, gp.cholesky_factor().chol)
 
 
 class TestSuggestBatchParity:
@@ -265,39 +265,6 @@ class TestSuggestBatchParity:
         ):
             with pytest.raises(SurrogateError):
                 sampler.suggest_batch(configs, objectives, 4)
-
-
-class TestPredictObjectivesSharedHyper:
-    def test_uses_shared_hyper_when_set(self, space):
-        """predict_objectives must reuse the suggest-time hyperparameters."""
-        configs, objectives = _training_set(space)
-        sampler = MOBOSampler(space, 3, seed=11, pool_size=64)
-        sampler.suggest_batch(configs, objectives, 4)
-        assert sampler._shared_hyper is not None
-
-        queries = configs[:6]
-        means, stds = sampler.predict_objectives(configs, objectives, queries)
-
-        x_train = space.encode_batch(configs)
-        x_query = space.encode_batch(queries)
-        for j in range(3):
-            gp = GaussianProcess().fit(
-                x_train, objectives[:, j], hyper=sampler._shared_hyper
-            )
-            mean_j, std_j = gp.predict(x_query)
-            assert np.array_equal(means[:, j], mean_j)
-            assert np.array_equal(stds[:, j], std_j)
-
-    def test_fresh_fit_before_any_batch(self, space):
-        """Without shared hyper each column falls back to its own fit."""
-        configs, objectives = _training_set(space, num=16)
-        sampler = MOBOSampler(space, 3, seed=11)
-        assert sampler._shared_hyper is None
-        means, stds = sampler.predict_objectives(
-            configs, objectives, configs[:4]
-        )
-        assert means.shape == (4, 3)
-        assert np.all(np.isfinite(means)) and np.all(stds >= 0)
 
 
 class TestMshSoA:

@@ -7,7 +7,9 @@
 * ``repro.tracking`` imports nothing above it, and the set of packages
   that import each other can only shrink,
 * the entry points reach every module under ``src/repro``,
-* no module imports, at module level, a name it never uses.
+* no module imports, at module level, a name it never uses,
+* every public name is used somewhere, and by product code unless it is
+  listed in ``TEST_SUPPORT_NAMES``.
 """
 
 import ast
@@ -154,12 +156,13 @@ def _package_edges():
 TRACKING_MAY_IMPORT = {"errors", "utils", "version"}
 
 #: package pairs that import each other.  A ratchet: fix one and delete it
-#: here; a new one fails.  ``costmodel``/``fleet`` is pinned by module names
-#: ``benchmarks/e2e`` imports (ROADMAP item 5(b)).
+#: here; a new one fails.  Each pair left is an upward edge out of
+#: ``repro.costmodel.service``: the codec's row table reaches into
+#: ``mapping`` and ``camodel``, the transport into ``fleet``.
+#: ``benchmarks/e2e`` imports that module by its path.
 MUTUAL_IMPORT_PAIRS = {
     ("camodel", "costmodel"),
     ("costmodel", "fleet"),
-    ("costmodel", "hw"),
     ("costmodel", "mapping"),
 }
 
@@ -356,3 +359,66 @@ def test_public_names_are_referenced():
         if name.rpartition(".")[2] not in used
     ]
     assert not unused, f"public names nothing uses: {unused}"
+
+
+#: where a use of a public name counts as a product use; tests do not
+PRODUCT_ROOTS = ("src", "benchmarks", "examples")
+
+#: public names only tests use, kept on purpose.  Only shrinks: an entry
+#: that gains a product use, or whose code goes, must leave the set.
+TEST_SUPPORT_NAMES = {
+    "PPAEngine.evaluate_layer": "the one-layer query 91 test call sites make",
+    "MetricsRegistry.counter_value": "how 42 test assertions read one counter",
+    "AscendHWConfig.with_updates": "18 tests derive Ascend configs from a default",
+    "FleetSupervisor.terminate_replica": "the fault probe of the fleet tests",
+    "HttpServer.inflight_requests": "the drain probe of the server tests",
+    "HubClient.get_run": "the client of the hub's public GET /runs/<id> route",
+    "split_by_run": "repro.learned is kept or dropped as a whole",
+    "feature_names": "repro.learned is kept or dropped as a whole",
+}
+
+
+def _public_constants(tree):
+    """Public UPPER_CASE names a module assigns at top level."""
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper() and target.id[0] != "_":
+                names.add(target.id)
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _test_only_names():
+    """``{name: modules}`` for the public names and constants of ``src/repro``
+    that no Python file under ``PRODUCT_ROOTS`` uses."""
+    repo = SRC_ROOT.parents[1]
+    used = set()
+    for root in PRODUCT_ROOTS:
+        for path in sorted((repo / root).rglob("*.py")):
+            used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+    found = {}
+    for module, path in _module_paths().items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in _public_names(tree) | _public_constants(tree):
+            if name.rpartition(".")[2] not in used:
+                found.setdefault(name, []).append(module)
+    return found
+
+
+def test_public_names_have_a_product_use():
+    """A public name only tests select is code kept alive by its tests:
+    delete it with them, or list it in ``TEST_SUPPORT_NAMES`` with why."""
+    unlisted = sorted(
+        f"{module}.{name}"
+        for name, modules in _test_only_names().items()
+        if name not in TEST_SUPPORT_NAMES
+        for module in modules
+    )
+    assert not unlisted, "public names only tests use:\n" + "\n".join(unlisted)
+
+
+def test_test_support_names_are_still_test_only():
+    stale = sorted(set(TEST_SUPPORT_NAMES) - set(_test_only_names()))
+    assert not stale, f"product code uses these now, or they are gone: {stale}"

@@ -181,7 +181,9 @@ def test_a_cosearch_journals_the_same_bytes_and_dataset(
             edge_space,
             tiny_network,
             engine,
-            UnicoConfig(batch_size=4, max_iterations=2, max_budget=24, workers=4),
+            UnicoConfig(
+                batch_size=4, max_iterations=2, max_budget=24, workers=4, eval_batch_size=8
+            ),
             power_cap_w=100.0,
             seed=11,
         ).optimize()

@@ -14,11 +14,6 @@ class TestAdvance:
         clock.advance(5.0)
         assert clock.now_s == 15.0
 
-    def test_hours(self):
-        clock = SimulatedClock()
-        clock.advance(7200.0)
-        assert clock.now_h == pytest.approx(2.0)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             SimulatedClock().advance(-1.0)

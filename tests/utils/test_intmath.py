@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.intmath import (
-    clamp,
     divisors,
-    factorize_near,
     nearest_divisor,
     power_two_three_grid,
     round_up_div,
-    snap_to_grid,
     step_on_grid,
 )
 
@@ -90,48 +87,6 @@ class TestPowerTwoThreeGrid:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             power_two_three_grid(-1, 0)
-
-
-class TestSnapToGrid:
-    def test_snaps_to_closest(self):
-        assert snap_to_grid(5, [1, 4, 8]) == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            snap_to_grid(5, [])
-
-
-class TestFactorizeNear:
-    @given(st.integers(1, 4000), st.integers(1, 4))
-    @settings(max_examples=60)
-    def test_product_invariant(self, n, parts):
-        factors = factorize_near(n, parts)
-        assert len(factors) == parts
-        assert int(np.prod(factors)) == n
-
-    def test_random_variant_preserves_product(self):
-        rng = np.random.default_rng(0)
-        factors = factorize_near(360, 3, rng)
-        assert int(np.prod(factors)) == 360
-
-    def test_zero_parts_rejected(self):
-        with pytest.raises(ValueError):
-            factorize_near(10, 0)
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(0.5, 0, 1) == 0.5
-
-    def test_low(self):
-        assert clamp(-1, 0, 1) == 0
-
-    def test_high(self):
-        assert clamp(2, 0, 1) == 1
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            clamp(0, 1, 0)
 
 
 class TestStepOnGrid:

@@ -19,12 +19,6 @@ class TestGemmShape:
     def test_macs(self):
         assert GemmShape(2, 3, 4).macs == 24
 
-    def test_element_counts(self):
-        shape = GemmShape(2, 3, 4)
-        assert shape.input_a_elems == 8
-        assert shape.input_b_elems == 12
-        assert shape.output_elems == 6
-
     def test_rejects_zero_dim(self):
         with pytest.raises(WorkloadError):
             GemmShape(0, 1, 1)
@@ -124,11 +118,6 @@ class TestGemm:
         gemm = Gemm(name="g", m=5, n=6, k=7)
         shape = gemm.to_gemm()
         assert (shape.m, shape.n, shape.k) == (5, 6, 7)
-
-    def test_with_count(self):
-        g2 = Gemm(name="g", m=5, n=6, k=7).with_count(4)
-        assert g2.count == 4
-        assert g2.name == "g"
 
 
 class TestPointwiseConv:

@@ -37,10 +37,6 @@ class TestNetwork:
         with pytest.raises(WorkloadError):
             tiny_network.layer("nope")
 
-    def test_gemms_cover_all_layers(self, tiny_network):
-        pairs = tiny_network.gemms()
-        assert len(pairs) == tiny_network.num_unique_layers
-
     def test_summary_keys(self, tiny_network):
         summary = tiny_network.summary()
         assert summary["unique_layers"] == 3
