@@ -35,3 +35,15 @@ def save_record(results_dir: pathlib.Path, name: str, record) -> None:
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an expensive experiment exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def run_experiment_once(benchmark, experiment):
+    """Run one experiment (its cells, then its reducer) exactly once under
+    the benchmark timer; returns its record."""
+    from repro.experiments import run_experiments
+
+    def run():
+        ((_name, record),) = run_experiments({"experiment": experiment})
+        return record
+
+    return run_once(benchmark, run)

@@ -10,8 +10,8 @@ paper numbers: MSH+Champion ~13.7% over HASCO, UNICO ~28% over HASCO.
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once, save_record
-from repro.experiments import run_fig10
+from benchmarks.conftest import run_experiment_once, save_record
+from repro.experiments import fig10_experiment
 from repro.workloads import FIG10_NETWORKS
 
 SEED = 0
@@ -19,7 +19,7 @@ SEED = 0
 
 @pytest.mark.benchmark(group="fig10")
 def test_fig10_ablation(benchmark, results_dir):
-    record = run_once(benchmark, run_fig10, "bench", seed=SEED)
+    record = run_experiment_once(benchmark, fig10_experiment("bench", seed=SEED))
     save_record(results_dir, "fig10", record)
 
     print("\n=== Fig. 10: feature ablation (final hypervolume), bench preset ===")

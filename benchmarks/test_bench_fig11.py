@@ -12,8 +12,8 @@ split rebalanced away from the cube-derived defaults.
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once, save_record
-from repro.experiments import run_fig11
+from benchmarks.conftest import run_experiment_once, save_record
+from repro.experiments import fig11_experiment
 from repro.workloads import FIG11_NETWORKS
 
 SEED = 0
@@ -21,7 +21,7 @@ SEED = 0
 
 @pytest.mark.benchmark(group="fig11")
 def test_fig11_ascend_deployment(benchmark, results_dir):
-    record = run_once(benchmark, run_fig11, "bench", seed=SEED)
+    record = run_experiment_once(benchmark, fig11_experiment("bench", seed=SEED))
     save_record(results_dir, "fig11", record)
 
     print("\n=== Fig. 11: Ascend-like deployment, bench preset ===")

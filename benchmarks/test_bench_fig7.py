@@ -10,9 +10,8 @@ and its per-time curve is not worse than the baselines' on most networks.
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once, save_record
-from repro.experiments import run_fig7, speedup_to_reach
-from repro.workloads import TABLE12_NETWORKS
+from benchmarks.conftest import run_experiment_once, save_record
+from repro.experiments import fig7_experiment, speedup_to_reach
 
 # three representative networks keep the bench suite's runtime moderate
 # while covering the workload families (transformer / CNN / dense-pred.)
@@ -38,8 +37,8 @@ def _summarize(record, scenario):
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7a_edge(benchmark, results_dir):
-    record = run_once(
-        benchmark, run_fig7, "edge", list(FIG7_BENCH_NETWORKS), "bench", seed=SEED
+    record = run_experiment_once(
+        benchmark, fig7_experiment("edge", FIG7_BENCH_NETWORKS, "bench", seed=SEED)
     )
     save_record(results_dir, "fig7a_edge", record)
     speedups = _summarize(record, "edge")
@@ -51,8 +50,8 @@ def test_fig7a_edge(benchmark, results_dir):
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7b_cloud(benchmark, results_dir):
-    record = run_once(
-        benchmark, run_fig7, "cloud", list(FIG7_BENCH_NETWORKS), "bench", seed=SEED
+    record = run_experiment_once(
+        benchmark, fig7_experiment("cloud", FIG7_BENCH_NETWORKS, "bench", seed=SEED)
     )
     save_record(results_dir, "fig7b_cloud", record)
     speedups = _summarize(record, "cloud")

@@ -9,15 +9,15 @@ lower average latency on the unseen networks (paper: 10-28.5% better).
 
 import pytest
 
-from benchmarks.conftest import run_once, save_record
-from repro.experiments import run_fig8
+from benchmarks.conftest import run_experiment_once, save_record
+from repro.experiments import fig8_experiment
 
 SEED = 0
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_robustness_indicator(benchmark, results_dir):
-    record = run_once(benchmark, run_fig8, "bench", seed=SEED)
+    record = run_experiment_once(benchmark, fig8_experiment("bench", seed=SEED))
     save_record(results_dir, "fig8", record)
 
     print("\n=== Fig. 8: R as a generalization indicator, bench preset ===")

@@ -11,8 +11,8 @@ substantially positive mean improvement (paper: 44%).
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once, save_record
-from repro.experiments import run_fig9
+from benchmarks.conftest import run_experiment_once, save_record
+from repro.experiments import fig9_experiment
 from repro.workloads import FIG9_VALIDATION
 
 SEED = 0
@@ -20,7 +20,7 @@ SEED = 0
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_generalization(benchmark, results_dir):
-    record = run_once(benchmark, run_fig9, "bench", seed=SEED)
+    record = run_experiment_once(benchmark, fig9_experiment("bench", seed=SEED))
     save_record(results_dir, "fig9", record)
 
     print("\n=== Fig. 9: generalization to unseen DNNs, bench preset ===")

@@ -9,8 +9,9 @@ NSGAII's on average, and its selected design is competitive on PPA.
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once, save_record
-from repro.experiments import format_table, run_table
+from benchmarks.conftest import run_experiment_once, save_record
+from repro.experiments import table_experiment
+from repro.experiments.reporting import _table_section
 from repro.workloads import TABLE12_NETWORKS
 
 SEED = 0
@@ -18,12 +19,12 @@ SEED = 0
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_edge(benchmark, results_dir):
-    record = run_once(
-        benchmark, run_table, "edge", list(TABLE12_NETWORKS), "bench", seed=SEED
+    record = run_experiment_once(
+        benchmark, table_experiment("edge", TABLE12_NETWORKS, "bench", seed=SEED)
     )
     save_record(results_dir, "table1_edge", record)
     print("\n=== Table 1 (edge, power < 2 W), bench preset ===")
-    print(format_table(record))
+    print("\n".join(_table_section("table1_edge", record)))
 
     unico_costs, hasco_costs, nsga_costs = [], [], []
     unico_wins = 0

@@ -8,8 +8,9 @@ is competitive or better on PPA.
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once, save_record
-from repro.experiments import format_table, run_table
+from benchmarks.conftest import run_experiment_once, save_record
+from repro.experiments import table_experiment
+from repro.experiments.reporting import _table_section
 from repro.workloads import TABLE12_NETWORKS
 
 SEED = 0
@@ -17,12 +18,12 @@ SEED = 0
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_cloud(benchmark, results_dir):
-    record = run_once(
-        benchmark, run_table, "cloud", list(TABLE12_NETWORKS), "bench", seed=SEED
+    record = run_experiment_once(
+        benchmark, table_experiment("cloud", TABLE12_NETWORKS, "bench", seed=SEED)
     )
     save_record(results_dir, "table2_cloud", record)
     print("\n=== Table 2 (cloud, power < 20 W), bench preset ===")
-    print(format_table(record))
+    print("\n".join(_table_section("table2_cloud", record)))
 
     unico_costs, baseline_costs = [], []
     unico_wins = 0

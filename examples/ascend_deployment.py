@@ -12,8 +12,7 @@ Run:  python examples/ascend_deployment.py [network]
 
 import sys
 
-from repro.experiments import run_method
-from repro.experiments.fig11 import evaluate_default
+from repro.experiments import run_method, sw_search_on
 from repro.hw import default_ascend_config
 
 
@@ -24,8 +23,7 @@ def main() -> None:
     print(f"Expert default: {default_hw}")
 
     print("\nEvaluating the default with a fresh fusion-mapping search...")
-    default_trial = evaluate_default(network, budget=40, seed=0)
-    default_ppa = default_trial.best_ppa
+    default_ppa = sw_search_on(default_hw, network, "ascend", budget=40, seed=0).best_ppa
     print(
         f"  default: {default_ppa.latency_s * 1e3:.2f} ms, "
         f"{default_ppa.power_w * 1e3:.0f} mW, {default_ppa.area_mm2:.1f} mm2"

@@ -34,6 +34,9 @@ from repro.workloads.network import Network
 #: evaluation of a ~10-unique-layer workload lands in the paper's 2-10 min.
 CAMODEL_EVAL_COST_S = 30.0
 
+#: first element of the tuple the per-query model-error hash reads
+NOISE_SEED = 0
+
 
 class AscendCAEngine(PPAEngine):
     """Cycle-accurate estimation service for the Ascend-like core."""
@@ -45,20 +48,18 @@ class AscendCAEngine(PPAEngine):
         eval_cost_s: float = CAMODEL_EVAL_COST_S,
         tech: Technology = DEFAULT_TECHNOLOGY,
         noise_fraction: float = 0.0,
-        noise_seed: int = 0,
     ):
         super().__init__(network, clock=clock, eval_cost_s=eval_cost_s, tech=tech)
         if noise_fraction < 0:
             raise ValueError(f"noise_fraction must be >= 0, got {noise_fraction}")
         self.noise_fraction = noise_fraction
-        self.noise_seed = noise_seed
 
     def _noise_factor(self, hw, mapping: AscendMapping, shape: GemmShape) -> float:
         """Deterministic per-query model-error factor around 1.0."""
         if self.noise_fraction <= 0:
             return 1.0
         digest = hashlib.sha256(
-            repr((self.noise_seed, self.hw_key(hw), mapping.key(), shape)).encode()
+            repr((NOISE_SEED, self.hw_key(hw), mapping.key(), shape)).encode()
         ).digest()
         unit = int.from_bytes(digest[:8], "little") / 2**64
         # triangular-ish spread in [-2, 2] sigma

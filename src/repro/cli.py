@@ -5,8 +5,9 @@ Commands
 * ``networks`` — list the registered workloads with size summaries.
 * ``run`` — one co-search cell (method x scenario x workload) and print
   the Pareto front + selected design.
-* ``table`` — regenerate Table 1 (edge) or Table 2 (cloud).
-* ``fig`` — regenerate one of the paper's figures (7-11) as JSON.
+* ``reproduce`` — regenerate the paper's tables and figures (``--only``
+  names a subset), each distinct co-search run once; ``report`` renders
+  the saved records as markdown.
 * ``serve`` — expose a PPA estimation engine as the Section 3.5 REST
   service (for master-slave deployments).
 * ``fleet`` — run N sharded service replicas under one supervisor
@@ -35,7 +36,7 @@ from http.client import HTTPException
 from typing import List, Optional
 
 from repro.methods import METHODS, SCENARIOS
-from repro.workloads import TABLE12_NETWORKS, available_networks, get_network
+from repro.workloads import available_networks, get_network
 
 
 def _cmd_networks(_args) -> int:
@@ -499,35 +500,6 @@ def _cmd_runs_resume(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    from repro.experiments import format_table, run_table
-
-    record = run_table(args.scenario, list(args.networks), args.preset, seed=args.seed)
-    print(format_table(record))
-    if args.json:
-        _write_json(args.json, record)
-    return 0
-
-
-_FIG_NUMBERS = ("7", "8", "9", "10", "11")
-
-
-def _cmd_fig(args) -> int:
-    from repro import experiments
-
-    run_fig = getattr(experiments, f"run_fig{args.number}")
-    if args.number == "7":
-        record = run_fig(args.scenario, list(args.networks), args.preset, seed=args.seed)
-    else:
-        record = run_fig(args.preset, seed=args.seed)
-    payload = record.to_json()
-    if args.json:
-        _write_json(args.json, record)
-    else:
-        print(payload)
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from repro.camodel import AscendCAEngine
     from repro.costmodel import MaestroEngine
@@ -978,12 +950,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _write_json(path: str, record) -> None:
-    with open(path, "w") as handle:
-        handle.write(record.to_json())
-    print(f"wrote {path}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with every sub-command."""
     parser = argparse.ArgumentParser(
@@ -1151,23 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="iteration_state period (default: as the run recorded)",
     )
     runs_resume.set_defaults(fn=_cmd_runs_resume)
-
-    table_parser = sub.add_parser("table", help="regenerate Table 1/2")
-    table_parser.add_argument("scenario", choices=("edge", "cloud"))
-    table_parser.add_argument("--networks", nargs="+", default=list(TABLE12_NETWORKS))
-    table_parser.add_argument("--preset", default="smoke")
-    table_parser.add_argument("--seed", type=int, default=0)
-    table_parser.add_argument("--json", default=None, help="write record JSON here")
-    table_parser.set_defaults(fn=_cmd_table)
-
-    fig_parser = sub.add_parser("fig", help="regenerate a figure (7-11)")
-    fig_parser.add_argument("number", choices=sorted(_FIG_NUMBERS))
-    fig_parser.add_argument("--scenario", default="edge", choices=("edge", "cloud"))
-    fig_parser.add_argument("--networks", nargs="+", default=list(TABLE12_NETWORKS))
-    fig_parser.add_argument("--preset", default="smoke")
-    fig_parser.add_argument("--seed", type=int, default=0)
-    fig_parser.add_argument("--json", default=None, help="write record JSON here")
-    fig_parser.set_defaults(fn=_cmd_fig)
 
     reproduce_parser = sub.add_parser(
         "reproduce", help="run every table/figure at a preset"

@@ -373,7 +373,6 @@ class RemotePPAEngine(PPAEngine):
         backoff_base_s: float = 0.05,
         backoff_max_s: float = 2.0,
         jitter_fraction: float = 0.25,
-        jitter_seed: int = 0,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 30.0,
         batch_size: int = 16,
@@ -398,7 +397,7 @@ class RemotePPAEngine(PPAEngine):
         self.jitter_fraction = jitter_fraction
         self.batch_size = batch_size
         self.max_inflight = max_inflight
-        self._jitter_rng = random.Random(jitter_seed)
+        self._jitter_rng = random.Random(0)
         self.num_network_retries = 0
         #: each URL is parsed exactly once, inside its shard's pool, which
         #: idles up to ``max_inflight`` warm connections

@@ -7,15 +7,19 @@
 * :mod:`repro.experiments.fig10` — MSH / high-fidelity-update ablation,
 * :mod:`repro.experiments.fig11` — Ascend-like industrial deployment.
 
-All take a budget preset (``smoke`` / ``bench`` / ``paper``) and a seed and
-return JSON-serializable :class:`~repro.utils.records.RunRecord` trees.
+Each builds an :class:`~repro.experiments.harness.Experiment` from a budget
+preset (``smoke`` / ``bench`` / ``paper``) and a seed: the co-searches it
+reads, as :class:`~repro.experiments.harness.RunSpec` cells, plus a reducer
+to a JSON-serializable :class:`~repro.utils.records.RunRecord`.
+:func:`~repro.experiments.paper_runner.run_experiments` runs them,
+launching each distinct cell once.
 """
 
-from repro.experiments.fig7 import FIG7_METHODS, run_fig7, run_fig7_network, speedup_to_reach
-from repro.experiments.fig8 import run_fig8, select_comparable_pairs
-from repro.experiments.fig9 import run_fig9
-from repro.experiments.fig10 import FIG10_METHODS, run_fig10, run_fig10_network
-from repro.experiments.fig11 import evaluate_default, run_fig11
+from repro.experiments.fig7 import FIG7_METHODS, fig7_experiment, speedup_to_reach
+from repro.experiments.fig8 import fig8_experiment, select_comparable_pairs
+from repro.experiments.fig9 import fig9_experiment
+from repro.experiments.fig10 import FIG10_METHODS, fig10_experiment
+from repro.experiments.fig11 import fig11_experiment
 from repro.experiments.harness import (
     METHODS,
     build_optimizer,
@@ -29,27 +33,20 @@ from repro.experiments.harness import (
     sw_search_on,
     time_grid,
 )
+from repro.experiments.paper_runner import run_experiments
 from repro.experiments.presets import Preset, get_preset
-from repro.experiments.tables import (
-    TABLE_METHODS,
-    format_table,
-    run_table,
-    run_table_cell,
-)
+from repro.experiments.tables import TABLE_METHODS, table_cell, table_experiment
 
 __all__ = [
     "FIG7_METHODS",
-    "run_fig7",
-    "run_fig7_network",
+    "fig7_experiment",
     "speedup_to_reach",
-    "run_fig8",
+    "fig8_experiment",
     "select_comparable_pairs",
-    "run_fig9",
+    "fig9_experiment",
     "FIG10_METHODS",
-    "run_fig10",
-    "run_fig10_network",
-    "evaluate_default",
-    "run_fig11",
+    "fig10_experiment",
+    "fig11_experiment",
     "METHODS",
     "combined_reference",
     "final_hypervolume",
@@ -63,8 +60,8 @@ __all__ = [
     "time_grid",
     "Preset",
     "get_preset",
+    "run_experiments",
     "TABLE_METHODS",
-    "format_table",
-    "run_table",
-    "run_table_cell",
+    "table_cell",
+    "table_experiment",
 ]

@@ -19,10 +19,12 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
+from repro.core import CoSearchResult
 from repro.experiments.harness import (
+    Experiment,
+    RunSpec,
     combined_reference,
     final_hypervolume,
-    run_method,
 )
 from repro.experiments.presets import Preset
 from repro.utils.records import RunRecord
@@ -31,18 +33,8 @@ from repro.workloads import FIG10_NETWORKS
 FIG10_METHODS = ("hasco", "sh_champion", "msh_champion", "unico")
 
 
-def run_fig10_network(
-    network: str,
-    preset: Union[str, Preset] = "smoke",
-    seed: int = 0,
-    scenario: str = "edge",
-    methods: Sequence[str] = FIG10_METHODS,
-) -> RunRecord:
+def _panel(network: str, results: Dict[str, CoSearchResult]) -> RunRecord:
     """One workload's ablation panel."""
-    results = {
-        method: run_method(method, scenario, network, preset, seed=seed)
-        for method in methods
-    }
     reference = combined_reference(list(results.values()))
     record = RunRecord(f"fig10-{network}")
     record.put("network", network)
@@ -62,25 +54,37 @@ def run_fig10_network(
     return record
 
 
-def run_fig10(
+def fig10_experiment(
     preset: Union[str, Preset] = "smoke",
     seed: int = 0,
     networks: Sequence[str] = FIG10_NETWORKS,
-    scenario: str = "edge",
-) -> RunRecord:
-    """The full ablation across workloads with mean improvements."""
-    record = RunRecord("fig10")
-    per_method: Dict[str, list] = {method: [] for method in FIG10_METHODS}
-    for network in networks:
-        panel = run_fig10_network(network, preset, seed=seed, scenario=scenario)
-        record.children[network] = panel
-        for method in FIG10_METHODS:
-            value = panel.children[method].get("improvement_over_hasco_pct")
-            if value is not None:
-                per_method[method].append(value)
-    for method, values in per_method.items():
-        if values:
-            record.put(
-                f"mean_improvement_{method}_pct", float(np.mean(values))
+) -> Experiment:
+    """The full ablation across workloads (edge) with mean improvements."""
+    networks = list(networks)
+    cells = tuple(
+        RunSpec(method, "edge", network, preset, seed=seed)
+        for network in networks
+        for method in FIG10_METHODS
+    )
+
+    def reduce(results) -> RunRecord:
+        record = RunRecord("fig10")
+        per_method: Dict[str, list] = {method: [] for method in FIG10_METHODS}
+        cell_results = iter(results)
+        for network in networks:
+            panel = _panel(
+                network, {method: next(cell_results) for method in FIG10_METHODS}
             )
-    return record
+            record.children[network] = panel
+            for method in FIG10_METHODS:
+                value = panel.children[method].get("improvement_over_hasco_pct")
+                if value is not None:
+                    per_method[method].append(value)
+        for method, values in per_method.items():
+            if values:
+                record.put(
+                    f"mean_improvement_{method}_pct", float(np.mean(values))
+                )
+        return record
+
+    return Experiment(cells, reduce)

@@ -18,13 +18,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.camodel import AscendCAEngine
-from repro.core.evaluation import SWSearchTrial
-from repro.experiments.harness import run_method
+from repro.experiments.harness import Experiment, RunSpec, sw_search_on
 from repro.experiments.presets import Preset, get_preset
 from repro.hw import default_ascend_config
 from repro.utils.records import RunRecord
-from repro.workloads import FIG11_NETWORKS, get_network
+from repro.workloads import FIG11_NETWORKS
 
 
 def select_deployment_design(result, default_ppa):
@@ -48,68 +46,63 @@ def select_deployment_design(result, default_ppa):
     return best
 
 
-def evaluate_default(
-    network_name: str, budget: int, seed: int = 0
-) -> SWSearchTrial:
-    """SW-mapping search for the expert default config on one workload."""
-    network = get_network(network_name)
-    engine = AscendCAEngine(network, noise_fraction=0.08)
-    trial = SWSearchTrial(
-        default_ascend_config(), network, engine, tool="fusion", seed=seed
-    )
-    trial.run(budget)
-    return trial
-
-
-def run_fig11(
+def fig11_experiment(
     preset: Union[str, Preset] = "smoke",
     seed: int = 0,
     networks: Sequence[str] = FIG11_NETWORKS,
-) -> RunRecord:
-    """The industrial deployment study."""
+) -> Experiment:
+    """The industrial deployment study: one UNICO co-search per workload,
+    each against the expert default's own mapping search."""
     preset = get_preset(preset) if isinstance(preset, str) else preset
-    record = RunRecord("fig11")
-    record.put("networks", list(networks))
-    record.put("default_hw", str(default_ascend_config()))
-    latency_savings = []
-    power_savings = []
-    for network_name in networks:
-        child = record.child(network_name)
-        default_trial = evaluate_default(
-            network_name, budget=preset.ascend_budget, seed=seed
-        )
-        default_ppa = default_trial.best_ppa
-        result = run_method("unico", "ascend", network_name, preset, seed=seed)
-        best = select_deployment_design(result, default_ppa)
-        child.put("default_latency_ms", default_ppa.latency_s * 1e3)
-        child.put("default_power_mw", default_ppa.power_w * 1e3)
-        child.put("search_cost_h", result.total_time_h)
-        if best is None or not default_ppa.feasible:
-            child.put("error", "no feasible design")
-            continue
-        child.put("unico_hw", str(best.hw))
-        child.put("unico_latency_ms", best.ppa.latency_s * 1e3)
-        child.put("unico_power_mw", best.ppa.power_w * 1e3)
-        latency_saving = 100.0 * (
-            default_ppa.latency_s - best.ppa.latency_s
-        ) / max(default_ppa.latency_s, 1e-30)
-        power_saving = 100.0 * (default_ppa.power_w - best.ppa.power_w) / max(
-            default_ppa.power_w, 1e-30
-        )
-        child.put("latency_saving_pct", latency_saving)
-        child.put("power_saving_pct", power_saving)
-        latency_savings.append(latency_saving)
-        power_savings.append(power_saving)
+    networks = list(networks)
+    cells = tuple(
+        RunSpec("unico", "ascend", network, preset, seed=seed)
+        for network in networks
+    )
+
+    def reduce(results) -> RunRecord:
         default_hw = default_ascend_config()
-        child.put(
-            "buffer_rebalance",
-            {
-                "l0a_kb": {"default": default_hw.l0a_kb, "unico": best.hw.l0a_kb},
-                "l0b_kb": {"default": default_hw.l0b_kb, "unico": best.hw.l0b_kb},
-                "l0c_kb": {"default": default_hw.l0c_kb, "unico": best.hw.l0c_kb},
-            },
-        )
-    if latency_savings:
-        record.put("mean_latency_saving_pct", float(np.mean(latency_savings)))
-        record.put("mean_power_saving_pct", float(np.mean(power_savings)))
-    return record
+        record = RunRecord("fig11")
+        record.put("networks", networks)
+        record.put("default_hw", str(default_hw))
+        latency_savings = []
+        power_savings = []
+        for network_name, result in zip(networks, results):
+            child = record.child(network_name)
+            default_ppa = sw_search_on(
+                default_hw, network_name, "ascend", preset.ascend_budget, seed
+            ).best_ppa
+            best = select_deployment_design(result, default_ppa)
+            child.put("default_latency_ms", default_ppa.latency_s * 1e3)
+            child.put("default_power_mw", default_ppa.power_w * 1e3)
+            child.put("search_cost_h", result.total_time_h)
+            if best is None or not default_ppa.feasible:
+                child.put("error", "no feasible design")
+                continue
+            child.put("unico_hw", str(best.hw))
+            child.put("unico_latency_ms", best.ppa.latency_s * 1e3)
+            child.put("unico_power_mw", best.ppa.power_w * 1e3)
+            latency_saving = 100.0 * (
+                default_ppa.latency_s - best.ppa.latency_s
+            ) / max(default_ppa.latency_s, 1e-30)
+            power_saving = 100.0 * (default_ppa.power_w - best.ppa.power_w) / max(
+                default_ppa.power_w, 1e-30
+            )
+            child.put("latency_saving_pct", latency_saving)
+            child.put("power_saving_pct", power_saving)
+            latency_savings.append(latency_saving)
+            power_savings.append(power_saving)
+            child.put(
+                "buffer_rebalance",
+                {
+                    "l0a_kb": {"default": default_hw.l0a_kb, "unico": best.hw.l0a_kb},
+                    "l0b_kb": {"default": default_hw.l0b_kb, "unico": best.hw.l0b_kb},
+                    "l0c_kb": {"default": default_hw.l0c_kb, "unico": best.hw.l0c_kb},
+                },
+            )
+        if latency_savings:
+            record.put("mean_latency_saving_pct", float(np.mean(latency_savings)))
+            record.put("mean_power_saving_pct", float(np.mean(power_savings)))
+        return record
+
+    return Experiment(cells, reduce)

@@ -9,42 +9,37 @@ fastest (reaching HASCO-level HV up to ~4x sooner) and ends lowest.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
+from repro.core import CoSearchResult
 from repro.experiments.harness import (
+    Experiment,
+    RunSpec,
     combined_reference,
     hv_difference_curve,
     hypervolume,
     ideal_front,
-    run_method,
     time_grid,
 )
 from repro.experiments.presets import Preset
 from repro.utils.records import RunRecord
 
 FIG7_METHODS = ("hasco", "nsgaii", "mobohb", "unico")
+#: points of the shared simulated-time grid each curve is sampled on
+GRID_POINTS = 16
 
 
-def run_fig7_network(
-    scenario: str,
-    network: str,
-    preset: Union[str, Preset] = "smoke",
-    methods: Sequence[str] = FIG7_METHODS,
-    seed: int = 0,
-    grid_points: int = 16,
+def _panel(
+    scenario: str, network: str, results: Dict[str, CoSearchResult]
 ) -> RunRecord:
     """HV-difference curves for one network (one panel of Fig. 7)."""
-    results = {
-        method: run_method(method, scenario, network, preset, seed=seed)
-        for method in methods
-    }
     all_results = list(results.values())
     reference = combined_reference(all_results)
     ideal = ideal_front(all_results)
     ideal_hv = hypervolume(ideal, reference)
-    grid = time_grid(all_results, grid_points)
+    grid = time_grid(all_results, GRID_POINTS)
 
     record = RunRecord(f"fig7-{scenario}-{network}")
     record.put("scenario", scenario)
@@ -71,38 +66,58 @@ def run_fig7_network(
     return record
 
 
-def speedup_to_reach(
-    record: RunRecord, target_method: str = "hasco", by_method: str = "unico"
-) -> float:
-    """How much faster ``by_method`` reaches ``target_method``'s final HV.
+def speedup_to_reach(record: RunRecord) -> float:
+    """How much sooner UNICO reaches HASCO's final HV than HASCO does.
 
-    Returns the ratio t_target / t_by (>= 1 means ``by_method`` is faster);
-    inf if ``by_method`` never reaches the target level.
+    Both times are read off the panel's grid: the first grid time at which
+    each curve is at or below HASCO's final HV difference.  Returns their
+    ratio t_hasco / t_unico (>= 1 means UNICO is faster); inf if UNICO
+    never reaches that level.
     """
     grid = np.asarray(record.get("time_grid_s"))
-    target_final = record.children[target_method].get("final_hv_diff")
-    by_curve = np.asarray(record.children[by_method].get("hv_diff_curve"))
-    reached = np.flatnonzero(by_curve <= target_final + 1e-15)
+    target_final = record.children["hasco"].get("final_hv_diff")
+
+    def first_reach(method: str) -> np.ndarray:
+        curve = np.asarray(record.children[method].get("hv_diff_curve"))
+        return np.flatnonzero(curve <= target_final + 1e-15)
+
+    reached = first_reach("unico")
     if reached.size == 0:
-        return float("inf") if by_curve[-1] > target_final else 1.0
-    t_by = grid[reached[0]]
-    t_target = grid[-1]
-    return float(t_target / max(t_by, 1e-9))
+        return float("inf")
+    t_target = grid[first_reach("hasco")[0]]
+    return float(t_target / max(grid[reached[0]], 1e-9))
 
 
-def run_fig7(
+def fig7_experiment(
     scenario: str,
     networks: Sequence[str],
     preset: Union[str, Preset] = "smoke",
     seed: int = 0,
-) -> RunRecord:
+) -> Experiment:
     """One full panel set (Fig. 7a edge or Fig. 7b cloud)."""
-    record = RunRecord(f"fig7-{scenario}")
-    speedups: List[float] = []
-    for network in networks:
-        panel = run_fig7_network(scenario, network, preset, seed=seed)
-        record.children[network] = panel
-        speedups.append(speedup_to_reach(panel))
-    finite = [s for s in speedups if np.isfinite(s)]
-    record.put("mean_speedup_vs_hasco", float(np.mean(finite)) if finite else None)
-    return record
+    networks = list(networks)
+    cells = tuple(
+        RunSpec(method, scenario, network, preset, seed=seed)
+        for network in networks
+        for method in FIG7_METHODS
+    )
+
+    def reduce(results) -> RunRecord:
+        record = RunRecord(f"fig7-{scenario}")
+        speedups: List[float] = []
+        cell_results = iter(results)
+        for network in networks:
+            panel = _panel(
+                scenario,
+                network,
+                {method: next(cell_results) for method in FIG7_METHODS},
+            )
+            record.children[network] = panel
+            speedups.append(speedup_to_reach(panel))
+        finite = [s for s in speedups if np.isfinite(s)]
+        record.put(
+            "mean_speedup_vs_hasco", float(np.mean(finite)) if finite else None
+        )
+        return record
+
+    return Experiment(cells, reduce)

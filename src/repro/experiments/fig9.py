@@ -14,7 +14,7 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from repro.experiments.harness import run_method, sw_search_on
+from repro.experiments.harness import Experiment, RunSpec, sw_search_on
 from repro.experiments.presets import Preset, get_preset
 from repro.utils.records import RunRecord
 from repro.workloads import FIG9_TRAIN, FIG9_VALIDATION
@@ -61,76 +61,83 @@ def shared_scale_best(result_a, result_b):
     return pick(result_a, points_a), pick(result_b, points_b)
 
 
-def run_fig9(
+def fig9_experiment(
     preset: Union[str, Preset] = "smoke",
     seed: int = 0,
     train_networks: Sequence[str] = FIG9_TRAIN,
     validation_networks: Sequence[str] = FIG9_VALIDATION,
-    scenario: str = "edge",
-) -> RunRecord:
-    """Run the generalization comparison end to end."""
+) -> Experiment:
+    """The generalization comparison: UNICO's and HASCO's co-searches,
+    then each selected design's validation mapping searches."""
     preset = get_preset(preset) if isinstance(preset, str) else preset
-    record = RunRecord("fig9")
-    record.put("train_networks", list(train_networks))
-    record.put("validation_networks", list(validation_networks))
+    cells = tuple(
+        RunSpec(method, "edge", list(train_networks), preset, seed=seed)
+        for method in ("unico", "hasco")
+    )
 
-    unico_result = run_method("unico", scenario, list(train_networks), preset, seed=seed)
-    hasco_result = run_method("hasco", scenario, list(train_networks), preset, seed=seed)
-    unico_best, hasco_best = shared_scale_best(unico_result, hasco_result)
-    if unico_best is None or hasco_best is None:
-        record.put("error", "a method produced no feasible design")
-        return record
-    record.put("unico_hw", str(unico_best.hw))
-    record.put("hasco_hw", str(hasco_best.hw))
-    record.put("unico_train_cost_h", unico_result.total_time_h)
-    record.put("hasco_train_cost_h", hasco_result.total_time_h)
+    def reduce(results) -> RunRecord:
+        unico_result, hasco_result = results
+        record = RunRecord("fig9")
+        record.put("train_networks", list(train_networks))
+        record.put("validation_networks", list(validation_networks))
 
-    gains = []
-    for v_index, validation in enumerate(validation_networks):
-        unico_trial = sw_search_on(
-            unico_best.hw,
-            validation,
-            scenario,
-            budget=preset.validation_budget,
-            seed=seed * 100 + v_index,
-        )
-        hasco_trial = sw_search_on(
-            hasco_best.hw,
-            validation,
-            scenario,
-            budget=preset.validation_budget,
-            seed=seed * 100 + v_index,
-        )
-        unico_ppa = unico_trial.best_ppa
-        hasco_ppa = hasco_trial.best_ppa
-        child = record.child(validation)
-        child.put("unico_latency_ms", unico_ppa.latency_s * 1e3)
-        child.put("hasco_latency_ms", hasco_ppa.latency_s * 1e3)
-        child.put("unico_power_mw", unico_ppa.power_w * 1e3)
-        child.put("hasco_power_mw", hasco_ppa.power_w * 1e3)
-        if not (unico_ppa.feasible and hasco_ppa.feasible):
-            gain = float("inf") if unico_ppa.feasible else 0.0
+        unico_best, hasco_best = shared_scale_best(unico_result, hasco_result)
+        if unico_best is None or hasco_best is None:
+            record.put("error", "a method produced no feasible design")
+            return record
+        record.put("unico_hw", str(unico_best.hw))
+        record.put("hasco_hw", str(hasco_best.hw))
+        record.put("unico_train_cost_h", unico_result.total_time_h)
+        record.put("hasco_train_cost_h", hasco_result.total_time_h)
+
+        gains = []
+        for v_index, validation in enumerate(validation_networks):
+            unico_trial = sw_search_on(
+                unico_best.hw,
+                validation,
+                "edge",
+                budget=preset.validation_budget,
+                seed=seed * 100 + v_index,
+            )
+            hasco_trial = sw_search_on(
+                hasco_best.hw,
+                validation,
+                "edge",
+                budget=preset.validation_budget,
+                seed=seed * 100 + v_index,
+            )
+            unico_ppa = unico_trial.best_ppa
+            hasco_ppa = hasco_trial.best_ppa
+            child = record.child(validation)
+            child.put("unico_latency_ms", unico_ppa.latency_s * 1e3)
+            child.put("hasco_latency_ms", hasco_ppa.latency_s * 1e3)
+            child.put("unico_power_mw", unico_ppa.power_w * 1e3)
+            child.put("hasco_power_mw", hasco_ppa.power_w * 1e3)
+            if not (unico_ppa.feasible and hasco_ppa.feasible):
+                gain = float("inf") if unico_ppa.feasible else 0.0
+                child.put("gain_ratio", gain)
+                continue
+            unico_vec = np.array(
+                [unico_ppa.latency_s, unico_ppa.power_w, unico_ppa.area_mm2]
+            )
+            hasco_vec = np.array(
+                [hasco_ppa.latency_s, hasco_ppa.power_w, hasco_ppa.area_mm2]
+            )
+            distances = ppa_distance(unico_vec, hasco_vec)
+            gain = distances["b"] / max(distances["a"], 1e-12)
             child.put("gain_ratio", gain)
-            continue
-        unico_vec = np.array(
-            [unico_ppa.latency_s, unico_ppa.power_w, unico_ppa.area_mm2]
-        )
-        hasco_vec = np.array(
-            [hasco_ppa.latency_s, hasco_ppa.power_w, hasco_ppa.area_mm2]
-        )
-        distances = ppa_distance(unico_vec, hasco_vec)
-        gain = distances["b"] / max(distances["a"], 1e-12)
-        child.put("gain_ratio", gain)
-        gains.append(gain)
-    finite_gains = [g for g in gains if np.isfinite(g)]
-    if finite_gains:
-        record.put("mean_gain_ratio", float(np.mean(finite_gains)))
-        record.put(
-            "mean_improvement_pct",
-            100.0 * (float(np.mean(finite_gains)) - 1.0),
-        )
-        record.put(
-            "fraction_unico_wins",
-            float(np.mean([g >= 1.0 for g in finite_gains])),
-        )
-    return record
+            gains.append(gain)
+        finite_gains = [g for g in gains if np.isfinite(g)]
+        if finite_gains:
+            record.put("mean_gain_ratio", float(np.mean(finite_gains)))
+            record.put(
+                "mean_improvement_pct",
+                100.0 * (float(np.mean(finite_gains)) - 1.0),
+            )
+            record.put(
+                "fraction_unico_wins",
+                float(np.mean([g >= 1.0 for g in finite_gains])),
+            )
+        return record
+
+    return Experiment(cells, reduce)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pathlib
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from repro.hw import (
 from repro.methods import METHODS, SCENARIOS
 from repro.optim.hypervolume import hypervolume
 from repro.optim.pareto import pareto_front
-from repro.utils.records import to_jsonable
+from repro.utils.records import RunRecord, to_jsonable
 from repro.workloads import Network, get_network, merge_networks
 
 _UNICO_VARIANTS: Dict[str, Dict[str, object]] = {
@@ -152,8 +152,8 @@ def build_optimizer(
     ``eval_batch_size`` bounds the candidates of one PPA-engine call of
     the inner mapping search (a missed step plus drafts of the steps that
     follow, as deep as the search's hit record justifies); trajectories
-    are byte-identical at every value, and 1 — the default here, unlike
-    ``UnicoConfig``'s 8 — buys no drafts at all.
+    are byte-identical at every value, and 1 — the default here and in
+    ``UnicoConfig`` — buys no drafts at all.
 
     ``tool`` overrides the scenario's default SW mapping tool (e.g.
     ``"oneloop"`` for the learned gradient-descent search); ``None``
@@ -328,6 +328,21 @@ class RunSpec:
         return cls(**values)
 
 
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """A table or figure of the paper: the co-searches it reads, and how.
+
+    ``cells`` are the runs its record is made from; ``reduce`` turns their
+    results, in ``cells`` order, into the record.  Searches that are not
+    co-searches (the validation mapping searches of Figs. 8, 9 and 11)
+    run inside ``reduce``.  ``repro.experiments.paper_runner`` launches
+    each distinct cell once, however many experiments read it.
+    """
+
+    cells: Tuple[RunSpec, ...]
+    reduce: Callable[[Sequence[CoSearchResult]], RunRecord]
+
+
 def _resolve_screen(spec: RunSpec, resumed_run=None):
     """The spec's screening model as (model, provenance dict), or two Nones.
 
@@ -467,21 +482,12 @@ def launch(
         journal.append("learned_model", screen_info)
     tracer = None
     if spec.trace:
-        from repro.obs.chrome import ChromeTraceSink
         from repro.obs.trace import JournalSpanSink, Tracer
 
-        chrome = ChromeTraceSink(run.dir / "trace.json")
-        if resume:
-            # trace.json covers the whole run: start from the spans earlier
-            # process lifetimes journaled (what `repro runs trace` reads)
-            from repro.obs.profile import spans_from_journal
-
-            chrome.spans.extend(spans_from_journal(run.journal_path))
-        tracer = Tracer(
-            clock=optimizer.clock, sinks=[JournalSpanSink(journal), chrome]
-        )
+        tracer = Tracer(clock=optimizer.clock, sinks=[JournalSpanSink(journal)])
         optimizer.set_tracer(tracer)
-        extras.update(trace_id=tracer.trace_id, trace_path=str(chrome.path))
+        trace_path = run.dir / "trace.json"
+        extras.update(trace_id=tracer.trace_id, trace_path=str(trace_path))
     harness_lifecycle = (
         tracker is not None and not optimizer.emits_lifecycle_events
     )
@@ -495,8 +501,12 @@ def launch(
         raise
     finally:
         if tracer is not None:
-            # journal spans were appended live; this writes trace.json
-            tracer.flush()
+            # trace.json covers the whole run, every process lifetime of
+            # it: it is what `repro runs trace` writes from the journal
+            from repro.obs.chrome import write_chrome_trace
+            from repro.obs.profile import spans_from_journal
+
+            write_chrome_trace(spans_from_journal(run.journal_path), trace_path)
     if harness_lifecycle:
         tracker.on_run_end(optimizer, result)
     result.extras.update(extras)

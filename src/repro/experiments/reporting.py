@@ -1,7 +1,8 @@
 """Markdown report generation from saved experiment records.
 
-The benchmark suite writes one JSON record per table/figure into
-``benchmarks/results/``; :func:`generate_report` renders them into a single
+``python -m repro reproduce`` and the benchmark suite write one JSON
+record per table/figure into ``benchmarks/results/``;
+:func:`generate_report` renders them into a single
 human-readable markdown document (the "measured" side of EXPERIMENTS.md).
 Available from the CLI as ``python -m repro report``.
 """
@@ -113,12 +114,10 @@ def _generic_section(name: str, record: RunRecord) -> List[str]:
     return lines
 
 
-def generate_report(
-    results_dir: pathlib.Path, title: str = "UNICO reproduction — measured results"
-) -> str:
+def generate_report(results_dir: pathlib.Path) -> str:
     """Render every saved record into one markdown document."""
     records = load_records(results_dir)
-    lines = [f"# {title}", ""]
+    lines = ["# UNICO reproduction — measured results", ""]
     if not records:
         lines.append(
             "_No records found. Run `pytest benchmarks/ --benchmark-only` first._"

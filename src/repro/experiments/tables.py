@@ -12,22 +12,16 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Union
 
-from repro.experiments.harness import run_method
+from repro.core import CoSearchResult
+from repro.experiments.harness import Experiment, RunSpec
 from repro.experiments.presets import Preset
 from repro.utils.records import RunRecord
 
 TABLE_METHODS = ("hasco", "nsgaii", "unico")
 
 
-def run_table_cell(
-    method: str,
-    scenario: str,
-    network: str,
-    preset: Union[str, Preset],
-    seed: int = 0,
-) -> Dict[str, float]:
+def table_cell(result: CoSearchResult) -> Dict[str, float]:
     """One (method, network) cell: the paper's four reported values."""
-    result = run_method(method, scenario, network, preset, seed=seed)
     best = result.best_design()
     if best is None:
         return {
@@ -46,42 +40,29 @@ def run_table_cell(
     }
 
 
-def run_table(
+def table_experiment(
     scenario: str,
     networks: Sequence[str],
     preset: Union[str, Preset] = "smoke",
-    methods: Sequence[str] = TABLE_METHODS,
     seed: int = 0,
-) -> RunRecord:
-    """Regenerate Table 1 (scenario='edge') or Table 2 (scenario='cloud')."""
-    record = RunRecord(f"table-{scenario}")
-    record.put("scenario", scenario)
-    record.put("methods", list(methods))
-    for network in networks:
-        network_record = record.child(network)
-        for method in methods:
-            cell = run_table_cell(method, scenario, network, preset, seed=seed)
-            network_record.child(method).update(cell)
-    return record
+) -> Experiment:
+    """Table 1 (scenario='edge') or Table 2 (scenario='cloud')."""
+    networks = list(networks)
+    cells = tuple(
+        RunSpec(method, scenario, network, preset, seed=seed)
+        for network in networks
+        for method in TABLE_METHODS
+    )
 
+    def reduce(results) -> RunRecord:
+        record = RunRecord(f"table-{scenario}")
+        record.put("scenario", scenario)
+        record.put("methods", list(TABLE_METHODS))
+        cell_results = iter(results)
+        for network in networks:
+            network_record = record.child(network)
+            for method in TABLE_METHODS:
+                network_record.child(method).update(table_cell(next(cell_results)))
+        return record
 
-def format_table(record: RunRecord) -> str:
-    """Render a table record as the paper-style text table."""
-    lines = [
-        f"{'Network':<16s}"
-        + "".join(
-            f"{method:>12s}(L ms){method:>10s}(P mW){method:>10s}(A mm2)"
-            f"{method:>8s}(h)"
-            for method in record.get("methods", [])
-        )
-    ]
-    for network, network_record in record.children.items():
-        cells = []
-        for method in record.get("methods", []):
-            metrics = network_record.children[method].metrics
-            cells.append(
-                f"{metrics['latency_ms']:18.4g}{metrics['power_mw']:16.4g}"
-                f"{metrics['area_mm2']:17.3g}{metrics['cost_h']:9.2f}"
-            )
-        lines.append(f"{network:<16s}" + "".join(cells))
-    return "\n".join(lines)
+    return Experiment(cells, reduce)

@@ -33,6 +33,9 @@ from repro.utils import fork_context
 #: engines a replica knows how to build (same names as ``repro serve``)
 REPLICA_ENGINES = ("maestro", "ascend")
 
+#: how long a starting replica may take to report its URL (seconds)
+START_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class ReplicaSpec:
@@ -105,13 +108,11 @@ class FleetSupervisor:
         self,
         spec: ReplicaSpec,
         replicas: int = 2,
-        start_timeout_s: float = 30.0,
     ):
         if replicas < 1:
             raise ConfigurationError(f"need at least 1 replica, got {replicas}")
         self.spec = spec
         self.replicas = replicas
-        self.start_timeout_s = start_timeout_s
         self.urls: List[str] = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
         #: keep-alive connections :meth:`status` polls ``/health`` over
@@ -137,10 +138,10 @@ class FleetSupervisor:
         urls: List[str] = []
         try:
             for index, proc, conn in pending:
-                if not conn.poll(self.start_timeout_s):
+                if not conn.poll(START_TIMEOUT_S):
                     raise ConfigurationError(
                         f"replica {index} did not report within "
-                        f"{self.start_timeout_s}s"
+                        f"{START_TIMEOUT_S}s"
                     )
                 report = conn.recv()
                 conn.close()

@@ -69,6 +69,9 @@ __all__ = ["HubServer"]
 #: Version of the hub's JSON responses; bumped on shape changes.
 HUB_SCHEMA_VERSION = 1
 
+#: an idle SSE stream sends a keep-alive comment this often (seconds)
+SSE_KEEPALIVE_S = 15.0
+
 #: manifest keys surfaced by ``GET /runs`` (the condensed listing)
 _LIST_KEYS = (
     "status", "method", "scenario", "workload", "preset", "seed",
@@ -95,7 +98,6 @@ class HubServer(HttpServer):
         port: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         sse_poll_interval_s: float = 0.05,
-        sse_keepalive_s: float = 15.0,
         reconcile_on_start: bool = True,
     ):
         # what a raised exception answers with: an unknown run (or an
@@ -127,7 +129,6 @@ class HubServer(HttpServer):
             else None
         )
         self.sse_poll_interval_s = sse_poll_interval_s
-        self.sse_keepalive_s = sse_keepalive_s
         self.reconcile_on_start = reconcile_on_start
 
     # -- lifecycle --------------------------------------------------------------
@@ -281,7 +282,7 @@ class HubServer(HttpServer):
                 return
             terminal_seen = status() in TERMINAL_STATUSES
             if not frames:
-                if time.monotonic() - last_activity >= self.sse_keepalive_s:
+                if time.monotonic() - last_activity >= SSE_KEEPALIVE_S:
                     write(format_sse_comment())
                     last_activity = time.monotonic()
                 time.sleep(self.sse_poll_interval_s)

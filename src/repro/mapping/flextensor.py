@@ -20,6 +20,10 @@ from repro.costmodel.results import LayerPPA
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.gemm_mapping import GemmMapping
 
+#: the annealing temperature at the first step, and its decay per step
+INITIAL_TEMPERATURE = 0.30
+COOLING = 0.997
+
 
 class FlexTensorSearch(AnytimeMappingSearch):
     """Simulated-annealing mapping search with adaptive layer credit."""
@@ -32,13 +36,10 @@ class FlexTensorSearch(AnytimeMappingSearch):
     def __init__(
         self,
         *args,
-        initial_temperature: float = 0.30,
-        cooling: float = 0.997,
         epsilon: float = 0.15,
         **kwargs,
     ):
-        self._temperature = initial_temperature
-        self._cooling = cooling
+        self._temperature = INITIAL_TEMPERATURE
         self._epsilon = epsilon
         self._credit: Dict[str, float] = {}
         self._current: Dict[str, GemmMapping] = {}
@@ -100,4 +101,4 @@ class FlexTensorSearch(AnytimeMappingSearch):
             1 - decay
         ) * (1.0 + 4.0 * reward)
         self._stale_weights.add(layer_name)
-        self._temperature *= self._cooling
+        self._temperature *= COOLING

@@ -17,6 +17,9 @@ from repro.costmodel.results import LayerPPA
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.gemm_mapping import GemmMapping
 
+#: chance that an offspring is mutated after it is bred
+MUTATION_RATE = 0.6
+
 
 class GammaSearch(AnytimeMappingSearch):
     """Per-layer (mu + lambda) genetic search over mappings."""
@@ -30,11 +33,9 @@ class GammaSearch(AnytimeMappingSearch):
         self,
         *args,
         population_size: int = 6,
-        mutation_rate: float = 0.6,
         **kwargs,
     ):
         self._population_size = population_size
-        self._mutation_rate = mutation_rate
         # population entries: (mapping, score); scores filled lazily
         self._population: Dict[str, List[Tuple[GemmMapping, float]]] = {}
         super().__init__(*args, **kwargs)
@@ -70,7 +71,7 @@ class GammaSearch(AnytimeMappingSearch):
             child = space.crossover(parent_a, parent_b, self.rng)
         else:
             child = members[int(self.rng.integers(0, len(members)))][0]
-        if self.rng.random() < self._mutation_rate:
+        if self.rng.random() < MUTATION_RATE:
             child = space.mutate(child, self.rng)
         return layer_name, child
 

@@ -17,8 +17,6 @@ import json
 import pathlib
 from typing import Dict, List, Sequence, Union
 
-from repro.obs.trace import SpanSink
-
 #: Synthetic pid of the wall-clock timeline in the exported trace.
 WALL_PID = 1
 #: Synthetic pid of the simulated-search-time timeline.
@@ -84,32 +82,9 @@ def write_chrome_trace(
     return path
 
 
-class ChromeTraceSink(SpanSink):
-    """Accumulates spans and writes ``trace.json`` on :meth:`flush`.
-
-    The file is (re)written whole on every flush — partial traces are not
-    useful in a viewer, and the crash-safe artifact is the journal's
-    ``span`` events, from which ``repro runs trace`` can regenerate this
-    file at any time.
-    """
-
-    def __init__(self, path: Union[str, pathlib.Path]):
-        self.path = pathlib.Path(path)
-        self.spans: List[Dict] = []
-
-    def record(self, span: Dict) -> None:
-        """Buffer one finished span for the next flush."""
-        self.spans.append(span)
-
-    def flush(self) -> None:
-        """Write (or rewrite) the Chrome trace file."""
-        write_chrome_trace(self.spans, self.path)
-
-
 __all__ = [
     "SIM_PID",
     "WALL_PID",
-    "ChromeTraceSink",
     "spans_to_trace_events",
     "write_chrome_trace",
 ]

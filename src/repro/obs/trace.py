@@ -50,9 +50,6 @@ class SpanSink:
     def record(self, span: Dict) -> None:
         """Accept one finished span; must not mutate it."""
 
-    def flush(self) -> None:
-        """Persist anything buffered (no-op by default)."""
-
 
 class InMemorySink(SpanSink):
     """Collects finished spans in a list — tests and ad-hoc profiling."""
@@ -328,11 +325,6 @@ class Tracer:
         }
         self._emit(span_dict)
         return span_dict
-
-    def flush(self) -> None:
-        """Flush every sink (e.g. write the Chrome trace file)."""
-        for sink in self.sinks:
-            sink.flush()
 
 
 class NullTracer(Tracer):

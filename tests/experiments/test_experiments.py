@@ -1,4 +1,4 @@
-"""Smoke-scale end-to-end tests of every table/figure harness.
+"""Smoke-scale end-to-end tests of every table/figure experiment.
 
 These run the real experiment code paths at the ``smoke`` preset on a tiny
 workload, asserting structure (the right rows/series exist and are sane),
@@ -7,70 +7,79 @@ not absolute numbers — statistical shape claims live in the benchmarks.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
-    format_table,
-    run_fig7_network,
-    run_fig8,
-    run_fig9,
-    run_fig10_network,
-    run_fig11,
-    run_table,
+    fig7_experiment,
+    fig8_experiment,
+    fig9_experiment,
+    fig10_experiment,
+    fig11_experiment,
+    run_experiments,
     speedup_to_reach,
+    table_experiment,
 )
+from repro.experiments.reporting import generate_report
+
+
+def _record(experiment):
+    ((_name, record),) = run_experiments({"experiment": experiment})
+    return record
 
 
 @pytest.fixture(scope="module")
-def tiny_name(request):
-    """Use a small real network so registry-based lookups work."""
-    return "fsrcnn_120x320"
+def table_record():
+    return _record(table_experiment("edge", ["fsrcnn_120x320"], "smoke", seed=2))
+
+
+@pytest.fixture(scope="module")
+def fig7_panel():
+    record = _record(fig7_experiment("edge", ["fsrcnn_120x320"], "smoke", seed=3))
+    return record.children["fsrcnn_120x320"]
 
 
 class TestTableHarness:
-    def test_table_structure(self):
-        record = run_table("edge", ["fsrcnn_120x320"], "smoke", seed=2)
-        assert "fsrcnn_120x320" in record.children
-        row = record.children["fsrcnn_120x320"]
+    def test_table_structure(self, table_record):
+        assert "fsrcnn_120x320" in table_record.children
+        row = table_record.children["fsrcnn_120x320"]
         for method in ("hasco", "nsgaii", "unico"):
             cell = row.children[method].metrics
             assert cell["cost_h"] > 0
             assert cell["latency_ms"] > 0
 
-    def test_formatting(self):
-        record = run_table("edge", ["fsrcnn_120x320"], "smoke", seed=2)
-        text = format_table(record)
-        assert "fsrcnn_120x320" in text
-        assert "hasco" in text
+    def test_formatting(self, table_record, tmp_path):
+        (tmp_path / "table1_edge.json").write_text(table_record.to_json())
+        text = generate_report(tmp_path)
+        assert "| fsrcnn_120x320 |" in text
+        assert "hasco L(ms)" in text
 
-    def test_json_serializable(self):
-        record = run_table("edge", ["fsrcnn_120x320"], "smoke", seed=2)
-        json.loads(record.to_json())
+    def test_json_serializable(self, table_record):
+        json.loads(table_record.to_json())
 
 
 class TestFig7Harness:
-    def test_panel_structure(self):
-        record = run_fig7_network("edge", "fsrcnn_120x320", "smoke", seed=3)
-        assert record.get("ideal_hv") > 0
-        grid = record.get("time_grid_s")
+    def test_panel_structure(self, fig7_panel):
+        assert fig7_panel.get("ideal_hv") > 0
+        grid = fig7_panel.get("time_grid_s")
         for method in ("hasco", "nsgaii", "mobohb", "unico"):
-            curve = record.children[method].get("hv_diff_curve")
+            curve = fig7_panel.children[method].get("hv_diff_curve")
             assert len(curve) == len(grid)
             assert all(v >= 0 for v in curve)
             # HV difference curves are non-increasing in time
             assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
-    def test_speedup_metric(self):
-        record = run_fig7_network("edge", "fsrcnn_120x320", "smoke", seed=3)
-        value = speedup_to_reach(record)
-        assert value > 0
+    def test_speedup_metric(self, fig7_panel):
+        assert speedup_to_reach(fig7_panel) > 0
 
 
 class TestFig8Harness:
     def test_record_structure(self):
-        record = run_fig8("smoke", seed=2, train_networks=("fsrcnn_120x320",),
-                          validation_networks=("fsrcnn_240x640",))
+        record = _record(
+            fig8_experiment(
+                "smoke", seed=2, train_networks=("fsrcnn_120x320",),
+                validation_networks=("fsrcnn_240x640",),
+            )
+        )
         assert record.get("pareto_size") >= 0
         if record.get("num_pairs"):
             pair = record.children["pair_0"]
@@ -80,11 +89,13 @@ class TestFig8Harness:
 
 class TestFig9Harness:
     def test_record_structure(self):
-        record = run_fig9(
-            "smoke",
-            seed=2,
-            train_networks=("fsrcnn_120x320",),
-            validation_networks=("fsrcnn_240x640", "dleu"),
+        record = _record(
+            fig9_experiment(
+                "smoke",
+                seed=2,
+                train_networks=("fsrcnn_120x320",),
+                validation_networks=("fsrcnn_240x640", "dleu"),
+            )
         )
         if "error" not in record.metrics:
             for network in ("fsrcnn_240x640", "dleu"):
@@ -95,15 +106,16 @@ class TestFig9Harness:
 
 class TestFig10Harness:
     def test_panel_structure(self):
-        record = run_fig10_network("fsrcnn_120x320", "smoke", seed=4)
+        record = _record(fig10_experiment("smoke", seed=4, networks=["fsrcnn_120x320"]))
+        panel = record.children["fsrcnn_120x320"]
         for method in ("hasco", "sh_champion", "msh_champion", "unico"):
-            assert record.children[method].get("final_hv") >= 0
-        assert "improvement_over_hasco_pct" in record.children["unico"].metrics
+            assert panel.children[method].get("final_hv") >= 0
+        assert "improvement_over_hasco_pct" in panel.children["unico"].metrics
 
 
 class TestFig11Harness:
     def test_record_structure(self):
-        record = run_fig11("smoke", seed=5, networks=["fsrcnn_120x320"])
+        record = _record(fig11_experiment("smoke", seed=5, networks=["fsrcnn_120x320"]))
         child = record.children["fsrcnn_120x320"]
         assert child.get("default_latency_ms") > 0
         if "error" not in child.metrics:

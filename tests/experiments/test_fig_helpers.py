@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments.fig7 import speedup_to_reach
 from repro.experiments.fig8 import select_comparable_pairs
-from repro.experiments.tables import run_table_cell
+from repro.experiments.tables import table_cell
 from repro.utils.records import RunRecord
 
 
@@ -27,6 +27,15 @@ class TestSpeedupToReach:
         )
         # unico hits hasco's final (0.5) already at t=1 -> 4x
         assert speedup_to_reach(panel) == pytest.approx(4.0)
+
+    def test_target_time_is_when_hasco_reaches_its_final_value(self):
+        panel = _panel(
+            [1.0, 2.0, 3.0, 4.0],
+            {"hasco": [0.9, 0.5, 0.5, 0.5], "unico": [0.5, 0.3, 0.2, 0.1]},
+        )
+        # hasco sits at its final level from t=2 on, not only at the grid's
+        # end; unico is there at t=1 -> 2x
+        assert speedup_to_reach(panel) == pytest.approx(2.0)
 
     def test_never_reaches_is_infinite(self):
         panel = _panel(
@@ -98,7 +107,7 @@ class TestSelectComparablePairs:
 class TestTableCellInfeasible:
     def test_infeasible_scenario_reports_inf(self, tiny_network, monkeypatch):
         """A scenario no design can satisfy reports infinite PPA cells."""
-        from repro.experiments import harness
+        from repro.experiments import harness, run_method
 
         original = harness.make_platform
 
@@ -109,7 +118,7 @@ class TestTableCellInfeasible:
             return space, engine, caps, tool, workers
 
         monkeypatch.setattr(harness, "make_platform", strangled)
-        cell = run_table_cell("random", "edge", tiny_network, "smoke", seed=0)
+        cell = table_cell(run_method("random", "edge", tiny_network, "smoke", seed=0))
         assert cell["latency_ms"] == float("inf")
         assert cell["pareto_size"] == 0
         assert cell["cost_h"] > 0  # the search still burned time

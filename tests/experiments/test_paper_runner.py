@@ -4,7 +4,21 @@ import json
 
 import pytest
 
-from repro.experiments.paper_runner import EXPERIMENTS, run_everything
+from repro.experiments import (
+    fig7_experiment,
+    fig10_experiment,
+    get_preset,
+    paper_runner,
+    table_experiment,
+)
+from repro.experiments.harness import RunSpec, launch
+from repro.experiments.paper_runner import (
+    EXPERIMENTS,
+    cell_key,
+    run_everything,
+    run_experiments,
+)
+from repro.workloads import Network
 
 
 class TestRunEverything:
@@ -45,3 +59,52 @@ class TestRunEverything:
         assert summary.get("preset") == "smoke"
         assert summary.get("seed") == 1
         assert summary.get("experiments") == ["fig10"]
+
+
+class TestOneCoSearchPerCell:
+    def test_registry_cells_and_distinct_cells(self):
+        """No search runs: the eight experiments read 122 cells, 72 of
+        them distinct (Tables 1-2 are Fig. 7 cells, and Fig. 10's HASCO
+        and UNICO cells are Fig. 7a's)."""
+        preset = get_preset("smoke")
+        cells = [
+            spec
+            for build in EXPERIMENTS.values()
+            for spec in build(preset, 0).cells
+        ]
+        assert len(cells) == 122
+        assert len({cell_key(spec) for spec in cells}) == 72
+
+    def test_in_memory_networks_sharing_a_name_stay_two_cells(self, tiny_network):
+        twin = Network(tiny_network.name, tiny_network.layers)
+        specs = [RunSpec("unico", "edge", net, "smoke") for net in (tiny_network, twin)]
+        assert cell_key(specs[0]) == cell_key(RunSpec("unico", "edge", tiny_network))
+        assert cell_key(specs[0]) != cell_key(specs[1])
+
+    def test_joint_run_launches_each_distinct_cell_once(self, monkeypatch):
+        networks = ["fsrcnn_120x320"]
+
+        def experiments():
+            return {
+                "table1_edge": table_experiment("edge", networks, "smoke", seed=0),
+                "fig7a_edge": fig7_experiment("edge", networks, "smoke", seed=0),
+                "fig10": fig10_experiment("smoke", seed=0, networks=networks),
+            }
+
+        alone = {
+            name: dict(run_experiments({name: experiment}))[name]
+            for name, experiment in experiments().items()
+        }
+        launched = []
+
+        def recording_launch(spec, **kwargs):
+            launched.append(cell_key(spec))
+            return launch(spec, **kwargs)
+
+        monkeypatch.setattr(paper_runner, "launch", recording_launch)
+        joint = dict(run_experiments(experiments()))
+        # table: 3 cells; fig7 adds mobohb; fig10 adds the two ablations
+        assert len(launched) == len(set(launched)) == 6
+        assert {name: r.to_json() for name, r in joint.items()} == {
+            name: r.to_json() for name, r in alone.items()
+        }

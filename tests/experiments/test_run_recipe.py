@@ -269,6 +269,36 @@ class TestHubSubmitStaysNarrow:
         assert scheduler.store.list_runs() == []
 
 
+class TestTraceFileIsTheJournalsTrace:
+    """``trace.json`` is what ``repro runs trace`` writes from the journal,
+    byte for byte, on a straight run and on a killed and resumed one."""
+
+    def _runs_trace(self, store, run, tmp_path, capsys):
+        out = tmp_path / "runs_trace.json"
+        assert main(
+            ["runs", "trace", run.run_id, "--runs-dir", str(store.root),
+             "--out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        return out.read_bytes()
+
+    def test_traced_run(self, tmp_path, capsys):
+        store = RunStore(tmp_path / "runs")
+        result = _run_method(store, trace=True)
+        run = store.get(result.extras["run_id"])
+        written = pathlib.Path(result.extras["trace_path"]).read_bytes()
+        assert written == self._runs_trace(store, run, tmp_path, capsys)
+
+    def test_killed_and_resumed_traced_run(self, tmp_path, capsys):
+        store = RunStore(tmp_path / "runs")
+        with killed_after(1):
+            _run_method(store, trace=True)
+        (run,) = store.list_runs()
+        resumed = resume_run(run)
+        written = pathlib.Path(resumed.extras["trace_path"]).read_bytes()
+        assert written == self._runs_trace(store, run, tmp_path, capsys)
+
+
 class TestResumedRunIsWiredAsItWasStarted:
     def test_resumed_traced_run_keeps_journaling_spans(self, tmp_path, capsys):
         store = RunStore(tmp_path / "runs")

@@ -9,7 +9,6 @@ import pytest
 from repro.obs.chrome import (
     SIM_PID,
     WALL_PID,
-    ChromeTraceSink,
     spans_to_trace_events,
     write_chrome_trace,
 )
@@ -263,19 +262,6 @@ class TestSinks:
         assert events[0]["span_schema"] == SPAN_SCHEMA_VERSION
         assert events[0]["name"] == "iteration"
         assert events[0]["attrs"] == {"iteration": 0}
-
-    def test_chrome_sink_flush_writes_trace_file(self, tmp_path):
-        path = tmp_path / "trace.json"
-        sink = ChromeTraceSink(path)
-        tracer = Tracer(sinks=[sink])
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        assert not path.exists()  # buffered until flush
-        tracer.flush()
-        document = json.loads(path.read_text())
-        names = [e["name"] for e in document["traceEvents"] if e["ph"] == "X"]
-        assert set(names) == {"outer", "inner"}
 
     def test_multiple_sinks_all_fed(self, tmp_path):
         a, b = InMemorySink(), InMemorySink()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -41,24 +43,62 @@ class TestRunCommand:
         assert "simulated hours" in out
 
 
-class TestTableCommand:
-    def test_table_with_json_output(self, tmp_path, capsys):
-        out_path = tmp_path / "table.json"
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """One joint ``reproduce --only table1_edge fig10`` smoke run, shared by
+    the table, figure and driver cases below: its exit code, results
+    directory and printed output."""
+    results = tmp_path_factory.mktemp("results")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = main(
             [
-                "table",
-                "edge",
-                "--networks",
-                "fsrcnn_120x320",
+                "reproduce",
+                "--only",
+                "table1_edge",
+                "fig10",
                 "--preset",
                 "smoke",
-                "--json",
-                str(out_path),
+                "--seed",
+                "2",
+                "--results-dir",
+                str(results),
             ]
         )
+    return code, results, out.getvalue()
+
+
+class TestTableCommand:
+    def test_table_with_json_output(self, reproduced):
+        """A table's JSON is written by ``reproduce --only table1_edge``."""
+        code, results, _ = reproduced
         assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert "fsrcnn_120x320" in payload["children"]
+        table = json.loads((results / "table1_edge.json").read_text())
+        assert "bert" in table["children"]
+
+
+class TestFigCommand:
+    def test_fig10_json(self, reproduced):
+        """A figure's JSON is written by ``reproduce --only fig10``."""
+        code, results, out = reproduced
+        assert code == 0
+        assert json.loads((results / "fig10.json").read_text())["name"] == "fig10"
+        # fig10's hasco and unico cells are table1_edge's
+        assert "running fig10: 16 co-searches, 8 shared" in out
+
+
+class TestReproduceCommand:
+    def test_reproduce_only_table_and_fig(self, reproduced):
+        code, results, _ = reproduced
+        assert code == 0
+        assert sorted(p.name for p in results.iterdir()) == [
+            "fig10.json", "table1_edge.json"
+        ]
+
+    def test_table_and_fig_commands_are_gone(self):
+        for command in ("table", "fig"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "edge"])
 
 
 class TestStatsCommand:
@@ -116,17 +156,6 @@ class TestStatsCommand:
     def test_serve_parser_accepts_trace(self):
         args = build_parser().parse_args(["serve", "resnet50", "--trace"])
         assert args.trace is True
-
-
-class TestFigCommand:
-    def test_fig10_json(self, tmp_path):
-        out_path = tmp_path / "fig10.json"
-        code = main(
-            ["fig", "10", "--preset", "smoke", "--seed", "2", "--json", str(out_path)]
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["name"] == "fig10"
 
 
 @pytest.mark.parametrize("preset", [None, "4"])
