@@ -165,7 +165,7 @@ def test_speed_gp_fit(benchmark):
     y = np.sin(4 * x[:, 0]) + x[:, 1] ** 2
 
     def fit():
-        return GaussianProcess().fit(x, y, num_restarts=1)
+        return GaussianProcess().fit(x, y)
 
     gp = benchmark(fit)
     assert gp.num_observations == 60

@@ -76,7 +76,7 @@ class MobohbBaseline(CoOptimizer):
             return sampler.suggest(self.observed_configs, scalar, count=count)
         x_train = np.vstack([self.space.encode(c) for c in self.observed_configs])
         gp = GaussianProcess()
-        gp.fit(x_train, scalar, num_restarts=1, seed=len(self.observed_configs))
+        gp.fit(x_train, scalar, seed=len(self.observed_configs))
         chosen: List = []
         keys = set(observed_keys)
         rng = self.seeds.generator("mobohb-pool", len(self.observed_configs))

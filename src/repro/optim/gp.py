@@ -1,7 +1,7 @@
 """Gaussian-process regression (the MOBO surrogate), from scratch.
 
 A standard zero-mean GP with ARD kernels, Cholesky solves, and marginal-
-likelihood hyperparameter fitting via multi-start L-BFGS-B on log-scale
+likelihood hyperparameter fitting via two-start L-BFGS-B on log-scale
 parameters.  Inputs are the ``[0, 1]^d`` ordinal encodings produced by the
 hardware design spaces; outputs are normalized objective values.
 
@@ -19,14 +19,17 @@ Three outer-loop fast paths live here:
   (same X, same shared hyperparameters, different scalarized y) skip the
   :math:`O(n^3)` re-factorization — ``fit(..., factor=...)`` only
   standardizes y and runs two triangular solves;
-* from ``_FORK_MIN_ROWS`` training rows up, each L-BFGS-B start after the
-  first descends in a forked child on another CPU while the first
-  descends here (:func:`_forking_pays` says when), and the outcomes are
-  compared in start order, so the fit is the same bits either way.
+* each fit's second L-BFGS-B start descends in the process's one fit
+  helper, a child forked by the first fit that may fork
+  (:func:`_forking_pays`) and reused by every later one, while the first
+  start descends here; the data goes over a pipe as float64 bytes and the
+  outcomes are compared in start order, so the fit is the same bits
+  either way.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -76,6 +79,8 @@ def matern52_kernel(
 
 
 _KERNELS = {"rbf": rbf_kernel, "matern52": matern52_kernel}
+#: a kernel's number in a fit helper request
+_KERNEL_NAMES = tuple(_KERNELS)
 
 
 @dataclass
@@ -113,26 +118,20 @@ def _cho_solve(chol_f: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
     return solution
 
 
-#: the fewest training rows at which a later L-BFGS-B start pays for its
-#: fork: read off a replay of ``local_outer``'s recorded fits (DESIGN.md §4t)
-_FORK_MIN_ROWS = 64
+def _forking_pays() -> bool:
+    """Whether :meth:`GaussianProcess.fit` hands its second L-BFGS-B start
+    to the process's fit helper: the process can fork, another CPU is
+    there to run the helper, and the process has no other thread.
 
-
-def _forking_pays(rows: int) -> bool:
-    """Whether :meth:`GaussianProcess.fit` runs its later starts in forked
-    children: the fit is large enough to repay a fork, the process can
-    fork, another CPU is there to take the child, and the process has no
-    other thread.
-
-    Threads are counted by the kernel where it says (``/proc/self/task``),
-    so a BLAS pool counts: its threads would fight the child for the
-    second CPU.  Elsewhere only Python threads are seen.  A fork from a
-    threaded process can deadlock the child, and Python 3.12 warns.
+    Asked at every fit.  Threads are counted by the kernel where it says
+    (``/proc/self/task``), so a BLAS pool counts: its threads would fight
+    the helper for the second CPU.  Elsewhere only Python threads are
+    seen.  A fork from a threaded process can deadlock the child, and
+    Python 3.12 warns.
     """
-    import os
     import threading
 
-    if rows < _FORK_MIN_ROWS or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -145,86 +144,216 @@ def _forking_pays(rows: int) -> bool:
     return cpus > 1 and threads == 1
 
 
-class _ForkedStart:
-    """One L-BFGS-B start descending in a forked child.
+def _descent(gp: "GaussianProcess", x: np.ndarray, y_std: np.ndarray):
+    """One fit's marginal-likelihood objective and its L-BFGS-B descent
+    ``start -> (fun, params)``: the code both starts run, here and in the
+    fit helper.
 
-    The child writes ``(fun, x)`` back over a pipe as float64 bytes and
-    exits.  A child that could not be forked, died or raised answers
-    ``None``, and the caller descends from that start itself: the same
-    answer, only later.
+    The objective reuses its last evaluation for the same parameter
+    bytes, so the first start's first evaluation of ``initial``, which
+    the fit has just scored, is not repeated.
+    """
+    d = x.shape[1]
+    sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
+    last = [None, None, None]  # params bytes, nll, grad
+
+    def objective(params, x_arg, y_arg):
+        key = params.tobytes()
+        if key != last[0]:
+            last[1], last[2] = gp._neg_log_marginal_and_grad(params, x_arg, y_arg, sq_diffs)
+            last[0] = key
+        return last[1], last[2].copy()
+
+    def descend(start):
+        result = optimize.minimize(
+            objective,
+            start,
+            args=(x, y_std),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(np.log(1e-2), np.log(10.0))] * d
+            + [(np.log(1e-3), np.log(50.0)), (np.log(1e-8), np.log(1.0))],
+            options={"maxiter": 60},
+        )
+        return result.fun, result.x
+
+    return objective, descend
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """``size`` bytes from ``fd``, or fewer if every writer closed first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to ``fd``, however many writes it takes."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The fit helper's loop: one descent per request, until the owner
+    closes its end of ``requests`` or exits.
+
+    A request is float64 bytes: ``(kernel, noise floor, rows, columns)``,
+    then ``x``, ``y_std`` and the start; the reply is ``(fun, params)``.
+    """
+    import gc
+
+    # the owner's objects are never collected here, so none of their
+    # finalizers runs in the helper; nor does it keep the owner's files
+    # and sockets open
+    gc.freeze()
+    low, high = sorted((requests, replies))
+    os.closerange(3, low)
+    os.closerange(low + 1, high)
+    os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+    while True:
+        header = _read_exactly(requests, 32)
+        if len(header) < 32:
+            return
+        code, noise_floor, rows, columns = np.frombuffer(header)
+        rows, columns = int(rows), int(columns)
+        size = rows * columns + rows + columns + 2
+        body = _read_exactly(requests, 8 * size)
+        if len(body) < 8 * size:
+            return
+        values = np.frombuffer(body).copy()
+        x = values[: rows * columns].reshape(rows, columns)
+        y_std = values[rows * columns : rows * columns + rows]
+        gp = GaussianProcess(_KERNEL_NAMES[int(code)], float(noise_floor))
+        fun, params = _descent(gp, x, y_std)[1](values[rows * columns + rows :])
+        _write_all(replies, np.concatenate(([fun], params)).tobytes())
+
+
+class _FitHelper:
+    """The process's fit helper: a forked child that descends each fit's
+    second L-BFGS-B start while the fit descends its first.
+
+    Forked once per owner process and reused by every later fit; a
+    helper that died, raised or was abandoned mid-fit is closed, and the
+    next fit forks another.  The owner's ends of the two pipes are the
+    only file descriptors that tie the two together.
     """
 
-    def __init__(self, pid: int, read_fd: int, size: int):
+    def __init__(self, pid: int, requests: int, replies: int):
         self.pid = pid
-        self.read_fd = read_fd
-        self.size = size
+        self.owner = os.getpid()
+        self.requests = requests
+        self.replies = replies
+        self.reply_size = 0
 
     @classmethod
-    def begin(cls, descend, start: np.ndarray) -> Optional["_ForkedStart"]:
-        """Fork a child that runs ``descend(start)``; ``None`` if none forks."""
-        import os
-
+    def start(cls) -> Optional["_FitHelper"]:
+        """Fork a helper; ``None`` if the pipes or the fork are refused."""
+        fds = []
         try:
-            read_fd, write_fd = os.pipe()
-        except OSError:
-            return None
-        try:
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
             pid = os.fork()
-        except BaseException as error:  # the pipe is closed whatever failed
-            os.close(read_fd)
-            os.close(write_fd)
+        except BaseException as error:  # the pipes are closed whatever failed
+            for fd in fds:
+                os.close(fd)
             if isinstance(error, OSError):
                 return None
             raise
-        if pid == 0:  # the child never returns into the caller's frames
-            status = 1
+        request_r, request_w, reply_r, reply_w = fds
+        if pid == 0:  # the helper never returns into the caller's frames
             try:
-                os.close(read_fd)
-                fun, x = descend(start)
-                os.write(write_fd, np.concatenate(([fun], x)).tobytes())
-                status = 0
+                os.close(request_w)
+                os.close(reply_r)
+                _serve(request_r, reply_w)
             finally:
-                os._exit(status)
-        os.close(write_fd)
-        return cls(pid, read_fd, 1 + len(start))
+                os._exit(0)
+        os.close(request_r)
+        os.close(reply_w)
+        return cls(pid, request_w, reply_r)
+
+    def send(self, kernel: str, noise_floor: float, x, y_std, start) -> bool:
+        """Ask for a descent from ``start``; ``False`` if the helper is
+        gone (it is then closed)."""
+        header = [_KERNEL_NAMES.index(kernel), noise_floor, *x.shape]
+        data = np.concatenate((header, x.ravel(), y_std, start)).tobytes()
+        try:
+            _write_all(self.requests, data)
+        except OSError:  # EPIPE: the helper died since the fit asked
+            self.close()
+            return False
+        self.reply_size = 8 * (1 + len(start))
+        return True
 
     def answer(self) -> Optional[Tuple[float, np.ndarray]]:
-        """Wait for the child; its ``(fun, x)``, or ``None`` if it failed."""
-        import os
-
-        chunks = [os.read(self.read_fd, 8 * self.size)]
-        while chunks[-1]:
-            chunks.append(os.read(self.read_fd, 8 * self.size))
-        self._reap()
-        data = b"".join(chunks)
-        if len(data) != 8 * self.size:  # the child wrote all of it or died
+        """The helper's ``(fun, params)``; ``None`` if it died or raised
+        first (it is then closed)."""
+        data = _read_exactly(self.replies, self.reply_size)
+        if len(data) < self.reply_size:
+            self.close()
             return None
-        answer = np.frombuffer(data, dtype=np.float64).copy()
-        return float(answer[0]), answer[1:]
+        values = np.frombuffer(data).copy()
+        return float(values[0]), values[1:]
 
-    def abandon(self) -> None:
-        """Kill and reap the child unless :meth:`answer` already reaped it."""
-        import os
+    def alive(self) -> bool:
+        """Whether the helper still runs; a dead one is reaped here."""
+        try:
+            return os.waitpid(self.pid, os.WNOHANG)[0] == 0
+        except ChildProcessError:  # reaped elsewhere, as under SIGCHLD ignored
+            return False
+
+    def close(self) -> None:
+        """Close the owner's pipe ends, kill and reap the helper, and
+        forget it."""
         import signal
 
-        if self.pid:
+        global _HELPER
+        if _HELPER is self:
+            _HELPER = None
+        os.close(self.requests)
+        os.close(self.replies)
+        if self.alive():  # still this process's child, so the pid is its own
+            os.kill(self.pid, signal.SIGKILL)
             try:
-                os.kill(self.pid, signal.SIGKILL)
-            except ProcessLookupError:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:
                 pass
-            self._reap()
 
-    def _reap(self) -> None:
-        """Close the pipe and wait for the child (unless it was reaped
-        elsewhere, as under ``SIGCHLD`` ignored)."""
-        import os
 
-        os.close(self.read_fd)
-        pid, self.pid = self.pid, 0
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:
-            pass
+#: the process's fit helper, ``None`` until a fit forks one
+_HELPER: Optional[_FitHelper] = None
+
+
+def _fit_helper() -> Optional[_FitHelper]:
+    """This process's live fit helper, forked now if there is none;
+    ``None`` if none forks."""
+    global _HELPER
+    helper = _HELPER
+    if helper is not None and helper.owner == os.getpid():  # not inherited
+        if helper.alive():
+            return helper
+        helper.close()
+    _HELPER = _FitHelper.start()
+    return _HELPER
+
+
+def _forget_helper_in_child() -> None:
+    """Run in every child ``os.fork`` makes: it holds none of the fit
+    helper's pipe ends, and forks a helper of its own when it fits."""
+    global _HELPER
+    if _HELPER is not None:
+        os.close(_HELPER.requests)
+        os.close(_HELPER.replies)
+        _HELPER = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper_in_child)
 
 
 class GaussianProcess:
@@ -336,13 +465,16 @@ class GaussianProcess:
         self,
         x: np.ndarray,
         y: np.ndarray,
-        num_restarts: int = 2,
         seed: int = 0,
         optimize_hyper: bool = True,
         hyper: Optional[GPHyperparameters] = None,
         factor: Optional[CholeskyFactor] = None,
     ) -> "GaussianProcess":
         """Fit hyperparameters (optionally) and precompute the solve.
+
+        The hyperparameters minimize the negative log marginal likelihood
+        over two L-BFGS-B starts: the fixed ``initial`` parameters and one
+        perturbation of them drawn from ``seed``.
 
         When ``hyper`` is given, the hyperparameters are taken as-is (used
         to share one marginal-likelihood optimization across the per-slot
@@ -390,56 +522,37 @@ class GaussianProcess:
         best_params = initial
         if optimize_hyper and x.shape[0] >= 3:
             rng = np.random.default_rng(seed)
-            sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
-            # the first start's first evaluation is ``initial`` again:
-            # the last evaluation is reused for the same parameter bytes
-            last = [None, None, None]  # params bytes, nll, grad
-
-            def objective(params, x_arg, y_arg):
-                key = params.tobytes()
-                if key != last[0]:
-                    last[1], last[2] = self._neg_log_marginal_and_grad(
-                        params, x_arg, y_arg, sq_diffs
-                    )
-                    last[0] = key
-                return last[1], last[2].copy()
-
-            def descend(start):
-                result = optimize.minimize(
-                    objective,
-                    start,
-                    args=(x, y_std),
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=[(np.log(1e-2), np.log(10.0))] * d
-                    + [(np.log(1e-3), np.log(50.0)), (np.log(1e-8), np.log(1.0))],
-                    options={"maxiter": 60},
-                )
-                return result.fun, result.x
-
-            best_nll = objective(initial, x, y_std)[0]
-            starts = [initial] + [
-                initial + rng.normal(0.0, 0.7, size=initial.shape)
-                for _ in range(num_restarts)
-            ]
-            # when forking pays, every start after the first descends in a
-            # child while the first descends here; the outcomes are still
-            # compared in start order, and a failed child's start runs here
-            children = [None] * len(starts)
+            second = initial + rng.normal(0.0, 0.7, size=initial.shape)
+            # when forking pays, the second start descends in the fit
+            # helper (sent first, so it starts first) while the first
+            # descends here, and the outcomes are still compared in start
+            # order; the helper runs this class's objective only, so a
+            # subclass that replaces it keeps both starts here
+            helper = None
             try:
-                if _forking_pays(x.shape[0]):
-                    for index in range(1, len(starts)):
-                        children[index] = _ForkedStart.begin(descend, starts[index])
-                for start, child in zip(starts, children):
-                    outcome = None if child is None else child.answer()
-                    fun, params = descend(start) if outcome is None else outcome
-                    if fun < best_nll:
-                        best_nll = fun
-                        best_params = params
+                if (
+                    _forking_pays()
+                    and type(self)._neg_log_marginal_and_grad
+                    is GaussianProcess._neg_log_marginal_and_grad
+                ):
+                    helper = _fit_helper()
+                    if helper is not None and not helper.send(
+                        self.kernel_name, self.noise_floor, x, y_std, second
+                    ):
+                        helper = None
+                objective, descend = _descent(self, x, y_std)
+                best_nll = objective(initial, x, y_std)[0]
+                outcomes = [descend(initial), None if helper is None else helper.answer()]
+                helper = None  # answered: nothing of this fit is left in the pipe
             finally:
-                for child in children:
-                    if child is not None:
-                        child.abandon()
+                if helper is not None:  # no later fit may read this fit's reply
+                    helper.close()
+            if outcomes[1] is None:  # no helper, or it died or raised
+                outcomes[1] = descend(second)
+            for fun, params in outcomes:
+                if fun < best_nll:
+                    best_nll = fun
+                    best_params = params
         lengthscales = np.exp(best_params[:d])
         variance = float(np.exp(best_params[d]))
         noise = float(np.exp(best_params[d + 1])) + self.noise_floor

@@ -151,7 +151,6 @@ class MOBOSampler:
                 x_train,
                 uniform_scalar,
                 seed=int(self.rng.integers(0, 2**31)),
-                num_restarts=1,
             )
             self._shared_hyper = shared_gp.hyper
 

@@ -1,10 +1,13 @@
-"""Helpers for tests of the GP fit's forked starts.
+"""Helpers for tests of the GP fit helper.
 
-:meth:`repro.optim.gp.GaussianProcess.fit` forks its later L-BFGS-B
-starts only from a process with no other thread.  pytest's process may
-hold a BLAS pool, or a thread an earlier test left alive, and would then
-pass such a test by quietly descending in process.  :func:`forks_elsewhere`
-re-runs the test in a fresh interpreter with one BLAS thread instead.
+:meth:`repro.optim.gp.GaussianProcess.fit` sends its second L-BFGS-B
+start to the process's fit helper, a forked child, only from a process
+with no other thread.  pytest's process may hold a BLAS pool, or a
+thread an earlier test left alive, and would then pass such a test by
+quietly descending in process.  :func:`forks_elsewhere` re-runs the test
+in a fresh interpreter with one BLAS thread instead, where no helper
+exists yet.  :func:`count_forks` counts every ``os.fork`` from then on,
+the helper's included.
 """
 
 import os
@@ -23,12 +26,15 @@ _BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def forks_elsewhere() -> bool:
-    """``False`` if a fit may fork here; otherwise run the current test in a
-    fresh interpreter, assert that it passed there, and return ``True``."""
-    if gp_module._forking_pays(gp_module._FORK_MIN_ROWS):
+    """``False`` if a fit may fork here (the test then starts with no fit
+    helper); otherwise run the current test in a fresh interpreter, assert
+    that it passed there, and return ``True``."""
+    if gp_module._forking_pays():
+        if gp_module._HELPER is not None:  # an earlier test's
+            gp_module._HELPER.close()
         return False
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("a fit forks only where a second CPU can take the child")
+        pytest.skip("a fit forks its helper only where a second CPU can run it")
     if os.environ.get(_FRESH):
         pytest.fail("a fresh interpreter with one BLAS thread may not fork")
     test_id = os.environ["PYTEST_CURRENT_TEST"].rsplit(" ", 1)[0]

@@ -102,10 +102,10 @@ class ReferenceGaussianProcess(GaussianProcess):
         grad[d + 1] = -0.5 * np.trace(w) * (noise - self.noise_floor)
         return nll, grad
 
-    def fit(self, x, y, num_restarts=2, seed=0, use_gradient=True, **kwargs):
+    def fit(self, x, y, seed=0, use_gradient=True, **kwargs):
         """``use_gradient=False``: the finite-difference optimization."""
         if use_gradient or kwargs:
-            return super().fit(x, y, num_restarts=num_restarts, seed=seed, **kwargs)
+            return super().fit(x, y, seed=seed, **kwargs)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         self._x = x
@@ -118,11 +118,7 @@ class ReferenceGaussianProcess(GaussianProcess):
         if x.shape[0] >= 3:
             rng = np.random.default_rng(seed)
             best_nll = self._neg_log_marginal(initial, x, y_std)
-            starts = [initial] + [
-                initial + rng.normal(0.0, 0.7, size=initial.shape)
-                for _ in range(num_restarts)
-            ]
-            for start in starts:
+            for start in (initial, initial + rng.normal(0.0, 0.7, size=initial.shape)):
                 result = optimize.minimize(
                     self._neg_log_marginal,
                     start,
@@ -208,7 +204,7 @@ class ReferenceMOBOSampler(MOBOSampler):
         uniform_scalar = parego_scalars(y_train, uniform_weights(self.num_objectives), self.rho)
         shared_gp = ReferenceGaussianProcess(self.kernel)
         shared_gp.fit(
-            x_train, uniform_scalar, seed=int(self.rng.integers(0, 2**31)), num_restarts=1
+            x_train, uniform_scalar, seed=int(self.rng.integers(0, 2**31))
         )
         self._shared_hyper = shared_gp.hyper
         pool = self._candidate_pool(observed_keys, incumbents)

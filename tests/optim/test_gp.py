@@ -2,7 +2,8 @@
 
 import errno
 import os
-import sys
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestFitPredict:
         assert np.max(np.abs(mean - y[:5])) < 0.1
 
 
-def _hyperparameters_without_reuse(gp, x, y, num_restarts=2, seed=0):
+def _hyperparameters_without_reuse(gp, x, y, seed=0):
     """The marginal-likelihood optimization of ``fit`` as it was before the
     objective reused its last evaluation: ``initial`` is scored, then the
     first L-BFGS-B start scores it again."""
@@ -113,10 +114,7 @@ def _hyperparameters_without_reuse(gp, x, y, num_restarts=2, seed=0):
     best_params = initial
     best_nll = objective(initial, x, y_std)[0]
     rng = np.random.default_rng(seed)
-    starts = [initial] + [
-        initial + rng.normal(0.0, 0.7, size=initial.shape) for _ in range(num_restarts)
-    ]
-    for start in starts:
+    for start in (initial, initial + rng.normal(0.0, 0.7, size=initial.shape)):
         result = optimize.minimize(
             objective,
             start,
@@ -152,6 +150,8 @@ def test_fit_scores_initial_once_with_the_same_hyperparameters(
         return evaluate(self, *args)
 
     monkeypatch.setattr(GaussianProcess, "_neg_log_marginal_and_grad", counted)
+    # the count is the parent's: both starts descend here
+    monkeypatch.setattr(gp_module, "_forking_pays", lambda: False)
     x, y = _toy_data(n=n, d=d, seed=seed)
     gp = GaussianProcess(kernel=kernel).fit(x, y, seed=7)
     fit_calls, calls = calls, 0
@@ -164,17 +164,18 @@ def test_fit_scores_initial_once_with_the_same_hyperparameters(
     assert gp.hyper.noise.hex() == noise.hex()
 
 
-# ------------------------------------------- a forked start that fails
-# Each fault degrades to the slower exact answer: the parent descends from
-# the child's start itself.  No case leaves a child behind.
-def _large_fit(monkeypatch, in_process=False):
-    """A fit above ``_FORK_MIN_ROWS`` whose second start wins, so a lost
-    child changes the hyperparameters unless the parent re-runs its start."""
-    x, y = _toy_data(n=gp_module._FORK_MIN_ROWS + 16, d=4, seed=3)
+# --------------------------------------------- a fit helper that fails
+# Each fault gives the slower exact answer: the parent descends from the
+# second start itself, and a later fit forks a new helper.  No case leaves
+# a helper it gave up on behind.
+def _second_start_fit(monkeypatch, in_process=False, data_seed=3):
+    """A fit whose second start wins (for data seeds 3 and 5), so a lost
+    or stale answer changes the hyperparameters."""
+    x, y = _toy_data(n=80, d=4, seed=data_seed)
     with monkeypatch.context() as patch:
         if in_process:
-            patch.setattr(gp_module, "_FORK_MIN_ROWS", sys.maxsize)
-        return GaussianProcess().fit(x, y, num_restarts=1, seed=5)
+            patch.setattr(gp_module, "_forking_pays", lambda: False)
+        return GaussianProcess().fit(x, y, seed=5)
 
 
 def _fit_bytes(gp):
@@ -186,17 +187,31 @@ def _failing_minimize(*args, **kwargs):
     raise FloatingPointError("descent failed")
 
 
-def _assert_no_child_left():
+def _assert_reaped(pid):
+    """``pid`` was this process's child and has been waited for."""
     with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        os.waitpid(pid, os.WNOHANG)
+
+
+def _wait_until_dead(pid):
+    """Poll until ``pid`` is a zombie (the helper is not reaped here)."""
+    for _ in range(500):
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} still runs")
 
 
 def _child_exits_before_answering(monkeypatch):
-    return count_forks(monkeypatch, in_child=lambda: os._exit(0))
+    # set in the helper alone: it dies in the middle of its descent
+    return count_forks(
+        monkeypatch, in_child=lambda: setattr(optimize, "minimize", lambda *a, **k: os._exit(0))
+    )
 
 
 def _child_descent_raises(monkeypatch):
-    # set in the child alone, which exits without undoing it
+    # set in the helper alone, which exits without undoing it
     return count_forks(
         monkeypatch, in_child=lambda: setattr(optimize, "minimize", _failing_minimize)
     )
@@ -219,11 +234,28 @@ def _fork_raises_oserror(monkeypatch):
 def test_a_failed_child_gives_the_in_process_fit(fault, monkeypatch):
     if forks_elsewhere():
         return
-    expected = _fit_bytes(_large_fit(monkeypatch, in_process=True))
+    expected = _fit_bytes(_second_start_fit(monkeypatch, in_process=True))
     forks = fault(monkeypatch)
-    assert _fit_bytes(_large_fit(monkeypatch)) == expected
+    assert _fit_bytes(_second_start_fit(monkeypatch)) == expected
     assert forks() == 1
-    _assert_no_child_left()
+    assert gp_module._HELPER is None
+    with pytest.raises(ChildProcessError):  # no child is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_helper_killed_between_fits_is_replaced_by_the_next_fit(monkeypatch):
+    if forks_elsewhere():
+        return
+    expected = _fit_bytes(_second_start_fit(monkeypatch, in_process=True))
+    forks = count_forks(monkeypatch)
+    assert _fit_bytes(_second_start_fit(monkeypatch)) == expected
+    killed = gp_module._HELPER.pid
+    os.kill(killed, signal.SIGKILL)
+    _wait_until_dead(killed)
+    assert _fit_bytes(_second_start_fit(monkeypatch)) == expected
+    assert forks() == 2
+    _assert_reaped(killed)
+    assert gp_module._HELPER.pid != killed and gp_module._HELPER.alive()
 
 
 def test_the_parent_start_raising_raises_as_in_process_and_kills_the_child(monkeypatch):
@@ -232,18 +264,22 @@ def test_the_parent_start_raising_raises_as_in_process_and_kills_the_child(monke
     with monkeypatch.context() as patch:
         patch.setattr(optimize, "minimize", _failing_minimize)
         with pytest.raises(Exception) as in_process:
-            _large_fit(monkeypatch, in_process=True)
-    # the child descends with the real minimize, the parent with the failing one
-    forks = count_forks(
-        monkeypatch, in_parent=lambda: monkeypatch.setattr(optimize, "minimize", _failing_minimize)
-    )
-    with pytest.raises(Exception) as forked:
-        _large_fit(monkeypatch)
-    assert (type(forked.value), str(forked.value)) == (
+            _second_start_fit(monkeypatch, in_process=True)
+    expected = _fit_bytes(_second_start_fit(monkeypatch, in_process=True, data_seed=5))
+    forks = count_forks(monkeypatch)
+    _second_start_fit(monkeypatch)  # forks the helper, which keeps the real minimize
+    abandoned = gp_module._HELPER.pid
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "minimize", _failing_minimize)  # the parent's only
+        with pytest.raises(Exception) as with_helper:
+            _second_start_fit(monkeypatch)
+    assert (type(with_helper.value), str(with_helper.value)) == (
         type(in_process.value), str(in_process.value)
     )
-    assert forks() == 1
-    _assert_no_child_left()
+    _assert_reaped(abandoned)
+    # the next fit reads its own second start, not the abandoned fit's
+    assert _fit_bytes(_second_start_fit(monkeypatch, data_seed=5)) == expected
+    assert forks() == 2
 
 
 class TestErrors:

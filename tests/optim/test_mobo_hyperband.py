@@ -32,7 +32,7 @@ def _posterior_means(space, train, y, query):
     x_train, x_query = space.encode_batch(train), space.encode_batch(query)
     return np.column_stack(
         [
-            GaussianProcess().fit(x_train, y[:, j], seed=j, num_restarts=1).predict(x_query)[0]
+            GaussianProcess().fit(x_train, y[:, j], seed=j).predict(x_query)[0]
             for j in range(y.shape[1])
         ]
     )

@@ -9,8 +9,6 @@ The properties here hold ``src/`` to them byte for byte — every
 leaves — so the search they drive stays the same.
 """
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,42 +136,54 @@ def test_potrs_error_raises_like_cho_solve(monkeypatch):
     assert str(raised.value) == "illegal value in 2th argument of internal potrs"
 
 
-def _fit_case(kernel, n, d, seed, num_restarts=1):
-    restarts = "" if num_restarts == 1 else f"-restarts{num_restarts}"
-    return pytest.param(kernel, n, d, seed, num_restarts, id=f"{kernel}-{n}-{d}-{seed}{restarts}")
+#: the helper path's training-set sizes: the fewest rows a fit optimizes,
+#: MOBO's first fit, the inner workloads' last, and ``local_outer``'s
+#: middle and last
+HELPER_ROWS = (3, 8, 27, 64, 139)
 
 
 @pytest.mark.parametrize(
-    "kernel,n,d,seed,num_restarts",
+    "cases,helper",
     [
-        _fit_case("matern52", 40, 6, 0),
-        _fit_case("matern52", 139, 6, 1),
-        _fit_case("rbf", 30, 3, 2),
-        _fit_case("matern52", 9, 1, 3),
-        _fit_case("rbf", 80, 3, 4),
-        _fit_case("matern52", 100, 4, 5, num_restarts=2),
+        pytest.param([(kernel, n, d, seed)], False, id=f"{kernel}-{n}-{d}-{seed}")
+        for kernel, n, d, seed in (
+            ("matern52", 40, 6, 0),
+            ("matern52", 139, 6, 1),
+            ("rbf", 30, 3, 2),
+            ("matern52", 9, 1, 3),
+            ("rbf", 80, 3, 4),
+        )
+    ]
+    + [
+        pytest.param(
+            [(kernel, n, 6, n) for kernel in KERNELS for n in HELPER_ROWS], True, id="fit-helper"
+        )
     ],
 )
-def test_fit_matches_oracle(kernel, n, d, seed, num_restarts, monkeypatch):
-    """From ``_FORK_MIN_ROWS`` rows up each later start descends in a
-    forked child, and the fit still equals the in-process oracle's."""
-    children = num_restarts if n >= gp_module._FORK_MIN_ROWS else 0
-    if children and forks_elsewhere():
+def test_fit_matches_oracle(cases, helper, monkeypatch):
+    """Each fit equals the oracle's, which keeps both starts in process
+    (its objective is not the one the fit helper runs).
+
+    ``fit-helper`` sends every second start to the fit helper and makes
+    exactly one ``os.fork`` over its ten fits: one helper serves them all.
+    """
+    if helper and forks_elsewhere():
         return
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 9, size=(n, d)) / 8.0
-    y = np.sin(3 * x[:, 0]) + x[:, -1] ** 2 + 0.1 * rng.standard_normal(n)
     forks = count_forks(monkeypatch)
-    new = GaussianProcess(kernel).fit(x, y, seed=seed, num_restarts=num_restarts)
-    assert forks() == children
-    monkeypatch.setattr(gp_module, "_FORK_MIN_ROWS", sys.maxsize)
-    old = ReferenceGaussianProcess(kernel).fit(x, y, seed=seed, num_restarts=num_restarts)
-    assert forks() == children
-    assert new.hyper.lengthscales.tobytes() == old.hyper.lengthscales.tobytes()
-    assert new.hyper.variance.hex() == old.hyper.variance.hex()
-    assert new.hyper.noise.hex() == old.hyper.noise.hex()
-    assert new._chol.tobytes() == old._chol.tobytes()
-    assert new._alpha.tobytes() == old._alpha.tobytes()
+    for kernel, n, d, seed in cases:
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 9, size=(n, d)) / 8.0
+        y = np.sin(3 * x[:, 0]) + x[:, -1] ** 2 + 0.1 * rng.standard_normal(n)
+        new = GaussianProcess(kernel).fit(x, y, seed=seed)
+        old = ReferenceGaussianProcess(kernel).fit(x, y, seed=seed)
+        assert new.hyper.lengthscales.tobytes() == old.hyper.lengthscales.tobytes()
+        assert new.hyper.variance.hex() == old.hyper.variance.hex()
+        assert new.hyper.noise.hex() == old.hyper.noise.hex()
+        assert new._chol.tobytes() == old._chol.tobytes()
+        assert new._alpha.tobytes() == old._alpha.tobytes()
+    if helper:
+        assert forks() == 1
+        assert gp_module._HELPER.alive()
 
 
 # ------------------------------------------------------------------ the pool

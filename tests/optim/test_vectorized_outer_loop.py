@@ -159,10 +159,8 @@ class TestGPFastPaths:
         """Analytic-gradient fitting finds an optimum at least as good."""
         x, y = self._data(n=40)
         y_std = (y - y.mean()) / y.std()
-        grad_gp = GaussianProcess().fit(x, y, seed=0, num_restarts=1)
-        fd_gp = ReferenceGaussianProcess().fit(
-            x, y, seed=0, num_restarts=1, use_gradient=False
-        )
+        grad_gp = GaussianProcess().fit(x, y, seed=0)
+        fd_gp = ReferenceGaussianProcess().fit(x, y, seed=0, use_gradient=False)
 
         def nll(gp):
             params = np.concatenate(
@@ -179,7 +177,7 @@ class TestGPFastPaths:
     def test_factor_fit_bit_identical_to_hyper_fit(self):
         """fit(factor=...) must equal fit(hyper=...) on every prediction."""
         x, y = self._data()
-        base = GaussianProcess().fit(x, y, seed=0, num_restarts=1)
+        base = GaussianProcess().fit(x, y, seed=0)
         factor = base.cholesky_factor()
 
         rng = np.random.default_rng(7)
@@ -195,7 +193,7 @@ class TestGPFastPaths:
 
     def test_factorize_matches_finalize_chol(self):
         x, y = self._data()
-        gp = GaussianProcess().fit(x, y, seed=0, num_restarts=1)
+        gp = GaussianProcess().fit(x, y, seed=0)
         factor = factorize("matern52", x, gp.hyper)
         assert np.array_equal(factor.chol, gp.cholesky_factor().chol)
 

@@ -87,7 +87,7 @@ class TestSurrogateLearns:
             mean = np.column_stack(
                 [
                     GaussianProcess()
-                    .fit(x_train, y[:train_n, j], seed=j, num_restarts=1)
+                    .fit(x_train, y[:train_n, j], seed=j)
                     .predict(x_query)[0]
                     for j in range(3)
                 ]
