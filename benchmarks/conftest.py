@@ -40,7 +40,7 @@ def run_once(benchmark, fn, *args, **kwargs):
 def run_experiment_once(benchmark, experiment):
     """Run one experiment (its cells, then its reducer) exactly once under
     the benchmark timer; returns its record."""
-    from repro.experiments import run_experiments
+    from repro.experiments.paper_runner import run_experiments
 
     def run():
         ((_name, record),) = run_experiments({"experiment": experiment})

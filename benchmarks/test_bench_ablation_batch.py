@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once, save_record
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine
-from repro.experiments import combined_reference, final_hypervolume
-from repro.hw import edge_design_space, power_cap_for
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.experiments.harness import combined_reference, final_hypervolume
+from repro.hw.spatial import edge_design_space, power_cap_for
 from repro.utils.records import RunRecord
-from repro.workloads import get_network
+from repro.workloads.registry import get_network
 
 BATCH_SIZES = (4, 10, 20)
 TIME_BUDGET_S = 3.0 * 3600

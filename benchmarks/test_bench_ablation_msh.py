@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once, save_record
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine
-from repro.experiments import combined_reference, final_hypervolume
-from repro.hw import edge_design_space, power_cap_for
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.experiments.harness import combined_reference, final_hypervolume
+from repro.hw.spatial import edge_design_space, power_cap_for
 from repro.utils.records import RunRecord
-from repro.workloads import get_network
+from repro.workloads.registry import get_network
 
 AUC_FRACTIONS = (0.0, 0.15, 0.3)
 SEEDS = (0, 1)

@@ -21,9 +21,9 @@ from repro.costmodel.maestro import analyze_gemm
 from repro.costmodel.maestro_batch import analyze_gemm_batch
 from repro.costmodel.timeloop import analyze_gemm_loopnest
 from repro.costmodel.timeloop_batch import analyze_gemm_loopnest_batch
-from repro.hw import SpatialHWConfig, default_ascend_config
-from repro.mapping import GemmMapping
-from repro.mapping.gemm_mapping import GemmMappingSpace
+from repro.hw.ascend import default_ascend_config
+from repro.hw.spatial import SpatialHWConfig
+from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace
 from repro.optim.gp import GaussianProcess
 from repro.optim.hypervolume import hypervolume
 from repro.workloads.layers import GemmShape

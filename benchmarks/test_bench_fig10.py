@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_experiment_once, save_record
-from repro.experiments import fig10_experiment
-from repro.workloads import FIG10_NETWORKS
+from repro.experiments.fig10 import fig10_experiment
+from repro.workloads.registry import FIG10_NETWORKS
 
 SEED = 0
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_experiment_once, save_record
-from repro.experiments import fig11_experiment
-from repro.workloads import FIG11_NETWORKS
+from repro.experiments.fig11 import fig11_experiment
+from repro.workloads.registry import FIG11_NETWORKS
 
 SEED = 0
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_experiment_once, save_record
-from repro.experiments import fig7_experiment, speedup_to_reach
+from repro.experiments.fig7 import fig7_experiment, speedup_to_reach
 
 # three representative networks keep the bench suite's runtime moderate
 # while covering the workload families (transformer / CNN / dense-pred.)

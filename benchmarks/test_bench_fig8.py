@@ -10,7 +10,7 @@ lower average latency on the unseen networks (paper: 10-28.5% better).
 import pytest
 
 from benchmarks.conftest import run_experiment_once, save_record
-from repro.experiments import fig8_experiment
+from repro.experiments.fig8 import fig8_experiment
 
 SEED = 0
 

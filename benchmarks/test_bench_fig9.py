@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_experiment_once, save_record
-from repro.experiments import fig9_experiment
-from repro.workloads import FIG9_VALIDATION
+from repro.experiments.fig9 import fig9_experiment
+from repro.workloads.registry import FIG9_VALIDATION
 
 SEED = 0
 

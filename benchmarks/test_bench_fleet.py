@@ -32,12 +32,13 @@ import itertools
 import json
 import time
 
-from repro.camodel import AscendCAEngine
+from repro.camodel.engine import AscendCAEngine
 from repro.camodel.ascend_sim import ascend_area_mm2
 from repro.camodel.mapping import AscendMapping
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
-from repro.hw import default_ascend_config
-from repro.workloads import Gemm, Network
+from repro.hw.ascend import default_ascend_config
+from repro.workloads.layers import Gemm
+from repro.workloads.network import Network
 
 NETWORK = Network(
     name="fleetbench",

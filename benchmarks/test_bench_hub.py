@@ -29,13 +29,17 @@ import json
 import threading
 import time
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
 from repro.experiments.harness import run_method
 from repro.experiments.presets import get_preset
-from repro.hub import FleetAggregator, HubClient, HubServer
+from repro.hub.aggregate import FleetAggregator
+from repro.hub.client import HubClient
+from repro.hub.server import HubServer
 from repro.obs.prom import parse_prometheus_text
-from repro.tracking import JournalTracker, RunStore, read_events
+from repro.tracking.journal import read_events
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import JournalTracker
 
 WORKLOAD = "fsrcnn_120x320"
 ROUNDS = 3
@@ -133,7 +137,8 @@ def test_sse_streaming_overhead(results_dir, tmp_path):
 
 
 def test_fleet_scrape_merge_latency(results_dir):
-    from repro.workloads import Gemm, Network
+    from repro.workloads.layers import Gemm
+    from repro.workloads.network import Network
 
     network = Network(
         name="hubbench",

@@ -20,10 +20,16 @@ import dataclasses
 import pytest
 
 from benchmarks.conftest import run_once, save_record
-from repro.experiments import combined_reference, final_hypervolume
-from repro.experiments.harness import build_optimizer, run_method
+from repro.experiments.harness import (
+    build_optimizer,
+    combined_reference,
+    final_hypervolume,
+    run_method,
+)
 from repro.experiments.presets import get_preset
-from repro.learned import LearnedCostModel, ScreeningPPAEngine, build_dataset
+from repro.learned.dataset import build_dataset
+from repro.learned.model import LearnedCostModel
+from repro.learned.screen import ScreeningPPAEngine
 from repro.utils.records import RunRecord
 
 NETWORK = "fsrcnn_120x320"  # 5 layers -> wide per-layer speculative batches

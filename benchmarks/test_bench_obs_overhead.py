@@ -28,11 +28,11 @@ import time
 
 import pytest
 
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space, power_cap_for
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space, power_cap_for
 from repro.obs.trace import InMemorySink, Tracer
-from repro.workloads import get_network
+from repro.workloads.registry import get_network
 
 NETWORK = "mobilenet"
 

@@ -17,10 +17,10 @@ import pytest
 
 from benchmarks.conftest import run_once, save_record
 from repro.core.evaluation import SWSearchTrial
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space
 from repro.utils.records import RunRecord
-from repro.workloads import get_network
+from repro.workloads.registry import get_network
 
 TRAIN_NET = "srgan"
 TRANSFER_NET = "xception"

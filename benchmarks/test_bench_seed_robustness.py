@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once, save_record
-from repro.experiments import combined_reference, final_hypervolume, run_method
+from repro.experiments.harness import combined_reference, final_hypervolume, run_method
 from repro.utils.records import RunRecord
 
 NETWORK = "srgan"

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_experiment_once, save_record
-from repro.experiments import table_experiment
+from repro.experiments.tables import table_experiment
 from repro.experiments.reporting import _table_section
-from repro.workloads import TABLE12_NETWORKS
+from repro.workloads.registry import TABLE12_NETWORKS
 
 SEED = 0
 

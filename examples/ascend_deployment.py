@@ -12,8 +12,8 @@ Run:  python examples/ascend_deployment.py [network]
 
 import sys
 
-from repro.experiments import run_method, sw_search_on
-from repro.hw import default_ascend_config
+from repro.experiments.harness import run_method, sw_search_on
+from repro.hw.ascend import default_ascend_config
 
 
 def main() -> None:

@@ -9,10 +9,11 @@ which stage limits each.
 Run:  python examples/bottleneck_analysis.py
 """
 
-from repro.camodel import explain_layer, simulate_layer
+from repro.camodel.ascend_sim import simulate_layer
+from repro.camodel.trace import explain_layer
 from repro.camodel.mapping import AscendMapping, AscendMappingSpace
-from repro.hw import default_ascend_config
-from repro.workloads import get_network
+from repro.hw.ascend import default_ascend_config
+from repro.workloads.registry import get_network
 
 
 def main() -> None:

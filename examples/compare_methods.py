@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from repro.experiments import (
+from repro.experiments.harness import (
     combined_reference,
     hv_difference_curve,
     ideal_front,

@@ -12,10 +12,12 @@ Run:  python examples/mapping_search_tools.py
 """
 
 from repro.core.robustness import robustness_metric
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space
-from repro.mapping import FlexTensorSearch, GammaSearch, RandomMappingSearch
-from repro.workloads import get_network
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gamma import GammaSearch
+from repro.mapping.random_search import RandomMappingSearch
+from repro.workloads.registry import get_network
 
 
 def sparkline(curve, buckets: int = 24) -> str:

@@ -10,10 +10,11 @@ to either network alone.
 Run:  python examples/multi_workload.py
 """
 
-from repro.core import Unico, UnicoConfig, multi_workload_trial_factory
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space, power_cap_for
-from repro.workloads import get_network
+from repro.core.multiworkload import multi_workload_trial_factory
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space, power_cap_for
+from repro.workloads.registry import get_network
 
 
 def main() -> None:

@@ -11,10 +11,10 @@ This walks the whole public API in one small run:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space, power_cap_for
-from repro.workloads import get_network
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space, power_cap_for
+from repro.workloads.registry import get_network
 
 
 def main() -> None:

@@ -9,12 +9,12 @@ exactly how slave workstations would talk to a shared estimation service.
 Run:  python examples/rest_service.py
 """
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
-from repro.hw import edge_design_space
-from repro.mapping import FlexTensorSearch
-from repro.workloads import get_network
+from repro.hw.spatial import edge_design_space
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.workloads.registry import get_network
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ Run:  python examples/robust_hardware.py
 
 import numpy as np
 
-from repro.experiments import run_method, sw_search_on
+from repro.experiments.harness import run_method, sw_search_on
 from repro.experiments.fig8 import select_comparable_pairs
 
 TRAIN = ["srgan", "bert"]

@@ -19,10 +19,10 @@ Package map
 
 Quickstart
 ----------
->>> from repro.workloads import get_network
->>> from repro.hw import edge_design_space, power_cap_for
->>> from repro.costmodel import MaestroEngine
->>> from repro.core import Unico, UnicoConfig
+>>> from repro.workloads.registry import get_network
+>>> from repro.hw.spatial import edge_design_space, power_cap_for
+>>> from repro.costmodel.engine import MaestroEngine
+>>> from repro.core.unico import Unico, UnicoConfig
 >>> network = get_network("resnet")
 >>> unico = Unico(
 ...     edge_design_space(), network, MaestroEngine(network),

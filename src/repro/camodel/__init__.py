@@ -6,26 +6,3 @@
 * :class:`AscendCAEngine` — the expensive estimation service (minutes of
   modeled wall-clock per query, optional 8 +/- 3 % model-error channel).
 """
-
-from repro.camodel.ascend_sim import (
-    MAX_SIMULATED_TILES,
-    ascend_area_mm2,
-    simulate_layer,
-)
-from repro.camodel.engine import CAMODEL_EVAL_COST_S, AscendCAEngine
-from repro.camodel.mapping import AscendMapping, AscendMappingSpace
-from repro.camodel.trace import PipelineTrace, StageStats, explain_layer, trace_layer
-
-__all__ = [
-    "MAX_SIMULATED_TILES",
-    "ascend_area_mm2",
-    "simulate_layer",
-    "CAMODEL_EVAL_COST_S",
-    "AscendCAEngine",
-    "AscendMapping",
-    "AscendMappingSpace",
-    "PipelineTrace",
-    "StageStats",
-    "explain_layer",
-    "trace_layer",
-]

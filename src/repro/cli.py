@@ -36,7 +36,7 @@ from http.client import HTTPException
 from typing import List, Optional
 
 from repro.methods import METHODS, SCENARIOS
-from repro.workloads import available_networks, get_network
+from repro.workloads.registry import available_networks, get_network
 
 
 def _cmd_networks(_args) -> int:
@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
         print("error: --record-samples requires --track (samples are "
               "journal events)", file=sys.stderr)
         return 2
-    from repro.experiments import run_method
+    from repro.experiments.harness import run_method
 
     result = run_method(
         args.method,
@@ -113,7 +113,8 @@ def _cmd_run(args) -> int:
 
 # ------------------------------------------------------------------ learned
 def _cmd_learned_train(args) -> int:
-    from repro.learned import LearnedCostModel, build_dataset
+    from repro.learned.dataset import build_dataset
+    from repro.learned.model import LearnedCostModel
 
     dataset = build_dataset(args.runs_dir)
     stats = dataset.stats
@@ -154,7 +155,8 @@ def _cmd_learned_train(args) -> int:
 def _cmd_learned_eval(args) -> int:
     import numpy as np
 
-    from repro.learned import LearnedCostModel, build_dataset
+    from repro.learned.dataset import build_dataset
+    from repro.learned.model import LearnedCostModel
 
     model = LearnedCostModel.load(args.model)
     dataset = build_dataset(args.runs_dir)
@@ -185,7 +187,8 @@ def _cmd_learned_eval(args) -> int:
 
 # ------------------------------------------------------------------ runs
 def _cmd_runs_list(args) -> int:
-    from repro.tracking import RunStore, committed_iterations
+    from repro.tracking.store import RunStore
+    from repro.tracking.tracker import committed_iterations
 
     store = RunStore(args.runs_dir)
     runs = store.list_runs()
@@ -213,7 +216,8 @@ def _cmd_runs_list(args) -> int:
 
 
 def _cmd_runs_show(args) -> int:
-    from repro.tracking import RunStore, replay_iteration_records, verify_run
+    from repro.tracking.store import RunStore
+    from repro.tracking.tracker import replay_iteration_records, verify_run
 
     run = RunStore(args.runs_dir).get(args.run_id)
     manifest = run.read_manifest()
@@ -243,7 +247,7 @@ def _cmd_runs_show(args) -> int:
 def _print_batch_throughput(run) -> None:
     """Effective-throughput summary from evaluation batch stamps and the
     last engine snapshot (only printed when the run used batching)."""
-    from repro.tracking import read_events
+    from repro.tracking.journal import read_events
 
     scan = read_events(run.journal_path)
     evals = [e for e in scan.events if e.get("type") == "evaluation"]
@@ -284,7 +288,7 @@ def _cmd_runs_profile(args) -> int:
         render_profile,
         spans_from_journal,
     )
-    from repro.tracking import RunStore
+    from repro.tracking.store import RunStore
 
     run = RunStore(args.runs_dir).get(args.run_id)
     spans = spans_from_journal(run.journal_path)
@@ -311,7 +315,7 @@ def _cmd_runs_profile(args) -> int:
 def _cmd_runs_trace(args) -> int:
     from repro.obs.chrome import write_chrome_trace
     from repro.obs.profile import spans_from_journal
-    from repro.tracking import RunStore
+    from repro.tracking.store import RunStore
 
     run = RunStore(args.runs_dir).get(args.run_id)
     spans = spans_from_journal(run.journal_path)
@@ -387,7 +391,7 @@ def _runs_tail_follow(args) -> int:
     import time as _time
 
     if args.hub:
-        from repro.hub import HubClient
+        from repro.hub.client import HubClient
 
         client = HubClient(args.hub)
         try:
@@ -401,7 +405,8 @@ def _runs_tail_follow(args) -> int:
         finally:
             client.close()
         return 0
-    from repro.tracking import RunStore, read_events_from, read_tail_events
+    from repro.tracking.journal import read_events_from, read_tail_events
+    from repro.tracking.store import RunStore
 
     run = RunStore(args.runs_dir).get(args.run_id)
     cursor = 0
@@ -435,7 +440,8 @@ def _runs_tail_follow(args) -> int:
 def _cmd_runs_tail(args) -> int:
     if args.follow:
         return _runs_tail_follow(args)
-    from repro.tracking import RunStore, read_tail_events
+    from repro.tracking.journal import read_tail_events
+    from repro.tracking.store import RunStore
 
     run = RunStore(args.runs_dir).get(args.run_id)
     # bounded read: only the journal's final chunk is parsed, so tailing
@@ -450,7 +456,8 @@ def _cmd_runs_tail(args) -> int:
 
 
 def _cmd_runs_compare(args) -> int:
-    from repro.tracking import RunStore, replay_iteration_records
+    from repro.tracking.store import RunStore
+    from repro.tracking.tracker import replay_iteration_records
 
     store = RunStore(args.runs_dir)
     runs = [store.get(run_id) for run_id in (args.run_a, args.run_b)]
@@ -483,7 +490,7 @@ def _cmd_runs_compare(args) -> int:
 
 def _cmd_runs_resume(args) -> int:
     from repro.experiments.harness import resume_run
-    from repro.tracking import RunStore
+    from repro.tracking.store import RunStore
 
     result = resume_run(
         RunStore(args.runs_dir).get(args.run_id),
@@ -501,8 +508,8 @@ def _cmd_runs_resume(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.camodel import AscendCAEngine
-    from repro.costmodel import MaestroEngine
+    from repro.camodel.engine import AscendCAEngine
+    from repro.costmodel.engine import MaestroEngine
     from repro.costmodel.service import PPAServiceServer
 
     network = get_network(args.network)
@@ -723,7 +730,7 @@ def _cmd_fleet_top(args) -> int:
     from repro.errors import TrackingError
 
     if args.hub:
-        from repro.hub import HubClient
+        from repro.hub.client import HubClient
 
         source = HubClient(args.hub, timeout_s=args.timeout)
 
@@ -740,7 +747,7 @@ def _cmd_fleet_top(args) -> int:
             print("error: fleet top needs replica URLs or --hub",
                   file=sys.stderr)
             return 2
-        from repro.hub import FleetAggregator
+        from repro.hub.aggregate import FleetAggregator
 
         source = FleetAggregator(args.urls, timeout_s=args.timeout)
 
@@ -772,7 +779,7 @@ def _cmd_fleet_top(args) -> int:
 
 
 def _cmd_hub_serve(args) -> int:
-    from repro.hub import HubServer
+    from repro.hub.server import HubServer
 
     server = HubServer(
         args.runs_dir,
@@ -792,7 +799,7 @@ def _cmd_hub_serve(args) -> int:
 
 
 def _cmd_hub_submit(args) -> int:
-    from repro.hub import HubClient
+    from repro.hub.client import HubClient
 
     spec = {
         "method": args.method,
@@ -811,7 +818,7 @@ def _cmd_hub_submit(args) -> int:
 
 
 def _cmd_hub_runs(args) -> int:
-    from repro.hub import HubClient
+    from repro.hub.client import HubClient
 
     with HubClient(args.hub) as client:
         reply = client.list_runs()
@@ -835,7 +842,7 @@ def _cmd_hub_runs(args) -> int:
 
 
 def _cmd_hub_cancel(args) -> int:
-    from repro.hub import HubClient
+    from repro.hub.client import HubClient
 
     with HubClient(args.hub) as client:
         reply = client.cancel(args.run_id)
@@ -844,7 +851,7 @@ def _cmd_hub_cancel(args) -> int:
 
 
 def _cmd_hub_resume(args) -> int:
-    from repro.hub import HubClient
+    from repro.hub.client import HubClient
 
     with HubClient(args.hub) as client:
         run_id = client.resume(args.run_id)

@@ -8,62 +8,7 @@
 * :class:`CoSearchResult` — the uniform result type of every method.
 """
 
-from repro.core.base import CoOptimizer, CoSearchResult, HWDesign, TimelineEntry
-from repro.core.baselines import (
-    HascoBaseline,
-    HascoConfig,
-    MobohbBaseline,
-    MobohbConfig,
-    NSGA2Codesign,
-    NSGA2CodesignConfig,
-    RandomCodesign,
-    RandomCodesignConfig,
-)
-from repro.core.evaluation import (
-    SEARCH_TOOLS,
-    HWEvaluation,
-    SWSearchTrial,
-    assemble_objectives,
-    make_search_tool,
-)
-from repro.core.checkpoint import fold_journal
-from repro.core.highfidelity import ChampionSelector, HighFidelitySelector
-from repro.core.multiworkload import (
-    MultiWorkloadEngine,
-    MultiWorkloadTrial,
-    multi_workload_trial_factory,
-)
-from repro.core.robustness import RobustnessResult, f_theta, robustness_metric
-from repro.core.unico import IterationRecord, Unico, UnicoConfig
+# the benchmark harness imports these through the package; nothing else does
+from repro.core.unico import Unico, UnicoConfig
 
-__all__ = [
-    "fold_journal",
-    "MultiWorkloadEngine",
-    "MultiWorkloadTrial",
-    "multi_workload_trial_factory",
-    "CoOptimizer",
-    "CoSearchResult",
-    "HWDesign",
-    "TimelineEntry",
-    "HascoBaseline",
-    "HascoConfig",
-    "MobohbBaseline",
-    "MobohbConfig",
-    "NSGA2Codesign",
-    "NSGA2CodesignConfig",
-    "RandomCodesign",
-    "RandomCodesignConfig",
-    "SEARCH_TOOLS",
-    "HWEvaluation",
-    "SWSearchTrial",
-    "assemble_objectives",
-    "make_search_tool",
-    "ChampionSelector",
-    "HighFidelitySelector",
-    "RobustnessResult",
-    "f_theta",
-    "robustness_metric",
-    "IterationRecord",
-    "Unico",
-    "UnicoConfig",
-]
+__all__ = ["Unico", "UnicoConfig"]

@@ -6,19 +6,3 @@
 * :class:`MobohbBaseline` — multi-objective BOHB (Hyperband + model),
 * :class:`RandomCodesign` — uniform-random sanity floor.
 """
-
-from repro.core.baselines.hasco import HascoBaseline, HascoConfig
-from repro.core.baselines.mobohb import MobohbBaseline, MobohbConfig
-from repro.core.baselines.nsga2_codesign import NSGA2Codesign, NSGA2CodesignConfig
-from repro.core.baselines.random_codesign import RandomCodesign, RandomCodesignConfig
-
-__all__ = [
-    "HascoBaseline",
-    "HascoConfig",
-    "MobohbBaseline",
-    "MobohbConfig",
-    "NSGA2Codesign",
-    "NSGA2CodesignConfig",
-    "RandomCodesign",
-    "RandomCodesignConfig",
-]

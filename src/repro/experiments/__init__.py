@@ -14,54 +14,3 @@ to a JSON-serializable :class:`~repro.utils.records.RunRecord`.
 :func:`~repro.experiments.paper_runner.run_experiments` runs them,
 launching each distinct cell once.
 """
-
-from repro.experiments.fig7 import FIG7_METHODS, fig7_experiment, speedup_to_reach
-from repro.experiments.fig8 import fig8_experiment, select_comparable_pairs
-from repro.experiments.fig9 import fig9_experiment
-from repro.experiments.fig10 import FIG10_METHODS, fig10_experiment
-from repro.experiments.fig11 import fig11_experiment
-from repro.experiments.harness import (
-    METHODS,
-    build_optimizer,
-    combined_reference,
-    final_hypervolume,
-    hv_difference_curve,
-    ideal_front,
-    make_platform,
-    resolve_workload,
-    run_method,
-    sw_search_on,
-    time_grid,
-)
-from repro.experiments.paper_runner import run_experiments
-from repro.experiments.presets import Preset, get_preset
-from repro.experiments.tables import TABLE_METHODS, table_cell, table_experiment
-
-__all__ = [
-    "FIG7_METHODS",
-    "fig7_experiment",
-    "speedup_to_reach",
-    "fig8_experiment",
-    "select_comparable_pairs",
-    "fig9_experiment",
-    "FIG10_METHODS",
-    "fig10_experiment",
-    "fig11_experiment",
-    "METHODS",
-    "combined_reference",
-    "final_hypervolume",
-    "hv_difference_curve",
-    "ideal_front",
-    "make_platform",
-    "resolve_workload",
-    "build_optimizer",
-    "run_method",
-    "sw_search_on",
-    "time_grid",
-    "Preset",
-    "get_preset",
-    "run_experiments",
-    "TABLE_METHODS",
-    "table_cell",
-    "table_experiment",
-]

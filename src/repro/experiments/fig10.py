@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from repro.core import CoSearchResult
+from repro.core.base import CoSearchResult
 from repro.experiments.harness import (
     Experiment,
     RunSpec,
@@ -28,7 +28,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.presets import Preset
 from repro.utils.records import RunRecord
-from repro.workloads import FIG10_NETWORKS
+from repro.workloads.registry import FIG10_NETWORKS
 
 FIG10_METHODS = ("hasco", "sh_champion", "msh_champion", "unico")
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from repro.experiments.harness import Experiment, RunSpec, sw_search_on
 from repro.experiments.presets import Preset, get_preset
-from repro.hw import default_ascend_config
+from repro.hw.ascend import default_ascend_config
 from repro.utils.records import RunRecord
-from repro.workloads import FIG11_NETWORKS
+from repro.workloads.registry import FIG11_NETWORKS
 
 
 def select_deployment_design(result, default_ppa):

@@ -13,17 +13,17 @@ from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
-from repro.core import CoSearchResult
+from repro.core.base import CoSearchResult
 from repro.experiments.harness import (
     Experiment,
     RunSpec,
     combined_reference,
     hv_difference_curve,
-    hypervolume,
     ideal_front,
     time_grid,
 )
 from repro.experiments.presets import Preset
+from repro.optim.hypervolume import hypervolume
 from repro.utils.records import RunRecord
 
 FIG7_METHODS = ("hasco", "nsgaii", "mobohb", "unico")

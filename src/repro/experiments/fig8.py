@@ -27,7 +27,7 @@ from repro.core.base import HWDesign
 from repro.experiments.harness import Experiment, RunSpec, sw_search_on
 from repro.experiments.presets import Preset, get_preset
 from repro.utils.records import RunRecord
-from repro.workloads import FIG8_TRAIN, FIG8_VALIDATION
+from repro.workloads.registry import FIG8_TRAIN, FIG8_VALIDATION
 
 #: relative PPA difference under which two front designs are a pair
 PAIR_TOLERANCE = 0.10

@@ -17,7 +17,7 @@ import numpy as np
 from repro.experiments.harness import Experiment, RunSpec, sw_search_on
 from repro.experiments.presets import Preset, get_preset
 from repro.utils.records import RunRecord
-from repro.workloads import FIG9_TRAIN, FIG9_VALIDATION
+from repro.workloads.registry import FIG9_TRAIN, FIG9_VALIDATION
 
 
 def ppa_distance(ppa_a: np.ndarray, ppa_b: np.ndarray) -> Dict[str, float]:

@@ -33,36 +33,25 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.camodel import AscendCAEngine
-from repro.core import (
-    CoSearchResult,
-    HascoBaseline,
-    HascoConfig,
-    MobohbBaseline,
-    MobohbConfig,
-    NSGA2Codesign,
-    NSGA2CodesignConfig,
-    RandomCodesign,
-    RandomCodesignConfig,
-    Unico,
-    UnicoConfig,
-    fold_journal,
-)
-from repro.costmodel import MaestroEngine
+from repro.camodel.engine import AscendCAEngine
+from repro.core.base import CoSearchResult
+from repro.core.baselines.hasco import HascoBaseline, HascoConfig
+from repro.core.baselines.mobohb import MobohbBaseline, MobohbConfig
+from repro.core.baselines.nsga2_codesign import NSGA2Codesign, NSGA2CodesignConfig
+from repro.core.baselines.random_codesign import RandomCodesign, RandomCodesignConfig
+from repro.core.checkpoint import fold_journal
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import ConfigurationError, TrackingError
 from repro.experiments.presets import Preset, get_preset
-from repro.hw import (
-    ASCEND_AREA_CAP_MM2,
-    ascend_design_space,
-    default_ascend_config,
-    design_space_for,
-    power_cap_for,
-)
+from repro.hw.ascend import ASCEND_AREA_CAP_MM2, ascend_design_space, default_ascend_config
+from repro.hw.spatial import design_space_for, power_cap_for
 from repro.methods import METHODS, SCENARIOS
 from repro.optim.hypervolume import hypervolume
 from repro.optim.pareto import pareto_front
 from repro.utils.records import RunRecord, to_jsonable
-from repro.workloads import Network, get_network, merge_networks
+from repro.workloads.network import Network, merge_networks
+from repro.workloads.registry import get_network
 
 _UNICO_VARIANTS: Dict[str, Dict[str, object]] = {
     "unico": {
@@ -227,7 +216,7 @@ class RunSpec:
     of the ``iteration_state`` lines a resume folds (0: not resumable);
     all three are recorded, so a resumed run is observed and committed
     the way it was started.  ``screen`` (a model path or a
-    loaded :class:`~repro.learned.LearnedCostModel`) forwards only the
+    loaded :class:`~repro.learned.model.LearnedCostModel`) forwards only the
     model's predicted-best ``screen_topk`` candidates per batch to the
     analytical engine.  Tracing and ``screen=None`` leave results
     bit-identical; every surfaced number is exact analytical PPA.
@@ -355,7 +344,8 @@ def _resolve_screen(spec: RunSpec, resumed_run=None):
         return None, None
     import hashlib
 
-    from repro.learned import FEATURE_VERSION, LearnedCostModel
+    from repro.learned.features import FEATURE_VERSION
+    from repro.learned.model import LearnedCostModel
 
     path, model, sha256 = spec.screen_path, spec.screen, None
     if path is not None:
@@ -386,11 +376,11 @@ def launch(
 ) -> CoSearchResult:
     """Build, wire and run the search ``spec`` describes: the one recipe.
 
-    ``run`` is where the search is tracked: a :class:`~repro.tracking.RunStore`
-    allocates a fresh ``runs/<run-id>/``, a :class:`~repro.tracking.RunHandle`
+    ``run`` is where the search is tracked: a :class:`~repro.tracking.store.RunStore`
+    allocates a fresh ``runs/<run-id>/``, a :class:`~repro.tracking.store.RunHandle`
     is a directory that exists (a hub-submitted run or, with ``resume=True``,
     an interrupted one).  Either gets the manifest and a
-    :class:`~repro.tracking.JournalTracker` (lines ``fsync``-ed on request);
+    :class:`~repro.tracking.tracker.JournalTracker` (lines ``fsync``-ed on request);
     ``tracker`` instead installs a caller-owned tracker, writing no manifest.
     Baselines, whose ``optimize()`` does not drive the tracker lifecycle,
     get ``run_start`` / ``run_end`` emitted here so their manifests reach a
@@ -416,7 +406,7 @@ def launch(
         )
     committed = None
     if resume:
-        from repro.tracking import committed_journal
+        from repro.tracking.tracker import committed_journal
 
         committed = committed_journal(run)
     optimizer = build_optimizer(
@@ -434,7 +424,7 @@ def launch(
     screen_model, screen_info = _resolve_screen(spec, run if resume else None)
     extras = {"method_requested": spec.method, "scenario": spec.scenario}
     if run is not None and not resume:
-        from repro.tracking import RunStore
+        from repro.tracking.store import RunStore
 
         manifest = spec.to_manifest()
         manifest["space"] = optimizer.space.name
@@ -447,7 +437,7 @@ def launch(
         else:
             run.update_manifest(**manifest)
     if screen_model is not None:
-        from repro.learned import ScreeningPPAEngine
+        from repro.learned.screen import ScreeningPPAEngine
 
         optimizer.engine = ScreeningPPAEngine(
             optimizer.engine, model=screen_model, topk=spec.screen_topk
@@ -457,7 +447,7 @@ def launch(
         fold_journal(optimizer, committed)
         extras["resumed_from_iteration"] = optimizer.completed_iterations
     if run is not None:
-        from repro.tracking import JournalTracker
+        from repro.tracking.tracker import JournalTracker
 
         tracker = JournalTracker(
             run, checkpoint_every=spec.checkpoint_every, fsync=fsync,
@@ -473,7 +463,7 @@ def launch(
                 "record_samples=True needs a journal: pass run_store= (or a "
                 "JournalTracker) so engine_sample events have somewhere to go"
             )
-        from repro.tracking import JournalSampleSink
+        from repro.tracking.tracker import JournalSampleSink
 
         optimizer.engine.sample_sink = JournalSampleSink(journal)
     if screen_info is not None and journal is not None:
@@ -539,13 +529,13 @@ def run_method(
 
     The arguments are the fields of a :class:`RunSpec` (documented there),
     plus where to track the run: an explicit
-    :class:`~repro.tracking.Tracker`, or a ``run_store`` (a
-    :class:`~repro.tracking.RunStore` or a directory path) in which
+    :class:`~repro.tracking.tracker.Tracker`, or a ``run_store`` (a
+    :class:`~repro.tracking.store.RunStore` or a directory path) in which
     :func:`launch` allocates a ``runs/<run-id>/`` directory with a
     manifest and a journal.  Passing both is ambiguous and rejected.
     """
     if run_store is not None:
-        from repro.tracking import RunStore
+        from repro.tracking.store import RunStore
 
         if not isinstance(run_store, RunStore):
             run_store = RunStore(run_store)
@@ -576,7 +566,7 @@ def resume_run(
 ) -> CoSearchResult:
     """Continue an interrupted tracked run; returns its final result.
 
-    ``run`` is a :class:`~repro.tracking.RunHandle`, a run id (requires
+    ``run`` is a :class:`~repro.tracking.store.RunHandle`, a run id (requires
     ``store``), or a run directory path.  Its manifest names the search
     (:meth:`RunSpec.from_manifest`); :func:`launch` folds the journal up
     to its last ``iteration_state`` line and continues.  ``max_iterations``
@@ -584,7 +574,7 @@ def resume_run(
     period the run recorded.
     """
     if isinstance(run, (str, pathlib.Path)):
-        from repro.tracking import RunHandle
+        from repro.tracking.store import RunHandle
 
         run = store.get(str(run)) if store is not None else RunHandle(run)
     try:

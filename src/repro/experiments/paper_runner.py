@@ -32,7 +32,8 @@ from repro.experiments.harness import Experiment, RunSpec, launch
 from repro.experiments.presets import Preset, get_preset
 from repro.experiments.tables import table_experiment
 from repro.utils.records import RunRecord
-from repro.workloads import TABLE12_NETWORKS, Network
+from repro.workloads.network import Network
+from repro.workloads.registry import TABLE12_NETWORKS
 
 EXPERIMENTS: Dict[str, Callable[[Preset, int], Experiment]] = {
     "table1_edge": lambda preset, seed: table_experiment(

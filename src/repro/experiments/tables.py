@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Union
 
-from repro.core import CoSearchResult
+from repro.core.base import CoSearchResult
 from repro.experiments.harness import Experiment, RunSpec
 from repro.experiments.presets import Preset
 from repro.utils.records import RunRecord

@@ -21,8 +21,3 @@ Nothing here imports :mod:`repro.costmodel` at module level — the
 supervisor builds its replicas' engines inside the forked child — so
 :mod:`repro.costmodel.service` can import the router without a cycle.
 """
-
-from repro.fleet.router import ShardRouter
-from repro.fleet.server import FleetSupervisor, ReplicaSpec
-
-__all__ = ["FleetSupervisor", "ReplicaSpec", "ShardRouter"]

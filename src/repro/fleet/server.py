@@ -58,14 +58,14 @@ class ReplicaSpec:
 
 def build_replica_engine(spec: ReplicaSpec):
     """Construct the engine a replica serves (same idiom as ``repro serve``)."""
-    from repro.workloads import get_network
+    from repro.workloads.registry import get_network
 
     network = get_network(spec.network)
     if spec.engine == "maestro":
-        from repro.costmodel import MaestroEngine
+        from repro.costmodel.engine import MaestroEngine
 
         return MaestroEngine(network, cache_capacity=spec.cache_capacity)
-    from repro.camodel import AscendCAEngine
+    from repro.camodel.engine import AscendCAEngine
 
     engine = AscendCAEngine(network, noise_fraction=spec.noise_fraction)
     engine.cache_capacity = spec.cache_capacity

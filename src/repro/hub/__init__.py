@@ -14,28 +14,10 @@ observable system:
   exposition, merge into one fleet view with ``replica=`` labels plus
   ``fleet:*`` rollup series and an ``up`` sample per replica;
 * :mod:`repro.hub.scheduler` — a single-worker run scheduler over the
-  :class:`~repro.tracking.RunStore` (submit/cancel/reconcile, resume of
+  :class:`~repro.tracking.store.RunStore` (submit/cancel/reconcile, resume of
   crash-interrupted runs);
 * :mod:`repro.hub.server` — the HTTP control plane tying them together
   (``POST /runs``, ``GET /runs/<id>/events`` SSE, ``GET /fleet/metrics``);
 * :mod:`repro.hub.client` — the pooled client behind
   ``repro runs tail --follow`` and ``repro fleet top --hub``.
 """
-
-from repro.hub.aggregate import FleetAggregator, ReplicaScrape
-from repro.hub.client import HubClient, StreamedEvent
-from repro.hub.scheduler import RunScheduler
-from repro.hub.server import HubServer
-from repro.hub.sse import SSEEvent, format_sse_event, parse_sse_lines
-
-__all__ = [
-    "FleetAggregator",
-    "HubClient",
-    "HubServer",
-    "ReplicaScrape",
-    "RunScheduler",
-    "SSEEvent",
-    "StreamedEvent",
-    "format_sse_event",
-    "parse_sse_lines",
-]

@@ -1,4 +1,4 @@
-"""Single-worker run scheduler over the :class:`~repro.tracking.RunStore`.
+"""Single-worker run scheduler over the :class:`~repro.tracking.store.RunStore`.
 
 The hub owns run *lifecycle*, not run *execution semantics*: a submitted
 spec is validated and written by the harness's
@@ -24,8 +24,10 @@ resume`` (or a hub resubmit with ``resume=True``) can continue it, at the
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pathlib
 import signal
+import sys
 import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Union
@@ -49,13 +51,25 @@ SUBMIT_FIELDS = frozenset({
 })
 
 
+def _die_of_signal(signum, _frame) -> None:
+    """Die of ``signum`` as its default action would, once the run's GP-fit
+    helper is reaped; nothing else of the run executes."""
+    # looked up, not imported: a signal that lands while the run is still
+    # importing must not import (no fit can have forked a helper yet)
+    close = getattr(sys.modules.get("repro.optim.gp"), "close_fit_helper", None)
+    if close is not None:
+        close()
+    signal.signal(signum, signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
+
+
 def _execute_run(runs_dir: str, run_id: str, resume: bool) -> None:
     """Child-process entry point: run (or resume) one tracked search."""
     # a forked child inherits the hub's SIGTERM/SIGINT drain handlers;
-    # restore the defaults so cancellation's SIGTERM actually kills the
-    # child and a group-wide Ctrl-C doesn't run the hub shutdown in here
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    # replace them so cancellation's SIGTERM actually kills the child and
+    # a group-wide Ctrl-C doesn't run the hub shutdown in here
+    signal.signal(signal.SIGTERM, _die_of_signal)
+    signal.signal(signal.SIGINT, _die_of_signal)
     from repro.experiments.harness import RunSpec, launch
 
     run = RunStore(runs_dir).get(run_id)

@@ -1,6 +1,6 @@
 """The hub's HTTP control plane: run lifecycle, live SSE, fleet metrics.
 
-One :class:`HubServer` fronts a :class:`~repro.tracking.RunStore` (via a
+One :class:`HubServer` fronts a :class:`~repro.tracking.store.RunStore` (via a
 :class:`~repro.hub.scheduler.RunScheduler`) and, optionally, a replica
 fleet (via one :class:`~repro.hub.aggregate.FleetAggregator`, so one
 connection pool per replica):

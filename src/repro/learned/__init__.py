@@ -22,31 +22,3 @@ loop from that recorded data back into search speed:
   learned model, projected back to legal mappings, verified
   analytically), registered as a mapping tool alongside FlexTensor.
 """
-
-from repro.learned.dataset import LearnedDataset, build_dataset, split_by_run
-from repro.learned.features import (
-    FEATURE_VERSION,
-    feature_dim,
-    feature_names,
-    featurize,
-    featurize_batch,
-    relaxed_features,
-)
-from repro.learned.model import LearnedCostModel
-from repro.learned.oneloop import OneLoopMappingSearch
-from repro.learned.screen import ScreeningPPAEngine
-
-__all__ = [
-    "FEATURE_VERSION",
-    "LearnedCostModel",
-    "LearnedDataset",
-    "OneLoopMappingSearch",
-    "ScreeningPPAEngine",
-    "build_dataset",
-    "feature_dim",
-    "feature_names",
-    "featurize",
-    "featurize_batch",
-    "relaxed_features",
-    "split_by_run",
-]

@@ -13,35 +13,3 @@ rounds.
 * :class:`DepthFirstFusionSearch` (:mod:`repro.mapping.fusion`) — the
   Ascend-like platform's depth-first buffer-fusion tool.
 """
-
-from repro.mapping.base import AnytimeMappingSearch, MappingSearchPoint
-from repro.mapping.cosa import CosaMapper, construct_mapping
-from repro.mapping.flextensor import FlexTensorSearch
-from repro.mapping.fusion import DepthFirstFusionSearch
-from repro.mapping.gamma import GammaSearch
-from repro.mapping.gemm_mapping import (
-    LOOP_ORDERS,
-    SPATIAL_CHOICES,
-    UNROLL_CHOICES,
-    GemmMapping,
-    GemmMappingSpace,
-    NetworkMapping,
-)
-from repro.mapping.random_search import RandomMappingSearch
-
-__all__ = [
-    "CosaMapper",
-    "construct_mapping",
-    "AnytimeMappingSearch",
-    "MappingSearchPoint",
-    "FlexTensorSearch",
-    "GammaSearch",
-    "RandomMappingSearch",
-    "DepthFirstFusionSearch",
-    "GemmMapping",
-    "GemmMappingSpace",
-    "NetworkMapping",
-    "LOOP_ORDERS",
-    "SPATIAL_CHOICES",
-    "UNROLL_CHOICES",
-]

@@ -23,46 +23,8 @@ what a state line holds lives in :mod:`repro.core.checkpoint`.
   :func:`replay_iteration_records` read a run back.
 """
 
-from repro.tracking.journal import (
-    EVENT_TYPES,
-    JOURNAL_VERSION,
-    EventJournal,
-    JournalScan,
-    read_events,
-    read_events_from,
-    read_tail_events,
-    verify_sequence,
-)
-from repro.tracking.store import RUN_STATUSES, RunHandle, RunStore
-from repro.tracking.tracker import (
-    JournalSampleSink,
-    JournalTracker,
-    NullTracker,
-    Tracker,
-    committed_iterations,
-    committed_journal,
-    replay_iteration_records,
-    verify_run,
-)
+# the benchmark harness imports these through the package; nothing else does
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import JournalTracker
 
-__all__ = [
-    "EVENT_TYPES",
-    "JOURNAL_VERSION",
-    "RUN_STATUSES",
-    "EventJournal",
-    "JournalScan",
-    "JournalSampleSink",
-    "JournalTracker",
-    "NullTracker",
-    "RunHandle",
-    "RunStore",
-    "Tracker",
-    "committed_iterations",
-    "committed_journal",
-    "read_events",
-    "read_events_from",
-    "read_tail_events",
-    "replay_iteration_records",
-    "verify_run",
-    "verify_sequence",
-]
+__all__ = ["JournalTracker", "RunStore"]

@@ -21,18 +21,6 @@ can build on a common, well-tested foundation:
 method the fleet supervisor and the hub's run child share.
 """
 
-from repro.utils.clock import SimulatedClock
-from repro.utils.metrics import Counter, Histogram, MetricsRegistry
-from repro.utils.intmath import (
-    divisors,
-    nearest_divisor,
-    power_two_three_grid,
-    round_up_div,
-)
-from repro.utils.records import RunRecord, to_jsonable
-from repro.utils.rng import SeedSequenceFactory, as_generator
-
-
 
 def fork_context():
     """The ``fork`` multiprocessing context (cheap, inherits the parent's
@@ -43,19 +31,3 @@ def fork_context():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
-
-__all__ = [
-    "SimulatedClock",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
-    "divisors",
-    "nearest_divisor",
-    "power_two_three_grid",
-    "round_up_div",
-    "RunRecord",
-    "to_jsonable",
-    "SeedSequenceFactory",
-    "as_generator",
-    "fork_context",
-]

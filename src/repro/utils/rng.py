@@ -18,7 +18,7 @@ Two helpers are provided:
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -99,6 +99,3 @@ def spawn_generators(
         return [np.random.default_rng(int(s)) for s in seeds]
     factory = SeedSequenceFactory(0 if seed is None else int(seed))
     return [factory.generator(name, index=i) for i in range(count)]
-
-
-_OPTIONAL_INT = Optional[int]  # re-exported typing alias for signatures

@@ -6,7 +6,7 @@ from repro.camodel.ascend_sim import simulate_layer
 from repro.camodel.mapping import AscendMapping
 from repro.camodel.trace import PipelineTrace, explain_layer, trace_layer
 from repro.errors import EvaluationError
-from repro.hw import default_ascend_config
+from repro.hw.ascend import default_ascend_config
 from repro.workloads.layers import GemmShape
 
 SHAPE = GemmShape(m=64, n=1024, k=128)

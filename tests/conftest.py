@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space
-from repro.workloads import Conv2D, Gemm, Network
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space
+from repro.workloads.layers import Conv2D, Gemm
+from repro.workloads.network import Network
 
 
 @pytest.fixture(scope="session")

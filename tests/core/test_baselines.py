@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    HascoBaseline,
-    HascoConfig,
-    MobohbBaseline,
-    MobohbConfig,
-    NSGA2Codesign,
-    NSGA2CodesignConfig,
-    RandomCodesign,
-    RandomCodesignConfig,
-)
-from repro.costmodel import MaestroEngine
+from repro.core.baselines.hasco import HascoBaseline, HascoConfig
+from repro.core.baselines.mobohb import MobohbBaseline, MobohbConfig
+from repro.core.baselines.nsga2_codesign import NSGA2Codesign, NSGA2CodesignConfig
+from repro.core.baselines.random_codesign import RandomCodesign, RandomCodesignConfig
+from repro.costmodel.engine import MaestroEngine
 
 
 def _run(cls, config, tiny_network, edge_space, seed=7):

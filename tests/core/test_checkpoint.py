@@ -13,15 +13,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core import Unico, UnicoConfig, fold_journal
-from repro.costmodel import MaestroEngine
+from repro.core.checkpoint import fold_journal
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import ConfigurationError
-from repro.tracking import (
-    JournalTracker,
-    RunStore,
-    committed_journal,
-    replay_iteration_records,
-)
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import JournalTracker, committed_journal, replay_iteration_records
 from tests.tracking.test_tracker_resume import _KillAfter
 
 

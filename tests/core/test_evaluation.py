@@ -9,7 +9,7 @@ from repro.core.evaluation import (
     assemble_objectives,
     make_search_tool,
 )
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import ConfigurationError
 
 

@@ -9,18 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    HascoBaseline,
-    HascoConfig,
-    RandomCodesign,
-    RandomCodesignConfig,
-    Unico,
-    UnicoConfig,
-)
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space
+from repro.core.baselines.hasco import HascoBaseline, HascoConfig
+from repro.core.baselines.random_codesign import RandomCodesign, RandomCodesignConfig
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space
 from repro.optim.pareto import pareto_front
-from repro.workloads import Gemm, Network
+from repro.workloads.layers import Gemm
+from repro.workloads.network import Network
 
 _NETWORK = Network(
     name="invnet",

@@ -17,17 +17,19 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core import Unico, UnicoConfig
+from repro.core.unico import Unico, UnicoConfig
 from repro.core.evaluation import SWSearchTrial, advance_lockstep
 from repro.core.multiworkload import MultiWorkloadTrial, multi_workload_trial_factory
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.errors import EvaluationError
-from repro.hw import edge_design_space
-from repro.mapping import GemmMapping
+from repro.hw.spatial import edge_design_space
+from repro.mapping.gemm_mapping import GemmMapping
 from repro.obs.trace import InMemorySink, Tracer
-from repro.workloads import Gemm, Network, get_network
+from repro.workloads.layers import Gemm
+from repro.workloads.network import Network
+from repro.workloads.registry import get_network
 
 TOOLS = ["flextensor", "gamma", "random", "oneloop"]
 WIDTHS = [1, 8, 64]

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import Unico, UnicoConfig
+from repro.core.unico import Unico, UnicoConfig
 from repro.core.multiworkload import (
     MultiWorkloadEngine,
     MultiWorkloadTrial,
     multi_workload_trial_factory,
 )
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import ConfigurationError
-from repro.hw import edge_design_space
+from repro.hw.spatial import edge_design_space
 from repro.utils.clock import SimulatedClock
-from repro.workloads import Conv2D, Gemm, Network
+from repro.workloads.layers import Conv2D, Gemm
+from repro.workloads.network import Network
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import ConfigurationError
 
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import Unico, UnicoConfig
+from repro.core.unico import Unico, UnicoConfig
 from repro.core.base import CoSearchResult, HWDesign
 from repro.core.robustness import RobustnessResult
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.results import NetworkPPA
 from repro.experiments.fig9 import ppa_distance, shared_scale_best
 from repro.experiments.fig11 import select_deployment_design

@@ -1,6 +1,6 @@
 """A fault injector for the PPA service: a replica that answers 500s.
 
-:class:`FlakyEngine` is a :class:`~repro.costmodel.MaestroEngine` whose
+:class:`FlakyEngine` is a :class:`~repro.costmodel.engine.MaestroEngine` whose
 in-process kernel raises :class:`InjectedFailure` on a seeded fraction of
 fresh computations.  Served by a
 :class:`~repro.costmodel.service.PPAServiceServer`, such a failure is not
@@ -15,7 +15,7 @@ not per query key: a retried query usually succeeds.
 
 from __future__ import annotations
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import EvaluationError
 from repro.utils.rng import SeedLike, as_generator
 

@@ -12,12 +12,12 @@ arbitrary clipped tiles, and unit and non-unit reuse penalties.
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine, TimeloopEngine
+from repro.costmodel.engine import MaestroEngine
+from repro.costmodel.timeloop import TimeloopEngine, analyze_gemm_loopnest
 from repro.costmodel.maestro import analyze_gemm
 from repro.costmodel.maestro_batch import analyze_gemm_batch
-from repro.costmodel.timeloop import analyze_gemm_loopnest
 from repro.costmodel.timeloop_batch import analyze_gemm_loopnest_batch
-from repro.hw import SpatialHWConfig
+from repro.hw.spatial import SpatialHWConfig
 from repro.mapping.gemm_mapping import (
     LOOP_ORDERS,
     SPATIAL_CHOICES,

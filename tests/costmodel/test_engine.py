@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.costmodel import DEFAULT_CACHE_CAPACITY, MaestroEngine
+from repro.costmodel.engine import DEFAULT_CACHE_CAPACITY, MaestroEngine
 from repro.errors import ConfigurationError, EvaluationError
-from repro.mapping import GemmMapping
+from repro.mapping.gemm_mapping import GemmMapping
 
 
 @pytest.fixture()

@@ -12,13 +12,13 @@ what the single call buys: one sink call carrying all of its misses, and
 import numpy as np
 import pytest
 
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine, TimeloopEngine
-from repro.costmodel.engine import VECTOR_KERNEL_MIN_GROUP
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine, VECTOR_KERNEL_MIN_GROUP
+from repro.costmodel.timeloop import TimeloopEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
-from repro.mapping import GemmMapping, RandomMappingSearch
-from repro.mapping.gemm_mapping import GemmMappingSpace
+from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace
+from repro.mapping.random_search import RandomMappingSearch
 
 #: the three remote kinds are all ``RemotePPAEngine``: ``remote`` is one URL;
 #: ``sharded1`` is one URL at ``batch_size=3`` (a lone replica still gets

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import analyze_gemm, spatial_area_mm2
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY
-from repro.hw import SpatialHWConfig
-from repro.mapping import GemmMapping
+from repro.hw.spatial import SpatialHWConfig
+from repro.mapping.gemm_mapping import GemmMapping
 from repro.workloads.layers import Gemm, GemmShape
 from repro.workloads.network import Network
 

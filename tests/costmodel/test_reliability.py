@@ -8,11 +8,12 @@ fails a seeded fraction of fresh computations with a 500;
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.errors import EvaluationError, TransportError
-from repro.mapping import FlexTensorSearch, GemmMapping, GemmMappingSpace
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace
 from tests.costmodel.flaky_engine import FlakyEngine, InjectedFailure
 
 MAPPING = GemmMapping(4, 8, 4)

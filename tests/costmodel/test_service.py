@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.camodel.mapping import AscendMapping
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import (
     PPAServiceServer,
@@ -21,8 +21,9 @@ from repro.costmodel.service import (
     encode_object,
 )
 from repro.errors import EvaluationError
-from repro.hw import default_ascend_config
-from repro.mapping import FlexTensorSearch, GemmMapping
+from repro.hw.ascend import default_ascend_config
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gemm_mapping import GemmMapping
 
 
 @pytest.fixture()
@@ -119,7 +120,7 @@ class TestRemoteEngine:
         assert remote.num_cache_hits == 1
 
     def test_infeasible_transported(self, remote, tiny_network):
-        from repro.hw import edge_design_space
+        from repro.hw.spatial import edge_design_space
 
         tiny_hw = edge_design_space().to_config(
             {
@@ -543,7 +544,8 @@ class TestBatchEndpoint:
 
     def test_batch_bad_item_raises_but_good_items_cached(self, server, tiny_network,
                                                          sample_hw):
-        from repro.workloads import Gemm, Network
+        from repro.workloads.layers import Gemm
+        from repro.workloads.network import Network
 
         # the client knows a layer the server does not: server-side rejection
         client_network = Network(

@@ -9,11 +9,12 @@ meaningful check of both.
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import analyze_gemm
 from repro.costmodel.timeloop import TimeloopEngine, analyze_gemm_loopnest, _tile_fills, _Loop
-from repro.hw import SpatialHWConfig, edge_design_space
-from repro.mapping import FlexTensorSearch, GemmMapping, GemmMappingSpace
+from repro.hw.spatial import SpatialHWConfig, edge_design_space
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace
 from repro.workloads.layers import GemmShape
 
 SHAPE = GemmShape(m=64, n=256, k=128)

@@ -9,16 +9,13 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    fig7_experiment,
-    fig8_experiment,
-    fig9_experiment,
-    fig10_experiment,
-    fig11_experiment,
-    run_experiments,
-    speedup_to_reach,
-    table_experiment,
-)
+from repro.experiments.fig10 import fig10_experiment
+from repro.experiments.fig11 import fig11_experiment
+from repro.experiments.fig7 import fig7_experiment, speedup_to_reach
+from repro.experiments.fig8 import fig8_experiment
+from repro.experiments.fig9 import fig9_experiment
+from repro.experiments.paper_runner import run_experiments
+from repro.experiments.tables import table_experiment
 from repro.experiments.reporting import generate_report
 
 

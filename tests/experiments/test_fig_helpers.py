@@ -107,7 +107,8 @@ class TestSelectComparablePairs:
 class TestTableCellInfeasible:
     def test_infeasible_scenario_reports_inf(self, tiny_network, monkeypatch):
         """A scenario no design can satisfy reports infinite PPA cells."""
-        from repro.experiments import harness, run_method
+        import repro.experiments.harness as harness
+        from repro.experiments.harness import run_method
 
         original = harness.make_platform
 

@@ -5,9 +5,8 @@ import pytest
 
 from repro.core.base import CoSearchResult, TimelineEntry
 from repro.errors import ConfigurationError
-from repro.experiments import (
+from repro.experiments.harness import (
     combined_reference,
-    get_preset,
     hv_difference_curve,
     ideal_front,
     make_platform,
@@ -16,9 +15,11 @@ from repro.experiments import (
     sw_search_on,
     time_grid,
 )
+from repro.experiments.presets import get_preset
 from repro.optim.hypervolume import hypervolume
 from repro.optim.pareto import ParetoFront
-from repro.workloads import Network, get_network
+from repro.workloads.network import Network
+from repro.workloads.registry import get_network
 
 
 class TestPresets:
@@ -102,7 +103,7 @@ class TestRunMethod:
 
 class TestSwSearchOn:
     def test_transfer_search(self, tiny_network):
-        from repro.hw import edge_design_space
+        from repro.hw.spatial import edge_design_space
 
         hw = edge_design_space().sample(seed=4)
         trial = sw_search_on(hw, tiny_network, "edge", budget=20, seed=0)

@@ -4,13 +4,11 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    fig7_experiment,
-    fig10_experiment,
-    get_preset,
-    paper_runner,
-    table_experiment,
-)
+import repro.experiments.paper_runner as paper_runner
+from repro.experiments.fig10 import fig10_experiment
+from repro.experiments.fig7 import fig7_experiment
+from repro.experiments.presets import get_preset
+from repro.experiments.tables import table_experiment
 from repro.experiments.harness import RunSpec, launch
 from repro.experiments.paper_runner import (
     EXPERIMENTS,
@@ -18,7 +16,7 @@ from repro.experiments.paper_runner import (
     run_everything,
     run_experiments,
 )
-from repro.workloads import Network
+from repro.workloads.network import Network
 
 
 class TestRunEverything:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.experiments import METHODS, get_preset
 from repro.experiments.harness import _UNICO_VARIANTS
+from repro.experiments.presets import get_preset
+from repro.methods import METHODS
 
 
 class TestPresetScaling:

@@ -26,12 +26,9 @@ from repro.experiments.harness import RunSpec, resume_run, run_method
 from repro.experiments.presets import get_preset
 from repro.hub.scheduler import RunScheduler, _execute_run
 from repro.obs.profile import build_profile, spans_from_journal
-from repro.tracking import (
-    JournalTracker,
-    RunStore,
-    read_events,
-    replay_iteration_records,
-)
+from repro.tracking.journal import read_events
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import JournalTracker, replay_iteration_records
 from tests.tracking.journal_lines import RESUME_LINES, journal_lines
 
 WORKLOAD = "mobilenet"
@@ -202,7 +199,7 @@ class TestRunSpec:
         assert RunSpec.from_manifest(defaults.to_manifest()) == defaults
 
     def test_in_memory_inputs_serialise_as_they_always_did(self):
-        from repro.workloads import get_network
+        from repro.workloads.registry import get_network
 
         names = [WORKLOAD, "fsrcnn_120x320"]
         for workload, recorded in (

@@ -8,12 +8,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.errors import EvaluationError
-from repro.fleet import hashing
-from repro.mapping import FlexTensorSearch, GemmMapping
+import repro.fleet.hashing as hashing
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gemm_mapping import GemmMapping
 
 MAPPINGS = [
     GemmMapping(4, 8, 4),

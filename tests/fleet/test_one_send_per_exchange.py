@@ -16,10 +16,11 @@ import socket
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
-from repro.mapping import FlexTensorSearch, GemmMapping
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gemm_mapping import GemmMapping
 
 
 @pytest.fixture()

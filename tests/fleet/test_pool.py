@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
 from repro.errors import EvaluationError
 from repro.fleet.pool import ConnectionPool

@@ -17,7 +17,7 @@ from http.client import (
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
 from repro.fleet.pool import ConnectionPool
 

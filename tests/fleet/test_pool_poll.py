@@ -16,7 +16,7 @@ from http.client import RemoteDisconnected
 
 import pytest
 
-from repro.fleet import pool as pool_module
+import repro.fleet.pool as pool_module
 from repro.fleet.pool import REPLY_POLL_S, ConnectionPool
 from repro.utils.httpcore import HttpServer, Route
 from repro.utils.metrics import MetricsRegistry

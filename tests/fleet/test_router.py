@@ -4,7 +4,7 @@ import socket
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
 from repro.errors import EvaluationError
 from repro.fleet.router import ShardRouter
@@ -62,7 +62,7 @@ class TestSoleMember:
     """One member: nothing to place, so nothing is hashed or polled."""
 
     def test_route_and_ranking_skip_hashing(self, monkeypatch):
-        from repro.fleet import hashing
+        import repro.fleet.hashing as hashing
 
         def no_hashing(key, shard_id):
             raise AssertionError("a sole member must not be scored")

@@ -4,11 +4,11 @@ the merged exposition must pass the strict Prometheus parser and every
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.hub.aggregate import FleetAggregator
-from repro.mapping import GemmMapping
+from repro.mapping.gemm_mapping import GemmMapping
 from repro.obs.prom import parse_prometheus_text
 
 MAPPINGS = [
@@ -205,7 +205,7 @@ class TestSupervisorAcceptance:
         """The same acceptance invariants against real replica processes
         under the PR-7 FleetSupervisor."""
         from repro.fleet.server import FleetSupervisor, ReplicaSpec
-        from repro.workloads import get_network
+        from repro.workloads.registry import get_network
 
         spec = ReplicaSpec(network="mobilenetv3_small", cache_capacity=256)
         network = get_network("mobilenetv3_small")
@@ -218,7 +218,7 @@ class TestSupervisorAcceptance:
                 batch_size=2,
             )
             try:
-                from repro.hw import edge_design_space
+                from repro.hw.spatial import edge_design_space
 
                 hw = edge_design_space().to_config({
                     "pe_x": 8, "pe_y": 8, "l1_bytes": 4096,

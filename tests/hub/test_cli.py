@@ -13,12 +13,14 @@ from repro.cli import (
     counter_increase,
     main,
 )
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
-from repro.hub import HubClient, HubServer
-from repro.mapping import GemmMapping
-from repro.tracking import RunStore, read_events
+from repro.hub.client import HubClient
+from repro.hub.server import HubServer
+from repro.mapping.gemm_mapping import GemmMapping
+from repro.tracking.journal import read_events
+from repro.tracking.store import RunStore
 from tests.hub.test_server import assert_no_leaks, open_fd_count
 
 MAPPINGS = [GemmMapping(4, 8, 4), GemmMapping(8, 8, 8), GemmMapping(16, 16, 8)]

@@ -7,7 +7,9 @@ import pytest
 
 from repro.errors import ConfigurationError, TrackingError
 from repro.hub.scheduler import RunScheduler
-from repro.tracking import RunStore, committed_iterations, read_events
+from repro.tracking.journal import read_events
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import committed_iterations
 
 
 SMOKE_SPEC = {

@@ -10,13 +10,16 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
 from repro.errors import TrackingError
-from repro.hub import FleetAggregator, HubClient, HubServer
+from repro.hub.aggregate import FleetAggregator
+from repro.hub.client import HubClient
+from repro.hub.server import HubServer
 from repro.hub.sse import parse_sse_lines
 from repro.obs.prom import parse_prometheus_text
-from repro.tracking import RunStore, read_events
+from repro.tracking.journal import read_events
+from repro.tracking.store import RunStore
 
 SMOKE_SPEC = {
     "method": "unico",
@@ -158,7 +161,7 @@ class TestFleet:
         """A hub with R replicas holds one aggregator and R pools, and its
         ``stop()`` closes every one of them."""
         from repro.fleet.pool import ConnectionPool
-        from repro.hub import aggregate
+        import repro.hub.aggregate as aggregate
 
         pools, closed = [], []
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw import (
+from repro.hw.ascend import (
     ASCEND_AREA_CAP_MM2,
     AscendHWConfig,
     ascend_design_space,

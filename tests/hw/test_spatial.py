@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, DesignSpaceError
-from repro.hw import (
+from repro.hw.spatial import (
     CLOUD_POWER_CAP_W,
     EDGE_POWER_CAP_W,
     SpatialHWConfig,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
-from repro.learned import featurize_batch
+from repro.costmodel.engine import MaestroEngine
+from repro.learned.features import featurize_batch
 from repro.mapping.gemm_mapping import GemmMappingSpace
 
 

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
-from repro.learned import build_dataset, feature_dim, split_by_run
-from repro.learned.dataset import SAMPLE_SCHEMA
+from repro.costmodel.engine import MaestroEngine
+from repro.learned.dataset import SAMPLE_SCHEMA, build_dataset, split_by_run
+from repro.learned.features import feature_dim
 from repro.mapping.gemm_mapping import GemmMappingSpace
-from repro.tracking import EventJournal, JournalSampleSink, RunStore
+from repro.tracking.journal import EventJournal
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import JournalSampleSink
 
 
 def _record_run(store, network, hw, seed, batch=16):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.learned import (
+from repro.learned.features import (
     FEATURE_VERSION,
     feature_dim,
     feature_names,

@@ -11,8 +11,11 @@ import pytest
 
 from repro.errors import ConfigurationError, TrackingError
 from repro.experiments.harness import build_optimizer, resume_run, run_method
-from repro.learned import LearnedCostModel, ScreeningPPAEngine, build_dataset
-from repro.tracking import RunStore, read_events
+from repro.learned.dataset import build_dataset
+from repro.learned.model import LearnedCostModel
+from repro.learned.screen import ScreeningPPAEngine
+from repro.tracking.journal import read_events
+from repro.tracking.store import RunStore
 from tests.tracking.journal_lines import cut_before_last_state
 
 WORKLOAD = "mobilenet"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, EvaluationError
-from repro.learned import FEATURE_VERSION, LearnedCostModel, feature_dim
+from repro.learned.features import FEATURE_VERSION, feature_dim
+from repro.learned.model import LearnedCostModel
 
 
 def _synthetic(n=120, seed=3):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import SEARCH_TOOLS, SWSearchTrial, make_search_tool
-from repro.costmodel import MaestroEngine
-from repro.learned import LearnedCostModel, OneLoopMappingSearch, ScreeningPPAEngine
+from repro.costmodel.engine import MaestroEngine
+from repro.learned.model import LearnedCostModel
+from repro.learned.oneloop import OneLoopMappingSearch
+from repro.learned.screen import ScreeningPPAEngine
 from repro.learned.features import featurize_batch
 from repro.mapping.gemm_mapping import GemmMappingSpace
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.core.evaluation import _QueryCountingEngine
-from repro.learned import LearnedCostModel, ScreeningPPAEngine
-from repro.learned.screen import SCREENED_REASON
+from repro.learned.model import LearnedCostModel
+from repro.learned.screen import SCREENED_REASON, ScreeningPPAEngine
 
 
 @pytest.fixture()

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
-from repro.mapping import FlexTensorSearch, RandomMappingSearch
-from repro.workloads import Gemm, Network
+from repro.costmodel.engine import MaestroEngine
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.random_search import RandomMappingSearch
+from repro.workloads.layers import Gemm
+from repro.workloads.network import Network
 
 
 @pytest.fixture()

@@ -11,7 +11,7 @@ step through scalar engine calls).
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import SearchBudgetError
 from repro.mapping.cosa import CosaMapper
 from repro.mapping.flextensor import FlexTensorSearch

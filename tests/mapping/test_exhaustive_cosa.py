@@ -4,12 +4,14 @@ CoSA-like constructed mapping's quality."""
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import MappingError
-from repro.mapping import FlexTensorSearch, GammaSearch
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gamma import GammaSearch
 from repro.mapping.cosa import CosaMapper, construct_mapping
 from tests.mapping.exhaustive import enumerate_layer, optimal_network_mapping
-from repro.workloads import Gemm, Network
+from repro.workloads.layers import Gemm
+from repro.workloads.network import Network
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,7 @@ def micro_network():
 
 @pytest.fixture(scope="module")
 def micro_optimum(micro_network):
-    from repro.hw import edge_design_space
+    from repro.hw.spatial import edge_design_space
 
     hw = edge_design_space().to_config(
         {
@@ -54,7 +56,7 @@ class TestExhaustive:
         engine = MaestroEngine(micro_network)
         engine.charge_clock = False
         rng = np.random.default_rng(0)
-        from repro.mapping import GemmMappingSpace
+        from repro.mapping.gemm_mapping import GemmMappingSpace
 
         space = GemmMappingSpace(micro_network.layers[0].to_gemm())
         for _ in range(200):
@@ -67,7 +69,7 @@ class TestExhaustive:
             name="bignet", layers=(Gemm(name="g", m=720, n=720, k=720),)
         )
         engine = MaestroEngine(big)
-        from repro.hw import edge_design_space
+        from repro.hw.spatial import edge_design_space
 
         hw = edge_design_space().sample(seed=0)
         with pytest.raises(MappingError):
@@ -129,7 +131,7 @@ class TestCosaMapper:
         assert mapper.best_objective <= 3.0 * outcome.result.latency_s
 
     def test_beats_single_random_sample_on_average(self, tiny_network, sample_hw):
-        from repro.mapping import RandomMappingSearch
+        from repro.mapping.random_search import RandomMappingSearch
 
         engine_a = MaestroEngine(tiny_network)
         cosa = CosaMapper(tiny_network, sample_hw, engine_a, seed=0)

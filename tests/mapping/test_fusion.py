@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.camodel import AscendCAEngine
+from repro.camodel.engine import AscendCAEngine
 from repro.camodel.mapping import AscendMapping, AscendMappingSpace
-from repro.hw import default_ascend_config
-from repro.mapping import DepthFirstFusionSearch
-from repro.workloads import get_network
+from repro.hw.ascend import default_ascend_config
+from repro.mapping.fusion import DepthFirstFusionSearch
+from repro.workloads.registry import get_network
 from repro.workloads.layers import GemmShape
 
 

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import MappingError
-from repro.mapping import (
-    LOOP_ORDERS,
-    GemmMapping,
-    GemmMappingSpace,
-)
-from repro.mapping.gemm_mapping import UNROLL_CHOICES
+from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace, LOOP_ORDERS, UNROLL_CHOICES
 from repro.workloads.layers import GemmShape
 
 
@@ -89,7 +84,7 @@ class TestGemmMappingSpace:
 
     def test_per_layer_space_order_of_magnitude(self):
         """Section 4.1: ~1e6 mapping points for a realistic conv layer."""
-        from repro.workloads import get_network
+        from repro.workloads.registry import get_network
 
         conv = get_network("resnet").layer("s3_conv3")
         space = GemmMappingSpace(conv.to_gemm())

@@ -17,15 +17,16 @@ import struct
 
 import pytest
 
-from repro.camodel import AscendCAEngine
-from repro.costmodel import MaestroEngine
-from repro.hw import default_ascend_config, edge_design_space
+from repro.camodel.engine import AscendCAEngine
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.ascend import default_ascend_config
+from repro.hw.spatial import edge_design_space
 from repro.learned.oneloop import OneLoopMappingSearch
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
-from repro.workloads import get_network
+from repro.workloads.registry import get_network
 
 SEED = 11
 BUDGETS = (90, 37)  # two rounds, like MSH resuming a promoted trial

@@ -14,12 +14,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.learned.oneloop import OneLoopMappingSearch
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
-from repro.workloads import Gemm, Network
+from repro.workloads.layers import Gemm
+from repro.workloads.network import Network
 
 
 def _network(num_layers: int) -> Network:

@@ -13,14 +13,14 @@ counts this change recorded.
 import numpy as np
 import pytest
 
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space
 from repro.mapping.cosa import CosaMapper
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
-from repro.workloads import get_network
+from repro.workloads.registry import get_network
 from tests.mapping.test_golden_history import GOLDEN, run_search, search_digest
 
 SPECULATING = [FlexTensorSearch, GammaSearch, RandomMappingSearch]

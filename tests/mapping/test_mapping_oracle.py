@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import MappingError
-from repro.hw import edge_design_space
+from repro.hw.spatial import edge_design_space
 from repro.mapping.gemm_mapping import LOOP_ORDERS, GemmMapping
 from repro.utils.intmath import divisors, nearest_divisor
 

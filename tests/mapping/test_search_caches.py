@@ -11,15 +11,15 @@ import dataclasses
 
 import pytest
 
-from repro.camodel import AscendCAEngine
-from repro.costmodel import MaestroEngine
-from repro.hw import default_ascend_config
+from repro.camodel.engine import AscendCAEngine
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.ascend import default_ascend_config
 from repro.learned.oneloop import OneLoopMappingSearch
-from repro.mapping import DepthFirstFusionSearch
+from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
-from repro.workloads import get_network
+from repro.workloads.registry import get_network
 
 GEMM_TOOLS = [
     FlexTensorSearch,

@@ -8,13 +8,11 @@ query, and guided tools beat random under equal budget.
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import SearchBudgetError
-from repro.mapping import (
-    FlexTensorSearch,
-    GammaSearch,
-    RandomMappingSearch,
-)
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.mapping.gamma import GammaSearch
+from repro.mapping.random_search import RandomMappingSearch
 
 TOOLS = [FlexTensorSearch, GammaSearch, RandomMappingSearch]
 

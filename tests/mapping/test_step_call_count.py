@@ -13,10 +13,11 @@ import sys
 
 import pytest
 
-from repro.costmodel import MaestroEngine
-from repro.hw import edge_design_space
+from repro.costmodel.engine import MaestroEngine
+from repro.hw.spatial import edge_design_space
 from repro.mapping.flextensor import FlexTensorSearch
-from repro.workloads import Gemm, Network
+from repro.workloads.layers import Gemm
+from repro.workloads.network import Network
 
 STEPS = 400
 MAX_EXTRA_CALLS_PER_STEP = 10

@@ -174,7 +174,7 @@ class TestZeroEngineEvalSpans:
 
     def test_cli_reports_no_spans_instead_of_rate(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.tracking import RunStore
+        from repro.tracking.store import RunStore
 
         handle = RunStore(tmp_path).create_run(
             manifest={"status": "completed", "method": "unico"}

@@ -5,14 +5,14 @@ from urllib.request import urlopen
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import (
     METRICS_SCHEMA_VERSION,
     PPAServiceServer,
     RemotePPAEngine,
 )
 from repro.costmodel.maestro import spatial_area_mm2
-from repro.mapping import GemmMapping
+from repro.mapping.gemm_mapping import GemmMapping
 from repro.obs.prom import parse_prometheus_text
 from repro.obs.trace import InMemorySink, Tracer
 

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.harness import run_method
 from repro.obs.profile import build_profile, spans_from_journal
-from repro.tracking import RunStore
+from repro.tracking.store import RunStore
 
 
 @pytest.fixture(scope="module")

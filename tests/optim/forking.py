@@ -4,12 +4,15 @@
 start to the process's fit helper, a forked child, only from a process
 with no other thread.  pytest's process may hold a BLAS pool, or a
 thread an earlier test left alive, and would then pass such a test by
-quietly descending in process.  :func:`forks_elsewhere` re-runs the test
-in a fresh interpreter with one BLAS thread instead, where no helper
-exists yet.  :func:`count_forks` counts every ``os.fork`` from then on,
+quietly descending in process.  :func:`forks_elsewhere` runs the test
+in a fresh interpreter with one BLAS thread instead, together with every
+other test of its module that calls it: one interpreter per module, whose
+outcomes the module's tests then read.  Each test there starts with no
+fit helper.  :func:`count_forks` counts every ``os.fork`` from then on,
 the helper's included.
 """
 
+import functools
 import os
 import pathlib
 import subprocess
@@ -17,7 +20,7 @@ import sys
 
 import pytest
 
-from repro.optim import gp as gp_module
+import repro.optim.gp as gp_module
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 #: set in the fresh interpreter, so a test that still cannot fork there fails
@@ -27,8 +30,8 @@ _BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def forks_elsewhere() -> bool:
     """``False`` if a fit may fork here (the test then starts with no fit
-    helper); otherwise run the current test in a fresh interpreter, assert
-    that it passed there, and return ``True``."""
+    helper); otherwise assert that the current test passed in a fresh
+    interpreter and return ``True``."""
     if gp_module._forking_pays():
         if gp_module._HELPER is not None:  # an earlier test's
             gp_module._HELPER.close()
@@ -38,14 +41,30 @@ def forks_elsewhere() -> bool:
     if os.environ.get(_FRESH):
         pytest.fail("a fresh interpreter with one BLAS thread may not fork")
     test_id = os.environ["PYTEST_CURRENT_TEST"].rsplit(" ", 1)[0]
+    passed, output = _fresh_run(test_id.split("::", 1)[0])
+    assert test_id in passed, output
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_run(path):
+    """Run the tests of the module at ``path`` that call
+    :func:`forks_elsewhere` in one fresh interpreter: ``(ids that passed,
+    the tail of its output)``."""
+    module = sys.modules[path[: -len(".py")].replace("/", ".")]
+    tests = [
+        f"{path}::{name}"
+        for name, test in vars(module).items()
+        if name.startswith("test") and "forks_elsewhere" in test.__code__.co_names
+    ]
     env = dict(os.environ, **{name: "1" for name in _BLAS_THREADS}, **{_FRESH: "1"})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300, check=False,
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600, check=False,
     )
-    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
-    return True
+    passed = {line.split()[1] for line in done.stdout.splitlines() if line.startswith("PASSED ")}
+    return passed, done.stdout[-4000:] + done.stderr[-2000:]
 
 
 class _Fork:

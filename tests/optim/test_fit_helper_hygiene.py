@@ -9,18 +9,16 @@ it at all.
 """
 
 import os
-import signal
 import subprocess
 import sys
 import textwrap
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.fleet.server import FleetSupervisor, ReplicaSpec
-from repro.optim import gp as gp_module
+import repro.optim.gp as gp_module
 from repro.optim.gp import GaussianProcess
 
 from tests.optim.forking import ROOT, count_forks, forks_elsewhere
@@ -102,45 +100,90 @@ def test_the_helper_holds_no_descriptor_of_its_owner_but_its_pipes():
 
 _OWNER = textwrap.dedent(
     """
-    import sys, time
+    import signal, sys, time
     import numpy as np
-    from repro.optim import gp
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0, 1, (30, 4))
-    gp.GaussianProcess().fit(x, np.sin(4 * x[:, 0]), seed=0)
-    print(0 if gp._HELPER is None else gp._HELPER.pid, flush=True)
-    if sys.argv[1] == "killed":
+    import repro.optim.gp as gp
+
+    def fit():
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, (30, 4))
+        gp.GaussianProcess().fit(x, np.sin(4 * x[:, 0]), seed=0)
+        print(0 if gp._HELPER is None else gp._HELPER.pid, flush=True)
+
+    if sys.argv[1] == "mp_child":  # the owner is a multiprocessing child
+        import multiprocessing
+        process = multiprocessing.get_context("fork").Process(target=fit)
+        process.start()
+        process.join()
+    else:
+        if sys.argv[1] == "hub_cancelled":  # as the hub's run child
+            from repro.hub.scheduler import _die_of_signal
+            signal.signal(signal.SIGTERM, _die_of_signal)
+        fit()
+    if sys.argv[1] in ("killed", "hub_cancelled"):
         time.sleep(60)
     """
 )
 
 
-def _state(pid):
-    """``pid``'s state letter, or ``None`` once it is gone."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
-            return stat.read().rsplit(")", 1)[1].split()[0]
-    except FileNotFoundError:
-        return None
+#: runs the owner as a child subreaper's child, so that an orphaned helper
+#: becomes the reaper's own child and not init's; prints the helper's pid,
+#: the reaper's children as the owner's end completes, and which of them
+#: had not exited 10 s later
+_REAPER = textwrap.dedent(
+    """
+    import ctypes, os, signal, subprocess, sys, time
+    PR_SET_CHILD_SUBREAPER = 36
+    SIGNALS = {"killed": signal.SIGKILL, "hub_cancelled": signal.SIGTERM}
+    if ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0):
+        sys.exit("prctl refused")
+    owner_code, ending = sys.argv[1:]
+    with subprocess.Popen(
+        [sys.executable, "-c", owner_code, ending], stdout=subprocess.PIPE, text=True
+    ) as owner:
+        helper = int(owner.stdout.readline())
+        if ending in SIGNALS:
+            owner.send_signal(SIGNALS[ending])
+    me, left = str(os.getpid()), []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+                if stat.read().rsplit(")", 1)[1].split()[1] == me:
+                    left.append(int(pid))
+        except OSError:  # gone since the listing
+            continue
+    deadline, running = time.monotonic() + 10.0, list(left)
+    while running and time.monotonic() < deadline:
+        running = [pid for pid in running if os.waitpid(pid, os.WNOHANG)[0] == 0]
+        time.sleep(0.02)
+    for pid in running:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    print(helper, left, running)
+    """
+)
 
 
-@pytest.mark.parametrize("ending", ["exits", "killed"])
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a child subreaper is Linux's")
+@pytest.mark.parametrize("ending", ["exits", "mp_child", "hub_cancelled", "killed"])
 def test_the_helper_leaves_soon_after_its_owner(ending):
+    """An owner that exits has killed and reaped its helper by then, and so
+    has a ``multiprocessing`` child (it leaves by ``os._exit``, past
+    ``atexit``) and a hub run child cancelled by SIGTERM: the reaper is
+    left no child.  A SIGKILLed owner cannot, and its helper, orphaned,
+    reads end-of-file and exits within 10 s."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("a fit forks its helper only where a second CPU can run it")
     env = dict(os.environ, **BLAS_PINNED, PYTHONPATH=str(ROOT / "src"))
-    with subprocess.Popen(
-        [sys.executable, "-c", _OWNER, ending], env=env, stdout=subprocess.PIPE, text=True
-    ) as owner:
-        helper = int(owner.stdout.readline())
-        assert helper, "the owner forked no fit helper"
-        if ending == "killed":
-            owner.send_signal(signal.SIGKILL)
-        owner.wait(timeout=60)
-    deadline = time.monotonic() + 10.0
-    while _state(helper) not in (None, "Z"):  # gone, or dead and not yet reaped
-        assert time.monotonic() < deadline, f"helper {helper} outlived its owner"
-        time.sleep(0.02)
+    done = subprocess.run(
+        [sys.executable, "-c", _REAPER, _OWNER, ending],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    helper, left, running = done.stdout.split(" ", 2)
+    assert int(helper), "the owner forked no fit helper"
+    if ending != "killed":
+        assert left == "[]", f"helper {helper} outlived its owner"
+    assert running.strip() == "[]", f"helper {helper} was still running 10 s after its owner"
 
 
 def test_a_fit_from_a_threaded_process_never_touches_the_helper(monkeypatch):

@@ -21,7 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.hw import edge_design_space
+from repro.hw.spatial import edge_design_space
 from repro.optim.mobo import MOBOSampler
 
 SEEDS = (0, 7, 1234)

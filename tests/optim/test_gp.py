@@ -10,7 +10,7 @@ import pytest
 from scipy import optimize
 
 from repro.errors import SurrogateError
-from repro.optim import gp as gp_module
+import repro.optim.gp as gp_module
 from repro.optim.gp import GaussianProcess, GPHyperparameters, matern52_kernel, rbf_kernel
 
 from tests.optim.forking import count_forks, forks_elsewhere

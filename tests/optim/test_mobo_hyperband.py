@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hw import edge_design_space
+from repro.hw.spatial import edge_design_space
 from repro.optim.gp import GaussianProcess
 from repro.optim.hyperband import hyperband_brackets
 from repro.optim.mobo import MOBOSampler

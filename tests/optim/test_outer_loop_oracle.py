@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw import edge_design_space
-from repro.optim import gp as gp_module
+from repro.hw.spatial import edge_design_space
+import repro.optim.gp as gp_module
 from repro.optim.gp import GaussianProcess
 from repro.optim.mobo import MOBOSampler
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SurrogateError
-from repro.hw import edge_design_space
+from repro.hw.spatial import edge_design_space
 from repro.optim.tpe import ParzenEstimator, TPESampler
 from tests.hw.membership import in_space
 
@@ -87,8 +87,8 @@ class TestTPESampler:
 
 class TestMobohbWithTPE:
     def test_end_to_end(self, tiny_network, edge_space):
-        from repro.core import MobohbBaseline, MobohbConfig
-        from repro.costmodel import MaestroEngine
+        from repro.core.baselines.mobohb import MobohbBaseline, MobohbConfig
+        from repro.costmodel.engine import MaestroEngine
 
         engine = MaestroEngine(tiny_network)
         optimizer = MobohbBaseline(

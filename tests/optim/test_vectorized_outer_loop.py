@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SurrogateError
-from repro.hw import edge_design_space
+from repro.hw.spatial import edge_design_space
 from repro.optim.gp import GaussianProcess
 from repro.optim.mobo import MOBOSampler
 from repro.optim.scalarize import (

@@ -104,10 +104,10 @@ class TestReproduceCommand:
 class TestStatsCommand:
     @pytest.fixture()
     def live_service(self, tiny_network):
-        from repro.costmodel import MaestroEngine
+        from repro.costmodel.engine import MaestroEngine
         from repro.costmodel.service import PPAServiceServer
-        from repro.mapping import GemmMapping
-        from repro.hw import edge_design_space
+        from repro.mapping.gemm_mapping import GemmMapping
+        from repro.hw.spatial import edge_design_space
 
         engine = MaestroEngine(tiny_network, cache_capacity=64)
         hw = edge_design_space().sample(0)

@@ -49,6 +49,9 @@ def test_local_cosearch_loads_what_it_runs_and_no_more():
     unwanted = (
         "scipy.stats", "scipy.ndimage", "scipy.interpolate", "scipy.integrate",
         "repro.obs.prom", "repro.obs.profile", "repro.obs.chrome", "repro.hub",
+        # the figure and table harnesses: no package __init__ loads its siblings
+        *(f"repro.experiments.fig{number}" for number in range(7, 12)),
+        "repro.experiments.tables", "repro.experiments.paper_runner",
     )
     assert not _loaded(modules, unwanted)
 

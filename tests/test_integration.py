@@ -14,17 +14,14 @@ system rests on, end to end, at small scale:
 import numpy as np
 import pytest
 
-from repro.camodel import AscendCAEngine
-from repro.core import (
-    RandomCodesign,
-    RandomCodesignConfig,
-    Unico,
-    UnicoConfig,
-)
-from repro.costmodel import MaestroEngine
-from repro.experiments import combined_reference, final_hypervolume
-from repro.hw import ascend_design_space, edge_design_space
-from repro.workloads import get_network
+from repro.camodel.engine import AscendCAEngine
+from repro.core.baselines.random_codesign import RandomCodesign, RandomCodesignConfig
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.experiments.harness import combined_reference, final_hypervolume
+from repro.hw.ascend import ascend_design_space
+from repro.hw.spatial import edge_design_space
+from repro.workloads.registry import get_network
 
 
 class TestUnicoVsRandom:

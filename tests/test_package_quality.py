@@ -7,6 +7,9 @@
 * ``repro.tracking`` imports nothing above it, and the set of packages
   that import each other can only shrink,
 * the entry points reach every module under ``src/repro``,
+* a package ``__init__`` re-exports only the listed names, every import
+  names the module that defines what it imports, and every backticked
+  ``repro.…`` name in the top-level documents resolves,
 * no module imports, at module level, a name it never uses,
 * every public name is used somewhere, and by product code unless it is
   listed in ``TEST_SUPPORT_NAMES``.
@@ -186,6 +189,9 @@ def test_mutual_package_imports_only_shrink():
 
 #: what a user can start: ``python -m repro`` and the ``repro`` console script
 ENTRY_POINTS = ("repro.__main__", "repro.cli")
+#: and the walkthroughs and benchmarks, run as scripts or under pytest: the
+#: roots outside ``src`` where a name has a product use (``PRODUCT_ROOTS``)
+SCRIPT_ROOTS = ("examples", "benchmarks")
 
 
 def _module_paths():
@@ -231,13 +237,119 @@ def _import_closure(roots, paths):
     return reached
 
 
+def _script_imports():
+    """Dotted names the Python files under ``SCRIPT_ROOTS`` import."""
+    repo = SRC_ROOT.parents[1]
+    for root in SCRIPT_ROOTS:
+        for path in sorted((repo / root).rglob("*.py")):
+            yield from _imported_names("", path)
+
+
 def test_entry_points_reach_every_module():
-    """Product code is what ``python -m repro`` can load.  A module nothing
-    imports is kept alive by its own tests only: delete it, or wire it to a
-    command.  There is no allow-list."""
+    """Product code is what ``python -m repro``, an example or a benchmark
+    can load.  A module nothing else imports is kept alive by its own tests
+    only: delete it, or wire it to a command.  There is no allow-list."""
     paths = _module_paths()
-    unreached = sorted(set(paths) - _import_closure(ENTRY_POINTS, paths))
+    roots = ENTRY_POINTS + tuple(_script_imports())
+    unreached = sorted(set(paths) - _import_closure(roots, paths))
     assert not unreached, f"no entry point imports: {unreached}"
+
+
+#: what a package ``__init__`` imports for others to import through it.
+#: Only shrinks: the frozen benchmark harness (``benchmarks/e2e``) imports
+#: the five names through their packages, and ``__version__`` is the
+#: package's own.  Everything else is imported from its defining module.
+PACKAGE_REEXPORTS = {
+    "repro.__version__",
+    "repro.core.Unico",
+    "repro.core.UnicoConfig",
+    "repro.tracking.JournalTracker",
+    "repro.tracking.RunStore",
+    "repro.workloads.get_network",
+}
+
+
+def _bound_by_imports(path):
+    """Names ``path``'s module-level import statements bind."""
+    return {
+        (alias.asname or alias.name).split(".")[0]
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(statement, (ast.Import, ast.ImportFrom))
+        for alias in statement.names
+    }
+
+
+def test_packages_reexport_only_what_is_listed():
+    found = {
+        f"{name}.{bound}"
+        for name, path in _module_paths().items()
+        if path.name == "__init__.py"
+        for bound in _bound_by_imports(path)
+    }
+    assert found == PACKAGE_REEXPORTS, (
+        f"new: {sorted(found - PACKAGE_REEXPORTS)}; "
+        f"gone, delete from the list: {sorted(PACKAGE_REEXPORTS - found)}"
+    )
+
+
+def test_imports_name_the_defining_module():
+    """``from m import x`` under ``REFERENCE_ROOTS`` names a module ``m``
+    that defines ``x``, or a package ``m`` with a submodule ``x``; never a
+    module that imports ``x`` from elsewhere.  The frozen benchmark harness
+    is read, not checked."""
+    repo = SRC_ROOT.parents[1]
+    paths = _module_paths()
+    bound = {}
+    wrong = []
+    for root in REFERENCE_ROOTS:
+        for path in sorted((repo / root).rglob("*.py")):
+            if path.is_relative_to(repo / "benchmarks" / "e2e"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom) or node.module not in paths:
+                    continue
+                if node.module not in bound:
+                    bound[node.module] = _bound_by_imports(paths[node.module])
+                wrong += [
+                    f"{path.relative_to(repo)}:{node.lineno}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name in bound[node.module]
+                    and f"{node.module}.{alias.name}" not in paths
+                ]
+    assert not wrong, "imported through a module that does not define it:\n" + "\n".join(wrong)
+
+
+#: the documents whose backticked ``repro.…`` names must resolve
+DOCUMENTS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` imports, or is an attribute path from the longest
+    prefix that does."""
+    parts = dotted.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:end]))
+        except ImportError:
+            continue
+        for attribute in parts[end:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("document", DOCUMENTS)
+def test_documented_names_resolve(document):
+    text = (SRC_ROOT.parents[1] / document).read_text(encoding="utf-8")
+    names = {
+        name
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for name in re.findall(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+", span)
+    }
+    stale = sorted(name for name in names if not _resolves(name))
+    assert not stale, f"{document} names what is not there: {stale}"
 
 
 def _names_in(expression: str):
@@ -275,11 +387,9 @@ def _unused_module_level_imports(tree):
 
 def test_no_unused_module_level_imports():
     """An unused import is start-up time and a false edge in the import
-    graph.  ``__init__`` modules are exempt: their imports are re-exports."""
+    graph."""
     unused = []
     for path in sorted(SRC_ROOT.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for line, name in _unused_module_level_imports(ast.parse(path.read_text())):
             unused.append(f"{path.relative_to(SRC_ROOT)}:{line}: {name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -15,10 +15,10 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
-from repro.mapping import FlexTensorSearch
+from repro.mapping.flextensor import FlexTensorSearch
 from tests.costmodel.flaky_engine import FlakyEngine
 
 SEARCH_BUDGET = 40

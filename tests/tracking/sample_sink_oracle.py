@@ -1,5 +1,5 @@
 """The journal sample sink as it was written before it rendered lines:
-the byte-exact oracle for :class:`repro.tracking.JournalSampleSink`.
+the byte-exact oracle for :class:`repro.tracking.tracker.JournalSampleSink`.
 
 Every sample becomes a payload dict and goes through
 :meth:`~repro.tracking.journal.EventJournal.append_many`, i.e. the
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.tracking import EventJournal
+from repro.tracking.journal import EventJournal
 from repro.utils.records import to_jsonable
 
 

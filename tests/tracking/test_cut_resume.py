@@ -26,8 +26,8 @@ from repro.errors import TrackingError
 from repro.experiments.harness import RunSpec, launch, resume_run
 from repro.experiments.presets import get_preset
 from repro.hub.scheduler import _execute_run
-from repro.tracking import RunStore, read_events, verify_sequence
-from repro.tracking.journal import last_state_end
+from repro.tracking.journal import last_state_end, read_events, verify_sequence
+from repro.tracking.store import RunStore
 from tests.tracking.journal_lines import RESUME_LINES, journal_lines, line_type
 
 SPEC = RunSpec(

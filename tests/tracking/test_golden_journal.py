@@ -55,7 +55,8 @@ import hashlib
 import tempfile
 
 from repro.experiments.harness import run_method
-from repro.tracking import RunStore, read_events, verify_sequence
+from repro.tracking.journal import read_events, verify_sequence
+from repro.tracking.store import RunStore
 from tests.tracking.journal_lines import normalised
 
 GOLDEN = {

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import TrackingError
-from repro.tracking import journal as journal_module
+import repro.tracking.journal as journal_module
 from repro.tracking.journal import (
     EventJournal,
     read_bytes_from,
@@ -391,11 +391,8 @@ class TestSchemaGrowth:
         """A traced run's journal (spans interleaved with the decision
         events) still replays its iteration records and verify_runs."""
         from repro.experiments.harness import run_method
-        from repro.tracking import (
-            RunStore,
-            replay_iteration_records,
-            verify_run,
-        )
+        from repro.tracking.store import RunStore
+        from repro.tracking.tracker import replay_iteration_records, verify_run
 
         store = RunStore(tmp_path / "runs")
         result = run_method(
@@ -418,7 +415,8 @@ class TestSchemaGrowth:
         """Resume over a span-bearing journal: cut it before its last
         state line so it is ahead, then resume and match the straight run."""
         from repro.experiments.harness import resume_run, run_method
-        from repro.tracking import RunStore, replay_iteration_records
+        from repro.tracking.store import RunStore
+        from repro.tracking.tracker import replay_iteration_records
         from tests.tracking.journal_lines import cut_before_last_state
 
         straight = run_method("unico", "edge", "mobilenet", "smoke", seed=11)

@@ -13,14 +13,9 @@ import pytest
 
 from repro.errors import TrackingError
 from repro.experiments.harness import resume_run, run_method
-from repro.tracking import (
-    EVENT_TYPES,
-    EventJournal,
-    RunStore,
-    read_events,
-    replay_iteration_records,
-    verify_run,
-)
+from repro.tracking.journal import EVENT_TYPES, EventJournal, read_events
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import replay_iteration_records, verify_run
 from tests.tracking.journal_lines import cut_before_last_state
 
 WORKLOAD = "mobilenet"
@@ -32,7 +27,7 @@ class TestEventTypeWhitelist:
         assert "learned_model" in EVENT_TYPES
 
     def test_journal_version_unchanged(self):
-        from repro.tracking import JOURNAL_VERSION
+        from repro.tracking.journal import JOURNAL_VERSION
 
         # additive growth must not bump the format version: old journals
         # and new journals are the same format

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.tracking import RunStore, committed_iterations
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import committed_iterations
 
 WORKLOAD = "fsrcnn_120x320"
 

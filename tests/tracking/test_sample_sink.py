@@ -10,12 +10,14 @@ from collections import Counter
 
 import pytest
 
-from repro.core import Unico, UnicoConfig, multi_workload_trial_factory
-from repro.costmodel import MaestroEngine
+from repro.core.multiworkload import multi_workload_trial_factory
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import EvaluationError
-from repro.mapping import GemmMapping
-from repro.tracking import EventJournal, JournalSampleSink, read_events
-from repro.tracking import tracker
+from repro.mapping.gemm_mapping import GemmMapping
+from repro.tracking.journal import EventJournal, read_events
+from repro.tracking.tracker import JournalSampleSink
+import repro.tracking.tracker as tracker
 
 MAPPINGS = [GemmMapping(4, 8, 4, unroll=u) for u in (1, 2, 4, 8)]
 

@@ -1,6 +1,6 @@
 """Byte identity: the rendering sample sink against the dict-building oracle.
 
-:class:`repro.tracking.JournalSampleSink` writes each ``engine_sample``
+:class:`repro.tracking.tracker.JournalSampleSink` writes each ``engine_sample``
 line from cached texts through ``EventJournal.append_framed``;
 :class:`tests.tracking.sample_sink_oracle.DictSampleSink` builds one dict
 per sample and lets the journal's encoder write it.  The same ``(hw,
@@ -17,20 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.camodel.mapping import AscendMapping
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.results import LayerPPA
 from repro.hw.ascend import AscendHWConfig
 from repro.hw.spatial import DATAFLOWS, SpatialHWConfig
-from repro.learned import build_dataset
+from repro.learned.dataset import build_dataset
 from repro.mapping.gemm_mapping import (
     LOOP_ORDERS,
     SPATIAL_CHOICES,
     UNROLL_CHOICES,
     GemmMapping,
 )
-from repro.tracking import EventJournal, JournalSampleSink, read_events, verify_sequence
-from repro.tracking.tracker import TEXTS_HELD
+from repro.tracking.journal import EventJournal, read_events, verify_sequence
+from repro.tracking.tracker import JournalSampleSink, TEXTS_HELD
 from repro.workloads.layers import GemmShape
 from tests.tracking.sample_sink_oracle import DictSampleSink
 

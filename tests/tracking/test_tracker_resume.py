@@ -10,15 +10,15 @@ lines are the uninterrupted run's.
 import numpy as np
 import pytest
 
-from repro.core import Unico, UnicoConfig
-from repro.costmodel import MaestroEngine
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
 from repro.errors import TrackingError
 from repro.experiments.harness import RunSpec, resume_run, run_method
-from repro.tracking import (
+from repro.tracking.journal import read_events
+from repro.tracking.store import RunStore
+from repro.tracking.tracker import (
     JournalTracker,
     NullTracker,
-    RunStore,
-    read_events,
     replay_iteration_records,
     verify_run,
 )

@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from repro.costmodel import MaestroEngine
+from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
-from repro.hub import HubServer
+from repro.hub.server import HubServer
 from repro.obs.prom import parse_prometheus_text
 from repro.utils.httpcore import (
     MAX_HEADERS,

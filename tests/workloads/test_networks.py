@@ -3,14 +3,9 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads import (
-    Conv2D,
-    Gemm,
-    Network,
-    available_networks,
-    get_network,
-    merge_networks,
-)
+from repro.workloads.layers import Conv2D, Gemm
+from repro.workloads.network import Network, merge_networks
+from repro.workloads.registry import available_networks, get_network
 
 
 class TestNetwork:
@@ -96,7 +91,7 @@ class TestConcreteNetworks:
 
     def test_validation_networks_are_newer(self):
         """Fig. 9's validation nets include newer architectures."""
-        from repro.workloads import FIG9_TRAIN, FIG9_VALIDATION
+        from repro.workloads.registry import FIG9_TRAIN, FIG9_VALIDATION
 
         train_latest = max(get_network(n).year for n in FIG9_TRAIN)
         val_latest = max(get_network(n).year for n in FIG9_VALIDATION)
@@ -114,7 +109,7 @@ class TestExtraNetworks:
     def test_gpt2_decode_is_skinny_gemms(self):
         """Decoding processes few tokens: N dimension stays small except
         for the attention-score GEMM over the KV cache."""
-        from repro.workloads import Gemm
+        from repro.workloads.layers import Gemm
 
         network = get_network("gpt2_decode")
         assert all(isinstance(l, Gemm) for l in network.layers)

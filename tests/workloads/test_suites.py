@@ -1,6 +1,6 @@
 """Tests for the paper's workload-suite constants."""
 
-from repro.workloads import (
+from repro.workloads.registry import (
     FIG8_TRAIN,
     FIG8_VALIDATION,
     FIG9_TRAIN,
