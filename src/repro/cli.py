@@ -4,12 +4,14 @@ Commands
 --------
 * ``networks`` — list the registered workloads with size summaries.
 * ``run`` — one co-search cell (method x scenario x workload) and print
-  the Pareto front + selected design.
+  the Pareto front + selected design; ``a+b`` co-optimizes one
+  accelerator for several networks, one mapping job per network.
 * ``reproduce`` — regenerate the paper's tables and figures (``--only``
   names a subset), each distinct co-search run once; ``report`` renders
   the saved records as markdown.
-* ``serve`` — expose a PPA estimation engine as the Section 3.5 REST
-  service (for master-slave deployments).
+* ``serve`` — expose a PPA estimation engine (``--engine maestro``,
+  ``timeloop`` or ``ascend``) as the Section 3.5 REST service (for
+  master-slave deployments).
 * ``fleet`` — run N sharded service replicas under one supervisor
   (``fleet serve``), health-check running replicas once (``fleet
   status``), or watch the one live dashboard — evals/s history, cache
@@ -35,7 +37,7 @@ import sys
 from http.client import HTTPException
 from typing import List, Optional
 
-from repro.methods import METHODS, SCENARIOS
+from repro.methods import ENGINES, METHODS, SCENARIOS
 from repro.workloads.registry import available_networks, get_network
 
 
@@ -508,17 +510,13 @@ def _cmd_runs_resume(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.camodel.engine import AscendCAEngine
-    from repro.costmodel.engine import MaestroEngine
     from repro.costmodel.service import PPAServiceServer
+    from repro.fleet.server import ReplicaSpec, build_replica_engine
 
-    network = get_network(args.network)
     capacity = args.cache_capacity if args.cache_capacity > 0 else None
-    if args.engine == "maestro":
-        engine = MaestroEngine(network, cache_capacity=capacity)
-    else:
-        engine = AscendCAEngine(network, noise_fraction=0.08)
-        engine.cache_capacity = capacity
+    engine = build_replica_engine(
+        ReplicaSpec(args.network, engine=args.engine, cache_capacity=capacity)
+    )
     tracer = None
     if args.trace:
         from repro.obs.trace import Tracer
@@ -970,7 +968,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one co-search cell")
     run_parser.add_argument("method", choices=METHODS)
-    run_parser.add_argument("network")
+    run_parser.add_argument(
+        "network",
+        help="a registered network, or several joined by '+' for one "
+             "accelerator that runs a mapping job per network (Fig. 6a)",
+    )
     run_parser.add_argument("--scenario", default="edge", choices=SCENARIOS)
     run_parser.add_argument("--preset", default="smoke")
     run_parser.add_argument("--seed", type=int, default=0)
@@ -1150,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser("serve", help="serve a PPA engine over HTTP")
     serve_parser.add_argument("network")
     serve_parser.add_argument("--engine", default="maestro",
-                              choices=("maestro", "ascend"))
+                              choices=ENGINES)
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=0)
     serve_parser.add_argument(
@@ -1173,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_serve.add_argument("network")
     fleet_serve.add_argument("--replicas", type=int, default=2)
     fleet_serve.add_argument("--engine", default="maestro",
-                             choices=("maestro", "ascend"))
+                             choices=ENGINES)
     fleet_serve.add_argument("--host", default="127.0.0.1")
     fleet_serve.add_argument(
         "--ports", type=int, nargs="*", default=[],

@@ -10,7 +10,7 @@ Two deliverables here:
 * :class:`MultiWorkloadEngine` — a composite facade over one PPA engine
   per workload (shared simulated clock), satisfying the accounting surface
   co-optimizers rely on (``num_queries``, ``eval_cost_s``, ``charge_clock``,
-  ``area_mm2``).
+  ``area_mm2``; ``sample_sink`` and ``tracer`` reach every engine).
 * :class:`MultiWorkloadTrial` — the job bundle: drop-in replacement for
   :class:`~repro.core.evaluation.SWSearchTrial` whose ``run(b)`` advances
   *every* workload's search by ``b`` evaluations (jobs execute in parallel
@@ -95,6 +95,15 @@ class MultiWorkloadEngine:
     def sample_sink(self, sink) -> None:
         for engine in self.engines.values():
             engine.sample_sink = sink
+
+    @property
+    def tracer(self):
+        return next(iter(self.engines.values())).tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        for engine in self.engines.values():
+            engine.tracer = tracer
 
     def area_mm2(self, hw) -> float:
         return next(iter(self.engines.values())).area_mm2(hw)

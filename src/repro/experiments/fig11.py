@@ -9,20 +9,23 @@ SW mapping search each.
 
 Expected shape: positive latency savings on the super-resolution workloads
 and a large average power saving; the discovered configuration tends to
-rebalance the L0 buffers relative to the cube-derived defaults.
+rebalance the L0 buffers relative to the cube-derived defaults.  Why it
+wins shows in ``bottleneck_layers``: per design, how many layers each
+pipeline stage limits under that design's own mappings.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
+from repro.camodel.trace import trace_layer
 from repro.experiments.harness import Experiment, RunSpec, sw_search_on
 from repro.experiments.presets import Preset, get_preset
 from repro.hw.ascend import default_ascend_config
 from repro.utils.records import RunRecord
-from repro.workloads.registry import FIG11_NETWORKS
+from repro.workloads.registry import FIG11_NETWORKS, get_network
 
 
 def select_deployment_design(result, default_ppa):
@@ -44,6 +47,17 @@ def select_deployment_design(result, default_ppa):
             best_score = score
             best = design
     return best
+
+
+def bottleneck_layers(hw, mapping, network_name: str) -> Dict[str, int]:
+    """How many of the network's mapped layers each pipeline stage limits
+    (:func:`~repro.camodel.trace.trace_layer`'s bottleneck)."""
+    tally: Dict[str, int] = {}
+    for layer in get_network(network_name).layers:
+        if layer.name in mapping:
+            stage = trace_layer(hw, mapping[layer.name], layer.to_gemm()).bottleneck
+            tally[stage.name] = tally.get(stage.name, 0) + 1
+    return tally
 
 
 def fig11_experiment(
@@ -69,9 +83,10 @@ def fig11_experiment(
         power_savings = []
         for network_name, result in zip(networks, results):
             child = record.child(network_name)
-            default_ppa = sw_search_on(
+            default_trial = sw_search_on(
                 default_hw, network_name, "ascend", preset.ascend_budget, seed
-            ).best_ppa
+            )
+            default_ppa = default_trial.best_ppa
             best = select_deployment_design(result, default_ppa)
             child.put("default_latency_ms", default_ppa.latency_s * 1e3)
             child.put("default_power_mw", default_ppa.power_w * 1e3)
@@ -98,6 +113,15 @@ def fig11_experiment(
                     "l0a_kb": {"default": default_hw.l0a_kb, "unico": best.hw.l0a_kb},
                     "l0b_kb": {"default": default_hw.l0b_kb, "unico": best.hw.l0b_kb},
                     "l0c_kb": {"default": default_hw.l0c_kb, "unico": best.hw.l0c_kb},
+                },
+            )
+            child.put(
+                "bottleneck_layers",
+                {
+                    "default": bottleneck_layers(
+                        default_hw, default_trial.search.best_mapping, network_name
+                    ),
+                    "unico": bottleneck_layers(best.hw, best.mapping, network_name),
                 },
             )
         if latency_savings:

@@ -96,12 +96,11 @@ def _check_choice(kind: str, value, choices: Tuple[str, ...]) -> None:
 
 
 def resolve_workload(workload: Union[str, Network, Sequence[str]]) -> Network:
-    """Accept a network name, a Network, or a list of names (merged)."""
+    """Accept a network name, a Network, or a list of names (merged); the
+    network of a ``+``-joined name is the merge of its parts."""
     if isinstance(workload, Network):
         return workload
-    if isinstance(workload, str):
-        return get_network(workload)
-    names = list(workload)
+    names = workload.split("+") if isinstance(workload, str) else list(workload)
     if len(names) == 1:
         return get_network(names[0])
     return merge_networks("+".join(names), [get_network(n) for n in names])
@@ -147,12 +146,29 @@ def build_optimizer(
     ``tool`` overrides the scenario's default SW mapping tool (e.g.
     ``"oneloop"`` for the learned gradient-descent search); ``None``
     keeps the platform default.
+
+    A ``+``-joined ``workload`` name (``"bert+mobilenet"``) co-optimizes
+    one accelerator for each of its networks: every candidate runs one
+    mapping-search job per network (Fig. 6a,
+    :mod:`repro.core.multiworkload`), where a list of names searches
+    their merged network.
     """
     _check_choice("method", method, METHODS)
     preset = get_preset(preset) if isinstance(preset, str) else preset
     network = resolve_workload(workload)
     space, engine, caps, default_tool, workers = make_platform(scenario, network)
     tool = default_tool if tool is None else tool
+    trial_factory = None
+    if isinstance(workload, str) and "+" in workload:
+        # Fig. 6a: a candidate runs one mapping-search job per workload
+        from repro.core.multiworkload import multi_workload_trial_factory
+
+        engine, trial_factory = multi_workload_trial_factory(
+            [get_network(name) for name in workload.split("+")],
+            lambda job_network, _clock: make_platform(scenario, job_network)[1],
+            tool=tool,
+        )
+        network = engine.network
 
     if method in _UNICO_VARIANTS:
         variant = _UNICO_VARIANTS[method]
@@ -178,7 +194,8 @@ def build_optimizer(
             **variant,
         )
         optimizer = Unico(
-            space, network, engine, config, tool=tool, seed=seed, **caps
+            space, network, engine, config, tool=tool, seed=seed,
+            trial_factory=trial_factory, **caps
         )
     else:
         optimizer_cls, config_cls, fields = _BASELINES[method]
@@ -188,7 +205,7 @@ def build_optimizer(
         )
         optimizer = optimizer_cls(
             space, network, engine, config, tool=tool, seed=seed,
-            eval_batch_size=eval_batch_size, **caps
+            eval_batch_size=eval_batch_size, trial_factory=trial_factory, **caps
         )
     return optimizer
 
@@ -238,6 +255,15 @@ class RunSpec:
     trace: bool = False
 
     def __post_init__(self):
+        if (
+            self.screen is not None
+            and isinstance(self.workload, str)
+            and "+" in self.workload
+        ):
+            raise ConfigurationError(
+                "a '+'-joined workload searches each network on its own "
+                "engine; screening wraps one engine and would be bypassed"
+            )
         if self.preset_params is None:
             preset = self.preset
             if not isinstance(preset, Preset):

@@ -28,10 +28,8 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.fleet.pool import ConnectionPool
+from repro.methods import ENGINES
 from repro.utils import fork_context
-
-#: engines a replica knows how to build (same names as ``repro serve``)
-REPLICA_ENGINES = ("maestro", "ascend")
 
 #: how long a starting replica may take to report its URL (seconds)
 START_TIMEOUT_S = 30.0
@@ -49,15 +47,15 @@ class ReplicaSpec:
     ports: tuple = field(default_factory=tuple)  # empty -> OS-assigned
 
     def __post_init__(self):
-        if self.engine not in REPLICA_ENGINES:
+        if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown replica engine {self.engine!r}; "
-                f"available: {REPLICA_ENGINES}"
+                f"available: {ENGINES}"
             )
 
 
 def build_replica_engine(spec: ReplicaSpec):
-    """Construct the engine a replica serves (same idiom as ``repro serve``)."""
+    """Construct the engine a replica, or ``repro serve``, serves."""
     from repro.workloads.registry import get_network
 
     network = get_network(spec.network)
@@ -65,6 +63,10 @@ def build_replica_engine(spec: ReplicaSpec):
         from repro.costmodel.engine import MaestroEngine
 
         return MaestroEngine(network, cache_capacity=spec.cache_capacity)
+    if spec.engine == "timeloop":
+        from repro.costmodel.timeloop import TimeloopEngine
+
+        return TimeloopEngine(network, cache_capacity=spec.cache_capacity)
     from repro.camodel.engine import AscendCAEngine
 
     engine = AscendCAEngine(network, noise_fraction=spec.noise_fraction)
@@ -220,7 +222,6 @@ class FleetSupervisor:
 
 __all__ = [
     "FleetSupervisor",
-    "REPLICA_ENGINES",
     "ReplicaSpec",
     "build_replica_engine",
 ]

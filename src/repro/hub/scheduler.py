@@ -51,14 +51,20 @@ SUBMIT_FIELDS = frozenset({
 })
 
 
+def _close_fit_helper() -> None:
+    """Reap the run's GP-fit helper, if a fit forked one: the run child
+    leaves by ``os._exit``, past the ``atexit`` hook that would."""
+    # looked up, not imported: a signal that lands while the run is still
+    # importing must not import (no fit can have forked a helper yet)
+    gp = sys.modules.get("repro.optim.gp")
+    if gp is not None:
+        gp.close_fit_helper()
+
+
 def _die_of_signal(signum, _frame) -> None:
     """Die of ``signum`` as its default action would, once the run's GP-fit
     helper is reaped; nothing else of the run executes."""
-    # looked up, not imported: a signal that lands while the run is still
-    # importing must not import (no fit can have forked a helper yet)
-    close = getattr(sys.modules.get("repro.optim.gp"), "close_fit_helper", None)
-    if close is not None:
-        close()
+    _close_fit_helper()
     signal.signal(signum, signal.SIG_DFL)
     os.kill(os.getpid(), signum)
 
@@ -70,10 +76,13 @@ def _execute_run(runs_dir: str, run_id: str, resume: bool) -> None:
     # a group-wide Ctrl-C doesn't run the hub shutdown in here
     signal.signal(signal.SIGTERM, _die_of_signal)
     signal.signal(signal.SIGINT, _die_of_signal)
-    from repro.experiments.harness import RunSpec, launch
+    try:
+        from repro.experiments.harness import RunSpec, launch
 
-    run = RunStore(runs_dir).get(run_id)
-    launch(RunSpec.from_manifest(run.read_manifest()), run=run, resume=resume)
+        run = RunStore(runs_dir).get(run_id)
+        launch(RunSpec.from_manifest(run.read_manifest()), run=run, resume=resume)
+    finally:
+        _close_fit_helper()
 
 
 class RunScheduler:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -341,12 +340,6 @@ def _fit_helper() -> Optional[_FitHelper]:
             return helper
         helper.close()
     _HELPER = _FitHelper.start()
-    if _HELPER is not None and "multiprocessing" in sys.modules:
-        # a multiprocessing child (the hub's run child) leaves by os._exit,
-        # past atexit, but it runs multiprocessing's exit finalizers
-        from multiprocessing import util
-
-        util.Finalize(None, close_fit_helper, exitpriority=0)
     return _HELPER
 
 
@@ -367,8 +360,9 @@ if hasattr(os, "register_at_fork"):
 @atexit.register
 def close_fit_helper() -> None:
     """Kill and reap this process's fit helper, if it has one: run as the
-    process exits, so no helper outlives its owner.  A child that
-    inherited the hook owns no helper of its parent's."""
+    interpreter exits, so no helper outlives its owner.  A child that
+    inherited the hook owns no helper of its parent's; a child that leaves
+    by ``os._exit`` (a ``multiprocessing`` child) must call it itself."""
     if _HELPER is not None and _HELPER.owner == os.getpid():
         _HELPER.close()
 

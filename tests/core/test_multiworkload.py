@@ -11,10 +11,14 @@ from repro.core.multiworkload import (
 )
 from repro.costmodel.engine import MaestroEngine
 from repro.errors import ConfigurationError
+from repro.experiments.harness import RunSpec, launch, resume_run
 from repro.hw.spatial import edge_design_space
+from repro.tracking.journal import read_events
+from repro.tracking.store import RunStore
 from repro.utils.clock import SimulatedClock
 from repro.workloads.layers import Conv2D, Gemm
 from repro.workloads.network import Network
+from tests.tracking.journal_lines import RESUME_LINES, cut_before_last_state, journal_lines
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +152,44 @@ class TestUnicoWithMultiWorkload:
         assert result.total_hw_evaluated == 8
         assert result.best_design() is not None
         assert result.total_time_s > 0
+
+
+#: ``repro run unico fsrcnn_120x320+mobilenetv3_small --track --trace
+#: --record-samples``, and the same spec a hub submission builds
+JOINED = RunSpec(
+    "unico", "edge", "fsrcnn_120x320+mobilenetv3_small", "smoke",
+    seed=3, record_samples=True, trace=True,
+)
+
+
+class TestJoinedWorkloadName:
+    def test_runs_one_job_per_network_and_resumes_to_the_same_lines(self, tmp_path):
+        store = RunStore(tmp_path)
+        run = store.get(launch(JOINED, run=store).extras["run_id"])
+        manifest = run.read_manifest()
+        assert manifest["engine"] == "MultiWorkloadEngine"
+        assert RunSpec.from_manifest(manifest).workload == JOINED.workload
+        events = read_events(run.journal_path).events
+        (snapshot,) = [event for event in events if event["type"] == "engine_snapshot"]
+        per_workload = snapshot["engine"]["workloads"]
+        assert sorted(per_workload) == ["fsrcnn_120x320", "mobilenetv3_small"]
+        assert all(stats["num_queries"] > 0 for stats in per_workload.values())
+        kinds = {event["type"] for event in events}
+        assert {"engine_sample", "span"} <= kinds  # the sink and tracer reach each engine
+        assert any(
+            event["type"] == "span" and event["name"] == "engine_eval_batch"
+            for event in events
+        )
+
+        straight = run.journal_path.read_bytes()
+        cut = store.create_run(dict(manifest, status="running"), run_id="cut")
+        cut.journal_path.write_bytes(straight)
+        cut_before_last_state(cut.journal_path)
+        resume_run(cut)
+        assert journal_lines(cut.journal_path, RESUME_LINES + ("span",)) == journal_lines(
+            straight, RESUME_LINES + ("span",)
+        )
+
+    def test_screening_is_refused(self):
+        with pytest.raises(ConfigurationError, match="screening"):
+            RunSpec("unico", "edge", "bert+mobilenet", screen="model.json")

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.camodel.ascend_sim import _STAGE_NAMES
 from repro.experiments.fig10 import fig10_experiment
 from repro.experiments.fig11 import fig11_experiment
 from repro.experiments.fig7 import fig7_experiment, speedup_to_reach
@@ -17,6 +18,7 @@ from repro.experiments.fig9 import fig9_experiment
 from repro.experiments.paper_runner import run_experiments
 from repro.experiments.tables import table_experiment
 from repro.experiments.reporting import generate_report
+from repro.workloads.registry import get_network
 
 
 def _record(experiment):
@@ -120,4 +122,7 @@ class TestFig11Harness:
             assert "power_saving_pct" in child.metrics
             rebalance = child.get("buffer_rebalance")
             assert set(rebalance) == {"l0a_kb", "l0b_kb", "l0c_kb"}
+            layers = len(get_network("fsrcnn_120x320").layers)
+            for tally in child.get("bottleneck_layers").values():
+                assert set(tally) <= set(_STAGE_NAMES) and sum(tally.values()) == layers
         assert record.get("default_hw")

@@ -12,6 +12,7 @@ from urllib.request import urlopen
 
 import pytest
 
+from repro.costmodel.timeloop import TimeloopEngine
 from repro.errors import ConfigurationError
 from repro.fleet.server import FleetSupervisor, ReplicaSpec, build_replica_engine
 
@@ -25,6 +26,13 @@ class TestSpec:
 
     def test_build_maestro_engine(self):
         engine = build_replica_engine(SPEC)
+        assert engine.network.name == "mobilenetv3_small"
+        assert engine.cache_capacity == 256
+
+    def test_build_timeloop_engine(self):
+        spec = ReplicaSpec(network="mobilenetv3_small", engine="timeloop", cache_capacity=256)
+        engine = build_replica_engine(spec)
+        assert isinstance(engine, TimeloopEngine)
         assert engine.network.name == "mobilenetv3_small"
         assert engine.cache_capacity == 256
 

@@ -100,7 +100,7 @@ def test_the_helper_holds_no_descriptor_of_its_owner_but_its_pipes():
 
 _OWNER = textwrap.dedent(
     """
-    import signal, sys, time
+    import os, select, sys, tempfile, time
     import numpy as np
     import repro.optim.gp as gp
 
@@ -110,17 +110,39 @@ _OWNER = textwrap.dedent(
         gp.GaussianProcess().fit(x, np.sin(4 * x[:, 0]), seed=0)
         print(0 if gp._HELPER is None else gp._HELPER.pid, flush=True)
 
-    if sys.argv[1] == "mp_child":  # the owner is a multiprocessing child
-        import multiprocessing
-        process = multiprocessing.get_context("fork").Process(target=fit)
-        process.start()
-        process.join()
+    def hub_run(cancel):
+        # the owner is a hub: its run child forks the helper and reports it
+        from repro.hub.scheduler import RunScheduler
+        read_fd, write_fd = os.pipe()
+        fit_helper = gp._fit_helper
+        def reporting_fit_helper():
+            helper = fit_helper()
+            if helper is not None:
+                os.write(write_fd, b"%d " % helper.pid)
+            return helper
+        gp._fit_helper = reporting_fit_helper
+        with tempfile.TemporaryDirectory() as runs, RunScheduler(runs) as hub:
+            run_id = hub.submit(
+                {"method": "unico", "scenario": "edge", "workload": "fsrcnn_120x320",
+                 "preset": "bench"}
+            )
+            while not select.select([read_fd], [], [], 0.05)[0]:
+                if hub.store.get(run_id).read_manifest()["status"] != "queued":
+                    if not hub.state()["running"]:
+                        os.write(write_fd, b"0 ")  # finished with no helper
+            print(os.read(read_fd, 64).split()[0].decode(), flush=True)
+            if cancel:
+                assert hub.cancel(run_id) == "cancelling"
+            while hub.state()["running"]:
+                time.sleep(0.02)
+            status = hub.store.get(run_id).read_manifest()["status"]
+            assert status == ("cancelled" if cancel else "completed"), status
+
+    if sys.argv[1].startswith("hub_"):
+        hub_run(cancel=sys.argv[1] == "hub_cancelled")
     else:
-        if sys.argv[1] == "hub_cancelled":  # as the hub's run child
-            from repro.hub.scheduler import _die_of_signal
-            signal.signal(signal.SIGTERM, _die_of_signal)
         fit()
-    if sys.argv[1] in ("killed", "hub_cancelled"):
+    if sys.argv[1] == "killed":
         time.sleep(60)
     """
 )
@@ -129,12 +151,11 @@ _OWNER = textwrap.dedent(
 #: runs the owner as a child subreaper's child, so that an orphaned helper
 #: becomes the reaper's own child and not init's; prints the helper's pid,
 #: the reaper's children as the owner's end completes, and which of them
-#: had not exited 10 s later
+#: had not exited 10 s later; fails if the owner did
 _REAPER = textwrap.dedent(
     """
     import ctypes, os, signal, subprocess, sys, time
     PR_SET_CHILD_SUBREAPER = 36
-    SIGNALS = {"killed": signal.SIGKILL, "hub_cancelled": signal.SIGTERM}
     if ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0):
         sys.exit("prctl refused")
     owner_code, ending = sys.argv[1:]
@@ -142,8 +163,8 @@ _REAPER = textwrap.dedent(
         [sys.executable, "-c", owner_code, ending], stdout=subprocess.PIPE, text=True
     ) as owner:
         helper = int(owner.stdout.readline())
-        if ending in SIGNALS:
-            owner.send_signal(SIGNALS[ending])
+        if ending == "killed":
+            owner.kill()
     me, left = str(os.getpid()), []
     for pid in filter(str.isdigit, os.listdir("/proc")):
         try:
@@ -160,16 +181,18 @@ _REAPER = textwrap.dedent(
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     print(helper, left, running)
+    if ending != "killed" and owner.returncode:
+        sys.exit(f"the owner failed with exit code {owner.returncode}")
     """
 )
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a child subreaper is Linux's")
-@pytest.mark.parametrize("ending", ["exits", "mp_child", "hub_cancelled", "killed"])
+@pytest.mark.parametrize("ending", ["exits", "hub_run", "hub_cancelled", "killed"])
 def test_the_helper_leaves_soon_after_its_owner(ending):
     """An owner that exits has killed and reaped its helper by then, and so
-    has a ``multiprocessing`` child (it leaves by ``os._exit``, past
-    ``atexit``) and a hub run child cancelled by SIGTERM: the reaper is
+    has a hub's run child (it leaves by ``os._exit``, past ``atexit``),
+    whether its run completes or is cancelled by SIGTERM: the reaper is
     left no child.  A SIGKILLed owner cannot, and its helper, orphaned,
     reads end-of-file and exits within 10 s."""
     if len(os.sched_getaffinity(0)) < 2:

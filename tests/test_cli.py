@@ -42,6 +42,11 @@ class TestRunCommand:
         assert "Pareto front" in out
         assert "simulated hours" in out
 
+    def test_run_joined_networks_smoke(self, capsys):
+        code = main(["run", "random", "fsrcnn_120x320+mobilenetv3_small", "--seed", "1"])
+        assert code == 0
+        assert "fsrcnn_120x320+mobilenetv3_small" in capsys.readouterr().out
+
 
 @pytest.fixture(scope="module")
 def reproduced(tmp_path_factory):
@@ -156,6 +161,12 @@ class TestStatsCommand:
     def test_serve_parser_accepts_trace(self):
         args = build_parser().parse_args(["serve", "resnet50", "--trace"])
         assert args.trace is True
+
+    @pytest.mark.parametrize("command", [["serve"], ["fleet", "serve"]])
+    def test_serve_parsers_offer_every_engine(self, command):
+        for engine in ("maestro", "timeloop", "ascend"):
+            args = build_parser().parse_args([*command, "resnet50", "--engine", engine])
+            assert args.engine == engine
 
 
 @pytest.mark.parametrize("preset", [None, "4"])

@@ -52,6 +52,8 @@ def test_local_cosearch_loads_what_it_runs_and_no_more():
         # the figure and table harnesses: no package __init__ loads its siblings
         *(f"repro.experiments.fig{number}" for number in range(7, 12)),
         "repro.experiments.tables", "repro.experiments.paper_runner",
+        # one mapping job per network: only a '+'-joined workload runs it
+        "repro.core.multiworkload",
     )
     assert not _loaded(modules, unwanted)
 

@@ -18,6 +18,7 @@
 import ast
 import functools
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
@@ -189,9 +190,6 @@ def test_mutual_package_imports_only_shrink():
 
 #: what a user can start: ``python -m repro`` and the ``repro`` console script
 ENTRY_POINTS = ("repro.__main__", "repro.cli")
-#: and the walkthroughs and benchmarks, run as scripts or under pytest: the
-#: roots outside ``src`` where a name has a product use (``PRODUCT_ROOTS``)
-SCRIPT_ROOTS = ("examples", "benchmarks")
 
 
 def _module_paths():
@@ -237,21 +235,12 @@ def _import_closure(roots, paths):
     return reached
 
 
-def _script_imports():
-    """Dotted names the Python files under ``SCRIPT_ROOTS`` import."""
-    repo = SRC_ROOT.parents[1]
-    for root in SCRIPT_ROOTS:
-        for path in sorted((repo / root).rglob("*.py")):
-            yield from _imported_names("", path)
-
-
 def test_entry_points_reach_every_module():
-    """Product code is what ``python -m repro``, an example or a benchmark
-    can load.  A module nothing else imports is kept alive by its own tests
-    only: delete it, or wire it to a command.  There is no allow-list."""
+    """Product code is what ``python -m repro`` can load.  A module nothing
+    imports is kept alive by its own tests only: delete it, or wire it to a
+    command.  There is no allow-list."""
     paths = _module_paths()
-    roots = ENTRY_POINTS + tuple(_script_imports())
-    unreached = sorted(set(paths) - _import_closure(roots, paths))
+    unreached = sorted(set(paths) - _import_closure(ENTRY_POINTS, paths))
     assert not unreached, f"no entry point imports: {unreached}"
 
 
@@ -324,14 +313,21 @@ DOCUMENTS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 
 def _resolves(dotted):
-    """Whether ``dotted`` imports, or is an attribute path from the longest
-    prefix that does."""
+    """Whether ``dotted`` is a module, or an attribute path from the longest
+    prefix that is one.  A module is found, not run: only an attribute
+    path imports its module (running ``repro.__main__`` would set this
+    process's BLAS environment for every later subprocess)."""
     parts = dotted.split(".")
     for end in range(len(parts), 0, -1):
         try:
-            target = importlib.import_module(".".join(parts[:end]))
-        except ImportError:
+            found = importlib.util.find_spec(".".join(parts[:end])) is not None
+        except ImportError:  # a prefix is a module, not a package
+            found = False
+        if not found:
             continue
+        if end == len(parts):
+            return True
+        target = importlib.import_module(".".join(parts[:end]))
         for attribute in parts[end:]:
             if not hasattr(target, attribute):
                 return False
