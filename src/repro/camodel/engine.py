@@ -18,15 +18,12 @@ error.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 from repro.camodel.ascend_sim import ascend_area_mm2, simulate_layer
 from repro.camodel.mapping import AscendMapping
 from repro.costmodel.engine import PPAEngine
 from repro.costmodel.results import LayerPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.hw.ascend import AscendHWConfig
-from repro.utils.clock import SimulatedClock
 from repro.workloads.layers import GemmShape
 from repro.workloads.network import Network
 
@@ -41,15 +38,8 @@ NOISE_SEED = 0
 class AscendCAEngine(PPAEngine):
     """Cycle-accurate estimation service for the Ascend-like core."""
 
-    def __init__(
-        self,
-        network: Network,
-        clock: Optional[SimulatedClock] = None,
-        eval_cost_s: float = CAMODEL_EVAL_COST_S,
-        tech: Technology = DEFAULT_TECHNOLOGY,
-        noise_fraction: float = 0.0,
-    ):
-        super().__init__(network, clock=clock, eval_cost_s=eval_cost_s, tech=tech)
+    def __init__(self, network: Network, noise_fraction: float = 0.0):
+        super().__init__(network, eval_cost_s=CAMODEL_EVAL_COST_S)
         if noise_fraction < 0:
             raise ValueError(f"noise_fraction must be >= 0, got {noise_fraction}")
         self.noise_fraction = noise_fraction

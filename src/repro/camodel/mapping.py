@@ -27,6 +27,9 @@ from repro.utils.intmath import divisors, nearest_divisor, step_on_grid
 from repro.utils.rng import SeedLike, as_generator
 from repro.workloads.layers import GemmShape
 
+#: the largest tile on any axis of a space's grid
+MAX_TILE = 8192
+
 
 @dataclass(frozen=True)
 class AscendMapping:
@@ -58,11 +61,11 @@ class AscendMapping:
 class AscendMappingSpace:
     """Mapping space for one GEMM-shaped operator on the Ascend-like core."""
 
-    def __init__(self, shape: GemmShape, max_tile: int = 8192):
+    def __init__(self, shape: GemmShape):
         self.shape = shape
-        self.tile_m_choices = tuple(d for d in divisors(shape.m) if d <= max_tile)
-        self.tile_n_choices = tuple(d for d in divisors(shape.n) if d <= max_tile)
-        self.tile_k_choices = tuple(d for d in divisors(shape.k) if d <= max_tile)
+        self.tile_m_choices = tuple(d for d in divisors(shape.m) if d <= MAX_TILE)
+        self.tile_n_choices = tuple(d for d in divisors(shape.n) if d <= MAX_TILE)
+        self.tile_k_choices = tuple(d for d in divisors(shape.k) if d <= MAX_TILE)
         if not (self.tile_m_choices and self.tile_n_choices and self.tile_k_choices):
             raise MappingError(f"empty tile grid for shape {shape}")
 

@@ -27,7 +27,7 @@ from repro.camodel.ascend_sim import (
     _tile_costs,
 )
 from repro.camodel.mapping import AscendMapping
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.errors import EvaluationError
 from repro.hw.ascend import AscendHWConfig
 from repro.utils.intmath import round_up_div
@@ -68,9 +68,9 @@ def trace_layer(
     hw: AscendHWConfig,
     mapping: AscendMapping,
     shape: GemmShape,
-    tech: Technology = DEFAULT_TECHNOLOGY,
 ) -> PipelineTrace:
     """Run the pipeline recurrence with per-stage instrumentation."""
+    tech = DEFAULT_TECHNOLOGY
     ok, reason = _capacity_check(hw, mapping, tech)
     if not ok:
         raise EvaluationError(f"infeasible mapping: {reason}")
@@ -132,10 +132,9 @@ def explain_layer(
     hw: AscendHWConfig,
     mapping: AscendMapping,
     shape: GemmShape,
-    tech: Technology = DEFAULT_TECHNOLOGY,
 ) -> str:
     """A human-readable bottleneck report for one operator."""
-    trace = trace_layer(hw, mapping, shape, tech)
+    trace = trace_layer(hw, mapping, shape)
     lines = [
         f"tiles: {trace.n_tiles} (simulated {trace.simulated_tiles}), "
         f"window {trace.total_cycles:.0f} cycles"

@@ -390,8 +390,6 @@ def _render_live_event(event: dict) -> str:
 
 def _runs_tail_follow(args) -> int:
     """Live tail: stream a hub's SSE endpoint, or poll the local journal."""
-    import time as _time
-
     if args.hub:
         from repro.hub.client import HubClient
 
@@ -407,7 +405,7 @@ def _runs_tail_follow(args) -> int:
         finally:
             client.close()
         return 0
-    from repro.tracking.journal import read_events_from, read_tail_events
+    from repro.tracking.journal import follow_journal, read_tail_events
     from repro.tracking.store import RunStore
 
     run = RunStore(args.runs_dir).get(args.run_id)
@@ -418,25 +416,24 @@ def _runs_tail_follow(args) -> int:
         for event in scan.events:
             print(_render_live_event(event), flush=True)
         cursor = scan.valid_bytes
+
+    def status():
+        return run.read_manifest().get("status")
+
     try:
-        while True:
-            if run.journal_path.exists():
-                scan = read_events_from(run.journal_path, cursor)
-                for event in scan.events:
-                    if args.type and event.get("type") != args.type:
-                        continue
+        for lines in follow_journal(
+            run.journal_path,
+            cursor,
+            lambda: status() in ("completed", "failed", "cancelled"),
+            0.2,
+        ):
+            for _line, _end, event in lines:
+                if not args.type or event.get("type") == args.type:
                     print(_render_live_event(event), flush=True)
-                progressed = bool(scan.events)
-                cursor = scan.valid_bytes
-            else:
-                progressed = False
-            status = run.read_manifest().get("status")
-            if status in ("completed", "failed", "cancelled") and not progressed:
-                print(f"(run {status})")
-                return 0
-            _time.sleep(0.2)
     except KeyboardInterrupt:
         return 0
+    print(f"(run {status()})")
+    return 0
 
 
 def _cmd_runs_tail(args) -> int:
@@ -598,11 +595,13 @@ def _cmd_fleet_health(args) -> int:
 
 #: bar glyphs for terminal sparklines, lowest to highest
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
+#: the rate steps a sparkline shows
+_SPARK_WIDTH = 32
 
 
-def _sparkline(values: list, width: int = 32) -> str:
+def _sparkline(values: list) -> str:
     """Render a value history as a unicode sparkline (scaled to its max)."""
-    values = list(values)[-width:]
+    values = list(values)[-_SPARK_WIDTH:]
     if not values:
         return ""
     top = max(values)
@@ -635,14 +634,14 @@ def counter_increase(points: list) -> float:
     return total
 
 
-def _rate_history(points: list, limit: int = 32) -> list:
-    """Per-step counter rates from ``(t, value)`` points, under
-    :func:`counter_increase`'s reset rule."""
+def _rate_history(points: list) -> list:
+    """The last sparkline's worth of per-step counter rates from
+    ``(t, value)`` points, under :func:`counter_increase`'s reset rule."""
     return [
         counter_increase(step) / (step[1][0] - step[0][0])
         for step in zip(points, points[1:])
         if step[1][0] > step[0][0]
-    ][-limit:]
+    ][-_SPARK_WIDTH:]
 
 
 def _hit_rate(series: dict) -> str:

@@ -25,8 +25,6 @@ from repro.core.robustness import RobustnessResult, robustness_metric
 from repro.costmodel.engine import PPAEngine
 from repro.costmodel.results import NetworkPPA
 from repro.errors import ConfigurationError
-from repro.learned.oneloop import OneLoopMappingSearch
-from repro.learned.screen import SCREENED_REASON
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.cosa import CosaMapper
 from repro.mapping.flextensor import FlexTensorSearch
@@ -36,13 +34,14 @@ from repro.mapping.random_search import RandomMappingSearch
 from repro.obs.trace import NULL_TRACER
 from repro.workloads.network import Network
 
+#: the mapping search tools by name, but for the learned ``oneloop``
+#: (:mod:`repro.learned` loads only when a search selects it)
 SEARCH_TOOLS: Dict[str, Type[AnytimeMappingSearch]] = {
     "flextensor": FlexTensorSearch,
     "gamma": GammaSearch,
     "random": RandomMappingSearch,
     "fusion": DepthFirstFusionSearch,
     "cosa": CosaMapper,
-    "oneloop": OneLoopMappingSearch,
 }
 
 
@@ -54,14 +53,18 @@ def make_search_tool(
     seed=None,
     batch_size: int = 1,
 ) -> AnytimeMappingSearch:
-    """Instantiate a registered SW mapping search tool by name."""
-    if tool not in SEARCH_TOOLS:
+    """Instantiate a SW mapping search tool by name."""
+    if tool == "oneloop":
+        from repro.learned.oneloop import OneLoopMappingSearch
+
+        tool_cls = OneLoopMappingSearch
+    elif tool in SEARCH_TOOLS:
+        tool_cls = SEARCH_TOOLS[tool]
+    else:
         raise ConfigurationError(
-            f"unknown search tool {tool!r}; available: {sorted(SEARCH_TOOLS)}"
+            f"unknown search tool {tool!r}; available: {sorted([*SEARCH_TOOLS, 'oneloop'])}"
         )
-    return SEARCH_TOOLS[tool](
-        network, hw, engine, seed=seed, batch_size=batch_size
-    )
+    return tool_cls(network, hw, engine, seed=seed, batch_size=batch_size)
 
 
 class _QueryCountingEngine:
@@ -97,7 +100,9 @@ class _QueryCountingEngine:
         therefore simulated eval time).  Screened-out results are tagged,
         so the count needs no engine-global state.
         """
-        if self._screening:
+        if self._screening:  # a screening engine has loaded repro.learned
+            from repro.learned.screen import SCREENED_REASON
+
             spent = sum(
                 1 for result in results
                 if result.infeasible_reason != SCREENED_REASON

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 from repro.costmodel.maestro import analyze_gemm, spatial_area_mm2
 from repro.costmodel.maestro_batch import analyze_gemm_batch
 from repro.costmodel.results import LayerPPA, NetworkPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.errors import ConfigurationError, EvaluationError
 from repro.hw.spatial import SpatialHWConfig
 from repro.obs.trace import NULL_TRACER
@@ -111,9 +111,7 @@ class PPAEngine(ABC):
         network: Network,
         clock: Optional[SimulatedClock] = None,
         eval_cost_s: float = ANALYTICAL_EVAL_COST_S,
-        tech: Technology = DEFAULT_TECHNOLOGY,
         cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         if cache_capacity is not None and cache_capacity < 1:
             raise ConfigurationError(
@@ -122,7 +120,7 @@ class PPAEngine(ABC):
         self.network = network
         self.clock = clock if clock is not None else SimulatedClock()
         self.eval_cost_s = eval_cost_s
-        self.tech = tech
+        self.tech = DEFAULT_TECHNOLOGY
         self.layer_shapes: Dict[str, Tuple[GemmShape, int]] = {
             layer.name: (layer.to_gemm(), layer.count) for layer in network.layers
         }
@@ -130,7 +128,7 @@ class PPAEngine(ABC):
         self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[Tuple, LayerPPA]" = OrderedDict()
         self._lock = threading.RLock()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.num_queries = 0
         self.num_cache_hits = 0
         self.num_cache_evictions = 0

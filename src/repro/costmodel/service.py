@@ -81,7 +81,6 @@ from repro.obs.trace import (
     parse_trace_context,
 )
 from repro.utils.httpcore import HttpServer, Reply, Request, Route
-from repro.utils.metrics import MetricsRegistry
 
 #: Version of the ``GET /metrics`` JSON document (engine stats + registry
 #: snapshot); bumped when the response shape changes so scrapers can detect
@@ -184,7 +183,7 @@ def _result_from_wire(entry, layer_name: str) -> LayerPPA:
 class PPAServiceServer(HttpServer):
     """Serve an engine over HTTP on localhost; use as a context manager.
 
-    Shares the engine's metrics registry by default, so ``GET /metrics``
+    Shares the engine's metrics registry, so ``GET /metrics``
     exposes engine counters (queries, cache hits/evictions, compute
     latency) alongside the per-endpoint request/error counters the
     serving core (:mod:`repro.utils.httpcore`) records.
@@ -195,7 +194,6 @@ class PPAServiceServer(HttpServer):
         engine: PPAEngine,
         host: str = "127.0.0.1",
         port: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.engine = engine
@@ -215,7 +213,7 @@ class PPAServiceServer(HttpServer):
                     self._post_evaluate_layers, rejections, timed=True
                 ),
             },
-            metrics if metrics is not None else engine.metrics,
+            engine.metrics,
             prefix="service",
             draining_error="service draining",
         )
@@ -308,6 +306,13 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 #: transport-level exceptions that indicate "try again", not "bad query"
 _TRANSIENT_ERRORS = (HTTPException, OSError, json.JSONDecodeError)
 
+#: retries of a transient transport failure before it raises
+MAX_NETWORK_RETRIES = 3
+#: the first retry's backoff, doubled per retry up to ``BACKOFF_MAX_S``
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+#: a backoff is stretched by a seeded factor in ``[1, 1 + JITTER_FRACTION)``
+JITTER_FRACTION = 0.25
 
 
 class RemotePPAEngine(PPAEngine):
@@ -325,15 +330,16 @@ class RemotePPAEngine(PPAEngine):
     simulated clock):
 
     * transient transport failures — a 5xx reply included — are retried up to
-      ``max_network_retries`` times with exponential backoff
-      (``backoff_base_s * 2**attempt``, capped at ``backoff_max_s``) plus
+      :data:`MAX_NETWORK_RETRIES` times with exponential backoff
+      (``BACKOFF_BASE_S * 2**attempt``, capped at :data:`BACKOFF_MAX_S`) plus
       seeded jitter, and one that outlasts them raises
       :class:`~repro.errors.TransportError` (an :class:`EvaluationError`);
       a server that failed part-way keeps what it computed before the
       failure in its cache, so a retry does not compute it again;
-    * after ``breaker_threshold`` consecutive request failures the circuit
-      opens: queries fail fast for ``breaker_cooldown_s`` seconds, then a
-      single probe is allowed through (half-open).
+    * after :data:`~repro.fleet.router.BREAKER_THRESHOLD` consecutive
+      request failures the circuit opens: queries fail fast for
+      :data:`~repro.fleet.router.BREAKER_COOLDOWN_S` seconds, then a single
+      probe is allowed through (half-open).
 
     4xx replies are semantic rejections (bad layer, malformed mapping):
     they raise immediately without transport retries and do not trip the
@@ -369,21 +375,11 @@ class RemotePPAEngine(PPAEngine):
         base_url: Union[str, Sequence[str]],
         area_fn: Callable[[object], float],
         timeout_s: float = 10.0,
-        max_network_retries: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_max_s: float = 2.0,
-        jitter_fraction: float = 0.25,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 30.0,
         batch_size: int = 16,
         max_inflight: int = 8,
         **kwargs,
     ):
         super().__init__(network, **kwargs)
-        if max_network_retries < 0:
-            raise EvaluationError(
-                f"max_network_retries must be >= 0, got {max_network_retries}"
-            )
         if batch_size < 1:
             raise EvaluationError(f"batch_size must be >= 1, got {batch_size}")
         if max_inflight < 1:
@@ -391,10 +387,6 @@ class RemotePPAEngine(PPAEngine):
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
         self.area_fn = area_fn
-        self.max_network_retries = max_network_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
-        self.jitter_fraction = jitter_fraction
         self.batch_size = batch_size
         self.max_inflight = max_inflight
         self._jitter_rng = random.Random(0)
@@ -404,8 +396,6 @@ class RemotePPAEngine(PPAEngine):
         self.router = ShardRouter(
             [base_url] if isinstance(base_url, str) else base_url,
             timeout_s=timeout_s,
-            breaker_threshold=breaker_threshold,
-            breaker_cooldown_s=breaker_cooldown_s,
             metrics=self.metrics,
             max_idle_per_shard=max_inflight,
         )
@@ -437,10 +427,10 @@ class RemotePPAEngine(PPAEngine):
 
     # -- transport --------------------------------------------------------------
     def _backoff_delay(self, attempt: int) -> float:
-        base = min(self.backoff_base_s * (2 ** (attempt - 1)), self.backoff_max_s)
+        base = min(BACKOFF_BASE_S * (2 ** (attempt - 1)), BACKOFF_MAX_S)
         with self._transport_lock:
             jitter = self._jitter_rng.random()
-        return base * (1.0 + self.jitter_fraction * jitter)
+        return base * (1.0 + JITTER_FRACTION * jitter)
 
     def _breaker_report(self, breaker: CircuitBreaker, success: bool) -> None:
         if breaker.record(success):
@@ -483,7 +473,7 @@ class RemotePPAEngine(PPAEngine):
                 "X-Repro-Trace": format_trace_context(self.tracer, span),
             }
         last_error: Optional[TransportError] = None
-        for attempt in range(self.max_network_retries + 1):
+        for attempt in range(MAX_NETWORK_RETRIES + 1):
             if attempt:
                 with self._transport_lock:  # requests run on worker threads
                     self.num_network_retries += 1

@@ -15,7 +15,7 @@ than HASCO because plain SH prunes promising configurations too early).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -57,10 +57,10 @@ def _panel(network: str, results: Dict[str, CoSearchResult]) -> RunRecord:
 def fig10_experiment(
     preset: Union[str, Preset] = "smoke",
     seed: int = 0,
-    networks: Sequence[str] = FIG10_NETWORKS,
 ) -> Experiment:
-    """The full ablation across workloads (edge) with mean improvements."""
-    networks = list(networks)
+    """The full ablation across the ``FIG10_NETWORKS`` workloads (edge)
+    with mean improvements."""
+    networks = list(FIG10_NETWORKS)
     cells = tuple(
         RunSpec(method, "edge", network, preset, seed=seed)
         for network in networks

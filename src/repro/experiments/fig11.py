@@ -16,7 +16,7 @@ pipeline stage limits under that design's own mappings.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -63,12 +63,12 @@ def bottleneck_layers(hw, mapping, network_name: str) -> Dict[str, int]:
 def fig11_experiment(
     preset: Union[str, Preset] = "smoke",
     seed: int = 0,
-    networks: Sequence[str] = FIG11_NETWORKS,
 ) -> Experiment:
-    """The industrial deployment study: one UNICO co-search per workload,
-    each against the expert default's own mapping search."""
+    """The industrial deployment study: one UNICO co-search per
+    ``FIG11_NETWORKS`` workload, each against the expert default's own
+    mapping search."""
     preset = get_preset(preset) if isinstance(preset, str) else preset
-    networks = list(networks)
+    networks = list(FIG11_NETWORKS)
     cells = tuple(
         RunSpec("unico", "ascend", network, preset, seed=seed)
         for network in networks

@@ -31,14 +31,16 @@ from repro.workloads.registry import FIG8_TRAIN, FIG8_VALIDATION
 
 #: relative PPA difference under which two front designs are a pair
 PAIR_TOLERANCE = 0.10
+#: the most design pairs the figure shows
+MAX_PAIRS = 3
 
 
 def select_comparable_pairs(
     designs: Sequence[HWDesign],
     tolerance: float = 0.10,
-    max_pairs: int = 3,
 ) -> List[Tuple[int, int]]:
-    """Indices of design pairs with similar PPA but different R.
+    """Indices of up to :data:`MAX_PAIRS` design pairs with similar PPA but
+    different R.
 
     Similarity: every PPA component within ``tolerance`` relative
     difference.  Pairs are ranked by how much their R values differ, so the
@@ -56,17 +58,16 @@ def select_comparable_pairs(
                 if np.isfinite(r_i) and np.isfinite(r_j) and r_i != r_j:
                     candidates.append((-abs(r_i - r_j), i, j))
     candidates.sort()
-    return [(i, j) for _gap, i, j in candidates[:max_pairs]]
+    return [(i, j) for _gap, i, j in candidates[:MAX_PAIRS]]
 
 
 def fig8_experiment(
     preset: Union[str, Preset] = "smoke",
     seed: int = 0,
-    train_networks: Sequence[str] = FIG8_TRAIN,
-    validation_networks: Sequence[str] = FIG8_VALIDATION,
 ) -> Experiment:
-    """The full R-reliability study: one co-search, then the pairs'
-    validation mapping searches."""
+    """The full R-reliability study: one co-search on ``FIG8_TRAIN``, then
+    the pairs' validation mapping searches on ``FIG8_VALIDATION``."""
+    train_networks, validation_networks = FIG8_TRAIN, FIG8_VALIDATION
     preset = get_preset(preset) if isinstance(preset, str) else preset
     cell = RunSpec("unico_no_r", "edge", list(train_networks), preset, seed=seed)
 

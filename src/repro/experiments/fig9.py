@@ -10,7 +10,7 @@ better).  The paper reports a 44% average improvement.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -64,11 +64,11 @@ def shared_scale_best(result_a, result_b):
 def fig9_experiment(
     preset: Union[str, Preset] = "smoke",
     seed: int = 0,
-    train_networks: Sequence[str] = FIG9_TRAIN,
-    validation_networks: Sequence[str] = FIG9_VALIDATION,
 ) -> Experiment:
-    """The generalization comparison: UNICO's and HASCO's co-searches,
-    then each selected design's validation mapping searches."""
+    """The generalization comparison: UNICO's and HASCO's co-searches on
+    ``FIG9_TRAIN``, then each selected design's validation mapping searches
+    on ``FIG9_VALIDATION``."""
+    train_networks, validation_networks = FIG9_TRAIN, FIG9_VALIDATION
     preset = get_preset(preset) if isinstance(preset, str) else preset
     cells = tuple(
         RunSpec(method, "edge", list(train_networks), preset, seed=seed)

@@ -35,10 +35,6 @@ import numpy as np
 
 from repro.camodel.engine import AscendCAEngine
 from repro.core.base import CoSearchResult
-from repro.core.baselines.hasco import HascoBaseline, HascoConfig
-from repro.core.baselines.mobohb import MobohbBaseline, MobohbConfig
-from repro.core.baselines.nsga2_codesign import NSGA2Codesign, NSGA2CodesignConfig
-from repro.core.baselines.random_codesign import RandomCodesign, RandomCodesignConfig
 from repro.core.checkpoint import fold_journal
 from repro.core.unico import Unico, UnicoConfig
 from repro.costmodel.engine import MaestroEngine
@@ -75,20 +71,6 @@ _UNICO_VARIANTS: Dict[str, Dict[str, object]] = {
         "include_robustness": False,
     },
 }
-
-#: baseline method -> (optimizer, its config, config field -> preset field)
-_BASELINES = {
-    "hasco": (HascoBaseline, HascoConfig,
-              dict(max_candidates="hasco_candidates", full_budget="hasco_budget")),
-    "nsgaii": (NSGA2Codesign, NSGA2CodesignConfig,
-               dict(population_size="nsga_population",
-                    max_generations="nsga_generations", eval_budget="nsga_budget")),
-    "mobohb": (MobohbBaseline, MobohbConfig,
-               dict(max_budget="mobohb_budget", max_hyperband_loops="mobohb_loops")),
-    "random": (RandomCodesign, RandomCodesignConfig,
-               dict(max_candidates="hasco_candidates", full_budget="hasco_budget")),
-}
-
 
 def _check_choice(kind: str, value, choices: Tuple[str, ...]) -> None:
     if value not in choices:
@@ -198,7 +180,33 @@ def build_optimizer(
             trial_factory=trial_factory, **caps
         )
     else:
-        optimizer_cls, config_cls, fields = _BASELINES[method]
+        # a baseline's module loads only when it is the method: each
+        # branch names the optimizer, its config and config field ->
+        # preset field
+        if method == "hasco":
+            from repro.core.baselines.hasco import HascoBaseline, HascoConfig
+
+            optimizer_cls, config_cls = HascoBaseline, HascoConfig
+            fields = dict(max_candidates="hasco_candidates", full_budget="hasco_budget")
+        elif method == "nsgaii":
+            from repro.core.baselines.nsga2_codesign import NSGA2Codesign, NSGA2CodesignConfig
+
+            optimizer_cls, config_cls = NSGA2Codesign, NSGA2CodesignConfig
+            fields = dict(
+                population_size="nsga_population",
+                max_generations="nsga_generations",
+                eval_budget="nsga_budget",
+            )
+        elif method == "mobohb":
+            from repro.core.baselines.mobohb import MobohbBaseline, MobohbConfig
+
+            optimizer_cls, config_cls = MobohbBaseline, MobohbConfig
+            fields = dict(max_budget="mobohb_budget", max_hyperband_loops="mobohb_loops")
+        else:  # random
+            from repro.core.baselines.random_codesign import RandomCodesign, RandomCodesignConfig
+
+            optimizer_cls, config_cls = RandomCodesign, RandomCodesignConfig
+            fields = dict(max_candidates="hasco_candidates", full_budget="hasco_budget")
         config = config_cls(
             time_budget_s=time_budget_s,
             **{name: getattr(preset, source) for name, source in fields.items()},
@@ -585,15 +593,14 @@ def run_method(
 
 def resume_run(
     run,
-    store=None,
     max_iterations: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
     fsync: bool = False,
 ) -> CoSearchResult:
     """Continue an interrupted tracked run; returns its final result.
 
-    ``run`` is a :class:`~repro.tracking.store.RunHandle`, a run id (requires
-    ``store``), or a run directory path.  Its manifest names the search
+    ``run`` is a :class:`~repro.tracking.store.RunHandle` or a run directory
+    path.  Its manifest names the search
     (:meth:`RunSpec.from_manifest`); :func:`launch` folds the journal up
     to its last ``iteration_state`` line and continues.  ``max_iterations``
     overrides the recorded budget; ``checkpoint_every`` defaults to the
@@ -602,7 +609,7 @@ def resume_run(
     if isinstance(run, (str, pathlib.Path)):
         from repro.tracking.store import RunHandle
 
-        run = store.get(str(run)) if store is not None else RunHandle(run)
+        run = RunHandle(run)
     try:
         spec = RunSpec.from_manifest(run.read_manifest())
     except ConfigurationError as error:
@@ -641,9 +648,11 @@ def sw_search_on(
 
 
 # ------------------------------------------------------------------ HV curves
-def combined_reference(
-    results: Sequence[CoSearchResult], margin: float = 1.1
-) -> np.ndarray:
+#: a combined reference is every method's worst observation times this
+COMBINED_MARGIN = 1.1
+
+
+def combined_reference(results: Sequence[CoSearchResult]) -> np.ndarray:
     """A shared HV reference point beyond every method's observations."""
     all_points = [r.feasible_timeline_points() for r in results]
     stacked = np.vstack([p for p in all_points if p.size]) if any(
@@ -651,7 +660,7 @@ def combined_reference(
     ) else np.zeros((0, 3))
     if stacked.size == 0:
         raise ConfigurationError("no feasible points across results")
-    return stacked.max(axis=0) * margin + 1e-12
+    return stacked.max(axis=0) * COMBINED_MARGIN + 1e-12
 
 
 def ideal_front(results: Sequence[CoSearchResult]) -> np.ndarray:

@@ -43,13 +43,13 @@ def load_records(results_dir: pathlib.Path) -> Dict[str, RunRecord]:
     return records
 
 
-def _fmt(value, digits: int = 3) -> str:
+def _fmt(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return f"{value:.{digits}g}"
+        return f"{value:.3g}"
     return str(value)
 
 

@@ -40,7 +40,11 @@ __all__ = ["Shard", "ShardRouter"]
 #: how long a mark_down() holds without an explicit mark_up(); a drained
 #: replica restarting is back in rotation after one TTL even if nobody
 #: runs a health check.
-DEFAULT_DOWN_TTL_S = 2.0
+DOWN_TTL_S = 2.0
+#: consecutive request failures that open a shard's circuit breaker
+BREAKER_THRESHOLD = 5
+#: how long an open breaker fails requests fast before a probe (seconds)
+BREAKER_COOLDOWN_S = 30.0
 
 
 class Shard:
@@ -51,8 +55,6 @@ class Shard:
         name: str,
         url: str,
         timeout_s: float,
-        breaker_threshold: int,
-        breaker_cooldown_s: float,
         max_idle: int = 8,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -60,9 +62,7 @@ class Shard:
         self.url = url.rstrip("/")
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self.pool = ConnectionPool(self.url, timeout_s=timeout_s, max_idle=max_idle)
-        self.breaker = CircuitBreaker(
-            self.url, breaker_threshold, breaker_cooldown_s
-        )
+        self.breaker = CircuitBreaker(self.url, BREAKER_THRESHOLD, BREAKER_COOLDOWN_S)
         self._down_until = 0.0
         self._down_reason = ""
 
@@ -73,8 +73,8 @@ class Shard:
         exists), then held — the client counts one per exchange."""
         return self._metrics.counter(f"fleet_requests_total[shard={self.name}]")
 
-    def mark_down(self, reason: str, ttl_s: float = DEFAULT_DOWN_TTL_S) -> None:
-        self._down_until = time.monotonic() + ttl_s
+    def mark_down(self, reason: str) -> None:
+        self._down_until = time.monotonic() + DOWN_TTL_S
         self._down_reason = reason
 
     def mark_up(self) -> None:
@@ -107,8 +107,6 @@ class ShardRouter:
         self,
         urls: Sequence[str],
         timeout_s: float = 10.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 30.0,
         metrics: Optional[MetricsRegistry] = None,
         max_idle_per_shard: int = 8,
     ):
@@ -121,8 +119,6 @@ class ShardRouter:
                 f"shard-{index}",
                 url,
                 timeout_s,
-                breaker_threshold,
-                breaker_cooldown_s,
                 max_idle=max_idle_per_shard,
                 metrics=self.metrics,
             )

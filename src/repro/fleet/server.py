@@ -33,6 +33,10 @@ from repro.utils import fork_context
 
 #: how long a starting replica may take to report its URL (seconds)
 START_TIMEOUT_S = 30.0
+#: the socket timeout of a :meth:`FleetSupervisor.status` health poll
+STATUS_TIMEOUT_S = 2.0
+#: how long :meth:`FleetSupervisor.stop` waits before it SIGKILLs
+STOP_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -161,11 +165,11 @@ class FleetSupervisor:
         self.urls = urls
         return self
 
-    def status(self, timeout_s: float = 2.0) -> List[Dict]:
+    def status(self) -> List[Dict]:
         """Liveness + ``/health`` of every replica (best effort).
 
         Polls over one keep-alive connection per replica, opened by the
-        first call (whose ``timeout_s`` it keeps) and closed by :meth:`stop`.
+        first call and closed by :meth:`stop`.
         """
         rows: List[Dict] = []
         for index, proc in enumerate(self._procs):
@@ -179,7 +183,7 @@ class FleetSupervisor:
                 pool = self._pools.get(row["url"])
                 if pool is None:
                     pool = self._pools[row["url"]] = ConnectionPool(
-                        row["url"], timeout_s=timeout_s
+                        row["url"], timeout_s=STATUS_TIMEOUT_S
                     )
                 try:
                     row["health"] = json.loads(pool.fetch("/health"))
@@ -194,13 +198,14 @@ class FleetSupervisor:
         if proc.is_alive() and proc.pid is not None:
             os.kill(proc.pid, signal.SIGTERM)
 
-    def stop(self, graceful: bool = True, timeout_s: float = 10.0) -> None:
-        """SIGTERM every replica, escalating to SIGKILL on stragglers."""
+    def stop(self, graceful: bool = True) -> None:
+        """SIGTERM every replica, escalating to SIGKILL on those still
+        running :data:`STOP_TIMEOUT_S` later."""
         if graceful:
             for proc in self._procs:
                 if proc.is_alive() and proc.pid is not None:
                     os.kill(proc.pid, signal.SIGTERM)
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + STOP_TIMEOUT_S
         for proc in self._procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         for proc in self._procs:

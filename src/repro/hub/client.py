@@ -11,7 +11,8 @@ in each event's ``id:`` and, on any disconnect (socket timeout, hub
 restart, network blip), reconnects with ``Last-Event-ID`` so the caller
 sees every journal event exactly once, in order, across any number of
 drops — the stream only ends at the server's explicit
-``event: end_of_stream`` frame (or when ``reconnect=False``).
+``event: end_of_stream`` frame; any other end is a drop, followed by a
+reconnect after ``RECONNECT_DELAY_S``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ __all__ = ["HubClient", "StreamedEvent"]
 
 #: transport-level exceptions that mean "reconnect", not "give up"
 _STREAM_ERRORS = (HTTPException, socket.timeout, ConnectionError, OSError)
+#: the pause before an event stream reconnects
+RECONNECT_DELAY_S = 0.2
 
 
 @dataclass
@@ -135,18 +138,15 @@ class HubClient:
         return self._request_text("/fleet/metrics")
 
     # -- SSE --------------------------------------------------------------------
-    def _sse(
-        self, path: str, cursor: Optional[int], timeout_s: Optional[float]
-    ) -> Iterator:
+    def _sse(self, path: str, cursor: Optional[int]) -> Iterator:
         """The SSE frames of one dedicated connection to ``path``.
 
-        ``timeout_s`` bounds each socket read; the default comfortably
-        exceeds the server's keepalive cadence so idle streams are not
-        mistaken for dead ones.
+        The timeout of each socket read comfortably exceeds the server's
+        keepalive cadence, so idle streams are not mistaken for dead ones.
         """
-        if timeout_s is None:
-            timeout_s = max(self.timeout_s, 30.0)
-        connection = HTTPConnection(self._host, self._port, timeout=timeout_s)
+        connection = HTTPConnection(
+            self._host, self._port, timeout=max(self.timeout_s, 30.0)
+        )
         try:
             headers = {"Accept": "text/event-stream"}
             if cursor is not None:
@@ -162,67 +162,33 @@ class HubClient:
         finally:
             connection.close()
 
-    def stream_events(
-        self,
-        run_id: str,
-        last_event_id: Optional[int] = None,
-        reconnect: bool = True,
-        max_reconnects: Optional[int] = None,
-        reconnect_delay_s: float = 0.2,
-        stream_timeout_s: Optional[float] = None,
-    ) -> Iterator[StreamedEvent]:
+    def stream_events(self, run_id: str) -> Iterator[StreamedEvent]:
         """Yield a run's journal events live, in order, exactly once.
 
-        ``last_event_id`` starts mid-journal (a byte-offset cursor, e.g.
-        from a previous event's ``offset``); the generator ends when the
-        server sends ``end_of_stream`` (run terminal + journal drained).
-        On disconnect it reconnects from the last received cursor unless
-        ``reconnect=False``, in which case it raises
-        :class:`~repro.errors.TransportError`.  ``stream_timeout_s``
-        bounds each socket read; the default comfortably exceeds the
-        server's keepalive cadence so idle streams are not mistaken for
-        dead ones.
+        The generator ends when the server sends ``end_of_stream`` (run
+        terminal + journal drained).  On disconnect it waits
+        :data:`RECONNECT_DELAY_S` and reconnects from the last received
+        cursor (a journal byte offset), however often that takes.
         """
-        cursor = last_event_id
-        failures = 0
+        cursor = None
         path = f"/runs/{run_id}/events"
         while True:
-            finished = False
-            got_events = False
             try:
-                with closing(self._sse(path, cursor, stream_timeout_s)) as frames:
+                with closing(self._sse(path, cursor)) as frames:
                     for sse in frames:
                         if sse.event == "end_of_stream":
-                            finished = True
-                            break
+                            return
                         if sse.event_id is not None:
                             cursor = int(sse.event_id)
-                        got_events = True
-                        failures = 0
                         yield StreamedEvent(
                             raw=sse.data,
                             offset=cursor,
                             type=sse.event,
                             event=_maybe_json(sse.data),
                         )
-            except _STREAM_ERRORS as error:
-                if not reconnect:
-                    raise TransportError(
-                        f"event stream for {run_id} dropped: "
-                        f"{type(error).__name__}: {error}"
-                    ) from error
-            if finished:
-                return
-            if not reconnect:
-                return
-            if not got_events:
-                failures += 1
-                if max_reconnects is not None and failures > max_reconnects:
-                    raise TransportError(
-                        f"event stream for {run_id} dropped "
-                        f"{failures} times without progress"
-                    )
-            time.sleep(reconnect_delay_s)
+            except _STREAM_ERRORS:
+                pass
+            time.sleep(RECONNECT_DELAY_S)
 
 
 def _iter_lines(response) -> Iterator[str]:

@@ -43,6 +43,9 @@ __all__ = ["RunScheduler"]
 #: manifest statuses a run cannot leave
 TERMINAL_STATUSES = ("completed", "failed", "cancelled")
 
+#: how long :meth:`RunScheduler.stop` waits for its worker thread
+STOP_TIMEOUT_S = 10.0
+
 #: what ``POST /runs`` may set: the spec fields that are safe to take from
 #: the network (no filesystem paths), plus the run id
 SUBMIT_FIELDS = frozenset({
@@ -114,7 +117,7 @@ class RunScheduler:
             self._thread.start()
         return self
 
-    def stop(self, timeout_s: float = 10.0) -> None:
+    def stop(self) -> None:
         """Stop the worker; a running child is terminated (SIGTERM)."""
         with self._cv:
             self._stopping = True
@@ -122,7 +125,7 @@ class RunScheduler:
             self._cv.notify_all()
         self._terminate(proc)
         if self._thread is not None:
-            self._thread.join(timeout=timeout_s)
+            self._thread.join(timeout=STOP_TIMEOUT_S)
             self._thread = None
 
     @staticmethod

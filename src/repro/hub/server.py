@@ -48,13 +48,11 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.errors import ConfigurationError, TrackingError
 from repro.hub.aggregate import FleetAggregator
 from repro.hub.scheduler import TERMINAL_STATUSES, RunScheduler
-from repro.hub.sse import (
-    format_sse_comment,
-    format_sse_event,
-    journal_events_since,
-)
+from repro.hub.sse import format_sse_comment, format_sse_event
+from repro.tracking.journal import follow_journal
 from repro.tracking.store import RunStore
 from repro.utils.httpcore import (
+    DRAIN_TIMEOUT_S,
     HttpServer,
     Reply,
     Request,
@@ -96,7 +94,6 @@ class HubServer(HttpServer):
         replica_urls: Optional[List[str]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
         sse_poll_interval_s: float = 0.05,
         reconcile_on_start: bool = True,
     ):
@@ -117,7 +114,7 @@ class HubServer(HttpServer):
                 ("GET", "/runs/<id>/events"): Route(self._stream_events, get),
                 ("GET", "/fleet/metrics"): Route(self._get_fleet_metrics, get, True),
             },
-            metrics if metrics is not None else MetricsRegistry(),
+            MetricsRegistry(),
             prefix="hub",
             draining_error="hub draining",
         )
@@ -138,10 +135,10 @@ class HubServer(HttpServer):
         self.scheduler.start()
         return super().start()
 
-    def stop(self, drain_timeout_s: float = 5.0) -> None:
+    def stop(self) -> None:
         """Drain requests (SSE streams self-close), stop scheduler + listener."""
         self.begin_drain()
-        self.drain(timeout_s=drain_timeout_s)
+        self.drain(timeout_s=DRAIN_TIMEOUT_S)
         self.scheduler.stop()
         if self.aggregator is not None:
             self.aggregator.close()
@@ -242,47 +239,41 @@ class HubServer(HttpServer):
     ) -> None:
         """Stream a journal's lines past ``cursor`` as SSE frames.
 
-        Ends with an ``end_of_stream`` frame once ``status()`` has been
-        terminal for a whole poll that drained nothing new, or with a
-        comment frame when the hub drains — so clients can tell
-        completion and shutdown from a dropped connection.
+        Ends with an ``end_of_stream`` frame once
+        :func:`~repro.tracking.journal.follow_journal` ends (the run is
+        terminal and its journal drained), or with a comment frame when
+        the hub drains — so clients can tell completion and shutdown from
+        a dropped connection.
         """
         last_activity = time.monotonic()
-        terminal_seen = False
-        while True:
-            frames = []
-            if journal.exists():
-                lines, scan = journal_events_since(journal, cursor)
-                frames = [
-                    format_sse_event(
-                        line.decode("utf-8"),
-                        event_id=end,
-                        event=str(event.get("type", "event")),
-                    )
-                    for line, end, event in lines
-                ]
-                cursor = scan.valid_bytes
-            if frames:
-                write(b"".join(frames))
-                self.metrics.counter("hub_sse_events_total").inc(len(frames))
-                last_activity = time.monotonic()
-            elif terminal_seen:
-                # terminal status was observed on a *previous* poll, and
-                # this poll drained nothing new — every event written
-                # before the status flip is out
+        for lines in follow_journal(
+            journal,
+            cursor,
+            lambda: status() in TERMINAL_STATUSES,
+            self.sse_poll_interval_s,
+        ):
+            if lines:
                 write(
-                    format_sse_event(
-                        json.dumps({"status": status()}, sort_keys=True),
-                        event="end_of_stream",
+                    b"".join(
+                        format_sse_event(
+                            line.decode("utf-8"),
+                            event_id=end,
+                            event=str(event.get("type", "event")),
+                        )
+                        for line, end, event in lines
                     )
                 )
-                return
+                self.metrics.counter("hub_sse_events_total").inc(len(lines))
+                last_activity = time.monotonic()
             if self.draining:
                 write(format_sse_comment("hub draining"))
                 return
-            terminal_seen = status() in TERMINAL_STATUSES
-            if not frames:
-                if time.monotonic() - last_activity >= SSE_KEEPALIVE_S:
-                    write(format_sse_comment())
-                    last_activity = time.monotonic()
-                time.sleep(self.sse_poll_interval_s)
+            if not lines and time.monotonic() - last_activity >= SSE_KEEPALIVE_S:
+                write(format_sse_comment())
+                last_activity = time.monotonic()
+        write(
+            format_sse_event(
+                json.dumps({"status": status()}, sort_keys=True),
+                event="end_of_stream",
+            )
+        )

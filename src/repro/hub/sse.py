@@ -10,7 +10,8 @@ appended line — so SSE maps onto it without an intermediate broker:
   event's line** in the journal file.  A reconnecting client sends that
   offset back as ``Last-Event-ID`` and the server seeks straight to it —
   no scan, no sequence-number bookkeeping, and the id doubles as the
-  cursor for :func:`repro.tracking.journal.read_events_from`;
+  cursor of :func:`repro.tracking.journal.follow_journal`, which reads
+  the journal for both the hub and ``repro runs tail --follow``;
 * the ``event:`` field carries the journal event's ``type`` so clients
   can route without parsing the JSON.
 
@@ -25,17 +26,13 @@ fields this server emits).
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
-
-from repro.tracking.journal import JournalScan, read_bytes_from, scan_bytes
+from typing import Iterable, Iterator, List, Optional
 
 __all__ = [
     "SSEEvent",
     "format_sse_event",
     "format_sse_comment",
-    "journal_events_since",
     "parse_sse_lines",
 ]
 
@@ -75,30 +72,6 @@ def format_sse_event(
 def format_sse_comment(text: str = "keepalive") -> bytes:
     """An SSE comment frame — clients ignore it; proxies see live bytes."""
     return f": {text}\n\n".encode("utf-8")
-
-
-def journal_events_since(
-    path: Union[str, pathlib.Path], offset: int
-) -> Tuple[List[Tuple[bytes, int, Dict]], JournalScan]:
-    """Complete journal events past ``offset`` as ``(raw_line, end, event)``.
-
-    ``raw_line`` is the exact bytes of the journal line (no trailing
-    newline) — the SSE ``data:`` payload; ``end`` is the byte offset just
-    past the line — the SSE ``id:``.  The returned scan carries
-    ``valid_bytes`` (the next cursor) and ``truncated_tail`` exactly as
-    :func:`~repro.tracking.journal.read_events_from` would.
-    """
-    raw = read_bytes_from(path, offset)
-    scan = scan_bytes(raw, offset)
-    frames: List[Tuple[bytes, int, Dict]] = []
-    previous = offset
-    for event, end in zip(scan.events, scan.event_offsets):
-        # strip() tolerates blank filler lines the scanner skipped over;
-        # journal lines themselves are single-line JSON objects
-        line = raw[previous - offset : end - offset - 1].strip()
-        frames.append((line, end, event))
-        previous = end
-    return frames, scan
 
 
 def parse_sse_lines(lines: Iterable[str]) -> Iterator[SSEEvent]:

@@ -28,6 +28,9 @@ from repro.utils.rng import SeedLike, as_generator
 
 ConfigT = TypeVar("ConfigT")
 
+#: the most grid positions one :meth:`DiscreteDesignSpace.mutate` move shifts
+MUTATE_STEP = 2
+
 
 @dataclass(frozen=True)
 class Dimension:
@@ -122,15 +125,11 @@ class DiscreteDesignSpace(Generic[ConfigT]):
         }
         return self.to_config(assignment)
 
-    def sample_batch(
-        self, count: int, seed: SeedLike = None, unique: bool = True
-    ) -> List[ConfigT]:
-        """Draw ``count`` configurations, de-duplicated when ``unique``."""
+    def sample_batch(self, count: int, seed: SeedLike = None) -> List[ConfigT]:
+        """Draw ``count`` distinct configurations."""
         if count < 0:
             raise DesignSpaceError(f"count must be non-negative, got {count}")
         rng = as_generator(seed)
-        if not unique:
-            return [self.sample(rng) for _ in range(count)]
         seen: set = set()
         batch: List[ConfigT] = []
         attempts = 0
@@ -241,13 +240,12 @@ class DiscreteDesignSpace(Generic[ConfigT]):
         config: ConfigT,
         seed: SeedLike = None,
         num_moves: int = 1,
-        step: int = 2,
     ) -> ConfigT:
         """Return a neighbor: ``num_moves`` dimensions stepped on their grid.
 
-        Each move shifts one dimension's index by up to ``step`` positions —
-        a local move in the ordinal geometry, which is the metric the GP
-        encoding uses too.
+        Each move shifts one dimension's index by up to :data:`MUTATE_STEP`
+        positions — a local move in the ordinal geometry, which is the
+        metric the GP encoding uses too.
         """
         rng = as_generator(seed)
         assignment = self.from_config(config)
@@ -259,7 +257,7 @@ class DiscreteDesignSpace(Generic[ConfigT]):
             current = dim.index_of(assignment[dim.name])
             offset = 0
             while offset == 0:
-                offset = int(rng.integers(-step, step + 1))
+                offset = int(rng.integers(-MUTATE_STEP, MUTATE_STEP + 1))
             new_index = min(max(current + offset, 0), len(dim) - 1)
             assignment[dim.name] = dim.choices[new_index]
         return self.to_config(assignment)

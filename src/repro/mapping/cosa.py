@@ -28,8 +28,11 @@ from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.gemm_mapping import GemmMapping
 from repro.utils.intmath import nearest_divisor, round_up_div
 
+#: bytes of one accumulator in the L1 budget
+ACC_BYTES = 4
 
-def construct_mapping(shape, hw, acc_bytes: int = 4) -> GemmMapping:
+
+def construct_mapping(shape, hw) -> GemmMapping:
     """Build the constrained-optimization mapping for one GEMM on ``hw``."""
     m, n, k = shape.m, shape.n, shape.k
     best = GemmMapping(1, 1, 1)
@@ -39,21 +42,21 @@ def construct_mapping(shape, hw, acc_bytes: int = 4) -> GemmMapping:
         tile_n = nearest_divisor(n, min(n, sub * hw.pe_y))
         sub_m = round_up_div(tile_m, hw.pe_x)
         sub_n = round_up_div(tile_n, hw.pe_y)
-        tk_budget = (hw.l1_bytes - sub_m * sub_n * acc_bytes) // (
+        tk_budget = (hw.l1_bytes - sub_m * sub_n * ACC_BYTES) // (
             2 * (sub_m + sub_n)
         )
         if tk_budget < 1:
             continue
         tile_k = nearest_divisor(k, min(k, int(tk_budget)))
         while (
-            2 * (sub_m * tile_k + tile_k * sub_n) + sub_m * sub_n * acc_bytes
+            2 * (sub_m * tile_k + tile_k * sub_n) + sub_m * sub_n * ACC_BYTES
             > hw.l1_bytes
             and tile_k > 1
         ):
             tile_k = nearest_divisor(k, max(1, tile_k // 2))
         # L2 working set: shrink the larger of m/n until it fits
         while (
-            2 * (tile_m + tile_n) * tile_k + tile_m * tile_n * acc_bytes
+            2 * (tile_m + tile_n) * tile_k + tile_m * tile_n * ACC_BYTES
             > hw.l2_bytes
             and max(tile_m, tile_n) > 1
         ):
@@ -62,11 +65,11 @@ def construct_mapping(shape, hw, acc_bytes: int = 4) -> GemmMapping:
             else:
                 tile_n = nearest_divisor(n, max(1, tile_n // 2))
         l1_fits = (
-            2 * (sub_m * tile_k + tile_k * sub_n) + sub_m * sub_n * acc_bytes
+            2 * (sub_m * tile_k + tile_k * sub_n) + sub_m * sub_n * ACC_BYTES
             <= hw.l1_bytes
         )
         l2_fits = (
-            2 * (tile_m + tile_n) * tile_k + tile_m * tile_n * acc_bytes
+            2 * (tile_m + tile_n) * tile_k + tile_m * tile_n * ACC_BYTES
             <= hw.l2_bytes
         )
         if not (l1_fits and l2_fits):

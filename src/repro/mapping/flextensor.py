@@ -23,6 +23,8 @@ from repro.mapping.gemm_mapping import GemmMapping
 #: the annealing temperature at the first step, and its decay per step
 INITIAL_TEMPERATURE = 0.30
 COOLING = 0.997
+#: chance that a step picks its layer uniformly instead of by weight
+EPSILON = 0.15
 
 
 class FlexTensorSearch(AnytimeMappingSearch):
@@ -33,14 +35,8 @@ class FlexTensorSearch(AnytimeMappingSearch):
     #: weights, so speculation is safe
     supports_speculation = True
 
-    def __init__(
-        self,
-        *args,
-        epsilon: float = 0.15,
-        **kwargs,
-    ):
+    def __init__(self, *args, **kwargs):
         self._temperature = INITIAL_TEMPERATURE
-        self._epsilon = epsilon
         self._credit: Dict[str, float] = {}
         self._current: Dict[str, GemmMapping] = {}
         self._current_score: Dict[str, float] = {}
@@ -59,7 +55,7 @@ class FlexTensorSearch(AnytimeMappingSearch):
 
     def _pick_layer(self) -> str:
         layer_name = None
-        if self.rng.random() >= self._epsilon:
+        if self.rng.random() >= EPSILON:
             layer_name = self._pick_weighted_layer()
         if layer_name is None:  # exploration, or degenerate weights
             layer_name = self.layer_names[

@@ -32,19 +32,16 @@ from repro.camodel.mapping import AscendMapping, AscendMappingSpace
 from repro.costmodel.results import LayerPPA
 from repro.mapping.base import AnytimeMappingSearch
 
+#: chance that a step proposes fusing a layer with its successor
+FUSION_PROBABILITY = 0.2
+
 
 class DepthFirstFusionSearch(AnytimeMappingSearch):
     """Depth-first tile refinement + adjacent-layer fusion proposals."""
 
     name = "fusion"
 
-    def __init__(
-        self,
-        *args,
-        fusion_probability: float = 0.2,
-        **kwargs,
-    ):
-        self._fusion_probability = fusion_probability
+    def __init__(self, *args, **kwargs):
         self._cursor = 0
         self._pending_fusion_index: Optional[int] = None
         super().__init__(*args, **kwargs)
@@ -74,7 +71,7 @@ class DepthFirstFusionSearch(AnytimeMappingSearch):
         index = self.layer_names.index(layer_name)
         self._pending_fusion_index = None
         can_fuse = index + 1 < len(self.layer_names) and not current.fuse_output
-        if can_fuse and self.rng.random() < self._fusion_probability:
+        if can_fuse and self.rng.random() < FUSION_PROBABILITY:
             candidate = dataclasses.replace(current, fuse_output=True)
             self._pending_fusion_index = index
             return layer_name, candidate

@@ -19,6 +19,8 @@ from repro.mapping.gemm_mapping import GemmMapping
 
 #: chance that an offspring is mutated after it is bred
 MUTATION_RATE = 0.6
+#: mappings kept per layer
+POPULATION_SIZE = 6
 
 
 class GammaSearch(AnytimeMappingSearch):
@@ -29,13 +31,7 @@ class GammaSearch(AnytimeMappingSearch):
     #: speculation is safe
     supports_speculation = True
 
-    def __init__(
-        self,
-        *args,
-        population_size: int = 6,
-        **kwargs,
-    ):
-        self._population_size = population_size
+    def __init__(self, *args, **kwargs):
         # population entries: (mapping, score); scores filled lazily
         self._population: Dict[str, List[Tuple[GemmMapping, float]]] = {}
         super().__init__(*args, **kwargs)
@@ -44,7 +40,7 @@ class GammaSearch(AnytimeMappingSearch):
             seed_score = self._layer_score(self.best_layer_result[layer_name])
             space = self.spaces[layer_name]
             members: List[Tuple[GemmMapping, float]] = [(seed_mapping, seed_score)]
-            while len(members) < self._population_size:
+            while len(members) < POPULATION_SIZE:
                 members.append((space.sample(self.rng), float("inf")))
             self._population[layer_name] = members
         self._round_robin = 0
@@ -83,4 +79,4 @@ class GammaSearch(AnytimeMappingSearch):
         members.append((mapping, score))
         # elitist survival: keep the best population_size members
         members.sort(key=lambda pair: pair[1])
-        del members[self._population_size :]
+        del members[POPULATION_SIZE:]

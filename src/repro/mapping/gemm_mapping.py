@@ -28,6 +28,9 @@ from repro.utils.intmath import divisors, nearest_divisor, step_on_grid
 from repro.utils.rng import SeedLike, as_generator
 from repro.workloads.layers import GemmShape
 
+#: the largest tile on any axis of a space's grid, to bound footprints
+MAX_TILE = 4096
+
 LOOP_ORDERS: Tuple[Tuple[str, str, str], ...] = tuple(
     itertools.permutations(("m", "n", "k"))
 )
@@ -114,15 +117,15 @@ class GemmMappingSpace:
     """The mapping space induced by one :class:`GemmShape`.
 
     Tile sizes range over the divisors of each GEMM dimension (capped at
-    ``max_tile`` to bound footprints), crossed with loop orders, spatial
+    :data:`MAX_TILE`), crossed with loop orders, spatial
     choices and unroll factors.
     """
 
-    def __init__(self, shape: GemmShape, max_tile: int = 4096):
+    def __init__(self, shape: GemmShape):
         self.shape = shape
-        self.tile_m_choices = tuple(d for d in divisors(shape.m) if d <= max_tile)
-        self.tile_n_choices = tuple(d for d in divisors(shape.n) if d <= max_tile)
-        self.tile_k_choices = tuple(d for d in divisors(shape.k) if d <= max_tile)
+        self.tile_m_choices = tuple(d for d in divisors(shape.m) if d <= MAX_TILE)
+        self.tile_n_choices = tuple(d for d in divisors(shape.n) if d <= MAX_TILE)
+        self.tile_k_choices = tuple(d for d in divisors(shape.k) if d <= MAX_TILE)
         if not (self.tile_m_choices and self.tile_n_choices and self.tile_k_choices):
             raise MappingError(f"empty tile grid for shape {shape}")
 
@@ -252,7 +255,7 @@ SPACES_HELD = 256
 
 @lru_cache(maxsize=SPACES_HELD)
 def shared_space(shape: GemmShape) -> GemmMappingSpace:
-    """The one :class:`GemmMappingSpace` (default ``max_tile``) of ``shape``.
+    """The one :class:`GemmMappingSpace` of ``shape``.
 
     A space depends on its shape alone and no search writes to one, so
     every search on every hardware config shares one space per shape.

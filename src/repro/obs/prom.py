@@ -154,26 +154,22 @@ def _fmt(value: float) -> str:
     return f"{float(value):g}"
 
 
-def help_for(base: str, extra: Optional[Dict[str, str]] = None) -> Optional[str]:
+def help_for(base: str) -> Optional[str]:
     """Description of a (sanitized) metric family, if one is registered."""
-    if extra is not None and base in extra:
-        return extra[base]
     return METRIC_HELP.get(base)
 
 
-def render_prometheus(
-    snapshot: Dict, help_text: Optional[Dict[str, str]] = None
-) -> str:
+def render_prometheus(snapshot: Dict) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` as Prometheus text.
 
     Deterministic: families and series appear in sorted-name order, so
-    repeated scrapes of an idle registry are byte-identical.
-    ``help_text`` overlays :data:`METRIC_HELP` for ad-hoc families.
+    repeated scrapes of an idle registry are byte-identical.  A family's
+    ``# HELP`` line is its :data:`METRIC_HELP` entry, if it has one.
     """
     lines: List[str] = []
 
     def _emit_help(base: str) -> None:
-        description = help_for(base, help_text)
+        description = help_for(base)
         if description:
             lines.append(f"# HELP {base} {_escape_help(description)}")
 

@@ -6,15 +6,16 @@ import numpy as np
 from scipy.special import ndtr
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
+#: the margin an improvement must clear before it counts
+XI = 0.01
 
 
 def expected_improvement(
     mean: np.ndarray,
     std: np.ndarray,
     best: "float | np.ndarray",
-    xi: float = 0.01,
 ) -> np.ndarray:
-    """EI for minimization: E[max(best - f - xi, 0)] under N(mean, std^2).
+    """EI for minimization: E[max(best - f - XI, 0)] under N(mean, std^2).
 
     Balances exploitation (low predicted mean) against exploration (high
     predictive uncertainty) — the balance Section 3.2 asks of the batch
@@ -23,7 +24,7 @@ def expected_improvement(
     """
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
-    improvement = best - mean - xi
+    improvement = best - mean - XI
     z = improvement / std
     # Phi and phi by the very expressions SciPy's ``norm`` distribution
     # evaluates (bit-identical), without importing its distributions

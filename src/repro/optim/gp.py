@@ -1,9 +1,10 @@
 """Gaussian-process regression (the MOBO surrogate), from scratch.
 
-A standard zero-mean GP with ARD kernels, Cholesky solves, and marginal-
-likelihood hyperparameter fitting via two-start L-BFGS-B on log-scale
-parameters.  Inputs are the ``[0, 1]^d`` ordinal encodings produced by the
-hardware design spaces; outputs are normalized objective values.
+A standard zero-mean GP with an ARD Matérn-5/2 kernel, Cholesky solves,
+and marginal-likelihood hyperparameter fitting via two-start L-BFGS-B on
+log-scale parameters.  Inputs are the ``[0, 1]^d`` ordinal encodings
+produced by the hardware design spaces; outputs are normalized objective
+values.
 
 Only what MOBO needs is implemented: ``fit`` and ``predict`` (mean/std).
 
@@ -15,10 +16,9 @@ Three outer-loop fast paths live here:
   and each evaluation works in a handful of reused ``n x n`` buffers and
   calls LAPACK's ``dpotrs`` directly;
 * :meth:`GaussianProcess.cholesky_factor` exposes the kernel Cholesky as
-  a reusable :class:`CholeskyFactor`, so the batch sampler's per-slot GPs
-  (same X, same shared hyperparameters, different scalarized y) skip the
-  :math:`O(n^3)` re-factorization — ``fit(..., factor=...)`` only
-  standardizes y and runs two triangular solves;
+  a reusable :class:`CholeskyFactor`, so the batch sampler's per-slot
+  posteriors (same X, same shared hyperparameters, different scalarized
+  y) skip the :math:`O(n^3)` re-factorization;
 * each fit's second L-BFGS-B start descends in the process's one fit
   helper, a child forked by the first fit that may fork
   (:func:`_forking_pays`) and reused by every later one, while the first
@@ -41,22 +41,10 @@ from scipy.linalg import lapack
 from repro.errors import SurrogateError
 
 _JITTER = 1e-8
+#: added to the fitted noise variance, so K stays well conditioned
+_NOISE_FLOOR = 1e-6
 _SQRT5 = np.sqrt(5.0)
 _LOG_2PI = np.log(2 * np.pi)
-
-
-def rbf_kernel(
-    x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray, variance: float
-) -> np.ndarray:
-    """ARD squared-exponential kernel matrix."""
-    scaled1 = x1 / lengthscales
-    scaled2 = x2 / lengthscales
-    sq_dist = (
-        np.sum(scaled1**2, axis=1)[:, None]
-        + np.sum(scaled2**2, axis=1)[None, :]
-        - 2.0 * scaled1 @ scaled2.T
-    )
-    return variance * np.exp(-0.5 * np.maximum(sq_dist, 0.0))
 
 
 def matern52_kernel(
@@ -77,11 +65,6 @@ def matern52_kernel(
         * (1.0 + sqrt5 * dist + (5.0 / 3.0) * dist**2)
         * np.exp(-sqrt5 * dist)
     )
-
-
-_KERNELS = {"rbf": rbf_kernel, "matern52": matern52_kernel}
-#: a kernel's number in a fit helper request
-_KERNEL_NAMES = tuple(_KERNELS)
 
 
 @dataclass
@@ -204,8 +187,8 @@ def _serve(requests: int, replies: int) -> None:
     """The fit helper's loop: one descent per request, until the owner
     closes its end of ``requests`` or exits.
 
-    A request is float64 bytes: ``(kernel, noise floor, rows, columns)``,
-    then ``x``, ``y_std`` and the start; the reply is ``(fun, params)``.
+    A request is float64 bytes: ``(rows, columns)``, then ``x``,
+    ``y_std`` and the start; the reply is ``(fun, params)``.
     """
     import gc
 
@@ -218,10 +201,10 @@ def _serve(requests: int, replies: int) -> None:
     os.closerange(low + 1, high)
     os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
     while True:
-        header = _read_exactly(requests, 32)
-        if len(header) < 32:
+        header = _read_exactly(requests, 16)
+        if len(header) < 16:
             return
-        code, noise_floor, rows, columns = np.frombuffer(header)
+        rows, columns = np.frombuffer(header)
         rows, columns = int(rows), int(columns)
         size = rows * columns + rows + columns + 2
         body = _read_exactly(requests, 8 * size)
@@ -230,8 +213,7 @@ def _serve(requests: int, replies: int) -> None:
         values = np.frombuffer(body).copy()
         x = values[: rows * columns].reshape(rows, columns)
         y_std = values[rows * columns : rows * columns + rows]
-        gp = GaussianProcess(_KERNEL_NAMES[int(code)], float(noise_floor))
-        fun, params = _descent(gp, x, y_std)[1](values[rows * columns + rows :])
+        fun, params = _descent(GaussianProcess(), x, y_std)[1](values[rows * columns + rows :])
         _write_all(replies, np.concatenate(([fun], params)).tobytes())
 
 
@@ -253,8 +235,11 @@ class _FitHelper:
         self.reply_size = 0
 
     @classmethod
-    def start(cls) -> Optional["_FitHelper"]:
-        """Fork a helper; ``None`` if the pipes or the fork are refused."""
+    def start(cls, mask) -> Optional["_FitHelper"]:
+        """Fork a helper; ``None`` if the pipes or the fork are refused.
+        The helper runs with the signal mask ``mask``."""
+        import signal
+
         fds = []
         try:
             fds.extend(os.pipe())
@@ -269,6 +254,7 @@ class _FitHelper:
         request_r, request_w, reply_r, reply_w = fds
         if pid == 0:  # the helper never returns into the caller's frames
             try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(request_w)
                 os.close(reply_r)
                 _serve(request_r, reply_w)
@@ -278,11 +264,10 @@ class _FitHelper:
         os.close(reply_w)
         return cls(pid, request_w, reply_r)
 
-    def send(self, kernel: str, noise_floor: float, x, y_std, start) -> bool:
+    def send(self, x, y_std, start) -> bool:
         """Ask for a descent from ``start``; ``False`` if the helper is
         gone (it is then closed)."""
-        header = [_KERNEL_NAMES.index(kernel), noise_floor, *x.shape]
-        data = np.concatenate((header, x.ravel(), y_std, start)).tobytes()
+        data = np.concatenate((x.shape, x.ravel(), y_std, start)).tobytes()
         try:
             _write_all(self.requests, data)
         except OSError:  # EPIPE: the helper died since the fit asked
@@ -333,13 +318,21 @@ _HELPER: Optional[_FitHelper] = None
 def _fit_helper() -> Optional[_FitHelper]:
     """This process's live fit helper, forked now if there is none;
     ``None`` if none forks."""
+    import signal
+
     global _HELPER
     helper = _HELPER
     if helper is not None and helper.owner == os.getpid():  # not inherited
         if helper.alive():
             return helper
         helper.close()
-    _HELPER = _FitHelper.start()
+    # a handler that reaps the helper on SIGTERM or SIGINT (a hub run
+    # child's) must find it bound: both wait from the fork until it is
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGTERM, signal.SIGINT))
+    try:
+        _HELPER = _FitHelper.start(mask)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return _HELPER
 
 
@@ -368,14 +361,9 @@ def close_fit_helper() -> None:
 
 
 class GaussianProcess:
-    """Zero-mean GP regressor with y-standardization."""
+    """Zero-mean Matérn-5/2 GP regressor with y-standardization."""
 
-    def __init__(self, kernel: str = "matern52", noise_floor: float = 1e-6):
-        if kernel not in _KERNELS:
-            raise SurrogateError(f"unknown kernel {kernel!r}; use {sorted(_KERNELS)}")
-        self.kernel_name = kernel
-        self.kernel = _KERNELS[kernel]
-        self.noise_floor = noise_floor
+    def __init__(self):
         self.hyper: Optional[GPHyperparameters] = None
         self._x: Optional[np.ndarray] = None
         self._y_mean = 0.0
@@ -412,34 +400,25 @@ class GaussianProcess:
         n = len(y)
         lengthscales = np.exp(log_params[:d])
         variance = np.exp(log_params[d])
-        noise = np.exp(log_params[d + 1]) + self.noise_floor
+        noise = np.exp(log_params[d + 1]) + _NOISE_FLOOR
         if sq_diffs is None:
             sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
         inv_ls_sq = 1.0 / lengthscales**2
         sq_dist = sq_diffs @ inv_ls_sq
-        if self.kernel_name == "rbf":
-            # k_core = variance * exp(-0.5 * sq_dist)
-            k_core = np.multiply(sq_dist, -0.5, out=sq_dist)
-            np.exp(k_core, out=k_core)
-            k_core *= variance
-            # dK/d s_i = -0.5 * K; with d s_i / d log l_i = -2 s_i
-            ls_coef = k_core
-            k = np.empty_like(k_core)
-        else:  # matern52
-            dist = np.sqrt(sq_dist)
-            decay = np.multiply(dist, -_SQRT5)
-            np.exp(decay, out=decay)  # exp(-sqrt5 * dist)
-            one_plus = np.multiply(dist, _SQRT5, out=dist)
-            one_plus += 1.0  # 1 + sqrt5 * dist, shared by K and dK/d log l
-            # k_core = variance * (one_plus + (5/3) * sq_dist) * decay
-            k_core = np.multiply(sq_dist, 5.0 / 3.0, out=sq_dist)
-            k_core += one_plus
-            k_core *= variance
-            k_core *= decay
-            # ls_coef = variance * (5/3) * one_plus * decay
-            ls_coef = np.multiply(one_plus, variance * (5.0 / 3.0), out=one_plus)
-            ls_coef *= decay
-            k = decay
+        dist = np.sqrt(sq_dist)
+        decay = np.multiply(dist, -_SQRT5)
+        np.exp(decay, out=decay)  # exp(-sqrt5 * dist)
+        one_plus = np.multiply(dist, _SQRT5, out=dist)
+        one_plus += 1.0  # 1 + sqrt5 * dist, shared by K and dK/d log l
+        # k_core = variance * (one_plus + (5/3) * sq_dist) * decay
+        k_core = np.multiply(sq_dist, 5.0 / 3.0, out=sq_dist)
+        k_core += one_plus
+        k_core *= variance
+        k_core *= decay
+        # ls_coef = variance * (5/3) * one_plus * decay
+        ls_coef = np.multiply(one_plus, variance * (5.0 / 3.0), out=one_plus)
+        ls_coef *= decay
+        k = decay
         np.copyto(k, k_core)
         k.flat[:: n + 1] += noise + _JITTER
         try:
@@ -463,39 +442,22 @@ class GaussianProcess:
         w = np.outer(alpha, alpha, out=k)
         w -= k_inv
         grad = np.empty_like(log_params)
-        grad[d + 1] = -0.5 * np.trace(w) * (noise - self.noise_floor)
+        grad[d + 1] = -0.5 * np.trace(w) * (noise - _NOISE_FLOOR)
         # s_i = ((x_i - x_i')/l_i)^2; dK/d log l_i = ls_coef * s_i
         w_ls = np.multiply(w, ls_coef, out=ls_coef)
         grad[:d] = -0.5 * np.einsum("ij,ijk->k", w_ls, sq_diffs) * inv_ls_sq
-        # dK/d log variance = K_core; under rbf, w_ls is already w * K_core
-        w_k = w_ls if ls_coef is k_core else np.multiply(w, k_core, out=w)
-        grad[d] = -0.5 * np.sum(w_k)
+        # dK/d log variance = K_core
+        grad[d] = -0.5 * np.sum(np.multiply(w, k_core, out=w))
         return nll, grad
 
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        seed: int = 0,
-        optimize_hyper: bool = True,
-        hyper: Optional[GPHyperparameters] = None,
-        factor: Optional[CholeskyFactor] = None,
-    ) -> "GaussianProcess":
-        """Fit hyperparameters (optionally) and precompute the solve.
+    def fit(self, x: np.ndarray, y: np.ndarray, seed: int = 0) -> "GaussianProcess":
+        """Fit the hyperparameters and precompute the solve.
 
         The hyperparameters minimize the negative log marginal likelihood
         over two L-BFGS-B starts: the fixed ``initial`` parameters and one
-        perturbation of them drawn from ``seed``.
-
-        When ``hyper`` is given, the hyperparameters are taken as-is (used
-        to share one marginal-likelihood optimization across the per-slot
-        scalarized GPs of the batch sampler).  When ``factor`` is given,
-        the kernel Cholesky is reused too and only the y-standardization
-        and the two triangular solves run — bit-identical to refitting
-        from ``factor.hyper``.
+        perturbation of them drawn from ``seed``.  Fewer than three
+        observations keep ``initial``.
         """
-        if factor is not None:
-            x = factor.x
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         if x.shape[0] != y.shape[0]:
@@ -512,26 +474,11 @@ class GaussianProcess:
         y_std = (y - self._y_mean) / self._y_std
 
         d = x.shape[1]
-        if factor is not None:
-            self.hyper = factor.hyper
-            self._chol = factor.chol
-            self._alpha = np.linalg.solve(
-                self._chol.T, np.linalg.solve(self._chol, y_std)
-            )
-            return self
-        if hyper is not None:
-            self.hyper = GPHyperparameters(
-                np.asarray(hyper.lengthscales, dtype=float),
-                float(hyper.variance),
-                float(hyper.noise),
-            )
-            self._finalize_fit(x, y_std)
-            return self
         initial = np.concatenate(
             [np.log(np.full(d, 0.4)), [np.log(1.0)], [np.log(1e-3)]]
         )
         best_params = initial
-        if optimize_hyper and x.shape[0] >= 3:
+        if x.shape[0] >= 3:
             rng = np.random.default_rng(seed)
             second = initial + rng.normal(0.0, 0.7, size=initial.shape)
             # when forking pays, the second start descends in the fit
@@ -547,9 +494,7 @@ class GaussianProcess:
                     is GaussianProcess._neg_log_marginal_and_grad
                 ):
                     helper = _fit_helper()
-                    if helper is not None and not helper.send(
-                        self.kernel_name, self.noise_floor, x, y_std, second
-                    ):
+                    if helper is not None and not helper.send(x, y_std, second):
                         helper = None
                 objective, descend = _descent(self, x, y_std)
                 best_nll = objective(initial, x, y_std)[0]
@@ -566,14 +511,14 @@ class GaussianProcess:
                     best_params = params
         lengthscales = np.exp(best_params[:d])
         variance = float(np.exp(best_params[d]))
-        noise = float(np.exp(best_params[d + 1])) + self.noise_floor
+        noise = float(np.exp(best_params[d + 1])) + _NOISE_FLOOR
         self.hyper = GPHyperparameters(lengthscales, variance, noise)
         self._finalize_fit(x, y_std)
         return self
 
     def _finalize_fit(self, x: np.ndarray, y_std: np.ndarray) -> None:
         """Precompute the Cholesky solve for the current hyperparameters."""
-        k = self.kernel(x, x, self.hyper.lengthscales, self.hyper.variance)
+        k = matern52_kernel(x, x, self.hyper.lengthscales, self.hyper.variance)
         k[np.diag_indices_from(k)] += self.hyper.noise + _JITTER
         try:
             self._chol = np.linalg.cholesky(k)
@@ -590,8 +535,8 @@ class GaussianProcess:
             raise SurrogateError("GP queried before fit()")
 
     def cholesky_factor(self) -> CholeskyFactor:
-        """The fitted kernel factorization of the training X, for
-        ``fit(..., factor=...)`` on another target."""
+        """The fitted kernel factorization of the training X, for the
+        posteriors of other targets on the same X."""
         self._require_fit()
         return CholeskyFactor(x=self._x, hyper=self.hyper, chol=self._chol)
 
@@ -599,7 +544,7 @@ class GaussianProcess:
         """Posterior mean and standard deviation at ``x_new``."""
         self._require_fit()
         x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-        k_star = self.kernel(
+        k_star = matern52_kernel(
             x_new, self._x, self.hyper.lengthscales, self.hyper.variance
         )
         mean_std = k_star @ self._alpha

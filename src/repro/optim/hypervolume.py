@@ -83,11 +83,16 @@ def hypervolume(points: np.ndarray, reference: Sequence[float]) -> float:
     return _hv_recursive(points, reference)
 
 
-def reference_point_from(points: np.ndarray, margin: float = 1.1) -> np.ndarray:
+#: how far beyond the worst observation a derived reference sits: a pad
+#: of ``REFERENCE_MARGIN - 1`` times the worst value's magnitude
+REFERENCE_MARGIN = 1.1
+
+
+def reference_point_from(points: np.ndarray) -> np.ndarray:
     """A reference point slightly beyond the worst finite observation.
 
     The pad is *additive* on the magnitude of the worst value,
-    ``worst + (margin - 1) * max(|worst|, 1)``, so the reference always
+    ``worst + (REFERENCE_MARGIN - 1) * max(|worst|, 1)``, so the reference always
     moves outward (strictly worse, under minimization) regardless of
     sign.  A multiplicative ``worst * margin`` would move *inward* on
     axes whose worst observation is negative, silently discarding those
@@ -97,8 +102,6 @@ def reference_point_from(points: np.ndarray, margin: float = 1.1) -> np.ndarray:
     finite = np.all(np.isfinite(points), axis=1)
     if not finite.any():
         raise ValueError("no finite points to derive a reference from")
-    if margin <= 1.0:
-        raise ValueError(f"margin must exceed 1, got {margin}")
     worst = points[finite].max(axis=0)
-    pad = (margin - 1.0) * np.maximum(np.abs(worst), 1.0)
+    pad = (REFERENCE_MARGIN - 1.0) * np.maximum(np.abs(worst), 1.0)
     return worst + pad + 1e-9

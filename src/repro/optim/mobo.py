@@ -40,7 +40,7 @@ from repro.errors import SurrogateError
 from repro.hw.space import DiscreteDesignSpace
 from repro.obs.trace import NULL_TRACER
 from repro.optim.acquisition import expected_improvement
-from repro.optim.gp import GaussianProcess, GPHyperparameters
+from repro.optim.gp import GaussianProcess, GPHyperparameters, matern52_kernel
 from repro.optim.scalarize import parego_scalars, sample_weight_vector, uniform_weights
 from repro.utils.rng import SeedLike, as_generator
 
@@ -53,7 +53,6 @@ class MOBOSampler:
         space: DiscreteDesignSpace,
         num_objectives: int,
         seed: SeedLike = None,
-        kernel: str = "matern52",
         rho: float = 0.2,
         pool_size: int = 512,
         min_observations: int = 8,
@@ -61,7 +60,6 @@ class MOBOSampler:
         self.space = space
         self.num_objectives = num_objectives
         self.rng = as_generator(seed)
-        self.kernel = kernel
         self.rho = rho
         self.pool_size = pool_size
         self.min_observations = min_observations
@@ -146,7 +144,7 @@ class MOBOSampler:
             uniform_scalar = parego_scalars(
                 y_train, uniform_weights(self.num_objectives), self.rho
             )
-            shared_gp = GaussianProcess(self.kernel)
+            shared_gp = GaussianProcess()
             shared_gp.fit(
                 x_train,
                 uniform_scalar,
@@ -207,8 +205,7 @@ class MOBOSampler:
             for _ in range(slots)
         ]
         # pool posterior pieces shared by every slot (same X, same hyper)
-        kernel = GaussianProcess(self.kernel).kernel
-        k_star = kernel(x_pool, factor.x, hyper.lengthscales, hyper.variance)
+        k_star = matern52_kernel(x_pool, factor.x, hyper.lengthscales, hyper.variance)
         v = np.linalg.solve(chol, k_star.T)
         var = np.maximum(hyper.variance - np.sum(v**2, axis=0), 1e-12)
         sqrt_var = np.sqrt(var)

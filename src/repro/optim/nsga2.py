@@ -9,7 +9,7 @@ vectors (infeasible hardware) are ranked behind every feasible individual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -59,10 +59,8 @@ class NSGA2:
         self.generation = 0
 
     # ------------------------------------------------------------------- setup
-    def initialize(self, initial_configs: Optional[Sequence] = None) -> None:
-        configs = list(initial_configs or [])
-        while len(configs) < self.population_size:
-            configs.append(self.space.sample(self.rng))
+    def initialize(self) -> None:
+        configs = [self.space.sample(self.rng) for _ in range(self.population_size)]
         self.population = [self._make_individual(c) for c in configs]
         self._assign_ranks(self.population)
 

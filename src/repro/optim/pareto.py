@@ -149,19 +149,17 @@ class ParetoFront(Generic[ItemT]):
             return np.zeros((0, self.num_objectives))
         return np.vstack(self._points)
 
-    def min_euclidean(
-        self, normalize: bool = True
-    ) -> Optional[Tuple[ItemT, np.ndarray]]:
+    def min_euclidean(self) -> Optional[Tuple[ItemT, np.ndarray]]:
         """The front member closest to the origin (Table 1/2 selection rule).
 
-        With ``normalize`` (default), objectives are min-max scaled over the
-        front first so no single unit dominates the distance.
+        Objectives are min-max scaled over the front first so no single unit
+        dominates the distance.
         """
         if not self._points:
             return None
         points = self.points
         scaled = points
-        if normalize and len(self._points) > 1:
+        if len(self._points) > 1:
             low = points.min(axis=0)
             high = points.max(axis=0)
             span = np.where(high > low, high - low, 1.0)

@@ -20,6 +20,10 @@ from repro.hw.space import DiscreteDesignSpace
 from repro.utils.rng import SeedLike, as_generator
 
 _MIN_BANDWIDTH = 0.05
+#: the share of finite observations that makes the good set
+GAMMA = 0.25
+#: candidates drawn from l(x) per suggestion
+NUM_CANDIDATES = 64
 
 
 class ParzenEstimator:
@@ -66,16 +70,10 @@ class TPESampler:
     def __init__(
         self,
         space: DiscreteDesignSpace,
-        gamma: float = 0.25,
-        num_candidates: int = 64,
         min_observations: int = 8,
         seed: SeedLike = None,
     ):
-        if not 0.0 < gamma < 1.0:
-            raise SurrogateError(f"gamma must be in (0, 1), got {gamma}")
         self.space = space
-        self.gamma = gamma
-        self.num_candidates = num_candidates
         self.min_observations = min_observations
         self.rng = as_generator(seed)
 
@@ -88,7 +86,7 @@ class TPESampler:
         if finite.size < 2:
             return finite, np.array([], dtype=int)
         order = finite[np.argsort(scores[finite])]
-        n_good = max(1, int(np.ceil(self.gamma * order.size)))
+        n_good = max(1, int(np.ceil(GAMMA * order.size)))
         return order[:n_good], order[n_good:]
 
     def suggest(
@@ -114,7 +112,7 @@ class TPESampler:
         bad = ParzenEstimator(encoded[bad_idx])
         suggestions: List = []
         for _ in range(count):
-            candidates = good.sample(self.num_candidates, self.rng)
+            candidates = good.sample(NUM_CANDIDATES, self.rng)
             ei_proxy = good.log_density(candidates) - bad.log_density(candidates)
             best = candidates[int(np.argmax(ei_proxy))]
             suggestions.append(self.space.decode(best))

@@ -37,9 +37,10 @@ import json
 import os
 import pathlib
 import threading
+import time
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import TrackingError
 from repro.utils.records import to_jsonable
@@ -84,6 +85,10 @@ EVENT_TYPES = (
 #: the text an ``iteration_state`` line carries: a string value escapes
 #: its quotes, so only a ``type`` key can write it
 _STATE_MARKER = b'"type": "iteration_state"'
+
+#: the bytes a tail read takes from the journal's end first (doubled until
+#: it holds enough events)
+TAIL_WINDOW = 65536
 
 
 @dataclass
@@ -199,14 +204,9 @@ class EventJournal:
     the engine's ``max_inflight`` fan-out threads.
     """
 
-    def __init__(
-        self,
-        path: Union[str, pathlib.Path],
-        fsync: bool = False,
-        _next_seq: int = 0,
-    ):
+    def __init__(self, path: Union[str, pathlib.Path], fsync: bool = False):
         self.path = pathlib.Path(path)
-        self._next_seq = _next_seq
+        self._next_seq = 0
         self._lock = threading.Lock()
         self._log = AppendLog(self.path, fsync=fsync)
 
@@ -367,11 +367,61 @@ def read_events(path: Union[str, pathlib.Path]) -> JournalScan:
     return read_events_from(path, 0)
 
 
+def journal_events_since(
+    path: Union[str, pathlib.Path], offset: int
+) -> Tuple[List[Tuple[bytes, int, Dict]], JournalScan]:
+    """Complete journal events past ``offset`` as ``(raw_line, end, event)``.
+
+    ``raw_line`` is the exact bytes of the journal line (no trailing
+    newline) — an SSE ``data:`` payload; ``end`` is the byte offset just
+    past the line — an SSE ``id:``.  The returned scan carries
+    ``valid_bytes`` (the next cursor) and ``truncated_tail`` exactly as
+    :func:`read_events_from` would.
+    """
+    raw = read_bytes_from(path, offset)
+    scan = scan_bytes(raw, offset)
+    frames: List[Tuple[bytes, int, Dict]] = []
+    previous = offset
+    for event, end in zip(scan.events, scan.event_offsets):
+        # strip() tolerates blank filler lines the scanner skipped over;
+        # journal lines themselves are single-line JSON objects
+        line = raw[previous - offset : end - offset - 1].strip()
+        frames.append((line, end, event))
+        previous = end
+    return frames, scan
+
+
+def follow_journal(
+    path: pathlib.Path, cursor: int, finished: Callable[[], bool], poll_s: float
+) -> Iterator[List[Tuple[bytes, int, Dict]]]:
+    """A live run's journal past ``cursor``: one list of
+    :func:`journal_events_since` frames per poll, empty when the poll
+    found nothing (a file not written yet is empty too).
+
+    Ends once ``finished()`` — the run's status is terminal — held on an
+    earlier poll and a later poll drains nothing: every event written
+    before the status flipped is out by then, even one appended between
+    a poll and the status read after it.  Sleeps ``poll_s`` after a poll
+    that drained nothing.
+    """
+    finished_before = False
+    while True:
+        frames: List[Tuple[bytes, int, Dict]] = []
+        if path.exists():
+            frames, scan = journal_events_since(path, cursor)
+            cursor = scan.valid_bytes
+        if finished_before and not frames:
+            return
+        yield frames
+        finished_before = finished()
+        if not frames:
+            time.sleep(poll_s)
+
+
 def read_tail_events(
     path: Union[str, pathlib.Path],
     limit: int,
     event_type: Optional[str] = None,
-    initial_window: int = 65536,
 ) -> JournalScan:
     """Bounded tail read: the last ``limit`` events without an O(file) scan.
 
@@ -392,7 +442,7 @@ def read_tail_events(
     if limit < 0:
         raise TrackingError(f"tail limit must be >= 0, got {limit}")
     size = path.stat().st_size
-    window = max(4096, initial_window)
+    window = TAIL_WINDOW
     while True:
         start = max(0, size - window)
         raw = read_bytes_from(path, start)
@@ -460,6 +510,8 @@ __all__ = [
     "EventJournal",
     "JournalScan",
     "encode_value",
+    "follow_journal",
+    "journal_events_since",
     "last_state_end",
     "read_bytes_from",
     "read_events",

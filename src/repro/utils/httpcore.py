@@ -60,6 +60,8 @@ __all__ = [
 #: one message head (the stdlib's ``_MAXLINE`` and ``_MAXHEADERS``)
 MAX_LINE = 65536
 MAX_HEADERS = 100
+#: how long a stopping server waits for in-flight requests (seconds)
+DRAIN_TIMEOUT_S = 5.0
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _VERSION = re.compile(r"HTTP/(\d+)\.(\d+)")
@@ -132,12 +134,10 @@ class Reply(NamedTuple):
     stream: Optional[Callable[[Callable[[bytes], object]], None]] = None
 
 
-def json_reply(
-    status: int, payload, headers: Optional[Dict[str, str]] = None
-) -> Reply:
+def json_reply(status: int, payload) -> Reply:
     """A JSON reply (keys sorted, so equal payloads are equal bytes)."""
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return Reply(status, "application/json", body, headers)
+    return Reply(status, "application/json", body)
 
 
 def text_reply(status: int, text: str) -> Reply:
@@ -278,7 +278,7 @@ class HttpServer:
                 lambda: self._inflight == 0, timeout=timeout_s
             )
 
-    def stop(self, drain_timeout_s: float = 5.0) -> None:
+    def stop(self, drain_timeout_s: float = DRAIN_TIMEOUT_S) -> None:
         """Drain in-flight requests (bounded), then shut the listener down."""
         self.begin_drain()
         self.drain(timeout_s=drain_timeout_s)
@@ -288,9 +288,7 @@ class HttpServer:
             self._thread.join(timeout=5)
             self._thread = None
 
-    def install_signal_handlers(
-        self, drain_timeout_s: float = 5.0
-    ) -> threading.Event:
+    def install_signal_handlers(self) -> threading.Event:
         """SIGTERM/SIGINT → graceful drain + shutdown; returns the event
         that is set once the server has stopped, for ``main`` to wait on.
 
@@ -301,7 +299,7 @@ class HttpServer:
         stopped = threading.Event()
 
         def _shutdown() -> None:
-            self.stop(drain_timeout_s=drain_timeout_s)
+            self.stop()
             stopped.set()
 
         def _handle(signum, frame):  # noqa: ARG001 - signal handler signature

@@ -58,17 +58,15 @@ def nearest_divisor(n: int, target: int) -> int:
     return below if target - below <= above - target else above
 
 
-def power_two_three_grid(max_i: int, max_j: int, scale: int = 1) -> Tuple[int, ...]:
-    """Return sorted unique values ``{scale * 2^i * 3^j : 0<=i<=max_i, 0<=j<=max_j}``.
+def power_two_three_grid(max_i: int, max_j: int) -> Tuple[int, ...]:
+    """Return sorted unique values ``{2^i * 3^j : 0<=i<=max_i, 0<=j<=max_j}``.
 
     This is the buffer-size grid used for the open-source spatial accelerator
     (``L1, L2 in {2^i * 3^j}`` for ``i, j in 0..10``).
     """
     if max_i < 0 or max_j < 0:
         raise ValueError("max_i and max_j must be non-negative")
-    values = {
-        scale * (2**i) * (3**j) for i in range(max_i + 1) for j in range(max_j + 1)
-    }
+    values = {(2**i) * (3**j) for i in range(max_i + 1) for j in range(max_j + 1)}
     return tuple(sorted(values))
 
 

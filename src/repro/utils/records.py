@@ -80,8 +80,8 @@ class RunRecord:
             "children": {k: v.to_dict() for k, v in self.children.items()},
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunRecord":

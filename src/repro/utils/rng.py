@@ -76,9 +76,9 @@ class SeedSequenceFactory:
         """Return a fresh generator for stream ``(name, index)``."""
         return np.random.default_rng(self.spawn_seed(name, index))
 
-    def child(self, name: str, index: int = 0) -> "SeedSequenceFactory":
-        """Return a factory rooted at the seed of stream ``(name, index)``."""
-        return SeedSequenceFactory(self.spawn_seed(name, index))
+    def child(self, name: str) -> "SeedSequenceFactory":
+        """Return a factory rooted at the seed of stream ``(name, 0)``."""
+        return SeedSequenceFactory(self.spawn_seed(name, 0))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeedSequenceFactory(root_seed={self._root_seed})"

@@ -103,9 +103,9 @@ def conv_out_dim(in_dim: int, kernel: int, stride: int, padding: str) -> int:
 
 @dataclass(frozen=True)
 class Conv2D(LayerSpec):
-    """A standard 2D convolution, the 7D loop nest of Fig. 1."""
+    """A standard 2D convolution, the 7D loop nest of Fig. 1, on one
+    image."""
 
-    batch: int = 1
     in_channels: int = 1
     out_channels: int = 1
     in_h: int = 1
@@ -117,7 +117,6 @@ class Conv2D(LayerSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         dims = (
-            self.batch,
             self.in_channels,
             self.out_channels,
             self.in_h,
@@ -139,35 +138,34 @@ class Conv2D(LayerSpec):
     def to_gemm(self) -> GemmShape:
         return GemmShape(
             m=self.out_channels,
-            n=self.batch * self.out_h * self.out_w,
+            n=self.out_h * self.out_w,
             k=self.in_channels * self.kernel * self.kernel,
         )
 
 
 @dataclass(frozen=True)
 class DepthwiseConv2D(LayerSpec):
-    """Per-channel 2D convolution (MobileNet / Xception separable convs)."""
+    """Per-channel 2D convolution (MobileNet / Xception separable convs)
+    on one image, ``same``-padded."""
 
-    batch: int = 1
     channels: int = 1
     in_h: int = 1
     in_w: int = 1
     kernel: int = 3
     stride: int = 1
-    padding: str = "same"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if min(self.batch, self.channels, self.in_h, self.in_w, self.kernel) < 1:
+        if min(self.channels, self.in_h, self.in_w, self.kernel) < 1:
             raise WorkloadError(f"depthwise conv dims must be >= 1: {self.name}")
 
     @property
     def out_h(self) -> int:
-        return conv_out_dim(self.in_h, self.kernel, self.stride, self.padding)
+        return conv_out_dim(self.in_h, self.kernel, self.stride, "same")
 
     @property
     def out_w(self) -> int:
-        return conv_out_dim(self.in_w, self.kernel, self.stride, self.padding)
+        return conv_out_dim(self.in_w, self.kernel, self.stride, "same")
 
     def to_gemm(self) -> GemmShape:
         # Each channel is an independent (1 x R*S) @ (R*S x Y*X) GEMM; we fold
@@ -175,7 +173,7 @@ class DepthwiseConv2D(LayerSpec):
         # with a reuse penalty so the cost model does not over-credit reuse.
         return GemmShape(
             m=self.channels,
-            n=self.batch * self.out_h * self.out_w,
+            n=self.out_h * self.out_w,
             k=self.kernel * self.kernel,
             reuse_penalty=0.35,
         )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.camodel.mapping as camodel_mapping
 from repro.camodel.mapping import AscendMapping, AscendMappingSpace
 from repro.errors import MappingError
 from repro.workloads.layers import GemmShape
@@ -72,8 +73,9 @@ class TestAscendMappingSpace:
         for field in ("tile_m", "tile_n", "tile_k", "fuse_input", "fuse_output"):
             assert getattr(child, field) in (getattr(a, field), getattr(b, field))
 
-    def test_empty_grid_rejected(self):
-        # max_tile below every divisor > 0 cannot happen (1 always divides),
+    def test_empty_grid_rejected(self, monkeypatch):
+        # MAX_TILE below every divisor > 0 cannot happen (1 always divides),
         # so the space is never empty for valid shapes
-        space = AscendMappingSpace(GemmShape(m=7, n=11, k=13), max_tile=1)
+        monkeypatch.setattr(camodel_mapping, "MAX_TILE", 1)
+        space = AscendMappingSpace(GemmShape(m=7, n=11, k=13))
         assert space.size > 0

@@ -30,6 +30,7 @@ from repro.obs.trace import InMemorySink, Tracer
 from repro.workloads.layers import Gemm
 from repro.workloads.network import Network
 from repro.workloads.registry import get_network
+from tests.costmodel.transport import tune
 
 TOOLS = ["flextensor", "gamma", "random", "oneloop"]
 WIDTHS = [1, 8, 64]
@@ -268,17 +269,15 @@ class _DroppingServer(PPAServiceServer):
 
 
 @pytest.mark.parametrize("drop", [(4,), (4, 5)])
-def test_dropped_tick_is_retried_and_the_search_is_unchanged(drop, tiny_network):
+def test_dropped_tick_is_retried_and_the_search_is_unchanged(drop, tiny_network, monkeypatch):
     """One drop is the pool's stale-socket replay; two in a row reach the
     engine's own retry.  Either way the tick is sent again, whole."""
+    tune(monkeypatch, backoff_base_s=0.001, backoff_max_s=0.002)
     configs = _hardware(4)
     local = MaestroEngine(tiny_network)
     alone = _trials(tiny_network, local, "flextensor", 8, configs)
     with _DroppingServer(MaestroEngine(tiny_network), drop) as server:
-        remote = RemotePPAEngine(
-            tiny_network, server.url, area_fn=spatial_area_mm2,
-            backoff_base_s=0.001, backoff_max_s=0.002,
-        )
+        remote = RemotePPAEngine(tiny_network, server.url, area_fn=spatial_area_mm2)
         together = _trials(tiny_network, remote, "flextensor", 8, configs)
         advance_lockstep([(trial, 30) for trial in together], remote)
         retried = (

@@ -15,20 +15,20 @@ from repro.errors import EvaluationError, TransportError
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace
 from tests.costmodel.flaky_engine import FlakyEngine, InjectedFailure
+from tests.costmodel.transport import tune
 
 MAPPING = GemmMapping(4, 8, 4)
 
 
-def remote_over(backend, max_network_retries=20):
-    """A served ``backend`` and a remote engine on it, retrying quickly."""
+@pytest.fixture(autouse=True)
+def _retry_quickly(monkeypatch):
+    tune(monkeypatch, max_network_retries=20, backoff_base_s=0.001)
+
+
+def remote_over(backend):
+    """A served ``backend`` and a remote engine on it."""
     server = PPAServiceServer(backend)
-    remote = RemotePPAEngine(
-        backend.network,
-        server.url,
-        area_fn=spatial_area_mm2,
-        max_network_retries=max_network_retries,
-        backoff_base_s=0.001,
-    )
+    remote = RemotePPAEngine(backend.network, server.url, area_fn=spatial_area_mm2)
     return server, remote
 
 
@@ -87,12 +87,13 @@ class TestRetryingEngine:
         # one 500 per injected failure, each absorbed by one retry
         assert remote.num_network_retries == backend.num_injected_failures
 
-    def test_gives_up_eventually(self, tiny_network, sample_hw):
+    def test_gives_up_eventually(self, tiny_network, sample_hw, monkeypatch):
         class AlwaysDown(MaestroEngine):
             def _compute_layer(self, hw, mapping, shape):
                 raise InjectedFailure("service broken")
 
-        server, remote = remote_over(AlwaysDown(tiny_network), max_network_retries=2)
+        tune(monkeypatch, max_network_retries=2)
+        server, remote = remote_over(AlwaysDown(tiny_network))
         with server, remote:
             with pytest.raises(TransportError, match="service error 500"):
                 remote.evaluate_layer(sample_hw, MAPPING, "gemm")
@@ -116,15 +117,6 @@ class TestRetryingEngine:
             search.run(60)
         assert np.isfinite(search.best_objective)
         assert backend.num_injected_failures > 0
-
-    def test_invalid_attempts(self, tiny_network):
-        with pytest.raises(EvaluationError):
-            RemotePPAEngine(
-                tiny_network,
-                "http://127.0.0.1:9",
-                area_fn=spatial_area_mm2,
-                max_network_retries=-1,
-            )
 
 
 class TestRetryingOverRemote:

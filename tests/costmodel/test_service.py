@@ -24,6 +24,7 @@ from repro.errors import EvaluationError
 from repro.hw.ascend import default_ascend_config
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gemm_mapping import GemmMapping
+from tests.costmodel.transport import FAST, tune
 
 
 @pytest.fixture()
@@ -191,20 +192,18 @@ _OPENED = []
 
 
 @pytest.fixture(autouse=True)
-def _close_fast_remotes():
+def _fast_transport(monkeypatch):
+    """Real-time transport constants tuned so failure tests stay fast; a
+    test tunes them further itself."""
+    tune(monkeypatch, **FAST)
     yield
     while _OPENED:
         _OPENED.pop().close()
 
 
 def _fast_remote(network, url, **overrides):
-    """A client with real-time knobs tuned so failure tests stay fast."""
-    kwargs = dict(
-        timeout_s=0.5,
-        max_network_retries=0,
-        backoff_base_s=0.001,
-        backoff_max_s=0.002,
-    )
+    """A client with a short socket timeout, closed after the test."""
+    kwargs = dict(timeout_s=0.5)
     kwargs.update(overrides)
     engine = RemotePPAEngine(network, url, area_fn=spatial_area_mm2, **kwargs)
     _OPENED.append(engine)
@@ -320,63 +319,55 @@ class TestTransportErrorMapping:
 
 
 class TestNetworkRetries:
-    def test_recovers_after_transient_500(self, tiny_network):
+    def test_recovers_after_transient_500(self, tiny_network, monkeypatch):
         ok = json.dumps({"status": "ok", "workload": tiny_network.name})
         script = [(500, '{"error": "warming up"}'), (500, '{"error": "still"}'),
                   (200, ok)]
+        tune(monkeypatch, max_network_retries=3)
         with _scripted_url(script) as (url, hits):
-            remote = _fast_remote(tiny_network, url, max_network_retries=3)
+            remote = _fast_remote(tiny_network, url)
             assert _gated(remote)["status"] == "ok"
             assert remote.num_network_retries == 2
             assert hits["count"] == 3
 
-    def test_retries_exhausted_raises(self, tiny_network):
+    def test_retries_exhausted_raises(self, tiny_network, monkeypatch):
+        tune(monkeypatch, max_network_retries=2)
         with _scripted_url([(500, '{"error": "down"}')]) as (url, hits):
-            remote = _fast_remote(tiny_network, url, max_network_retries=2)
+            remote = _fast_remote(tiny_network, url)
             with pytest.raises(EvaluationError):
                 _gated(remote)
             assert hits["count"] == 3  # initial try + 2 retries
 
-    def test_4xx_is_not_retried(self, tiny_network, sample_hw):
+    def test_4xx_is_not_retried(self, tiny_network, sample_hw, monkeypatch):
+        tune(monkeypatch, max_network_retries=3)
         with _scripted_url([(400, '{"error": "bad layer"}')]) as (url, hits):
-            remote = _fast_remote(tiny_network, url, max_network_retries=3)
+            remote = _fast_remote(tiny_network, url)
             with pytest.raises(EvaluationError, match="rejected"):
                 remote.evaluate_layer(sample_hw, MAPPING, "gemm")
             assert hits["count"] == 1
             assert remote.num_network_retries == 0
 
-    def test_backoff_grows_and_caps(self, tiny_network):
-        remote = _fast_remote(
-            tiny_network,
-            "http://127.0.0.1:1",
-            backoff_base_s=0.1,
-            backoff_max_s=0.25,
-            jitter_fraction=0.0,
-        )
+    def test_backoff_grows_and_caps(self, tiny_network, monkeypatch):
+        tune(monkeypatch, backoff_base_s=0.1, backoff_max_s=0.25, jitter_fraction=0.0)
+        remote = _fast_remote(tiny_network, "http://127.0.0.1:1")
         assert remote._backoff_delay(1) == pytest.approx(0.1)
         assert remote._backoff_delay(2) == pytest.approx(0.2)
         assert remote._backoff_delay(3) == pytest.approx(0.25)  # capped
         assert remote._backoff_delay(9) == pytest.approx(0.25)
 
-    def test_jitter_stays_within_fraction(self, tiny_network):
-        remote = _fast_remote(
-            tiny_network,
-            "http://127.0.0.1:1",
-            backoff_base_s=0.1,
-            backoff_max_s=1.0,
-            jitter_fraction=0.5,
-        )
+    def test_jitter_stays_within_fraction(self, tiny_network, monkeypatch):
+        tune(monkeypatch, backoff_base_s=0.1, backoff_max_s=1.0, jitter_fraction=0.5)
+        remote = _fast_remote(tiny_network, "http://127.0.0.1:1")
         for _ in range(50):
             delay = remote._backoff_delay(1)
             assert 0.1 <= delay <= 0.15
 
 
 class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures(self, tiny_network):
+    def test_opens_after_consecutive_failures(self, tiny_network, monkeypatch):
+        tune(monkeypatch, breaker_threshold=2, breaker_cooldown_s=60.0)
         with _dead_url() as url:
-            remote = _fast_remote(
-                tiny_network, url, breaker_threshold=2, breaker_cooldown_s=60.0
-            )
+            remote = _fast_remote(tiny_network, url)
             for _ in range(2):
                 with pytest.raises(EvaluationError, match="network failure"):
                     _gated(remote)
@@ -386,13 +377,12 @@ class TestCircuitBreaker:
             assert remote.num_circuit_rejections == 1
             assert remote.metrics.counter_value("remote_circuit_opened_total") == 1
 
-    def test_half_open_probe_recovers(self, tiny_network):
+    def test_half_open_probe_recovers(self, tiny_network, monkeypatch):
         ok = json.dumps({"status": "ok", "workload": tiny_network.name})
         script = [(500, '{"error": "down"}'), (200, ok)]
+        tune(monkeypatch, breaker_threshold=1, breaker_cooldown_s=0.05)
         with _scripted_url(script) as (url, _hits):
-            remote = _fast_remote(
-                tiny_network, url, breaker_threshold=1, breaker_cooldown_s=0.05
-            )
+            remote = _fast_remote(tiny_network, url)
             with pytest.raises(EvaluationError):
                 _gated(remote)  # opens the breaker
             with pytest.raises(EvaluationError, match="circuit breaker open"):
@@ -401,13 +391,14 @@ class TestCircuitBreaker:
             assert _gated(remote)["status"] == "ok"  # probe succeeds, closes
             assert _gated(remote)["status"] == "ok"
 
-    def test_semantic_rejection_does_not_trip_breaker(self, tiny_network, sample_hw):
+    def test_semantic_rejection_does_not_trip_breaker(
+        self, tiny_network, sample_hw, monkeypatch
+    ):
         ok = json.dumps({"status": "ok", "workload": tiny_network.name})
         script = [(400, '{"error": "bad mapping"}')] * 3 + [(200, ok)]
+        tune(monkeypatch, breaker_threshold=1, breaker_cooldown_s=60.0)
         with _scripted_url(script) as (url, _hits):
-            remote = _fast_remote(
-                tiny_network, url, breaker_threshold=1, breaker_cooldown_s=60.0
-            )
+            remote = _fast_remote(tiny_network, url)
             for _ in range(3):
                 with pytest.raises(EvaluationError, match="rejected"):
                     remote.evaluate_layer(sample_hw, MAPPING, "gemm")
@@ -731,14 +722,6 @@ class TestMetricsEndpoint:
 
 
 class TestClientValidation:
-    def test_invalid_retry_count(self, tiny_network):
-        with pytest.raises(EvaluationError):
-            _fast_remote(tiny_network, "http://x", max_network_retries=-1)
-
-    def test_invalid_breaker_threshold(self, tiny_network):
-        with pytest.raises(EvaluationError):
-            _fast_remote(tiny_network, "http://x", breaker_threshold=0)
-
     def test_invalid_batch_size(self, tiny_network):
         with pytest.raises(EvaluationError):
             _fast_remote(tiny_network, "http://x", batch_size=0)

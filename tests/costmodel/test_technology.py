@@ -1,6 +1,8 @@
 """Tests for technology constants."""
 
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
+import dataclasses
+
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 
 
 class TestEnergyHierarchy:
@@ -21,14 +23,12 @@ class TestEnergyHierarchy:
         assert tech.l1_energy_per_byte(1) > 0
 
     def test_custom_technology(self):
-        tech = Technology(mac_energy_j=1e-12)
+        tech = dataclasses.replace(DEFAULT_TECHNOLOGY, mac_energy_j=1e-12)
         assert tech.mac_energy_j == 1e-12
         # other fields keep defaults
         assert tech.frequency_hz == DEFAULT_TECHNOLOGY.frequency_hz
 
     def test_frozen(self):
-        import dataclasses
-
         import pytest
 
         with pytest.raises(dataclasses.FrozenInstanceError):

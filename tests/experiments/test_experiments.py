@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.camodel.ascend_sim import _STAGE_NAMES
+from repro.experiments import fig8, fig9, fig10, fig11
 from repro.experiments.fig10 import fig10_experiment
 from repro.experiments.fig11 import fig11_experiment
 from repro.experiments.fig7 import fig7_experiment, speedup_to_reach
@@ -72,13 +73,10 @@ class TestFig7Harness:
 
 
 class TestFig8Harness:
-    def test_record_structure(self):
-        record = _record(
-            fig8_experiment(
-                "smoke", seed=2, train_networks=("fsrcnn_120x320",),
-                validation_networks=("fsrcnn_240x640",),
-            )
-        )
+    def test_record_structure(self, monkeypatch):
+        monkeypatch.setattr(fig8, "FIG8_TRAIN", ("fsrcnn_120x320",))
+        monkeypatch.setattr(fig8, "FIG8_VALIDATION", ("fsrcnn_240x640",))
+        record = _record(fig8_experiment("smoke", seed=2))
         assert record.get("pareto_size") >= 0
         if record.get("num_pairs"):
             pair = record.children["pair_0"]
@@ -87,15 +85,10 @@ class TestFig8Harness:
 
 
 class TestFig9Harness:
-    def test_record_structure(self):
-        record = _record(
-            fig9_experiment(
-                "smoke",
-                seed=2,
-                train_networks=("fsrcnn_120x320",),
-                validation_networks=("fsrcnn_240x640", "dleu"),
-            )
-        )
+    def test_record_structure(self, monkeypatch):
+        monkeypatch.setattr(fig9, "FIG9_TRAIN", ("fsrcnn_120x320",))
+        monkeypatch.setattr(fig9, "FIG9_VALIDATION", ("fsrcnn_240x640", "dleu"))
+        record = _record(fig9_experiment("smoke", seed=2))
         if "error" not in record.metrics:
             for network in ("fsrcnn_240x640", "dleu"):
                 child = record.children[network]
@@ -104,8 +97,9 @@ class TestFig9Harness:
 
 
 class TestFig10Harness:
-    def test_panel_structure(self):
-        record = _record(fig10_experiment("smoke", seed=4, networks=["fsrcnn_120x320"]))
+    def test_panel_structure(self, monkeypatch):
+        monkeypatch.setattr(fig10, "FIG10_NETWORKS", ("fsrcnn_120x320",))
+        record = _record(fig10_experiment("smoke", seed=4))
         panel = record.children["fsrcnn_120x320"]
         for method in ("hasco", "sh_champion", "msh_champion", "unico"):
             assert panel.children[method].get("final_hv") >= 0
@@ -113,8 +107,9 @@ class TestFig10Harness:
 
 
 class TestFig11Harness:
-    def test_record_structure(self):
-        record = _record(fig11_experiment("smoke", seed=5, networks=["fsrcnn_120x320"]))
+    def test_record_structure(self, monkeypatch):
+        monkeypatch.setattr(fig11, "FIG11_NETWORKS", ("fsrcnn_120x320",))
+        record = _record(fig11_experiment("smoke", seed=5))
         child = record.children["fsrcnn_120x320"]
         assert child.get("default_latency_ms") > 0
         if "error" not in child.metrics:

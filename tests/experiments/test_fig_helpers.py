@@ -91,7 +91,7 @@ class TestSelectComparablePairs:
             self._design(1.01, 1.00, 1.00, r=0.90),  # big gap with 0
             self._design(1.02, 1.00, 1.00, r=0.05),  # small gap with 0
         ]
-        pairs = select_comparable_pairs(designs, tolerance=0.10, max_pairs=1)
+        pairs = select_comparable_pairs(designs, tolerance=0.10)
         assert pairs[0] in [(0, 1), (1, 2)]
         # the widest-gap pair must come first
         assert pairs[0] == (0, 1)

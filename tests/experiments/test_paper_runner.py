@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.experiments.paper_runner as paper_runner
+from repro.experiments import fig10
 from repro.experiments.fig10 import fig10_experiment
 from repro.experiments.fig7 import fig7_experiment
 from repro.experiments.presets import get_preset
@@ -81,12 +82,13 @@ class TestOneCoSearchPerCell:
 
     def test_joint_run_launches_each_distinct_cell_once(self, monkeypatch):
         networks = ["fsrcnn_120x320"]
+        monkeypatch.setattr(fig10, "FIG10_NETWORKS", tuple(networks))
 
         def experiments():
             return {
                 "table1_edge": table_experiment("edge", networks, "smoke", seed=0),
                 "fig7a_edge": fig7_experiment("edge", networks, "smoke", seed=0),
-                "fig10": fig10_experiment("smoke", seed=0, networks=networks),
+                "fig10": fig10_experiment("smoke", seed=0),
             }
 
         alone = {

@@ -15,6 +15,7 @@ from repro.errors import EvaluationError
 import repro.fleet.hashing as hashing
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gemm_mapping import GemmMapping
+from tests.costmodel.transport import FAST, tune
 
 MAPPINGS = [
     GemmMapping(4, 8, 4),
@@ -37,14 +38,13 @@ def fleet(tiny_network):
         server.stop()
 
 
+@pytest.fixture(autouse=True)
+def _fast_transport(monkeypatch):
+    tune(monkeypatch, **FAST)
+
+
 def _sharded(tiny_network, fleet, **overrides):
-    kwargs = dict(
-        timeout_s=2.0,
-        max_network_retries=0,
-        backoff_base_s=0.001,
-        backoff_max_s=0.002,
-        batch_size=2,
-    )
+    kwargs = dict(timeout_s=2.0, batch_size=2)
     kwargs.update(overrides)
     return RemotePPAEngine(
         tiny_network,
@@ -200,18 +200,21 @@ class TestCountersUnderFanout:
         yield
         sys.setswitchinterval(interval)
 
-    def _failing(self, tiny_network, **overrides):
+    def _failing(self, tiny_network, monkeypatch, **knobs):
+        tune(
+            monkeypatch,
+            max_network_retries=self.RETRIES,
+            backoff_base_s=0.0005,
+            backoff_max_s=0.001,
+            **knobs,
+        )
         return RemotePPAEngine(
             tiny_network,
             [_dead_url(), _dead_url()],
             area_fn=spatial_area_mm2,
             timeout_s=0.5,
-            max_network_retries=self.RETRIES,
-            backoff_base_s=0.0005,
-            backoff_max_s=0.001,
             batch_size=1,
             max_inflight=self.WORKERS,
-            **overrides,
         )
 
     def _requests(self):
@@ -220,10 +223,10 @@ class TestCountersUnderFanout:
             for index in range(self.CHUNKS)
         ]
 
-    def test_retry_and_failover_totals_are_exact(self, tiny_network, sample_hw):
+    def test_retry_and_failover_totals_are_exact(self, tiny_network, sample_hw, monkeypatch):
         # breakers that never open: every chunk tries both dead shards,
         # each with the full retry budget
-        with self._failing(tiny_network, breaker_threshold=10**6) as remote:
+        with self._failing(tiny_network, monkeypatch, breaker_threshold=10**6) as remote:
             with pytest.raises(EvaluationError, match="network failure"):
                 remote.evaluate_layers(sample_hw, self._requests())
             threads = [t.name for t in threading.enumerate()]
@@ -240,8 +243,8 @@ class TestCountersUnderFanout:
                 for index in range(2)
             ) == remote.router.num_failovers
 
-    def test_circuit_rejection_totals_are_exact(self, tiny_network, sample_hw):
-        with self._failing(tiny_network, breaker_cooldown_s=60.0) as remote:
+    def test_circuit_rejection_totals_are_exact(self, tiny_network, sample_hw, monkeypatch):
+        with self._failing(tiny_network, monkeypatch, breaker_cooldown_s=60.0) as remote:
             for shard in remote.router.shards:
                 for _ in range(shard.breaker.threshold):
                     shard.breaker.record(False)

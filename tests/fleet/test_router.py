@@ -7,6 +7,7 @@ import pytest
 from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
 from repro.errors import EvaluationError
+import repro.fleet.router as fleet_router
 from repro.fleet.router import ShardRouter
 
 KEYS = [f"key-{i}" for i in range(300)]
@@ -22,11 +23,10 @@ def _free_url() -> str:
 
 
 @pytest.fixture()
-def router():
-    instance = ShardRouter(
-        [_free_url() for _ in range(3)], breaker_threshold=2,
-        breaker_cooldown_s=30.0,
-    )
+def router(monkeypatch):
+    monkeypatch.setattr(fleet_router, "BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr(fleet_router, "DOWN_TTL_S", 60.0)
+    instance = ShardRouter([_free_url() for _ in range(3)])
     yield instance
     instance.close()
 
@@ -73,7 +73,8 @@ class TestSoleMember:
         assert router.ranking("any-key") == [sole]
         assert router.route("any-key") is sole
         # ... and it is the answer whatever its state: who else is there?
-        sole.mark_down("outage", ttl_s=60.0)
+        monkeypatch.setattr(fleet_router, "DOWN_TTL_S", 60.0)
+        sole.mark_down("outage")
         assert router.route("any-key") is sole
         assert router.num_failovers == 0
         router.close()
@@ -83,7 +84,7 @@ class TestFailover:
     def test_down_shard_keys_remap_stably(self, router):
         owners_before = {key: router.route(key).name for key in KEYS}
         down = router.shards[1]
-        down.mark_down("test", ttl_s=60.0)
+        down.mark_down("test")
         for key in KEYS:
             now = router.route(key)
             if owners_before[key] == down.name:
@@ -95,14 +96,15 @@ class TestFailover:
 
     def test_keys_snap_back_on_recovery(self, router):
         owners_before = {key: router.route(key).name for key in KEYS}
-        router.shards[1].mark_down("test", ttl_s=60.0)
+        router.shards[1].mark_down("test")
         router.route(KEYS[0])
         router.shards[1].mark_up()
         assert {key: router.route(key).name for key in KEYS} == owners_before
 
-    def test_down_ttl_expires(self, router):
+    def test_down_ttl_expires(self, router, monkeypatch):
+        monkeypatch.setattr(fleet_router, "DOWN_TTL_S", 0.0)
         shard = router.shards[0]
-        shard.mark_down("blip", ttl_s=0.0)
+        shard.mark_down("blip")
         assert shard.available()
 
     def test_open_breaker_excludes_shard(self, router):
@@ -134,7 +136,7 @@ class TestFailover:
 
     def test_all_down_returns_owner(self, router):
         for shard in router.shards:
-            shard.mark_down("outage", ttl_s=60.0)
+            shard.mark_down("outage")
         key = KEYS[0]
         assert router.route(key).name == router.ranking(key)[0].name
 
@@ -155,9 +157,10 @@ class TestHealthCheck:
             )
             router.close()
 
-    def test_health_check_recovers_breaker(self, tiny_network):
+    def test_health_check_recovers_breaker(self, tiny_network, monkeypatch):
+        monkeypatch.setattr(fleet_router, "BREAKER_THRESHOLD", 1)
         with PPAServiceServer(MaestroEngine(tiny_network)) as live:
-            router = ShardRouter([live.url], breaker_threshold=1)
+            router = ShardRouter([live.url])
             router.shards[0].breaker.record(False)
             assert not router.shards[0].available()
             router.health_check()

@@ -40,7 +40,6 @@ def drive_queries(tiny_network, servers, sample_hw):
         [server.url for server in servers],
         area_fn=spatial_area_mm2,
         timeout_s=2.0,
-        max_network_retries=0,
         batch_size=2,
     )
     try:

@@ -19,8 +19,8 @@ from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.hub.client import HubClient
 from repro.hub.server import HubServer
 from repro.mapping.gemm_mapping import GemmMapping
-from repro.tracking.journal import read_events
-from repro.tracking.store import RunStore
+from repro.tracking.journal import EventJournal, read_events
+from repro.tracking.store import RunHandle, RunStore
 from tests.hub.test_server import assert_no_leaks, open_fd_count
 
 MAPPINGS = [GemmMapping(4, 8, 4), GemmMapping(8, 8, 8), GemmMapping(16, 16, 8)]
@@ -90,6 +90,37 @@ class TestBoundedTail:
         out = capsys.readouterr().out
         assert "run_end" in out
         assert "(run completed)" in out
+
+    def test_follow_prints_the_event_written_as_the_status_flips(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The run ends between a poll that found nothing and the status
+        read after it: its ``run_end`` is still printed, before the end."""
+        store = RunStore(tmp_path / "runs")
+        run = store.create_run(manifest={"status": "running"})
+        with EventJournal(run.journal_path) as journal:
+            journal.append("run_start", {})
+        read_manifest = RunHandle.read_manifest
+
+        def flipping(handle):
+            manifest = read_manifest(handle)
+            if manifest["status"] == "running":  # the run ends right now
+                with EventJournal.open_resume(handle.journal_path) as journal:
+                    journal.append("run_end", {"status": "completed"})
+                manifest = dict(manifest, status="completed")
+                handle.write_manifest(manifest)
+            return manifest
+
+        monkeypatch.setattr(RunHandle, "read_manifest", flipping)
+        assert main(
+            [
+                "runs", "tail", run.run_id, "-n", "5", "--follow",
+                "--runs-dir", str(store.root),
+            ]
+        ) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "run_end" in out[-2]
+        assert out[-1] == "(run completed)"
 
 
 class TestLiveEventRenderer:

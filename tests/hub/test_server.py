@@ -14,6 +14,7 @@ from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
 from repro.errors import TrackingError
 from repro.hub.aggregate import FleetAggregator
+import repro.hub.client as hub_client
 from repro.hub.client import HubClient
 from repro.hub.server import HubServer
 from repro.hub.sse import parse_sse_lines
@@ -343,7 +344,7 @@ class TestSSEAcceptance:
         ]
         assert events[-1].type == "run_end"
 
-    def test_client_generator_survives_server_restart(self, tmp_path):
+    def test_client_generator_survives_server_restart(self, tmp_path, monkeypatch):
         """Satellite: stream_events resumes from its byte cursor across a
         full hub restart — events arrive exactly once, in order, with no
         replays of the pre-restart prefix."""
@@ -373,11 +374,10 @@ class TestSSEAcceptance:
         client = HubClient(server.url)
         received = []
         done = threading.Event()
+        monkeypatch.setattr(hub_client, "RECONNECT_DELAY_S", 0.05)
 
         def collect():
-            for event in client.stream_events(
-                handle.run_id, reconnect_delay_s=0.05
-            ):
+            for event in client.stream_events(handle.run_id):
                 received.append(event)
             done.set()
 

@@ -4,13 +4,8 @@ import json
 
 import pytest
 
-from repro.hub.sse import (
-    format_sse_comment,
-    format_sse_event,
-    journal_events_since,
-    parse_sse_lines,
-)
-from repro.tracking.journal import EventJournal, read_events
+from repro.hub.sse import format_sse_comment, format_sse_event, parse_sse_lines
+from repro.tracking.journal import EventJournal, journal_events_since, read_events
 
 
 def wire_to_lines(wire: bytes):

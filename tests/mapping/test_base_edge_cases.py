@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.costmodel.engine import MaestroEngine
+from repro.mapping import flextensor
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.random_search import RandomMappingSearch
 from repro.workloads.layers import Gemm
@@ -80,7 +81,7 @@ class TestInfeasibleIncumbentRecovery:
 
 
 class TestLayerWeighting:
-    def test_flextensor_prefers_dominant_layer(self, sample_hw):
+    def test_flextensor_prefers_dominant_layer(self, sample_hw, monkeypatch):
         """The layer holding most of the latency receives most proposals."""
         lopsided = Network(
             name="lopsided",
@@ -91,7 +92,8 @@ class TestLayerWeighting:
             family="test",
         )
         engine = MaestroEngine(lopsided)
-        search = FlexTensorSearch(lopsided, sample_hw, engine, seed=0, epsilon=0.0)
+        monkeypatch.setattr(flextensor, "EPSILON", 0.0)
+        search = FlexTensorSearch(lopsided, sample_hw, engine, seed=0)
         counts = {"huge": 0, "tiny": 0}
         for _ in range(60):
             layer_name, candidate = search._propose()

@@ -6,6 +6,7 @@ import pytest
 from repro.camodel.engine import AscendCAEngine
 from repro.camodel.mapping import AscendMapping, AscendMappingSpace
 from repro.hw.ascend import default_ascend_config
+from repro.mapping import fusion
 from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.workloads.registry import get_network
 from repro.workloads.layers import GemmShape
@@ -76,16 +77,11 @@ class TestDepthFirstFusionSearch:
         assert np.isfinite(search.best_objective)
         assert search.best_ppa.feasible
 
-    def test_fusion_flags_consistent_pairs(self, network):
+    def test_fusion_flags_consistent_pairs(self, network, monkeypatch):
         """When the tool fuses, the producer/consumer flags line up."""
+        monkeypatch.setattr(fusion, "FUSION_PROBABILITY", 0.8)
         engine = AscendCAEngine(network)
-        search = DepthFirstFusionSearch(
-            network,
-            default_ascend_config(),
-            engine,
-            fusion_probability=0.8,
-            seed=4,
-        )
+        search = DepthFirstFusionSearch(network, default_ascend_config(), engine, seed=4)
         search.run(120)
         names = search.layer_names
         current = search._current

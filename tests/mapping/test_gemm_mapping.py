@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.costmodel.engine import MaestroEngine
 from repro.errors import MappingError
+import repro.mapping.gemm_mapping as gemm_mapping
 from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace, LOOP_ORDERS, UNROLL_CHOICES
 from repro.workloads.layers import GemmShape
 
@@ -114,10 +115,11 @@ class TestGemmMappingSpace:
         )
         assert differences == 1
 
-    def test_mutate_matches_reference(self):
+    def test_mutate_matches_reference(self, monkeypatch):
         """Same neighbor and same RNG consumption as the ``replace``-based
         body it replaced, incl. tiles that are not on the (capped) grid."""
-        space = GemmMappingSpace(GemmShape(m=96, n=360, k=4096), max_tile=512)
+        monkeypatch.setattr(gemm_mapping, "MAX_TILE", 512)
+        space = GemmMappingSpace(GemmShape(m=96, n=360, k=4096))
         source = np.random.default_rng(5)
         for case in range(400):
             mapping = space.sample(source)
@@ -136,8 +138,9 @@ class TestGemmMappingSpace:
         for field in ("tile_m", "tile_n", "tile_k", "spatial", "unroll"):
             assert getattr(child, field) in (getattr(a, field), getattr(b, field))
 
-    def test_max_tile_cap(self):
-        space = GemmMappingSpace(GemmShape(m=8192, n=8192, k=8192), max_tile=64)
+    def test_max_tile_cap(self, monkeypatch):
+        monkeypatch.setattr(gemm_mapping, "MAX_TILE", 64)
+        space = GemmMappingSpace(GemmShape(m=8192, n=8192, k=8192))
         assert max(space.tile_m_choices) <= 64
 
     @given(st.integers(1, 500), st.integers(1, 500), st.integers(1, 500))

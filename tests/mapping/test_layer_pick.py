@@ -16,6 +16,7 @@ import pytest
 
 from repro.costmodel.engine import MaestroEngine
 from repro.learned.oneloop import OneLoopMappingSearch
+from repro.mapping import flextensor
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
@@ -119,18 +120,26 @@ def _poison_flextensor(credit):
 
 
 @pytest.mark.parametrize(
-    "tool_cls,kwargs,poison",
+    "tool_cls,constants,poison",
     [
-        (FlexTensorSearch, {"epsilon": 0.0}, _poison_flextensor(float("nan"))),
-        (FlexTensorSearch, {"epsilon": 0.0}, _poison_flextensor(0.0)),
-        (FlexTensorSearch, {"epsilon": 0.0}, _make_latency_infinite),
+        (FlexTensorSearch, {"EPSILON": 0.0}, _poison_flextensor(float("nan"))),
+        (FlexTensorSearch, {"EPSILON": 0.0}, _poison_flextensor(0.0)),
+        (FlexTensorSearch, {"EPSILON": 0.0}, _make_latency_infinite),
         (OneLoopMappingSearch, {}, _make_latency_infinite),
     ],
+    # the ids the cases had when ``constants`` were constructor arguments
+    ids=["FlexTensorSearch-kwargs0-poison", "FlexTensorSearch-kwargs1-poison",
+         "FlexTensorSearch-kwargs2-_make_latency_infinite",
+         "OneLoopMappingSearch-kwargs3-_make_latency_infinite"],
 )
-def test_uniform_fallback_consumes_the_same_rng(tool_cls, kwargs, poison, sample_hw):
+def test_uniform_fallback_consumes_the_same_rng(
+    tool_cls, constants, poison, sample_hw, monkeypatch
+):
     """FlexTensor / OneLoop: degenerate weights -> one uniform ``integers``."""
+    for name, value in constants.items():
+        monkeypatch.setattr(flextensor, name, value)
     network = _network(5)
-    search = tool_cls(network, sample_hw, MaestroEngine(network), seed=3, **kwargs)
+    search = tool_cls(network, sample_hw, MaestroEngine(network), seed=3)
     poison(search)
     search.rng = np.random.default_rng(99)
     reference = np.random.default_rng(99)

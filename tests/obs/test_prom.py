@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.prom import (
+    METRIC_HELP,
     help_for,
     parse_prometheus_text,
     render_prometheus,
@@ -109,13 +110,11 @@ class TestHelpLines:
             "engine_queries_total"
         )
 
-    def test_custom_help_escapes_round_trip(self):
+    def test_custom_help_escapes_round_trip(self, monkeypatch):
         registry = MetricsRegistry()
         registry.counter("odd_total").inc()
-        text = render_prometheus(
-            registry.snapshot(),
-            help_text={"odd_total": "line one\nline two \\ backslash"},
-        )
+        monkeypatch.setitem(METRIC_HELP, "odd_total", "line one\nline two \\ backslash")
+        text = render_prometheus(registry.snapshot())
         assert "\n# TYPE" in text  # HELP stays one physical line
         families = parse_prometheus_text(text)
         assert families["odd_total"]["help"] == (

@@ -9,6 +9,9 @@ hold ``src/`` to.
 * :meth:`ReferenceGaussianProcess._neg_log_marginal` and
   ``fit(use_gradient=False)`` — the finite-difference marginal-likelihood
   fit the analytic gradient replaced.
+* ``ReferenceGaussianProcess.fit(hyper=...)`` — the fit that takes its
+  hyperparameters as given, which the slot-by-slot path refits each
+  slot's target with.
 * :func:`factorize` — the kernel Cholesky built from scratch for
   ``(x, hyper)``, as ``GaussianProcess.fit`` builds it.
 * :class:`ReferenceMOBOSampler` — ``suggest_batch`` re-factorizing the
@@ -33,7 +36,14 @@ from scipy import optimize
 
 from repro.errors import SearchBudgetError
 from repro.optim.acquisition import expected_improvement
-from repro.optim.gp import _JITTER, _KERNELS, CholeskyFactor, GaussianProcess, GPHyperparameters
+from repro.optim.gp import (
+    _JITTER,
+    _NOISE_FLOOR,
+    CholeskyFactor,
+    GaussianProcess,
+    GPHyperparameters,
+    matern52_kernel,
+)
 from repro.optim.mobo import MOBOSampler
 from repro.optim.scalarize import parego_scalars, sample_weight_vector, uniform_weights
 from repro.utils.rng import as_generator
@@ -46,9 +56,9 @@ class ReferenceGaussianProcess(GaussianProcess):
         d = x.shape[1]
         lengthscales = np.exp(log_params[:d])
         variance = np.exp(log_params[d])
-        noise = np.exp(log_params[d + 1]) + self.noise_floor
+        noise = np.exp(log_params[d + 1]) + _NOISE_FLOOR
         try:
-            k = self.kernel(x, x, lengthscales, variance)
+            k = matern52_kernel(x, x, lengthscales, variance)
             k[np.diag_indices_from(k)] += noise + _JITTER
             chol = np.linalg.cholesky(k)
         except np.linalg.LinAlgError:
@@ -65,20 +75,16 @@ class ReferenceGaussianProcess(GaussianProcess):
         d = x.shape[1]
         lengthscales = np.exp(log_params[:d])
         variance = np.exp(log_params[d])
-        noise = np.exp(log_params[d + 1]) + self.noise_floor
+        noise = np.exp(log_params[d + 1]) + _NOISE_FLOOR
         if sq_diffs is None:
             sq_diffs = (x[:, None, :] - x[None, :, :]) ** 2
         inv_ls_sq = 1.0 / lengthscales**2
         sq_dist = sq_diffs @ inv_ls_sq
-        if self.kernel_name == "rbf":
-            k_core = variance * np.exp(-0.5 * sq_dist)
-            ls_coef = k_core
-        else:  # matern52
-            dist = np.sqrt(sq_dist)
-            sqrt5 = np.sqrt(5.0)
-            decay = np.exp(-sqrt5 * dist)
-            k_core = variance * (1.0 + sqrt5 * dist + (5.0 / 3.0) * sq_dist) * decay
-            ls_coef = variance * (5.0 / 3.0) * (1.0 + sqrt5 * dist) * decay
+        dist = np.sqrt(sq_dist)
+        sqrt5 = np.sqrt(5.0)
+        decay = np.exp(-sqrt5 * dist)
+        k_core = variance * (1.0 + sqrt5 * dist + (5.0 / 3.0) * sq_dist) * decay
+        ls_coef = variance * (5.0 / 3.0) * (1.0 + sqrt5 * dist) * decay
         k = k_core.copy()
         k[np.diag_indices_from(k)] += noise + _JITTER
         zeros = np.zeros_like(log_params)
@@ -99,19 +105,28 @@ class ReferenceGaussianProcess(GaussianProcess):
         grad = np.empty_like(log_params)
         grad[:d] = -0.5 * np.einsum("ij,ijk->k", w * ls_coef, sq_diffs) * inv_ls_sq
         grad[d] = -0.5 * np.sum(w * k_core)
-        grad[d + 1] = -0.5 * np.trace(w) * (noise - self.noise_floor)
+        grad[d + 1] = -0.5 * np.trace(w) * (noise - _NOISE_FLOOR)
         return nll, grad
 
-    def fit(self, x, y, seed=0, use_gradient=True, **kwargs):
-        """``use_gradient=False``: the finite-difference optimization."""
-        if use_gradient or kwargs:
-            return super().fit(x, y, seed=seed, **kwargs)
+    def fit(self, x, y, seed=0, use_gradient=True, hyper=None):
+        """``use_gradient=False``: the finite-difference optimization;
+        ``hyper``: no optimization, these hyperparameters."""
+        if use_gradient and hyper is None:
+            return super().fit(x, y, seed=seed)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         self._x = x
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) if y.std() > 1e-12 else 1.0
         y_std = (y - self._y_mean) / self._y_std
+        if hyper is not None:
+            self.hyper = GPHyperparameters(
+                np.asarray(hyper.lengthscales, dtype=float),
+                float(hyper.variance),
+                float(hyper.noise),
+            )
+            self._finalize_fit(x, y_std)
+            return self
         d = x.shape[1]
         initial = np.concatenate([np.log(np.full(d, 0.4)), [np.log(1.0)], [np.log(1e-3)]])
         best_params = initial
@@ -134,7 +149,7 @@ class ReferenceGaussianProcess(GaussianProcess):
         self.hyper = GPHyperparameters(
             np.exp(best_params[:d]),
             float(np.exp(best_params[d])),
-            float(np.exp(best_params[d + 1])) + self.noise_floor,
+            float(np.exp(best_params[d + 1])) + _NOISE_FLOOR,
         )
         self._finalize_fit(x, y_std)
         return self
@@ -202,7 +217,7 @@ class ReferenceMOBOSampler(MOBOSampler):
                 f"got {y_train.shape}"
             )
         uniform_scalar = parego_scalars(y_train, uniform_weights(self.num_objectives), self.rho)
-        shared_gp = ReferenceGaussianProcess(self.kernel)
+        shared_gp = ReferenceGaussianProcess()
         shared_gp.fit(
             x_train, uniform_scalar, seed=int(self.rng.integers(0, 2**31))
         )
@@ -212,7 +227,7 @@ class ReferenceMOBOSampler(MOBOSampler):
         if pool:
             x_pool = self.space.encode_batch(pool)
             slots = min(batch_size, len(pool))
-            factor = factorize(self.kernel, x_train, self._shared_hyper)
+            factor = factorize(x_train, self._shared_hyper)
             select = self._select_vectorized if self.vectorized else self._select_reference
             chosen = select(factor, x_pool, y_train, slots)
             batch = [pool[index] for index in chosen]
@@ -227,17 +242,16 @@ class ReferenceMOBOSampler(MOBOSampler):
         for _ in range(slots):
             w = sample_weight_vector(self.num_objectives, self.rng)
             scalar = parego_scalars(y_train, w, self.rho)
-            gp = GaussianProcess(self.kernel)
-            gp.fit(factor.x, scalar, hyper=factor.hyper)
+            gp = ReferenceGaussianProcess().fit(factor.x, scalar, hyper=factor.hyper)
             mean, std = gp.predict(x_pool)
             rows.append(expected_improvement(mean, std, best=float(scalar.min())))
         return self._mask_argmax(np.vstack(rows))
 
 
-def factorize(kernel_name: str, x: np.ndarray, hyper: GPHyperparameters) -> CholeskyFactor:
+def factorize(x: np.ndarray, hyper: GPHyperparameters) -> CholeskyFactor:
     """``chol(K(x, x) + noise I)``, with the fit's fallback jitter bump."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    k = _KERNELS[kernel_name](x, x, hyper.lengthscales, hyper.variance)
+    k = matern52_kernel(x, x, hyper.lengthscales, hyper.variance)
     k[np.diag_indices_from(k)] += hyper.noise + _JITTER
     try:
         chol = np.linalg.cholesky(k)

@@ -8,11 +8,14 @@ files or sockets open, and a fit from a threaded process must not touch
 it at all.
 """
 
+import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -100,7 +103,7 @@ def test_the_helper_holds_no_descriptor_of_its_owner_but_its_pipes():
 
 _OWNER = textwrap.dedent(
     """
-    import os, select, sys, tempfile, time
+    import os, select, signal, sys, tempfile, time
     import numpy as np
     import repro.optim.gp as gp
 
@@ -110,17 +113,30 @@ _OWNER = textwrap.dedent(
         gp.GaussianProcess().fit(x, np.sin(4 * x[:, 0]), seed=0)
         print(0 if gp._HELPER is None else gp._HELPER.pid, flush=True)
 
-    def hub_run(cancel):
+    def hub_run(cancel, in_start=False):
         # the owner is a hub: its run child forks the helper and reports it
         from repro.hub.scheduler import RunScheduler
         read_fd, write_fd = os.pipe()
-        fit_helper = gp._fit_helper
+        fit_helper, start = gp._fit_helper, gp._FitHelper.start
         def reporting_fit_helper():
             helper = fit_helper()
             if helper is not None:
                 os.write(write_fd, b"%d " % helper.pid)
             return helper
-        gp._fit_helper = reporting_fit_helper
+        def reporting_start(*args):
+            # reports from inside start(), then stays there until the
+            # cancel's SIGTERM has arrived (or been held pending)
+            helper = start(*args)
+            if helper is not None:
+                os.write(write_fd, b"%d " % helper.pid)
+                deadline = time.monotonic() + 30.0
+                while signal.SIGTERM not in signal.sigpending() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return helper
+        if in_start:
+            gp._FitHelper.start = reporting_start
+        else:
+            gp._fit_helper = reporting_fit_helper
         with tempfile.TemporaryDirectory() as runs, RunScheduler(runs) as hub:
             run_id = hub.submit(
                 {"method": "unico", "scenario": "edge", "workload": "fsrcnn_120x320",
@@ -139,74 +155,43 @@ _OWNER = textwrap.dedent(
             assert status == ("cancelled" if cancel else "completed"), status
 
     if sys.argv[1].startswith("hub_"):
-        hub_run(cancel=sys.argv[1] == "hub_cancelled")
+        hub_run(cancel=sys.argv[1] != "hub_run", in_start=sys.argv[1].endswith("_in_start"))
     else:
         fit()
-    if sys.argv[1] == "killed":
-        time.sleep(60)
-    """
-)
-
-
-#: runs the owner as a child subreaper's child, so that an orphaned helper
-#: becomes the reaper's own child and not init's; prints the helper's pid,
-#: the reaper's children as the owner's end completes, and which of them
-#: had not exited 10 s later; fails if the owner did
-_REAPER = textwrap.dedent(
-    """
-    import ctypes, os, signal, subprocess, sys, time
-    PR_SET_CHILD_SUBREAPER = 36
-    if ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0):
-        sys.exit("prctl refused")
-    owner_code, ending = sys.argv[1:]
-    with subprocess.Popen(
-        [sys.executable, "-c", owner_code, ending], stdout=subprocess.PIPE, text=True
-    ) as owner:
-        helper = int(owner.stdout.readline())
-        if ending == "killed":
-            owner.kill()
-    me, left = str(os.getpid()), []
-    for pid in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
-                if stat.read().rsplit(")", 1)[1].split()[1] == me:
-                    left.append(int(pid))
-        except OSError:  # gone since the listing
-            continue
-    deadline, running = time.monotonic() + 10.0, list(left)
-    while running and time.monotonic() < deadline:
-        running = [pid for pid in running if os.waitpid(pid, os.WNOHANG)[0] == 0]
-        time.sleep(0.02)
-    for pid in running:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    print(helper, left, running)
-    if ending != "killed" and owner.returncode:
-        sys.exit(f"the owner failed with exit code {owner.returncode}")
+    if sys.argv[1] == "killed":  # no exit hook runs
+        os.kill(os.getpid(), signal.SIGKILL)
     """
 )
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a child subreaper is Linux's")
-@pytest.mark.parametrize("ending", ["exits", "hub_run", "hub_cancelled", "killed"])
+@pytest.mark.parametrize(
+    "ending", ["exits", "hub_run", "hub_cancelled", "hub_cancelled_in_start", "killed"]
+)
 def test_the_helper_leaves_soon_after_its_owner(ending):
     """An owner that exits has killed and reaped its helper by then, and so
     has a hub's run child (it leaves by ``os._exit``, past ``atexit``),
-    whether its run completes or is cancelled by SIGTERM: the reaper is
-    left no child.  A SIGKILLed owner cannot, and its helper, orphaned,
-    reads end-of-file and exits within 10 s."""
+    whether its run completes or is cancelled by SIGTERM, even while the
+    helper is still being forked: the reaper is left no child.  A
+    SIGKILLed owner cannot, and its helper, orphaned, reads end-of-file
+    and exits within 10 s."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("a fit forks its helper only where a second CPU can run it")
     env = dict(os.environ, **BLAS_PINNED, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", _REAPER, _OWNER, ending],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, str(ROOT / "tests" / "reaper.py"), "--",
+         sys.executable, "-c", _OWNER, ending],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
     )
-    helper, left, running = done.stdout.split(" ", 2)
-    assert int(helper), "the owner forked no fit helper"
-    if ending != "killed":
-        assert left == "[]", f"helper {helper} outlived its owner"
-    assert running.strip() == "[]", f"helper {helper} was still running 10 s after its owner"
+    report = json.loads(done.stderr.splitlines()[-1])
+    helper = int(done.stdout.split()[0])
+    assert helper, "the owner forked no fit helper"
+    if ending == "killed":
+        assert report["returncode"] == -signal.SIGKILL
+    else:
+        assert report["returncode"] == 0, done.stderr[-2000:]
+        assert report["left"] == [], f"helper {helper} outlived its owner"
+    assert report["running"] == [], f"helper {helper} was still running 10 s after its owner"
 
 
 def test_a_fit_from_a_threaded_process_never_touches_the_helper(monkeypatch):
@@ -229,6 +214,11 @@ def test_a_fit_from_a_threaded_process_never_touches_the_helper(monkeypatch):
     assert not thread.is_alive()
     assert helper.requests not in written
     assert forks() == 0
+    # a joined thread can stay listed in /proc/self/task for a moment
+    for _ in range(500):
+        if len(os.listdir("/proc/self/task")) == 1:
+            break
+        time.sleep(0.001)
     _fit(seed=2)  # one thread again: the same helper serves
     assert helper.requests in written
     assert gp_module._HELPER is helper and forks() == 0

@@ -11,7 +11,7 @@ from scipy import optimize
 
 from repro.errors import SurrogateError
 import repro.optim.gp as gp_module
-from repro.optim.gp import GaussianProcess, GPHyperparameters, matern52_kernel, rbf_kernel
+from repro.optim.gp import _NOISE_FLOOR, GaussianProcess, matern52_kernel
 
 from tests.optim.forking import count_forks, forks_elsewhere
 
@@ -26,11 +26,6 @@ def _toy_data(n=40, d=3, seed=0):
 
 
 class TestKernels:
-    def test_rbf_diagonal_is_variance(self):
-        x = np.random.default_rng(0).uniform(0, 1, (5, 2))
-        k = rbf_kernel(x, x, np.ones(2), 2.0)
-        assert np.allclose(np.diag(k), 2.0)
-
     def test_matern_diagonal_is_variance(self):
         x = np.random.default_rng(0).uniform(0, 1, (5, 2))
         k = matern52_kernel(x, x, np.ones(2), 3.0)
@@ -40,8 +35,7 @@ class TestKernels:
         a = np.zeros((1, 2))
         near = np.array([[0.1, 0.1]])
         far = np.array([[3.0, 3.0]])
-        for kernel in (rbf_kernel, matern52_kernel):
-            assert kernel(a, near, np.ones(2), 1.0) > kernel(a, far, np.ones(2), 1.0)
+        assert matern52_kernel(a, near, np.ones(2), 1.0) > matern52_kernel(a, far, np.ones(2), 1.0)
 
     def test_kernel_psd(self):
         x = np.random.default_rng(1).uniform(0, 1, (20, 3))
@@ -85,19 +79,6 @@ class TestFitPredict:
         assert mean[0] == pytest.approx(2.0, abs=0.2)
         assert std[0] >= 0
 
-    def test_fixed_hyper_skips_optimization(self):
-        x, y = _toy_data(n=15, d=2)
-        hyper = GPHyperparameters(np.array([0.3, 0.3]), 1.0, 1e-4)
-        gp = GaussianProcess().fit(x, y, hyper=hyper)
-        assert np.allclose(gp.hyper.lengthscales, [0.3, 0.3])
-        assert gp.hyper.variance == 1.0
-
-    def test_rbf_kernel_option(self):
-        x, y = _toy_data(n=25, d=2)
-        gp = GaussianProcess(kernel="rbf").fit(x, y)
-        mean, _ = gp.predict(x[:5])
-        assert np.max(np.abs(mean - y[:5])) < 0.1
-
 
 def _hyperparameters_without_reuse(gp, x, y, seed=0):
     """The marginal-likelihood optimization of ``fit`` as it was before the
@@ -131,16 +112,15 @@ def _hyperparameters_without_reuse(gp, x, y, seed=0):
     return (
         np.exp(best_params[:d]),
         float(np.exp(best_params[d])),
-        float(np.exp(best_params[d + 1])) + gp.noise_floor,
+        float(np.exp(best_params[d + 1])) + _NOISE_FLOOR,
     )
 
 
 @pytest.mark.parametrize(
-    "kernel,n,d,seed", [("matern52", 30, 3, 0), ("rbf", 25, 2, 1), ("matern52", 12, 6, 4)]
+    "n,d,seed",
+    [pytest.param(30, 3, 0, id="matern52-30-3-0"), pytest.param(12, 6, 4, id="matern52-12-6-4")],
 )
-def test_fit_scores_initial_once_with_the_same_hyperparameters(
-    kernel, n, d, seed, monkeypatch
-):
+def test_fit_scores_initial_once_with_the_same_hyperparameters(n, d, seed, monkeypatch):
     calls = 0
     evaluate = GaussianProcess._neg_log_marginal_and_grad
 
@@ -153,11 +133,9 @@ def test_fit_scores_initial_once_with_the_same_hyperparameters(
     # the count is the parent's: both starts descend here
     monkeypatch.setattr(gp_module, "_forking_pays", lambda: False)
     x, y = _toy_data(n=n, d=d, seed=seed)
-    gp = GaussianProcess(kernel=kernel).fit(x, y, seed=7)
+    gp = GaussianProcess().fit(x, y, seed=7)
     fit_calls, calls = calls, 0
-    lengthscales, variance, noise = _hyperparameters_without_reuse(
-        GaussianProcess(kernel=kernel), x, y, seed=7
-    )
+    lengthscales, variance, noise = _hyperparameters_without_reuse(GaussianProcess(), x, y, seed=7)
     assert fit_calls == calls - 1
     assert gp.hyper.lengthscales.tobytes() == lengthscales.tobytes()
     assert gp.hyper.variance.hex() == variance.hex()
@@ -283,10 +261,6 @@ def test_the_parent_start_raising_raises_as_in_process_and_kills_the_child(monke
 
 
 class TestErrors:
-    def test_unknown_kernel(self):
-        with pytest.raises(SurrogateError):
-            GaussianProcess(kernel="periodic")
-
     def test_mismatched_sizes(self):
         with pytest.raises(SurrogateError):
             GaussianProcess().fit(np.zeros((3, 2)), np.zeros(4))

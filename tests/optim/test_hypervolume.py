@@ -116,10 +116,6 @@ class TestReferencePoint:
         reference = reference_point_from(points)
         assert np.all(reference > 0.0)
 
-    def test_margin_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            reference_point_from(np.array([[1.0, 2.0]]), margin=1.0)
-
     def test_no_point_clipped_negative_values(self):
         """All-negative fronts keep positive hypervolume under the derived
         reference — the regression the additive margin fixes."""

@@ -52,7 +52,7 @@ class TestEncodingGeometry:
         mutation_distances = []
         for _ in range(40):
             config = space.sample(rng)
-            neighbor = space.mutate(config, rng, num_moves=1, step=1)
+            neighbor = space.mutate(config, rng, num_moves=1)
             distance = np.linalg.norm(space.encode(config) - space.encode(neighbor))
             assert distance <= 1.0 + 1e-12  # single axis moved
             mutation_distances.append(distance)

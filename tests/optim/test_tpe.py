@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SurrogateError
 from repro.hw.spatial import edge_design_space
+from repro.optim import tpe
 from repro.optim.tpe import ParzenEstimator, TPESampler
 from tests.hw.membership import in_space
 
@@ -48,7 +49,7 @@ class TestTPESampler:
         assert len(suggestions) == 3
 
     def test_split_good_fraction(self, space):
-        sampler = TPESampler(space, gamma=0.25, seed=0)
+        sampler = TPESampler(space, seed=0)
         scores = np.arange(20, dtype=float)
         good, bad = sampler.split(scores)
         assert good.size == 5
@@ -61,21 +62,18 @@ class TestTPESampler:
         good, bad = sampler.split(scores)
         assert not np.isinf(scores[np.concatenate([good, bad])]).any()
 
-    def test_model_guides_toward_good_region(self, space):
+    def test_model_guides_toward_good_region(self, space, monkeypatch):
         """TPE suggestions score better than uniform random on average."""
         rng = np.random.default_rng(3)
         configs = space.sample_batch(80, seed=1)
         scores = np.array([self._score(space, c) for c in configs])
-        sampler = TPESampler(space, seed=2, num_candidates=128)
+        monkeypatch.setattr(tpe, "NUM_CANDIDATES", 128)
+        sampler = TPESampler(space, seed=2)
         suggestions = sampler.suggest(configs, scores, count=12)
         suggested = np.mean([self._score(space, c) for c in suggestions])
         random_configs = space.sample_batch(200, seed=4)
         random_mean = np.mean([self._score(space, c) for c in random_configs])
         assert suggested < random_mean
-
-    def test_invalid_gamma(self, space):
-        with pytest.raises(SurrogateError):
-            TPESampler(space, gamma=0.0)
 
     def test_suggestions_in_space(self, space):
         configs = space.sample_batch(30, seed=5)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import SurrogateError
 from repro.hw.spatial import edge_design_space
-from repro.optim.gp import GaussianProcess
+from repro.optim.gp import _NOISE_FLOOR, GaussianProcess
 from repro.optim.mobo import MOBOSampler
 from repro.optim.scalarize import (
     DEFAULT_RHO,
@@ -136,11 +136,10 @@ class TestGPFastPaths:
         y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.05 * rng.standard_normal(n)
         return x, y
 
-    @pytest.mark.parametrize("kernel", ["matern52", "rbf"])
-    def test_analytic_gradient_matches_finite_differences(self, kernel):
+    def test_analytic_gradient_matches_finite_differences(self):
         x, y = self._data()
         y = (y - y.mean()) / y.std()
-        gp = GaussianProcess(kernel)
+        gp = GaussianProcess()
         rng = np.random.default_rng(1)
         params = rng.normal(0, 0.5, x.shape[1] + 2)
         _, grad = gp._neg_log_marginal_and_grad(params, x, y)
@@ -167,34 +166,17 @@ class TestGPFastPaths:
                 [
                     np.log(gp.hyper.lengthscales),
                     [np.log(gp.hyper.variance)],
-                    [np.log(max(gp.hyper.noise - gp.noise_floor, 1e-12))],
+                    [np.log(max(gp.hyper.noise - _NOISE_FLOOR, 1e-12))],
                 ]
             )
             return ReferenceGaussianProcess()._neg_log_marginal(params, x, y_std)
 
         assert nll(grad_gp) <= nll(fd_gp) + 1e-3
 
-    def test_factor_fit_bit_identical_to_hyper_fit(self):
-        """fit(factor=...) must equal fit(hyper=...) on every prediction."""
-        x, y = self._data()
-        base = GaussianProcess().fit(x, y, seed=0)
-        factor = base.cholesky_factor()
-
-        rng = np.random.default_rng(7)
-        y2 = rng.random(len(y))  # a different target, same X and hyper
-        via_hyper = GaussianProcess().fit(x, y2, hyper=base.hyper)
-        via_factor = GaussianProcess().fit(x, y2, factor=factor)
-
-        x_query = rng.uniform(0, 1, (50, x.shape[1]))
-        mean_h, std_h = via_hyper.predict(x_query)
-        mean_f, std_f = via_factor.predict(x_query)
-        assert np.array_equal(mean_h, mean_f)
-        assert np.array_equal(std_h, std_f)
-
     def test_factorize_matches_finalize_chol(self):
         x, y = self._data()
         gp = GaussianProcess().fit(x, y, seed=0)
-        factor = factorize("matern52", x, gp.hyper)
+        factor = factorize(x, gp.hyper)
         assert np.array_equal(factor.chol, gp.cholesky_factor().chol)
 
 

@@ -54,6 +54,9 @@ def test_local_cosearch_loads_what_it_runs_and_no_more():
         "repro.experiments.tables", "repro.experiments.paper_runner",
         # one mapping job per network: only a '+'-joined workload runs it
         "repro.core.multiworkload",
+        # the learned tool and screen, and the baselines: only a search
+        # that selects one loads it
+        "repro.learned", "repro.core.baselines",
     )
     assert not _loaded(modules, unwanted)
 

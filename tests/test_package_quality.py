@@ -12,10 +12,13 @@
   ``repro.…`` name in the top-level documents resolves,
 * no module imports, at module level, a name it never uses,
 * every public name is used somewhere, and by product code unless it is
-  listed in ``TEST_SUPPORT_NAMES``.
+  listed in ``TEST_SUPPORT_NAMES``,
+* every defaulted parameter is passed by some product call unless it is
+  listed in ``TEST_SUPPORT_OPTIONS``.
 """
 
 import ast
+import builtins
 import functools
 import importlib
 import importlib.util
@@ -528,3 +531,321 @@ def test_public_names_have_a_product_use():
 def test_test_support_names_are_still_test_only():
     stale = sorted(set(TEST_SUPPORT_NAMES) - set(_test_only_names()))
     assert not stale, f"product code uses these now, or they are gone: {stale}"
+
+
+#: modules the option scan leaves alone: ``repro.learned`` is kept or
+#: dropped as a whole, and the network builders are to become data
+OPTION_SCAN_SKIPS = ("repro.learned", "repro.workloads.networks")
+
+#: defaulted parameters no product call passes, kept on purpose; each is a
+#: fake-substitution seam, a deployment setting or a durability flush
+#: (safety code, not an option to simplify away).  Only shrinks: an entry
+#: that gains a product caller, or whose parameter goes, must leave.
+TEST_SUPPORT_OPTIONS = {
+    "repro.experiments.harness.resume_run(fsync)": (
+        "the durability flush: a library caller journals a long cycle-accurate "
+        "run with one fsync per write so a power loss keeps every line; it "
+        "reaches launch -> JournalTracker -> EventJournal -> AppendLog"
+    ),
+    "repro.fleet.breaker.CircuitBreaker(now)": (
+        "the fake-clock seam: tests step a breaker through its cooldown "
+        "without sleeping"
+    ),
+    "repro.core.multiworkload.multi_workload_trial_factory(clock)": (
+        "the injected-clock seam: a test runs the multi-workload trials "
+        "on one engine's clock to compare them with that engine's"
+    ),
+}
+
+
+def _bare(node):
+    """The name an expression ends in: ``f`` of ``f`` and of ``a.b.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _is_dataclass(node):
+    return any(
+        _bare(decorator.func if isinstance(decorator, ast.Call) else decorator) == "dataclass"
+        for decorator in node.decorator_list
+    )
+
+
+def _defaulted(function, bound):
+    """``(name, positional index or None)`` of ``function``'s defaulted
+    parameters; ``bound`` leaves ``self`` / ``cls`` out of the count."""
+    args = function.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0 :]
+    first = len(positional) - len(args.defaults)
+    return [(arg.arg, i) for i, arg in enumerate(positional) if i >= first] + [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _defaulted_fields(node):
+    """``(name, index)`` of a dataclass's defaulted ``__init__`` fields."""
+    fields = [
+        item
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and "ClassVar" not in ast.unparse(item.annotation)
+        and not (
+            isinstance(item.value, ast.Call)
+            and any(keyword.arg == "init" for keyword in item.value.keywords)
+        )
+    ]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
+def _options(tree):
+    """``(callee, owner, name, positional index, field)`` for each defaulted
+    parameter of a top-level function or method and each defaulted field
+    of a top-level dataclass.  A function's callee is its name, a method's
+    ``(class, name)``, and an ``__init__``'s or a field's the class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for name, index in _defaulted(node, False):
+                yield node.name, node.name, name, index, False
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_dataclass(node):
+            for name, index in _defaulted_fields(node):
+                yield node.name, node.name, name, index, True
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(_bare(d) == "staticmethod" for d in item.decorator_list)
+                if item.name == "__init__":
+                    callee, owner = node.name, node.name
+                else:
+                    callee, owner = (node.name, item.name), f"{node.name}.{item.name}"
+                for name, index in _defaulted(item, not static):
+                    yield callee, owner, name, index, False
+
+
+class _Passes(ast.NodeVisitor):
+    """What the calls of one file pass, as ``passed[callee]``: parameter
+    names, positional indices, ``("*", i)`` for a ``*`` splat at ``i`` and
+    ``"**"`` for a ``**`` splat.
+
+    ``obj.m(...)`` calls every method ``m``; ``Cls.m(...)``,
+    ``super().m(...)``, ``cls(...)`` and ``functools.partial(f, ...)`` name
+    their callee.  A call through a local name or a subscript
+    (``config_cls(...)``, ``TOOLS[name](...)``) is ``dynamic``: it reaches
+    every callable the file keeps in a container or a variable; a
+    ``getattr(obj, name)(...)`` call reaches every function or method a
+    string argument of a call in the file names.  A call that forwards the enclosing
+    function's own ``*args`` / ``**kwargs`` passes on what that function's
+    callers pass: an edge in ``forwards``.
+    """
+
+    def __init__(self, names, classes, forwards):
+        self.names, self.classes, self.forwards = names, classes, forwards
+        self.passed, self.dynamic, self.kept, self.assigned = {}, [], set(), set()
+        self.by_name, self.strings = [], set()
+        self.scopes = []
+
+    def _scoped(self, node):
+        self.scopes.append(node)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def _enclosing(self, kind):
+        return next((scope for scope in reversed(self.scopes) if isinstance(scope, kind)), None)
+
+    def _keep(self, node):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            self.kept.add(_bare(node))
+
+    def visit_Assign(self, node):
+        self._keep(node.value)
+        self.assigned |= {t.attr for t in node.targets if isinstance(t, ast.Attribute)}
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        if isinstance(node.target, ast.Attribute):
+            self.assigned.add(node.target.attr)
+        self.generic_visit(node)
+
+    def visit_Tuple(self, node):
+        for element in node.elts:
+            self._keep(element)
+        self.generic_visit(node)
+
+    visit_List = visit_Set = visit_Tuple
+
+    def visit_Dict(self, node):
+        for value in node.values:
+            self._keep(value)
+        self.generic_visit(node)
+
+    def _callee(self, func, args):
+        """``(callee, args)``; ``callee`` is ``None`` for a subscript."""
+        name = _bare(func)
+        owner = func.value if isinstance(func, ast.Attribute) else None
+        cls = self._enclosing(ast.ClassDef)
+        if name == "partial" and args:
+            return self._callee(args[0], args[1:])
+        if name == "cls" and cls is not None:
+            return cls.name, args
+        if isinstance(owner, ast.Call) and _bare(owner.func) == "super" and cls is not None:
+            return ("super", cls.name, name), args
+        if isinstance(owner, ast.Name) and owner.id in self.classes:
+            return (owner.id if name == "__init__" else (owner.id, name)), args
+        return name, args
+
+    def visit_Call(self, node):
+        callee, args = self._callee(node.func, list(node.args))
+        by_name = isinstance(node.func, ast.Call) and _bare(node.func.func) == "getattr"
+        self.strings |= {
+            value.value
+            for value in [*node.args, *(keyword.value for keyword in node.keywords)]
+            if isinstance(value, ast.Constant)
+            and isinstance(value.value, str)
+            and value.value.isidentifier()
+        }
+        function = self._enclosing((ast.FunctionDef, ast.AsyncFunctionDef))
+        own = set()
+        if function is not None:
+            own = {arg.arg for arg in (function.args.vararg, function.args.kwarg) if arg}
+        passes = set()
+        for index, arg in enumerate(args):
+            if not isinstance(arg, ast.Starred):
+                passes.add(index)
+            elif by_name or _bare(arg.value) not in own:
+                passes.add(("*", index))
+        for keyword in node.keywords:
+            if keyword.arg is not None:
+                passes.add(keyword.arg)
+            elif _bare(keyword.value) not in own:
+                passes.add("**")
+            else:
+                source = function.name
+                cls = self._enclosing(ast.ClassDef)
+                if cls is not None and cls is self.scopes[-2]:
+                    source = cls.name if source == "__init__" else (cls.name, source)
+                self.forwards.append((source, callee))
+        if by_name:
+            self.by_name.append(passes)
+        elif callee is None or (
+            isinstance(node.func, ast.Name)
+            and callee not in self.names
+            and not hasattr(builtins, callee)
+        ):
+            self.dynamic.append(passes)
+        else:
+            self.passed.setdefault(callee, set()).update(passes)
+        self.generic_visit(node)
+
+
+@functools.lru_cache(maxsize=None)
+def _options_census():
+    """``(defaulted, unpassed)``: every option the scan sees under
+    ``src/repro`` as ``module.Owner(name)``, and those no call under
+    ``PRODUCT_ROOTS`` passes by keyword, by position or through a splat
+    (or, for a dataclass field, by assigning the attribute).  Private
+    (``_name``) parameters are state, not options."""
+    repo = SRC_ROOT.parents[1]
+    trees = {
+        module: ast.parse(path.read_text(encoding="utf-8"))
+        for module, path in _module_paths().items()
+    }
+    bases, defines = {}, {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_bare(base) for base in node.bases]
+                defines[node.name] = {
+                    item.name
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                } | ({"__init__"} if _is_dataclass(node) else set())
+    names = set(bases) | {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+    def defining(cls, method):
+        """The class whose ``method`` ``cls.method`` is, by first bases."""
+        while cls in bases and method not in defines[cls] and bases[cls]:
+            cls = bases[cls][0]
+        return cls
+
+    def resolve(callee):
+        if isinstance(callee, tuple) and callee[0] == "super":
+            _, cls, method = callee
+            owners = [defining(base, method) for base in bases.get(cls, [])]
+            return owners if method == "__init__" else [(owner, method) for owner in owners]
+        if isinstance(callee, tuple):
+            return [(defining(*callee), callee[1])]
+        if callee in bases:
+            return [defining(callee, "__init__")]
+        return [callee]
+
+    passed, forwards, assigned = {}, [], set()
+    for root in PRODUCT_ROOTS:
+        for path in sorted((repo / root).rglob("*.py")):
+            visitor = _Passes(names, set(bases), forwards)
+            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+            assigned |= visitor.assigned
+            reaching = (
+                list(visitor.passed.items())
+                + [(kept, passes) for passes in visitor.dynamic for kept in visitor.kept & names]
+                + [(named, passes) for passes in visitor.by_name for named in visitor.strings]
+            )
+            for callee, passes in reaching:
+                for reached in resolve(callee):
+                    passed.setdefault(reached, set()).update(passes)
+    changed = True
+    while changed:  # a forwarder passes on the names its callers pass it
+        changed = False
+        for source, target in forwards:
+            sent = {p for p in passed.get(source, ()) if isinstance(p, str)}
+            for reached in resolve(target) if target is not None else ():
+                before = len(passed.setdefault(reached, set()))
+                passed[reached] |= sent
+                changed |= len(passed[reached]) != before
+    defaulted, unpassed = [], []
+    for module, tree in trees.items():
+        if module.startswith(OPTION_SCAN_SKIPS):
+            continue
+        for callee, owner, name, index, field in _options(tree):
+            if name.startswith("_"):
+                continue
+            defaulted.append(f"{module}.{owner}({name})")
+            sent = passed.get(callee, set())
+            if isinstance(callee, tuple):  # obj.name(...) may call it too
+                sent = sent | passed.get(callee[1], set())
+            if not (
+                name in sent
+                or "**" in sent
+                or (field and name in assigned)
+                or index in sent
+                or any(type(p) is tuple and index is not None and index >= p[1] for p in sent)
+            ):
+                unpassed.append(defaulted[-1])
+    return defaulted, unpassed
+
+
+def test_parameters_have_a_product_caller():
+    """A default only tests override is an option only tests select: each
+    doubles what the tests must cover.  Make it a module constant at its
+    value (deleting what only other values reached), or list it in
+    ``TEST_SUPPORT_OPTIONS`` with why.  The scan matches callees by name:
+    ``obj.m(...)`` counts for every method ``m``."""
+    unlisted = [o for o in _options_census()[1] if o not in TEST_SUPPORT_OPTIONS]
+    assert not unlisted, "options no product call passes:\n" + "\n".join(unlisted)
+
+
+def test_test_support_options_are_still_unpassed():
+    stale = sorted(set(TEST_SUPPORT_OPTIONS) - set(_options_census()[1]))
+    assert not stale, f"a product call passes these now, or they are gone: {stale}"

@@ -20,6 +20,7 @@ from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.mapping.flextensor import FlexTensorSearch
 from tests.costmodel.flaky_engine import FlakyEngine
+from tests.costmodel.transport import tune
 
 SEARCH_BUDGET = 40
 SEED = 3
@@ -32,14 +33,13 @@ def flaky_service(tiny_network):
         yield server
 
 
+@pytest.fixture(autouse=True)
+def _retry_quickly(monkeypatch):
+    tune(monkeypatch, max_network_retries=10, backoff_base_s=0.001)
+
+
 def flaky_client(network, server):
-    return RemotePPAEngine(
-        network,
-        server.url,
-        area_fn=spatial_area_mm2,
-        max_network_retries=10,
-        backoff_base_s=0.001,
-    )
+    return RemotePPAEngine(network, server.url, area_fn=spatial_area_mm2)
 
 
 class TestFlakyServiceSearch:

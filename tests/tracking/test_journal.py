@@ -296,30 +296,32 @@ class TestTailReads:
         write_journal(path, 3)
         assert read_tail_events(path, 0).events == []
 
-    def test_small_window_widens_until_satisfied(self, tmp_path):
+    def test_small_window_widens_until_satisfied(self, tmp_path, monkeypatch):
         """With a window smaller than one line the reader must double its
         way back instead of returning short."""
         path = tmp_path / "j.jsonl"
         write_journal(path, 50)
-        scan = read_tail_events(path, 30, initial_window=1)
+        monkeypatch.setattr(journal_module, "TAIL_WINDOW", 1)
+        scan = read_tail_events(path, 30)
         assert [e["iteration"] for e in scan.events] == list(range(20, 50))
 
-    def test_matches_full_scan_suffix(self, tmp_path):
+    def test_matches_full_scan_suffix(self, tmp_path, monkeypatch):
         path = tmp_path / "j.jsonl"
         write_journal(path, 40)
         full = read_events(path)
-        tail = read_tail_events(path, 7, initial_window=256)
+        monkeypatch.setattr(journal_module, "TAIL_WINDOW", 256)
+        tail = read_tail_events(path, 7)
         assert tail.events == full.events[-7:]
         assert tail.event_offsets == full.event_offsets[-7:]
 
-    def test_event_type_filter_applies_before_limit(self, tmp_path):
+    def test_event_type_filter_applies_before_limit(self, tmp_path, monkeypatch):
         path = tmp_path / "j.jsonl"
         with EventJournal(path) as journal:
             for i in range(10):
                 journal.append("evaluation", {"iteration": i})
                 journal.append("pareto_update", {"pareto_size": i})
-        scan = read_tail_events(path, 3, event_type="pareto_update",
-                                initial_window=64)
+        monkeypatch.setattr(journal_module, "TAIL_WINDOW", 64)
+        scan = read_tail_events(path, 3, event_type="pareto_update")
         assert [e["pareto_size"] for e in scan.events] == [7, 8, 9]
         assert all(e["type"] == "pareto_update" for e in scan.events)
 

@@ -78,7 +78,7 @@ def _echo(request):
 
 
 def _teapot(request):
-    return json_reply(418, {"error": "teapot"}, headers={"X-Kind": "pot"})
+    return json_reply(418, {"error": "teapot"})._replace(headers={"X-Kind": "pot"})
 
 
 def _raises_value(request):

@@ -77,9 +77,6 @@ class TestPowerTwoThreeGrid:
     def test_small(self):
         assert power_two_three_grid(1, 1) == (1, 2, 3, 6)
 
-    def test_scale(self):
-        assert power_two_three_grid(1, 0, scale=10) == (10, 20)
-
     def test_sorted_unique(self):
         grid = power_two_three_grid(5, 5)
         assert list(grid) == sorted(set(grid))

@@ -62,7 +62,6 @@ class TestConv2D:
     def test_gemm_lowering_im2col(self):
         conv = Conv2D(
             name="c",
-            batch=2,
             in_channels=3,
             out_channels=64,
             in_h=32,
@@ -71,7 +70,7 @@ class TestConv2D:
         )
         gemm = conv.to_gemm()
         assert gemm.m == 64
-        assert gemm.n == 2 * 32 * 32
+        assert gemm.n == 32 * 32
         assert gemm.k == 3 * 3 * 3
 
     def test_strided_output(self):
