@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from repro.camodel.ascend_sim import simulate_layer
-from repro.camodel.mapping import AscendMapping
 from repro.costmodel.maestro import analyze_gemm
 from repro.costmodel.maestro_batch import analyze_gemm_batch
 from repro.costmodel.timeloop import analyze_gemm_loopnest
 from repro.costmodel.timeloop_batch import analyze_gemm_loopnest_batch
 from repro.hw.ascend import default_ascend_config
 from repro.hw.spatial import SpatialHWConfig
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace
 from repro.optim.gp import GaussianProcess
 from repro.optim.hypervolume import hypervolume

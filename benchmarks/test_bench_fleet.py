@@ -34,9 +34,9 @@ import time
 
 from repro.camodel.engine import AscendCAEngine
 from repro.camodel.ascend_sim import ascend_area_mm2
-from repro.camodel.mapping import AscendMapping
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.hw.ascend import default_ascend_config
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.workloads.layers import Gemm
 from repro.workloads.network import Network
 

@@ -11,8 +11,8 @@ Run:  python examples/bottleneck_analysis.py
 
 from repro.camodel.ascend_sim import simulate_layer
 from repro.camodel.trace import explain_layer
-from repro.camodel.mapping import AscendMapping, AscendMappingSpace
 from repro.hw.ascend import default_ascend_config
+from repro.mapping.ascend_mapping import AscendMapping, AscendMappingSpace
 from repro.workloads.registry import get_network
 
 

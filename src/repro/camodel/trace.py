@@ -2,8 +2,10 @@
 
 Real cycle-accurate models are valued for their *observability*: per-stage
 utilization, where the pipeline stalls, which buffer starves the cube.
-This module re-runs the tile-pipeline recurrence while recording per-stage
-busy cycles and produces a :class:`PipelineTrace` with:
+This module reads the simulator's finish times
+(:func:`~repro.camodel.ascend_sim._finish_times`, the one tile loop) and
+derives per-stage busy and stall cycles from them in one pass, producing a
+:class:`PipelineTrace` with:
 
 * per-stage busy/total utilization,
 * the bottleneck stage (highest utilization),
@@ -23,14 +25,14 @@ from typing import Tuple
 from repro.camodel.ascend_sim import (
     MAX_SIMULATED_TILES,
     _STAGE_NAMES,
-    _capacity_check,
-    _tile_costs,
+    _WRITEBACK_STAGE,
+    _finish_times,
+    _layer_plan,
+    _TileCosts,
 )
-from repro.camodel.mapping import AscendMapping
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.errors import EvaluationError
 from repro.hw.ascend import AscendHWConfig
-from repro.utils.intmath import round_up_div
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.workloads.layers import GemmShape
 
 
@@ -64,66 +66,53 @@ class PipelineTrace:
         raise EvaluationError(f"no pipeline stage named {name!r}")
 
 
+def _stage_stats(
+    costs: _TileCosts,
+    n_tiles: int,
+    trips_k: int,
+    banks: Tuple[int, int, int, int, int],
+) -> Tuple[float, Tuple[StageStats, ...]]:
+    """The window's total cycles and per-stage accounting.
+
+    One pass over :func:`_finish_times`: a stage's busy cycles are the
+    in-order sum of the durations that fired; its stall on tile ``t`` is
+    how much later than ``earliest = max(finish[s-1][t], finish[s][t-1])``
+    its consumer freed the slot it needed, ``finish[s+1][t - banks[s]]``.
+    """
+    finish = _finish_times(costs, n_tiles, trips_k, banks)
+    total = finish[-1][-1]
+    stages = []
+    for s, (name, own) in enumerate(zip(_STAGE_NAMES, finish)):
+        busy = stall = 0.0
+        for t in range(len(own)):
+            if s < _WRITEBACK_STAGE or (t % trips_k) == trips_k - 1:
+                busy += costs[s]
+            earliest = finish[s - 1][t] if s > 0 else 0.0
+            if t > 0:
+                earliest = max(earliest, own[t - 1])
+            if s + 1 < len(finish) and t - banks[s] >= 0:
+                freed = finish[s + 1][t - banks[s]]
+                if freed > earliest:
+                    stall += freed - earliest
+        utilization = busy / total if total > 0 else 0.0
+        stages.append(StageStats(name, busy, stall, utilization))
+    return total, tuple(stages)
+
+
 def trace_layer(
     hw: AscendHWConfig,
     mapping: AscendMapping,
     shape: GemmShape,
 ) -> PipelineTrace:
-    """Run the pipeline recurrence with per-stage instrumentation."""
-    tech = DEFAULT_TECHNOLOGY
-    ok, reason = _capacity_check(hw, mapping, tech)
-    if not ok:
+    """Per-stage accounting of the simulator's pipeline for one operator."""
+    plan, reason = _layer_plan(hw, mapping, shape)
+    if plan is None:
         raise EvaluationError(f"infeasible mapping: {reason}")
-    tm, tn, tk = mapping.tiles()
-    trips_m = round_up_div(shape.m, tm)
-    trips_n = round_up_div(shape.n, tn)
-    trips_k = round_up_div(shape.k, tk)
-    n_tiles = trips_m * trips_n * trips_k
-    costs = _tile_costs(hw, mapping, shape, tech)
-    durations = costs.as_list()
-    banks = (
-        1,
-        2,
-        min(hw.l0a_banks, hw.l0b_banks),
-        hw.l0c_banks,
-        2,
-    )
-    num_stages = len(durations)
-    simulate = min(n_tiles, MAX_SIMULATED_TILES)
-    finish = [[0.0] * simulate for _ in range(num_stages)]
-    busy = [0.0] * num_stages
-    stalls = [0.0] * num_stages
-    for t in range(simulate):
-        last_k = (t % trips_k) == trips_k - 1
-        for s in range(num_stages):
-            duration = durations[s]
-            if s >= 4 and not last_k:
-                duration = 0.0
-            earliest = finish[s - 1][t] if s > 0 else 0.0
-            if t > 0:
-                earliest = max(earliest, finish[s][t - 1])
-            start = earliest
-            if s + 1 < num_stages:
-                depth = banks[s]
-                if t - depth >= 0:
-                    start = max(start, finish[s + 1][t - depth])
-            stalls[s] += start - earliest
-            busy[s] += duration
-            finish[s][t] = start + duration
-    total = finish[-1][simulate - 1]
-    stages = tuple(
-        StageStats(
-            name=_STAGE_NAMES[s],
-            busy_cycles=busy[s],
-            stall_cycles=stalls[s],
-            utilization=busy[s] / total if total > 0 else 0.0,
-        )
-        for s in range(num_stages)
-    )
+    total, stages = _stage_stats(plan.costs, plan.n_tiles, plan.trips_k, plan.banks)
     return PipelineTrace(
         total_cycles=total,
-        simulated_tiles=simulate,
-        n_tiles=n_tiles,
+        simulated_tiles=min(plan.n_tiles, MAX_SIMULATED_TILES),
+        n_tiles=plan.n_tiles,
         stages=stages,
     )
 

@@ -35,6 +35,7 @@ from repro.core.evaluation import make_search_tool
 from repro.core.robustness import RobustnessResult, robustness_metric
 from repro.costmodel.engine import PPAEngine
 from repro.costmodel.results import NetworkPPA
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.errors import ConfigurationError
 from repro.utils.clock import SimulatedClock
 from repro.utils.rng import spawn_generators
@@ -53,7 +54,6 @@ class MultiWorkloadEngine:
         for engine in self.engines.values():
             engine.clock = self.clock  # one shared clock
         self.eval_cost_s = first.eval_cost_s
-        self.tech = first.tech
         self.metrics = first.metrics
         for engine in self.engines.values():
             engine.metrics = self.metrics  # one shared registry
@@ -188,7 +188,7 @@ class MultiWorkloadTrial:
                 area_mm2=area,
                 feasible=False,
             )
-        leakage = self.engine.tech.leakage_w_per_mm2 * area
+        leakage = DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * area
         return NetworkPPA(
             latency_s=total_latency,
             energy_j=total_energy,

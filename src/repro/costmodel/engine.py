@@ -120,7 +120,6 @@ class PPAEngine(ABC):
         self.network = network
         self.clock = clock if clock is not None else SimulatedClock()
         self.eval_cost_s = eval_cost_s
-        self.tech = DEFAULT_TECHNOLOGY
         self.layer_shapes: Dict[str, Tuple[GemmShape, int]] = {
             layer.name: (layer.to_gemm(), layer.count) for layer in network.layers
         }
@@ -488,7 +487,8 @@ class PPAEngine(ABC):
                 feasible=False,
                 layer_results=layer_results,
             )
-        power = total_energy / total_latency + self.tech.leakage_w_per_mm2 * area
+        leakage_w = DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * area
+        power = total_energy / total_latency + leakage_w
         return NetworkPPA(
             latency_s=total_latency,
             energy_j=total_energy,
@@ -533,7 +533,7 @@ class MaestroEngine(PPAEngine):
     def _compute_layer(
         self, hw: SpatialHWConfig, mapping: "GemmMapping", shape: GemmShape
     ) -> LayerPPA:
-        return analyze_gemm(hw, mapping, shape, self.tech)
+        return analyze_gemm(hw, mapping, shape)
 
     def _compute_layer_batch(
         self,
@@ -542,10 +542,10 @@ class MaestroEngine(PPAEngine):
         layer_name: str,
         shape: GemmShape,
     ) -> List[LayerPPA]:
-        return analyze_gemm_batch(hw, mappings, shape, self.tech)
+        return analyze_gemm_batch(hw, mappings, shape)
 
     def area_mm2(self, hw: SpatialHWConfig) -> float:
-        return spatial_area_mm2(hw, self.tech)
+        return spatial_area_mm2(hw)
 
 
 __all__ = [

@@ -16,8 +16,8 @@ data-centric analytical frameworks (MAESTRO, Timeloop) do:
 3. **Roofline latency** — compute, NoC and DRAM cycles overlap via double
    buffering, so tile latency is their maximum.
 4. **Energy** — per-MAC, per-byte register/L1/L2/DRAM energies from
-   :class:`~repro.costmodel.technology.Technology`; SRAM energy grows with
-   capacity.
+   :data:`~repro.costmodel.technology.DEFAULT_TECHNOLOGY`; SRAM energy
+   grows with capacity.
 5. **Area** — PEs + banked SRAM + NoC + fixed base.
 
 Capacity feasibility (double-buffered tiles must fit L1 per PE and L2) is
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
 from repro.workloads.layers import GemmShape
 
@@ -39,45 +39,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 _STARTUP_CYCLES = 1000.0
 
 
-def spatial_area_mm2(
-    hw: SpatialHWConfig, tech: Technology = DEFAULT_TECHNOLOGY
-) -> float:
+def spatial_area_mm2(hw: SpatialHWConfig) -> float:
     """Silicon area of a spatial-accelerator configuration."""
+    sram_area_per_kb = DEFAULT_TECHNOLOGY.sram_area_mm2_per_kb
+    bank_overhead = DEFAULT_TECHNOLOGY.bank_area_overhead
     l1_total_kb = hw.l1_total_bytes / 1024.0
     l2_kb = float(hw.l2_kb)
-    l1_area = (
-        tech.sram_area_mm2_per_kb
-        * l1_total_kb
-        * (1.0 + tech.bank_area_overhead * (hw.l1_banks - 1))
-    )
-    l2_area = (
-        tech.sram_area_mm2_per_kb
-        * l2_kb
-        * (1.0 + tech.bank_area_overhead * (hw.l2_banks - 1))
-    )
-    pe_area = tech.pe_area_mm2 * hw.num_pes
-    noc_area = tech.noc_area_mm2_per_pe_per_lane * hw.num_pes * hw.noc_bw
-    return tech.base_area_mm2 + pe_area + l1_area + l2_area + noc_area
+    l1_area = sram_area_per_kb * l1_total_kb * (1.0 + bank_overhead * (hw.l1_banks - 1))
+    l2_area = sram_area_per_kb * l2_kb * (1.0 + bank_overhead * (hw.l2_banks - 1))
+    pe_area = DEFAULT_TECHNOLOGY.pe_area_mm2 * hw.num_pes
+    noc_area = DEFAULT_TECHNOLOGY.noc_area_mm2_per_pe_per_lane * hw.num_pes * hw.noc_bw
+    return DEFAULT_TECHNOLOGY.base_area_mm2 + pe_area + l1_area + l2_area + noc_area
 
 
 #: Constants an engine re-derives for the same hardware or layer shape
 #: thousands of times per search, held per object (by ``id``, with the
-#: object kept so its ``id`` stays its own) and per :class:`Technology`.
-#: Bounded like the engine's hardware keys: cleared past this many.
+#: object kept so its ``id`` stays its own).  Bounded like the engine's
+#: hardware keys: cleared past this many.
 CONSTS_HELD = 256
 
-#: ``id(hw) -> (hw, tech, consts)``; see :func:`_hw_consts`
+#: ``id(hw) -> (hw, consts)``; see :func:`_hw_consts`
 _HW_CONSTS: Dict[int, Tuple] = {}
-#: ``id(shape) -> (shape, tech, consts)``; see :func:`_shape_consts`
+#: ``id(shape) -> (shape, consts)``; see :func:`_shape_consts`
 _SHAPE_CONSTS: Dict[int, Tuple] = {}
 
 
-def _hw_consts(hw: SpatialHWConfig, tech: Technology) -> Tuple:
+def _hw_consts(hw: SpatialHWConfig) -> Tuple:
     """(pe_x, pe_y, fill, l1 bytes, l2 bytes, weight stationary, NoC
-    bytes per cycle, L1 and L2 energy per byte) of ``hw`` under ``tech``."""
+    bytes per cycle, L1 and L2 energy per byte) of ``hw``."""
     held = _HW_CONSTS.get(id(hw))
-    if held is not None and held[0] is hw and held[1] is tech:
-        return held[2]
+    if held is not None and held[0] is hw:
+        return held[1]
     if len(_HW_CONSTS) >= CONSTS_HELD:
         _HW_CONSTS.clear()
     bank_boost = min(hw.l1_banks, 2) / 2.0 + 0.5  # 1.0 at 1 bank, 1.5 at >=2
@@ -89,23 +81,24 @@ def _hw_consts(hw: SpatialHWConfig, tech: Technology) -> Tuple:
         hw.l2_bytes,
         hw.dataflow == "ws",
         hw.noc_bw * bank_boost,
-        tech.l1_energy_per_byte(hw.l1_bytes),
-        tech.l2_energy_per_byte(hw.l2_bytes),
+        DEFAULT_TECHNOLOGY.l1_energy_per_byte(hw.l1_bytes),
+        DEFAULT_TECHNOLOGY.l2_energy_per_byte(hw.l2_bytes),
     )
-    _HW_CONSTS[id(hw)] = (hw, tech, consts)
+    _HW_CONSTS[id(hw)] = (hw, consts)
     return consts
 
 
-def _shape_consts(shape: GemmShape, tech: Technology) -> Tuple:
-    """The per-(shape, tech) products of :func:`analyze_gemm`, each formed
-    exactly as the per-call expression it replaces (see there)."""
+def _shape_consts(shape: GemmShape) -> Tuple:
+    """The per-shape products of :func:`analyze_gemm`, each formed exactly
+    as the per-call expression it replaces (see there)."""
     held = _SHAPE_CONSTS.get(id(shape))
-    if held is not None and held[0] is shape and held[1] is tech:
-        return held[2]
+    if held is not None and held[0] is shape:
+        return held[1]
     if len(_SHAPE_CONSTS) >= CONSTS_HELD:
         _SHAPE_CONSTS.clear()
     m, n, k = shape.m, shape.n, shape.k
-    op_b = tech.operand_bytes
+    op_b = DEFAULT_TECHNOLOGY.operand_bytes
+    acc_b = DEFAULT_TECHNOLOGY.accum_bytes
     macs = shape.macs
     reg_bytes = 2.0 * macs * op_b
     consts = (
@@ -114,26 +107,24 @@ def _shape_consts(shape: GemmShape, tech: Technology) -> Tuple:
         k,
         shape.reuse_penalty,
         op_b,
-        tech.accum_bytes,
+        acc_b,
         m * k * op_b,  # A bytes
         k * n * op_b,  # B bytes
         m * n * op_b,  # C bytes
-        2.0 * m * n * tech.accum_bytes,  # one partial-sum round trip
-        macs * tech.mac_energy_j + reg_bytes * tech.reg_energy_per_byte_j,
+        2.0 * m * n * acc_b,  # one partial-sum round trip
+        macs * DEFAULT_TECHNOLOGY.mac_energy_j
+        + reg_bytes * DEFAULT_TECHNOLOGY.reg_energy_per_byte_j,
         reg_bytes / 4.0,
-        tech.dram_bw_bytes_per_cycle,
-        tech.frequency_hz,
-        tech.dram_energy_per_byte_j,
+        DEFAULT_TECHNOLOGY.dram_bw_bytes_per_cycle,
+        DEFAULT_TECHNOLOGY.frequency_hz,
+        DEFAULT_TECHNOLOGY.dram_energy_per_byte_j,
     )
-    _SHAPE_CONSTS[id(shape)] = (shape, tech, consts)
+    _SHAPE_CONSTS[id(shape)] = (shape, consts)
     return consts
 
 
 def analyze_gemm(
-    hw: SpatialHWConfig,
-    mapping: GemmMapping,
-    shape: GemmShape,
-    tech: Technology = DEFAULT_TECHNOLOGY,
+    hw: SpatialHWConfig, mapping: GemmMapping, shape: GemmShape
 ) -> LayerPPA:
     """Analyze one GEMM pass under ``mapping`` on ``hw``.
 
@@ -144,13 +135,11 @@ def analyze_gemm(
     of the module docstring give, so results are the same bits however
     the constants were reached.
     """
-    pe_x, pe_y, fill, l1_bytes, l2_bytes, ws, noc_denom, l1_e, l2_e = (
-        _hw_consts(hw, tech)
-    )
+    pe_x, pe_y, fill, l1_bytes, l2_bytes, ws, noc_denom, l1_e, l2_e = _hw_consts(hw)
     (
         m, n, k, reuse, op_b, acc_b, a_bytes, b_bytes, c0, c2,
         base_energy, reg4, dram_bw, frequency, dram_e,
-    ) = _shape_consts(shape, tech)
+    ) = _shape_consts(shape)
     # (tile_m, tile_n, tile_k, unroll, spatial == "mn", innermost dim code)
     tile_m, tile_n, tile_k, unroll, spatial_mn, inner = mapping._row
     # tiles can never exceed the problem dimensions

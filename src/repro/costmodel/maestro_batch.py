@@ -37,8 +37,8 @@ only comes here at ``VECTOR_KERNEL_MIN_GROUP`` or more misses of one layer
   the column of the dimension X excludes) — no per-operand scan;
 * Python scalars bound into array ops go through NumPy 2's weak-promotion
   path, which costs nearly as much as the 64-element op itself; constants
-  are therefore pre-wrapped as 0-d/1-d arrays, cached per ``Technology``
-  and per PE-array geometry where they are call-invariant;
+  are therefore pre-wrapped as 0-d/1-d arrays, held as module constants
+  or cached per PE-array geometry where they are call-invariant;
 * scalar-only subexpressions (``fill = pe_x + pe_y`` under either spatial
   choice, the energy base term, DRAM/NoC byte constants) are computed once
   in Python floats.
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.costmodel.maestro import CONSTS_HELD
 from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
 from repro.workloads.layers import GemmShape
 
@@ -71,38 +71,30 @@ _QUARTER = np.array(0.25)
 #: GEMM dimension codes m=0, n=1, k=2 (see ``gemm_mapping.DIM_INDEX``)
 _ALL_CODES = np.array([0, 1, 2], dtype=np.int64)
 
-#: per-Technology 0-d constants:
-#: (two_op, acc_b, dram_bw, frequency, dram_energy)
-_TECH_CONSTS: Dict[Technology, Tuple[np.ndarray, ...]] = {}
+#: operand bytes (a Python int: ``x * 1`` is skipped where it is one)
+_OP_B = DEFAULT_TECHNOLOGY.operand_bytes
+#: the technology's 0-d constants
+_TWO_OP = np.array(2 * _OP_B, dtype=np.int64)
+_ACC_B = np.array(DEFAULT_TECHNOLOGY.accum_bytes, dtype=np.int64)
+_DRAM_BW = np.array(DEFAULT_TECHNOLOGY.dram_bw_bytes_per_cycle)
+_FREQUENCY = np.array(DEFAULT_TECHNOLOGY.frequency_hz)
+_DRAM_ENERGY = np.array(DEFAULT_TECHNOLOGY.dram_energy_per_byte_j)
 
 #: per-(pe_x, pe_y) operand arrays: spatial "mn" -> (pe_x, pe_y),
 #: "nm" -> (pe_y, pe_x)
 _PE_CONSTS: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
-#: per-(shape, tech) constants (both keys are frozen dataclasses):
+#: per-shape constants (the key is a frozen dataclass):
 #: (dims, dims - 1, A/B DRAM byte constants, c0, c2, c0 - c2,
 #:  base energy, register bytes / 4)
-_SHAPE_CONSTS: Dict[Tuple[GemmShape, Technology], Tuple] = {}
+_SHAPE_CONSTS: Dict[GemmShape, Tuple] = {}
 
-#: per-(hw, tech) 0-d constants: (fill cycles, NoC denominator,
+#: per-hw 0-d constants: (fill cycles, NoC denominator,
 #: L1 energy/byte, L2 energy/byte).  The energy-per-byte methods scale
 #: with capacity**0.25 — worth caching, the search loop re-queries one
 #: hw config thousands of times.  Cleared past ``CONSTS_HELD`` entries:
 #: a long-lived replica sees an unbounded stream of configs.
-_HW_CONSTS: Dict[Tuple[SpatialHWConfig, Technology], Tuple[np.ndarray, ...]] = {}
-
-
-def _tech_consts(tech: Technology) -> Tuple[np.ndarray, ...]:
-    consts = _TECH_CONSTS.get(tech)
-    if consts is None:
-        consts = _TECH_CONSTS[tech] = (
-            np.array(2 * tech.operand_bytes, dtype=np.int64),
-            np.array(tech.accum_bytes, dtype=np.int64),
-            np.array(tech.dram_bw_bytes_per_cycle),
-            np.array(tech.frequency_hz),
-            np.array(tech.dram_energy_per_byte_j),
-        )
-    return consts
+_HW_CONSTS: Dict[SpatialHWConfig, Tuple[np.ndarray, ...]] = {}
 
 
 def _pe_consts(px: int, py: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -115,43 +107,40 @@ def _pe_consts(px: int, py: int) -> Tuple[np.ndarray, np.ndarray]:
     return consts
 
 
-def _hw_consts(
-    hw: SpatialHWConfig, tech: Technology
-) -> Tuple[np.ndarray, ...]:
-    consts = _HW_CONSTS.get((hw, tech))
+def _hw_consts(hw: SpatialHWConfig) -> Tuple[np.ndarray, ...]:
+    consts = _HW_CONSTS.get(hw)
     if consts is None:
         if len(_HW_CONSTS) >= CONSTS_HELD:
             _HW_CONSTS.clear()
         bank_boost = min(hw.l1_banks, 2) / 2.0 + 0.5
-        consts = _HW_CONSTS[(hw, tech)] = (
+        consts = _HW_CONSTS[hw] = (
             np.array(float(hw.pe_x + hw.pe_y)),
             np.array(hw.noc_bw * bank_boost),
-            np.array(tech.l1_energy_per_byte(hw.l1_bytes)),
-            np.array(tech.l2_energy_per_byte(hw.l2_bytes)),
+            np.array(DEFAULT_TECHNOLOGY.l1_energy_per_byte(hw.l1_bytes)),
+            np.array(DEFAULT_TECHNOLOGY.l2_energy_per_byte(hw.l2_bytes)),
         )
     return consts
 
 
-def _shape_consts(shape: GemmShape, tech: Technology) -> Tuple:
-    consts = _SHAPE_CONSTS.get((shape, tech))
+def _shape_consts(shape: GemmShape) -> Tuple:
+    consts = _SHAPE_CONSTS.get(shape)
     if consts is None:
-        op_b = tech.operand_bytes
-        c0 = shape.m * shape.n * op_b
-        c2 = 2.0 * shape.m * shape.n * tech.accum_bytes
+        c0 = shape.m * shape.n * _OP_B
+        c2 = 2.0 * shape.m * shape.n * DEFAULT_TECHNOLOGY.accum_bytes
         macs = shape.macs
-        reg_bytes = 2.0 * macs * op_b
+        reg_bytes = 2.0 * macs * _OP_B
         dims = np.array((shape.m, shape.n, shape.k), dtype=np.int64)
-        consts = _SHAPE_CONSTS[(shape, tech)] = (
+        consts = _SHAPE_CONSTS[shape] = (
             dims,
             dims - _ONE,
-            np.array(shape.m * shape.k * op_b, dtype=np.int64),
-            np.array(shape.k * shape.n * op_b, dtype=np.int64),
+            np.array(shape.m * shape.k * _OP_B, dtype=np.int64),
+            np.array(shape.k * shape.n * _OP_B, dtype=np.int64),
             c0,
             c2,
             c0 - c2,
             np.array(
-                macs * tech.mac_energy_j
-                + reg_bytes * tech.reg_energy_per_byte_j
+                macs * DEFAULT_TECHNOLOGY.mac_energy_j
+                + reg_bytes * DEFAULT_TECHNOLOGY.reg_energy_per_byte_j
             ),
             np.array(reg_bytes / 4.0),
         )
@@ -181,7 +170,6 @@ class BatchSoA:
         hw: SpatialHWConfig,
         mappings: Sequence["GemmMapping"],
         shape: GemmShape,
-        tech: Technology,
     ):
         self.size = size = len(mappings)
         # rows precomputed at GemmMapping construction:
@@ -192,7 +180,7 @@ class BatchSoA:
             count=size * 6,
         ).reshape(size, 6)
         # tiles can never exceed the problem dimensions
-        dims, dims1 = _shape_consts(shape, tech)[:2]
+        dims, dims1 = _shape_consts(shape)[:2]
         clipped = np.minimum(columns[:, 0:3], dims)
         self.tm = tm = clipped[:, 0]
         self.tn = tn = clipped[:, 1]
@@ -210,11 +198,10 @@ class BatchSoA:
         self.sub_m = sub_m = (tm + (pe_m - _ONE)) // pe_m
         self.sub_n = sub_n = (tn + (pe_n - _ONE)) // pe_n
 
-        two_op, acc_b = _tech_consts(tech)[:2]
         self.smsn = smsn = sub_m * sub_n
         self.tmtn = tmtn = tm * tn
-        self.l1_need = tk * (sub_m + sub_n) * two_op + smsn * acc_b
-        self.l2_need = tk * (tm + tn) * two_op + tmtn * acc_b
+        self.l1_need = tk * (sub_m + sub_n) * _TWO_OP + smsn * _ACC_B
+        self.l2_need = tk * (tm + tn) * _TWO_OP + tmtn * _ACC_B
         self.l1_bad = self.l1_need > hw.l1_bytes
         self.l2_bad = self.l2_need > hw.l2_bytes
 
@@ -292,7 +279,6 @@ def analyze_gemm_batch(
     hw: SpatialHWConfig,
     mappings: Sequence["GemmMapping"],
     shape: GemmShape,
-    tech: Technology = DEFAULT_TECHNOLOGY,
 ) -> List[LayerPPA]:
     """Batch equivalent of :func:`repro.costmodel.maestro.analyze_gemm`.
 
@@ -301,14 +287,12 @@ def analyze_gemm_batch(
     """
     if not mappings:
         return []
-    soa = BatchSoA(hw, mappings, shape, tech)
-    op_b = tech.operand_bytes
+    soa = BatchSoA(hw, mappings, shape)
     reuse = shape.reuse_penalty
     tm, tn, tk = soa.tm, soa.tn, soa.tk
     n_tiles = soa.n_tiles
-    _, acc_b, dram_bw, freq, dram_e = _tech_consts(tech)
     _, _, const_a, const_b, c0, c2, c0_less_c2, base_energy, reg4 = (
-        _shape_consts(shape, tech)
+        _shape_consts(shape)
     )
 
     # --- DRAM <-> L2 traffic -------------------------------------------------
@@ -331,19 +315,19 @@ def analyze_gemm_batch(
     if hw.dataflow == "ws":
         nt_tm = n_tiles * tm
         noc_a = nt_tm * tk
-        if op_b != 1:  # x * 1 is an integer identity — skip the array op
-            noc_a = noc_a * op_b
+        if _OP_B != 1:  # x * 1 is an integer identity — skip the array op
+            noc_a = noc_a * _OP_B
         if reuse != 1.0:
             noc_a = noc_a / reuse
         # the scalar ws branch recomputes dram_b's exact expression
         noc_b = dram_b
-        noc_c = nt_tm * tn * acc_b
+        noc_c = nt_tm * tn * _ACC_B
     else:  # output stationary
         noc_a = n_tiles * tm * tk
         noc_b = n_tiles * tk * tn
-        if op_b != 1:
-            noc_a = noc_a * op_b
-            noc_b = noc_b * op_b
+        if _OP_B != 1:
+            noc_a = noc_a * _OP_B
+            noc_b = noc_b * _OP_B
         if reuse != 1.0:
             noc_a = noc_a / reuse
             noc_b = noc_b / reuse
@@ -356,17 +340,17 @@ def analyze_gemm_batch(
 
     # --- latency ---------------------------------------------------------------
     # fill = pe_m + pe_n, identical under either spatial choice
-    fill, noc_denom, l1_e, l2_e = _hw_consts(hw, tech)
+    fill, noc_denom, l1_e, l2_e = _hw_consts(hw)
     issue_overhead = _QUARTER / soa.unroll
     compute_cycles = n_tiles * (
         soa.smsn * tk * (_ONE_F + issue_overhead) + fill
     )
     noc_cycles = noc_bytes / noc_denom
-    dram_cycles = dram_bytes / dram_bw
+    dram_cycles = dram_bytes / _DRAM_BW
     latency_s = (
         np.maximum(np.maximum(compute_cycles, noc_cycles), dram_cycles)
         + _STARTUP_CYCLES
-    ) / freq
+    ) / _FREQUENCY
 
     # --- energy ----------------------------------------------------------------
     l1_access_bytes = reg4 + noc_bytes
@@ -375,7 +359,7 @@ def analyze_gemm_batch(
         base_energy
         + l1_access_bytes * l1_e
         + l2_access_bytes * l2_e
-        + dram_bytes * dram_e
+        + dram_bytes * _DRAM_ENERGY
     )
 
     return soa.build_results(

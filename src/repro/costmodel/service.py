@@ -64,7 +64,6 @@ from typing import (
     Union,
 )
 
-from repro.camodel.mapping import AscendMapping
 from repro.costmodel.engine import PPAEngine, Query, QueryGroup, held_instrument
 from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.errors import EvaluationError, ReproError, TransportError
@@ -73,6 +72,7 @@ from repro.fleet.hashing import candidate_key
 from repro.fleet.router import Shard, ShardRouter
 from repro.hw.ascend import AscendHWConfig
 from repro.hw.spatial import SpatialHWConfig
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.mapping.gemm_mapping import GemmMapping
 from repro.obs.trace import (
     NULL_TRACER,

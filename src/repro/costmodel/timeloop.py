@@ -18,7 +18,7 @@ reasons *data-centrically* (reuse rules per operand), this engine reasons
    cycles per level bandwidth and energy per level access cost, and take
    the roofline maximum as latency.
 
-Because the two engines share only the Technology constants and the
+Because the two engines share only the technology constants and the
 capacity-feasibility rules, agreement between them is a meaningful
 cross-validation of both (see ``tests/costmodel/test_timeloop.py``).
 """
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.costmodel.engine import PPAEngine
 from repro.costmodel.maestro import spatial_area_mm2
-from repro.costmodel.results import LayerPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
+from repro.costmodel.results import LayerPPA, infeasible_ppa
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
 from repro.utils.intmath import round_up_div
 from repro.workloads.layers import GemmShape
@@ -85,14 +85,13 @@ def analyze_gemm_loopnest(
     hw: SpatialHWConfig,
     mapping: "GemmMapping",
     shape: GemmShape,
-    tech: Technology = DEFAULT_TECHNOLOGY,
 ) -> LayerPPA:
     """Loop-centric analysis of one GEMM pass (see module docstring)."""
     tm = min(mapping.tile_m, shape.m)
     tn = min(mapping.tile_n, shape.n)
     tk = min(mapping.tile_k, shape.k)
-    op_b = tech.operand_bytes
-    acc_b = tech.accum_bytes
+    op_b = DEFAULT_TECHNOLOGY.operand_bytes
+    acc_b = DEFAULT_TECHNOLOGY.accum_bytes
 
     if mapping.spatial == "mn":
         pe_m, pe_n = hw.pe_x, hw.pe_y
@@ -105,22 +104,11 @@ def analyze_gemm_loopnest(
     # buffers are the same silicon either way)
     l1_need = 2 * (sub_m * tk + tk * sub_n) * op_b + sub_m * sub_n * acc_b
     if l1_need > hw.l1_bytes:
-        return LayerPPA(
-            latency_s=float("inf"),
-            energy_j=float("inf"),
-            feasible=False,
-            infeasible_reason=(
-                f"L1 overflow: need {l1_need} B per PE, have {hw.l1_bytes} B"
-            ),
-        )
+        reason = f"L1 overflow: need {l1_need} B per PE, have {hw.l1_bytes} B"
+        return infeasible_ppa(reason)
     l2_need = 2 * (tm * tk + tk * tn) * op_b + tm * tn * acc_b
     if l2_need > hw.l2_bytes:
-        return LayerPPA(
-            latency_s=float("inf"),
-            energy_j=float("inf"),
-            feasible=False,
-            infeasible_reason=f"L2 overflow: need {l2_need} B, have {hw.l2_bytes} B",
-        )
+        return infeasible_ppa(f"L2 overflow: need {l2_need} B, have {hw.l2_bytes} B")
 
     # ---- the loop nest -------------------------------------------------------
     # DRAM-level tile loops, outer -> inner, in the mapping's order:
@@ -195,19 +183,21 @@ def analyze_gemm_loopnest(
     )
     bank_boost = min(hw.l1_banks, 2) / 2.0 + 0.5
     noc_cycles = noc_bytes / (hw.noc_bw * bank_boost)
-    dram_cycles = dram_bytes / tech.dram_bw_bytes_per_cycle
+    dram_cycles = dram_bytes / DEFAULT_TECHNOLOGY.dram_bw_bytes_per_cycle
     latency_cycles = max(compute_cycles, noc_cycles, dram_cycles) + _STARTUP_CYCLES
-    latency_s = latency_cycles / tech.frequency_hz
+    latency_s = latency_cycles / DEFAULT_TECHNOLOGY.frequency_hz
 
     # ---- energy ----------------------------------------------------------------
     macs = shape.macs
     reg_bytes = 2.0 * macs * op_b
     energy_j = (
-        macs * tech.mac_energy_j
-        + reg_bytes * tech.reg_energy_per_byte_j
-        + (l1_access_bytes + noc_bytes) * tech.l1_energy_per_byte(hw.l1_bytes)
-        + (noc_bytes + dram_bytes) * tech.l2_energy_per_byte(hw.l2_bytes)
-        + dram_bytes * tech.dram_energy_per_byte_j
+        macs * DEFAULT_TECHNOLOGY.mac_energy_j
+        + reg_bytes * DEFAULT_TECHNOLOGY.reg_energy_per_byte_j
+        + (l1_access_bytes + noc_bytes)
+        * DEFAULT_TECHNOLOGY.l1_energy_per_byte(hw.l1_bytes)
+        + (noc_bytes + dram_bytes)
+        * DEFAULT_TECHNOLOGY.l2_energy_per_byte(hw.l2_bytes)
+        + dram_bytes * DEFAULT_TECHNOLOGY.dram_energy_per_byte_j
     )
     return LayerPPA(
         latency_s=latency_s,
@@ -226,14 +216,14 @@ class TimeloopEngine(PPAEngine):
     def _compute_layer(
         self, hw: SpatialHWConfig, mapping: "GemmMapping", shape: GemmShape
     ) -> LayerPPA:
-        return analyze_gemm_loopnest(hw, mapping, shape, self.tech)
+        return analyze_gemm_loopnest(hw, mapping, shape)
 
     def _compute_layer_batch(
         self, hw: SpatialHWConfig, mappings, layer_name: str, shape: GemmShape
     ) -> List[LayerPPA]:
         from repro.costmodel.timeloop_batch import analyze_gemm_loopnest_batch
 
-        return analyze_gemm_loopnest_batch(hw, mappings, shape, self.tech)
+        return analyze_gemm_loopnest_batch(hw, mappings, shape)
 
     def area_mm2(self, hw: SpatialHWConfig) -> float:
-        return spatial_area_mm2(hw, self.tech)
+        return spatial_area_mm2(hw)

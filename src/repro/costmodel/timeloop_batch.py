@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.costmodel.maestro_batch import BatchSoA
 from repro.costmodel.results import LayerPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
 from repro.workloads.layers import GemmShape
 
@@ -48,14 +48,13 @@ def analyze_gemm_loopnest_batch(
     hw: SpatialHWConfig,
     mappings: Sequence["GemmMapping"],
     shape: GemmShape,
-    tech: Technology = DEFAULT_TECHNOLOGY,
 ) -> List[LayerPPA]:
     """Batch equivalent of :func:`analyze_gemm_loopnest` (ordered results)."""
     if not mappings:
         return []
-    soa = BatchSoA(hw, mappings, shape, tech)
-    op_b = tech.operand_bytes
-    acc_b = tech.accum_bytes
+    soa = BatchSoA(hw, mappings, shape)
+    op_b = DEFAULT_TECHNOLOGY.operand_bytes
+    acc_b = DEFAULT_TECHNOLOGY.accum_bytes
     reuse = shape.reuse_penalty
     tm, tn, tk = soa.tm, soa.tn, soa.tk
     n_tiles = soa.n_tiles
@@ -121,23 +120,26 @@ def analyze_gemm_loopnest_batch(
     )
     bank_boost = min(hw.l1_banks, 2) / 2.0 + 0.5
     noc_cycles = noc_bytes / (hw.noc_bw * bank_boost)
-    dram_cycles = dram_bytes / tech.dram_bw_bytes_per_cycle
+    dram_cycles = dram_bytes / DEFAULT_TECHNOLOGY.dram_bw_bytes_per_cycle
     latency_s = (
         np.maximum(np.maximum(compute_cycles, noc_cycles), dram_cycles)
         + _STARTUP_CYCLES
-    ) / tech.frequency_hz
+    ) / DEFAULT_TECHNOLOGY.frequency_hz
 
     # ---- energy ----------------------------------------------------------------
     macs = shape.macs
     reg_bytes = 2.0 * macs * op_b
     base_energy = (
-        macs * tech.mac_energy_j + reg_bytes * tech.reg_energy_per_byte_j
+        macs * DEFAULT_TECHNOLOGY.mac_energy_j
+        + reg_bytes * DEFAULT_TECHNOLOGY.reg_energy_per_byte_j
     )
     energy_j = (
         base_energy
-        + (l1_access_bytes + noc_bytes) * tech.l1_energy_per_byte(hw.l1_bytes)
-        + (noc_bytes + dram_bytes) * tech.l2_energy_per_byte(hw.l2_bytes)
-        + dram_bytes * tech.dram_energy_per_byte_j
+        + (l1_access_bytes + noc_bytes)
+        * DEFAULT_TECHNOLOGY.l1_energy_per_byte(hw.l1_bytes)
+        + (noc_bytes + dram_bytes)
+        * DEFAULT_TECHNOLOGY.l2_energy_per_byte(hw.l2_bytes)
+        + dram_bytes * DEFAULT_TECHNOLOGY.dram_energy_per_byte_j
     )
     return soa.build_results(
         hw, latency_s, energy_j, compute_cycles, noc_cycles, dram_cycles,

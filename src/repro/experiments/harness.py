@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.camodel.engine import AscendCAEngine
+from repro.camodel.engine import NOISE_FRACTION, AscendCAEngine
 from repro.core.base import CoSearchResult
 from repro.core.checkpoint import fold_journal
 from repro.core.unico import Unico, UnicoConfig
@@ -93,7 +93,7 @@ def make_platform(scenario: str, network: Network):
     _check_choice("scenario", scenario, SCENARIOS)
     if scenario == "ascend":
         space = ascend_design_space()
-        engine = AscendCAEngine(network, noise_fraction=0.08)
+        engine = AscendCAEngine(network, noise_fraction=NOISE_FRACTION)
         caps = {"power_cap_w": None, "area_cap_mm2": ASCEND_AREA_CAP_MM2}
         return space, engine, caps, "fusion", 4
     space = design_space_for(scenario)

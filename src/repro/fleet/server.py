@@ -46,7 +46,6 @@ class ReplicaSpec:
     network: str
     engine: str = "maestro"
     cache_capacity: Optional[int] = None
-    noise_fraction: float = 0.08
     host: str = "127.0.0.1"
     ports: tuple = field(default_factory=tuple)  # empty -> OS-assigned
 
@@ -71,9 +70,9 @@ def build_replica_engine(spec: ReplicaSpec):
         from repro.costmodel.timeloop import TimeloopEngine
 
         return TimeloopEngine(network, cache_capacity=spec.cache_capacity)
-    from repro.camodel.engine import AscendCAEngine
+    from repro.camodel.engine import NOISE_FRACTION, AscendCAEngine
 
-    engine = AscendCAEngine(network, noise_fraction=spec.noise_fraction)
+    engine = AscendCAEngine(network, noise_fraction=NOISE_FRACTION)
     engine.cache_capacity = spec.cache_capacity
     return engine
 

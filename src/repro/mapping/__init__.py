@@ -1,8 +1,9 @@
 """Software mapping representation and search tools.
 
 The inner level of the bi-level co-optimization: given a fixed hardware
-configuration, find per-layer :class:`GemmMapping` schedules minimizing the
-network objective.  All tools implement the anytime/resumable contract of
+configuration, find per-layer :class:`GemmMapping` (or, on the Ascend-like
+platform, :class:`AscendMapping`) schedules minimizing the network
+objective.  All tools implement the anytime/resumable contract of
 :class:`AnytimeMappingSearch` so successive halving can budget them in
 rounds.
 

@@ -39,6 +39,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.costmodel.results import LayerPPA, NetworkPPA
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.errors import SearchBudgetError
 from repro.obs.trace import NULL_TRACER
 
@@ -150,7 +151,7 @@ class AnytimeMappingSearch(ABC):
         self._pick_weights = np.full(len(self.layer_names), np.nan)
         self._pick_cdf: Optional[np.ndarray] = None
         self._stale_weights = set(self.layer_names)
-        self._leakage_w = engine.tech.leakage_w_per_mm2 * engine.area_mm2(hw)
+        self._leakage_w = DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * engine.area_mm2(hw)
         self._initialize_incumbents()
 
     # ------------------------------------------------------------------ setup

@@ -28,8 +28,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.camodel.mapping import AscendMapping, AscendMappingSpace
 from repro.costmodel.results import LayerPPA
+from repro.mapping.ascend_mapping import AscendMapping, AscendMappingSpace
 from repro.mapping.base import AnytimeMappingSearch
 
 #: chance that a step proposes fusing a layer with its successor

@@ -102,6 +102,37 @@ def _cho_solve(chol_f: np.ndarray, b: np.ndarray, overwrite_b: bool = False):
     return solution
 
 
+#: the wait a listed task that is no live Python thread gets to leave the
+#: task list, and the tids that outlived it (see :func:`_forking_pays`)
+_TASK_EXIT_WAIT_S = 0.05
+_STAYING_TIDS: set = set()
+
+
+def _threaded() -> bool:
+    """Whether a thread besides the calling one runs (see :func:`_forking_pays`)."""
+    import threading
+    import time
+
+    own = threading.get_native_id()
+
+    def listed() -> set:
+        return {int(tid) for tid in os.listdir("/proc/self/task")} - {own}
+
+    try:
+        others = listed()
+    except OSError:
+        return threading.active_count() > 1
+    _STAYING_TIDS.intersection_update(others)  # forget the threads that left
+    if others & ({t.native_id for t in threading.enumerate()} | _STAYING_TIDS):
+        return True
+    deadline = time.monotonic() + _TASK_EXIT_WAIT_S
+    while others and time.monotonic() < deadline:
+        time.sleep(0.0005)
+        others &= listed()
+    _STAYING_TIDS.update(others)
+    return bool(others)
+
+
 def _forking_pays() -> bool:
     """Whether :meth:`GaussianProcess.fit` hands its second L-BFGS-B start
     to the process's fit helper: the process can fork, another CPU is
@@ -109,23 +140,19 @@ def _forking_pays() -> bool:
 
     Asked at every fit.  Threads are counted by the kernel where it says
     (``/proc/self/task``), so a BLAS pool counts: its threads would fight
-    the helper for the second CPU.  Elsewhere only Python threads are
-    seen.  A fork from a threaded process can deadlock the child, and
-    Python 3.12 warns.
+    the helper for the second CPU.  A listed task that is no live Python
+    thread may have just ended, so it gets :data:`_TASK_EXIT_WAIT_S` to
+    leave; one that stays is read as a thread at once from then on.
+    Elsewhere only Python threads are seen.  A fork from a threaded
+    process can deadlock the child, and Python 3.12 warns.
     """
-    import threading
-
     if not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        threads = threading.active_count()
-    return cpus > 1 and threads == 1
+    return cpus > 1 and not _threaded()
 
 
 def _descent(gp: "GaussianProcess", x: np.ndarray, y_std: np.ndarray):
@@ -295,20 +322,25 @@ class _FitHelper:
 
     def close(self) -> None:
         """Close the owner's pipe ends, kill and reap the helper, and
-        forget it."""
+        forget it, with SIGTERM and SIGINT held till the reap: a hub run
+        child's handler would otherwise die between forget and reap."""
         import signal
 
         global _HELPER
-        if _HELPER is self:
-            _HELPER = None
-        os.close(self.requests)
-        os.close(self.replies)
-        if self.alive():  # still this process's child, so the pid is its own
-            os.kill(self.pid, signal.SIGKILL)
-            try:
-                os.waitpid(self.pid, 0)
-            except ChildProcessError:
-                pass
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGTERM, signal.SIGINT))
+        try:
+            if _HELPER is self:
+                _HELPER = None
+            os.close(self.requests)
+            os.close(self.replies)
+            if self.alive():  # still this process's child, so the pid is its own
+                os.kill(self.pid, signal.SIGKILL)
+                try:
+                    os.waitpid(self.pid, 0)
+                except ChildProcessError:
+                    pass
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 #: the process's fit helper, ``None`` until a fit forks one

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.camodel.mapping as camodel_mapping
-from repro.camodel.mapping import AscendMapping, AscendMappingSpace
+import repro.mapping.ascend_mapping as ascend_mapping_module
 from repro.errors import MappingError
+from repro.mapping.ascend_mapping import AscendMapping, AscendMappingSpace
 from repro.workloads.layers import GemmShape
 
 
@@ -76,6 +76,6 @@ class TestAscendMappingSpace:
     def test_empty_grid_rejected(self, monkeypatch):
         # MAX_TILE below every divisor > 0 cannot happen (1 always divides),
         # so the space is never empty for valid shapes
-        monkeypatch.setattr(camodel_mapping, "MAX_TILE", 1)
+        monkeypatch.setattr(ascend_mapping_module, "MAX_TILE", 1)
         space = AscendMappingSpace(GemmShape(m=7, n=11, k=13))
         assert space.size > 0

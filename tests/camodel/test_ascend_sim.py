@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.camodel.ascend_sim import _TileCosts, _pipeline_cycles, ascend_area_mm2, simulate_layer
-from repro.camodel.mapping import AscendMapping
 from repro.hw.ascend import default_ascend_config
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.workloads.layers import GemmShape
 
 SHAPE = GemmShape(m=64, n=1024, k=128)

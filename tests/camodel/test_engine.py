@@ -3,9 +3,9 @@
 import pytest
 
 from repro.camodel.engine import CAMODEL_EVAL_COST_S, AscendCAEngine
-from repro.camodel.mapping import AscendMapping
 from repro.costmodel.engine import ANALYTICAL_EVAL_COST_S
 from repro.hw.ascend import default_ascend_config
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.workloads.registry import get_network
 
 MAPPING = AscendMapping(tile_m=8, tile_n=64, tile_k=12)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.camodel.ascend_sim import simulate_layer
-from repro.camodel.mapping import AscendMapping
 from repro.camodel.trace import PipelineTrace, explain_layer, trace_layer
 from repro.errors import EvaluationError
 from repro.hw.ascend import default_ascend_config
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.workloads.layers import GemmShape
 
 SHAPE = GemmShape(m=64, n=1024, k=128)

@@ -9,11 +9,11 @@ import json
 
 import pytest
 
-from repro.camodel.mapping import AscendMapping, AscendMappingSpace
 from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import decode_object, encode_object
 from repro.hw.ascend import ascend_design_space
 from repro.hw.spatial import edge_design_space
+from repro.mapping.ascend_mapping import AscendMapping, AscendMappingSpace
 from repro.mapping.gemm_mapping import GemmMappingSpace
 from repro.workloads.layers import GemmShape
 

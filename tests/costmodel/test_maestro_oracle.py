@@ -3,20 +3,17 @@
 ``maestro_oracle.analyze_gemm_reference`` evaluates every expression per
 call; :func:`repro.costmodel.maestro.analyze_gemm` takes what the hardware
 and the shape fix from per-object caches and must still return the same
-result — ``==`` and ``repr`` — for every (hw, mapping, shape, tech):
+result — ``==`` and ``repr`` — for every (hw, mapping, shape):
 feasible or over L1 or over L2, either dataflow and spatial choice, every
 loop order and unroll factor, unit and fractional reuse penalties, and
 tiles that clip at the problem size.
 """
-
-import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel.maestro import analyze_gemm
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import DATAFLOWS, SpatialHWConfig
 from repro.mapping.gemm_mapping import (
     LOOP_ORDERS,
@@ -28,22 +25,10 @@ from repro.workloads.layers import GemmShape
 
 from tests.costmodel.maestro_oracle import analyze_gemm_reference
 
-#: a second process: wider operands, other energies, another clock
-WIDE_TECH = dataclasses.replace(
-    DEFAULT_TECHNOLOGY,
-    operand_bytes=2,
-    accum_bytes=8,
-    frequency_hz=0.7e9,
-    dram_bw_bytes_per_cycle=24.0,
-    l1_energy_per_byte_base_j=0.08e-12,
-)
-TECHS = (DEFAULT_TECHNOLOGY, WIDE_TECH)
-
-
-def _assert_same(hw, mapping, shape, tech):
-    got = analyze_gemm(hw, mapping, shape, tech)
-    want = analyze_gemm_reference(hw, mapping, shape, tech)
-    assert got == want, (hw, mapping, shape, tech)
+def _assert_same(hw, mapping, shape):
+    got = analyze_gemm(hw, mapping, shape)
+    want = analyze_gemm_reference(hw, mapping, shape)
+    assert got == want, (hw, mapping, shape)
     assert repr(got) == repr(want)
     return want
 
@@ -77,20 +62,10 @@ MAPPING = st.builds(
 )
 
 
-@given(HW, MAPPING, SHAPE, st.sampled_from(TECHS))
+@given(HW, MAPPING, SHAPE)
 @settings(max_examples=500, deadline=None)
-def test_kernel_matches_oracle(hw, mapping, shape, tech):
-    _assert_same(hw, mapping, shape, tech)
-
-
-def test_cached_constants_follow_the_technology():
-    """One hw and one shape object under two technologies: the per-object
-    constants must not leak from one to the other."""
-    hw = SpatialHWConfig(8, 8, 4096, 256, 64, "os", l1_banks=1)
-    shape = GemmShape(96, 160, 224, reuse_penalty=0.6)
-    mapping = GemmMapping(32, 32, 16, loop_order=("k", "n", "m"), unroll=2)
-    for tech in TECHS + TECHS:
-        assert _assert_same(hw, mapping, shape, tech).feasible
+def test_kernel_matches_oracle(hw, mapping, shape):
+    _assert_same(hw, mapping, shape)
 
 
 def test_seeded_sweep_covers_every_branch():
@@ -130,8 +105,7 @@ def test_seeded_sweep_covers_every_branch():
             spatial=SPATIAL_CHOICES[int(rng.integers(0, len(SPATIAL_CHOICES)))],
             unroll=int(rng.choice(UNROLL_CHOICES)),
         )
-        tech = TECHS[int(rng.integers(0, 2))]
-        result = _assert_same(hw, mapping, shape, tech)
+        result = _assert_same(hw, mapping, shape)
         outcome = "feasible" if result.feasible else result.infeasible_reason[:2]
         seen[outcome] += 1
         if result.feasible:

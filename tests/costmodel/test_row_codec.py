@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.camodel.mapping import AscendMapping
 from repro.costmodel.results import LayerPPA
 from repro.costmodel.service import (
     _ROW_TYPES,
@@ -26,6 +25,7 @@ from repro.costmodel.service import (
 from repro.errors import EvaluationError
 from repro.hw.ascend import AscendHWConfig
 from repro.hw.spatial import DATAFLOWS, SpatialHWConfig
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.mapping.gemm_mapping import (
     LOOP_ORDERS,
     SPATIAL_CHOICES,

@@ -11,7 +11,6 @@ from urllib.request import Request, urlopen
 import numpy as np
 import pytest
 
-from repro.camodel.mapping import AscendMapping
 from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import (
@@ -22,6 +21,7 @@ from repro.costmodel.service import (
 )
 from repro.errors import EvaluationError
 from repro.hw.ascend import default_ascend_config
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gemm_mapping import GemmMapping
 from tests.costmodel.transport import FAST, tune

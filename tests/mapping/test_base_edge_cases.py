@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.costmodel.engine import MaestroEngine
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.mapping import flextensor
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.random_search import RandomMappingSearch
@@ -45,7 +46,7 @@ class TestTrialTotalsConsistency:
         search = RandomMappingSearch(tiny_network, sample_hw, engine, seed=0)
         search.run(20)
         point = search.history[-1]
-        leakage = engine.tech.leakage_w_per_mm2 * engine.area_mm2(sample_hw)
+        leakage = DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * engine.area_mm2(sample_hw)
         assert point.best_power_w > leakage
 
     def test_history_power_matches_aggregate(self, tiny_network, sample_hw):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.camodel.engine import AscendCAEngine
-from repro.camodel.mapping import AscendMapping, AscendMappingSpace
 from repro.hw.ascend import default_ascend_config
 from repro.mapping import fusion
+from repro.mapping.ascend_mapping import AscendMapping, AscendMappingSpace
 from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.workloads.registry import get_network
 from repro.workloads.layers import GemmShape

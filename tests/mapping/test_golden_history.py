@@ -9,7 +9,7 @@ history floats, the final RNG state and the incumbent mapping.  The
 ``fusion`` rows (the Ascend-like tool over ``AscendMappingSpace``) were
 recorded at commit 7a22cfc, before its ``mutate`` moved onto the shared
 tile-grid step.  Run this file first after touching anything under
-``repro.mapping`` or ``camodel/mapping.py``.
+``repro.mapping`` (``ascend_mapping.py`` included).
 """
 
 import hashlib

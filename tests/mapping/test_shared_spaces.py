@@ -10,12 +10,12 @@ keeps building its own :class:`AscendMappingSpace` per search.
 import pytest
 
 from repro.camodel.engine import AscendCAEngine
-from repro.camodel.mapping import AscendMappingSpace
 from repro.core.unico import Unico, UnicoConfig
 from repro.core.evaluation import SWSearchTrial
 from repro.costmodel.engine import MaestroEngine
 from repro.hw.ascend import default_ascend_config
 from repro.hw.spatial import edge_design_space
+from repro.mapping.ascend_mapping import AscendMappingSpace
 from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.mapping.gemm_mapping import SPACES_HELD, GemmMappingSpace, shared_space
 from repro.workloads.registry import get_network

@@ -113,11 +113,12 @@ _OWNER = textwrap.dedent(
         gp.GaussianProcess().fit(x, np.sin(4 * x[:, 0]), seed=0)
         print(0 if gp._HELPER is None else gp._HELPER.pid, flush=True)
 
-    def hub_run(cancel, in_start=False):
+    def hub_run(cancel, in_start=False, in_close=False):
         # the owner is a hub: its run child forks the helper and reports it
         from repro.hub.scheduler import RunScheduler
         read_fd, write_fd = os.pipe()
         fit_helper, start = gp._fit_helper, gp._FitHelper.start
+        close, alive = gp._FitHelper.close, gp._FitHelper.alive
         def reporting_fit_helper():
             helper = fit_helper()
             if helper is not None:
@@ -133,8 +134,23 @@ _OWNER = textwrap.dedent(
                 while signal.SIGTERM not in signal.sigpending() and time.monotonic() < deadline:
                     time.sleep(0.01)
             return helper
+        def reporting_close(self):
+            self.closing = True
+            close(self)
+        def reporting_alive(self):
+            # reports from inside the run's last close(), after the helper
+            # is forgotten and before it is reaped, then stays there until
+            # the hub's stop has sent SIGTERM (or it is held pending)
+            if getattr(self, "closing", False):
+                os.write(write_fd, b"%d " % self.pid)
+                deadline = time.monotonic() + 30.0
+                while signal.SIGTERM not in signal.sigpending() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return alive(self)
         if in_start:
             gp._FitHelper.start = reporting_start
+        elif in_close:
+            gp._FitHelper.close, gp._FitHelper.alive = reporting_close, reporting_alive
         else:
             gp._fit_helper = reporting_fit_helper
         with tempfile.TemporaryDirectory() as runs, RunScheduler(runs) as hub:
@@ -147,6 +163,8 @@ _OWNER = textwrap.dedent(
                     if not hub.state()["running"]:
                         os.write(write_fd, b"0 ")  # finished with no helper
             print(os.read(read_fd, 64).split()[0].decode(), flush=True)
+            if in_close:
+                return  # leaving the block stops the hub: SIGTERM to the closing child
             if cancel:
                 assert hub.cancel(run_id) == "cancelling"
             while hub.state()["running"]:
@@ -155,7 +173,11 @@ _OWNER = textwrap.dedent(
             assert status == ("cancelled" if cancel else "completed"), status
 
     if sys.argv[1].startswith("hub_"):
-        hub_run(cancel=sys.argv[1] != "hub_run", in_start=sys.argv[1].endswith("_in_start"))
+        hub_run(
+            cancel=sys.argv[1] != "hub_run",
+            in_start=sys.argv[1].endswith("_in_start"),
+            in_close=sys.argv[1].endswith("_in_close"),
+        )
     else:
         fit()
     if sys.argv[1] == "killed":  # no exit hook runs
@@ -166,13 +188,15 @@ _OWNER = textwrap.dedent(
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a child subreaper is Linux's")
 @pytest.mark.parametrize(
-    "ending", ["exits", "hub_run", "hub_cancelled", "hub_cancelled_in_start", "killed"]
+    "ending",
+    ["exits", "hub_run", "hub_cancelled", "hub_cancelled_in_start", "hub_stopped_in_close", "killed"],
 )
 def test_the_helper_leaves_soon_after_its_owner(ending):
     """An owner that exits has killed and reaped its helper by then, and so
     has a hub's run child (it leaves by ``os._exit``, past ``atexit``),
     whether its run completes or is cancelled by SIGTERM, even while the
-    helper is still being forked: the reaper is left no child.  A
+    helper is still being forked, or while its last close is under way
+    when a stopping hub sends SIGTERM: the reaper is left no child.  A
     SIGKILLed owner cannot, and its helper, orphaned, reads end-of-file
     and exits within 10 s."""
     if len(os.sched_getaffinity(0)) < 2:
@@ -214,11 +238,79 @@ def test_a_fit_from_a_threaded_process_never_touches_the_helper(monkeypatch):
     assert not thread.is_alive()
     assert helper.requests not in written
     assert forks() == 0
-    # a joined thread can stay listed in /proc/self/task for a moment
-    for _ in range(500):
-        if len(os.listdir("/proc/self/task")) == 1:
-            break
-        time.sleep(0.001)
     _fit(seed=2)  # one thread again: the same helper serves
     assert helper.requests in written
     assert gp_module._HELPER is helper and forks() == 0
+
+
+#: start-join-ask rounds; before the ask waited for a joined thread to
+#: leave ``/proc/self/task``, 35-50 % of single rounds saw it still there
+JOIN_ROUNDS = 200
+
+
+def test_a_fit_right_after_a_thread_ends_uses_the_helper(monkeypatch):
+    """A thread ``join()``ed a moment ago is still listed as a task for a
+    few microseconds.  The fit that follows must wait it out and read the
+    process as single-threaded, every one of ``JOIN_ROUNDS`` times."""
+    if forks_elsewhere():
+        return
+    _fit()
+    helper = gp_module._HELPER
+    written = []
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: written.append(fd) or write(fd, data))
+    forks = count_forks(monkeypatch)
+    for round_ in range(JOIN_ROUNDS):
+        thread = threading.Thread(target=int)
+        thread.start()
+        thread.join()
+        assert gp_module._forking_pays(), f"round {round_} read a joined thread as live"
+    thread = threading.Thread(target=int)
+    thread.start()
+    thread.join()
+    _fit(seed=1)
+    assert helper.requests in written
+    assert gp_module._HELPER is helper and forks() == 0
+
+
+def test_a_thread_threading_never_started_reads_as_threaded_and_is_waited_on_once(
+    monkeypatch,
+):
+    """A thread outside :mod:`threading` (as a BLAS pool's are) is seen
+    only in the task list: the first ask waits to see it stay, and no
+    later ask waits again.  A live Python thread is never waited on."""
+    if forks_elsewhere():
+        return
+    import _thread
+
+    started, release = _thread.allocate_lock(), _thread.allocate_lock()
+    started.acquire()
+    release.acquire()
+
+    def park():
+        started.release()
+        release.acquire()
+
+    _thread.start_new_thread(park, ())
+    started.acquire()
+    sleeps = []
+    sleep = time.sleep
+    monkeypatch.setattr(time, "sleep", lambda seconds: sleeps.append(seconds) or sleep(seconds))
+    try:
+        assert not gp_module._forking_pays()
+        assert sleeps, "the first ask did not wait for the unknown task"
+        sleeps.clear()
+        for _ in range(3):
+            assert not gp_module._forking_pays()
+        assert sleeps == []
+    finally:
+        release.release()
+    live = threading.Event()
+    thread = threading.Thread(target=live.wait)
+    thread.start()
+    try:
+        assert not gp_module._forking_pays()
+        assert sleeps == []
+    finally:
+        live.set()
+        thread.join()

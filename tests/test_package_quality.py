@@ -164,11 +164,11 @@ TRACKING_MAY_IMPORT = {"errors", "utils", "version"}
 
 #: package pairs that import each other.  A ratchet: fix one and delete it
 #: here; a new one fails.  Each pair left is an upward edge out of
-#: ``repro.costmodel.service``: the codec's row table reaches into
-#: ``mapping`` and ``camodel``, the transport into ``fleet``.
-#: ``benchmarks/e2e`` imports that module by its path.
+#: ``repro.costmodel.service``: the codec's row table decodes ``mapping``
+#: rows (while the search tools there read ``LayerPPA``), and the
+#: transport reaches into ``fleet``.  ``benchmarks/e2e`` imports that
+#: module by its path, which pins both until the service can move.
 MUTUAL_IMPORT_PAIRS = {
-    ("camodel", "costmodel"),
     ("costmodel", "fleet"),
     ("costmodel", "mapping"),
 }
@@ -574,6 +574,22 @@ def _is_dataclass(node):
     )
 
 
+def _is_frozen(node):
+    """Whether ``node`` is a ``@dataclass(frozen=True)``: no ``x.field = ...``
+    can set its fields."""
+    return any(
+        isinstance(decorator, ast.Call)
+        and _bare(decorator.func) == "dataclass"
+        and any(
+            keyword.arg == "frozen"
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is True
+            for keyword in decorator.keywords
+        )
+        for decorator in node.decorator_list
+    )
+
+
 def _defaulted(function, bound):
     """``(name, positional index or None)`` of ``function``'s defaulted
     parameters; ``bound`` leaves ``self`` / ``cls`` out of the count."""
@@ -749,19 +765,22 @@ class _Passes(ast.NodeVisitor):
 def _options_census():
     """``(defaulted, unpassed)``: every option the scan sees under
     ``src/repro`` as ``module.Owner(name)``, and those no call under
-    ``PRODUCT_ROOTS`` passes by keyword, by position or through a splat
-    (or, for a dataclass field, by assigning the attribute).  Private
-    (``_name``) parameters are state, not options."""
+    ``PRODUCT_ROOTS`` passes by keyword, by position or through a splat.
+    A dataclass field is also set by a keyword to a subclass's constructor
+    and, unless the dataclass is frozen, by assigning the attribute.
+    Private (``_name``) parameters are state, not options."""
     repo = SRC_ROOT.parents[1]
     trees = {
         module: ast.parse(path.read_text(encoding="utf-8"))
         for module, path in _module_paths().items()
     }
-    bases, defines = {}, {}
+    bases, defines, frozen = {}, {}, set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 bases[node.name] = [_bare(base) for base in node.bases]
+                if _is_frozen(node):
+                    frozen.add(node.name)
                 defines[node.name] = {
                     item.name
                     for item in node.body
@@ -773,6 +792,21 @@ def _options_census():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
+
+    def subclasses(cls):
+        """Every class under ``src/repro`` that derives from ``cls``."""
+        found = set()
+        for other in bases:
+            parents, seen = list(bases[other]), set()
+            while parents:
+                parent = parents.pop()
+                if parent == cls:
+                    found.add(other)
+                    break
+                if parent not in seen:  # two classes may share a name
+                    seen.add(parent)
+                    parents.extend(bases.get(parent, ()))
+        return found
 
     def defining(cls, method):
         """The class whose ``method`` ``cls.method`` is, by first bases."""
@@ -825,10 +859,13 @@ def _options_census():
             sent = passed.get(callee, set())
             if isinstance(callee, tuple):  # obj.name(...) may call it too
                 sent = sent | passed.get(callee[1], set())
+            if field:  # a subclass's constructor sets the fields it inherits
+                for subclass in subclasses(callee):
+                    sent = sent | {p for p in passed.get(subclass, ()) if p == name}
             if not (
                 name in sent
                 or "**" in sent
-                or (field and name in assigned)
+                or (field and callee not in frozen and name in assigned)
                 or index in sent
                 or any(type(p) is tuple and index is not None and index >= p[1] for p in sent)
             ):

@@ -16,13 +16,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.camodel.mapping import AscendMapping
 from repro.core.unico import Unico, UnicoConfig
 from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.results import LayerPPA
 from repro.hw.ascend import AscendHWConfig
 from repro.hw.spatial import DATAFLOWS, SpatialHWConfig
 from repro.learned.dataset import build_dataset
+from repro.mapping.ascend_mapping import AscendMapping
 from repro.mapping.gemm_mapping import (
     LOOP_ORDERS,
     SPATIAL_CHOICES,
