@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from repro.costmodel.results import LayerPPA, infeasible_ppa
+from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.ascend import AscendHWConfig
 from repro.mapping.ascend_mapping import AscendMapping
@@ -233,12 +233,11 @@ def simulate_layer(
         * DEFAULT_TECHNOLOGY.l2_energy_per_byte(hw.l0c_kb * 1024)
         + ddr_bytes * DEFAULT_TECHNOLOGY.dram_energy_per_byte_j
     )
-    return LayerPPA(
-        latency_s=latency_s,
-        energy_j=energy_j,
-        feasible=True,
-        compute_cycles=float(n_tiles) * costs.cube,
-        noc_cycles=float(n_tiles) * costs.mte,
-        dram_cycles=float(n_tiles) * costs.dma_in,
-        dram_bytes=float(ddr_bytes),
+    return feasible_ppa(
+        latency_s,
+        energy_j,
+        float(n_tiles) * costs.cube,
+        float(n_tiles) * costs.mte,
+        float(n_tiles) * costs.dma_in,
+        float(ddr_bytes),
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.robustness import RobustnessResult, robustness_metric
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import NetworkPPA
+from repro.costmodel.results import SCREENED_REASON, NetworkPPA
 from repro.errors import ConfigurationError
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.cosa import CosaMapper
@@ -92,7 +92,7 @@ class _QueryCountingEngine:
         self.credit(results)
         return results
 
-    def credit(self, results) -> int:
+    def credit(self, results) -> None:
         """Count ``results`` of a batched call as this trial's queries.
 
         A screening wrapper forwards only part of a batch to the
@@ -100,17 +100,13 @@ class _QueryCountingEngine:
         therefore simulated eval time).  Screened-out results are tagged,
         so the count needs no engine-global state.
         """
-        if self._screening:  # a screening engine has loaded repro.learned
-            from repro.learned.screen import SCREENED_REASON
-
-            spent = sum(
+        if self._screening:
+            self.local_queries += sum(
                 1 for result in results
                 if result.infeasible_reason != SCREENED_REASON
             )
         else:
-            spent = len(results)
-        self.local_queries += spent
-        return spent
+            self.local_queries += len(results)
 
 
 class SWSearchTrial:
@@ -131,13 +127,17 @@ class SWSearchTrial:
         self.search = make_search_tool(
             tool, network, hw, self._view, seed, batch_size=batch_size
         )
-        #: engine queries consumed (initialization included)
-        self.queries_spent = self._view.local_queries
+
+    @property
+    def queries_spent(self) -> int:
+        """Engine queries consumed, initialization included: what the
+        search asked through this trial's view and what a lockstep driver
+        credited it, so a query a step makes on its own (the fusion tool's
+        consumer sync) counts inside a round too."""
+        return self._view.local_queries
 
     def run(self, additional_budget: int) -> "SWSearchTrial":
-        queries_before = self._view.local_queries
         self.search.run(additional_budget)
-        self.queries_spent += self._view.local_queries - queries_before
         return self
 
     def steps(self, additional_budget: int):
@@ -151,7 +151,7 @@ class SWSearchTrial:
 
     def credit(self, results) -> None:
         """Charge this trial the queries behind ``results``."""
-        self.queries_spent += self._view.credit(results)
+        self._view.credit(results)
 
     def best_curve(self) -> np.ndarray:
         return self.search.best_curve()

@@ -7,11 +7,16 @@ power/performance/area.  This module provides that interface:
 * :class:`PPAEngine` — the abstract service contract, bound to one workload.
 * :class:`MaestroEngine` — the analytical engine (prototyping stage); each
   layer query charges ~5 s of modeled wall-clock (see ANALYTICAL_EVAL_COST_S).
-* Caching is built in: identical (hw, layer, mapping) queries are computed
-  once, while the simulated clock is still charged per call — mirroring a
-  real deployment where the estimator service is invoked each time.  The
-  cache is a bounded LRU (``cache_capacity``) so a multi-day search cannot
-  grow it without limit; evictions are counted.
+* Every query is charged: one query, one evaluation on the simulated
+  clock, hit or miss.  A mapping search never asks one (layer, mapping)
+  twice — it keeps the answers it was given
+  (:class:`~repro.mapping.base.AnytimeMappingSearch`) — so a charged
+  query is a candidate some search needed.  The engine's own cache is
+  real-time only: identical (hw, layer, mapping) queries from different
+  searches (the same hardware in a later iteration) are computed once and
+  still charged each, as a deployed estimator service would be invoked
+  each time.  The cache is a bounded LRU (``cache_capacity``) so a
+  multi-day search cannot grow it without limit; evictions are counted.
 * Observability: every engine owns (or shares) a
   :class:`~repro.utils.metrics.MetricsRegistry`; queries, cache
   hits/misses/evictions, and real compute latency are recorded there and

@@ -24,6 +24,11 @@ class LayerPPA:
     infeasible_reason: str = ""
 
 
+#: ``infeasible_reason`` of a learned screen's placeholder for a candidate
+#: it did not forward (:mod:`repro.learned.screen`): not an engine answer,
+#: so the query accounting does not charge it and no search stores it.
+SCREENED_REASON = "screened"
+
 _new = object.__new__
 _put = object.__setattr__
 _INF = float("inf")
@@ -37,7 +42,7 @@ def feasible_ppa(
     dram_cycles: float,
     dram_bytes: float,
 ) -> LayerPPA:
-    """A feasible :class:`LayerPPA`, built for the cost models' hot paths.
+    """A feasible :class:`LayerPPA`: the one builder every cost model uses.
 
     Skips the frozen-dataclass ``__init__`` (a Python call that sets all
     eight fields) and sets the six that differ from their defaults, ~1.5x

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.costmodel.engine import PPAEngine
 from repro.costmodel.maestro import spatial_area_mm2
-from repro.costmodel.results import LayerPPA, infeasible_ppa
+from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
 from repro.utils.intmath import round_up_div
@@ -199,14 +199,8 @@ def analyze_gemm_loopnest(
         * DEFAULT_TECHNOLOGY.l2_energy_per_byte(hw.l2_bytes)
         + dram_bytes * DEFAULT_TECHNOLOGY.dram_energy_per_byte_j
     )
-    return LayerPPA(
-        latency_s=latency_s,
-        energy_j=energy_j,
-        feasible=True,
-        compute_cycles=compute_cycles,
-        noc_cycles=noc_cycles,
-        dram_cycles=dram_cycles,
-        dram_bytes=dram_bytes,
+    return feasible_ppa(
+        latency_s, energy_j, compute_cycles, noc_cycles, dram_cycles, dram_bytes
     )
 
 

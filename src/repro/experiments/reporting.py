@@ -58,17 +58,20 @@ def _table_section(name: str, record: RunRecord) -> List[str]:
     methods = record.get("methods", [])
     lines = [f"## {name} ({scenario})", ""]
     header = "| Network | " + " | ".join(
-        f"{m} L(ms) | {m} P(mW) | {m} A(mm2) | {m} Cost(h)" for m in methods
+        f"{m} L(ms) | {m} P(mW) | {m} A(mm2) | {m} Cost(h) | {m} queries"
+        for m in methods
     ) + " |"
     lines.append(header)
-    lines.append("|" + "---|" * (1 + 4 * len(methods)))
+    lines.append("|" + "---|" * (1 + 5 * len(methods)))
     for network, row in record.children.items():
         cells = []
         for method in methods:
             metrics = row.children[method].metrics
             cells.extend(
                 _fmt(metrics.get(key))
-                for key in ("latency_ms", "power_mw", "area_mm2", "cost_h")
+                for key in (
+                    "latency_ms", "power_mw", "area_mm2", "cost_h", "engine_queries"
+                )
             )
         lines.append(f"| {network} | " + " | ".join(cells) + " |")
     lines.append("")

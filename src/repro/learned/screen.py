@@ -38,23 +38,14 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.costmodel.results import LayerPPA
+from repro.costmodel.results import SCREENED_REASON, LayerPPA, infeasible_ppa
 from repro.errors import EvaluationError, ReproError
 from repro.learned.features import featurize_batch
 from repro.learned.model import LearnedCostModel
 
-#: infeasible_reason tag on screened-out results; the query-accounting
-#: layer and tests key on the prefix.
-SCREENED_REASON = "screened"
-
 #: A screened-out candidate's placeholder result: infinite PPA, so it can
 #: never displace an analytically-evaluated incumbent or reach a front.
-_SCREENED_RESULT = LayerPPA(
-    latency_s=float("inf"),
-    energy_j=float("inf"),
-    feasible=False,
-    infeasible_reason=SCREENED_REASON,
-)
+_SCREENED_RESULT = infeasible_ppa(SCREENED_REASON)
 
 
 class ScreeningPPAEngine:
@@ -334,4 +325,4 @@ class ScreeningPPAEngine:
         return selected, escalated
 
 
-__all__ = ["SCREENED_REASON", "ScreeningPPAEngine"]
+__all__ = ["ScreeningPPAEngine"]

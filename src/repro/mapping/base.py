@@ -21,10 +21,14 @@ Bookkeeping exposed to UNICO:
 * ``best_mapping`` / ``best_ppa`` — incumbent full-network mapping.
 
 One budget unit = one candidate-mapping evaluation folded into the
-history.  With ``batch_size > 1`` a speculation-safe tool may also *buy*
-evaluations ahead of their step (``num_speculative_evals``; those never
-used are ``num_speculation_misses``): same history at every width, fewer
-engine calls, more engine queries.
+history.  A search never pays twice for one candidate: every result the
+engine gives it — incumbent seeds, shrink steps, folded steps, drafts — is
+kept in its answer store, and a candidate proposed again is folded from
+there, so the engine queries a search is charged are exactly the answers
+it stores.  With ``batch_size > 1`` a speculation-safe tool may also *buy*
+evaluations ahead of their step (``num_speculative_evals``; those no step
+has used yet are ``num_speculation_misses``): same history at every width,
+fewer engine calls, more engine queries.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.costmodel.results import LayerPPA, NetworkPPA
+from repro.costmodel.results import SCREENED_REASON, LayerPPA, NetworkPPA
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.errors import SearchBudgetError
 from repro.obs.trace import NULL_TRACER
@@ -121,10 +125,16 @@ class AnytimeMappingSearch(ABC):
         self.batch_size = int(batch_size)
         #: drafts bought: candidates evaluated ahead of their step
         self.num_speculative_evals = 0
-        #: evaluations bought and not used yet, ``(layer, mapping.key()) ->
-        #: result``; a step that proposes one pops it.  Survives batches
-        #: and rounds: what was paid for is kept.
+        #: the search's answer store: every result the engine gave this
+        #: search, ``(layer, mapping.key()) -> result`` — seeds, shrink
+        #: steps, drafts and folded steps.  A candidate found here is
+        #: answered from here, so the search never asks twice; it lives
+        #: and dies with the search.
         self._bought: Dict[Tuple[str, tuple], LayerPPA] = {}
+        #: drafts bought that no step has proposed yet, ``key -> result``;
+        #: a step that proposes one pops it.  Unlike the store it also
+        #: holds a screened draft's placeholder, folded once by its step.
+        self._unused_drafts: Dict[Tuple[str, tuple], LayerPPA] = {}
         #: one-step-ahead drafts made / of those, the ones the next step
         #: proposed — the hit record :meth:`_lookahead_depth` reads
         self._drafts_made = 0
@@ -188,11 +198,11 @@ class AnytimeMappingSearch(ABC):
                 nearest_divisor(space.shape.n, tn),
                 nearest_divisor(space.shape.k, tk),
             )
-            (result,) = self.engine.evaluate_layers(self.hw, [(candidate, layer_name)])
+            result = self._answer(layer_name, candidate)
             shrink_round += 1
         if not result.feasible:
             candidate = self._minimal_mapping(space)
-            (result,) = self.engine.evaluate_layers(self.hw, [(candidate, layer_name)])
+            result = self._answer(layer_name, candidate)
         return candidate, result
 
     def _initialize_incumbents(self) -> None:
@@ -211,9 +221,30 @@ class AnytimeMappingSearch(ABC):
             self.hw, list(zip(seeds, self.layer_names))
         )
         for layer_name, seed, result in zip(self.layer_names, seeds, results):
+            self._keep((layer_name, seed.key()), result)
             self._set_incumbent(
                 layer_name, *self._shrink_to_feasible(layer_name, seed, result)
             )
+
+    # ----------------------------------------------------------- answer store
+    def _keep(self, key: Tuple[str, tuple], result: LayerPPA) -> None:
+        """Store one engine answer.
+
+        A learned screen's placeholder is no answer: the screen may
+        forward the same candidate later, so it is folded but not kept.
+        """
+        if result.infeasible_reason != SCREENED_REASON:
+            self._bought[key] = result
+
+    def _answer(self, layer_name: str, mapping: GemmMapping) -> LayerPPA:
+        """One candidate's result outside the step loop: from the store,
+        else a one-item engine call whose answer is kept."""
+        key = (layer_name, mapping.key())
+        result = self._bought.get(key)
+        if result is None:
+            (result,) = self.engine.evaluate_layers(self.hw, [(mapping, layer_name)])
+            self._keep(key, result)
+        return result
 
     def _set_incumbent(
         self, layer_name: str, mapping: GemmMapping, result: LayerPPA
@@ -389,28 +420,30 @@ class AnytimeMappingSearch(ABC):
         Every step proposes from the *true* state and only what it folds
         moves that state, so history, incumbents and final RNG state are
         byte-identical at every ``batch_size``.  Look-ahead decides only
-        where a proposal's result comes from: the pool of evaluations this
-        search already bought; on a miss, a request that carries the
+        where a proposal's result comes from: a candidate this search was
+        ever answered is folded from the answer store, a drafted one from
+        its draft, with no request; on a miss, a request carries the
         candidate together with drafts of the steps that follow; or, on a
-        miss while drafted steps are still ahead (one was mispredicted,
-        the rest may yet be used), a request for the candidate alone.
-        The last step of a run drafts nothing: whether the search is ever
-        resumed is not its decision.
+        miss while drafted steps are still ahead (one was mispredicted, the
+        rest may yet be used), the candidate alone.  The last step of a run
+        drafts nothing: whether the search is ever resumed is not its
+        decision.
         """
         bought = self._bought
+        unused = self._unused_drafts
         lookahead = self.batch_size > 1 and self.supports_speculation
         ahead = 0  # drafted steps not yet reached
         next_draft = None  # what the one-step-ahead draft expects next
         for remaining in range(additional_budget, 0, -1):
             layer_name, candidate = self._propose()
-            result = None
+            key = (layer_name, candidate.key())
+            # pops the draft whatever the store holds (a result is truthy)
+            result = unused.pop(key, None) or bought.get(key)
             if lookahead:
-                key = (layer_name, candidate.key())
                 if next_draft is not None:
                     if key == next_draft:
                         self._drafts_used += 1
                     next_draft = None
-                result = bought.pop(key, None)
                 if ahead:
                     ahead -= 1
                 if result is None and not ahead and remaining > 1:
@@ -420,10 +453,14 @@ class AnytimeMappingSearch(ABC):
                         (yield [(candidate, layer_name), *drafts.values()])
                     )
                     result = next(results)
-                    bought.update(zip(drafts, results))
+                    self._keep(key, result)
+                    for draft_key, draft_result in zip(drafts, results):
+                        unused[draft_key] = draft_result
+                        self._keep(draft_key, draft_result)
                     self.num_speculative_evals += len(drafts)
             if result is None:
                 (result,) = yield [(candidate, layer_name)]
+                self._keep(key, result)
             self._fold_result(layer_name, candidate, result)
 
     def _lookahead_depth(self) -> int:
@@ -451,11 +488,11 @@ class AnytimeMappingSearch(ABC):
         Drafting consumes only RNG state (the speculation-safety contract)
         and the snapshot is restored before the fold, so the steps that
         follow propose as if nothing had been drafted.  Returns the drafts
-        this search does not own yet, ``key -> (mapping, layer_name)`` in
-        proposal order — they ride in the candidate's request — and the
-        key of the one-step-ahead draft.
+        neither the answer store nor an unused draft holds, ``key ->
+        (mapping, layer_name)`` in proposal order — they ride in the
+        candidate's request — and the key of the one-step-ahead draft.
         """
-        bought = self._bought
+        bought, unused = self._bought, self._unused_drafts
         bit_generator = self.rng.bit_generator
         rng_state = bit_generator.state
         drafts: Dict[Tuple[str, tuple], Tuple[GemmMapping, str]] = {}
@@ -465,7 +502,8 @@ class AnytimeMappingSearch(ABC):
             draft_key = (draft_layer, draft.key())
             if next_draft is None:
                 next_draft = draft_key
-            if draft_key != key and draft_key not in bought:
+            owned = draft_key in bought or draft_key in unused
+            if draft_key != key and not owned:
                 drafts[draft_key] = (draft, draft_layer)
         bit_generator.state = rng_state
         self._drafts_made += 1
@@ -510,8 +548,8 @@ class AnytimeMappingSearch(ABC):
     # ------------------------------------------------------------------ views
     @property
     def num_speculation_misses(self) -> int:
-        """Drafts bought and never used (so far): what is left in the pool."""
-        return len(self._bought)
+        """Drafts bought and not used yet: no step has proposed them."""
+        return len(self._unused_drafts)
 
     @property
     def best_mapping(self) -> NetworkMapping:

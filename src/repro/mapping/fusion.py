@@ -100,7 +100,7 @@ class DepthFirstFusionSearch(AnytimeMappingSearch):
         if next_mapping.fuse_input:
             return True
         synced = dataclasses.replace(next_mapping, fuse_input=True)
-        (result,) = self.engine.evaluate_layers(self.hw, [(synced, next_name)])
+        result = self._answer(next_name, synced)
         if not result.feasible:
             return False
         self._adopt(next_name, synced, result)

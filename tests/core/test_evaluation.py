@@ -40,9 +40,13 @@ class TestSWSearchTrial:
         assert trial.queries_spent >= 3  # at least one eval per layer
 
     def test_run_accumulates_queries(self, trial):
+        # one query per answer the search stores: a step proposing a mapping
+        # it was answered before is folded from the store (the 20 steps cost
+        # 20 queries when every step was one)
         before = trial.queries_spent
+        assert before == len(trial.search._bought)
         trial.run(20)
-        assert trial.queries_spent == before + 20
+        assert trial.queries_spent == len(trial.search._bought) == before + 12
         assert trial.spent_budget == 20
 
     def test_best_curve_delegates(self, trial):

@@ -73,6 +73,10 @@ class TestParetoInvariants:
         assert result.total_time_s <= expected * 1.1 + 100
 
 
+#: engine queries of 3 candidates x (1 seed + 10 steps), seed 5
+FULL_BUDGET_QUERIES = {HascoBaseline: 23, RandomCodesign: 28}
+
+
 class TestBudgetAccounting:
     @pytest.mark.parametrize(
         "cls,config",
@@ -86,12 +90,26 @@ class TestBudgetAccounting:
         optimizer = cls(
             _SPACE, _NETWORK, engine, config, power_cap_w=100.0, seed=5
         )
+        trials = []
+        new_trial = optimizer.new_trial
+
+        def recording_new_trial(hw):
+            trials.append(new_trial(hw))
+            return trials[-1]
+
+        optimizer.new_trial = recording_new_trial
         result = optimizer.optimize()
-        # queries = candidates x (init per layer + budget); init = 1 layer here
-        per_candidate = 1 + 10
-        assert result.total_engine_queries == result.total_hw_evaluated * (
-            per_candidate
+        # a candidate pays one query per distinct (layer, mapping) its search
+        # was answered: at most init per layer + budget (1 + 10 here), fewer
+        # where the search proposed a mapping again (33 before the answer
+        # store, when every step was a query)
+        assert len(trials) == result.total_hw_evaluated == 3
+        for trial in trials:
+            assert trial.queries_spent == len(trial.search._bought) <= 1 + 10
+        assert result.total_engine_queries == sum(
+            trial.queries_spent for trial in trials
         )
+        assert result.total_engine_queries == FULL_BUDGET_QUERIES[cls]
 
     def test_unico_budget_never_exceeds_bmax_per_candidate(self):
         engine = MaestroEngine(_NETWORK)

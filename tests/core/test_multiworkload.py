@@ -57,11 +57,17 @@ class TestMultiWorkloadEngine:
         assert next(iter(clocks)) == id(engine.clock)
 
     def test_query_count_sums(self, composite, sample_hw):
+        # each network's search pays one query per answer it stores (5 steps
+        # per network paid 5 queries each when every step was one)
         engine, factory = composite
         trial = factory(sample_hw, seed_rng=0)
-        before = engine.num_queries
+
+        def stored():
+            return sum(len(search._bought) for search in trial.searches.values())
+
+        before, stored_before = engine.num_queries, stored()
         trial.run(5)
-        assert engine.num_queries == before + 5 * len(engine.engines)
+        assert engine.num_queries - before == stored() - stored_before == 7
 
     def test_charge_clock_propagates(self, composite):
         engine, _factory = composite

@@ -119,7 +119,9 @@ class TestTableCellInfeasible:
             return space, engine, caps, tool, workers
 
         monkeypatch.setattr(harness, "make_platform", strangled)
-        cell = table_cell(run_method("random", "edge", tiny_network, "smoke", seed=0))
+        result = run_method("random", "edge", tiny_network, "smoke", seed=0)
+        cell = table_cell(result)
         assert cell["latency_ms"] == float("inf")
         assert cell["pareto_size"] == 0
         assert cell["cost_h"] > 0  # the search still burned time
+        assert cell["engine_queries"] == result.total_engine_queries > 0

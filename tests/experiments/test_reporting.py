@@ -16,10 +16,12 @@ def results_dir(tmp_path):
     table.put("methods", ["hasco", "unico"])
     row = table.child("bert")
     row.child("hasco").update(
-        {"latency_ms": 10.0, "power_mw": 100.0, "area_mm2": 2.0, "cost_h": 5.0}
+        {"latency_ms": 10.0, "power_mw": 100.0, "area_mm2": 2.0, "cost_h": 5.0,
+         "engine_queries": 3600}
     )
     row.child("unico").update(
-        {"latency_ms": 8.0, "power_mw": 80.0, "area_mm2": 1.8, "cost_h": 1.0}
+        {"latency_ms": 8.0, "power_mw": 80.0, "area_mm2": 1.8, "cost_h": 1.0,
+         "engine_queries": 720}
     )
     (tmp_path / "table1_edge.json").write_text(table.to_json())
 
@@ -58,5 +60,12 @@ class TestGenerateReport:
         markdown = generate_report(results_dir)
         table_lines = [l for l in markdown.splitlines() if l.startswith("| bert")]
         assert len(table_lines) == 1
-        # 1 network column + 2 methods x 4 metrics
-        assert table_lines[0].count("|") == 10
+        # 1 network column + 2 methods x 5 metrics
+        assert table_lines[0].count("|") == 12
+
+    def test_table_cells_carry_their_query_count(self, results_dir):
+        markdown = generate_report(results_dir)
+        assert "unico queries" in markdown
+        (row,) = [l for l in markdown.splitlines() if l.startswith("| bert")]
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert cells[5] == "3600" and cells[10] == "720"

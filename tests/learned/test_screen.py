@@ -6,7 +6,8 @@ import pytest
 from repro.costmodel.engine import MaestroEngine
 from repro.core.evaluation import _QueryCountingEngine
 from repro.learned.model import LearnedCostModel
-from repro.learned.screen import SCREENED_REASON, ScreeningPPAEngine
+from repro.costmodel.results import SCREENED_REASON
+from repro.learned.screen import ScreeningPPAEngine
 
 
 @pytest.fixture()

@@ -567,6 +567,16 @@ def _bare(node):
     return None
 
 
+def _is_object_setattr(node):
+    """Whether ``node`` is the expression ``object.__setattr__``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
 def _is_dataclass(node):
     return any(
         _bare(decorator.func if isinstance(decorator, ast.Call) else decorator) == "dataclass"
@@ -657,13 +667,16 @@ class _Passes(ast.NodeVisitor):
     ``getattr(obj, name)(...)`` call reaches every function or method a
     string argument of a call in the file names.  A call that forwards the enclosing
     function's own ``*args`` / ``**kwargs`` passes on what that function's
-    callers pass: an edge in ``forwards``.
+    callers pass: an edge in ``forwards``.  ``object.__setattr__(obj,
+    "name", ...)``, or a call through a name bound to it, sets attribute
+    ``name`` past a frozen dataclass's guard: it lands in ``forced``.
     """
 
     def __init__(self, names, classes, forwards):
         self.names, self.classes, self.forwards = names, classes, forwards
         self.passed, self.dynamic, self.kept, self.assigned = {}, [], set(), set()
         self.by_name, self.strings = [], set()
+        self.forced, self.setattr_aliases = set(), set()
         self.scopes = []
 
     def _scoped(self, node):
@@ -683,6 +696,8 @@ class _Passes(ast.NodeVisitor):
     def visit_Assign(self, node):
         self._keep(node.value)
         self.assigned |= {t.attr for t in node.targets if isinstance(t, ast.Attribute)}
+        if _is_object_setattr(node.value):
+            self.setattr_aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
         self.generic_visit(node)
 
     def visit_AugAssign(self, node):
@@ -718,6 +733,12 @@ class _Passes(ast.NodeVisitor):
         return name, args
 
     def visit_Call(self, node):
+        func = node.func
+        if (
+            _is_object_setattr(func)
+            or (isinstance(func, ast.Name) and func.id in self.setattr_aliases)
+        ) and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            self.forced.add(node.args[1].value)
         callee, args = self._callee(node.func, list(node.args))
         by_name = isinstance(node.func, ast.Call) and _bare(node.func.func) == "getattr"
         self.strings |= {
@@ -766,8 +787,9 @@ def _options_census():
     """``(defaulted, unpassed)``: every option the scan sees under
     ``src/repro`` as ``module.Owner(name)``, and those no call under
     ``PRODUCT_ROOTS`` passes by keyword, by position or through a splat.
-    A dataclass field is also set by a keyword to a subclass's constructor
-    and, unless the dataclass is frozen, by assigning the attribute.
+    A dataclass field is also set by a keyword to a subclass's constructor,
+    by ``object.__setattr__`` and, unless the dataclass is frozen, by
+    assigning the attribute.
     Private (``_name``) parameters are state, not options."""
     repo = SRC_ROOT.parents[1]
     trees = {
@@ -825,12 +847,13 @@ def _options_census():
             return [defining(callee, "__init__")]
         return [callee]
 
-    passed, forwards, assigned = {}, [], set()
+    passed, forwards, assigned, forced = {}, [], set(), set()
     for root in PRODUCT_ROOTS:
         for path in sorted((repo / root).rglob("*.py")):
             visitor = _Passes(names, set(bases), forwards)
             visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
             assigned |= visitor.assigned
+            forced |= visitor.forced
             reaching = (
                 list(visitor.passed.items())
                 + [(kept, passes) for passes in visitor.dynamic for kept in visitor.kept & names]
@@ -866,6 +889,7 @@ def _options_census():
                 name in sent
                 or "**" in sent
                 or (field and callee not in frozen and name in assigned)
+                or (field and name in forced)
                 or index in sent
                 or any(type(p) is tuple and index is not None and index >= p[1] for p in sent)
             ):
