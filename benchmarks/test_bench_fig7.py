@@ -32,6 +32,7 @@ def _summarize(record, scenario):
         speedups.append(speedup)
         finals_text = "  ".join(f"{m}={v:.4f}" for m, v in finals.items())
         print(f"{network:<10s} speedup-to-HASCO-level={speedup:>5.1f}x  {finals_text}")
+    print(f"unreached panels (left out of the mean): {record.get('unreached_panels')}")
     return speedups
 
 

@@ -8,15 +8,19 @@ power/performance/area.  This module provides that interface:
 * :class:`MaestroEngine` — the analytical engine (prototyping stage); each
   layer query charges ~5 s of modeled wall-clock (see ANALYTICAL_EVAL_COST_S).
 * Every query is charged: one query, one evaluation on the simulated
-  clock, hit or miss.  A mapping search never asks one (layer, mapping)
-  twice — it keeps the answers it was given
+  clock, hit or miss.  A mapping search never asks one (twin key,
+  mapping) twice — it keeps the answers it was given
   (:class:`~repro.mapping.base.AnytimeMappingSearch`) — so a charged
-  query is a candidate some search needed.  The engine's own cache is
-  real-time only: identical (hw, layer, mapping) queries from different
-  searches (the same hardware in a later iteration) are computed once and
-  still charged each, as a deployed estimator service would be invoked
-  each time.  The cache is a bounded LRU (``cache_capacity``) so a
-  multi-day search cannot grow it without limit; evictions are counted.
+  query is an answer some search needed.  A layer's *twin key* names the
+  network's first layer of the same GEMM shape
+  (:attr:`~repro.workloads.network.Network.twin_keys`): every kernel
+  reads only ``(hw, mapping, shape)``, so twins share one answer.  The
+  engine's own cache is real-time only: identical (hw, twin key, mapping)
+  queries from different searches (the same hardware in a later
+  iteration) are computed once and still charged each, as a deployed
+  estimator service would be invoked each time.  The cache is a bounded
+  LRU (``cache_capacity``) so a multi-day search cannot grow it without
+  limit; evictions are counted.
 * Observability: every engine owns (or shares) a
   :class:`~repro.utils.metrics.MetricsRegistry`; queries, cache
   hits/misses/evictions, and real compute latency are recorded there and
@@ -128,7 +132,9 @@ class PPAEngine(ABC):
         self.layer_shapes: Dict[str, Tuple[GemmShape, int]] = {
             layer.name: (layer.to_gemm(), layer.count) for layer in network.layers
         }
-        #: bounded LRU over (hw_key, layer, mapping_key); None = unbounded
+        #: layer name -> twin key, the first layer of its GEMM shape
+        self.twin_keys: Dict[str, str] = network.twin_keys
+        #: bounded LRU over (hw_key, twin key, mapping_key); None = unbounded
         self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[Tuple, LayerPPA]" = OrderedDict()
         self._lock = threading.RLock()
@@ -368,6 +374,7 @@ class PPAEngine(ABC):
         #: first occurrence computes)
         waiting: Dict[Tuple, List[Tuple[list, int]]] = {}
         cache = self._cache
+        twin_keys = self.twin_keys
         sizes: List[int] = []
         hits = 0
         with self._lock:
@@ -377,7 +384,7 @@ class PPAEngine(ABC):
                 hw_id = self.hw_key(hw)
                 misses: List[Query] = []
                 for index, (mapping, layer_name) in enumerate(requests):
-                    key = (hw_id, layer_name, mapping.key())
+                    key = (hw_id, twin_keys[layer_name], mapping.key())
                     pending = waiting.get(key)
                     if pending is not None:
                         pending.append((slots, index))
@@ -439,34 +446,41 @@ class PPAEngine(ABC):
         """Combine cached layer results without charging the clock.
 
         A mapped layer whose result is not cached (never asked, or
-        evicted) counts no query: all such layers are computed in one
-        :meth:`_compute_group_misses` call and cached.
+        evicted) counts no query: all such answers — one per twin key and
+        mapping — are computed in one :meth:`_compute_group_misses` call
+        and cached.
         """
         area = self.area_mm2(hw)
         hw_id = self.hw_key(hw)
         cache = self._cache
+        twin_keys = self.twin_keys
         found: Dict[str, LayerPPA] = {}
+        #: cache key -> the layers waiting for it, in miss order
+        missing: Dict[Tuple, List[str]] = {}
         misses: List[Query] = []
         with self._lock:
             for name in self.layer_shapes:
                 mapping = mappings.get(name)
                 if mapping is None:
                     continue
-                key = (hw_id, name, mapping.key())
+                key = (hw_id, twin_keys[name], mapping.key())
                 result = cache.get(key)
-                if result is None:
-                    misses.append((mapping, name))
-                else:
+                if result is not None:
                     cache.move_to_end(key)
                     found[name] = result
+                elif key in missing:
+                    missing[key].append(name)
+                else:
+                    missing[key] = [name]
+                    misses.append((mapping, name))
         if misses:
             computed = list(self._compute_group_misses([(hw, misses)]))
             with self._lock:
-                for (mapping, name), result in zip(misses, computed):
-                    key = (hw_id, name, mapping.key())
+                for (key, names), result in zip(missing.items(), computed):
                     cache[key] = result
                     cache.move_to_end(key)
-                    found[name] = result
+                    for name in names:
+                        found[name] = result
                 self._evict_over_capacity()
         total_latency = 0.0
         total_energy = 0.0

@@ -588,8 +588,9 @@ class RemotePPAEngine(PPAEngine):
         if len(self.router) == 1:
             return [""] * len(queries)
         hw_id = self.hw_key(hw)
+        twin_keys = self.twin_keys
         return [
-            candidate_key(hw_id, layer_name, mapping.key())
+            candidate_key(hw_id, twin_keys[layer_name], mapping.key())
             for mapping, layer_name in queries
         ]
 

@@ -118,6 +118,15 @@ def fig7_experiment(
         record.put(
             "mean_speedup_vs_hasco", float(np.mean(finite)) if finite else None
         )
+        # the mean is over the panels UNICO reached; name the ones it left out
+        record.put(
+            "unreached_panels",
+            [
+                network
+                for network, speedup in zip(networks, speedups)
+                if not np.isfinite(speedup)
+            ],
+        )
         return record
 
     return Experiment(cells, reduce)

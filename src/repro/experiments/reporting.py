@@ -81,7 +81,12 @@ def _table_section(name: str, record: RunRecord) -> List[str]:
 def _fig7_section(name: str, record: RunRecord) -> List[str]:
     lines = [f"## {name}", ""]
     speedup = record.get("mean_speedup_vs_hasco")
-    lines.append(f"Mean speedup to HASCO's final quality: **{_fmt(speedup)}x**")
+    unreached = record.get("unreached_panels", [])
+    lines.append(
+        f"Mean speedup to HASCO's final quality: **{_fmt(speedup)}x** "
+        f"(unreached panels, left out of the mean: "
+        f"{', '.join(unreached) if unreached else 'none'})"
+    )
     lines.append("")
     lines.append("| Network | " + " | ".join(
         f"{m} final HV-diff" for m in ("hasco", "nsgaii", "mobohb", "unico")

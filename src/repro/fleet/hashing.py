@@ -49,13 +49,13 @@ def rank_shards(key: str, shard_ids: Sequence[str]) -> List[str]:
     )
 
 
-def candidate_key(hw_id, layer_name: str, mapping_key) -> str:
+def candidate_key(hw_id, twin_key: str, mapping_key) -> str:
     """Stable string identity of one engine query for shard routing.
 
-    Mirrors the engine's LRU cache key ``(hw_key(hw), layer,
+    Mirrors the engine's LRU cache key ``(hw_key(hw), twin key,
     mapping.key())`` — both are built from the dataclasses' field values —
-    so all queries that would share a cache entry route to the same
-    replica.  ``repr`` of the tuples is stable across processes (ints,
-    floats, strings and nested tuples only).
+    so all queries that would share a cache entry, twin layers' included,
+    route to the same replica.  ``repr`` of the tuples is stable across
+    processes (ints, floats, strings and nested tuples only).
     """
-    return repr((hw_id, layer_name, mapping_key))
+    return repr((hw_id, twin_key, mapping_key))

@@ -21,14 +21,17 @@ Bookkeeping exposed to UNICO:
 * ``best_mapping`` / ``best_ppa`` — incumbent full-network mapping.
 
 One budget unit = one candidate-mapping evaluation folded into the
-history.  A search never pays twice for one candidate: every result the
+history.  A search never pays twice for one answer: every result the
 engine gives it — incumbent seeds, shrink steps, folded steps, drafts — is
-kept in its answer store, and a candidate proposed again is folded from
-there, so the engine queries a search is charged are exactly the answers
-it stores.  With ``batch_size > 1`` a speculation-safe tool may also *buy*
-evaluations ahead of their step (``num_speculative_evals``; those no step
-has used yet are ``num_speculation_misses``): same history at every width,
-fewer engine calls, more engine queries.
+kept in its answer store under ``(twin key, mapping.key())``, the twin key
+naming the network's first layer of the same GEMM shape
+(:attr:`~repro.workloads.network.Network.twin_keys`; the cost models read
+only the shape).  A candidate proposed again, for its layer or a twin, is
+folded from there, so the engine queries a search is charged are exactly
+the answers it stores.  With ``batch_size > 1`` a speculation-safe tool
+may also *buy* evaluations ahead of their step (``num_speculative_evals``;
+those no step has used yet are ``num_speculation_misses``): same history
+at every width, fewer engine calls, more engine queries.
 """
 
 from __future__ import annotations
@@ -125,15 +128,18 @@ class AnytimeMappingSearch(ABC):
         self.batch_size = int(batch_size)
         #: drafts bought: candidates evaluated ahead of their step
         self.num_speculative_evals = 0
+        #: layer name -> twin key, the first layer of its GEMM shape
+        self._twin_keys = network.twin_keys
         #: the search's answer store: every result the engine gave this
-        #: search, ``(layer, mapping.key()) -> result`` — seeds, shrink
-        #: steps, drafts and folded steps.  A candidate found here is
-        #: answered from here, so the search never asks twice; it lives
-        #: and dies with the search.
+        #: search, ``(twin key, mapping.key()) -> result`` — seeds, shrink
+        #: steps, drafts and folded steps.  A candidate found here, for
+        #: its layer or a twin, is answered from here, so the search never
+        #: asks twice; it lives and dies with the search.
         self._bought: Dict[Tuple[str, tuple], LayerPPA] = {}
-        #: drafts bought that no step has proposed yet, ``key -> result``;
-        #: a step that proposes one pops it.  Unlike the store it also
-        #: holds a screened draft's placeholder, folded once by its step.
+        #: drafts bought that no step has proposed yet, keyed like the
+        #: store; a step that proposes one (or its twin) pops it.  Unlike
+        #: the store it also holds a screened draft's placeholder, folded
+        #: once by its step.
         self._unused_drafts: Dict[Tuple[str, tuple], LayerPPA] = {}
         #: one-step-ahead drafts made / of those, the ones the next step
         #: proposed — the hit record :meth:`_lookahead_depth` reads
@@ -208,20 +214,28 @@ class AnytimeMappingSearch(ABC):
     def _initialize_incumbents(self) -> None:
         """Seed every layer's incumbent with one batched engine pass.
 
-        All layers' heuristic seed mappings travel in a single
-        ``evaluate_layers`` call (item-for-item query accounting, so
-        totals match the per-layer loop it replaces); only layers whose
-        seed came back infeasible pay the one-item shrink fallback.
+        Every distinct seed — twins share theirs — travels once, all in
+        a single ``evaluate_layers`` call; only layers whose seed came back
+        infeasible pay the shrink fallback, answered from the store where
+        a twin already paid it.
         """
+        twin_keys = self._twin_keys
         seeds = [
             self._seed_mapping(self.spaces[layer_name])
             for layer_name in self.layer_names
         ]
-        results = self.engine.evaluate_layers(
-            self.hw, list(zip(seeds, self.layer_names))
-        )
-        for layer_name, seed, result in zip(self.layer_names, seeds, results):
-            self._keep((layer_name, seed.key()), result)
+        keys = [
+            (twin_keys[layer_name], seed.key())
+            for layer_name, seed in zip(self.layer_names, seeds)
+        ]
+        distinct: Dict[Tuple[str, tuple], Tuple[GemmMapping, str]] = {}
+        for key, seed, layer_name in zip(keys, seeds, self.layer_names):
+            distinct.setdefault(key, (seed, layer_name))
+        results = self.engine.evaluate_layers(self.hw, list(distinct.values()))
+        answers = dict(zip(distinct, results))
+        for layer_name, seed, key in zip(self.layer_names, seeds, keys):
+            result = answers[key]
+            self._keep(key, result)
             self._set_incumbent(
                 layer_name, *self._shrink_to_feasible(layer_name, seed, result)
             )
@@ -239,7 +253,7 @@ class AnytimeMappingSearch(ABC):
     def _answer(self, layer_name: str, mapping: GemmMapping) -> LayerPPA:
         """One candidate's result outside the step loop: from the store,
         else a one-item engine call whose answer is kept."""
-        key = (layer_name, mapping.key())
+        key = (self._twin_keys[layer_name], mapping.key())
         result = self._bought.get(key)
         if result is None:
             (result,) = self.engine.evaluate_layers(self.hw, [(mapping, layer_name)])
@@ -427,21 +441,24 @@ class AnytimeMappingSearch(ABC):
         miss while drafted steps are still ahead (one was mispredicted, the
         rest may yet be used), the candidate alone.  The last step of a run
         drafts nothing: whether the search is ever resumed is not its
-        decision.
+        decision.  Answers are keyed by the layer's twin key, so a twin's
+        answer serves; the hit record compares ``(layer, mapping key)``.
         """
         bought = self._bought
         unused = self._unused_drafts
+        twin_keys = self._twin_keys
         lookahead = self.batch_size > 1 and self.supports_speculation
         ahead = 0  # drafted steps not yet reached
         next_draft = None  # what the one-step-ahead draft expects next
         for remaining in range(additional_budget, 0, -1):
             layer_name, candidate = self._propose()
-            key = (layer_name, candidate.key())
+            mapping_key = candidate.key()
+            key = (twin_keys[layer_name], mapping_key)
             # pops the draft whatever the store holds (a result is truthy)
             result = unused.pop(key, None) or bought.get(key)
             if lookahead:
                 if next_draft is not None:
-                    if key == next_draft:
+                    if (layer_name, mapping_key) == next_draft:
                         self._drafts_used += 1
                     next_draft = None
                 if ahead:
@@ -483,25 +500,28 @@ class AnytimeMappingSearch(ABC):
     def _draft_ahead(
         self, key: Tuple[str, tuple], depth: int
     ) -> Tuple[Dict[Tuple[str, tuple], Tuple[GemmMapping, str]], Tuple[str, tuple]]:
-        """Draft the ``depth`` steps that follow the missed candidate ``key``.
+        """Draft the ``depth`` steps that follow the missed answer ``key``.
 
         Drafting consumes only RNG state (the speculation-safety contract)
         and the snapshot is restored before the fold, so the steps that
         follow propose as if nothing had been drafted.  Returns the drafts
-        neither the answer store nor an unused draft holds, ``key ->
-        (mapping, layer_name)`` in proposal order — they ride in the
-        candidate's request — and the key of the one-step-ahead draft.
+        neither the answer store nor an unused draft holds, answer key ->
+        ``(mapping, layer_name)`` in proposal order — they ride in the
+        candidate's request — and the one-step-ahead draft's ``(layer,
+        mapping key)`` for the hit record.
         """
         bought, unused = self._bought, self._unused_drafts
+        twin_keys = self._twin_keys
         bit_generator = self.rng.bit_generator
         rng_state = bit_generator.state
         drafts: Dict[Tuple[str, tuple], Tuple[GemmMapping, str]] = {}
         next_draft = None
         for _ in range(depth):
             draft_layer, draft = self._propose()
-            draft_key = (draft_layer, draft.key())
+            mapping_key = draft.key()
             if next_draft is None:
-                next_draft = draft_key
+                next_draft = (draft_layer, mapping_key)
+            draft_key = (twin_keys[draft_layer], mapping_key)
             owned = draft_key in bought or draft_key in unused
             if draft_key != key and not owned:
                 drafts[draft_key] = (draft, draft_layer)

@@ -1,18 +1,22 @@
 """Network = a named list of tensor operators.
 
 A :class:`Network` is the unit of workload handed to the co-optimizer.  Its
-layer list stores one :class:`~repro.workloads.layers.LayerSpec` per *unique*
-operator shape, with a ``count`` for repeats — the standard compression used
-by accelerator-evaluation papers, since identical shapes share one mapping.
+layer list stores one :class:`~repro.workloads.layers.LayerSpec` per layer
+*name*, with a ``count`` for repeats of that operator.  Distinct specs may
+still lower to one GEMM shape (MobileNetV2's 35 specs are 29 shapes): each
+keeps its own mapping incumbent, but the cost models read only the shape,
+so a search and an engine share one answer between such *twins*
+(:attr:`Network.twin_keys`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.layers import LayerSpec
+from repro.workloads.layers import GemmShape, LayerSpec
 
 
 @dataclass(frozen=True)
@@ -24,7 +28,8 @@ class Network:
     name:
         Canonical lowercase identifier (e.g. ``"resnet"``).
     layers:
-        Unique-operator list; ``layer.count`` carries repetition.
+        One spec per layer name; ``layer.count`` carries repetition.
+        Specs may share a GEMM shape (see :attr:`twin_keys`).
     family:
         Coarse family tag (``"cnn"``, ``"transformer"``, ``"sr"``, ...).
     year:
@@ -53,6 +58,23 @@ class Network:
 
     def __len__(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def twin_keys(self) -> Dict[str, str]:
+        """Layer name -> its *twin key*: the name of the first layer with
+        the same ``to_gemm()`` shape.
+
+        Every cost model reads only ``(hw, mapping, GemmShape)``, so twins
+        asked the same mapping get one answer: the search's answer store
+        and the engine's LRU are keyed by this name.  A ``str`` because
+        Python caches its hash; a frozen ``GemmShape`` would rehash its
+        fields on every lookup.
+        """
+        first: Dict[GemmShape, str] = {}
+        return {
+            layer.name: first.setdefault(layer.to_gemm(), layer.name)
+            for layer in self.layers
+        }
 
     @property
     def num_unique_layers(self) -> int:

@@ -33,9 +33,13 @@ def table_record():
 
 
 @pytest.fixture(scope="module")
-def fig7_panel():
-    record = _record(fig7_experiment("edge", ["fsrcnn_120x320"], "smoke", seed=3))
-    return record.children["fsrcnn_120x320"]
+def fig7_record():
+    return _record(fig7_experiment("edge", ["fsrcnn_120x320"], "smoke", seed=3))
+
+
+@pytest.fixture(scope="module")
+def fig7_panel(fig7_record):
+    return fig7_record.children["fsrcnn_120x320"]
 
 
 class TestTableHarness:
@@ -70,6 +74,14 @@ class TestFig7Harness:
 
     def test_speedup_metric(self, fig7_panel):
         assert speedup_to_reach(fig7_panel) > 0
+
+    def test_unreached_panels_are_the_infinite_speedups(self, fig7_record):
+        unreached = [
+            network
+            for network, panel in fig7_record.children.items()
+            if speedup_to_reach(panel) == float("inf")
+        ]
+        assert fig7_record.get("unreached_panels") == unreached
 
 
 class TestFig8Harness:

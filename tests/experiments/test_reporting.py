@@ -69,3 +69,12 @@ class TestGenerateReport:
         (row,) = [l for l in markdown.splitlines() if l.startswith("| bert")]
         cells = [cell.strip() for cell in row.strip("|").split("|")]
         assert cells[5] == "3600" and cells[10] == "720"
+
+
+def test_fig7_mean_names_the_panels_it_leaves_out(tmp_path):
+    fig7 = RunRecord("fig7-cloud")
+    fig7.put("mean_speedup_vs_hasco", 6.0)
+    fig7.put("unreached_panels", ["srgan"])
+    (tmp_path / "fig7b_cloud.json").write_text(fig7.to_json())
+    markdown = generate_report(tmp_path)
+    assert "**6x** (unreached panels, left out of the mean: srgan)" in markdown

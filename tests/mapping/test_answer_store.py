@@ -1,12 +1,16 @@
-"""A search never pays twice for one candidate.
+"""A search never pays twice for one answer.
 
 Every result the engine gives a search — incumbent seeds, shrink steps,
 folded steps, drafts — goes into the search's answer store
-(``AnytimeMappingSearch._bought``), and a candidate proposed again is
-folded from there.  So no search sends one ``(layer, mapping)`` twice, and
-the queries a trial is charged are exactly the answers its search stores,
-on every tool at every width, alone or in a lockstep round.  A learned
-screen's placeholder is no answer: it is folded, never stored.
+(``AnytimeMappingSearch._bought``) under the layer's twin key, the first
+layer of its GEMM shape (``Network.twin_keys``), and a candidate proposed
+again, for its layer or a twin, is folded from there.  So no search sends
+one ``(twin key, mapping)`` twice, the queries a trial is charged are
+exactly the answers its search stores, and the engine's LRU, keyed the
+same way, holds every answer the search's incumbents came from — on every
+tool at every width, alone or in a lockstep round (mobilenetv2 has six
+twin pairs).  A learned screen's placeholder is no answer: it is folded,
+never stored.
 """
 
 import numpy as np
@@ -35,23 +39,33 @@ WIDTHS = [1, 2, 8, 64]
 
 
 def _recording(engine_cls):
-    """``engine_cls`` that records every ``(layer, mapping key)`` sent to it,
-    per hardware object: every query path ends in ``evaluate_groups``."""
+    """``engine_cls`` that records every ``(twin key, mapping key)`` sent to
+    it, per hardware object (every query path ends in ``evaluate_groups``),
+    and counts the calls that reach the cost model."""
 
     class Recording(engine_cls):
+        cost_model_calls = 0
+
         def evaluate_groups(self, groups):
             groups = [(hw, list(items)) for hw, items in groups]
+            twin_keys = self.network.twin_keys
             for hw, items in groups:
                 self.sent.setdefault(id(hw), []).extend(
-                    (layer_name, mapping.key()) for mapping, layer_name in items
+                    (twin_keys[layer_name], mapping.key())
+                    for mapping, layer_name in items
                 )
             return super().evaluate_groups(groups)
+
+        def _compute_group_misses(self, miss_groups):
+            self.cost_model_calls += 1
+            return super()._compute_group_misses(miss_groups)
 
     return Recording
 
 
 def _platform(tool):
     network = get_network("mobilenetv2")
+    assert len(set(network.twin_keys.values())) == len(network.layers) - 6
     if tool == "fusion":
         engine = _recording(AscendCAEngine)(network)
         configs = [default_ascend_config(), default_ascend_config()]
@@ -70,6 +84,12 @@ def _assert_paid_once(engine, trials):
         assert trial.queries_spent == len(sent) == len(trial.search._bought)
         assert trial.search._unused_drafts.keys() <= trial.search._bought.keys()
     assert engine.num_queries == sum(trial.queries_spent for trial in trials)
+    # every incumbent's answer is in the engine's LRU under its twin key
+    calls = engine.cost_model_calls
+    for trial in trials:
+        ppa = engine.aggregate(trial.hw, trial.search.best_mapping)
+        assert ppa.layer_results == trial.search.best_layer_result
+    assert engine.cost_model_calls == calls
 
 
 @pytest.mark.parametrize("width", WIDTHS)
