@@ -66,7 +66,6 @@ def _engine_sweep() -> RunRecord:
     }
     # cross-evaluate each engine's chosen design under the *other* model
     cross_engine = MaestroEngine(get_network(NETWORK))
-    cross_engine.charge_clock = False
     for name, result in results.items():
         best = result.best_design()
         record.child(name).put("found_design", str(best.hw))

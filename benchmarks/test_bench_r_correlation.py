@@ -51,7 +51,6 @@ def _run_study() -> RunRecord:
         if kept >= NUM_DESIGNS:
             break
         train_engine = MaestroEngine(train)
-        train_engine.charge_clock = False
         train_trial = SWSearchTrial(hw, train, train_engine, seed=index)
         train_trial.run(BUDGET)
         train_ppa = train_trial.best_ppa
@@ -59,7 +58,6 @@ def _run_study() -> RunRecord:
         if not (train_ppa.feasible and robustness.finite):
             continue
         transfer_engine = MaestroEngine(transfer)
-        transfer_engine.charge_clock = False
         transfer_trial = SWSearchTrial(hw, transfer, transfer_engine, seed=index)
         transfer_trial.run(BUDGET)
         transfer_ppa = transfer_trial.best_ppa

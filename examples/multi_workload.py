@@ -3,8 +3,8 @@
 
 Finds a single hardware configuration serving BERT *and* MobileNet: each
 sampled candidate spawns one software-mapping job per workload (they run
-in parallel in the deployment; the simulated clock accounts for that) and
-its quality aggregates both — so the search cannot overfit the accelerator
+in parallel in the deployment; the co-optimizer's simulated clock charges
+the queries they spent) and its PPA composes both — so the search cannot overfit the accelerator
 to either network alone.
 
 Run:  python examples/multi_workload.py
@@ -22,10 +22,7 @@ def main() -> None:
     print("Co-optimizing one accelerator for: "
           + ", ".join(n.description for n in networks))
 
-    engine, factory = multi_workload_trial_factory(
-        networks,
-        lambda net, clock: MaestroEngine(net, clock=clock),
-    )
+    engine, factory = multi_workload_trial_factory(networks, MaestroEngine)
     space = edge_design_space()
     unico = Unico(
         space,
@@ -51,12 +48,13 @@ def main() -> None:
         f"{best.ppa.power_w * 1e3:.0f} mW, {best.ppa.area_mm2:.2f} mm2, "
         f"worst-case R = {best.robustness.r_value:.4f}"
     )
-    print("\nPer-workload latency share of the selected design "
-          "(from the merged mapping):")
+    print("\nPer-workload latency share of the selected design:")
     for network in networks:
         prefix = network.name + "."
         layers = [k for k in best.mapping if k.startswith(prefix)]
-        print(f"  {network.name:<12s} {len(layers)} mapped layers")
+        share = best.ppa.layer_results[network.name].latency_s / best.ppa.latency_s
+        print(f"  {network.name:<12s} {len(layers)} mapped layers, "
+              f"{100 * share:.1f}% of the latency")
 
 
 if __name__ == "__main__":

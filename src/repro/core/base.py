@@ -89,7 +89,13 @@ class CoSearchResult:
 
 
 class CoOptimizer(ABC):
-    """Base class: trial construction, recording, and clock plumbing."""
+    """Base class: trial construction, recording, and the simulated clock.
+
+    The optimizer owns its :class:`~repro.utils.clock.SimulatedClock`, the
+    one keeper of simulated time: it charges ``engine.eval_cost_s`` per
+    query its trials spent (``queries_spent``), as a makespan where jobs
+    run in parallel, plus its own modeled overheads.  Engines only count.
+    """
 
     method_name = "base"
     #: whether this optimizer's ``optimize()`` drives the tracker's
@@ -117,7 +123,7 @@ class CoOptimizer(ABC):
         self.space = space
         self.network = network
         self.engine = engine
-        self.clock: SimulatedClock = engine.clock
+        self.clock = SimulatedClock()
         self.tool = tool
         self.power_cap_w = power_cap_w
         self.area_cap_mm2 = area_cap_mm2

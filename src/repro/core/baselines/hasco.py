@@ -44,7 +44,6 @@ class HascoBaseline(CoOptimizer):
     def __init__(self, space, network, engine, config: Optional[HascoConfig] = None, **kwargs):
         super().__init__(space, network, engine, include_robustness=False, **kwargs)
         self.config = config or HascoConfig()
-        self.engine.charge_clock = False
         self.num_objectives = 3
         self.sampler = MOBOSampler(
             space,

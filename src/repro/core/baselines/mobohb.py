@@ -49,7 +49,6 @@ class MobohbBaseline(CoOptimizer):
     def __init__(self, space, network, engine, config: Optional[MobohbConfig] = None, **kwargs):
         super().__init__(space, network, engine, include_robustness=False, **kwargs)
         self.config = config or MobohbConfig()
-        self.engine.charge_clock = False
         self.num_objectives = 3
         self.normalizer = ObjectiveNormalizer(self.num_objectives)
         self.observed_configs: List = []

@@ -39,7 +39,6 @@ class NSGA2Codesign(CoOptimizer):
     ):
         super().__init__(space, network, engine, include_robustness=False, **kwargs)
         self.config = config or NSGA2CodesignConfig()
-        self.engine.charge_clock = False
         self._ga = NSGA2(
             space,
             evaluate=self._evaluate_hw,

@@ -30,7 +30,6 @@ class RandomCodesign(CoOptimizer):
     ):
         super().__init__(space, network, engine, include_robustness=False, **kwargs)
         self.config = config or RandomCodesignConfig()
-        self.engine.charge_clock = False
 
     def optimize(self) -> CoSearchResult:
         config = self.config

@@ -3,9 +3,10 @@
 The bridge between the mapping-search substrate and the co-optimizers:
 
 * :class:`SWSearchTrial` wraps an :class:`AnytimeMappingSearch` as the
-  resumable :class:`~repro.optim.sh.Trial` successive halving consumes, and
-  tracks how many PPA-engine queries (and therefore how much modeled
-  wall-clock) the trial consumed.
+  resumable :class:`~repro.optim.sh.Trial` successive halving consumes.
+  The PPA-engine queries a trial spent are the answers its search holds
+  (``queries_spent``); the co-optimizer charges its own simulated clock
+  ``eval_cost_s`` per query, the engine keeps no time.
 * :func:`make_search_tool` instantiates the configured tool by name.
 * :func:`assemble_objectives` turns a finished trial into the MOBO vector
   ``Y = (latency, power, area[, sensitivity])``, applying the scenario's
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.core.robustness import RobustnessResult, robustness_metric
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import SCREENED_REASON, NetworkPPA
+from repro.costmodel.results import NetworkPPA
 from repro.errors import ConfigurationError
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.cosa import CosaMapper
@@ -67,48 +68,6 @@ def make_search_tool(
     return tool_cls(network, hw, engine, seed=seed, batch_size=batch_size)
 
 
-class _QueryCountingEngine:
-    """Per-trial view of a shared engine that counts the trial's own queries.
-
-    The trials of one successive-halving round advance interleaved
-    (:func:`advance_lockstep`) against the *same* engine; deltas of the
-    engine-global ``num_queries`` would mix trials and corrupt the
-    per-trial durations the simulated clock charges.  This proxy counts
-    the queries issued *through it* locally, delegating all work (and
-    caching, and clock charging) to the shared engine.  Search code asks
-    through :meth:`evaluate_layers` only, so that is all it counts.
-    """
-
-    def __init__(self, engine: PPAEngine):
-        self._engine = engine
-        self._screening = getattr(engine, "is_screening", False)
-        self.local_queries = 0
-
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
-
-    def evaluate_layers(self, hw, requests):
-        results = self._engine.evaluate_layers(hw, requests)
-        self.credit(results)
-        return results
-
-    def credit(self, results) -> None:
-        """Count ``results`` of a batched call as this trial's queries.
-
-        A screening wrapper forwards only part of a batch to the
-        analytical engine; only those candidates cost a query (and
-        therefore simulated eval time).  Screened-out results are tagged,
-        so the count needs no engine-global state.
-        """
-        if self._screening:
-            self.local_queries += sum(
-                1 for result in results
-                if result.infeasible_reason != SCREENED_REASON
-            )
-        else:
-            self.local_queries += len(results)
-
-
 class SWSearchTrial:
     """A resumable SW-mapping-search job for one hardware configuration."""
 
@@ -123,18 +82,16 @@ class SWSearchTrial:
     ):
         self.hw = hw
         self.engine = engine
-        self._view = _QueryCountingEngine(engine)
         self.search = make_search_tool(
-            tool, network, hw, self._view, seed, batch_size=batch_size
+            tool, network, hw, engine, seed, batch_size=batch_size
         )
 
     @property
     def queries_spent(self) -> int:
-        """Engine queries consumed, initialization included: what the
-        search asked through this trial's view and what a lockstep driver
-        credited it, so a query a step makes on its own (the fusion tool's
-        consumer sync) counts inside a round too."""
-        return self._view.local_queries
+        """Engine queries consumed, initialization included: the answers
+        the search holds, however they were asked — alone, in a lockstep
+        round, or by a step on its own (the fusion tool's consumer sync)."""
+        return self.search.num_answers
 
     def run(self, additional_budget: int) -> "SWSearchTrial":
         self.search.run(additional_budget)
@@ -144,14 +101,9 @@ class SWSearchTrial:
         """:meth:`run` for a driver that answers the engine requests itself.
 
         The search's :meth:`~repro.mapping.base.AnytimeMappingSearch.steps`
-        generator; the driver (:func:`advance_lockstep`) hands every list
-        of results it sends to :meth:`credit` first.
+        generator, driven by :func:`advance_lockstep`.
         """
         return self.search.steps(additional_budget)
-
-    def credit(self, results) -> None:
-        """Charge this trial the queries behind ``results``."""
-        self._view.credit(results)
 
     def best_curve(self) -> np.ndarray:
         return self.search.best_curve()
@@ -183,15 +135,13 @@ class _SteppedTrial:
         self.own_s = 0.0
 
     def resume(self, results, tracer) -> bool:
-        """Charge and send ``results``; whether the trial waits again.
+        """Send ``results``; whether the trial waits again.
 
         A traced trial's ``mapping_search`` span is recorded when its
         generator finishes, with the time spent inside the generator as
         its duration: the spans of interleaved trials cannot nest on the
         tracer's stack.
         """
-        if results is not None:
-            self.trial.credit(results)
         timed = tracer.enabled
         start = time.perf_counter() if timed else 0.0
         try:
@@ -223,7 +173,7 @@ def advance_lockstep(jobs, engine, tracer=NULL_TRACER) -> int:
     :meth:`SWSearchTrial.steps` generator is advanced until it asks for
     evaluations, the pending requests go to ``engine.evaluate_groups`` as
     one call — a *tick*; through a replica, one exchange instead of one
-    per trial — each trial is charged and sent its results, and so on
+    per trial — each trial is sent its results, and so on
     until every generator has finished.  A trial proposes from its own
     RNG and folds its own results in its own order, so each ends exactly
     where :meth:`SWSearchTrial.run` would have left it.  A trial that

@@ -8,15 +8,17 @@ quality aggregates the per-workload outcomes.
 Two deliverables here:
 
 * :class:`MultiWorkloadEngine` — a composite facade over one PPA engine
-  per workload (shared simulated clock), satisfying the accounting surface
-  co-optimizers rely on (``num_queries``, ``eval_cost_s``, ``charge_clock``,
-  ``area_mm2``; ``sample_sink`` and ``tracer`` reach every engine).
+  per workload, satisfying the surface co-optimizers rely on
+  (``num_queries``, ``eval_cost_s``, ``area_mm2``; ``sample_sink`` and
+  ``tracer`` reach every engine).  Like every engine it keeps no
+  simulated time: the co-optimizer's clock does.
 * :class:`MultiWorkloadTrial` — the job bundle: drop-in replacement for
   :class:`~repro.core.evaluation.SWSearchTrial` whose ``run(b)`` advances
   *every* workload's search by ``b`` evaluations (jobs execute in parallel
   in the deployment; the co-optimizer's makespan accounting covers this via
-  the trial's total query count), and whose aggregate PPA sums latency and
-  energy across workloads.
+  the trial's query count, the answers its searches hold), and whose PPA
+  composes the workloads' as parts
+  (:func:`~repro.costmodel.results.compose_network_ppa`).
 
 Use :func:`multi_workload_trial_factory` as the ``trial_factory`` of any
 co-optimizer; the merged-network alternative (one search over concatenated
@@ -27,17 +29,15 @@ layers) remains available via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.evaluation import make_search_tool
 from repro.core.robustness import RobustnessResult, robustness_metric
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import NetworkPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
+from repro.costmodel.results import NetworkPPA, compose_network_ppa
 from repro.errors import ConfigurationError
-from repro.utils.clock import SimulatedClock
 from repro.utils.rng import spawn_generators
 from repro.workloads.network import Network, merge_networks
 
@@ -50,9 +50,6 @@ class MultiWorkloadEngine:
             raise ConfigurationError("need at least one per-workload engine")
         self.engines = dict(engines)
         first = next(iter(self.engines.values()))
-        self.clock: SimulatedClock = first.clock
-        for engine in self.engines.values():
-            engine.clock = self.clock  # one shared clock
         self.eval_cost_s = first.eval_cost_s
         self.metrics = first.metrics
         for engine in self.engines.values():
@@ -77,15 +74,6 @@ class MultiWorkloadEngine:
             "num_queries": self.num_queries,
             "workloads": per_workload,
         }
-
-    @property
-    def charge_clock(self) -> bool:
-        return next(iter(self.engines.values())).charge_clock
-
-    @charge_clock.setter
-    def charge_clock(self, value: bool) -> None:
-        for engine in self.engines.values():
-            engine.charge_clock = value
 
     @property
     def sample_sink(self):
@@ -126,12 +114,12 @@ class MultiWorkloadTrial:
         engine: MultiWorkloadEngine,
         tool: str = "flextensor",
         seed=None,
+        batch_size: int = 1,
     ):
         self.hw = hw
         self.engine = engine
         names = sorted(engine.engines)
         rngs = spawn_generators(seed, len(names), name="multi-workload")
-        queries_before = engine.num_queries
         self.searches = {
             name: make_search_tool(
                 tool,
@@ -139,18 +127,22 @@ class MultiWorkloadTrial:
                 hw,
                 engine.engines[name],
                 seed=rng,
+                batch_size=batch_size,
             )
             for name, rng in zip(names, rngs)
         }
-        self.queries_spent = engine.num_queries - queries_before
+
+    @property
+    def queries_spent(self) -> int:
+        """Engine queries consumed, initialization included: the answers
+        every workload's search holds."""
+        return sum(search.num_answers for search in self.searches.values())
 
     # ------------------------------------------------------------------- runs
     def run(self, additional_budget: int) -> "MultiWorkloadTrial":
         """Advance every workload's job by ``additional_budget`` steps."""
-        queries_before = self.engine.num_queries
         for search in self.searches.values():
             search.run(additional_budget)
-        self.queries_spent += self.engine.num_queries - queries_before
         return self
 
     @property
@@ -168,33 +160,12 @@ class MultiWorkloadTrial:
     # ------------------------------------------------------------------ views
     @property
     def best_ppa(self) -> NetworkPPA:
-        """Aggregate: latencies and energies add; power over the total run."""
-        total_latency = 0.0
-        total_energy = 0.0
-        feasible = True
-        for name, search in self.searches.items():
-            ppa = search.best_ppa
-            if not ppa.feasible:
-                feasible = False
-                break
-            total_latency += ppa.latency_s
-            total_energy += ppa.energy_j
-        area = self.engine.area_mm2(self.hw)
-        if not feasible or total_latency <= 0:
-            return NetworkPPA(
-                latency_s=float("inf"),
-                energy_j=float("inf"),
-                power_w=float("inf"),
-                area_mm2=area,
-                feasible=False,
-            )
-        leakage = DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * area
-        return NetworkPPA(
-            latency_s=total_latency,
-            energy_j=total_energy,
-            power_w=total_energy / total_latency + leakage,
-            area_mm2=area,
-            feasible=True,
+        """The workloads' PPAs as parts, one run each: latencies and
+        energies add, power over the total run."""
+        return compose_network_ppa(
+            dict.fromkeys(self.searches, 1),
+            {name: search.best_ppa for name, search in self.searches.items()},
+            self.engine.area_mm2(self.hw),
         )
 
     def robustness(self, alpha: float = 0.05) -> RobustnessResult:
@@ -228,32 +199,29 @@ class MultiWorkloadTrial:
 
 def multi_workload_trial_factory(
     networks: Sequence[Network],
-    engine_factory: Callable[[Network, SimulatedClock], PPAEngine],
+    engine_factory: Callable[[Network], PPAEngine],
     tool: str = "flextensor",
-    clock: Optional[SimulatedClock] = None,
+    batch_size: int = 1,
 ):
     """Build (engine, factory) for multi-workload co-optimization.
 
     Returns ``(MultiWorkloadEngine, trial_factory)`` ready to pass to a
-    co-optimizer::
+    co-optimizer; ``batch_size`` bounds the candidates of one engine call
+    of every workload's search, as a co-optimizer's ``eval_batch_size``
+    does for its own trials::
 
-        engine, factory = multi_workload_trial_factory(
-            nets, lambda net, clock: MaestroEngine(net, clock=clock))
+        engine, factory = multi_workload_trial_factory(nets, MaestroEngine)
         unico = Unico(space, engine.network, engine, config,
                       trial_factory=factory, ...)
     """
     if not networks:
         raise ConfigurationError("need at least one workload")
-    shared_clock = clock if clock is not None else SimulatedClock()
-    engines = {
-        network.name: engine_factory(network, shared_clock)
-        for network in networks
-    }
+    engines = {network.name: engine_factory(network) for network in networks}
     composite = MultiWorkloadEngine(engines)
 
     def factory(hw, seed_rng) -> MultiWorkloadTrial:
         return MultiWorkloadTrial(
-            hw, composite, tool=tool, seed=seed_rng
+            hw, composite, tool=tool, seed=seed_rng, batch_size=batch_size
         )
 
     return composite, factory

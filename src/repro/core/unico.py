@@ -125,8 +125,6 @@ class Unico(CoOptimizer):
             **kwargs,
         )
         self.config = config
-        # the co-optimizer owns all wall-clock accounting
-        self.engine.charge_clock = False
         self.num_objectives = 4 if config.include_robustness else 3
         self.sampler = MOBOSampler(
             space,

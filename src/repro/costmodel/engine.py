@@ -6,18 +6,21 @@ power/performance/area.  This module provides that interface:
 
 * :class:`PPAEngine` — the abstract service contract, bound to one workload.
 * :class:`MaestroEngine` — the analytical engine (prototyping stage); each
-  layer query charges ~5 s of modeled wall-clock (see ANALYTICAL_EVAL_COST_S).
-* Every query is charged: one query, one evaluation on the simulated
-  clock, hit or miss.  A mapping search never asks one (twin key,
-  mapping) twice — it keeps the answers it was given
-  (:class:`~repro.mapping.base.AnytimeMappingSearch`) — so a charged
+  layer query is priced at ~5 s of modeled wall-clock (``eval_cost_s``,
+  see ANALYTICAL_EVAL_COST_S).
+* Every query counts (``num_queries``), hit or miss.  The engine keeps no
+  simulated time: a co-optimizer charges its own clock ``eval_cost_s``
+  per query its trials spent, and a trial's queries are the answers its
+  mapping search holds.  A search never asks one (twin key, mapping)
+  twice — it keeps the answers it was given
+  (:class:`~repro.mapping.base.AnytimeMappingSearch`) — so a counted
   query is an answer some search needed.  A layer's *twin key* names the
   network's first layer of the same GEMM shape
   (:attr:`~repro.workloads.network.Network.twin_keys`): every kernel
   reads only ``(hw, mapping, shape)``, so twins share one answer.  The
   engine's own cache is real-time only: identical (hw, twin key, mapping)
   queries from different searches (the same hardware in a later
-  iteration) are computed once and still charged each, as a deployed
+  iteration) are computed once and still counted each, as a deployed
   estimator service would be invoked each time.  The cache is a bounded
   LRU (``cache_capacity``) so a multi-day search cannot grow it without
   limit; evictions are counted.
@@ -48,12 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 
 from repro.costmodel.maestro import analyze_gemm, spatial_area_mm2
 from repro.costmodel.maestro_batch import analyze_gemm_batch
-from repro.costmodel.results import LayerPPA, NetworkPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
+from repro.costmodel.results import LayerPPA, NetworkPPA, compose_network_ppa
 from repro.errors import ConfigurationError, EvaluationError
 from repro.hw.spatial import SpatialHWConfig
 from repro.obs.trace import NULL_TRACER
-from repro.utils.clock import SimulatedClock
 from repro.utils.metrics import (
     DEFAULT_BATCH_SIZE_BOUNDS,
     PER_ITEM_LATENCY_BOUNDS,
@@ -118,7 +119,6 @@ class PPAEngine(ABC):
     def __init__(
         self,
         network: Network,
-        clock: Optional[SimulatedClock] = None,
         eval_cost_s: float = ANALYTICAL_EVAL_COST_S,
         cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
     ):
@@ -127,7 +127,7 @@ class PPAEngine(ABC):
                 f"cache_capacity must be >= 1 or None, got {cache_capacity}"
             )
         self.network = network
-        self.clock = clock if clock is not None else SimulatedClock()
+        #: simulated seconds a co-optimizer charges per query
         self.eval_cost_s = eval_cost_s
         self.layer_shapes: Dict[str, Tuple[GemmShape, int]] = {
             layer.name: (layer.to_gemm(), layer.count) for layer in network.layers
@@ -146,9 +146,6 @@ class PPAEngine(ABC):
         #: :meth:`evaluate_layers` call) and the items they carried
         self.num_batch_queries = 0
         self.num_batch_items = 0
-        #: when False, a co-optimizer owns wall-clock accounting (e.g. to
-        #: model parallel workers) and the engine only counts queries.
-        self.charge_clock = True
         #: span tracer; the shared :data:`~repro.obs.trace.NULL_TRACER` by
         #: default, so untraced queries pay one attribute check.
         self.tracer = NULL_TRACER
@@ -326,11 +323,10 @@ class PPAEngine(ABC):
         one :meth:`evaluate_layers` call carries, and the groups of one
         call are what the live trials of a lockstep MSH round ask for at
         the same time.  Query semantics match one one-item call per item,
-        group after group: each item counts one query, charges one
-        evaluation on the simulated clock, and hits or misses the LRU
-        individually (a repeat of a missing key, in its own group or a
-        later one, counts as a hit, mirroring the sequential order: first
-        occurrence computes, the rest reuse).  Only the misses reach the
+        group after group: each item counts one query and hits or misses
+        the LRU individually (a repeat of a missing key, in its own group
+        or a later one, counts as a hit, mirroring the sequential order:
+        first occurrence computes, the rest reuse).  Only the misses reach the
         cost model, all groups' in one :meth:`_compute_group_misses` call,
         so an all-cache-hit call records no compute time at all — that
         one call is what a remote engine turns into one exchange.  An unknown layer rejects
@@ -354,7 +350,7 @@ class PPAEngine(ABC):
         Everything constant per call is paid per call: one lock hold for
         the hit/miss pass, one ``inc(n)`` per counter, one compute hook,
         one lock hold for the stores; per group, one batch-size
-        observation, one clock charge and one sink call.
+        observation and one sink call.
         """
         layer_shapes = self.layer_shapes
         for _hw, requests in groups:
@@ -411,8 +407,6 @@ class PPAEngine(ABC):
         self._batch_queries_total.inc(len(sizes))
         for size in sizes:
             self._batch_size.observe(size)
-            if self.charge_clock:
-                self.clock.advance(self.eval_cost_s * size, label="ppa-eval")
         if hits:
             self._hits_total.inc(hits)
         if not miss_groups:
@@ -443,12 +437,13 @@ class PPAEngine(ABC):
         return results  # type: ignore[return-value]  # all slots filled above
 
     def aggregate(self, hw, mappings: "NetworkMapping") -> NetworkPPA:
-        """Combine cached layer results without charging the clock.
+        """Compose a network's PPA from the cached layer results.
 
-        A mapped layer whose result is not cached (never asked, or
-        evicted) counts no query: all such answers — one per twin key and
-        mapping — are computed in one :meth:`_compute_group_misses` call
-        and cached.
+        Prices a mapping the engine may not have been asked about, such as
+        a design searched on another engine.  A mapped layer whose result
+        is not cached (never asked, or evicted) counts no query: all such
+        answers — one per twin key and mapping — are computed in one
+        :meth:`_compute_group_misses` call and cached.
         """
         area = self.area_mm2(hw)
         hw_id = self.hw_key(hw)
@@ -482,39 +477,10 @@ class PPAEngine(ABC):
                     for name in names:
                         found[name] = result
                 self._evict_over_capacity()
-        total_latency = 0.0
-        total_energy = 0.0
-        feasible = True
-        layer_results: Dict[str, LayerPPA] = {}
-        for name, (_shape, count) in self.layer_shapes.items():
-            result = found.get(name)
-            if result is None:
-                feasible = False
-                continue
-            layer_results[name] = result
-            if not result.feasible:
-                feasible = False
-                continue
-            total_latency += count * result.latency_s
-            total_energy += count * result.energy_j
-        if not feasible or total_latency <= 0.0:
-            return NetworkPPA(
-                latency_s=float("inf"),
-                energy_j=float("inf"),
-                power_w=float("inf"),
-                area_mm2=area,
-                feasible=False,
-                layer_results=layer_results,
-            )
-        leakage_w = DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * area
-        power = total_energy / total_latency + leakage_w
-        return NetworkPPA(
-            latency_s=total_latency,
-            energy_j=total_energy,
-            power_w=power,
-            area_mm2=area,
-            feasible=True,
-            layer_results=layer_results,
+        return compose_network_ppa(
+            {name: count for name, (_shape, count) in self.layer_shapes.items()},
+            found,
+            area,
         )
 
     @property

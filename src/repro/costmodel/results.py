@@ -1,13 +1,19 @@
 """PPA result types shared by every estimation engine.
 
-Kept dependency-free (no hardware or mapping imports) so both the cost
-models and the mapping-search layer can import them without cycles.
+Kept free of hardware and mapping imports so both the cost models and
+the mapping-search layer can import them without cycles.
+:func:`compose_network_ppa` is the one rule that turns parts into a
+network's PPA: :meth:`~repro.costmodel.engine.PPAEngine.aggregate`, a
+mapping search's incumbents and a multi-workload bundle all compose
+through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Mapping, Union
+
+from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,57 @@ def infeasible_ppa(reason: str) -> LayerPPA:
 
 @dataclass(frozen=True)
 class NetworkPPA:
-    """Aggregated PPA for a network under a full per-layer mapping."""
+    """Aggregated PPA for a network under a full per-layer mapping.
+
+    ``layer_results`` holds the parts it was composed from: one
+    :class:`LayerPPA` per layer, or one :class:`NetworkPPA` per workload
+    of a multi-workload bundle.
+    """
 
     latency_s: float
     energy_j: float
     power_w: float
     area_mm2: float
     feasible: bool
-    layer_results: Dict[str, LayerPPA] = field(default_factory=dict)
+    layer_results: Dict[str, Union[LayerPPA, "NetworkPPA"]] = field(
+        default_factory=dict
+    )
+
+
+def network_power_w(latency_s: float, energy_j: float, area_mm2: float) -> float:
+    """Average power of a run: ``E / L`` plus leakage over the area.
+
+    Infinite unless ``0 < L < inf``.
+    """
+    if not 0.0 < latency_s < _INF:
+        return _INF
+    return energy_j / latency_s + DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * area_mm2
+
+
+def compose_network_ppa(
+    counts: Mapping[str, int],
+    parts: Mapping[str, Union[LayerPPA, NetworkPPA]],
+    area_mm2: float,
+) -> NetworkPPA:
+    """A network's PPA from its parts: the one network-PPA rule.
+
+    Sums ``count x latency`` and ``count x energy`` over ``counts`` in its
+    order and sets power by :func:`network_power_w`.  The result is
+    infeasible (infinite latency, energy and power) when a part is
+    missing or infeasible, or the latency is not positive.
+    """
+    latency = 0.0
+    energy = 0.0
+    feasible = True
+    for name, count in counts.items():
+        part = parts.get(name)
+        if part is None or not part.feasible:
+            feasible = False
+            continue
+        latency += count * part.latency_s
+        energy += count * part.energy_j
+    layer_results = dict(parts)
+    if not feasible or latency <= 0.0:
+        return NetworkPPA(_INF, _INF, _INF, area_mm2, False, layer_results)
+    power = network_power_w(latency, energy, area_mm2)
+    return NetworkPPA(latency, energy, power, area_mm2, True, layer_results)

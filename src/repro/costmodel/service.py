@@ -321,9 +321,9 @@ class RemotePPAEngine(PPAEngine):
     ``base_url`` is one replica URL or a sequence of them (a ``str`` is
     the one-element list); either way the engine owns a
     :class:`~repro.fleet.router.ShardRouter` with one keep-alive pool and
-    one circuit breaker per distinct URL.  Keeps the local cache and clock
-    semantics of the base class; only the uncached computation goes over
-    the wire.  ``area_mm2`` is computed by a locally supplied function
+    one circuit breaker per distinct URL.  Keeps the local cache and
+    query counting of the base class; only the uncached computation goes
+    over the wire.  ``area_mm2`` is computed by a locally supplied function
     (areas depend only on the hardware config).
 
     Transport hardening, per shard (all real-time, invisible to the
@@ -354,7 +354,7 @@ class RemotePPAEngine(PPAEngine):
     breaker: a replica restart is routine, not an outage.
 
     Batching: the base class's :meth:`evaluate_groups` does all query
-    accounting (clock, counters, cache, samples); this class overrides
+    accounting (counters, cache, samples); this class overrides
     only its compute hook.  :meth:`_compute_group_misses` ships the
     misses of a call — every group's: the live trials of a lockstep MSH
     round ask together — as ``POST /evaluate_layers`` requests the server

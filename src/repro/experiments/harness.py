@@ -147,8 +147,9 @@ def build_optimizer(
 
         engine, trial_factory = multi_workload_trial_factory(
             [get_network(name) for name in workload.split("+")],
-            lambda job_network, _clock: make_platform(scenario, job_network)[1],
+            lambda job_network: make_platform(scenario, job_network)[1],
             tool=tool,
+            batch_size=eval_batch_size,
         )
         network = engine.network
 

@@ -16,6 +16,10 @@ as non-improving, so:
 * **Screening off is bit-identical to no wrapper at all**: with no model
   (or ``enabled=False``) every call forwards verbatim to the inner
   engine, whose caches, counters and RNG-visible behavior are untouched.
+* **Only analytical answers are charged.**  A mapping search stores the
+  answers it was given and never a placeholder, and its trial is charged
+  the answers it stores, so a screened-out candidate costs no query and
+  no simulated time; the wrapper keeps no time of its own.
 
 Aggregation and layer groups under ``min_batch`` (incumbent
 initialization: one mapping per layer; one-item calls) always pass
@@ -23,11 +27,9 @@ through — they carry incumbent state the search must know exactly.
 
 The wrapper is duck-typed rather than a ``PPAEngine`` subclass: it holds
 no network/cache state of its own and forwards every unknown attribute
-to the inner engine.  The attributes co-optimizers *assign* after
-construction (``charge_clock``, ``tracer``, ``sample_sink``) are
-explicit properties that forward the assignment inward, so e.g.
-``Unico`` disabling engine clock charging keeps working through the
-wrapper.
+to the inner engine.  The attributes a run *assigns* after construction
+(``tracer``, ``sample_sink``) are explicit properties that forward the
+assignment inward, so they reach the engine that does the work.
 """
 
 from __future__ import annotations
@@ -76,15 +78,7 @@ class ScreeningPPAEngine:
         Every Nth screened batch is fully evaluated instead (an audit):
         the screen's choice is scored against analytical ground truth to
         measure recall, at the price of that batch's savings.  0 = off.
-    screen_cost_s:
-        Simulated seconds charged per screened-out candidate (model
-        inference is orders of magnitude cheaper than an analytical
-        query, but not free); only charged while the inner engine owns
-        clock accounting.
     """
-
-    #: marker for the query-accounting layer (core.evaluation)
-    is_screening = True
 
     def __init__(
         self,
@@ -97,7 +91,6 @@ class ScreeningPPAEngine:
         min_batch: int = 4,
         infeasible_penalty: float = 20.0,
         audit_every: int = 0,
-        screen_cost_s: float = 0.0,
         enabled: bool = True,
     ):
         if topk is not None and topk < 1:
@@ -115,7 +108,6 @@ class ScreeningPPAEngine:
         self.min_batch = min_batch
         self.infeasible_penalty = infeasible_penalty
         self.audit_every = audit_every
-        self.screen_cost_s = screen_cost_s
         self.enabled = enabled
         self._counter_lock = threading.Lock()
         self._counts: Dict[str, int] = {
@@ -133,27 +125,9 @@ class ScreeningPPAEngine:
     # ------------------------------------------------------------- delegation
     def __getattr__(self, name):
         # only reached for names not defined on the wrapper: everything
-        # else (network, clock, caches, aggregation, area, num_queries,
+        # else (network, caches, aggregation, area, num_queries,
         # metrics, ...) is the inner engine's.
         return getattr(self.inner, name)
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @clock.setter
-    def clock(self, value) -> None:
-        # multi-workload wiring assigns engine.clock = shared_clock; the
-        # assignment must land on the inner engine, not shadow it here
-        self.inner.clock = value
-
-    @property
-    def charge_clock(self) -> bool:
-        return self.inner.charge_clock
-
-    @charge_clock.setter
-    def charge_clock(self, value: bool) -> None:
-        self.inner.charge_clock = value
 
     @property
     def tracer(self):
@@ -263,10 +237,6 @@ class ScreeningPPAEngine:
         results: List[LayerPPA] = [_SCREENED_RESULT] * len(requests)
         for position, result in zip(kept_positions, kept):
             results[position] = result
-        if self.screen_cost_s and self.inner.charge_clock and dropped:
-            self.inner.clock.advance(
-                self.screen_cost_s * len(dropped), label="screen"
-            )
         for positions, chosen, escalated, audit in plans:
             evaluated = [p for p in positions if p not in dropped]
             counts = dict(

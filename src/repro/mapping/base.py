@@ -18,7 +18,9 @@ Bookkeeping exposed to UNICO:
   plus latency/power of the best network mapping.  The trial series is what
   the robustness metric's 95%-right-tail rule operates on; the best series
   is what MSH's AUC uses.
-* ``best_mapping`` / ``best_ppa`` — incumbent full-network mapping.
+* ``best_mapping`` / ``best_ppa`` — incumbent full-network mapping and
+  its PPA, composed from the incumbents' answers
+  (:func:`~repro.costmodel.results.compose_network_ppa`).
 
 One budget unit = one candidate-mapping evaluation folded into the
 history.  A search never pays twice for one answer: every result the
@@ -27,11 +29,12 @@ kept in its answer store under ``(twin key, mapping.key())``, the twin key
 naming the network's first layer of the same GEMM shape
 (:attr:`~repro.workloads.network.Network.twin_keys`; the cost models read
 only the shape).  A candidate proposed again, for its layer or a twin, is
-folded from there, so the engine queries a search is charged are exactly
-the answers it stores.  With ``batch_size > 1`` a speculation-safe tool
-may also *buy* evaluations ahead of their step (``num_speculative_evals``;
-those no step has used yet are ``num_speculation_misses``): same history
-at every width, fewer engine calls, more engine queries.
+folded from there, so the engine queries a search spends are exactly
+the answers it stores (``num_answers``, what its trial is charged).  With
+``batch_size > 1`` a speculation-safe tool may also *buy* evaluations
+ahead of their step (``num_speculative_evals``; those no step has used
+yet are ``num_speculation_misses``): same history at every width, fewer
+engine calls, more engine queries.
 """
 
 from __future__ import annotations
@@ -45,8 +48,13 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.costmodel.results import SCREENED_REASON, LayerPPA, NetworkPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
+from repro.costmodel.results import (
+    SCREENED_REASON,
+    LayerPPA,
+    NetworkPPA,
+    compose_network_ppa,
+    network_power_w,
+)
 from repro.errors import SearchBudgetError
 from repro.obs.trace import NULL_TRACER
 
@@ -158,16 +166,16 @@ class AnytimeMappingSearch(ABC):
         self.history: List[MappingSearchPoint] = []
         self.spent_budget = 0
         # per-step caches, so one propose -> fold step does not walk the
-        # network: incumbent totals (dropped by :meth:`_set_incumbent`),
+        # network: the incumbents' PPA (dropped by :meth:`_set_incumbent`),
         # and the layer-pick weights with their CDF (entries of
         # ``_stale_weights`` layers are rewritten by the next pick; nan
         # until the first, so the first pick builds the CDF)
-        self._totals: Optional[Tuple[float, float]] = None
+        self._ppa: Optional[NetworkPPA] = None
         self._layer_index = {name: i for i, name in enumerate(self.layer_names)}
         self._pick_weights = np.full(len(self.layer_names), np.nan)
         self._pick_cdf: Optional[np.ndarray] = None
         self._stale_weights = set(self.layer_names)
-        self._leakage_w = DEFAULT_TECHNOLOGY.leakage_w_per_mm2 * engine.area_mm2(hw)
+        self._area_mm2 = engine.area_mm2(hw)
         self._initialize_incumbents()
 
     # ------------------------------------------------------------------ setup
@@ -266,7 +274,7 @@ class AnytimeMappingSearch(ABC):
         """The one place an incumbent is written: drops what is cached of it."""
         self.best_layer_mapping[layer_name] = mapping
         self.best_layer_result[layer_name] = result
-        self._totals = None
+        self._ppa = None
         self._stale_weights.add(layer_name)
 
     # --------------------------------------------------------------- strategy
@@ -328,49 +336,22 @@ class AnytimeMappingSearch(ABC):
         ]
 
     # -------------------------------------------------------------- accounting
-    def _network_totals(self) -> Tuple[float, float]:
-        """(total latency s, total energy J) of the incumbent mapping.
-
-        Re-summed left to right only after an incumbent changed; a running
-        delta would round differently from the sum it replaces.
-        """
-        if self._totals is None:
-            self._totals = self._sum_incumbents()
-        return self._totals
-
-    def _sum_incumbents(self) -> Tuple[float, float]:
-        latency = 0.0
-        energy = 0.0
-        for layer_name in self.layer_names:
-            result = self.best_layer_result[layer_name]
-            if not result.feasible:
-                return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
-            count = self.layer_counts[layer_name]
-            latency += count * result.latency_s
-            energy += count * result.energy_j
-        return latency, energy
-
     def _network_objective(self, latency: float) -> float:
         if not math.isfinite(latency):
             return _INFEASIBLE_OBJECTIVE
         return latency
 
-    def _network_power(self, latency: float, energy: float) -> float:
-        if not math.isfinite(latency) or latency <= 0:
-            return _INFEASIBLE_OBJECTIVE
-        return energy / latency + self._leakage_w
-
     def _trial_totals(
         self, layer_name: str, result: LayerPPA
     ) -> Tuple[float, float]:
         """Network totals if ``layer_name`` adopted ``result``."""
-        base_latency, base_energy = self._network_totals()
-        if not math.isfinite(base_latency) or not result.feasible:
+        base = self.best_ppa
+        if not base.feasible or not result.feasible:
             return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
         count = self.layer_counts[layer_name]
         incumbent = self.best_layer_result[layer_name]
-        latency = base_latency + count * (result.latency_s - incumbent.latency_s)
-        energy = base_energy + count * (result.energy_j - incumbent.energy_j)
+        latency = base.latency_s + count * (result.latency_s - incumbent.latency_s)
+        energy = base.energy_j + count * (result.energy_j - incumbent.energy_j)
         return latency, energy
 
     # ------------------------------------------------------------------- run
@@ -548,17 +529,19 @@ class AnytimeMappingSearch(ABC):
                 improved = True
         self._on_result(layer_name, candidate, result, improved)
 
-        best_latency, best_energy = self._network_totals()
+        best = self.best_ppa
         self.spent_budget += 1
         self.history.append(
             MappingSearchPoint(
                 step=self.spent_budget,
                 trial_objective=trial_objective,
                 trial_latency_s=trial_latency,
-                trial_power_w=self._network_power(trial_latency, trial_energy),
-                best_objective=self._network_objective(best_latency),
-                best_latency_s=best_latency,
-                best_power_w=self._network_power(best_latency, best_energy),
+                trial_power_w=network_power_w(
+                    trial_latency, trial_energy, self._area_mm2
+                ),
+                best_objective=self._network_objective(best.latency_s),
+                best_latency_s=best.latency_s,
+                best_power_w=best.power_w,
             )
         )
 
@@ -566,6 +549,16 @@ class AnytimeMappingSearch(ABC):
         return result.latency_s
 
     # ------------------------------------------------------------------ views
+    @property
+    def num_answers(self) -> int:
+        """Engine answers this search holds: the queries it spent.
+
+        Seeds, shrink steps, folded steps and drafts alike; a screened
+        placeholder is no answer and not counted.  The number a
+        co-optimizer charges the search's trial for.
+        """
+        return len(self._bought)
+
     @property
     def num_speculation_misses(self) -> int:
         """Drafts bought and not used yet: no step has proposed them."""
@@ -579,12 +572,21 @@ class AnytimeMappingSearch(ABC):
     def best_objective(self) -> float:
         if self.history:
             return self.history[-1].best_objective
-        latency, _energy = self._network_totals()
-        return self._network_objective(latency)
+        return self._network_objective(self.best_ppa.latency_s)
 
     @property
     def best_ppa(self) -> NetworkPPA:
-        return self.engine.aggregate(self.hw, self.best_mapping)
+        """The incumbent mapping's PPA, composed from the answers it holds.
+
+        Composed again, summed left to right, only after an incumbent
+        changed; a running delta would round differently from the sum it
+        replaces.
+        """
+        if self._ppa is None:
+            self._ppa = compose_network_ppa(
+                self.layer_counts, self.best_layer_result, self._area_mm2
+            )
+        return self._ppa
 
     def best_curve(self) -> np.ndarray:
         """Monotone best-so-far objective values, one per step."""

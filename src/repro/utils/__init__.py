@@ -9,8 +9,9 @@ can build on a common, well-tested foundation:
   :class:`numpy.random.Generator` so whole experiments replay bit-for-bit.
 * :mod:`repro.utils.intmath` — integer helpers (divisors, tilings,
   two-three-smooth value grids) used by design spaces and mapping spaces.
-* :mod:`repro.utils.clock` — the simulated wall clock that charges a modeled
-  cost per PPA evaluation; search-cost curves are measured against it.
+* :mod:`repro.utils.clock` — the simulated wall clock a co-optimizer charges
+  a modeled cost per PPA evaluation; search-cost curves are measured
+  against it.
 * :mod:`repro.utils.records` — lightweight JSON-serializable run records.
 * :mod:`repro.utils.metrics` — thread-safe counters and real-time latency
   histograms threaded through the estimation-service path (engines, the

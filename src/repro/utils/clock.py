@@ -7,7 +7,8 @@ hours is neither feasible nor necessary for reproducing the *comparison*:
 every method's cost curve is a function of how many and which evaluations it
 spends.  ``SimulatedClock`` charges a modeled duration per event and exposes
 the accumulated virtual time; experiment harnesses read it instead of
-``time.time()``.
+``time.time()``.  A co-optimizer owns the one clock of a search and charges
+it per query its trials spent; PPA engines only count queries.
 
 Parallelism is modeled with :meth:`advance_parallel`: a batch of jobs run on
 ``workers`` machines advances the clock by the makespan of a longest-
@@ -17,7 +18,6 @@ processing-time-first schedule, mirroring the paper's master-slave execution.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
@@ -26,8 +26,8 @@ from typing import Dict, Sequence
 class SimulatedClock:
     """Accumulates simulated seconds, in total and per label.
 
-    Keeps no per-charge log: a served engine charges its clock once per
-    group it answers, for as long as the replica lives.
+    Keeps no per-charge log, only a total per label: a long search
+    charges it once per round or candidate for as long as it runs.
 
     Parameters
     ----------
@@ -40,10 +40,6 @@ class SimulatedClock:
     workers: int = 1
     _now_s: float = 0.0
     _totals: Dict[str, float] = field(default_factory=dict)
-    # charged from service-handler threads
-    _lock: threading.RLock = field(
-        init=False, repr=False, compare=False, default_factory=threading.RLock
-    )
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -58,10 +54,9 @@ class SimulatedClock:
         """Charge one serial event and return the new time."""
         if duration_s < 0:
             raise ValueError(f"duration must be non-negative, got {duration_s}")
-        with self._lock:
-            self._now_s += duration_s
-            self._totals[label] = self._totals.get(label, 0.0) + duration_s
-            return self._now_s
+        self._now_s += duration_s
+        self._totals[label] = self._totals.get(label, 0.0) + duration_s
+        return self._now_s
 
     def advance_parallel(
         self, durations_s: Sequence[float], label: str = "batch"
@@ -92,6 +87,5 @@ class SimulatedClock:
 
     def reset(self) -> None:
         """Zero the clock and every label's total."""
-        with self._lock:
-            self._now_s = 0.0
-            self._totals.clear()
+        self._now_s = 0.0
+        self._totals.clear()

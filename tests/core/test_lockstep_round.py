@@ -387,7 +387,7 @@ def test_trial_that_cannot_be_stepped_runs_whole_on_its_turn(tiny_network):
     def build():
         engine = MaestroEngine(tiny_network)
         _composite, bundle = multi_workload_trial_factory(
-            [tiny_network, other], lambda net, clock: MaestroEngine(net, clock=clock)
+            [tiny_network, other], MaestroEngine
         )
         configs = _hardware(3)
         stepped = _trials(tiny_network, engine, "flextensor", 8, configs[:2])
@@ -418,9 +418,7 @@ def test_custom_trial_factory_mixes_both_kinds(tiny_network):
     def optimize(stepped_cls):
         engine = MaestroEngine(tiny_network)
         _composite, bundle = multi_workload_trial_factory(
-            [tiny_network, other],
-            lambda net, clock: MaestroEngine(net, clock=clock),
-            clock=engine.clock,
+            [tiny_network, other], MaestroEngine
         )
         made = []
 
@@ -461,7 +459,7 @@ def test_traced_round_is_ticks_and_one_search_span_per_trial(tiny_network):
         UnicoConfig(batch_size=5, max_iterations=1, max_budget=24, eval_batch_size=8),
         power_cap_w=100.0, seed=11,
     )
-    unico.set_tracer(Tracer(clock=engine.clock, sinks=[sink]))
+    unico.set_tracer(Tracer(clock=unico.clock, sinks=[sink]))
     unico.optimize()
     spans = sink.spans
     rounds = [span for span in spans if span["name"] == "msh_round"]

@@ -11,11 +11,15 @@ from repro.core.multiworkload import (
 )
 from repro.costmodel.engine import MaestroEngine
 from repro.errors import ConfigurationError
-from repro.experiments.harness import RunSpec, launch, resume_run
+from repro.experiments.harness import (
+    RunSpec,
+    build_optimizer,
+    launch,
+    resume_run,
+)
 from repro.hw.spatial import edge_design_space
 from repro.tracking.journal import read_events
 from repro.tracking.store import RunStore
-from repro.utils.clock import SimulatedClock
 from repro.workloads.layers import Conv2D, Gemm
 from repro.workloads.network import Network
 from tests.tracking.journal_lines import RESUME_LINES, cut_before_last_state, journal_lines
@@ -43,19 +47,11 @@ def two_networks():
 
 @pytest.fixture()
 def composite(two_networks):
-    engine, factory = multi_workload_trial_factory(
-        two_networks, lambda net, clock: MaestroEngine(net, clock=clock)
-    )
+    engine, factory = multi_workload_trial_factory(two_networks, MaestroEngine)
     return engine, factory
 
 
 class TestMultiWorkloadEngine:
-    def test_shared_clock(self, composite):
-        engine, _factory = composite
-        clocks = {id(e.clock) for e in engine.engines.values()}
-        assert len(clocks) == 1
-        assert next(iter(clocks)) == id(engine.clock)
-
     def test_query_count_sums(self, composite, sample_hw):
         # each network's search pays one query per answer it stores (5 steps
         # per network paid 5 queries each when every step was one)
@@ -68,13 +64,7 @@ class TestMultiWorkloadEngine:
         before, stored_before = engine.num_queries, stored()
         trial.run(5)
         assert engine.num_queries - before == stored() - stored_before == 7
-
-    def test_charge_clock_propagates(self, composite):
-        engine, _factory = composite
-        engine.charge_clock = False
-        assert all(not e.charge_clock for e in engine.engines.values())
-        engine.charge_clock = True
-        assert engine.charge_clock
+        assert trial.queries_spent == stored() == engine.num_queries
 
     def test_merged_network_metadata(self, composite):
         engine, _factory = composite
@@ -115,6 +105,7 @@ class TestMultiWorkloadTrial:
         assert ppa.feasible
         assert ppa.latency_s == pytest.approx(sum(p.latency_s for p in parts))
         assert ppa.energy_j == pytest.approx(sum(p.energy_j for p in parts))
+        assert list(ppa.layer_results.values()) == parts
 
     def test_robustness_is_worst_case(self, composite, sample_hw):
         _engine, factory = composite
@@ -141,9 +132,7 @@ class TestMultiWorkloadTrial:
 
 class TestUnicoWithMultiWorkload:
     def test_end_to_end(self, two_networks):
-        engine, factory = multi_workload_trial_factory(
-            two_networks, lambda net, clock: MaestroEngine(net, clock=clock)
-        )
+        engine, factory = multi_workload_trial_factory(two_networks, MaestroEngine)
         space = edge_design_space()
         unico = Unico(
             space,
@@ -195,6 +184,40 @@ class TestJoinedWorkloadName:
         assert journal_lines(cut.journal_path, RESUME_LINES + ("span",)) == journal_lines(
             straight, RESUME_LINES + ("span",)
         )
+
+    def test_eval_batch_size_reaches_every_job(self):
+        """Look-ahead cuts the engine calls of every network's job and
+        moves nothing else: per-trial histories and the front agree."""
+
+        def optimize(width):
+            optimizer = build_optimizer(
+                "unico", "edge", "mobilenetv3_small+fsrcnn_120x320", "smoke",
+                eval_batch_size=width,
+            )
+            trials = []
+            factory = optimizer._trial_factory
+
+            def recording(hw, seed_rng):
+                trials.append(factory(hw, seed_rng))
+                return trials[-1]
+
+            optimizer._trial_factory = recording
+            result = optimizer.optimize()
+            calls = sum(
+                engine.num_batch_queries
+                for engine in optimizer.engine.engines.values()
+            )
+            histories = [
+                [search.history for search in trial.searches.values()]
+                for trial in trials
+            ]
+            return result, histories, calls
+
+        narrow, narrow_histories, narrow_calls = optimize(1)
+        wide, wide_histories, wide_calls = optimize(8)
+        assert wide_calls < narrow_calls
+        assert wide_histories == narrow_histories
+        assert np.array_equal(wide.pareto.points, narrow.pareto.points)
 
     def test_screening_is_refused(self):
         with pytest.raises(ConfigurationError, match="screening"):

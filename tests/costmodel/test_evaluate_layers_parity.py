@@ -142,7 +142,6 @@ def test_evaluate_layers_matches_sequential(
     assert got == want
     assert batched.num_queries == sequential.num_queries == len(warm) + len(items)
     assert batched.num_cache_hits == sequential.num_cache_hits
-    assert batched.clock.now_s == sequential.clock.now_s
     # one sink call per engine call that computed something: the batch's
     # misses arrive together, in miss order; flattened, the streams agree
     batched_log = [sample for call in batched_calls for sample in call]

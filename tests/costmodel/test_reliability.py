@@ -142,7 +142,8 @@ class TestRetryingOverRemote:
         for _ in range(queries):
             remote.evaluate_layer(sample_hw, space.sample(rng), "gemm")
         assert remote.num_network_retries > 0  # flakiness actually exercised
-        assert remote.clock.now_s == queries * remote.eval_cost_s
+        # a retried query is one query: what a co-optimizer charges for
+        assert remote.num_queries == queries
 
     def test_cached_repeat_needs_no_retry_or_request(self, stack, sample_hw):
         backend, remote = stack

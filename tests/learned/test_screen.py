@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.costmodel.engine import MaestroEngine
-from repro.core.evaluation import _QueryCountingEngine
+from repro.core.evaluation import SWSearchTrial
 from repro.learned.model import LearnedCostModel
 from repro.costmodel.results import SCREENED_REASON
 from repro.learned.screen import ScreeningPPAEngine
@@ -58,9 +58,7 @@ class TestPassThrough:
         inner = MaestroEngine(tiny_network)
         engine = ScreeningPPAEngine(inner, model=model)
         assert engine.network is inner.network
-        assert engine.clock is inner.clock
-        engine.charge_clock = False
-        assert inner.charge_clock is False
+        assert engine.num_queries == inner.num_queries
         sink = object()
         engine.sample_sink = sink
         assert inner.sample_sink is sink
@@ -152,44 +150,31 @@ class TestScreening:
         assert stats["audit_batches"] == 1
         assert stats["audit_recall"] in (0.0, 1.0)
 
-    def test_screen_cost_charged_to_clock(
-        self, tiny_network, sample_hw, layer_and_shape, mapping_batch, model
-    ):
-        layer_name, _shape = layer_and_shape
-        inner = MaestroEngine(tiny_network)
-        engine = ScreeningPPAEngine(
-            inner, model=model, topk=4, screen_cost_s=0.5
-        )
-        before = inner.clock.now_s
-        engine.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch])
-        skipped = engine.screen_stats()["skipped"]
-        charged = inner.clock.now_s - before
-        # forwarded evals charge eval_cost_s each; screened ones 0.5s each
-        assert charged == pytest.approx(
-            engine.screen_stats()["forwarded"] * inner.eval_cost_s
-            + 0.5 * skipped
-        )
-
 
 class TestQueryAccounting:
-    def test_counting_proxy_ignores_screened_results(
-        self, tiny_network, sample_hw, layer_and_shape, mapping_batch, model
-    ):
-        layer_name, _shape = layer_and_shape
-        engine = ScreeningPPAEngine(
-            MaestroEngine(tiny_network), model=model, topk=6
-        )
-        view = _QueryCountingEngine(engine)
-        results = view.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch])
-        analytical = sum(
-            1 for r in results if r.infeasible_reason != SCREENED_REASON
-        )
-        assert view.local_queries == analytical < len(mapping_batch)
+    """A trial is charged the answers its search holds: over a screen,
+    the analytical ones, which is what the inner engine counted."""
 
-    def test_counting_proxy_unchanged_without_wrapper(
-        self, tiny_network, sample_hw, layer_and_shape, mapping_batch
+    def test_counting_proxy_ignores_screened_results(
+        self, tiny_network, sample_hw, model
     ):
-        layer_name, _shape = layer_and_shape
-        view = _QueryCountingEngine(MaestroEngine(tiny_network))
-        view.evaluate_layers(sample_hw, [(m, layer_name) for m in mapping_batch])
-        assert view.local_queries == len(mapping_batch)
+        inner = MaestroEngine(tiny_network)
+        engine = ScreeningPPAEngine(inner, model=model, topk=2)
+        trial = SWSearchTrial(
+            sample_hw, tiny_network, engine, tool="random", seed=0, batch_size=16
+        )
+        trial.run(120)
+        assert engine.screen_stats()["skipped"] > 0
+        assert trial.queries_spent == inner.num_queries
+        assert all(
+            result.infeasible_reason != SCREENED_REASON
+            for result in trial.search._bought.values()
+        )
+
+    def test_counting_proxy_unchanged_without_wrapper(self, tiny_network, sample_hw):
+        engine = MaestroEngine(tiny_network)
+        trial = SWSearchTrial(
+            sample_hw, tiny_network, engine, tool="random", seed=0, batch_size=16
+        )
+        trial.run(120)
+        assert trial.queries_spent == engine.num_queries == len(trial.search._bought)

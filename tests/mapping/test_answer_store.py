@@ -6,23 +6,21 @@ folded steps, drafts — goes into the search's answer store
 layer of its GEMM shape (``Network.twin_keys``), and a candidate proposed
 again, for its layer or a twin, is folded from there.  So no search sends
 one ``(twin key, mapping)`` twice, the queries a trial is charged are
-exactly the answers its search stores, and the engine's LRU, keyed the
-same way, holds every answer the search's incumbents came from — on every
-tool at every width, alone or in a lockstep round (mobilenetv2 has six
-twin pairs).  A learned screen's placeholder is no answer: it is folded,
-never stored.
+exactly the answers its search stores — together, every query the engine
+counted — and the trial's PPA, composed from its incumbents, is what the
+engine composes from its LRU, keyed the same way, without computing
+anything — on every tool at every width, alone or in a lockstep round
+(mobilenetv2 has six twin pairs).  A learned screen's placeholder is no
+answer: it is folded, never stored.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.camodel.engine import AscendCAEngine
-from repro.core.evaluation import (
-    SEARCH_TOOLS,
-    SWSearchTrial,
-    _QueryCountingEngine,
-    advance_lockstep,
-)
+from repro.core.evaluation import SEARCH_TOOLS, SWSearchTrial, advance_lockstep
 from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.results import SCREENED_REASON
 from repro.hw.ascend import default_ascend_config
@@ -84,11 +82,14 @@ def _assert_paid_once(engine, trials):
         assert trial.queries_spent == len(sent) == len(trial.search._bought)
         assert trial.search._unused_drafts.keys() <= trial.search._bought.keys()
     assert engine.num_queries == sum(trial.queries_spent for trial in trials)
-    # every incumbent's answer is in the engine's LRU under its twin key
+    # every incumbent's answer is in the engine's LRU under its twin key,
+    # and the engine composes the trial's PPA from it field for field
     calls = engine.cost_model_calls
     for trial in trials:
         ppa = engine.aggregate(trial.hw, trial.search.best_mapping)
         assert ppa.layer_results == trial.search.best_layer_result
+        for field in dataclasses.fields(ppa):
+            assert getattr(trial.best_ppa, field.name) == getattr(ppa, field.name)
     assert engine.cost_model_calls == calls
 
 
@@ -180,8 +181,7 @@ def test_a_placeholder_is_folded_never_stored(sample_hw):
         inner, model=_RankByPosition(), topk=3, escalate_fraction=0.0,
         min_batch=4, infeasible_penalty=0.0, audit_every=2,
     )
-    view = _QueryCountingEngine(screen)  # charges what a trial is charged
-    search = _ScriptedSearch(network, sample_hw, view, seed=0, batch_size=4)
+    search = _ScriptedSearch(network, sample_hw, screen, seed=0, batch_size=4)
     seeded = dict(search._bought)
     assert not seeded.keys() & {("g", mapping.key()) for mapping in SCRIPT}
     folds = []
@@ -203,10 +203,11 @@ def test_a_placeholder_is_folded_never_stored(sample_hw):
     analytical = MaestroEngine(network).evaluate_layer(sample_hw, _D, "g")
     assert folds[4][1] == analytical
     assert search.history[4].trial_latency_s < np.inf
-    # nothing in the store is a placeholder, and it holds what was charged
+    # nothing in the store is a placeholder, and it holds what the engine
+    # counted: what a trial over this search is charged
     assert all(
         result.infeasible_reason != SCREENED_REASON
         for result in search._bought.values()
     )
     assert search._bought[("g", _D.key())] == analytical
-    assert view.local_queries == len(search._bought) == len(seeded) + 7
+    assert search.num_answers == inner.num_queries == len(seeded) + 7

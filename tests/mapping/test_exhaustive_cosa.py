@@ -39,7 +39,6 @@ def micro_optimum(micro_network):
         }
     )
     engine = MaestroEngine(micro_network)
-    engine.charge_clock = False
     outcome = enumerate_layer(engine, hw, "g")
     return hw, outcome
 
@@ -54,7 +53,6 @@ class TestExhaustive:
     def test_nothing_beats_the_optimum(self, micro_network, micro_optimum):
         hw, outcome = micro_optimum
         engine = MaestroEngine(micro_network)
-        engine.charge_clock = False
         rng = np.random.default_rng(0)
         from repro.mapping.gemm_mapping import GemmMappingSpace
 
@@ -78,7 +76,6 @@ class TestExhaustive:
     def test_network_level_optimum(self, micro_network, micro_optimum):
         hw, outcome = micro_optimum
         engine = MaestroEngine(micro_network)
-        engine.charge_clock = False
         mappings, details = optimal_network_mapping(engine, hw)
         assert mappings["g"] == outcome.mapping
         assert details["g"].result.latency_s == outcome.result.latency_s
@@ -93,7 +90,6 @@ class TestHeuristicRegret:
         ratios = []
         for seed in (0, 1, 2):
             engine = MaestroEngine(micro_network)
-            engine.charge_clock = False
             search = tool_cls(micro_network, hw, engine, seed=seed)
             search.run(200)
             ratios.append(search.best_objective / outcome.result.latency_s)
@@ -104,7 +100,6 @@ class TestHeuristicRegret:
 
         def regret(budget, seed=4):
             engine = MaestroEngine(micro_network)
-            engine.charge_clock = False
             search = FlexTensorSearch(micro_network, hw, engine, seed=seed)
             search.run(budget)
             return search.best_objective / outcome.result.latency_s
@@ -116,7 +111,6 @@ class TestCosaMapper:
     def test_constructed_mapping_feasible(self, micro_network, micro_optimum):
         hw, _outcome = micro_optimum
         engine = MaestroEngine(micro_network)
-        engine.charge_clock = False
         mapper = CosaMapper(micro_network, hw, engine, seed=0)
         mapper.run(len(micro_network.layers))
         assert np.isfinite(mapper.best_objective)
@@ -125,7 +119,6 @@ class TestCosaMapper:
         """The one-shot construction lands within 3x of the true optimum."""
         hw, outcome = micro_optimum
         engine = MaestroEngine(micro_network)
-        engine.charge_clock = False
         mapper = CosaMapper(micro_network, hw, engine, seed=0)
         mapper.run(1)
         assert mapper.best_objective <= 3.0 * outcome.result.latency_s

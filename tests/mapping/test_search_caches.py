@@ -1,6 +1,6 @@
 """What the search loop caches between steps never goes stale.
 
-The base class keeps the incumbent network totals and the layer-pick
+The base class keeps the incumbents' network PPA and the layer-pick
 weights across steps and refreshes them only where an incumbent (or, for
 FlexTensor, a credit) changes.  Every incumbent write goes through
 ``_set_incumbent`` — including the fusion search's, which adopts
@@ -13,6 +13,7 @@ import pytest
 
 from repro.camodel.engine import AscendCAEngine
 from repro.costmodel.engine import MaestroEngine
+from repro.costmodel.results import compose_network_ppa
 from repro.hw.ascend import default_ascend_config
 from repro.learned.oneloop import OneLoopMappingSearch
 from repro.mapping.fusion import DepthFirstFusionSearch
@@ -30,7 +31,9 @@ GEMM_TOOLS = [
 
 
 def _assert_caches_coherent(search):
-    assert search._network_totals() == search._sum_incumbents()
+    assert search.best_ppa == compose_network_ppa(
+        search.layer_counts, search.best_layer_result, search._area_mm2
+    )
     for index, layer_name in enumerate(search.layer_names):
         if layer_name not in search._stale_weights:
             assert search._pick_weights[index] == search._layer_weight(layer_name)
@@ -65,7 +68,7 @@ def test_fusion_search_invalidates_on_adopt():
         search.run(1)
         _assert_caches_coherent(search)
     assert len({point.best_objective for point in search.history}) > 1
-    # in a fold the producer's own improvement already dropped the totals;
+    # in a fold the producer's own improvement already dropped the PPA;
     # an adoption on its own (a tie, a vetoed fusion's revert) must as well
     name = search.layer_names[1]
     incumbent = search.best_layer_result[name]

@@ -15,6 +15,7 @@ EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 FAST_EXAMPLES = [
     "rest_service.py",
     "bottleneck_analysis.py",
+    "multi_workload.py",
 ]
 
 

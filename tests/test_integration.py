@@ -65,7 +65,6 @@ class TestSurrogateLearns:
         from repro.optim.pareto import ObjectiveNormalizer
 
         engine = MaestroEngine(tiny_network)
-        engine.charge_clock = False
         configs = edge_space.sample_batch(40, seed=0)
         normalizer = ObjectiveNormalizer(3)
         observations = []

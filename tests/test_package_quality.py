@@ -405,6 +405,37 @@ def test_one_append_log_under_every_jsonl_store():
     assert holders == ["tracking/journal.py"]
 
 
+#: the modules that may advance a simulated clock: the co-optimizers, the
+#: checkpoint that restores one's clock, and the clock itself
+CLOCK_KEEPERS = (
+    "repro.core.base",
+    "repro.core.baselines",
+    "repro.core.checkpoint",
+    "repro.core.unico",
+    "repro.utils.clock",
+)
+
+
+def test_only_co_optimizers_advance_the_simulated_clock():
+    """Simulated time has one keeper, the co-optimizer's clock, charged per
+    query its trials spent: no engine, screen, trial or multi-workload
+    facade advances a clock of its own."""
+    offenders = []
+    for name, path in _module_paths().items():
+        if any(
+            name == keeper or name.startswith(keeper + ".") for keeper in CLOCK_KEEPERS
+        ):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("advance", "advance_parallel")
+            ):
+                offenders.append(f"{name}:{node.lineno}")
+    assert not offenders, f"a clock advanced outside a co-optimizer: {offenders}"
+
+
 #: where a use of a public name counts
 REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples", "docs")
 
@@ -550,10 +581,6 @@ TEST_SUPPORT_OPTIONS = {
     "repro.fleet.breaker.CircuitBreaker(now)": (
         "the fake-clock seam: tests step a breaker through its cooldown "
         "without sleeping"
-    ),
-    "repro.core.multiworkload.multi_workload_trial_factory(clock)": (
-        "the injected-clock seam: a test runs the multi-workload trials "
-        "on one engine's clock to compare them with that engine's"
     ),
 }
 

@@ -168,7 +168,7 @@ class TestCoSearchSink:
 
     def test_multi_workload_facade_forwards_the_sink(self, tiny_network):
         facade, _factory = multi_workload_trial_factory(
-            [tiny_network], lambda net, clock: MaestroEngine(net, clock=clock)
+            [tiny_network], MaestroEngine
         )
         assert facade.sample_sink is None
         sink = _recording_sink([])

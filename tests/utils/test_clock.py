@@ -28,15 +28,15 @@ class TestAdvance:
         assert clock.total("missing") == 0.0
 
     def test_keeps_totals_not_a_log(self):
-        """Memory stays flat however many charges a long-lived replica's
-        clock takes: one running total per label, no per-charge record."""
+        """Memory stays flat however many charges a long search's clock
+        takes: one running total per label, no per-charge record."""
         clock = SimulatedClock()
         for _ in range(1000):
             clock.advance(1.0, label="x")
         assert clock.now_s == 1000.0
         assert clock.total("x") == 1000.0
         assert not hasattr(clock, "events")
-        assert set(vars(clock)) == {"workers", "_now_s", "_totals", "_lock"}
+        assert set(vars(clock)) == {"workers", "_now_s", "_totals"}
 
 
 class TestAdvanceParallel:
