@@ -36,10 +36,10 @@ from repro.experiments.presets import get_preset
 from repro.hub.aggregate import FleetAggregator
 from repro.hub.client import HubClient
 from repro.hub.server import HubServer
-from repro.obs.prom import parse_prometheus_text
 from repro.tracking.journal import read_events
 from repro.tracking.store import RunStore
 from repro.tracking.tracker import JournalTracker
+from repro.utils.prom import parse_prometheus_text
 
 WORKLOAD = "fsrcnn_120x320"
 ROUNDS = 3

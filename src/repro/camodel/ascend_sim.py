@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.ascend import AscendHWConfig
+from repro.hw.technology import DEFAULT_TECHNOLOGY
 from repro.mapping.ascend_mapping import AscendMapping
+from repro.ppa import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.utils.intmath import round_up_div
 from repro.workloads.layers import GemmShape
 

@@ -22,9 +22,9 @@ import hashlib
 
 from repro.camodel.ascend_sim import ascend_area_mm2, simulate_layer
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import LayerPPA
 from repro.hw.ascend import AscendHWConfig
 from repro.mapping.ascend_mapping import AscendMapping
+from repro.ppa import LayerPPA
 from repro.workloads.layers import GemmShape
 from repro.workloads.network import Network
 

@@ -659,7 +659,7 @@ def _split_fleet_text(text: str) -> tuple:
     ``replicas`` maps each replica, in ``up`` order, to its own series.
     A series is summed over its labels other than ``replica``.
     """
-    from repro.obs.prom import parse_prometheus_text
+    from repro.utils.prom import parse_prometheus_text
 
     families = parse_prometheus_text(text)
     up = families.get("up", {"samples": []})["samples"]

@@ -23,11 +23,11 @@ import numpy as np
 from repro.core.evaluation import HWEvaluation, SWSearchTrial, assemble_objectives
 from repro.core.robustness import RobustnessResult
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import NetworkPPA
 from repro.hw.space import DiscreteDesignSpace
 from repro.mapping.gemm_mapping import NetworkMapping
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.optim.pareto import ParetoFront
+from repro.ppa import NetworkPPA
 from repro.tracking.tracker import NullTracker, Tracker
 from repro.utils.clock import SimulatedClock
 from repro.utils.rng import SeedSequenceFactory

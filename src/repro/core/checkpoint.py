@@ -30,8 +30,8 @@ import numpy as np
 
 from repro.core.base import HWDesign, TimelineEntry
 from repro.core.robustness import RobustnessResult
-from repro.costmodel.results import NetworkPPA
 from repro.errors import ConfigurationError
+from repro.ppa import NetworkPPA
 from repro.tracking.tracker import replay_iteration_records
 
 _PPA_FIELDS = ("latency_s", "energy_j", "power_w", "area_mm2")

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.robustness import RobustnessResult, robustness_metric
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import NetworkPPA
 from repro.errors import ConfigurationError
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.cosa import CosaMapper
@@ -33,6 +32,7 @@ from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
 from repro.obs.trace import NULL_TRACER
+from repro.ppa import NetworkPPA
 from repro.workloads.network import Network
 
 #: the mapping search tools by name, but for the learned ``oneloop``

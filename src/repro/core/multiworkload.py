@@ -18,7 +18,7 @@ Two deliverables here:
   in the deployment; the co-optimizer's makespan accounting covers this via
   the trial's query count, the answers its searches hold), and whose PPA
   composes the workloads' as parts
-  (:func:`~repro.costmodel.results.compose_network_ppa`).
+  (:func:`~repro.ppa.compose_network_ppa`).
 
 Use :func:`multi_workload_trial_factory` as the ``trial_factory`` of any
 co-optimizer; the merged-network alternative (one search over concatenated
@@ -36,8 +36,8 @@ import numpy as np
 from repro.core.evaluation import make_search_tool
 from repro.core.robustness import RobustnessResult, robustness_metric
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import NetworkPPA, compose_network_ppa
 from repro.errors import ConfigurationError
+from repro.ppa import NetworkPPA, compose_network_ppa
 from repro.utils.rng import spawn_generators
 from repro.workloads.network import Network, merge_networks
 

@@ -44,17 +44,15 @@ import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from repro.mapping.gemm_mapping import GemmMapping, NetworkMapping
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.costmodel.maestro import analyze_gemm, spatial_area_mm2
 from repro.costmodel.maestro_batch import analyze_gemm_batch
-from repro.costmodel.results import LayerPPA, NetworkPPA, compose_network_ppa
 from repro.errors import ConfigurationError, EvaluationError
 from repro.hw.spatial import SpatialHWConfig
+from repro.mapping.gemm_mapping import GemmMapping, NetworkMapping
 from repro.obs.trace import NULL_TRACER
+from repro.ppa import LayerPPA, NetworkPPA, compose_network_ppa
 from repro.utils.metrics import (
     DEFAULT_BATCH_SIZE_BOUNDS,
     PER_ITEM_LATENCY_BOUNDS,
@@ -88,7 +86,7 @@ VECTOR_KERNEL_MIN_GROUP = 8
 
 
 #: One query, and the queries of one engine call on one hardware config.
-Query = Tuple["GemmMapping", str]
+Query = Tuple[GemmMapping, str]
 QueryGroup = Tuple[object, Sequence[Query]]
 
 #: Hardware configs whose cache-key tuple an engine holds on to: well over
@@ -199,7 +197,7 @@ class PPAEngine(ABC):
         """Silicon area of a hardware configuration."""
 
     def _compute_layer(
-        self, hw, mapping: "GemmMapping", shape: GemmShape
+        self, hw, mapping: GemmMapping, shape: GemmShape
     ) -> LayerPPA:
         """Uncached single-layer analysis: every in-process engine's kernel.
 
@@ -211,7 +209,7 @@ class PPAEngine(ABC):
     def _compute_layer_batch(
         self,
         hw,
-        mappings: Sequence["GemmMapping"],
+        mappings: Sequence[GemmMapping],
         layer_name: str,
         shape: GemmShape,
     ) -> Optional[List[LayerPPA]]:
@@ -304,7 +302,7 @@ class PPAEngine(ABC):
                 self._evictions_total.inc()
 
     # -- service API ------------------------------------------------------------
-    def evaluate_layer(self, hw, mapping: "GemmMapping", layer_name: str) -> LayerPPA:
+    def evaluate_layer(self, hw, mapping: GemmMapping, layer_name: str) -> LayerPPA:
         """Evaluate one layer: the one-item case of :meth:`evaluate_layers`."""
         return self.evaluate_layers(hw, [(mapping, layer_name)])[0]
 
@@ -436,7 +434,7 @@ class PPAEngine(ABC):
                     self.sample_sink(hw, samples)
         return results  # type: ignore[return-value]  # all slots filled above
 
-    def aggregate(self, hw, mappings: "NetworkMapping") -> NetworkPPA:
+    def aggregate(self, hw, mappings: NetworkMapping) -> NetworkPPA:
         """Compose a network's PPA from the cached layer results.
 
         Prices a mapping the engine may not have been asked about, such as
@@ -516,14 +514,14 @@ class MaestroEngine(PPAEngine):
     """Analytical engine for the open-source spatial accelerator."""
 
     def _compute_layer(
-        self, hw: SpatialHWConfig, mapping: "GemmMapping", shape: GemmShape
+        self, hw: SpatialHWConfig, mapping: GemmMapping, shape: GemmShape
     ) -> LayerPPA:
         return analyze_gemm(hw, mapping, shape)
 
     def _compute_layer_batch(
         self,
         hw: SpatialHWConfig,
-        mappings: Sequence["GemmMapping"],
+        mappings: Sequence[GemmMapping],
         layer_name: str,
         shape: GemmShape,
     ) -> List[LayerPPA]:

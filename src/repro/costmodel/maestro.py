@@ -16,7 +16,7 @@ data-centric analytical frameworks (MAESTRO, Timeloop) do:
 3. **Roofline latency** — compute, NoC and DRAM cycles overlap via double
    buffering, so tile latency is their maximum.
 4. **Energy** — per-MAC, per-byte register/L1/L2/DRAM energies from
-   :data:`~repro.costmodel.technology.DEFAULT_TECHNOLOGY`; SRAM energy
+   :data:`~repro.hw.technology.DEFAULT_TECHNOLOGY`; SRAM energy
    grows with capacity.
 5. **Area** — PEs + banked SRAM + NoC + fixed base.
 
@@ -26,15 +26,13 @@ checked first; infeasible mappings return ``feasible=False`` with a reason.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import Dict, Tuple
 
-from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
+from repro.hw.technology import DEFAULT_TECHNOLOGY
+from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.workloads.layers import GemmShape
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from repro.mapping.gemm_mapping import GemmMapping
 
 _STARTUP_CYCLES = 1000.0
 

@@ -47,18 +47,16 @@ only comes here at ``VECTOR_KERNEL_MIN_GROUP`` or more misses of one layer
 from __future__ import annotations
 
 from itertools import chain, starmap
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.costmodel.maestro import CONSTS_HELD
-from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
+from repro.hw.technology import DEFAULT_TECHNOLOGY
+from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.workloads.layers import GemmShape
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from repro.mapping.gemm_mapping import GemmMapping
 
 #: 0-d arrays: NumPy 2 binds an array-op Python scalar through the weak
 #: promotion path on every call, which costs almost as much again as the
@@ -168,7 +166,7 @@ class BatchSoA:
     def __init__(
         self,
         hw: SpatialHWConfig,
-        mappings: Sequence["GemmMapping"],
+        mappings: Sequence[GemmMapping],
         shape: GemmShape,
     ):
         self.size = size = len(mappings)
@@ -244,7 +242,7 @@ class BatchSoA:
     ) -> List[LayerPPA]:
         """Assemble per-candidate :class:`LayerPPA` objects in input order,
         with the cost models' cheap builders
-        (:func:`~repro.costmodel.results.feasible_ppa`).  The all-feasible
+        (:func:`~repro.ppa.feasible_ppa`).  The all-feasible
         fast path skips the per-item flag checks entirely.
         """
         # bulk ndarray -> python-float conversion: one C call per column
@@ -277,7 +275,7 @@ class BatchSoA:
 
 def analyze_gemm_batch(
     hw: SpatialHWConfig,
-    mappings: Sequence["GemmMapping"],
+    mappings: Sequence[GemmMapping],
     shape: GemmShape,
 ) -> List[LayerPPA]:
     """Batch equivalent of :func:`repro.costmodel.maestro.analyze_gemm`.

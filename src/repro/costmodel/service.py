@@ -65,7 +65,6 @@ from typing import (
 )
 
 from repro.costmodel.engine import PPAEngine, Query, QueryGroup, held_instrument
-from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.errors import EvaluationError, ReproError, TransportError
 from repro.fleet.breaker import BreakerOpenError, CircuitBreaker
 from repro.fleet.hashing import candidate_key
@@ -80,6 +79,7 @@ from repro.obs.trace import (
     format_trace_context,
     parse_trace_context,
 )
+from repro.ppa import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.utils.httpcore import HttpServer, Reply, Request, Route
 
 #: Version of the ``GET /metrics`` JSON document (engine stats + registry

@@ -26,18 +26,16 @@ cross-validation of both (see ``tests/costmodel/test_timeloop.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.costmodel.engine import PPAEngine
 from repro.costmodel.maestro import spatial_area_mm2
-from repro.costmodel.results import LayerPPA, feasible_ppa, infeasible_ppa
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
+from repro.hw.technology import DEFAULT_TECHNOLOGY
+from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.utils.intmath import round_up_div
 from repro.workloads.layers import GemmShape
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mapping.gemm_mapping import GemmMapping
 
 _STARTUP_CYCLES = 1000.0
 
@@ -83,7 +81,7 @@ def _tile_fills(loops_above: List[_Loop], operand_dims: Tuple[str, ...]) -> int:
 
 def analyze_gemm_loopnest(
     hw: SpatialHWConfig,
-    mapping: "GemmMapping",
+    mapping: GemmMapping,
     shape: GemmShape,
 ) -> LayerPPA:
     """Loop-centric analysis of one GEMM pass (see module docstring)."""
@@ -208,7 +206,7 @@ class TimeloopEngine(PPAEngine):
     """Loop-centric analytical engine (drop-in alternative to Maestro)."""
 
     def _compute_layer(
-        self, hw: SpatialHWConfig, mapping: "GemmMapping", shape: GemmShape
+        self, hw: SpatialHWConfig, mapping: GemmMapping, shape: GemmShape
     ) -> LayerPPA:
         return analyze_gemm_loopnest(hw, mapping, shape)
 

@@ -28,25 +28,23 @@ what makes the results bit-identical rather than merely close.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.costmodel.maestro_batch import BatchSoA
-from repro.costmodel.results import LayerPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
+from repro.hw.technology import DEFAULT_TECHNOLOGY
+from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import LayerPPA
 from repro.workloads.layers import GemmShape
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from repro.mapping.gemm_mapping import GemmMapping
 
 _STARTUP_CYCLES = 1000.0
 
 
 def analyze_gemm_loopnest_batch(
     hw: SpatialHWConfig,
-    mappings: Sequence["GemmMapping"],
+    mappings: Sequence[GemmMapping],
     shape: GemmShape,
 ) -> List[LayerPPA]:
     """Batch equivalent of :func:`analyze_gemm_loopnest` (ordered results)."""

@@ -3,7 +3,7 @@
 Each PR-7 replica exposes its own ``GET /metrics?format=prom``; watching a
 fleet means N browser tabs and mental arithmetic.  The aggregator scrapes
 every replica over pooled keep-alive connections, validates each body
-with the strict parser in :mod:`repro.obs.prom`, and merges the families
+with the strict parser in :mod:`repro.utils.prom`, and merges the families
 into a single exposition:
 
 * every per-replica series is re-emitted with a ``replica="host:port"``
@@ -34,13 +34,13 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.fleet.pool import ConnectionPool
-from repro.obs.prom import (
-    _escape_label_value,
-    _fmt,
-    help_for,
-    parse_prometheus_text,
-)
 from repro.utils.metrics import MetricsRegistry
+from repro.utils.prom import (
+    help_for,
+    help_line,
+    parse_prometheus_text,
+    sample_line,
+)
 
 __all__ = ["FleetAggregator", "ReplicaScrape"]
 
@@ -55,16 +55,6 @@ class ReplicaScrape:
     error: Optional[str] = None
     families: Dict[str, Dict] = field(default_factory=dict)
     elapsed_s: float = 0.0
-
-
-def _sample_line(name: str, labels: Dict[str, str], value: float) -> str:
-    if labels:
-        body = ",".join(
-            f'{key}="{_escape_label_value(val)}"'
-            for key, val in sorted(labels.items())
-        )
-        return f"{name}{{{body}}} {_fmt(value)}"
-    return f"{name} {_fmt(value)}"
 
 
 def _group_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
@@ -141,7 +131,7 @@ class FleetAggregator:
         """One exposition: per-replica labeled series, ``fleet:*`` rollups
         and an ``up`` sample for every scrape in ``scrapes``.
 
-        The output passes :func:`~repro.obs.prom.parse_prometheus_text`
+        The output passes :func:`~repro.utils.prom.parse_prometheus_text`
         by construction; families appear in sorted-name order so repeated
         merges of idle replicas are byte-identical.
         """
@@ -169,23 +159,20 @@ class FleetAggregator:
                 None,
             )
             if description:
-                lines.append(
-                    f"# HELP {family} "
-                    + description.replace("\\", "\\\\").replace("\n", "\\n")
-                )
+                lines.append(help_line(family, description))
             lines.append(f"# TYPE {family} {family_type}")
             for scrape, data in contributors:
                 for name, labels, value in data["samples"]:
                     labeled = dict(labels)
                     labeled["replica"] = scrape.name
-                    lines.append(_sample_line(name, labeled, value))
+                    lines.append(sample_line(name, labeled, value))
             blocks[family] = lines
             rollup = self._rollup(family, family_type, contributors)
             if rollup is not None:
                 blocks[f"fleet:{family}"] = rollup
         if scrapes:
             blocks["up"] = ["# TYPE up gauge"] + [
-                _sample_line("up", {"replica": scrape.name}, float(scrape.ok))
+                sample_line("up", {"replica": scrape.name}, float(scrape.ok))
                 for scrape in scrapes
             ]
         ordered: List[str] = []
@@ -205,9 +192,7 @@ class FleetAggregator:
         header = [f"# TYPE {rollup_name} {family_type}"]
         if description:
             header.insert(
-                0,
-                f"# HELP {rollup_name} Fleet-wide sum: "
-                + description.replace("\\", "\\\\").replace("\n", "\\n"),
+                0, help_line(rollup_name, f"Fleet-wide sum: {description}")
             )
         if family_type == "counter":
             totals: Dict[Tuple[Tuple[str, str], ...], float] = {}
@@ -216,7 +201,7 @@ class FleetAggregator:
                     key = tuple(sorted(labels.items()))
                     totals[key] = totals.get(key, 0.0) + value
             return header + [
-                _sample_line(rollup_name, dict(key), totals[key])
+                sample_line(rollup_name, dict(key), totals[key])
                 for key in sorted(totals)
             ]
         if family_type == "histogram":
@@ -273,14 +258,14 @@ class FleetAggregator:
                 labels = dict(key)
                 labels["le"] = le
                 lines.append(
-                    _sample_line(
+                    sample_line(
                         rollup_name + "_bucket", labels, group["buckets"][le]
                     )
                 )
             lines.append(
-                _sample_line(rollup_name + "_sum", dict(key), group["sum"])
+                sample_line(rollup_name + "_sum", dict(key), group["sum"])
             )
             lines.append(
-                _sample_line(rollup_name + "_count", dict(key), group["count"])
+                sample_line(rollup_name + "_count", dict(key), group["count"])
             )
         return lines

@@ -9,4 +9,6 @@ Two platforms are modeled, matching the paper's evaluation:
 Both are instances of the generic :class:`DiscreteDesignSpace`, which gives
 search algorithms uniform sampling, mutation/crossover, and ordinal
 encode/decode into ``[0, 1]^d`` for the GP surrogate.
+:mod:`repro.hw.technology` holds the process constants every cost model
+prices a configuration with.
 """

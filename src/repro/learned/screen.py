@@ -40,10 +40,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.costmodel.results import SCREENED_REASON, LayerPPA, infeasible_ppa
 from repro.errors import EvaluationError, ReproError
 from repro.learned.features import featurize_batch
 from repro.learned.model import LearnedCostModel
+from repro.ppa import SCREENED_REASON, LayerPPA, infeasible_ppa
 
 #: A screened-out candidate's placeholder result: infinite PPA, so it can
 #: never displace an analytically-evaluated incumbent or reach a front.

@@ -20,7 +20,7 @@ Bookkeeping exposed to UNICO:
   is what MSH's AUC uses.
 * ``best_mapping`` / ``best_ppa`` — incumbent full-network mapping and
   its PPA, composed from the incumbents' answers
-  (:func:`~repro.costmodel.results.compose_network_ppa`).
+  (:func:`~repro.ppa.compose_network_ppa`).
 
 One budget unit = one candidate-mapping evaluation folded into the
 history.  A search never pays twice for one answer: every result the
@@ -48,15 +48,15 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.costmodel.results import (
+from repro.errors import SearchBudgetError
+from repro.obs.trace import NULL_TRACER
+from repro.ppa import (
     SCREENED_REASON,
     LayerPPA,
     NetworkPPA,
     compose_network_ppa,
     network_power_w,
 )
-from repro.errors import SearchBudgetError
-from repro.obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.costmodel.engine import PPAEngine

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.costmodel.results import LayerPPA
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import LayerPPA
 from repro.utils.intmath import nearest_divisor, round_up_div
 
 #: bytes of one accumulator in the L1 budget

@@ -16,9 +16,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.costmodel.results import LayerPPA
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import LayerPPA
 
 #: the annealing temperature at the first step, and its decay per step
 INITIAL_TEMPERATURE = 0.30

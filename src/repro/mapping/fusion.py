@@ -28,9 +28,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.costmodel.results import LayerPPA
 from repro.mapping.ascend_mapping import AscendMapping, AscendMappingSpace
 from repro.mapping.base import AnytimeMappingSearch
+from repro.ppa import LayerPPA
 
 #: chance that a step proposes fusing a layer with its successor
 FUSION_PROBABILITY = 0.2

@@ -13,9 +13,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.costmodel.results import LayerPPA
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import LayerPPA
 
 #: chance that an offspring is mutated after it is bred
 MUTATION_RATE = 0.6

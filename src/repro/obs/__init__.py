@@ -1,4 +1,4 @@
-"""``repro.obs`` — observability: span tracing, run profiling, Prometheus.
+"""``repro.obs`` — observability: span tracing and run profiling.
 
 The time-attribution layer over the co-search stack.  Flat counters
 (:mod:`repro.utils.metrics`) and discrete journal events
@@ -11,10 +11,8 @@ the time went*:
   (``runs/<run-id>/trace.json``, loadable in Perfetto).
 * :mod:`repro.obs.profile` — per-phase breakdown behind
   ``repro runs profile``.
-* :mod:`repro.obs.prom` — Prometheus text exposition and its validating
-  parser, behind ``GET /metrics?format=prom`` and ``repro stats --prom``.
 
 Import from the submodule that defines a name (``from repro.obs.trace
 import Tracer``): the package itself imports none of them, so the engine's
-``NULL_TRACER`` does not load the Prometheus or profiling code with it.
+``NULL_TRACER`` does not load the profiling code with it.
 """

@@ -17,6 +17,11 @@ can build on a common, well-tested foundation:
   histograms threaded through the estimation-service path (engines, the
   REST server's handler threads, the remote engine's ``max_inflight``
   fan-out) and surfaced via ``GET /metrics``.
+* :mod:`repro.utils.prom` — their Prometheus text exposition and its
+  validating parser, behind ``GET /metrics?format=prom`` and
+  ``repro stats --prom``; loaded only by what renders or parses the text.
+
+None of them imports another ``repro`` package.
 
 :func:`fork_context` is the one "fork where the platform has it" start
 method the fleet supervisor and the hub's run child share.

@@ -295,11 +295,11 @@ class MetricsRegistry:
     def render_text(self) -> str:
         """Prometheus text exposition of the registry.
 
-        Delegates to :func:`repro.obs.prom.render_prometheus`, which
+        Delegates to :func:`repro.utils.prom.render_prometheus`, which
         follows the full exposition conventions (``# TYPE`` headers,
         label extraction, cumulative buckets).
         """
-        from repro.obs.prom import render_prometheus
+        from repro.utils.prom import render_prometheus
 
         return render_prometheus(self.snapshot())
 

@@ -21,8 +21,8 @@ from repro.camodel.ascend_sim import (
     simulate_layer,
 )
 from repro.camodel.trace import _stage_stats, trace_layer
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.ascend import ascend_design_space
+from repro.hw.technology import DEFAULT_TECHNOLOGY
 from repro.mapping.ascend_mapping import AscendMappingSpace
 from repro.workloads.layers import GemmShape
 

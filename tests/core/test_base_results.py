@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.base import CoSearchResult, HWDesign, TimelineEntry
 from repro.core.robustness import RobustnessResult
-from repro.costmodel.results import NetworkPPA
 from repro.optim.pareto import ParetoFront
+from repro.ppa import NetworkPPA
 
 
 def _design(latency=1e-3, power=0.5, area=2.0, r=0.1) -> HWDesign:

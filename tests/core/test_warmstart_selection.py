@@ -7,10 +7,10 @@ from repro.core.unico import Unico, UnicoConfig
 from repro.core.base import CoSearchResult, HWDesign
 from repro.core.robustness import RobustnessResult
 from repro.costmodel.engine import MaestroEngine
-from repro.costmodel.results import NetworkPPA
 from repro.experiments.fig9 import ppa_distance, shared_scale_best
 from repro.experiments.fig11 import select_deployment_design
 from repro.optim.pareto import ParetoFront
+from repro.ppa import NetworkPPA
 
 
 class TestInitialConfigs:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.costmodel.results import LayerPPA
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.hw.spatial import SpatialHWConfig
+from repro.hw.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import LayerPPA
 from repro.utils.intmath import round_up_div
 from repro.workloads.layers import GemmShape
 

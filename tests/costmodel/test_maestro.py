@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import analyze_gemm, spatial_area_mm2
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
 from repro.hw.spatial import SpatialHWConfig
+from repro.hw.technology import DEFAULT_TECHNOLOGY
 from repro.mapping.gemm_mapping import GemmMapping
 from repro.workloads.layers import Gemm, GemmShape
 from repro.workloads.network import Network

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel.results import LayerPPA
 from repro.costmodel.service import (
     _ROW_TYPES,
     _result_from_wire,
@@ -32,6 +31,7 @@ from repro.mapping.gemm_mapping import (
     UNROLL_CHOICES,
     GemmMapping,
 )
+from repro.ppa import LayerPPA
 
 _SIZE = st.integers(1, 1 << 20)
 

@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
+from repro.hw.technology import DEFAULT_TECHNOLOGY
 
 
 class TestEnergyHierarchy:

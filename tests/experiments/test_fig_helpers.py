@@ -56,7 +56,7 @@ class TestSelectComparablePairs:
     def _design(self, latency, power, area, r):
         from repro.core.base import HWDesign
         from repro.core.robustness import RobustnessResult
-        from repro.costmodel.results import NetworkPPA
+        from repro.ppa import NetworkPPA
 
         ppa = NetworkPPA(
             latency_s=latency, energy_j=1.0, power_w=power, area_mm2=area,

@@ -9,7 +9,7 @@ from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.hub.aggregate import FleetAggregator
 from repro.mapping.gemm_mapping import GemmMapping
-from repro.obs.prom import parse_prometheus_text
+from repro.utils.prom import parse_prometheus_text
 
 MAPPINGS = [
     GemmMapping(4, 8, 4),

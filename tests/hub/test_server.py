@@ -18,9 +18,9 @@ import repro.hub.client as hub_client
 from repro.hub.client import HubClient
 from repro.hub.server import HubServer
 from repro.hub.sse import parse_sse_lines
-from repro.obs.prom import parse_prometheus_text
 from repro.tracking.journal import read_events
 from repro.tracking.store import RunStore
+from repro.utils.prom import parse_prometheus_text
 
 SMOKE_SPEC = {
     "method": "unico",
@@ -113,7 +113,7 @@ class TestEndpoints:
         assert rows[0]["submitted_via"] == "hub"
 
     def test_prometheus_metrics_parse_strictly(self, hub):
-        from repro.obs.prom import parse_prometheus_text
+        from repro.utils.prom import parse_prometheus_text
 
         server, client = hub
         client.health()

@@ -6,8 +6,8 @@ import pytest
 from repro.costmodel.engine import MaestroEngine
 from repro.core.evaluation import SWSearchTrial
 from repro.learned.model import LearnedCostModel
-from repro.costmodel.results import SCREENED_REASON
 from repro.learned.screen import ScreeningPPAEngine
+from repro.ppa import SCREENED_REASON
 
 
 @pytest.fixture()

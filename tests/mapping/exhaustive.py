@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.costmodel.engine import PPAEngine
-from repro.costmodel.results import LayerPPA
 from repro.errors import MappingError
 from repro.mapping.gemm_mapping import (
     LOOP_ORDERS,
@@ -26,6 +25,7 @@ from repro.mapping.gemm_mapping import (
     GemmMappingSpace,
     NetworkMapping,
 )
+from repro.ppa import LayerPPA
 
 
 @dataclass(frozen=True)

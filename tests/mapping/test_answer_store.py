@@ -22,12 +22,12 @@ import pytest
 from repro.camodel.engine import AscendCAEngine
 from repro.core.evaluation import SEARCH_TOOLS, SWSearchTrial, advance_lockstep
 from repro.costmodel.engine import MaestroEngine
-from repro.costmodel.results import SCREENED_REASON
 from repro.hw.ascend import default_ascend_config
 from repro.hw.spatial import edge_design_space
 from repro.learned.screen import ScreeningPPAEngine
 from repro.mapping.base import AnytimeMappingSearch
 from repro.mapping.gemm_mapping import GemmMapping
+from repro.ppa import SCREENED_REASON
 from repro.workloads.layers import Gemm
 from repro.workloads.network import Network
 from repro.workloads.registry import get_network

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.costmodel.engine import MaestroEngine
-from repro.costmodel.technology import DEFAULT_TECHNOLOGY
+from repro.hw.technology import DEFAULT_TECHNOLOGY
 from repro.mapping import flextensor
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.random_search import RandomMappingSearch

@@ -13,13 +13,13 @@ import pytest
 
 from repro.camodel.engine import AscendCAEngine
 from repro.costmodel.engine import MaestroEngine
-from repro.costmodel.results import compose_network_ppa
 from repro.hw.ascend import default_ascend_config
 from repro.learned.oneloop import OneLoopMappingSearch
 from repro.mapping.fusion import DepthFirstFusionSearch
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gamma import GammaSearch
 from repro.mapping.random_search import RandomMappingSearch
+from repro.ppa import compose_network_ppa
 from repro.workloads.registry import get_network
 
 GEMM_TOOLS = [

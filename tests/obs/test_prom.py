@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.obs.prom import (
+from repro.utils.metrics import MetricsRegistry
+from repro.utils.prom import (
     METRIC_HELP,
     help_for,
+    help_line,
     parse_prometheus_text,
     render_prometheus,
+    sample_line,
     sanitize_metric_name,
 )
-from repro.utils.metrics import MetricsRegistry
 
 
 def make_registry():
@@ -79,6 +81,25 @@ class TestRender:
         ((_, labels, value),) = families["weird"]["samples"]
         assert labels["path"] == '/path"with\\quotes'
         assert value == 1
+
+
+class TestLineWriters:
+    """The one writer the renderer and the hub's fleet merge share."""
+
+    def test_int_exact_and_float_as_g(self):
+        assert sample_line("x_count", {}, 1234567) == "x_count 1234567"
+        assert sample_line("x_total", {}, 1234567.0) == "x_total 1.23457e+06"
+
+    def test_labels_sorted_and_escaped(self):
+        line = sample_line("x", {"z": "1", "a": 'q"\\\n'}, 0.5)
+        assert line == 'x{a="q\\"\\\\\\n",z="1"} 0.5'
+        (_name, labels, value), = parse_prometheus_text(
+            "# TYPE x counter\n" + line + "\n"
+        )["x"]["samples"]
+        assert labels == {"a": 'q"\\\n', "z": "1"} and value == 0.5
+
+    def test_help_line_escapes_backslash_and_newline(self):
+        assert help_line("x", "a\\b\nc") == "# HELP x a\\\\b\\nc"
 
 
 class TestHelpLines:

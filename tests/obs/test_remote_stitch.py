@@ -13,8 +13,8 @@ from repro.costmodel.service import (
 )
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.mapping.gemm_mapping import GemmMapping
-from repro.obs.prom import parse_prometheus_text
 from repro.obs.trace import InMemorySink, Tracer
+from repro.utils.prom import parse_prometheus_text
 
 
 @pytest.fixture()

@@ -139,7 +139,7 @@ class TestStatsCommand:
         assert payload["schema_version"] == 1
 
     def test_stats_prom(self, live_service, capsys):
-        from repro.obs.prom import parse_prometheus_text
+        from repro.utils.prom import parse_prometheus_text
 
         # prime the per-path request counters with one ordinary scrape
         assert main(["stats", live_service.url]) == 0

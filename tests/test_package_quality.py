@@ -4,8 +4,8 @@
 * every package ``__all__`` names real attributes,
 * no module leaks the global NumPy random state (determinism guard),
 * the fleet's transport layer imports nothing from the layers above it,
-* ``repro.tracking`` imports nothing above it, and the set of packages
-  that import each other can only shrink,
+* ``repro.tracking`` imports nothing above it, and every import points
+  down one written order of the packages,
 * the entry points reach every module under ``src/repro``,
 * a package ``__init__`` re-exports only the listed names, every import
   names the module that defines what it imports, and every backticked
@@ -146,49 +146,103 @@ def _imports_outside_type_checking(node):
 
 @functools.lru_cache(maxsize=None)
 def _package_edges():
-    """``{package: {packages it imports}}`` over ``src/repro``; a top-level
-    module (``cli``, ``methods``) counts as a package of its own."""
+    """``{package: {packages it imports}}`` over ``src/repro``, every
+    package a key; a top-level module (``cli``, ``ppa``) counts as a
+    package of its own."""
     edges = {}
     for path in sorted(SRC_ROOT.rglob("*.py")):
         parts = path.relative_to(SRC_ROOT).parts
         package = parts[0] if len(parts) > 1 else path.stem
+        imported = edges.setdefault(package, set())
         for module in _imports_outside_type_checking(ast.parse(path.read_text())):
             names = module.split(".")
             if names[0] == "repro" and len(names) > 1 and names[1] != package:
-                edges.setdefault(package, set()).add(names[1])
+                imported.add(names[1])
     return edges
+
+
+def _reached(edges, start, within=None):
+    """Packages ``start`` imports, directly or through others (only through
+    ``within``, when given)."""
+    reached, frontier = set(), [start]
+    while frontier:
+        for other in edges[frontier.pop()]:
+            if other not in reached and (within is None or other in within):
+                reached.add(other)
+                frontier.append(other)
+    return reached
 
 
 #: what the bottom layer of a tracked run may build on
 TRACKING_MAY_IMPORT = {"errors", "utils", "version"}
 
-#: package pairs that import each other.  A ratchet: fix one and delete it
-#: here; a new one fails.  Each pair left is an upward edge out of
-#: ``repro.costmodel.service``: the codec's row table decodes ``mapping``
-#: rows (while the search tools there read ``LayerPPA``), and the
-#: transport reaches into ``fleet``.  ``benchmarks/e2e`` imports that
-#: module by its path, which pins both until the service can move.
-MUTUAL_IMPORT_PAIRS = {
-    ("costmodel", "fleet"),
-    ("costmodel", "mapping"),
-}
+#: every package of ``src/repro``, bottom to top: a package imports only
+#: from the rungs below its own (DESIGN.md §3).  One rung holds three
+#: packages that import each other: ``repro.costmodel.service`` sends its
+#: queries over the ``fleet`` transport, ``repro.fleet.server`` serves the
+#: ``costmodel`` and ``camodel`` engines, and ``camodel`` builds on
+#: ``costmodel``'s engine.  ``benchmarks/e2e`` imports the service, the
+#: server and the pool by their paths, which pins the rung until they can
+#: move.
+LAYER_ORDER = (
+    "version",
+    "errors",
+    "methods",
+    "utils",
+    "workloads",
+    "hw",
+    "ppa",
+    "tracking",
+    "obs",
+    "mapping",
+    "optim",
+    "camodel costmodel fleet",
+    "learned",
+    "core",
+    "experiments",
+    "hub",
+    "cli",
+    "__main__",
+    "__init__",
+)
 
 
 def test_tracking_imports_nothing_above_it():
     """The run store, journal and tracker sit under the optimizers, the
-    harness, the learned models, the hub and the tracer — never on them."""
-    assert _package_edges()["tracking"] <= TRACKING_MAY_IMPORT
+    harness, the learned models, the hub and the tracer — never on them,
+    not even through a package they import."""
+    above = _reached(_package_edges(), "tracking") - TRACKING_MAY_IMPORT
+    assert not above, f"repro.tracking reaches {sorted(above)}"
 
 
 def test_mutual_package_imports_only_shrink():
+    """Every import points down :data:`LAYER_ORDER`, and a rung holds more
+    than one package only while they all reach one another: break the
+    cycle and the rung must be split."""
     edges = _package_edges()
-    mutual = {
-        (package, other)
+    rung = {
+        package: height
+        for height, packages in enumerate(LAYER_ORDER)
+        for package in packages.split()
+    }
+    upward = sorted(
+        f"{package} → {other}"
         for package, imported in edges.items()
         for other in imported
-        if package < other and package in edges.get(other, ())
-    }
-    assert mutual <= MUTUAL_IMPORT_PAIRS, sorted(mutual - MUTUAL_IMPORT_PAIRS)
+        if package in rung and other in rung and rung[other] > rung[package]
+    )
+    assert not upward, f"imports up the layer order: {upward}"
+    assert set(edges) == set(rung), (
+        f"place in LAYER_ORDER: {sorted(set(edges) - set(rung))}; "
+        f"gone, delete: {sorted(set(rung) - set(edges))}"
+    )
+    for packages in LAYER_ORDER:
+        members = set(packages.split())
+        for package in members:
+            unreached = members - {package} - _reached(edges, package, members)
+            assert not unreached, (
+                f"{package} no longer reaches {sorted(unreached)}: split the rung"
+            )
 
 
 #: what a user can start: ``python -m repro`` and the ``repro`` console script

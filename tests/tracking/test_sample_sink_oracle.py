@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core.unico import Unico, UnicoConfig
 from repro.costmodel.engine import MaestroEngine
-from repro.costmodel.results import LayerPPA
 from repro.hw.ascend import AscendHWConfig
 from repro.hw.spatial import DATAFLOWS, SpatialHWConfig
 from repro.learned.dataset import build_dataset
@@ -29,6 +28,7 @@ from repro.mapping.gemm_mapping import (
     UNROLL_CHOICES,
     GemmMapping,
 )
+from repro.ppa import LayerPPA
 from repro.tracking.journal import EventJournal, read_events, verify_sequence
 from repro.tracking.tracker import JournalSampleSink, TEXTS_HELD
 from repro.workloads.layers import GemmShape

@@ -17,7 +17,6 @@ import pytest
 from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.service import PPAServiceServer
 from repro.hub.server import HubServer
-from repro.obs.prom import parse_prometheus_text
 from repro.utils.httpcore import (
     MAX_HEADERS,
     MAX_LINE,
@@ -27,6 +26,7 @@ from repro.utils.httpcore import (
     stream_reply,
 )
 from repro.utils.metrics import MetricsRegistry
+from repro.utils.prom import parse_prometheus_text
 
 
 class Wire:
