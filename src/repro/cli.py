@@ -988,8 +988,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--batch-size", type=int, default=1,
         help="upper bound on the candidates of one PPA-engine call of the "
-             "inner mapping search (a missed step plus drafts of the steps "
-             "that follow; same search at every value, 1 = no drafts)",
+             "inner mapping search; same search and same Cost(h) at every "
+             "value, only a tool whose proposals ignore results (random) "
+             "drafts the steps that follow",
     )
     run_parser.add_argument(
         "--trace", action="store_true",

@@ -139,7 +139,7 @@ class CoOptimizer(ABC):
         self.restored_engine_queries = 0
         self._trial_factory = trial_factory
         #: bound on the candidates per engine call handed to every SW
-        #: search trial; 1 means no look-ahead, one one-item call per step
+        #: search trial; 1 means no look-ahead, one one-item call per miss
         self.eval_batch_size = int(eval_batch_size)
         #: observer of search events (journaling, state lines); the
         #: default NullTracker keeps the untracked hot path free

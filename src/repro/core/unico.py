@@ -74,13 +74,12 @@ class UnicoConfig:
     time_budget_s: Optional[float] = None
     min_observations: int = 8
     #: upper bound on the candidates of one PPA-engine call of the inner
-    #: mapping search: a step that misses may bring along drafts of up to
-    #: ``eval_batch_size - 1`` steps that follow, as deep as the search's
-    #: own record of used drafts justifies (DESIGN.md section 4b); 1 buys
-    #: none.  Results are byte-identical at every value; what changes is
-    #: how many engine calls a search makes and how many evaluations it
-    #: buys and never uses, both charged in Cost(h).  Distinct from
-    #: ``batch_size``, the MOBO *hardware* batch N.
+    #: mapping search.  Same search and same Cost(h) at every value: only
+    #: a tool whose proposals ignore results (``random``) drafts, a missed
+    #: step bringing along exact drafts of up to ``eval_batch_size - 1``
+    #: steps that follow, so what changes is how many engine calls it
+    #: makes (DESIGN.md section 4b).  Distinct from ``batch_size``, the
+    #: MOBO *hardware* batch N.
     eval_batch_size: int = 1
     #: warm-start configurations injected into the first batch (e.g. the
     #: expert default when tuning an existing industrial architecture)

@@ -120,10 +120,10 @@ def build_optimizer(
     resumed one alike (the journal's state is folded onto what it returns).
 
     ``eval_batch_size`` bounds the candidates of one PPA-engine call of
-    the inner mapping search (a missed step plus drafts of the steps that
-    follow, as deep as the search's hit record justifies); trajectories
-    are byte-identical at every value, and 1 — the default here and in
-    ``UnicoConfig`` — buys no drafts at all.
+    the inner mapping search.  Same search and same Cost(h) at every
+    value: only a tool whose proposals ignore results (``random``)
+    drafts, a missed step bringing along exact drafts of the steps that
+    follow.  1 is the default here and in ``UnicoConfig``.
 
     ``tool`` overrides the scenario's default SW mapping tool (e.g.
     ``"oneloop"`` for the learned gradient-descent search); ``None``

@@ -63,9 +63,6 @@ class OneLoopMappingSearch(AnytimeMappingSearch):
     """
 
     name = "oneloop"
-    #: drafting would mutate the per-layer visited sets the replay pass
-    #: re-reads, breaking the speculation-safety contract
-    supports_speculation = False
 
     def __init__(
         self,

@@ -31,10 +31,10 @@ naming the network's first layer of the same GEMM shape
 only the shape).  A candidate proposed again, for its layer or a twin, is
 folded from there, so the engine queries a search spends are exactly
 the answers it stores (``num_answers``, what its trial is charged).  With
-``batch_size > 1`` a speculation-safe tool may also *buy* evaluations
-ahead of their step (``num_speculative_evals``; those no step has used
-yet are ``num_speculation_misses``): same history at every width, fewer
-engine calls, more engine queries.
+``batch_size > 1`` a tool whose proposals never read a result also
+*buys* evaluations ahead of their step (``num_speculative_evals``), each
+one a step will fold: same history, same queries at every width, fewer
+engine calls.
 """
 
 from __future__ import annotations
@@ -103,18 +103,13 @@ class AnytimeMappingSearch(ABC):
     #: human-readable tool name (reported in experiment records)
     name = "anytime"
 
-    #: whether :meth:`_propose` is *speculation-safe*: drafting several
-    #: proposals in a row without folding results in between must consume
-    #: only RNG state and leave every piece of strategy state that
-    #: :meth:`_propose` reads untouched.  Tools whose proposals pop queues
-    #: or advance cursors (CoSA, the fusion search) must leave this False;
-    #: they step through one-item engine calls at every ``batch_size``.
-    supports_speculation = False
-
     #: whether proposals never read a result: no fold can steer the next
-    #: proposal, every draft is used, and look-ahead always drafts the
-    #: full ``batch_size - 1``.  Every other speculation-safe tool earns
-    #: its depth from its own hit record (:meth:`_lookahead_depth`).
+    #: proposal, so drafts of the steps that follow are exact, and a miss
+    #: carries drafts of the next ``min(batch_size - 1, remaining - 1)``
+    #: steps.  Drafting must consume only RNG state.  Every other tool
+    #: steps through one-item engine calls at every ``batch_size``: a
+    #: draft it made could go unused, and an unused draft is a query
+    #: bought for nothing.
     proposals_ignore_results = False
 
     def __init__(
@@ -149,10 +144,6 @@ class AnytimeMappingSearch(ABC):
         #: the store it also holds a screened draft's placeholder, folded
         #: once by its step.
         self._unused_drafts: Dict[Tuple[str, tuple], LayerPPA] = {}
-        #: one-step-ahead drafts made / of those, the ones the next step
-        #: proposed — the hit record :meth:`_lookahead_depth` reads
-        self._drafts_made = 0
-        self._drafts_used = 0
         self.rng = as_generator(seed)
         self.spaces: Dict[str, GemmMappingSpace] = {
             layer.name: self._make_space(layer) for layer in network.layers
@@ -302,13 +293,12 @@ class AnytimeMappingSearch(ABC):
 
         Index and RNG consumption are those of ``rng.choice(n, p=w /
         w.sum())`` — the same CDF, one uniform, ``searchsorted`` — without
-        its per-call validation.  The CDF lives until a weight changes, so
-        the drafts of a speculative batch share one.  A stale weight is
-        recomputed, and the CDF rebuilt only if one came back different
-        (a nan always does): the same weights make the same CDF, and most
-        folds move no weight.  Returns ``None``, consuming no RNG, when the
-        weights are non-finite or sum to zero: the caller takes its own
-        fallback.
+        its per-call validation.  The CDF lives until a weight changes.  A
+        stale weight is recomputed, and the CDF rebuilt only if one came
+        back different (a nan always does): the same weights make the same
+        CDF, and most folds move no weight.  Returns ``None``, consuming no
+        RNG, when the weights are non-finite or sum to zero: the caller
+        takes its own fallback.
         """
         stale = self._stale_weights
         if stale:
@@ -413,102 +403,65 @@ class AnytimeMappingSearch(ABC):
         drives it, the loop is this one: propose, obtain the result, fold.
 
         Every step proposes from the *true* state and only what it folds
-        moves that state, so history, incumbents and final RNG state are
-        byte-identical at every ``batch_size``.  Look-ahead decides only
-        where a proposal's result comes from: a candidate this search was
-        ever answered is folded from the answer store, a drafted one from
-        its draft, with no request; on a miss, a request carries the
-        candidate together with drafts of the steps that follow; or, on a
-        miss while drafted steps are still ahead (one was mispredicted, the
-        rest may yet be used), the candidate alone.  The last step of a run
-        drafts nothing: whether the search is ever resumed is not its
-        decision.  Answers are keyed by the layer's twin key, so a twin's
-        answer serves; the hit record compares ``(layer, mapping key)``.
+        moves that state, so history, incumbents, final RNG state and
+        (absent a learned screen) the answers bought are identical at
+        every ``batch_size``.  Look-ahead decides only where a proposal's
+        result comes from: a candidate this search was ever answered is
+        folded from the answer store, a drafted one from its draft, with
+        no request; a miss is a request carrying the candidate and, for a
+        tool whose proposals ignore results, exact drafts of the steps
+        that follow.  The last step of a run drafts nothing: whether the
+        search is ever resumed is not its decision.  Answers are keyed by
+        the layer's twin key, so a twin's answer serves.
         """
         bought = self._bought
         unused = self._unused_drafts
         twin_keys = self._twin_keys
-        lookahead = self.batch_size > 1 and self.supports_speculation
-        ahead = 0  # drafted steps not yet reached
-        next_draft = None  # what the one-step-ahead draft expects next
+        lookahead = self.batch_size > 1 and self.proposals_ignore_results
         for remaining in range(additional_budget, 0, -1):
             layer_name, candidate = self._propose()
-            mapping_key = candidate.key()
-            key = (twin_keys[layer_name], mapping_key)
+            key = (twin_keys[layer_name], candidate.key())
             # pops the draft whatever the store holds (a result is truthy)
             result = unused.pop(key, None) or bought.get(key)
-            if lookahead:
-                if next_draft is not None:
-                    if (layer_name, mapping_key) == next_draft:
-                        self._drafts_used += 1
-                    next_draft = None
-                if ahead:
-                    ahead -= 1
-                if result is None and not ahead and remaining > 1:
-                    ahead = min(self._lookahead_depth(), remaining - 1)
-                    drafts, next_draft = self._draft_ahead(key, ahead)
-                    results = iter(
-                        (yield [(candidate, layer_name), *drafts.values()])
-                    )
-                    result = next(results)
-                    self._keep(key, result)
-                    for draft_key, draft_result in zip(drafts, results):
-                        unused[draft_key] = draft_result
-                        self._keep(draft_key, draft_result)
-                    self.num_speculative_evals += len(drafts)
             if result is None:
-                (result,) = yield [(candidate, layer_name)]
+                drafts = (
+                    self._draft_ahead(key, min(self.batch_size - 1, remaining - 1))
+                    if lookahead
+                    else {}
+                )
+                results = iter((yield [(candidate, layer_name), *drafts.values()]))
+                result = next(results)
                 self._keep(key, result)
+                for draft_key, draft_result in zip(drafts, results):
+                    unused[draft_key] = draft_result
+                    self._keep(draft_key, draft_result)
+                self.num_speculative_evals += len(drafts)
             self._fold_result(layer_name, candidate, result)
-
-    def _lookahead_depth(self) -> int:
-        """How many steps ahead a look-ahead call drafts.
-
-        A draft ``k`` steps ahead is used only if ``k`` folds in a row
-        leave the proposal stream where the draft assumed it: probability
-        ``p ** k``.  Drafting stops where a draft becomes more likely
-        wasted than used, ``p ** k < 1/2``, with ``p`` estimated from this
-        search's own one-step-ahead drafts (Laplace-smoothed, so a search
-        starts at depth 1) — a function of the search's history alone, so
-        query counts are the same on every route.
-        """
-        cap = self.batch_size - 1
-        if self.proposals_ignore_results:
-            return cap
-        p_hat = (self._drafts_used + 1) / (self._drafts_made + 2)
-        return max(1, min(cap, int(math.log(0.5) / math.log(p_hat))))
 
     def _draft_ahead(
         self, key: Tuple[str, tuple], depth: int
-    ) -> Tuple[Dict[Tuple[str, tuple], Tuple[GemmMapping, str]], Tuple[str, tuple]]:
+    ) -> Dict[Tuple[str, tuple], Tuple[GemmMapping, str]]:
         """Draft the ``depth`` steps that follow the missed answer ``key``.
 
-        Drafting consumes only RNG state (the speculation-safety contract)
-        and the snapshot is restored before the fold, so the steps that
-        follow propose as if nothing had been drafted.  Returns the drafts
-        neither the answer store nor an unused draft holds, answer key ->
-        ``(mapping, layer_name)`` in proposal order — they ride in the
-        candidate's request — and the one-step-ahead draft's ``(layer,
-        mapping key)`` for the hit record.
+        Drafting consumes only RNG state and the snapshot is restored
+        before the fold, so the steps that follow propose what was
+        drafted.  Returns the drafts neither the answer store nor an
+        unused draft holds, answer key -> ``(mapping, layer_name)`` in
+        proposal order: they ride in the candidate's request.
         """
         bought, unused = self._bought, self._unused_drafts
         twin_keys = self._twin_keys
         bit_generator = self.rng.bit_generator
         rng_state = bit_generator.state
         drafts: Dict[Tuple[str, tuple], Tuple[GemmMapping, str]] = {}
-        next_draft = None
         for _ in range(depth):
             draft_layer, draft = self._propose()
-            mapping_key = draft.key()
-            if next_draft is None:
-                next_draft = (draft_layer, mapping_key)
-            draft_key = (twin_keys[draft_layer], mapping_key)
+            draft_key = (twin_keys[draft_layer], draft.key())
             owned = draft_key in bought or draft_key in unused
             if draft_key != key and not owned:
                 drafts[draft_key] = (draft, draft_layer)
         bit_generator.state = rng_state
-        self._drafts_made += 1
-        return drafts, next_draft
+        return drafts
 
     def _fold_result(
         self, layer_name: str, candidate: GemmMapping, result: LayerPPA

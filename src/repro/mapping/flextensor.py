@@ -31,9 +31,6 @@ class FlexTensorSearch(AnytimeMappingSearch):
     """Simulated-annealing mapping search with adaptive layer credit."""
 
     name = "flextensor"
-    #: proposing only reads credits, current mappings and the pick
-    #: weights, so speculation is safe
-    supports_speculation = True
 
     def __init__(self, *args, **kwargs):
         self._temperature = INITIAL_TEMPERATURE

@@ -27,9 +27,6 @@ class GammaSearch(AnytimeMappingSearch):
     """Per-layer (mu + lambda) genetic search over mappings."""
 
     name = "gamma"
-    #: proposing only reads the population and the pick weights, so
-    #: speculation is safe
-    supports_speculation = True
 
     def __init__(self, *args, **kwargs):
         # population entries: (mapping, score); scores filled lazily

@@ -18,7 +18,6 @@ class RandomMappingSearch(AnytimeMappingSearch):
     name = "random"
     #: pure-RNG proposals: drafting touches nothing but the generator, and
     #: no fold steers the next proposal, so every draft is used
-    supports_speculation = True
     proposals_ignore_results = True
 
     def _propose(self) -> Tuple[str, GemmMapping]:

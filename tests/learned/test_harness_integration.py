@@ -117,9 +117,9 @@ class TestScreenedRun:
     def test_screening_saves_analytical_evals(self, trained_model):
         # the screen only ranks same-layer groups of ``min_batch``, and the
         # random tool (its proposals never read a result, so it drafts the
-        # full width) is the one that still hands it such groups: 63 drafts
-        # over 20 layers.  FlexTensor buys one draft per call and the
-        # screen passes two items whole (DESIGN.md section 4b).
+        # full width) is the one that hands it such groups: 63 drafts over
+        # 20 layers.  FlexTensor drafts nothing and the screen passes its
+        # one item whole (DESIGN.md section 4b).
         _model, path = trained_model
         plain = run_method(
             "unico", "edge", WORKLOAD, "bench", seed=12, eval_batch_size=64,

@@ -38,7 +38,7 @@ class TestRegistration:
     def test_registered_as_search_tool(self):
         # make_search_tool selects it by name and imports it only then
         assert "oneloop" not in SEARCH_TOOLS
-        assert OneLoopMappingSearch.supports_speculation is False
+        assert OneLoopMappingSearch.proposals_ignore_results is False
 
     def test_make_search_tool_builds_it(self, tiny_network, sample_hw):
         engine = MaestroEngine(tiny_network)

@@ -136,7 +136,6 @@ class _ScriptedSearch(AnytimeMappingSearch):
     the cursor, so the script is speculation-safe."""
 
     name = "scripted"
-    supports_speculation = True
     proposals_ignore_results = True
 
     def __init__(self, *args, **kwargs):

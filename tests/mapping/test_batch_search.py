@@ -1,12 +1,12 @@
 """Look-ahead must not change search trajectories.
 
 ``batch_size > 1`` lets a step that has to go to the engine anyway carry
-drafts of the steps that follow; every step still *proposes* under the
-true post-fold state and only uses a drafted result when it proposes the
-same candidate — so the history, the monotone best-so-far curve, the
-incumbents and the final RNG state are byte-identical to the scalar loop,
-for every tool (speculation-safe ones reuse what they bought; the rest
-step through scalar engine calls).
+drafts of the steps that follow, for a tool whose proposals ignore
+results; every step still *proposes* under the true post-fold state and
+folds the drafted result it proposed — so the history, the monotone
+best-so-far curve, the incumbents and the final RNG state are
+byte-identical to the scalar loop, for every tool (the random tool folds
+what it drafted; the rest step through one-item engine calls).
 """
 
 import pytest
@@ -54,24 +54,9 @@ def test_random_search_speculation_never_misses(tiny_network, sample_hw):
     assert batched.engine.num_queries == scalar.engine.num_queries
 
 
-def test_stateful_tools_fall_back_honestly(tiny_network, sample_hw):
-    """Fold-dependent proposals may mispredict; waste is counted, not hidden."""
-    batched = _run(FlexTensorSearch, tiny_network, sample_hw, batch_size=8)
-    scalar = _run(FlexTensorSearch, tiny_network, sample_hw, batch_size=1)
-    assert batched.num_speculative_evals > 0
-    # Metropolis folds consume RNG, so some drafts are never proposed: they
-    # stay in the pool, and are exactly what the search paid beyond width 1
-    assert batched.num_speculation_misses > 0
-    assert batched.num_speculation_misses == (
-        batched.engine.num_queries - scalar.engine.num_queries
-    )
-    # ... which its own hit record keeps below one wasted draft per two steps
-    assert batched.num_speculation_misses < len(batched.history) / 2
-
-
 def test_non_speculative_tool_skips_batching(tiny_network, sample_hw):
     """CoSA pops a queue in _propose; it must never enter the batch path."""
-    assert CosaMapper.supports_speculation is False
+    assert CosaMapper.proposals_ignore_results is False
     batched = _run(CosaMapper, tiny_network, sample_hw, batch_size=8)
     assert batched.num_speculative_evals == 0
     # every call but the incumbent seeding carries one item

@@ -109,9 +109,10 @@ def test_history_matches_golden(tool, objective):
 
 @pytest.mark.parametrize("tool", ["flextensor", "gamma", "random"])
 def test_batched_history_matches_golden(tool):
-    """The speculative path lands on the same pinned trajectory."""
+    """Width 8 lands on the same pinned trajectory; only the random tool,
+    whose proposals ignore results, drafts."""
     search = run_search(tool, batch_size=8)
-    assert search.num_speculative_evals > 0
+    assert (search.num_speculative_evals > 0) == (tool == "random")
     assert search_digest(search) == GOLDEN[(tool, "latency")]
 
 

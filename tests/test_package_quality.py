@@ -366,7 +366,19 @@ def test_imports_name_the_defining_module():
 
 
 #: the documents whose backticked ``repro.…`` names must resolve
-DOCUMENTS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+DOCUMENTS = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    *sorted(
+        path.relative_to(SRC_ROOT.parents[1]).as_posix()
+        for path in (SRC_ROOT.parents[1] / "docs").glob("*.md")
+    ),
+)
+#: the names directly under ``repro``: under ``docs/`` a backticked span
+#: that is wholly a dotted path starting with one (``mapping.base``)
+#: names ``repro.<span>``
+REPRO_CHILDREN = {module.name for module in pkgutil.iter_modules(repro.__path__)}
 
 
 def _resolves(dotted):
@@ -396,11 +408,19 @@ def _resolves(dotted):
 @pytest.mark.parametrize("document", DOCUMENTS)
 def test_documented_names_resolve(document):
     text = (SRC_ROOT.parents[1] / document).read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", text)
     names = {
         name
-        for span in re.findall(r"`([^`\n]+)`", text)
+        for span in spans
         for name in re.findall(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+", span)
     }
+    if document.startswith("docs/"):
+        names |= {
+            f"repro.{span}"
+            for span in spans
+            if re.fullmatch(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+            and span.split(".")[0] in REPRO_CHILDREN
+        }
     stale = sorted(name for name in names if not _resolves(name))
     assert not stale, f"{document} names what is not there: {stale}"
 
