@@ -21,6 +21,7 @@ from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.timeloop import TimeloopEngine
 from repro.experiments.harness import combined_reference, final_hypervolume
 from repro.hw.spatial import edge_design_space, power_cap_for
+from repro.ppa import compose_network_ppa
 from repro.utils.records import RunRecord
 from repro.workloads.registry import get_network
 
@@ -69,8 +70,15 @@ def _engine_sweep() -> RunRecord:
     for name, result in results.items():
         best = result.best_design()
         record.child(name).put("found_design", str(best.hw))
-        # strip the per-layer mapping through the cross engine
-        cross_ppa = cross_engine.aggregate(best.hw, best.mapping)
+        # price the per-layer mapping on the cross engine: one call
+        items = [(mapping, name) for name, mapping in best.mapping.items()]
+        answers = cross_engine.evaluate_layers(best.hw, items)
+        counts = {name: n for name, (_shape, n) in cross_engine.layer_shapes.items()}
+        cross_ppa = compose_network_ppa(
+            counts,
+            {name: answer for (_mapping, name), answer in zip(items, answers)},
+            cross_engine.area_mm2(best.hw),
+        )
         record.child(name).put(
             "cross_latency_ms",
             cross_ppa.latency_s * 1e3 if cross_ppa.feasible else float("inf"),

@@ -46,10 +46,9 @@ def main() -> None:
             f"{ppa.latency_s * 1e3:.2f} ms, {ppa.power_w * 1e3:.0f} mW"
         )
         print(
-            f"client issued {client.num_queries} queries "
-            f"({client.num_cache_hits} served from the local cache); "
-            f"the service computed {backend.num_queries - backend.num_cache_hits} "
-            f"fresh analyses"
+            f"client issued {client.num_queries} queries; the service "
+            f"answered {server.num_cache_hits} from its cache and computed "
+            f"{backend.num_queries} fresh analyses"
         )
     print("service stopped.")
 

@@ -24,6 +24,7 @@ per-tile stall.
 
 from __future__ import annotations
 
+import math
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.hw.ascend import AscendHWConfig
@@ -166,25 +167,56 @@ def _finish_times(
     finish time already final when it is read.  Vector and DMA-out
     stages fire only on reduction completion (every ``trips_k``-th
     tile).  The simulator's one tile loop.
+
+    Stage ``s`` starts tile ``t`` at ``max(finish[s-1][t], finish[s][t-1],
+    finish[s+1][t - banks[s]])``, taken left to right over the terms that
+    exist, and finishes ``costs[s]`` later.  The six stages are unrolled
+    into locals (``p*`` holds each stage's previous finish, ``-inf``
+    before tile 0 so that no comparison picks it), and ``max(a, b)`` is
+    written ``b if b > a else a``, which picks the same operand, so every
+    finish is the same float the loop over stages gave.
     """
-    num_stages = len(costs)
     simulate = min(n_tiles, MAX_SIMULATED_TILES)
-    finish = [[0.0] * simulate for _ in range(num_stages)]
+    c0, c1, c2, c3, c4, c5 = costs
+    b0, b1, b2, b3, b4 = banks
+    f0, f1, f2, f3, f4, f5 = ([0.0] * simulate for _stage in range(6))
+    p0 = p1 = p2 = p3 = p4 = p5 = -math.inf
+    last = trips_k - 1
     for t in range(simulate):
-        last_k = (t % trips_k) == trips_k - 1
-        for s in range(num_stages):
-            duration = costs[s]
-            if s >= _WRITEBACK_STAGE and not last_k:
-                duration = 0.0
-            start = finish[s - 1][t] if s > 0 else 0.0
-            if t > 0:
-                start = max(start, finish[s][t - 1])
-            if s + 1 < num_stages:
-                depth = banks[s]
-                if t - depth >= 0:
-                    start = max(start, finish[s + 1][t - depth])
-            finish[s][t] = start + duration
-    return finish
+        fire = t % trips_k == last
+        start = p0 if p0 > 0.0 else 0.0
+        if t >= b0:
+            freed = f1[t - b0]
+            if freed > start:
+                start = freed
+        f0[t] = p0 = start + c0
+        start = p1 if p1 > p0 else p0
+        if t >= b1:
+            freed = f2[t - b1]
+            if freed > start:
+                start = freed
+        f1[t] = p1 = start + c1
+        start = p2 if p2 > p1 else p1
+        if t >= b2:
+            freed = f3[t - b2]
+            if freed > start:
+                start = freed
+        f2[t] = p2 = start + c2
+        start = p3 if p3 > p2 else p2
+        if t >= b3:
+            freed = f4[t - b3]
+            if freed > start:
+                start = freed
+        f3[t] = p3 = start + c3
+        start = p4 if p4 > p3 else p3
+        if t >= b4:
+            freed = f5[t - b4]
+            if freed > start:
+                start = freed
+        f4[t] = p4 = start + (c4 if fire else 0.0)
+        start = p5 if p5 > p4 else p4
+        f5[t] = p5 = start + (c5 if fire else 0.0)
+    return [f0, f1, f2, f3, f4, f5]
 
 
 def _pipeline_cycles(

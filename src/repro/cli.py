@@ -361,7 +361,9 @@ def _render_live_event(event: dict) -> str:
     if kind == "engine_snapshot":
         engine = event.get("engine", {}) or {}
         queries = engine.get("num_queries", 0)
-        hits = engine.get("num_cache_hits", 0)
+        if "num_cache_hits" not in engine:  # an engine's own block: no cache
+            return f"{prefix} queries={queries}"
+        hits = engine["num_cache_hits"]
         rate = hits / queries if queries else 0.0
         return (f"{prefix} queries={queries}  cache_hits={hits} "
                 f"({rate:.1%})  evictions={engine.get('num_cache_evictions', 0)}")
@@ -887,14 +889,15 @@ def _cmd_stats(args) -> int:
     print(f"  engine           {engine.get('engine', '?')}")
     print(f"  workload         {engine.get('workload', '?')}")
     print(f"  queries          {engine.get('num_queries', 0)}")
-    print(f"  cache hits       {engine.get('num_cache_hits', 0)}")
-    print(f"  cache hit rate   {engine.get('cache_hit_rate', 0.0):.1%}")
-    print(f"  cache evictions  {engine.get('num_cache_evictions', 0)}")
-    capacity = engine.get("cache_capacity")
-    print(
-        f"  cache size       {engine.get('cache_size', 0)}"
-        f" / {capacity if capacity is not None else 'unbounded'}"
-    )
+    if "num_cache_hits" in engine:  # only a replica's block has a cache
+        print(f"  cache hits       {engine['num_cache_hits']}")
+        print(f"  cache hit rate   {engine.get('cache_hit_rate', 0.0):.1%}")
+        print(f"  cache evictions  {engine.get('num_cache_evictions', 0)}")
+        capacity = engine.get("cache_capacity")
+        print(
+            f"  cache size       {engine.get('cache_size', 0)}"
+            f" / {capacity if capacity is not None else 'unbounded'}"
+        )
     if engine.get("batch_queries"):
         print(
             f"  batch queries    {engine['batch_queries']}"
@@ -1157,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=0)
     serve_parser.add_argument(
         "--cache-capacity", type=int, default=100_000,
-        help="LRU bound on the engine result cache (0 = unbounded)",
+        help="LRU bound on the service's result cache (0 = unbounded)",
     )
     serve_parser.add_argument(
         "--trace", action="store_true",
@@ -1183,7 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_serve.add_argument(
         "--cache-capacity", type=int, default=100_000,
-        help="per-replica LRU bound on the engine cache (0 = unbounded)",
+        help="per-replica LRU bound on the result cache (0 = unbounded)",
     )
     fleet_serve.set_defaults(fn=_cmd_fleet_serve)
     fleet_health = fleet_sub.add_parser(

@@ -89,9 +89,9 @@ def _select_suboptimal(
     finite_points = [
         point
         for point in history
-        if np.isfinite(point.trial_objective)
-        and np.isfinite(point.trial_latency_s)
-        and np.isfinite(point.trial_power_w)
+        if math.isfinite(point.trial_objective)
+        and math.isfinite(point.trial_latency_s)
+        and math.isfinite(point.trial_power_w)
     ]
     if not finite_points:
         return None

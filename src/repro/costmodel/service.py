@@ -10,9 +10,10 @@ inputs to estimate performance, power and area."
   POST ``/evaluate_layers``, the one query route).  Its body is
   ``{"groups": [{"hw": row, "items": [[row, layer], ...]}, ...]}``
   — one group per hardware configuration, as many as the client's engine
-  call carried — answered by one ``engine.evaluate_groups`` call with
-  ``{"results": [[entry, ...], ...]}``, one list per group, one entry per
-  item.
+  call carried — answered with ``{"results": [[entry, ...], ...]}``, one
+  list per group, one entry per item: from the replica's bounded LRU,
+  which every client of the replica shares, and the misses from one
+  ``engine.evaluate_groups`` call.
 * :class:`RemotePPAEngine` is the drop-in :class:`PPAEngine` client — the
   only one, for one replica URL or N: search tools talk to it exactly as
   they talk to an in-process engine, so the master-slave deployment of
@@ -50,7 +51,9 @@ import random
 import threading
 import time
 import typing
-from itertools import chain
+from collections import OrderedDict
+from functools import cached_property
+from itertools import chain, islice
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPException
 from typing import (
@@ -64,8 +67,8 @@ from typing import (
     Union,
 )
 
-from repro.costmodel.engine import PPAEngine, Query, QueryGroup, held_instrument
-from repro.errors import EvaluationError, ReproError, TransportError
+from repro.costmodel.engine import PPAEngine, Query, QueryGroup
+from repro.errors import ConfigurationError, EvaluationError, ReproError, TransportError
 from repro.fleet.breaker import BreakerOpenError, CircuitBreaker
 from repro.fleet.hashing import candidate_key
 from repro.fleet.router import Shard, ShardRouter
@@ -81,6 +84,12 @@ from repro.obs.trace import (
 )
 from repro.ppa import LayerPPA, feasible_ppa, infeasible_ppa
 from repro.utils.httpcore import HttpServer, Reply, Request, Route
+
+#: Default bound on a replica's (hw, twin key, mapping) result cache.
+#: Generous enough that no single co-search in the test/bench suites
+#: evicts, small enough that a long-running service cannot grow without
+#: limit.
+DEFAULT_CACHE_CAPACITY = 100_000
 
 #: Version of the ``GET /metrics`` JSON document (engine stats + registry
 #: snapshot); bumped when the response shape changes so scrapers can detect
@@ -154,6 +163,21 @@ def decode_object(row):
     return cls(*fields)
 
 
+#: what a replica's cache holds for a key a request is computing
+_COMPUTING = object()
+
+
+def held_instrument(kind: str, name: str, *bounds) -> cached_property:
+    """A registry instrument its owner looks up on first use, then holds.
+
+    Binding is lazy because a registry snapshot (``GET /metrics``, the
+    journal's ``engine_snapshot``) lists an instrument from the moment it
+    is created: a replica that never evicted must not report an eviction
+    counter at zero.
+    """
+    return cached_property(lambda self: getattr(self.metrics, kind)(name, *bounds))
+
+
 def _result_to_wire(result: LayerPPA):
     """A result row, or ``{"infeasible": reason}``."""
     if result.feasible:
@@ -183,8 +207,20 @@ def _result_from_wire(entry, layer_name: str) -> LayerPPA:
 class PPAServiceServer(HttpServer):
     """Serve an engine over HTTP on localhost; use as a context manager.
 
-    Shares the engine's metrics registry, so ``GET /metrics``
-    exposes engine counters (queries, cache hits/evictions, compute
+    The replica's result cache sits here, in front of the engine: a
+    bounded LRU over ``(hw key, twin key, mapping key)`` that every client
+    of the replica shares, so a query any client asked before is answered
+    without the engine (a fleet's rendezvous placement keeps each key on
+    one replica for that reason).  Its bound is the engine's
+    ``cache_capacity`` when the engine's builder set one
+    (:func:`repro.fleet.server.build_replica_engine`, from ``serve`` /
+    ``fleet serve --cache-capacity``; ``None`` is unbounded), else
+    :data:`DEFAULT_CACHE_CAPACITY`.  It sees a request's items in order,
+    as it would one-item requests; an engine call that raises caches
+    nothing.
+
+    Shares the engine's metrics registry, so ``GET /metrics`` exposes the
+    replica's counters (queries, cache hits/misses/evictions, compute
     latency) alongside the per-endpoint request/error counters the
     serving core (:mod:`repro.utils.httpcore`) records.
     """
@@ -197,6 +233,19 @@ class PPAServiceServer(HttpServer):
         tracer: Optional[Tracer] = None,
     ):
         self.engine = engine
+        self.cache_capacity: Optional[int] = getattr(
+            engine, "cache_capacity", DEFAULT_CACHE_CAPACITY
+        )
+        if self.cache_capacity is not None and self.cache_capacity < 1:
+            raise ConfigurationError(
+                f"cache_capacity must be >= 1 or None, got {self.cache_capacity}"
+            )
+        self._cache: "OrderedDict[Tuple, LayerPPA]" = OrderedDict()
+        self._cache_lock = threading.Lock()
+        #: items asked of the replica, hits included
+        self.num_queries = 0
+        self.num_cache_hits = 0
+        self.num_cache_evictions = 0
         #: server-side span tracer.  With a real tracer, every POST opens a
         #: ``service<path>`` span whose finished form travels back in the
         #: ``X-Repro-Span`` response header, letting tracing clients stitch
@@ -236,19 +285,132 @@ class PPAServiceServer(HttpServer):
             headers={"X-Repro-Span": json.dumps(self.tracer.finish_span(span))}
         )
 
+    _queries_total = held_instrument("counter", "engine_queries_total")
+    _hits_total = held_instrument("counter", "engine_cache_hits_total")
+    _misses_total = held_instrument("counter", "engine_cache_misses_total")
+    _evictions_total = held_instrument("counter", "engine_cache_evictions_total")
+    _compute_seconds = held_instrument("histogram", "engine_compute_seconds")
+
+    # -- the replica's cache ----------------------------------------------------
+    def _evaluate_cached(
+        self, groups: List[Tuple[object, List[Query]]]
+    ) -> List[List[LayerPPA]]:
+        """``engine.evaluate_groups(groups)``, with the LRU in front.
+
+        The LRU sees the items in order, as one-item requests would: a
+        hit moves to the front, a miss takes its place there at once
+        (held by :data:`_COMPUTING`) and evicts the oldest entry past the
+        bound, so one replica scanning more keys than it holds rehits
+        none of them.  A key asked again in the request is a hit while
+        its place is held.  The misses go to the engine in one call, each
+        key once; an answer is stored where its key still sits.
+        """
+        engine = self.engine
+        twin_keys = engine.twin_keys
+        cache = self._cache
+        results: List[List[Optional[LayerPPA]]] = [
+            [None] * len(items) for _hw, items in groups
+        ]
+        #: ``(hw, misses)`` per group that missed, misses in item order
+        miss_groups: List[Tuple[object, List[Query]]] = []
+        #: key this request computes -> the result slots waiting for it
+        waiting: Dict[Tuple, List[Tuple[list, int]]] = {}
+        queries = hits = 0
+        with self._cache_lock:
+            for (hw, items), slots in zip(groups, results):
+                if not items:
+                    continue
+                queries += len(items)
+                hw_id = engine.hw_key(hw)
+                misses: List[Query] = []
+                for index, (mapping, layer_name) in enumerate(items):
+                    key = (hw_id, twin_keys[layer_name], mapping.key())
+                    held = cache.get(key)
+                    pending = waiting.get(key)
+                    # another request's place-holder is a miss here
+                    if held is not None and (
+                        held is not _COMPUTING or pending is not None
+                    ):
+                        cache.move_to_end(key)
+                        hits += 1
+                        if held is not _COMPUTING:
+                            slots[index] = held
+                            continue
+                    else:
+                        cache[key] = _COMPUTING
+                        cache.move_to_end(key)
+                        self._evict_over_capacity()
+                        if pending is None:
+                            pending = waiting[key] = []
+                            misses.append((mapping, layer_name))
+                    pending.append((slots, index))
+                if misses:
+                    miss_groups.append((hw, misses))
+            self.num_queries += queries
+            self.num_cache_hits += hits
+        self._queries_total.inc(queries)
+        if hits:
+            self._hits_total.inc(hits)
+        if not waiting:
+            return results  # type: ignore[return-value]  # all hits
+        self._misses_total.inc(queries - hits)
+        start = time.perf_counter()
+        try:
+            computed = engine.evaluate_groups(miss_groups)
+        except BaseException:
+            with self._cache_lock:
+                for key in waiting:
+                    if cache.get(key) is _COMPUTING:
+                        del cache[key]
+            raise
+        self._compute_seconds.observe(time.perf_counter() - start)
+        with self._cache_lock:
+            for (key, pending), result in zip(
+                waiting.items(), chain.from_iterable(computed)
+            ):
+                if key in cache:
+                    cache[key] = result
+                for slots, index in pending:
+                    slots[index] = result
+        return results  # type: ignore[return-value]  # all slots filled above
+
+    def _evict_over_capacity(self) -> None:
+        """Drop the oldest entries past the bound; the caller holds the lock."""
+        if self.cache_capacity is not None:
+            while len(self._cache) > self.cache_capacity:
+                self._cache.popitem(last=False)
+                self.num_cache_evictions += 1
+                self._evictions_total.inc()
+
+    def engine_stats(self) -> Dict:
+        """The ``engine`` block of ``GET /metrics``: the engine's stats
+        under the replica's query and cache counts."""
+        stats = self.engine.stats()
+        stats.update(
+            num_queries=self.num_queries,
+            num_cache_hits=self.num_cache_hits,
+            cache_hit_rate=(
+                self.num_cache_hits / self.num_queries if self.num_queries else 0.0
+            ),
+            num_cache_evictions=self.num_cache_evictions,
+            cache_size=len(self._cache),
+            cache_capacity=self.cache_capacity,
+        )
+        return stats
+
     # -- endpoints --------------------------------------------------------------
     def _get_health(self, request: Request) -> Dict:
         return {
             "status": "ok",
             "workload": self.engine.network.name,
-            "queries": self.engine.num_queries,
+            "queries": self.num_queries,
         }
 
     def _get_metrics(self, request: Request):
         return self.metrics_reply(
             request,
             schema_version=METRICS_SCHEMA_VERSION,
-            engine=self.engine.stats(),
+            engine=self.engine_stats(),
         )
 
     def _post_evaluate_layers(self, request: Request) -> Dict:
@@ -291,7 +453,7 @@ class PPAServiceServer(HttpServer):
             entries.append(group_entries)
             valid.append((hw, group_valid))
         if slots:
-            results = chain.from_iterable(engine.evaluate_groups(valid))
+            results = chain.from_iterable(self._evaluate_cached(valid))
             for (group_entries, index), result in zip(slots, results):
                 group_entries[index] = _result_to_wire(result)
         return {"results": entries}
@@ -321,10 +483,12 @@ class RemotePPAEngine(PPAEngine):
     ``base_url`` is one replica URL or a sequence of them (a ``str`` is
     the one-element list); either way the engine owns a
     :class:`~repro.fleet.router.ShardRouter` with one keep-alive pool and
-    one circuit breaker per distinct URL.  Keeps the local cache and
-    query counting of the base class; only the uncached computation goes
-    over the wire.  ``area_mm2`` is computed by a locally supplied function
-    (areas depend only on the hardware config).
+    one circuit breaker per distinct URL.  Keeps the query counting of the
+    base class and no cache: every query goes over the wire, and a repeat
+    is answered by the replica's cache (:class:`PPAServiceServer`).
+    ``cache_capacity`` is accepted and ignored — it bounded a client-side
+    cache this class no longer keeps.  ``area_mm2`` is computed by a
+    locally supplied function (areas depend only on the hardware config).
 
     Transport hardening, per shard (all real-time, invisible to the
     simulated clock):
@@ -334,8 +498,9 @@ class RemotePPAEngine(PPAEngine):
       (``BACKOFF_BASE_S * 2**attempt``, capped at :data:`BACKOFF_MAX_S`) plus
       seeded jitter, and one that outlasts them raises
       :class:`~repro.errors.TransportError` (an :class:`EvaluationError`);
-      a server that failed part-way keeps what it computed before the
-      failure in its cache, so a retry does not compute it again;
+      a replica's cache answers again what it computed for an earlier
+      request, so a retry of a request that failed there computes only
+      that request's misses again;
     * after :data:`~repro.fleet.router.BREAKER_THRESHOLD` consecutive
       request failures the circuit opens: queries fail fast for
       :data:`~repro.fleet.router.BREAKER_COOLDOWN_S` seconds, then a single
@@ -345,7 +510,7 @@ class RemotePPAEngine(PPAEngine):
     they raise immediately without transport retries and do not trip the
     breaker — the service is alive and answering.
 
-    Placement and failover: with more than one shard every miss is
+    Placement and failover: with more than one shard every query is
     rendezvous-hashed to the replica that owns its key (so that replica's
     bounded LRU stays hot); when the owner is down — marked by a health
     check, draining, or its breaker open — the query falls to the next
@@ -354,17 +519,17 @@ class RemotePPAEngine(PPAEngine):
     breaker: a replica restart is routine, not an outage.
 
     Batching: the base class's :meth:`evaluate_groups` does all query
-    accounting (counters, cache, samples); this class overrides
-    only its compute hook.  :meth:`_compute_group_misses` ships the
-    misses of a call — every group's: the live trials of a lockstep MSH
-    round ask together — as ``POST /evaluate_layers`` requests the server
-    answers with one engine call each.  A lone replica leaves nothing to
+    accounting (counters, samples); this class overrides only its compute
+    hook.  :meth:`_compute_groups` ships the items of a call — every
+    group's: the live trials of a lockstep MSH round ask together — as
+    ``POST /evaluate_layers`` requests the server answers with one engine
+    call each.  A lone replica leaves nothing to
     place or overlap: no routing key is built, nothing is hashed, the
     call is one request on the caller's thread, which polls for its reply
     before it blocks (:data:`~repro.fleet.pool.REPLY_POLL_S`; chunks that
     fly together do not).  Across a fleet each
     shard's share is cut into ``batch_size`` chunks that fly concurrently
-    (at most ``max_inflight``) and are re-merged in miss order, so
+    (at most ``max_inflight``) and are re-merged in item order, so
     accounting is order-identical to a serial loop and — the replicas
     being deterministic — every route returns the same bytes.
     """
@@ -377,9 +542,9 @@ class RemotePPAEngine(PPAEngine):
         timeout_s: float = 10.0,
         batch_size: int = 16,
         max_inflight: int = 8,
-        **kwargs,
+        cache_capacity: Optional[int] = None,
     ):
-        super().__init__(network, **kwargs)
+        super().__init__(network)
         if batch_size < 1:
             raise EvaluationError(f"batch_size must be >= 1, got {batch_size}")
         if max_inflight < 1:
@@ -403,9 +568,9 @@ class RemotePPAEngine(PPAEngine):
         #: sends more than one chunk to a fleet of more than one replica
         self._executor: Optional[ThreadPoolExecutor] = None
         #: transport-only lock (jitter RNG, retry counter, executor slot).
-        #: Backoff and breaker state deliberately stay off the engine cache
-        #: lock ``self._lock``: one chunk backing off must not serialize
-        #: unrelated concurrent requests or cache lookups.
+        #: Backoff and breaker state deliberately stay off the engine's
+        #: counter lock ``self._lock``: one chunk backing off must not
+        #: serialize unrelated concurrent requests.
         self._transport_lock = threading.Lock()
 
     _requests_total = held_instrument("counter", "remote_requests_total")
@@ -629,7 +794,7 @@ class RemotePPAEngine(PPAEngine):
 
         Raises the request's transport error if that is what the fan-out
         brought back, and at a rejected item — after yielding the items
-        before it, which the caller has then already stored.
+        before it, which the caller has then already kept.
         """
         if isinstance(reply, Exception):
             raise reply
@@ -646,31 +811,28 @@ class RemotePPAEngine(PPAEngine):
             for (_mapping, layer_name), entry in zip(items, group_entries):
                 yield _result_from_wire(entry, layer_name)
 
-    def _compute_group_misses(
-        self, miss_groups: Sequence[QueryGroup]
-    ) -> Iterator[LayerPPA]:
-        """One ``POST /evaluate_layers`` per shard, merged back in miss order.
+    def _compute_groups(
+        self, groups: Sequence[QueryGroup], results: List[List[LayerPPA]]
+    ) -> None:
+        """One ``POST /evaluate_layers`` per shard, merged back in item order.
 
-        The base class charges queries, splits hits from misses, stores
-        results and emits journal events; this hook only decides where
-        each miss is computed.  A lone replica gets the whole call — every
-        group's misses — as one request; across a fleet each shard's share
-        is cut into ``batch_size`` chunks the fan-out overlaps.  A request
-        carries its misses group by group in miss order and results are
-        yielded by miss position, so a failure part-way keeps everything
-        before it, as a serial loop would.
+        The base class counts queries and emits journal samples; this hook
+        only decides where each item is computed.  A lone replica gets the
+        whole call — every group's items — as one request; across a fleet
+        each shard's share is cut into ``batch_size`` chunks the fan-out
+        overlaps.  A request carries its items group by group in item
+        order and answers are appended by item position, so a failure
+        part-way keeps everything before it, as a serial loop would.
         """
-        hw_wire = [encode_object(hw) for hw, _misses in miss_groups]
-        #: every miss of the call, flat: (its group's index, the miss)
+        hw_wire = [encode_object(hw) if items else None for hw, items in groups]
+        #: every item of the call, flat: (its group's index, the item)
         flat = [
-            (index, miss)
-            for index, (_hw, misses) in enumerate(miss_groups)
-            for miss in misses
+            (index, item)
+            for index, (_hw, items) in enumerate(groups)
+            for item in items
         ]
         keys = [
-            key
-            for hw, misses in miss_groups
-            for key in self._routing_keys(hw, misses)
+            key for hw, items in groups for key in self._routing_keys(hw, items)
         ]
         by_owner: Dict[str, List[int]] = {}
         for position, key in enumerate(keys):
@@ -682,32 +844,31 @@ class RemotePPAEngine(PPAEngine):
         for owned in by_owner.values():
             for chunk_start in range(0, len(owned), size):
                 positions = owned[chunk_start : chunk_start + size]
-                groups: List[QueryGroup] = []
+                chunk: List[QueryGroup] = []
                 body: List[Dict] = []
                 current = None
                 for position in positions:
                     index, (mapping, layer_name) = flat[position]
                     if index != current:
                         current = index
-                        groups.append((miss_groups[index][0], []))
+                        chunk.append((groups[index][0], []))
                         body.append({"hw": hw_wire[index], "items": []})
-                    groups[-1][1].append((mapping, layer_name))
+                    chunk[-1][1].append((mapping, layer_name))
                     body[-1]["items"].append([encode_object(mapping), layer_name])
                 # all keys of a chunk share its owner: route by the first
                 requests.append(
                     (keys[positions[0]], "/evaluate_layers", {"groups": body})
                 )
-                sent.append((positions, groups))
-        start = time.perf_counter()
+                sent.append((positions, chunk))
         replies = self._fanout(requests)
-        self._compute_seconds.observe(time.perf_counter() - start)
         source: List[Optional[Iterator[LayerPPA]]] = [None] * len(flat)
-        for (positions, groups), reply in zip(sent, replies):
-            results = self._layer_results(reply, groups)
+        for (positions, chunk), reply in zip(sent, replies):
+            answers = self._layer_results(reply, chunk)
             for position in positions:
-                source[position] = results
-        for results in source:
-            yield next(results)  # type: ignore[arg-type]
+                source[position] = answers
+        merged = (next(answers) for answers in source)  # type: ignore[arg-type]
+        for (_hw, items), out in zip(groups, results):
+            out.extend(islice(merged, len(items)))
 
     def area_mm2(self, hw) -> float:
         return self.area_fn(hw)

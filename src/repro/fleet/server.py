@@ -58,21 +58,23 @@ class ReplicaSpec:
 
 
 def build_replica_engine(spec: ReplicaSpec):
-    """Construct the engine a replica, or ``repro serve``, serves."""
+    """Construct the engine a replica, or ``repro serve``, serves; its
+    ``cache_capacity`` bounds the LRU its server keeps in front of it."""
     from repro.workloads.registry import get_network
 
     network = get_network(spec.network)
     if spec.engine == "maestro":
         from repro.costmodel.engine import MaestroEngine
 
-        return MaestroEngine(network, cache_capacity=spec.cache_capacity)
-    if spec.engine == "timeloop":
+        engine = MaestroEngine(network)
+    elif spec.engine == "timeloop":
         from repro.costmodel.timeloop import TimeloopEngine
 
-        return TimeloopEngine(network, cache_capacity=spec.cache_capacity)
-    from repro.camodel.engine import NOISE_FRACTION, AscendCAEngine
+        engine = TimeloopEngine(network)
+    else:
+        from repro.camodel.engine import NOISE_FRACTION, AscendCAEngine
 
-    engine = AscendCAEngine(network, noise_fraction=NOISE_FRACTION)
+        engine = AscendCAEngine(network, noise_fraction=NOISE_FRACTION)
     engine.cache_capacity = spec.cache_capacity
     return engine
 

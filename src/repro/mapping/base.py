@@ -73,14 +73,16 @@ from repro.workloads.network import Network
 _INFEASIBLE_OBJECTIVE = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MappingSearchPoint:
     """One step of the search trace.
 
     ``trial_*`` describe the network state *if the just-proposed candidate
     were adopted* (the raw loss history the robustness metric samples);
     ``best_*`` describe the incumbent after the step (the monotone curve
-    MSH's AUC integrates).
+    MSH's AUC integrates).  Every search step builds one, so the
+    constructor is written out, like ``GemmMapping``'s; equality,
+    hashing, ``repr`` and pickling are the dataclass's.
     """
 
     step: int
@@ -90,6 +92,25 @@ class MappingSearchPoint:
     best_objective: float
     best_latency_s: float
     best_power_w: float
+
+    def __init__(
+        self,
+        step: int,
+        trial_objective: float,
+        trial_latency_s: float,
+        trial_power_w: float,
+        best_objective: float,
+        best_latency_s: float,
+        best_power_w: float,
+    ) -> None:
+        fields = self.__dict__  # frozen: the dataclass's __setattr__ raises
+        fields["step"] = step
+        fields["trial_objective"] = trial_objective
+        fields["trial_latency_s"] = trial_latency_s
+        fields["trial_power_w"] = trial_power_w
+        fields["best_objective"] = best_objective
+        fields["best_latency_s"] = best_latency_s
+        fields["best_power_w"] = best_power_w
 
 
 class AnytimeMappingSearch(ABC):
@@ -312,9 +333,11 @@ class AnytimeMappingSearch(ABC):
                     moved = True
             stale.clear()
             if moved:
-                total = weights.sum()
+                # the ufuncs behind ``weights.sum()`` / ``.cumsum()``, called
+                # without the method wrappers: the same sums, bit for bit
+                total = np.add.reduce(weights)
                 if 0.0 < total < np.inf:  # false for a nan / inf weight too
-                    cdf = (weights / total).cumsum()
+                    cdf = np.add.accumulate(weights / total)
                     cdf /= cdf[-1]
                     self._pick_cdf = cdf
                 else:

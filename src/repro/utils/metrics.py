@@ -24,6 +24,7 @@ of a :class:`~repro.costmodel.service.RemotePPAEngine` on the client side.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds), roughly log-spaced like Prometheus'
@@ -31,23 +32,6 @@ from typing import Dict, Optional, Sequence, Tuple
 DEFAULT_LATENCY_BOUNDS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-#: Buckets for batch-size distributions (``engine_batch_size``): powers of
-#: two up to the largest batch any search realistically ships at once.
-DEFAULT_BATCH_SIZE_BOUNDS: Tuple[float, ...] = (
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
-)
-
-#: Buckets for *per-candidate* compute latency on the batch path
-#: (``engine_batch_compute_seconds_per_item``).  Much finer at the
-#: microsecond end than :data:`DEFAULT_LATENCY_BOUNDS`: batched analytical
-#: evaluation amortizes to microseconds per candidate.  Both it and
-#: ``engine_compute_seconds`` take one observation per engine call that
-#: computed something.
-PER_ITEM_LATENCY_BOUNDS: Tuple[float, ...] = (
-    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
-    5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2,
 )
 
 
@@ -105,11 +89,8 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # the first bound ``value`` is <= to; a nan is <= none of them
+        index = bisect_left(self.bounds, value) if value == value else len(self.bounds)
         with self._lock:
             self._bucket_counts[index] += 1
             self._count += 1
@@ -305,9 +286,7 @@ class MetricsRegistry:
 
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE_BOUNDS",
     "DEFAULT_LATENCY_BOUNDS",
-    "PER_ITEM_LATENCY_BOUNDS",
     "Counter",
     "Histogram",
     "MetricsRegistry",

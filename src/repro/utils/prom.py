@@ -40,12 +40,8 @@ METRIC_HELP: Dict[str, str] = {
     "engine_queries_total": "PPA engine evaluations requested (cached or computed).",
     "engine_cache_hits_total": "Engine queries served from the result cache.",
     "engine_cache_evictions_total": "LRU evictions from the engine result cache.",
-    "engine_batch_queries_total": "Vectorized candidate-batch engine calls.",
     "engine_compute_seconds":
         "Wall time of one engine call's uncached computations.",
-    "engine_batch_size": "Candidates per vectorized engine batch call.",
-    "engine_batch_compute_seconds_per_item":
-        "Per-candidate wall time of batched engine calls.",
     "service_requests_total": "HTTP requests served, by matched route.",
     "service_errors_total": "HTTP requests answered with a 4xx/5xx status.",
     "service_drain_rejections_total":

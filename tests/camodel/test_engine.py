@@ -7,6 +7,7 @@ from repro.costmodel.engine import ANALYTICAL_EVAL_COST_S
 from repro.hw.ascend import default_ascend_config
 from repro.mapping.ascend_mapping import AscendMapping
 from repro.workloads.registry import get_network
+from tests.costmodel.network_ppa import network_ppa
 
 MAPPING = AscendMapping(tile_m=8, tile_n=64, tile_k=12)
 
@@ -76,7 +77,7 @@ class TestNetworkEvaluation:
             mappings[layer.name] = AscendMapping(
                 tile_m=min(8, shape.m), tile_n=min(64, shape.n), tile_k=min(8, shape.k)
             )
-        ppa = engine.aggregate(hw, mappings)
+        ppa = network_ppa(engine, hw, mappings)
         assert ppa.feasible
         assert ppa.latency_s > 0
         assert ppa.area_mm2 == engine.area_mm2(hw)

@@ -6,8 +6,8 @@ fresh computations.  Served by a
 :class:`~repro.costmodel.service.PPAServiceServer`, such a failure is not
 an :class:`~repro.errors.EvaluationError`, so the replica answers 500: the
 transient service error :class:`~repro.costmodel.service.RemotePPAEngine`
-retries.  The served engine keeps what it computed before the failure in
-its cache, so a retry does not compute it again.
+retries.  The replica caches nothing of an engine call that failed, so a
+retry computes that request's misses again.
 
 Failures are deterministic per construction seed, so tests replay, but
 not per query key: a retried query usually succeeds.

@@ -17,6 +17,7 @@ from repro.hw.technology import DEFAULT_TECHNOLOGY
 from repro.mapping.gemm_mapping import GemmMapping
 from repro.workloads.layers import Gemm, GemmShape
 from repro.workloads.network import Network
+from tests.costmodel.network_ppa import network_ppa
 
 
 def _hw(**overrides) -> SpatialHWConfig:
@@ -143,7 +144,7 @@ class TestEnergyAndArea:
 
 
 def evaluate_network(hw, layers, mappings):
-    """``MaestroEngine.aggregate`` over a network of ``{name: (shape, count)}``."""
+    """A ``MaestroEngine``'s network PPA over ``{name: (shape, count)}``."""
     network = Network(
         "t",
         tuple(
@@ -151,7 +152,7 @@ def evaluate_network(hw, layers, mappings):
             for name, (shape, count) in layers.items()
         ),
     )
-    return MaestroEngine(network).aggregate(hw, mappings)
+    return network_ppa(MaestroEngine(network), hw, mappings)
 
 
 class TestEvaluateNetwork:

@@ -118,7 +118,24 @@ class TestRemoteEngine:
         backend_queries = server.engine.num_queries
         remote.evaluate_layer(sample_hw, mapping, "gemm")
         assert server.engine.num_queries == backend_queries  # served from cache
-        assert remote.num_cache_hits == 1
+        assert server.num_cache_hits == 1
+        assert remote.num_queries == 2  # the client keeps no cache
+
+    def test_replica_answers_a_second_clients_repeat(self, server, tiny_network,
+                                                     sample_hw):
+        """The replica's cache is shared: a query one client asked is
+        answered to another without calling the engine."""
+        mapping = GemmMapping(4, 8, 4)
+        first = _fast_remote(tiny_network, server.url)
+        answer = first.evaluate_layer(sample_hw, mapping, "gemm")
+        backend_calls = server.engine.num_batch_queries
+        backend_queries = server.engine.num_queries
+        second = _fast_remote(tiny_network, server.url)
+        assert second.evaluate_layer(sample_hw, mapping, "gemm") == answer
+        assert server.engine.num_batch_queries == backend_calls
+        assert server.engine.num_queries == backend_queries
+        assert server.num_cache_hits == 1
+        assert server.num_queries == 2
 
     def test_infeasible_transported(self, remote, tiny_network):
         from repro.hw.spatial import edge_design_space
@@ -484,7 +501,7 @@ class TestBatchEndpoint:
         backend_queries = server.engine.num_queries
         results = remote.evaluate_layers(sample_hw, requests)
         assert server.engine.num_queries == backend_queries  # all cached
-        assert remote.num_cache_hits == 2
+        assert server.num_cache_hits == 2
         assert all(result.feasible for result in results)
 
     def test_batch_chunks_by_batch_size(self, server, tiny_network, sample_hw):
@@ -520,13 +537,11 @@ class TestBatchEndpoint:
             remote.evaluate_layers(sample_hw, requests[:2])
             with pytest.raises(EvaluationError, match="service error 500"):
                 remote.evaluate_layers(sample_hw, requests)
-            assert hits["count"] == 2  # the four misses left as one request
+            assert hits["count"] == 2  # the six items left as one request
             assert remote._executor is None
-            for mapping, layer in requests[:2]:
-                assert remote.evaluate_layer(sample_hw, mapping, layer).latency_s == 1.0
-            assert hits["count"] == 2  # both served from the client cache
-            # the sink saw exactly what reached the cache: the first call's
-            # two results, in miss order, in one call
+            assert remote.num_queries == 8  # the failed call's queries count
+            # the sink saw exactly what came back: the first call's two
+            # results, in item order, in one call
             (samples,) = sink_calls
             assert [(mapping, layer) for layer, mapping, _s, _r in samples] == (
                 requests[:2]
@@ -551,14 +566,16 @@ class TestBatchEndpoint:
         requests = [(GemmMapping(4, 8, 4), "gemm"), (GemmMapping(4, 8, 4), "ghost")]
         with pytest.raises(EvaluationError, match="ghost"):
             remote.evaluate_layers(sample_hw, requests)
-        # the good item was still cached by the partial batch
+        # the good item was still cached by the replica
         backend_queries = server.engine.num_queries
         cached = remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
         assert server.engine.num_queries == backend_queries
-        assert remote.num_cache_hits == 1
-        # ... and it is the one sample the sink was handed, in one call
+        assert server.num_cache_hits == 1
+        # ... and the partial batch handed the sink its one good sample,
+        # in one call, as the repeat did
         shape = remote.layer_shapes["gemm"][0]
-        assert sink_calls == [[("gemm", GemmMapping(4, 8, 4), shape, cached)]]
+        sample = ("gemm", GemmMapping(4, 8, 4), shape, cached)
+        assert sink_calls == [[sample], [sample]]
 
     def test_batch_charges_clock_per_query(self, server, remote, sample_hw):
         requests = [(GemmMapping(4, 8, 4), "gemm"), (GemmMapping(8, 16, 8), "gemm")]
@@ -638,13 +655,17 @@ class TestCandidatesEndpoint:
             assert sum(served) == 4
             remote.close()
 
-    def test_candidates_cache_hits_stay_local(self, server, remote, sample_hw):
+    def test_candidate_repeat_hits_the_replica_cache(
+        self, server, remote, sample_hw
+    ):
         requests = [(m, "gemm") for m in self._mappings(3)]
         remote.evaluate_layers(sample_hw, requests)
         before = remote.metrics.counter_value("remote_requests_total")
+        backend_queries = server.engine.num_queries
         remote.evaluate_layers(sample_hw, requests)
-        assert remote.metrics.counter_value("remote_requests_total") == before
-        assert remote.num_cache_hits == 3
+        assert remote.metrics.counter_value("remote_requests_total") == before + 1
+        assert server.engine.num_queries == backend_queries
+        assert server.num_cache_hits == 3
 
     def test_server_vectorizes_candidate_batch(self, server, sample_hw):
         """One request is one engine call, whatever layers it mixes."""
@@ -668,17 +689,14 @@ class TestCandidatesEndpoint:
             [["Mystery"], "gemm"],
             [encode_object(good[2]), "conv"],
         ]
-        batches = server.engine.metrics.counter_value("engine_batch_queries_total")
+        batches = server.engine.num_batch_queries
         reply = self._post_items(server, sample_hw, items)
         assert [isinstance(entry, list) for entry in reply["results"]] == [
             True, False, False, True,
         ]
         assert "missing" in reply["results"][1]["error"]
         assert "Mystery" in reply["results"][2]["error"]
-        assert (
-            server.engine.metrics.counter_value("engine_batch_queries_total")
-            == batches + 1
-        )
+        assert server.engine.num_batch_queries == batches + 1
         assert server.engine.num_queries == 2
         local = MaestroEngine(tiny_network)
         assert reply["results"][3][0] == local.evaluate_layer(

@@ -16,6 +16,7 @@ from repro.hw.spatial import SpatialHWConfig, edge_design_space
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gemm_mapping import GemmMapping, GemmMappingSpace
 from repro.workloads.layers import GemmShape
+from tests.costmodel.network_ppa import network_ppa
 
 SHAPE = GemmShape(m=64, n=256, k=128)
 
@@ -132,6 +133,6 @@ class TestTimeloopEngineDropIn:
             search.run(150)
             results[name] = search.best_mapping
         cross = MaestroEngine(tiny_network)
-        own = cross.aggregate(sample_hw, results["maestro"]).latency_s
-        transferred = cross.aggregate(sample_hw, results["timeloop"]).latency_s
+        own = network_ppa(cross, sample_hw, results["maestro"]).latency_s
+        transferred = network_ppa(cross, sample_hw, results["timeloop"]).latency_s
         assert transferred <= 2.0 * own

@@ -73,14 +73,18 @@ class TestParity:
         assert sharded.num_queries == local.num_queries
         sharded.close()
 
-    def test_repeat_served_from_client_cache(self, tiny_network, fleet, sample_hw):
+    def test_repeat_served_from_replica_cache(self, tiny_network, fleet, sample_hw):
+        """A repeat goes back to the replica that owns its key, whose cache
+        answers it without its engine."""
         sharded = _sharded(tiny_network, fleet)
         first = sharded.evaluate_layers(sample_hw, REQUESTS)
         backend_queries = [server.engine.num_queries for server in fleet]
+        hits = sum(server.num_cache_hits for server in fleet)
         again = sharded.evaluate_layers(sample_hw, REQUESTS)
         assert again == first
         assert [server.engine.num_queries for server in fleet] == backend_queries
-        assert sharded.num_cache_hits == len(MAPPINGS)
+        assert sum(server.num_cache_hits for server in fleet) == hits + len(MAPPINGS)
+        assert sharded.num_queries == 2 * len(MAPPINGS)
         sharded.close()
 
     def test_full_search_bit_identical_to_local(

@@ -21,6 +21,7 @@ from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gemm_mapping import GemmMapping
+from tests.costmodel.network_ppa import network_ppa
 
 
 @pytest.fixture()
@@ -88,6 +89,8 @@ def test_one_write_per_request_and_per_reply(tiny_network, sample_hw, writes):
 def test_one_item_and_aggregate_misses_send_one_batch_request(
     tiny_network, sample_hw, writes
 ):
+    """A one-item call and a network's layers each leave as one POST; the
+    client keeps no cache, so pricing the network again is one more."""
     mappings = {
         layer.name: GemmMapping(2, 2, 2)
         for layer in tiny_network.layers
@@ -98,15 +101,16 @@ def test_one_item_and_aggregate_misses_send_one_batch_request(
         port = server.address[1]
         remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
         after_layer = list(_sides(writes, port)[0])
-        ppa = remote.aggregate(sample_hw, mappings)
+        ppa = network_ppa(remote, sample_hw, mappings)
         requests = _sides(writes, port)[0]
-        assert remote.aggregate(sample_hw, mappings) == ppa  # all cached now
-        assert len(_sides(writes, port)[0]) == len(requests)
-    assert ppa == MaestroEngine(tiny_network).aggregate(sample_hw, mappings)
+        assert network_ppa(remote, sample_hw, mappings) == ppa
+        assert len(_sides(writes, port)[0]) == len(requests) + 1
+        assert server.num_cache_hits == len(mappings)  # the replica's
+    assert ppa == network_ppa(MaestroEngine(tiny_network), sample_hw, mappings)
     assert len(after_layer) == 1
     assert len(requests) == 2
     assert all(w.startswith(b"POST /evaluate_layers HTTP/1.1\r\n") for w in requests)
-    assert remote.num_queries == 1  # aggregation counts no query
+    assert remote.num_queries == 1 + 2 * len(mappings)
 
 
 @pytest.mark.parametrize("path", ["/evaluate_layer", "/aggregate"])

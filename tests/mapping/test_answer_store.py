@@ -7,9 +7,9 @@ layer of its GEMM shape (``Network.twin_keys``), and a candidate proposed
 again, for its layer or a twin, is folded from there.  So no search sends
 one ``(twin key, mapping)`` twice, the queries a trial is charged are
 exactly the answers its search stores — together, every query the engine
-counted — and the trial's PPA, composed from its incumbents, is what the
-engine composes from its LRU, keyed the same way, without computing
-anything — on every tool at every width, alone or in a lockstep round
+counted — and the trial's PPA, composed from its incumbents, is what one
+engine call over the incumbents' mappings composes to, answer for answer
+— on every tool at every width, alone or in a lockstep round
 (mobilenetv2 has six twin pairs).  A learned screen's placeholder is no
 answer: it is folded, never stored.
 """
@@ -31,6 +31,7 @@ from repro.ppa import SCREENED_REASON
 from repro.workloads.layers import Gemm
 from repro.workloads.network import Network
 from repro.workloads.registry import get_network
+from tests.costmodel.network_ppa import network_ppa
 
 TOOLS = sorted([*SEARCH_TOOLS, "oneloop"])
 WIDTHS = [1, 2, 8, 64]
@@ -38,12 +39,9 @@ WIDTHS = [1, 2, 8, 64]
 
 def _recording(engine_cls):
     """``engine_cls`` that records every ``(twin key, mapping key)`` sent to
-    it, per hardware object (every query path ends in ``evaluate_groups``),
-    and counts the calls that reach the cost model."""
+    it, per hardware object (every query path ends in ``evaluate_groups``)."""
 
     class Recording(engine_cls):
-        cost_model_calls = 0
-
         def evaluate_groups(self, groups):
             groups = [(hw, list(items)) for hw, items in groups]
             twin_keys = self.network.twin_keys
@@ -53,10 +51,6 @@ def _recording(engine_cls):
                     for mapping, layer_name in items
                 )
             return super().evaluate_groups(groups)
-
-        def _compute_group_misses(self, miss_groups):
-            self.cost_model_calls += 1
-            return super()._compute_group_misses(miss_groups)
 
     return Recording
 
@@ -82,15 +76,13 @@ def _assert_paid_once(engine, trials):
         assert trial.queries_spent == len(sent) == len(trial.search._bought)
         assert trial.search._unused_drafts.keys() <= trial.search._bought.keys()
     assert engine.num_queries == sum(trial.queries_spent for trial in trials)
-    # every incumbent's answer is in the engine's LRU under its twin key,
-    # and the engine composes the trial's PPA from it field for field
-    calls = engine.cost_model_calls
+    # one engine call over the incumbents' mappings returns the incumbents'
+    # results, and composes to the trial's PPA field for field
     for trial in trials:
-        ppa = engine.aggregate(trial.hw, trial.search.best_mapping)
+        ppa = network_ppa(engine, trial.hw, trial.search.best_mapping)
         assert ppa.layer_results == trial.search.best_layer_result
         for field in dataclasses.fields(ppa):
             assert getattr(trial.best_ppa, field.name) == getattr(ppa, field.name)
-    assert engine.cost_model_calls == calls
 
 
 @pytest.mark.parametrize("width", WIDTHS)

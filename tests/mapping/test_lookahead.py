@@ -114,13 +114,13 @@ def test_the_width_buys_no_query(tool):
 # ------------------------------------------------- (iv) the recorded ratchet
 class _CountingEngine(MaestroEngine):
     """Counts the engine calls that reach the cost model (= HTTP exchanges
-    on the remote route): the calls with at least one miss."""
+    on the remote route): every call with at least one item."""
 
     cost_model_calls = 0
 
-    def _compute_misses(self, hw, misses):
+    def _compute_group(self, hw, items, answers):
         self.cost_model_calls += 1
-        return super()._compute_misses(hw, misses)
+        super()._compute_group(hw, items, answers)
 
 
 #: (queries, cost-model calls) over 6 edge HW samples x 400 steps on
@@ -170,7 +170,7 @@ def test_queries_and_cost_model_calls_ratchet(tool_cls, batch_size):
 
 
 # -------------------------------------- (v) a co-search at every width, one front
-def test_cosearch_width_buys_queries_not_a_different_front(tiny_network, edge_space):
+def test_cosearch_width_charges_equal_queries_and_time(tiny_network, edge_space):
     """What a width buys is engine calls, not queries nor a front: widths 1
     and 8 charge the same queries and simulated time for the same front."""
     def optimize(eval_batch_size):

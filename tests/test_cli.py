@@ -110,16 +110,20 @@ class TestStatsCommand:
     @pytest.fixture()
     def live_service(self, tiny_network):
         from repro.costmodel.engine import MaestroEngine
-        from repro.costmodel.service import PPAServiceServer
+        from repro.costmodel.maestro import spatial_area_mm2
+        from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
         from repro.mapping.gemm_mapping import GemmMapping
         from repro.hw.spatial import edge_design_space
 
-        engine = MaestroEngine(tiny_network, cache_capacity=64)
+        engine = MaestroEngine(tiny_network)
+        engine.cache_capacity = 64  # the replica cache's bound
         hw = edge_design_space().sample(0)
         mapping = GemmMapping(4, 8, 4)
-        engine.evaluate_layer(hw, mapping, "gemm")
-        engine.evaluate_layer(hw, mapping, "gemm")  # one cache hit
-        with PPAServiceServer(engine) as server:
+        with PPAServiceServer(engine) as server, RemotePPAEngine(
+            tiny_network, server.url, area_fn=spatial_area_mm2
+        ) as client:
+            client.evaluate_layer(hw, mapping, "gemm")
+            client.evaluate_layer(hw, mapping, "gemm")  # one cache hit
             yield server
 
     def test_stats_formatted(self, live_service, capsys):
@@ -148,6 +152,25 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         families = parse_prometheus_text(out)  # must be scrapeable text
         assert any(f.startswith("service_requests") for f in families)
+
+    def test_cache_lines_only_for_a_block_with_a_cache(self, monkeypatch, capsys):
+        """An engine's own block (no replica cache in front) prints no
+        cache lines; a replica's block does (``test_stats_formatted``)."""
+        import repro.cli as cli
+
+        block = {"engine": "MaestroEngine", "workload": "w", "num_queries": 3,
+                 "cache_hit_rate": 0.0, "batch_queries": 1, "batch_items": 3,
+                 "mean_batch_size": 3.0}
+        payload = json.dumps({"engine": block, "metrics": {}}).encode()
+        monkeypatch.setattr(cli, "_scrape", lambda url, path, timeout: payload)
+        assert main(["stats", "http://127.0.0.1:1"]) == 0
+        out = capsys.readouterr().out
+        assert "queries          3" in out
+        assert "cache" not in out
+        line = cli._render_live_event(
+            {"type": "engine_snapshot", "seq": 0, "engine": block}
+        )
+        assert "queries=3" in line and "cache" not in line
 
     def test_serve_parser_accepts_cache_capacity(self):
         from repro.cli import build_parser

@@ -1,8 +1,8 @@
 """The engine's ``sample_sink`` protocol and the journal sink on it.
 
-One call per engine call — ``sink(hw, samples)`` — carrying exactly the
-misses whose results reached the cache, in miss order; the journal sink
-turns one call into one group commit.
+One call per group of an engine call — ``sink(hw, samples)`` — carrying
+every item the engine computed, in item order; the journal sink turns
+one call into one group commit.
 """
 
 import json
@@ -18,6 +18,7 @@ from repro.mapping.gemm_mapping import GemmMapping
 from repro.tracking.journal import EventJournal, read_events
 from repro.tracking.tracker import JournalSampleSink
 import repro.tracking.tracker as tracker
+from tests.costmodel.served import served
 
 MAPPINGS = [GemmMapping(4, 8, 4, unroll=u) for u in (1, 2, 4, 8)]
 
@@ -42,68 +43,88 @@ class TestProtocol:
         calls = []
         tiny_engine.sample_sink = _recording_sink(calls)
         result = tiny_engine.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")
-        tiny_engine.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")  # a hit
+        tiny_engine.evaluate_layer(sample_hw, MAPPINGS[0], "gemm")  # again
         shape = tiny_engine.layer_shapes["gemm"][0]
-        assert calls == [(sample_hw, [("gemm", MAPPINGS[0], shape, result)])]
+        assert calls == [(sample_hw, [("gemm", MAPPINGS[0], shape, result)])] * 2
 
     def test_batch_is_one_call_and_an_all_hit_batch_is_none(
-        self, tiny_engine, sample_hw
+        self, tiny_network, sample_hw
     ):
-        calls = []
-        tiny_engine.sample_sink = _recording_sink(calls)
+        """A client's sink gets one call per engine call, every item in it;
+        behind a replica, an all-hit batch reaches no engine and no sink."""
+        calls, behind = [], []
         requests = [(m, "gemm") for m in MAPPINGS] + [(MAPPINGS[0], "conv")]
-        results = tiny_engine.evaluate_layers(sample_hw, requests)
-        tiny_engine.evaluate_layers(sample_hw, requests)
-        assert len(calls) == 1
+        with served(tiny_network) as (server, client):
+            client.sample_sink = _recording_sink(calls)
+            server.engine.sample_sink = _recording_sink(behind)
+            results = client.evaluate_layers(sample_hw, requests)
+            assert client.evaluate_layers(sample_hw, requests) == results
+        assert len(calls) == 2 and calls[0] == calls[1]
         assert [(name, mapping) for name, mapping, _s, _r in calls[0][1]] == [
             (layer_name, mapping) for mapping, layer_name in requests
         ]
         assert [result for _n, _m, _s, result in calls[0][1]] == results
+        assert behind == [calls[0]]
 
     @pytest.mark.parametrize("stored", [0, 1, 3])
     def test_part_way_failure_hands_over_what_was_stored(
         self, tiny_network, sample_hw, stored
     ):
-        """A hook raising at miss position k: the k results before it are
-        cached and reach the sink, in miss order, in one call."""
+        """A kernel raising at item k: the k answers before it reach the
+        sink, in item order, in one call — a repeat is an item like any
+        other — and every item of the call stays counted."""
 
         class FailsPartWay(MaestroEngine):
-            armed = False
+            computed = 0
 
-            def _compute_misses(self, hw, misses):
-                for position, result in enumerate(
-                    super()._compute_misses(hw, misses)
-                ):
-                    if self.armed and position == stored:
-                        raise EvaluationError(f"down at {position}")
-                    yield result
+            def _compute_layer(self, hw, mapping, shape):
+                if self.computed == stored:
+                    raise EvaluationError(f"down at {self.computed}")
+                self.computed += 1
+                return super()._compute_layer(hw, mapping, shape)
 
         engine = FailsPartWay(tiny_network)
         calls = []
         engine.sample_sink = _recording_sink(calls)
-        warm = engine.evaluate_layer(sample_hw, MAPPINGS[0], "conv")
-        engine.armed = True
-        del calls[:]
-        # position 1 is a hit, so miss order skips it
+        # position 2 repeats position 0
         requests = [(MAPPINGS[0], "gemm"), (MAPPINGS[0], "conv")] + [
-            (m, "gemm") for m in MAPPINGS[1:]
+            (m, "gemm") for m in MAPPINGS
         ]
-        misses = [requests[0]] + requests[2:]
         with pytest.raises(EvaluationError, match=f"down at {stored}"):
             engine.evaluate_layers(sample_hw, requests)
-        assert warm.feasible
+        assert engine.num_queries == len(requests)
         assert len(calls) == (1 if stored else 0)
         handed = calls[0][1] if calls else []
-        assert [(mapping, name) for name, mapping, _s, _r in handed] == misses[:stored]
-        # exactly those are cached: re-asking them computes nothing new
-        hits = engine.num_cache_hits
-        for (mapping, layer_name), (_n, _m, _s, result) in zip(misses, handed):
-            assert engine.evaluate_layer(sample_hw, mapping, layer_name) is result
-        assert engine.num_cache_hits == hits + stored
-        assert len(calls) == (1 if stored else 0)
-        assert (
-            engine.hw_key(sample_hw), misses[stored][1], misses[stored][0].key()
-        ) not in engine._cache
+        assert [(mapping, name) for name, mapping, _s, _r in handed] == (
+            requests[:stored]
+        )
+        reference = MaestroEngine(tiny_network)
+        for name, mapping, _shape, result in handed:
+            assert reference.evaluate_layer(sample_hw, mapping, name) == result
+
+    def test_failure_in_a_later_group_keeps_the_groups_before_it(
+        self, tiny_network, edge_space, sample_hw
+    ):
+        """Groups are computed in turn: a failure in the second hands the
+        sink the first whole and the second up to the failure."""
+        other = edge_space.sample(3)
+
+        class FailsOnOther(MaestroEngine):
+            def _compute_layer(self, hw, mapping, shape):
+                if hw is other and mapping is MAPPINGS[1]:
+                    raise EvaluationError("down")
+                return super()._compute_layer(hw, mapping, shape)
+
+        engine = FailsOnOther(tiny_network)
+        calls = []
+        engine.sample_sink = _recording_sink(calls)
+        items = [(mapping, "gemm") for mapping in MAPPINGS[:3]]
+        with pytest.raises(EvaluationError, match="down"):
+            engine.evaluate_groups([(sample_hw, items), (other, items)])
+        assert engine.num_queries == 6
+        assert [(hw, len(samples)) for hw, samples in calls] == [
+            (sample_hw, 3), (other, 1)
+        ]
 
 
 class TestJournalSink:
@@ -163,8 +184,8 @@ class TestCoSearchSink:
             del event["seq"]  # file position
             lines[json.dumps(event, sort_keys=True)] += 1
         assert sum(lines.values()) > 100
-        assert sum(lines.values()) == engine.num_queries - engine.num_cache_hits
-        assert set(lines.values()) == {1}  # a hit is never journaled again
+        # an engine keeps no cache: every query is computed and journaled
+        assert sum(lines.values()) == engine.num_queries
 
     def test_multi_workload_facade_forwards_the_sink(self, tiny_network):
         facade, _factory = multi_workload_trial_factory(

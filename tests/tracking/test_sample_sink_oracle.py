@@ -189,7 +189,7 @@ def test_a_cosearch_journals_the_same_bytes_and_dataset(
         ).optimize()
     raw = paths["framed"].read_bytes()
     assert raw == paths["dict"].read_bytes()
-    assert raw.count(b"\n") == engine.num_queries - engine.num_cache_hits > 100
+    assert raw.count(b"\n") == engine.num_queries > 100
     expected, got = (build_dataset(path) for path in (paths["dict"], paths["framed"]))
     assert len(got) == len(expected) > 0
     for field in ("x", "latency_s", "energy_j", "feasible"):
