@@ -21,7 +21,7 @@ CPU parallelism, so the gate holds on single-core runners too:
 
 Both arms run the *same* client — ``RemotePPAEngine`` over one URL or
 four — in the same configuration (chunked fan-out, pooled
-keep-alive connections, client cache too small to matter) and the gate
+keep-alive connections; the client keeps no cache) and the gate
 compares per-arm best-round throughput, which is robust to one-sided
 timing noise on shared runners.  Results land in ``BENCH_fleet.json``,
 and the fleet arm's replies are parity-checked against a local engine —
@@ -76,9 +76,7 @@ def _working_set():
 def _start_replicas(count):
     servers = []
     for _ in range(count):
-        engine = AscendCAEngine(NETWORK)
-        engine.cache_capacity = CAPACITY
-        server = PPAServiceServer(engine)
+        server = PPAServiceServer(AscendCAEngine(NETWORK), cache_capacity=CAPACITY)
         server.start()
         servers.append(server)
     return servers
@@ -91,7 +89,6 @@ def _run_arm(replicas, mappings):
         NETWORK,
         [server.url for server in servers],
         area_fn=ascend_area_mm2,
-        cache_capacity=1,  # repeats must reach the network, both arms
         batch_size=16,
         max_inflight=4,
         timeout_s=60.0,

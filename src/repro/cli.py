@@ -513,16 +513,18 @@ def _cmd_serve(args) -> int:
     from repro.fleet.server import ReplicaSpec, build_replica_engine
 
     capacity = args.cache_capacity if args.cache_capacity > 0 else None
-    engine = build_replica_engine(
-        ReplicaSpec(args.network, engine=args.engine, cache_capacity=capacity)
-    )
+    spec = ReplicaSpec(args.network, engine=args.engine, cache_capacity=capacity)
     tracer = None
     if args.trace:
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
     server = PPAServiceServer(
-        engine, host=args.host, port=args.port, tracer=tracer
+        build_replica_engine(spec),
+        host=args.host,
+        port=args.port,
+        tracer=tracer,
+        cache_capacity=spec.cache_capacity,
     )
     server.start()
     print(f"PPA service ({args.engine}, workload {args.network}) at {server.url}")

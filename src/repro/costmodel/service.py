@@ -91,6 +91,10 @@ from repro.utils.httpcore import HttpServer, Reply, Request, Route
 #: limit.
 DEFAULT_CACHE_CAPACITY = 100_000
 
+#: Distinct hardware rows a replica holds decoded: well over the trials
+#: one MSH round keeps live (the paper's N is 30).
+HW_ROWS_HELD = 256
+
 #: Version of the ``GET /metrics`` JSON document (engine stats + registry
 #: snapshot); bumped when the response shape changes so scrapers can detect
 #: drift instead of diffing noisy dicts.
@@ -211,13 +215,16 @@ class PPAServiceServer(HttpServer):
     bounded LRU over ``(hw key, twin key, mapping key)`` that every client
     of the replica shares, so a query any client asked before is answered
     without the engine (a fleet's rendezvous placement keeps each key on
-    one replica for that reason).  Its bound is the engine's
-    ``cache_capacity`` when the engine's builder set one
-    (:func:`repro.fleet.server.build_replica_engine`, from ``serve`` /
-    ``fleet serve --cache-capacity``; ``None`` is unbounded), else
-    :data:`DEFAULT_CACHE_CAPACITY`.  It sees a request's items in order,
-    as it would one-item requests; an engine call that raises caches
-    nothing.
+    one replica for that reason).  ``cache_capacity`` bounds it (``serve``
+    / ``fleet serve --cache-capacity``; ``None`` is unbounded).  It sees a
+    request's items in order, as it would one-item requests; an engine
+    call that raises caches nothing.
+
+    Each distinct hardware row is decoded once: the config it decodes to
+    answers every later request that carries the same row, so the
+    engine's hardware key and the kernel's per-config constants (held by
+    object identity) are derived once too.  The rows held are cleared
+    past :data:`HW_ROWS_HELD`.
 
     Shares the engine's metrics registry, so ``GET /metrics`` exposes the
     replica's counters (queries, cache hits/misses/evictions, compute
@@ -231,17 +238,20 @@ class PPAServiceServer(HttpServer):
         host: str = "127.0.0.1",
         port: int = 0,
         tracer: Optional[Tracer] = None,
+        cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
     ):
-        self.engine = engine
-        self.cache_capacity: Optional[int] = getattr(
-            engine, "cache_capacity", DEFAULT_CACHE_CAPACITY
-        )
-        if self.cache_capacity is not None and self.cache_capacity < 1:
+        if cache_capacity is not None and cache_capacity < 1:
             raise ConfigurationError(
-                f"cache_capacity must be >= 1 or None, got {self.cache_capacity}"
+                f"cache_capacity must be >= 1 or None, got {cache_capacity}"
             )
+        self.engine = engine
+        self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[Tuple, LayerPPA]" = OrderedDict()
         self._cache_lock = threading.Lock()
+        #: ``(*row, *types of its fields) ->`` the config of each hardware
+        #: row asked lately (the types keep ``14`` and ``14.0``, equal as
+        #: keys, apart)
+        self._hw_rows: Dict[Tuple, object] = {}
         #: items asked of the replica, hits included
         self.num_queries = 0
         self.num_cache_hits = 0
@@ -292,10 +302,27 @@ class PPAServiceServer(HttpServer):
     _compute_seconds = held_instrument("histogram", "engine_compute_seconds")
 
     # -- the replica's cache ----------------------------------------------------
+    def _decoded_hw(self, row):
+        """The config of a hardware row; a row held from an earlier
+        request answers with what it decoded to."""
+        try:
+            token = (*row, *map(type, row))
+            hw = self._hw_rows.get(token)
+        except TypeError:  # not a sequence, or an unhashable field
+            return decode_object(row)
+        if hw is None:
+            hw = decode_object(row)
+            with self._cache_lock:  # handler threads share the bound
+                if len(self._hw_rows) >= HW_ROWS_HELD:
+                    self._hw_rows.clear()
+                self._hw_rows[token] = hw
+        return hw
+
     def _evaluate_cached(
         self, groups: List[Tuple[object, List[Query]]]
-    ) -> List[List[LayerPPA]]:
-        """``engine.evaluate_groups(groups)``, with the LRU in front.
+    ) -> List[LayerPPA]:
+        """The answers to ``(hw, items)`` groups, flat in item order:
+        ``engine.evaluate_groups``, with the LRU in front.
 
         The LRU sees the items in order, as one-item requests would: a
         hit moves to the front, a miss takes its place there at once
@@ -308,23 +335,19 @@ class PPAServiceServer(HttpServer):
         engine = self.engine
         twin_keys = engine.twin_keys
         cache = self._cache
-        results: List[List[Optional[LayerPPA]]] = [
-            [None] * len(items) for _hw, items in groups
-        ]
+        capacity = self.cache_capacity
+        results: List[Optional[LayerPPA]] = []
         #: ``(hw, misses)`` per group that missed, misses in item order
         miss_groups: List[Tuple[object, List[Query]]] = []
-        #: key this request computes -> the result slots waiting for it
-        waiting: Dict[Tuple, List[Tuple[list, int]]] = {}
-        queries = hits = 0
+        #: key this request computes -> the result positions waiting for it
+        waiting: Dict[Tuple, List[int]] = {}
+        hits = 0
         with self._cache_lock:
-            for (hw, items), slots in zip(groups, results):
-                if not items:
-                    continue
-                queries += len(items)
+            for hw, items in groups:
                 hw_id = engine.hw_key(hw)
                 misses: List[Query] = []
-                for index, (mapping, layer_name) in enumerate(items):
-                    key = (hw_id, twin_keys[layer_name], mapping.key())
+                for query in items:
+                    key = (hw_id, twin_keys[query[1]], query[0].key())
                     held = cache.get(key)
                     pending = waiting.get(key)
                     # another request's place-holder is a miss here
@@ -334,18 +357,23 @@ class PPAServiceServer(HttpServer):
                         cache.move_to_end(key)
                         hits += 1
                         if held is not _COMPUTING:
-                            slots[index] = held
+                            results.append(held)
                             continue
                     else:
-                        cache[key] = _COMPUTING
-                        cache.move_to_end(key)
-                        self._evict_over_capacity()
+                        if held is None:
+                            cache[key] = _COMPUTING
+                            if capacity is not None and len(cache) > capacity:
+                                self._evict_over_capacity()
+                        else:
+                            cache.move_to_end(key)
                         if pending is None:
                             pending = waiting[key] = []
-                            misses.append((mapping, layer_name))
-                    pending.append((slots, index))
+                            misses.append(query)
+                    pending.append(len(results))
+                    results.append(None)
                 if misses:
                     miss_groups.append((hw, misses))
+            queries = len(results)
             self.num_queries += queries
             self.num_cache_hits += hits
         self._queries_total.inc(queries)
@@ -365,22 +393,21 @@ class PPAServiceServer(HttpServer):
             raise
         self._compute_seconds.observe(time.perf_counter() - start)
         with self._cache_lock:
-            for (key, pending), result in zip(
+            for (key, positions), result in zip(
                 waiting.items(), chain.from_iterable(computed)
             ):
                 if key in cache:
                     cache[key] = result
-                for slots, index in pending:
-                    slots[index] = result
-        return results  # type: ignore[return-value]  # all slots filled above
+                for position in positions:
+                    results[position] = result
+        return results  # type: ignore[return-value]  # every position filled
 
     def _evict_over_capacity(self) -> None:
         """Drop the oldest entries past the bound; the caller holds the lock."""
-        if self.cache_capacity is not None:
-            while len(self._cache) > self.cache_capacity:
-                self._cache.popitem(last=False)
-                self.num_cache_evictions += 1
-                self._evictions_total.inc()
+        while len(self._cache) > self.cache_capacity:  # type: ignore[operator]
+            self._cache.popitem(last=False)
+            self.num_cache_evictions += 1
+            self._evictions_total.inc()
 
     def engine_stats(self) -> Dict:
         """The ``engine`` block of ``GET /metrics``: the engine's stats
@@ -420,20 +447,15 @@ class PPAServiceServer(HttpServer):
         if not isinstance(groups, list):
             raise EvaluationError("'groups' must be a list")
         entries: List[List] = []
-        valid: List[Tuple[object, List[Tuple[object, str]]]] = []
+        asked: List[Tuple[object, List[Query]]] = []
         slots: List[Tuple[List, int]] = []
-        hw_row = hw = None
         for group in groups:
-            # consecutive groups on one hardware share its decoded config;
-            # nothing is kept past the request
-            if hw is None or group["hw"] != hw_row:
-                hw_row = group["hw"]
-                hw = decode_object(hw_row)
+            hw = self._decoded_hw(group["hw"])
             items = group["items"]
             if not isinstance(items, list):
                 raise EvaluationError("'items' must be a list")
             group_entries: List = [None] * len(items)
-            group_valid: List[Tuple[object, str]] = []
+            group_valid: List[Query] = []
             for index, item in enumerate(items):
                 # one bad item must not poison the rest of the request:
                 # reject it here, evaluate the others in one engine call
@@ -451,10 +473,11 @@ class PPAServiceServer(HttpServer):
                     group_valid.append((mapping, layer_name))
                     slots.append((group_entries, index))
             entries.append(group_entries)
-            valid.append((hw, group_valid))
+            asked.append((hw, group_valid))
         if slots:
-            results = chain.from_iterable(self._evaluate_cached(valid))
-            for (group_entries, index), result in zip(slots, results):
+            for (group_entries, index), result in zip(
+                slots, self._evaluate_cached(asked)
+            ):
                 group_entries[index] = _result_to_wire(result)
         return {"results": entries}
 
@@ -486,9 +509,8 @@ class RemotePPAEngine(PPAEngine):
     one circuit breaker per distinct URL.  Keeps the query counting of the
     base class and no cache: every query goes over the wire, and a repeat
     is answered by the replica's cache (:class:`PPAServiceServer`).
-    ``cache_capacity`` is accepted and ignored — it bounded a client-side
-    cache this class no longer keeps.  ``area_mm2`` is computed by a
-    locally supplied function (areas depend only on the hardware config).
+    ``area_mm2`` is computed by a locally supplied function (areas depend
+    only on the hardware config).
 
     Transport hardening, per shard (all real-time, invisible to the
     simulated clock):
@@ -524,10 +546,10 @@ class RemotePPAEngine(PPAEngine):
     group's: the live trials of a lockstep MSH round ask together — as
     ``POST /evaluate_layers`` requests the server answers with one engine
     call each.  A lone replica leaves nothing to
-    place or overlap: no routing key is built, nothing is hashed, the
-    call is one request on the caller's thread, which polls for its reply
-    before it blocks (:data:`~repro.fleet.pool.REPLY_POLL_S`; chunks that
-    fly together do not).  Across a fleet each
+    place or overlap: no routing key is built, nothing is hashed or
+    routed, the call is one request on the caller's thread, which polls
+    for its reply before it blocks (:data:`~repro.fleet.pool.REPLY_POLL_S`;
+    chunks that fly together do not).  Across a fleet each
     shard's share is cut into ``batch_size`` chunks that fly concurrently
     (at most ``max_inflight``) and are re-merged in item order, so
     accounting is order-identical to a serial loop and — the replicas
@@ -542,7 +564,6 @@ class RemotePPAEngine(PPAEngine):
         timeout_s: float = 10.0,
         batch_size: int = 16,
         max_inflight: int = 8,
-        cache_capacity: Optional[int] = None,
     ):
         super().__init__(network)
         if batch_size < 1:
@@ -748,17 +769,6 @@ class RemotePPAEngine(PPAEngine):
         assert last_error is not None
         raise last_error
 
-    def _routing_keys(self, hw, queries: Sequence[Query]) -> List[str]:
-        """One rendezvous key per query — built only when there is a choice."""
-        if len(self.router) == 1:
-            return [""] * len(queries)
-        hw_id = self.hw_key(hw)
-        twin_keys = self.twin_keys
-        return [
-            candidate_key(hw_id, twin_keys[layer_name], mapping.key())
-            for mapping, layer_name in queries
-        ]
-
     def _fanout(self, requests: Sequence[Tuple[str, str, Dict]]) -> List:
         """Issue ``(key, path, payload)`` requests; replies in submission order.
 
@@ -818,11 +828,12 @@ class RemotePPAEngine(PPAEngine):
 
         The base class counts queries and emits journal samples; this hook
         only decides where each item is computed.  A lone replica gets the
-        whole call — every group's items — as one request; across a fleet
-        each shard's share is cut into ``batch_size`` chunks the fan-out
-        overlaps.  A request carries its items group by group in item
-        order and answers are appended by item position, so a failure
-        part-way keeps everything before it, as a serial loop would.
+        whole call — every group's items — as one request, with no key to
+        route by; across a fleet each shard's share is cut into
+        ``batch_size`` chunks the fan-out overlaps.  A request carries its
+        items group by group in item order and answers are appended by
+        item position, so a failure part-way keeps everything before it,
+        as a serial loop would.
         """
         hw_wire = [encode_object(hw) if items else None for hw, items in groups]
         #: every item of the call, flat: (its group's index, the item)
@@ -831,14 +842,24 @@ class RemotePPAEngine(PPAEngine):
             for index, (_hw, items) in enumerate(groups)
             for item in items
         ]
-        keys = [
-            key for hw, items in groups for key in self._routing_keys(hw, items)
-        ]
+        keys: List[str] = []
         by_owner: Dict[str, List[int]] = {}
-        for position, key in enumerate(keys):
-            by_owner.setdefault(self.router.route(key).name, []).append(position)
-        # a lone replica has nothing to overlap with: its share leaves uncut
-        size = self.batch_size if len(self.router) > 1 else len(flat)
+        if len(self.router) == 1:
+            # a lone replica has nothing to place or overlap: no key is
+            # built, and its share leaves uncut
+            if flat:
+                by_owner[""] = list(range(len(flat)))
+            size = len(flat)
+        else:
+            hw_ids = [self.hw_key(hw) if items else None for hw, items in groups]
+            twin_keys = self.twin_keys
+            keys = [
+                candidate_key(hw_ids[index], twin_keys[layer_name], mapping.key())
+                for index, (mapping, layer_name) in flat
+            ]
+            for position, key in enumerate(keys):
+                by_owner.setdefault(self.router.route(key).name, []).append(position)
+            size = self.batch_size
         requests: List[Tuple[str, str, Dict]] = []
         sent: List[Tuple[List[int], List[QueryGroup]]] = []
         for owned in by_owner.values():
@@ -856,9 +877,8 @@ class RemotePPAEngine(PPAEngine):
                     chunk[-1][1].append((mapping, layer_name))
                     body[-1]["items"].append([encode_object(mapping), layer_name])
                 # all keys of a chunk share its owner: route by the first
-                requests.append(
-                    (keys[positions[0]], "/evaluate_layers", {"groups": body})
-                )
+                key = keys[positions[0]] if keys else ""
+                requests.append((key, "/evaluate_layers", {"groups": body}))
                 sent.append((positions, chunk))
         replies = self._fanout(requests)
         source: List[Optional[Iterator[LayerPPA]]] = [None] * len(flat)

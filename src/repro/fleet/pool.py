@@ -60,7 +60,9 @@ _BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
 
 #: How long a lone exchange polls for its reply before a blocking read,
 #: in seconds.  Chosen by a sweep over {0.25, 0.5, 1, 2, 4} ms on a
-#: co-search through one replica (DESIGN.md §4n).
+#: co-search through one replica, and kept by a second sweep over
+#: {0.25, 0.5, 1, 2} ms once the replica's handler got shorter
+#: (DESIGN.md §4n).
 REPLY_POLL_S = 0.001
 
 #: exchanges in flight in this process, over every pool

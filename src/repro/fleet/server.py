@@ -58,25 +58,22 @@ class ReplicaSpec:
 
 
 def build_replica_engine(spec: ReplicaSpec):
-    """Construct the engine a replica, or ``repro serve``, serves; its
-    ``cache_capacity`` bounds the LRU its server keeps in front of it."""
+    """Construct the engine a replica, or ``repro serve``, serves (the
+    spec's ``cache_capacity`` bounds the LRU its server keeps in front)."""
     from repro.workloads.registry import get_network
 
     network = get_network(spec.network)
     if spec.engine == "maestro":
         from repro.costmodel.engine import MaestroEngine
 
-        engine = MaestroEngine(network)
-    elif spec.engine == "timeloop":
+        return MaestroEngine(network)
+    if spec.engine == "timeloop":
         from repro.costmodel.timeloop import TimeloopEngine
 
-        engine = TimeloopEngine(network)
-    else:
-        from repro.camodel.engine import NOISE_FRACTION, AscendCAEngine
+        return TimeloopEngine(network)
+    from repro.camodel.engine import NOISE_FRACTION, AscendCAEngine
 
-        engine = AscendCAEngine(network, noise_fraction=NOISE_FRACTION)
-    engine.cache_capacity = spec.cache_capacity
-    return engine
+    return AscendCAEngine(network, noise_fraction=NOISE_FRACTION)
 
 
 def _replica_main(spec: ReplicaSpec, index: int, conn) -> None:
@@ -91,7 +88,9 @@ def _replica_main(spec: ReplicaSpec, index: int, conn) -> None:
     try:
         engine = build_replica_engine(spec)
         port = spec.ports[index] if index < len(spec.ports) else 0
-        server = PPAServiceServer(engine, host=spec.host, port=port)
+        server = PPAServiceServer(
+            engine, host=spec.host, port=port, cache_capacity=spec.cache_capacity
+        )
         server.start()
         stopped = server.install_signal_handlers()
         conn.send({"ok": True, "url": server.url, "pid": os.getpid()})

@@ -15,6 +15,7 @@ a route table; what a server needs besides its endpoints lives here, once:
   grow the registry — ``<prefix>_errors_total``,
   ``<prefix>_drain_rejections_total`` and, for ``timed`` routes, the
   ``<prefix>_request_seconds`` histogram (headers parsed → reply written);
+  what every exchange records is looked up by its first event and held;
 * JSON / text / streaming reply helpers and a route's exception → status
   mapping.
 
@@ -38,11 +39,12 @@ import signal
 import socketserver
 import threading
 import time
+from functools import cached_property
 from http import HTTPStatus
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs
 
-from repro.utils.metrics import MetricsRegistry
+from repro.utils.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "HeadError",
@@ -134,10 +136,14 @@ class Reply(NamedTuple):
     stream: Optional[Callable[[Callable[[bytes], object]], None]] = None
 
 
+#: the one encoder of every JSON reply: ``json.dumps(..., sort_keys=True)``
+#: without building an encoder per call
+_encode_reply = json.JSONEncoder(sort_keys=True).encode
+
+
 def json_reply(status: int, payload) -> Reply:
     """A JSON reply (keys sorted, so equal payloads are equal bytes)."""
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return Reply(status, "application/json", body)
+    return Reply(status, "application/json", _encode_reply(payload).encode("utf-8"))
 
 
 def text_reply(status: int, text: str) -> Reply:
@@ -221,6 +227,9 @@ class HttpServer:
             for (method, pattern), route in routes.items()
             if "<" in pattern
         ]
+        #: ``<prefix>_requests_total[<label>]`` by label, each looked up in
+        #: the registry by its first request and held from then on
+        self._requests_total: Dict[str, Counter] = {}
         #: graceful-shutdown state: once draining, new requests get a fast
         #: 503 while in-flight ones run to completion (see :meth:`stop`)
         self._draining = False
@@ -405,9 +414,7 @@ class HttpServer:
             if reply.stream is not None:
                 reply.stream(write)  # OSError: client went away; see handle()
             elif route is not None and route.timed:
-                self.metrics.histogram(
-                    f"{self._prefix}_request_seconds"
-                ).observe(time.perf_counter() - start)
+                self._request_seconds.observe(time.perf_counter() - start)
         finally:
             with self._inflight_cv:
                 self._inflight -= 1
@@ -430,14 +437,29 @@ class HttpServer:
                 {"error": f"internal error: {type(error).__name__}: {error}"},
             )
 
+    # the core's instruments, each made by its first event (a snapshot
+    # lists an instrument from the moment it exists) and held after it
+    @cached_property
+    def _request_seconds(self) -> Histogram:
+        return self.metrics.histogram(f"{self._prefix}_request_seconds")
+
+    @cached_property
+    def _errors_total(self) -> Counter:
+        return self.metrics.counter(f"{self._prefix}_errors_total")
+
     def _send(self, write, label: str, reply: Reply, close: bool) -> None:
         """Count the reply, then write head + body as one segment."""
         # count before the body leaves the socket: once the client has the
         # reply it may immediately scrape /metrics, and the request that
         # produced the reply must already be there
-        self.metrics.counter(f"{self._prefix}_requests_total[{label}]").inc()
+        counter = self._requests_total.get(label)
+        if counter is None:
+            counter = self._requests_total[label] = self.metrics.counter(
+                f"{self._prefix}_requests_total[{label}]"
+            )
+        counter.inc()
         if reply.status >= 400:
-            self.metrics.counter(f"{self._prefix}_errors_total").inc()
+            self._errors_total.inc()
         head = (
             f"HTTP/1.1 {reply.status} {_REASONS.get(reply.status, '')}\r\n"
             f"Content-Type: {reply.content_type}\r\n"

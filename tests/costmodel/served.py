@@ -12,13 +12,11 @@ from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 def served(network, engine_cls=MaestroEngine, **capacity):
     """Yield ``(server, client)``; both are closed afterwards.
 
-    ``capacity`` is empty or ``cache_capacity=N``: the bound the engine's
-    builder sets for the server's cache (``None`` = unbounded).
+    ``capacity`` is empty or ``cache_capacity=N``: the bound of the
+    server's cache (``None`` = unbounded).
     """
     backend = engine_cls(network)
-    for name, value in capacity.items():
-        setattr(backend, name, value)
-    with PPAServiceServer(backend) as server, RemotePPAEngine(
+    with PPAServiceServer(backend, **capacity) as server, RemotePPAEngine(
         network, server.url, area_fn=spatial_area_mm2
     ) as client:
         yield server, client

@@ -202,9 +202,8 @@ class TestCacheBounds:
 
     def test_invalid_capacity(self, tiny_network):
         backend = MaestroEngine(tiny_network)
-        backend.cache_capacity = 0
         with pytest.raises(ConfigurationError):
-            PPAServiceServer(backend)
+            PPAServiceServer(backend, cache_capacity=0)
 
     def test_stats_surface(self, tiny_network, sample_hw):
         with served(tiny_network, cache_capacity=8) as (server, client):

@@ -467,8 +467,9 @@ class TestServerErrorPaths:
             server.url, "/evaluate_layers",
             {"groups": [{"hw": 42, "items": [[[], "gemm"]]}]},
         )
-        assert status in (400, 500)
-        assert "error" in payload
+        assert (status, payload) == (
+            400, {"error": "not a config or mapping row: 42"}
+        )
 
     def test_errors_counted_in_metrics(self, server):
         self._post(server.url, "/evaluate_layers", None, raw=b"{not json")

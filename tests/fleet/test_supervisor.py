@@ -12,9 +12,13 @@ from urllib.request import urlopen
 
 import pytest
 
+from repro.costmodel.maestro import spatial_area_mm2
+from repro.costmodel.service import RemotePPAEngine
 from repro.costmodel.timeloop import TimeloopEngine
 from repro.errors import ConfigurationError
 from repro.fleet.server import FleetSupervisor, ReplicaSpec, build_replica_engine
+from repro.mapping.flextensor import FlexTensorSearch
+from repro.workloads.registry import get_network
 
 SPEC = ReplicaSpec(network="mobilenetv3_small", cache_capacity=256)
 
@@ -27,14 +31,12 @@ class TestSpec:
     def test_build_maestro_engine(self):
         engine = build_replica_engine(SPEC)
         assert engine.network.name == "mobilenetv3_small"
-        assert engine.cache_capacity == 256
 
     def test_build_timeloop_engine(self):
         spec = ReplicaSpec(network="mobilenetv3_small", engine="timeloop", cache_capacity=256)
         engine = build_replica_engine(spec)
         assert isinstance(engine, TimeloopEngine)
         assert engine.network.name == "mobilenetv3_small"
-        assert engine.cache_capacity == 256
 
     def test_build_ascend_engine(self):
         spec = ReplicaSpec(network="mobilenetv3_small", engine="ascend")
@@ -97,6 +99,35 @@ class TestLifecycle:
         spec = ReplicaSpec(network="mobilenetv3_small", ports=(port,))
         with FleetSupervisor(spec, replicas=1) as fleet:
             assert fleet.urls[0].endswith(f":{port}")
+
+
+class TestWhatTheBenchmarkReads:
+    """The end-to-end benchmark's ``route_counters`` reads a replica's
+    public ``GET /metrics`` and its pid after a remote search: a handler
+    that stops recording one of these fails here, not in a traced
+    benchmark run."""
+
+    def test_metrics_after_one_remote_search(self, sample_hw):
+        network = get_network("fsrcnn_120x320")
+        spec = ReplicaSpec(network=network.name, cache_capacity=256)
+        with FleetSupervisor(spec, replicas=1) as fleet:
+            with RemotePPAEngine(
+                network, fleet.urls[0], area_fn=spatial_area_mm2
+            ) as remote:
+                FlexTensorSearch(network, sample_hw, remote, seed=0).run(24)
+                sent = remote.metrics.counter_value("remote_requests_total")
+            with urlopen(f"{fleet.urls[0]}/metrics", timeout=5.0) as response:
+                document = json.loads(response.read())
+            pid = fleet.status()[0]["pid"]
+        assert isinstance(pid, int) and pid > 0
+        histograms = document["metrics"]["histograms"]
+        assert histograms["service_request_seconds"]["sum"] > 0.0
+        assert histograms["engine_compute_seconds"]["sum"] > 0.0
+        counters = document["metrics"]["counters"]
+        assert sent > 0
+        assert counters["service_requests_total[/evaluate_layers]"] == sent
+        # the spec's bound reaches the replica's cache
+        assert document["engine"]["cache_capacity"] == 256
 
 
 def _children_of(pid: int):

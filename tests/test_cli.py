@@ -116,10 +116,9 @@ class TestStatsCommand:
         from repro.hw.spatial import edge_design_space
 
         engine = MaestroEngine(tiny_network)
-        engine.cache_capacity = 64  # the replica cache's bound
         hw = edge_design_space().sample(0)
         mapping = GemmMapping(4, 8, 4)
-        with PPAServiceServer(engine) as server, RemotePPAEngine(
+        with PPAServiceServer(engine, cache_capacity=64) as server, RemotePPAEngine(
             tiny_network, server.url, area_fn=spatial_area_mm2
         ) as client:
             client.evaluate_layer(hw, mapping, "gemm")
