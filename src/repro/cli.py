@@ -514,25 +514,14 @@ def _cmd_serve(args) -> int:
 
     capacity = args.cache_capacity if args.cache_capacity > 0 else None
     spec = ReplicaSpec(args.network, engine=args.engine, cache_capacity=capacity)
-    tracer = None
-    if args.trace:
-        from repro.obs.trace import Tracer
-
-        tracer = Tracer()
     server = PPAServiceServer(
         build_replica_engine(spec),
         host=args.host,
         port=args.port,
-        tracer=tracer,
         cache_capacity=spec.cache_capacity,
     )
     server.start()
     print(f"PPA service ({args.engine}, workload {args.network}) at {server.url}")
-    if args.trace:
-        print(
-            "request tracing on: spans return to tracing clients via the "
-            "X-Repro-Span header"
-        )
     print(f"metrics at {server.url}/metrics  (or: python -m repro stats {server.url})")
     print("Ctrl-C (or SIGTERM) drains in-flight requests and stops.")
     server.install_signal_handlers().wait()
@@ -1163,10 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--cache-capacity", type=int, default=100_000,
         help="LRU bound on the service's result cache (0 = unbounded)",
-    )
-    serve_parser.add_argument(
-        "--trace", action="store_true",
-        help="open a span per request and return it to tracing clients",
     )
     serve_parser.set_defaults(fn=_cmd_serve)
 

@@ -76,14 +76,8 @@ from repro.hw.ascend import AscendHWConfig
 from repro.hw.spatial import SpatialHWConfig
 from repro.mapping.ascend_mapping import AscendMapping
 from repro.mapping.gemm_mapping import GemmMapping
-from repro.obs.trace import (
-    NULL_TRACER,
-    Tracer,
-    format_trace_context,
-    parse_trace_context,
-)
 from repro.ppa import LayerPPA, feasible_ppa, infeasible_ppa
-from repro.utils.httpcore import HttpServer, Reply, Request, Route
+from repro.utils.httpcore import HttpServer, Request, Route
 
 #: Default bound on a replica's (hw, twin key, mapping) result cache.
 #: Generous enough that no single co-search in the test/bench suites
@@ -237,7 +231,6 @@ class PPAServiceServer(HttpServer):
         engine: PPAEngine,
         host: str = "127.0.0.1",
         port: int = 0,
-        tracer: Optional[Tracer] = None,
         cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
     ):
         if cache_capacity is not None and cache_capacity < 1:
@@ -256,11 +249,6 @@ class PPAServiceServer(HttpServer):
         self.num_queries = 0
         self.num_cache_hits = 0
         self.num_cache_evictions = 0
-        #: server-side span tracer.  With a real tracer, every POST opens a
-        #: ``service<path>`` span whose finished form travels back in the
-        #: ``X-Repro-Span`` response header, letting tracing clients stitch
-        #: it into their own trace.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         rejections = ((EvaluationError, 400), (KeyError, 400))
         super().__init__(
             host,
@@ -275,24 +263,6 @@ class PPAServiceServer(HttpServer):
             engine.metrics,
             prefix="service",
             draining_error="service draining",
-        )
-
-    def _dispatch(self, route: Route, request: Request) -> Reply:
-        if not (self.tracer.enabled and request.method == "POST"):
-            return super()._dispatch(route, request)
-        context = parse_trace_context(request.headers.get("x-repro-trace"))
-        span = self.tracer.start_span(
-            f"service{request.path}",
-            parent_id=context[1] if context else None,
-        )
-        if context:
-            # adopt the caller's trace identity so server-side sinks
-            # record the request under the client's trace
-            span.trace_id = context[0]
-        reply = super()._dispatch(route, request)
-        span.set_attribute("status", reply.status)
-        return reply._replace(
-            headers={"X-Repro-Span": json.dumps(self.tracer.finish_span(span))}
         )
 
     _queries_total = held_instrument("counter", "engine_queries_total")
@@ -485,7 +455,7 @@ class PPAServiceServer(HttpServer):
 #: request bodies carry no optional whitespace (a tenth of their bytes)
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
-#: headers of every untraced request (never mutated: the pool only reads)
+#: headers of every request (never mutated: the pool only reads)
 _JSON_HEADERS = {"Content-Type": "application/json"}
 
 #: transport-level exceptions that indicate "try again", not "bad query"
@@ -637,7 +607,7 @@ class RemotePPAEngine(PPAEngine):
             return fallback
 
     def _transport_request(
-        self, shard: Shard, path: str, payload: Optional[Dict], span
+        self, shard: Shard, path: str, payload: Optional[Dict]
     ) -> Dict:
         """Breaker gate → pooled keep-alive exchange → retry policy → JSON."""
         breaker = shard.breaker
@@ -652,12 +622,6 @@ class RemotePPAEngine(PPAEngine):
         method = "POST" if data is not None else "GET"
         self._requests_total.inc()
         shard.requests_total.inc()
-        headers = _JSON_HEADERS
-        if span is not None:
-            headers = {
-                **_JSON_HEADERS,
-                "X-Repro-Trace": format_trace_context(self.tracer, span),
-            }
         last_error: Optional[TransportError] = None
         for attempt in range(MAX_NETWORK_RETRIES + 1):
             if attempt:
@@ -670,10 +634,9 @@ class RemotePPAEngine(PPAEngine):
             try:
                 start = time.perf_counter()
                 response = shard.pool.request(
-                    method, path, body=data, headers=headers
+                    method, path, body=data, headers=_JSON_HEADERS
                 )
-                elapsed = time.perf_counter() - start
-                self._request_seconds.observe(elapsed)
+                self._request_seconds.observe(time.perf_counter() - start)
                 if response.status >= 400:
                     detail = self._error_detail(
                         response.body, f"HTTP {response.status}"
@@ -695,51 +658,12 @@ class RemotePPAEngine(PPAEngine):
                 )
                 continue
             self._breaker_report(breaker, success=True)
-            if span is not None:
-                server_span = response.header("X-Repro-Span")
-                if server_span:
-                    try:
-                        self.tracer.record_remote(
-                            json.loads(server_span), span, elapsed
-                        )
-                    except (json.JSONDecodeError, TypeError, ValueError):
-                        pass  # a garbled span header must not fail the query
             return reply
         self._breaker_report(breaker, success=False)
         assert last_error is not None
         raise last_error
 
-    def _parent_span(self):
-        """The calling thread's current span: the parent of request spans."""
-        return self.tracer.current_span() if self.tracer.enabled else None
-
-    def _shard_request(
-        self, shard: Shard, path: str, payload: Optional[Dict], parent_span
-    ) -> Dict:
-        """One request to one shard, under its own ``remote<path>`` span.
-
-        Worker threads have an empty tracer context stack, so the parent
-        is attached explicitly.  The trace context travels out in
-        ``X-Repro-Trace``, and a server-side span returned in
-        ``X-Repro-Span`` is adopted into the client trace under this span
-        (see :meth:`Tracer.record_remote`).
-        """
-        if not self.tracer.enabled:
-            return self._transport_request(shard, path, payload, None)
-        span = self.tracer.start_span(
-            "remote" + path,
-            parent_id=parent_span.span_id if parent_span is not None else None,
-            shard=shard.name,
-        )
-        try:
-            return self._transport_request(shard, path, payload, span)
-        except BaseException as error:
-            span.set_attribute("error", type(error).__name__)
-            raise
-        finally:
-            self.tracer.finish_span(span)
-
-    def _request(self, key: str, path: str, payload: Dict, parent_span) -> Dict:
+    def _request(self, key: str, path: str, payload: Dict) -> Dict:
         """One logical query: ``key``'s owner, then down its ranking.
 
         Only transport-level failures fail over (the next replica may be
@@ -757,7 +681,7 @@ class RemotePPAEngine(PPAEngine):
                 continue
             tried += 1
             try:
-                return self._shard_request(shard, path, payload, parent_span)
+                return self._transport_request(shard, path, payload)
             except TransportError as error:
                 message = str(error)
                 if "503" in message and "draining" in message:
@@ -775,14 +699,12 @@ class RemotePPAEngine(PPAEngine):
         Each entry is the request's reply or the error it ended in.  One
         request (all a lone replica is ever sent) goes out on the caller's
         thread; several fly concurrently and all finish before this
-        returns, so no connection is abandoned mid-flight.  The calling
-        thread's current span (if any) parents every request span.
+        returns, so no connection is abandoned mid-flight.
         """
-        parent_span = self._parent_span()
 
         def attempt(request: Tuple[str, str, Dict]):
             try:
-                return self._request(*request, parent_span)
+                return self._request(*request)
             except Exception as error:  # noqa: BLE001 - re-raised by the merge
                 return error
 

@@ -71,7 +71,8 @@ _in_flight_lock = threading.Lock()
 
 
 class PoolResponse:
-    """One completed HTTP exchange: status, headers, body bytes."""
+    """One completed HTTP exchange: status, headers (names lower-cased),
+    body bytes."""
 
     __slots__ = ("status", "headers", "body")
 
@@ -79,9 +80,6 @@ class PoolResponse:
         self.status = status
         self.headers = headers
         self.body = body
-
-    def header(self, name: str) -> Optional[str]:
-        return self.headers.get(name.lower())
 
 
 class _Connection:

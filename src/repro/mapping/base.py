@@ -49,7 +49,6 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.errors import SearchBudgetError
-from repro.obs.trace import NULL_TRACER
 from repro.ppa import (
     SCREENED_REASON,
     LayerPPA,
@@ -374,8 +373,7 @@ class AnytimeMappingSearch(ABC):
             raise SearchBudgetError(
                 f"additional_budget must be >= 0, got {additional_budget}"
             )
-        # duck-typed engines (tests) may lack ``tracer``; default to the null one
-        tracer = getattr(self.engine, "tracer", NULL_TRACER)
+        tracer = self.engine.tracer
         if tracer.enabled:
             with tracer.span(
                 "mapping_search", tool=self.name, budget=additional_budget

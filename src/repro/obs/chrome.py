@@ -8,7 +8,7 @@ second synthetic process, so one file answers both "where did the CPU
 go" and "where did the modeled search budget go".
 
 Spans carry their trace/span/parent ids and typed attributes in
-``args``, so a stitched client+server trace stays navigable.
+``args``, so the span tree stays navigable in the viewer.
 """
 
 from __future__ import annotations

@@ -17,10 +17,9 @@ layer:
 * :class:`NullTracer` — the default everywhere; untraced hot paths pay a
   single ``tracer.enabled`` attribute check and nothing else.
 
-Trace context crosses process boundaries as a ``trace_id:span_id`` pair
-(the ``X-Repro-Trace`` HTTP header); see
-:func:`format_trace_context` / :func:`parse_trace_context` and the
-stitching logic in :mod:`repro.costmodel.service`.
+Spans stay in the process that recorded them: a search through a
+:class:`~repro.costmodel.service.RemotePPAEngine` traces its client-side
+phases, and the replica's requests carry no trace context.
 
 Tracing is observational by construction: spans never touch any RNG and
 never read search state, so a traced run's results are bit-identical to
@@ -33,7 +32,7 @@ import itertools
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Version stamped on every ``span`` journal event so future span schema
 #: growth stays detectable by older readers.
@@ -89,7 +88,7 @@ class Span:
     """
 
     __slots__ = (
-        "name", "trace_id", "span_id", "parent_id", "attrs",
+        "name", "span_id", "parent_id", "attrs",
         "wall_start", "wall_dur", "sim_start", "sim_dur",
         "thread", "_tracer",
     )
@@ -103,7 +102,6 @@ class Span:
         attrs: Dict,
     ):
         self.name = name
-        self.trace_id = tracer.trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.attrs = attrs
@@ -122,7 +120,7 @@ class Span:
         """JSON-able view of the finished span (the sink wire format)."""
         return {
             "name": self.name,
-            "trace_id": self.trace_id,
+            "trace_id": self._tracer.trace_id,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "wall_start_s": self.wall_start,
@@ -196,20 +194,18 @@ class Tracer:
         every span also records the simulated seconds elapsed in its body.
     sinks:
         :class:`SpanSink` instances receiving every finished span.
-    trace_id:
-        Identity of the whole trace; defaults to a random hex id.  Spans
-        propagated across the service wire keep this id, which is what
-        stitches client and server spans into one trace.
+
+    Every span carries the tracer's random hex ``trace_id``.
     """
 
     enabled = True
 
-    def __init__(self, clock=None, sinks=(), trace_id: Optional[str] = None):
+    def __init__(self, clock=None, sinks=()):
         self.clock = clock
         self.sinks: List[SpanSink] = list(sinks)
-        self.trace_id = trace_id if trace_id else os.urandom(8).hex()
-        # span ids must stay unique across processes that share a trace
-        # (client + service), hence the random per-tracer prefix
+        self.trace_id = os.urandom(8).hex()
+        # span ids must stay unique across the processes that append to one
+        # journal (a run and its resume), hence the random per-tracer prefix
         self._id_prefix = os.urandom(3).hex()
         self._counter = itertools.count(1)
         self._local = threading.local()
@@ -225,10 +221,6 @@ class Tracer:
             stack = self._local.stack = []
             return stack
 
-    def _emit(self, span_dict: Dict) -> None:
-        for sink in self.sinks:
-            sink.record(span_dict)
-
     def span(self, name: str, **attrs) -> Span:
         """Open a child span of the current thread's innermost span.
 
@@ -241,27 +233,6 @@ class Tracer:
         stack = self._stack()
         parent_id = stack[-1].span_id if stack else None
         return Span(self, name, self._next_span_id(), parent_id, attrs)
-
-    def start_span(
-        self, name: str, parent_id: Optional[str] = None, **attrs
-    ) -> Span:
-        """Manually start a span (server request handlers); pair with
-        :meth:`finish_span`.  ``parent_id`` overrides the context stack —
-        the cross-process case, where the parent lives in another process.
-        """
-        span = Span(self, name, self._next_span_id(), parent_id, attrs)
-        span.__enter__()
-        return span
-
-    def finish_span(self, span: Span) -> Dict:
-        """Close a manually started span and return its wire dict."""
-        span.__exit__(None, None, None)
-        return span.to_dict()
-
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
 
     def record_leaf(
         self, name: str, wall_start: float, sim_start: float = 0.0, **attrs
@@ -293,39 +264,6 @@ class Tracer:
         for sink in self.sinks:
             sink.record(span_dict)
 
-    def record_remote(
-        self,
-        payload: Dict,
-        parent: Span,
-        client_elapsed_s: float,
-    ) -> Dict:
-        """Adopt a server-side span (from an ``X-Repro-Span`` reply header)
-        into this trace as a child of ``parent``.
-
-        The two processes' wall clocks are not synchronized, so the remote
-        span is re-based into the client timeline the way RPC trace
-        viewers do: centered inside the client request interval, with the
-        server-measured duration kept verbatim.
-        """
-        server_dur = float(payload.get("wall_dur_s", 0.0))
-        offset = max(0.0, (client_elapsed_s - server_dur) / 2.0)
-        attrs = dict(payload.get("attrs") or {})
-        attrs["remote"] = True
-        span_dict = {
-            "name": str(payload.get("name", "remote")),
-            "trace_id": self.trace_id,
-            "span_id": str(payload.get("span_id", self._next_span_id())),
-            "parent_id": parent.span_id,
-            "wall_start_s": parent.wall_start + offset,
-            "wall_dur_s": server_dur,
-            "sim_start_s": float(payload.get("sim_start_s", 0.0)),
-            "sim_dur_s": float(payload.get("sim_dur_s", 0.0)),
-            "thread": parent.thread,
-            "attrs": attrs,
-        }
-        self._emit(span_dict)
-        return span_dict
-
 
 class NullTracer(Tracer):
     """The default tracer: observes nothing, costs one attribute check.
@@ -337,21 +275,12 @@ class NullTracer(Tracer):
     enabled = False
 
     def __init__(self):
-        super().__init__(clock=None, sinks=(), trace_id="0")
+        super().__init__(clock=None, sinks=())
+        self.trace_id = "0"
 
     def span(self, name: str, **attrs) -> _NullSpan:  # type: ignore[override]
         """Return the shared no-op span."""
         return _NULL_SPAN
-
-    def start_span(
-        self, name: str, parent_id: Optional[str] = None, **attrs
-    ) -> _NullSpan:  # type: ignore[override]
-        """Return the shared no-op span."""
-        return _NULL_SPAN
-
-    def finish_span(self, span) -> Dict:
-        """No-op; returns an empty dict."""
-        return {}
 
     def record_leaf(
         self, name: str, wall_start: float, sim_start: float = 0.0, **attrs
@@ -363,22 +292,6 @@ class NullTracer(Tracer):
 NULL_TRACER = NullTracer()
 
 
-# ------------------------------------------------------- context propagation
-def format_trace_context(tracer: Tracer, span: Span) -> str:
-    """Serialize (trace id, span id) for the ``X-Repro-Trace`` header."""
-    return f"{tracer.trace_id}:{span.span_id}"
-
-
-def parse_trace_context(header: Optional[str]) -> Optional[Tuple[str, str]]:
-    """Inverse of :func:`format_trace_context`; ``None`` on absent/garbage."""
-    if not header:
-        return None
-    parts = header.strip().split(":")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        return None
-    return parts[0], parts[1]
-
-
 __all__ = [
     "NULL_TRACER",
     "SPAN_SCHEMA_VERSION",
@@ -388,6 +301,4 @@ __all__ = [
     "Span",
     "SpanSink",
     "Tracer",
-    "format_trace_context",
-    "parse_trace_context",
 ]

@@ -14,6 +14,7 @@ import pytest
 from repro.costmodel.engine import MaestroEngine
 from repro.costmodel.maestro import spatial_area_mm2
 from repro.costmodel.service import (
+    METRICS_SCHEMA_VERSION,
     PPAServiceServer,
     RemotePPAEngine,
     decode_object,
@@ -24,6 +25,7 @@ from repro.hw.ascend import default_ascend_config
 from repro.mapping.ascend_mapping import AscendMapping
 from repro.mapping.flextensor import FlexTensorSearch
 from repro.mapping.gemm_mapping import GemmMapping
+from repro.utils.prom import parse_prometheus_text
 from tests.costmodel.transport import FAST, tune
 
 
@@ -230,7 +232,7 @@ def _fast_remote(network, url, **overrides):
 def _gated(remote):
     """A cheap ordinary request — breaker-gated, retried, counted — to the
     one shard: its ``GET /metrics`` (``health()`` bypasses the breaker)."""
-    return remote._shard_request(remote.router.shards[0], "/metrics", None, None)
+    return remote._transport_request(remote.router.shards[0], "/metrics", None)
 
 
 @contextlib.contextmanager
@@ -738,6 +740,26 @@ class TestMetricsEndpoint:
         # the pool block totals the shards' connection counters
         assert stats["pool"]["num_created"] == shard["pool"]["num_created"] == 1
         assert stats["pool"]["num_stale_retries"] == 0
+
+    def test_json_metrics_schema_version_and_stable_ordering(self, server):
+        with urlopen(f"{server.url}/metrics") as response:
+            raw = response.read().decode()
+        payload = json.loads(raw)
+        assert payload["schema_version"] == METRICS_SCHEMA_VERSION
+        assert raw == json.dumps(payload, sort_keys=True)
+
+    def test_prom_metrics_parse(self, server, remote, sample_hw):
+        """``?format=prom`` output is scrapeable."""
+        remote.evaluate_layer(sample_hw, GemmMapping(4, 8, 4), "gemm")
+        with urlopen(f"{server.url}/metrics?format=prom") as response:
+            assert response.headers.get_content_type() == "text/plain"
+            text = response.read().decode()
+        families = parse_prometheus_text(text)
+        assert any(f.startswith("service_requests") for f in families)
+        histograms = [
+            f for f, d in families.items() if d["type"] == "histogram"
+        ]
+        assert histograms  # request latency histogram present
 
 
 class TestClientValidation:

@@ -1,13 +1,20 @@
 """End-to-end traced co-search runs: nesting, determinism, CLI surfaces."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core.unico import Unico, UnicoConfig
+from repro.costmodel.engine import MaestroEngine
+from repro.costmodel.maestro import spatial_area_mm2
+from repro.costmodel.service import PPAServiceServer, RemotePPAEngine
 from repro.errors import ConfigurationError
 from repro.experiments.harness import run_method
+from repro.hw.spatial import edge_design_space
 from repro.obs.profile import build_profile, spans_from_journal
+from repro.obs.trace import InMemorySink, Tracer
 from repro.tracking.store import RunStore
 
 
@@ -144,3 +151,68 @@ class TestDeterminism:
             assert a.time_s == b.time_s
             np.testing.assert_array_equal(a.ppa_vector, b.ppa_vector)
         assert untraced.total_engine_queries == traced.total_engine_queries
+
+
+class _HeaderRecordingServer(PPAServiceServer):
+    """A replica that keeps the headers of every request it routes."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.request_headers = []
+
+    def _dispatch(self, route, request):
+        self.request_headers.append(dict(request.headers))
+        return super()._dispatch(route, request)
+
+
+def _cosearch(network, engine, traced):
+    """A small seed-0 UNICO co-search on ``engine``: (result, spans)."""
+    unico = Unico(
+        edge_design_space(),
+        network,
+        engine,
+        UnicoConfig(batch_size=4, max_iterations=2, max_budget=24, eval_batch_size=8),
+        power_cap_w=100.0,
+        seed=0,
+    )
+    sink = InMemorySink()
+    if traced:
+        unico.set_tracer(Tracer(clock=unico.clock, sinks=[sink]))
+    return unico.optimize(), sink.spans
+
+
+def _remote_cosearch(network, traced):
+    """The co-search through one fresh replica: (result, spans, the
+    headers of every request the replica received)."""
+    with _HeaderRecordingServer(MaestroEngine(network)) as server, RemotePPAEngine(
+        network, server.url, area_fn=spatial_area_mm2
+    ) as remote:
+        result, spans = _cosearch(network, remote, traced)
+    return result, spans, server.request_headers
+
+
+class TestTracedRemoteRun:
+    """A traced search through one replica traces its client side only."""
+
+    def test_remote_spans_match_local_spans(self, tiny_network):
+        _, local_spans = _cosearch(tiny_network, MaestroEngine(tiny_network), True)
+        _, remote_spans, _ = _remote_cosearch(tiny_network, traced=True)
+        local_names = Counter(s["name"] for s in local_spans)
+        assert {"msh_round", "mapping_search", "engine_eval_batch"} <= set(
+            local_names
+        )
+        assert Counter(s["name"] for s in remote_spans) == local_names
+
+    def test_traced_remote_result_equals_untraced(self, tiny_network):
+        untraced, _, _ = _remote_cosearch(tiny_network, traced=False)
+        traced, _, _ = _remote_cosearch(tiny_network, traced=True)
+        np.testing.assert_array_equal(untraced.pareto.points, traced.pareto.points)
+        assert [(e.time_s, tuple(e.ppa_vector)) for e in untraced.timeline] == [
+            (e.time_s, tuple(e.ppa_vector)) for e in traced.timeline
+        ]
+        assert untraced.total_engine_queries == traced.total_engine_queries
+
+    def test_replica_receives_no_trace_header(self, tiny_network):
+        _, _, headers = _remote_cosearch(tiny_network, traced=True)
+        assert headers
+        assert not any("x-repro-trace" in seen for seen in headers)

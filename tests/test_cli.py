@@ -178,11 +178,6 @@ class TestStatsCommand:
             ["serve", "resnet50", "--cache-capacity", "0"]
         )
         assert args.cache_capacity == 0
-        assert args.trace is False
-
-    def test_serve_parser_accepts_trace(self):
-        args = build_parser().parse_args(["serve", "resnet50", "--trace"])
-        assert args.trace is True
 
     @pytest.mark.parametrize("command", [["serve"], ["fleet", "serve"]])
     def test_serve_parsers_offer_every_engine(self, command):
